@@ -469,18 +469,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 if isinstance(pool, SupervisedServerPool)
                 else None
             )
-            if health is not None:
-                rss_bytes = health["rss_bytes"]
-                shm_bytes = health["shm_bytes"]
-            elif isinstance(pool, ProcessServerPool):
-                memory = pool.memory_info()
-                rss_bytes = memory["total_rss_bytes"]
-                shm_bytes = memory["shm_bytes"]
-            else:  # thread pool: the workers live in this process
-                from repro.core.server import process_rss_bytes
-
-                rss_bytes = process_rss_bytes()
-                shm_bytes = 0
+            memory = pool.memory_info()
     finally:
         if corrupted_copy is not None and os.path.exists(corrupted_copy):
             os.unlink(corrupted_copy)
@@ -507,8 +496,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "restarts": report.restarts,
         "retries": report.retries,
         "sheds": report.sheds,
-        "rss_bytes": rss_bytes,
-        "shm_bytes": shm_bytes,
+        "rss_bytes": memory["total_rss_bytes"],
+        "shm_bytes": memory["shm_bytes"],
         "fault_events": list(report.fault_events),
     }
     if health is not None:

@@ -273,10 +273,6 @@ class ChaosController:
         #: JSON-ready records of every event that fired, in firing order.
         self.fired: List[dict] = []
 
-    def _base_pool(self):
-        """The underlying process pool (unwraps a supervised pool)."""
-        return getattr(self.pool, "pool", self.pool)
-
     def before_query(self, position: int) -> None:
         """Fire every event scheduled just before query ``position``."""
         for event in self.plan.events_at(position):
@@ -286,12 +282,12 @@ class ChaosController:
         """Fire one event through its real failure mechanism."""
         effect = "skipped"
         if event.kind == "kill":
-            handle = self._base_pool()._workers[event.shard]
+            handle = self.pool._workers[event.shard]
             handle.process.kill()
             handle.process.join(timeout=10.0)
             effect = f"worker {event.shard} killed (SIGKILL)"
         elif event.kind in ("delay", "drop"):
-            handle = self._base_pool()._workers[event.shard]
+            handle = self.pool._workers[event.shard]
             action = (
                 ("sleep", event.seconds) if event.kind == "delay" else ("drop", None)
             )

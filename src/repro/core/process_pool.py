@@ -3,11 +3,13 @@
 The thread :class:`~repro.core.server.ServerPool` proved (BENCH_pr4.json)
 that warm serving is pure CPU — numpy merges and greedy selection under
 the GIL — so adding threads buys contention, not throughput.
-:class:`ProcessServerPool` keeps that pool's exact architecture (N
-workers over one immutable index file, ``crc32`` primary-keyword shard
-dispatch, sharded batches, warm/evict fan-out, merged stats) but gives
-every worker its *own process*, its own reader, block cache and buffer
-pool, so N shards really execute on N cores.
+:class:`ProcessServerPool` is the same pool core
+(:class:`~repro.core.server._ShardedPool`: dispatch, sharded batches,
+warm/evict fan-out, merged stats) over a different shard executor:
+every worker is its *own process* with its own reader, block cache and
+buffer pool, so N shards really execute on N cores.  This module keeps
+only what a process-backed shard needs — the worker loop, the pipe
+handle, and spawn/handshake/restart/shared-memory lifecycle.
 
 The request path is a tiny pickled protocol over one
 :func:`multiprocessing.Pipe` per worker — parent → worker messages are
@@ -20,8 +22,9 @@ are laid out as flat arrays in a per-worker shared-memory segment
 reconstructs :class:`~repro.core.results.SeedSelection` objects from
 array slices.  Administrative replies (stats snapshots, warm/evict
 acks) and errors still travel pickled — ``("ok", result)`` /
-``("err", exception)`` — and ``flat_transport=False`` restores the
-pickled answer path wholesale (answers are bit-identical either way).
+``("err", exception)`` — and where shared memory is unavailable (or a
+frame cannot be written) answers degrade to the pickled path on their
+own, bit-identical either way.
 
 Workers can additionally share one machine-wide decoded-block cache
 (``shared_block_cache=True``): the parent creates/attaches a
@@ -53,15 +56,14 @@ import os
 import pickle
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.core.dispatch import Dispatcher, make_dispatcher
-from repro.core.query import KBTIMQuery, KeywordRef
+from repro.core.dispatch import Dispatcher
 from repro.core.results import SeedSelection
 from repro.core.server import (
     KBTIMServer,
-    ServerStats,
-    _sharded_batch,
+    _dispatch,
+    _ShardedPool,
     process_rss_bytes,
 )
 from repro.core.shm_cache import SharedBlockCache, shared_cache_name_for
@@ -71,13 +73,7 @@ from repro.core.transport import (
     transport_available,
     unlink_response,
 )
-from repro.errors import (
-    CorruptIndexError,
-    DeadlineExceededError,
-    IndexError_,
-    ServerError,
-)
-from repro.storage.iostats import IOStats
+from repro.errors import CorruptIndexError, DeadlineExceededError, ServerError
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segments import SegmentReader
 from repro.utils.validation import check_positive_int
@@ -127,7 +123,7 @@ def _worker_main(
             index_kwargs["shared_cache"] = shared_cache
         index = RRIndex(path, **index_kwargs)
         server = KBTIMServer(index, cache_keywords=config["cache_keywords"])
-        if resp_name is not None and config.get("flat_transport", True):
+        if resp_name is not None:
             try:
                 writer = ResponseWriter(resp_name)
             except OSError:
@@ -175,7 +171,15 @@ def _worker_main(
                     )
                 continue
             try:
-                result = _dispatch(server, method, payload, shared_cache)
+                if method == "stats":
+                    # Refresh the memory gauges at snapshot time: RSS
+                    # measured in-process, shared bytes from the
+                    # machine-wide cache (0 when that tier is disabled).
+                    server.stats.record_memory(
+                        rss_bytes=process_rss_bytes(),
+                        shm_bytes=shared_cache.shared_bytes() if shared_cache else 0,
+                    )
+                result = _dispatch(server, method, payload)
             except BaseException as exc:
                 _send_result(conn, "err", _portable_exc(exc))
                 continue
@@ -200,36 +204,6 @@ def _worker_main(
             shared_cache.close()
         server.index.close()
         conn.close()
-
-
-def _dispatch(server: KBTIMServer, method: str, payload, shared_cache=None):
-    """Execute one request against the worker's server."""
-    if method == "query":
-        return server.query(payload)
-    if method == "query_batch":
-        return server.query_batch(payload)
-    if method == "warm":
-        server.warm(payload)
-        return None
-    if method == "evict_all":
-        server.evict_all()
-        return None
-    if method == "stats":
-        # Refresh the memory gauges at snapshot time: RSS measured
-        # in-process, shared bytes from the machine-wide cache (0 when
-        # the shared tier is disabled).
-        server.stats.record_memory(
-            rss_bytes=process_rss_bytes(),
-            shm_bytes=shared_cache.shared_bytes() if shared_cache else 0,
-        )
-        return server.stats.snapshot()
-    if method == "io_stats":
-        return server.index.stats.snapshot()
-    if method == "cached_keywords":
-        return server.cached_keywords
-    if method == "ping":
-        return os.getpid()
-    raise ServerError(f"unknown worker request {method!r}")
 
 
 def _send_result(conn, status: str, payload) -> None:
@@ -421,18 +395,18 @@ class _WorkerHandle:
             unlink_response(self.resp_name)
 
 
-class ProcessServerPool:
+class ProcessServerPool(_ShardedPool):
     """N worker *processes* sharding one immutable RR index file.
 
     The process-level counterpart of the thread
-    :class:`~repro.core.server.ServerPool`: same pluggable dispatch
-    (a :class:`~repro.core.dispatch.Dispatcher` — static ``"crc32"`` on
-    the query's primary keyword by default, load-aware
-    ``"rendezvous"`` opt-in), same sharded
-    :meth:`query_batch`, :meth:`warm`/:meth:`evict_all` fan-out and
-    merged :class:`~repro.core.server.ServerStats` view — but each
-    worker owns a whole :class:`~repro.core.server.KBTIMServer` (reader,
-    block cache, prefix cache, buffer pool) in its own process, so warm
+    :class:`~repro.core.server.ServerPool`, on the same pool core: same
+    pluggable dispatch (a :class:`~repro.core.dispatch.Dispatcher` —
+    static ``"crc32"`` on the query's primary keyword by default,
+    load-aware ``"rendezvous"`` opt-in), same sharded ``query_batch``,
+    ``warm``/``evict_all`` fan-out and merged
+    :class:`~repro.core.server.ServerStats` view — but each worker owns
+    a whole :class:`~repro.core.server.KBTIMServer` (reader, block
+    cache, prefix cache, buffer pool) in its own process, so warm
     CPU-bound serving scales past the GIL.
 
     Parameters
@@ -462,11 +436,6 @@ class ProcessServerPool:
         it raises :class:`~repro.errors.ServerError` on the caller.
         ``None`` (default) waits indefinitely — worker *death* is still
         detected immediately via the broken pipe.
-    flat_transport:
-        Ship query answers as flat arrays through per-worker
-        shared-memory segments (:mod:`repro.core.transport`) instead of
-        pickling them through the pipe.  On by default where shared
-        memory exists; answers are bit-identical either way.
     shared_block_cache:
         Share one machine-wide :class:`~repro.core.shm_cache.SharedBlockCache`
         of decoded keyword blocks across all workers (each hot keyword
@@ -503,11 +472,16 @@ class ProcessServerPool:
     :meth:`KBTIMServer.query` and to the thread pool — same code, same
     immutable file, same dispatch — and per-query
     :class:`~repro.core.results.QueryStats` carry exact I/O accounting
-    measured inside the owning worker.  Stats snapshots
-    (:attr:`stats`, :meth:`worker_stats`, :attr:`io_stats`) are
-    request/response copies: consistent per worker, fetched at call
-    time.
+    measured inside the owning worker.  Query answers travel as flat
+    arrays through per-worker shared-memory segments
+    (:mod:`repro.core.transport`) wherever shared memory exists
+    (:attr:`flat_transport` reports it) and as pickles otherwise.
+    Stats snapshots (:attr:`stats`, :meth:`worker_stats`,
+    :attr:`io_stats`) are request/response copies: consistent per
+    worker, fetched at call time.
     """
+
+    _kind = "process server pool"
 
     def __init__(
         self,
@@ -520,20 +494,17 @@ class ProcessServerPool:
         prefix_cache_keywords: Optional[int] = None,
         start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
-        flat_transport: bool = True,
         shared_block_cache: bool = False,
         shm_cache_slots: int = 64,
         dispatch: "str | Dispatcher" = "crc32",
     ) -> None:
-        self.n_workers = check_positive_int("n_workers", n_workers)
-        self.dispatcher = make_dispatcher(dispatch, self.n_workers)
+        super().__init__(n_workers, dispatch, request_timeout)
         check_positive_int("cache_keywords", cache_keywords)
         self.path = str(path)
-        self.request_timeout = request_timeout
-        self._closed = False
-        self.flat_transport = bool(flat_transport) and transport_available()
+        #: Whether answers ride flat shared-memory frames (observed, not
+        #: configured: true wherever POSIX shared memory exists).
+        self.flat_transport = transport_available()
         self._resp_counter = itertools.count()
-        self._shm_cache: Optional[SharedBlockCache] = None
         # Parent-side catalog: names + topic-id map only, for dispatch
         # and warm routing.  Loaded once and the reader closed *before*
         # spawning, so no open file descriptor leaks into fork children
@@ -546,7 +517,6 @@ class ProcessServerPool:
             "index_kwargs": index_kwargs,
             "cache_keywords": cache_keywords,
             "pool_pages": check_positive_int("pool_pages", pool_pages),
-            "flat_transport": self.flat_transport,
         }
         if shared_block_cache and transport_available():
             # The parent creates (or, if another pool over the same file
@@ -648,244 +618,6 @@ class ProcessServerPool:
             for name, entry in meta["keywords"].items()
         }
 
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def _resolve(self, keyword: KeywordRef) -> str:
-        """Topic names pass through; ids resolve via the catalog map.
-
-        Mirrors ``RRIndex._resolve`` exactly (including *not* validating
-        names — an unknown name dispatches to some shard whose worker
-        then raises the reader's usual ``IndexError_``), so the process
-        pool routes queries to the same shards as the thread pool.
-        """
-        if isinstance(keyword, str):
-            return keyword
-        name = self._topic_names.get(keyword)
-        if name is None:
-            raise IndexError_(f"topic id {keyword!r} is not in the index")
-        return name
-
-    def _resolved_names(self, query: KBTIMQuery) -> List[str]:
-        """The query's keyword refs resolved to names, for dispatch."""
-        return [self._resolve(kw) for kw in query.keywords]
-
-    def shard_of(self, query: KBTIMQuery) -> int:
-        """The worker this query would dispatch to right now.
-
-        A side-effect-free peek at the pool's
-        :class:`~repro.core.dispatch.Dispatcher`; identical mapping to
-        the thread pool's
-        :meth:`~repro.core.server.ServerPool.shard_of` given the same
-        policy and dispatcher state (both resolve keywords to the same
-        names and share the dispatch implementation).
-
-        Raises
-        ------
-        IndexError_
-            If a topic-id keyword ref is not in the index.
-        """
-        return self.dispatcher.peek(self._resolved_names(query))
-
-    def _route(self, query: KBTIMQuery) -> int:
-        """Choose and *record* the serving shard for one query."""
-        return self.dispatcher.route(self._resolved_names(query))
-
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
-    def query(self, query: KBTIMQuery) -> SeedSelection:
-        """Answer one query on its shard's worker process.
-
-        Same parameters, return value and exceptions as
-        :meth:`KBTIMServer.query`, plus
-        :class:`~repro.errors.ServerError` if the owning worker process
-        has died or the pool is closed.
-        """
-        self._check_open()
-        shard = self._route(query)
-        self.dispatcher.begin(shard)
-        started = time.perf_counter()
-        try:
-            return self._workers[shard].request(
-                "query", query, timeout=self.request_timeout
-            )
-        finally:
-            self.dispatcher.complete(shard, time.perf_counter() - started)
-
-    def query_batch(
-        self, queries: Sequence[KBTIMQuery], *, concurrent: bool = True
-    ) -> List[SeedSelection]:
-        """Answer a batch, sharded across worker processes.
-
-        The batch splits by shard; each populated shard's sub-batch runs
-        through its worker's :meth:`KBTIMServer.query_batch` (one shared
-        load per keyword at the maximum requested prefix), and results
-        return in input order.  With ``concurrent=True`` sub-batches are
-        issued in parallel, so they execute on as many cores as there
-        are populated shards.
-
-        Raises
-        ------
-        QueryError
-            If any query is invalid; validation happens in each worker's
-            planning phase before that shard touches disk.  Other
-            shards' sub-batches may still have been answered.
-        IndexError_
-            On the first unknown keyword.
-        ServerError
-            If a serving worker died mid-batch.
-        """
-        self._check_open()
-
-        def run_subbatch(shard: int, sub: List[KBTIMQuery]) -> List[SeedSelection]:
-            self.dispatcher.begin(shard, units=len(sub))
-            started = time.perf_counter()
-            try:
-                return self._workers[shard].request(
-                    "query_batch", sub, timeout=self.request_timeout
-                )
-            finally:
-                self.dispatcher.complete(
-                    shard, time.perf_counter() - started, units=len(sub)
-                )
-
-        return _sharded_batch(queries, self._route, run_subbatch, concurrent)
-
-    # ------------------------------------------------------------------
-    # administration
-    # ------------------------------------------------------------------
-    def warm(self, keywords: Iterable[KeywordRef]) -> None:
-        """Pre-load each keyword on every worker its traffic can land on.
-
-        Routing follows the dispatcher's
-        :meth:`~repro.core.dispatch.Dispatcher.homes_of_name` — one
-        owning shard under ``"crc32"``, a hot keyword's whole replica
-        set under ``"rendezvous"``.
-        Grouped fan-out: one request per populated shard.  Counted under
-        each worker's ``warm_loads``, exactly like the thread pool.  A
-        dead shard does not abort the fan-out: every *surviving* shard
-        is still warmed, and the failure surfaces afterwards as one
-        :class:`~repro.errors.ServerError` naming the dead shard(s).
-
-        Raises
-        ------
-        QueryError
-            If a keyword name is not in the index.
-        IndexError_
-            If a topic id is unknown.
-        ServerError
-            If any owning shard's worker has died (raised after the
-            surviving shards were warmed).
-        """
-        self._check_open()
-        by_shard: Dict[int, List[str]] = {}
-        for kw in keywords:
-            name = self._resolve(kw)
-            for shard in self.dispatcher.homes_of_name(name):
-                by_shard.setdefault(shard, []).append(name)
-        self._fanout(
-            [
-                (shard, "warm", names)
-                for shard, names in sorted(by_shard.items())
-            ]
-        )
-
-    def evict_all(self) -> None:
-        """Drop every worker's cached blocks and decoded prefixes.
-
-        Like :meth:`warm`, a dead shard does not stop the fan-out:
-        every surviving worker's caches are dropped first, then one
-        :class:`~repro.errors.ServerError` naming the dead shard(s) is
-        raised.
-        """
-        self._check_open()
-        self._fanout(
-            [(shard, "evict_all", None) for shard in range(self.n_workers)]
-        )
-
-    def _fanout(self, requests: Sequence[tuple]) -> None:
-        """Issue one request per shard, surviving per-shard failures.
-
-        Every shard is attempted; query-level errors (``QueryError``,
-        ``IndexError_``) propagate immediately (they mean the *request*
-        was wrong, so later shards would fail identically), while
-        transport failures are collected and re-raised at the end as a
-        single :class:`ServerError` naming each failed shard — so one
-        dead worker cannot stop healthy shards from being administered.
-        """
-        failures: List[tuple] = []
-        for shard, method, payload in requests:
-            try:
-                self._workers[shard].request(
-                    method, payload, timeout=self.request_timeout
-                )
-            except ServerError as exc:
-                failures.append((shard, exc))
-        if failures:
-            if len(failures) == 1:
-                raise failures[0][1]
-            detail = "; ".join(f"shard {shard}: {exc}" for shard, exc in failures)
-            raise ServerError(
-                f"{len(failures)} shards failed during fan-out — {detail}"
-            )
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def worker_stats(self) -> List[ServerStats]:
-        """Per-worker :class:`ServerStats` snapshots, in shard order."""
-        self._check_open()
-        return [
-            handle.request("stats", timeout=self.request_timeout)
-            for handle in self._workers
-        ]
-
-    @property
-    def stats(self) -> ServerStats:
-        """Pool-level aggregated stats (a snapshot fetched from every
-        worker; see :meth:`worker_stats` for shard detail)."""
-        return ServerStats.merged(self.worker_stats())
-
-    @property
-    def io_stats(self) -> IOStats:
-        """Summed physical I/O counters across every worker's reader."""
-        self._check_open()
-        total = IOStats()
-        for handle in self._workers:
-            total.add(handle.request("io_stats", timeout=self.request_timeout))
-        return total
-
-    def worker_cached_keywords(self) -> List[List[str]]:
-        """Each worker's cached keyword names (LRU order), in shard order."""
-        self._check_open()
-        return [
-            handle.request("cached_keywords", timeout=self.request_timeout)
-            for handle in self._workers
-        ]
-
-    @property
-    def shared_cache(self) -> Optional[SharedBlockCache]:
-        """The machine-wide decoded-block cache (``None`` when disabled)."""
-        return self._shm_cache
-
-    def memory_info(self) -> Dict[str, object]:
-        """Parent-measured memory footprint: per-worker RSS + shared bytes.
-
-        Reads each worker's RSS straight from ``/proc`` (no worker
-        round trip, so it works even while shards are busy or dead —
-        a vanished pid reports 0) and the shared block cache's resident
-        segment bytes (counted once; the segments are machine-wide).
-        """
-        self._check_open()
-        per_worker = [process_rss_bytes(handle.pid) for handle in self._workers]
-        shm = self._shm_cache.shared_bytes() if self._shm_cache is not None else 0
-        return {
-            "per_worker_rss_bytes": per_worker,
-            "total_rss_bytes": sum(per_worker),
-            "shm_bytes": shm,
-        }
-
     @property
     def pids(self) -> List[int]:
         """Worker process ids, in shard order."""
@@ -894,33 +626,3 @@ class ProcessServerPool:
     def worker_alive(self, shard: int) -> bool:
         """Whether one shard's worker process is currently running."""
         return self._workers[shard].process.is_alive()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerError("process server pool is closed")
-
-    def close(self) -> None:
-        """Shut every worker down (polite request, then terminate).
-
-        Idempotent; afterwards every serving method raises
-        :class:`~repro.errors.ServerError`.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._workers:
-            handle.shutdown()
-        if self._shm_cache is not None:
-            # Owner pools unlink every shared segment; attached pools
-            # just drop their mappings (the owner cleans up at exit).
-            self._shm_cache.close()
-            self._shm_cache = None
-
-    def __enter__(self) -> "ProcessServerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

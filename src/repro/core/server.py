@@ -23,7 +23,9 @@ Three tiers of concurrency are layered here:
   file behind a pluggable dispatcher (``repro.core.dispatch``: static
   crc32 on the primary keyword, or load-aware rendezvous hashing with
   hot-keyword replication), so concurrent traffic spreads over
-  independent caches while sharing one buffer pool.
+  independent caches while sharing one buffer pool.  Its request path
+  is :class:`_ShardedPool`, the one pool core the process and
+  supervised pools run on too (two shard executors, one policy).
 
 Results are identical to :meth:`RRIndex.query` in every mode (asserted
 by the tests); only the cost profile changes: a warm keyword costs zero
@@ -44,10 +46,10 @@ import numpy as np
 
 from repro.core.coverage import lazy_greedy_max_coverage, merge_coverage_csr
 from repro.core.dispatch import Dispatcher, make_dispatcher, shard_of_keyword
-from repro.core.query import KBTIMQuery, resolve_unique
+from repro.core.query import KBTIMQuery, KeywordRef, resolve_unique
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.rr_index import KeywordCoverageCSR, RRIndex, plan_theta_q
-from repro.errors import QueryError
+from repro.errors import DeadlineExceededError, IndexError_, QueryError, ServerError
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.utils.validation import check_positive_int
@@ -90,9 +92,8 @@ def process_rss_bytes(pid: Optional[int] = None) -> int:
 def _sharded_batch(queries, shard_of, run_subbatch, concurrent: bool):
     """Split a batch by shard, run each sub-batch, reassemble in order.
 
-    The one dispatch loop shared by :meth:`ServerPool.query_batch` and
-    :meth:`ProcessServerPool.query_batch` — both pools must split, fan
-    out and reassemble identically, so the logic lives once.
+    The dispatch loop behind every pool's ``query_batch`` (called from
+    :meth:`_ShardedPool.query_batch` only).
 
     ``shard_of`` maps a query to its shard; ``run_subbatch(shard,
     sub_queries)`` answers one shard's queries in order.  With
@@ -723,7 +724,424 @@ class KBTIMServer:
         self.index.close()
 
 
-class ServerPool:
+def _dispatch(server: KBTIMServer, method: str, payload):
+    """Execute one pool request against a shard's server.
+
+    The request vocabulary every shard executor speaks — the in-thread
+    executor calls this directly, a worker process calls it from its
+    pipe loop — so a method added here exists on every pool kind.
+    """
+    if method == "query":
+        return server.query(payload)
+    if method == "query_batch":
+        return server.query_batch(payload)
+    if method == "warm":
+        server.warm(payload)
+        return None
+    if method == "evict_all":
+        server.evict_all()
+        return None
+    if method == "stats":
+        return server.stats.snapshot()
+    if method == "io_stats":
+        return server.index.stats.snapshot()
+    if method == "cached_keywords":
+        return server.cached_keywords
+    if method == "ping":
+        return os.getpid()
+    raise ServerError(f"unknown worker request {method!r}")
+
+
+class _ThreadShard:
+    """In-thread shard executor: the request protocol on a local server.
+
+    Like the process pool's pipe-backed ``_WorkerHandle`` it exposes
+    ``request`` / ``shutdown`` / ``pid`` — all the pool core needs.
+    """
+
+    #: ``None`` means "this process" to :func:`process_rss_bytes`.
+    pid = None
+
+    def __init__(self, server: KBTIMServer) -> None:
+        self.server = server
+
+    def request(self, method: str, payload=None, *, timeout: Optional[float] = None):
+        """Run one request inline (an in-thread call cannot be timed out)."""
+        return _dispatch(self.server, method, payload)
+
+    def shutdown(self) -> None:
+        """Close the server's index reader (the pool owns it)."""
+        self.server.index.close()
+
+
+class _ShardedPool:
+    """The one request path shared by every serving pool.
+
+    A pool is this core plus a list of shard executors
+    (``self._workers``: :class:`_ThreadShard` or the process pool's
+    ``_WorkerHandle``) and the catalog's topic-id map
+    (``self._topic_names``), both supplied by the subclass constructor.
+    Everything a request does — resolve, route, time, call the shard,
+    split a batch, fan out an admin request, merge stats — happens here
+    exactly once; supervision overrides :meth:`_call_shard`,
+    :meth:`_candidates` and :meth:`_read_shard` instead of wrapping a
+    second pool.
+    """
+
+    #: How the closed-pool error names this pool.
+    _kind = "server pool"
+
+    def __init__(
+        self,
+        n_workers: int,
+        dispatch: "str | Dispatcher",
+        request_timeout: Optional[float] = None,
+    ) -> None:
+        self.n_workers = check_positive_int("n_workers", n_workers)
+        self.dispatcher = make_dispatcher(dispatch, self.n_workers)
+        self.request_timeout = request_timeout
+        self._shm_cache = None  # set by pools that share decoded blocks
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+    def _resolve(self, keyword: KeywordRef) -> str:
+        """Topic names pass through; ids resolve via the catalog map.
+
+        Mirrors ``RRIndex._resolve`` exactly (including *not* validating
+        names — an unknown name dispatches to some shard whose server
+        then raises the reader's usual ``IndexError_``), so every pool
+        kind routes a query to the same shard.
+        """
+        if isinstance(keyword, str):
+            return keyword
+        name = self._topic_names.get(keyword)
+        if name is None:
+            raise IndexError_(f"topic id {keyword!r} is not in the index")
+        return name
+
+    def _resolved_names(self, query: KBTIMQuery) -> List[str]:
+        """The query's keyword refs resolved to names, for dispatch.
+
+        Resolution only: full validation (duplicates, budget) stays with
+        the serving worker, so it runs once per query.
+        """
+        return [self._resolve(kw) for kw in query.keywords]
+
+    def _candidates(self) -> Optional[List[int]]:
+        """Shards eligible for dispatch; ``None`` means every shard."""
+        return None
+
+    def shard_of(self, query: KBTIMQuery) -> int:
+        """The worker this query would dispatch to right now.
+
+        A side-effect-free peek at the pool's
+        :class:`~repro.core.dispatch.Dispatcher` — it never records the
+        decision, so asking does not steer subsequent traffic.  Under
+        the static ``"crc32"`` policy the answer is the crc32 hash of
+        the query's primary keyword; under ``"rendezvous"`` it reflects
+        the dispatcher's current load/hot-set state.  Every pool kind
+        maps a query identically given the same policy and state.
+
+        Raises
+        ------
+        IndexError_
+            If a topic-id keyword ref is not in the index.
+        """
+        return self.dispatcher.peek(self._resolved_names(query), self._candidates())
+
+    def _route(self, query: KBTIMQuery) -> int:
+        """Choose and *record* the serving shard for one query."""
+        return self.dispatcher.route(self._resolved_names(query), self._candidates())
+
+    # ------------------------------------------------------------------
+    # the request path
+    # ------------------------------------------------------------------
+    def _deadline(self, timeout: Optional[float]) -> Optional[float]:
+        """Absolute monotonic deadline for one request (``None`` = unbounded);
+        ``timeout`` overrides the pool's ``request_timeout`` for one call."""
+        budget = timeout if timeout is not None else self.request_timeout
+        return None if budget is None else time.monotonic() + budget
+
+    def _call_shard(
+        self,
+        shard: int,
+        method: str,
+        payload=None,
+        *,
+        deadline: Optional[float] = None,
+        units: int = 1,
+    ):
+        """One timed round trip to a shard's executor.
+
+        ``units`` is the request's weight against the dispatcher's
+        in-flight/latency gauges (``len(batch)`` for a sub-batch, ``0``
+        for admin fan-outs, which must not skew serving-load signals).
+        The executor's timeout is what is left of ``deadline``; one
+        already spent fails before anything is sent, so a healthy worker
+        is never poisoned by a request that could not be answered in time.
+        """
+        remaining = None if deadline is None else deadline - time.monotonic()
+        if remaining is not None and remaining <= 0:
+            raise DeadlineExceededError(
+                f"deadline exhausted before dispatch to shard {shard} "
+                "(spent on queueing/restarts)"
+            )
+        if units:
+            self.dispatcher.begin(shard, units=units)
+        started = time.perf_counter()
+        try:
+            return self._workers[shard].request(method, payload, timeout=remaining)
+        finally:
+            if units:
+                self.dispatcher.complete(
+                    shard, time.perf_counter() - started, units=units
+                )
+
+    def query(
+        self, query: KBTIMQuery, *, timeout: Optional[float] = None
+    ) -> SeedSelection:
+        """Answer one query on its shard's worker (Algorithm 2 semantics).
+
+        Same parameters, return value and exceptions as
+        :meth:`KBTIMServer.query`.  ``timeout`` overrides the pool's
+        ``request_timeout`` for this call.
+
+        Raises
+        ------
+        ServerError
+            If the pool is closed, or the owning worker process has
+            died (process pools).
+        DeadlineExceededError
+            If the deadline passed before an answer arrived (pools with
+            a ``request_timeout``).
+        """
+        self._check_open()
+        shard = self._route(query)
+        return self._call_shard(
+            shard, "query", query, deadline=self._deadline(timeout)
+        )
+
+    def query_batch(
+        self,
+        queries: Sequence[KBTIMQuery],
+        *,
+        concurrent: bool = True,
+        timeout: Optional[float] = None,
+    ) -> List[SeedSelection]:
+        """Answer a batch, sharded and (optionally) in parallel.
+
+        The batch is split by shard, each populated shard's sub-batch
+        runs through its worker's :meth:`KBTIMServer.query_batch` (one
+        shared load per keyword at the maximum requested prefix), and
+        results return in input order.  With ``concurrent=True`` the
+        sub-batches are issued on one thread per populated shard, so on
+        a process pool they execute on as many cores.  The whole batch
+        shares one deadline.
+
+        Raises
+        ------
+        QueryError
+            If any query is invalid.  Validation happens during each
+            sub-batch's planning phase, before that shard touches disk;
+            other shards' sub-batches may still have been answered.
+        IndexError_
+            On the first unknown keyword.
+        ServerError
+            If the pool is closed or a serving worker died mid-batch.
+        """
+        self._check_open()
+        deadline = self._deadline(timeout)
+        return _sharded_batch(
+            queries,
+            self._route,
+            lambda shard, sub: self._call_shard(
+                shard, "query_batch", sub, deadline=deadline, units=len(sub)
+            ),
+            concurrent,
+        )
+
+    # ------------------------------------------------------------------
+    # administration
+    # ------------------------------------------------------------------
+    def warm(self, keywords: Iterable[KeywordRef]) -> None:
+        """Pre-load each keyword on every worker its traffic can land on.
+
+        Routed through the dispatcher's
+        :meth:`~repro.core.dispatch.Dispatcher.homes_of_name` over the
+        currently eligible shards, so a keyword is warmed exactly where
+        queries for it will dispatch — one shard under ``"crc32"``, the
+        full replica set for a hot keyword under ``"rendezvous"``.
+        Grouped fan-out: one request per populated shard, counted under
+        each worker's ``warm_loads``.  A failed shard does not abort the
+        fan-out: every surviving shard is still warmed, and the failure
+        surfaces afterwards as one :class:`~repro.errors.ServerError`
+        naming the failed shard(s).
+
+        Raises
+        ------
+        QueryError
+            If a keyword name is not in the index.
+        IndexError_
+            If a topic id is unknown.
+        ServerError
+            If the pool is closed, or any owning shard failed (raised
+            after the surviving shards were warmed).
+        """
+        self._check_open()
+        candidates = self._candidates()
+        by_shard: Dict[int, List[str]] = {}
+        for kw in keywords:
+            name = self._resolve(kw)
+            for shard in self.dispatcher.homes_of_name(name, candidates):
+                by_shard.setdefault(shard, []).append(name)
+        self._fanout(
+            [(shard, "warm", names) for shard, names in sorted(by_shard.items())]
+        )
+
+    def evict_all(self) -> None:
+        """Drop every worker's cached blocks and decoded prefixes.
+
+        Like :meth:`warm`, a failed shard does not stop the fan-out:
+        every surviving worker's caches are dropped first, then one
+        :class:`~repro.errors.ServerError` naming the failed shard(s)
+        is raised.
+        """
+        self._check_open()
+        self._fanout([(shard, "evict_all", None) for shard in range(self.n_workers)])
+
+    def _fanout(self, requests: Sequence[tuple]) -> None:
+        """Issue one admin request per shard, surviving per-shard failures.
+
+        Every shard is attempted; query-level errors (``QueryError``,
+        ``IndexError_``) propagate immediately (they mean the *request*
+        was wrong, so later shards would fail identically), while
+        transport failures are collected and re-raised at the end as a
+        single :class:`ServerError` naming each failed shard — so one
+        dead worker cannot stop healthy shards from being administered.
+        """
+        failures: List[tuple] = []
+        for shard, method, payload in requests:
+            try:
+                self._call_shard(
+                    shard, method, payload, deadline=self._deadline(None), units=0
+                )
+            except ServerError as exc:
+                failures.append((shard, exc))
+        if failures:
+            if len(failures) == 1:
+                raise failures[0][1]
+            detail = "; ".join(f"shard {shard}: {exc}" for shard, exc in failures)
+            raise ServerError(
+                f"{len(failures)} shards failed during fan-out — {detail}"
+            )
+
+    # ------------------------------------------------------------------
+    # observability
+    # ------------------------------------------------------------------
+    def _read_shard(self, shard: int, method: str):
+        """One observability read from a shard's executor.
+
+        Deliberately *not* :meth:`_call_shard`: reading a gauge must
+        neither move the dispatcher's load signals nor (under
+        supervision) restart anything.
+        """
+        return self._workers[shard].request(method, timeout=self.request_timeout)
+
+    def _gather(self, method: str) -> List:
+        """:meth:`_read_shard` for every shard, in shard order."""
+        self._check_open()
+        return [self._read_shard(shard, method) for shard in range(self.n_workers)]
+
+    def worker_stats(self) -> List[ServerStats]:
+        """Per-worker :class:`ServerStats` snapshots, in shard order."""
+        return self._gather("stats")
+
+    def _parent_stats(self) -> List[ServerStats]:
+        """Counters kept by the pool itself rather than by a worker."""
+        return []
+
+    @property
+    def stats(self) -> ServerStats:
+        """Pool-level aggregated stats (a snapshot fetched from every
+        worker; see :meth:`worker_stats` for shard detail)."""
+        parts = [part for part in self.worker_stats() if part is not None]
+        return ServerStats.merged(parts + self._parent_stats())
+
+    @property
+    def io_stats(self) -> IOStats:
+        """Summed physical I/O counters across every worker's reader."""
+        total = IOStats()
+        for part in self._gather("io_stats"):
+            if part is not None:
+                total.add(part)
+        return total
+
+    def worker_cached_keywords(self) -> List[List[str]]:
+        """Each worker's cached keyword names (LRU order), in shard order."""
+        return self._gather("cached_keywords")
+
+    @property
+    def shared_cache(self):
+        """The machine-wide decoded-block cache
+        (:class:`~repro.core.shm_cache.SharedBlockCache`; ``None`` when
+        disabled, which the thread pool always is)."""
+        return self._shm_cache
+
+    def memory_info(self) -> Dict[str, object]:
+        """Parent-measured memory footprint: per-worker RSS + shared bytes.
+
+        Reads the RSS of each worker's hosting process straight from
+        ``/proc`` (no worker round trip, so it works even while shards
+        are busy or dead — a vanished pid reports 0).  The total counts
+        every process once: a thread pool's workers all live in this
+        one.  ``shm_bytes`` is the shared block cache's resident
+        segments (machine-wide, counted once; 0 when disabled).
+        """
+        self._check_open()
+        pids = [worker.pid for worker in self._workers]
+        rss = {pid: process_rss_bytes(pid) for pid in set(pids)}
+        cache = self.shared_cache
+        return {
+            "per_worker_rss_bytes": [rss[pid] for pid in pids],
+            "total_rss_bytes": sum(rss.values()),
+            "shm_bytes": cache.shared_bytes() if cache is not None else 0,
+        }
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServerError(f"{self._kind} is closed")
+
+    def close(self) -> None:
+        """Shut every worker down (process workers: polite request,
+        then terminate) and release the shared block cache.
+
+        Idempotent; afterwards every serving method raises
+        :class:`~repro.errors.ServerError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for worker in self._workers:
+            worker.shutdown()
+        if self._shm_cache is not None:
+            # Owner pools unlink every shared segment; attached pools
+            # just drop their mappings (the owner cleans up at exit).
+            self._shm_cache.close()
+            self._shm_cache = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class ServerPool(_ShardedPool):
     """A pool of :class:`KBTIMServer` workers sharding one RR index.
 
     The pool opens ``n_workers`` independent readers over one index file
@@ -770,7 +1188,9 @@ class ServerPool:
         If ``path`` is not a readable RR index.
 
     Thread safety mirrors :class:`KBTIMServer`: any number of threads
-    may call :meth:`query` / :meth:`query_batch` concurrently.
+    may call :meth:`query` / :meth:`query_batch` concurrently.  All
+    serving, admin and stats methods are the shared pool core's;
+    ``workers`` exposes the live servers (``workers[i].stats``, ...).
     """
 
     def __init__(
@@ -784,8 +1204,7 @@ class ServerPool:
         prefix_cache_keywords: Optional[int] = None,
         dispatch: "str | Dispatcher" = "crc32",
     ) -> None:
-        self.n_workers = check_positive_int("n_workers", n_workers)
-        self.dispatcher = make_dispatcher(dispatch, self.n_workers)
+        super().__init__(n_workers, dispatch)
         self.buffer_pool = BufferPool(pool_pages)
         index_kwargs = dict(pool=self.buffer_pool, page_size=page_size)
         if prefix_cache_keywords is not None:
@@ -804,117 +1223,5 @@ class ServerPool:
                 worker.index.close()
             raise
         self.workers: Tuple[KBTIMServer, ...] = tuple(workers)
-
-    # ------------------------------------------------------------------
-    def _resolved_names(self, query: KBTIMQuery) -> List[str]:
-        """The query's keyword refs resolved to names, for dispatch.
-
-        Resolution only: full validation (duplicates, budget) stays with
-        the serving worker, so it runs once per query.
-        """
-        resolver = self.workers[0].index._resolve
-        return [resolver(kw) for kw in query.keywords]
-
-    def shard_of(self, query: KBTIMQuery) -> int:
-        """The worker this query would dispatch to right now.
-
-        A side-effect-free peek at the pool's
-        :class:`~repro.core.dispatch.Dispatcher` — it never records the
-        decision, so asking does not steer subsequent traffic.  Under
-        the static ``"crc32"`` policy the answer is the crc32 hash of
-        the query's primary keyword; under ``"rendezvous"`` it reflects
-        the dispatcher's current load/hot-set state.
-
-        Raises
-        ------
-        IndexError_
-            If a keyword ref is not in the index.
-        """
-        return self.dispatcher.peek(self._resolved_names(query))
-
-    def _route(self, query: KBTIMQuery) -> int:
-        """Choose and *record* the serving shard for one query."""
-        return self.dispatcher.route(self._resolved_names(query))
-
-    def query(self, query: KBTIMQuery) -> SeedSelection:
-        """Answer one query on its shard's worker (Algorithm 2 semantics).
-
-        Same parameters, return value and exceptions as
-        :meth:`KBTIMServer.query`.
-        """
-        shard = self._route(query)
-        self.dispatcher.begin(shard)
-        started = time.perf_counter()
-        try:
-            return self.workers[shard].query(query)
-        finally:
-            self.dispatcher.complete(shard, time.perf_counter() - started)
-
-    def query_batch(
-        self, queries: Sequence[KBTIMQuery], *, concurrent: bool = True
-    ) -> List[SeedSelection]:
-        """Answer a batch, sharded and (optionally) in parallel.
-
-        The batch is split by shard, each shard's sub-batch runs through
-        its worker's :meth:`KBTIMServer.query_batch` (one shared load per
-        keyword), and results return in input order.  With
-        ``concurrent=True`` the sub-batches execute on one thread per
-        populated shard.
-
-        Raises
-        ------
-        QueryError
-            If any query is invalid.  Validation happens during each
-            sub-batch's planning phase, before that shard touches disk;
-            other shards' sub-batches may still have been answered.
-        """
-        def run_subbatch(shard: int, sub: List[KBTIMQuery]) -> List[SeedSelection]:
-            self.dispatcher.begin(shard, units=len(sub))
-            started = time.perf_counter()
-            try:
-                return self.workers[shard].query_batch(sub)
-            finally:
-                self.dispatcher.complete(
-                    shard, time.perf_counter() - started, units=len(sub)
-                )
-
-        return _sharded_batch(queries, self._route, run_subbatch, concurrent)
-
-    # ------------------------------------------------------------------
-    def warm(self, keywords: Iterable) -> None:
-        """Pre-load each keyword on every worker its traffic can land on.
-
-        Routed through the dispatcher's
-        :meth:`~repro.core.dispatch.Dispatcher.homes_of_name`, so a
-        keyword is warmed exactly where queries for it will dispatch —
-        one shard under ``"crc32"``, the full replica set for a hot
-        keyword under ``"rendezvous"``.  Counted under each worker's
-        ``warm_loads``.
-        """
-        resolver = self.workers[0].index._resolve
-        for kw in keywords:
-            name = resolver(kw)
-            for shard in self.dispatcher.homes_of_name(name):
-                self.workers[shard].warm([name])
-
-    def evict_all(self) -> None:
-        """Drop every worker's cached blocks and decoded prefixes."""
-        for worker in self.workers:
-            worker.evict_all()
-
-    @property
-    def stats(self) -> ServerStats:
-        """Pool-level aggregated stats (a snapshot; see per-worker
-        ``workers[i].stats`` for shard detail)."""
-        return ServerStats.merged([worker.stats for worker in self.workers])
-
-    def close(self) -> None:
-        """Close every worker's index reader (the pool owns them)."""
-        for worker in self.workers:
-            worker.index.close()
-
-    def __enter__(self) -> "ServerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        self._workers = [_ThreadShard(worker) for worker in workers]
+        self._topic_names = workers[0].index._topic_names

@@ -3,9 +3,10 @@
 :class:`~repro.core.process_pool.ProcessServerPool` is fast but brittle
 on its own: a dead worker permanently loses its shard, a timed-out
 request leaves the worker pipe desynchronized, and past saturation the
-pool queues without bound.  :class:`SupervisedServerPool` wraps every
-worker with a per-shard supervisor that turns those faults into bounded,
-typed, observable behavior:
+pool queues without bound.  :class:`SupervisedServerPool` *is* a
+``ProcessServerPool`` whose one shard call (``_call_shard`` on the pool
+core) runs behind a per-shard supervisor that turns those faults into
+bounded, typed, observable behavior:
 
 * **Automatic restart with backoff and a budget.**  A dead, hung or
   poisoned worker is replaced by a freshly spawned process on the next
@@ -53,23 +54,18 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.process_pool import ProcessServerPool
-from repro.core.query import KBTIMQuery, KeywordRef
+from repro.core.query import KBTIMQuery
 from repro.core.results import SeedSelection
-from repro.core.server import (
-    ServerStats,
-    _sharded_batch,
-    process_rss_bytes,
-)
+from repro.core.server import ServerStats, process_rss_bytes
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
     ServerError,
     ShardUnavailableError,
 )
-from repro.storage.iostats import IOStats
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -187,8 +183,16 @@ class _ShardSupervisor:
         self.inflight = 0
 
 
-class SupervisedServerPool:
-    """A :class:`ProcessServerPool` behind per-shard supervisors.
+class SupervisedServerPool(ProcessServerPool):
+    """A :class:`ProcessServerPool` with per-shard supervisors.
+
+    Supervision is a policy on the pool core's request path, not a
+    wrapper around a second pool: this class overrides the one shard
+    call (heal → call → note failure → bounded retry), the dispatch
+    candidate set, the admission bracket around :meth:`query` /
+    :meth:`query_batch` and the observability reads, and adds
+    :meth:`drain` / :meth:`restore` / :meth:`health`; routing, batching,
+    fan-out, stats merging and worker lifecycle are inherited.
 
     Parameters
     ----------
@@ -200,6 +204,8 @@ class SupervisedServerPool:
         Default per-request deadline in seconds, bounding the whole
         supervised round trip (including restart + retry); ``None``
         waits indefinitely.  Overridable per call via ``timeout=``.
+        The pool's single ``request_timeout``: admin fan-outs and
+        observability reads are bounded by it too.
     max_retries:
         Transparent retries per query after a worker *death* (queries
         are read-only, hence idempotent).  Default 1: retry once on the
@@ -227,8 +233,8 @@ class SupervisedServerPool:
         ``None`` disables admission control.
     **pool_kwargs:
         Forwarded to :class:`ProcessServerPool` (``cache_keywords``,
-        ``pool_pages``, ``start_method``, ``flat_transport``,
-        ``shared_block_cache``, ``dispatch``, ...).  The flat-array
+        ``pool_pages``, ``start_method``, ``shared_block_cache``,
+        ``dispatch``, ...).  The flat-array
         answer transport and the shared decoded-block cache are
         therefore available under supervision unchanged — a
         supervisor-initiated restart spawns a worker that *attaches* to
@@ -263,6 +269,8 @@ class SupervisedServerPool:
     the *answer* is unchanged.
     """
 
+    _kind = "supervised server pool"
+
     def __init__(
         self,
         path: str,
@@ -289,7 +297,6 @@ class SupervisedServerPool:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if max_inflight is not None:
             check_positive_int("max_inflight", max_inflight)
-        self.request_timeout = request_timeout
         self.max_retries = max_retries
         self.restart_budget = restart_budget
         self.restart_backoff = restart_backoff
@@ -297,16 +304,16 @@ class SupervisedServerPool:
         self.budget_reset_after = budget_reset_after
         self.max_inflight = max_inflight
 
-        self._pool = ProcessServerPool(path, n_workers=n_workers, **pool_kwargs)
-        self.n_workers = self._pool.n_workers
-        self.dispatcher = self._pool.dispatcher
+        # Validated first: a bad knob must fail before any process spawns.
+        super().__init__(
+            path, n_workers=n_workers, request_timeout=request_timeout, **pool_kwargs
+        )
         self._shards = [_ShardSupervisor(i) for i in range(self.n_workers)]
         self._stats = ServerStats()  # parent-side: restarts/retries/sheds
         self._admission_lock = threading.Lock()
         self._inflight = 0
         self._exhausted_until = 0.0  # chaos: forced admission exhaustion
         self._ewma_latency = 0.005  # retry-after hint, seeded at 5 ms
-        self._closed = False
 
     # ------------------------------------------------------------------
     # supervision machinery
@@ -322,7 +329,7 @@ class SupervisedServerPool:
 
     def _shard_down(self, shard: int) -> bool:
         """Whether a shard's worker can no longer be trusted to answer."""
-        handle = self._pool._workers[shard]
+        handle = self._workers[shard]
         return handle.closed or handle.poisoned or not handle.process.is_alive()
 
     def _ensure_ready(self, shard: int) -> None:
@@ -377,7 +384,7 @@ class SupervisedServerPool:
                     shard=shard,
                     retry_after=remaining,
                 )
-            self._pool.restart_worker(shard)
+            self.restart_worker(shard)
             sup.restarts_in_window += 1
             sup.total_restarts += 1
             self._stats.record_restart()
@@ -390,22 +397,8 @@ class SupervisedServerPool:
             sup.last_error = f"{type(exc).__name__}: {exc}"
 
     # ------------------------------------------------------------------
-    # deadlines + admission
+    # admission
     # ------------------------------------------------------------------
-    def _deadline(self, timeout: Optional[float]) -> Optional[float]:
-        """Absolute monotonic deadline for one supervised round trip."""
-        budget = timeout if timeout is not None else self.request_timeout
-        if budget is None:
-            return None
-        return time.monotonic() + budget
-
-    @staticmethod
-    def _remaining(deadline: Optional[float]) -> Optional[float]:
-        """Seconds left before ``deadline`` (None = unbounded)."""
-        if deadline is None:
-            return None
-        return deadline - time.monotonic()
-
     def _admit(self, units: int) -> None:
         """Claim admission budget or shed with a typed Overloaded error."""
         if self.max_inflight is None and self._exhausted_until <= 0.0:
@@ -434,7 +427,6 @@ class SupervisedServerPool:
                     retry_after=retry_after,
                 )
             self._inflight += units
-        return
 
     def _release(self, units: int) -> None:
         """Return admission budget claimed by :meth:`_admit`."""
@@ -462,68 +454,50 @@ class SupervisedServerPool:
         self,
         shard: int,
         method: str,
-        payload,
+        payload=None,
         *,
-        deadline: Optional[float],
-        count_retry: bool = True,
+        deadline: Optional[float] = None,
         units: int = 1,
     ):
         """One supervised round trip to a shard, healing + retrying.
 
-        ``units`` is the request's weight against the dispatcher's
-        in-flight/latency gauges (``len(batch)`` for a sub-batch, ``0``
-        for admin fan-outs, which must not skew serving-load signals).
-
         Heals the shard if needed (restart behind backoff/budget),
-        issues the request with the remaining deadline budget, and on a
-        worker *death* retries up to ``max_retries`` times on the
-        freshly restarted worker.  Deadline misses poison the handle and
-        propagate immediately — the budget is spent.  Query-level errors
-        (``QueryError``, ``IndexError_``) propagate untouched: the
-        worker answered, the request was just wrong.
+        makes the pool core's timed call with the remaining deadline
+        budget, and on a worker *death* retries up to ``max_retries``
+        times on the freshly restarted worker (counted under
+        ``retries`` for serving traffic only — ``units=0`` admin
+        fan-outs retry silently).  Deadline misses poison the handle
+        and propagate immediately — the budget is spent.  Query-level
+        errors (``QueryError``, ``IndexError_``) propagate untouched:
+        the worker answered, the request was just wrong.
         """
         sup = self._shards[shard]
         attempts = 0
         while True:
             self._ensure_ready(shard)
-            remaining = self._remaining(deadline)
-            if remaining is not None and remaining <= 0:
-                raise DeadlineExceededError(
-                    f"deadline exhausted before dispatch to shard {shard} "
-                    "(spent on queueing/restarts)"
-                )
             with sup.lock:
                 sup.inflight += 1
-            if units:
-                self.dispatcher.begin(shard, units=units)
-            started = time.perf_counter()
             try:
-                return self._pool._workers[shard].request(
-                    method, payload, timeout=remaining
+                return super()._call_shard(
+                    shard, method, payload, deadline=deadline, units=units
                 )
             except DeadlineExceededError as exc:
-                self._note_failure(shard, exc)
-                raise
-            except ShardUnavailableError:
+                # A budget spent before dispatch left the worker alone;
+                # only a miss that poisoned the pipe is the shard's fault.
+                if self._shard_down(shard):
+                    self._note_failure(shard, exc)
                 raise
             except ServerError as exc:
                 self._note_failure(shard, exc)
                 attempts += 1
                 if attempts > self.max_retries:
                     raise
-                if count_retry:
+                if units:
                     self._stats.record_retry()
             finally:
-                if units:
-                    self.dispatcher.complete(
-                        shard, time.perf_counter() - started, units=units
-                    )
                 with sup.lock:
                     sup.inflight -= 1
 
-    # ------------------------------------------------------------------
-    # serving
-    # ------------------------------------------------------------------
     def _candidates(self) -> List[int]:
         """Shards currently eligible for dispatch (not drained/degraded).
 
@@ -553,22 +527,9 @@ class SupervisedServerPool:
             )
         return shards
 
-    def shard_of(self, query: KBTIMQuery) -> int:
-        """The shard this query would dispatch to right now (a pure peek).
-
-        Same dispatcher as the wrapped pool, restricted to the shards
-        the supervisors consider available.
-        """
-        return self.dispatcher.peek(
-            self._pool._resolved_names(query), self._candidates()
-        )
-
-    def _route(self, query: KBTIMQuery) -> int:
-        """Choose and *record* the serving shard among available shards."""
-        return self.dispatcher.route(
-            self._pool._resolved_names(query), self._candidates()
-        )
-
+    # ------------------------------------------------------------------
+    # serving
+    # ------------------------------------------------------------------
     def query(
         self, query: KBTIMQuery, *, timeout: Optional[float] = None
     ) -> SeedSelection:
@@ -603,13 +564,10 @@ class SupervisedServerPool:
         ServerError
             If the worker died and every retry failed.
         """
-        self._check_open()
-        shard = self._route(query)
-        deadline = self._deadline(timeout)
         self._admit(1)
         try:
             started = time.perf_counter()
-            result = self._call_shard(shard, "query", query, deadline=deadline)
+            result = super().query(query, timeout=timeout)
             self._observe_latency(time.perf_counter() - started)
             return result
         finally:
@@ -638,20 +596,13 @@ class SupervisedServerPool:
             As :meth:`query`, per failing shard (first failure wins;
             other shards' sub-batches may still have been answered).
         """
-        self._check_open()
         queries = list(queries)
         if not queries:
             return []
-        deadline = self._deadline(timeout)
         self._admit(len(queries))
         try:
-            return _sharded_batch(
-                queries,
-                self._route,
-                lambda shard, sub: self._call_shard(
-                    shard, "query_batch", sub, deadline=deadline, units=len(sub)
-                ),
-                concurrent,
+            return super().query_batch(
+                queries, concurrent=concurrent, timeout=timeout
             )
         finally:
             self._release(len(queries))
@@ -659,64 +610,6 @@ class SupervisedServerPool:
     # ------------------------------------------------------------------
     # administration
     # ------------------------------------------------------------------
-    def warm(self, keywords: Iterable[KeywordRef]) -> None:
-        """Pre-load each keyword where its traffic can land, healing workers.
-
-        Routing follows the dispatcher's ``homes_of_name`` over the
-        currently available shards — one owning shard under ``"crc32"``,
-        a hot keyword's whole replica set under ``"rendezvous"``.
-
-        Supervised fan-out: a down shard is restarted (backoff/budget
-        permitting) before its warm request; shards that stay
-        unavailable are skipped and reported at the end in one
-        :class:`~repro.errors.ServerError` naming them — surviving
-        shards are always warmed.
-        """
-        self._check_open()
-        by_shard: Dict[int, List[str]] = {}
-        candidates = self._candidates()
-        for kw in keywords:
-            name = self._pool._resolve(kw)
-            for shard in self.dispatcher.homes_of_name(name, candidates):
-                by_shard.setdefault(shard, []).append(name)
-        self._supervised_fanout(
-            [(shard, "warm", names) for shard, names in sorted(by_shard.items())]
-        )
-
-    def evict_all(self) -> None:
-        """Drop every live worker's caches; report unavailable shards.
-
-        Like :meth:`warm`, every healthy shard is administered before
-        the failure (if any) surfaces.
-        """
-        self._check_open()
-        self._supervised_fanout(
-            [(shard, "evict_all", None) for shard in range(self.n_workers)]
-        )
-
-    def _supervised_fanout(self, requests: Sequence[tuple]) -> None:
-        """Run admin requests on every shard; collect transport failures."""
-        failures: List[tuple] = []
-        for shard, method, payload in requests:
-            try:
-                self._call_shard(
-                    shard,
-                    method,
-                    payload,
-                    deadline=self._deadline(None),
-                    count_retry=False,
-                    units=0,
-                )
-            except ServerError as exc:
-                failures.append((shard, exc))
-        if failures:
-            if len(failures) == 1:
-                raise failures[0][1]
-            detail = "; ".join(f"shard {shard}: {exc}" for shard, exc in failures)
-            raise ServerError(
-                f"{len(failures)} shards failed during fan-out — {detail}"
-            )
-
     def drain(self, shard: int) -> None:
         """Take one shard out of rotation for a rolling restart.
 
@@ -734,7 +627,7 @@ class SupervisedServerPool:
             sup.drained = True
         # New dispatches now fail fast; the handle serializes in-flight
         # work, so a polite shutdown drains before stopping.
-        self._pool._workers[shard].shutdown()
+        self._workers[shard].shutdown()
 
     def restore(self, shard: int) -> None:
         """Return a drained or degraded shard to rotation with a fresh worker.
@@ -752,7 +645,7 @@ class SupervisedServerPool:
         self._check_open()
         sup = self._shards[shard]
         with sup.lock:
-            self._pool.restart_worker(shard)
+            self.restart_worker(shard)
             sup.drained = False
             sup.degraded = False
             sup.restarts_in_window = 0
@@ -792,7 +685,7 @@ class SupervisedServerPool:
                     state = SHARD_RESTARTING
                 else:
                     state = SHARD_READY
-                handle = self._pool._workers[sup.shard]
+                handle = self._workers[sup.shard]
                 alive = handle.process.is_alive()
                 shards.append(
                     ShardHealth(
@@ -808,7 +701,7 @@ class SupervisedServerPool:
                 )
         with self._admission_lock:
             inflight = self._inflight
-        cache = self._pool.shared_cache
+        cache = self.shared_cache
         return PoolHealth(
             shards=tuple(shards),
             inflight=inflight,
@@ -818,78 +711,26 @@ class SupervisedServerPool:
             shm_bytes=cache.shared_bytes() if cache is not None else 0,
         )
 
-    def worker_stats(self) -> List[Optional[ServerStats]]:
-        """Per-shard :class:`ServerStats` snapshots; ``None`` for shards
-        that are currently unavailable (down, drained or degraded)."""
-        self._check_open()
-        out: List[Optional[ServerStats]] = []
-        for shard in range(self.n_workers):
-            sup = self._shards[shard]
-            with sup.lock:
-                unavailable = sup.drained or sup.degraded or self._shard_down(shard)
-            if unavailable:
-                out.append(None)
-                continue
-            try:
-                out.append(
-                    self._pool._workers[shard].request(
-                        "stats", timeout=self.request_timeout
-                    )
-                )
-            except ServerError:
-                out.append(None)
-        return out
+    def _read_shard(self, shard: int, method: str):
+        """One observability read, or ``None`` for a shard that is
+        unavailable (down, drained or degraded) — its counters died
+        with it, and a read must never trigger a restart.  So
+        :meth:`worker_stats` carries ``None`` holes, and :attr:`stats` /
+        :attr:`io_stats` merge the live shards only."""
+        sup = self._shards[shard]
+        with sup.lock:
+            if sup.drained or sup.degraded or self._shard_down(shard):
+                return None
+        try:
+            return super()._read_shard(shard, method)
+        except ServerError:
+            return None
+
+    def _parent_stats(self) -> List[ServerStats]:
+        return [self._stats.snapshot()]
 
     @property
-    def stats(self) -> ServerStats:
-        """Merged pool stats: live workers' counters plus the parent-side
-        supervision counters (restarts, retries, sheds).  Unavailable
-        shards contribute nothing — their counters died with them."""
-        parts = [s for s in self.worker_stats() if s is not None]
-        parts.append(self._stats.snapshot())
-        return ServerStats.merged(parts)
-
-    @property
-    def io_stats(self) -> IOStats:
-        """Summed physical I/O across live workers (best-effort: a shard
-        that is down contributes nothing)."""
-        self._check_open()
-        total = IOStats()
-        for shard in range(self.n_workers):
-            if self._shard_down(shard):
-                continue
-            try:
-                total.add(
-                    self._pool._workers[shard].request(
-                        "io_stats", timeout=self.request_timeout
-                    )
-                )
-            except ServerError:
-                continue
-        return total
-
-    @property
-    def pool(self) -> ProcessServerPool:
-        """The wrapped :class:`ProcessServerPool` (chaos + tests reach
-        through here; production code should not need to)."""
-        return self._pool
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerError("supervised server pool is closed")
-
-    def close(self) -> None:
-        """Shut down every worker and the supervision layer. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.close()
-
-    def __enter__(self) -> "SupervisedServerPool":
+    def pool(self) -> "SupervisedServerPool":
+        """``self`` — kept only because the frozen ``bench/targets.py``
+        reads ``pool.pool.pids``; remove with the next benchmark PR."""
         return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -135,10 +135,6 @@ class PagedFile:
         omitted.
     page_size:
         Fault granularity in bytes.
-    use_mmap:
-        ``None`` (default) maps the file when possible; ``False`` forces
-        the positioned-read fallback (used by tests to pin that both
-        paths return identical bytes and identical accounting).
     """
 
     _next_file_id = 0
@@ -150,7 +146,6 @@ class PagedFile:
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
         page_size: int = DEFAULT_PAGE_SIZE,
-        use_mmap: Optional[bool] = None,
     ) -> None:
         if page_size < 16:
             raise StorageError(f"page_size must be >= 16, got {page_size}")
@@ -167,7 +162,7 @@ class PagedFile:
         self._io_lock = threading.Lock()
         self._map: Optional[mmap.mmap] = None
         self._view: Optional[memoryview] = None
-        if use_mmap is not False and self.size > 0:
+        if self.size > 0:
             try:
                 self._map = mmap.mmap(
                     self._fh.fileno(), 0, access=mmap.ACCESS_READ

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,34 @@ from repro.graph.generators import news_like, twitter_like
 from repro.profiles.generators import zipf_profiles
 from repro.profiles.topics import TopicSpace
 from repro.propagation.ic import IndependentCascade
+
+
+def _kbtim_shm_entries() -> set:
+    """Names of this library's segments in /dev/shm (empty off-Linux)."""
+    try:
+        return {e for e in os.listdir("/dev/shm") if e.startswith("kbtim-")}
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers_or_segments():
+    """Every test must reap what it spawned and unlink what it shared.
+
+    The serving tier's lifecycle contract — after ``close()`` no child
+    process and no ``kbtim-*`` shared-memory segment remains, even after
+    ``kill -9`` or under ``spawn`` — checked for the whole suite, not a
+    few hand-written tests.  Only what appeared *during* the test
+    counts, so wider-scoped fixtures may hold resources open.
+    """
+    children_before = set(multiprocessing.active_children())
+    shm_before = _kbtim_shm_entries()
+    yield
+    leaked = set(multiprocessing.active_children()) - children_before
+    names = sorted(process.name for process in leaked)
+    assert not leaked, f"test left child processes running: {names}"
+    segments = _kbtim_shm_entries() - shm_before
+    assert not segments, f"test left /dev/shm segments behind: {sorted(segments)}"
 
 
 @pytest.fixture(scope="session")

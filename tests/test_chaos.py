@@ -194,7 +194,7 @@ class TestInjectedFaults:
             victim = pool.shard_of(workload[10])
             plan = FaultPlan(events=(FaultEvent("kill", 8, shard=victim),))
             report = replay(pool, workload, chaos=plan)
-            cache = pool.pool.shared_cache
+            cache = pool.shared_cache
             keywords_after_kill = cache.keywords()
             shm_bytes = cache.shared_bytes()
             health = pool.health()
@@ -231,7 +231,7 @@ class TestInjectedFaults:
             )
             chaos = ChaosController(plan, pool)
             chaos.before_query(0)
-            assert pool.pool._workers[shard].poisoned
+            assert pool._workers[shard].poisoned
             assert "poisoned" in chaos.fired[0]["effect"]
             # The delayed (stale) reply lands while we wait; the restart
             # must discard it — the next answer is for the next query.
@@ -252,7 +252,7 @@ class TestInjectedFaults:
                 FaultPlan(events=(FaultEvent("drop", 0, shard=shard),)), pool
             )
             chaos.before_query(0)
-            assert pool.pool._workers[shard].poisoned
+            assert pool._workers[shard].poisoned
             assert pool.query(query).seeds  # heals without any sleep
             assert pool.stats.restarts == 1
 

@@ -260,6 +260,7 @@ class TestReplay:
         assert payload["queries"] == 10
         assert payload["qps"] > 0
         assert payload["p95_ms"] >= payload["p50_ms"]
+        assert payload["rss_bytes"] > 0 and payload["shm_bytes"] == 0
 
     def test_replay_rendezvous_dispatch(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
@@ -272,6 +273,7 @@ class TestReplay:
         assert payload["dispatch"] == "rendezvous"
         assert payload["queries"] == 10
         assert payload["failed"] == 0
+        assert payload["rss_bytes"] > 0 and payload["health"]["rss_bytes"] > 0
 
     def test_replay_open_loop(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
@@ -282,6 +284,8 @@ class TestReplay:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "open"
+        # thread pool: the workers live in this process, counted once
+        assert payload["rss_bytes"] > 0 and payload["shm_bytes"] == 0
 
     def test_replay_missing_index_is_clean_error(self, dataset_files, capsys):
         _graph, profiles = dataset_files

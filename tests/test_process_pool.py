@@ -26,6 +26,7 @@ from repro.core.process_pool import ProcessServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.server import ServerPool, ServerStats
+from repro.core.supervision import SupervisedServerPool
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload, replay
 from repro.errors import (
@@ -75,6 +76,60 @@ def _assert_same_selection(a, b):
     assert a.marginal_coverages == b.marginal_coverages
     assert a.theta == b.theta
     assert a.phi_q == pytest.approx(b.phi_q)
+
+
+POOL_KINDS = {
+    "thread": ServerPool,
+    "process": ProcessServerPool,
+    "supervised": SupervisedServerPool,
+}
+
+
+def _observe(kind: str, path: str, workload) -> dict:
+    """Drive one pool kind through peek, warm, query and query_batch and
+    record everything that must not depend on the kind of shard executor."""
+    half = len(workload) // 2
+    with POOL_KINDS[kind](path, n_workers=3, prefix_cache_keywords=0) as pool:
+        shards = [pool.shard_of(q) for q in workload]
+        pool.warm(["music", "book"])
+        warm_loads = [stats.warm_loads for stats in pool.worker_stats()]
+        base = pool.io_stats  # catalog/header reads at open + the warm loads
+        answers = [pool.query(q) for q in workload[:half]]
+        answers += pool.query_batch(workload[half:])
+        total = pool.io_stats
+    return {
+        "shards": shards,
+        "warm_loads": warm_loads,
+        "answers": answers,
+        "reads": total.read_calls - base.read_calls,
+        "bytes": total.bytes_read - base.bytes_read,
+    }
+
+
+class TestPoolKindEquivalence:
+    """One pool core, three configurations: the thread, process and
+    supervised pools must be indistinguishable on a healthy run."""
+
+    @pytest.fixture(scope="class")
+    def observed(self, setup, workload):
+        path, _profiles = setup
+        return {kind: _observe(kind, path, workload) for kind in POOL_KINDS}
+
+    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+    def test_same_routing_answers_and_exact_io(self, kind, observed, expected):
+        seen, reference = observed[kind], observed["thread"]
+        assert seen["shards"] == reference["shards"]
+        assert seen["warm_loads"] == reference["warm_loads"]
+        assert sum(seen["warm_loads"]) == 2
+        for got, ref, want in zip(seen["answers"], reference["answers"], expected):
+            _assert_same_selection(got, want)
+            assert got.stats.io.read_calls == ref.stats.io.read_calls
+            assert got.stats.io.bytes_read == ref.stats.io.bytes_read
+        # Exact accounting on every executor: the per-query ``QueryStats.io``
+        # deltas partition the pool's physical I/O.
+        assert sum(a.stats.io.read_calls for a in seen["answers"]) == seen["reads"]
+        assert sum(a.stats.io.bytes_read for a in seen["answers"]) == seen["bytes"]
+        assert seen["reads"] > 0
 
 
 class TestPicklableBoundary:
@@ -142,20 +197,6 @@ class TestCorrectness:
             for query, want in zip(workload, expected):
                 _assert_same_selection(pool.query(query), want)
 
-    def test_matches_thread_pool_caches_off(self, setup, workload):
-        """Same config, same dispatch: answers *and* per-query I/O equal."""
-        path, _profiles = setup
-        with ServerPool(path, n_workers=3, prefix_cache_keywords=0) as tpool:
-            thread_answers = [tpool.query(q) for q in workload]
-        with ProcessServerPool(
-            path, n_workers=3, prefix_cache_keywords=0
-        ) as ppool:
-            process_answers = [ppool.query(q) for q in workload]
-        for a, b in zip(thread_answers, process_answers):
-            _assert_same_selection(a, b)
-            assert a.stats.io.read_calls == b.stats.io.read_calls
-            assert a.stats.io.bytes_read == b.stats.io.bytes_read
-
     def test_batch_matches_sequential(self, setup, workload, expected):
         path, _profiles = setup
         for concurrent in (False, True):
@@ -173,13 +214,6 @@ class TestCorrectness:
             got = pool.query_batch(workload)
         for a, b in zip(expected, got):
             _assert_same_selection(a, b)
-
-    def test_dispatch_parity_with_thread_pool(self, setup, workload):
-        path, _profiles = setup
-        with ServerPool(path, n_workers=4) as tpool:
-            with ProcessServerPool(path, n_workers=4) as ppool:
-                for query in workload:
-                    assert ppool.shard_of(query) == tpool.shard_of(query)
 
     def test_id_refs_dispatch_like_names(self, setup):
         path, _profiles = setup
@@ -236,22 +270,6 @@ class TestStatsAccounting:
             assert len(merged.latencies) == len(workload)
             assert merged.mean_latency > 0
             assert merged.percentile_latency(95) >= merged.percentile_latency(5)
-
-    def test_per_query_io_sums_to_pool_physical_total(self, setup, workload):
-        """Exact accounting across process boundaries: the per-query
-        ``QueryStats.io`` deltas partition the pool's physical I/O."""
-        path, _profiles = setup
-        with ProcessServerPool(
-            path, n_workers=3, prefix_cache_keywords=0
-        ) as pool:
-            base = pool.io_stats  # catalog/header reads at open
-            answers = [pool.query(q) for q in workload]
-            total = pool.io_stats
-        attributed_reads = sum(a.stats.io.read_calls for a in answers)
-        attributed_bytes = sum(a.stats.io.bytes_read for a in answers)
-        assert attributed_reads == total.read_calls - base.read_calls
-        assert attributed_bytes == total.bytes_read - base.bytes_read
-        assert attributed_reads > 0
 
     def test_cold_misses_read_twice_per_keyword(self, setup):
         """The seed cost model survives the process hop: a cold keyword

@@ -304,10 +304,14 @@ class TestSpawnPool:
         assert shm_entries(cache_name) == []
         assert shm_entries("kbtim-resp-") == []
 
-    def test_query_stats_identical_across_transports(self, index_setup):
+    def test_query_stats_identical_across_transports(
+        self, index_setup, monkeypatch
+    ):
         """Flat frames and pickled answers must agree to the last byte
         of I/O accounting — the transport is representation, not
-        semantics."""
+        semantics.  The pickled pool is the production degrade: the
+        parent finds no shared memory, so workers get no response
+        segment."""
         path, profiles = index_setup
         from repro.datasets.workload import make_mixed_workload
 
@@ -316,7 +320,12 @@ class TestSpawnPool:
         )
         with ProcessServerPool(path, n_workers=2) as flat_pool:
             flat = [flat_pool.query(q) for q in queries]
-        with ProcessServerPool(path, n_workers=2, flat_transport=False) as pool:
+            assert flat_pool.flat_transport
+        monkeypatch.setattr(
+            "repro.core.process_pool.transport_available", lambda: False
+        )
+        with ProcessServerPool(path, n_workers=2) as pool:
+            assert not pool.flat_transport
             pickled = [pool.query(q) for q in queries]
         for a, b in zip(flat, pickled):
             assert a.seeds == b.seeds

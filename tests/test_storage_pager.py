@@ -1,5 +1,7 @@
 """Tests for the paged file and buffer pool (repro.storage.pager)."""
 
+import mmap
+
 import pytest
 
 from repro.errors import StorageError
@@ -228,6 +230,19 @@ class TestPrefetch:
             assert f.prefetch(0, 12 * 1024, budget=100) <= 4
 
 
+def _open_unmapped(path, monkeypatch, **kwargs) -> PagedFile:
+    """Open ``path`` the way production lands on the positioned-read
+    fallback: ``mmap`` itself refuses (only the constructor maps, so the
+    patch is undone before returning)."""
+
+    def refuse(*_args, **_kwargs):
+        raise OSError("mmap unavailable")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mmap, "mmap", refuse)
+        return PagedFile(path, **kwargs)
+
+
 class TestMmapViews:
     """PR 8: mmap-backed reads and zero-copy views.
 
@@ -240,8 +255,8 @@ class TestMmapViews:
         with PagedFile(data_file) as f:
             assert f.mapped
 
-    def test_use_mmap_false_forces_fallback(self, data_file):
-        with PagedFile(data_file, use_mmap=False) as f:
+    def test_failed_mmap_forces_fallback(self, data_file, monkeypatch):
+        with _open_unmapped(data_file, monkeypatch) as f:
             assert not f.mapped
             assert f.read(100, 300) == (bytes(range(256)) * 64)[100:400]
 
@@ -252,24 +267,26 @@ class TestMmapViews:
             assert bytes(view) == f.read(1000, 5000)
             assert view.readonly
 
-    def test_read_view_fallback_parity(self, data_file):
-        with PagedFile(data_file, use_mmap=False) as fallback:
+    def test_read_view_fallback_parity(self, data_file, monkeypatch):
+        with _open_unmapped(data_file, monkeypatch) as fallback:
             with PagedFile(data_file) as mapped:
                 for offset, length in ((0, 1), (4095, 2), (1000, 9000)):
                     assert bytes(fallback.read_view(offset, length)) == bytes(
                         mapped.read_view(offset, length)
                     )
 
-    def test_accounting_identical_mapped_vs_fallback(self, data_file):
+    def test_accounting_identical_mapped_vs_fallback(self, data_file, monkeypatch):
         reads = ((0, 4096), (0, 4096), (8000, 100), (0, 16384), (12288, 4096))
         stats_by_mode = []
-        for use_mmap in (True, False):
+        for mapped in (True, False):
             stats = IOStats()
             pool = BufferPool(capacity_pages=2)  # small: forces evictions
-            with PagedFile(
-                data_file, stats=stats, pool=pool, use_mmap=use_mmap
-            ) as f:
-                assert f.mapped is use_mmap
+            if mapped:
+                f = PagedFile(data_file, stats=stats, pool=pool)
+            else:
+                f = _open_unmapped(data_file, monkeypatch, stats=stats, pool=pool)
+            with f:
+                assert f.mapped is mapped
                 for offset, length in reads:
                     f.read(offset, length)
             stats_by_mode.append(

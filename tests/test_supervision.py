@@ -83,7 +83,7 @@ def _assert_same_selection(a, b):
 
 
 def _kill_worker(pool: SupervisedServerPool, shard: int) -> None:
-    handle = pool.pool._workers[shard]
+    handle = pool._workers[shard]
     handle.process.kill()
     handle.process.join(timeout=10.0)
 
@@ -150,7 +150,7 @@ class TestSelfHealing:
             path, n_workers=2, restart_backoff=0.0
         ) as pool:
             shard = pool.shard_of(query)
-            handle = pool.pool._workers[shard]
+            handle = pool._workers[shard]
             handle.process.kill()
             handle.process.join(timeout=10.0)
             # Hide the death from the pre-dispatch liveness probe once,
@@ -177,7 +177,7 @@ class TestSelfHealing:
             path, n_workers=2, restart_backoff=0.0, max_retries=0
         ) as pool:
             shard = pool.shard_of(query)
-            handle = pool.pool._workers[shard]
+            handle = pool._workers[shard]
             handle.process.kill()
             handle.process.join(timeout=10.0)
             handle.process.is_alive = lambda: True  # death surfaces mid-request
@@ -272,7 +272,7 @@ class TestDeadlines:
             path, n_workers=2, restart_backoff=0.0
         ) as pool:
             shard = pool.shard_of(query)
-            handle = pool.pool._workers[shard]
+            handle = pool._workers[shard]
             # Occupy the worker for 0.6s (raw send: the framing this
             # breaks is exactly what the poisoning must contain), then
             # query with a 0.05s deadline.
@@ -294,7 +294,7 @@ class TestDeadlines:
             path, n_workers=2, restart_backoff=0.0, request_timeout=0.02
         ) as pool:
             shard = pool.shard_of(query)
-            handle = pool.pool._workers[shard]
+            handle = pool._workers[shard]
             # Occupy the worker so the default deadline fires.
             handle.conn.send(("_chaos", ("sleep", 0.5)))
             with pytest.raises(DeadlineExceededError):
@@ -323,7 +323,7 @@ class TestAdmissionControl:
         query = KBTIMQuery(("music",), 3)
         with SupervisedServerPool(path, n_workers=2, max_inflight=1) as pool:
             shard = pool.shard_of(query)
-            handle = pool.pool._workers[shard]
+            handle = pool._workers[shard]
             errors = []
 
             # A framed chaos request holds the shard's pipe for 0.6s...
@@ -366,7 +366,7 @@ class TestRollingRestart:
         query = KBTIMQuery(("music",), 3)
         with SupervisedServerPool(path, n_workers=3) as pool:
             shard = pool.shard_of(query)
-            old_pid = pool.pool._workers[shard].pid
+            old_pid = pool._workers[shard].pid
             pool.drain(shard)
             pool.drain(shard)  # idempotent
             assert pool.health().shards[shard].state == SHARD_DRAINED
@@ -379,7 +379,7 @@ class TestRollingRestart:
             assert pool.query(KBTIMQuery((survivor,), 2)).seeds
             pool.restore(shard)
             assert pool.health().shards[shard].state == SHARD_READY
-            assert pool.pool._workers[shard].pid != old_pid  # fresh worker
+            assert pool._workers[shard].pid != old_pid  # fresh worker
             assert pool.query(query).seeds
 
     def test_health_snapshot_shape(self, setup):
@@ -514,16 +514,6 @@ class TestObservability:
             assert pool.stats is not None  # merge tolerates the hole
             assert pool.io_stats.read_calls > 0  # live shards still counted
 
-    def test_answers_match_unsupervised_pool(self, setup, workload, expected):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            for query, want in zip(workload, expected):
-                _assert_same_selection(pool.query(query), want)
-        with ProcessServerPool(path, n_workers=3) as bare:
-            with SupervisedServerPool(path, n_workers=3) as sup:
-                for query in workload:
-                    assert sup.shard_of(query) == bare.shard_of(query)
-
 
 class TestLifecycleAndValidation:
     def test_close_is_idempotent_and_fails_fast_after(self, setup):
@@ -537,6 +527,16 @@ class TestLifecycleAndValidation:
         with pytest.raises(ServerError):
             pool.health()
         pool.close()
+
+    def test_supervision_is_a_policy_not_a_wrapper(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2, request_timeout=7.5) as pool:
+            assert isinstance(pool, ProcessServerPool)
+            assert pool.pool is pool and not hasattr(pool, "_pool")
+            # One deadline: inherited admin reads are bounded by it too.
+            assert pool.request_timeout == 7.5
+            assert pool.worker_cached_keywords() == [[], []]
+            assert pool.memory_info()["total_rss_bytes"] > 0
 
     def test_knob_validation(self, setup):
         path, _profiles = setup
