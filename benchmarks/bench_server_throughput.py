@@ -117,8 +117,8 @@ def test_warm_server_queries(serving_setup, benchmark, results_dir):
 
 
 def test_batched_vs_sequential(ctx, mixed_setup, benchmark, results_dir):
-    """query_batch loads each keyword once at the max requested prefix;
-    sequential serving reloads on every cache miss.  The block cache is
+    """query_batch loads each keyword once; sequential serving reloads
+    on every cache miss.  The block cache is
     deliberately smaller than the keyword universe (the deployed regime:
     millions of keywords, bounded memory), so sequential execution
     thrashes where one shared-scan batch pays each keyword once.  Same
@@ -127,17 +127,11 @@ def test_batched_vs_sequential(ctx, mixed_setup, benchmark, results_dir):
     cache_keywords = 4  # < distinct keywords in the stream, by design
 
     def run_sequential():
-        with KBTIMServer(
-            RRIndex(path, prefix_cache_keywords=0),
-            cache_keywords=cache_keywords,
-        ) as server:
+        with KBTIMServer(RRIndex(path), cache_keywords=cache_keywords) as server:
             return [server.query(q) for q in queries], server
 
     def run_batched():
-        with KBTIMServer(
-            RRIndex(path, prefix_cache_keywords=0),
-            cache_keywords=cache_keywords,
-        ) as server:
+        with KBTIMServer(RRIndex(path), cache_keywords=cache_keywords) as server:
             return server.query_batch(queries), server
 
     # Interleave untimed A/B rounds for the table; benchmark the batch.

@@ -6,10 +6,10 @@ the GIL — so adding threads buys contention, not throughput.
 :class:`ProcessServerPool` is the same pool core
 (:class:`~repro.core.server._ShardedPool`: dispatch, sharded batches,
 warm/evict fan-out, merged stats) over a different shard executor:
-every worker is its *own process* with its own reader, block cache and
-buffer pool, so N shards really execute on N cores.  This module keeps
-only what a process-backed shard needs — the worker loop, the pipe
-handle, and spawn/handshake/restart/shared-memory lifecycle.
+every worker is its *own process* with its own reader, decoded-block
+cache and buffer pool, so N shards really execute on N cores.  This
+module keeps only what a process-backed shard needs — the worker loop,
+the pipe handle, and spawn/handshake/restart/shared-memory lifecycle.
 
 The request path is a tiny pickled protocol over one
 :func:`multiprocessing.Pipe` per worker — parent → worker messages are
@@ -66,13 +66,12 @@ from repro.core.server import (
     _ShardedPool,
     process_rss_bytes,
 )
-from repro.core.shm_cache import SharedBlockCache, shared_cache_name_for
-from repro.core.transport import (
-    ResponseReader,
-    ResponseWriter,
-    transport_available,
-    unlink_response,
+from repro.core.shm_cache import (
+    SharedBlockCache,
+    shared_cache_name_for,
+    unlink_segment,
 )
+from repro.core.transport import ResponseReader, ResponseWriter, transport_available
 from repro.errors import CorruptIndexError, DeadlineExceededError, ServerError
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segments import SegmentReader
@@ -93,9 +92,10 @@ def _worker_main(
     """One worker process: a :class:`KBTIMServer` behind a request pipe.
 
     Opens its own reader (and therefore its own buffer pool, I/O
-    counters and caches) over the immutable index file, attaches to the
-    machine-wide decoded-block cache when one is configured (attach
-    only — a restarted worker must never re-create shared state),
+    counters and block cache) over the immutable index file, attaches
+    the machine-wide decoded-block cache behind it when one is
+    configured (attach only — a restarted worker must never re-create
+    shared state),
     creates its flat-response segment, acknowledges startup, then serves
     ``(method, payload)`` requests until a ``shutdown`` request or a
     closed pipe.  Every per-request exception is shipped back to the
@@ -108,8 +108,6 @@ def _worker_main(
     shared_cache = None
     writer = None
     try:
-        index_kwargs = dict(config["index_kwargs"])
-        index_kwargs["pool"] = BufferPool(config["pool_pages"])
         cache_name = config.get("shm_cache_name")
         if cache_name:
             try:
@@ -119,9 +117,12 @@ def _worker_main(
                 # gone (owner shut down first) the worker degrades to
                 # private decodes — answers stay exact.
                 shared_cache = None
-        if shared_cache is not None:
-            index_kwargs["shared_cache"] = shared_cache
-        index = RRIndex(path, **index_kwargs)
+        index = RRIndex(
+            path,
+            pool=BufferPool(config["pool_pages"]),
+            page_size=config["page_size"],
+            shared_cache=shared_cache,
+        )
         server = KBTIMServer(index, cache_keywords=config["cache_keywords"])
         if resp_name is not None:
             try:
@@ -392,7 +393,7 @@ class _WorkerHandle:
             self._reader.close()
             self._reader = None
         if self.resp_name is not None:
-            unlink_response(self.resp_name)
+            unlink_segment(self.resp_name)
 
 
 class ProcessServerPool(_ShardedPool):
@@ -405,8 +406,8 @@ class ProcessServerPool(_ShardedPool):
     load-aware ``"rendezvous"`` opt-in), same sharded ``query_batch``,
     ``warm``/``evict_all`` fan-out and merged
     :class:`~repro.core.server.ServerStats` view — but each worker owns
-    a whole :class:`~repro.core.server.KBTIMServer` (reader, block
-    cache, prefix cache, buffer pool) in its own process, so warm
+    a whole :class:`~repro.core.server.KBTIMServer` (reader,
+    decoded-block cache, buffer pool) in its own process, so warm
     CPU-bound serving scales past the GIL.
 
     Parameters
@@ -417,16 +418,13 @@ class ProcessServerPool(_ShardedPool):
     n_workers:
         Number of shards/processes (>= 1).
     cache_keywords:
-        Per-worker block-cache capacity (LRU).
+        Per-worker decoded-block-cache capacity (LRU, in keywords).
     pool_pages:
         Capacity of each worker's page buffer pool.  Unlike the thread
         pool there is no shared pool — every process pays its own page
         cache, the standard memory-for-parallelism trade.
     page_size:
         Page fault granularity in bytes.
-    prefix_cache_keywords:
-        Per-worker decoded-prefix-cache capacity; ``None`` keeps the
-        reader default, ``0`` disables that tier.
     start_method:
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` picks ``fork`` where available
@@ -437,9 +435,9 @@ class ProcessServerPool(_ShardedPool):
         ``None`` (default) waits indefinitely — worker *death* is still
         detected immediately via the broken pipe.
     shared_block_cache:
-        Share one machine-wide :class:`~repro.core.shm_cache.SharedBlockCache`
-        of decoded keyword blocks across all workers (each hot keyword
-        is PFOR-decoded once per machine).  Off by default: a shared
+        Put one machine-wide :class:`~repro.core.shm_cache.SharedBlockCache`
+        behind every worker's block cache (each hot keyword is
+        PFOR-decoded once per machine).  Off by default: a shared
         hit legitimately reports zero per-query reads where a private
         decode reports two, so enabling it changes I/O accounting.
     shm_cache_slots:
@@ -491,7 +489,6 @@ class ProcessServerPool(_ShardedPool):
         cache_keywords: int = 64,
         pool_pages: int = 4096,
         page_size: int = DEFAULT_PAGE_SIZE,
-        prefix_cache_keywords: Optional[int] = None,
         start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
         shared_block_cache: bool = False,
@@ -510,11 +507,8 @@ class ProcessServerPool(_ShardedPool):
         # spawning, so no open file descriptor leaks into fork children
         # and a corrupt file fails fast in the parent.
         self._topic_names = self._load_topic_names(self.path, page_size)
-        index_kwargs: Dict[str, object] = dict(page_size=page_size)
-        if prefix_cache_keywords is not None:
-            index_kwargs["prefix_cache_keywords"] = prefix_cache_keywords
         self._config = {
-            "index_kwargs": index_kwargs,
+            "page_size": page_size,
             "cache_keywords": cache_keywords,
             "pool_pages": check_positive_int("pool_pages", pool_pages),
         }

@@ -28,7 +28,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.storage.segments import SegmentReader, SegmentWriter
 from repro.utils.rng import RngLike
 from repro.utils.rrsets import FlatRRSets
 
-__all__ = ["KeywordMeta", "BuildReport", "RRIndexBuilder", "RRIndex"]
+__all__ = ["KeywordMeta", "BuildReport", "RRIndexBuilder", "BlockCache", "RRIndex"]
 
 _FORMAT = "rr-index"
 _FORMAT_VERSION = 1
@@ -121,6 +121,57 @@ def plan_theta_q(
         count = int(math.floor(theta_q * p_w + 1e-9))
         counts[m.name] = max(1, min(m.n_sets, count))
     return theta_q, counts, phi_q
+
+
+def select_seeds(
+    n_vertices: int,
+    keywords: Sequence[str],
+    counts: Dict[str, int],
+    k: int,
+    phi_q: float,
+    block_of: Callable[[str], "KeywordCoverageCSR"],
+    *,
+    started: float,
+    io: Callable[[], IOStats],
+) -> SeedSelection:
+    """Algorithm 2's answer assembly — the one path every caller takes.
+
+    Merges the per-keyword prefixes into one coverage instance with
+    global set ids and runs lazy greedy for ``k`` seeds.  The stored
+    ``L_w`` lists are offset and clipped to the active prefix (Example 5
+    loads all of L_music/L_book but only rr1-rr9 / rr1-rr4 of the set
+    regions); each keyword becomes one flat-CSR part, so the clip and
+    merge are array slices, not per-vertex loops.
+
+    ``block_of(keyword)`` returns a decoded block exposing at least
+    ``counts[keyword]`` RR sets — the only thing that differs between
+    :meth:`RRIndex.query` (asks the cache for exactly that prefix) and the
+    serving tier (asks for the full block).  ``started`` is the
+    ``perf_counter`` reading the answer's latency is measured from and
+    ``io()`` is evaluated once the work is done, so both land in the
+    answer's :class:`~repro.core.results.QueryStats`.
+    """
+    parts = []
+    base = 0
+    for kw in keywords:
+        count = counts[kw]
+        parts.append(block_of(kw).active_part(count, base))
+        base += count
+    instance = merge_coverage_csr(n_vertices, parts)
+    seeds, marginals = lazy_greedy_max_coverage(instance, k)
+    theta_used = instance.n_sets
+    return SeedSelection(
+        seeds=tuple(seeds),
+        marginal_coverages=tuple(marginals),
+        theta=theta_used,
+        phi_q=phi_q,
+        stats=QueryStats(
+            elapsed_seconds=time.perf_counter() - started,
+            rr_sets_considered=theta_used,
+            rr_sets_loaded=theta_used,
+            io=io(),
+        ),
+    )
 
 
 class RRIndexBuilder:
@@ -405,10 +456,157 @@ class KeywordCoverageCSR:
         )
 
 
-#: Default capacity of the per-reader decoded-prefix cache (keywords).
-#: Mirrors the serving tier's keyword-block cache; 0 disables caching,
-#: restoring the decode-per-query cold behaviour (and its exact I/O
-#: accounting) without monkeypatching.
+#: A loader decodes ``count`` leading RR sets of ``keyword`` from storage.
+#: ``resident`` is the smaller block the cache already holds (or ``None``):
+#: its inverted pairs are count-independent, so an upgrade re-reads the RR
+#: prefix only.
+BlockLoader = Callable[[str, int, Optional[KeywordCoverageCSR]], KeywordCoverageCSR]
+
+
+class BlockCache:
+    """The one cache of decoded keyword blocks on the RR path.
+
+    Maps ``keyword`` to the *largest decoded prefix* seen so far, bounded
+    to ``capacity`` keywords (LRU).  :meth:`get` is prefix-aware:
+
+    * a resident entry covering ``count`` sets is clipped by slicing
+      (:meth:`KeywordCoverageCSR.clip_prefix`) — a **hit**, zero reads;
+    * a smaller resident entry is upgraded: the loader re-reads the RR
+      prefix only and keeps the entry's inverted pairs — a miss, 1 read;
+    * otherwise the loader decodes from storage — a miss, 2 reads.
+
+    ``shared`` is an optional machine-wide backing store
+    (:class:`~repro.core.shm_cache.SharedBlockCache`) sitting *behind*
+    the LRU: a local miss consults it before the loader (a shared hit is
+    a local miss that costs zero reads and zero decode), and a loaded
+    block is published to it and served from the shared copy, so every
+    worker's resident set overlaps.
+
+    **Concurrency.**  A hit takes the LRU lock once (dict lookup +
+    ``move_to_end``) and nothing else.  A miss is single-flight per
+    keyword: concurrent misses on one keyword decode once — the losers
+    wait and are then served as hits — while different keywords load in
+    parallel; the decode itself runs outside the LRU lock.  Blocks are
+    immutable by convention, so they are handed out without copying.
+
+    ``capacity=0`` retains nothing: every :meth:`get` goes to the backing
+    store / loader, which restores the cold decode-per-query behaviour
+    and its exact "2 reads per keyword" accounting.
+    """
+
+    def __init__(
+        self, capacity: int, shared: Optional[SharedBlockCache] = None
+    ) -> None:
+        self.capacity = max(0, int(capacity))
+        self.shared = shared
+        # keyword -> (decoded set count, block), least recently used first.
+        self._entries: "OrderedDict[str, Tuple[int, KeywordCoverageCSR]]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+        # Per-keyword single-flight locks; bounded by the catalog because
+        # callers validate the keyword before asking.
+        self._flights: Dict[str, threading.Lock] = {}
+
+    def get(
+        self, keyword: str, count: int, loader: BlockLoader
+    ) -> Tuple[KeywordCoverageCSR, bool]:
+        """Return ``(block, hit)`` with ``block`` exposing exactly
+        ``count`` leading RR sets plus the keyword's full inverted pairs.
+
+        ``hit`` is true when a resident entry served the request without
+        the backing store or ``loader`` being consulted.  The loader is
+        passed per call rather than held, so the cache keeps no reference
+        back to the reader that owns it: a dropped reader frees its
+        decoded blocks at once instead of waiting for the cycle collector.
+        """
+        if not self.capacity:
+            return self._fill(keyword, count, None, loader), False
+        with self._lock:
+            entry = self._entries.get(keyword)
+            if entry is not None and entry[0] >= count:
+                self._entries.move_to_end(keyword)
+                return entry[1].clip_prefix(count), True
+            flight = self._flights.get(keyword)
+            if flight is None:
+                flight = self._flights[keyword] = threading.Lock()
+        with flight:
+            with self._lock:
+                # A racing thread may have finished this very load while
+                # we waited: its decode serves us too.
+                entry = self._entries.get(keyword)
+                if entry is not None and entry[0] >= count:
+                    self._entries.move_to_end(keyword)
+                    return entry[1].clip_prefix(count), True
+            resident = entry[1] if entry is not None else None
+            return self._fill(keyword, count, resident, loader), False
+
+    def _fill(
+        self,
+        keyword: str,
+        count: int,
+        resident: Optional[KeywordCoverageCSR],
+        loader: BlockLoader,
+    ) -> KeywordCoverageCSR:
+        """The miss path: backing store, else loader + publish; admit."""
+        found = None
+        if self.shared is not None:
+            found = self.shared.get(keyword, count)
+        if found is None:
+            block = loader(keyword, count, resident)
+            if self.shared is not None:
+                found = self.shared.put(
+                    keyword,
+                    count,
+                    block.set_ptr,
+                    block.set_vertices,
+                    block.inv_vertices,
+                    block.inv_sets,
+                )
+        if found is not None:
+            # Serve (and retain) the shared copy, which may cover more
+            # sets than were asked for.
+            count_held, views = found
+            block = KeywordCoverageCSR(*views)
+        else:
+            count_held = count
+        if self.capacity:
+            with self._lock:
+                # Single-flight makes this the only admit in progress for
+                # the keyword, and it always holds more than the entry it
+                # replaces.
+                self._entries[keyword] = (count_held, block)
+                self._entries.move_to_end(keyword)
+                self._trim()
+        return block.clip_prefix(count)
+
+    def _trim(self) -> None:
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def resize(self, capacity: int) -> None:
+        """Change the capacity, evicting least recently used entries."""
+        with self._lock:
+            self.capacity = max(0, int(capacity))
+            self._trim()
+
+    def clear(self) -> None:
+        """Drop every resident block (memory-pressure handling); the
+        shared backing store, which other processes read, is untouched."""
+        with self._lock:
+            self._entries.clear()
+
+    def keywords(self) -> Dict[str, int]:
+        """Resident ``keyword -> decoded set count``, LRU order (oldest
+        first)."""
+        with self._lock:
+            return {kw: entry[0] for kw, entry in self._entries.items()}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: Default capacity of a reader's :class:`BlockCache`, in keywords.
 _PREFIX_CACHE_KEYWORDS = 32
 
 
@@ -420,20 +618,15 @@ class RRIndex:
     processing then issues two bounded reads per query keyword — the
     ``θ^Q·p_w`` RR-set prefix and the full inverted-list region.
 
-    Hot keyword prefixes are cached decoded: :meth:`load_keyword_csr`
-    keeps the largest prefix it has decoded per keyword (bounded LRU),
-    and a request for a smaller prefix is served by pure slicing
-    (:meth:`KeywordCoverageCSR.clip_prefix`) instead of re-reading and
-    re-decoding.  ``prefix_cache_keywords=0`` disables the cache.
-
-    A machine-wide :class:`~repro.core.shm_cache.SharedBlockCache` can be
-    attached via ``shared_cache``: decoded blocks are then published to
-    (and served from) POSIX shared memory, so one PFOR decode feeds every
-    worker process on the machine.  A shared hit performs **zero** disk
-    reads — per-query I/O accounting reflects that — while the first
-    decode still pays the usual two bounded reads.  The shared cache sits
-    *behind* the local prefix-cache LRU: shm-served blocks are admitted
-    locally, so ``clip_prefix`` reuse keeps working unchanged.
+    Decoded keyword blocks are kept in :attr:`cache`, the reader's one
+    :class:`BlockCache` (``prefix_cache_keywords`` keywords, ``0``
+    disables it; a :class:`~repro.core.server.KBTIMServer` over this
+    reader re-sizes and serves from the same object).  ``shared_cache``
+    attaches a machine-wide
+    :class:`~repro.core.shm_cache.SharedBlockCache` as that cache's
+    backing store, so one PFOR decode feeds every worker process on the
+    machine; a block served from it costs **zero** disk reads, and
+    per-query I/O accounting reflects that.
     """
 
     def __init__(
@@ -447,17 +640,7 @@ class RRIndex:
         shared_cache: Optional[SharedBlockCache] = None,
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
-        self.prefix_cache_keywords = int(prefix_cache_keywords)
-        self.shared_cache = shared_cache
-        # keyword -> (decoded set count, decoded block), LRU-bounded.
-        # Guarded by _cache_lock: the serving tier calls
-        # load_keyword_csr from multiple threads, and OrderedDict's
-        # compound LRU updates (insert + move_to_end + popitem) are not
-        # atomic.  Decode itself runs outside the lock.
-        self._prefix_cache: "OrderedDict[str, Tuple[int, KeywordCoverageCSR]]" = (
-            OrderedDict()
-        )
-        self._cache_lock = threading.Lock()
+        self.cache = BlockCache(prefix_cache_keywords, shared=shared_cache)
         self._reader = SegmentReader(
             path, stats=self.stats, pool=pool, page_size=page_size
         )
@@ -534,20 +717,22 @@ class RRIndex:
             raise IndexError_(f"keyword {keyword!r} is not in the index")
         return InvertedListsRecord.decode(self._reader.read(f"inv/{keyword}"))
 
+    @property
+    def prefix_cache_keywords(self) -> int:
+        """Capacity of :attr:`cache`, in keywords."""
+        return self.cache.capacity
+
     def load_keyword_csr(self, keyword: str, count: int) -> KeywordCoverageCSR:
         """Load one keyword's query block as flat CSR (two bounded reads).
 
         The same ``θ^Q·p_w`` RR-prefix read and full ``L_w`` read as
         :meth:`load_rr_prefix` + :meth:`load_inverted_lists`, but decoded
         through the batch decoder straight into
-        :class:`KeywordCoverageCSR` — no per-list Python arrays.
-
-        When the prefix cache is enabled, a cached decode covering at
-        least ``count`` sets is clipped by slicing instead of re-read and
-        re-decoded; a larger request re-decodes and replaces the entry.
-        Thread-safe: cache bookkeeping is locked, decode runs outside
-        the lock (two racing decodes of one keyword both succeed; the
-        larger prefix wins the cache slot).
+        :class:`KeywordCoverageCSR` — no per-list Python arrays — and
+        served through :attr:`cache`: a resident decode covering
+        ``count`` sets is clipped by slicing instead of re-read, a
+        smaller one is upgraded with one read.  Thread-safe (see
+        :class:`BlockCache`).
 
         Parameters
         ----------
@@ -576,124 +761,78 @@ class RRIndex:
             raise IndexError_(
                 f"requested {count} RR sets but {keyword!r} stores {meta.n_sets}"
             )
-        cache_cap = self.prefix_cache_keywords
-        entry = None
-        if cache_cap > 0:
-            with self._cache_lock:
-                entry = self._prefix_cache.get(keyword)
-                if entry is not None and entry[0] >= count:
-                    self._prefix_cache.move_to_end(keyword)
-                    return entry[1].clip_prefix(count)
-        if self.shared_cache is not None:
-            shared = self.shared_cache.get(keyword, count)
-            if shared is not None:
-                # Another process on this machine already decoded a
-                # covering prefix: serve it straight from shared memory —
-                # zero disk reads, zero decode.
-                stored_count, views = shared
-                block = KeywordCoverageCSR(*views)
-                self._admit(keyword, stored_count, block)
-                return block.clip_prefix(count)
+        return self.cache.get(keyword, count, self.decode_block)[0]
+
+    def decode_block(
+        self,
+        keyword: str,
+        count: int,
+        resident: Optional[KeywordCoverageCSR] = None,
+    ) -> KeywordCoverageCSR:
+        """Read and decode a block from the index file, past every cache.
+
+        The loader :attr:`cache` is given: two bounded reads, or — when
+        ``resident`` is a smaller decode of the same keyword — one, its
+        count-independent inverted pairs being reused.  ``keyword`` and
+        ``count`` must already be validated against the catalog.
+        """
         _n_sets, group_size, payload_len, payload_start, offsets = self._headers[
             keyword
         ]
         end = RRSetsRecord.prefix_payload_end(offsets, payload_len, group_size, count)
         payload = self._reader.read_range_view(f"rr/{keyword}", payload_start, end)
         set_ptr, set_vertices = RRSetsRecord.decode_prefix_csr(payload, count)
-        if entry is not None:
-            # Upgrading a cached smaller prefix: the inverted pairs are
-            # count-independent, so only the RR prefix is re-read.
-            block = KeywordCoverageCSR(
-                set_ptr, set_vertices, entry[1].inv_vertices, entry[1].inv_sets
+        if resident is not None:
+            return KeywordCoverageCSR(
+                set_ptr, set_vertices, resident.inv_vertices, resident.inv_sets
             )
-        else:
-            keys, inv_ptr, inv_flat = InvertedListsRecord.decode_csr(
-                self._reader.read_view(f"inv/{keyword}")
-            )
-            block = KeywordCoverageCSR.from_csr_arrays(
-                set_ptr, set_vertices, keys, inv_ptr, inv_flat
-            )
-        if self.shared_cache is not None:
-            published = self.shared_cache.put(
-                keyword,
-                count,
-                block.set_ptr,
-                block.set_vertices,
-                block.inv_vertices,
-                block.inv_sets,
-            )
-            if published is not None:
-                # Serve (and locally cache) the shared copy so this
-                # process's resident set overlaps every other worker's.
-                stored_count, views = published
-                block = KeywordCoverageCSR(*views)
-                self._admit(keyword, stored_count, block)
-                return block.clip_prefix(count)
-        self._admit(keyword, count, block)
-        return block
-
-    def _admit(self, keyword: str, count: int, block: KeywordCoverageCSR) -> None:
-        """Admit a decoded block to the local prefix-cache LRU."""
-        if self.prefix_cache_keywords <= 0:
-            return
-        with self._cache_lock:
-            # A racing decode of the same keyword may have admitted a
-            # larger prefix already; never downgrade the cached entry.
-            resident = self._prefix_cache.get(keyword)
-            if resident is None or resident[0] < count:
-                self._prefix_cache[keyword] = (count, block)
-            self._prefix_cache.move_to_end(keyword)
-            if len(self._prefix_cache) > self.prefix_cache_keywords:
-                self._prefix_cache.popitem(last=False)
+        keys, inv_ptr, inv_flat = InvertedListsRecord.decode_csr(
+            self._reader.read_view(f"inv/{keyword}")
+        )
+        return KeywordCoverageCSR.from_csr_arrays(
+            set_ptr, set_vertices, keys, inv_ptr, inv_flat
+        )
 
     # ------------------------------------------------------------------
-    def query(self, query: KBTIMQuery) -> SeedSelection:
-        """Algorithm 2: plan θ^Q, load prefixes, greedy maximum coverage."""
+    def plan(self, query: KBTIMQuery) -> Tuple[List[str], Dict[str, int], float]:
+        """Validate one query and plan its prefixes (Eqn. 11).
+
+        Returns ``(keywords, counts, phi_q)``: the resolved keyword
+        names, ``θ^Q_w`` per keyword and ``φ_Q``.
+
+        Raises
+        ------
+        QueryError
+            If ``query.k`` exceeds the index's system parameter ``K``,
+            or two keyword refs resolve to the same indexed keyword.
+        IndexError_
+            If a keyword is not in the index.
+        """
         if query.k > self.K:
             raise QueryError(
                 f"Q.k ({query.k}) exceeds the index's system parameter K ({self.K})"
             )
-        started = time.perf_counter()
-        before = self.stats.snapshot()
         keywords = resolve_unique(query.keywords, self._resolve)
         _theta_q, counts, phi_q = plan_theta_q(keywords, self.catalog)
+        return keywords, counts, phi_q
 
-        # Merge per-keyword prefixes into one coverage instance with global
-        # set ids; the stored L_w lists are offset and clipped to the active
-        # prefix (Example 5 loads all of L_music/L_book but only rr1-rr9 /
-        # rr1-rr4 of the set regions).  Each keyword becomes one flat-CSR
-        # part; the clip and merge are array slices, not per-vertex loops.
-        parts = []
-        base = 0
-        for kw in keywords:
-            count = counts[kw]
-            block = self.load_keyword_csr(kw, count)
-            parts.append(block.active_part(count, base))
-            base += count
-        instance = merge_coverage_csr(self.n_vertices, parts)
-        seeds, marginals = lazy_greedy_max_coverage(instance, query.k)
-
-        theta_used = instance.n_sets
-        stats = QueryStats(
-            elapsed_seconds=time.perf_counter() - started,
-            rr_sets_considered=theta_used,
-            rr_sets_loaded=theta_used,
-            io=self.stats.delta(before),
-        )
-        return SeedSelection(
-            seeds=tuple(seeds),
-            marginal_coverages=tuple(marginals),
-            theta=theta_used,
-            phi_q=phi_q,
-            stats=stats,
+    def query(self, query: KBTIMQuery) -> SeedSelection:
+        """Algorithm 2: plan θ^Q, load prefixes, greedy maximum coverage."""
+        started = time.perf_counter()
+        before = self.stats.snapshot()
+        keywords, counts, phi_q = self.plan(query)
+        return select_seeds(
+            self.n_vertices,
+            keywords,
+            counts,
+            query.k,
+            phi_q,
+            lambda kw: self.load_keyword_csr(kw, counts[kw]),
+            started=started,
+            io=lambda: self.stats.delta(before),
         )
 
     # ------------------------------------------------------------------
-    def evict_prefix_cache(self) -> None:
-        """Drop every cached decoded prefix (for memory-pressure handling)."""
-        with self._cache_lock:
-            self._prefix_cache.clear()
-
     def _resolve(self, keyword) -> str:
         """Accept topic names directly; ids resolve through the id map."""
         if isinstance(keyword, str):

@@ -3,22 +3,24 @@
 The paper's deployment story is an ad platform answering a *stream* of
 advertiser queries against one pre-built index.  Successive queries share
 keywords heavily (popular verticals are queried most), so a serving tier
-naturally caches decoded per-keyword blocks — the RR sets and inverted
+naturally keeps decoded per-keyword blocks — the RR sets and inverted
 lists of a keyword — across queries, on top of the page-level buffer
 pool.
 
 Three tiers of concurrency are layered here:
 
-* :class:`KBTIMServer` wraps one open
-  :class:`~repro.core.rr_index.RRIndex` with an LRU keyword-block cache
-  and executes Algorithm 2 against cached blocks.  It is thread-safe:
-  hot-block reads are lock-free, and per-keyword load locks make
-  concurrent misses on one keyword decode exactly once.
+* :class:`KBTIMServer` serves one open
+  :class:`~repro.core.rr_index.RRIndex` and executes Algorithm 2
+  against full keyword blocks held in the reader's
+  :class:`~repro.core.rr_index.BlockCache` (the server keeps no cache
+  of its own).  It is thread-safe: a hot block costs one short lock,
+  and the cache's per-keyword single-flight makes concurrent misses on
+  one keyword decode exactly once.
 * :meth:`KBTIMServer.query_batch` amortises one *batch* of queries:
-  the union of requested keywords is loaded once, at the maximum
-  requested prefix, and every query in the batch is then served by pure
-  array slicing — bit-identical answers to sequential :meth:`query`
-  calls at a fraction of the load/decode work.
+  the union of requested keywords is fetched once and every query in
+  the batch is then served by pure array slicing — bit-identical
+  answers to sequential :meth:`query` calls at a fraction of the
+  load/decode work.
 * :class:`ServerPool` shards keywords across N servers over one index
   file behind a pluggable dispatcher (``repro.core.dispatch``: static
   crc32 on the primary keyword, or load-aware rendezvous hashing with
@@ -37,18 +39,17 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coverage import lazy_greedy_max_coverage, merge_coverage_csr
 from repro.core.dispatch import Dispatcher, make_dispatcher, shard_of_keyword
-from repro.core.query import KBTIMQuery, KeywordRef, resolve_unique
-from repro.core.results import QueryStats, SeedSelection
-from repro.core.rr_index import KeywordCoverageCSR, RRIndex, plan_theta_q
+from repro.core.query import KBTIMQuery, KeywordRef
+from repro.core.results import SeedSelection
+from repro.core.rr_index import KeywordCoverageCSR, RRIndex, select_seeds
 from repro.errors import DeadlineExceededError, IndexError_, QueryError, ServerError
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
@@ -349,23 +350,8 @@ class ServerStats:
         return out
 
 
-class _KeywordBlock:
-    """Fully decoded per-keyword data, CSR-ified once at admission.
-
-    The decode *and* the flattening into
-    :class:`~repro.core.rr_index.KeywordCoverageCSR` happen on the cache
-    miss; a warm query then clips the block with array slicing only — no
-    per-vertex Python work at all.
-    """
-
-    __slots__ = ("csr",)
-
-    def __init__(self, csr: KeywordCoverageCSR) -> None:
-        self.csr = csr
-
-
 class KBTIMServer:
-    """Thread-safe query server over one open RR index with block caching.
+    """Thread-safe query server over one open RR index.
 
     Parameters
     ----------
@@ -374,27 +360,28 @@ class KBTIMServer:
         not take ownership; close it yourself (or use the server as a
         context manager, which closes the index on exit).
     cache_keywords:
-        Maximum number of keyword blocks held in memory (LRU).
+        Maximum number of keyword blocks held in memory (LRU).  The
+        server has no cache of its own: this re-sizes ``index.cache``,
+        the reader's one :class:`~repro.core.rr_index.BlockCache`, which
+        direct ``index.query`` callers share.  Give each server its own
+        reader (every pool does).
 
     Raises
     ------
     ValueError
         If ``cache_keywords`` is not a positive int.
 
-    The server's block cache stacks on the index's own decoded-prefix
-    cache: both store references to the *same* block objects (no array
-    duplication), the index tier additionally serves direct
-    ``RRIndex.query`` callers, and each tier is independently bounded.
-    :meth:`evict_all` clears both so memory-pressure eviction actually
-    releases the blocks; open the index with ``prefix_cache_keywords=0``
-    to run the server as the only caching tier.
+    The server always asks the cache for a keyword's *full* block
+    (``n_sets``), so one resident entry serves every query that touches
+    the keyword by slicing; ``stats`` counts a hit when the cache served
+    the block from memory and a miss when it had to go to shared memory
+    or disk.
 
     **Thread safety.**  :meth:`query`, :meth:`query_batch`, :meth:`warm`
-    and :meth:`evict_all` may be called concurrently.  A cached (hot)
-    block is read without taking any lock; a miss takes a *per-keyword*
-    load lock, so concurrent misses on one keyword decode once while
-    loads of different keywords proceed in parallel.  Seed selections
-    are bit-identical to a single-threaded run (greedy coverage is
+    and :meth:`evict_all` may be called concurrently; the concurrency
+    contract is the cache's (hit: one lock; miss: per-keyword
+    single-flight, decode outside the lock).  Seed selections are
+    bit-identical to a single-threaded run (greedy coverage is
     deterministic on identical blocks) and the ``stats`` counters are
     exact; only per-query *I/O attribution* is best-effort under
     concurrency — ``QueryStats.io`` windows may include a neighbour
@@ -403,131 +390,27 @@ class KBTIMServer:
 
     def __init__(self, index: RRIndex, *, cache_keywords: int = 64) -> None:
         self.index = index
-        self.cache_keywords = check_positive_int("cache_keywords", cache_keywords)
-        self._blocks: "OrderedDict[str, _KeywordBlock]" = OrderedDict()
-        # _lock guards the block cache's LRU structure and the lock
-        # registry; _kw_locks serialises loads per keyword (bounded by
-        # the catalog: only validated keywords get an entry).
-        self._lock = threading.Lock()
-        self._kw_locks: Dict[str, threading.Lock] = {}
+        index.cache.resize(check_positive_int("cache_keywords", cache_keywords))
         self.stats = ServerStats()
 
     # ------------------------------------------------------------------
-    def _keyword_lock(self, keyword: str) -> threading.Lock:
-        with self._lock:
-            lock = self._kw_locks.get(keyword)
-            if lock is None:
-                lock = self._kw_locks[keyword] = threading.Lock()
-            return lock
-
-    def _touch(self, keyword: str) -> None:
-        """Refresh a key's LRU position (it may have been evicted)."""
-        with self._lock:
-            if keyword in self._blocks:
-                self._blocks.move_to_end(keyword)
-
-    def _admit(self, keyword: str, block: _KeywordBlock) -> None:
-        with self._lock:
-            if keyword not in self._blocks and len(self._blocks) >= self.cache_keywords:
-                self._blocks.popitem(last=False)
-            self._blocks[keyword] = block
-            self._blocks.move_to_end(keyword)
-
-    def _block(self, keyword: str, *, warm: bool = False) -> _KeywordBlock:
-        """Return ``keyword``'s full decoded block, loading it on a miss.
-
-        Lock-free on the hot path: a resident block is returned after a
-        plain dict read (payloads are immutable).  On a miss the
-        per-keyword lock is taken, the cache is re-checked (a racing
-        thread may have finished the same load), and at most one thread
-        decodes.
-        """
-        block = self._blocks.get(keyword)
-        if block is not None:
-            self._touch(keyword)
-            if not warm:
-                self.stats.record_keyword_hit()
-            return block
+    def _fetch(self, keyword: str) -> Tuple[KeywordCoverageCSR, bool]:
+        """``(full block, hit)`` for one keyword name, via the cache."""
         meta = self.index.catalog.get(keyword)
         if meta is None:
             # Validate before counting: a failed lookup was never served
             # traffic and must not inflate the cache counters.
             raise QueryError(f"keyword {keyword!r} is not in the index")
-        with self._keyword_lock(keyword):
-            block = self._blocks.get(keyword)
-            if block is not None:
-                # Lost the race to another thread's load of this keyword:
-                # its decode serves us too — that is the point of the lock.
-                self._touch(keyword)
-                if not warm:
-                    self.stats.record_keyword_hit()
-                return block
-            if warm:
-                # Pre-warming is administrative traffic: it must not count
-                # as a miss (that would skew hit_ratio for every deployment
-                # that warms its popular verticals before taking queries).
-                self.stats.record_warm_load()
-            else:
-                self.stats.record_keyword_miss()
-            block = _KeywordBlock(self.index.load_keyword_csr(keyword, meta.n_sets))
-            self._admit(keyword, block)
-            return block
+        return self.index.cache.get(keyword, meta.n_sets, self.index.decode_block)
 
-    # ------------------------------------------------------------------
-    def _plan(self, query: KBTIMQuery):
-        """Shared validation + Eqn. 11 planning for one query.
-
-        Returns ``(keywords, counts, phi_q)``; raises exactly what a
-        direct :meth:`RRIndex.query` would (``QueryError`` for an
-        over-budget ``k`` or a post-resolution duplicate, ``IndexError_``
-        for an unknown keyword), so every execution mode shares one
-        error contract.
-        """
-        if query.k > self.index.K:
-            raise QueryError(
-                f"Q.k ({query.k}) exceeds the index's system parameter K "
-                f"({self.index.K})"
-            )
-        keywords = resolve_unique(query.keywords, self.index._resolve)
-        _theta_q, counts, phi_q = plan_theta_q(keywords, self.index.catalog)
-        return keywords, counts, phi_q
-
-    def _select(self, keywords, counts, k: int, csr_of):
-        """Algorithm 2's answer assembly, shared by every execution mode.
-
-        Clips each keyword's block (fetched through ``csr_of``) to its
-        active prefix, merges, and runs lazy greedy.  Both :meth:`query`
-        and :meth:`query_batch` funnel through here — the
-        bit-identical-answers guarantee depends on there being exactly
-        one assembly path.  Returns ``(seeds, marginals, theta_used)``.
-        """
-        parts = []
-        base = 0
-        for kw in keywords:
-            count = counts[kw]
-            parts.append(csr_of(kw).active_part(count, base))
-            base += count
-        instance = merge_coverage_csr(self.index.n_vertices, parts)
-        seeds, marginals = lazy_greedy_max_coverage(instance, k)
-        return seeds, marginals, instance.n_sets
-
-    @staticmethod
-    def _selection(
-        seeds, marginals, theta_used: int, phi_q: float, elapsed: float, io: IOStats
-    ) -> SeedSelection:
-        """Package one answered query (shared result assembly)."""
-        return SeedSelection(
-            seeds=tuple(seeds),
-            marginal_coverages=tuple(marginals),
-            theta=theta_used,
-            phi_q=phi_q,
-            stats=QueryStats(
-                elapsed_seconds=elapsed,
-                rr_sets_considered=theta_used,
-                rr_sets_loaded=theta_used,
-                io=io,
-            ),
-        )
+    def _block(self, keyword: str) -> KeywordCoverageCSR:
+        """Fetch one keyword's block for query traffic, counting it."""
+        block, hit = self._fetch(keyword)
+        if hit:
+            self.stats.record_keyword_hit()
+        else:
+            self.stats.record_keyword_miss()
+        return block
 
     def query(self, query: KBTIMQuery) -> SeedSelection:
         """Answer one query from cached blocks (Algorithm 2 semantics).
@@ -551,33 +434,33 @@ class KBTIMServer:
         IndexError_
             If a keyword is not in the index.
         """
+        index = self.index
         started = time.perf_counter()
-        before = self.index.stats.snapshot()
-        keywords, counts, phi_q = self._plan(query)
-        seeds, marginals, theta_used = self._select(
-            keywords, counts, query.k, lambda kw: self._block(kw).csr
-        )
-        elapsed = time.perf_counter() - started
-        self.stats.record_query(elapsed)
-        return self._selection(
-            seeds,
-            marginals,
-            theta_used,
+        before = index.stats.snapshot()
+        keywords, counts, phi_q = index.plan(query)
+        answer = select_seeds(
+            index.n_vertices,
+            keywords,
+            counts,
+            query.k,
             phi_q,
-            elapsed,
-            self.index.stats.delta(before),
+            self._block,
+            started=started,
+            io=lambda: index.stats.delta(before),
         )
+        self.stats.record_query(answer.stats.elapsed_seconds)
+        return answer
 
     # ------------------------------------------------------------------
     def query_batch(self, queries: Sequence[KBTIMQuery]) -> List[SeedSelection]:
         """Answer a batch of queries with shared keyword loads.
 
         The batch is planned up front (every query validated before any
-        I/O), then the *union* of requested keywords is loaded — each
-        keyword exactly once, at the maximum prefix any query in the
-        batch requests.  Every individual query is then served by pure
-        array slicing (:meth:`KeywordCoverageCSR.active_part`) off the
-        shared block, followed by its own merge + greedy pass.
+        I/O), then the *union* of requested keywords is fetched from the
+        cache — each keyword exactly once.  Every individual query is
+        then served by pure array slicing
+        (:meth:`KeywordCoverageCSR.active_part`) off the shared block,
+        followed by its own merge + greedy pass.
 
         Parameters
         ----------
@@ -611,72 +494,58 @@ class KBTIMServer:
         keyword counts one miss (on the charged query) and hits for
         every later use in the batch.
 
-        Blocks loaded for a batch are *not* admitted to the server's
-        full-block cache (they may be partial prefixes); they are
-        retained by the index's decoded-prefix cache when that is
-        enabled, so consecutive batches still reuse the decode work.
+        The batch holds its own references to the blocks it fetched, so
+        a batch touching more keywords than the cache retains is still
+        answered from one load per keyword.
         """
         queries = list(queries)
         if not queries:
             return []
+        index = self.index
         # Phase 1: validate + plan everything before touching the disk.
-        plans = [(query, *self._plan(query)) for query in queries]
+        plans = [(query, *index.plan(query)) for query in queries]
 
-        # Phase 2: union of keywords -> one load each, at the max prefix.
-        max_counts: Dict[str, int] = {}
-        charge: Dict[str, int] = {}  # keyword -> position paying its load
-        for pos, (_query, keywords, counts, _phi) in enumerate(plans):
+        # Phase 2: union of keywords -> one fetch each; a load is paid by
+        # the first query that asked for the keyword.
+        charge: Dict[str, int] = {}
+        for pos, (_query, keywords, _counts, _phi) in enumerate(plans):
             for kw in keywords:
-                if counts[kw] > max_counts.get(kw, 0):
-                    max_counts[kw] = counts[kw]
                 charge.setdefault(kw, pos)
-
         blocks: Dict[str, KeywordCoverageCSR] = {}
         load_io: Dict[str, IOStats] = {}
         load_seconds: Dict[str, float] = {}
-        resident: set = set()
-        for kw in sorted(max_counts):
-            cached = self._blocks.get(kw)
-            if cached is not None:
-                self._touch(kw)
-                blocks[kw] = cached.csr
-                resident.add(kw)
-                continue
-            with self._keyword_lock(kw):
-                cached = self._blocks.get(kw)
-                if cached is not None:
-                    self._touch(kw)
-                    blocks[kw] = cached.csr
-                    resident.add(kw)
-                    continue
-                before = self.index.stats.snapshot()
-                load_started = time.perf_counter()
-                blocks[kw] = self.index.load_keyword_csr(kw, max_counts[kw])
+        for kw in sorted(charge):
+            before = index.stats.snapshot()
+            load_started = time.perf_counter()
+            blocks[kw], hit = self._fetch(kw)
+            if not hit:
                 load_seconds[kw] = time.perf_counter() - load_started
-                load_io[kw] = self.index.stats.delta(before)
+                load_io[kw] = index.stats.delta(before)
 
         # Phase 3: per-query slicing + merge + greedy, with attribution.
         results: List[SeedSelection] = []
         for pos, (query, keywords, counts, phi_q) in enumerate(plans):
-            started = time.perf_counter()
-            for kw in keywords:
-                if kw in resident or charge[kw] != pos:
-                    self.stats.record_keyword_hit()
-                else:
-                    self.stats.record_keyword_miss()
-            seeds, marginals, theta_used = self._select(
-                keywords, counts, query.k, blocks.__getitem__
-            )
-            elapsed = time.perf_counter() - started
             io = IOStats()
+            charged_seconds = 0.0
             for kw in keywords:
-                if charge[kw] == pos and kw in load_io:
+                if kw in load_io and charge[kw] == pos:
+                    self.stats.record_keyword_miss()
                     io.add(load_io[kw])
-                    elapsed += load_seconds[kw]
-            self.stats.record_query(elapsed)
-            results.append(
-                self._selection(seeds, marginals, theta_used, phi_q, elapsed, io)
+                    charged_seconds += load_seconds[kw]
+                else:
+                    self.stats.record_keyword_hit()
+            answer = select_seeds(
+                index.n_vertices,
+                keywords,
+                counts,
+                query.k,
+                phi_q,
+                blocks.__getitem__,
+                started=time.perf_counter() - charged_seconds,
+                io=lambda: io,
             )
+            self.stats.record_query(answer.stats.elapsed_seconds)
+            results.append(answer)
         return results
 
     # ------------------------------------------------------------------
@@ -699,23 +568,19 @@ class KBTIMServer:
         misses, so pre-warming does not skew ``stats.hit_ratio``.
         """
         for kw in keywords:
-            self._block(self.index._resolve(kw), warm=True)
+            _block, hit = self._fetch(self.index._resolve(kw))
+            if not hit:
+                self.stats.record_warm_load()
 
     def evict_all(self) -> None:
-        """Drop every cached block (for memory-pressure handling).
-
-        Also clears the index's decoded-prefix cache, which retains
-        references to the same blocks — otherwise eviction would free
-        nothing and the next query would silently skip re-reading.
-        """
-        with self._lock:
-            self._blocks.clear()
-        self.index.evict_prefix_cache()
+        """Drop every cached block (for memory-pressure handling); the
+        next query of each keyword re-reads it."""
+        self.index.cache.clear()
 
     @property
     def cached_keywords(self) -> List[str]:
         """Currently cached keyword names, LRU order (oldest first)."""
-        return list(self._blocks)
+        return list(self.index.cache.keywords())
 
     def __enter__(self) -> "KBTIMServer":
         return self
@@ -1001,7 +866,7 @@ class _ShardedPool:
         )
 
     def evict_all(self) -> None:
-        """Drop every worker's cached blocks and decoded prefixes.
+        """Drop every worker's cached blocks.
 
         Like :meth:`warm`, a failed shard does not stop the fan-out:
         every surviving worker's caches are dropped first, then one
@@ -1145,8 +1010,8 @@ class ServerPool(_ShardedPool):
     """A pool of :class:`KBTIMServer` workers sharding one RR index.
 
     The pool opens ``n_workers`` independent readers over one index file
-    — each with its own file handle, I/O counters and block cache, all
-    sharing one page-level :class:`~repro.storage.pager.BufferPool` — and
+    — each with its own file handle, I/O counters and decoded-block cache,
+    all sharing one page-level :class:`~repro.storage.pager.BufferPool` — and
     routes every query through a pluggable
     :class:`~repro.core.dispatch.Dispatcher`.  The default ``"crc32"``
     policy sends each query to the worker owning its *primary keyword*
@@ -1165,14 +1030,11 @@ class ServerPool(_ShardedPool):
     n_workers:
         Number of shards/servers (>= 1).
     cache_keywords:
-        Per-worker block-cache capacity (LRU).
+        Per-worker decoded-block-cache capacity (LRU, in keywords).
     pool_pages:
         Capacity of the shared page buffer pool.
     page_size:
         Page fault granularity in bytes.
-    prefix_cache_keywords:
-        Per-worker decoded-prefix-cache capacity; ``None`` keeps the
-        reader default, ``0`` disables that tier.
     dispatch:
         Shard-selection policy: ``"crc32"`` (exact legacy static map,
         the default), ``"rendezvous"`` (load-aware, skew-balancing), or
@@ -1201,20 +1063,16 @@ class ServerPool(_ShardedPool):
         cache_keywords: int = 64,
         pool_pages: int = 4096,
         page_size: int = DEFAULT_PAGE_SIZE,
-        prefix_cache_keywords: Optional[int] = None,
         dispatch: "str | Dispatcher" = "crc32",
     ) -> None:
         super().__init__(n_workers, dispatch)
         self.buffer_pool = BufferPool(pool_pages)
-        index_kwargs = dict(pool=self.buffer_pool, page_size=page_size)
-        if prefix_cache_keywords is not None:
-            index_kwargs["prefix_cache_keywords"] = prefix_cache_keywords
         workers: List[KBTIMServer] = []
         try:
             for _ in range(self.n_workers):
                 workers.append(
                     KBTIMServer(
-                        RRIndex(path, **index_kwargs),
+                        RRIndex(path, pool=self.buffer_pool, page_size=page_size),
                         cache_keywords=cache_keywords,
                     )
                 )

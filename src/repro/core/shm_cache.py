@@ -4,7 +4,7 @@ Process-level serving workers each used to decode (PFOR + varint) every
 hot keyword into private :class:`~repro.core.rr_index.KeywordCoverageCSR`
 arrays — N workers meant N decodes and N resident copies, so worker RSS
 grew linearly with worker count.  This module moves the decoded arrays
-into POSIX shared memory (:mod:`multiprocessing.shared_memory`): one PFOR
+into POSIX shared memory (``shm_open`` + ``mmap``): one PFOR
 decode per keyword *per machine*, with every worker mapping the same
 immutable pages.
 
@@ -31,10 +31,9 @@ worker is killed mid-publish — no stuck-lock recovery protocol needed.
 
 Lifecycle rules (the part that usually goes wrong):
 
-* every ``SharedMemory`` handle is **untracked** from the process's
-  ``resource_tracker`` immediately — otherwise a worker that merely
-  *attached* to a machine-wide segment would unlink it when that worker
-  exits (CPython registers attachments too);
+* no segment is ever reported to the process's ``resource_tracker``
+  (see :class:`_Segment`) — a worker that merely *attached* to a
+  machine-wide segment must not unlink it when that worker exits;
 * the process that physically created the directory is the **owner**: it
   unlinks everything via :meth:`unlink_all` on :meth:`close` or at
   interpreter exit (``atexit``), guarded by a pid check so forked
@@ -48,6 +47,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import mmap
 import os
 import tempfile
 import time
@@ -61,14 +61,14 @@ try:  # pragma: no cover - always present on Linux/macOS
 except ImportError:  # pragma: no cover - windows fallback (best effort)
     fcntl = None  # type: ignore[assignment]
 
-try:
-    from multiprocessing import resource_tracker, shared_memory
+try:  # CPython ships this on every POSIX platform
+    import _posixshmem
 
     _HAVE_SHM = True
-except ImportError:  # pragma: no cover - minimal builds
+except ImportError:  # pragma: no cover - non-POSIX builds
     _HAVE_SHM = False
 
-__all__ = ["SharedBlockCache", "shared_cache_name_for"]
+__all__ = ["SharedBlockCache", "shared_cache_name_for", "unlink_segment"]
 
 _MAGIC = 0x4B42_5449_4D53_4843  # "KBTIMSHC"
 _VERSION = 1
@@ -108,68 +108,66 @@ _SNAPSHOT_RETRIES = 128
 _MAX_ATTACHMENTS = 512
 
 
-def _untrack(name: str) -> None:
-    """Stop the resource tracker from unlinking ``name`` at process exit.
+class _Segment:
+    """One named POSIX shared-memory segment, mapped read-write.
 
-    CPython (< 3.13) registers shared-memory segments with the per-process
-    resource tracker on *attach* as well as create; a tracked worker dying
-    would then unlink segments the whole machine shares.  Untracking makes
-    cleanup explicit: the cache owner unlinks, nobody else does.
+    Deliberately not :class:`multiprocessing.shared_memory.SharedMemory`:
+    that class reports every create *and attach* to the process's
+    ``resource_tracker``, which (before 3.13) keeps a plain *set* of
+    names and is shared by forked workers.  A worker that merely attached
+    to a machine-wide segment would unlink it on exit, and two processes
+    balancing their own register/unregister pairs for one name interleave
+    as REG REG UNREG UNREG — the second remove raises ``KeyError`` inside
+    the tracker.  Segments here never talk to the tracker at all; cleanup
+    is explicit (the owner unlinks, see :func:`unlink_segment`).
+
+    ``close`` tolerates live numpy exports: arrays served zero-copy from
+    the segment keep its buffer exported, so a blocked close only drops
+    this handle's references — the mapping stays alive exactly until the
+    last array dies, then ordinary GC unmaps it.
+    """
+
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        self.name = name
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open(f"/{name}", flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            self.size = os.fstat(fd).st_size
+            if not self.size:
+                raise OSError(f"shared-memory segment {name!r} is empty")
+            self._mmap = mmap.mmap(fd, self.size)
+        except OSError:
+            if create:
+                unlink_segment(name)
+            raise
+        finally:
+            os.close(fd)  # the mapping outlives the descriptor
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Drop the mapping; defer the unmap while exports exist."""
+        buf, mapped = self.buf, self._mmap
+        self.buf = self._mmap = None
+        if mapped is None:
+            return
+        try:
+            buf.release()
+            mapped.close()
+        except BufferError:
+            pass
+
+
+def unlink_segment(name: str) -> None:
+    """Unlink one segment by name, tolerating its absence.
+
+    Processes still attached keep their mappings (POSIX semantics).
     """
     try:
-        resource_tracker.unregister(f"/{name.lstrip('/')}", "shared_memory")
-    except Exception:
+        _posixshmem.shm_unlink(f"/{name}")
+    except FileNotFoundError:
         pass
-
-
-if _HAVE_SHM:
-
-    class _Segment(shared_memory.SharedMemory):
-        """``SharedMemory`` whose close tolerates live numpy exports.
-
-        Arrays served zero-copy from a segment keep its buffer exported;
-        stock ``close()`` (and ``__del__`` at GC) then raises
-        ``BufferError``.  Here a blocked close drops the handle's
-        references and closes the fd — the mapping stays alive exactly
-        until the last array dies, then ordinary GC unmaps it.
-        """
-
-        def close(self) -> None:
-            """Close the handle; defer unmapping while exports exist."""
-            try:
-                super().close()
-            except BufferError:
-                self._buf = None
-                self._mmap = None
-                fd = getattr(self, "_fd", -1)
-                if fd >= 0:
-                    try:
-                        os.close(fd)
-                    except OSError:
-                        pass
-                    self._fd = -1
-
-else:  # pragma: no cover - minimal builds
-    _Segment = None  # type: ignore[assignment,misc]
-
-
-def _unlink_quietly(shm: "_Segment") -> None:
-    """Unlink a segment without resource-tracker bookkeeping noise.
-
-    ``SharedMemory.unlink`` unconditionally *unregisters* the name; since
-    every handle here is untracked at construction, that would make the
-    tracker daemon print ``KeyError`` tracebacks.  Re-register first so
-    the pair balances, and re-untrack if the unlink itself fails.
-    """
-    name = shm._name
-    try:
-        resource_tracker.register(name, "shared_memory")
-    except Exception:
-        pass
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        _untrack(name)
 
 
 def shared_cache_name_for(path: str) -> str:
@@ -211,7 +209,7 @@ class SharedBlockCache:
     FileNotFoundError
         When ``create=False`` and no directory segment exists.
     RuntimeError
-        When ``multiprocessing.shared_memory`` is unavailable.
+        When POSIX shared memory is unavailable.
     """
 
     def __init__(
@@ -223,7 +221,7 @@ class SharedBlockCache:
         max_block_bytes: int = 64 * 1024 * 1024,
     ) -> None:
         if not _HAVE_SHM:  # pragma: no cover - minimal builds
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
+            raise RuntimeError("POSIX shared memory is unavailable")
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         self.name = name
@@ -231,7 +229,7 @@ class SharedBlockCache:
         self._owner = False
         self._owner_pid = os.getpid()
         self._closed = False
-        self._attached: Dict[str, Tuple[object, Tuple[np.ndarray, ...]]] = {}
+        self._attached: Dict[str, Tuple[_Segment, Tuple[np.ndarray, ...]]] = {}
         self._lock_path = os.path.join(tempfile.gettempdir(), f"{name}.lock")
         self._lock_fh = open(self._lock_path, "a+b")
         dir_size = _HEADER_DTYPE.itemsize + slots * _SLOT_DTYPE.itemsize
@@ -255,7 +253,6 @@ class SharedBlockCache:
                     header["victim"] = 0
         else:
             self._dir = _Segment(name=name)
-        _untrack(name)
         self._header = np.frombuffer(self._dir.buf, dtype=_HEADER_DTYPE, count=1)
         if int(self._header["magic"][0]) != _MAGIC:
             self._dir.close()
@@ -310,10 +307,9 @@ class SharedBlockCache:
             shm = _Segment(name=segment)
         except (FileNotFoundError, OSError):
             return None
-        _untrack(segment)
         head = np.frombuffer(shm.buf, dtype="<u8", count=2)
         if int(head[0]) != _BLOCK_MAGIC or int(head[1]) != count:
-            self._release(shm)
+            shm.close()
             return None
         arrays: List[np.ndarray] = []
         offset = _BLOCK_HEADER_BYTES
@@ -326,21 +322,9 @@ class SharedBlockCache:
         if len(self._attached) >= _MAX_ATTACHMENTS:
             old_name, (old_shm, _views) = next(iter(self._attached.items()))
             del self._attached[old_name]
-            self._release(old_shm)
+            old_shm.close()
         self._attached[segment] = (shm, views)
         return views
-
-    @staticmethod
-    def _release(shm: object) -> None:
-        """Close a handle, tolerating live numpy exports over its buffer."""
-        try:
-            shm.close()  # type: ignore[attr-defined]
-        except BufferError:
-            # Arrays decoded from this mapping are still alive; the OS
-            # mapping stays valid until they die, and GC closes it then.
-            pass
-        except Exception:
-            pass
 
     def get(
         self, keyword: str, count: int
@@ -437,7 +421,6 @@ class SharedBlockCache:
                 shm = _Segment(name=segment, create=True, size=total)
             except OSError:
                 return None
-            _untrack(segment)
             head = np.frombuffer(shm.buf, dtype="<u8", count=2)
             head[0] = _BLOCK_MAGIC
             head[1] = count
@@ -472,7 +455,7 @@ class SharedBlockCache:
             self._slots["segment"][slot_idx] = segment.encode("ascii")
             self._header["seq"] = int(self._header["seq"][0]) + 1
             if old_segment and old_segment.decode("ascii") != segment:
-                self._unlink_segment(old_segment.decode("ascii"))
+                unlink_segment(old_segment.decode("ascii"))
             self._attached[segment] = (shm, tuple(views))
             return count, tuple(views)
 
@@ -510,17 +493,6 @@ class SharedBlockCache:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @staticmethod
-    def _unlink_segment(name: str) -> None:
-        """Unlink one segment by name, tolerating its absence."""
-        try:
-            shm = _Segment(name=name)
-        except (FileNotFoundError, OSError):
-            return
-        _untrack(name)
-        _unlink_quietly(shm)
-        SharedBlockCache._release(shm)
-
     def _orphan_segments(self) -> List[str]:
         """Block segments on this machine belonging to this cache name.
 
@@ -550,7 +522,7 @@ class SharedBlockCache:
                 pass
             self.unlink_all()
         for shm, _views in list(self._attached.values()):
-            self._release(shm)
+            shm.close()
         self._attached.clear()
         try:
             # Header/slot views alias the directory buffer; drop them
@@ -559,7 +531,7 @@ class SharedBlockCache:
             del self._slots
         except AttributeError:
             pass
-        self._release(self._dir)
+        self._dir.close()
         try:
             self._lock_fh.close()
         except OSError:
@@ -579,12 +551,12 @@ class SharedBlockCache:
         if snap is not None:
             for slot in snap:
                 if int(slot["used"]):
-                    self._unlink_segment(
+                    unlink_segment(
                         bytes(slot["segment"]).rstrip(b"\x00").decode("ascii")
                     )
         for orphan in self._orphan_segments():
-            self._unlink_segment(orphan)
-        _unlink_quietly(self._dir)
+            unlink_segment(orphan)
+        unlink_segment(self.name)
         try:
             os.unlink(self._lock_path)
         except OSError:

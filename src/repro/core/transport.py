@@ -49,11 +49,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.shm_cache import _HAVE_SHM, _Segment, _untrack, _unlink_quietly
+from repro.core.shm_cache import _HAVE_SHM, _Segment, unlink_segment
 from repro.errors import ServerError
 from repro.storage.iostats import IOStats
 
-__all__ = ["ResponseWriter", "ResponseReader", "unlink_response"]
+__all__ = ["ResponseWriter", "ResponseReader"]
 
 _FRAME_MAGIC = 0x4B42_5449_4D52_5350  # "KBTIMRSP"
 _HEADER_WORDS = 4
@@ -67,23 +67,6 @@ _INITIAL_BYTES = 64 * 1024
 def transport_available() -> bool:
     """Whether POSIX shared memory is usable on this platform."""
     return _HAVE_SHM
-
-
-def unlink_response(name: str) -> None:
-    """Unlink one response segment by name, tolerating its absence.
-
-    Called by the parent when reaping a worker (the worker may have
-    already unlinked it on graceful shutdown — or never created it).
-    """
-    if not _HAVE_SHM:
-        return
-    try:
-        shm = _Segment(name=name)
-    except (FileNotFoundError, OSError):
-        return
-    _untrack(name)
-    _unlink_quietly(shm)
-    shm.close()
 
 
 def _frame_nbytes(n: int, total_seeds: int) -> int:
@@ -122,7 +105,6 @@ class ResponseWriter:
         self.name = name
         self.generation = 0
         self._shm = _Segment(name=name, create=True, size=initial_bytes)
-        _untrack(name)
         self._closed = False
 
     def _ensure_capacity(self, nbytes: int) -> None:
@@ -132,10 +114,9 @@ class ResponseWriter:
         size = self._shm.size
         while size < nbytes:
             size *= 2
-        _unlink_quietly(self._shm)
+        unlink_segment(self.name)
         self._shm.close()
         self._shm = _Segment(name=self.name, create=True, size=size)
-        _untrack(self.name)
         self.generation += 1
 
     def write(self, selections: Sequence[SeedSelection], seq: int) -> Tuple[int, int]:
@@ -199,7 +180,7 @@ class ResponseWriter:
             return
         self._closed = True
         if unlink:
-            _unlink_quietly(self._shm)
+            unlink_segment(self.name)
         self._shm.close()
 
 
@@ -230,7 +211,6 @@ class ResponseReader:
             raise ServerError(
                 f"response segment {self.name!r} is unavailable: {exc}"
             ) from None
-        _untrack(self.name)
         self._generation = generation
         return self._shm
 

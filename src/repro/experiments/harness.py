@@ -247,10 +247,10 @@ class ExperimentContext:
     ) -> RRIndex:
         """Build-if-needed and open the RR index of ``dataset``.
 
-        ``prefix_cache_keywords=0`` opens the reader with the decoded-
-        prefix cache disabled — required wherever the experiment measures
-        *per-query* cold cost (the paper's figures), since the default
-        cache would otherwise serve repeated keywords from memory.
+        ``prefix_cache_keywords=0`` opens the reader with its decoded-
+        block cache retaining nothing — required wherever the experiment
+        measures *per-query* cold cost (the paper's figures), since the
+        default cache would otherwise serve repeated keywords from memory.
         """
         self.build_index(dataset, kind="rr", **kwargs)
         reader_kwargs = {}

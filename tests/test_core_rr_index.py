@@ -316,33 +316,11 @@ class TestPrefixCache:
             assert warm.stats.io.read_calls == 0
             assert warm.seeds == first.seeds
 
-    def test_disabled_cache_keeps_cold_accounting(self, built_index):
-        path, _ = built_index
-        query = KBTIMQuery(["music", "book"], 4)
-        with RRIndex(path, prefix_cache_keywords=0) as index:
-            for _ in range(3):  # every repetition re-reads and re-decodes
-                assert index.query(query).stats.io.read_calls == 2 * 2
-
-    def test_larger_request_upgrades_entry(self, built_index):
-        path, _ = built_index
-        with RRIndex(path) as index:
-            kw = "music"
-            n_sets = index.catalog[kw].n_sets
-            small = max(1, n_sets // 3)
-            assert index.load_keyword_csr(kw, small).n_sets == small
-            upgraded = index.load_keyword_csr(kw, n_sets)  # must re-decode
-            assert upgraded.n_sets == n_sets
-            # The upgraded entry now serves the small prefix by slicing.
-            before = index.stats.snapshot()
-            again = index.load_keyword_csr(kw, small)
-            assert index.stats.delta(before).read_calls == 0
-            assert again.n_sets == small
-
     def test_lru_bound_respected(self, built_index):
         path, _ = built_index
         with RRIndex(path, prefix_cache_keywords=2) as index:
             for kw in ("music", "book", "sport"):
                 count = index.catalog[kw].n_sets
                 index.load_keyword_csr(kw, count)
-            assert len(index._prefix_cache) == 2
-            assert "music" not in index._prefix_cache  # oldest evicted
+            assert len(index.cache) == 2
+            assert "music" not in index.cache.keywords()  # oldest evicted

@@ -72,12 +72,6 @@ class TestCaching:
         # Warm queries issue zero disk reads.
         assert answer.stats.io.read_calls == 0
 
-    def test_lru_eviction(self, server):
-        for kw in ("music", "book", "journal", "car", "software"):
-            server.query(KBTIMQuery((kw,), 2))
-        assert len(server.cached_keywords) <= 4
-        assert "music" not in server.cached_keywords  # oldest evicted
-
     def test_warm_preloads(self, server):
         server.evict_all()
         server.warm(["music", "book"])
@@ -85,11 +79,6 @@ class TestCaching:
         misses_before = server.stats.keyword_misses
         server.query(KBTIMQuery(("music", "book"), 2))
         assert server.stats.keyword_misses == misses_before
-
-    def test_evict_all(self, server):
-        server.query(KBTIMQuery(("music",), 2))
-        server.evict_all()
-        assert server.cached_keywords == []
 
 
 class TestStats:
@@ -172,17 +161,34 @@ class TestLatencyBound:
 
 
 class TestEviction:
-    def test_evict_all_clears_index_prefix_cache(self, server):
+    """``cache_keywords`` is the one bound on decoded blocks: the server
+    holds no LRU of its own beside the reader's ``BlockCache``."""
+
+    def test_cache_keywords_bounds_every_resident_block(self, server):
+        names = ("music", "book", "journal", "car", "software")
+        for kw in names:  # the fixture's cache holds 4
+            server.query(KBTIMQuery((kw,), 2))
+        # Exactly four blocks are resident anywhere in the process, and
+        # the first keyword is not one of them.
+        assert len(server.index.cache) == 4
+        assert list(server.index.cache.keywords()) == list(names[1:])
+        assert server.cached_keywords == list(names[1:])
+        # So re-querying it is a miss that really goes to disk — not a
+        # "miss" served for free by a second tier the bound never reached.
+        misses = server.stats.keyword_misses
+        answer = server.query(KBTIMQuery(("music",), 2))
+        assert server.stats.keyword_misses == misses + 1
+        assert answer.stats.io.read_calls == 2
+
+    def test_evict_all_releases_the_blocks(self, server):
         server.query(KBTIMQuery(("music", "book"), 3))
-        assert len(server.index._prefix_cache) > 0
-        server.evict_all()
-        # Memory-pressure eviction must actually release the blocks: the
-        # index-level prefix cache holds references to the same arrays.
+        assert len(server.index.cache) == 2
+        server.evict_all()  # one call on one object
+        assert len(server.index.cache) == 0
         assert server.cached_keywords == []
-        assert len(server.index._prefix_cache) == 0
         # And the next query really re-reads from disk.
         answer = server.query(KBTIMQuery(("music",), 2))
-        assert answer.stats.io.read_calls > 0
+        assert answer.stats.io.read_calls == 2
 
 
 class TestLatencyWindowEdgeCases:

@@ -7,8 +7,9 @@ Four guarantees are pinned here:
   and come back mutation-safe (fresh locks) and value-identical.
 * ``ProcessServerPool`` answers are bit-identical to a sequential
   ``RRIndex.query`` / ``KBTIMServer`` run and to the thread
-  ``ServerPool`` — caches on and off — with *exact* per-query I/O
-  accounting (per-query deltas sum to the pool's physical total).
+  ``ServerPool`` — with and without the shared-memory block cache —
+  with *exact* per-query I/O accounting (per-query deltas sum to the
+  pool's physical total).
 * Merged stats aggregate correctly across worker processes, and
   warm/evict fan-out lands on the owning shard.
 * A dead worker surfaces a clear :class:`~repro.errors.ServerError`
@@ -85,11 +86,11 @@ POOL_KINDS = {
 }
 
 
-def _observe(kind: str, path: str, workload) -> dict:
+def _observe(kind: str, path: str, workload, **pool_kwargs) -> dict:
     """Drive one pool kind through peek, warm, query and query_batch and
     record everything that must not depend on the kind of shard executor."""
     half = len(workload) // 2
-    with POOL_KINDS[kind](path, n_workers=3, prefix_cache_keywords=0) as pool:
+    with POOL_KINDS[kind](path, n_workers=3, **pool_kwargs) as pool:
         shards = [pool.shard_of(q) for q in workload]
         pool.warm(["music", "book"])
         warm_loads = [stats.warm_loads for stats in pool.worker_stats()]
@@ -130,6 +131,22 @@ class TestPoolKindEquivalence:
         assert sum(a.stats.io.read_calls for a in seen["answers"]) == seen["reads"]
         assert sum(a.stats.io.bytes_read for a in seen["answers"]) == seen["bytes"]
         assert seen["reads"] > 0
+
+    @pytest.mark.parametrize("kind", ["process", "supervised"])
+    def test_shared_block_cache_keeps_answers_and_exact_io(
+        self, kind, setup, workload, observed, expected
+    ):
+        """Shared memory behind the workers' caches changes where a block
+        comes from, never the answer, and a block served from it is
+        accounted as the zero reads it cost."""
+        path, _profiles = setup
+        seen = _observe(kind, path, workload, shared_block_cache=True)
+        assert seen["shards"] == observed[kind]["shards"]
+        for got, want in zip(seen["answers"], expected):
+            _assert_same_selection(got, want)
+        assert sum(a.stats.io.read_calls for a in seen["answers"]) == seen["reads"]
+        assert sum(a.stats.io.bytes_read for a in seen["answers"]) == seen["bytes"]
+        assert 0 < seen["reads"] <= observed[kind]["reads"]
 
 
 class TestPicklableBoundary:
@@ -206,15 +223,6 @@ class TestCorrectness:
             for a, b in zip(expected, got):
                 _assert_same_selection(a, b)
 
-    def test_batch_matches_sequential_caches_off(self, setup, workload, expected):
-        path, _profiles = setup
-        with ProcessServerPool(
-            path, n_workers=4, prefix_cache_keywords=0
-        ) as pool:
-            got = pool.query_batch(workload)
-        for a, b in zip(expected, got):
-            _assert_same_selection(a, b)
-
     def test_id_refs_dispatch_like_names(self, setup):
         path, _profiles = setup
         with RRIndex(path) as index:
@@ -276,9 +284,7 @@ class TestStatsAccounting:
         load is exactly 2 logical reads (RR prefix + inverted lists)."""
         path, _profiles = setup
         query = KBTIMQuery(("music", "book"), 3)
-        with ProcessServerPool(
-            path, n_workers=1, prefix_cache_keywords=0
-        ) as pool:
+        with ProcessServerPool(path, n_workers=1) as pool:
             base = pool.io_stats
             answer = pool.query(query)
             delta = pool.io_stats.read_calls - base.read_calls

@@ -9,6 +9,9 @@ Pinned guarantees:
 * ``RRIndex`` with an attached shared cache serves a published keyword
   with **zero** disk reads (exact I/O accounting), and ``clip_prefix``
   over a shared block returns the same arrays a private decode would.
+* No segment ever reaches ``multiprocessing.resource_tracker`` (whose
+  per-type name *set*, shared by forked workers, turned interleaved
+  register/unregister pairs into ``KeyError`` noise at exit).
 * The flat response transport round-trips whole answer batches
   losslessly, grows its segment under the same name (generation bump),
   and rejects desynchronised frames with a typed error.
@@ -26,13 +29,16 @@ from repro.core.process_pool import ProcessServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.rr_index import RRIndex, RRIndexBuilder
-from repro.core.shm_cache import SharedBlockCache, shared_cache_name_for
+from repro.core.shm_cache import (
+    SharedBlockCache,
+    shared_cache_name_for,
+    unlink_segment,
+)
 from repro.core.theta import ThetaPolicy
 from repro.core.transport import (
     ResponseReader,
     ResponseWriter,
     transport_available,
-    unlink_response,
 )
 from repro.errors import ServerError
 from repro.storage.iostats import IOStats
@@ -130,6 +136,38 @@ class TestSharedBlockCache:
         ) as c:
             assert c.put("music", 64, *make_block(64, seed=6)) is None
             assert c.get("music", 1) is None
+
+    def test_segments_never_talk_to_the_resource_tracker(self, monkeypatch):
+        """Create / attach / put / evict / unlink_all and a response
+        segment's whole life send the tracker nothing: cleanup is
+        explicit, so there is no register/unregister pair to interleave."""
+        from multiprocessing import resource_tracker
+
+        calls = []
+        for name in ("register", "unregister"):
+            monkeypatch.setattr(
+                resource_tracker,
+                name,
+                lambda *args, _name=name: calls.append((_name, args)),
+            )
+        with SharedBlockCache("kbtim-test-track", slots=2, create=True) as owner:
+            attached = SharedBlockCache("kbtim-test-track", create=False)
+            for i, kw in enumerate(("a", "b", "c")):  # "c" evicts a slot
+                owner.put(kw, 4, *make_block(4, seed=i))
+            assert attached.get("c", 4) is not None
+            attached.close()
+            owner.unlink_all()
+        writer = ResponseWriter("kbtim-test-track-resp", initial_bytes=256)
+        reader = ResponseReader("kbtim-test-track-resp")
+        batch = [make_selection(i, n_seeds=4) for i in range(32)]
+        nbytes, generation = writer.write(batch, seq=1)  # grows: unlink+create
+        assert generation >= 1
+        assert reader.read(1, nbytes, generation) == batch
+        reader.close()
+        writer.close()
+        unlink_segment("kbtim-test-track-resp")
+        assert calls == []
+        assert shm_entries("kbtim-test-track") == []
 
     def test_name_for_tracks_file_identity(self, tmp_path):
         path = tmp_path / "index.rr"
@@ -271,8 +309,8 @@ class TestFlatTransport:
             reader.close()
             writer.close()
 
-    def test_unlink_response_tolerates_absence(self):
-        unlink_response("kbtim-test-never-created")  # must not raise
+    def test_unlink_segment_tolerates_absence(self):
+        unlink_segment("kbtim-test-never-created")  # must not raise
 
 
 class TestSpawnPool:
