@@ -218,7 +218,7 @@ def _transport_overhead_ns(pool, queries) -> float:
 
 def _rss_per_worker(pool, workers: int) -> float:
     """Mean per-worker resident bytes (whole process for thread pools)."""
-    return pool.memory_info()["total_rss_bytes"] / workers
+    return pool.health().rss_bytes / workers
 
 
 def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_dir):

@@ -47,6 +47,7 @@ from repro.core import (
     KeywordMeta,
     KeywordTable,
     PoolHealth,
+    PoolSnapshot,
     ProcessServerPool,
     QueryStats,
     RRIndex,
@@ -122,6 +123,7 @@ __all__ = [
     "RendezvousDispatcher",
     "ShardHealth",
     "PoolHealth",
+    "PoolSnapshot",
     "FaultEvent",
     "FaultPlan",
     "ChaosController",

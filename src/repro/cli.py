@@ -460,16 +460,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     True if (plan is not None or args.timeout) else None
                 ),
             )
-            try:
-                hit_ratio = pool.stats.hit_ratio
-            except ReproError:
-                hit_ratio = None  # e.g. every shard of a bare pool died
-            health = (
-                pool.health().to_dict()
-                if isinstance(pool, SupervisedServerPool)
-                else None
-            )
-            memory = pool.memory_info()
+            snapshot = pool.snapshot()
     finally:
         if corrupted_copy is not None and os.path.exists(corrupted_copy):
             os.unlink(corrupted_copy)
@@ -488,20 +479,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "p99_admitted_ms": report.percentile_latency(99, admitted_only=True)
         * 1e3,
         "mean_ms": report.mean_latency * 1e3,
-        "hit_ratio": hit_ratio,
         "deadline_s": args.timeout,
         "goodput": report.goodput,
         "goodput_qps": report.goodput_qps,
         "failed": report.n_failed,
-        "restarts": report.restarts,
-        "retries": report.retries,
-        "sheds": report.sheds,
-        "rss_bytes": memory["total_rss_bytes"],
-        "shm_bytes": memory["shm_bytes"],
         "fault_events": list(report.fault_events),
+        # Everything the pool reports about itself (memory, cache hit
+        # ratio, restarts / retries / sheds, per-shard state) has one
+        # home: the pool's versioned snapshot document.
+        "snapshot": snapshot.to_dict(),
     }
-    if health is not None:
-        payload["health"] = health
     if args.json:
         print(json.dumps(payload))
     else:
@@ -514,13 +501,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             f"  {payload['qps']:.1f} q/s; p50 {payload['p50_ms']:.2f} ms, "
             f"p95 {payload['p95_ms']:.2f} ms, p99 {payload['p99_ms']:.2f} ms"
         )
-        if hit_ratio is not None:
-            print(f"  keyword-cache hit ratio: {hit_ratio:.2f}")
+        health = snapshot.health
+        print(f"  keyword-cache hit ratio: {snapshot.stats.hit_ratio:.2f}")
         print(
-            f"  memory: {payload['rss_bytes'] / 1e6:.1f} MB worker RSS"
+            f"  memory: {health.rss_bytes / 1e6:.1f} MB worker RSS"
             + (
-                f", {payload['shm_bytes'] / 1e6:.1f} MB shared segments"
-                if payload["shm_bytes"]
+                f", {health.shm_bytes / 1e6:.1f} MB shared segments"
+                if health.shm_bytes
                 else ""
             )
         )
@@ -528,8 +515,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             print(
                 f"  goodput {payload['goodput']}/{payload['queries']} "
                 f"({payload['goodput_qps']:.1f} q/s); "
-                f"{payload['failed']} failed, {payload['sheds']} shed, "
-                f"{payload['restarts']} restarts, {payload['retries']} retries"
+                f"{payload['failed']} failed, {report.sheds} shed, "
+                f"{report.restarts} restarts, {report.retries} retries"
             )
         for event in report.fault_events:
             print(

@@ -39,8 +39,15 @@ from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.ris import ris_query
 from repro.core.rr_index import BuildReport, KeywordMeta, RRIndex, RRIndexBuilder
-from repro.core.server import KBTIMServer, ServerPool, ServerStats
-from repro.core.supervision import PoolHealth, ShardHealth, SupervisedServerPool
+from repro.core.server import (
+    KBTIMServer,
+    PoolHealth,
+    PoolSnapshot,
+    ServerPool,
+    ServerStats,
+    ShardHealth,
+)
+from repro.core.supervision import SupervisedServerPool
 from repro.core.sampler import (
     mean_rr_set_size,
     sample_rr_sets,
@@ -86,6 +93,7 @@ __all__ = [
     "make_dispatcher",
     "ShardHealth",
     "PoolHealth",
+    "PoolSnapshot",
     "ServerStats",
     "FaultEvent",
     "FaultPlan",

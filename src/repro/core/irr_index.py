@@ -40,12 +40,13 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.offline import KeywordTable
-from repro.core.query import KBTIMQuery, resolve_unique
+from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.rr_index import (
     BuildReport,
@@ -345,22 +346,12 @@ class IRRIndex:
         pool: Optional[BufferPool] = None,
         page_size: int = DEFAULT_PAGE_SIZE,
         decode_cache_partitions: int = _DECODE_CACHE_PARTITIONS,
-        prefetch_partitions: bool = False,
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
         # Capacity of the decoded-partition memo; <= 0 disables it (every
         # logical load re-decodes, the cold-cache behaviour benchmarks
         # sweep without monkeypatching).
         self.decode_cache_partitions = int(decode_cache_partitions)
-        # Read-ahead: after ingesting partition p of a keyword, fault
-        # partition p+1's pages into the buffer pool while the NRA round
-        # consumes p, so the next load (if it happens) is all pool hits.
-        # Off by default because the read-ahead shows up in the page
-        # stats (one extra logical read of zero payload bytes per
-        # prefetched partition, and pages for a partition the query may
-        # never consume); logical NRA accounting (``rr_sets_loaded``,
-        # ``partitions_loaded``) is identical either way.
-        self.prefetch_partitions = bool(prefetch_partitions)
         self._reader = SegmentReader(
             path, stats=self.stats, pool=pool, page_size=page_size
         )
@@ -438,7 +429,9 @@ class IRRIndex:
             )
         started = time.perf_counter()
         before = self.stats.snapshot()
-        keywords = resolve_unique(query.keywords, self._resolve)
+        keywords = resolve_unique(
+            query.keywords, partial(resolve_keyword, self._topic_names)
+        )
         _theta_q, counts, phi_q = plan_theta_q(keywords, self.catalog)
 
         states: Dict[str, _KeywordState] = {}
@@ -497,15 +490,6 @@ class IRRIndex:
             """Algorithm 4 lines 23-30: one more partition per keyword."""
             nonlocal rr_sets_loaded, partitions_loaded
             any_loaded = False
-            # One read-ahead allowance for the whole round: the paired
-            # ir+il prefetches across all query keywords share it, so a
-            # round can never blow more than half the pool on
-            # speculation no matter how many keywords it touches.
-            prefetch_budget = (
-                self._reader.prefetch_page_budget
-                if self.prefetch_partitions
-                else 0
-            )
             for kw in keywords:
                 state = states[kw]
                 if state.exhausted:
@@ -527,18 +511,6 @@ class IRRIndex:
                 ir_keys, ir_ptr, ir_flat, il_keys, il_ptr, il_flat = cached
                 partitions_loaded += 1
                 state.next_partition += 1
-                if (
-                    self.prefetch_partitions
-                    and not state.exhausted
-                    and prefetch_budget > 0
-                ):
-                    prefetch_budget -= self._reader.prefetch(
-                        f"ir/{kw}/{p + 1}", prefetch_budget
-                    )
-                    if prefetch_budget > 0:
-                        prefetch_budget -= self._reader.prefetch(
-                            f"il/{kw}/{p + 1}", prefetch_budget
-                        )
                 # Member ingest is pure slicing: extend the flat payload,
                 # scatter (start, end) locators for the *active* sets
                 # (id < θ^Q_w — later ids are never looked up; their
@@ -686,14 +658,6 @@ class IRRIndex:
         )
 
     # ------------------------------------------------------------------
-    def _resolve(self, keyword) -> str:
-        if isinstance(keyword, str):
-            return keyword
-        name = self._topic_names.get(keyword)
-        if name is None:
-            raise IndexError_(f"topic id {keyword!r} is not in the index")
-        return name
-
     def close(self) -> None:
         """Release the underlying file."""
         self._reader.close()

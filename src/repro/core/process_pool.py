@@ -20,7 +20,7 @@ are laid out as flat arrays in a per-worker shared-memory segment
 (:mod:`repro.core.transport`) and the pipe carries only a tiny
 ``("okf", (seq, nbytes, generation))`` acknowledgement; the parent
 reconstructs :class:`~repro.core.results.SeedSelection` objects from
-array slices.  Administrative replies (stats snapshots, warm/evict
+array slices.  Administrative replies (telemetry snapshots, warm/evict
 acks) and errors still travel pickled — ``("ok", result)`` /
 ``("err", exception)`` — and where shared memory is unavailable (or a
 frame cannot be written) answers degrade to the pickled path on their
@@ -60,12 +60,7 @@ from typing import Dict, List, Optional
 
 from repro.core.dispatch import Dispatcher
 from repro.core.results import SeedSelection
-from repro.core.server import (
-    KBTIMServer,
-    _dispatch,
-    _ShardedPool,
-    process_rss_bytes,
-)
+from repro.core.server import KBTIMServer, _dispatch, _ShardedPool
 from repro.core.shm_cache import (
     SharedBlockCache,
     shared_cache_name_for,
@@ -172,14 +167,6 @@ def _worker_main(
                     )
                 continue
             try:
-                if method == "stats":
-                    # Refresh the memory gauges at snapshot time: RSS
-                    # measured in-process, shared bytes from the
-                    # machine-wide cache (0 when that tier is disabled).
-                    server.stats.record_memory(
-                        rss_bytes=process_rss_bytes(),
-                        shm_bytes=shared_cache.shared_bytes() if shared_cache else 0,
-                    )
                 result = _dispatch(server, method, payload)
             except BaseException as exc:
                 _send_result(conn, "err", _portable_exc(exc))
@@ -257,6 +244,16 @@ class _WorkerHandle:
         #: until the worker is restarted — a late reply must never be
         #: delivered as the answer to a *different* request.
         self.poisoned = False
+
+    @property
+    def alive(self) -> bool:
+        """Whether the worker process is currently running."""
+        return self.process.is_alive()
+
+    @property
+    def down(self) -> bool:
+        """Whether this worker can no longer be trusted to answer."""
+        return self.closed or self.poisoned or not self.alive
 
     def handshake(self, timeout: float) -> None:
         """Wait for the worker's startup acknowledgement."""
@@ -431,9 +428,12 @@ class ProcessServerPool(_ShardedPool):
         (cheap startup) and ``spawn`` elsewhere.
     request_timeout:
         Optional per-request ceiling in seconds; a worker that exceeds
-        it raises :class:`~repro.errors.ServerError` on the caller.
-        ``None`` (default) waits indefinitely — worker *death* is still
-        detected immediately via the broken pipe.
+        it raises :class:`~repro.errors.DeadlineExceededError` (a
+        ``ServerError``) on the caller and leaves that worker's pipe
+        poisoned — every later request to the shard fails fast until
+        :meth:`restart_worker` replaces it.  ``None`` (default) waits
+        indefinitely — worker *death* is still detected immediately via
+        the broken pipe.
     shared_block_cache:
         Put one machine-wide :class:`~repro.core.shm_cache.SharedBlockCache`
         behind every worker's block cache (each hot keyword is
@@ -474,9 +474,10 @@ class ProcessServerPool(_ShardedPool):
     arrays through per-worker shared-memory segments
     (:mod:`repro.core.transport`) wherever shared memory exists
     (:attr:`flat_transport` reports it) and as pickles otherwise.
-    Stats snapshots (:attr:`stats`, :meth:`worker_stats`,
-    :attr:`io_stats`) are request/response copies: consistent per
-    worker, fetched at call time.
+    Telemetry is the pool core's two calls: :meth:`health` (parent-side,
+    no worker round trip) and :meth:`snapshot` (one request/response
+    copy per ready worker, consistent per worker, fetched at call time;
+    :attr:`stats` is its merged view).
     """
 
     _kind = "process server pool"
@@ -575,7 +576,9 @@ class ProcessServerPool(_ShardedPool):
         by terminate if the process is dead, hung, or poisoned — and a
         fresh worker is spawned, handshaked and swapped in.  The new
         worker starts with cold caches; answers stay bit-identical
-        because every worker serves the same immutable file.
+        because every worker serves the same immutable file.  Every
+        successful restart is counted (``health().restarts`` and the
+        shard's own ``restarts``), whoever asked for it.
 
         Raises
         ------
@@ -594,6 +597,10 @@ class ProcessServerPool(_ShardedPool):
             handle.shutdown(join_timeout=1.0)
             raise
         self._workers[shard] = handle
+        # Not under the shard record's lock: a supervisor calls this
+        # with that lock already held.
+        self._shards[shard].restarts += 1
+        self._supervision.record_restart()
 
     @staticmethod
     def _load_topic_names(path: str, page_size: int) -> Dict[int, str]:
@@ -614,9 +621,6 @@ class ProcessServerPool(_ShardedPool):
 
     @property
     def pids(self) -> List[int]:
-        """Worker process ids, in shard order."""
+        """Worker process ids, in shard order (``health().shards[i].pid``
+        for callers that hold no pool-kind assumption)."""
         return [handle.pid for handle in self._workers]
-
-    def worker_alive(self, shard: int) -> bool:
-        """Whether one shard's worker process is currently running."""
-        return self._workers[shard].process.is_alive()

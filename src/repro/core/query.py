@@ -9,13 +9,34 @@ constructed without holding a reference to the dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Sequence, Tuple, Union
 
-from repro.errors import QueryError
+from repro.errors import IndexError_, QueryError
 
-__all__ = ["KBTIMQuery", "resolve_unique"]
+__all__ = ["KBTIMQuery", "resolve_keyword", "resolve_unique"]
 
 KeywordRef = Union[int, str]
+
+
+def resolve_keyword(topic_names: Mapping[int, str], ref: KeywordRef) -> str:
+    """One keyword ref as a name: names pass through, ids map via the catalog.
+
+    The single resolver behind both index readers and every serving
+    pool, so a query routes and executes under the same name
+    everywhere.  Names are *not* validated here — an unknown name fails
+    later, at the catalog lookup of whoever executes the query.
+
+    Raises
+    ------
+    IndexError_
+        If ``ref`` is a topic id absent from ``topic_names``.
+    """
+    if isinstance(ref, str):
+        return ref
+    name = topic_names.get(ref)
+    if name is None:
+        raise IndexError_(f"topic id {ref!r} is not in the index")
+    return name
 
 
 def resolve_unique(
@@ -36,8 +57,9 @@ def resolve_unique(
     keywords:
         The query's keyword refs (names or topic ids), in query order.
     resolve:
-        Ref-to-name resolver of the executing index (e.g.
-        ``RRIndex._resolve``); must raise for unknown refs.
+        Ref-to-name resolver of the executing index (a
+        :func:`resolve_keyword` bound to its topic-id map); must raise
+        for unknown refs.
 
     Returns
     -------

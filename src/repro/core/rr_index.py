@@ -28,13 +28,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.coverage import lazy_greedy_max_coverage, merge_coverage_csr
 from repro.core.offline import KeywordTable, sample_keyword_tables
-from repro.core.query import KBTIMQuery, resolve_unique
+from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.shm_cache import SharedBlockCache
 from repro.core.theta import ThetaPolicy
@@ -812,7 +813,9 @@ class RRIndex:
             raise QueryError(
                 f"Q.k ({query.k}) exceeds the index's system parameter K ({self.K})"
             )
-        keywords = resolve_unique(query.keywords, self._resolve)
+        keywords = resolve_unique(
+            query.keywords, partial(resolve_keyword, self._topic_names)
+        )
         _theta_q, counts, phi_q = plan_theta_q(keywords, self.catalog)
         return keywords, counts, phi_q
 
@@ -833,15 +836,6 @@ class RRIndex:
         )
 
     # ------------------------------------------------------------------
-    def _resolve(self, keyword) -> str:
-        """Accept topic names directly; ids resolve through the id map."""
-        if isinstance(keyword, str):
-            return keyword
-        name = self._topic_names.get(keyword)
-        if name is None:
-            raise IndexError_(f"topic id {keyword!r} is not in the index")
-        return name
-
     def close(self) -> None:
         """Release the underlying file."""
         self._reader.close()

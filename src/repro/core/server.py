@@ -41,46 +41,53 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dispatch import Dispatcher, make_dispatcher, shard_of_keyword
-from repro.core.query import KBTIMQuery, KeywordRef
+from repro.core.query import KBTIMQuery, KeywordRef, resolve_keyword
 from repro.core.results import SeedSelection
 from repro.core.rr_index import KeywordCoverageCSR, RRIndex, select_seeds
-from repro.errors import DeadlineExceededError, IndexError_, QueryError, ServerError
+from repro.errors import DeadlineExceededError, QueryError, ServerError
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.utils.validation import check_positive_int
 
 __all__ = [
     "KBTIMServer",
+    "PoolHealth",
+    "PoolSnapshot",
+    "SHARD_DOWN",
+    "SHARD_READY",
+    "SNAPSHOT_SCHEMA",
     "ServerPool",
+    "ServerSnapshot",
     "ServerStats",
+    "ShardHealth",
     "process_rss_bytes",
     "shard_of_keyword",
 ]
 
 
-def process_rss_bytes(pid: Optional[int] = None) -> int:
+def process_rss_bytes(pid: int) -> int:
     """Resident-set size of a process in bytes (0 when unmeasurable).
 
     Reads ``/proc/<pid>/statm`` (Linux; the second field is resident
-    pages), so the parent can measure a *worker's* RSS without a
-    round-trip and a worker can measure its own.  On platforms without
-    procfs, falls back to ``resource.getrusage`` for the current process
-    and returns 0 for others — memory gauges are observability, never
-    correctness, so absence degrades to zero rather than raising.
+    pages), so the parent measures a *worker's* RSS without a round
+    trip.  On platforms without procfs, falls back to
+    ``resource.getrusage`` for the current process and returns 0 for
+    others — memory gauges are observability, never correctness, so
+    absence degrades to zero rather than raising.
     """
     try:
-        with open(f"/proc/{pid if pid is not None else 'self'}/statm", "rb") as fh:
+        with open(f"/proc/{pid}/statm", "rb") as fh:
             fields = fh.read().split()
         return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
     except (OSError, IndexError, ValueError):
         pass
-    if pid is None:
+    if pid == os.getpid():
         try:
             import resource
 
@@ -134,50 +141,61 @@ def _sharded_batch(queries, shard_of, run_subbatch, concurrent: bool):
 #: this many samples; percentiles are computed over the retained window.
 _LATENCY_WINDOW = 4096
 
+#: What one server counts about the traffic it served.
+_SERVING_COUNTERS = (
+    "queries",
+    "keyword_hits",
+    "keyword_misses",
+    "warm_loads",
+    "total_seconds",
+)
+#: What a pool counts parent-side about healing and shedding.
+_SUPERVISION_COUNTERS = ("restarts", "retries", "sheds")
+
 
 @dataclass
 class ServerStats:
     """Aggregate serving statistics.
 
     Latency samples are bounded: only the most recent ``latency_window``
-    per-query latencies are retained (ring buffer), so a long-lived
-    server's memory stays constant.  :meth:`percentile_latency` is exact
-    over that window; :attr:`mean_latency` stays exact over *all* queries
-    (it is derived from the running totals, not the samples).  Cache
+    per-query latencies are retained (a ring buffer sized at
+    construction; ``0`` retains nothing), so a long-lived server's
+    memory stays constant.  :meth:`percentile_latency` is exact over
+    that window; :attr:`mean_latency` stays exact over *all* queries (it
+    is derived from the running totals, not the samples).  Cache
     counters distinguish query traffic (``keyword_hits`` /
-    ``keyword_misses``) from administrative pre-warming (``warm_loads``),
-    so :attr:`hit_ratio` reflects only what real queries experienced.
+    ``keyword_misses``) from administrative pre-warming
+    (``warm_loads``), so :attr:`hit_ratio` reflects only what real
+    queries experienced.
 
     Counter updates go through the ``record_*`` methods, which take a
     small internal lock — a server answers queries from many threads,
     and a racing ``+=`` would silently drop counts.  Reading the plain
     integer fields stays lock-free.
+
+    Memory is not here: RSS and shared-segment bytes are measured by the
+    pool's parent process and live on :class:`PoolHealth` only.
     """
 
     queries: int = 0
     keyword_hits: int = 0
     keyword_misses: int = 0
     warm_loads: int = 0
-    #: Worker restarts performed by a supervisor (parent-side counter).
+    #: Worker restarts (parent-side counter; zero on a worker's own stats).
     restarts: int = 0
     #: Queries transparently retried after a worker restart.
     retries: int = 0
     #: Requests shed by admission control (never dispatched to a worker).
     sheds: int = 0
-    #: Resident-set size of the serving process, in bytes (a gauge,
-    #: refreshed via :meth:`record_memory`; 0 until first refresh).
-    rss_bytes: int = 0
-    #: Bytes of machine-wide shared-memory segments (decoded-block
-    #: cache) visible to this server — a gauge like ``rss_bytes``.
-    shm_bytes: int = 0
     total_seconds: float = 0.0
     latency_window: int = _LATENCY_WINDOW
-    _latencies: Deque[float] = field(
-        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW), repr=False
-    )
+    _latencies: Deque[float] = field(init=False, repr=False)
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self._latencies = deque(maxlen=max(0, self.latency_window))
 
     def __getstate__(self) -> dict:
         """Pickle support: counters and samples travel, the lock does not.
@@ -202,54 +220,22 @@ class ServerStats:
         process-pool workers send to the parent — the live object keeps
         serving its own thread-safe counters.
         """
-        with self._lock:
-            out = ServerStats(
-                queries=self.queries,
-                keyword_hits=self.keyword_hits,
-                keyword_misses=self.keyword_misses,
-                warm_loads=self.warm_loads,
-                restarts=self.restarts,
-                retries=self.retries,
-                sheds=self.sheds,
-                rss_bytes=self.rss_bytes,
-                shm_bytes=self.shm_bytes,
-                total_seconds=self.total_seconds,
-                latency_window=self.latency_window,
-            )
-            out._latencies = deque(self._latencies, maxlen=self.latency_window or None)
-        return out
+        return ServerStats.merged((self,))
 
     @property
     def latencies(self) -> Tuple[float, ...]:
         """The retained latency samples (at most ``latency_window``).
 
-        A read-only snapshot: mutate via :meth:`record_latency` only (a
-        tuple makes old ``stats.latencies.append(...)`` callers fail
-        loudly instead of mutating a discarded copy).  The window bound
-        is applied here too, so a runtime shrink takes effect on the
-        next *read*, not only on the next recorded sample.
+        A read-only copy: mutate via :meth:`record_latency` only (a
+        tuple makes ``stats.latencies.append(...)`` callers fail loudly
+        instead of mutating a discarded copy).
         """
-        window = self.latency_window
-        if window <= 0:
-            return ()
         with self._lock:
-            samples = tuple(self._latencies)
-        return samples[-window:] if len(samples) > window else samples
+            return tuple(self._latencies)
 
     def record_latency(self, seconds: float) -> None:
-        """Retain one latency sample, dropping the oldest when full.
-
-        ``latency_window <= 0`` disables retention entirely; resizing the
-        window at runtime keeps the newest samples.
-        """
+        """Retain one latency sample, dropping the oldest when full."""
         with self._lock:
-            window = self.latency_window
-            if window <= 0:
-                self._latencies.clear()
-                return
-            if self._latencies.maxlen != window:
-                # Window resized at runtime: a bounded deque keeps the newest.
-                self._latencies = deque(self._latencies, maxlen=window)
             self._latencies.append(seconds)
 
     def record_query(self, seconds: float) -> None:
@@ -275,7 +261,7 @@ class ServerStats:
             self.warm_loads += 1
 
     def record_restart(self) -> None:
-        """Count one supervised worker restart."""
+        """Count one worker restart."""
         with self._lock:
             self.restarts += 1
 
@@ -288,16 +274,6 @@ class ServerStats:
         """Count one request rejected by admission control."""
         with self._lock:
             self.sheds += 1
-
-    def record_memory(self, *, rss_bytes: int, shm_bytes: int = 0) -> None:
-        """Refresh the memory gauges (process RSS, shared-segment bytes).
-
-        Unlike the monotonic counters these are point-in-time gauges;
-        the serving tier refreshes them when a stats snapshot is taken.
-        """
-        with self._lock:
-            self.rss_bytes = int(rss_bytes)
-            self.shm_bytes = int(shm_bytes)
 
     @property
     def hit_ratio(self) -> float:
@@ -324,30 +300,148 @@ class ServerStats:
         Counters and totals sum; the merged latency window is the union
         of every worker's retained samples (its ``latency_window`` is
         sized to hold them all), so pool-level percentiles reflect every
-        retained sample rather than one worker's.  Memory gauges merge by
-        their sharing semantics: per-process ``rss_bytes`` *sum* (the
-        pool's total resident footprint) while ``shm_bytes`` takes the
-        *maximum* — every worker reports the same machine-wide segments,
-        which must be counted once, not once per worker.  The result is
-        a snapshot — it does not track the workers afterwards.
+        retained sample rather than one worker's.  The result is a
+        snapshot — it does not track the workers afterwards.
         """
-        merged_window = max(1, sum(p.latency_window for p in parts)) if parts else 1
-        out = cls(latency_window=merged_window)
-        out._latencies = deque(maxlen=merged_window)
+        out = cls(latency_window=sum(part.latency_window for part in parts))
         for part in parts:
             with part._lock:
-                out.queries += part.queries
-                out.keyword_hits += part.keyword_hits
-                out.keyword_misses += part.keyword_misses
-                out.warm_loads += part.warm_loads
-                out.restarts += part.restarts
-                out.retries += part.retries
-                out.sheds += part.sheds
-                out.rss_bytes += part.rss_bytes
-                out.shm_bytes = max(out.shm_bytes, part.shm_bytes)
-                out.total_seconds += part.total_seconds
+                for name in _SERVING_COUNTERS + _SUPERVISION_COUNTERS:
+                    setattr(out, name, getattr(out, name) + getattr(part, name))
                 out._latencies.extend(part._latencies)
         return out
+
+    def to_dict(self) -> dict:
+        """The JSON-ready serving view: counters, hit ratio, latency summary.
+
+        The supervision counters are left out on purpose — in a
+        :meth:`PoolSnapshot.to_dict` document they are parent-side
+        numbers and :class:`PoolHealth` is their one home.
+        """
+        out = {name: getattr(self, name) for name in _SERVING_COUNTERS}
+        out["hit_ratio"] = self.hit_ratio
+        out["mean_latency"] = self.mean_latency
+        for q in (50, 95, 99):
+            out[f"latency_p{q}"] = self.percentile_latency(q)
+        return out
+
+
+@dataclass(frozen=True)
+class ServerSnapshot:
+    """What one :class:`KBTIMServer` reports about itself, in one message."""
+
+    stats: ServerStats
+    #: The reader's physical I/O counters.
+    io: IOStats
+    #: Cached keyword names, LRU order (oldest first).
+    cached_keywords: Tuple[str, ...]
+
+    def to_dict(self) -> dict:
+        """A JSON-ready view."""
+        return {
+            "stats": self.stats.to_dict(),
+            "io": self.io.to_dict(),
+            "cached_keywords": list(self.cached_keywords),
+        }
+
+
+#: Shard states every pool's :meth:`_ShardedPool.health` can report
+#: (supervision adds ``restarting`` / ``degraded`` / ``drained``).
+SHARD_READY = "ready"
+#: The shard's executor cannot answer (dead, poisoned or shut down) and
+#: nothing will restart it.
+SHARD_DOWN = "down"
+
+#: Version of the :meth:`PoolSnapshot.to_dict` document.
+SNAPSHOT_SCHEMA = 1
+
+
+@dataclass(frozen=True)
+class ShardHealth:
+    """What the parent knows about one shard without asking its worker."""
+
+    shard: int
+    state: str
+    alive: bool
+    pid: Optional[int]
+    #: Resident-set size of the hosting process, read from ``/proc``
+    #: (0 for a dead or unreadable pid).
+    rss_bytes: int
+    restarts: int
+    #: Query units currently executing on the shard.
+    inflight: int
+    last_error: Optional[str]
+
+
+@dataclass(frozen=True)
+class PoolHealth:
+    """Everything a pool's parent process knows without a worker round trip.
+
+    The one home of memory gauges, pids, liveness and the supervision
+    counters; see :meth:`_ShardedPool.health`.
+    """
+
+    shards: Tuple[ShardHealth, ...]
+    inflight: int
+    max_inflight: Optional[int]
+    restarts: int
+    retries: int
+    sheds: int
+    #: Summed RSS of the hosting processes, each distinct pid counted
+    #: once (a thread pool's shards all live in one process).
+    rss_bytes: int
+    #: Bytes resident in the machine-wide shared block cache (counted
+    #: once — the segments are shared, not per worker); 0 when disabled.
+    shm_bytes: int
+
+    @property
+    def available_shards(self) -> int:
+        """Shards currently accepting queries (``ready``)."""
+        return sum(1 for s in self.shards if s.state == SHARD_READY)
+
+    @property
+    def healthy(self) -> bool:
+        """Whether every shard is ``ready`` (the ``/healthz`` boolean)."""
+        return self.available_shards == len(self.shards)
+
+    def to_dict(self) -> dict:
+        """A JSON-ready view (the fields plus the two derived verdicts)."""
+        return {
+            "healthy": self.healthy,
+            "available_shards": self.available_shards,
+            **asdict(self),
+        }
+
+
+@dataclass(frozen=True)
+class PoolSnapshot:
+    """One pool's whole telemetry: :class:`PoolHealth` plus what each
+    ready shard's server reported; see :meth:`_ShardedPool.snapshot`."""
+
+    health: PoolHealth
+    #: Per-shard :class:`ServerSnapshot`, ``None`` for a shard that was
+    #: not ready or did not answer.
+    workers: Tuple[Optional[ServerSnapshot], ...]
+    #: The answering workers' stats merged with the pool's own
+    #: supervision counters.
+    stats: ServerStats
+    #: The answering workers' physical I/O, summed.
+    io: IOStats
+    #: The dispatcher's load gauges (empty for static policies).
+    dispatch: Dict[str, tuple]
+
+    def to_dict(self) -> dict:
+        """The versioned JSON-ready document (``repro replay --json``)."""
+        return {
+            "schema": SNAPSHOT_SCHEMA,
+            "health": self.health.to_dict(),
+            "stats": self.stats.to_dict(),
+            "io": self.io.to_dict(),
+            "dispatch": self.dispatch,
+            "workers": [
+                None if part is None else part.to_dict() for part in self.workers
+            ],
+        }
 
 
 class KBTIMServer:
@@ -568,7 +662,8 @@ class KBTIMServer:
         misses, so pre-warming does not skew ``stats.hit_ratio``.
         """
         for kw in keywords:
-            _block, hit = self._fetch(self.index._resolve(kw))
+            name = resolve_keyword(self.index._topic_names, kw)
+            _block, hit = self._fetch(name)
             if not hit:
                 self.stats.record_warm_load()
 
@@ -581,6 +676,16 @@ class KBTIMServer:
     def cached_keywords(self) -> List[str]:
         """Currently cached keyword names, LRU order (oldest first)."""
         return list(self.index.cache.keywords())
+
+    def snapshot(self) -> ServerSnapshot:
+        """This server's whole telemetry in one detached, picklable record:
+        a :class:`ServerStats` copy, the reader's I/O counters and the
+        cached keywords — the one reply a pool asks a shard for."""
+        return ServerSnapshot(
+            stats=self.stats.snapshot(),
+            io=self.index.stats.snapshot(),
+            cached_keywords=tuple(self.cached_keywords),
+        )
 
     def __enter__(self) -> "KBTIMServer":
         return self
@@ -606,14 +711,8 @@ def _dispatch(server: KBTIMServer, method: str, payload):
     if method == "evict_all":
         server.evict_all()
         return None
-    if method == "stats":
-        return server.stats.snapshot()
-    if method == "io_stats":
-        return server.index.stats.snapshot()
-    if method == "cached_keywords":
-        return server.cached_keywords
-    if method == "ping":
-        return os.getpid()
+    if method == "snapshot":
+        return server.snapshot()
     raise ServerError(f"unknown worker request {method!r}")
 
 
@@ -621,14 +720,17 @@ class _ThreadShard:
     """In-thread shard executor: the request protocol on a local server.
 
     Like the process pool's pipe-backed ``_WorkerHandle`` it exposes
-    ``request`` / ``shutdown`` / ``pid`` — all the pool core needs.
+    ``request`` / ``shutdown`` / ``pid`` / ``alive`` / ``down`` — all
+    the pool core needs.
     """
 
-    #: ``None`` means "this process" to :func:`process_rss_bytes`.
-    pid = None
+    #: A thread shard lives and dies with the hosting process.
+    alive = True
+    down = False
 
     def __init__(self, server: KBTIMServer) -> None:
         self.server = server
+        self.pid = os.getpid()
 
     def request(self, method: str, payload=None, *, timeout: Optional[float] = None):
         """Run one request inline (an in-thread call cannot be timed out)."""
@@ -639,6 +741,19 @@ class _ThreadShard:
         self.server.index.close()
 
 
+class _ShardRecord:
+    """Parent-side bookkeeping for one shard: what :meth:`_ShardedPool.health`
+    reports beyond the executor's own pid and liveness."""
+
+    __slots__ = ("lock", "inflight", "restarts", "last_error")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.inflight = 0
+        self.restarts = 0
+        self.last_error: Optional[str] = None
+
+
 class _ShardedPool:
     """The one request path shared by every serving pool.
 
@@ -647,14 +762,18 @@ class _ShardedPool:
     ``_WorkerHandle``) and the catalog's topic-id map
     (``self._topic_names``), both supplied by the subclass constructor.
     Everything a request does — resolve, route, time, call the shard,
-    split a batch, fan out an admin request, merge stats — happens here
-    exactly once; supervision overrides :meth:`_call_shard`,
-    :meth:`_candidates` and :meth:`_read_shard` instead of wrapping a
-    second pool.
+    split a batch, fan out an admin request, report :meth:`health` and
+    :meth:`snapshot` — happens here exactly once; supervision overrides
+    :meth:`_call_shard`, :meth:`_candidates` and :meth:`_shard_state`
+    instead of wrapping a second pool.
     """
 
     #: How the closed-pool error names this pool.
     _kind = "server pool"
+    #: The per-shard parent-side record (supervision extends it).
+    _shard_record = _ShardRecord
+    #: Admission budget reported by :meth:`health`; only supervision sets one.
+    max_inflight: Optional[int] = None
 
     def __init__(
         self,
@@ -665,34 +784,24 @@ class _ShardedPool:
         self.n_workers = check_positive_int("n_workers", n_workers)
         self.dispatcher = make_dispatcher(dispatch, self.n_workers)
         self.request_timeout = request_timeout
+        self._shards = [self._shard_record() for _ in range(self.n_workers)]
+        #: Parent-side restarts / retries / sheds, merged into :attr:`stats`.
+        self._supervision = ServerStats(latency_window=0)
         self._shm_cache = None  # set by pools that share decoded blocks
         self._closed = False
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _resolve(self, keyword: KeywordRef) -> str:
-        """Topic names pass through; ids resolve via the catalog map.
-
-        Mirrors ``RRIndex._resolve`` exactly (including *not* validating
-        names — an unknown name dispatches to some shard whose server
-        then raises the reader's usual ``IndexError_``), so every pool
-        kind routes a query to the same shard.
-        """
-        if isinstance(keyword, str):
-            return keyword
-        name = self._topic_names.get(keyword)
-        if name is None:
-            raise IndexError_(f"topic id {keyword!r} is not in the index")
-        return name
-
     def _resolved_names(self, query: KBTIMQuery) -> List[str]:
         """The query's keyword refs resolved to names, for dispatch.
 
-        Resolution only: full validation (duplicates, budget) stays with
-        the serving worker, so it runs once per query.
+        Resolution only (an unknown *name* dispatches to some shard,
+        whose server then raises the reader's usual ``IndexError_``):
+        full validation (duplicates, budget) stays with the serving
+        worker, so it runs once per query.
         """
-        return [self._resolve(kw) for kw in query.keywords]
+        return [resolve_keyword(self._topic_names, kw) for kw in query.keywords]
 
     def _candidates(self) -> Optional[List[int]]:
         """Shards eligible for dispatch; ``None`` means every shard."""
@@ -753,12 +862,20 @@ class _ShardedPool:
                 f"deadline exhausted before dispatch to shard {shard} "
                 "(spent on queueing/restarts)"
             )
+        record = self._shards[shard]
+        with record.lock:
+            record.inflight += units
         if units:
             self.dispatcher.begin(shard, units=units)
         started = time.perf_counter()
         try:
             return self._workers[shard].request(method, payload, timeout=remaining)
+        except ServerError as exc:
+            record.last_error = f"{type(exc).__name__}: {exc}"
+            raise
         finally:
+            with record.lock:
+                record.inflight -= units
             if units:
                 self.dispatcher.complete(
                     shard, time.perf_counter() - started, units=units
@@ -858,7 +975,7 @@ class _ShardedPool:
         candidates = self._candidates()
         by_shard: Dict[int, List[str]] = {}
         for kw in keywords:
-            name = self._resolve(kw)
+            name = resolve_keyword(self._topic_names, kw)
             for shard in self.dispatcher.homes_of_name(name, candidates):
                 by_shard.setdefault(shard, []).append(name)
         self._fanout(
@@ -903,49 +1020,107 @@ class _ShardedPool:
             )
 
     # ------------------------------------------------------------------
-    # observability
+    # observability: health() is parent-side, snapshot() asks the shards
     # ------------------------------------------------------------------
-    def _read_shard(self, shard: int, method: str):
-        """One observability read from a shard's executor.
+    def _shard_state(self, shard: int) -> str:
+        """One shard's state from what the pool observes (record lock held)."""
+        return SHARD_DOWN if self._workers[shard].down else SHARD_READY
 
-        Deliberately *not* :meth:`_call_shard`: reading a gauge must
-        neither move the dispatcher's load signals nor (under
-        supervision) restart anything.
+    def health(self) -> PoolHealth:
+        """Everything the parent knows, without a worker round trip.
+
+        Per shard: state, liveness, pid, RSS read from ``/proc``,
+        restarts, in-flight units and the last transport error; for the
+        pool: the supervision counters, the admission budget, the shared
+        block cache's bytes and the total RSS with each hosting process
+        counted once.  Never waits on a shard, so it stays cheap and
+        safe to poll from a health endpoint while shards are busy, hung
+        or dead.
+
+        Raises
+        ------
+        ServerError
+            If the pool is closed.
         """
-        return self._workers[shard].request(method, timeout=self.request_timeout)
-
-    def _gather(self, method: str) -> List:
-        """:meth:`_read_shard` for every shard, in shard order."""
         self._check_open()
-        return [self._read_shard(shard, method) for shard in range(self.n_workers)]
+        rss: Dict[int, int] = {}
+        shards = []
+        for shard, record in enumerate(self._shards):
+            with record.lock:
+                worker = self._workers[shard]
+                alive = worker.alive
+                if alive and worker.pid not in rss:
+                    rss[worker.pid] = process_rss_bytes(worker.pid)
+                shards.append(
+                    ShardHealth(
+                        shard=shard,
+                        state=self._shard_state(shard),
+                        alive=alive,
+                        pid=worker.pid,
+                        rss_bytes=rss[worker.pid] if alive else 0,
+                        restarts=record.restarts,
+                        inflight=record.inflight,
+                        last_error=record.last_error,
+                    )
+                )
+        cache = self._shm_cache
+        return PoolHealth(
+            shards=tuple(shards),
+            inflight=sum(shard.inflight for shard in shards),
+            max_inflight=self.max_inflight,
+            restarts=self._supervision.restarts,
+            retries=self._supervision.retries,
+            sheds=self._supervision.sheds,
+            rss_bytes=sum(rss.values()),
+            shm_bytes=cache.shared_bytes() if cache is not None else 0,
+        )
 
-    def worker_stats(self) -> List[ServerStats]:
-        """Per-worker :class:`ServerStats` snapshots, in shard order."""
-        return self._gather("stats")
+    def snapshot(self) -> PoolSnapshot:
+        """:meth:`health` plus one ``"snapshot"`` round trip per ready shard.
 
-    def _parent_stats(self) -> List[ServerStats]:
-        """Counters kept by the pool itself rather than by a worker."""
-        return []
+        Each ready shard answers with its server's
+        :class:`ServerSnapshot` (bounded by ``request_timeout``); a
+        shard that is not ready, or fails to answer, is a ``None`` hole
+        — its counters died with it — and the merged views cover the
+        shards that answered.
+
+        Raises
+        ------
+        ServerError
+            If the pool is closed.
+        """
+        health = self.health()
+        workers: List[Optional[ServerSnapshot]] = []
+        for shard in health.shards:
+            part = None
+            if shard.state == SHARD_READY:
+                # Deliberately not _call_shard: a read must neither move
+                # the dispatcher's load signals nor restart anything.
+                try:
+                    part = self._workers[shard.shard].request(
+                        "snapshot", timeout=self.request_timeout
+                    )
+                except ServerError:
+                    pass
+            workers.append(part)
+        answered = [part for part in workers if part is not None]
+        io = IOStats()
+        for part in answered:
+            io.add(part.io)
+        return PoolSnapshot(
+            health=health,
+            workers=tuple(workers),
+            stats=ServerStats.merged(
+                [part.stats for part in answered] + [self._supervision]
+            ),
+            io=io,
+            dispatch=self.dispatcher.load_snapshot(),
+        )
 
     @property
     def stats(self) -> ServerStats:
-        """Pool-level aggregated stats (a snapshot fetched from every
-        worker; see :meth:`worker_stats` for shard detail)."""
-        parts = [part for part in self.worker_stats() if part is not None]
-        return ServerStats.merged(parts + self._parent_stats())
-
-    @property
-    def io_stats(self) -> IOStats:
-        """Summed physical I/O counters across every worker's reader."""
-        total = IOStats()
-        for part in self._gather("io_stats"):
-            if part is not None:
-                total.add(part)
-        return total
-
-    def worker_cached_keywords(self) -> List[List[str]]:
-        """Each worker's cached keyword names (LRU order), in shard order."""
-        return self._gather("cached_keywords")
+        """The merged :class:`ServerStats` of a fresh :meth:`snapshot`."""
+        return self.snapshot().stats
 
     @property
     def shared_cache(self):
@@ -953,26 +1128,6 @@ class _ShardedPool:
         (:class:`~repro.core.shm_cache.SharedBlockCache`; ``None`` when
         disabled, which the thread pool always is)."""
         return self._shm_cache
-
-    def memory_info(self) -> Dict[str, object]:
-        """Parent-measured memory footprint: per-worker RSS + shared bytes.
-
-        Reads the RSS of each worker's hosting process straight from
-        ``/proc`` (no worker round trip, so it works even while shards
-        are busy or dead — a vanished pid reports 0).  The total counts
-        every process once: a thread pool's workers all live in this
-        one.  ``shm_bytes`` is the shared block cache's resident
-        segments (machine-wide, counted once; 0 when disabled).
-        """
-        self._check_open()
-        pids = [worker.pid for worker in self._workers]
-        rss = {pid: process_rss_bytes(pid) for pid in set(pids)}
-        cache = self.shared_cache
-        return {
-            "per_worker_rss_bytes": [rss[pid] for pid in pids],
-            "total_rss_bytes": sum(rss.values()),
-            "shm_bytes": cache.shared_bytes() if cache is not None else 0,
-        }
 
     # ------------------------------------------------------------------
     # lifecycle

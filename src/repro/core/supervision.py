@@ -35,15 +35,17 @@ bounded, typed, observable behavior:
 * **Rolling restarts + health.**  :meth:`SupervisedServerPool.drain`
   takes one shard out of rotation (fail fast, worker shut down);
   :meth:`~SupervisedServerPool.restore` spawns a fresh worker and
-  resets the shard's budget.  :meth:`~SupervisedServerPool.health`
-  snapshots every shard's state, restart counts, last error and
+  resets the shard's budget.  The pool core's ``health()`` reports
+  every shard's supervision state (``restarting`` / ``degraded`` /
+  ``drained`` next to ``ready``), restart counts, last error and
   in-flight depth for an external health surface.
 
 Answers stay bit-identical to the unsupervised pool (every worker
 serves the same immutable file through the same ``KBTIMServer`` code);
-supervision only changes what happens when something breaks.  All
-supervision counters (restarts, retries, sheds) land in the pool's
-merged :class:`~repro.core.server.ServerStats`.
+supervision only changes what happens when something breaks.  The
+supervision counters (restarts, retries, sheds) are the pool core's
+parent-side counters: ``health()`` reports them and the merged
+:class:`~repro.core.server.ServerStats` carries them.
 
 Every fault path here is exercised by deterministic injected faults —
 see :mod:`repro.core.chaos` and ``tests/test_supervision.py``.
@@ -53,13 +55,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.process_pool import ProcessServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.results import SeedSelection
-from repro.core.server import ServerStats, process_rss_bytes
+from repro.core.server import SHARD_READY, _ShardRecord
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -73,14 +74,12 @@ __all__ = [
     "SHARD_RESTARTING",
     "SHARD_DEGRADED",
     "SHARD_DRAINED",
-    "ShardHealth",
-    "PoolHealth",
     "SupervisedServerPool",
 ]
 
 
-#: Shard states surfaced by :meth:`SupervisedServerPool.health`.
-SHARD_READY = "ready"
+# The shard states a supervised pool's ``health()`` adds to ``ready``.
+
 #: The worker is down/poisoned and a restart is pending (backoff window).
 SHARD_RESTARTING = "restarting"
 #: Restart budget exhausted: fail fast until an operator ``restore()``.
@@ -89,98 +88,17 @@ SHARD_DEGRADED = "degraded"
 SHARD_DRAINED = "drained"
 
 
-@dataclass(frozen=True)
-class ShardHealth:
-    """One shard's supervision snapshot (see :meth:`SupervisedServerPool.health`)."""
+class _ShardSupervisor(_ShardRecord):
+    """The core's per-shard record plus the supervisor's state and budget."""
 
-    shard: int
-    state: str
-    alive: bool
-    pid: Optional[int]
-    restarts: int
-    inflight: int
-    last_error: Optional[str]
-    #: Worker resident-set size in bytes, measured parent-side from
-    #: ``/proc`` (0 for a dead or unreadable pid).
-    rss_bytes: int = 0
+    __slots__ = ("drained", "degraded", "restarts_in_window", "last_failure_at")
 
-    def to_dict(self) -> dict:
-        """A JSON-ready view (CLI health/replay reports)."""
-        return {
-            "shard": self.shard,
-            "state": self.state,
-            "alive": self.alive,
-            "pid": self.pid,
-            "restarts": self.restarts,
-            "inflight": self.inflight,
-            "last_error": self.last_error,
-            "rss_bytes": self.rss_bytes,
-        }
-
-
-@dataclass(frozen=True)
-class PoolHealth:
-    """Pool-level health snapshot: per-shard states plus admission gauges."""
-
-    shards: Tuple[ShardHealth, ...]
-    inflight: int
-    max_inflight: Optional[int]
-    sheds: int
-    restarts: int
-    #: Bytes resident in the machine-wide shared block cache (counted
-    #: once — the segments are shared, not per worker); 0 when disabled.
-    shm_bytes: int = 0
-
-    @property
-    def available_shards(self) -> int:
-        """Shards currently accepting queries (``ready``)."""
-        return sum(1 for s in self.shards if s.state == SHARD_READY)
-
-    @property
-    def healthy(self) -> bool:
-        """Whether every shard is ``ready`` (the ``/healthz`` boolean)."""
-        return all(s.state == SHARD_READY for s in self.shards)
-
-    def to_dict(self) -> dict:
-        """A JSON-ready view (CLI health/replay reports)."""
-        return {
-            "healthy": self.healthy,
-            "available_shards": self.available_shards,
-            "inflight": self.inflight,
-            "max_inflight": self.max_inflight,
-            "sheds": self.sheds,
-            "restarts": self.restarts,
-            "shm_bytes": self.shm_bytes,
-            "rss_bytes": sum(s.rss_bytes for s in self.shards),
-            "shards": [s.to_dict() for s in self.shards],
-        }
-
-
-class _ShardSupervisor:
-    """Parent-side supervision record for one shard (state + budget)."""
-
-    __slots__ = (
-        "shard",
-        "lock",
-        "drained",
-        "degraded",
-        "restarts_in_window",
-        "total_restarts",
-        "last_failure_at",
-        "last_error",
-        "inflight",
-    )
-
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self.lock = threading.Lock()
+    def __init__(self) -> None:
+        super().__init__()
         self.drained = False
         self.degraded = False
         self.restarts_in_window = 0
-        self.total_restarts = 0
         self.last_failure_at: Optional[float] = None
-        self.last_error: Optional[str] = None
-        self.inflight = 0
 
 
 class SupervisedServerPool(ProcessServerPool):
@@ -190,9 +108,9 @@ class SupervisedServerPool(ProcessServerPool):
     wrapper around a second pool: this class overrides the one shard
     call (heal → call → note failure → bounded retry), the dispatch
     candidate set, the admission bracket around :meth:`query` /
-    :meth:`query_batch` and the observability reads, and adds
-    :meth:`drain` / :meth:`restore` / :meth:`health`; routing, batching,
-    fan-out, stats merging and worker lifecycle are inherited.
+    :meth:`query_batch` and how a shard's health state is computed, and
+    adds :meth:`drain` / :meth:`restore`; routing, batching, fan-out,
+    ``health()`` / ``snapshot()`` and worker lifecycle are inherited.
 
     Parameters
     ----------
@@ -270,6 +188,7 @@ class SupervisedServerPool(ProcessServerPool):
     """
 
     _kind = "supervised server pool"
+    _shard_record = _ShardSupervisor
 
     def __init__(
         self,
@@ -308,8 +227,6 @@ class SupervisedServerPool(ProcessServerPool):
         super().__init__(
             path, n_workers=n_workers, request_timeout=request_timeout, **pool_kwargs
         )
-        self._shards = [_ShardSupervisor(i) for i in range(self.n_workers)]
-        self._stats = ServerStats()  # parent-side: restarts/retries/sheds
         self._admission_lock = threading.Lock()
         self._inflight = 0
         self._exhausted_until = 0.0  # chaos: forced admission exhaustion
@@ -326,11 +243,6 @@ class SupervisedServerPool(ProcessServerPool):
             self.restart_backoff * (2.0 ** (restarts_in_window - 1)),
             self.backoff_max,
         )
-
-    def _shard_down(self, shard: int) -> bool:
-        """Whether a shard's worker can no longer be trusted to answer."""
-        handle = self._workers[shard]
-        return handle.closed or handle.poisoned or not handle.process.is_alive()
 
     def _ensure_ready(self, shard: int) -> None:
         """Heal a down shard (restart, subject to backoff + budget) or fail fast.
@@ -356,7 +268,7 @@ class SupervisedServerPool(ProcessServerPool):
                     shard=shard,
                     retry_after=None,
                 )
-            if not self._shard_down(shard):
+            if not self._workers[shard].down:
                 return
             now = time.monotonic()
             if (
@@ -386,15 +298,13 @@ class SupervisedServerPool(ProcessServerPool):
                 )
             self.restart_worker(shard)
             sup.restarts_in_window += 1
-            sup.total_restarts += 1
-            self._stats.record_restart()
 
-    def _note_failure(self, shard: int, exc: BaseException) -> None:
-        """Record a transport failure; the next request triggers healing."""
+    def _note_failure(self, shard: int) -> None:
+        """Time-stamp a transport failure (the core recorded its text);
+        the next request triggers healing."""
         sup = self._shards[shard]
         with sup.lock:
             sup.last_failure_at = time.monotonic()
-            sup.last_error = f"{type(exc).__name__}: {exc}"
 
     # ------------------------------------------------------------------
     # admission
@@ -411,7 +321,7 @@ class SupervisedServerPool(ProcessServerPool):
                 and self._inflight + units > self.max_inflight
             )
             if exhausted or over:
-                self._stats.record_shed()
+                self._supervision.record_shed()
                 if exhausted:
                     retry_after = self._exhausted_until - now
                     detail = "admission budget exhausted (injected fault)"
@@ -471,32 +381,26 @@ class SupervisedServerPool(ProcessServerPool):
         errors (``QueryError``, ``IndexError_``) propagate untouched:
         the worker answered, the request was just wrong.
         """
-        sup = self._shards[shard]
         attempts = 0
         while True:
             self._ensure_ready(shard)
-            with sup.lock:
-                sup.inflight += 1
             try:
                 return super()._call_shard(
                     shard, method, payload, deadline=deadline, units=units
                 )
-            except DeadlineExceededError as exc:
+            except DeadlineExceededError:
                 # A budget spent before dispatch left the worker alone;
                 # only a miss that poisoned the pipe is the shard's fault.
-                if self._shard_down(shard):
-                    self._note_failure(shard, exc)
+                if self._workers[shard].down:
+                    self._note_failure(shard)
                 raise
-            except ServerError as exc:
-                self._note_failure(shard, exc)
+            except ServerError:
+                self._note_failure(shard)
                 attempts += 1
                 if attempts > self.max_retries:
                     raise
                 if units:
-                    self._stats.record_retry()
-            finally:
-                with sup.lock:
-                    sup.inflight -= 1
+                    self._supervision.record_retry()
 
     def _candidates(self) -> List[int]:
         """Shards currently eligible for dispatch (not drained/degraded).
@@ -651,8 +555,6 @@ class SupervisedServerPool(ProcessServerPool):
             sup.restarts_in_window = 0
             sup.last_failure_at = None
             sup.last_error = None
-            sup.total_restarts += 1
-            self._stats.record_restart()
 
     # ------------------------------------------------------------------
     # observability
@@ -661,73 +563,14 @@ class SupervisedServerPool(ProcessServerPool):
         """Feed the EWMA service-time estimate behind retry-after hints."""
         self._ewma_latency += 0.2 * (seconds - self._ewma_latency)
 
-    def health(self) -> PoolHealth:
-        """Snapshot every shard's supervision state plus admission gauges.
-
-        Pure parent-side bookkeeping — no worker round trips — so it
-        stays cheap and safe to poll from a health endpoint even while
-        shards are down.
-
-        Raises
-        ------
-        ServerError
-            If the pool is closed.
-        """
-        self._check_open()
-        shards = []
-        for sup in self._shards:
-            with sup.lock:
-                if sup.drained:
-                    state = SHARD_DRAINED
-                elif sup.degraded:
-                    state = SHARD_DEGRADED
-                elif self._shard_down(sup.shard):
-                    state = SHARD_RESTARTING
-                else:
-                    state = SHARD_READY
-                handle = self._workers[sup.shard]
-                alive = handle.process.is_alive()
-                shards.append(
-                    ShardHealth(
-                        shard=sup.shard,
-                        state=state,
-                        alive=alive,
-                        pid=handle.pid,
-                        restarts=sup.total_restarts,
-                        inflight=sup.inflight,
-                        last_error=sup.last_error,
-                        rss_bytes=process_rss_bytes(handle.pid) if alive else 0,
-                    )
-                )
-        with self._admission_lock:
-            inflight = self._inflight
-        cache = self.shared_cache
-        return PoolHealth(
-            shards=tuple(shards),
-            inflight=inflight,
-            max_inflight=self.max_inflight,
-            sheds=self._stats.sheds,
-            restarts=self._stats.restarts,
-            shm_bytes=cache.shared_bytes() if cache is not None else 0,
-        )
-
-    def _read_shard(self, shard: int, method: str):
-        """One observability read, or ``None`` for a shard that is
-        unavailable (down, drained or degraded) — its counters died
-        with it, and a read must never trigger a restart.  So
-        :meth:`worker_stats` carries ``None`` holes, and :attr:`stats` /
-        :attr:`io_stats` merge the live shards only."""
+    def _shard_state(self, shard: int) -> str:
+        """The supervisor's view of one shard (record lock held)."""
         sup = self._shards[shard]
-        with sup.lock:
-            if sup.drained or sup.degraded or self._shard_down(shard):
-                return None
-        try:
-            return super()._read_shard(shard, method)
-        except ServerError:
-            return None
-
-    def _parent_stats(self) -> List[ServerStats]:
-        return [self._stats.snapshot()]
+        if sup.drained:
+            return SHARD_DRAINED
+        if sup.degraded:
+            return SHARD_DEGRADED
+        return SHARD_RESTARTING if self._workers[shard].down else SHARD_READY
 
     @property
     def pool(self) -> "SupervisedServerPool":

@@ -326,24 +326,16 @@ class ReplayReport:
 
 
 def _supervision_counters(server) -> Tuple[int, int, int]:
-    """Best-effort ``(restarts, retries, sheds)`` snapshot of a server.
+    """``(restarts, retries, sheds)`` so far, from the server's ``health()``.
 
-    Reads the server's merged :class:`~repro.core.server.ServerStats`
-    when it has one; servers without supervision counters report zeros.
-    A snapshot failure (e.g. every shard down mid-chaos) also reports
-    zeros rather than failing the replay.
+    Every pool reports them parent-side (no worker round trip, so a
+    chaos run with shards down still answers); a server that is not a
+    pool has nothing supervising it and counts zeros.
     """
-    try:
-        stats = getattr(server, "stats", None)
-    except ReproError:
+    if not hasattr(server, "health"):
         return (0, 0, 0)
-    if stats is None:
-        return (0, 0, 0)
-    return (
-        getattr(stats, "restarts", 0),
-        getattr(stats, "retries", 0),
-        getattr(stats, "sheds", 0),
-    )
+    health = server.health()
+    return (health.restarts, health.retries, health.sheds)
 
 
 def replay(

@@ -117,6 +117,10 @@ class IOStats:
             bytes_written=self.bytes_written - since.bytes_written,
         )
 
+    def to_dict(self) -> dict:
+        """The counters as a JSON-ready dict."""
+        return self.__getstate__()
+
     def reset(self) -> None:
         """Zero all counters (atomically: a racing record keeps the
         counter set consistent — all zeroed, then the record applies)."""

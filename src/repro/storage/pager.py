@@ -304,60 +304,6 @@ class PagedFile:
             return self._view[offset : offset + length]
         return self._assemble(offset, length)
 
-    def prefetch(self, offset: int, length: int, budget: Optional[int] = None) -> int:
-        """Fault the pages covering ``[offset, offset+length)`` into the pool.
-
-        Models an async read-ahead: no payload is assembled or returned,
-        missing pages are simply pulled into the buffer pool so a later
-        :meth:`read` of the range is all pool hits.  Accounted as one
-        logical read of zero payload bytes (only the physically fetched
-        pages count; already-resident pages are not re-touched, so their
-        LRU position is preserved).  At most half the pool's capacity is
-        fetched per call — read-ahead is advisory and must not evict the
-        caller's working set (nor its own head) to make room for a range
-        larger than the pool.  ``budget`` tightens that cap further (it
-        never loosens it) so a *batch* of prefetch calls can share one
-        allowance; callers chain it through the returned fetch counts.
-        On mapped files the payload fetch is a best-effort ``madvise``
-        (``MADV_WILLNEED``) — residency accounting is unchanged.
-        Returns the number of pages fetched.
-        """
-        self._check_range(offset, length, "prefetch")
-        cap = max(1, self.pool.capacity_pages // 2)
-        if budget is not None:
-            cap = min(cap, budget)
-        if length == 0 or cap <= 0:
-            return 0
-        first_page = offset // self.page_size
-        last_page = (offset + length - 1) // self.page_size
-        pages_read = 0
-        first_fetched = -1
-        for page_no in range(first_page, last_page + 1):
-            key = (self._file_id, page_no)
-            if key in self.pool:
-                continue
-            if pages_read >= cap:
-                break
-            if self._map is not None:
-                self.pool.put(key, _MAPPED_PAGE)
-            else:
-                self.pool.put(key, self._read_page(page_no))
-            if first_fetched < 0:
-                first_fetched = page_no
-            pages_read += 1
-        if pages_read and self._map is not None:
-            # Hint the kernel; alignment/option support varies, so this
-            # is advisory in the strictest sense.
-            try:
-                gran = mmap.ALLOCATIONGRANULARITY
-                lo = (first_fetched * self.page_size) // gran * gran
-                hi = min(self.size, (first_fetched + pages_read) * self.page_size)
-                self._map.madvise(mmap.MADV_WILLNEED, lo, hi - lo)
-            except (AttributeError, OSError, ValueError):
-                pass
-        self.stats.record_read(pages_read=pages_read, pages_hit=0, nbytes=0)
-        return pages_read
-
     def close(self) -> None:
         """Close the file handle, unmap, and drop cached pages.
 

@@ -259,28 +259,6 @@ class SegmentReader:
             )
         return self._file.read_view(info.offset + start, length)
 
-    @property
-    def prefetch_page_budget(self) -> int:
-        """Advisory page allowance for one *batch* of prefetch calls.
-
-        Half the buffer pool's capacity — the most a read-ahead batch may
-        insert without evicting the consumer's working set.  Chain it
-        through :meth:`prefetch`'s ``budget``/return values.
-        """
-        return max(1, self._file.pool.capacity_pages // 2)
-
-    def prefetch(self, name: str, budget: Optional[int] = None) -> int:
-        """Fault a segment's pages into the buffer pool (read-ahead).
-
-        No payload is assembled and no CRC is checked — the segment's
-        pages are just made resident so an imminent :meth:`read` is all
-        pool hits.  ``budget`` caps the fetched pages (see
-        :meth:`repro.storage.pager.PagedFile.prefetch`).  Returns the
-        number of pages physically fetched.
-        """
-        info = self.info(name)
-        return self._file.prefetch(info.offset, info.length, budget)
-
     def close(self) -> None:
         """Release the underlying file."""
         self._file.close()

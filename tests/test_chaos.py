@@ -74,6 +74,15 @@ def expected(setup, workload):
         return [index.query(q) for q in workload]
 
 
+def _assert_report_counters_are_snapshot_deltas(report, before, after):
+    """``ReplayReport`` counts restarts / retries / sheds as deltas of
+    the pool's one telemetry surface — both views of it agree."""
+    for name in ("restarts", "retries", "sheds"):
+        counted = getattr(report, name)
+        assert counted == getattr(after.health, name) - getattr(before.health, name)
+        assert counted == getattr(after.stats, name) - getattr(before.stats, name)
+
+
 class TestFaultPlanData:
     def test_event_validation(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -158,7 +167,11 @@ class TestInjectedFaults:
         ) as pool:
             victim = pool.shard_of(workload[10])  # guarantees a post-kill hit
             plan = FaultPlan(events=(FaultEvent("kill", 8, shard=victim),))
+            before = pool.snapshot()
             report = replay(pool, workload, chaos=plan)
+            after = pool.snapshot()
+        _assert_report_counters_are_snapshot_deltas(report, before, after)
+        assert after.health.shards[victim].restarts == 1
         assert report.n_failed == 0
         for got, want in zip(report.results, expected):
             assert got.seeds == want.seeds
@@ -262,7 +275,10 @@ class TestInjectedFaults:
             plan = FaultPlan(
                 events=(FaultEvent("exhaust", 5, seconds=30.0),)
             )
+            before = pool.snapshot()
             report = replay(pool, workload, chaos=plan)
+            after = pool.snapshot()
+        _assert_report_counters_are_snapshot_deltas(report, before, after)
         assert report.sheds > 0
         assert report.n_failed == report.sheds
         assert all(
@@ -404,14 +420,16 @@ class TestReplayCli:
         assert doc["queries"] == 16
         assert doc["deadline_s"] == 30.0
         assert doc["goodput"] + doc["failed"] == 16
-        assert doc["restarts"] >= 1
+        health = doc["snapshot"]["health"]
+        assert health["restarts"] == sum(s["restarts"] for s in health["shards"]) >= 1
+        assert health["sheds"] >= 1
         assert [e["kind"] for e in doc["fault_events"]] == [
             "kill",
             "kill",
             "exhaust",
         ]
-        assert doc["health"]["healthy"] in (True, False)
-        assert len(doc["health"]["shards"]) == 2
+        assert health["healthy"] in (True, False)
+        assert len(health["shards"]) == 2
 
     def test_replay_corrupt_plan_fails_typed(self, setup, tmp_path, capsys):
         import os

@@ -226,6 +226,44 @@ class TestVerifyAndExtract:
         assert "error:" in capsys.readouterr().err
 
 
+def _homes(node, key, path=""):
+    """Every path (list positions collapsed) at which ``key`` occurs."""
+    found = set()
+    if isinstance(node, dict):
+        for name, value in node.items():
+            if name == key:
+                found.add(f"{path}/{name}")
+            found |= _homes(value, key, f"{path}/{name}")
+    elif isinstance(node, list):
+        for value in node:
+            found |= _homes(value, key, f"{path}[]")
+    return found
+
+
+def _assert_each_number_has_one_home(payload):
+    """The replay document embeds the pool's snapshot, and the numbers
+    that used to be printed two or three times (033b4ec: ``rss_bytes``
+    next to ``health.rss_bytes``) occur exactly once at pool level —
+    plus, for the per-shard ones, once in each shard's health row."""
+    health = "/snapshot/health"
+    assert _homes(payload, "rss_bytes") == {
+        f"{health}/rss_bytes",
+        f"{health}/shards[]/rss_bytes",
+    }
+    assert _homes(payload, "shm_bytes") == {f"{health}/shm_bytes"}
+    assert _homes(payload, "restarts") == {
+        f"{health}/restarts",
+        f"{health}/shards[]/restarts",
+    }
+    assert _homes(payload, "sheds") == {f"{health}/sheds"}
+    assert _homes(payload, "hit_ratio") == {
+        "/snapshot/stats/hit_ratio",
+        "/snapshot/workers[]/stats/hit_ratio",
+    }
+    assert payload["snapshot"]["schema"] == 1
+    return payload["snapshot"]["health"]
+
+
 class TestReplay:
     def _replay_args(self, rr_index, profiles, pool):
         return [
@@ -260,7 +298,10 @@ class TestReplay:
         assert payload["queries"] == 10
         assert payload["qps"] > 0
         assert payload["p95_ms"] >= payload["p50_ms"]
-        assert payload["rss_bytes"] > 0 and payload["shm_bytes"] == 0
+        health = _assert_each_number_has_one_home(payload)
+        assert health["rss_bytes"] > 0 and health["shm_bytes"] == 0
+        assert health["rss_bytes"] == sum(s["rss_bytes"] for s in health["shards"])
+        assert payload["snapshot"]["stats"]["queries"] == 10
 
     def test_replay_rendezvous_dispatch(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
@@ -273,7 +314,9 @@ class TestReplay:
         assert payload["dispatch"] == "rendezvous"
         assert payload["queries"] == 10
         assert payload["failed"] == 0
-        assert payload["rss_bytes"] > 0 and payload["health"]["rss_bytes"] > 0
+        health = _assert_each_number_has_one_home(payload)
+        assert health["rss_bytes"] > 0 and health["healthy"]
+        assert sum(payload["snapshot"]["dispatch"]["assigned"]) == 10
 
     def test_replay_open_loop(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
@@ -285,7 +328,9 @@ class TestReplay:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "open"
         # thread pool: the workers live in this process, counted once
-        assert payload["rss_bytes"] > 0 and payload["shm_bytes"] == 0
+        health = _assert_each_number_has_one_home(payload)
+        assert health["rss_bytes"] == health["shards"][0]["rss_bytes"] > 0
+        assert health["shm_bytes"] == 0
 
     def test_replay_missing_index_is_clean_error(self, dataset_files, capsys):
         _graph, profiles = dataset_files

@@ -212,45 +212,3 @@ class TestTheorem3:
             irr.catalog[kw].n_sets for kw in ("music", "book")
         )
         assert b.stats.rr_sets_loaded <= total_sets
-
-
-class TestPartitionPrefetch:
-    """Read-ahead of the next partition: identical results and logical
-    accounting, later loads served from the buffer pool."""
-
-    QUERIES = (
-        KBTIMQuery(["music"], 5),
-        KBTIMQuery(["music", "book"], 5),
-        KBTIMQuery(["music", "book", "sport"], 8),
-    )
-
-    def test_results_and_logical_accounting_identical(self, indexes):
-        _rr_path, irr_path = indexes
-        with IRRIndex(irr_path) as plain, IRRIndex(
-            irr_path, prefetch_partitions=True
-        ) as ahead:
-            for query in self.QUERIES:
-                a = plain.query(query)
-                b = ahead.query(query)
-                assert a.seeds == b.seeds
-                assert a.marginal_coverages == b.marginal_coverages
-                assert a.stats.rr_sets_loaded == b.stats.rr_sets_loaded
-                assert a.stats.partitions_loaded == b.stats.partitions_loaded
-
-    def test_prefetched_pages_served_from_pool(self, indexes):
-        _rr_path, irr_path = indexes
-        query = KBTIMQuery(["music", "book"], 8)
-        with IRRIndex(irr_path) as plain:
-            base = plain.query(query).stats.io
-        with IRRIndex(irr_path, prefetch_partitions=True) as ahead:
-            warm = ahead.query(query).stats.io
-        if warm.read_calls == base.read_calls:
-            pytest.skip("query consumed only first partitions; no read-ahead")
-        # Pages faulted by the read-ahead turn later logical loads into
-        # pool hits (total physical pages can only grow by over-read).
-        assert warm.pages_hit >= base.pages_hit
-
-    def test_default_is_off(self, indexes):
-        _rr_path, irr_path = indexes
-        with IRRIndex(irr_path) as index:
-            assert index.prefetch_partitions is False

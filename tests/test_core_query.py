@@ -1,16 +1,27 @@
 """Tests for the KB-TIM query type (repro.core.query)."""
 
+from functools import partial
+
 import pytest
 
-from repro.core.query import KBTIMQuery, resolve_unique
-from repro.errors import QueryError
+from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
+from repro.errors import IndexError_, QueryError
 
 
 class TestResolveUnique:
     """Mixed-form duplicates (id + the name it resolves to) must not slip
     past validation into a double-load / double-counted θ^Q plan."""
 
-    RESOLVER = staticmethod(lambda kw: {0: "music", 1: "book"}.get(kw, kw))
+    RESOLVER = staticmethod(partial(resolve_keyword, {0: "music", 1: "book"}))
+
+    def test_the_one_resolver_passes_names_and_rejects_unknown_ids(self):
+        """What both index readers and every pool resolve through: a name
+        is not validated here (the executing catalog does that), an
+        unknown id is an ``IndexError_``."""
+        assert self.RESOLVER("nosuchtopic") == "nosuchtopic"
+        assert self.RESOLVER(1) == "book"
+        with pytest.raises(IndexError_, match="topic id 7"):
+            self.RESOLVER(7)
 
     def test_plain_names_pass_through(self):
         assert resolve_unique(("music", "book"), self.RESOLVER) == [

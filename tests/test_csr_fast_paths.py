@@ -665,9 +665,10 @@ def reference_irr_nra(index, query):
     """
     import heapq
 
+    from repro.core.query import resolve_keyword
     from repro.core.rr_index import plan_theta_q
 
-    keywords = [index._resolve(kw) for kw in query.keywords]
+    keywords = [resolve_keyword(index._topic_names, kw) for kw in query.keywords]
     _theta_q, counts, _phi_q = plan_theta_q(keywords, index.catalog)
 
     class State:

@@ -367,7 +367,7 @@ class TestPR5SkewRegression:
         path, _profiles = setup
         with ProcessServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
             answers = [pool.query(q) for q in skewed_workload]
-            counts = [stats.queries for stats in pool.worker_stats()]
+            counts = [part.stats.queries for part in pool.snapshot().workers]
         assert sum(counts) == 48
         assert max(counts) <= self.BOUND
         for a, b in zip(answers, expected):

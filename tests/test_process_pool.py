@@ -10,6 +10,10 @@ Four guarantees are pinned here:
   ``ServerPool`` — with and without the shared-memory block cache —
   with *exact* per-query I/O accounting (per-query deltas sum to the
   pool's physical total).
+* One telemetry contract on every pool kind: ``health()`` is parent-side
+  (zero worker round trips), ``snapshot()`` is one round trip per ready
+  shard, both return the same tree on thread, process and supervised
+  pools, and a dead shard is a ``None`` hole, never an exception.
 * Merged stats aggregate correctly across worker processes, and
   warm/evict fan-out lands on the owning shard.
 * A dead worker surfaces a clear :class:`~repro.errors.ServerError`
@@ -17,16 +21,24 @@ Four guarantees are pinned here:
   shards keep serving.
 """
 
+import json
+import os
 import pickle
 import threading
 import time
 
 import pytest
 
-from repro.core.process_pool import ProcessServerPool
+from repro.core.process_pool import ProcessServerPool, _WorkerHandle
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
-from repro.core.server import ServerPool, ServerStats
+from repro.core.server import (
+    SNAPSHOT_SCHEMA,
+    ServerPool,
+    ServerStats,
+    _SERVING_COUNTERS,
+    _ThreadShard,
+)
 from repro.core.supervision import SupervisedServerPool
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload, replay
@@ -93,18 +105,44 @@ def _observe(kind: str, path: str, workload, **pool_kwargs) -> dict:
     with POOL_KINDS[kind](path, n_workers=3, **pool_kwargs) as pool:
         shards = [pool.shard_of(q) for q in workload]
         pool.warm(["music", "book"])
-        warm_loads = [stats.warm_loads for stats in pool.worker_stats()]
-        base = pool.io_stats  # catalog/header reads at open + the warm loads
+        warmed = pool.snapshot()
+        base = warmed.io  # catalog/header reads at open + the warm loads
         answers = [pool.query(q) for q in workload[:half]]
         answers += pool.query_batch(workload[half:])
-        total = pool.io_stats
+        snapshot = pool.snapshot()
     return {
         "shards": shards,
-        "warm_loads": warm_loads,
+        "warm_loads": [part.stats.warm_loads for part in warmed.workers],
         "answers": answers,
-        "reads": total.read_calls - base.read_calls,
-        "bytes": total.bytes_read - base.bytes_read,
+        "reads": snapshot.io.read_calls - base.read_calls,
+        "bytes": snapshot.io.bytes_read - base.bytes_read,
+        "snapshot": snapshot,
     }
+
+
+def _shape(node, path="") -> set:
+    """Every key path of a JSON document, list positions collapsed."""
+    if isinstance(node, dict):
+        return {path}.union(
+            *(_shape(value, f"{path}/{key}") for key, value in node.items())
+        )
+    if isinstance(node, list):
+        return {path}.union(*(_shape(value, f"{path}[]") for value in node))
+    return {path}
+
+
+def _spy_on_requests(monkeypatch) -> list:
+    """Record the verb of every shard request, on both executor kinds."""
+    verbs = []
+    for executor in (_WorkerHandle, _ThreadShard):
+        original = executor.request
+
+        def spy(self, method, payload=None, *, timeout=None, _original=original):
+            verbs.append(method)
+            return _original(self, method, payload, timeout=timeout)
+
+        monkeypatch.setattr(executor, "request", spy)
+    return verbs
 
 
 class TestPoolKindEquivalence:
@@ -147,6 +185,132 @@ class TestPoolKindEquivalence:
         assert sum(a.stats.io.read_calls for a in seen["answers"]) == seen["reads"]
         assert sum(a.stats.io.bytes_read for a in seen["answers"]) == seen["bytes"]
         assert 0 < seen["reads"] <= observed[kind]["reads"]
+        # The one home of shared-segment bytes, counted once per machine.
+        assert seen["snapshot"].health.shm_bytes > 0
+        assert observed[kind]["snapshot"].health.shm_bytes == 0
+
+    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+    def test_snapshot_is_one_json_document_with_one_shape(self, kind, observed):
+        """``snapshot().to_dict()`` is plain JSON and has the same schema
+        and key set whichever executor backs the pool."""
+        document = json.loads(json.dumps(observed[kind]["snapshot"].to_dict()))
+        reference = json.loads(json.dumps(observed["thread"]["snapshot"].to_dict()))
+        assert document["schema"] == reference["schema"] == SNAPSHOT_SCHEMA
+        assert _shape(document) == _shape(reference)
+        assert len(document["workers"]) == len(document["health"]["shards"]) == 3
+        assert document["stats"]["queries"] == reference["stats"]["queries"] > 0
+
+    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+    def test_merged_views_are_the_sum_of_the_shard_parts(self, kind, observed, workload):
+        snapshot = observed[kind]["snapshot"]
+        for name in _SERVING_COUNTERS:
+            assert getattr(snapshot.stats, name) == pytest.approx(
+                sum(getattr(part.stats, name) for part in snapshot.workers)
+            )
+        for name in ("read_calls", "pages_read", "pages_hit", "bytes_read"):
+            assert getattr(snapshot.io, name) == sum(
+                getattr(part.io, name) for part in snapshot.workers
+            )
+        assert snapshot.stats.queries == len(workload)
+        assert len(snapshot.stats.latencies) == len(workload)
+        assert (snapshot.stats.restarts, snapshot.stats.sheds) == (0, 0)
+        assert {"music", "book"} <= {
+            kw for part in snapshot.workers for kw in part.cached_keywords
+        }
+
+    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+    def test_memory_has_one_home_and_it_is_never_zero(self, kind, observed):
+        """The gauges that disagreed at 033b4ec (thread pool: stats said 0
+        RSS while memory_info() said 45 MB): every live shard has a
+        positive parent-measured RSS, each hosting process counts once,
+        and ``ServerStats`` no longer has memory fields to disagree."""
+        health = observed[kind]["snapshot"].health
+        assert health.healthy and health.available_shards == 3
+        assert all(s.alive and s.rss_bytes > 0 for s in health.shards)
+        assert all(s.restarts == 0 and s.inflight == 0 for s in health.shards)
+        pids = {s.pid for s in health.shards}
+        if kind == "thread":
+            assert pids == {os.getpid()}
+            assert health.rss_bytes == health.shards[0].rss_bytes
+        else:
+            assert len(pids) == 3 and os.getpid() not in pids
+            assert health.rss_bytes == sum(s.rss_bytes for s in health.shards)
+        assert not hasattr(observed[kind]["snapshot"].stats, "rss_bytes")
+        assert not hasattr(ServerStats(), "shm_bytes")
+        assert not hasattr(ServerStats(), "record_memory")
+
+    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+    def test_health_asks_no_worker_and_snapshot_asks_each_once(
+        self, kind, setup, monkeypatch
+    ):
+        path, _profiles = setup
+        with POOL_KINDS[kind](path, n_workers=3) as pool:
+            pool.query(KBTIMQuery(("music",), 2))
+            verbs = _spy_on_requests(monkeypatch)
+            health = pool.health()
+            assert verbs == []
+            assert [s.state for s in health.shards] == ["ready"] * 3
+            pool.snapshot()
+            assert verbs == ["snapshot"] * 3
+            del verbs[:]
+            assert pool.stats.queries == 1  # the one convenience view
+            assert verbs == ["snapshot"] * 3
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("kind", ["process", "supervised"])
+    def test_health_does_not_wait_for_a_busy_shard(self, kind, setup, monkeypatch):
+        """``health()`` returns while a shard's pipe is held by a slow
+        request — it never queues behind the handle lock."""
+        path, _profiles = setup
+        with POOL_KINDS[kind](path, n_workers=2) as pool:
+            handle = pool._workers[0]
+            busy = threading.Thread(
+                target=handle.request, args=("_chaos", ("sleep", 0.8))
+            )
+            busy.start()
+            try:
+                give_up = time.monotonic() + 10.0
+                while not handle.lock.locked() and time.monotonic() < give_up:
+                    time.sleep(0.005)
+                verbs = _spy_on_requests(monkeypatch)
+                health = pool.health()
+                still_busy = handle.lock.locked()
+            finally:
+                busy.join(timeout=10.0)
+            assert not busy.is_alive()
+            assert still_busy  # health() came back before the shard did
+            assert verbs == []
+            assert health.healthy and all(s.rss_bytes > 0 for s in health.shards)
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("kind", ["process", "supervised"])
+    def test_killed_worker_is_a_hole_not_an_exception(self, kind, setup):
+        """After ``kill -9`` of one worker both process-backed kinds
+        return a complete ``health()`` and a ``snapshot()`` with a
+        ``None`` hole for that shard (033b4ec: the bare pool raised)."""
+        path, _profiles = setup
+        with POOL_KINDS[kind](path, n_workers=2) as pool:
+            for kw in ("music", "book", "journal", "car"):
+                pool.query(KBTIMQuery((kw,), 2))
+            before = pool.snapshot()
+            victim = 0
+            _kill_shard(pool, victim)
+            health = pool.health()
+            snapshot = pool.snapshot()
+            assert len(health.shards) == 2
+            dead, live = health.shards
+            assert (dead.alive, dead.rss_bytes) == (False, 0)
+            assert dead.state == ("restarting" if kind == "supervised" else "down")
+            assert (live.alive, live.state) == (True, "ready") and live.rss_bytes > 0
+            assert not health.healthy and health.available_shards == 1
+            assert health.rss_bytes == live.rss_bytes
+            assert snapshot.workers[victim] is None
+            assert snapshot.workers[1].stats.queries == before.workers[1].stats.queries
+            # The merged views cover the shard that answered.
+            assert snapshot.stats.queries == before.workers[1].stats.queries
+            assert snapshot.io.read_calls == before.workers[1].io.read_calls
+            assert snapshot.to_dict()["workers"][victim] is None
+            assert snapshot.stats.restarts == 0  # a read never heals
 
 
 class TestPicklableBoundary:
@@ -187,6 +351,11 @@ class TestPicklableBoundary:
         stats.record_query(1.0)
         copy = pickle.loads(pickle.dumps(stats.snapshot()))
         assert copy.queries == 1
+        assert copy.latencies == ()
+        # The copy's ring is disabled too, not unbounded (033b4ec built
+        # it with ``maxlen=None``): it keeps retaining nothing.
+        copy.record_query(2.0)
+        assert copy.queries == 2
         assert copy.latencies == ()
 
     def test_query_pickles_through_constructor(self):
@@ -247,7 +416,7 @@ class TestCorrectness:
             with pytest.raises(QueryError):
                 # mixed-form duplicate: id 3 next to the name it resolves to
                 with RRIndex(path) as index:
-                    name = index._resolve(3)
+                    name = index._topic_names[3]
                 pool.query(KBTIMQuery((3, name), 2))
             # the worker survives its own exceptions and keeps serving
             answer = pool.query(KBTIMQuery(("music",), 3))
@@ -265,8 +434,9 @@ class TestStatsAccounting:
         path, _profiles = setup
         with ProcessServerPool(path, n_workers=3) as pool:
             pool.query_batch(workload)
-            per_worker = pool.worker_stats()
-            merged = pool.stats
+            snapshot = pool.snapshot()
+            merged = snapshot.stats
+            per_worker = [part.stats for part in snapshot.workers]
             assert merged.queries == len(workload)
             assert merged.queries == sum(w.queries for w in per_worker)
             assert merged.keyword_hits == sum(w.keyword_hits for w in per_worker)
@@ -285,9 +455,9 @@ class TestStatsAccounting:
         path, _profiles = setup
         query = KBTIMQuery(("music", "book"), 3)
         with ProcessServerPool(path, n_workers=1) as pool:
-            base = pool.io_stats
+            base = pool.snapshot().io
             answer = pool.query(query)
-            delta = pool.io_stats.read_calls - base.read_calls
+            delta = pool.snapshot().io.read_calls - base.read_calls
         assert delta == 2 * query.n_keywords
         assert answer.stats.io.read_calls == delta
 
@@ -295,23 +465,23 @@ class TestStatsAccounting:
         path, _profiles = setup
         with ProcessServerPool(path, n_workers=4) as pool:
             pool.warm(["music", "book"])
-            per_worker = pool.worker_stats()
-            assert sum(w.warm_loads for w in per_worker) == 2
-            assert sum(w.keyword_misses for w in per_worker) == 0
-            cached = pool.worker_cached_keywords()
+            workers = pool.snapshot().workers
+            assert sum(w.stats.warm_loads for w in workers) == 2
+            assert sum(w.stats.keyword_misses for w in workers) == 0
             for kw in ("music", "book"):
                 shard = pool.shard_of(KBTIMQuery((kw,), 1))
-                assert kw in cached[shard]
+                assert kw in workers[shard].cached_keywords
 
     def test_evict_all_drops_every_worker_cache(self, setup):
         path, _profiles = setup
         with ProcessServerPool(path, n_workers=2) as pool:
             pool.query(KBTIMQuery(("music",), 2))
             pool.evict_all()
-            assert all(not kws for kws in pool.worker_cached_keywords())
-            base = pool.io_stats
+            emptied = pool.snapshot()
+            assert all(not part.cached_keywords for part in emptied.workers)
             pool.query(KBTIMQuery(("music",), 2))
-            assert pool.io_stats.read_calls > base.read_calls  # really re-reads
+            # really re-reads
+            assert pool.snapshot().io.read_calls > emptied.io.read_calls
 
 
 def _raise_on_unpickle():
@@ -335,7 +505,7 @@ class TestRequestLevelFailures:
         with ProcessServerPool(path, n_workers=1) as pool:
             with pytest.raises(QueryError, match="poison"):
                 pool._workers[0].request("query", _PoisonQuery())
-            assert pool.worker_alive(0)
+            assert pool.health().shards[0].alive
             answer = pool.query(KBTIMQuery(("music",), 3))
             assert answer.seeds
 
@@ -353,7 +523,9 @@ class TestWorkerDeath:
             message = str(excinfo.value)
             assert f"worker {victim}" in message
             assert "died" in message
-            assert not pool.worker_alive(victim)
+            shard_health = pool.health().shards[victim]
+            assert (shard_health.alive, shard_health.state) == (False, "down")
+            assert "died" in shard_health.last_error
             # Other shards keep serving.
             survivor = next(
                 kw
@@ -421,9 +593,9 @@ class TestFanoutDeath:
             assert f"worker {dead}" in message
             assert "died" in message
             # The surviving shard was warmed *before* the error surfaced.
-            stats = pool._workers[live].request("stats")
-            assert stats.warm_loads == 1
-            assert kw_live in pool._workers[live].request("cached_keywords")
+            survivor = pool.snapshot().workers[live]
+            assert survivor.stats.warm_loads == 1
+            assert kw_live in survivor.cached_keywords
 
     def test_evict_all_applies_to_survivors_and_names_dead_shard(self, setup):
         path, _profiles = setup
@@ -437,7 +609,7 @@ class TestFanoutDeath:
                 pool.evict_all()
             assert f"worker {dead}" in str(excinfo.value)
             # The surviving shard's caches really were dropped.
-            assert pool._workers[live].request("cached_keywords") == []
+            assert pool.snapshot().workers[live].cached_keywords == ()
 
     def test_all_shards_dead_reports_every_failure(self, setup):
         path, _profiles = setup
@@ -513,8 +685,10 @@ class TestPoisonedHandle:
             with pytest.raises(ServerError):
                 pool.query(query)
             pool.restart_worker(shard)
-            assert pool.worker_alive(shard)
-            assert pool.pids[shard] != old_pid
+            shard_health = pool.health().shards[shard]
+            assert shard_health.alive and shard_health.state == "ready"
+            assert shard_health.pid == pool.pids[shard] != old_pid
+            assert shard_health.restarts == 1  # a manual restart is counted too
             assert pool.query(query).seeds
 
     def test_restart_worker_on_closed_pool_rejected(self, setup):
@@ -542,7 +716,7 @@ class TestShutdownLocking:
         def concurrent_request():
             started = time.perf_counter()
             try:
-                handle.request("ping")
+                handle.request("snapshot")
             except ServerError:
                 pass
             elapsed["seconds"] = time.perf_counter() - started

@@ -267,7 +267,7 @@ class TestServerPool:
             with RRIndex(path) as index:
                 for q in workload:
                     ids = tuple(
-                        index.catalog[index._resolve(kw)].topic_id
+                        index.catalog[kw].topic_id  # workload refs are names
                         for kw in q.keywords
                     )
                     assert pool.shard_of(KBTIMQuery(ids, q.k)) == pool.shard_of(q)

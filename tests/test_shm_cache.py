@@ -331,9 +331,9 @@ class TestSpawnPool:
             assert pool.shared_cache.name == cache_name
             got = [pool.query(q) for q in queries]
             assert len(pool.shared_cache.keywords()) > 0  # workers published
-            memory = pool.memory_info()
-            assert memory["total_rss_bytes"] > 0
-            assert memory["shm_bytes"] > 0
+            health = pool.health()
+            assert health.rss_bytes > 0
+            assert health.shm_bytes == pool.shared_cache.shared_bytes() > 0
         for a, b in zip(want, got):
             assert a.seeds == b.seeds
             assert a.marginal_coverages == b.marginal_coverages
@@ -374,26 +374,3 @@ class TestSpawnPool:
             assert a.stats.rr_sets_considered == b.stats.rr_sets_considered
             assert a.stats.rr_sets_loaded == b.stats.rr_sets_loaded
             assert a.stats.partitions_loaded == b.stats.partitions_loaded
-
-
-class TestMemoryGauges:
-    def test_stats_carry_rss_and_shm_bytes(self, index_setup):
-        path, profiles = index_setup
-        from repro.datasets.workload import make_mixed_workload
-
-        queries = make_mixed_workload(
-            profiles, n_queries=4, lengths=(1,), ks=(3,), rng=77
-        )
-        with ProcessServerPool(
-            path, n_workers=2, shared_block_cache=True
-        ) as pool:
-            for q in queries:
-                pool.query(q)
-            per_worker = pool.worker_stats()
-            merged = pool.stats
-        assert all(s.rss_bytes > 0 for s in per_worker)
-        assert merged.rss_bytes == sum(s.rss_bytes for s in per_worker)
-        # Shared segments are machine-wide: merged takes the max, not the
-        # sum, so the same bytes are never double counted.
-        assert merged.shm_bytes == max(s.shm_bytes for s in per_worker)
-        assert merged.shm_bytes > 0

@@ -172,64 +172,6 @@ class TestInvalidateFileIndex:
         assert len(pool) == 0
 
 
-class TestPrefetch:
-    def test_prefetch_makes_reads_pool_hits(self, data_file):
-        stats = IOStats()
-        with PagedFile(data_file, stats=stats, page_size=1024) as f:
-            fetched = f.prefetch(0, 3000)
-            assert fetched == 3
-            before = stats.snapshot()
-            f.read(0, 3000)
-            delta = stats.delta(before)
-        assert delta.pages_read == 0
-        assert delta.pages_hit == 3
-
-    def test_prefetch_accounting(self, data_file):
-        """One logical read, zero payload bytes, only missing pages fetched."""
-        stats = IOStats()
-        with PagedFile(data_file, stats=stats, page_size=1024) as f:
-            f.read(0, 100)  # page 0 resident
-            before = stats.snapshot()
-            f.prefetch(0, 2048)  # pages 0-1; only page 1 is missing
-            delta = stats.delta(before)
-            assert delta.read_calls == 1
-            assert delta.pages_read == 1
-            assert delta.bytes_read == 0
-
-    def test_prefetch_bounds_checked(self, data_file):
-        with PagedFile(data_file) as f:
-            with pytest.raises(StorageError, match="past end"):
-                f.prefetch(16 * 1024 - 2, 10)
-            with pytest.raises(StorageError):
-                f.prefetch(-1, 2)
-            assert f.prefetch(100, 0) == 0
-
-    def test_prefetch_bounded_by_pool_capacity(self, data_file):
-        """Read-ahead must not evict the caller's working set to cache a
-        range larger than the pool: at most half the capacity per call."""
-        pool = BufferPool(capacity_pages=8)
-        with PagedFile(data_file, pool=pool, page_size=1024) as f:
-            for page in range(3):  # working set: pages 0-2
-                f.read(page * 1024, 1)
-            fetched = f.prefetch(4096, 12 * 1024)  # 12-page range
-            assert fetched == 4  # capacity // 2
-            # Working set is still resident (no eviction happened).
-            before = f.stats.snapshot()
-            for page in range(3):
-                f.read(page * 1024, 1)
-            assert f.stats.delta(before).pages_read == 0
-
-    def test_prefetch_budget_caps_batch(self, data_file):
-        """An explicit budget tightens the per-call cap so a batch of
-        prefetches can share one allowance."""
-        pool = BufferPool(capacity_pages=8)
-        with PagedFile(data_file, pool=pool, page_size=1024) as f:
-            assert f.prefetch(0, 8 * 1024, budget=1) == 1
-            assert f.prefetch(0, 8 * 1024, budget=0) == 0
-            # budget never loosens the half-capacity cap
-            assert f.prefetch(0, 12 * 1024, budget=100) <= 4
-
-
 def _open_unmapped(path, monkeypatch, **kwargs) -> PagedFile:
     """Open ``path`` the way production lands on the positioned-read
     fallback: ``mmap`` itself refuses (only the constructor maps, so the

@@ -93,23 +93,6 @@ class TestReader:
         reader = SegmentReader(index_path, verify=True)
         reader.close()
 
-    def test_prefetch_then_read_hits_pool(self, index_path):
-        stats = IOStats()
-        with SegmentReader(index_path, stats=stats) as reader:
-            reader.prefetch("alpha")
-            before = stats.snapshot()
-            payload = reader.read("alpha")
-            delta = stats.delta(before)
-        assert payload == b"hello world"
-        assert delta.pages_read == 0
-        assert delta.pages_hit >= 1
-
-    def test_prefetch_missing_segment(self, index_path):
-        with SegmentReader(index_path) as reader:
-            with pytest.raises(CorruptIndexError, match="missing segment"):
-                reader.prefetch("gamma")
-
-
 class TestCorruption:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"

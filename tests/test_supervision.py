@@ -257,8 +257,8 @@ class TestDegradedMode:
             assert excinfo.value.shard == victim
             # The surviving shard was still warmed before the raise.
             live = pool.shard_of(KBTIMQuery((survivor,), 2))
-            stats = pool.worker_stats()[live]
-            assert stats is not None and stats.warm_loads == 1
+            part = pool.snapshot().workers[live]
+            assert part is not None and part.stats.warm_loads == 1
 
 
 @pytest.mark.chaos
@@ -476,7 +476,9 @@ class TestRendezvousDispatchSupervision:
             for kw in KEYWORDS:
                 assert pool.shard_of(KBTIMQuery((kw,), 3)) != victim
                 assert pool.query(KBTIMQuery((kw,), 3)).seeds
-            assert pool.worker_stats()[victim] is None  # shut down, idle
+            drained = pool.snapshot()
+            assert drained.workers[victim] is None  # shut down, idle
+            assert drained.stats.queries == len(KEYWORDS)  # the merge skips the hole
 
             pool.restore(victim)
             assert pool.health().shards[victim].state == SHARD_READY
@@ -487,8 +489,8 @@ class TestRendezvousDispatchSupervision:
                 assert pool.shard_of(KBTIMQuery((kw,), 3)) == victim
             # ...and traffic actually reaches it again.
             assert pool.query(KBTIMQuery((owned[0],), 3)).seeds
-            stats = pool.worker_stats()[victim]
-            assert stats is not None and stats.queries == 1
+            part = pool.snapshot().workers[victim]
+            assert part is not None and part.stats.queries == 1
 
 
 class TestObservability:
@@ -502,17 +504,6 @@ class TestObservability:
             assert stats.restarts == 0
             assert stats.sheds == 0
             assert stats.mean_latency > 0
-
-    @pytest.mark.chaos
-    def test_worker_stats_none_for_down_shard(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            pool.drain(1)
-            per_worker = pool.worker_stats()
-            assert per_worker[1] is None
-            assert per_worker[0] is not None and per_worker[2] is not None
-            assert pool.stats is not None  # merge tolerates the hole
-            assert pool.io_stats.read_calls > 0  # live shards still counted
 
 
 class TestLifecycleAndValidation:
@@ -535,8 +526,15 @@ class TestLifecycleAndValidation:
             assert pool.pool is pool and not hasattr(pool, "_pool")
             # One deadline: inherited admin reads are bounded by it too.
             assert pool.request_timeout == 7.5
-            assert pool.worker_cached_keywords() == [[], []]
-            assert pool.memory_info()["total_rss_bytes"] > 0
+            snapshot = pool.snapshot()
+            assert [part.cached_keywords for part in snapshot.workers] == [(), ()]
+            assert snapshot.health.rss_bytes > 0
+            # The telemetry calls are the pool core's; supervision only
+            # says how a shard's state is computed.
+            for name in ("health", "snapshot", "stats"):
+                assert name not in vars(SupervisedServerPool)
+                assert name not in vars(ProcessServerPool)
+            assert "_shard_state" in vars(SupervisedServerPool)
 
     def test_knob_validation(self, setup):
         path, _profiles = setup
