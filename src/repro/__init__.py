@@ -59,7 +59,6 @@ from repro.core import (
     SupervisedServerPool,
     ThetaPolicy,
     greedy_max_coverage,
-    lazy_greedy_max_coverage,
     ris_query,
     sample_keyword_tables,
     wris_query,
@@ -102,6 +101,10 @@ from repro.storage import Codec, IOStats
 
 __version__ = "1.0.0"
 
+#: The name the frozen ``bench/tracing.py`` imports (ROADMAP item 4(e)):
+#: the same function, not a second greedy.
+lazy_greedy_max_coverage = greedy_max_coverage
+
 __all__ = [
     "__version__",
     # queries & solvers
@@ -134,7 +137,6 @@ __all__ = [
     "sample_keyword_tables",
     "CoverageInstance",
     "greedy_max_coverage",
-    "lazy_greedy_max_coverage",
     # graph substrate
     "DiGraph",
     "twitter_like",

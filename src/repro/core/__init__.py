@@ -17,7 +17,6 @@ from repro.core.chaos import (
 from repro.core.coverage import (
     CoverageInstance,
     greedy_max_coverage,
-    lazy_greedy_max_coverage,
 )
 from repro.core.dispatch import (
     Crc32Dispatcher,
@@ -68,7 +67,6 @@ __all__ = [
     "theta_w",
     "CoverageInstance",
     "greedy_max_coverage",
-    "lazy_greedy_max_coverage",
     "OptEstimate",
     "deterministic_opt_floor",
     "estimate_opt_lower_bound",

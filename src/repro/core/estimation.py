@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.coverage import CoverageInstance, lazy_greedy_max_coverage
+from repro.core.coverage import CoverageInstance, greedy_max_coverage
 from repro.core.sampler import sample_rr_sets, sample_weighted_roots
 from repro.errors import EstimationError
 from repro.propagation.base import PropagationModel
@@ -125,7 +125,7 @@ def estimate_opt_lower_bound(
         rr_sets.extend(sample_rr_sets(model, roots, gen))
         total_samples = len(rr_sets)
         instance = CoverageInstance(model.graph.n, rr_sets)
-        _seeds, marginals = lazy_greedy_max_coverage(instance, k)
+        _seeds, marginals = greedy_max_coverage(instance, k)
         new_estimate = sum(marginals) / total_samples * total_weight
         if (
             estimate is not None

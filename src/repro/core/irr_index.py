@@ -456,10 +456,8 @@ class IRRIndex:
         # ``incomplete[v]`` counts the query keywords whose partial score
         # for v is still the unseen bound kb.  Because the flat arrays
         # make every bound exact at all times, selection is one masked
-        # ``argmax`` — which picks precisely what the classic lazy heap
-        # converges to after its stale-entry refreshes (max current
-        # bound, smallest vertex id on ties), with none of the per-pop
-        # revalidation churn.
+        # ``argmax`` — the first-argmax rule ``greedy_max_coverage``
+        # shares (max current bound, smallest vertex id on ties).
         live_bound = np.full(self.n_vertices, -1, dtype=np.int64)
         incomplete = np.zeros(self.n_vertices, dtype=np.int64)
         enqueued = np.zeros(self.n_vertices, dtype=bool)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.coverage import CoverageInstance, lazy_greedy_max_coverage
+from repro.core.coverage import CoverageInstance, greedy_max_coverage
 from repro.core.estimation import estimate_opt_lower_bound
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.sampler import sample_rr_sets, sample_uniform_roots
@@ -72,7 +72,7 @@ def ris_query(
     roots = sample_uniform_roots(graph.n, theta, gen)
     rr_sets = sample_rr_sets(model, roots, gen)
     instance = CoverageInstance(graph.n, rr_sets)
-    seeds, marginals = lazy_greedy_max_coverage(instance, k)
+    seeds, marginals = greedy_max_coverage(instance, k)
 
     stats = QueryStats(
         elapsed_seconds=time.perf_counter() - started,

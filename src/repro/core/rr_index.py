@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coverage import lazy_greedy_max_coverage, merge_coverage_csr
+from repro.core.coverage import greedy_max_coverage, merge_coverage_csr
 from repro.core.offline import KeywordTable, sample_keyword_tables
 from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
 from repro.core.results import QueryStats, SeedSelection
@@ -138,7 +138,10 @@ def select_seeds(
     """Algorithm 2's answer assembly — the one path every caller takes.
 
     Merges the per-keyword prefixes into one coverage instance with
-    global set ids and runs lazy greedy for ``k`` seeds.  The stored
+    global set ids and runs :func:`~repro.core.coverage.greedy_max_coverage`
+    for ``k`` seeds: one dense ``argmax`` over the live counts per pick
+    plus a decrement of the newly covered sets' members, i.e.
+    O(n_vertices + touched incidences) per pick.  The stored
     ``L_w`` lists are offset and clipped to the active prefix (Example 5
     loads all of L_music/L_book but only rr1-rr9 / rr1-rr4 of the set
     regions); each keyword becomes one flat-CSR part, so the clip and
@@ -159,7 +162,7 @@ def select_seeds(
         parts.append(block_of(kw).active_part(count, base))
         base += count
     instance = merge_coverage_csr(n_vertices, parts)
-    seeds, marginals = lazy_greedy_max_coverage(instance, k)
+    seeds, marginals = greedy_max_coverage(instance, k)
     theta_used = instance.n_sets
     return SeedSelection(
         seeds=tuple(seeds),

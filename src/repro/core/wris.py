@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.core.coverage import CoverageInstance, lazy_greedy_max_coverage
+from repro.core.coverage import CoverageInstance, greedy_max_coverage
 from repro.core.estimation import estimate_opt_lower_bound
 from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
@@ -100,7 +100,7 @@ def wris_query(
     roots = sample_weighted_roots(users, probabilities, theta, gen)
     rr_sets = sample_rr_sets(model, roots, gen)
     instance = CoverageInstance(graph.n, rr_sets)
-    seeds, marginals = lazy_greedy_max_coverage(instance, query.k)
+    seeds, marginals = greedy_max_coverage(instance, query.k)
 
     stats = QueryStats(
         elapsed_seconds=time.perf_counter() - started,

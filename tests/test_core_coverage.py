@@ -1,8 +1,8 @@
 """Tests for greedy maximum coverage (repro.core.coverage).
 
-The key properties: the reference greedy matches brute force's guarantee
-on small instances, and the lazy (CELF) variant is bit-identical to the
-reference — which is what makes Theorem 3 testable downstream.
+The key properties: the greedy kernel keeps brute force's guarantee on
+small instances and is bit-identical to the seed greedy in
+``tests/oracles.py`` — which is what makes Theorem 3 testable downstream.
 """
 
 from itertools import combinations
@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coverage import (
-    CoverageInstance,
-    greedy_max_coverage,
-    lazy_greedy_max_coverage,
-)
+import repro
+from repro.core.coverage import CoverageInstance, greedy_max_coverage
+from repro.core.sampler import sample_rr_sets, sample_uniform_roots
+from repro.graph.generators import twitter_like
+from repro.propagation.ic import IndependentCascade
+
+from oracles import seed_greedy_max_coverage
 
 
 def make_instance(n, sets):
@@ -53,6 +55,13 @@ class TestInstance:
         inverted = {0: np.array([0]), 1: np.array([0, 1])}
         inst = CoverageInstance(3, sets, inverted)
         assert inst.counts().tolist() == [1, 2, 0]
+
+    def test_counts_is_fresh_per_call(self):
+        """The kernel decrements its ``counts()`` in place; ours must not move."""
+        inst = make_instance(4, [[0, 1], [1, 2], [1]])
+        before = inst.counts()
+        greedy_max_coverage(inst, 4)
+        assert before.tolist() == inst.counts().tolist() == [1, 3, 1, 0]
 
 
 class TestGreedy:
@@ -119,35 +128,92 @@ class TestGreedy:
         assert seeds == [0, 1] and marginals == [0, 0]
 
 
-class TestLazyGreedyEquivalence:
-    def test_identical_on_fixed_instance(self):
-        inst = make_instance(
-            8,
-            [[0, 1, 2], [2, 3], [3, 4, 5], [5, 6], [6, 7], [0, 7], [1, 3, 5]],
-        )
-        for k in (1, 2, 3, 8):
-            assert greedy_max_coverage(inst, k) == lazy_greedy_max_coverage(inst, k)
+@st.composite
+def coverage_cases(draw):
+    """``(n_vertices, sets, k)`` with empty sets, repeated sets, tied
+    counts (few vertices, many sets) and ``k`` past ``n_vertices``."""
+    n = draw(st.integers(0, 12))
+    members = st.integers(0, n - 1) if n else st.nothing()
+    sets = draw(
+        st.lists(st.lists(members, max_size=n, unique=True).map(sorted), max_size=12)
+    )
+    if sets:
+        sets = sets + draw(st.lists(st.sampled_from(sets), max_size=4))
+    return n, sets, draw(st.integers(1, n + 3))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 12), st.data())
-    def test_identical_on_random_instances(self, n, data):
-        n_sets = data.draw(st.integers(0, 15))
-        sets = [
-            data.draw(
-                st.lists(
-                    st.integers(0, n - 1), min_size=0, max_size=n, unique=True
-                ).map(sorted)
-            )
-            for _ in range(n_sets)
-        ]
-        inst = make_instance(n, sets)
-        k = data.draw(st.integers(1, n))
-        assert greedy_max_coverage(inst, k) == lazy_greedy_max_coverage(inst, k)
+
+def assert_greedy_invariants(n, sets, k):
+    """Oracle equality plus the invariants the kernel's shortcuts rely on."""
+    inst = make_instance(n, sets)
+    seeds, marginals = greedy_max_coverage(inst, k)
+    assert (seeds, marginals) == seed_greedy_max_coverage(n, sets, k)
+    assert len(seeds) == len(marginals) == min(k, n)
+    assert all(type(x) is int for x in seeds + marginals)
+    assert all(a >= b for a, b in zip(marginals, marginals[1:]))
+    # Each pick's marginal is the number of sets it newly covered — what
+    # makes dropping the ``selected`` mask sound (a picked vertex's live
+    # count is 0 afterwards).
+    covered = set()
+    for seed, marginal in zip(seeds, marginals):
+        fresh = {i for i, rr in enumerate(sets) if seed in rr} - covered
+        assert marginal == len(fresh)
+        covered |= fresh
+    assert sum(marginals) == len(covered)
+    # Zero-marginal fillers: the smallest unpicked ids, ascending.
+    n_real = sum(1 for m in marginals if m > 0)
+    picked = set(seeds[:n_real])
+    unpicked = [v for v in range(n) if v not in picked]
+    assert seeds[n_real:] == unpicked[: len(seeds) - n_real]
+
+
+class TestKernelMatchesOracle:
+    def test_one_greedy(self):
+        """``lazy_greedy_max_coverage`` survives only as a binding."""
+        assert repro.lazy_greedy_max_coverage is repro.greedy_max_coverage
+
+    def test_identical_on_fixed_instance(self):
+        sets = [[0, 1, 2], [2, 3], [3, 4, 5], [5, 6], [6, 7], [0, 7], [1, 3, 5]]
+        for k in (1, 2, 3, 8):
+            assert_greedy_invariants(8, sets, k)
+
+    @pytest.mark.parametrize(
+        "n, sets, k",
+        [
+            pytest.param(3, [[0, 1], [0, 1], [2], [2]], 3, id="duplicate-sets"),
+            pytest.param(3, [[], [1], []], 2, id="empty-sets"),
+            pytest.param(4, [[0], [1], [2], [3]], 4, id="all-tied-smallest-id-wins"),
+            pytest.param(4, [[0, 1], [0, 1], [0], [2]], 3, id="vertex-all-covered"),
+            pytest.param(5, [[3], [1, 3]], 5, id="k-past-positive-counts"),
+            pytest.param(2, [[0], [1]], 10, id="k-above-n-vertices"),
+            pytest.param(0, [[], []], 3, id="no-vertices"),
+            pytest.param(3, [], 2, id="no-sets"),
+        ],
+    )
+    def test_invariants_on_edge_cases(self, n, sets, k):
+        assert_greedy_invariants(n, sets, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coverage_cases())
+    def test_invariants_on_random_instances(self, case):
+        assert_greedy_invariants(*case)
+
+    def test_offline_sized_instance(self):
+        """≥ 50 k sets / ≥ 200 k incidences: the size ``ris.py`` and
+        ``wris.py`` run the kernel at (equality only, no timing)."""
+        model = IndependentCascade(twitter_like(2000, avg_degree=12, rng=77))
+        rng = np.random.default_rng(78)
+        roots = sample_uniform_roots(model.graph.n, 100_000, rng)
+        flat = sample_rr_sets(model, roots, rng)
+        inst = CoverageInstance(model.graph.n, flat)
+        assert inst.n_sets >= 50_000 and inst.set_vertices.size >= 200_000
+        assert greedy_max_coverage(inst, 50) == seed_greedy_max_coverage(
+            model.graph.n, list(flat), 50
+        )
 
     def test_bad_k_rejected(self):
         inst = make_instance(2, [[0]])
         with pytest.raises(ValueError):
-            lazy_greedy_max_coverage(inst, -1)
+            greedy_max_coverage(inst, -1)
 
 
 class TestApproximationGuarantee:

@@ -7,10 +7,10 @@ Two contracts guard the vectorised pipeline:
   orders, so equivalence is statistical: mean RR size, per-vertex
   inclusion frequencies, and coverage estimates agree within CI bounds
   on fixed seeds);
-* the CSR-backed :class:`~repro.core.coverage.CoverageInstance` and both
-  greedy variants are **bit-identical** to the seed (dict-of-arrays)
+* the CSR-backed :class:`~repro.core.coverage.CoverageInstance` and the
+  greedy kernel are **bit-identical** to the seed (dict-of-arrays)
   implementation on randomized instances — the reference implementation
-  is embedded below verbatim.
+  lives in ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.core.coverage import (
     CoverageInstance,
     greedy_max_coverage,
-    lazy_greedy_max_coverage,
     merge_coverage_csr,
 )
 from repro.core.rr_index import KeywordCoverageCSR, _invert
@@ -41,6 +40,8 @@ from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
 from repro.propagation.triggering import GeneralTriggering
 from repro.utils.rrsets import FlatRRSets
+
+from oracles import seed_greedy_max_coverage
 
 
 @pytest.fixture(scope="module")
@@ -400,9 +401,9 @@ class TestFlatRRSets:
         slow = CoverageInstance(model.graph.n, list(flat))
         assert fast.counts().tolist() == slow.counts().tolist()
         for k in (1, 5, 20):
-            assert lazy_greedy_max_coverage(fast, k) == lazy_greedy_max_coverage(
-                slow, k
-            )
+            reference = seed_greedy_max_coverage(model.graph.n, list(flat), k)
+            assert greedy_max_coverage(fast, k) == reference
+            assert greedy_max_coverage(slow, k) == reference
 
     def test_invert_matches_list_form(self, model):
         roots = sample_uniform_roots(model.graph.n, 200, np.random.default_rng(73))
@@ -447,34 +448,6 @@ class TestWeightedRootsSearchsorted:
 # ----------------------------------------------------------------------
 # (b) CSR coverage engine bit-identical to the seed implementation
 # ----------------------------------------------------------------------
-def seed_greedy_max_coverage(n_vertices, rr_sets, k):
-    """The seed (pre-CSR) reference greedy, kept verbatim for regression."""
-    import heapq as _heapq  # noqa: F401 - mirrors the seed module imports
-
-    rr_sets = [np.asarray(rr, dtype=np.int64) for rr in rr_sets]
-    inverted = {}
-    for set_id, rr in enumerate(rr_sets):
-        for v in rr:
-            inverted.setdefault(int(v), []).append(set_id)
-    counts = np.zeros(n_vertices, dtype=np.int64)
-    for v, ids in inverted.items():
-        counts[v] = len(ids)
-    covered = np.zeros(len(rr_sets), dtype=bool)
-    selected = np.zeros(n_vertices, dtype=bool)
-    seeds, marginals = [], []
-    for _ in range(min(k, n_vertices)):
-        masked = np.where(selected, -1, counts)
-        best = int(np.argmax(masked))
-        seeds.append(best)
-        marginals.append(int(counts[best]))
-        selected[best] = True
-        for set_id in inverted.get(best, ()):
-            if not covered[set_id]:
-                covered[set_id] = True
-                counts[rr_sets[set_id]] -= 1
-    return seeds, marginals
-
-
 def random_instance(data, n):
     n_sets = data.draw(st.integers(0, 15))
     sets = [
@@ -491,13 +464,12 @@ def random_instance(data, n):
 class TestCSRBitIdenticalToSeed:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 14), st.data())
-    def test_both_greedy_variants_match_seed(self, n, data):
+    def test_greedy_matches_seed(self, n, data):
         sets = random_instance(data, n)
         k = data.draw(st.integers(1, n + 2))
         reference = seed_greedy_max_coverage(n, sets, k)
         instance = CoverageInstance(n, sets)
         assert greedy_max_coverage(instance, k) == reference
-        assert lazy_greedy_max_coverage(instance, k) == reference
 
     def test_fixed_regression_fixture(self):
         """A deterministic fixture with ties, empty sets and zero fills."""
@@ -511,7 +483,6 @@ class TestCSRBitIdenticalToSeed:
             reference = seed_greedy_max_coverage(n, sets, k)
             instance = CoverageInstance(n, sets)
             assert greedy_max_coverage(instance, k) == reference
-            assert lazy_greedy_max_coverage(instance, k) == reference
 
     def test_counts_match_seed_semantics(self):
         sets = [np.array([0, 2]), np.array([2, 3]), np.array([2])]
@@ -646,9 +617,9 @@ class TestQueryLayerCSR:
         assert fast.n_sets == legacy.n_sets == base
         assert fast.counts().tolist() == legacy.counts().tolist()
         for k in (1, 4, 12):
-            assert lazy_greedy_max_coverage(fast, k) == lazy_greedy_max_coverage(
-                legacy, k
-            )
+            reference = seed_greedy_max_coverage(n, merged_sets, k)
+            assert greedy_max_coverage(fast, k) == reference
+            assert greedy_max_coverage(legacy, k) == reference
 
 
 # ----------------------------------------------------------------------
