@@ -20,7 +20,7 @@ from repro.profiles.generators import zipf_profiles
 from repro.profiles.topics import TopicSpace
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
-from repro.storage.compression import Codec, compress_ids, decompress_ids
+from repro.storage.compression import Codec, compress_ids, decompress_ids_batch
 from repro.storage.pager import BufferPool, PagedFile
 from repro.storage.records import RRSetsRecord
 from repro.storage.varint import (
@@ -148,10 +148,13 @@ def test_irr_query_latency_cold_decode(irr_index_path, benchmark):
 
 
 def test_rr_record_decode_throughput(rr_sets, benchmark):
-    """What the RR index pays per query for the same 500 sets."""
+    """What the RR index pays per query for the same 500 sets: the batch
+    decode of the record's payload (``RRIndex.decode_block``'s call)."""
     record = RRSetsRecord.encode(rr_sets, Codec.PFOR)
+    n_sets, _group, payload_len, start = RRSetsRecord.read_header(record)
+    payload = record[start : start + payload_len]
 
-    benchmark(lambda: RRSetsRecord.decode_all(record))
+    benchmark(lambda: RRSetsRecord.decode_prefix_csr(payload, n_sets))
 
 
 #: One record's worth of gap varints — the stream shape the block varint
@@ -257,7 +260,7 @@ def test_codec_decode(codec, benchmark):
     ).astype(np.int64)
     blob = compress_ids(ids, codec)
 
-    benchmark(lambda: decompress_ids(blob))
+    benchmark(lambda: decompress_ids_batch(blob, 1))
 
 
 def test_paged_random_reads(tmp_path_factory, benchmark):

@@ -26,17 +26,19 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.core.catalog import RR_FORMAT, read_catalog
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.theta import ThetaPolicy
-from repro.errors import CorruptIndexError, ReproError
+from repro.errors import ReproError
 from repro.graph.io import load_npz as load_graph_npz
 from repro.graph.io import save_npz as save_graph_npz
 from repro.profiles.io import load_profiles_npz, save_profiles_npz
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
 from repro.storage.compression import Codec
+from repro.storage.segments import SegmentReader
 
 __all__ = ["main", "build_parser"]
 
@@ -227,11 +229,10 @@ def _policy_from_args(args: argparse.Namespace) -> ThetaPolicy:
 
 
 def _open_index(path: str):
-    """Open an index file, sniffing RR vs IRR from the catalog."""
-    try:
-        return RRIndex(path)
-    except CorruptIndexError:
-        return IRRIndex(path)
+    """Open an index file with the reader its catalog's format names."""
+    with SegmentReader(path) as reader:
+        fmt = read_catalog(reader).format
+    return (RRIndex if fmt == RR_FORMAT else IRRIndex)(path)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

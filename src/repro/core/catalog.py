@@ -1,0 +1,301 @@
+"""The index file's ``meta`` catalog and the reader core both indexes share.
+
+The RR index (Algorithms 1-2) and the IRR index (Algorithms 3-4) are
+built from the same sample tables, live in the same segment container and
+open with the same ``meta`` JSON document (byte layout: "On-disk format"
+in ``docs/ARCHITECTURE.md``).  This module is the only place that knows
+that document:
+
+* writer side — :func:`keyword_entries` + :func:`encode_catalog`, called
+  by both index writers and by keyword extraction;
+* reader side — :func:`read_catalog`, the one parse and the one
+  ``format`` check, returning a typed :class:`Catalog`;
+* :class:`IndexReader` — what :class:`~repro.core.rr_index.RRIndex` and
+  :class:`~repro.core.irr_index.IRRIndex` have in common: open the
+  container, load the catalog, plan a query's ``θ^Q`` prefixes
+  (:func:`plan_theta_q`, Eqn. 11), close.  It is the minimal protocol a
+  server needs from "an index"; the subclasses add only what their
+  algorithm needs.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+from functools import partial
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.core.offline import KeywordTable
+from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
+from repro.errors import CorruptIndexError, IndexError_, QueryError
+from repro.storage.compression import Codec
+from repro.storage.iostats import IOStats
+from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
+from repro.storage.segments import SegmentReader
+
+__all__ = [
+    "RR_FORMAT",
+    "IRR_FORMAT",
+    "KeywordMeta",
+    "Catalog",
+    "build_keyword_meta",
+    "keyword_entries",
+    "encode_catalog",
+    "read_catalog",
+    "plan_theta_q",
+    "IndexReader",
+]
+
+RR_FORMAT = "rr-index"
+IRR_FORMAT = "irr-index"
+_FORMAT_VERSION = 1
+
+#: How an error message names each known format.
+_KINDS = {RR_FORMAT: "an RR index", IRR_FORMAT: "an IRR index"}
+
+
+@dataclass(frozen=True)
+class KeywordMeta:
+    """Catalog entry for one indexed keyword."""
+
+    name: str
+    topic_id: int
+    theta: int
+    tf_sum: float
+    idf: float
+    phi_w: float
+    n_sets: int
+
+
+#: The JSON fields of one keyword entry, in file order, with their types
+#: (every :class:`KeywordMeta` field but the name, which is the key).
+_ENTRY_FIELDS = (
+    ("topic_id", int),
+    ("theta", int),
+    ("tf_sum", float),
+    ("idf", float),
+    ("phi_w", float),
+    ("n_sets", int),
+)
+
+
+@dataclass(frozen=True)
+class Catalog:
+    """One parsed ``meta`` document."""
+
+    format: str
+    n_vertices: int
+    epsilon: float
+    K: int
+    codec: Codec
+    #: Partition size δ (IRR files only).
+    delta: Optional[int]
+    keywords: Dict[str, KeywordMeta]
+    topic_names: Dict[int, str]
+    #: The raw per-keyword JSON entries, for the fields only one format
+    #: carries (IRR's partition tables) and for re-encoding a subset.
+    entries: Dict[str, dict]
+
+
+# ----------------------------------------------------------------------
+# writer side
+# ----------------------------------------------------------------------
+def build_keyword_meta(tables: Mapping[str, KeywordTable]) -> Dict[str, KeywordMeta]:
+    """Catalog entries from sample tables, in the file's keyword order."""
+    return {
+        name: KeywordMeta(
+            name=table.name,
+            topic_id=table.topic_id,
+            theta=table.theta,
+            tf_sum=table.tf_sum,
+            idf=table.idf,
+            phi_w=table.phi_w,
+            n_sets=len(table.rr_sets),
+        )
+        for name, table in sorted(tables.items())
+    }
+
+
+def keyword_entries(tables: Mapping[str, KeywordTable]) -> Dict[str, dict]:
+    """The ``keywords`` object of the document, from sample tables (the
+    IRR writer appends its partition fields to each entry)."""
+    return {
+        name: {field: getattr(meta, field) for field, _ in _ENTRY_FIELDS}
+        for name, meta in build_keyword_meta(tables).items()
+    }
+
+
+def encode_catalog(
+    fmt: str,
+    *,
+    n_vertices: int,
+    epsilon: float,
+    K: int,
+    codec: Codec,
+    keywords: Mapping[str, dict],
+    **header: int,
+) -> bytes:
+    """Serialise the ``meta`` segment (``header``: IRR's ``delta``)."""
+    meta = {
+        "format": fmt,
+        "version": _FORMAT_VERSION,
+        "n_vertices": n_vertices,
+        "epsilon": epsilon,
+        "K": K,
+        "codec": codec.value,
+        **header,
+        "keywords": keywords,
+    }
+    return json.dumps(meta).encode("utf-8")
+
+
+# ----------------------------------------------------------------------
+# reader side
+# ----------------------------------------------------------------------
+def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catalog:
+    """Parse an open container's ``meta`` segment (one CRC-checked read).
+
+    Raises
+    ------
+    CorruptIndexError
+        If the document's format is not ``expected`` (when given), or is
+        not a format this library writes.
+    """
+    meta = json.loads(reader.read("meta").decode("utf-8"))
+    fmt = meta.get("format")
+    if expected is not None and fmt != expected:
+        raise CorruptIndexError(
+            f"{reader.path}: not {_KINDS[expected]} (format={fmt!r})"
+        )
+    if fmt not in _KINDS:
+        raise CorruptIndexError(f"{reader.path}: unknown index format {fmt!r}")
+    entries = meta["keywords"]
+    keywords = {
+        name: KeywordMeta(
+            name=name, **{field: cast(entry[field]) for field, cast in _ENTRY_FIELDS}
+        )
+        for name, entry in entries.items()
+    }
+    return Catalog(
+        format=fmt,
+        n_vertices=int(meta["n_vertices"]),
+        epsilon=float(meta["epsilon"]),
+        K=int(meta["K"]),
+        codec=Codec(int(meta["codec"])),
+        delta=int(meta["delta"]) if fmt == IRR_FORMAT else None,
+        keywords=keywords,
+        topic_names={entry.topic_id: name for name, entry in keywords.items()},
+        entries=entries,
+    )
+
+
+def plan_theta_q(
+    keywords: Sequence[str], catalog: Mapping[str, KeywordMeta]
+) -> Tuple[float, Dict[str, int], float]:
+    """Eqn. 11 planning shared by Algorithm 2 and Algorithm 4.
+
+    Returns ``(theta_q, per_keyword_counts, phi_q)`` where
+    ``per_keyword_counts[w] = θ^Q_w`` is the number of RR sets to activate
+    for keyword ``w`` (``θ^Q · p_w``, clamped into ``[1, θ_w]``).
+    """
+    metas = []
+    for kw in keywords:
+        meta = catalog.get(kw)
+        if meta is None:
+            raise IndexError_(f"keyword {kw!r} is not in the index")
+        metas.append(meta)
+    phi_q = sum(m.phi_w for m in metas)
+    if phi_q <= 0:
+        raise QueryError("query keywords carry no relevance mass")
+    theta_q = min(m.theta / (m.phi_w / phi_q) for m in metas)
+    counts: Dict[str, int] = {}
+    for m in metas:
+        p_w = m.phi_w / phi_q
+        count = int(math.floor(theta_q * p_w + 1e-9))
+        counts[m.name] = max(1, min(m.n_sets, count))
+    return theta_q, counts, phi_q
+
+
+class IndexReader:
+    """An open index file: container, catalog, query planner.
+
+    Opening loads the catalog into public attributes — ``catalog``
+    (keyword → :class:`KeywordMeta`), ``topic_names`` (topic id → name),
+    ``n_vertices``, ``epsilon``, ``K``, ``codec`` — as a database would
+    its system catalog, then hands the parsed document to the subclass's
+    :meth:`_load` for whatever else its format keeps resident.  If
+    anything after the file is opened raises, the file is closed before
+    the error propagates.  ``stats`` counts every read the reader issues.
+    """
+
+    #: The catalog format this reader serves; set by each subclass.
+    FORMAT: str
+
+    def __init__(
+        self,
+        path: str,
+        *,
+        stats: Optional[IOStats] = None,
+        pool: Optional[BufferPool] = None,
+        page_size: int = DEFAULT_PAGE_SIZE,
+    ) -> None:
+        self.stats = stats if stats is not None else IOStats()
+        self._reader = SegmentReader(
+            path, stats=self.stats, pool=pool, page_size=page_size
+        )
+        try:
+            parsed = read_catalog(self._reader, self.FORMAT)
+            self.catalog = parsed.keywords
+            self.topic_names = parsed.topic_names
+            self.n_vertices = parsed.n_vertices
+            self.epsilon = parsed.epsilon
+            self.K = parsed.K
+            self.codec = parsed.codec
+            self._load(parsed)
+        except BaseException:
+            self._reader.close()
+            raise
+
+    def _load(self, parsed: Catalog) -> None:
+        """Load the format-specific resident state (record headers,
+        partition tables); runs inside the constructor's close-on-error."""
+        raise NotImplementedError
+
+    def keywords(self) -> List[str]:
+        """Indexed keyword names (sorted)."""
+        return sorted(self.catalog)
+
+    def plan(self, query: KBTIMQuery) -> Tuple[List[str], Dict[str, int], float]:
+        """Validate one query and plan its prefixes (Eqn. 11), reading nothing.
+
+        Returns ``(keywords, counts, phi_q)``: the resolved keyword
+        names, ``θ^Q_w`` per keyword and ``φ_Q``.
+
+        Raises
+        ------
+        QueryError
+            If ``query.k`` exceeds the index's system parameter ``K``,
+            or two keyword refs resolve to the same indexed keyword.
+        IndexError_
+            If a keyword is not in the index.
+        """
+        if query.k > self.K:
+            raise QueryError(
+                f"Q.k ({query.k}) exceeds the index's system parameter K ({self.K})"
+            )
+        keywords = resolve_unique(
+            query.keywords, partial(resolve_keyword, self.topic_names)
+        )
+        _theta_q, counts, phi_q = plan_theta_q(keywords, self.catalog)
+        return keywords, counts, phi_q
+
+    def close(self) -> None:
+        """Release the underlying file."""
+        self._reader.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -35,39 +35,35 @@ is enforced by the integration tests on shared sample tables.
 
 from __future__ import annotations
 
-import json
-import os
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.offline import KeywordTable
-from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
-from repro.core.results import QueryStats, SeedSelection
-from repro.core.rr_index import (
-    BuildReport,
-    KeywordMeta,
-    RRIndexBuilder,
-    _invert,
-    plan_theta_q,
+from repro.core.catalog import (
+    IRR_FORMAT,
+    Catalog,
+    IndexReader,
+    encode_catalog,
+    keyword_entries,
 )
+from repro.core.offline import KeywordTable
+from repro.core.query import KBTIMQuery
+from repro.core.results import QueryStats, SeedSelection
+from repro.core.rr_index import BuildReport, RRIndexBuilder, _invert, build_report
 from repro.core.theta import ThetaPolicy
-from repro.errors import CorruptIndexError, IndexError_, QueryError
+from repro.errors import IndexError_
 from repro.storage.compression import Codec
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.storage.records import InvertedListsRecord
-from repro.storage.segments import SegmentReader, SegmentWriter
+from repro.storage.segments import SegmentWriter
 from repro.utils.segments import segmented_arange
 
 __all__ = ["IRRIndexBuilder", "IRRIndex", "DEFAULT_PARTITION_SIZE"]
-
-_FORMAT = "irr-index"
-_FORMAT_VERSION = 1
 
 #: Paper setting: "the partition size δ is set to 100 for all experiments".
 DEFAULT_PARTITION_SIZE = 100
@@ -148,14 +144,12 @@ def partition_keyword(
         il_partitions.append(block)
         # A partition claims every not-yet-claimed set any of its lists
         # touches; which sets those are is order-independent, so one
-        # unique + mask replaces the per-list scan.
-        if block:
-            ids = np.unique(np.concatenate([ids for _v, ids in block]))
-            fresh = ids[~claimed[ids]]
-            claimed[fresh] = True
-            ir_partitions.append([int(s) for s in fresh])
-        else:  # pragma: no cover - delta >= 1 keeps blocks non-empty
-            ir_partitions.append([])
+        # unique + mask replaces the per-list scan.  (delta >= 1 keeps
+        # every block non-empty.)
+        ids = np.unique(np.concatenate([ids for _v, ids in block]))
+        fresh = ids[~claimed[ids]]
+        claimed[fresh] = True
+        ir_partitions.append([int(s) for s in fresh])
 
     # First occurrence = head of each (ascending) inverted list.
     ip_entries = sorted((v, int(ids[0])) for v, ids in lists)
@@ -175,83 +169,58 @@ def write_irr_index(
     """Serialise sample tables in the IRR layout (Figure 3)."""
     if started is None:
         started = time.perf_counter()
-    total_sets = 0
-    total_size = 0
-    meta = {
-        "format": _FORMAT,
-        "version": _FORMAT_VERSION,
-        "n_vertices": n_vertices,
-        "epsilon": policy.epsilon,
-        "K": policy.K,
-        "codec": codec.value,
-        "delta": delta,
-        "keywords": {},
-    }
-    with SegmentWriter(path) as writer:
-        payload_segments: List[Tuple[str, bytes]] = []
-        for name in sorted(tables):
-            table = tables[name]
-            il_parts, ir_parts, ip_entries = partition_keyword(
-                table.rr_sets, delta
+    # Everything is partitioned and encoded before the file is created.
+    entries = keyword_entries(tables)
+    payload_segments: List[Tuple[str, bytes]] = []
+    for name in sorted(tables):
+        rr_sets = tables[name].rr_sets
+        il_parts, ir_parts, ip_entries = partition_keyword(rr_sets, delta)
+        entries[name].update(
+            n_partitions=len(il_parts),
+            partition_first_lens=[len(part[0][1]) for part in il_parts],
+            partition_set_counts=[len(p) for p in ir_parts],
+        )
+        payload_segments.append(
+            (
+                f"ip/{name}",
+                InvertedListsRecord.encode(
+                    [
+                        (v, np.asarray([first], dtype=np.int64))
+                        for v, first in ip_entries
+                    ],
+                    codec,
+                ),
             )
-            first_lens = [
-                len(part[0][1]) if part else 0 for part in il_parts
-            ]
-            meta["keywords"][name] = {
-                "topic_id": table.topic_id,
-                "theta": table.theta,
-                "tf_sum": table.tf_sum,
-                "idf": table.idf,
-                "phi_w": table.phi_w,
-                "n_sets": len(table.rr_sets),
-                "n_partitions": len(il_parts),
-                "partition_first_lens": first_lens,
-                "partition_set_counts": [len(p) for p in ir_parts],
-            }
-            total_sets += len(table.rr_sets)
-            total_size += sum(len(rr) for rr in table.rr_sets)
-
+        )
+        for p, block in enumerate(il_parts):
+            payload_segments.append(
+                (f"il/{name}/{p}", InvertedListsRecord.encode(block, codec))
+            )
+        for p, members in enumerate(ir_parts):
             payload_segments.append(
                 (
-                    f"ip/{name}",
+                    f"ir/{name}/{p}",
                     InvertedListsRecord.encode(
-                        [
-                            (v, np.asarray([first], dtype=np.int64))
-                            for v, first in ip_entries
-                        ],
-                        codec,
+                        [(set_id, rr_sets[set_id]) for set_id in members], codec
                     ),
                 )
             )
-            for p, block in enumerate(il_parts):
-                payload_segments.append(
-                    (f"il/{name}/{p}", InvertedListsRecord.encode(block, codec))
-                )
-            for p, members in enumerate(ir_parts):
-                payload_segments.append(
-                    (
-                        f"ir/{name}/{p}",
-                        InvertedListsRecord.encode(
-                            [
-                                (set_id, tables[name].rr_sets[set_id])
-                                for set_id in members
-                            ],
-                            codec,
-                        ),
-                    )
-                )
-        writer.add("meta", json.dumps(meta).encode("utf-8"))
+    with SegmentWriter(path) as writer:
+        writer.add(
+            "meta",
+            encode_catalog(
+                IRR_FORMAT,
+                n_vertices=n_vertices,
+                epsilon=policy.epsilon,
+                K=policy.K,
+                codec=codec,
+                delta=delta,
+                keywords=entries,
+            ),
+        )
         for segment_name, payload in payload_segments:
             writer.add(segment_name, payload)
-
-    return BuildReport(
-        path=path,
-        seconds=time.perf_counter() - started,
-        file_bytes=os.path.getsize(path),
-        theta_total=total_sets,
-        mean_rr_set_size=(total_size / total_sets) if total_sets else 0.0,
-        keywords=tuple(sorted(tables)),
-    )
+    return build_report(path, tables, started)
 
 
 @dataclass
@@ -266,7 +235,6 @@ class _KeywordState:
     is therefore pure slicing and fancy indexing; no ``il_keys`` loop.
     """
 
-    meta: KeywordMeta
     active_count: int  # θ^Q_w: only RR-set ids below this are live
     n_partitions: int
     partition_first_lens: List[int]
@@ -310,21 +278,6 @@ class _KeywordState:
             self.partition_first_lens[self.next_partition], self.active_count
         )
 
-    def exact_count(self, vertex: int) -> Optional[int]:
-        """Active-and-uncovered count, or ``None`` when not yet loaded.
-
-        A vertex whose first occurrence lies beyond the active prefix (or
-        that never occurs at all) is exactly 0 without any load — the IP
-        check of Section 5.2.
-        """
-        exact = int(self.exact[vertex])
-        if exact >= 0:
-            return exact
-        first = int(self.first_occurrence[vertex])
-        if first < 0 or first >= self.active_count:
-            return 0
-        return None
-
     def loaded_list(self, vertex: int) -> Optional[np.ndarray]:
         """The vertex's clipped active RR-set ids, or ``None`` if unloaded."""
         block = self.list_block_of[vertex]
@@ -335,8 +288,56 @@ class _KeywordState:
         ]
 
 
-class IRRIndex:
-    """Query-time reader for the IRR index (Algorithm 4)."""
+class _DecodeMemo:
+    """Bounded LRU memo of decoded, immutable index records.
+
+    The reader's one memoisation convention: the *read* behind a record
+    is always issued and charged by the caller; only the CPU-side decode
+    is remembered here.  ``capacity <= 0`` retains nothing.  One lock
+    guards lookup, admit and evict, so concurrent queries on one reader
+    never touch a key a racing eviction just dropped; the decode itself
+    runs outside it (two racing misses both decode, the result is the
+    same immutable value).
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, decode: Callable[[], object]):
+        """The memoised ``decode()`` of ``key`` (least recent evicted)."""
+        if self.capacity <= 0:
+            return decode()
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value
+        value = decode()
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class IRRIndex(IndexReader):
+    """Query-time reader for the IRR index (Algorithm 4).
+
+    ``decode_cache_partitions`` bounds the decoded-partition memo (and
+    switches the ``IP_w`` memo with it): ``<= 0`` retains nothing, so
+    every logical load re-decodes — the cold behaviour the experiments
+    sweep.  Either way every logical load issues its read through the
+    pager, so a query's I/O accounting does not depend on what the
+    reader served before.
+    """
+
+    FORMAT = IRR_FORMAT
 
     def __init__(
         self,
@@ -347,98 +348,65 @@ class IRRIndex:
         page_size: int = DEFAULT_PAGE_SIZE,
         decode_cache_partitions: int = _DECODE_CACHE_PARTITIONS,
     ) -> None:
-        self.stats = stats if stats is not None else IOStats()
-        # Capacity of the decoded-partition memo; <= 0 disables it (every
-        # logical load re-decodes, the cold-cache behaviour benchmarks
-        # sweep without monkeypatching).
         self.decode_cache_partitions = int(decode_cache_partitions)
-        self._reader = SegmentReader(
-            path, stats=self.stats, pool=pool, page_size=page_size
+        # Decoded IP_w maps and decoded (IR, IL) partitions: immutable
+        # index data, bounded so a long-lived reader never holds the
+        # whole index decoded in memory.
+        self._ip_cache = _DecodeMemo(
+            _IP_CACHE_KEYWORDS if self.decode_cache_partitions > 0 else 0
         )
-        meta = json.loads(self._reader.read("meta").decode("utf-8"))
-        if meta.get("format") != _FORMAT:
-            raise CorruptIndexError(
-                f"{path}: not an IRR index (format={meta.get('format')!r})"
-            )
-        self.n_vertices = int(meta["n_vertices"])
-        self.epsilon = float(meta["epsilon"])
-        self.K = int(meta["K"])
-        self.codec = Codec(int(meta["codec"]))
-        self.delta = int(meta["delta"])
-        self.catalog: Dict[str, KeywordMeta] = {}
+        self._decode_cache = _DecodeMemo(self.decode_cache_partitions)
         self._partition_info: Dict[str, Tuple[int, List[int]]] = {}
-        self._topic_names: Dict[int, str] = {}
-        # IP_w is immutable per keyword; decoded once and reused across
-        # queries (bounded LRU, like the partition memo below).
-        self._ip_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        # Decoded-partition memo: the bytes are still read through the
-        # pager on every logical load (I/O accounting is unchanged), but
-        # the CPU-side CSR decode of an immutable partition happens once.
-        # Bounded LRU so a long-lived reader never holds the whole index
-        # decoded in memory (mirrors KBTIMServer's capped keyword cache).
-        self._decode_cache: "OrderedDict[Tuple[str, int], tuple]" = OrderedDict()
-        for name, entry in meta["keywords"].items():
-            self.catalog[name] = KeywordMeta(
-                name=name,
-                topic_id=int(entry["topic_id"]),
-                theta=int(entry["theta"]),
-                tf_sum=float(entry["tf_sum"]),
-                idf=float(entry["idf"]),
-                phi_w=float(entry["phi_w"]),
-                n_sets=int(entry["n_sets"]),
-            )
+        super().__init__(path, stats=stats, pool=pool, page_size=page_size)
+
+    def _load(self, parsed: Catalog) -> None:
+        self.delta = parsed.delta
+        for name, entry in parsed.entries.items():
             self._partition_info[name] = (
                 int(entry["n_partitions"]),
                 [int(x) for x in entry["partition_first_lens"]],
             )
-            self._topic_names[int(entry["topic_id"])] = name
 
     # ------------------------------------------------------------------
-    def keywords(self) -> List[str]:
-        """Indexed keyword names (sorted)."""
-        return sorted(self.catalog)
-
     def _load_ip(self, keyword: str) -> np.ndarray:
         """Load the first-occurrence map ``IP_w`` (one read).
 
         Batch-decoded: IP stores one single-id list per vertex, so the
         firsts are exactly the flat payload, scattered into a dense
         length-``n`` array (``-1`` = vertex never occurs under the
-        keyword).  Cached per keyword — the map is immutable index data.
+        keyword).
         """
-        cached = self._ip_cache.get(keyword)
-        if cached is not None:
-            self._ip_cache.move_to_end(keyword)
-            return cached
-        keys, ptr, flat = InvertedListsRecord.decode_csr(
-            self._reader.read(f"ip/{keyword}")
+        record = self._reader.read_view(f"ip/{keyword}")
+
+        def decode() -> np.ndarray:
+            keys, ptr, flat = InvertedListsRecord.decode_csr(record)
+            result = np.full(self.n_vertices, -1, dtype=np.int64)
+            result[keys] = flat[ptr[:-1]]
+            return result
+
+        return self._ip_cache.get(keyword, decode)
+
+    def _load_partition(self, keyword: str, p: int) -> tuple:
+        """Load partition ``p``'s ``(IR, IL)`` CSR arrays (two reads)."""
+        ir_record = self._reader.read_view(f"ir/{keyword}/{p}")
+        il_record = self._reader.read_view(f"il/{keyword}/{p}")
+        return self._decode_cache.get(
+            (keyword, p),
+            lambda: InvertedListsRecord.decode_csr(ir_record)
+            + InvertedListsRecord.decode_csr(il_record),
         )
-        result = np.full(self.n_vertices, -1, dtype=np.int64)
-        result[keys] = flat[ptr[:-1]]
-        if len(self._ip_cache) >= _IP_CACHE_KEYWORDS:
-            self._ip_cache.popitem(last=False)
-        self._ip_cache[keyword] = result
-        return result
 
     # ------------------------------------------------------------------
     def query(self, query: KBTIMQuery) -> SeedSelection:
         """Algorithm 4: incremental NRA top-k aggregation."""
-        if query.k > self.K:
-            raise QueryError(
-                f"Q.k ({query.k}) exceeds the index's system parameter K ({self.K})"
-            )
         started = time.perf_counter()
         before = self.stats.snapshot()
-        keywords = resolve_unique(
-            query.keywords, partial(resolve_keyword, self._topic_names)
-        )
-        _theta_q, counts, phi_q = plan_theta_q(keywords, self.catalog)
+        keywords, counts, phi_q = self.plan(query)
 
         states: Dict[str, _KeywordState] = {}
         for kw in keywords:
             n_partitions, first_lens = self._partition_info[kw]
             states[kw] = _KeywordState(
-                meta=self.catalog[kw],
                 active_count=counts[kw],
                 n_partitions=n_partitions,
                 partition_first_lens=first_lens,
@@ -446,7 +414,6 @@ class IRRIndex:
                 n_vertices=self.n_vertices,
             )
         state_list = [states[kw] for kw in keywords]
-        cache_cap = self.decode_cache_partitions
 
         rr_sets_loaded = 0
         partitions_loaded = 0
@@ -492,21 +459,9 @@ class IRRIndex:
                 state = states[kw]
                 if state.exhausted:
                     continue
-                p = state.next_partition
-                ir_record = self._reader.read(f"ir/{kw}/{p}")
-                il_record = self._reader.read(f"il/{kw}/{p}")
-                cached = self._decode_cache.get((kw, p)) if cache_cap > 0 else None
-                if cached is None:
-                    cached = InvertedListsRecord.decode_csr(
-                        ir_record
-                    ) + InvertedListsRecord.decode_csr(il_record)
-                    if cache_cap > 0:
-                        if len(self._decode_cache) >= cache_cap:
-                            self._decode_cache.popitem(last=False)
-                        self._decode_cache[kw, p] = cached
-                else:
-                    self._decode_cache.move_to_end((kw, p))
-                ir_keys, ir_ptr, ir_flat, il_keys, il_ptr, il_flat = cached
+                ir_keys, ir_ptr, ir_flat, il_keys, il_ptr, il_flat = (
+                    self._load_partition(kw, state.next_partition)
+                )
                 partitions_loaded += 1
                 state.next_partition += 1
                 # Member ingest is pure slicing: extend the flat payload,
@@ -654,14 +609,3 @@ class IRRIndex:
             phi_q=phi_q,
             stats=stats,
         )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the underlying file."""
-        self._reader.close()
-
-    def __enter__(self) -> "IRRIndex":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

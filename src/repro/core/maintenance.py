@@ -15,12 +15,13 @@ but the paper leaves implicit:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.catalog import RR_FORMAT, Catalog, encode_catalog, read_catalog
+from repro.core.rr_index import invert_csr
 from repro.errors import CorruptIndexError, IndexError_
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.storage.segments import SegmentReader, SegmentWriter
@@ -42,20 +43,22 @@ def extract_keywords(
     if not keywords:
         raise IndexError_("extract_keywords needs at least one keyword")
     with SegmentReader(source_path) as reader:
-        meta = json.loads(reader.read("meta").decode("utf-8"))
-        if meta.get("format") != "rr-index":
-            raise CorruptIndexError(
-                f"{source_path}: keyword extraction supports RR indexes, "
-                f"found format={meta.get('format')!r}"
-            )
-        missing = [kw for kw in keywords if kw not in meta["keywords"]]
+        catalog = read_catalog(reader, RR_FORMAT)
+        missing = [kw for kw in keywords if kw not in catalog.keywords]
         if missing:
             raise IndexError_(f"keywords not in index: {missing}")
-
-        new_meta = dict(meta)
-        new_meta["keywords"] = {kw: meta["keywords"][kw] for kw in keywords}
         with SegmentWriter(target_path) as writer:
-            writer.add("meta", json.dumps(new_meta).encode("utf-8"))
+            writer.add(
+                "meta",
+                encode_catalog(
+                    RR_FORMAT,
+                    n_vertices=catalog.n_vertices,
+                    epsilon=catalog.epsilon,
+                    K=catalog.K,
+                    codec=catalog.codec,
+                    keywords={kw: catalog.entries[kw] for kw in keywords},
+                ),
+            )
             for kw in sorted(keywords):
                 writer.add(f"rr/{kw}", reader.read(f"rr/{kw}"))
                 writer.add(f"inv/{kw}", reader.read(f"inv/{kw}"))
@@ -90,132 +93,133 @@ def verify_index(path: str, *, deep: bool = True) -> IndexCheckReport:
     inconsistency; returns a summary report on success.
     """
     with SegmentReader(path) as reader:
-        meta = json.loads(reader.read("meta").decode("utf-8"))
-        fmt = meta.get("format")
-        if fmt not in ("rr-index", "irr-index"):
-            raise CorruptIndexError(f"{path}: unknown index format {fmt!r}")
-        segments = set(reader.names())
-        rr_sets_checked = 0
-
-        for kw, entry in sorted(meta["keywords"].items()):
-            n_sets = int(entry["n_sets"])
-            if fmt == "rr-index":
-                rr_sets_checked += _verify_rr_keyword(
-                    path, reader, segments, kw, n_sets, deep
-                )
-            else:
-                rr_sets_checked += _verify_irr_keyword(
-                    path, reader, segments, kw, entry, deep
-                )
+        catalog = read_catalog(reader)
+        verify_keyword = (
+            _verify_rr_keyword if catalog.format == RR_FORMAT else _verify_irr_keyword
+        )
+        rr_sets_checked = sum(
+            verify_keyword(reader, catalog, kw, deep)
+            for kw in sorted(catalog.keywords)
+        )
         return IndexCheckReport(
             path=path,
-            format=fmt,
-            keywords_checked=len(meta["keywords"]),
-            segments_checked=len(segments),
+            format=catalog.format,
+            keywords_checked=len(catalog.keywords),
+            segments_checked=len(reader.names()),
             rr_sets_checked=rr_sets_checked,
         )
 
 
 def _verify_rr_keyword(
-    path: str,
-    reader: SegmentReader,
-    segments: set,
-    kw: str,
-    n_sets: int,
-    deep: bool,
+    reader: SegmentReader, catalog: Catalog, kw: str, deep: bool
 ) -> int:
-    for name in (f"rr/{kw}", f"inv/{kw}"):
-        if name not in segments:
-            raise CorruptIndexError(f"{path}: missing segment {name!r}")
-    record = reader.read(f"rr/{kw}")  # CRC-checked
-    header_sets, _g, _len, _start = RRSetsRecord.read_header(record)
-    if header_sets != n_sets:
+    # Every read is CRC-checked and names a missing segment.
+    record = reader.read(f"rr/{kw}")
+    n_sets, _group, payload_len, payload_start = RRSetsRecord.read_header(record)
+    if n_sets != catalog.keywords[kw].n_sets:
         raise CorruptIndexError(
-            f"{path}: keyword {kw!r} catalog says {n_sets} sets, "
-            f"record header says {header_sets}"
+            f"{reader.path}: keyword {kw!r} catalog says "
+            f"{catalog.keywords[kw].n_sets} sets, record header says {n_sets}"
         )
+    inverted = reader.read(f"inv/{kw}")
     if not deep:
-        reader.read(f"inv/{kw}")
         return 0
-    rr_sets = RRSetsRecord.decode_all(record)
-    rebuilt: Dict[int, List[int]] = {}
-    for set_id, rr in enumerate(rr_sets):
-        for v in rr:
-            rebuilt.setdefault(int(v), []).append(set_id)
-    stored = InvertedListsRecord.decode(reader.read(f"inv/{kw}"))
-    if len(stored) != len(rebuilt):
+    # Re-derive L_w from the RR sets with the writer's own inversion and
+    # compare it, array for array, with what the file stores.
+    set_ptr, set_vertices = RRSetsRecord.decode_prefix_csr(
+        record[payload_start : payload_start + payload_len], n_sets
+    )
+    rebuilt = invert_csr(np.diff(set_ptr), set_vertices)
+    stored = InvertedListsRecord.decode_csr(inverted)
+    if len(stored[0]) != len(rebuilt[0]):
         raise CorruptIndexError(
-            f"{path}: keyword {kw!r} inverted list count mismatch"
+            f"{reader.path}: keyword {kw!r} inverted list count mismatch"
         )
-    for vertex, ids in stored:
-        if rebuilt.get(vertex, []) != ids.tolist():
-            raise CorruptIndexError(
-                f"{path}: keyword {kw!r} inverted list of vertex {vertex} "
-                "disagrees with RR sets"
-            )
-    return len(rr_sets)
+    wrong = _first_wrong_list(stored, rebuilt)
+    if wrong is not None:
+        raise CorruptIndexError(
+            f"{reader.path}: keyword {kw!r} inverted list of vertex "
+            f"{int(stored[0][wrong])} disagrees with RR sets"
+        )
+    return n_sets
+
+
+def _first_wrong_list(stored: tuple, expected: tuple) -> "int | None":
+    """Index of the first ``(key, ids)`` list of two equally long CSR
+    triples ``(keys, ptr, flat)`` that differs, or ``None``."""
+    keys, ptr, flat = stored
+    exp_keys, exp_ptr, exp_flat = expected
+    wrong = (keys != exp_keys) | (np.diff(ptr) != np.diff(exp_ptr))
+    if wrong.any():
+        return int(np.argmax(wrong))
+    differing = np.flatnonzero(flat != exp_flat)
+    if len(differing):
+        return int(np.searchsorted(ptr, differing[0], side="right")) - 1
+    return None
 
 
 def _verify_irr_keyword(
-    path: str,
-    reader: SegmentReader,
-    segments: set,
-    kw: str,
-    entry: dict,
-    deep: bool,
+    reader: SegmentReader, catalog: Catalog, kw: str, deep: bool
 ) -> int:
-    n_partitions = int(entry["n_partitions"])
-    if f"ip/{kw}" not in segments:
-        raise CorruptIndexError(f"{path}: missing segment ip/{kw}")
-    for p in range(n_partitions):
-        for name in (f"il/{kw}/{p}", f"ir/{kw}/{p}"):
-            if name not in segments:
-                raise CorruptIndexError(f"{path}: missing segment {name!r}")
+    path = reader.path
+    n_sets = catalog.keywords[kw].n_sets
+    n_partitions = int(catalog.entries[kw]["n_partitions"])
+    ip_record = reader.read(f"ip/{kw}")
     if not deep:
-        reader.read(f"ip/{kw}")
+        for p in range(n_partitions):  # present, though not read
+            reader.info(f"il/{kw}/{p}")
+            reader.info(f"ir/{kw}/{p}")
         return 0
 
     # Rebuild the global picture from partitions and cross-check IP and
     # the per-partition sort/claim invariants.
-    seen_sets: Dict[int, np.ndarray] = {}
-    first_occurrence: Dict[int, int] = {}
-    previous_first_len = None
-    total = 0
+    empty = np.empty(0, dtype=np.int64)
+    vertices, firsts, claimed = [empty], [empty], [empty]
+    previous_last_len = None
     for p in range(n_partitions):
-        il = InvertedListsRecord.decode(reader.read(f"il/{kw}/{p}"))
-        ir = InvertedListsRecord.decode(reader.read(f"ir/{kw}/{p}"))
-        lengths = [len(ids) for _v, ids in il]
-        if lengths != sorted(lengths, reverse=True):
-            raise CorruptIndexError(
-                f"{path}: il/{kw}/{p} lists are not length-sorted"
-            )
-        if lengths:
-            if previous_first_len is not None and lengths[0] > previous_first_len:
+        il_keys, il_ptr, il_flat = InvertedListsRecord.decode_csr(
+            reader.read(f"il/{kw}/{p}")
+        )
+        ir_keys, _ir_ptr, _ir_flat = InvertedListsRecord.decode_csr(
+            reader.read(f"ir/{kw}/{p}")
+        )
+        lengths = np.diff(il_ptr)
+        if np.any(np.diff(lengths) > 0):
+            raise CorruptIndexError(f"{path}: il/{kw}/{p} lists are not length-sorted")
+        if len(lengths):
+            if previous_last_len is not None and lengths[0] > previous_last_len:
                 raise CorruptIndexError(
                     f"{path}: il/{kw}/{p} breaks the global length order"
                 )
-            previous_first_len = lengths[-1]
-        for vertex, ids in il:
-            if len(ids):
-                first_occurrence.setdefault(vertex, int(ids[0]))
-        for set_id, members in ir:
-            if set_id in seen_sets:
-                raise CorruptIndexError(
-                    f"{path}: RR set {set_id} of {kw!r} claimed twice"
-                )
-            seen_sets[int(set_id)] = members
-        total += len(ir)
-    if total != int(entry["n_sets"]):
+            previous_last_len = lengths[-1]
+        occupied = lengths > 0
+        vertices.append(il_keys[occupied])
+        firsts.append(il_flat[il_ptr[:-1][occupied]])
+        claimed.append(ir_keys)
+    claimed = np.concatenate(claimed)
+    set_ids, claims = np.unique(claimed, return_counts=True)
+    if np.any(claims > 1):
         raise CorruptIndexError(
-            f"{path}: keyword {kw!r} partitions hold {total} sets, "
-            f"catalog says {entry['n_sets']}"
+            f"{path}: RR set {int(set_ids[np.argmax(claims > 1)])} of {kw!r} "
+            "claimed twice"
         )
-    ip = {
-        vertex: int(ids[0])
-        for vertex, ids in InvertedListsRecord.decode(reader.read(f"ip/{kw}"))
-    }
-    if ip != first_occurrence:
+    if len(claimed) != n_sets:
+        raise CorruptIndexError(
+            f"{path}: keyword {kw!r} partitions hold {len(claimed)} sets, "
+            f"catalog says {n_sets}"
+        )
+    # IP_w is each vertex's first occurrence: one id per vertex, equal to
+    # the head of the vertex's (single) inverted list.
+    expected_keys, index = np.unique(np.concatenate(vertices), return_index=True)
+    expected_firsts = np.concatenate(firsts)[index]
+    ip_keys, ip_ptr, ip_flat = InvertedListsRecord.decode_csr(ip_record)
+    order = np.argsort(ip_keys, kind="stable")
+    if not (
+        np.array_equal(ip_ptr, np.arange(len(ip_keys) + 1))
+        and np.array_equal(ip_keys[order], expected_keys)
+        and np.array_equal(ip_flat[order], expected_firsts)
+    ):
         raise CorruptIndexError(
             f"{path}: keyword {kw!r} IP map disagrees with partitions"
         )
-    return total
+    return n_sets

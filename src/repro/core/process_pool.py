@@ -50,14 +50,14 @@ immutable file, and dispatch shares the same pluggable
 from __future__ import annotations
 
 import itertools
-import json
 import multiprocessing
 import os
 import pickle
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from repro.core.catalog import RR_FORMAT, read_catalog
 from repro.core.dispatch import Dispatcher
 from repro.core.results import SeedSelection
 from repro.core.server import KBTIMServer, _dispatch, _ShardedPool
@@ -67,7 +67,7 @@ from repro.core.shm_cache import (
     unlink_segment,
 )
 from repro.core.transport import ResponseReader, ResponseWriter, transport_available
-from repro.errors import CorruptIndexError, DeadlineExceededError, ServerError
+from repro.errors import DeadlineExceededError, ServerError
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segments import SegmentReader
 from repro.utils.validation import check_positive_int
@@ -507,7 +507,8 @@ class ProcessServerPool(_ShardedPool):
         # and warm routing.  Loaded once and the reader closed *before*
         # spawning, so no open file descriptor leaks into fork children
         # and a corrupt file fails fast in the parent.
-        self._topic_names = self._load_topic_names(self.path, page_size)
+        with SegmentReader(self.path, page_size=page_size) as reader:
+            self._topic_names = read_catalog(reader, RR_FORMAT).topic_names
         self._config = {
             "page_size": page_size,
             "cache_keywords": cache_keywords,
@@ -601,23 +602,6 @@ class ProcessServerPool(_ShardedPool):
         # with that lock already held.
         self._shards[shard].restarts += 1
         self._supervision.record_restart()
-
-    @staticmethod
-    def _load_topic_names(path: str, page_size: int) -> Dict[int, str]:
-        """Read the catalog's topic-id -> name map (parent-side dispatch)."""
-        reader = SegmentReader(path, page_size=page_size)
-        try:
-            meta = json.loads(reader.read("meta").decode("utf-8"))
-        finally:
-            reader.close()
-        if meta.get("format") != "rr-index":
-            raise CorruptIndexError(
-                f"{path}: not an RR index (format={meta.get('format')!r})"
-            )
-        return {
-            int(entry["topic_id"]): name
-            for name, entry in meta["keywords"].items()
-        }
 
     @property
     def pids(self) -> List[int]:

@@ -21,52 +21,53 @@ time: everything the planner needs lives in the catalog.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.catalog import (
+    RR_FORMAT,
+    Catalog,
+    IndexReader,
+    KeywordMeta,
+    build_keyword_meta,
+    encode_catalog,
+    keyword_entries,
+    plan_theta_q,
+)
 from repro.core.coverage import greedy_max_coverage, merge_coverage_csr
 from repro.core.offline import KeywordTable, sample_keyword_tables
-from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
+from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.shm_cache import SharedBlockCache
 from repro.core.theta import ThetaPolicy
-from repro.errors import CorruptIndexError, IndexError_, QueryError
+from repro.errors import IndexError_
 from repro.profiles.store import ProfileStore
 from repro.propagation.base import PropagationModel
 from repro.storage.compression import Codec
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
-from repro.storage.segments import SegmentReader, SegmentWriter
+from repro.storage.segments import SegmentWriter
 from repro.utils.rng import RngLike
 from repro.utils.rrsets import FlatRRSets
 
-__all__ = ["KeywordMeta", "BuildReport", "RRIndexBuilder", "BlockCache", "RRIndex"]
-
-_FORMAT = "rr-index"
-_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class KeywordMeta:
-    """Catalog entry for one indexed keyword."""
-
-    name: str
-    topic_id: int
-    theta: int
-    tf_sum: float
-    idf: float
-    phi_w: float
-    n_sets: int
+# KeywordMeta, build_keyword_meta and plan_theta_q live in core/catalog.py;
+# they stay importable from here (the benchmark and the tests do).
+__all__ = [
+    "KeywordMeta",
+    "build_keyword_meta",
+    "plan_theta_q",
+    "BuildReport",
+    "RRIndexBuilder",
+    "BlockCache",
+    "RRIndex",
+]
 
 
 @dataclass(frozen=True)
@@ -79,49 +80,6 @@ class BuildReport:
     theta_total: int
     mean_rr_set_size: float
     keywords: Tuple[str, ...]
-
-
-def build_keyword_meta(tables: Dict[str, KeywordTable]) -> Dict[str, KeywordMeta]:
-    """Catalog entries from sample tables (shared with the IRR builder)."""
-    return {
-        name: KeywordMeta(
-            name=table.name,
-            topic_id=table.topic_id,
-            theta=table.theta,
-            tf_sum=table.tf_sum,
-            idf=table.idf,
-            phi_w=table.phi_w,
-            n_sets=len(table.rr_sets),
-        )
-        for name, table in tables.items()
-    }
-
-
-def plan_theta_q(
-    keywords: Sequence[str], catalog: Dict[str, KeywordMeta]
-) -> Tuple[float, Dict[str, int], float]:
-    """Eqn. 11 planning shared by Algorithm 2 and Algorithm 4.
-
-    Returns ``(theta_q, per_keyword_counts, phi_q)`` where
-    ``per_keyword_counts[w] = θ^Q_w`` is the number of RR sets to activate
-    for keyword ``w`` (``θ^Q · p_w``, clamped into ``[1, θ_w]``).
-    """
-    metas = []
-    for kw in keywords:
-        meta = catalog.get(kw)
-        if meta is None:
-            raise IndexError_(f"keyword {kw!r} is not in the index")
-        metas.append(meta)
-    phi_q = sum(m.phi_w for m in metas)
-    if phi_q <= 0:
-        raise QueryError("query keywords carry no relevance mass")
-    theta_q = min(m.theta / (m.phi_w / phi_q) for m in metas)
-    counts: Dict[str, int] = {}
-    for m in metas:
-        p_w = m.phi_w / phi_q
-        count = int(math.floor(theta_q * p_w + 1e-9))
-        counts[m.name] = max(1, min(m.n_sets, count))
-    return theta_q, counts, phi_q
 
 
 def select_seeds(
@@ -255,32 +213,18 @@ def write_rr_index(
     """Serialise sample tables in the RR layout (Figure 2)."""
     if started is None:
         started = time.perf_counter()
-    writer = SegmentWriter(path)
-    total_sets = 0
-    total_size = 0
-    with writer:
-        meta = {
-            "format": _FORMAT,
-            "version": _FORMAT_VERSION,
-            "n_vertices": n_vertices,
-            "epsilon": policy.epsilon,
-            "K": policy.K,
-            "codec": codec.value,
-            "keywords": {},
-        }
-        for name in sorted(tables):
-            table = tables[name]
-            meta["keywords"][name] = {
-                "topic_id": table.topic_id,
-                "theta": table.theta,
-                "tf_sum": table.tf_sum,
-                "idf": table.idf,
-                "phi_w": table.phi_w,
-                "n_sets": len(table.rr_sets),
-            }
-            total_sets += len(table.rr_sets)
-            total_size += sum(len(rr) for rr in table.rr_sets)
-        writer.add("meta", json.dumps(meta).encode("utf-8"))
+    with SegmentWriter(path) as writer:
+        writer.add(
+            "meta",
+            encode_catalog(
+                RR_FORMAT,
+                n_vertices=n_vertices,
+                epsilon=policy.epsilon,
+                K=policy.K,
+                codec=codec,
+                keywords=keyword_entries(tables),
+            ),
+        )
         for name in sorted(tables):
             table = tables[name]
             writer.add(f"rr/{name}", RRSetsRecord.encode(table.rr_sets, codec))
@@ -288,7 +232,15 @@ def write_rr_index(
                 f"inv/{name}",
                 InvertedListsRecord.encode(_invert(table.rr_sets), codec),
             )
+    return build_report(path, tables, started)
 
+
+def build_report(
+    path: str, tables: Dict[str, KeywordTable], started: float
+) -> BuildReport:
+    """The :class:`BuildReport` of a finished index file (either layout)."""
+    total_sets = sum(len(table.rr_sets) for table in tables.values())
+    total_size = sum(len(rr) for table in tables.values() for rr in table.rr_sets)
     return BuildReport(
         path=path,
         seconds=time.perf_counter() - started,
@@ -299,38 +251,43 @@ def write_rr_index(
     )
 
 
-def _invert(rr_sets: Sequence[np.ndarray]) -> List[Tuple[int, np.ndarray]]:
-    """Vertex → ascending RR-set ids (the ``L_w`` of Figure 2).
+def invert_csr(
+    lengths: np.ndarray, flat: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert back-to-back RR sets into vertex-major CSR.
 
-    One stable argsort over the flattened sets instead of a per-vertex
-    dict build; stability keeps each vertex's set ids ascending.  When
-    the sets arrive as :class:`~repro.utils.rrsets.FlatRRSets` (the
+    ``flat`` holds the sets' vertices back to back, ``lengths[i]`` of
+    them for set ``i``.  Returns ``(keys, ptr, set_ids)``: the ascending
+    distinct vertices and, for ``keys[i]``, its ascending set ids
+    ``set_ids[ptr[i]:ptr[i+1]]``.  One stable argsort instead of a
+    per-vertex dict build; stability keeps each vertex's ids ascending.
+    """
+    set_ids = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    order = np.argsort(flat, kind="stable")
+    sorted_vertices = flat[order]
+    # Vertex ids are non-negative, so position 0 always starts a run.
+    starts = np.flatnonzero(np.diff(sorted_vertices, prepend=-1))
+    return sorted_vertices[starts], np.append(starts, len(flat)), set_ids[order]
+
+
+def _invert(rr_sets: Sequence[np.ndarray]) -> List[Tuple[int, np.ndarray]]:
+    """Vertex → ascending RR-set ids (the ``L_w`` of Figure 2), in the
+    ``(key, ids)`` form the record encoder takes.
+
+    When the sets arrive as :class:`~repro.utils.rrsets.FlatRRSets` (the
     batched samplers' native form), the flat payload is used as-is.
     """
-    if not len(rr_sets):
-        return []
     if isinstance(rr_sets, FlatRRSets):
-        lengths = rr_sets.sizes()
-        flat = rr_sets.vertices
-        if not len(flat):
-            return []
-    else:
+        lengths, flat = rr_sets.sizes(), rr_sets.vertices
+    elif len(rr_sets):
         lengths = np.fromiter(
             (len(rr) for rr in rr_sets), dtype=np.int64, count=len(rr_sets)
         )
-        if not lengths.sum():
-            return []
         flat = np.concatenate([np.asarray(rr, dtype=np.int64) for rr in rr_sets])
-    set_ids = np.repeat(np.arange(len(rr_sets), dtype=np.int64), lengths)
-    order = np.argsort(flat, kind="stable")
-    sorted_vertices = flat[order]
-    sorted_ids = set_ids[order]
-    bounds = np.flatnonzero(np.diff(sorted_vertices)) + 1
-    starts = np.concatenate(([0], bounds))
-    return [
-        (int(sorted_vertices[start]), ids)
-        for start, ids in zip(starts, np.split(sorted_ids, bounds))
-    ]
+    else:
+        return []
+    keys, ptr, set_ids = invert_csr(lengths, flat)
+    return list(zip(keys.tolist(), np.split(set_ids, ptr[1:-1])))
 
 
 class KeywordCoverageCSR:
@@ -339,9 +296,8 @@ class KeywordCoverageCSR:
     ``set_ptr``/``set_vertices`` hold the RR sets back to back;
     ``inv_vertices``/``inv_sets`` hold the inverted lists as aligned
     ``(vertex, set id)`` pairs in vertex-major order.  Built once per
-    decode (the only remaining per-list Python is three comprehensions
-    over the decoded tuples); clipping to a query's active prefix is then
-    pure array slicing/masking.
+    decode; clipping to a query's active prefix is then pure array
+    slicing/masking.
     """
 
     __slots__ = ("set_ptr", "set_vertices", "inv_vertices", "inv_sets")
@@ -357,47 +313,6 @@ class KeywordCoverageCSR:
         self.set_vertices = set_vertices
         self.inv_vertices = inv_vertices
         self.inv_sets = inv_sets
-
-    @classmethod
-    def from_decoded(
-        cls,
-        rr_sets: Sequence[np.ndarray],
-        inverted_lists: Sequence[Tuple[int, np.ndarray]],
-    ) -> "KeywordCoverageCSR":
-        set_ptr = np.zeros(len(rr_sets) + 1, dtype=np.int64)
-        if rr_sets:
-            np.cumsum(
-                np.fromiter(
-                    (len(rr) for rr in rr_sets),
-                    dtype=np.int64,
-                    count=len(rr_sets),
-                ),
-                out=set_ptr[1:],
-            )
-        set_vertices = (
-            np.concatenate(rr_sets) if set_ptr[-1] else np.empty(0, np.int64)
-        )
-        if inverted_lists:
-            keys = np.fromiter(
-                (v for v, _ in inverted_lists),
-                dtype=np.int64,
-                count=len(inverted_lists),
-            )
-            lengths = np.fromiter(
-                (len(ids) for _, ids in inverted_lists),
-                dtype=np.int64,
-                count=len(inverted_lists),
-            )
-            inv_vertices = np.repeat(keys, lengths)
-            inv_sets = (
-                np.concatenate([ids for _, ids in inverted_lists])
-                if lengths.sum()
-                else np.empty(0, np.int64)
-            )
-        else:
-            inv_vertices = np.empty(0, dtype=np.int64)
-            inv_sets = np.empty(0, dtype=np.int64)
-        return cls(set_ptr, set_vertices, inv_vertices, inv_sets)
 
     @classmethod
     def from_csr_arrays(
@@ -614,7 +529,7 @@ class BlockCache:
 _PREFIX_CACHE_KEYWORDS = 32
 
 
-class RRIndex:
+class RRIndex(IndexReader):
     """Query-time reader for the RR index (Algorithm 2).
 
     Opening the index loads the catalog (meta JSON and per-keyword record
@@ -633,6 +548,8 @@ class RRIndex:
     per-query I/O accounting reflects that.
     """
 
+    FORMAT = RR_FORMAT
+
     def __init__(
         self,
         path: str,
@@ -643,84 +560,26 @@ class RRIndex:
         prefix_cache_keywords: int = _PREFIX_CACHE_KEYWORDS,
         shared_cache: Optional[SharedBlockCache] = None,
     ) -> None:
-        self.stats = stats if stats is not None else IOStats()
         self.cache = BlockCache(prefix_cache_keywords, shared=shared_cache)
-        self._reader = SegmentReader(
-            path, stats=self.stats, pool=pool, page_size=page_size
-        )
-        meta = json.loads(self._reader.read("meta").decode("utf-8"))
-        if meta.get("format") != _FORMAT:
-            raise CorruptIndexError(
-                f"{path}: not an RR index (format={meta.get('format')!r})"
-            )
-        self.n_vertices = int(meta["n_vertices"])
-        self.epsilon = float(meta["epsilon"])
-        self.K = int(meta["K"])
-        self.codec = Codec(int(meta["codec"]))
-        self.catalog: Dict[str, KeywordMeta] = {
-            name: KeywordMeta(
-                name=name,
-                topic_id=int(entry["topic_id"]),
-                theta=int(entry["theta"]),
-                tf_sum=float(entry["tf_sum"]),
-                idf=float(entry["idf"]),
-                phi_w=float(entry["phi_w"]),
-                n_sets=int(entry["n_sets"]),
-            )
-            for name, entry in meta["keywords"].items()
-        }
-        # topic id -> name, precomputed so _resolve is a dict hit instead
-        # of a per-keyword linear scan of the catalog.
-        self._topic_names: Dict[int, str] = {
-            meta_entry.topic_id: name for name, meta_entry in self.catalog.items()
-        }
-        # Record headers + group offset tables, loaded once at open.
-        self._headers: Dict[str, Tuple[int, int, int, int, np.ndarray]] = {}
+        # Record headers + group offset tables, loaded once at open:
+        # keyword -> (group_size, payload_len, payload_start, offsets).
+        self._headers: Dict[str, Tuple[int, int, int, np.ndarray]] = {}
+        super().__init__(path, stats=stats, pool=pool, page_size=page_size)
+
+    def _load(self, parsed: Catalog) -> None:
         for name in self.catalog:
             segment = f"rr/{name}"
             prefix = self._reader.read_range(segment, 0, RRSetsRecord.HEADER_SIZE)
-            n_sets, group_size, payload_len, payload_start = RRSetsRecord.read_header(
+            _n_sets, group_size, payload_len, payload_start = RRSetsRecord.read_header(
                 prefix
             )
             table_start, table_len = RRSetsRecord.offset_table_range(prefix)
             offsets = RRSetsRecord.decode_offsets(
                 self._reader.read_range(segment, table_start, table_len)
             )
-            self._headers[name] = (
-                n_sets,
-                group_size,
-                payload_len,
-                payload_start,
-                offsets,
-            )
+            self._headers[name] = (group_size, payload_len, payload_start, offsets)
 
     # ------------------------------------------------------------------
-    def keywords(self) -> List[str]:
-        """Indexed keyword names (sorted)."""
-        return sorted(self.catalog)
-
-    def load_rr_prefix(self, keyword: str, count: int) -> List[np.ndarray]:
-        """Load the first ``count`` RR sets of ``keyword`` (bounded read)."""
-        meta = self.catalog.get(keyword)
-        if meta is None:
-            raise IndexError_(f"keyword {keyword!r} is not in the index")
-        if count > meta.n_sets:
-            raise IndexError_(
-                f"requested {count} RR sets but {keyword!r} stores {meta.n_sets}"
-            )
-        n_sets, group_size, payload_len, payload_start, offsets = self._headers[
-            keyword
-        ]
-        end = RRSetsRecord.prefix_payload_end(offsets, payload_len, group_size, count)
-        payload = self._reader.read_range(f"rr/{keyword}", payload_start, end)
-        return RRSetsRecord.decode_prefix(payload, count)
-
-    def load_inverted_lists(self, keyword: str) -> List[Tuple[int, np.ndarray]]:
-        """Load the full ``L_w`` region of one keyword (one read)."""
-        if keyword not in self.catalog:
-            raise IndexError_(f"keyword {keyword!r} is not in the index")
-        return InvertedListsRecord.decode(self._reader.read(f"inv/{keyword}"))
-
     @property
     def prefix_cache_keywords(self) -> int:
         """Capacity of :attr:`cache`, in keywords."""
@@ -729,8 +588,7 @@ class RRIndex:
     def load_keyword_csr(self, keyword: str, count: int) -> KeywordCoverageCSR:
         """Load one keyword's query block as flat CSR (two bounded reads).
 
-        The same ``θ^Q·p_w`` RR-prefix read and full ``L_w`` read as
-        :meth:`load_rr_prefix` + :meth:`load_inverted_lists`, but decoded
+        The ``θ^Q·p_w`` RR-prefix read and the full ``L_w`` read, decoded
         through the batch decoder straight into
         :class:`KeywordCoverageCSR` — no per-list Python arrays — and
         served through :attr:`cache`: a resident decode covering
@@ -780,9 +638,7 @@ class RRIndex:
         count-independent inverted pairs being reused.  ``keyword`` and
         ``count`` must already be validated against the catalog.
         """
-        _n_sets, group_size, payload_len, payload_start, offsets = self._headers[
-            keyword
-        ]
+        group_size, payload_len, payload_start, offsets = self._headers[keyword]
         end = RRSetsRecord.prefix_payload_end(offsets, payload_len, group_size, count)
         payload = self._reader.read_range_view(f"rr/{keyword}", payload_start, end)
         set_ptr, set_vertices = RRSetsRecord.decode_prefix_csr(payload, count)
@@ -798,30 +654,6 @@ class RRIndex:
         )
 
     # ------------------------------------------------------------------
-    def plan(self, query: KBTIMQuery) -> Tuple[List[str], Dict[str, int], float]:
-        """Validate one query and plan its prefixes (Eqn. 11).
-
-        Returns ``(keywords, counts, phi_q)``: the resolved keyword
-        names, ``θ^Q_w`` per keyword and ``φ_Q``.
-
-        Raises
-        ------
-        QueryError
-            If ``query.k`` exceeds the index's system parameter ``K``,
-            or two keyword refs resolve to the same indexed keyword.
-        IndexError_
-            If a keyword is not in the index.
-        """
-        if query.k > self.K:
-            raise QueryError(
-                f"Q.k ({query.k}) exceeds the index's system parameter K ({self.K})"
-            )
-        keywords = resolve_unique(
-            query.keywords, partial(resolve_keyword, self._topic_names)
-        )
-        _theta_q, counts, phi_q = plan_theta_q(keywords, self.catalog)
-        return keywords, counts, phi_q
-
     def query(self, query: KBTIMQuery) -> SeedSelection:
         """Algorithm 2: plan θ^Q, load prefixes, greedy maximum coverage."""
         started = time.perf_counter()
@@ -837,14 +669,3 @@ class RRIndex:
             started=started,
             io=lambda: self.stats.delta(before),
         )
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the underlying file."""
-        self._reader.close()
-
-    def __enter__(self) -> "RRIndex":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

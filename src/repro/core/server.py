@@ -662,7 +662,7 @@ class KBTIMServer:
         misses, so pre-warming does not skew ``stats.hit_ratio``.
         """
         for kw in keywords:
-            name = resolve_keyword(self.index._topic_names, kw)
+            name = resolve_keyword(self.index.topic_names, kw)
             _block, hit = self._fetch(name)
             if not hit:
                 self.stats.record_warm_load()
@@ -1237,4 +1237,4 @@ class ServerPool(_ShardedPool):
             raise
         self.workers: Tuple[KBTIMServer, ...] = tuple(workers)
         self._workers = [_ThreadShard(worker) for worker in workers]
-        self._topic_names = workers[0].index._topic_names
+        self._topic_names = workers[0].index.topic_names

@@ -1,15 +1,14 @@
 """Fixed-width bit packing over numpy arrays.
 
 The PFoR-style codec in :mod:`repro.storage.compression` packs each block's
-values into ``b`` bits each.  This module implements that primitive: pack a
-``uint64`` array into a little-endian bitstream of ``width`` bits per value
-and unpack it back, both vectorised through numpy's ``packbits`` support.
-
-:func:`unpack_width_group` is the batched form the record decoders drive:
-many same-width blocks, concatenated byte-aligned, unpacked with a single
-``unpackbits`` + gather + matmul.  The per-block :func:`unpack_fixed_width`
-remains the scalar-path fallback (and the reference the batch is tested
-against).
+values into ``b`` bits each.  This module implements that primitive:
+:func:`pack_fixed_width` packs one ``uint64`` array into a little-endian
+bitstream of ``width`` bits per value, and :func:`unpack_width_group` is
+its inverse in the batched form the record decoder drives — many
+same-width blocks, concatenated byte-aligned, unpacked with a single
+``unpackbits`` + gather + matmul.  It trusts its byte ranges: the block
+header walk (:meth:`~repro.storage.compression.BatchIdDecoder.read_list`)
+rejects a truncated payload before a block is ever queued for unpacking.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.utils.segments import segmented_arange
 
 __all__ = [
     "pack_fixed_width",
-    "unpack_fixed_width",
     "unpack_width_group",
     "bits_needed",
 ]
@@ -59,29 +57,6 @@ def pack_fixed_width(values: np.ndarray, width: int) -> bytes:
     ) & np.uint64(1)
     bits = bit_matrix.reshape(-1).astype(np.uint8)
     return np.packbits(bits, bitorder="little").tobytes()
-
-
-def unpack_fixed_width(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_fixed_width`; returns ``uint64`` array."""
-    if not 1 <= width <= _MAX_WIDTH:
-        raise StorageError(f"width must be in [1, {_MAX_WIDTH}], got {width}")
-    if count < 0:
-        raise StorageError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    needed_bits = width * count
-    needed_bytes = (needed_bits + 7) // 8
-    if len(data) < needed_bytes:
-        raise StorageError(
-            f"bit-packed payload truncated: need {needed_bytes} bytes, "
-            f"have {len(data)}"
-        )
-    bits = np.unpackbits(
-        np.frombuffer(data[:needed_bytes], dtype=np.uint8), bitorder="little"
-    )[:needed_bits]
-    bit_matrix = bits.reshape(count, width).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
-    return bit_matrix @ weights
 
 
 def unpack_width_group(

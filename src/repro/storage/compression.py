@@ -25,12 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.bitpack import (
-    bits_needed,
-    pack_fixed_width,
-    unpack_fixed_width,
-    unpack_width_group,
-)
+from repro.storage.bitpack import bits_needed, pack_fixed_width, unpack_width_group
 from repro.utils.segments import segmented_arange
 from repro.storage.varint import (
     decode_varint,
@@ -42,7 +37,6 @@ from repro.storage.varint import (
 __all__ = [
     "Codec",
     "compress_ids",
-    "decompress_ids",
     "decompress_ids_batch",
     "BatchIdDecoder",
 ]
@@ -97,35 +91,7 @@ def compress_ids(ids: np.ndarray, codec: Codec = Codec.PFOR) -> bytes:
         gaps[1:] = np.diff(arr).astype(np.uint64)
     if codec is Codec.VARINT:
         return header + encode_varints(gaps.tolist())
-    if codec is Codec.PFOR:
-        return header + _pfor_encode(gaps)
-    raise StorageError(f"unknown codec {codec!r}")  # pragma: no cover
-
-
-def decompress_ids(data: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
-    """Decode one id list at ``offset``; returns ``(ids, next_offset)``."""
-    if offset >= len(data):
-        raise StorageError("truncated id list: missing codec tag")
-    try:
-        codec = Codec(data[offset])
-    except ValueError:
-        raise StorageError(f"unknown codec tag {data[offset]}") from None
-    count, pos = decode_varint(data, offset + 1)
-    if count == 0:
-        return np.empty(0, dtype=np.int64), pos
-    if codec is Codec.RAW:
-        nbytes = count * 8
-        if pos + nbytes > len(data):
-            raise StorageError("truncated RAW id list")
-        arr = np.frombuffer(data[pos : pos + nbytes], dtype="<u8").astype(np.int64)
-        return arr, pos + nbytes
-    if codec is Codec.VARINT:
-        gaps, pos = decode_varints_block(data, count, pos)
-        _check_id_gaps(gaps)
-        return np.cumsum(gaps.astype(np.int64)), pos
-    gaps, pos = _pfor_decode(data, count, pos)
-    _check_id_gaps(gaps)
-    return np.cumsum(gaps.astype(np.int64)), pos
+    return header + _pfor_encode(gaps)
 
 
 def _check_id_gaps(gaps: np.ndarray) -> None:
@@ -170,48 +136,12 @@ def _pfor_encode(gaps: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def _pfor_decode(data: bytes, count: int, offset: int) -> Tuple[np.ndarray, int]:
-    gaps = np.empty(count, dtype=np.uint64)
-    filled = 0
-    pos = offset
-    while filled < count:
-        block_len = min(_PFOR_BLOCK, count - filled)
-        if pos >= len(data):
-            raise StorageError("truncated PFoR block header")
-        width = data[pos]
-        pos += 1
-        if not 1 <= width <= 64:
-            raise StorageError(f"bad PFoR width {width}")
-        n_exceptions, pos = decode_varint(data, pos)
-        if n_exceptions:
-            # (position, excess) pairs are back-to-back varints: one
-            # block decode, then de-interleave.  Range-check on the
-            # unsigned values — an int64 cast first would wrap corrupt
-            # positions >= 2^63 negative, past the guard.
-            pairs, pos = decode_varints_block(data, 2 * n_exceptions, pos)
-            if np.any(pairs[0::2] >= np.uint64(block_len)):
-                raise StorageError("PFoR exception position out of range")
-            positions_ = pairs[0::2].astype(np.int64)
-        payload_bytes = (width * block_len + 7) // 8
-        if pos + payload_bytes > len(data):
-            raise StorageError("truncated PFoR payload")
-        block = unpack_fixed_width(data[pos : pos + payload_bytes], width, block_len)
-        pos += payload_bytes
-        if n_exceptions:
-            # bitwise_or.at, not fancy |=: duplicate positions (corrupt
-            # but decodable) must OR-accumulate like the sequential walk.
-            np.bitwise_or.at(block, positions_, pairs[1::2] << np.uint64(width))
-        gaps[filled : filled + block_len] = block
-        filled += block_len
-    return gaps, pos
-
-
 class BatchIdDecoder:
-    """Amortised decoder for many concatenated id lists.
+    """The decoder of the id-list format: many concatenated lists at once.
 
-    ``decompress_ids`` pays ~20µs of fixed numpy/python overhead per list
-    — ruinous when an index query decodes thousands of *tiny* lists.  The
-    batch decoder splits the work into
+    A numpy call costs ~20µs of fixed overhead — ruinous per list when an
+    index query decodes thousands of *tiny* lists.  The decoder therefore
+    splits the work into
 
     1. a light sequential pass (:meth:`read_list`) that only parses the
        self-describing headers and records where each PFoR block's packed
@@ -223,7 +153,10 @@ class BatchIdDecoder:
 
     The output is already the flat-CSR shape (``ptr``, ``ids``) the
     coverage engine consumes, so no per-list arrays are materialised at
-    all.  Decoded values are bit-identical to ``decompress_ids``.
+    all.  Every structural guard of the format (tag, truncation, width,
+    exception range, id domain) lives here and nowhere else; the
+    independent per-list reference the fuzz tests compare against is
+    ``tests/oracles.py``.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -274,12 +207,10 @@ class BatchIdDecoder:
             return pos + nbytes
         if tag == _VARINT_TAG:
             gaps, pos = decode_varints_block(data, count, pos)
-            _check_id_gaps(gaps)  # same corrupt-gap guard as decompress_ids
+            _check_id_gaps(gaps)
             self._eager.append((self._dest, gaps))
             self._dest += count
             return pos
-        if tag != _PFOR_TAG:
-            raise StorageError(f"unknown codec tag {tag}")
         filled = 0
         while filled < count:
             block_len = min(_PFOR_BLOCK, count - filled)
@@ -352,8 +283,7 @@ class BatchIdDecoder:
         for dest, excess, width in self._exceptions:
             gaps[dest] |= np.uint64(excess) << np.uint64(width)
         if self._exceptions:
-            # Same corrupt-gap guard as decompress_ids' PFoR branch: an
-            # excess-patched value can escape the signed id domain.  (The
+            # An excess-patched value can escape the signed id domain.  (The
             # width-group unpack checks its own width-64 blocks; RAW
             # first-differences intentionally stay unchecked — their
             # wraparound is what reproduces absolute ids exactly.)

@@ -189,13 +189,13 @@ class PagedFile:
             self._fh.seek(page_no * self.page_size)
             return self._fh.read(self.page_size)
 
-    def _check_range(self, offset: int, length: int, verb: str) -> None:
+    def _check_range(self, offset: int, length: int) -> None:
         """Validate a byte range against the file size."""
         if offset < 0 or length < 0:
             raise StorageError("offset and length must be non-negative")
         if offset + length > self.size:
             raise StorageError(
-                f"{verb} past end of file: offset={offset} length={length} "
+                f"read past end of file: offset={offset} length={length} "
                 f"size={self.size}"
             )
 
@@ -270,14 +270,7 @@ class PagedFile:
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` as one logical I/O."""
-        self._check_range(offset, length, "read")
-        if length == 0:
-            self.stats.record_read(pages_read=0, pages_hit=0, nbytes=0)
-            return b""
-        if self._map is not None:
-            self._touch_mapped_pages(offset, length)
-            return self._map[offset : offset + length]
-        return bytes(self._assemble(offset, length))
+        return bytes(self.read_view(offset, length))
 
     def read_view(self, offset: int, length: int) -> memoryview:
         """Read ``length`` bytes at ``offset`` as a zero-copy ``memoryview``.
@@ -295,7 +288,7 @@ class PagedFile:
         from them; :meth:`close` tolerates (and defers unmapping for)
         still-referenced views.
         """
-        self._check_range(offset, length, "read_view")
+        self._check_range(offset, length)
         if length == 0:
             self.stats.record_read(pages_read=0, pages_hit=0, nbytes=0)
             return memoryview(b"")

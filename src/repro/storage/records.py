@@ -26,7 +26,7 @@ from repro.storage.compression import (
     BatchIdDecoder,
     Codec,
     compress_ids,
-    decompress_ids,
+    decompress_ids_batch,
 )
 from repro.storage.varint import decode_varint, encode_varint
 
@@ -126,16 +126,6 @@ class RRSetsRecord:
     # decoding
     # ------------------------------------------------------------------
     @staticmethod
-    def decode_prefix(payload: bytes, count: int) -> List[np.ndarray]:
-        """Decode the first ``count`` sets from payload bytes."""
-        sets: List[np.ndarray] = []
-        pos = 0
-        for _ in range(count):
-            ids, pos = decompress_ids(payload, pos)
-            sets.append(ids)
-        return sets
-
-    @staticmethod
     def decode_prefix_csr(
         payload: bytes, count: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,22 +137,8 @@ class RRSetsRecord:
         streams, PFoR exception pairs) ride the vectorised block varint
         decoder; only the per-list tag/count parse stays scalar.
         """
-        decoder = BatchIdDecoder(payload)
-        pos = 0
-        for _ in range(count):
-            pos = decoder.read_list(pos)
-        return decoder.finish()
-
-    @staticmethod
-    def decode_all(record: bytes) -> List[np.ndarray]:
-        """Decode a complete record produced by :meth:`encode`."""
-        n_sets, _group_size, payload_len, payload_start = RRSetsRecord.read_header(
-            record
-        )
-        payload = record[payload_start : payload_start + payload_len]
-        if len(payload) != payload_len:
-            raise StorageError("RRSetsRecord payload truncated")
-        return RRSetsRecord.decode_prefix(payload, n_sets)
+        set_ptr, set_vertices, _end = decompress_ids_batch(payload, count)
+        return set_ptr, set_vertices
 
 
 class InvertedListsRecord:
@@ -188,25 +164,6 @@ class InvertedListsRecord:
         payload = b"".join(chunks)
         header = _INV_HEADER.pack(len(lists), len(payload))
         return header + payload
-
-    @staticmethod
-    def decode(record: bytes) -> List[Tuple[int, np.ndarray]]:
-        """Decode a complete record produced by :meth:`encode`."""
-        if len(record) < _INV_HEADER.size:
-            raise StorageError("InvertedListsRecord header truncated")
-        n_lists, payload_len = _INV_HEADER.unpack_from(record, 0)
-        payload = record[_INV_HEADER.size : _INV_HEADER.size + payload_len]
-        if len(payload) != payload_len:
-            raise StorageError("InvertedListsRecord payload truncated")
-        lists: List[Tuple[int, np.ndarray]] = []
-        pos = 0
-        for _ in range(n_lists):
-            key, pos = decode_varint(payload, pos)
-            ids, pos = decompress_ids(payload, pos)
-            lists.append((key, ids))
-        if pos != payload_len:
-            raise StorageError("InvertedListsRecord has trailing bytes")
-        return lists
 
     @staticmethod
     def decode_csr(record: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

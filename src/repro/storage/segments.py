@@ -141,10 +141,18 @@ class SegmentReader:
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
         self._file = PagedFile(path, stats=self.stats, pool=pool, page_size=page_size)
-        self._segments = self._load_toc()
-        if verify:
-            for name in self._segments:
-                self.read(name)
+        self.path = self._file.path
+        try:
+            self._segments = self._load_toc()
+            if verify:
+                for name in self._segments:
+                    self.read(name)
+        except BaseException:
+            # A reader that failed to open owns nothing: the traceback
+            # keeps ``self`` alive, so the file and map must not wait
+            # for it to be collected.
+            self._file.close()
+            raise
 
     # ------------------------------------------------------------------
     def _load_toc(self) -> Dict[str, SegmentInfo]:
@@ -203,21 +211,14 @@ class SegmentReader:
 
     def read(self, name: str) -> bytes:
         """Read a full segment (one logical I/O) and verify its CRC."""
-        info = self.info(name)
-        payload = self._file.read(info.offset, info.length)
-        if zlib.crc32(payload) != info.crc32:
-            raise CorruptIndexError(
-                f"{self._file.path}: segment {name!r} checksum mismatch"
-            )
-        return payload
+        return bytes(self.read_view(name))
 
     def read_view(self, name: str) -> memoryview:
         """Read a full segment as a zero-copy ``memoryview``, CRC-checked.
 
         On an ``mmap``-backed file the view aliases the map — decoders
         consume it without any intermediate ``bytes`` materialisation.
-        Accounting is identical to :meth:`read` (one logical I/O, same
-        page counts).  See
+        One logical I/O, like :meth:`read`.  See
         :meth:`repro.storage.pager.PagedFile.read_view` for lifetime
         rules.
         """
@@ -236,13 +237,7 @@ class SegmentReader:
         covers the whole segment); the record formats carry their own
         structural validation.
         """
-        info = self.info(name)
-        if start < 0 or length < 0 or start + length > info.length:
-            raise StorageError(
-                f"range [{start}, {start + length}) outside segment "
-                f"{name!r} of length {info.length}"
-            )
-        return self._file.read(info.offset + start, length)
+        return bytes(self.read_range_view(name, start, length))
 
     def read_range_view(self, name: str, start: int, length: int) -> memoryview:
         """Zero-copy variant of :meth:`read_range`.

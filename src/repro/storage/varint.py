@@ -7,8 +7,9 @@ stores ids and gaps, never signed values) and must fit in 64 bits.
 Two decoders cover the two access patterns:
 
 * :func:`decode_varint` / :func:`decode_varints` — the scalar byte-at-a-
-  time walk, used for isolated header fields and kept as the bit-exact
-  reference the block decoder is fuzzed against;
+  time walk: record and list header fields, short runs (the block
+  decoder delegates below its crossover), and the bit-exact reference
+  the block decoder is fuzzed against;
 * :func:`decode_varints_block` — one vectorised pass over ``count``
   back-to-back varints: continuation-bit boundaries come from one
   ``flatnonzero`` on the high bit, and values are reconstructed with a
@@ -146,11 +147,10 @@ def decode_varints_block(
         On a negative ``count``, a buffer that truncates mid-stream, or
         a varint exceeding 64 bits (a corrupt 10th byte).
     """
-    if count < 0:
-        raise StorageError(f"count must be >= 0, got {count}")
     if count == 0:
         return np.empty(0, dtype=np.uint64), offset
     if count < _BLOCK_MIN_COUNT:
+        # Also where a negative count is rejected.
         values, pos = decode_varints(data, count, offset)
         return np.asarray(values, dtype=np.uint64), pos
 

@@ -1,5 +1,7 @@
 """Tests for index maintenance utilities (repro.core.maintenance)."""
 
+import json
+
 import pytest
 
 from repro.core.irr_index import IRRIndexBuilder
@@ -8,6 +10,8 @@ from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.theta import ThetaPolicy
 from repro.errors import CorruptIndexError, IndexError_
+from repro.storage.records import InvertedListsRecord
+from repro.storage.segments import SegmentReader, SegmentWriter
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +120,113 @@ class TestVerifyIndex:
         open(broken, "wb").write(bytes(data))
         with pytest.raises(CorruptIndexError):
             verify_index(broken)
+
+
+# ----------------------------------------------------------------------
+# deep checks: CRC-valid files whose records disagree with each other
+# ----------------------------------------------------------------------
+def _lists(record):
+    keys, ptr, flat = InvertedListsRecord.decode_csr(record)
+    return [(int(k), flat[ptr[i] : ptr[i + 1]]) for i, k in enumerate(keys)]
+
+
+def _edit_lists(name, edit):
+    """A tampering that re-encodes segment ``name`` after ``edit(lists)``."""
+
+    def tamper(segments):
+        segments[name] = InvertedListsRecord.encode(edit(_lists(segments[name])))
+
+    return tamper
+
+
+def _shorten_longest(lists):
+    victim = max(range(len(lists)), key=lambda i: len(lists[i][1]))
+    lists[victim] = (lists[victim][0], lists[victim][1][:-1])
+    return lists
+
+
+def _bump_catalog_count(segments):
+    document = json.loads(segments["meta"])
+    document["keywords"]["music"]["n_sets"] += 1
+    segments["meta"] = json.dumps(document).encode()
+
+
+def _swap_first_two_partitions(segments):
+    segments["il/music/0"], segments["il/music/1"] = (
+        segments["il/music/1"],
+        segments["il/music/0"],
+    )
+
+
+def _claim_a_set_twice(segments):
+    stolen = _lists(segments["ir/music/0"])[:1]
+    segments["ir/music/1"] = InvertedListsRecord.encode(
+        _lists(segments["ir/music/1"]) + stolen
+    )
+
+
+#: case -> (index kind, in-place edit of {segment name: payload},
+#:          the inconsistency verify_index must name)
+TAMPERINGS = {
+    "rr list disagrees": (
+        "rr", _edit_lists("inv/music", _shorten_longest), "inverted list of vertex"
+    ),
+    "rr list missing": (
+        "rr", _edit_lists("inv/music", lambda lists: lists[1:]), "count mismatch"
+    ),
+    "rr catalog count": ("rr", _bump_catalog_count, "catalog says"),
+    "irr unsorted partition": (
+        "irr", _edit_lists("il/music/0", lambda lists: lists[::-1]), "length-sorted"
+    ),
+    "irr partitions swapped": (
+        "irr", _swap_first_two_partitions, "breaks the global length order"
+    ),
+    "irr set claimed twice": ("irr", _claim_a_set_twice, "claimed twice"),
+    "irr set unclaimed": (
+        "irr", _edit_lists("ir/music/0", lambda lists: lists[1:]), "partitions hold"
+    ),
+    "irr ip disagrees": (
+        "irr",
+        _edit_lists("ip/music", lambda lists: [(lists[0][0], lists[0][1] + 1)] + lists[1:]),
+        "IP map disagrees",
+    ),
+}
+
+
+def _tampered(source, out, tamper):
+    """Copy an index file after ``tamper`` edited ``{segment: payload}``."""
+    with SegmentReader(source) as reader:
+        segments = {name: reader.read(name) for name in reader.names()}
+    tamper(segments)
+    with SegmentWriter(out) as writer:
+        for name, payload in segments.items():
+            writer.add(name, payload)
+    return out
+
+
+class TestVerifyIndexDeepChecks:
+    """Every segment keeps a valid CRC, so only the deep check can object."""
+
+    @pytest.mark.parametrize("deep", [True, False])
+    @pytest.mark.parametrize("kind,dropped", [("rr", "inv/music"), ("irr", "il/music/1")])
+    def test_missing_segment_is_named(self, kind, dropped, deep, built, tmp_path):
+        out = _tampered(
+            built[0] if kind == "rr" else built[1],
+            str(tmp_path / f"short.{kind}"),
+            lambda segments: segments.pop(dropped),
+        )
+        with pytest.raises(CorruptIndexError, match=f"missing segment '{dropped}'"):
+            verify_index(out, deep=deep)
+
+    @pytest.mark.parametrize("case", sorted(TAMPERINGS))
+    def test_inconsistency_is_named(self, case, built, tmp_path):
+        kind, tamper, message = TAMPERINGS[case]
+        out = _tampered(
+            built[0] if kind == "rr" else built[1],
+            str(tmp_path / f"tampered.{kind}"),
+            tamper,
+        )
+        if case != "rr catalog count":  # a header check, shallow mode has it too
+            verify_index(out, deep=False)
+        with pytest.raises(CorruptIndexError, match=message):
+            verify_index(out)

@@ -102,54 +102,62 @@ class TestOpen:
 
 
 class TestLoads:
+    """``load_keyword_csr`` on a capacity-0 cache: every call reads."""
+
+    @staticmethod
+    def sets_of(block):
+        return [
+            block.set_vertices[block.set_ptr[i] : block.set_ptr[i + 1]]
+            for i in range(block.n_sets)
+        ]
+
     def test_prefix_load_counts(self, built_index):
         path, _report = built_index
-        with RRIndex(path) as index:
-            sets = index.load_rr_prefix("music", 10)
+        with RRIndex(path, prefix_cache_keywords=0) as index:
+            sets = self.sets_of(index.load_keyword_csr("music", 10))
             assert len(sets) == 10
             for rr in sets:
                 assert np.all(np.diff(rr) > 0)
 
     def test_prefix_beyond_stored_rejected(self, built_index):
         path, _ = built_index
-        with RRIndex(path) as index:
+        with RRIndex(path, prefix_cache_keywords=0) as index:
             theta = index.catalog["music"].n_sets
             with pytest.raises(IndexError_):
-                index.load_rr_prefix("music", theta + 1)
+                index.load_keyword_csr("music", theta + 1)
 
     def test_unknown_keyword_rejected(self, built_index):
         path, _ = built_index
-        with RRIndex(path) as index:
+        with RRIndex(path, prefix_cache_keywords=0) as index:
             with pytest.raises(IndexError_):
-                index.load_rr_prefix("nope", 1)
-            with pytest.raises(IndexError_):
-                index.load_inverted_lists("nope")
+                index.load_keyword_csr("nope", 1)
 
     def test_inverted_lists_consistent_with_sets(self, built_index):
         path, _ = built_index
-        with RRIndex(path) as index:
+        with RRIndex(path, prefix_cache_keywords=0) as index:
             theta = index.catalog["music"].n_sets
-            sets = index.load_rr_prefix("music", theta)
-            lists = index.load_inverted_lists("music")
+            block = index.load_keyword_csr("music", theta)
             rebuilt = {}
-            for set_id, rr in enumerate(sets):
+            for set_id, rr in enumerate(self.sets_of(block)):
                 for v in rr:
                     rebuilt.setdefault(int(v), []).append(set_id)
-            assert len(lists) == len(rebuilt)
-            for vertex, ids in lists:
-                assert rebuilt[vertex] == ids.tolist()
+            stored = {}
+            for v, set_id in zip(block.inv_vertices.tolist(), block.inv_sets.tolist()):
+                stored.setdefault(v, []).append(set_id)
+            assert stored == rebuilt
 
     def test_prefix_read_is_bounded(self, built_index):
         """Loading a small prefix must read fewer bytes than the region."""
         path, _ = built_index
-        with RRIndex(path) as index:
+        with RRIndex(path, prefix_cache_keywords=0) as index:
             before = index.stats.snapshot()
-            index.load_rr_prefix("music", 4)
-            small = index.stats.delta(before).bytes_read
+            index.load_keyword_csr("music", 4)
+            small = index.stats.delta(before)
             before = index.stats.snapshot()
-            index.load_rr_prefix("music", index.catalog["music"].n_sets)
-            full = index.stats.delta(before).bytes_read
-            assert small < full
+            index.load_keyword_csr("music", index.catalog["music"].n_sets)
+            full = index.stats.delta(before)
+            assert small.read_calls == full.read_calls == 2
+            assert small.bytes_read < full.bytes_read
 
 
 class TestPlanThetaQ:

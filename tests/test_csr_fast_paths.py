@@ -19,12 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.propagation.kernels as kernels_module
-from repro.storage.compression import (
-    Codec,
-    compress_ids,
-    decompress_ids,
-    decompress_ids_batch,
-)
+from repro.storage.compression import Codec, compress_ids, decompress_ids_batch
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.core.coverage import (
     CoverageInstance,
@@ -41,7 +36,7 @@ from repro.propagation.lt import LinearThreshold
 from repro.propagation.triggering import GeneralTriggering
 from repro.utils.rrsets import FlatRRSets
 
-from oracles import seed_greedy_max_coverage
+from oracles import decompress_ids, seed_greedy_max_coverage
 
 
 @pytest.fixture(scope="module")
@@ -492,7 +487,8 @@ class TestCSRBitIdenticalToSeed:
 
 
 class TestBatchDecoder:
-    """The batch id decoder is bit-identical to ``decompress_ids``."""
+    """The batch id decoder is bit-identical to the per-list reference
+    decoder in ``tests/oracles.py``."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -540,18 +536,19 @@ class TestBatchDecoder:
         payload = record[header[3] : header[3] + header[2]]
         for count in (0, 1, 33, 70):
             ptr, flat = RRSetsRecord.decode_prefix_csr(payload, count)
-            expected = RRSetsRecord.decode_prefix(payload, count)
             assert len(ptr) == count + 1
-            for i, exp in enumerate(expected):
-                assert np.array_equal(flat[ptr[i] : ptr[i + 1]], exp)
+            pos = 0
+            for i in range(count):
+                expected, pos = decompress_ids(payload, pos)
+                assert np.array_equal(flat[ptr[i] : ptr[i + 1]], expected)
+                assert np.array_equal(expected, sets[i])
 
         inv = _invert(sets)
         record = InvertedListsRecord.encode(inv, Codec.PFOR)
         keys, ptr, flat = InvertedListsRecord.decode_csr(record)
-        expected = InvertedListsRecord.decode(record)
-        assert keys.tolist() == [k for k, _ in expected]
-        for i, (_k, exp) in enumerate(expected):
-            assert np.array_equal(flat[ptr[i] : ptr[i + 1]], exp)
+        assert keys.tolist() == [k for k, _ in inv]
+        for i, (_k, expected) in enumerate(inv):
+            assert np.array_equal(flat[ptr[i] : ptr[i + 1]], expected)
 
 
 class TestQueryLayerCSR:
@@ -564,11 +561,21 @@ class TestQueryLayerCSR:
         ]
         return sets, _invert(sets)
 
+    @staticmethod
+    def block_of(sets, lists):
+        """A decoded block, through the records and the one decoder."""
+        record = RRSetsRecord.encode(sets)
+        _n, _g, payload_len, payload_start = RRSetsRecord.read_header(record)
+        return KeywordCoverageCSR.from_csr_arrays(
+            *RRSetsRecord.decode_prefix_csr(record[payload_start:], len(sets)),
+            *InvertedListsRecord.decode_csr(InvertedListsRecord.encode(lists)),
+        )
+
     def test_active_part_matches_searchsorted_clip(self):
         rng = np.random.default_rng(5)
         n, n_sets, count, base = 30, 25, 11, 100
         sets, lists = self.make_block(rng, n, n_sets)
-        csr = KeywordCoverageCSR.from_decoded(sets, lists)
+        csr = self.block_of(sets, lists)
         set_ptr, set_vertices, inv_v, inv_s = csr.active_part(count, base)
 
         # Seed semantics: per-vertex searchsorted prefix clip + offset.
@@ -600,7 +607,7 @@ class TestQueryLayerCSR:
         merged_inverted = {}
         base = 0
         for (sets, lists), count in zip(blocks, counts):
-            csr = KeywordCoverageCSR.from_decoded(sets, lists)
+            csr = self.block_of(sets, lists)
             parts.append(csr.active_part(count, base))
             merged_sets.extend(sets[:count])
             for vertex, set_ids in lists:
@@ -639,7 +646,7 @@ def reference_irr_nra(index, query):
     from repro.core.query import resolve_keyword
     from repro.core.rr_index import plan_theta_q
 
-    keywords = [resolve_keyword(index._topic_names, kw) for kw in query.keywords]
+    keywords = [resolve_keyword(index.topic_names, kw) for kw in query.keywords]
     _theta_q, counts, _phi_q = plan_theta_q(keywords, index.catalog)
 
     class State:

@@ -1,0 +1,375 @@
+"""One reader contract under both indexes (repro.core.catalog).
+
+``RRIndex`` and ``IRRIndex`` stand on one reader core — open the
+container, parse the catalog, plan a query, close — so everything that
+core promises is asserted once, for both, on indexes built from one
+sample table.  Also here: what a *failed* open must release, the byte
+stability of the two writers, and the catalog parser's own guards.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.cli import main
+from repro.core.catalog import IRR_FORMAT, RR_FORMAT, read_catalog
+from repro.core.irr_index import IRRIndex, IRRIndexBuilder, write_irr_index
+from repro.core.maintenance import verify_index
+from repro.core.offline import KeywordTable
+from repro.core.query import KBTIMQuery
+from repro.core.rr_index import RRIndex, RRIndexBuilder, write_rr_index
+from repro.core.theta import ThetaPolicy
+from repro.errors import CorruptIndexError, IndexError_, QueryError
+from repro.storage.compression import Codec
+from repro.storage.segments import SegmentReader, SegmentWriter
+from repro.utils.rrsets import FlatRRSets
+
+READERS = {"rr": RRIndex, "irr": IRRIndex}
+#: The option that makes each reader retain nothing between queries.
+COLD = {"rr": {"prefix_cache_keywords": 0}, "irr": {"decode_cache_partitions": 0}}
+
+QUERIES = [
+    KBTIMQuery(("music",), 5),
+    KBTIMQuery(("music", "book"), 8),
+    KBTIMQuery(("sport", "book", "car"), 12),
+]
+
+
+@pytest.fixture(scope="module")
+def paths(small_world, smoke_policy, tmp_path_factory):
+    """``{kind: path}`` of an RR and an IRR index of one sample table."""
+    _graph, _topics, profiles, model = small_world
+    tmp = tmp_path_factory.mktemp("contract")
+    built = {kind: str(tmp / f"index.{kind}") for kind in READERS}
+    builder = RRIndexBuilder(model, profiles, policy=smoke_policy, rng=5)
+    tables = builder.sample()
+    builder.build(built["rr"], tables=tables)
+    IRRIndexBuilder(model, profiles, policy=smoke_policy, delta=25, rng=5).build(
+        built["irr"], tables=tables
+    )
+    return built
+
+
+@pytest.fixture(scope="module")
+def missing_car(paths, tmp_path_factory):
+    """An RR file whose catalog lists ``car`` but whose ``rr/car`` is gone."""
+    out = str(tmp_path_factory.mktemp("missing") / "no-car.rr")
+    with SegmentReader(paths["rr"]) as reader, SegmentWriter(out) as writer:
+        for name in reader.names():
+            if name != "rr/car":
+                writer.add(name, reader.read(name))
+    return out
+
+
+class TestIndexReaderContract:
+    @pytest.fixture(scope="class")
+    def observed(self, paths):
+        seen = {}
+        for kind, reader in READERS.items():
+            with reader(paths[kind]) as index:
+                seen[kind] = {
+                    "catalog": index.catalog,
+                    "topic_names": index.topic_names,
+                    "keywords": index.keywords(),
+                    "scalars": (index.n_vertices, index.K, index.epsilon, index.codec),
+                    "plans": [index.plan(query) for query in QUERIES],
+                    "answers": [index.query(query) for query in QUERIES],
+                }
+        return seen
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_same_catalog_surface(self, kind, observed, small_world, smoke_policy):
+        seen, reference = observed[kind], observed["rr"]
+        for field in ("catalog", "topic_names", "keywords", "scalars"):
+            assert seen[field] == reference[field], field
+        graph, _topics, _profiles, _model = small_world
+        assert seen["scalars"] == (
+            graph.n, smoke_policy.K, smoke_policy.epsilon, Codec.PFOR
+        )
+        assert seen["keywords"] == sorted(seen["catalog"])
+        assert seen["topic_names"] == {
+            meta.topic_id: name for name, meta in seen["catalog"].items()
+        }
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_same_plan(self, kind, observed):
+        assert observed[kind]["plans"] == observed["rr"]["plans"]
+        keywords, counts, phi_q = observed[kind]["plans"][1]
+        assert keywords == ["music", "book"] and set(counts) == set(keywords)
+        assert phi_q == pytest.approx(
+            sum(observed[kind]["catalog"][kw].phi_w for kw in keywords)
+        )
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_same_answers(self, kind, observed):
+        """Theorem 3: equal seed scores and θ (seeds may differ on ties)."""
+        for got, want in zip(observed[kind]["answers"], observed["rr"]["answers"]):
+            assert got.marginal_coverages == want.marginal_coverages
+            assert got.theta == want.theta
+            assert got.phi_q == want.phi_q
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_bad_queries_fail_before_any_read(self, kind, paths):
+        with READERS[kind](paths[kind]) as index:
+            music = index.catalog["music"].topic_id
+            absent = max(index.topic_names) + 1
+            bad = [
+                (KBTIMQuery(("music",), index.K + 1), QueryError),
+                (KBTIMQuery((music, "music"), 2), QueryError),
+                (KBTIMQuery(("music", "quantum"), 2), IndexError_),
+                (KBTIMQuery(("music", absent), 2), IndexError_),
+            ]
+            before = index.stats.snapshot()
+            for query, error in bad:
+                for call in (index.plan, index.query):
+                    with pytest.raises(error):
+                        call(query)
+            assert index.stats.delta(before).read_calls == 0
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_other_formats_file_is_rejected_by_name(self, kind, paths):
+        other = "irr" if kind == "rr" else "rr"
+        found = {"rr": RR_FORMAT, "irr": IRR_FORMAT}[other]
+        with pytest.raises(CorruptIndexError, match=f"format='{found}'"):
+            READERS[kind](paths[other])
+
+    @pytest.mark.parametrize("config", ["cold", "default"])
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_repeating_a_query_reports_the_same_io(self, kind, config, paths):
+        """What a query is charged must not depend on what the reader
+        served before it — unless a cache absorbed the reads outright."""
+        options = COLD[kind] if config == "cold" else {}
+        query = QUERIES[1]
+        with READERS[kind](paths[kind], **options) as index:
+            costs = [index.query(query).stats.io for _ in range(3)]
+        reads = [io.read_calls for io in costs]
+        if (kind, config) == ("rr", "default"):
+            # The block cache is meant to absorb repeats: cold once, then free.
+            assert reads == [2 * query.n_keywords, 0, 0]
+        else:
+            assert reads[0] > 0 and reads == [reads[0]] * 3
+            assert len({io.bytes_read for io in costs}) == 1
+
+    def test_irr_reads_do_not_depend_on_the_memos(self, paths):
+        """The IRR memos skip decodes, never reads: cold and warm readers
+        report the same reads and bytes, and capacity 0 retains nothing."""
+        query = QUERIES[2]
+        with IRRIndex(paths["irr"], **COLD["irr"]) as cold, IRRIndex(
+            paths["irr"]
+        ) as warm:
+            warm.query(query)
+            a, b = cold.query(query).stats.io, warm.query(query).stats.io
+            assert (a.read_calls, a.bytes_read) == (b.read_calls, b.bytes_read)
+            assert len(cold._ip_cache) == len(cold._decode_cache) == 0
+            assert len(warm._ip_cache) == query.n_keywords
+            assert len(warm._decode_cache) > 0
+
+    def test_irr_reader_survives_concurrent_queries_on_a_tiny_memo(self, paths):
+        """Eight threads share one reader whose memos hold two entries, so
+        every lookup races an eviction; answers and I/O totals stay exact."""
+        with IRRIndex(paths["irr"]) as reference:
+            expected = [reference.query(query) for query in QUERIES]
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with IRRIndex(paths["irr"], decode_cache_partitions=2) as index:
+                index._ip_cache.capacity = 2
+                before = index.stats.snapshot()
+                charged = []
+
+                def worker():
+                    try:
+                        for _ in range(6):
+                            for query, want in zip(QUERIES, expected):
+                                got = index.query(query)
+                                assert got.seeds == want.seeds
+                                assert got.marginal_coverages == want.marginal_coverages
+                                charged.append(want.stats.io.read_calls)
+                    except BaseException as exc:  # surfaced below
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not failures, failures
+                assert index.stats.delta(before).read_calls == sum(charged)
+                assert len(index._decode_cache) <= 2 and len(index._ip_cache) <= 2
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _flip(path, out, offset):
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    data[offset] ^= 0xFF
+    with open(out, "wb") as fh:
+        fh.write(bytes(data))
+    return out
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc to count descriptors"
+)
+class TestFailedOpensReleaseTheFile:
+    """A constructor that raises owns nothing: the exception's traceback
+    keeps the half-built reader alive, so its file and map must be closed
+    before the error propagates, not when it is collected."""
+
+    @pytest.fixture(scope="class")
+    def broken(self, paths, missing_car, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("broken")
+        size = os.path.getsize(paths["rr"])
+        return {
+            "wrong format": (RRIndex, paths["irr"], "not an RR index"),
+            "wrong format (irr)": (IRRIndex, paths["rr"], "not an IRR index"),
+            "missing segment": (RRIndex, missing_car, "missing segment 'rr/car'"),
+            "bad magic": (RRIndex, _flip(paths["rr"], str(tmp / "m.rr"), 0), "bad magic"),
+            # The last TOC byte sits right before the 12-byte footer.
+            "toc checksum": (
+                SegmentReader,
+                _flip(paths["rr"], str(tmp / "t.rr"), size - 13),
+                "TOC checksum mismatch",
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        ["wrong format", "wrong format (irr)", "missing segment", "bad magic", "toc checksum"],
+    )
+    def test_five_failed_opens_leave_no_descriptor(self, case, broken):
+        opener, path, message = broken[case]
+        kept = []
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with pytest.raises(CorruptIndexError, match=message) as caught:
+                opener(path)
+            kept.append(caught.value)  # keeps traceback -> frame -> reader
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(kept) == 5
+
+    @pytest.mark.parametrize("command", ["inspect", "query"])
+    def test_cli_reports_the_real_error(self, command, missing_car, capsys):
+        """The reader class comes from the catalog's format, so a broken RR
+        file is reported as what it is, not as "not an IRR index"."""
+        extra = ["--keywords", "music", "--k", "2"] if command == "query" else []
+        assert main([command, "--index", missing_car, *extra]) == 1
+        err = capsys.readouterr().err
+        assert "missing segment 'rr/car'" in err
+        assert "not an IRR index" not in err
+
+
+class TestCatalogParser:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_read_catalog_is_what_the_readers_expose(self, kind, paths):
+        with SegmentReader(paths[kind]) as reader:
+            parsed = read_catalog(reader)
+        with READERS[kind](paths[kind]) as index:
+            assert parsed.format == index.FORMAT
+            assert parsed.keywords == index.catalog
+            assert parsed.topic_names == index.topic_names
+            assert (parsed.delta is None) == (kind == "rr")
+        assert set(parsed.entries) == set(parsed.keywords)
+
+    def test_unknown_format_is_rejected_everywhere(self, tmp_path, capsys):
+        path = str(tmp_path / "other.idx")
+        with SegmentWriter(path) as writer:
+            writer.add("meta", json.dumps({"format": "something-else"}).encode())
+        with SegmentReader(path) as reader:
+            with pytest.raises(CorruptIndexError, match="unknown index format"):
+                read_catalog(reader)
+        with pytest.raises(CorruptIndexError, match="unknown index format"):
+            verify_index(path)
+        assert main(["inspect", "--index", path]) == 1
+        assert "unknown index format 'something-else'" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# writers: byte-identical files
+# ----------------------------------------------------------------------
+N_VERTICES = 400
+
+
+def pinned_tables():
+    """Three hand-made sample tables — no RNG, so the bytes below depend
+    on the writers and encoders alone, not on a numpy version's streams.
+
+    Every 37th set is long (crosses a 128-id PFoR block and ends in an
+    outlier gap, i.e. an exception); ``book`` arrives as ``FlatRRSets``,
+    the batched samplers' native form, the others as lists of arrays.
+    """
+    tables = {}
+    for topic_id, (name, n_sets) in enumerate(
+        (("music", 180), ("book", 90), ("car", 41))
+    ):
+        rr_sets = []
+        for i in range(n_sets):
+            if i % 37 == 5:
+                members = set(range(140)) | {399 - topic_id}
+            else:
+                size = 1 + (i * 5 + topic_id) % 9
+                members = {
+                    (i * 31 + j * j * 7 + topic_id * 3) % N_VERTICES
+                    for j in range(size)
+                }
+            rr_sets.append(np.asarray(sorted(members), dtype=np.int64))
+        if name == "book":
+            ptr = np.concatenate(([0], np.cumsum([len(rr) for rr in rr_sets])))
+            rr_sets = FlatRRSets(ptr, np.concatenate(rr_sets))
+        tables[name] = KeywordTable(
+            name=name,
+            topic_id=topic_id,
+            theta=n_sets,
+            tf_sum=12.5 + topic_id,
+            idf=1.0 + topic_id / 8,
+            phi_w=(12.5 + topic_id) * (1.0 + topic_id / 8),
+            opt_lower_bound=3.0,
+            rr_sets=rr_sets,
+        )
+    return tables
+
+
+class TestWritersAreByteStable:
+    """SHA-256 of the files the two writers produce from
+    :func:`pinned_tables`, computed at the commit before the catalog
+    writer was shared (36561fe).  A change here is a format change."""
+
+    PINNED = {
+        "rr": "0db5ad48c252b8a9b02111478a084968dbd1e87ebd39c6787d6c6614172a53a9",
+        "irr": "fe10c89323a0b52dfa2dbddf91ed27f0d2ba00efa5949da2dd42642b30d74f99",
+    }
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("pinned")
+        options = {
+            "n_vertices": N_VERTICES,
+            "policy": ThetaPolicy(epsilon=0.5, K=20, cap=180),
+            "codec": Codec.PFOR,
+        }
+        tables = pinned_tables()
+        write_rr_index(str(tmp / "p.rr"), tables, **options)
+        write_irr_index(str(tmp / "p.irr"), tables, delta=25, **options)
+        return {kind: str(tmp / f"p.{kind}") for kind in READERS}
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_file_bytes_are_pinned(self, kind, written):
+        with open(written[kind], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == self.PINNED[kind]
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_pinned_files_verify_and_answer_alike(self, kind, written):
+        assert verify_index(written[kind]).rr_sets_checked == 180 + 90 + 41
+        query = KBTIMQuery(("music", "car"), 6)
+        with RRIndex(written["rr"]) as rr, READERS[kind](written[kind]) as index:
+            assert index.query(query).marginal_coverages == (
+                rr.query(query).marginal_coverages
+            )

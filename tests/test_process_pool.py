@@ -416,7 +416,7 @@ class TestCorrectness:
             with pytest.raises(QueryError):
                 # mixed-form duplicate: id 3 next to the name it resolves to
                 with RRIndex(path) as index:
-                    name = index._topic_names[3]
+                    name = index.topic_names[3]
                 pool.query(KBTIMQuery((3, name), 2))
             # the worker survives its own exceptions and keeps serving
             answer = pool.query(KBTIMQuery(("music",), 3))

@@ -14,18 +14,40 @@ id_array = st.lists(
 ).map(sorted).map(lambda xs: np.asarray(xs, dtype=np.int64))
 
 
+def decode_rr_record(record, count=None):
+    """The first ``count`` sets (default: all) of an encoded record, as a
+    list of arrays, through the reader's own steps: header, offset
+    table, bounded payload slice, ``decode_prefix_csr``."""
+    n_sets, group_size, payload_len, payload_start = RRSetsRecord.read_header(record)
+    start, length = RRSetsRecord.offset_table_range(record)
+    offsets = RRSetsRecord.decode_offsets(record[start : start + length])
+    count = n_sets if count is None else count
+    end = RRSetsRecord.prefix_payload_end(offsets, payload_len, group_size, count)
+    ptr, flat = RRSetsRecord.decode_prefix_csr(
+        record[payload_start : payload_start + end], count
+    )
+    assert len(ptr) == count + 1
+    return [flat[ptr[i] : ptr[i + 1]] for i in range(count)]
+
+
+def decode_inverted_record(record):
+    """An encoded record as ``[(key, ids)]`` via ``decode_csr``."""
+    keys, ptr, flat = InvertedListsRecord.decode_csr(record)
+    return [(int(k), flat[ptr[i] : ptr[i + 1]]) for i, k in enumerate(keys)]
+
+
 class TestRRSetsRecord:
     def test_roundtrip(self):
         sets = [np.array([1, 5, 9]), np.array([0]), np.array([], dtype=np.int64)]
         record = RRSetsRecord.encode(sets)
-        out = RRSetsRecord.decode_all(record)
+        out = decode_rr_record(record)
         assert len(out) == 3
         for a, b in zip(sets, out):
             assert np.array_equal(a, b)
 
     def test_empty_collection(self):
         record = RRSetsRecord.encode([])
-        assert RRSetsRecord.decode_all(record) == []
+        assert decode_rr_record(record) == []
 
     def test_header_fields(self):
         sets = [np.array([i]) for i in range(10)]
@@ -39,18 +61,21 @@ class TestRRSetsRecord:
     def test_prefix_decode_via_offsets(self):
         sets = [np.array([i, i + 100]) for i in range(20)]
         record = RRSetsRecord.encode(sets, group_size=4)
-        _n, group_size, payload_len, payload_start = RRSetsRecord.read_header(record)
-        start, length = RRSetsRecord.offset_table_range(record)
-        offsets = RRSetsRecord.decode_offsets(record[start : start + length])
         for count in (1, 4, 5, 20):
-            end = RRSetsRecord.prefix_payload_end(
-                offsets, payload_len, group_size, count
-            )
-            payload = record[payload_start : payload_start + end]
-            decoded = RRSetsRecord.decode_prefix(payload, count)
+            decoded = decode_rr_record(record, count)
             assert len(decoded) == count
             for i, rr in enumerate(decoded):
                 assert np.array_equal(rr, sets[i])
+
+    def test_prefix_cut_short_rejected(self):
+        """A prefix asked for more sets than its payload slice holds."""
+        record = RRSetsRecord.encode([np.array([i, i + 100]) for i in range(8)])
+        _n, _g, payload_len, payload_start = RRSetsRecord.read_header(record)
+        payload = record[payload_start : payload_start + payload_len]
+        with pytest.raises(StorageError):
+            RRSetsRecord.decode_prefix_csr(payload[:-3], 8)
+        with pytest.raises(StorageError, match="missing codec tag"):
+            RRSetsRecord.decode_prefix_csr(payload, 9)
 
     def test_prefix_zero(self):
         offsets = np.array([0, 100])
@@ -79,7 +104,7 @@ class TestRRSetsRecord:
     @given(st.lists(id_array, max_size=30), st.sampled_from(list(Codec)))
     def test_roundtrip_property(self, sets, codec):
         record = RRSetsRecord.encode(sets, codec, group_size=4)
-        out = RRSetsRecord.decode_all(record)
+        out = decode_rr_record(record)
         assert len(out) == len(sets)
         for a, b in zip(sets, out):
             assert np.array_equal(a, b)
@@ -88,7 +113,7 @@ class TestRRSetsRecord:
 class TestInvertedListsRecord:
     def test_roundtrip(self):
         lists = [(3, np.array([0, 2, 9])), (7, np.array([1])), (0, np.array([], dtype=np.int64))]
-        out = InvertedListsRecord.decode(InvertedListsRecord.encode(lists))
+        out = decode_inverted_record(InvertedListsRecord.encode(lists))
         assert [(k, v.tolist()) for k, v in out] == [
             (k, v.tolist()) for k, v in lists
         ]
@@ -96,29 +121,39 @@ class TestInvertedListsRecord:
     def test_order_preserved(self):
         # IL_w stores lists by descending length, not key order.
         lists = [(9, np.array([1, 2, 3])), (1, np.array([5, 6])), (4, np.array([0]))]
-        out = InvertedListsRecord.decode(InvertedListsRecord.encode(lists))
+        out = decode_inverted_record(InvertedListsRecord.encode(lists))
         assert [k for k, _ in out] == [9, 1, 4]
 
     def test_empty_collection(self):
-        assert InvertedListsRecord.decode(InvertedListsRecord.encode([])) == []
+        assert decode_inverted_record(InvertedListsRecord.encode([])) == []
 
     def test_negative_key_rejected(self):
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="keys must be non-negative"):
             InvertedListsRecord.encode([(-1, np.array([1]))])
 
     def test_truncated_rejected(self):
         record = InvertedListsRecord.encode([(1, np.array([1, 2, 3]))])
-        with pytest.raises(StorageError):
-            InvertedListsRecord.decode(record[:-2])
+        with pytest.raises(StorageError, match="payload truncated"):
+            InvertedListsRecord.decode_csr(record[:-2])
+        with pytest.raises(StorageError, match="header truncated"):
+            InvertedListsRecord.decode_csr(record[:5])
 
     def test_trailing_bytes_rejected(self):
+        """A payload longer than its lists account for must fail: the
+        header's payload_len is one more than the walk consumes."""
+        import struct
+
         record = InvertedListsRecord.encode([(1, np.array([1]))])
-        # Extending the payload without updating the header must fail.
-        broken = bytearray(record)
-        broken += b"\x00"
-        # payload_len in header no longer matches the decode walk
-        with pytest.raises(StorageError):
-            InvertedListsRecord.decode(bytes(broken[: len(record) - 1]))
+        n_lists, payload_len = struct.unpack_from("<IQ", record)
+        broken = struct.pack("<IQ", n_lists, payload_len + 1) + record[12:] + b"\x00"
+        with pytest.raises(StorageError, match="trailing bytes"):
+            InvertedListsRecord.decode_csr(broken)
+
+    def test_multibyte_keys_roundtrip(self):
+        """Keys >= 128 leave the single-byte varint fast path."""
+        lists = [(127, np.array([1])), (128, np.array([2])), (70_000, np.array([3]))]
+        out = decode_inverted_record(InvertedListsRecord.encode(lists))
+        assert [k for k, _ in out] == [127, 128, 70_000]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -128,7 +163,7 @@ class TestInvertedListsRecord:
         st.sampled_from(list(Codec)),
     )
     def test_roundtrip_property(self, lists, codec):
-        out = InvertedListsRecord.decode(InvertedListsRecord.encode(lists, codec))
+        out = decode_inverted_record(InvertedListsRecord.encode(lists, codec))
         assert len(out) == len(lists)
         for (ka, va), (kb, vb) in zip(lists, out):
             assert ka == kb and np.array_equal(va, vb)

@@ -1,5 +1,8 @@
 """Tests for the named-segment container (repro.storage.segments)."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.errors import CorruptIndexError, StorageError
@@ -126,6 +129,28 @@ class TestCorruption:
         data[-20] ^= 0x01  # inside TOC region
         index_path.write_bytes(bytes(data))
         with pytest.raises(CorruptIndexError):
+            SegmentReader(index_path)
+
+    def test_unsupported_version_detected(self, index_path):
+        data = bytearray(index_path.read_bytes())
+        data[8] = 2  # the u16 version follows the 8-byte magic
+        index_path.write_bytes(bytes(data))
+        with pytest.raises(CorruptIndexError, match="unsupported format version 2"):
+            SegmentReader(index_path)
+
+    def test_segment_past_the_data_region_detected(self, index_path):
+        """A TOC whose checksum is right but whose first entry claims
+        bytes beyond the data region (a writer bug, not bit rot)."""
+        data = bytearray(index_path.read_bytes())
+        toc_offset, _crc = struct.unpack_from("<QI", data, len(data) - 12)
+        # TOC: n u32, then name_len u16 | name | offset u64 | length u64 | crc u32
+        (name_len,) = struct.unpack_from("<H", data, toc_offset + 4)
+        struct.pack_into("<Q", data, toc_offset + 6 + name_len + 8, toc_offset + 1)
+        struct.pack_into(
+            "<I", data, len(data) - 4, zlib.crc32(bytes(data[toc_offset:-12]))
+        )
+        index_path.write_bytes(bytes(data))
+        with pytest.raises(CorruptIndexError, match="exceeds data region"):
             SegmentReader(index_path)
 
 

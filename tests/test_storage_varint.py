@@ -29,7 +29,7 @@ class TestSingleValue:
             assert decoded == value and offset == len(data)
 
     def test_negative_rejected(self):
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="non-negative"):
             encode_varint(-1)
 
     def test_oversized_encode_rejected(self):
@@ -89,7 +89,7 @@ class TestSequences:
             decode_varints(b"", -1)
 
     def test_negative_value_rejected(self):
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="non-negative"):
             encode_varints([1, -2])
 
     @given(st.lists(st.integers(0, 2**50), max_size=200))
@@ -132,7 +132,8 @@ class TestBlockDecoder:
         with pytest.raises(StorageError):
             decode_varints_block(b"", -1)
 
-    @pytest.mark.parametrize("count", [1, 3, 8, 50])
+    # Counts from 112 up leave the scalar fallback for the vectorised path.
+    @pytest.mark.parametrize("count", [1, 3, 8, 50, 150, 400])
     def test_truncated_rejected(self, count):
         """Both the scalar fallback and the vectorised path diagnose
         truncation (the last varint never terminates)."""
@@ -142,7 +143,7 @@ class TestBlockDecoder:
         with pytest.raises(StorageError, match="truncated"):
             decode_varints(data, count)
 
-    @pytest.mark.parametrize("count", [1, 9, 40])
+    @pytest.mark.parametrize("count", [1, 9, 40, 150])
     def test_overlong_varint_rejected(self, count):
         """An 11+-byte varint overflows 64 bits in both decoders."""
         data = encode_varints(range(count - 1)) + b"\xff" * 10 + b"\x01"
@@ -151,10 +152,20 @@ class TestBlockDecoder:
         with pytest.raises(StorageError, match="64 bits"):
             decode_varints(data, count)
 
-    @pytest.mark.parametrize("count", [1, 9, 40])
+    @pytest.mark.parametrize("count", [1, 9, 40, 150])
     def test_final_byte_overflow_rejected(self, count):
         """The tightened 10th-byte check is shared with the scalar walk."""
         data = encode_varints(range(count - 1)) + b"\x80" * 9 + b"\x7f"
+        with pytest.raises(StorageError, match="64 bits"):
+            decode_varints_block(data, count)
+        with pytest.raises(StorageError, match="64 bits"):
+            decode_varints(data, count)
+
+    @pytest.mark.parametrize("count", [9, 150])
+    def test_unterminated_overlong_tail_diagnosed_as_overflow(self, count):
+        """Ten continuation bytes overflow before the missing terminator
+        can be called a truncation, in both decoders."""
+        data = encode_varints(range(count - 1)) + b"\xff" * 12
         with pytest.raises(StorageError, match="64 bits"):
             decode_varints_block(data, count)
         with pytest.raises(StorageError, match="64 bits"):
