@@ -8,12 +8,8 @@ and across *concurrent* clients.  This bench measures
   keyword cache over re-reading the index per query (PR 1/3 tiers),
 * batched execution (``query_batch``) vs the same queries issued
   sequentially, on a Zipf-skewed mixed-length workload (PR 4),
-* a closed-loop worker sweep, thread pool vs process pool at 1/2/4/8
-  workers: p50/p95/p99 latency and QPS (PR 4/5).  The thread pool's
-  warm QPS is GIL-bound (BENCH_pr4.json); the
-  :class:`~repro.core.process_pool.ProcessServerPool` runs the same
-  sharded dispatch on worker processes, so this sweep measures the GIL
-  ceiling away,
+* a closed-loop worker sweep of the serving pool at 1/2/4/8 worker
+  processes: p50/p95/p99 latency and QPS (PR 4/5),
 * the dispatch matrix (PR 9): static crc32 vs load-aware weighted
   rendezvous, Zipf-mixed vs balanced streams, reporting QPS and the
   per-shard query-count spread (max/mean).  The guard fails the job if
@@ -203,7 +199,7 @@ def _transport_overhead_ns(pool, queries) -> float:
     Each answer carries the worker-measured compute time
     (``stats.elapsed_seconds``); the caller-observed wall time minus
     that is dispatch + transport — pipe framing, response encode/decode,
-    and (for process pools) the shared-memory flat-frame round trip.
+    and the shared-memory flat-frame round trip.
     """
     probes = queries[: min(16, len(queries))]
     wall = 0.0
@@ -217,27 +213,24 @@ def _transport_overhead_ns(pool, queries) -> float:
 
 
 def _rss_per_worker(pool, workers: int) -> float:
-    """Mean per-worker resident bytes (whole process for thread pools)."""
+    """Mean per-worker resident bytes."""
     return pool.health().rss_bytes / workers
 
 
 def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_dir):
-    """Closed-loop replay, thread pool vs process pool at 1/2/4/8 workers.
+    """Closed-loop replay against the pool at 1/2/4/8 worker processes.
 
-    Both pools run the identical crc32 primary-keyword shard dispatch;
-    the variables are the worker model and the traffic shape.  Two
-    regimes per pool kind:
+    Every point runs the default crc32 primary-keyword shard dispatch
+    (the policies themselves are compared in test_dispatch_spread); the
+    variables are the worker count and the traffic shape.  Two regimes:
 
     * ``zipf-mixed`` — the PR 4 serving stream.  Primary-keyword skew
-      concentrates most queries on one shard, so neither pool can scale
+      concentrates most queries on one shard, so workers cannot scale it
       (the sweep pins the dispatch-skew ceiling and queueing percentiles
       under concurrent load).
     * ``balanced`` — single-keyword queries cycling the whole catalog.
-      Here shards are populated evenly; the thread pool's warm path is
-      still GIL-serialized numpy + greedy (PR 4 measured QPS decreasing
-      with threads), while process workers execute on as many *cores* as
-      the machine provides.  On a single-core host the process pool
-      tracks the thread pool minus pipe overhead; the per-PR CI artifact
+      Here shards are populated evenly and the workers execute on as
+      many *cores* as the machine provides; the per-PR CI artifact
       re-measures this table on multi-core runners.
 
     Client concurrency equals the worker count, so each point measures
@@ -248,30 +241,23 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
     regimes = [("zipf-mixed", zipf_queries), ("balanced", balanced_queries)]
     sweep = []
 
-    # Both pools run the default static crc32 dispatch here; the
-    # dispatch policies themselves are compared in test_dispatch_spread.
-
     def run_sweep():
         sweep.clear()
         for regime, queries in regimes:
-            for kind in ("thread", "process"):
-                for workers in (1, 2, 4, 8):
-                    with ctx.open_server_pool(
-                        ds, n_workers=workers, kind=kind
-                    ) as pool:
-                        pool.query_batch(queries)  # warm the shard caches
-                        report = replay(pool, queries, threads=workers)
-                        sweep.append(
-                            (
-                                regime,
-                                kind,
-                                workers,
-                                report,
-                                pool.stats.hit_ratio,
-                                _transport_overhead_ns(pool, queries),
-                                _rss_per_worker(pool, workers),
-                            )
+            for workers in (1, 2, 4, 8):
+                with ctx.open_server_pool(ds, n_workers=workers) as pool:
+                    pool.query_batch(queries)  # warm the shard caches
+                    report = replay(pool, queries, threads=workers)
+                    sweep.append(
+                        (
+                            regime,
+                            workers,
+                            report,
+                            pool.stats.hit_ratio,
+                            _transport_overhead_ns(pool, queries),
+                            _rss_per_worker(pool, workers),
                         )
+                    )
 
     benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 
@@ -279,7 +265,6 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
         "Server pool: closed-loop worker sweep (warm)",
         (
             "regime",
-            "pool",
             "workers",
             "q/s",
             "p50 (ms)",
@@ -290,10 +275,9 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
             "rss/worker (MB)",
         ),
     )
-    for regime, kind, workers, report, hit_ratio, transport_ns, rss in sweep:
+    for regime, workers, report, hit_ratio, transport_ns, rss in sweep:
         table.add_row(
             regime,
-            kind,
             workers,
             report.qps,
             report.percentile_latency(50) * 1e3,
@@ -307,20 +291,16 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
     for regime, queries in regimes:
         expected = len(queries)
         points = [entry for entry in sweep if entry[0] == regime]
-        assert all(
-            report.n_queries == expected for _r, _k, _w, report, *_ in points
-        )
-        assert all(report.qps > 0 for _r, _k, _w, report, *_ in points)
-    # Memory guard: the process pool's *per-worker* RSS must stay flat
+        assert all(report.n_queries == expected for _r, _w, report, *_ in points)
+        assert all(report.qps > 0 for _r, _w, report, *_ in points)
+    # Memory guard: the pool's *per-worker* RSS must stay flat
     # as workers grow — the index pages are mmap-shared and answers ride
     # shared-memory frames, so total RSS should scale ~linearly (each
     # worker pays its own caches), never superlinearly.  Allow generous
     # noise: interpreter overhead dominates at this scale.
     for regime, _queries in regimes:
         by_workers = {
-            w: rss
-            for r, kind, w, _rep, _h, _t, rss in sweep
-            if r == regime and kind == "process"
+            w: rss for r, w, _rep, _h, _t, rss in sweep if r == regime
         }
         lo, hi = by_workers[min(by_workers)], by_workers[max(by_workers)]
         assert hi <= 1.5 * lo + 32e6, (
@@ -329,7 +309,7 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
             f"{max(by_workers)} — superlinear total growth"
         )
     # The perf narrative lives in BENCH_pr5.json; bit-identical answers
-    # across pool kinds are regression-tested in tests/test_process_pool.py.
+    # are regression-tested in tests/test_process_pool.py.
 
 
 def test_dispatch_spread(
@@ -340,7 +320,7 @@ def test_dispatch_spread(
     The PR 4/5 sweeps showed the static crc32 primary-keyword map
     concentrating a Zipf-mixed stream on one shard.  This table pins the
     fix: the same two streams replayed through both dispatch policies on
-    a 4-worker thread pool, reporting QPS plus ``dispatch_spread`` — the
+    a 4-worker pool, reporting QPS plus ``dispatch_spread`` — the
     max/mean per-shard query count (1.0 is perfectly even; 4.0 is one
     shard taking everything).
 
@@ -365,14 +345,14 @@ def test_dispatch_spread(
         for dispatch in ("crc32", "rendezvous"):
             for regime, queries in regimes:
                 with ctx.open_server_pool(
-                    ds, n_workers=4, kind="thread", dispatch=dispatch
+                    ds, n_workers=4, dispatch=dispatch
                 ) as pool:
                     pool.query_batch(queries)  # warm the shard caches
-                    base = [w.stats.queries for w in pool.workers]
+                    base = pool.snapshot().workers
                     report = replay(pool, queries, threads=4)
                     counts = [
-                        w.stats.queries - b
-                        for w, b in zip(pool.workers, base)
+                        w.stats.queries - b.stats.queries
+                        for w, b in zip(pool.snapshot().workers, base)
                     ]
                     rows.append((dispatch, regime, report, counts))
 
@@ -413,7 +393,7 @@ def test_dispatch_spread(
 
 
 def test_supervised_resilience(ctx, mixed_setup, benchmark, results_dir):
-    """Supervised pool under deterministic faults: restart/shed counters.
+    """The pool under deterministic faults: restart/shed counters.
 
     Two scenarios, one table row each, so the per-PR bench-smoke artifact
     carries the robustness counters alongside the throughput numbers:
@@ -435,7 +415,7 @@ def test_supervised_resilience(ctx, mixed_setup, benchmark, results_dir):
         # --- kill-midstream: closed loop, one worker killed halfway ---
         queries = base_queries
         kill_at = len(queries) // 2
-        with ctx.open_server_pool(ds, n_workers=2, kind="supervised") as pool:
+        with ctx.open_server_pool(ds, n_workers=2) as pool:
             victim = pool.shard_of(queries[kill_at])
             plan = FaultPlan(
                 events=[FaultEvent(kind="kill", after_query=kill_at, shard=victim)]
@@ -447,9 +427,7 @@ def test_supervised_resilience(ctx, mixed_setup, benchmark, results_dir):
         # --- saturation-shed: open loop far past capacity, tiny budget ---
         saturated = base_queries * 5
         arrivals = poisson_arrivals(len(saturated), 5000.0, rng=57)
-        with ctx.open_server_pool(
-            ds, n_workers=2, kind="supervised", max_inflight=2
-        ) as pool:
+        with ctx.open_server_pool(ds, n_workers=2, max_inflight=2) as pool:
             report = replay(
                 pool,
                 saturated,

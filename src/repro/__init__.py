@@ -48,13 +48,11 @@ from repro.core import (
     KeywordTable,
     PoolHealth,
     PoolSnapshot,
-    ProcessServerPool,
     QueryStats,
     RRIndex,
     RRIndexBuilder,
     RendezvousDispatcher,
     SeedSelection,
-    ServerPool,
     ShardHealth,
     SupervisedServerPool,
     ThetaPolicy,
@@ -119,8 +117,6 @@ __all__ = [
     "IRRIndexBuilder",
     "IRRIndex",
     "KBTIMServer",
-    "ServerPool",
-    "ProcessServerPool",
     "SupervisedServerPool",
     "Dispatcher",
     "RendezvousDispatcher",

@@ -15,8 +15,8 @@ stage so the library can be driven without writing Python:
 ``experiment``
     Regenerate one of the paper's tables/figures at a chosen scale.
 ``replay``
-    Drive a serving pool (thread or process workers) over a synthetic
-    query stream and report throughput/latency.
+    Drive the serving pool (supervised worker processes) over a
+    synthetic query stream and report throughput/latency.
 """
 
 from __future__ import annotations
@@ -143,16 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profiles", required=True, help="profiles .npz (supplies the topic space)"
     )
     rep.add_argument(
-        "--pool",
-        choices=("thread", "process", "supervised"),
-        default="thread",
-        help=(
-            "worker model: threads in this process, worker processes, or "
-            "supervised worker processes (self-healing restarts, deadlines, "
-            "admission control)"
-        ),
+        "--workers", type=int, default=4, help="worker processes (shards)"
     )
-    rep.add_argument("--workers", type=int, default=4, help="pool shard count")
     rep.add_argument(
         "--dispatch",
         choices=("crc32", "rendezvous"),
@@ -186,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         help=(
-            "per-request deadline in seconds: enforced by process/supervised "
-            "pools, and used as the goodput SLA threshold in the report"
+            "per-request deadline in seconds: enforced by the pool, and "
+            "used as the goodput SLA threshold in the report"
         ),
     )
     rep.add_argument(
@@ -203,17 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-inflight",
         type=int,
         help=(
-            "admission-control budget for --pool supervised: beyond this "
-            "many in-flight requests the pool sheds load (Overloaded)"
+            "admission-control budget: beyond this many in-flight "
+            "requests the pool sheds load (Overloaded)"
         ),
     )
     rep.add_argument(
         "--shared-cache",
         action="store_true",
         help=(
-            "share one decoded-block cache across process/supervised "
-            "workers (each hot keyword is decoded once per machine; "
-            "per-query I/O accounting reports zero reads on shared hits)"
+            "share one decoded-block cache across the workers (each hot "
+            "keyword is decoded once per machine; per-query I/O "
+            "accounting reports zero reads on shared hits)"
         ),
     )
     rep.add_argument("--json", action="store_true", help="machine-readable output")
@@ -387,9 +379,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     import os
 
     from repro.core.chaos import ChaosController, FaultPlan, corrupt_index_copy
-    from repro.core.process_pool import ProcessServerPool
-    from repro.core.server import ServerPool
-    from repro.core.supervision import SupervisedServerPool
+    from repro.core.process_pool import SupervisedServerPool
     from repro.datasets.workload import (
         make_mixed_workload,
         poisson_arrivals,
@@ -423,30 +413,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         corrupt_index_copy(args.index, corrupted_copy, seed=args.seed)
         index_path = corrupted_copy
 
-    def open_pool():
-        if args.pool == "thread":
-            return ServerPool(
-                index_path, n_workers=args.workers, dispatch=args.dispatch
-            )
-        if args.pool == "process":
-            return ProcessServerPool(
-                index_path,
-                n_workers=args.workers,
-                dispatch=args.dispatch,
-                request_timeout=args.timeout,
-                shared_block_cache=args.shared_cache,
-            )
-        return SupervisedServerPool(
+    try:
+        with SupervisedServerPool(
             index_path,
             n_workers=args.workers,
             dispatch=args.dispatch,
             request_timeout=args.timeout,
             max_inflight=args.max_inflight,
             shared_block_cache=args.shared_cache,
-        )
-
-    try:
-        with open_pool() as pool:
+        ) as pool:
             if args.warm:
                 pool.warm(sorted({kw for q in queries for kw in q.keywords}))
             chaos = ChaosController(plan, pool) if plan is not None else None
@@ -467,7 +442,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             os.unlink(corrupted_copy)
 
     payload = {
-        "pool": args.pool,
         "workers": args.workers,
         "dispatch": args.dispatch,
         "threads": args.threads,
@@ -495,7 +469,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     else:
         print(
             f"{payload['mode']}-loop replay: {payload['queries']} queries on "
-            f"{args.workers} {args.pool} workers "
+            f"{args.workers} workers "
             f"({args.dispatch} dispatch), {args.threads} client threads"
         )
         print(

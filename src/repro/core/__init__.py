@@ -33,7 +33,7 @@ from repro.core.estimation import (
 from repro.core.irr_index import DEFAULT_PARTITION_SIZE, IRRIndex, IRRIndexBuilder
 from repro.core.maintenance import IndexCheckReport, extract_keywords, verify_index
 from repro.core.offline import KeywordTable, sample_keyword_tables
-from repro.core.process_pool import ProcessServerPool
+from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.ris import ris_query
@@ -42,11 +42,9 @@ from repro.core.server import (
     KBTIMServer,
     PoolHealth,
     PoolSnapshot,
-    ServerPool,
     ServerStats,
     ShardHealth,
 )
-from repro.core.supervision import SupervisedServerPool
 from repro.core.sampler import (
     mean_rr_set_size,
     sample_rr_sets,
@@ -81,8 +79,6 @@ __all__ = [
     "RRIndexBuilder",
     "RRIndex",
     "KBTIMServer",
-    "ServerPool",
-    "ProcessServerPool",
     "SupervisedServerPool",
     "Dispatcher",
     "Crc32Dispatcher",

@@ -1,6 +1,6 @@
 """Deterministic, seedable fault injection for the serving tier.
 
-Every robustness claim the supervision layer makes — automatic restart,
+Every robustness claim the serving pool makes — automatic restart,
 degraded mode, pipe resynchronization after a deadline miss, load
 shedding — is exercised here by *injected* faults rather than asserted.
 The vocabulary is a :class:`FaultPlan`: an ordered list of
@@ -73,7 +73,7 @@ class FaultEvent:
             miss, poisoned pipe) but the worker stays healthy.
         ``exhaust``
             Force admission control to shed every request for
-            ``seconds`` (supervised pools only).
+            ``seconds``.
         ``corrupt``
             Corrupt the index file at open; consumed by the opener via
             :func:`corrupt_index_copy`, not by the controller.
@@ -258,13 +258,9 @@ class ChaosController:
     observed effect), so replay reports can show exactly which faults
     landed where.
 
-    Works against a :class:`~repro.core.supervision.SupervisedServerPool`
-    (the intended target — it heals) or a bare
-    :class:`~repro.core.process_pool.ProcessServerPool` (which stays
-    broken, useful for pinning the *unsupervised* failure modes).
-    ``exhaust`` events need the supervised pool's admission control and
-    record ``"skipped"`` elsewhere; ``corrupt`` events are at-open and
-    always recorded as ``"skipped"`` here.
+    The pool is a
+    :class:`~repro.core.process_pool.SupervisedServerPool`; ``corrupt``
+    events are at-open and always recorded as ``"skipped"`` here.
     """
 
     def __init__(self, plan: FaultPlan, pool) -> None:
@@ -283,8 +279,9 @@ class ChaosController:
         effect = "skipped"
         if event.kind == "kill":
             handle = self.pool._workers[event.shard]
-            handle.process.kill()
-            handle.process.join(timeout=10.0)
+            if handle.alive:  # a drained shard's process is already released
+                handle.process.kill()
+                handle.process.join(timeout=10.0)
             effect = f"worker {event.shard} killed (SIGKILL)"
         elif event.kind in ("delay", "drop"):
             handle = self.pool._workers[event.shard]
@@ -302,10 +299,8 @@ class ChaosController:
             except ServerError as exc:
                 effect = f"not delivered ({type(exc).__name__})"
         elif event.kind == "exhaust":
-            inject = getattr(self.pool, "inject_admission_exhaustion", None)
-            if inject is not None:
-                inject(event.seconds)
-                effect = f"admission shedding for {event.seconds}s"
+            self.pool.inject_admission_exhaustion(event.seconds)
+            effect = f"admission shedding for {event.seconds}s"
         self.fired.append(
             {
                 "query": position,

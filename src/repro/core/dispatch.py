@@ -1,8 +1,6 @@
-"""Pluggable query dispatch for the sharded serving pools.
+"""Pluggable query dispatch for the sharded serving pool.
 
-Every serving pool — the thread :class:`~repro.core.server.ServerPool`,
-the :class:`~repro.core.process_pool.ProcessServerPool` and the
-:class:`~repro.core.supervision.SupervisedServerPool` — answers each
+:class:`~repro.core.process_pool.SupervisedServerPool` answers each
 query on exactly one worker, and *which* worker is the dispatcher's
 decision.  Because every worker serves the same immutable RR index
 file, any worker can answer any query bit-identically; dispatch is
@@ -29,7 +27,7 @@ correctness decision.  Two policies ship:
 Rendezvous hashing gives minimal disruption by construction: removing
 one shard from the candidate set remaps only the keywords that shard
 owned (~1/N of the keyspace), and restoring it remaps exactly those
-keywords back.  The supervised pool exploits this by dropping
+keywords back.  The pool exploits this by dropping
 degraded/drained shards out of the candidate set, so traffic
 redistributes minimally instead of failing.  ``tests/test_dispatch.py``
 pins these properties — balance bounds under Zipf, minimal disruption,
@@ -61,8 +59,8 @@ def shard_of_keyword(name: str, n_shards: int) -> int:
     """The shard owning one resolved keyword name (legacy crc32 map).
 
     ``zlib.crc32`` (not the salted builtin ``hash``) keeps the mapping
-    deterministic across processes — the thread pool, the process pool
-    and any external router all agree on which worker owns a keyword,
+    deterministic across processes — the pool, its workers and any
+    external router all agree on which worker owns a keyword,
     so pre-warmed blocks land where their traffic will.
     """
     return zlib.crc32(name.encode("utf-8")) % n_shards
@@ -133,7 +131,7 @@ class Dispatcher:
 
     A dispatcher maps the *resolved keyword names* of a query to one
     shard in ``[0, n_shards)``, optionally restricted to a ``candidates``
-    subset (the supervised pool passes the currently available shards).
+    subset (the pool passes the shards currently in rotation).
     The split between :meth:`peek` (pure, repeatable) and :meth:`route`
     (records the decision into the policy's load/frequency state) is
     part of the contract: ``pool.shard_of`` must stay side-effect free
@@ -225,10 +223,11 @@ class Crc32Dispatcher(Dispatcher):
     """The exact legacy dispatch: ``crc32(primary keyword) % n_shards``.
 
     The primary keyword is the lexicographically smallest resolved name
-    — the mapping the pools shipped with before dispatch became
+    — the mapping the pool shipped with before dispatch became
     pluggable, byte-for-byte.  Static by design: the candidate set is
-    deliberately *ignored*, so a query whose shard is down fails (or
-    heals, under supervision) rather than silently moving — which is
+    deliberately *ignored*, so a query whose shard is down heals it (or
+    fails fast while it is drained or degraded) rather than silently
+    moving — which is
     what keeps recorded replays and chaos fault plans deterministic.
     """
 
@@ -277,7 +276,7 @@ class RendezvousDispatcher(Dispatcher):
     * **Live weights.**  Each shard's weight decays with its in-flight
       request depth and EWMA latency — the dispatcher-side mirror of
       the ``ServerStats``/``PoolHealth`` gauges, maintained by the
-      pools via :meth:`begin`/:meth:`complete` so no stats round-trip
+      pool via :meth:`begin`/:meth:`complete` so no stats round-trip
       sits on the dispatch path.  An idle pool has all-equal weights,
       which is the frozen-weights regime the determinism and
       minimal-disruption properties are pinned under.

@@ -1,17 +1,16 @@
-"""Process-level serving workers: the GIL-free tier of the server stack.
+"""The serving pool: supervised worker processes over one RR index file.
 
-The thread :class:`~repro.core.server.ServerPool` proved (BENCH_pr4.json)
-that warm serving is pure CPU — numpy merges and greedy selection under
-the GIL — so adding threads buys contention, not throughput.
-:class:`ProcessServerPool` is the same pool core
-(:class:`~repro.core.server._ShardedPool`: dispatch, sharded batches,
-warm/evict fan-out, merged stats) over a different shard executor:
-every worker is its *own process* with its own reader, decoded-block
-cache and buffer pool, so N shards really execute on N cores.  This
-module keeps only what a process-backed shard needs — the worker loop,
-the pipe handle, and spawn/handshake/restart/shared-memory lifecycle.
+One :class:`~repro.core.server.KBTIMServer` is thread-safe but bound to
+one core — warm serving is pure CPU (numpy merges and greedy selection
+under the GIL).  :class:`SupervisedServerPool` replicates that server as
+a *shared-nothing unit*: every shard is its own process with its own
+reader, decoded-block cache and buffer pool, so N shards execute on N
+cores, and the parent routes each query to one of them through a
+pluggable :class:`~repro.core.dispatch.Dispatcher`.  This module holds
+the whole pool: the worker loop, the pipe handle, the request path and
+the worker lifecycle.
 
-The request path is a tiny pickled protocol over one
+**Transport.**  The request path is a tiny pickled protocol over one
 :func:`multiprocessing.Pipe` per worker — parent → worker messages are
 ``(method, payload)`` tuples (queries and plans are plain picklable
 dataclasses; :class:`~repro.core.query.KBTIMQuery` reduces through its
@@ -34,17 +33,50 @@ PFOR-decoded once per machine instead of once per worker.  Off by
 default because a shared hit legitimately changes per-query I/O
 accounting (zero reads instead of two).
 
-Failure surfacing is first-class: a query-level error raised inside a
-worker (unknown keyword, over-budget ``k``) crosses the pipe with its
-original type, while a *dead* worker — killed, crashed, or OOMed — turns
-the next request on its shard into a
-:class:`~repro.errors.ServerError` naming the worker and exit code
-instead of a hang.
+**Failure semantics.**  A query-level error raised inside a worker
+(unknown keyword, over-budget ``k``) crosses the pipe with its original
+type.  Everything else that can go wrong with a process is turned into
+bounded, typed, observable behaviour on the request path — there are no
+background health-check threads, every repair decision is made by the
+request that needs the shard:
 
-Answers are bit-identical to :meth:`KBTIMServer.query` and to the thread
-pool: each worker runs the same ``KBTIMServer`` code over the same
-immutable file, and dispatch shares the same pluggable
-:class:`~repro.core.dispatch.Dispatcher` policies.
+* **Automatic restart with backoff and a budget.**  A dead, hung or
+  poisoned worker is replaced by a freshly spawned process on the next
+  request to its shard — immediately on the first failure, then behind
+  an exponential backoff.  A shard that keeps crashing exhausts its
+  restart budget and enters a ``degraded`` state where its queries fail
+  fast with :class:`~repro.errors.ShardUnavailableError` while every
+  healthy shard keeps serving; the budget window resets after a
+  sustained failure-free period, so rare unrelated faults never degrade
+  a long-lived shard.
+* **Deadlines + bounded retry.**  A per-request deadline (pool default
+  or per-call) bounds the whole round trip — queueing at the pipe,
+  worker compute, restart plus retry.  Queries are read-only and
+  therefore idempotent, so after a worker *death* the query retries
+  once on the freshly restarted worker if deadline budget remains; a
+  deadline *miss* poisons the handle (the late reply must never be
+  delivered to a later request — see ``_WorkerHandle.poisoned``) and
+  the next request restarts the worker instead of trusting the pipe
+  again.
+* **Admission control.**  A bounded in-flight budget: beyond
+  ``max_inflight`` concurrently executing requests the pool sheds load
+  by raising :class:`~repro.errors.OverloadedError` immediately, with a
+  ``retry_after`` hint derived from recent service times — saturation
+  degrades into bounded-latency goodput plus explicit shed counts
+  instead of unbounded queueing.
+* **Rolling restarts + health.**  :meth:`SupervisedServerPool.drain`
+  takes one shard out of rotation (fail fast, worker shut down);
+  :meth:`~SupervisedServerPool.restore` spawns a fresh worker and
+  resets the shard's budget.  ``health()`` reports every shard's state
+  (``ready`` / ``restarting`` / ``degraded`` / ``drained``), restart
+  counts, last error and in-flight depth for an external health
+  surface.
+
+Answers are bit-identical to :meth:`KBTIMServer.query`: each worker
+runs the same ``KBTIMServer`` code over the same immutable file; a
+restart only changes what the retried query *costs* (cold caches).
+Every fault path here is exercised by deterministic injected faults —
+see :mod:`repro.core.chaos` and ``tests/test_supervision.py``.
 """
 
 from __future__ import annotations
@@ -55,24 +87,45 @@ import os
 import pickle
 import threading
 import time
-from typing import List, Optional
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.catalog import RR_FORMAT, read_catalog
-from repro.core.dispatch import Dispatcher
+from repro.core.dispatch import Dispatcher, make_dispatcher
+from repro.core.query import KBTIMQuery, KeywordRef, resolve_keyword
 from repro.core.results import SeedSelection
-from repro.core.server import KBTIMServer, _dispatch, _ShardedPool
+from repro.core.server import (
+    SHARD_DEGRADED,
+    SHARD_DRAINED,
+    SHARD_READY,
+    SHARD_RESTARTING,
+    KBTIMServer,
+    PoolHealth,
+    PoolSnapshot,
+    ServerSnapshot,
+    ServerStats,
+    ShardHealth,
+    _dispatch,
+    process_rss_bytes,
+)
 from repro.core.shm_cache import (
     SharedBlockCache,
     shared_cache_name_for,
     unlink_segment,
 )
 from repro.core.transport import ResponseReader, ResponseWriter, transport_available
-from repro.errors import DeadlineExceededError, ServerError
+from repro.errors import (
+    DeadlineExceededError,
+    OverloadedError,
+    ServerError,
+    ShardUnavailableError,
+)
+from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segments import SegmentReader
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ProcessServerPool"]
+__all__ = ["SupervisedServerPool"]
 
 
 #: Seconds the parent waits for a worker's startup handshake before
@@ -241,19 +294,20 @@ class _WorkerHandle:
         #: Set when a request timed out: the worker's (possibly still
         #: coming) reply is unclaimed, so the pipe is no longer a strict
         #: request/response channel.  Every later request fails fast
-        #: until the worker is restarted — a late reply must never be
-        #: delivered as the answer to a *different* request.
+        #: until the pool replaces the handle — a late reply must never
+        #: be delivered as the answer to a *different* request.
         self.poisoned = False
 
     @property
     def alive(self) -> bool:
-        """Whether the worker process is currently running."""
-        return self.process.is_alive()
+        """Whether the worker process is currently running (a shut-down
+        handle has released its process object and answers ``False``)."""
+        return not self.closed and self.process.is_alive()
 
     @property
     def down(self) -> bool:
         """Whether this worker can no longer be trusted to answer."""
-        return self.closed or self.poisoned or not self.alive
+        return self.poisoned or not self.alive
 
     def handshake(self, timeout: float) -> None:
         """Wait for the worker's startup acknowledgement."""
@@ -316,14 +370,14 @@ class _WorkerHandle:
                 # The request is still in flight inside the worker.  Its
                 # reply, whenever it lands, belongs to no one: poison the
                 # handle so no later request can mistake it for its own
-                # answer.  Supervision restarts poisoned workers.
+                # answer.  The next request to the shard restarts the worker.
                 self.poisoned = True
                 raise DeadlineExceededError(
                     f"server worker {self.worker_id} (pid {self.pid}) did not "
                     f"answer within {timeout:.1f}s"
                     + (" during startup" if starting else "")
                     + "; the worker pipe is now poisoned (a stale reply may "
-                    "be in flight) — restart the worker to resynchronize"
+                    "be in flight) — the next request restarts the worker"
                 )
             return self.conn.recv()
         except (EOFError, OSError):
@@ -334,7 +388,7 @@ class _WorkerHandle:
         return ServerError(
             f"server worker {self.worker_id} (pid {self.pid}) pipe is "
             "poisoned after a deadline miss; a stale reply may be in "
-            "flight — restart the worker (restart_worker) to resynchronize"
+            "flight — the next request to its shard restarts the worker"
         )
 
     def _death(self) -> ServerError:
@@ -346,12 +400,13 @@ class _WorkerHandle:
         )
         return ServerError(
             f"server worker {self.worker_id} (pid {self.pid}) died "
-            f"unexpectedly ({detail}); its shard is unavailable — restart "
-            "the worker (restart_worker) or rebuild the pool to restore it"
+            f"unexpectedly ({detail}); the next request to its shard "
+            "restarts it"
         )
 
     def shutdown(self, join_timeout: float = 5.0) -> None:
-        """Polite stop, escalating to terminate; always reaps the process.
+        """Polite stop, escalating to terminate; reaps the process and
+        releases its descriptors.
 
         The handle lock is held only across the ``closed`` flip and the
         pipe send — *not* across the reply wait or the process join —
@@ -382,6 +437,10 @@ class _WorkerHandle:
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=join_timeout)
+        if not self.process.is_alive():
+            # Release the sentinel descriptors now, not when the pool
+            # object is collected.
+            self.process.close()
         # Reap the response segment *after* the process is gone.  The
         # worker unlinks it on graceful shutdown; this covers workers
         # that were killed or terminated — both sides tolerate the other
@@ -393,19 +452,76 @@ class _WorkerHandle:
             unlink_segment(self.resp_name)
 
 
-class ProcessServerPool(_ShardedPool):
-    """N worker *processes* sharding one immutable RR index file.
+def _sharded_batch(queries, shard_of, run_subbatch, concurrent: bool):
+    """Split a batch by shard, run each sub-batch, reassemble in order.
 
-    The process-level counterpart of the thread
-    :class:`~repro.core.server.ServerPool`, on the same pool core: same
-    pluggable dispatch (a :class:`~repro.core.dispatch.Dispatcher` —
-    static ``"crc32"`` on the query's primary keyword by default,
-    load-aware ``"rendezvous"`` opt-in), same sharded ``query_batch``,
-    ``warm``/``evict_all`` fan-out and merged
-    :class:`~repro.core.server.ServerStats` view — but each worker owns
-    a whole :class:`~repro.core.server.KBTIMServer` (reader,
-    decoded-block cache, buffer pool) in its own process, so warm
-    CPU-bound serving scales past the GIL.
+    The dispatch loop behind :meth:`SupervisedServerPool.query_batch`.
+
+    ``shard_of`` maps a query to its shard; ``run_subbatch(shard,
+    sub_queries)`` answers one shard's queries in order.  With
+    ``concurrent=True`` populated shards run on one thread each; a
+    failing sub-batch propagates its exception (first submitted future
+    wins), and other shards' sub-batches may still have completed.
+    """
+    by_shard: Dict[int, List[int]] = {}
+    for pos, query in enumerate(queries):
+        by_shard.setdefault(shard_of(query), []).append(pos)
+    results: List[Optional[SeedSelection]] = [None] * len(queries)
+
+    def run_shard(shard: int, positions: List[int]) -> None:
+        answers = run_subbatch(shard, [queries[pos] for pos in positions])
+        for pos, answer in zip(positions, answers):
+            results[pos] = answer
+
+    if concurrent and len(by_shard) > 1:
+        with ThreadPoolExecutor(max_workers=len(by_shard)) as executor:
+            futures = [
+                executor.submit(run_shard, shard, positions)
+                for shard, positions in by_shard.items()
+            ]
+            for future in futures:
+                future.result()
+    else:
+        for shard, positions in by_shard.items():
+            run_shard(shard, positions)
+    return results
+
+
+class _ShardRecord:
+    """Parent-side bookkeeping for one shard: what :meth:`health` reports
+    beyond the handle's own pid and liveness, plus the restart budget."""
+
+    __slots__ = (
+        "lock",
+        "inflight",
+        "restarts",
+        "last_error",
+        "drained",
+        "degraded",
+        "restarts_in_window",
+        "last_failure_at",
+    )
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.inflight = 0
+        self.restarts = 0
+        self.last_error: Optional[str] = None
+        self.drained = False
+        self.degraded = False
+        self.restarts_in_window = 0
+        self.last_failure_at: Optional[float] = None
+
+
+class SupervisedServerPool:
+    """N supervised worker *processes* sharding one immutable RR index file.
+
+    Each worker owns a whole :class:`~repro.core.server.KBTIMServer`
+    (reader, decoded-block cache, buffer pool) in its own process, so
+    warm CPU-bound serving scales past the GIL; the parent resolves and
+    routes each query, bounds it with a deadline, heals the shard it
+    lands on and retries once after a death.  In-process serving needs
+    no pool: one ``KBTIMServer`` is already thread-safe.
 
     Parameters
     ----------
@@ -413,13 +529,13 @@ class ProcessServerPool(_ShardedPool):
         The RR index file every worker opens.  The file is immutable
         while served, so workers need no cross-process coordination.
     n_workers:
-        Number of shards/processes (>= 1).
+        Number of shards/worker processes (>= 1).
     cache_keywords:
         Per-worker decoded-block-cache capacity (LRU, in keywords).
     pool_pages:
-        Capacity of each worker's page buffer pool.  Unlike the thread
-        pool there is no shared pool — every process pays its own page
-        cache, the standard memory-for-parallelism trade.
+        Capacity of each worker's page buffer pool (every process pays
+        its own page cache, the memory-for-parallelism trade; the
+        ``mmap``'d file pages themselves are shared by the kernel).
     page_size:
         Page fault granularity in bytes.
     start_method:
@@ -427,19 +543,19 @@ class ProcessServerPool(_ShardedPool):
         ``"forkserver"``); ``None`` picks ``fork`` where available
         (cheap startup) and ``spawn`` elsewhere.
     request_timeout:
-        Optional per-request ceiling in seconds; a worker that exceeds
-        it raises :class:`~repro.errors.DeadlineExceededError` (a
-        ``ServerError``) on the caller and leaves that worker's pipe
-        poisoned — every later request to the shard fails fast until
-        :meth:`restart_worker` replaces it.  ``None`` (default) waits
+        Default per-request deadline in seconds, bounding the whole
+        round trip (including restart + retry); ``None`` waits
         indefinitely — worker *death* is still detected immediately via
-        the broken pipe.
+        the broken pipe.  Overridable per call via ``timeout=``.  The
+        pool's single deadline: admin fan-outs and :meth:`snapshot`
+        reads are bounded by it too.
     shared_block_cache:
         Put one machine-wide :class:`~repro.core.shm_cache.SharedBlockCache`
         behind every worker's block cache (each hot keyword is
         PFOR-decoded once per machine).  Off by default: a shared
         hit legitimately reports zero per-query reads where a private
-        decode reports two, so enabling it changes I/O accounting.
+        decode reports two, so enabling it changes I/O accounting.  A
+        restarted worker *attaches* to the existing cache.
     shm_cache_slots:
         Directory capacity of the shared block cache (keywords held at
         once); only meaningful with ``shared_block_cache=True``.
@@ -447,40 +563,77 @@ class ProcessServerPool(_ShardedPool):
         Shard-selection policy: ``"crc32"`` (exact legacy static map,
         the default), ``"rendezvous"`` (load-aware, skew-balancing), or
         a pre-built :class:`~repro.core.dispatch.Dispatcher` sized for
-        ``n_workers`` shards.
+        ``n_workers`` shards.  Shard availability feeds the
+        dispatcher's candidate set: under ``"rendezvous"`` degraded and
+        drained shards drop out of the ranking, so their keywords
+        redistribute minimally across the survivors instead of failing,
+        and a restored shard gets exactly its old keywords back.
+        ``"crc32"`` keeps the static mapping, where an unavailable
+        shard's queries fail fast with
+        :class:`~repro.errors.ShardUnavailableError`.
+    max_retries:
+        Transparent retries per query after a worker *death* (queries
+        are read-only, hence idempotent).  Default 1: retry once on the
+        freshly restarted worker.  Deadline misses are never retried —
+        by definition there is no budget left.
+    restart_budget:
+        Restarts allowed per shard within one failure window before the
+        shard is declared ``degraded`` (fail fast until
+        :meth:`restore`).
+    restart_backoff:
+        Base backoff in seconds: the first restart of a window is
+        immediate, the k-th waits ``restart_backoff * 2**(k-2)``
+        (capped at ``backoff_max``) after the latest failure.  ``0``
+        disables the wait (deterministic tests).
+    backoff_max:
+        Upper bound on the exponential backoff delay.
+    budget_reset_after:
+        Seconds of failure-free service after which a shard's restart
+        window resets — rare, unrelated faults must not accumulate into
+        a degraded state over weeks of serving.
+    max_inflight:
+        Admission-control budget: beyond this many concurrently
+        executing requests the pool sheds load with
+        :class:`~repro.errors.OverloadedError` instead of queueing.
+        ``None`` disables admission control.
 
     Raises
     ------
     ValueError
-        On a non-positive ``n_workers`` or ``cache_keywords``, or an
-        unknown/mis-sized ``dispatch``.
+        On a non-positive ``n_workers``, ``cache_keywords``,
+        ``pool_pages``, ``shm_cache_slots``, ``restart_budget`` or
+        ``max_inflight``, a negative ``max_retries`` or timing knob, an
+        unknown/mis-sized ``dispatch`` or an unknown ``start_method``.
     CorruptIndexError
-        If ``path`` is not a readable RR index (checked in the parent
-        before any process is spawned).
+        If ``path`` is not a readable RR index.
     ServerError
         If a worker fails its startup handshake.
+
+    Every argument is checked, and the catalog read in the parent,
+    *before* the first shared segment or process is created, so a
+    rejected constructor leaves nothing behind.
 
     **Thread safety.**  Any number of parent threads may call
     :meth:`query` / :meth:`query_batch` concurrently; each worker's pipe
     is a locked request/response channel, so concurrent queries to one
     shard serialise (that shard is one process) while different shards
-    proceed in parallel.
+    proceed in parallel.  Shard state is per-shard locked, restarts
+    serialise per shard, and admission counters sit behind one small
+    lock.
 
     **Semantics.**  Answers are bit-identical to
-    :meth:`KBTIMServer.query` and to the thread pool — same code, same
-    immutable file, same dispatch — and per-query
-    :class:`~repro.core.results.QueryStats` carry exact I/O accounting
-    measured inside the owning worker.  Query answers travel as flat
-    arrays through per-worker shared-memory segments
+    :meth:`KBTIMServer.query` — same code, same immutable file — and
+    per-query :class:`~repro.core.results.QueryStats` carry exact I/O
+    accounting measured inside the owning worker.  A restarted worker
+    starts with cold caches, so a retried query may report cold-cost
+    ``QueryStats`` — the *answer* is unchanged.  Query answers travel as
+    flat arrays through per-worker shared-memory segments
     (:mod:`repro.core.transport`) wherever shared memory exists
     (:attr:`flat_transport` reports it) and as pickles otherwise.
-    Telemetry is the pool core's two calls: :meth:`health` (parent-side,
-    no worker round trip) and :meth:`snapshot` (one request/response
-    copy per ready worker, consistent per worker, fetched at call time;
-    :attr:`stats` is its merged view).
+    Telemetry is two calls: :meth:`health` (parent-side, no worker
+    round trip) and :meth:`snapshot` (one request/response copy per
+    ready worker; :attr:`stats` is its merged view).
     """
-
-    _kind = "process server pool"
 
     def __init__(
         self,
@@ -495,43 +648,77 @@ class ProcessServerPool(_ShardedPool):
         shared_block_cache: bool = False,
         shm_cache_slots: int = 64,
         dispatch: "str | Dispatcher" = "crc32",
+        max_retries: int = 1,
+        restart_budget: int = 3,
+        restart_backoff: float = 0.05,
+        backoff_max: float = 5.0,
+        budget_reset_after: float = 60.0,
+        max_inflight: Optional[int] = None,
     ) -> None:
-        super().__init__(n_workers, dispatch, request_timeout)
-        check_positive_int("cache_keywords", cache_keywords)
+        self.n_workers = check_positive_int("n_workers", n_workers)
+        self.dispatcher = make_dispatcher(dispatch, self.n_workers)
+        self._config = {
+            "page_size": page_size,
+            "cache_keywords": check_positive_int("cache_keywords", cache_keywords),
+            "pool_pages": check_positive_int("pool_pages", pool_pages),
+        }
+        check_positive_int("shm_cache_slots", shm_cache_slots)
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        check_positive_int("restart_budget", restart_budget)
+        for name, value in (
+            ("restart_backoff", restart_backoff),
+            ("backoff_max", backoff_max),
+            ("budget_reset_after", budget_reset_after),
+        ):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if max_inflight is not None:
+            check_positive_int("max_inflight", max_inflight)
+        if start_method is None:
+            available = multiprocessing.get_all_start_methods()
+            start_method = "fork" if "fork" in available else "spawn"
+        self._ctx = multiprocessing.get_context(start_method)
+        self.start_method = start_method
         self.path = str(path)
-        #: Whether answers ride flat shared-memory frames (observed, not
-        #: configured: true wherever POSIX shared memory exists).
-        self.flat_transport = transport_available()
-        self._resp_counter = itertools.count()
+        self.request_timeout = request_timeout
+        self.max_retries = max_retries
+        self.restart_budget = restart_budget
+        self.restart_backoff = restart_backoff
+        self.backoff_max = backoff_max
+        self.budget_reset_after = budget_reset_after
+        self.max_inflight = max_inflight
         # Parent-side catalog: names + topic-id map only, for dispatch
         # and warm routing.  Loaded once and the reader closed *before*
         # spawning, so no open file descriptor leaks into fork children
         # and a corrupt file fails fast in the parent.
         with SegmentReader(self.path, page_size=page_size) as reader:
             self._topic_names = read_catalog(reader, RR_FORMAT).topic_names
-        self._config = {
-            "page_size": page_size,
-            "cache_keywords": cache_keywords,
-            "pool_pages": check_positive_int("pool_pages", pool_pages),
-        }
-        if shared_block_cache and transport_available():
+
+        self._shards = [_ShardRecord() for _ in range(self.n_workers)]
+        #: Parent-side restarts / retries / sheds, merged into :attr:`stats`.
+        self._supervision = ServerStats(latency_window=0)
+        self._admission_lock = threading.Lock()
+        self._inflight = 0
+        self._exhausted_until = 0.0  # chaos: forced admission exhaustion
+        self._ewma_latency = 0.005  # retry-after hint, seeded at 5 ms
+        self._closed = False
+        #: Whether answers ride flat shared-memory frames (observed, not
+        #: configured: true wherever POSIX shared memory exists).
+        self.flat_transport = transport_available()
+        self._resp_counter = itertools.count()
+        # Nothing above outlives a failed constructor; from here on a
+        # failure must release what was created.
+        self._shm_cache: Optional[SharedBlockCache] = None
+        if shared_block_cache and self.flat_transport:
             # The parent creates (or, if another pool over the same file
             # is already serving, attaches to) the machine-wide cache;
             # workers always attach only, so a restarted worker can never
             # re-create or unlink shared state.
             self._shm_cache = SharedBlockCache(
-                shared_cache_name_for(self.path),
-                slots=check_positive_int("shm_cache_slots", shm_cache_slots),
-                create=True,
+                shared_cache_name_for(self.path), slots=shm_cache_slots, create=True
             )
             self._config["shm_cache_name"] = self._shm_cache.name
-
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
-
         workers: List[_WorkerHandle] = []
         try:
             for worker_id in range(self.n_workers):
@@ -544,8 +731,11 @@ class ProcessServerPool(_ShardedPool):
             if self._shm_cache is not None:
                 self._shm_cache.close()
             raise
-        self._workers: List[_WorkerHandle] = workers
+        self._workers = workers
 
+    # ------------------------------------------------------------------
+    # worker lifecycle
+    # ------------------------------------------------------------------
     def _start_worker(self, worker_id: int) -> _WorkerHandle:
         """Spawn one worker process (handshake is the caller's job)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -570,16 +760,15 @@ class ProcessServerPool(_ShardedPool):
     def restart_worker(self, shard: int) -> None:
         """Replace one shard's worker with a freshly spawned process.
 
-        The mechanism behind
-        :class:`~repro.core.supervision.SupervisedServerPool`'s
-        self-healing (and behind manual rolling restarts): the old
-        handle is shut down — politely if its pipe is still framed,
-        by terminate if the process is dead, hung, or poisoned — and a
-        fresh worker is spawned, handshaked and swapped in.  The new
-        worker starts with cold caches; answers stay bit-identical
-        because every worker serves the same immutable file.  Every
-        successful restart is counted (``health().restarts`` and the
-        shard's own ``restarts``), whoever asked for it.
+        The mechanism behind self-healing (and behind manual rolling
+        restarts): the old handle is shut down — politely if its pipe
+        is still framed, by terminate if the process is dead, hung, or
+        poisoned — and a fresh worker is spawned, handshaked and
+        swapped in.  The new worker starts with cold caches; answers
+        stay bit-identical because every worker serves the same
+        immutable file.  Every successful restart is counted
+        (``health().restarts`` and the shard's own ``restarts``),
+        whoever asked for it.
 
         Raises
         ------
@@ -589,8 +778,7 @@ class ProcessServerPool(_ShardedPool):
             handle — a later restart attempt may still succeed).
         """
         self._check_open()
-        old = self._workers[shard]
-        old.shutdown(join_timeout=1.0)
+        self._workers[shard].shutdown(join_timeout=1.0)
         handle = self._start_worker(shard)
         try:
             handle.handshake(_STARTUP_TIMEOUT)
@@ -598,13 +786,628 @@ class ProcessServerPool(_ShardedPool):
             handle.shutdown(join_timeout=1.0)
             raise
         self._workers[shard] = handle
-        # Not under the shard record's lock: a supervisor calls this
-        # with that lock already held.
+        # Not under the shard record's lock: healing calls this with
+        # that lock already held.
         self._shards[shard].restarts += 1
         self._supervision.record_restart()
 
+    def _ensure_ready(self, shard: int) -> None:
+        """Heal a down shard (restart, subject to backoff + budget) or fail fast.
+
+        Raises :class:`ShardUnavailableError` when the shard is drained,
+        degraded, or inside its backoff window — carrying ``retry_after``
+        when the next request will try again on its own.
+        """
+        record = self._shards[shard]
+        with record.lock:
+            if record.drained:
+                raise ShardUnavailableError(
+                    f"shard {shard} is drained (rolling restart); call "
+                    "restore() to return it to rotation",
+                    shard=shard,
+                    retry_after=None,
+                )
+            if record.degraded:
+                raise ShardUnavailableError(
+                    f"shard {shard} is degraded: restart budget "
+                    f"({self.restart_budget}) exhausted; last error: "
+                    f"{record.last_error}; call restore() after fixing the cause",
+                    shard=shard,
+                    retry_after=None,
+                )
+            if not self._workers[shard].down:
+                return
+            now = time.monotonic()
+            since_failure = (
+                now - record.last_failure_at
+                if record.last_failure_at is not None
+                else 0.0
+            )
+            if since_failure > self.budget_reset_after:
+                record.restarts_in_window = 0  # sustained health: window resets
+            if record.restarts_in_window >= self.restart_budget:
+                record.degraded = True
+                raise ShardUnavailableError(
+                    f"shard {shard} is degraded: {record.restarts_in_window} "
+                    "restarts exhausted the budget (crash loop); last error: "
+                    f"{record.last_error}",
+                    shard=shard,
+                    retry_after=None,
+                )
+            # The first restart of a window is immediate, the k-th waits
+            # restart_backoff * 2**(k-2) after the latest failure.
+            backoff = 0.0
+            if record.restarts_in_window:
+                backoff = min(
+                    self.restart_backoff * 2.0 ** (record.restarts_in_window - 1),
+                    self.backoff_max,
+                )
+            if backoff > since_failure:
+                raise ShardUnavailableError(
+                    f"shard {shard} is restarting (backoff); retry in "
+                    f"{backoff - since_failure:.3f}s",
+                    shard=shard,
+                    retry_after=backoff - since_failure,
+                )
+            self.restart_worker(shard)
+            record.restarts_in_window += 1
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+    def _resolved_names(self, query: KBTIMQuery) -> List[str]:
+        """The query's keyword refs resolved to names, for dispatch.
+
+        Resolution only (an unknown *name* dispatches to some shard,
+        whose server then raises the reader's usual ``IndexError_``):
+        full validation (duplicates, budget) stays with the serving
+        worker, so it runs once per query.
+        """
+        return [resolve_keyword(self._topic_names, kw) for kw in query.keywords]
+
+    def _candidates(self) -> List[int]:
+        """Shards currently eligible for dispatch (not drained/degraded).
+
+        Under ``"rendezvous"`` an excluded shard's keywords redistribute
+        minimally to the survivors; the static ``"crc32"`` policy
+        ignores candidates by design and keeps failing fast on
+        unavailable shards.
+
+        Raises
+        ------
+        ShardUnavailableError
+            When every shard is drained or degraded (``shard`` is -1:
+            the outage is pool-wide, not one shard's).
+        """
+        shards = [
+            shard
+            for shard, record in enumerate(self._shards)
+            if not (record.drained or record.degraded)
+        ]
+        if not shards:
+            raise ShardUnavailableError(
+                "no shard available: every shard is drained or degraded; "
+                "call restore() to return shards to rotation",
+                shard=-1,
+                retry_after=None,
+            )
+        return shards
+
+    def shard_of(self, query: KBTIMQuery) -> int:
+        """The worker this query would dispatch to right now.
+
+        A side-effect-free peek at the pool's
+        :class:`~repro.core.dispatch.Dispatcher` — it never records the
+        decision, so asking does not steer subsequent traffic.  Under
+        the static ``"crc32"`` policy the answer is the crc32 hash of
+        the query's primary keyword; under ``"rendezvous"`` it reflects
+        the dispatcher's current load/hot-set state and the shards
+        currently in rotation.
+
+        Raises
+        ------
+        IndexError_
+            If a topic-id keyword ref is not in the index.
+        ShardUnavailableError
+            If every shard is drained or degraded.
+        """
+        return self.dispatcher.peek(self._resolved_names(query), self._candidates())
+
+    def _route(self, query: KBTIMQuery) -> int:
+        """Choose and *record* the serving shard for one query."""
+        return self.dispatcher.route(self._resolved_names(query), self._candidates())
+
+    # ------------------------------------------------------------------
+    # admission
+    # ------------------------------------------------------------------
+    def _admit(self, units: int) -> None:
+        """Claim admission budget or shed with a typed Overloaded error."""
+        if self.max_inflight is None and self._exhausted_until <= 0.0:
+            return
+        with self._admission_lock:
+            now = time.monotonic()
+            exhausted = now < self._exhausted_until
+            over = (
+                self.max_inflight is not None
+                and self._inflight + units > self.max_inflight
+            )
+            if exhausted or over:
+                self._supervision.record_shed()
+                if exhausted:
+                    retry_after = self._exhausted_until - now
+                    detail = "admission budget exhausted (injected fault)"
+                else:
+                    retry_after = max(self._ewma_latency, 1e-3)
+                    detail = (
+                        f"{self._inflight} requests in flight >= "
+                        f"max_inflight {self.max_inflight}"
+                    )
+                raise OverloadedError(
+                    f"serving tier overloaded: {detail}; retry after "
+                    f"{retry_after:.3f}s",
+                    retry_after=retry_after,
+                )
+            self._inflight += units
+
+    def _release(self, units: int) -> None:
+        """Return admission budget claimed by :meth:`_admit`."""
+        if self.max_inflight is None and self._exhausted_until <= 0.0:
+            return
+        with self._admission_lock:
+            self._inflight = max(0, self._inflight - units)
+
+    def inject_admission_exhaustion(self, seconds: float) -> None:
+        """Force admission control to shed everything for ``seconds``.
+
+        A deterministic fault-injection hook (the ``exhaust`` event of a
+        :class:`~repro.core.chaos.FaultPlan`): every request admitted
+        during the window raises :class:`~repro.errors.OverloadedError`
+        with the window's remaining time as ``retry_after``, exactly as
+        if the in-flight budget were full.
+        """
+        with self._admission_lock:
+            self._exhausted_until = time.monotonic() + seconds
+
+    # ------------------------------------------------------------------
+    # the request path
+    # ------------------------------------------------------------------
+    def _deadline(self, timeout: Optional[float]) -> Optional[float]:
+        """Absolute monotonic deadline for one request (``None`` = unbounded);
+        ``timeout`` overrides the pool's ``request_timeout`` for one call."""
+        budget = timeout if timeout is not None else self.request_timeout
+        return None if budget is None else time.monotonic() + budget
+
+    def _call_shard(
+        self,
+        shard: int,
+        method: str,
+        payload=None,
+        *,
+        deadline: Optional[float] = None,
+        units: int = 1,
+    ):
+        """One round trip to a shard: heal, bound, time, retry after a death.
+
+        Heals the shard if needed (restart behind backoff/budget), then
+        makes one timed request with what is left of ``deadline`` — one
+        already spent fails before anything is sent, so a healthy worker
+        is never poisoned by a request that could not be answered in
+        time.  ``units`` is the request's weight against the
+        dispatcher's in-flight/latency gauges (``len(batch)`` for a
+        sub-batch, ``0`` for admin fan-outs, which must not skew
+        serving-load signals).  On a worker *death* the request retries
+        up to ``max_retries`` times on the freshly restarted worker
+        (counted under ``retries`` for serving traffic only — ``units=0``
+        admin fan-outs retry silently).  Deadline misses poison the
+        handle and propagate immediately — the budget is spent.
+        Query-level errors (``QueryError``, ``IndexError_``) propagate
+        untouched: the worker answered, the request was just wrong.
+        """
+        record = self._shards[shard]
+        attempts = 0
+        while True:
+            self._ensure_ready(shard)
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise DeadlineExceededError(
+                    f"deadline exhausted before dispatch to shard {shard} "
+                    "(spent on queueing/restarts)"
+                )
+            with record.lock:
+                record.inflight += units
+            if units:
+                self.dispatcher.begin(shard, units=units)
+            started = time.perf_counter()
+            try:
+                return self._workers[shard].request(method, payload, timeout=remaining)
+            except ServerError as exc:
+                # Time-stamped for the backoff window; the next request
+                # to the shard triggers healing.
+                record.last_error = f"{type(exc).__name__}: {exc}"
+                with record.lock:
+                    record.last_failure_at = time.monotonic()
+                attempts += 1
+                spent = isinstance(exc, DeadlineExceededError)  # never retried
+                if spent or attempts > self.max_retries:
+                    raise
+                if units:
+                    self._supervision.record_retry()
+            finally:
+                with record.lock:
+                    record.inflight -= units
+                if units:
+                    self.dispatcher.complete(
+                        shard, time.perf_counter() - started, units=units
+                    )
+
+    def query(
+        self, query: KBTIMQuery, *, timeout: Optional[float] = None
+    ) -> SeedSelection:
+        """Answer one query on its shard's worker (Algorithm 2 semantics).
+
+        Parameters
+        ----------
+        query:
+            The ``(Q.T, Q.k)`` pair to answer.
+        timeout:
+            Per-call deadline in seconds overriding the pool's
+            ``request_timeout``; bounds the whole round trip, restart
+            and retry included.
+
+        Returns
+        -------
+        The same :class:`~repro.core.results.SeedSelection`
+        :meth:`KBTIMServer.query` would produce.
+
+        Raises
+        ------
+        QueryError, IndexError_
+            The usual query-level errors, untouched.
+        OverloadedError
+            If admission control shed the request (``retry_after`` set).
+        ShardUnavailableError
+            If the owning shard is drained, degraded, or inside its
+            restart backoff window.
+        DeadlineExceededError
+            If the deadline passed before an answer arrived (the worker
+            is restarted behind the scenes; the late answer is never
+            delivered elsewhere).
+        ServerError
+            If the pool is closed, or the worker died and every retry
+            failed.
+        """
+        self._check_open()
+        self._admit(1)
+        try:
+            started = time.perf_counter()
+            result = self._call_shard(
+                self._route(query), "query", query, deadline=self._deadline(timeout)
+            )
+            # The EWMA service-time estimate behind retry-after hints.
+            self._ewma_latency += 0.2 * (
+                time.perf_counter() - started - self._ewma_latency
+            )
+            return result
+        finally:
+            self._release(1)
+
+    def query_batch(
+        self,
+        queries: Sequence[KBTIMQuery],
+        *,
+        concurrent: bool = True,
+        timeout: Optional[float] = None,
+    ) -> List[SeedSelection]:
+        """Answer a batch, sharded and (optionally) in parallel.
+
+        The batch is split by shard, each populated shard's sub-batch
+        runs through its worker's :meth:`KBTIMServer.query_batch` (one
+        shared load per keyword at the maximum requested prefix) as one
+        round trip — healed and retried as a unit — and results return
+        in input order.  With ``concurrent=True`` the sub-batches are
+        issued on one thread per populated shard, so they execute on as
+        many cores.  The whole batch shares one deadline and is
+        admitted as ``len(queries)`` units against the in-flight budget.
+
+        Raises
+        ------
+        QueryError
+            If any query is invalid.  Validation happens during each
+            sub-batch's planning phase, before that shard touches disk;
+            other shards' sub-batches may still have been answered.
+        IndexError_
+            On the first unknown keyword.
+        OverloadedError
+            If the batch does not fit the admission budget.
+        ShardUnavailableError, DeadlineExceededError, ServerError
+            As :meth:`query`, per failing shard (first failure wins;
+            other shards' sub-batches may still have been answered).
+        """
+        self._check_open()
+        queries = list(queries)
+        if not queries:
+            return []
+        self._admit(len(queries))
+        try:
+            deadline = self._deadline(timeout)
+            return _sharded_batch(
+                queries,
+                self._route,
+                lambda shard, sub: self._call_shard(
+                    shard, "query_batch", sub, deadline=deadline, units=len(sub)
+                ),
+                concurrent,
+            )
+        finally:
+            self._release(len(queries))
+
+    # ------------------------------------------------------------------
+    # administration
+    # ------------------------------------------------------------------
+    def warm(self, keywords: Iterable[KeywordRef]) -> None:
+        """Pre-load each keyword on every worker its traffic can land on.
+
+        Routed through the dispatcher's
+        :meth:`~repro.core.dispatch.Dispatcher.homes_of_name` over the
+        currently eligible shards, so a keyword is warmed exactly where
+        queries for it will dispatch — one shard under ``"crc32"``, the
+        full replica set for a hot keyword under ``"rendezvous"``.
+        Grouped fan-out: one request per populated shard, counted under
+        each worker's ``warm_loads``.  A failed shard does not abort the
+        fan-out: every surviving shard is still warmed, and the failure
+        surfaces afterwards as one :class:`~repro.errors.ServerError`
+        naming the failed shard(s).
+
+        Raises
+        ------
+        QueryError
+            If a keyword name is not in the index.
+        IndexError_
+            If a topic id is unknown.
+        ServerError
+            If the pool is closed, or any owning shard failed (raised
+            after the surviving shards were warmed).
+        """
+        self._check_open()
+        candidates = self._candidates()
+        by_shard: Dict[int, List[str]] = {}
+        for kw in keywords:
+            name = resolve_keyword(self._topic_names, kw)
+            for shard in self.dispatcher.homes_of_name(name, candidates):
+                by_shard.setdefault(shard, []).append(name)
+        self._fanout(
+            [(shard, "warm", names) for shard, names in sorted(by_shard.items())]
+        )
+
+    def evict_all(self) -> None:
+        """Drop every worker's cached blocks.
+
+        Like :meth:`warm`, a failed shard does not stop the fan-out:
+        every surviving worker's caches are dropped first, then one
+        :class:`~repro.errors.ServerError` naming the failed shard(s)
+        is raised.
+        """
+        self._check_open()
+        self._fanout([(shard, "evict_all", None) for shard in range(self.n_workers)])
+
+    def _fanout(self, requests: Sequence[tuple]) -> None:
+        """Issue one admin request per shard, surviving per-shard failures.
+
+        Every shard is attempted; query-level errors (``QueryError``,
+        ``IndexError_``) propagate immediately (they mean the *request*
+        was wrong, so later shards would fail identically), while
+        transport failures are collected and re-raised at the end as a
+        single :class:`ServerError` naming each failed shard — so one
+        unavailable worker cannot stop healthy shards from being
+        administered.
+        """
+        failures: List[tuple] = []
+        for shard, method, payload in requests:
+            try:
+                self._call_shard(
+                    shard, method, payload, deadline=self._deadline(None), units=0
+                )
+            except ServerError as exc:
+                failures.append((shard, exc))
+        if failures:
+            if len(failures) == 1:
+                raise failures[0][1]
+            detail = "; ".join(f"shard {shard}: {exc}" for shard, exc in failures)
+            raise ServerError(
+                f"{len(failures)} shards failed during fan-out — {detail}"
+            )
+
+    def drain(self, shard: int) -> None:
+        """Take one shard out of rotation for a rolling restart.
+
+        In-flight requests on the shard finish (the worker pipe is a
+        strict request/response channel); new queries fail fast with
+        :class:`~repro.errors.ShardUnavailableError` (``retry_after``
+        ``None`` — the shard waits for :meth:`restore`).  The worker
+        process is shut down once drained.  Idempotent.
+        """
+        self._check_open()
+        record = self._shards[shard]
+        with record.lock:
+            if record.drained:
+                return
+            record.drained = True
+        # New dispatches now fail fast; the handle serializes in-flight
+        # work, so a polite shutdown drains before stopping.
+        self._workers[shard].shutdown()
+
+    def restore(self, shard: int) -> None:
+        """Return a drained or degraded shard to rotation with a fresh worker.
+
+        Spawns a replacement process, resets the shard's restart window
+        and degraded flag (the budget starts over — restoring is the
+        operator saying "the cause is fixed"), and marks it ``ready``.
+
+        Raises
+        ------
+        ServerError
+            If the replacement worker fails its startup handshake; the
+            shard stays out of rotation.
+        """
+        self._check_open()
+        record = self._shards[shard]
+        with record.lock:
+            self.restart_worker(shard)
+            record.drained = False
+            record.degraded = False
+            record.restarts_in_window = 0
+            record.last_failure_at = None
+            record.last_error = None
+
+    # ------------------------------------------------------------------
+    # observability: health() is parent-side, snapshot() asks the shards
+    # ------------------------------------------------------------------
+    def health(self) -> PoolHealth:
+        """Everything the parent knows, without a worker round trip.
+
+        Per shard: state (``ready`` / ``restarting`` / ``degraded`` /
+        ``drained``), liveness, pid, RSS read from ``/proc``, restarts,
+        in-flight units and the last transport error; for the pool: the
+        restart / retry / shed counters, the admission budget, the
+        shared block cache's bytes and the workers' total RSS.  Never
+        waits on a shard, so it stays cheap and safe to poll from a
+        health endpoint while shards are busy, hung or dead.
+
+        Raises
+        ------
+        ServerError
+            If the pool is closed.
+        """
+        self._check_open()
+        shards = []
+        for shard, record in enumerate(self._shards):
+            with record.lock:
+                worker = self._workers[shard]
+                alive = worker.alive
+                if record.drained:
+                    state = SHARD_DRAINED
+                elif record.degraded:
+                    state = SHARD_DEGRADED
+                else:
+                    state = SHARD_RESTARTING if worker.down else SHARD_READY
+                shards.append(
+                    ShardHealth(
+                        shard=shard,
+                        state=state,
+                        alive=alive,
+                        pid=worker.pid,
+                        rss_bytes=process_rss_bytes(worker.pid) if alive else 0,
+                        restarts=record.restarts,
+                        inflight=record.inflight,
+                        last_error=record.last_error,
+                    )
+                )
+        cache = self._shm_cache
+        return PoolHealth(
+            shards=tuple(shards),
+            inflight=sum(shard.inflight for shard in shards),
+            max_inflight=self.max_inflight,
+            restarts=self._supervision.restarts,
+            retries=self._supervision.retries,
+            sheds=self._supervision.sheds,
+            rss_bytes=sum(shard.rss_bytes for shard in shards),
+            shm_bytes=cache.shared_bytes() if cache is not None else 0,
+        )
+
+    def snapshot(self) -> PoolSnapshot:
+        """:meth:`health` plus one ``"snapshot"`` round trip per ready shard.
+
+        Each ready shard answers with its server's
+        :class:`ServerSnapshot` (bounded by ``request_timeout``); a
+        shard that is not ready, or fails to answer, is a ``None`` hole
+        — its counters died with it — and the merged views cover the
+        shards that answered.
+
+        Raises
+        ------
+        ServerError
+            If the pool is closed.
+        """
+        health = self.health()
+        workers: List[Optional[ServerSnapshot]] = []
+        for shard in health.shards:
+            part = None
+            if shard.state == SHARD_READY:
+                # Deliberately not _call_shard: a read must neither move
+                # the dispatcher's load signals nor restart anything.
+                try:
+                    part = self._workers[shard.shard].request(
+                        "snapshot", timeout=self.request_timeout
+                    )
+                except ServerError:
+                    pass
+            workers.append(part)
+        answered = [part for part in workers if part is not None]
+        io = IOStats()
+        for part in answered:
+            io.add(part.io)
+        return PoolSnapshot(
+            health=health,
+            workers=tuple(workers),
+            stats=ServerStats.merged(
+                [part.stats for part in answered] + [self._supervision]
+            ),
+            io=io,
+            dispatch=self.dispatcher.load_snapshot(),
+        )
+
+    @property
+    def stats(self) -> ServerStats:
+        """The merged :class:`ServerStats` of a fresh :meth:`snapshot`."""
+        return self.snapshot().stats
+
+    @property
+    def shared_cache(self) -> Optional[SharedBlockCache]:
+        """The machine-wide decoded-block cache
+        (:class:`~repro.core.shm_cache.SharedBlockCache`; ``None`` when
+        disabled)."""
+        return self._shm_cache
+
     @property
     def pids(self) -> List[int]:
-        """Worker process ids, in shard order (``health().shards[i].pid``
-        for callers that hold no pool-kind assumption)."""
+        """Worker process ids, in shard order — ``health().shards[i].pid``;
+        kept only for the frozen ``bench/targets.py`` (ROADMAP 4(e))."""
         return [handle.pid for handle in self._workers]
+
+    @property
+    def pool(self) -> "SupervisedServerPool":
+        """``self`` — kept only because the frozen ``bench/targets.py``
+        reads ``pool.pool.pids``; remove with the next benchmark PR."""
+        return self
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServerError("supervised server pool is closed")
+
+    def close(self) -> None:
+        """Shut every worker down (polite request, then terminate) and
+        release the shared block cache.
+
+        Idempotent; afterwards every serving method raises
+        :class:`~repro.errors.ServerError`, and no child process,
+        ``/dev/shm`` segment or file descriptor of the pool remains.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for worker in self._workers:
+            worker.shutdown()
+        if self._shm_cache is not None:
+            # Owner pools unlink every shared segment; attached pools
+            # just drop their mappings (the owner cleans up at exit).
+            self._shm_cache.close()
+            self._shm_cache = None
+
+    def __enter__(self) -> "SupervisedServerPool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -7,7 +7,8 @@ naturally keeps decoded per-keyword blocks — the RR sets and inverted
 lists of a keyword — across queries, on top of the page-level buffer
 pool.
 
-Three tiers of concurrency are layered here:
+Two tiers of concurrency live here; the third is the process pool
+built on them:
 
 * :class:`KBTIMServer` serves one open
   :class:`~repro.core.rr_index.RRIndex` and executes Algorithm 2
@@ -21,13 +22,12 @@ Three tiers of concurrency are layered here:
   the batch is then served by pure array slicing — bit-identical
   answers to sequential :meth:`query` calls at a fraction of the
   load/decode work.
-* :class:`ServerPool` shards keywords across N servers over one index
-  file behind a pluggable dispatcher (``repro.core.dispatch``: static
-  crc32 on the primary keyword, or load-aware rendezvous hashing with
-  hot-keyword replication), so concurrent traffic spreads over
-  independent caches while sharing one buffer pool.  Its request path
-  is :class:`_ShardedPool`, the one pool core the process and
-  supervised pools run on too (two shard executors, one policy).
+* :class:`~repro.core.process_pool.SupervisedServerPool` replicates
+  the server as worker processes sharding one index file behind a
+  pluggable dispatcher (``repro.core.dispatch``).  This module defines
+  what crosses that boundary: the request vocabulary (:func:`_dispatch`)
+  and the telemetry records a pool reports (:class:`ServerSnapshot`,
+  :class:`ShardHealth`, :class:`PoolHealth`, :class:`PoolSnapshot`).
 
 Results are identical to :meth:`RRIndex.query` in every mode (asserted
 by the tests); only the cost profile changes: a warm keyword costs zero
@@ -40,29 +40,28 @@ import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dispatch import Dispatcher, make_dispatcher, shard_of_keyword
-from repro.core.query import KBTIMQuery, KeywordRef, resolve_keyword
+from repro.core.dispatch import shard_of_keyword
+from repro.core.query import KBTIMQuery, resolve_keyword
 from repro.core.results import SeedSelection
 from repro.core.rr_index import KeywordCoverageCSR, RRIndex, select_seeds
-from repro.errors import DeadlineExceededError, QueryError, ServerError
+from repro.errors import QueryError, ServerError
 from repro.storage.iostats import IOStats
-from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.utils.validation import check_positive_int
 
 __all__ = [
     "KBTIMServer",
     "PoolHealth",
     "PoolSnapshot",
-    "SHARD_DOWN",
+    "SHARD_DEGRADED",
+    "SHARD_DRAINED",
     "SHARD_READY",
+    "SHARD_RESTARTING",
     "SNAPSHOT_SCHEMA",
-    "ServerPool",
     "ServerSnapshot",
     "ServerStats",
     "ShardHealth",
@@ -95,45 +94,6 @@ def process_rss_bytes(pid: int) -> int:
         except Exception:
             pass
     return 0
-
-
-def _sharded_batch(queries, shard_of, run_subbatch, concurrent: bool):
-    """Split a batch by shard, run each sub-batch, reassemble in order.
-
-    The dispatch loop behind every pool's ``query_batch`` (called from
-    :meth:`_ShardedPool.query_batch` only).
-
-    ``shard_of`` maps a query to its shard; ``run_subbatch(shard,
-    sub_queries)`` answers one shard's queries in order.  With
-    ``concurrent=True`` populated shards run on one thread each; a
-    failing sub-batch propagates its exception (first submitted future
-    wins), and other shards' sub-batches may still have completed.
-    """
-    queries = list(queries)
-    if not queries:
-        return []
-    by_shard: Dict[int, List[int]] = {}
-    for pos, query in enumerate(queries):
-        by_shard.setdefault(shard_of(query), []).append(pos)
-    results: List[Optional[SeedSelection]] = [None] * len(queries)
-
-    def run_shard(shard: int, positions: List[int]) -> None:
-        answers = run_subbatch(shard, [queries[pos] for pos in positions])
-        for pos, answer in zip(positions, answers):
-            results[pos] = answer
-
-    if concurrent and len(by_shard) > 1:
-        with ThreadPoolExecutor(max_workers=len(by_shard)) as executor:
-            futures = [
-                executor.submit(run_shard, shard, positions)
-                for shard, positions in by_shard.items()
-            ]
-            for future in futures:
-                future.result()
-    else:
-        for shard, positions in by_shard.items():
-            run_shard(shard, positions)
-    return results
 
 
 #: Default latency-sample retention.  A long-lived server must not grow
@@ -345,12 +305,16 @@ class ServerSnapshot:
         }
 
 
-#: Shard states every pool's :meth:`_ShardedPool.health` can report
-#: (supervision adds ``restarting`` / ``degraded`` / ``drained``).
+# The shard states a pool's ``health()`` reports.
+
+#: The worker is up and its pipe is framed: the shard serves.
 SHARD_READY = "ready"
-#: The shard's executor cannot answer (dead, poisoned or shut down) and
-#: nothing will restart it.
-SHARD_DOWN = "down"
+#: The worker is down/poisoned and a restart is pending (backoff window).
+SHARD_RESTARTING = "restarting"
+#: Restart budget exhausted: fail fast until an operator ``restore()``.
+SHARD_DEGRADED = "degraded"
+#: Taken out of rotation by ``drain()``; fail fast until ``restore()``.
+SHARD_DRAINED = "drained"
 
 #: Version of the :meth:`PoolSnapshot.to_dict` document.
 SNAPSHOT_SCHEMA = 1
@@ -364,7 +328,7 @@ class ShardHealth:
     state: str
     alive: bool
     pid: Optional[int]
-    #: Resident-set size of the hosting process, read from ``/proc``
+    #: Resident-set size of the worker process, read from ``/proc``
     #: (0 for a dead or unreadable pid).
     rss_bytes: int
     restarts: int
@@ -378,7 +342,8 @@ class PoolHealth:
     """Everything a pool's parent process knows without a worker round trip.
 
     The one home of memory gauges, pids, liveness and the supervision
-    counters; see :meth:`_ShardedPool.health`.
+    counters; see
+    :meth:`~repro.core.process_pool.SupervisedServerPool.health`.
     """
 
     shards: Tuple[ShardHealth, ...]
@@ -387,8 +352,7 @@ class PoolHealth:
     restarts: int
     retries: int
     sheds: int
-    #: Summed RSS of the hosting processes, each distinct pid counted
-    #: once (a thread pool's shards all live in one process).
+    #: Summed RSS of the live worker processes.
     rss_bytes: int
     #: Bytes resident in the machine-wide shared block cache (counted
     #: once — the segments are shared, not per worker); 0 when disabled.
@@ -416,7 +380,8 @@ class PoolHealth:
 @dataclass(frozen=True)
 class PoolSnapshot:
     """One pool's whole telemetry: :class:`PoolHealth` plus what each
-    ready shard's server reported; see :meth:`_ShardedPool.snapshot`."""
+    ready shard's server reported; see
+    :meth:`~repro.core.process_pool.SupervisedServerPool.snapshot`."""
 
     health: PoolHealth
     #: Per-shard :class:`ServerSnapshot`, ``None`` for a shard that was
@@ -458,7 +423,7 @@ class KBTIMServer:
         server has no cache of its own: this re-sizes ``index.cache``,
         the reader's one :class:`~repro.core.rr_index.BlockCache`, which
         direct ``index.query`` callers share.  Give each server its own
-        reader (every pool does).
+        reader (every pool worker does).
 
     Raises
     ------
@@ -697,9 +662,8 @@ class KBTIMServer:
 def _dispatch(server: KBTIMServer, method: str, payload):
     """Execute one pool request against a shard's server.
 
-    The request vocabulary every shard executor speaks — the in-thread
-    executor calls this directly, a worker process calls it from its
-    pipe loop — so a method added here exists on every pool kind.
+    The pool's request vocabulary: a worker process calls this from
+    its pipe loop for every ``(method, payload)`` message.
     """
     if method == "query":
         return server.query(payload)
@@ -714,527 +678,3 @@ def _dispatch(server: KBTIMServer, method: str, payload):
     if method == "snapshot":
         return server.snapshot()
     raise ServerError(f"unknown worker request {method!r}")
-
-
-class _ThreadShard:
-    """In-thread shard executor: the request protocol on a local server.
-
-    Like the process pool's pipe-backed ``_WorkerHandle`` it exposes
-    ``request`` / ``shutdown`` / ``pid`` / ``alive`` / ``down`` — all
-    the pool core needs.
-    """
-
-    #: A thread shard lives and dies with the hosting process.
-    alive = True
-    down = False
-
-    def __init__(self, server: KBTIMServer) -> None:
-        self.server = server
-        self.pid = os.getpid()
-
-    def request(self, method: str, payload=None, *, timeout: Optional[float] = None):
-        """Run one request inline (an in-thread call cannot be timed out)."""
-        return _dispatch(self.server, method, payload)
-
-    def shutdown(self) -> None:
-        """Close the server's index reader (the pool owns it)."""
-        self.server.index.close()
-
-
-class _ShardRecord:
-    """Parent-side bookkeeping for one shard: what :meth:`_ShardedPool.health`
-    reports beyond the executor's own pid and liveness."""
-
-    __slots__ = ("lock", "inflight", "restarts", "last_error")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.inflight = 0
-        self.restarts = 0
-        self.last_error: Optional[str] = None
-
-
-class _ShardedPool:
-    """The one request path shared by every serving pool.
-
-    A pool is this core plus a list of shard executors
-    (``self._workers``: :class:`_ThreadShard` or the process pool's
-    ``_WorkerHandle``) and the catalog's topic-id map
-    (``self._topic_names``), both supplied by the subclass constructor.
-    Everything a request does — resolve, route, time, call the shard,
-    split a batch, fan out an admin request, report :meth:`health` and
-    :meth:`snapshot` — happens here exactly once; supervision overrides
-    :meth:`_call_shard`, :meth:`_candidates` and :meth:`_shard_state`
-    instead of wrapping a second pool.
-    """
-
-    #: How the closed-pool error names this pool.
-    _kind = "server pool"
-    #: The per-shard parent-side record (supervision extends it).
-    _shard_record = _ShardRecord
-    #: Admission budget reported by :meth:`health`; only supervision sets one.
-    max_inflight: Optional[int] = None
-
-    def __init__(
-        self,
-        n_workers: int,
-        dispatch: "str | Dispatcher",
-        request_timeout: Optional[float] = None,
-    ) -> None:
-        self.n_workers = check_positive_int("n_workers", n_workers)
-        self.dispatcher = make_dispatcher(dispatch, self.n_workers)
-        self.request_timeout = request_timeout
-        self._shards = [self._shard_record() for _ in range(self.n_workers)]
-        #: Parent-side restarts / retries / sheds, merged into :attr:`stats`.
-        self._supervision = ServerStats(latency_window=0)
-        self._shm_cache = None  # set by pools that share decoded blocks
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
-    def _resolved_names(self, query: KBTIMQuery) -> List[str]:
-        """The query's keyword refs resolved to names, for dispatch.
-
-        Resolution only (an unknown *name* dispatches to some shard,
-        whose server then raises the reader's usual ``IndexError_``):
-        full validation (duplicates, budget) stays with the serving
-        worker, so it runs once per query.
-        """
-        return [resolve_keyword(self._topic_names, kw) for kw in query.keywords]
-
-    def _candidates(self) -> Optional[List[int]]:
-        """Shards eligible for dispatch; ``None`` means every shard."""
-        return None
-
-    def shard_of(self, query: KBTIMQuery) -> int:
-        """The worker this query would dispatch to right now.
-
-        A side-effect-free peek at the pool's
-        :class:`~repro.core.dispatch.Dispatcher` — it never records the
-        decision, so asking does not steer subsequent traffic.  Under
-        the static ``"crc32"`` policy the answer is the crc32 hash of
-        the query's primary keyword; under ``"rendezvous"`` it reflects
-        the dispatcher's current load/hot-set state.  Every pool kind
-        maps a query identically given the same policy and state.
-
-        Raises
-        ------
-        IndexError_
-            If a topic-id keyword ref is not in the index.
-        """
-        return self.dispatcher.peek(self._resolved_names(query), self._candidates())
-
-    def _route(self, query: KBTIMQuery) -> int:
-        """Choose and *record* the serving shard for one query."""
-        return self.dispatcher.route(self._resolved_names(query), self._candidates())
-
-    # ------------------------------------------------------------------
-    # the request path
-    # ------------------------------------------------------------------
-    def _deadline(self, timeout: Optional[float]) -> Optional[float]:
-        """Absolute monotonic deadline for one request (``None`` = unbounded);
-        ``timeout`` overrides the pool's ``request_timeout`` for one call."""
-        budget = timeout if timeout is not None else self.request_timeout
-        return None if budget is None else time.monotonic() + budget
-
-    def _call_shard(
-        self,
-        shard: int,
-        method: str,
-        payload=None,
-        *,
-        deadline: Optional[float] = None,
-        units: int = 1,
-    ):
-        """One timed round trip to a shard's executor.
-
-        ``units`` is the request's weight against the dispatcher's
-        in-flight/latency gauges (``len(batch)`` for a sub-batch, ``0``
-        for admin fan-outs, which must not skew serving-load signals).
-        The executor's timeout is what is left of ``deadline``; one
-        already spent fails before anything is sent, so a healthy worker
-        is never poisoned by a request that could not be answered in time.
-        """
-        remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            raise DeadlineExceededError(
-                f"deadline exhausted before dispatch to shard {shard} "
-                "(spent on queueing/restarts)"
-            )
-        record = self._shards[shard]
-        with record.lock:
-            record.inflight += units
-        if units:
-            self.dispatcher.begin(shard, units=units)
-        started = time.perf_counter()
-        try:
-            return self._workers[shard].request(method, payload, timeout=remaining)
-        except ServerError as exc:
-            record.last_error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            with record.lock:
-                record.inflight -= units
-            if units:
-                self.dispatcher.complete(
-                    shard, time.perf_counter() - started, units=units
-                )
-
-    def query(
-        self, query: KBTIMQuery, *, timeout: Optional[float] = None
-    ) -> SeedSelection:
-        """Answer one query on its shard's worker (Algorithm 2 semantics).
-
-        Same parameters, return value and exceptions as
-        :meth:`KBTIMServer.query`.  ``timeout`` overrides the pool's
-        ``request_timeout`` for this call.
-
-        Raises
-        ------
-        ServerError
-            If the pool is closed, or the owning worker process has
-            died (process pools).
-        DeadlineExceededError
-            If the deadline passed before an answer arrived (pools with
-            a ``request_timeout``).
-        """
-        self._check_open()
-        shard = self._route(query)
-        return self._call_shard(
-            shard, "query", query, deadline=self._deadline(timeout)
-        )
-
-    def query_batch(
-        self,
-        queries: Sequence[KBTIMQuery],
-        *,
-        concurrent: bool = True,
-        timeout: Optional[float] = None,
-    ) -> List[SeedSelection]:
-        """Answer a batch, sharded and (optionally) in parallel.
-
-        The batch is split by shard, each populated shard's sub-batch
-        runs through its worker's :meth:`KBTIMServer.query_batch` (one
-        shared load per keyword at the maximum requested prefix), and
-        results return in input order.  With ``concurrent=True`` the
-        sub-batches are issued on one thread per populated shard, so on
-        a process pool they execute on as many cores.  The whole batch
-        shares one deadline.
-
-        Raises
-        ------
-        QueryError
-            If any query is invalid.  Validation happens during each
-            sub-batch's planning phase, before that shard touches disk;
-            other shards' sub-batches may still have been answered.
-        IndexError_
-            On the first unknown keyword.
-        ServerError
-            If the pool is closed or a serving worker died mid-batch.
-        """
-        self._check_open()
-        deadline = self._deadline(timeout)
-        return _sharded_batch(
-            queries,
-            self._route,
-            lambda shard, sub: self._call_shard(
-                shard, "query_batch", sub, deadline=deadline, units=len(sub)
-            ),
-            concurrent,
-        )
-
-    # ------------------------------------------------------------------
-    # administration
-    # ------------------------------------------------------------------
-    def warm(self, keywords: Iterable[KeywordRef]) -> None:
-        """Pre-load each keyword on every worker its traffic can land on.
-
-        Routed through the dispatcher's
-        :meth:`~repro.core.dispatch.Dispatcher.homes_of_name` over the
-        currently eligible shards, so a keyword is warmed exactly where
-        queries for it will dispatch — one shard under ``"crc32"``, the
-        full replica set for a hot keyword under ``"rendezvous"``.
-        Grouped fan-out: one request per populated shard, counted under
-        each worker's ``warm_loads``.  A failed shard does not abort the
-        fan-out: every surviving shard is still warmed, and the failure
-        surfaces afterwards as one :class:`~repro.errors.ServerError`
-        naming the failed shard(s).
-
-        Raises
-        ------
-        QueryError
-            If a keyword name is not in the index.
-        IndexError_
-            If a topic id is unknown.
-        ServerError
-            If the pool is closed, or any owning shard failed (raised
-            after the surviving shards were warmed).
-        """
-        self._check_open()
-        candidates = self._candidates()
-        by_shard: Dict[int, List[str]] = {}
-        for kw in keywords:
-            name = resolve_keyword(self._topic_names, kw)
-            for shard in self.dispatcher.homes_of_name(name, candidates):
-                by_shard.setdefault(shard, []).append(name)
-        self._fanout(
-            [(shard, "warm", names) for shard, names in sorted(by_shard.items())]
-        )
-
-    def evict_all(self) -> None:
-        """Drop every worker's cached blocks.
-
-        Like :meth:`warm`, a failed shard does not stop the fan-out:
-        every surviving worker's caches are dropped first, then one
-        :class:`~repro.errors.ServerError` naming the failed shard(s)
-        is raised.
-        """
-        self._check_open()
-        self._fanout([(shard, "evict_all", None) for shard in range(self.n_workers)])
-
-    def _fanout(self, requests: Sequence[tuple]) -> None:
-        """Issue one admin request per shard, surviving per-shard failures.
-
-        Every shard is attempted; query-level errors (``QueryError``,
-        ``IndexError_``) propagate immediately (they mean the *request*
-        was wrong, so later shards would fail identically), while
-        transport failures are collected and re-raised at the end as a
-        single :class:`ServerError` naming each failed shard — so one
-        dead worker cannot stop healthy shards from being administered.
-        """
-        failures: List[tuple] = []
-        for shard, method, payload in requests:
-            try:
-                self._call_shard(
-                    shard, method, payload, deadline=self._deadline(None), units=0
-                )
-            except ServerError as exc:
-                failures.append((shard, exc))
-        if failures:
-            if len(failures) == 1:
-                raise failures[0][1]
-            detail = "; ".join(f"shard {shard}: {exc}" for shard, exc in failures)
-            raise ServerError(
-                f"{len(failures)} shards failed during fan-out — {detail}"
-            )
-
-    # ------------------------------------------------------------------
-    # observability: health() is parent-side, snapshot() asks the shards
-    # ------------------------------------------------------------------
-    def _shard_state(self, shard: int) -> str:
-        """One shard's state from what the pool observes (record lock held)."""
-        return SHARD_DOWN if self._workers[shard].down else SHARD_READY
-
-    def health(self) -> PoolHealth:
-        """Everything the parent knows, without a worker round trip.
-
-        Per shard: state, liveness, pid, RSS read from ``/proc``,
-        restarts, in-flight units and the last transport error; for the
-        pool: the supervision counters, the admission budget, the shared
-        block cache's bytes and the total RSS with each hosting process
-        counted once.  Never waits on a shard, so it stays cheap and
-        safe to poll from a health endpoint while shards are busy, hung
-        or dead.
-
-        Raises
-        ------
-        ServerError
-            If the pool is closed.
-        """
-        self._check_open()
-        rss: Dict[int, int] = {}
-        shards = []
-        for shard, record in enumerate(self._shards):
-            with record.lock:
-                worker = self._workers[shard]
-                alive = worker.alive
-                if alive and worker.pid not in rss:
-                    rss[worker.pid] = process_rss_bytes(worker.pid)
-                shards.append(
-                    ShardHealth(
-                        shard=shard,
-                        state=self._shard_state(shard),
-                        alive=alive,
-                        pid=worker.pid,
-                        rss_bytes=rss[worker.pid] if alive else 0,
-                        restarts=record.restarts,
-                        inflight=record.inflight,
-                        last_error=record.last_error,
-                    )
-                )
-        cache = self._shm_cache
-        return PoolHealth(
-            shards=tuple(shards),
-            inflight=sum(shard.inflight for shard in shards),
-            max_inflight=self.max_inflight,
-            restarts=self._supervision.restarts,
-            retries=self._supervision.retries,
-            sheds=self._supervision.sheds,
-            rss_bytes=sum(rss.values()),
-            shm_bytes=cache.shared_bytes() if cache is not None else 0,
-        )
-
-    def snapshot(self) -> PoolSnapshot:
-        """:meth:`health` plus one ``"snapshot"`` round trip per ready shard.
-
-        Each ready shard answers with its server's
-        :class:`ServerSnapshot` (bounded by ``request_timeout``); a
-        shard that is not ready, or fails to answer, is a ``None`` hole
-        — its counters died with it — and the merged views cover the
-        shards that answered.
-
-        Raises
-        ------
-        ServerError
-            If the pool is closed.
-        """
-        health = self.health()
-        workers: List[Optional[ServerSnapshot]] = []
-        for shard in health.shards:
-            part = None
-            if shard.state == SHARD_READY:
-                # Deliberately not _call_shard: a read must neither move
-                # the dispatcher's load signals nor restart anything.
-                try:
-                    part = self._workers[shard.shard].request(
-                        "snapshot", timeout=self.request_timeout
-                    )
-                except ServerError:
-                    pass
-            workers.append(part)
-        answered = [part for part in workers if part is not None]
-        io = IOStats()
-        for part in answered:
-            io.add(part.io)
-        return PoolSnapshot(
-            health=health,
-            workers=tuple(workers),
-            stats=ServerStats.merged(
-                [part.stats for part in answered] + [self._supervision]
-            ),
-            io=io,
-            dispatch=self.dispatcher.load_snapshot(),
-        )
-
-    @property
-    def stats(self) -> ServerStats:
-        """The merged :class:`ServerStats` of a fresh :meth:`snapshot`."""
-        return self.snapshot().stats
-
-    @property
-    def shared_cache(self):
-        """The machine-wide decoded-block cache
-        (:class:`~repro.core.shm_cache.SharedBlockCache`; ``None`` when
-        disabled, which the thread pool always is)."""
-        return self._shm_cache
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerError(f"{self._kind} is closed")
-
-    def close(self) -> None:
-        """Shut every worker down (process workers: polite request,
-        then terminate) and release the shared block cache.
-
-        Idempotent; afterwards every serving method raises
-        :class:`~repro.errors.ServerError`.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            worker.shutdown()
-        if self._shm_cache is not None:
-            # Owner pools unlink every shared segment; attached pools
-            # just drop their mappings (the owner cleans up at exit).
-            self._shm_cache.close()
-            self._shm_cache = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class ServerPool(_ShardedPool):
-    """A pool of :class:`KBTIMServer` workers sharding one RR index.
-
-    The pool opens ``n_workers`` independent readers over one index file
-    — each with its own file handle, I/O counters and decoded-block cache,
-    all sharing one page-level :class:`~repro.storage.pager.BufferPool` — and
-    routes every query through a pluggable
-    :class:`~repro.core.dispatch.Dispatcher`.  The default ``"crc32"``
-    policy sends each query to the worker owning its *primary keyword*
-    (lexicographically smallest resolved keyword) via a
-    process-independent hash, turning keyword skew into cache locality;
-    ``"rendezvous"`` trades that static mapping for load-aware weighted
-    rendezvous hashing with hot-keyword replication, which keeps
-    per-shard query counts balanced under Zipf head traffic (see
-    ``repro.core.dispatch``).  Answers are bit-identical either way:
-    every worker serves the same immutable index.
-
-    Parameters
-    ----------
-    path:
-        The RR index file every worker opens.
-    n_workers:
-        Number of shards/servers (>= 1).
-    cache_keywords:
-        Per-worker decoded-block-cache capacity (LRU, in keywords).
-    pool_pages:
-        Capacity of the shared page buffer pool.
-    page_size:
-        Page fault granularity in bytes.
-    dispatch:
-        Shard-selection policy: ``"crc32"`` (exact legacy static map,
-        the default), ``"rendezvous"`` (load-aware, skew-balancing), or
-        a pre-built :class:`~repro.core.dispatch.Dispatcher` sized for
-        ``n_workers`` shards.
-
-    Raises
-    ------
-    ValueError
-        On a non-positive ``n_workers`` or ``cache_keywords``, or an
-        unknown/mis-sized ``dispatch``.
-    CorruptIndexError
-        If ``path`` is not a readable RR index.
-
-    Thread safety mirrors :class:`KBTIMServer`: any number of threads
-    may call :meth:`query` / :meth:`query_batch` concurrently.  All
-    serving, admin and stats methods are the shared pool core's;
-    ``workers`` exposes the live servers (``workers[i].stats``, ...).
-    """
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        n_workers: int = 4,
-        cache_keywords: int = 64,
-        pool_pages: int = 4096,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        dispatch: "str | Dispatcher" = "crc32",
-    ) -> None:
-        super().__init__(n_workers, dispatch)
-        self.buffer_pool = BufferPool(pool_pages)
-        workers: List[KBTIMServer] = []
-        try:
-            for _ in range(self.n_workers):
-                workers.append(
-                    KBTIMServer(
-                        RRIndex(path, pool=self.buffer_pool, page_size=page_size),
-                        cache_keywords=cache_keywords,
-                    )
-                )
-        except BaseException:
-            for worker in workers:
-                worker.index.close()
-            raise
-        self.workers: Tuple[KBTIMServer, ...] = tuple(workers)
-        self._workers = [_ThreadShard(worker) for worker in workers]
-        self._topic_names = workers[0].index.topic_names

@@ -1,7 +1,7 @@
 """Flat-array response transport for process-level serving workers.
 
 BENCH_pr5.json pinned ~0.15 ms/query of pickle + pipe overhead on the
-answer path of :class:`~repro.core.process_pool.ProcessServerPool`: every
+answer path of the process pool (``repro.core.process_pool``): every
 :class:`~repro.core.results.SeedSelection` (seeds, marginals, nested
 ``QueryStats``/``IOStats``) was pickled object-by-object into the pipe.
 This module replaces that with a *flat frame*: the worker lays a whole

@@ -328,7 +328,7 @@ class ReplayReport:
 def _supervision_counters(server) -> Tuple[int, int, int]:
     """``(restarts, retries, sheds)`` so far, from the server's ``health()``.
 
-    Every pool reports them parent-side (no worker round trip, so a
+    The pool reports them parent-side (no worker round trip, so a
     chaos run with shards down still answers); a server that is not a
     pool has nothing supervising it and counts zeros.
     """
@@ -355,11 +355,10 @@ def replay(
     server:
         Anything with a ``query(KBTIMQuery) -> SeedSelection`` method —
         a :class:`~repro.core.server.KBTIMServer`, a
-        :class:`~repro.core.server.ServerPool`, a
-        :class:`~repro.core.process_pool.ProcessServerPool`, or a bare
-        index reader.  With ``threads > 1`` it must tolerate concurrent
-        calls (the whole server tier does; a bare reader's per-query
-        I/O attribution becomes best-effort).  Against a process pool
+        :class:`~repro.core.process_pool.SupervisedServerPool`, or a
+        bare index reader.  With ``threads > 1`` it must tolerate
+        concurrent calls (the whole server tier does; a bare reader's
+        per-query I/O attribution becomes best-effort).  Against the pool
         the replay threads only marshal requests — the queries execute
         in the pool's worker processes, so closed-loop throughput can
         exceed what one Python process could compute; size ``threads``
@@ -379,7 +378,7 @@ def replay(
         Optional SLA threshold in seconds for goodput classification
         (queries answered within it count toward
         :attr:`ReplayReport.goodput`).  Classification only —
-        *enforcement* belongs to the server (e.g. a supervised pool's
+        *enforcement* belongs to the server (e.g. the pool's
         ``request_timeout``).
     chaos:
         Optional fault injection: a

@@ -62,8 +62,8 @@ class DeadlineExceededError(ServerError):
 
     The worker may still be computing (or may have died silently); the
     caller's pipe is no longer synchronized with it, so the owning
-    handle is poisoned and — under supervision — the worker is
-    restarted rather than trusted to frame the next reply.  The answer,
+    handle is poisoned and the worker is restarted by the next request
+    rather than trusted to frame the next reply.  The answer,
     if it ever arrives, is discarded, never delivered to a later
     request.
     """

@@ -265,42 +265,21 @@ class ExperimentContext:
         dataset: Dataset,
         *,
         n_workers: int = 4,
-        kind: str = "thread",
         **pool_kwargs,
     ):
-        """Build-if-needed and open a sharded serving pool over the RR index.
+        """Build-if-needed and open the serving pool over the RR index.
 
-        The serving-tier benchmarks (thread/process sweeps, replay runs)
-        go through here so they share the memoised index build with
-        every other experiment.  ``kind`` selects the worker model:
-        ``"thread"`` opens a :class:`~repro.core.server.ServerPool`
-        (N readers in this process, one shared buffer pool),
-        ``"process"`` a
-        :class:`~repro.core.process_pool.ProcessServerPool` (N worker
-        processes, GIL-free warm serving), ``"supervised"`` a
-        :class:`~repro.core.supervision.SupervisedServerPool` (worker
-        processes behind self-healing supervisors with deadlines and
-        admission control).  ``pool_kwargs`` pass through to the chosen
-        pool class.
-
-        Raises
-        ------
-        ValueError
-            On an unknown ``kind``.
+        The serving-tier benchmarks (worker sweeps, replay runs) go
+        through here so they share the memoised index build with every
+        other experiment.  ``pool_kwargs`` pass through to
+        :class:`~repro.core.process_pool.SupervisedServerPool`.
         """
-        from repro.core.process_pool import ProcessServerPool
-        from repro.core.server import ServerPool
-        from repro.core.supervision import SupervisedServerPool
+        from repro.core.process_pool import SupervisedServerPool
 
         self.build_index(dataset, kind="rr")
-        path = self.index_path(dataset, kind="rr")
-        if kind == "thread":
-            return ServerPool(path, n_workers=n_workers, **pool_kwargs)
-        if kind == "process":
-            return ProcessServerPool(path, n_workers=n_workers, **pool_kwargs)
-        if kind == "supervised":
-            return SupervisedServerPool(path, n_workers=n_workers, **pool_kwargs)
-        raise ValueError(f"unknown server pool kind {kind!r}")
+        return SupervisedServerPool(
+            self.index_path(dataset, kind="rr"), n_workers=n_workers, **pool_kwargs
+        )
 
     def open_irr(
         self,

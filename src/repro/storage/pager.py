@@ -56,10 +56,9 @@ _MAPPED_PAGE: bytes = b"\x00"
 class BufferPool:
     """Fixed-capacity LRU page cache keyed by ``(file_id, page_number)``.
 
-    Thread-safe: one pool is shared by every reader of an index — and,
-    under :class:`~repro.core.server.ServerPool`, by several server
-    workers — so the LRU order, the page map, and the per-file index
-    mutate under one internal lock.  Entries are immutable ``bytes``:
+    Thread-safe: one pool may be shared by several readers of an index,
+    so the LRU order, the page map, and the per-file index mutate under
+    one internal lock.  Entries are immutable ``bytes``:
     full page payloads for files read through the positioned-read
     fallback, or a one-byte residency sentinel for ``mmap``-backed files
     (the payload already lives in the shared map).  A returned entry

@@ -30,7 +30,7 @@ from repro.core.chaos import (
 )
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
-from repro.core.supervision import SupervisedServerPool
+from repro.core.process_pool import SupervisedServerPool
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload, poisson_arrivals, replay
 from repro.errors import CorruptIndexError
@@ -269,6 +269,15 @@ class TestInjectedFaults:
             assert pool.query(query).seeds  # heals without any sleep
             assert pool.stats.restarts == 1
 
+    def test_kill_on_a_drained_shard_has_no_process_to_signal(self, setup):
+        path, _profiles, _ppath = setup
+        plan = FaultPlan(events=(FaultEvent("kill", 0, shard=0),))
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            pool.drain(0)  # shuts the worker down and releases its process object
+            chaos = ChaosController(plan, pool)
+            chaos.before_query(0)  # must not raise on the closed process
+            assert [event["kind"] for event in chaos.fired] == ["kill"]
+
     def test_exhaust_sheds_during_replay(self, setup, workload):
         path, _profiles, _ppath = setup
         with SupervisedServerPool(path, n_workers=2) as pool:
@@ -291,7 +300,7 @@ class TestInjectedFaults:
     def test_crash_loop_plan_degrades_shard_others_exact(self, setup, workload):
         """Acceptance: a crash-looping shard fails fast and typed while
         the other shards' answers and I/O accounting stay exact (bit-
-        and byte-identical to an unfaulted supervised run)."""
+        and byte-identical to an unfaulted run)."""
         path, _profiles, _ppath = setup
         with SupervisedServerPool(path, n_workers=3) as baseline_pool:
             baseline = replay(baseline_pool, workload, tolerate_errors=True)
@@ -397,8 +406,6 @@ class TestReplayCli:
                 path,
                 "--profiles",
                 ppath,
-                "--pool",
-                "supervised",
                 "--workers",
                 "2",
                 "--threads",
@@ -416,7 +423,7 @@ class TestReplayCli:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["pool"] == "supervised"
+        assert "pool" not in doc  # there is one pool; nothing to name
         assert doc["queries"] == 16
         assert doc["deadline_s"] == 30.0
         assert doc["goodput"] + doc["failed"] == 16
@@ -444,8 +451,6 @@ class TestReplayCli:
                 path,
                 "--profiles",
                 ppath,
-                "--pool",
-                "supervised",
                 "--workers",
                 "2",
                 "--n-queries",
@@ -469,8 +474,6 @@ class TestReplayCli:
                 path,
                 "--profiles",
                 ppath,
-                "--pool",
-                "process",
                 "--workers",
                 "2",
                 "--n-queries",

@@ -265,12 +265,11 @@ def _assert_each_number_has_one_home(payload):
 
 
 class TestReplay:
-    def _replay_args(self, rr_index, profiles, pool):
+    def _replay_args(self, rr_index, profiles):
         return [
             "replay",
             "--index", rr_index,
             "--profiles", profiles,
-            "--pool", pool,
             "--workers", "2",
             "--threads", "2",
             "--n-queries", "10",
@@ -279,22 +278,27 @@ class TestReplay:
             "--seed", "9",
         ]
 
-    def test_replay_thread_pool_text(self, rr_index, dataset_files, capsys):
+    def test_replay_text(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
-        code = main(self._replay_args(rr_index, profiles, "thread") + ["--warm"])
+        code = main(self._replay_args(rr_index, profiles) + ["--warm"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "closed-loop replay" in out
+        assert "closed-loop replay: 10 queries on 2 workers (crc32" in out
         assert "q/s" in out and "hit ratio" in out
+
+    def test_replay_has_no_pool_kind_switch(self, rr_index, dataset_files, capsys):
+        _graph, profiles = dataset_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._replay_args(rr_index, profiles) + ["--pool", "thread"])
+        assert excinfo.value.code == 2
+        assert "--pool" in capsys.readouterr().err
 
     def test_replay_process_pool_json(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
-        code = main(
-            self._replay_args(rr_index, profiles, "process") + ["--json"]
-        )
+        code = main(self._replay_args(rr_index, profiles) + ["--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["pool"] == "process"
+        assert "pool" not in payload
         assert payload["queries"] == 10
         assert payload["qps"] > 0
         assert payload["p95_ms"] >= payload["p50_ms"]
@@ -306,7 +310,7 @@ class TestReplay:
     def test_replay_rendezvous_dispatch(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
         code = main(
-            self._replay_args(rr_index, profiles, "supervised")
+            self._replay_args(rr_index, profiles)
             + ["--dispatch", "rendezvous", "--json"]
         )
         assert code == 0
@@ -321,20 +325,18 @@ class TestReplay:
     def test_replay_open_loop(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
         code = main(
-            self._replay_args(rr_index, profiles, "thread")
-            + ["--rate", "500", "--json"]
+            self._replay_args(rr_index, profiles)
+            + ["--rate", "500", "--shared-cache", "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "open"
-        # thread pool: the workers live in this process, counted once
         health = _assert_each_number_has_one_home(payload)
-        assert health["rss_bytes"] == health["shards"][0]["rss_bytes"] > 0
-        assert health["shm_bytes"] == 0
+        assert health["rss_bytes"] > 0 and health["shm_bytes"] > 0
 
     def test_replay_missing_index_is_clean_error(self, dataset_files, capsys):
         _graph, profiles = dataset_files
-        code = main(self._replay_args("/nonexistent.rr", profiles, "process"))
+        code = main(self._replay_args("/nonexistent.rr", profiles))
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
@@ -344,7 +346,7 @@ class TestReplay:
         """Library-layer ValueErrors (check_positive_int) follow the
         one-line `error:` contract instead of leaking a traceback."""
         _graph, profiles = dataset_files
-        args = self._replay_args(rr_index, profiles, "thread")
+        args = self._replay_args(rr_index, profiles)
         args[args.index("--workers") + 1] = "0"
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err

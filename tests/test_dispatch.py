@@ -38,13 +38,11 @@ from repro.core.dispatch import (
     make_dispatcher,
     shard_of_keyword,
 )
-from repro.core.process_pool import ProcessServerPool
+from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
-from repro.core.server import ServerPool
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload
-from repro.storage.iostats import IOStats
 
 
 KEYWORDS = [f"kw-{i:03d}" for i in range(400)]
@@ -318,7 +316,7 @@ def _assert_same_selection(a, b):
 
 def _serve_and_count(pool, workload):
     answers = [pool.query(q) for q in workload]
-    return answers, [worker.stats.queries for worker in pool.workers]
+    return answers, [part.stats.queries for part in pool.snapshot().workers]
 
 
 class TestPR5SkewRegression:
@@ -328,7 +326,7 @@ class TestPR5SkewRegression:
 
     def test_crc32_concentrates_the_head(self, setup, skewed_workload, expected):
         path, _profiles = setup
-        with ServerPool(path, n_workers=4, dispatch="crc32") as pool:
+        with SupervisedServerPool(path, n_workers=4, dispatch="crc32") as pool:
             answers, counts = _serve_and_count(pool, skewed_workload)
         assert sum(counts) == 48
         assert max(counts) >= 30  # the measured BENCH_pr5-style pile-up (39)
@@ -337,14 +335,11 @@ class TestPR5SkewRegression:
 
     def test_rendezvous_spreads_it(self, setup, skewed_workload, expected):
         path, _profiles = setup
-        with ServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
-            before = [w.index.stats.snapshot() for w in pool.workers]
+        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
+            before = pool.snapshot().io
             answers, counts = _serve_and_count(pool, skewed_workload)
             attributed = sum(a.stats.io.read_calls for a in answers)
-            physical = sum(
-                w.index.stats.delta(b).read_calls
-                for w, b in zip(pool.workers, before)
-            )
+            physical = pool.snapshot().io.read_calls - before.read_calls
         assert sum(counts) == 48
         assert max(counts) <= self.BOUND
         # bit-identical answers, whichever replica served each query
@@ -355,19 +350,20 @@ class TestPR5SkewRegression:
         assert attributed == physical
 
     def test_process_pool_parity_when_idle(self, setup, skewed_workload):
+        """An idle pool routes like an idle dispatcher in any other process."""
         path, _profiles = setup
-        with ServerPool(path, n_workers=4, dispatch="rendezvous") as tpool:
-            with ProcessServerPool(
-                path, n_workers=4, dispatch="rendezvous"
-            ) as ppool:
-                for query in skewed_workload:
-                    assert ppool.shard_of(query) == tpool.shard_of(query)
+        idle = RendezvousDispatcher(4)
+        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
+            for query in skewed_workload:  # the workload's refs are names
+                assert pool.shard_of(query) == idle.peek(query.keywords)
 
     def test_process_pool_spreads_too(self, setup, skewed_workload, expected):
+        """The same bound with the dispatcher handed in pre-built."""
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
-            answers = [pool.query(q) for q in skewed_workload]
-            counts = [part.stats.queries for part in pool.snapshot().workers]
+        with SupervisedServerPool(
+            path, n_workers=4, dispatch=RendezvousDispatcher(4)
+        ) as pool:
+            answers, counts = _serve_and_count(pool, skewed_workload)
         assert sum(counts) == 48
         assert max(counts) <= self.BOUND
         for a, b in zip(answers, expected):
@@ -384,12 +380,12 @@ class TestReplicaEquivalence:
         hot_query = KBTIMQuery(("book",), 5)
         with RRIndex(path) as index:
             want = index.query(hot_query)
-        with ServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
+        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
             answers = [pool.query(hot_query) for _ in range(16)]
             served = {
                 shard
-                for shard, worker in enumerate(pool.workers)
-                if worker.stats.queries > 0
+                for shard, part in enumerate(pool.snapshot().workers)
+                if part.stats.queries > 0
             }
         assert len(served) >= 2  # the head actually fanned out
         for answer in answers:
@@ -401,23 +397,19 @@ class TestReplicaEquivalence:
         I/O books, not just in the answers."""
         path, _profiles = setup
         keywords = ("book", "music", "journal", "car")
-        with ServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
+        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
             # make 'book' hot so it has two replicas, then warm everything
             for _ in range(8):
                 pool.query(KBTIMQuery(("book",), 3))
             pool.warm(keywords)
             homes = pool.dispatcher.homes_of_name("book")
             assert len(homes) == 2
+            before = pool.snapshot()
             for shard in homes:
-                assert "book" in pool.workers[shard].cached_keywords
-            before = IOStats()
-            for worker in pool.workers:
-                before.add(worker.index.stats)
+                assert "book" in before.workers[shard].cached_keywords
             answers = [
                 pool.query(KBTIMQuery((kw,), 5)) for kw in keywords for _ in range(3)
             ]
-            after = IOStats()
-            for worker in pool.workers:
-                after.add(worker.index.stats)
+            after = pool.snapshot()
         assert all(a.stats.io.read_calls == 0 for a in answers)
-        assert after.read_calls == before.read_calls  # zero physical reads
+        assert after.io.read_calls == before.io.read_calls  # zero physical reads

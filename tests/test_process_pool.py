@@ -1,45 +1,48 @@
-"""Process-level serving workers (repro.core.process_pool, PR 5).
+"""The serving pool (repro.core.process_pool; PR 5, one class since PR 18).
 
-Four guarantees are pinned here:
+Guarantees pinned here:
 
 * The request/response path is picklable: queries, ``QueryStats`` /
   ``IOStats`` / ``ServerStats`` snapshots all cross a process boundary
   and come back mutation-safe (fresh locks) and value-identical.
-* ``ProcessServerPool`` answers are bit-identical to a sequential
-  ``RRIndex.query`` / ``KBTIMServer`` run and to the thread
-  ``ServerPool`` — with and without the shared-memory block cache —
-  with *exact* per-query I/O accounting (per-query deltas sum to the
-  pool's physical total).
-* One telemetry contract on every pool kind: ``health()`` is parent-side
-  (zero worker round trips), ``snapshot()`` is one round trip per ready
-  shard, both return the same tree on thread, process and supervised
-  pools, and a dead shard is a ``None`` hole, never an exception.
+* ``SupervisedServerPool`` answers are bit-identical to a sequential
+  ``RRIndex.query`` run and — with *exact* per-query I/O accounting
+  (per-query deltas sum to the pool's physical total) — to one
+  in-process ``KBTIMServer`` per shard, with and without the
+  shared-memory block cache.
+* One telemetry contract: ``health()`` is parent-side (zero worker round
+  trips), ``snapshot()`` is one round trip per ready shard, and a dead
+  shard is a ``None`` hole, never an exception.
 * Merged stats aggregate correctly across worker processes, and
   warm/evict fan-out lands on the owning shard.
-* A dead worker surfaces a clear :class:`~repro.errors.ServerError`
-  (naming the worker and exit code) instead of a hang, while other
-  shards keep serving.
+* A worker that dies mid-request surfaces a clear
+  :class:`~repro.errors.ServerError` (naming the worker and exit code)
+  instead of a hang, other shards keep serving, and the next request
+  heals the shard.
+* A rejected constructor and ``close()`` leave nothing behind: no
+  process, no shared segment, no file descriptor.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
+import tempfile
 import threading
 import time
 
 import pytest
 
-from repro.core.process_pool import ProcessServerPool, _WorkerHandle
+from repro.core.dispatch import shard_of_keyword
+from repro.core.process_pool import SupervisedServerPool, _WorkerHandle
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.server import (
     SNAPSHOT_SCHEMA,
-    ServerPool,
+    KBTIMServer,
     ServerStats,
     _SERVING_COUNTERS,
-    _ThreadShard,
 )
-from repro.core.supervision import SupervisedServerPool
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload, replay
 from repro.errors import (
@@ -91,20 +94,16 @@ def _assert_same_selection(a, b):
     assert a.phi_q == pytest.approx(b.phi_q)
 
 
-POOL_KINDS = {
-    "thread": ServerPool,
-    "process": ProcessServerPool,
-    "supervised": SupervisedServerPool,
-}
+WARMED = ("music", "book")
 
 
-def _observe(kind: str, path: str, workload, **pool_kwargs) -> dict:
-    """Drive one pool kind through peek, warm, query and query_batch and
-    record everything that must not depend on the kind of shard executor."""
+def _observe(path: str, workload, **pool_kwargs) -> dict:
+    """Drive the pool through peek, warm, query and query_batch and record
+    everything the per-shard oracle must reproduce."""
     half = len(workload) // 2
-    with POOL_KINDS[kind](path, n_workers=3, **pool_kwargs) as pool:
+    with SupervisedServerPool(path, n_workers=3, **pool_kwargs) as pool:
         shards = [pool.shard_of(q) for q in workload]
-        pool.warm(["music", "book"])
+        pool.warm(WARMED)
         warmed = pool.snapshot()
         base = warmed.io  # catalog/header reads at open + the warm loads
         answers = [pool.query(q) for q in workload[:half]]
@@ -120,89 +119,92 @@ def _observe(kind: str, path: str, workload, **pool_kwargs) -> dict:
     }
 
 
-def _shape(node, path="") -> set:
-    """Every key path of a JSON document, list positions collapsed."""
-    if isinstance(node, dict):
-        return {path}.union(
-            *(_shape(value, f"{path}/{key}") for key, value in node.items())
-        )
-    if isinstance(node, list):
-        return {path}.union(*(_shape(value, f"{path}[]") for value in node))
-    return {path}
+def _oracle(path: str, shards, workload):
+    """What the pool must equal, from nothing of the pool but its routing:
+    one in-process ``KBTIMServer`` over its own reader per shard, each
+    query fed sequentially to the server ``pool.shard_of`` named."""
+    servers = [KBTIMServer(RRIndex(path)) for _ in range(3)]
+    for kw in WARMED:
+        servers[shard_of_keyword(kw, 3)].warm([kw])
+    warm_loads = [server.stats.warm_loads for server in servers]
+    answers = [servers[shard].query(q) for shard, q in zip(shards, workload)]
+    for server in servers:
+        server.index.close()
+    return warm_loads, answers
 
 
 def _spy_on_requests(monkeypatch) -> list:
-    """Record the verb of every shard request, on both executor kinds."""
+    """Record the verb of every request sent to a worker."""
     verbs = []
-    for executor in (_WorkerHandle, _ThreadShard):
-        original = executor.request
+    original = _WorkerHandle.request
 
-        def spy(self, method, payload=None, *, timeout=None, _original=original):
-            verbs.append(method)
-            return _original(self, method, payload, timeout=timeout)
+    def spy(self, method, payload=None, *, timeout=None):
+        verbs.append(method)
+        return original(self, method, payload, timeout=timeout)
 
-        monkeypatch.setattr(executor, "request", spy)
+    monkeypatch.setattr(_WorkerHandle, "request", spy)
     return verbs
 
 
-class TestPoolKindEquivalence:
-    """One pool core, three configurations: the thread, process and
-    supervised pools must be indistinguishable on a healthy run."""
+class TestPoolContract:
+    """What the one pool class promises on a healthy run, checked against
+    a sequential reader and the per-shard ``KBTIMServer`` oracle."""
 
     @pytest.fixture(scope="class")
     def observed(self, setup, workload):
         path, _profiles = setup
-        return {kind: _observe(kind, path, workload) for kind in POOL_KINDS}
+        return _observe(path, workload)
 
-    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
-    def test_same_routing_answers_and_exact_io(self, kind, observed, expected):
-        seen, reference = observed[kind], observed["thread"]
-        assert seen["shards"] == reference["shards"]
-        assert seen["warm_loads"] == reference["warm_loads"]
-        assert sum(seen["warm_loads"]) == 2
-        for got, ref, want in zip(seen["answers"], reference["answers"], expected):
+    def test_same_routing_answers_and_exact_io(
+        self, setup, workload, observed, expected
+    ):
+        path, _profiles = setup
+        # crc32 on the primary (smallest) keyword: the workload refs are names.
+        assert observed["shards"] == [
+            shard_of_keyword(min(q.keywords), 3) for q in workload
+        ]
+        warm_loads, reference = _oracle(path, observed["shards"], workload)
+        assert observed["warm_loads"] == warm_loads
+        assert sum(warm_loads) == 2
+        for got, ref, want in zip(observed["answers"], reference, expected):
             _assert_same_selection(got, want)
             assert got.stats.io.read_calls == ref.stats.io.read_calls
             assert got.stats.io.bytes_read == ref.stats.io.bytes_read
-        # Exact accounting on every executor: the per-query ``QueryStats.io``
-        # deltas partition the pool's physical I/O.
-        assert sum(a.stats.io.read_calls for a in seen["answers"]) == seen["reads"]
-        assert sum(a.stats.io.bytes_read for a in seen["answers"]) == seen["bytes"]
-        assert seen["reads"] > 0
+        # Exact accounting: the per-query ``QueryStats.io`` deltas partition
+        # the pool's physical I/O (and, equal one by one, the oracle's).
+        answers = observed["answers"]
+        assert sum(a.stats.io.read_calls for a in answers) == observed["reads"] > 0
+        assert sum(a.stats.io.bytes_read for a in answers) == observed["bytes"]
 
-    @pytest.mark.parametrize("kind", ["process", "supervised"])
     def test_shared_block_cache_keeps_answers_and_exact_io(
-        self, kind, setup, workload, observed, expected
+        self, setup, workload, observed, expected
     ):
         """Shared memory behind the workers' caches changes where a block
         comes from, never the answer, and a block served from it is
         accounted as the zero reads it cost."""
         path, _profiles = setup
-        seen = _observe(kind, path, workload, shared_block_cache=True)
-        assert seen["shards"] == observed[kind]["shards"]
+        seen = _observe(path, workload, shared_block_cache=True)
+        assert seen["shards"] == observed["shards"]
         for got, want in zip(seen["answers"], expected):
             _assert_same_selection(got, want)
         assert sum(a.stats.io.read_calls for a in seen["answers"]) == seen["reads"]
         assert sum(a.stats.io.bytes_read for a in seen["answers"]) == seen["bytes"]
-        assert 0 < seen["reads"] <= observed[kind]["reads"]
+        assert 0 < seen["reads"] <= observed["reads"]
         # The one home of shared-segment bytes, counted once per machine.
         assert seen["snapshot"].health.shm_bytes > 0
-        assert observed[kind]["snapshot"].health.shm_bytes == 0
+        assert observed["snapshot"].health.shm_bytes == 0
 
-    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
-    def test_snapshot_is_one_json_document_with_one_shape(self, kind, observed):
-        """``snapshot().to_dict()`` is plain JSON and has the same schema
-        and key set whichever executor backs the pool."""
-        document = json.loads(json.dumps(observed[kind]["snapshot"].to_dict()))
-        reference = json.loads(json.dumps(observed["thread"]["snapshot"].to_dict()))
-        assert document["schema"] == reference["schema"] == SNAPSHOT_SCHEMA
-        assert _shape(document) == _shape(reference)
+    def test_snapshot_is_one_json_document(self, observed, workload):
+        """``snapshot().to_dict()`` is plain JSON of schema ``SNAPSHOT_SCHEMA``."""
+        document = json.loads(json.dumps(observed["snapshot"].to_dict()))
+        assert document["schema"] == SNAPSHOT_SCHEMA
+        keys = ["dispatch", "health", "io", "schema", "stats", "workers"]
+        assert sorted(document) == keys
         assert len(document["workers"]) == len(document["health"]["shards"]) == 3
-        assert document["stats"]["queries"] == reference["stats"]["queries"] > 0
+        assert document["stats"]["queries"] == len(workload)
 
-    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
-    def test_merged_views_are_the_sum_of_the_shard_parts(self, kind, observed, workload):
-        snapshot = observed[kind]["snapshot"]
+    def test_merged_views_are_the_sum_of_the_shard_parts(self, observed, workload):
+        snapshot = observed["snapshot"]
         for name in _SERVING_COUNTERS:
             assert getattr(snapshot.stats, name) == pytest.approx(
                 sum(getattr(part.stats, name) for part in snapshot.workers)
@@ -214,37 +216,30 @@ class TestPoolKindEquivalence:
         assert snapshot.stats.queries == len(workload)
         assert len(snapshot.stats.latencies) == len(workload)
         assert (snapshot.stats.restarts, snapshot.stats.sheds) == (0, 0)
-        assert {"music", "book"} <= {
+        assert set(WARMED) <= {
             kw for part in snapshot.workers for kw in part.cached_keywords
         }
 
-    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
-    def test_memory_has_one_home_and_it_is_never_zero(self, kind, observed):
-        """The gauges that disagreed at 033b4ec (thread pool: stats said 0
-        RSS while memory_info() said 45 MB): every live shard has a
-        positive parent-measured RSS, each hosting process counts once,
-        and ``ServerStats`` no longer has memory fields to disagree."""
-        health = observed[kind]["snapshot"].health
+    def test_memory_has_one_home_and_it_is_never_zero(self, observed):
+        """Every live shard has a positive parent-measured RSS, the pool
+        total is their sum, and ``ServerStats`` has no memory fields to
+        disagree with it (033b4ec: stats said 0 RSS, memory_info() 45 MB)."""
+        health = observed["snapshot"].health
         assert health.healthy and health.available_shards == 3
         assert all(s.alive and s.rss_bytes > 0 for s in health.shards)
         assert all(s.restarts == 0 and s.inflight == 0 for s in health.shards)
         pids = {s.pid for s in health.shards}
-        if kind == "thread":
-            assert pids == {os.getpid()}
-            assert health.rss_bytes == health.shards[0].rss_bytes
-        else:
-            assert len(pids) == 3 and os.getpid() not in pids
-            assert health.rss_bytes == sum(s.rss_bytes for s in health.shards)
-        assert not hasattr(observed[kind]["snapshot"].stats, "rss_bytes")
+        assert len(pids) == 3 and os.getpid() not in pids
+        assert health.rss_bytes == sum(s.rss_bytes for s in health.shards)
+        assert not hasattr(observed["snapshot"].stats, "rss_bytes")
         assert not hasattr(ServerStats(), "shm_bytes")
         assert not hasattr(ServerStats(), "record_memory")
 
-    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
     def test_health_asks_no_worker_and_snapshot_asks_each_once(
-        self, kind, setup, monkeypatch
+        self, setup, monkeypatch
     ):
         path, _profiles = setup
-        with POOL_KINDS[kind](path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3) as pool:
             pool.query(KBTIMQuery(("music",), 2))
             verbs = _spy_on_requests(monkeypatch)
             health = pool.health()
@@ -257,12 +252,11 @@ class TestPoolKindEquivalence:
             assert verbs == ["snapshot"] * 3
 
     @pytest.mark.chaos
-    @pytest.mark.parametrize("kind", ["process", "supervised"])
-    def test_health_does_not_wait_for_a_busy_shard(self, kind, setup, monkeypatch):
+    def test_health_does_not_wait_for_a_busy_shard(self, setup, monkeypatch):
         """``health()`` returns while a shard's pipe is held by a slow
         request — it never queues behind the handle lock."""
         path, _profiles = setup
-        with POOL_KINDS[kind](path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             handle = pool._workers[0]
             busy = threading.Thread(
                 target=handle.request, args=("_chaos", ("sleep", 0.8))
@@ -283,13 +277,12 @@ class TestPoolKindEquivalence:
             assert health.healthy and all(s.rss_bytes > 0 for s in health.shards)
 
     @pytest.mark.chaos
-    @pytest.mark.parametrize("kind", ["process", "supervised"])
-    def test_killed_worker_is_a_hole_not_an_exception(self, kind, setup):
-        """After ``kill -9`` of one worker both process-backed kinds
-        return a complete ``health()`` and a ``snapshot()`` with a
-        ``None`` hole for that shard (033b4ec: the bare pool raised)."""
+    def test_killed_worker_is_a_hole_not_an_exception(self, setup):
+        """After ``kill -9`` of one worker ``health()`` is complete and
+        ``snapshot()`` has a ``None`` hole for that shard; neither read
+        heals it."""
         path, _profiles = setup
-        with POOL_KINDS[kind](path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             for kw in ("music", "book", "journal", "car"):
                 pool.query(KBTIMQuery((kw,), 2))
             before = pool.snapshot()
@@ -297,10 +290,8 @@ class TestPoolKindEquivalence:
             _kill_shard(pool, victim)
             health = pool.health()
             snapshot = pool.snapshot()
-            assert len(health.shards) == 2
             dead, live = health.shards
-            assert (dead.alive, dead.rss_bytes) == (False, 0)
-            assert dead.state == ("restarting" if kind == "supervised" else "down")
+            assert (dead.alive, dead.rss_bytes, dead.state) == (False, 0, "restarting")
             assert (live.alive, live.state) == (True, "ready") and live.rss_bytes > 0
             assert not health.healthy and health.available_shards == 1
             assert health.rss_bytes == live.rss_bytes
@@ -379,14 +370,14 @@ class TestPicklableBoundary:
 class TestCorrectness:
     def test_matches_direct_index_query(self, setup, workload, expected):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3) as pool:
             for query, want in zip(workload, expected):
                 _assert_same_selection(pool.query(query), want)
 
     def test_batch_matches_sequential(self, setup, workload, expected):
         path, _profiles = setup
         for concurrent in (False, True):
-            with ProcessServerPool(path, n_workers=3) as pool:
+            with SupervisedServerPool(path, n_workers=3) as pool:
                 got = pool.query_batch(workload, concurrent=concurrent)
             assert len(got) == len(expected)
             for a, b in zip(expected, got):
@@ -398,7 +389,7 @@ class TestCorrectness:
             pairs = [
                 (meta.topic_id, name) for name, meta in index.catalog.items()
             ]
-        with ProcessServerPool(path, n_workers=4) as pool:
+        with SupervisedServerPool(path, n_workers=4) as pool:
             for topic_id, name in pairs:
                 assert pool.shard_of(KBTIMQuery((topic_id,), 1)) == pool.shard_of(
                     KBTIMQuery((name,), 1)
@@ -408,7 +399,7 @@ class TestCorrectness:
 
     def test_error_types_cross_the_boundary(self, setup):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             with pytest.raises(QueryError):
                 pool.query(KBTIMQuery(("music",), 999))  # over budget
             with pytest.raises(IndexError_):
@@ -424,7 +415,7 @@ class TestCorrectness:
 
     def test_empty_batch(self, setup):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             assert pool.query_batch([]) == []
             assert pool.stats.queries == 0
 
@@ -432,7 +423,7 @@ class TestCorrectness:
 class TestStatsAccounting:
     def test_merged_stats_sum_across_workers(self, setup, workload):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3) as pool:
             pool.query_batch(workload)
             snapshot = pool.snapshot()
             merged = snapshot.stats
@@ -454,7 +445,7 @@ class TestStatsAccounting:
         load is exactly 2 logical reads (RR prefix + inverted lists)."""
         path, _profiles = setup
         query = KBTIMQuery(("music", "book"), 3)
-        with ProcessServerPool(path, n_workers=1) as pool:
+        with SupervisedServerPool(path, n_workers=1) as pool:
             base = pool.snapshot().io
             answer = pool.query(query)
             delta = pool.snapshot().io.read_calls - base.read_calls
@@ -463,7 +454,7 @@ class TestStatsAccounting:
 
     def test_warm_lands_on_owning_shard(self, setup):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=4) as pool:
+        with SupervisedServerPool(path, n_workers=4) as pool:
             pool.warm(["music", "book"])
             workers = pool.snapshot().workers
             assert sum(w.stats.warm_loads for w in workers) == 2
@@ -474,7 +465,7 @@ class TestStatsAccounting:
 
     def test_evict_all_drops_every_worker_cache(self, setup):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             pool.query(KBTIMQuery(("music",), 2))
             pool.evict_all()
             emptied = pool.snapshot()
@@ -502,7 +493,7 @@ class TestRequestLevelFailures:
         """A payload that fails re-validation on arrival is a request
         error shipped back to the caller; the shard keeps serving."""
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=1) as pool:
+        with SupervisedServerPool(path, n_workers=1) as pool:
             with pytest.raises(QueryError, match="poison"):
                 pool._workers[0].request("query", _PoisonQuery())
             assert pool.health().shards[0].alive
@@ -514,40 +505,36 @@ class TestWorkerDeath:
     def test_dead_worker_raises_clear_error_not_hang(self, setup):
         path, _profiles = setup
         query = KBTIMQuery(("music",), 3)
-        with ProcessServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3, max_retries=0) as pool:
             victim = pool.shard_of(query)
-            pool._workers[victim].process.kill()
-            pool._workers[victim].process.join(timeout=5.0)
+            pid = pool.pids[victim]
+            _kill_shard(pool, victim, unnoticed=True)
             with pytest.raises(ServerError) as excinfo:
                 pool.query(query)
             message = str(excinfo.value)
-            assert f"worker {victim}" in message
-            assert "died" in message
+            assert f"worker {victim} (pid {pid}) died" in message
+            assert "exit code -9" in message
             shard_health = pool.health().shards[victim]
-            assert (shard_health.alive, shard_health.state) == (False, "down")
+            assert (shard_health.alive, shard_health.state) == (False, "restarting")
             assert "died" in shard_health.last_error
             # Other shards keep serving.
-            survivor = next(
-                kw
-                for kw in ("book", "journal", "car", "travel", "food", "software")
-                if pool.shard_of(KBTIMQuery((kw,), 2)) != victim
-            )
+            owners = _two_keywords_on_distinct_shards(pool)
+            survivor = next(kw for kw, shard in owners if shard != victim)
             assert pool.query(KBTIMQuery((survivor,), 2)).seeds
-            # And the dead shard fails fast again (no hang on retry).
-            with pytest.raises(ServerError):
-                pool.query(query)
+            # And the next request to the dead shard heals it.
+            assert pool.query(query).seeds
+            assert pool.health().shards[victim].restarts == 1
 
     def test_dead_worker_fails_batch(self, setup, workload):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=2) as pool:
-            pool._workers[0].process.kill()
-            pool._workers[0].process.join(timeout=5.0)
-            with pytest.raises(ServerError):
+        with SupervisedServerPool(path, n_workers=2, max_retries=0) as pool:
+            _kill_shard(pool, 0, unnoticed=True)
+            with pytest.raises(ServerError, match="worker 0"):
                 pool.query_batch(workload)
 
     def test_close_after_death_is_clean(self, setup):
         path, _profiles = setup
-        pool = ProcessServerPool(path, n_workers=2)
+        pool = SupervisedServerPool(path, n_workers=2)
         for handle in pool._workers:
             handle.process.kill()
         pool.close()  # must not raise or hang
@@ -555,12 +542,20 @@ class TestWorkerDeath:
             pool.query(KBTIMQuery(("music",), 2))
 
 
-def _kill_shard(pool: ProcessServerPool, shard: int) -> None:
-    pool._workers[shard].process.kill()
-    pool._workers[shard].process.join(timeout=10.0)
+def _kill_shard(pool: SupervisedServerPool, shard: int, unnoticed=False) -> None:
+    """SIGKILL and reap one worker; ``unnoticed`` hides the death from the
+    next liveness probe, so it surfaces *mid-request*: with
+    ``max_retries=0`` the caller sees the death diagnosis instead of a
+    transparent heal-before-dispatch."""
+    process = pool._workers[shard].process
+    process.kill()
+    process.join(timeout=10.0)
+    if unnoticed:
+        real_is_alive, lie = process.is_alive, iter([True])
+        process.is_alive = lambda: next(lie, False) or real_is_alive()
 
 
-def _two_keywords_on_distinct_shards(pool: ProcessServerPool):
+def _two_keywords_on_distinct_shards(pool: SupervisedServerPool):
     """Two keyword names from the test topic space owned by different
     shards, each paired with its owning shard (per the pool's own
     dispatcher — no assumptions about the hash function)."""
@@ -577,16 +572,17 @@ def _two_keywords_on_distinct_shards(pool: ProcessServerPool):
 
 @pytest.mark.chaos
 class TestFanoutDeath:
-    """Worker death during fan-out paths: surviving shards must still be
-    administered/answered, and the error must name the dead shard."""
+    """Worker death during fan-out paths (surfacing mid-request, with no
+    retry budget): surviving shards must still be administered/answered,
+    and the error must name the dead shard."""
 
     def test_warm_applies_to_survivors_and_names_dead_shard(self, setup):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3, max_retries=0) as pool:
             (kw_dead, dead), (kw_live, live) = _two_keywords_on_distinct_shards(
                 pool
             )
-            _kill_shard(pool, dead)
+            _kill_shard(pool, dead, unnoticed=True)
             with pytest.raises(ServerError) as excinfo:
                 pool.warm([kw_dead, kw_live])
             message = str(excinfo.value)
@@ -599,12 +595,12 @@ class TestFanoutDeath:
 
     def test_evict_all_applies_to_survivors_and_names_dead_shard(self, setup):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3, max_retries=0) as pool:
             (kw_dead, dead), (kw_live, live) = _two_keywords_on_distinct_shards(
                 pool
             )
             pool.query(KBTIMQuery((kw_live,), 2))  # populate the live cache
-            _kill_shard(pool, dead)
+            _kill_shard(pool, dead, unnoticed=True)
             with pytest.raises(ServerError) as excinfo:
                 pool.evict_all()
             assert f"worker {dead}" in str(excinfo.value)
@@ -613,9 +609,9 @@ class TestFanoutDeath:
 
     def test_all_shards_dead_reports_every_failure(self, setup):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=2) as pool:
-            _kill_shard(pool, 0)
-            _kill_shard(pool, 1)
+        with SupervisedServerPool(path, n_workers=2, max_retries=0) as pool:
+            _kill_shard(pool, 0, unnoticed=True)
+            _kill_shard(pool, 1, unnoticed=True)
             with pytest.raises(ServerError) as excinfo:
                 pool.evict_all()
             message = str(excinfo.value)
@@ -627,11 +623,11 @@ class TestFanoutDeath:
         self, setup, workload
     ):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3, max_retries=0) as pool:
             shards = {pool.shard_of(q) for q in workload}
             assert len(shards) > 1  # the batch really spans shards
             dead = min(shards)
-            _kill_shard(pool, dead)
+            _kill_shard(pool, dead, unnoticed=True)
             with pytest.raises(ServerError) as excinfo:
                 pool.query_batch(workload)
             message = str(excinfo.value)
@@ -649,13 +645,13 @@ class TestPoisonedHandle:
     def test_timeout_poisons_handle_and_restart_resynchronizes(self, setup):
         """The PR-7 desync fix: after a poll() timeout the late reply is
         still in the pipe.  The handle must fail fast (poisoned), never
-        deliver the stale reply to the next request, and a restart must
-        resynchronize the shard."""
+        deliver the stale reply to the next request, and the restart the
+        next query triggers must resynchronize the shard."""
         path, _profiles = setup
         query = KBTIMQuery(("music",), 3)
         with RRIndex(path) as index:
             want = index.query(query)
-        with ProcessServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             shard = pool.shard_of(query)
             handle = pool._workers[shard]
             with pytest.raises(DeadlineExceededError) as excinfo:
@@ -664,26 +660,25 @@ class TestPoisonedHandle:
             assert handle.poisoned
             # Fails fast while the stale reply is still in flight...
             with pytest.raises(ServerError, match="poisoned"):
-                pool.query(query)
+                handle.request("query", query)
             # ...even after the stale reply has landed in the pipe.
             time.sleep(0.6)
             with pytest.raises(ServerError, match="poisoned"):
-                pool.query(query)
-            # restart_worker swaps in a fresh pipe: exact answers again.
-            pool.restart_worker(shard)
+                handle.request("query", query)
+            assert pool.health().shards[shard].state == "restarting"
+            # The pool swaps in a fresh pipe: exact answers again.
             got = pool.query(query)
+            assert pool._workers[shard] is not handle
             assert got.seeds == want.seeds
             assert got.theta == want.theta
 
     def test_restart_worker_replaces_dead_shard(self, setup):
         path, _profiles = setup
         query = KBTIMQuery(("music",), 3)
-        with ProcessServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3) as pool:
             shard = pool.shard_of(query)
             old_pid = pool.pids[shard]
             _kill_shard(pool, shard)
-            with pytest.raises(ServerError):
-                pool.query(query)
             pool.restart_worker(shard)
             shard_health = pool.health().shards[shard]
             assert shard_health.alive and shard_health.state == "ready"
@@ -693,7 +688,7 @@ class TestPoisonedHandle:
 
     def test_restart_worker_on_closed_pool_rejected(self, setup):
         path, _profiles = setup
-        pool = ProcessServerPool(path, n_workers=2)
+        pool = SupervisedServerPool(path, n_workers=2)
         pool.close()
         with pytest.raises(ServerError):
             pool.restart_worker(0)
@@ -706,7 +701,7 @@ class TestShutdownLocking:
         the closed flip + pipe send, so a concurrent request observes
         ``closed`` promptly instead of stalling behind the join."""
         path, _profiles = setup
-        pool = ProcessServerPool(path, n_workers=1)
+        pool = SupervisedServerPool(path, n_workers=1)
         handle = pool._workers[0]
         # Make the drain slow: the worker is busy for 0.8s, so shutdown's
         # reply-wait + join dominate while the lock must stay free.
@@ -738,7 +733,7 @@ class TestShutdownLocking:
 class TestLifecycle:
     def test_context_manager_and_double_close(self, setup):
         path, _profiles = setup
-        pool = ProcessServerPool(path, n_workers=2)
+        pool = SupervisedServerPool(path, n_workers=2)
         with pool:
             assert len(pool.pids) == 2
             assert all(isinstance(pid, int) for pid in pool.pids)
@@ -748,26 +743,69 @@ class TestLifecycle:
 
     def test_workers_reaped_on_close(self, setup):
         path, _profiles = setup
-        pool = ProcessServerPool(path, n_workers=2)
-        processes = [handle.process for handle in pool._workers]
+        pool = SupervisedServerPool(path, n_workers=2)
+        handles, pids = list(pool._workers), set(pool.pids)
         pool.close()
-        assert all(not process.is_alive() for process in processes)
+        assert all(not handle.alive for handle in handles)
+        live = {process.pid for process in multiprocessing.active_children()}
+        assert not pids & live
+
+    @pytest.mark.chaos
+    def test_close_releases_every_descriptor(self, setup):
+        """After ``close()`` no open fd of the pool remains — while the
+        pool object is still referenced, and after a kill-heal and a
+        drain/restore replaced both workers (d439185: +4, the reaped
+        processes' sentinel pipes waited for garbage collection)."""
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        fds_before = len(os.listdir("/proc/self/fd"))
+        pool = SupervisedServerPool(path, n_workers=2, restart_backoff=0.0)
+        victim = pool.shard_of(query)
+        assert pool.query(query).seeds
+        _kill_shard(pool, victim)
+        assert pool.query(query).seeds  # heals
+        pool.drain(1 - victim)
+        assert pool.health().shards[1 - victim].alive is False
+        pool.restore(1 - victim)
+        assert pool.health().healthy and pool.health().restarts == 2
+        pool.close()
+        assert len(os.listdir("/proc/self/fd")) == fds_before  # pool still referenced
+
+    def test_rejected_argument_leaves_no_shared_state(self, setup):
+        """Every argument is validated before the first shared segment or
+        process exists (d439185: a bad ``start_method`` raised *after*
+        creating the machine-wide cache and its lock file)."""
+        path, _profiles = setup
+
+        def kbtim_entries():
+            roots = ("/dev/shm", tempfile.gettempdir())
+            return {
+                (root, entry)
+                for root in filter(os.path.isdir, roots)
+                for entry in os.listdir(root)
+                if entry.startswith("kbtim-")
+            }
+
+        before = kbtim_entries()
+        with pytest.raises(ValueError, match="bogus"):
+            SupervisedServerPool(path, shared_block_cache=True, start_method="bogus")
+        assert kbtim_entries() == before
 
     def test_bad_worker_count_rejected(self, setup):
         path, _profiles = setup
         with pytest.raises(ValueError):
-            ProcessServerPool(path, n_workers=0)
+            SupervisedServerPool(path, n_workers=0)
 
     def test_corrupt_path_fails_in_parent(self, tmp_path):
         bogus = tmp_path / "not-an-index.rr"
         bogus.write_bytes(b"this is not an index file at all, sorry")
         with pytest.raises(CorruptIndexError):
-            ProcessServerPool(str(bogus), n_workers=2)
+            SupervisedServerPool(str(bogus), n_workers=2)
 
     def test_spawn_start_method(self, setup):
         """The picklable protocol works under spawn (fresh interpreter)."""
         path, _profiles = setup
-        with ProcessServerPool(
+        with SupervisedServerPool(
             path, n_workers=1, start_method="spawn"
         ) as pool:
             assert pool.start_method == "spawn"
@@ -779,7 +817,7 @@ class TestLifecycle:
 class TestReplayIntegration:
     def test_replay_threads_over_process_pool(self, setup, workload, expected):
         path, _profiles = setup
-        with ProcessServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             report = replay(pool, workload, threads=4)
         assert report.n_queries == len(workload)
         assert report.qps > 0
@@ -789,18 +827,12 @@ class TestReplayIntegration:
     def test_harness_opens_process_pool(self, tmp_path):
         from repro.experiments.harness import ExperimentContext, ExperimentScale
 
-        with ExperimentContext(
-            ExperimentScale.smoke(), workdir=str(tmp_path)
-        ) as ctx:
+        with ExperimentContext(ExperimentScale.smoke(), workdir=str(tmp_path)) as ctx:
             ds = ctx.default_dataset("twitter")
-            with ctx.open_server_pool(ds, n_workers=2, kind="process") as pool:
-                assert isinstance(pool, ProcessServerPool)
-                stats = pool.stats
-                assert stats.queries == 0
             with ctx.open_server_pool(ds, n_workers=2) as pool:
-                assert isinstance(pool, ServerPool)
-            with pytest.raises(ValueError):
-                ctx.open_server_pool(ds, kind="fiber")
+                assert isinstance(pool, SupervisedServerPool)
+                assert len(set(pool.pids)) == 2 and os.getpid() not in pool.pids
+                assert pool.stats.queries == 0
 
 
 class TestIOStatsReset:

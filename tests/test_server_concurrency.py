@@ -8,8 +8,8 @@ Three guarantees are pinned here:
   batch's true total.
 * A shared ``KBTIMServer`` hammered from N threads answers every query
   bit-identically to a single-threaded run, with exact stats counters.
-* ``ServerPool`` dispatches deterministically, aggregates stats, and its
-  answers match a single server's.
+* ``SupervisedServerPool`` dispatches deterministically, aggregates
+  stats, and its answers match a single server's.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +18,8 @@ import pytest
 
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
-from repro.core.server import KBTIMServer, ServerPool, ServerStats
+from repro.core.process_pool import SupervisedServerPool
+from repro.core.server import KBTIMServer, ServerStats
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload
 from repro.errors import QueryError
@@ -242,7 +243,7 @@ class TestServerPool:
         path, _profiles = setup
         with RRIndex(path) as index:
             expected = [KBTIMServer(index).query(q) for q in workload]
-        with ServerPool(path, n_workers=4) as pool:
+        with SupervisedServerPool(path, n_workers=4) as pool:
             for q, want in zip(workload, expected):
                 _assert_same_selection(pool.query(q), want)
 
@@ -251,7 +252,7 @@ class TestServerPool:
         with RRIndex(path) as index:
             expected = [KBTIMServer(index).query(q) for q in workload]
         for concurrent in (False, True):
-            with ServerPool(path, n_workers=3) as pool:
+            with SupervisedServerPool(path, n_workers=3) as pool:
                 got = pool.query_batch(workload, concurrent=concurrent)
             assert len(got) == len(expected)
             for a, b in zip(expected, got):
@@ -259,7 +260,7 @@ class TestServerPool:
 
     def test_dispatch_deterministic_and_spread(self, setup, workload):
         path, _profiles = setup
-        with ServerPool(path, n_workers=4) as pool:
+        with SupervisedServerPool(path, n_workers=4) as pool:
             shards = [pool.shard_of(q) for q in workload]
             assert shards == [pool.shard_of(q) for q in workload]
             assert all(0 <= s < 4 for s in shards)
@@ -274,24 +275,26 @@ class TestServerPool:
 
     def test_single_keyword_queries_stay_on_one_shard(self, setup):
         path, _profiles = setup
-        with ServerPool(path, n_workers=4) as pool:
+        with SupervisedServerPool(path, n_workers=4) as pool:
             for _ in range(3):
                 pool.query(KBTIMQuery(("music",), 2))
             loaded = [
-                w.stats.keyword_misses + w.stats.warm_loads for w in pool.workers
+                w.stats.keyword_misses + w.stats.warm_loads
+                for w in pool.snapshot().workers
             ]
             assert sorted(loaded)[-1] == 1  # one worker loaded it, once
             assert sum(loaded) == 1
 
     def test_pool_stats_aggregate(self, setup, workload):
         path, _profiles = setup
-        with ServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(path, n_workers=3) as pool:
             pool.query_batch(workload)
-            stats = pool.stats
+            snapshot = pool.snapshot()
+            stats = snapshot.stats
             assert stats.queries == len(workload)
-            assert stats.queries == sum(w.stats.queries for w in pool.workers)
+            assert stats.queries == sum(w.stats.queries for w in snapshot.workers)
             assert stats.keyword_hits == sum(
-                w.stats.keyword_hits for w in pool.workers
+                w.stats.keyword_hits for w in snapshot.workers
             )
             assert len(stats.latencies) == len(workload)
             assert stats.mean_latency > 0
@@ -299,26 +302,27 @@ class TestServerPool:
 
     def test_warm_lands_on_owning_shard(self, setup):
         path, _profiles = setup
-        with ServerPool(path, n_workers=4) as pool:
+        with SupervisedServerPool(path, n_workers=4) as pool:
             pool.warm(["music", "book"])
-            assert sum(w.stats.warm_loads for w in pool.workers) == 2
+            workers = pool.snapshot().workers
+            assert sum(w.stats.warm_loads for w in workers) == 2
             # warmed exactly where single-keyword traffic dispatches
             for kw in ("music", "book"):
                 shard = pool.shard_of(KBTIMQuery((kw,), 1))
-                assert kw in pool.workers[shard].cached_keywords
+                assert kw in workers[shard].cached_keywords
 
     def test_evict_all_and_close(self, setup):
         path, _profiles = setup
-        pool = ServerPool(path, n_workers=2)
+        pool = SupervisedServerPool(path, n_workers=2)
         pool.query(KBTIMQuery(("music",), 2))
         pool.evict_all()
-        assert all(w.cached_keywords == [] for w in pool.workers)
+        assert all(w.cached_keywords == () for w in pool.snapshot().workers)
         pool.close()
 
     def test_bad_worker_count_rejected(self, setup):
         path, _profiles = setup
         with pytest.raises(ValueError):
-            ServerPool(path, n_workers=0)
+            SupervisedServerPool(path, n_workers=0)
 
     def test_pool_replay_threads(self, setup, workload):
         """The replay driver drives a pool concurrently, answers intact."""
@@ -327,7 +331,7 @@ class TestServerPool:
         path, _profiles = setup
         with RRIndex(path) as index:
             expected = [KBTIMServer(index).query(q) for q in workload]
-        with ServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             report = replay(pool, workload, threads=4)
         assert report.n_queries == len(workload)
         assert report.qps > 0

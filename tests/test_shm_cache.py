@@ -15,7 +15,7 @@ Pinned guarantees:
 * The flat response transport round-trips whole answer batches
   losslessly, grows its segment under the same name (generation bump),
   and rejects desynchronised frames with a typed error.
-* A ``spawn``-started :class:`ProcessServerPool` attaches to the shared
+* A ``spawn``-started :class:`SupervisedServerPool` attaches to the shared
   cache and answers bit-identically, with no leaked segments after
   close.
 """
@@ -25,8 +25,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.process_pool import ProcessServerPool
-from repro.core.query import KBTIMQuery
+from repro.core.process_pool import SupervisedServerPool
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.shm_cache import (
@@ -324,7 +323,7 @@ class TestSpawnPool:
         with RRIndex(path) as index:
             want = [index.query(q) for q in queries]
         cache_name = shared_cache_name_for(path)
-        with ProcessServerPool(
+        with SupervisedServerPool(
             path, n_workers=2, start_method="spawn", shared_block_cache=True
         ) as pool:
             assert pool.flat_transport
@@ -356,13 +355,13 @@ class TestSpawnPool:
         queries = make_mixed_workload(
             profiles, n_queries=8, lengths=(1, 2), ks=(3,), rng=76
         )
-        with ProcessServerPool(path, n_workers=2) as flat_pool:
+        with SupervisedServerPool(path, n_workers=2) as flat_pool:
             flat = [flat_pool.query(q) for q in queries]
             assert flat_pool.flat_transport
         monkeypatch.setattr(
             "repro.core.process_pool.transport_available", lambda: False
         )
-        with ProcessServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(path, n_workers=2) as pool:
             assert not pool.flat_transport
             pickled = [pool.query(q) for q in queries]
         for a, b in zip(flat, pickled):

@@ -1,4 +1,4 @@
-"""Self-healing serving tier (repro.core.supervision, PR 7).
+"""Self-healing serving tier (repro.core.process_pool; PR 7, one class since PR 18).
 
 Every robustness mechanism is pinned against *injected* faults, not
 asserted:
@@ -21,15 +21,14 @@ import time
 
 import pytest
 
-from repro.core.process_pool import ProcessServerPool
+from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
-from repro.core.supervision import (
+from repro.core.server import (
     SHARD_DEGRADED,
     SHARD_DRAINED,
     SHARD_READY,
     SHARD_RESTARTING,
-    SupervisedServerPool,
 )
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload
@@ -82,10 +81,16 @@ def _assert_same_selection(a, b):
     assert a.phi_q == pytest.approx(b.phi_q)
 
 
-def _kill_worker(pool: SupervisedServerPool, shard: int) -> None:
-    handle = pool._workers[shard]
-    handle.process.kill()
-    handle.process.join(timeout=10.0)
+def _kill_worker(pool: SupervisedServerPool, shard: int, unnoticed=False) -> None:
+    """SIGKILL and reap one worker; ``unnoticed`` hides the death from the
+    next liveness probe, so it surfaces mid-request — the retry path, not
+    the heal-before-dispatch path."""
+    process = pool._workers[shard].process
+    process.kill()
+    process.join(timeout=10.0)
+    if unnoticed:
+        real_is_alive, lie = process.is_alive, iter([True])
+        process.is_alive = lambda: next(lie, False) or real_is_alive()
 
 
 def _other_shard_keyword(pool: SupervisedServerPool, shard: int) -> str:
@@ -149,21 +154,7 @@ class TestSelfHealing:
         with SupervisedServerPool(
             path, n_workers=2, restart_backoff=0.0
         ) as pool:
-            shard = pool.shard_of(query)
-            handle = pool._workers[shard]
-            handle.process.kill()
-            handle.process.join(timeout=10.0)
-            # Hide the death from the pre-dispatch liveness probe once,
-            # so it surfaces mid-request — the retry path, not the
-            # heal-before-dispatch path.
-            real_is_alive = handle.process.is_alive
-            calls = {"n": 0}
-
-            def lying_is_alive():
-                calls["n"] += 1
-                return True if calls["n"] == 1 else real_is_alive()
-
-            handle.process.is_alive = lying_is_alive
+            _kill_worker(pool, pool.shard_of(query), unnoticed=True)
             got = pool.query(query)
             assert got.seeds
             stats = pool.stats
@@ -176,11 +167,7 @@ class TestSelfHealing:
         with SupervisedServerPool(
             path, n_workers=2, restart_backoff=0.0, max_retries=0
         ) as pool:
-            shard = pool.shard_of(query)
-            handle = pool._workers[shard]
-            handle.process.kill()
-            handle.process.join(timeout=10.0)
-            handle.process.is_alive = lambda: True  # death surfaces mid-request
+            _kill_worker(pool, pool.shard_of(query), unnoticed=True)
             with pytest.raises(ServerError, match="died"):
                 pool.query(query)
 
@@ -519,22 +506,22 @@ class TestLifecycleAndValidation:
             pool.health()
         pool.close()
 
-    def test_supervision_is_a_policy_not_a_wrapper(self, setup):
+    def test_the_pool_is_one_class(self, setup):
+        import repro
+        import repro.core
+
+        assert SupervisedServerPool.__mro__ == (SupervisedServerPool, object)
+        for package in (repro, repro.core):
+            pools = [name for name in package.__all__ if name.endswith("ServerPool")]
+            assert pools == ["SupervisedServerPool"]
         path, _profiles = setup
         with SupervisedServerPool(path, n_workers=2, request_timeout=7.5) as pool:
-            assert isinstance(pool, ProcessServerPool)
             assert pool.pool is pool and not hasattr(pool, "_pool")
-            # One deadline: inherited admin reads are bounded by it too.
+            # One deadline: admin fan-outs and snapshot reads are bounded by it too.
             assert pool.request_timeout == 7.5
             snapshot = pool.snapshot()
             assert [part.cached_keywords for part in snapshot.workers] == [(), ()]
             assert snapshot.health.rss_bytes > 0
-            # The telemetry calls are the pool core's; supervision only
-            # says how a shard's state is computed.
-            for name in ("health", "snapshot", "stats"):
-                assert name not in vars(SupervisedServerPool)
-                assert name not in vars(ProcessServerPool)
-            assert "_shard_state" in vars(SupervisedServerPool)
 
     def test_knob_validation(self, setup):
         path, _profiles = setup
@@ -552,12 +539,10 @@ class TestLifecycleAndValidation:
     def test_harness_opens_supervised_pool(self, tmp_path):
         from repro.experiments.harness import ExperimentContext, ExperimentScale
 
-        with ExperimentContext(
-            ExperimentScale.smoke(), workdir=str(tmp_path)
-        ) as ctx:
+        with ExperimentContext(ExperimentScale.smoke(), workdir=str(tmp_path)) as ctx:
             ds = ctx.default_dataset("twitter")
-            with ctx.open_server_pool(
-                ds, n_workers=2, kind="supervised", max_inflight=16
-            ) as pool:
+            with ctx.open_server_pool(ds, n_workers=2, max_inflight=16) as pool:
                 assert isinstance(pool, SupervisedServerPool)
-                assert pool.health().healthy
+                assert pool.health().max_inflight == 16
+            with pytest.raises(TypeError):
+                ctx.open_server_pool(ds, kind="thread")  # no pool-kind switch
