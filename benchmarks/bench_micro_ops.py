@@ -12,7 +12,7 @@ import pytest
 from repro.core.coverage import CoverageInstance, greedy_max_coverage
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder
 from repro.core.query import KBTIMQuery
-from repro.core.rr_index import RRIndex, RRIndexBuilder
+from repro.core.rr_index import RRIndex, RRIndexBuilder, invert_csr
 from repro.core.sampler import sample_rr_sets, sample_uniform_roots
 from repro.core.theta import ThetaPolicy
 from repro.graph.generators import twitter_like
@@ -20,9 +20,10 @@ from repro.profiles.generators import zipf_profiles
 from repro.profiles.topics import TopicSpace
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
-from repro.storage.compression import Codec, compress_ids, decompress_ids_batch
+from repro.storage.compression import Codec, StreamDecoder, encode_stream
 from repro.storage.pager import BufferPool, PagedFile
-from repro.storage.records import RRSetsRecord
+from repro.storage.records import InvertedListsRecord, RRSetsRecord
+from repro.utils.rrsets import FlatRRSets
 from repro.storage.varint import (
     decode_varints,
     decode_varints_block,
@@ -147,14 +148,39 @@ def test_irr_query_latency_cold_decode(irr_index_path, benchmark):
         benchmark(lambda: [index.query(q) for q in _IRR_QUERIES])
 
 
-def test_rr_record_decode_throughput(rr_sets, benchmark):
-    """What the RR index pays per query for the same 500 sets: the batch
-    decode of the record's payload (``RRIndex.decode_block``'s call)."""
-    record = RRSetsRecord.encode(rr_sets, Codec.PFOR)
+@pytest.fixture(scope="module")
+def keyword_csr(rr_sets, model):
+    """One keyword's block in the writers' input form: the 500 RR sets
+    as ``(ptr, vertices)`` and their inversion ``(keys, ptr, set ids)``."""
+    flat = FlatRRSets.from_sets(rr_sets)
+    return (flat.ptr, flat.vertices), invert_csr(flat.sizes(), flat.vertices)
+
+
+def test_rr_record_decode_throughput(keyword_csr, benchmark):
+    """What the RR index pays per query for the same 500 sets: the
+    columnar decode of the record's payload (``RRIndex.decode_block``'s
+    call)."""
+    record = RRSetsRecord.encode(*keyword_csr[0], Codec.PFOR)
     n_sets, _group, payload_len, start = RRSetsRecord.read_header(record)
     payload = record[start : start + payload_len]
 
     benchmark(lambda: RRSetsRecord.decode_prefix_csr(payload, n_sets))
+
+
+def test_inverted_record_decode_throughput(keyword_csr, benchmark):
+    """The other half of a cold keyword: its ``L_w`` record."""
+    record = InvertedListsRecord.encode(*keyword_csr[1], Codec.PFOR)
+
+    benchmark(lambda: InvertedListsRecord.decode_csr(record))
+
+
+@pytest.mark.parametrize("record", ["rr", "inverted"])
+def test_record_encode(record, keyword_csr, benchmark):
+    """What the offline build pays per keyword and record."""
+    if record == "rr":
+        benchmark(lambda: RRSetsRecord.encode(*keyword_csr[0], Codec.PFOR))
+    else:
+        benchmark(lambda: InvertedListsRecord.encode(*keyword_csr[1], Codec.PFOR))
 
 
 #: One record's worth of gap varints — the stream shape the block varint
@@ -244,23 +270,47 @@ def test_coverage_instance_build(rr_sets, model, benchmark):
     benchmark(lambda: CoverageInstance(model.graph.n, rr_sets))
 
 
+def _gap_stream(n_lists, per_list, seed):
+    """The gaps stream of ``n_lists`` sorted id lists of ``per_list`` ids
+    below 4 000: a first id, then differences, list after list."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.integers(0, 4000, size=(n_lists, per_list)), axis=1)
+    ids += np.arange(per_list)  # strictly increasing
+    return np.diff(ids, prepend=0, axis=1).astype(np.uint64).ravel()
+
+
+#: The three stream shapes the codec runs at: one cold keyword's gaps at
+#: the size the repo benchmark's fixture has (676 ids), one IRR
+#: partition (δ = 100 lists), and one record long enough that the unpack
+#: works in bounded slices.
+_STREAM_SHAPES = [
+    pytest.param(169, 4, id="keyword-676"),
+    pytest.param(100, 4, id="partition-100-lists"),
+    pytest.param(10_000, 5, id="record-50000"),
+]
+
+
+@pytest.mark.parametrize("n_lists, per_list", _STREAM_SHAPES)
 @pytest.mark.parametrize("codec", [Codec.VARINT, Codec.PFOR])
-def test_codec_encode(codec, benchmark):
-    ids = np.sort(
-        np.random.default_rng(80).choice(10**6, size=5000, replace=False)
-    ).astype(np.int64)
+def test_codec_encode(codec, n_lists, per_list, benchmark):
+    gaps = _gap_stream(n_lists, per_list, 80)
 
-    benchmark(lambda: compress_ids(ids, codec))
+    benchmark(lambda: encode_stream(gaps, codec))
 
 
+@pytest.mark.parametrize("n_lists, per_list", _STREAM_SHAPES)
 @pytest.mark.parametrize("codec", [Codec.VARINT, Codec.PFOR])
-def test_codec_decode(codec, benchmark):
-    ids = np.sort(
-        np.random.default_rng(81).choice(10**6, size=5000, replace=False)
-    ).astype(np.int64)
-    blob = compress_ids(ids, codec)
+def test_codec_decode(codec, n_lists, per_list, benchmark):
+    gaps = _gap_stream(n_lists, per_list, 81)
+    blob = encode_stream(gaps, codec)
 
-    benchmark(lambda: decompress_ids_batch(blob, 1))
+    def decode():
+        decoder = StreamDecoder(blob)
+        decoder.read(codec.value, len(gaps), 0)
+        return decoder.finish()
+
+    assert np.array_equal(decode()[0], gaps)
+    benchmark(decode)
 
 
 def test_paged_random_reads(tmp_path_factory, benchmark):

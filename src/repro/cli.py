@@ -26,7 +26,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.core.catalog import RR_FORMAT, read_catalog
+from repro.core.catalog import FORMAT_VERSION, RR_FORMAT, read_catalog
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
@@ -316,7 +316,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     with _open_index(args.index) as index:
         kind = "RR" if isinstance(index, RRIndex) else "IRR"
         print(
-            f"{kind} index: |V|={index.n_vertices}, K={index.K}, "
+            f"{kind} index (format v{FORMAT_VERSION}): "
+            f"|V|={index.n_vertices}, K={index.K}, "
             f"epsilon={index.epsilon}, codec={index.codec.name}"
         )
         print(f"{'keyword':16} {'theta_w':>9} {'phi_w':>10} {'idf':>7}")

@@ -37,6 +37,7 @@ from repro.storage.segments import SegmentReader
 __all__ = [
     "RR_FORMAT",
     "IRR_FORMAT",
+    "FORMAT_VERSION",
     "KeywordMeta",
     "Catalog",
     "build_keyword_meta",
@@ -49,7 +50,10 @@ __all__ = [
 
 RR_FORMAT = "rr-index"
 IRR_FORMAT = "irr-index"
-_FORMAT_VERSION = 1
+#: Version of the record layout under the catalog (2 = columnar streams).
+#: Written by every builder and checked at open: no older reader is kept,
+#: every index is rebuilt from its sample tables.
+FORMAT_VERSION = 2
 
 #: How an error message names each known format.
 _KINDS = {RR_FORMAT: "an RR index", IRR_FORMAT: "an IRR index"}
@@ -139,7 +143,7 @@ def encode_catalog(
     """Serialise the ``meta`` segment (``header``: IRR's ``delta``)."""
     meta = {
         "format": fmt,
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "n_vertices": n_vertices,
         "epsilon": epsilon,
         "K": K,
@@ -159,8 +163,8 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
     Raises
     ------
     CorruptIndexError
-        If the document's format is not ``expected`` (when given), or is
-        not a format this library writes.
+        If the document's format is not ``expected`` (when given), is not
+        a format this library writes, or is not at :data:`FORMAT_VERSION`.
     """
     meta = json.loads(reader.read("meta").decode("utf-8"))
     fmt = meta.get("format")
@@ -170,6 +174,12 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
         )
     if fmt not in _KINDS:
         raise CorruptIndexError(f"{reader.path}: unknown index format {fmt!r}")
+    if meta.get("version") != FORMAT_VERSION:
+        raise CorruptIndexError(
+            f"{reader.path}: index format version {meta.get('version')!r}, this "
+            f"release reads version {FORMAT_VERSION}: rebuild the index with "
+            "this release"
+        )
     entries = meta["keywords"]
     keywords = {
         name: KeywordMeta(

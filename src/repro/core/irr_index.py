@@ -53,7 +53,7 @@ from repro.core.catalog import (
 from repro.core.offline import KeywordTable
 from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.rr_index import BuildReport, RRIndexBuilder, _invert, build_report
+from repro.core.rr_index import BuildReport, RRIndexBuilder, build_report, invert_csr
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
 from repro.storage.compression import Codec
@@ -61,7 +61,8 @@ from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.storage.records import InvertedListsRecord
 from repro.storage.segments import SegmentWriter
-from repro.utils.segments import segmented_arange
+from repro.utils.rrsets import FlatRRSets
+from repro.utils.segments import segmented_arange, take_rows
 
 __all__ = ["IRRIndexBuilder", "IRRIndex", "DEFAULT_PARTITION_SIZE"]
 
@@ -114,46 +115,42 @@ class IRRIndexBuilder(RRIndexBuilder):
         )
 
 
-def partition_keyword(
-    rr_sets: Sequence[np.ndarray], delta: int
-) -> Tuple[
-    List[List[Tuple[int, np.ndarray]]],
-    List[List[int]],
-    List[Tuple[int, int]],
-]:
-    """Algorithm 3 lines 5-14 for one keyword.
+def partition_keyword(rr_sets: Sequence[np.ndarray], delta: int) -> Tuple[tuple, ...]:
+    """Algorithm 3 lines 5-14 for one keyword, in flat CSR form.
 
-    Returns ``(il_partitions, ir_partitions, ip_entries)``:
+    Returns ``(il, ir, ip)``, tuples of arrays:
 
-    * ``il_partitions[p]`` — the partition's ``(vertex, rr ids)`` lists in
-      descending length order (ties: smaller vertex first);
-    * ``ir_partitions[p]`` — RR-set ids assigned to partition ``p``;
-    * ``ip_entries`` — ``(vertex, first occurrence)`` sorted by vertex.
+    * ``il = (vertices, ptr, set_ids)`` — every vertex's inverted list
+      (ascending RR-set ids) in descending length order (ties: smaller
+      vertex first); partition ``p`` is lists ``[p·δ, (p+1)·δ)``;
+    * ``ir = (set_ids, part_ptr)`` — RR-set ids grouped by the partition
+      that claims them, ascending within each: partition ``p`` is
+      ``set_ids[part_ptr[p]:part_ptr[p+1]]``;
+    * ``ip = (vertices, firsts)`` — ascending vertices and the first RR
+      set each occurs in.
     """
-    # _invert is the vectorised argsort inversion shared with the RR
-    # builder; it yields ascending-vertex lists with ascending set ids.
-    lists = list(_invert(rr_sets))
-    # Descending length; vertex id breaks ties deterministically.
-    lists.sort(key=lambda item: (-len(item[1]), item[0]))
-
-    il_partitions: List[List[Tuple[int, np.ndarray]]] = []
-    ir_partitions: List[List[int]] = []
-    claimed = np.zeros(len(rr_sets), dtype=bool)
-    for start in range(0, len(lists), delta):
-        block = lists[start : start + delta]
-        il_partitions.append(block)
-        # A partition claims every not-yet-claimed set any of its lists
-        # touches; which sets those are is order-independent, so one
-        # unique + mask replaces the per-list scan.  (delta >= 1 keeps
-        # every block non-empty.)
-        ids = np.unique(np.concatenate([ids for _v, ids in block]))
-        fresh = ids[~claimed[ids]]
-        claimed[fresh] = True
-        ir_partitions.append([int(s) for s in fresh])
-
-    # First occurrence = head of each (ascending) inverted list.
-    ip_entries = sorted((v, int(ids[0])) for v, ids in lists)
-    return il_partitions, ir_partitions, ip_entries
+    flat = FlatRRSets.from_sets(rr_sets)
+    # invert_csr is the argsort inversion shared with the RR builder:
+    # ascending vertices, each with ascending set ids.
+    vertices, ptr, set_ids = invert_csr(flat.sizes(), flat.vertices)
+    order = np.lexsort((vertices, -np.diff(ptr)))
+    il_ptr, il_ids = take_rows(ptr, set_ids, order)
+    # A partition claims every not-yet-claimed set any of its lists
+    # touches, i.e. a set goes to the earliest partition holding one of
+    # its vertices.  Lists are in partition order, so writing the entries
+    # back to front leaves each set its first (smallest) partition.
+    n_partitions = -(-len(order) // delta)
+    partition_of = np.repeat(np.arange(len(order)) // delta, np.diff(il_ptr))
+    owner = np.full(len(flat), n_partitions, dtype=np.int64)
+    owner[il_ids[::-1]] = partition_of[::-1]
+    by_owner = np.argsort(owner, kind="stable")
+    part_ptr = np.searchsorted(owner[by_owner], np.arange(n_partitions + 1))
+    return (
+        (vertices[order], il_ptr, il_ids),
+        (by_owner[: part_ptr[-1]], part_ptr),
+        # First occurrence = head of each (ascending) inverted list.
+        (vertices, set_ids[ptr[:-1]]),
+    )
 
 
 def write_irr_index(
@@ -172,39 +169,32 @@ def write_irr_index(
     # Everything is partitioned and encoded before the file is created.
     entries = keyword_entries(tables)
     payload_segments: List[Tuple[str, bytes]] = []
+
+    def add(segment: str, keys: np.ndarray, ptr: np.ndarray, ids: np.ndarray) -> None:
+        record = InvertedListsRecord.encode(keys, ptr, ids, codec)
+        payload_segments.append((segment, record))
+
+    def add_partitions(kind: str, bounds, keys, ptr, ids) -> None:
+        """One record per partition: rows ``bounds[p]:bounds[p + 1]``."""
+        for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            add(f"{kind}/{p}", keys[lo:hi], ptr[lo : hi + 1] - ptr[lo], ids[ptr[lo] : ptr[hi]])
+
     for name in sorted(tables):
-        rr_sets = tables[name].rr_sets
-        il_parts, ir_parts, ip_entries = partition_keyword(rr_sets, delta)
+        rr_sets = FlatRRSets.from_sets(tables[name].rr_sets)
+        (il_keys, il_ptr, il_ids), (ir_sets, part_ptr), (ip_keys, ip_firsts) = (
+            partition_keyword(rr_sets, delta)
+        )
+        list_ptr = np.minimum(np.arange(len(part_ptr)) * delta, len(il_keys))
         entries[name].update(
-            n_partitions=len(il_parts),
-            partition_first_lens=[len(part[0][1]) for part in il_parts],
-            partition_set_counts=[len(p) for p in ir_parts],
+            n_partitions=len(part_ptr) - 1,
+            partition_first_lens=np.diff(il_ptr)[list_ptr[:-1]].tolist(),
+            partition_set_counts=np.diff(part_ptr).tolist(),
         )
-        payload_segments.append(
-            (
-                f"ip/{name}",
-                InvertedListsRecord.encode(
-                    [
-                        (v, np.asarray([first], dtype=np.int64))
-                        for v, first in ip_entries
-                    ],
-                    codec,
-                ),
-            )
-        )
-        for p, block in enumerate(il_parts):
-            payload_segments.append(
-                (f"il/{name}/{p}", InvertedListsRecord.encode(block, codec))
-            )
-        for p, members in enumerate(ir_parts):
-            payload_segments.append(
-                (
-                    f"ir/{name}/{p}",
-                    InvertedListsRecord.encode(
-                        [(set_id, rr_sets[set_id]) for set_id in members], codec
-                    ),
-                )
-            )
+        add(f"ip/{name}", ip_keys, np.arange(len(ip_keys) + 1), ip_firsts)
+        add_partitions(f"il/{name}", list_ptr, il_keys, il_ptr, il_ids)
+        # The claimed RR sets themselves, gathered once in IR order.
+        ir_ptr, ir_vertices = take_rows(rr_sets.ptr, rr_sets.vertices, ir_sets)
+        add_partitions(f"ir/{name}", part_ptr, ir_sets, ir_ptr, ir_vertices)
     with SegmentWriter(path) as writer:
         writer.add(
             "meta",

@@ -43,10 +43,10 @@ class KeywordTable:
 
     ``rr_sets`` is whatever the model's batched sampler produced — for
     IC/LT and declared triggering models that is the flat
-    :class:`~repro.utils.rrsets.FlatRRSets` CSR, which the record
-    encoders, ``_invert`` and ``partition_keyword`` consume without a
-    list-of-arrays round trip (scalar-fallback models still deliver a
-    plain list; both are ``Sequence[np.ndarray]``).
+    :class:`~repro.utils.rrsets.FlatRRSets` CSR, which the index writers
+    (``invert_csr``, ``partition_keyword``, the record encoders) consume
+    as-is (scalar-fallback models still deliver a plain list, flattened
+    once by ``FlatRRSets.from_sets``; both are ``Sequence[np.ndarray]``).
     """
 
     name: str

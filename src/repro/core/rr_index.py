@@ -26,7 +26,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.shm_cache import SharedBlockCache
 from repro.core.theta import ThetaPolicy
-from repro.errors import IndexError_
+from repro.errors import CorruptIndexError, IndexError_
 from repro.profiles.store import ProfileStore
 from repro.propagation.base import PropagationModel
 from repro.storage.compression import Codec
@@ -226,11 +226,16 @@ def write_rr_index(
             ),
         )
         for name in sorted(tables):
-            table = tables[name]
-            writer.add(f"rr/{name}", RRSetsRecord.encode(table.rr_sets, codec))
+            rr_sets = FlatRRSets.from_sets(tables[name].rr_sets)
+            writer.add(
+                f"rr/{name}",
+                RRSetsRecord.encode(rr_sets.ptr, rr_sets.vertices, codec),
+            )
             writer.add(
                 f"inv/{name}",
-                InvertedListsRecord.encode(_invert(table.rr_sets), codec),
+                InvertedListsRecord.encode(
+                    *invert_csr(rr_sets.sizes(), rr_sets.vertices), codec
+                ),
             )
     return build_report(path, tables, started)
 
@@ -268,26 +273,6 @@ def invert_csr(
     # Vertex ids are non-negative, so position 0 always starts a run.
     starts = np.flatnonzero(np.diff(sorted_vertices, prepend=-1))
     return sorted_vertices[starts], np.append(starts, len(flat)), set_ids[order]
-
-
-def _invert(rr_sets: Sequence[np.ndarray]) -> List[Tuple[int, np.ndarray]]:
-    """Vertex → ascending RR-set ids (the ``L_w`` of Figure 2), in the
-    ``(key, ids)`` form the record encoder takes.
-
-    When the sets arrive as :class:`~repro.utils.rrsets.FlatRRSets` (the
-    batched samplers' native form), the flat payload is used as-is.
-    """
-    if isinstance(rr_sets, FlatRRSets):
-        lengths, flat = rr_sets.sizes(), rr_sets.vertices
-    elif len(rr_sets):
-        lengths = np.fromiter(
-            (len(rr) for rr in rr_sets), dtype=np.int64, count=len(rr_sets)
-        )
-        flat = np.concatenate([np.asarray(rr, dtype=np.int64) for rr in rr_sets])
-    else:
-        return []
-    keys, ptr, set_ids = invert_csr(lengths, flat)
-    return list(zip(keys.tolist(), np.split(set_ids, ptr[1:-1])))
 
 
 class KeywordCoverageCSR:
@@ -570,13 +555,25 @@ class RRIndex(IndexReader):
         for name in self.catalog:
             segment = f"rr/{name}"
             prefix = self._reader.read_range(segment, 0, RRSetsRecord.HEADER_SIZE)
-            _n_sets, group_size, payload_len, payload_start = RRSetsRecord.read_header(
+            n_sets, group_size, payload_len, payload_start = RRSetsRecord.read_header(
                 prefix
             )
             table_start, table_len = RRSetsRecord.offset_table_range(prefix)
             offsets = RRSetsRecord.decode_offsets(
                 self._reader.read_range(segment, table_start, table_len)
             )
+            # Ranged reads skip the CRC: hold the header to the catalog and
+            # the table to the payload before a query trusts either.
+            if n_sets != parsed.keywords[name].n_sets:
+                raise CorruptIndexError(
+                    f"{self._reader.path}: {segment} header says {n_sets} sets, "
+                    f"catalog says {parsed.keywords[name].n_sets}"
+                )
+            if len(offsets) and offsets[-1] >= payload_len:
+                raise CorruptIndexError(
+                    f"{self._reader.path}: {segment} offset table points past "
+                    f"its {payload_len}-byte payload"
+                )
             self._headers[name] = (group_size, payload_len, payload_start, offsets)
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ __all__ = ["save_edge_list", "load_edge_list", "save_npz", "load_npz"]
 
 PathLike = Union[str, os.PathLike]
 
-_NPZ_FORMAT_VERSION = 1
+_NPZ_VERSION = 1
 
 
 def save_edge_list(graph: DiGraph, path: PathLike, *, probs: bool = True) -> None:
@@ -88,7 +88,7 @@ def save_npz(graph: DiGraph, path: PathLike) -> None:
     """Persist the CSR arrays as a compressed ``.npz`` snapshot."""
     np.savez_compressed(
         path,
-        format_version=np.int64(_NPZ_FORMAT_VERSION),
+        format_version=np.int64(_NPZ_VERSION),
         n=np.int64(graph.n),
         out_ptr=graph.out_ptr,
         out_dst=graph.out_dst,
@@ -102,10 +102,10 @@ def load_npz(path: PathLike) -> DiGraph:
     """Load a snapshot produced by :func:`save_npz` (validates on load)."""
     with np.load(path) as data:
         version = int(data["format_version"])
-        if version != _NPZ_FORMAT_VERSION:
+        if version != _NPZ_VERSION:
             raise GraphError(
                 f"unsupported graph snapshot version {version} "
-                f"(expected {_NPZ_FORMAT_VERSION})"
+                f"(expected {_NPZ_VERSION})"
             )
         return DiGraph(
             int(data["n"]),

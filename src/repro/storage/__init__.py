@@ -8,9 +8,9 @@ needs so those claims can be measured rather than modelled:
 * :mod:`repro.storage.iostats` — physical-I/O counters;
 * :mod:`repro.storage.varint` / :mod:`repro.storage.bitpack` — integer
   coding primitives;
-* :mod:`repro.storage.compression` — the delta + PFoR-style codec standing
-  in for FastPFOR (byte layout: "On-disk format" in
-  ``docs/ARCHITECTURE.md``);
+* :mod:`repro.storage.compression` — the columnar stream codec (gaps +
+  PFoR-style blocks) standing in for FastPFOR (byte layout: "On-disk
+  format" in ``docs/ARCHITECTURE.md``);
 * :mod:`repro.storage.pager` — paged file reads through an LRU buffer pool;
 * :mod:`repro.storage.segments` — a named-segment container file with
   checksummed table of contents, used by both index formats;
@@ -19,9 +19,7 @@ needs so those claims can be measured rather than modelled:
 """
 
 from repro.storage.iostats import IOStats
-from repro.storage.varint import encode_varints
-from repro.storage.bitpack import pack_fixed_width
-from repro.storage.compression import Codec, compress_ids
+from repro.storage.compression import Codec
 from repro.storage.pager import BufferPool, PagedFile
 from repro.storage.segments import SegmentReader, SegmentWriter
 from repro.storage.records import (
@@ -31,10 +29,7 @@ from repro.storage.records import (
 
 __all__ = [
     "IOStats",
-    "encode_varints",
-    "pack_fixed_width",
     "Codec",
-    "compress_ids",
     "PagedFile",
     "BufferPool",
     "SegmentWriter",

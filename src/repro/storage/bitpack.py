@@ -1,14 +1,25 @@
-"""Fixed-width bit packing over numpy arrays.
+"""Variable-width bit packing over numpy arrays, a whole column at a time.
 
-The PFoR-style codec in :mod:`repro.storage.compression` packs each block's
-values into ``b`` bits each.  This module implements that primitive:
-:func:`pack_fixed_width` packs one ``uint64`` array into a little-endian
-bitstream of ``width`` bits per value, and :func:`unpack_width_group` is
-its inverse in the batched form the record decoder drives — many
-same-width blocks, concatenated byte-aligned, unpacked with a single
-``unpackbits`` + gather + matmul.  It trusts its byte ranges: the block
-header walk (:meth:`~repro.storage.compression.BatchIdDecoder.read_list`)
-rejects a truncated payload before a block is ever queued for unpacking.
+The PFOR stream codec in :mod:`repro.storage.compression` stores every
+value of a stream in the bit width of its 128-value block, and its
+exception table in two more fixed-width columns.  This module is the
+primitive under it.  Its unit is the *run* — ``count`` values of one
+``width`` (0 to 64 bits), back to back, least significant bit first — and
+one call covers every run of every stream of a record:
+
+* :func:`pack_runs` concatenates runs into one little-endian bitstream;
+* :func:`unpack_runs` reads runs that start at arbitrary bit offsets —
+  two unaligned 64-bit window gathers, a shift and a mask per value, the
+  same two dozen numpy calls whatever the mix of widths and however many
+  runs there are;
+* :func:`bit_lengths` is the vectorised ``int.bit_length`` the width
+  choice histograms.
+
+Both directions work through the runs a bounded number at a time, so the
+transient index, window and bit arrays stay a few megabytes however long
+a column is.  ``unpack_runs`` trusts its offsets and widths: the stream reader
+rejects a payload that ends early, or a width above 64, before anything
+is unpacked.
 """
 
 from __future__ import annotations
@@ -16,68 +27,104 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StorageError
-from repro.utils.segments import segmented_arange
 
-__all__ = [
-    "pack_fixed_width",
-    "unpack_width_group",
-    "bits_needed",
-]
+__all__ = ["pack_runs", "unpack_runs", "bit_lengths", "MASKS"]
 
 _MAX_WIDTH = 64
 
+#: Runs per vectorised slice.  A block is a run of at most 128 values, so
+#: unpacking holds a dozen arrays of ~64 K words at a time; packing expands
+#: every value to one word per *bit* (at most 64), hence its smaller figure.
+_UNPACK_SLICE = 512
+_PACK_SLICE = 64
 
-def bits_needed(values: np.ndarray) -> int:
-    """Smallest width (>= 1) that can represent every value in ``values``."""
-    if len(values) == 0:
-        return 1
-    top = int(np.asarray(values).max())
-    if top < 0:
-        raise StorageError("bit packing requires non-negative values")
-    return max(1, top.bit_length())
+#: ``MASKS[w]`` keeps the low ``w`` bits; ``_POWERS[b]`` is ``2**b``.
+MASKS = np.array([(1 << w) - 1 for w in range(_MAX_WIDTH + 1)], dtype=np.uint64)
+_POWERS = np.array([1 << b for b in range(_MAX_WIDTH)], dtype=np.uint64)
+_PADDING = np.zeros(16, dtype=np.uint8)
 
 
-def pack_fixed_width(values: np.ndarray, width: int) -> bytes:
-    """Pack ``values`` into ``width``-bit little-endian fields.
+def bit_lengths(values: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of every ``uint64`` value (``0`` for ``0``)."""
+    return np.searchsorted(_POWERS, values, side="right")
 
-    Raises :class:`~repro.errors.StorageError` when a value does not fit.
+
+def pack_runs(values: np.ndarray, counts: np.ndarray, widths: np.ndarray) -> bytes:
+    """Pack ``values`` — run ``i`` is the next ``counts[i]`` of them, each
+    in ``widths[i]`` bits — back to back, LSB first.
+
+    ``values`` is a ``uint64`` array of ``sum(counts)`` entries; a width
+    must lie in ``[0, 64]`` and a value must fit in its run's width
+    (:class:`~repro.errors.StorageError` otherwise).  The result is
+    ``ceil(sum(counts * widths) / 8)`` bytes, zero-padded in the last one.
     """
-    if not 1 <= width <= _MAX_WIDTH:
-        raise StorageError(f"width must be in [1, {_MAX_WIDTH}], got {width}")
-    arr = np.ascontiguousarray(values, dtype=np.uint64)
-    if len(arr) and width < _MAX_WIDTH and int(arr.max()) >= (1 << width):
-        raise StorageError(
-            f"value {int(arr.max())} does not fit in {width} bits"
-        )
-    if len(arr) == 0:
-        return b""
-    # Expand each value into its bits (LSB first), then pack.
-    bit_matrix = (
-        arr[:, None] >> np.arange(width, dtype=np.uint64)[None, :]
-    ) & np.uint64(1)
-    bits = bit_matrix.reshape(-1).astype(np.uint8)
+    counts = np.asarray(counts, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
+    if len(widths) and not 0 <= int(widths.min()) <= int(widths.max()) <= _MAX_WIDTH:
+        raise StorageError(f"width must be in [0, {_MAX_WIDTH}]")
+    bits = np.empty(int((counts * widths).sum()), dtype=np.uint8)
+    ends = np.cumsum(counts)
+    filled = 0
+    for run in range(0, len(counts), _PACK_SLICE):
+        stop = min(run + _PACK_SLICE, len(counts))
+        chunk = values[int(ends[run] - counts[run]) : int(ends[stop - 1])]
+        width_of = widths[run:stop].repeat(counts[run:stop])
+        if np.any(chunk > MASKS[width_of]):
+            raise StorageError("a value does not fit in its bit width")
+        # Bit k of a value sits at (bits before the value) + k.
+        bit_index = np.arange(int(width_of.sum()), dtype=np.int64)
+        bit_index -= (np.cumsum(width_of) - width_of).repeat(width_of)
+        expanded = chunk.repeat(width_of)
+        expanded >>= bit_index.astype(np.uint64)
+        expanded &= np.uint64(1)
+        bits[filled : filled + len(expanded)] = expanded
+        filled += len(expanded)
     return np.packbits(bits, bitorder="little").tobytes()
 
 
-def unpack_width_group(
-    packed: np.ndarray,
-    byte_starts: np.ndarray,
-    value_counts: np.ndarray,
-    width: int,
+def unpack_runs(
+    packed: np.ndarray, bit_starts: np.ndarray, counts: np.ndarray, widths: np.ndarray
 ) -> np.ndarray:
-    """Unpack many same-``width`` blocks concatenated in ``packed``.
+    """Unpack runs of ``packed``: run ``i`` is ``counts[i]`` values of
+    ``widths[i]`` bits starting at bit ``bit_starts[i]``.
 
-    ``packed`` is a ``uint8`` array holding the blocks' payload bytes back
-    to back; block ``i`` starts at byte ``byte_starts[i]`` and carries
-    ``value_counts[i]`` values (each block's values start byte-aligned,
-    exactly as :func:`pack_fixed_width` emits them).  Returns the
-    ``uint64`` values of every block, concatenated — one ``unpackbits``
-    + segmented gather + matmul for the whole group, which is how the
-    batch record decoder amortises thousands of tiny blocks.
+    ``packed`` is a ``uint8`` array and the three others equally long
+    ``int64`` arrays, every run inside ``packed`` and every width in
+    ``[0, 64]`` (the caller's guards: this is the hot half, it checks
+    nothing).  Returns all runs' values, concatenated, as ``uint64``:
+    each one is cut out of the two unaligned 64-bit windows that cover
+    it, so no width needs a path of its own.
     """
-    if not 1 <= width <= _MAX_WIDTH:
-        raise StorageError(f"width must be in [1, {_MAX_WIDTH}], got {width}")
-    bits = np.unpackbits(packed, bitorder="little")
-    gather = segmented_arange(byte_starts * 8, value_counts * width)
-    weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
-    return bits[gather].reshape(-1, width).astype(np.uint64) @ weights
+    # Sixteen zero bytes let the last value's two windows overrun safely.
+    padded = np.concatenate((packed, _PADDING))
+    windows = np.ndarray(
+        (len(packed) + 9,), dtype="<u8", buffer=padded, strides=(1,)
+    )
+    ends = np.cumsum(counts)
+    first = ends - counts
+    out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint64)
+    for run in range(0, len(counts), _UNPACK_SLICE):
+        stop = min(run + _UNPACK_SLICE, len(counts))
+        lo, hi = int(first[run]), int(ends[stop - 1])
+        count = counts[run:stop]
+        width_of = widths[run:stop].repeat(count)
+        # Value j of a run starts j widths behind the run's own start.
+        start = np.arange(lo, hi, dtype=np.int64)
+        start -= first[run:stop].repeat(count)
+        start *= width_of
+        start += bit_starts[run:stop].repeat(count)
+        byte = start >> 3
+        start &= 7
+        shift = start.astype(np.uint64)
+        value = windows.take(byte)
+        value >>= shift
+        # The high window supplies bits [64 - shift, 64): two shifts,
+        # because a shift by 64 (shift == 0) is undefined.
+        byte += 8
+        high = windows.take(byte)
+        high <<= np.uint64(63) - shift
+        high <<= np.uint64(1)
+        value |= high
+        value &= MASKS.take(width_of)
+        out[lo:hi] = value
+    return out

@@ -1,375 +1,347 @@
-"""Sorted-id-list compression: delta + varint, and a PFoR-style block codec.
+"""Columnar integer streams and id-list sets: the index format's one codec.
 
 The paper compresses both indexes with FastPFOR (as adopted by Apache
 Lucene) and reports ~50% / ~40% space savings on the news / Twitter indexes
 with negligible build-time overhead (Table 4).  FastPFOR itself is a SIMD
-C++ library; this module substitutes a faithful pure-Python relative:
+C++ library; this module substitutes a faithful numpy relative whose unit
+is the *stream*: ``m`` non-negative integers (``m`` known from context)
+under one codec tag —
 
-* ``Codec.VARINT`` — delta-gap + LEB128, the classic inverted-list coding;
-* ``Codec.PFOR`` — delta-gap, then blocks of 128 gaps packed at a fixed bit
-  width ``b`` chosen to cover ~90% of values, with larger values stored as
-  varint *exceptions* (patched on decode) — the Patched Frame-of-Reference
-  scheme FastPFOR descends from;
-* ``Codec.RAW`` — uncompressed little-endian ``uint32``/``uint64``,
-  modelling the paper's "uncompress" index variant.
+* ``Codec.RAW`` — ``m`` little-endian ``uint64``, the paper's
+  "uncompress" index variant;
+* ``Codec.VARINT`` — ``m`` LEB128 varints;
+* ``Codec.PFOR`` — 128-value blocks over the *whole stream*: a ``u8``
+  width per block (0 to 64), one exception table (stream positions and the
+  bits above the block width, two fixed-width columns) and the blocks'
+  values, all in one contiguous bit-packed payload — the Patched
+  Frame-of-Reference scheme FastPFOR descends from.  A block's width is
+  the bit-cost minimum over 0…64, found for all blocks at once from a
+  bit-length histogram.
 
-All codecs are self-describing per list: the first byte tags the codec, so
-readers do not need out-of-band configuration.
+An *id-list set* — ``n`` sorted id lists, the shape of RR sets and of
+inverted lists alike — is two streams: the lists' lengths, and their ids
+as gaps (a list's first id, then differences >= 1).  Records
+(:mod:`repro.storage.records`) are built from streams and id-list sets and
+carry the codec tag, so readers need no out-of-band configuration.
+
+Both directions are columnar: :func:`encode_stream` and
+:class:`StreamDecoder` cost a fixed number of numpy calls per stream, and
+the decoder bit-unpacks every PFOR stream of a record in one pass, however
+many lists the record holds.  Every structural guard of the format (tag,
+truncation, declared sizes against the bytes that remain, width,
+exception range, id domain) lives here and nowhere else; the independent
+scalar reference the fuzz tests compare against is ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.bitpack import bits_needed, pack_fixed_width, unpack_width_group
-from repro.utils.segments import segmented_arange
-from repro.storage.varint import (
-    decode_varint,
-    decode_varints_block,
-    encode_varint,
-    encode_varints,
-)
+from repro.storage.bitpack import MASKS, bit_lengths, pack_runs, unpack_runs
+from repro.storage.varint import decode_varint, decode_varints_block, encode_varints
 
 __all__ = [
     "Codec",
-    "compress_ids",
-    "decompress_ids_batch",
-    "BatchIdDecoder",
+    "encode_stream",
+    "encode_id_lists",
+    "StreamDecoder",
+    "id_lists_from_streams",
 ]
 
-_PFOR_BLOCK = 128
-_PFOR_COVERAGE = 0.90
+_BLOCK = 128
+_ID_MAX = 0x7FFF_FFFF_FFFF_FFFF
 
-# Tag bytes hoisted out of the Enum: read_list touches them per list and
-# Enum attribute access costs more than the rest of the header parse.
-_RAW_TAG = 0
-_VARINT_TAG = 1
-_PFOR_TAG = 2
-
-#: Value-bit budget per vectorised unpack batch in BatchIdDecoder.finish;
-#: bounds the transient bit/gather/value arrays to tens of MB no matter
-#: how large one record's width group is.
-_FINISH_BIT_BUDGET = 1 << 22
+#: Width-choice grid: ``_EXCESS_BITS[b, w]`` = bits a value of bit length
+#: ``b`` keeps above a block of width ``w`` (positive: it is an exception).
+_WIDTHS = np.arange(65, dtype=np.int64)
+_EXCESS_BITS = np.maximum(_WIDTHS[:, None] - _WIDTHS, 0)
 
 
 class Codec(enum.Enum):
-    """Available list codecs; values are the on-disk tag bytes."""
+    """Available stream codecs; values are the on-disk tag bytes."""
 
     RAW = 0
     VARINT = 1
     PFOR = 2
 
 
-def compress_ids(ids: np.ndarray, codec: Codec = Codec.PFOR) -> bytes:
-    """Compress a strictly-increasing non-negative id array.
+# ----------------------------------------------------------------------
+# encoding
+# ----------------------------------------------------------------------
+def encode_stream(values: np.ndarray, codec: Codec = Codec.PFOR) -> bytes:
+    """Encode ``m`` non-negative integers (< 2^64); no tag, no length.
 
-    The array *must* be sorted strictly ascending (RR sets and inverted
-    lists are maintained sorted); violations raise
+    An empty stream is zero bytes under every codec.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise StorageError("streams must be one-dimensional")
+    if arr.dtype.kind != "u" and arr.size and int(arr.min()) < 0:
+        raise StorageError("streams hold non-negative values")
+    arr = arr.astype(np.uint64, copy=False)
+    if len(arr) == 0:
+        return b""
+    if codec is Codec.RAW:
+        return arr.astype("<u8").tobytes()
+    if codec is Codec.VARINT:
+        return encode_varints(arr.tolist())
+    return _encode_pfor(arr)
+
+
+def _encode_pfor(values: np.ndarray) -> bytes:
+    """``widths u8 × n_blocks | n_exceptions varint | [excess_width u8] |
+    packed: positions, excesses, values``.
+
+    The width of a block minimises its packed bits plus its exceptions'
+    (first minimum, integer arithmetic only: builds are byte-identical).
+    A value wider than its block keeps its low bits in place; its stream
+    position and the bits above the width go to the exception table, two
+    columns of fixed width (positions: the bit length of ``m - 1``;
+    excesses: ``excess_width``) packed in front of the values.
+    """
+    m = len(values)
+    n_blocks = (m + _BLOCK - 1) // _BLOCK
+    position_width = (m - 1).bit_length()
+    lengths = bit_lengths(values)
+    block_of = np.arange(m, dtype=np.int64) // _BLOCK
+    histogram = np.bincount(block_of * 65 + lengths, minlength=n_blocks * 65)
+    block_len = np.full(n_blocks, _BLOCK, dtype=np.int64)
+    block_len[-1] = m - _BLOCK * (n_blocks - 1)
+    cost = block_len[:, None] * _WIDTHS
+    cost += histogram.reshape(n_blocks, 65) @ (
+        _EXCESS_BITS + position_width * (_EXCESS_BITS > 0)
+    )
+    widths = cost.argmin(axis=1)
+
+    width_of = widths.repeat(block_len)
+    positions = np.flatnonzero(lengths > width_of)
+    n_exceptions = len(positions)
+    excess = values[positions] >> width_of[positions].astype(np.uint64)
+    excess_width = int(bit_lengths(excess).max(initial=0))
+    return (
+        widths.astype(np.uint8).tobytes()
+        + encode_varints([n_exceptions])
+        + (bytes([excess_width]) if n_exceptions else b"")
+        + pack_runs(
+            np.concatenate((positions.astype(np.uint64), excess, values & MASKS[width_of])),
+            np.concatenate(([n_exceptions, n_exceptions], block_len)),
+            np.concatenate(([position_width, excess_width], widths)),
+        )
+    )
+
+
+def encode_id_lists(ptr: np.ndarray, ids: np.ndarray, codec: Codec = Codec.PFOR) -> bytes:
+    """Encode the id lists ``ids[ptr[i]:ptr[i+1]]`` as an id-list set.
+
+    Layout: ``total varint | counts stream (n) | gaps stream (total)``
+    with ``n = len(ptr) - 1`` known to the reader.  Every list must be
+    strictly increasing and non-negative (RR sets and inverted lists are
+    maintained sorted); violations raise
     :class:`~repro.errors.StorageError` rather than corrupting gaps.
     """
-    arr = np.ascontiguousarray(ids, dtype=np.int64)
-    if arr.ndim != 1:
-        raise StorageError("id lists must be one-dimensional")
-    if len(arr):
-        if arr[0] < 0:
-            raise StorageError("ids must be non-negative")
-        if len(arr) > 1 and not np.all(np.diff(arr) > 0):
-            raise StorageError("id lists must be strictly increasing")
-
-    header = bytes([codec.value]) + encode_varint(len(arr))
-    if len(arr) == 0:
-        return header
-    if codec is Codec.RAW:
-        return header + arr.astype("<u8").tobytes()
-    gaps = np.empty(len(arr), dtype=np.uint64)
-    gaps[0] = arr[0]
-    if len(arr) > 1:
-        gaps[1:] = np.diff(arr).astype(np.uint64)
-    if codec is Codec.VARINT:
-        return header + encode_varints(gaps.tolist())
-    return header + _pfor_encode(gaps)
-
-
-def _check_id_gaps(gaps: np.ndarray) -> None:
-    """Reject decoded ``uint64`` gaps outside the signed id domain.
-
-    Ids are ``int64``, so a gap at or above 2^63 can only come from a
-    corrupt stream; it must raise rather than wrap negative through the
-    later int64 cast and flow on as silently wrong ids.
-    """
-    if len(gaps) and int(gaps.max()) > 0x7FFF_FFFF_FFFF_FFFF:
-        raise StorageError("id gap exceeds the signed 64-bit id domain")
+    ptr = np.asarray(ptr, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    if ptr.ndim != 1 or ids.ndim != 1 or len(ptr) < 1:
+        raise StorageError("id lists take a 1-D ptr (length >= 1) and 1-D ids")
+    counts = np.diff(ptr)
+    if ptr[0] != 0 or ptr[-1] != len(ids) or (len(counts) and counts.min() < 0):
+        raise StorageError("ptr must ascend from 0 to len(ids)")
+    if len(ids) and ids.min() < 0:
+        raise StorageError("ids must be non-negative")
+    gaps = np.diff(ids, prepend=0)
+    firsts = ptr[:-1][counts > 0]
+    gaps[firsts] = 1
+    if len(gaps) and gaps.min() < 1:
+        raise StorageError("id lists must be strictly increasing")
+    gaps[firsts] = ids[firsts]
+    return (
+        encode_varints([len(ids)])
+        + encode_stream(counts.view(np.uint64), codec)
+        + encode_stream(gaps.view(np.uint64), codec)
+    )
 
 
 # ----------------------------------------------------------------------
-# PFoR block coding
+# decoding
 # ----------------------------------------------------------------------
-def _pfor_encode(gaps: np.ndarray) -> bytes:
-    """Encode gaps in 128-value patched frame-of-reference blocks.
+class StreamDecoder:
+    """The decoder of the stream format, for all streams of one buffer.
 
-    Block layout: ``width:uint8 | n_exceptions:varint |
-    (position:varint, excess:varint)* | packed payload``; exception values
-    store only the *excess* bits above the block width so small overshoots
-    stay cheap.  Values inside the block payload are the gaps with
-    exception positions masked to their low ``width`` bits.
-    """
-    out = bytearray()
-    for start in range(0, len(gaps), _PFOR_BLOCK):
-        block = gaps[start : start + _PFOR_BLOCK]
-        width = _choose_width(block)
-        limit = np.uint64(1 << width) if width < 64 else np.uint64(2**63)
-        mask = np.uint64((1 << width) - 1) if width < 64 else ~np.uint64(0)
-        exceptional = block >= limit if width < 64 else np.zeros(len(block), bool)
-        positions = np.nonzero(exceptional)[0]
-        out.append(width)
-        out.extend(encode_varint(len(positions)))
-        for p in positions:
-            excess = int(block[p] >> np.uint64(width))
-            out.extend(encode_varint(int(p)))
-            out.extend(encode_varint(excess))
-        payload = block & mask
-        out.extend(pack_fixed_width(payload, width))
-    return bytes(out)
+    :meth:`read` parses one stream's small header — RAW and VARINT
+    streams decode on the spot, a PFOR stream's bit-packed columns
+    (exception positions, exception excesses, values) are queued — and
+    returns where the stream ends, so a record's streams are read back to
+    back.  :meth:`finish` then unpacks every queued column in one
+    :func:`unpack_bits` call, patches all exceptions in one pass, and
+    returns one ``uint64`` array per stream read, in order.  A numpy call
+    costs ~1µs of fixed overhead, ruinous per list when a query decodes
+    hundreds of three-id lists; here the count depends on the number of
+    streams (a handful per record), never on the number of lists.
 
-
-class BatchIdDecoder:
-    """The decoder of the id-list format: many concatenated lists at once.
-
-    A numpy call costs ~20µs of fixed overhead — ruinous per list when an
-    index query decodes thousands of *tiny* lists.  The decoder therefore
-    splits the work into
-
-    1. a light sequential pass (:meth:`read_list`) that only parses the
-       self-describing headers and records where each PFoR block's packed
-       payload lives, and
-    2. one vectorised pass (:meth:`finish`) that bit-unpacks all blocks
-       *grouped by width* with a single ``unpackbits`` + gather + matmul
-       per distinct width, patches exceptions, and turns gaps into ids
-       with one segmented cumsum over the flat array.
-
-    The output is already the flat-CSR shape (``ptr``, ``ids``) the
-    coverage engine consumes, so no per-list arrays are materialised at
-    all.  Every structural guard of the format (tag, truncation, width,
-    exception range, id domain) lives here and nowhere else; the
-    independent per-list reference the fuzz tests compare against is
-    ``tests/oracles.py``.
+    A declared size is checked against the bytes that remain *before*
+    anything is sized by it: no stream holds more than 128 values per
+    byte (a width-0 PFOR block), so a corrupt count cannot allocate more
+    than a small multiple of the buffer it arrived in.
     """
 
     def __init__(self, data: bytes) -> None:
         self._data = data
-        self._counts: list = []
-        # PFoR blocks in parallel lists (turned into arrays in finish()):
-        self._block_width: list = []
-        self._block_pos: list = []
-        self._block_len: list = []
-        self._block_dest: list = []
-        # Exceptions: (dest position, excess, width)
-        self._exceptions: list = []
-        # Lists whose gap values are produced eagerly: (dest offset, array)
-        self._eager: list = []
-        self._dest = 0
+        self._buf = np.frombuffer(data, dtype=np.uint8)
+        # One entry per stream read: its values, or None while queued.
+        self._streams: List[np.ndarray] = []
+        # Queued bit-packed columns, each (block lengths, block widths as
+        # bytes, position in bits): the values of every PFOR stream, their
+        # exceptions' positions, their exceptions' excesses.
+        self._values: List[tuple] = []
+        self._positions: List[tuple] = []
+        self._excesses: List[tuple] = []
+        # Per value column: its index in _streams and value count.  Per
+        # exception table: its stream's value count, and where the
+        # stream's values and blocks start among all queued ones.
+        self._slots: List[Tuple[int, int]] = []
+        self._patched: List[Tuple[int, int, int]] = []
+        self._n_values = self._n_blocks = 0
 
-    def read_list(self, offset: int) -> int:
-        """Parse one list's headers at ``offset``; returns the next offset."""
+    def read(self, tag: int, m: int, pos: int) -> int:
+        """Read a stream of ``m`` values under codec ``tag`` at ``pos``."""
         data = self._data
-        if offset >= len(data):
-            raise StorageError("truncated id list: missing codec tag")
-        tag = data[offset]
-        if tag > _PFOR_TAG:
+        if tag > Codec.PFOR.value:
             raise StorageError(f"unknown codec tag {tag}")
-        pos = offset + 1
-        # Inlined single-byte varint fast path (lists are usually short).
-        if pos < len(data) and data[pos] < 0x80:
-            count = data[pos]
-            pos += 1
-        else:
-            count, pos = decode_varint(data, pos)
-        self._counts.append(count)
-        if count == 0:
+        if m > _BLOCK * (len(data) - pos):
+            raise StorageError(
+                f"a stream of {m} values cannot fit in the "
+                f"{max(len(data) - pos, 0)} bytes that remain"
+            )
+        if m == 0:
+            self._streams.append(np.empty(0, dtype=np.uint64))
             return pos
-        if tag == _RAW_TAG:
-            nbytes = count * 8
-            if pos + nbytes > len(data):
-                raise StorageError("truncated RAW id list")
-            ids = np.frombuffer(data, dtype="<u8", count=count, offset=pos)
-            # Store first-differences so the segmented cumsum in finish()
-            # reproduces the absolute ids exactly.
-            gaps = np.empty(count, dtype=np.uint64)
-            gaps[0] = ids[0]
-            if count > 1:
-                np.subtract(ids[1:], ids[:-1], out=gaps[1:])
-            self._eager.append((self._dest, gaps))
-            self._dest += count
-            return pos + nbytes
-        if tag == _VARINT_TAG:
-            gaps, pos = decode_varints_block(data, count, pos)
-            _check_id_gaps(gaps)
-            self._eager.append((self._dest, gaps))
-            self._dest += count
+        if tag == Codec.RAW.value:
+            if pos + 8 * m > len(data):
+                raise StorageError("truncated RAW stream")
+            self._streams.append(np.frombuffer(data, dtype="<u8", count=m, offset=pos))
+            return pos + 8 * m
+        if tag == Codec.VARINT.value:
+            values, pos = decode_varints_block(data, m, pos)
+            self._streams.append(values)
             return pos
-        filled = 0
-        while filled < count:
-            block_len = min(_PFOR_BLOCK, count - filled)
-            if pos >= len(data):
-                raise StorageError("truncated PFoR block header")
-            width = data[pos]
-            pos += 1
-            if not 1 <= width <= 64:
-                raise StorageError(f"bad PFoR width {width}")
-            if pos < len(data) and data[pos] < 0x80:
-                n_exceptions = data[pos]
-                pos += 1
-            else:
-                n_exceptions, pos = decode_varint(data, pos)
-            if n_exceptions:
-                pairs, pos = decode_varints_block(data, 2 * n_exceptions, pos)
-                base_dest = self._dest + filled
-                for p, excess in zip(
-                    pairs[0::2].tolist(), pairs[1::2].tolist()
-                ):
-                    if p >= block_len:
-                        raise StorageError(
-                            "PFoR exception position out of range"
-                        )
-                    self._exceptions.append((base_dest + p, excess, width))
-            payload_bytes = (width * block_len + 7) // 8
-            if pos + payload_bytes > len(data):
-                raise StorageError("truncated PFoR payload")
-            self._block_width.append(width)
-            self._block_pos.append(pos)
-            self._block_len.append(block_len)
-            self._block_dest.append(self._dest + filled)
-            pos += payload_bytes
-            filled += block_len
-        self._dest += count
-        return pos
+        n_blocks = (m + _BLOCK - 1) // _BLOCK
+        widths = data[pos : pos + n_blocks]
+        n_exceptions, pos = decode_varint(data, pos + n_blocks)
+        bits = pos * 8
+        if n_exceptions:
+            if n_exceptions > m or pos >= len(data):
+                raise StorageError("PFoR exception table exceeds its stream")
+            # Two one-block columns ahead of the values, back to back.
+            position_width, excess_width = (m - 1).bit_length(), data[pos]
+            bits += 8
+            self._positions.append(([n_exceptions], bytes((position_width,)), bits))
+            bits += n_exceptions * position_width
+            self._excesses.append(([n_exceptions], bytes((excess_width,)), bits))
+            bits += n_exceptions * excess_width
+            self._patched.append((m, self._n_values, self._n_blocks))
+        last = m - _BLOCK * (n_blocks - 1)
+        end = (bits + _BLOCK * sum(widths) - (_BLOCK - last) * widths[-1] + 7) // 8
+        if end > len(data):
+            raise StorageError("truncated PFoR payload")
+        self._slots.append((len(self._streams), m))
+        self._streams.append(None)
+        self._values.append(([_BLOCK] * (n_blocks - 1) + [last], widths, bits))
+        self._n_values += m
+        self._n_blocks += n_blocks
+        return end
 
-    def finish(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode everything read so far into ``(ptr, flat_ids)``."""
-        counts = np.asarray(self._counts, dtype=np.int64)
-        ptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        total = self._dest
-        gaps = np.empty(total, dtype=np.uint64)
+    def read_id_lists(self, tag: int, n: int, pos: int) -> int:
+        """Read an id-list set of ``n`` lists: its counts and gaps streams."""
+        total, pos = decode_varint(self._data, pos)
+        pos = self.read(tag, n, pos)
+        return self.read(tag, total, pos)
 
-        # One vectorised unpack per distinct PFoR width, in batches
-        # bounded by _FINISH_BIT_BUDGET so the transient bit/gather/value
-        # arrays stay small no matter how large the record is.
-        if self._block_width:
-            widths = np.asarray(self._block_width, dtype=np.int64)
-            positions = np.asarray(self._block_pos, dtype=np.int64)
-            block_lens = np.asarray(self._block_len, dtype=np.int64)
-            dests = np.asarray(self._block_dest, dtype=np.int64)
-            order = np.argsort(widths, kind="stable")
-            widths = widths[order]
-            group_bounds = np.flatnonzero(np.diff(widths)) + 1
-            group_starts = np.concatenate(([0], group_bounds, [len(widths)]))
-            for g in range(len(group_starts) - 1):
-                lo, hi = int(group_starts[g]), int(group_starts[g + 1])
-                self._unpack_width_group(
-                    int(widths[lo]),
-                    positions[order[lo:hi]],
-                    block_lens[order[lo:hi]],
-                    dests[order[lo:hi]],
-                    gaps,
-                )
+    def finish(self) -> List[np.ndarray]:
+        """The ``uint64`` values of every stream read, one array each."""
+        if not self._slots:
+            return self._streams
+        columns = self._values + self._positions + self._excesses
+        widths = np.frombuffer(
+            b"".join([widths for _len, widths, _bits in columns]), dtype=np.uint8
+        ).astype(np.int64)
+        if int(widths.max()) > 64:
+            raise StorageError(f"bad PFoR width {int(widths.max())}")
+        # A column is its blocks' bits back to back, so a block starts
+        # where the blocks before it end, from the column's own start.
+        block_len = np.asarray([n for lens, _w, _bits in columns for n in lens])
+        blocks = np.asarray([len(lens) for lens, _w, _bits in columns])
+        block_bits = block_len * widths
+        ends = np.cumsum(block_bits)
+        first = np.cumsum(blocks) - blocks
+        base = np.asarray([bits for _len, _w, bits in columns])
+        base -= ends[first] - block_bits[first]
+        starts = ends - block_bits
+        starts += base.repeat(blocks)
+        unpacked = unpack_runs(self._buf, starts, block_len, widths)
 
-        for dest, eager in self._eager:
-            gaps[dest : dest + len(eager)] = eager
-        for dest, excess, width in self._exceptions:
-            gaps[dest] |= np.uint64(excess) << np.uint64(width)
-        if self._exceptions:
-            # An excess-patched value can escape the signed id domain.  (The
-            # width-group unpack checks its own width-64 blocks; RAW
-            # first-differences intentionally stay unchecked — their
-            # wraparound is what reproduces absolute ids exactly.)
-            _check_id_gaps(
-                gaps[np.fromiter(
-                    (dest for dest, _e, _w in self._exceptions),
-                    dtype=np.int64,
-                    count=len(self._exceptions),
-                )]
+        values = unpacked[: self._n_values]
+        if self._patched:
+            positions, excess = np.split(unpacked[self._n_values :], 2)
+            per_table = [lens[0] for lens, _w, _bits in self._positions]
+            size, value_first, block_first = (
+                np.asarray(column).repeat(per_table) for column in zip(*self._patched)
             )
-
-        # Segmented prefix sum: one global cumsum, then subtract each
-        # list's running base so ids restart at every list boundary.
-        flat = np.cumsum(gaps.astype(np.int64))
-        if total:
-            bases = np.where(
-                ptr[:-1] > 0, flat[np.maximum(ptr[:-1], 1) - 1], 0
-            )
-            flat -= bases.repeat(counts)
-        return ptr, flat
-
-    def _unpack_width_group(
-        self,
-        width: int,
-        positions: np.ndarray,
-        value_counts: np.ndarray,
-        dests: np.ndarray,
-        gaps: np.ndarray,
-    ) -> None:
-        """Bit-unpack all blocks of one width into ``gaps``, batched."""
-        data = self._data
-        byte_lens = (width * value_counts + 7) // 8
-        cum_bits = np.cumsum(value_counts * width)
-        pos_list = positions.tolist()
-        byte_list = byte_lens.tolist()
-        start = 0
-        n = len(positions)
-        while start < n:
-            base = int(cum_bits[start - 1]) if start else 0
-            stop = int(
-                np.searchsorted(cum_bits, base + _FINISH_BIT_BUDGET, "right")
-            )
-            stop = max(start + 1, min(stop, n))
-            counts_chunk = value_counts[start:stop]
-            bytes_chunk = byte_lens[start:stop]
-            packed = np.frombuffer(
-                b"".join(
-                    data[p : p + byte_list[start + i]]
-                    for i, p in enumerate(pos_list[start:stop])
-                ),
-                dtype=np.uint8,
-            )
-            # Each block's values start at its byte-aligned offset.
-            byte_starts = np.empty(stop - start, dtype=np.int64)
-            byte_starts[0] = 0
-            np.cumsum(bytes_chunk[:-1], out=byte_starts[1:])
-            values = unpack_width_group(packed, byte_starts, counts_chunk, width)
-            if width == 64:
-                # Only full-width blocks can natively encode a gap
-                # outside the signed id domain.
-                _check_id_gaps(values)
-            gaps[segmented_arange(dests[start:stop], counts_chunk)] = values
-            start = stop
+            if np.any(positions >= size.astype(np.uint64)):
+                raise StorageError("PFoR exception position out of range")
+            positions = positions.astype(np.int64)
+            width_at = widths[block_first + positions // _BLOCK]
+            # An excess has the 64 - width bits above its block's width.
+            if np.any(excess > MASKS.take(64 - width_at)):
+                raise StorageError("PFoR exception overflows 64 bits")
+            # (Width 64 admits only a zero excess: shift it by 0.)
+            # bitwise_or.at, not fancy |=: duplicate positions (corrupt
+            # but decodable) must OR-accumulate like a sequential walk.
+            width_at &= 63
+            positions += value_first
+            np.bitwise_or.at(values, positions, excess << width_at.astype(np.uint64))
+        lo = 0
+        for slot, m in self._slots:
+            self._streams[slot] = values[lo : lo + m]
+            lo += m
+        return self._streams
 
 
-def decompress_ids_batch(
-    data: bytes, n_lists: int, offset: int = 0
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Decode ``n_lists`` back-to-back lists into ``(ptr, flat_ids, end)``."""
-    decoder = BatchIdDecoder(data)
-    pos = offset
-    for _ in range(n_lists):
-        pos = decoder.read_list(pos)
-    ptr, flat = decoder.finish()
-    return ptr, flat, pos
+def id_lists_from_streams(
+    counts: np.ndarray, gaps: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Turn an id-list set's decoded streams into CSR ``(ptr, flat_ids)``.
 
-
-def _choose_width(block: np.ndarray) -> int:
-    """Width covering ``_PFOR_COVERAGE`` of values, capped by the max width.
-
-    Choosing the 90th-percentile width is the PFoR heuristic: most values
-    pack tightly while rare large gaps become exceptions.
+    ``flat_ids[ptr[i]:ptr[i+1]]`` is list ``i`` — already the flat shape
+    the coverage engine consumes, so no per-list array is materialised.
+    Raises :class:`~repro.errors.StorageError` when the counts do not
+    describe ``gaps`` or an id leaves the signed 64-bit domain (ids are
+    ``int64``; a corrupt gap must not wrap negative and flow on).
     """
-    full_width = bits_needed(block)
-    if len(block) < 4:
-        return full_width
-    quantile_value = int(np.quantile(block.astype(np.float64), _PFOR_COVERAGE))
-    candidate = max(1, int(quantile_value).bit_length())
-    return min(full_width, max(candidate, 1))
+    total = len(gaps)
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    if len(counts) and int(counts.max()) > total:
+        raise StorageError("an id-list count exceeds the gaps stream")
+    lengths = counts.astype(np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    if ptr[-1] != total:
+        raise StorageError("id-list counts do not add up to the gaps stream")
+    if total == 0:
+        return ptr, np.empty(0, dtype=np.int64)
+    if int(gaps.max()) > _ID_MAX:
+        raise StorageError("id gap exceeds the signed 64-bit id domain")
+    # Segmented prefix sum: one global cumsum (behind a leading zero),
+    # then subtract each list's running base so ids restart at every
+    # list boundary.
+    running = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(gaps.view(np.int64), out=running[1:])
+    flat = running[1:]
+    flat -= running.take(ptr[:-1]).repeat(lengths)
+    # With every gap in the domain, a list's first overflow lands in
+    # [2^63, 2^64): negative as int64.
+    if int(flat.min()) < 0:
+        raise StorageError("id exceeds the signed 64-bit id domain")
+    return ptr, flat

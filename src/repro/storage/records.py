@@ -1,34 +1,39 @@
 """Record encodings for RR-set collections and inverted lists.
 
-Two record shapes cover both index formats:
+Two record shapes cover both index formats, both built from the streams
+and id-list sets of :mod:`repro.storage.compression`:
 
 * :class:`RRSetsRecord` — an ordered collection of RR sets (each a sorted
-  vertex-id array).  Encoded with a fixed header and a *group offset table*
-  so a query can load the first ``θ^Q·p_w`` sets with a bounded partial
-  read (Algorithm 2 line 4) instead of decoding the whole region.
+  vertex-id array).  A fixed header, a *group offset table* and a payload
+  of self-contained *group chunks*, each the id-list set of ``group_size``
+  consecutive sets, so a query can load the first ``θ^Q·p_w`` sets with a
+  bounded partial read (Algorithm 2 line 4) instead of decoding the whole
+  region.
 * :class:`InvertedListsRecord` — an ordered collection of ``key -> sorted
   id list`` entries, used for ``L_w`` (key = vertex), ``IL^p_w`` partitions
-  and the ``IP_w`` first-occurrence map.
+  and the ``IP_w`` first-occurrence map: a keys stream plus one id-list
+  set.
 
-Id lists are compressed with :mod:`repro.storage.compression`; the codec
-is chosen at index-build time (Table 4 compares RAW vs PFOR).
+Encoders take and decoders return flat CSR arrays; the codec is chosen at
+index-build time (Table 4 compares RAW vs PFOR) and tagged in the record.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.compression import (
-    BatchIdDecoder,
     Codec,
-    compress_ids,
-    decompress_ids_batch,
+    StreamDecoder,
+    encode_id_lists,
+    encode_stream,
+    id_lists_from_streams,
 )
-from repro.storage.varint import decode_varint, encode_varint
+from repro.storage.varint import decode_varint, encode_varints
 
 __all__ = ["RRSetsRecord", "InvertedListsRecord"]
 
@@ -39,40 +44,52 @@ _INV_HEADER = struct.Struct("<IQ")  # n_lists, payload_len
 class RRSetsRecord:
     """Encoder/decoder for ordered RR-set collections with prefix access."""
 
-    DEFAULT_GROUP_SIZE = 64
+    #: Sets per group chunk, chosen from a measurement (CHANGES.md, PR 21):
+    #: at ~4.4 bytes per set a chunk is ~1.1 KB, a quarter of the 4 KiB
+    #: page a read costs anyway, so a prefix over-reads less than a page;
+    #: past 128 the record stops shrinking (< 1 %) and each extra chunk
+    #: costs a decode ~9 µs, so smaller groups only buy granularity
+    #: nobody reads at.
+    DEFAULT_GROUP_SIZE = 256
 
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
     @staticmethod
     def encode(
-        rr_sets: Sequence[np.ndarray],
+        ptr: np.ndarray,
+        vertices: np.ndarray,
         codec: Codec = Codec.PFOR,
         group_size: int = DEFAULT_GROUP_SIZE,
     ) -> bytes:
-        """Serialise ``rr_sets`` preserving order.
+        """Serialise the RR sets ``vertices[ptr[i]:ptr[i+1]]`` in order.
 
         Layout: fixed header, ``u64`` byte offset (relative to payload
-        start) of each *group* of ``group_size`` sets, then the payload of
-        back-to-back compressed id lists.
+        start) of each *group* of ``group_size`` sets, then the payload:
+        per group ``codec tag u8 | n varint | id-list set of n sets``.
         """
         if group_size < 1:
             raise StorageError(f"group_size must be >= 1, got {group_size}")
-        n_sets = len(rr_sets)
-        n_groups = (n_sets + group_size - 1) // group_size
-
-        chunks: List[bytes] = []
-        offsets = np.zeros(n_groups, dtype=np.uint64)
-        position = 0
-        for i, rr in enumerate(rr_sets):
-            if i % group_size == 0:
-                offsets[i // group_size] = position
-            encoded = compress_ids(rr, codec)
-            chunks.append(encoded)
-            position += len(encoded)
-        payload = b"".join(chunks)
-        header = _RR_HEADER.pack(n_sets, group_size, len(payload))
-        return header + offsets.astype("<u8").tobytes() + payload
+        ptr = np.asarray(ptr, dtype=np.int64)
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if ptr.ndim != 1 or len(ptr) < 1 or ptr[-1] != len(vertices):
+            raise StorageError("ptr must be 1-D and end at len(vertices)")
+        n_sets = len(ptr) - 1
+        chunks, offsets, position = [], [], 0
+        for lo in range(0, n_sets, group_size):
+            hi = min(lo + group_size, n_sets)
+            chunk = (
+                bytes([codec.value])
+                + encode_varints([hi - lo])
+                + encode_id_lists(
+                    ptr[lo : hi + 1] - ptr[lo], vertices[ptr[lo] : ptr[hi]], codec
+                )
+            )
+            chunks.append(chunk)
+            offsets.append(position)
+            position += len(chunk)
+        header = _RR_HEADER.pack(n_sets, group_size, position)
+        return header + np.asarray(offsets, dtype="<u8").tobytes() + b"".join(chunks)
 
     # ------------------------------------------------------------------
     # header introspection (for partial reads)
@@ -85,30 +102,38 @@ class RRSetsRecord:
 
         Returns ``(n_sets, group_size, payload_len, payload_start)`` where
         ``payload_start`` is the byte offset of the payload within the
-        record (header + offset table).
+        record (header + offset table).  Ranged reads skip the segment
+        CRC, so the header arrives unverified: a ``group_size`` of zero
+        is rejected here, before anything divides by it.
         """
         if len(prefix) < _RR_HEADER.size:
             raise StorageError("RRSetsRecord header truncated")
         n_sets, group_size, payload_len = _RR_HEADER.unpack_from(prefix, 0)
-        n_groups = (n_sets + group_size - 1) // group_size if n_sets else 0
+        if group_size < 1:
+            raise StorageError("RRSetsRecord group_size must be >= 1")
+        n_groups = (n_sets + group_size - 1) // group_size
         payload_start = _RR_HEADER.size + 8 * n_groups
         return n_sets, group_size, payload_len, payload_start
 
     @staticmethod
     def offset_table_range(prefix: bytes) -> Tuple[int, int]:
         """Byte range ``(start, length)`` of the group offset table."""
-        n_sets, group_size, _payload_len, _payload_start = RRSetsRecord.read_header(
-            prefix
-        )
-        n_groups = (n_sets + group_size - 1) // group_size if n_sets else 0
-        return _RR_HEADER.size, 8 * n_groups
+        payload_start = RRSetsRecord.read_header(prefix)[3]
+        return _RR_HEADER.size, payload_start - _RR_HEADER.size
 
     @staticmethod
     def decode_offsets(table: bytes) -> np.ndarray:
-        """Decode the group offset table bytes into ``uint64`` offsets."""
+        """Decode the group offset table bytes into ``int64`` offsets.
+
+        Group chunks are non-empty and the first starts the payload, so
+        the table must ascend strictly from zero.
+        """
         if len(table) % 8:
             raise StorageError("offset table length must be a multiple of 8")
-        return np.frombuffer(table, dtype="<u8").astype(np.int64)
+        offsets = np.frombuffer(table, dtype="<u8").astype(np.int64)
+        if len(offsets) and (offsets[0] != 0 or np.any(np.diff(offsets) <= 0)):
+            raise StorageError("offset table must ascend from 0")
+        return offsets
 
     @staticmethod
     def prefix_payload_end(
@@ -132,13 +157,26 @@ class RRSetsRecord:
         """Decode the first ``count`` sets straight into flat CSR arrays.
 
         Returns ``(set_ptr, set_vertices)`` — what the coverage engine
-        consumes — via the batch decoder, skipping per-set array
-        materialisation entirely.  The header walk's varint runs (gap
-        streams, PFoR exception pairs) ride the vectorised block varint
-        decoder; only the per-list tag/count parse stays scalar.
+        consumes.  ``payload`` is the payload's first
+        :meth:`prefix_payload_end` bytes: the headers of the group chunks
+        it holds are parsed one by one, then all their streams are
+        unpacked together and clipped to ``count`` sets.
         """
-        set_ptr, set_vertices, _end = decompress_ids_batch(payload, count)
-        return set_ptr, set_vertices
+        decoder = StreamDecoder(payload)
+        pos = held = 0
+        while held < count:
+            if pos >= len(payload):
+                raise StorageError(
+                    f"RR payload ends after {held} of {count} sets"
+                )
+            n, at = decode_varint(payload, pos + 1)
+            pos = decoder.read_id_lists(payload[pos], n, at)
+            held += n
+        streams = decoder.finish() + [np.empty(0, dtype=np.uint64)] * 2
+        set_ptr, set_vertices = id_lists_from_streams(
+            np.concatenate(streams[0::2]), np.concatenate(streams[1::2])
+        )
+        return set_ptr[: count + 1], set_vertices[: set_ptr[count]]
 
 
 class InvertedListsRecord:
@@ -146,31 +184,39 @@ class InvertedListsRecord:
 
     @staticmethod
     def encode(
-        lists: Sequence[Tuple[int, np.ndarray]],
+        keys: np.ndarray,
+        ptr: np.ndarray,
+        ids: np.ndarray,
         codec: Codec = Codec.PFOR,
     ) -> bytes:
-        """Serialise ``(key, ids)`` entries preserving order.
+        """Serialise the entries ``keys[i] -> ids[ptr[i]:ptr[i+1]]`` in order.
 
         Keys are arbitrary non-negative ints (vertex ids); order is
         caller-defined — ``L_w`` stores ascending keys, ``IL_w`` stores
-        keys by descending list length (Algorithm 3 line 8).
+        keys by descending list length (Algorithm 3 line 8).  Layout:
+        fixed header, then ``codec tag u8 | keys stream | id-list set``;
+        the keys stream holds the zig-zag differences of consecutive keys
+        (a few bits each when keys ascend, one path when they do not).
         """
-        chunks: List[bytes] = []
-        for key, ids in lists:
-            if key < 0:
-                raise StorageError(f"keys must be non-negative, got {key}")
-            chunks.append(encode_varint(int(key)))
-            chunks.append(compress_ids(ids, codec))
-        payload = b"".join(chunks)
-        header = _INV_HEADER.pack(len(lists), len(payload))
-        return header + payload
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim != 1 or len(keys) != len(ptr) - 1:
+            raise StorageError("keys must be 1-D, one per id list")
+        if len(keys) and keys.min() < 0:
+            raise StorageError(f"keys must be non-negative, got {int(keys.min())}")
+        deltas = np.diff(keys, prepend=0)
+        zigzag = (deltas << 1) ^ (deltas >> 63)
+        payload = (
+            bytes([codec.value])
+            + encode_stream(zigzag.view(np.uint64), codec)
+            + encode_id_lists(ptr, ids, codec)
+        )
+        return _INV_HEADER.pack(len(keys), len(payload)) + payload
 
     @staticmethod
     def decode_csr(record: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode a record into ``(keys, ptr, flat_ids)`` CSR arrays.
 
-        ``keys[i]``'s id list is ``flat_ids[ptr[i]:ptr[i+1]]``; the heavy
-        per-list numeric work is amortised through the batch decoder.
+        ``keys[i]``'s id list is ``flat_ids[ptr[i]:ptr[i+1]]``.
         """
         if len(record) < _INV_HEADER.size:
             raise StorageError("InvertedListsRecord header truncated")
@@ -178,22 +224,17 @@ class InvertedListsRecord:
         payload = record[_INV_HEADER.size : _INV_HEADER.size + payload_len]
         if len(payload) != payload_len:
             raise StorageError("InvertedListsRecord payload truncated")
-        keys = np.empty(n_lists, dtype=np.int64)
-        decoder = BatchIdDecoder(payload)
-        pos = 0
-        for i in range(n_lists):
-            # Inlined single-byte varint fast path: most keys are small
-            # vertex ids, and this header walk runs once per list on the
-            # hot query path (the list bodies themselves go through the
-            # block varint decoder inside ``read_list``).
-            if pos < payload_len and payload[pos] < 0x80:
-                key = payload[pos]
-                pos += 1
-            else:
-                key, pos = decode_varint(payload, pos)
-            keys[i] = key
-            pos = decoder.read_list(pos)
+        if not payload_len:
+            raise StorageError("InvertedListsRecord has no codec tag")
+        decoder = StreamDecoder(payload)
+        pos = decoder.read(payload[0], n_lists, 1)
+        pos = decoder.read_id_lists(payload[0], n_lists, pos)
         if pos != payload_len:
             raise StorageError("InvertedListsRecord has trailing bytes")
-        ptr, flat = decoder.finish()
-        return keys, ptr, flat
+        zigzag, counts, gaps = decoder.finish()
+        deltas = (zigzag >> np.uint64(1)).view(np.int64)
+        deltas ^= -(zigzag & np.uint64(1)).view(np.int64)
+        keys = np.cumsum(deltas)
+        if len(keys) and keys.min() < 0:
+            raise StorageError("InvertedListsRecord key outside the id domain")
+        return (keys, *id_lists_from_streams(counts, gaps))

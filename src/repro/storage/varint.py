@@ -1,21 +1,23 @@
 """LEB128 unsigned varints.
 
-The workhorse byte coding for the index formats: list lengths, deltas and
-small headers are all varints.  Values must be non-negative (the index
-stores ids and gaps, never signed values) and must fit in 64 bits.
+The byte coding of the index format's scalar header fields (a group
+chunk's set count, an id-list set's total, a PFOR stream's exception
+count) and of ``Codec.VARINT`` streams.  Values must be non-negative
+(the index stores ids, gaps and counts, never signed values) and must fit
+in 64 bits.
 
 Two decoders cover the two access patterns:
 
 * :func:`decode_varint` / :func:`decode_varints` — the scalar byte-at-a-
-  time walk: record and list header fields, short runs (the block
-  decoder delegates below its crossover), and the bit-exact reference
-  the block decoder is fuzzed against;
+  time walk: single header fields, short runs (the block decoder
+  delegates below its crossover), and the bit-exact reference the block
+  decoder is fuzzed against;
 * :func:`decode_varints_block` — one vectorised pass over ``count``
   back-to-back varints: continuation-bit boundaries come from one
   ``flatnonzero`` on the high bit, and values are reconstructed with a
   grouped shift-and-or (one gather + matmul per distinct varint byte
-  length, of which there are at most ten).  This is what the record
-  decoders drive on the hot query path.
+  length, of which there are at most ten).  This is what a VARINT stream
+  costs on the query path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from repro.errors import StorageError
 
 __all__ = [
-    "encode_varint",
     "decode_varint",
     "encode_varints",
     "decode_varints",
@@ -41,23 +42,6 @@ _MAX_VARINT_BYTES = 10
 #: per call vs ~0.2us per scalar-decoded varint, crossover ~110); the
 #: block decoder falls back transparently (results are identical).
 _BLOCK_MIN_COUNT = 112
-
-
-def encode_varint(value: int) -> bytes:
-    """Encode one non-negative integer (< 2^64) as LEB128."""
-    if value < 0:
-        raise StorageError(f"varints encode non-negative values, got {value}")
-    if value >> 64:
-        raise StorageError("varint exceeds 64 bits")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:

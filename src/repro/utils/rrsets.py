@@ -7,8 +7,8 @@ Python list of per-set arrays, only for the downstream consumers
 it.  :class:`FlatRRSets` keeps the flat layout end to end while remaining
 a drop-in ``Sequence[np.ndarray]``: indexing and iteration yield zero-copy
 views, so code written against a list of arrays keeps working, and code
-that knows about the CSR form (``CoverageInstance``, ``_invert``) can
-take ``ptr``/``vertices`` directly.
+that knows about the CSR form (``CoverageInstance``, the index writers)
+can take ``ptr``/``vertices`` directly.
 """
 
 from __future__ import annotations
@@ -77,6 +77,17 @@ class FlatRRSets(Sequence):
     def total_size(self) -> int:
         """Summed cardinality of all sets (the payload length)."""
         return len(self.vertices)
+
+    @classmethod
+    def from_sets(cls, rr_sets: Sequence) -> "FlatRRSets":
+        """``rr_sets`` in flat form: itself when it already is, else one
+        concatenation of its per-set arrays."""
+        if isinstance(rr_sets, cls):
+            return rr_sets
+        ptr = np.zeros(len(rr_sets) + 1, dtype=np.int64)
+        np.cumsum([len(rr) for rr in rr_sets], out=ptr[1:])
+        sets = [np.asarray(rr, dtype=np.int64) for rr in rr_sets]
+        return cls(ptr, np.concatenate(sets) if sets else np.empty(0, np.int64))
 
     @classmethod
     def concatenate(cls, parts: Sequence["FlatRRSets"]) -> "FlatRRSets":

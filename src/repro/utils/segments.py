@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["segmented_arange"]
+__all__ = ["segmented_arange", "take_rows"]
 
 
 def segmented_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -27,3 +27,14 @@ def segmented_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     index = np.arange(int(lengths.sum()), dtype=np.int64)
     index += shift.repeat(lengths)
     return index
+
+
+def take_rows(ptr: np.ndarray, flat: np.ndarray, rows: np.ndarray):
+    """Rows ``rows`` of the CSR pair ``(ptr, flat)``, in that order, as a
+    CSR pair of their own (one segmented gather)."""
+    lengths = np.diff(ptr)[rows]
+    out = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    if len(rows) == 0:
+        return out, flat[:0]
+    return out, flat[segmented_arange(ptr[:-1][rows], lengths)]

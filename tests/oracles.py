@@ -4,11 +4,12 @@ Not collected by pytest (the name matches no ``python_files`` pattern);
 test modules import it as ``from oracles import ...``.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.compression import Codec
-from repro.storage.varint import decode_varint, decode_varints_block
 
 
 def seed_greedy_max_coverage(n_vertices, rr_sets, k):
@@ -41,102 +42,117 @@ def seed_greedy_max_coverage(n_vertices, rr_sets, k):
     return seeds, marginals
 
 
+def encode_varint(value):
+    """Encode one non-negative integer (< 2^64) as LEB128.  Moved here
+    from ``storage/varint.py`` when its last caller in ``src/`` went: the
+    writers emit varints through ``encode_varints``."""
+    if value < 0:
+        raise StorageError(f"varints encode non-negative values, got {value}")
+    if value >> 64:
+        raise StorageError("varint exceeds 64 bits")
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
 # ----------------------------------------------------------------------
-# The per-list id-list decoder, moved verbatim from src/ when the batch
-# decoder became the only one there (``decompress_ids``, ``_pfor_decode``
-# and ``bitpack.unpack_fixed_width``).  The only independent oracle for
-# ``decompress_ids_batch`` — the benchmark decodes with the batch decoder
-# on both sides.
+# The scalar reference decoder of the v2 (columnar stream) format: one
+# Python int per value, bits cut out of the buffer one field at a time.
+# Shares nothing with ``storage/`` but the ``Codec`` tags, so it is the
+# independent oracle for ``StreamDecoder`` and the two record decoders —
+# the benchmark decodes with those on both sides.
 # ----------------------------------------------------------------------
-_PFOR_BLOCK = 128
-_MAX_WIDTH = 64
+def _varint(data, pos):
+    value = shift = 0
+    while True:
+        if pos >= len(data) or shift > 63:
+            raise StorageError("truncated or over-long varint")
+        value |= (data[pos] & 0x7F) << shift
+        pos, shift = pos + 1, shift + 7
+        if not data[pos - 1] & 0x80:
+            return value, pos
 
 
-def decompress_ids(data, offset=0):
-    """Decode one id list at ``offset``; returns ``(ids, next_offset)``."""
-    if offset >= len(data):
-        raise StorageError("truncated id list: missing codec tag")
-    try:
-        codec = Codec(data[offset])
-    except ValueError:
-        raise StorageError(f"unknown codec tag {data[offset]}") from None
-    count, pos = decode_varint(data, offset + 1)
-    if count == 0:
-        return np.empty(0, dtype=np.int64), pos
-    if codec is Codec.RAW:
-        nbytes = count * 8
-        if pos + nbytes > len(data):
-            raise StorageError("truncated RAW id list")
-        arr = np.frombuffer(data[pos : pos + nbytes], dtype="<u8").astype(np.int64)
-        return arr, pos + nbytes
-    if codec is Codec.VARINT:
-        gaps, pos = decode_varints_block(data, count, pos)
-        _check_id_gaps(gaps)
-        return np.cumsum(gaps.astype(np.int64)), pos
-    gaps, pos = _pfor_decode(data, count, pos)
-    _check_id_gaps(gaps)
-    return np.cumsum(gaps.astype(np.int64)), pos
+def decode_stream(data, tag, m, pos=0):
+    """``m`` values under codec ``tag`` at ``pos``: ``(values, end)``."""
+    if m == 0:
+        return [], pos
+    if tag == Codec.RAW.value:
+        end = pos + 8 * m
+        values = [int.from_bytes(data[i : i + 8], "little") for i in range(pos, end, 8)]
+    elif tag == Codec.VARINT.value:
+        values, end = [], pos
+        for _ in range(m):
+            value, end = _varint(data, end)
+            values.append(value)
+    elif tag == Codec.PFOR.value:
+        n_blocks = -(-m // 128)
+        widths = list(data[pos : pos + n_blocks])
+        if len(widths) < n_blocks or max(widths) > 64:
+            raise StorageError("PFoR width column truncated or above 64")
+        n_exceptions, pos = _varint(data, pos + n_blocks)
+        excess_width = data[pos] if n_exceptions else 0
+        cursor = (pos + bool(n_exceptions)) * 8
+        def take(width):
+            nonlocal cursor
+            word = int.from_bytes(data[cursor // 8 :][:9], "little") >> cursor % 8
+            cursor += width
+            return word & ((1 << width) - 1)
 
-
-def _check_id_gaps(gaps):
-    if len(gaps) and int(gaps.max()) > 0x7FFF_FFFF_FFFF_FFFF:
-        raise StorageError("id gap exceeds the signed 64-bit id domain")
-
-
-def _pfor_decode(data, count, offset):
-    gaps = np.empty(count, dtype=np.uint64)
-    filled = 0
-    pos = offset
-    while filled < count:
-        block_len = min(_PFOR_BLOCK, count - filled)
-        if pos >= len(data):
-            raise StorageError("truncated PFoR block header")
-        width = data[pos]
-        pos += 1
-        if not 1 <= width <= 64:
-            raise StorageError(f"bad PFoR width {width}")
-        n_exceptions, pos = decode_varint(data, pos)
-        if n_exceptions:
-            # (position, excess) pairs are back-to-back varints: one
-            # block decode, then de-interleave.  Range-check on the
-            # unsigned values — an int64 cast first would wrap corrupt
-            # positions >= 2^63 negative, past the guard.
-            pairs, pos = decode_varints_block(data, 2 * n_exceptions, pos)
-            if np.any(pairs[0::2] >= np.uint64(block_len)):
+        positions = [take((m - 1).bit_length()) for _ in range(n_exceptions)]
+        excesses = [take(excess_width) for _ in range(n_exceptions)]
+        values = [take(widths[i // 128]) for i in range(m)]
+        for position, excess in zip(positions, excesses):
+            if position >= m:
                 raise StorageError("PFoR exception position out of range")
-            positions_ = pairs[0::2].astype(np.int64)
-        payload_bytes = (width * block_len + 7) // 8
-        if pos + payload_bytes > len(data):
-            raise StorageError("truncated PFoR payload")
-        block = unpack_fixed_width(data[pos : pos + payload_bytes], width, block_len)
-        pos += payload_bytes
-        if n_exceptions:
-            # bitwise_or.at, not fancy |=: duplicate positions (corrupt
-            # but decodable) must OR-accumulate like the sequential walk.
-            np.bitwise_or.at(block, positions_, pairs[1::2] << np.uint64(width))
-        gaps[filled : filled + block_len] = block
-        filled += block_len
-    return gaps, pos
+            values[position] |= excess << widths[position // 128]
+        if max(values) >> 64:
+            raise StorageError("PFoR exception overflows 64 bits")
+        end = (cursor + 7) // 8
+    else:
+        raise StorageError(f"unknown codec tag {tag}")
+    if end > len(data):
+        raise StorageError("truncated stream")
+    return values, end
 
 
-def unpack_fixed_width(data, width, count):
-    """Inverse of ``pack_fixed_width``; returns ``uint64`` array."""
-    if not 1 <= width <= _MAX_WIDTH:
-        raise StorageError(f"width must be in [1, {_MAX_WIDTH}], got {width}")
-    if count < 0:
-        raise StorageError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    needed_bits = width * count
-    needed_bytes = (needed_bits + 7) // 8
-    if len(data) < needed_bytes:
-        raise StorageError(
-            f"bit-packed payload truncated: need {needed_bytes} bytes, "
-            f"have {len(data)}"
-        )
-    bits = np.unpackbits(
-        np.frombuffer(data[:needed_bytes], dtype=np.uint8), bitorder="little"
-    )[:needed_bits]
-    bit_matrix = bits.reshape(count, width).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
-    return bit_matrix @ weights
+def decode_id_lists(data, tag, n, pos=0):
+    """An id-list set of ``n`` lists at ``pos``: ``(lists, end)``."""
+    total, pos = _varint(data, pos)
+    counts, pos = decode_stream(data, tag, n, pos)
+    gaps, pos = decode_stream(data, tag, total, pos)
+    if sum(counts) != total:
+        raise StorageError("counts do not add up to the gaps stream")
+    lists, at = [], 0
+    for count in counts:
+        ids = list(accumulate(gaps[at : at + count]))
+        if ids and (max(gaps[at : at + count]) >> 63 or ids[-1] >> 63):
+            raise StorageError("id outside the signed 64-bit domain")
+        lists.append(ids)
+        at += count
+    return lists, pos
+
+
+def decode_rr_payload(payload, count):
+    """The first ``count`` RR sets of an ``RRSetsRecord`` payload."""
+    sets, pos = [], 0
+    while len(sets) < count:
+        n, at = _varint(payload, pos + 1)
+        chunk, pos = decode_id_lists(payload, payload[pos], n, at)
+        sets += chunk
+    return sets[:count]
+
+
+def decode_inverted_record(record):
+    """An ``InvertedListsRecord`` as ``[(key, ids)]``."""
+    n_lists, payload = int.from_bytes(record[:4], "little"), record[12:]
+    zigzag, pos = decode_stream(payload, payload[0], n_lists, 1)
+    lists, _end = decode_id_lists(payload, payload[0], n_lists, pos)
+    keys = accumulate((z >> 1) ^ -(z & 1) for z in zigzag)
+    return list(zip(keys, lists))

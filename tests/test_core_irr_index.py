@@ -63,16 +63,35 @@ class TestPartitioning:
             np.array([2, 4]),
         ]
 
+    @staticmethod
+    def partitions(rr_sets, delta):
+        """``partition_keyword``'s CSR output as per-partition lists:
+        ``il[p]`` = ``[(vertex, set ids)]``, ``ir[p]`` = claimed set ids,
+        ``ip`` = ``[(vertex, first set)]``."""
+        (keys, ptr, ids), (ir_sets, part_ptr), (ip_keys, firsts) = partition_keyword(
+            rr_sets, delta
+        )
+        lists = [
+            (int(k), ids[ptr[i] : ptr[i + 1]].tolist()) for i, k in enumerate(keys)
+        ]
+        il = [lists[lo : lo + delta] for lo in range(0, len(lists), delta)]
+        ir = [
+            ir_sets[part_ptr[p] : part_ptr[p + 1]].tolist()
+            for p in range(len(part_ptr) - 1)
+        ]
+        return il, ir, list(zip(ip_keys.tolist(), firsts.tolist()))
+
     def test_lists_sorted_by_length_desc(self):
         rr_sets = [np.array([0, 1]), np.array([1]), np.array([1, 2])]
-        il, _ir, _ip = partition_keyword(rr_sets, delta=10)
+        il, _ir, _ip = self.partitions(rr_sets, delta=10)
         lengths = [len(ids) for _v, ids in il[0]]
         assert lengths == sorted(lengths, reverse=True)
-        assert il[0][0][0] == 1  # vertex 1 appears in all three sets
+        assert il[0][0] == (1, [0, 1, 2])  # vertex 1 appears in all three sets
+        assert [v for v, _ in il[0]] == [1, 0, 2]  # ties: smaller vertex first
 
     def test_partitions_have_delta_users(self):
         rr_sets = [np.array([v]) for v in range(10)]
-        il, ir, _ip = partition_keyword(rr_sets, delta=3)
+        il, ir, _ip = self.partitions(rr_sets, delta=3)
         assert [len(p) for p in il] == [3, 3, 3, 1]
         assert len(ir) == len(il)
 
@@ -82,16 +101,23 @@ class TestPartitioning:
             np.unique(rng.integers(0, 30, size=rng.integers(1, 6)))
             for _ in range(40)
         ]
-        il, ir, _ip = partition_keyword(rr_sets, delta=5)
+        il, ir, _ip = self.partitions(rr_sets, delta=5)
         seen = []
         for part in ir:
             seen.extend(part)
         assert sorted(seen) == list(range(40))  # every set exactly once
+        # Algorithm 3 lines 9-13, literally: a partition claims every
+        # not-yet-claimed set any of its lists touches.
+        claimed = set()
+        for lists, part in zip(il, ir):
+            touched = {s for _v, ids in lists for s in ids}
+            assert part == sorted(touched - claimed)
+            claimed |= touched
 
     def test_ir_assignment_to_earliest_partition(self):
         # Set 0 contains the longest-list vertex -> must land in IR^1.
         rr_sets = [np.array([7, 8]), np.array([7]), np.array([8]), np.array([7, 9])]
-        il, ir, _ip = partition_keyword(rr_sets, delta=1)
+        il, ir, _ip = self.partitions(rr_sets, delta=1)
         # vertex 7 has the longest list (3 sets): partition 0 claims 0,1,3.
         assert il[0][0][0] == 7
         assert ir[0] == [0, 1, 3]
@@ -99,12 +125,17 @@ class TestPartitioning:
 
     def test_ip_first_occurrence(self):
         rr_sets = [np.array([5]), np.array([2, 5]), np.array([2])]
-        _il, _ir, ip = partition_keyword(rr_sets, delta=10)
-        assert dict(ip) == {5: 0, 2: 1}
+        _il, _ir, ip = self.partitions(rr_sets, delta=10)
+        assert ip == [(2, 1), (5, 0)]
 
     def test_empty_collection(self):
-        il, ir, ip = partition_keyword([], delta=4)
+        il, ir, ip = self.partitions([], delta=4)
         assert il == [] and ir == [] and ip == []
+
+    def test_empty_sets_are_claimed_by_no_partition(self):
+        rr_sets = [np.array([3]), np.array([], dtype=np.int64), np.array([3, 4])]
+        _il, ir, _ip = self.partitions(rr_sets, delta=1)
+        assert ir == [[0, 2], []]
 
 
 class TestBuild:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from listform import encode_inverted_lists
 from repro.core.irr_index import IRRIndexBuilder
 from repro.core.maintenance import extract_keywords, verify_index
 from repro.core.query import KBTIMQuery
@@ -134,7 +135,7 @@ def _edit_lists(name, edit):
     """A tampering that re-encodes segment ``name`` after ``edit(lists)``."""
 
     def tamper(segments):
-        segments[name] = InvertedListsRecord.encode(edit(_lists(segments[name])))
+        segments[name] = encode_inverted_lists(edit(_lists(segments[name])))
 
     return tamper
 
@@ -160,7 +161,7 @@ def _swap_first_two_partitions(segments):
 
 def _claim_a_set_twice(segments):
     stolen = _lists(segments["ir/music/0"])[:1]
-    segments["ir/music/1"] = InvertedListsRecord.encode(
+    segments["ir/music/1"] = encode_inverted_lists(
         _lists(segments["ir/music/1"]) + stolen
     )
 

@@ -19,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.propagation.kernels as kernels_module
-from repro.storage.compression import Codec, compress_ids, decompress_ids_batch
+from repro.storage.compression import Codec, encode_id_lists
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.core.coverage import (
     CoverageInstance,
     greedy_max_coverage,
     merge_coverage_csr,
 )
-from repro.core.rr_index import KeywordCoverageCSR, _invert
+from repro.core.rr_index import KeywordCoverageCSR
 from repro.core.sampler import sample_uniform_roots, sample_weighted_roots
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
@@ -36,7 +36,12 @@ from repro.propagation.lt import LinearThreshold
 from repro.propagation.triggering import GeneralTriggering
 from repro.utils.rrsets import FlatRRSets
 
-from oracles import decompress_ids, seed_greedy_max_coverage
+from listform import encode_inverted_lists, encode_rr_sets, invert
+from oracles import (
+    decode_inverted_record,
+    decode_rr_payload,
+    seed_greedy_max_coverage,
+)
 
 
 @pytest.fixture(scope="module")
@@ -401,13 +406,26 @@ class TestFlatRRSets:
             assert greedy_max_coverage(slow, k) == reference
 
     def test_invert_matches_list_form(self, model):
+        """The flat form goes to the writers as-is; a plain list of sets
+        is flattened once and inverts to the same lists."""
         roots = sample_uniform_roots(model.graph.n, 200, np.random.default_rng(73))
         flat = model.sample_rr_sets_batch(roots, np.random.default_rng(74))
-        fast = _invert(flat)
-        slow = _invert(list(flat))
+        assert FlatRRSets.from_sets(flat) is flat
+        relisted = FlatRRSets.from_sets(list(flat))
+        assert np.array_equal(relisted.ptr, flat.ptr)
+        assert np.array_equal(relisted.vertices, flat.vertices)
+        fast = invert(flat)
+        slow = invert(list(flat))
         assert [v for v, _ in fast] == [v for v, _ in slow]
         for (_va, ids_a), (_vb, ids_b) in zip(fast, slow):
             assert np.array_equal(ids_a, ids_b)
+        # Against the definition: vertex -> ascending ids of its sets.
+        expected = {}
+        for set_id, rr in enumerate(flat):
+            for v in rr.tolist():
+                expected.setdefault(v, []).append(set_id)
+        assert {v: ids.tolist() for v, ids in fast} == expected
+        assert [v for v, _ in fast] == sorted(expected)
 
 
 class TestWeightedRootsSearchsorted:
@@ -487,12 +505,15 @@ class TestCSRBitIdenticalToSeed:
 
 
 class TestBatchDecoder:
-    """The batch id decoder is bit-identical to the per-list reference
-    decoder in ``tests/oracles.py``."""
+    """The columnar record decoders are bit-identical to the scalar
+    per-value reference decoder in ``tests/oracles.py``."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_mixed_codec_streams(self, data):
+        """Group chunks carry their own codec tag, so one payload may mix
+        codecs: eager (RAW, VARINT) and queued (PFOR) streams interleave
+        in one decoder."""
         n_lists = data.draw(st.integers(0, 12))
         lists, blob = [], b""
         for _ in range(n_lists):
@@ -506,22 +527,23 @@ class TestBatchDecoder:
                 dtype=np.int64,
             )
             lists.append(ids)
-            blob += compress_ids(ids, codec)
-        ptr, flat, end = decompress_ids_batch(blob, n_lists)
-        assert end == len(blob)
-        pos = 0
+            blob += bytes([codec.value, 1]) + encode_id_lists([0, len(ids)], ids, codec)
+        ptr, flat = RRSetsRecord.decode_prefix_csr(blob, n_lists)
+        scalar = decode_rr_payload(blob, n_lists)
         for i, expected in enumerate(lists):
-            scalar, pos = decompress_ids(blob, pos)
-            assert np.array_equal(flat[ptr[i] : ptr[i + 1]], scalar)
-            assert np.array_equal(scalar, expected)
+            assert flat[ptr[i] : ptr[i + 1]].tolist() == scalar[i]
+            assert scalar[i] == expected.tolist()
 
     def test_pfor_exceptions_roundtrip(self):
         # Heavy-tailed gaps force PFoR exceptions in every block.
         rng = np.random.default_rng(3)
         gaps = rng.choice([1, 2, 3, 10**6], size=400, p=[0.5, 0.3, 0.1, 0.1])
         ids = np.cumsum(gaps).astype(np.int64)
-        blob = compress_ids(ids, Codec.PFOR) * 3
-        ptr, flat, _ = decompress_ids_batch(blob, 3)
+        record = encode_rr_sets([ids] * 3, Codec.PFOR, group_size=2)
+        payload = record[RRSetsRecord.read_header(record)[3] :]
+        gaps_stream = payload[payload.index(bytes([2] * 7)) :]  # widths 2 × 7 blocks
+        assert gaps_stream[7] > 40  # ... and its exception count
+        ptr, flat = RRSetsRecord.decode_prefix_csr(payload, 3)
         for i in range(3):
             assert np.array_equal(flat[ptr[i] : ptr[i + 1]], ids)
 
@@ -531,24 +553,24 @@ class TestBatchDecoder:
             np.unique(rng.integers(0, 5000, size=rng.integers(0, 30)))
             for _ in range(70)
         ]
-        record = RRSetsRecord.encode(sets, Codec.PFOR)
+        record = encode_rr_sets(sets, Codec.PFOR, group_size=16)
         header = RRSetsRecord.read_header(record)
         payload = record[header[3] : header[3] + header[2]]
         for count in (0, 1, 33, 70):
             ptr, flat = RRSetsRecord.decode_prefix_csr(payload, count)
             assert len(ptr) == count + 1
-            pos = 0
+            scalar = decode_rr_payload(payload, count)
             for i in range(count):
-                expected, pos = decompress_ids(payload, pos)
-                assert np.array_equal(flat[ptr[i] : ptr[i + 1]], expected)
-                assert np.array_equal(expected, sets[i])
+                assert flat[ptr[i] : ptr[i + 1]].tolist() == scalar[i]
+                assert scalar[i] == sets[i].tolist()
 
-        inv = _invert(sets)
-        record = InvertedListsRecord.encode(inv, Codec.PFOR)
+        inv = invert(sets)
+        record = encode_inverted_lists(inv, Codec.PFOR)
         keys, ptr, flat = InvertedListsRecord.decode_csr(record)
         assert keys.tolist() == [k for k, _ in inv]
         for i, (_k, expected) in enumerate(inv):
             assert np.array_equal(flat[ptr[i] : ptr[i + 1]], expected)
+        assert decode_inverted_record(record) == [(k, v.tolist()) for k, v in inv]
 
 
 class TestQueryLayerCSR:
@@ -559,16 +581,16 @@ class TestQueryLayerCSR:
             np.unique(rng.integers(0, n, size=rng.integers(1, 8)))
             for _ in range(n_sets)
         ]
-        return sets, _invert(sets)
+        return sets, invert(sets)
 
     @staticmethod
     def block_of(sets, lists):
         """A decoded block, through the records and the one decoder."""
-        record = RRSetsRecord.encode(sets)
+        record = encode_rr_sets(sets)
         _n, _g, payload_len, payload_start = RRSetsRecord.read_header(record)
         return KeywordCoverageCSR.from_csr_arrays(
             *RRSetsRecord.decode_prefix_csr(record[payload_start:], len(sets)),
-            *InvertedListsRecord.decode_csr(InvertedListsRecord.encode(lists)),
+            *InvertedListsRecord.decode_csr(encode_inverted_lists(lists)),
         )
 
     def test_active_part_matches_searchsorted_clip(self):

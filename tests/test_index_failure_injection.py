@@ -8,8 +8,12 @@ index files and require clean :class:`~repro.errors.CorruptIndexError` /
 
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
+
+from listform import encode_inverted_lists, encode_rr_sets
 
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder
 from repro.core.query import KBTIMQuery
@@ -20,6 +24,8 @@ from repro.graph.generators import twitter_like
 from repro.profiles.generators import zipf_profiles
 from repro.profiles.topics import TopicSpace
 from repro.propagation.ic import IndependentCascade
+from repro.storage.compression import Codec
+from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.storage.segments import SegmentReader, SegmentWriter
 
 
@@ -87,6 +93,101 @@ class TestRRIndexCorruption:
             writer.add("meta", json.dumps({"format": "irr-index"}).encode())
         with pytest.raises(CorruptIndexError, match="not an RR index"):
             RRIndex(path)
+
+
+class TestRRRecordHeaderHeldAtOpen:
+    """Ranged reads skip the segment CRC by design, so ``rr/<kw>``'s
+    header and offset table reach the reader unverified: whatever the
+    format tables promise about them is enforced when the file opens."""
+
+    @staticmethod
+    def _patched(built, tmp_path, offset_in_record, payload):
+        rr_path, _ = built
+        with SegmentReader(rr_path) as reader:
+            at = reader.info("rr/music").offset + offset_in_record
+        return _copy_with_mutation(
+            rr_path, tmp_path, lambda d: d.__setitem__(slice(at, at + len(payload)), payload)
+        )
+
+    def test_zero_group_size_is_a_typed_error(self, built, tmp_path):
+        """Was ``ZeroDivisionError: integer division or modulo by zero``."""
+        out = self._patched(built, tmp_path, 4, struct.pack("<I", 0))
+        with pytest.raises(StorageError, match="group_size must be >= 1"):
+            RRIndex(out)
+
+    def test_header_set_count_must_match_the_catalog(self, built, tmp_path):
+        rr_path, _ = built
+        with RRIndex(rr_path) as index:
+            n_sets = index.catalog["music"].n_sets
+        out = self._patched(built, tmp_path, 0, struct.pack("<I", n_sets - 1))
+        with pytest.raises(CorruptIndexError, match="catalog says"):
+            RRIndex(out)
+
+    def test_offset_table_must_ascend(self, built, tmp_path):
+        out = self._patched(built, tmp_path, RRSetsRecord.HEADER_SIZE, struct.pack("<Q", 7))
+        with pytest.raises(StorageError, match="ascend from 0"):
+            RRIndex(out)
+
+    def test_offset_table_must_stay_inside_the_payload(self, built, tmp_path):
+        """One group: its offset is fine, so shrink the payload under it."""
+        out = self._patched(built, tmp_path, 8, struct.pack("<Q", 0))
+        with pytest.raises(CorruptIndexError, match="points past"):
+            RRIndex(out)
+
+
+class TestRecordDecodersUnderFuzz:
+    """Seeded byte-mutation fuzz of the two record decoders: whatever the
+    bytes, they raise ``StorageError`` or return arrays no longer than the
+    format can hold — never ``MemoryError``, ``ValueError``,
+    ``IndexError``, ``ZeroDivisionError``, nor an allocation sized by a
+    count nobody checked."""
+
+    MUTANTS = 10_000
+
+    @staticmethod
+    def _records(codec):
+        rng = np.random.default_rng(7)
+        sets = [np.unique(rng.integers(0, 900, size=n)) for n in (3, 0, 1, 40, 2, 5)]
+        sets[3][-1] = 2**40  # an exception in the gaps stream
+        rr = encode_rr_sets(sets, codec, group_size=4)
+        _n, _g, payload_len, payload_start = RRSetsRecord.read_header(rr)
+        inverted = encode_inverted_lists(list(zip([5, 900, 2, 7, 70_000, 8], sets)), codec)
+        return rr[payload_start : payload_start + payload_len], inverted
+
+    @staticmethod
+    def _decode_rr(payload):
+        ptr, flat = RRSetsRecord.decode_prefix_csr(payload, 6)
+        return ptr, flat
+
+    @staticmethod
+    def _decode_inverted(record):
+        keys, ptr, flat = InvertedListsRecord.decode_csr(record)
+        assert len(keys) == len(ptr) - 1
+        return ptr, flat
+
+    def _survives(self, decode, data):
+        try:
+            ptr, flat = decode(data)
+        except StorageError:
+            return
+        # 128 values a byte is the densest the format gets.
+        assert ptr[-1] == len(flat) <= 128 * len(data)
+        assert ptr.dtype == flat.dtype == np.int64
+
+    @pytest.mark.parametrize("codec", list(Codec))
+    @pytest.mark.parametrize("record", ["rr", "inverted"])
+    def test_mutants_and_truncations(self, record, codec):
+        original = self._records(codec)[record == "inverted"]
+        decode = self._decode_inverted if record == "inverted" else self._decode_rr
+        self._survives(decode, original)
+        for cut in range(len(original)):
+            self._survives(decode, original[:cut])
+        rng = np.random.default_rng(2024)
+        for _ in range(self.MUTANTS):
+            mutant = bytearray(original)
+            for _ in range(rng.integers(1, 4)):
+                mutant[rng.integers(len(mutant))] = rng.integers(256)
+            self._survives(decode, bytes(mutant))
 
 
 class TestIRRIndexCorruption:

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.catalog import IRR_FORMAT, RR_FORMAT, read_catalog
+from repro.core.catalog import FORMAT_VERSION, IRR_FORMAT, RR_FORMAT, read_catalog
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder, write_irr_index
 from repro.core.maintenance import verify_index
 from repro.core.offline import KeywordTable
+from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder, write_rr_index
 from repro.core.theta import ThetaPolicy
@@ -292,6 +293,59 @@ class TestCatalogParser:
         assert "unknown index format 'something-else'" in capsys.readouterr().err
 
 
+class TestFormatVersionIsCheckedAtOpen:
+    """The catalog's ``version`` used to be written and never read.  No
+    older reader is kept (every index is rebuilt from its sample tables),
+    so a file of another version must fail when it is opened — not decode
+    garbage on the first query."""
+
+    @pytest.fixture(scope="class")
+    def stale(self, paths, tmp_path_factory):
+        """``{kind: path}`` of the two indexes re-labelled ``version: 1``."""
+        tmp = tmp_path_factory.mktemp("stale")
+        out = {}
+        for kind, path in paths.items():
+            out[kind] = str(tmp / f"v1.{kind}")
+            with SegmentReader(path) as reader, SegmentWriter(out[kind]) as writer:
+                for name in reader.names():
+                    payload = reader.read(name)
+                    if name == "meta":
+                        document = json.loads(payload)
+                        assert document["version"] == FORMAT_VERSION == 2
+                        document["version"] = 1
+                        payload = json.dumps(document).encode()
+                    writer.add(name, payload)
+        return out
+
+    MESSAGE = "index format version 1, .*rebuild the index with this release"
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_readers_reject_another_version(self, kind, stale):
+        with pytest.raises(CorruptIndexError, match=self.MESSAGE) as caught:
+            READERS[kind](stale[kind])
+        assert stale[kind] in str(caught.value)
+        with pytest.raises(CorruptIndexError, match=self.MESSAGE):
+            verify_index(stale[kind])
+
+    def test_a_missing_version_is_rejected_too(self, tmp_path):
+        path = str(tmp_path / "unversioned.rr")
+        with SegmentWriter(path) as writer:
+            writer.add("meta", json.dumps({"format": RR_FORMAT}).encode())
+        with pytest.raises(CorruptIndexError, match="index format version None"):
+            RRIndex(path)
+
+    def test_pool_rejects_another_version_in_the_parent(self, stale):
+        """The pool reads the catalog before it forks a worker."""
+        with pytest.raises(CorruptIndexError, match=self.MESSAGE):
+            SupervisedServerPool(stale["rr"], n_workers=1)
+
+    def test_cli_names_the_version(self, paths, stale, capsys):
+        assert main(["inspect", "--index", paths["rr"]]) == 0
+        assert f"RR index (format v{FORMAT_VERSION})" in capsys.readouterr().out
+        assert main(["inspect", "--index", stale["irr"]]) == 1
+        assert "rebuild the index with this release" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # writers: byte-identical files
 # ----------------------------------------------------------------------
@@ -339,12 +393,12 @@ def pinned_tables():
 
 class TestWritersAreByteStable:
     """SHA-256 of the files the two writers produce from
-    :func:`pinned_tables`, computed at the commit before the catalog
-    writer was shared (36561fe).  A change here is a format change."""
+    :func:`pinned_tables`, re-pinned when the records went columnar
+    (format version 2, PR 21).  A change here is a format change."""
 
     PINNED = {
-        "rr": "0db5ad48c252b8a9b02111478a084968dbd1e87ebd39c6787d6c6614172a53a9",
-        "irr": "fe10c89323a0b52dfa2dbddf91ed27f0d2ba00efa5949da2dd42642b30d74f99",
+        "rr": "a5908e86eea05bac20209ec73d957970275d3ef51493622827b8c214b6578109",
+        "irr": "3318c686e8db31ee37f57dabda53c71ee639850ed936b07106c6b98823e6bca4",
     }
 
     @pytest.fixture(scope="class")

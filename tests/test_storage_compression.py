@@ -1,24 +1,63 @@
-"""Tests for the id-list codecs (repro.storage.compression)."""
+"""Tests for the stream codecs (repro.storage.compression)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import decode_rr_payload, decode_stream, encode_varint
 from repro.errors import StorageError
-from repro.storage.compression import Codec, compress_ids, decompress_ids_batch
-from repro.storage.varint import encode_varint, encode_varints
+from repro.storage.bitpack import pack_runs
+from repro.storage.compression import (
+    Codec,
+    StreamDecoder,
+    encode_id_lists,
+    encode_stream,
+    id_lists_from_streams,
+)
 
 sorted_ids = st.lists(
     st.integers(0, 2**40), min_size=0, max_size=400, unique=True
 ).map(sorted).map(lambda xs: np.asarray(xs, dtype=np.int64))
 
 
+def compress_ids(ids, codec=Codec.PFOR):
+    """One id list as a self-describing blob: ``tag | n = 1 | id-list
+    set`` — a one-set group chunk of an ``RRSetsRecord`` payload."""
+    ids = np.asarray(ids)
+    return bytes([codec.value, 1]) + encode_id_lists([0, ids.shape[0]], ids, codec)
+
+
+def decode_lists(blob, n_lists, offset=0):
+    """``n_lists`` one-list blobs back to back through the decoder that
+    serves queries: ``(ptr, flat, end)``."""
+    decoder, pos = StreamDecoder(blob), offset
+    for _ in range(n_lists):
+        if pos >= len(blob):
+            raise StorageError("missing codec tag")
+        assert blob[pos + 1] == 1
+        pos = decoder.read_id_lists(blob[pos], 1, pos + 2)
+    streams = decoder.finish()
+    empty = np.empty(0, dtype=np.uint64)
+    ptr, flat = id_lists_from_streams(
+        np.concatenate(streams[0::2] + [empty]), np.concatenate(streams[1::2] + [empty])
+    )
+    return ptr, flat, pos
+
+
 def decode_one(blob, offset=0):
-    """One list through the decoder that serves queries: ``(ids, end)``."""
-    ptr, flat, end = decompress_ids_batch(blob, 1, offset)
+    """One list: ``(ids, end)``."""
+    ptr, flat, end = decode_lists(blob, 1, offset)
     assert ptr.tolist() == [0, len(flat)]
     return flat, end
+
+
+def decode_values(blob, codec, m):
+    """One stream of ``m`` values, which must end the blob."""
+    decoder = StreamDecoder(blob)
+    assert decoder.read(codec.value, m, 0) == len(blob)
+    (values,) = decoder.finish()
+    return values
 
 
 class TestRoundtrips:
@@ -26,12 +65,13 @@ class TestRoundtrips:
     def test_simple(self, codec):
         ids = np.array([0, 3, 7, 100, 10_000], dtype=np.int64)
         out, offset = decode_one(compress_ids(ids, codec))
-        assert np.array_equal(out, ids)
+        assert np.array_equal(out, ids) and out.dtype == np.int64
 
     @pytest.mark.parametrize("codec", list(Codec))
     def test_empty(self, codec):
         out, _ = decode_one(compress_ids(np.array([], dtype=np.int64), codec))
         assert len(out) == 0
+        assert encode_stream(np.array([], dtype=np.uint64), codec) == b""
 
     @pytest.mark.parametrize("codec", list(Codec))
     def test_single_zero(self, codec):
@@ -47,12 +87,27 @@ class TestRoundtrips:
         out_b, end = decode_one(blob, offset)
         assert np.array_equal(out_a, a) and np.array_equal(out_b, b)
         assert end == len(blob)
+        ptr, flat, end = decode_lists(blob, 2)  # and in one unpack
+        assert ptr.tolist() == [0, 3, 5] and flat.tolist() == [1, 5, 9, 2, 4]
 
     @settings(max_examples=80, deadline=None)
     @given(sorted_ids, st.sampled_from(list(Codec)))
     def test_roundtrip_property(self, ids, codec):
-        out, offset = decode_one(compress_ids(ids, codec))
-        assert np.array_equal(out, ids)
+        blob = compress_ids(ids, codec)
+        out, offset = decode_one(blob)
+        assert np.array_equal(out, ids) and offset == len(blob)
+        assert decode_rr_payload(blob, 1) == [ids.tolist()]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 300), max_size=400),
+        st.sampled_from(list(Codec)),
+    )
+    def test_stream_roundtrip_property(self, values, codec):
+        """Streams carry any ``uint64``, not just id gaps."""
+        blob = encode_stream(np.asarray(values, dtype=np.uint64), codec)
+        assert decode_values(blob, codec, len(values)).tolist() == values
+        assert decode_stream(blob, codec.value, len(values)) == (values, len(blob))
 
 
 class TestValidation:
@@ -67,10 +122,19 @@ class TestValidation:
     def test_negative_rejected(self):
         with pytest.raises(StorageError, match="non-negative"):
             compress_ids(np.array([-1, 2]))
+        with pytest.raises(StorageError, match="non-negative"):
+            encode_stream(np.array([3, -1]))
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(StorageError):
-            compress_ids(np.array([[1, 2]]))
+            encode_id_lists([0, 2], np.array([[1, 2]]))
+        with pytest.raises(StorageError):
+            encode_stream(np.array([[1, 2]]))
+
+    def test_inconsistent_ptr_rejected(self):
+        for ptr in ([1, 2], [0, 3], [0, 2, 1, 2], []):
+            with pytest.raises(StorageError, match="ptr"):
+                encode_id_lists(ptr, np.array([4, 5]))
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(StorageError, match="unknown codec tag 238"):
@@ -78,37 +142,57 @@ class TestValidation:
 
     def test_truncated_raw_rejected(self):
         blob = compress_ids(np.array([1, 2, 3]), Codec.RAW)
-        with pytest.raises(StorageError, match="truncated RAW id list"):
+        with pytest.raises(StorageError, match="truncated RAW stream"):
             decode_one(blob[:-4])
 
     def test_truncated_pfor_rejected(self):
-        """A PFoR list cut inside a block's packed payload, and one cut
-        exactly between two blocks (so the next block has no header)."""
-        blob = compress_ids(np.arange(0, 600, 2), Codec.PFOR)  # 3 blocks
+        """A PFoR stream cut inside its packed payload, one cut inside its
+        width column (3 blocks of gaps, 2 width bytes left) and one cut
+        right behind it (no exception count)."""
+        blob = compress_ids(np.arange(0, 600, 2), Codec.PFOR)
         with pytest.raises(StorageError, match="truncated PFoR payload"):
             decode_one(blob[: len(blob) // 2])
-        header = 1 + len(encode_varint(300))
-        width = blob[header]
-        assert blob[header + 1] == 0  # first block: no exceptions
-        first_block_end = header + 2 + (width * 128 + 7) // 8
-        with pytest.raises(StorageError, match="truncated PFoR block header"):
-            decode_one(blob[:first_block_end])
+        gaps_at = len(blob) - len(encode_stream(np.full(300, 2), Codec.PFOR))
+        with pytest.raises(StorageError, match="cannot fit in the 2 bytes"):
+            decode_one(blob[: gaps_at + 2])
+        with pytest.raises(StorageError, match="truncated varint"):
+            decode_one(blob[: gaps_at + 3])
 
-    @pytest.mark.parametrize("width", [0, 65])
+    @pytest.mark.parametrize("width", [65, 255])
     def test_bad_pfor_width_rejected(self, width):
-        blob = bytearray(compress_ids(np.arange(0, 40, 2), Codec.PFOR))
-        blob[1 + len(encode_varint(20))] = width
+        ids = np.arange(0, 40, 2)
+        blob = bytearray(compress_ids(ids, Codec.PFOR))
+        blob[len(blob) - len(encode_stream(np.full(20, 2), Codec.PFOR))] = width
         with pytest.raises(StorageError, match=f"bad PFoR width {width}"):
-            decode_one(bytes(blob))
+            decode_one(bytes(blob) + bytes(20 * width // 8))
+
+    def test_width_zero_block_is_all_zeros(self):
+        """Width 0 is a legal block width: 128 zeros cost their width byte."""
+        blob = encode_stream(np.zeros(128, dtype=np.uint64), Codec.PFOR)
+        assert blob == bytes([0, 0])  # one width, no exceptions, no payload
+        assert decode_values(blob, Codec.PFOR, 128).tolist() == [0] * 128
 
     def test_empty_input_rejected(self):
         with pytest.raises(StorageError, match="missing codec tag"):
             decode_one(b"")
+        with pytest.raises(StorageError, match="cannot fit"):
+            StreamDecoder(b"").read(Codec.PFOR.value, 1, 0)
 
     def test_more_lists_than_the_buffer_holds_rejected(self):
         blob = compress_ids(np.array([1, 2]), Codec.VARINT)
         with pytest.raises(StorageError, match="missing codec tag"):
-            decompress_ids_batch(blob, 2)
+            decode_lists(blob, 2)
+
+    @pytest.mark.parametrize("codec", list(Codec))
+    def test_no_allocation_from_an_unchecked_count(self, codec):
+        """A declared size is held against the bytes that remain before
+        anything is sized by it (2**40 values would be 8 TiB)."""
+        blob = encode_stream(np.arange(300, dtype=np.uint64), codec)
+        with pytest.raises(StorageError, match="cannot fit|truncated"):
+            StreamDecoder(blob).read(codec.value, 2**40, 0)
+        lists = bytes([codec.value, 1]) + encode_varint(2**40) + blob
+        with pytest.raises(StorageError, match="cannot fit|truncated|add up|exceeds"):
+            decode_one(lists)
 
 
 class TestCompressionBehaviour:
@@ -132,6 +216,7 @@ class TestCompressionBehaviour:
             [np.arange(200), np.arange(2**33, 2**33 + 200)]
         ).astype(np.int64)
         blob = compress_ids(ids, Codec.PFOR)
+        assert len(blob) < 100  # the jump did not widen its block
         out, _ = decode_one(blob)
         assert np.array_equal(out, ids)
 
@@ -142,6 +227,21 @@ class TestCompressionBehaviour:
             out, _ = decode_one(compress_ids(ids, Codec.PFOR))
             assert np.array_equal(out, ids), n
 
+    def test_pfor_width_is_the_cheapest(self):
+        """The block width minimises packed bits + exception bits: 120
+        three-bit values and 8 forty-bit ones pack at width 3 with 8
+        exceptions (7-bit positions + 37-bit excesses), not at width 40."""
+        values = np.array([5] * 120 + [2**39] * 8, dtype=np.uint64)
+        blob = encode_stream(values, Codec.PFOR)
+        assert blob[:3] == bytes([3, 8, 37])
+        assert len(blob) == 3 + (8 * (7 + 37) + 128 * 3 + 7) // 8
+        assert decode_values(blob, Codec.PFOR, 128).tolist() == values.tolist()
+
+    def test_encoding_is_deterministic(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 2**20, size=1000).astype(np.uint64)
+        assert encode_stream(values) == encode_stream(values.copy())
+
     def test_self_describing_tag(self):
         ids = np.array([5, 6])
         for codec in Codec:
@@ -150,80 +250,127 @@ class TestCompressionBehaviour:
 
 
 class TestCorruptStreams:
-    """Corrupt varint payloads must raise StorageError, never wrap."""
+    """Corrupt payloads must raise StorageError, never wrap."""
 
     def test_varint_gap_above_signed_domain_rejected(self):
         """A gap >= 2^63 is a valid 64-bit varint but cannot be an id
         gap; the decoder must refuse it rather than emit negative ids
         through the int64 cast."""
         payload = (
-            bytes([Codec.VARINT.value])
-            + encode_varint(3)
-            + encode_varints([1, 2**63 + 5, 2])
+            bytes([Codec.VARINT.value, 1])
+            + encode_varint(3)  # total
+            + encode_varint(3)  # the one count
+            + b"".join(encode_varint(g) for g in (1, 2**63 + 5, 2))
         )
-        with pytest.raises(StorageError, match="id domain"):
+        with pytest.raises(StorageError, match="id gap exceeds"):
             decode_one(payload)
 
-    @staticmethod
-    def _one_block_with_exceptions(*pairs):
-        """A clean 128-id PFoR list re-framed to carry ``pairs`` of
-        ``(position, excess)`` exceptions; returns ``(ids, width, blob)``."""
-        ids = np.arange(128, dtype=np.int64) * 2
-        blob = compress_ids(ids, Codec.PFOR)
-        # tag, count varint, then width byte + n_exceptions varint.
-        header = 1 + len(encode_varint(128))
-        assert blob[header + 1] == 0  # the clean encoding has none
-        corrupt = (
-            blob[: header + 1]
-            + encode_varint(len(pairs))
-            + b"".join(encode_varint(p) + encode_varint(e) for p, e in pairs)
-            + blob[header + 2 :]  # original packed payload
+    def test_ids_summing_past_the_signed_domain_rejected(self):
+        """Every gap in the domain, their running sum not."""
+        payload = (
+            bytes([Codec.VARINT.value, 1])
+            + encode_varint(2)
+            + encode_varint(2)
+            + encode_varint(2**63 - 1)
+            + encode_varint(9)
         )
-        return ids, int(blob[header]), corrupt
+        with pytest.raises(StorageError, match="id exceeds"):
+            decode_one(payload)
+
+    def test_counts_not_matching_the_gaps_rejected(self):
+        for counts, match in (((1, 1), "add up"), ((4,), "exceeds the gaps")):
+            payload = (
+                bytes([Codec.VARINT.value, len(counts)])
+                + encode_varint(3)
+                + b"".join(encode_varint(c) for c in counts)
+                + bytes([1, 1, 1])
+            )
+            decoder = StreamDecoder(payload)
+            decoder.read_id_lists(payload[0], len(counts), 2)
+            with pytest.raises(StorageError, match=match):
+                id_lists_from_streams(*decoder.finish())
+
+    @staticmethod
+    def _one_block_with_exceptions(*pairs, width=8, excess_width=None):
+        """128 width-``width`` gaps (ids ``2, 4, ...``) framed by hand to
+        carry ``pairs`` of ``(position, excess)`` exceptions; returns
+        ``(ids, blob)`` with ``blob`` a one-list blob."""
+        gaps = np.full(128, 2, dtype=np.uint64)
+        if excess_width is None:
+            excess_width = max([int(e).bit_length() for _p, e in pairs] + [1])
+        table = np.array([p for p, _e in pairs] + [e for _p, e in pairs], np.uint64)
+        stream = (
+            bytes([width])
+            + encode_varint(len(pairs))
+            + (bytes([excess_width]) if pairs else b"")
+            + pack_runs(
+                np.concatenate((table, gaps)),
+                [len(pairs), len(pairs), 128],
+                [7, excess_width, width],
+            )
+        )
+        counts = encode_stream(np.array([128], dtype=np.uint64), Codec.PFOR)
+        blob = bytes([Codec.PFOR.value, 1]) + encode_varint(128) + counts + stream
+        return np.cumsum(gaps).astype(np.int64), blob
+
+    def test_hand_framed_block_decodes(self):
+        ids, blob = self._one_block_with_exceptions((5, 1))
+        out, end = decode_one(blob)
+        assert end == len(blob)
+        assert int(out[5]) - int(ids[5]) == 1 << 8
+        assert decode_rr_payload(blob, 1) == [out.tolist()]
 
     def test_pfor_exception_position_above_signed_domain_rejected(self):
-        """An exception position of 2^64-1 must not wrap to -1 through
-        an int64 cast and silently patch the last block value."""
-        _ids, _width, corrupt = self._one_block_with_exceptions((2**64 - 1, 1))
-        with pytest.raises(StorageError, match="out of range"):
+        """An exception count that could only index past the stream (and
+        would wrap an int64 if it got that far) is refused up front."""
+        _ids, blob = self._one_block_with_exceptions()
+        count_at = blob.index(bytes([8, 0]), 4) + 1
+        corrupt = blob[:count_at] + encode_varint(2**64 - 1) + blob[count_at + 1 :]
+        with pytest.raises(StorageError, match="exception table exceeds"):
             decode_one(corrupt)
 
     def test_pfor_exception_position_past_the_block_rejected(self):
-        _ids, _width, corrupt = self._one_block_with_exceptions((128, 1))
+        """Positions are ``bit_length(m - 1)`` bits wide, so with ``m``
+        not a power of two a corrupt one can point past the stream."""
+        values = np.array([1] * 99 + [2**30], dtype=np.uint64)
+        blob = bytearray(encode_stream(values, Codec.PFOR))
+        assert blob[:3] == bytes([1, 1, 30])  # width, one exception, excess width
+        assert blob[3] & 0x7F == 99  # its 7-bit position
+        blob[3] = (blob[3] & 0x80) | 100
         with pytest.raises(StorageError, match="out of range"):
-            decode_one(corrupt)
+            decode_values(bytes(blob), Codec.PFOR, 100)
 
     def test_pfor_corrupt_excess_above_signed_domain_rejected(self):
-        """An excess that patches a block value past 2^63 must raise
-        (ids are int64; wrap would go negative)."""
-        _ids, width, _ = self._one_block_with_exceptions()
-        _ids, _width, corrupt = self._one_block_with_exceptions(
-            (5, 2 ** (63 - width) + 1)
-        )
-        with pytest.raises(StorageError, match="id domain"):
+        """An excess that patches a gap past 2^63 must raise (ids are
+        int64; wrap would go negative)."""
+        _ids, corrupt = self._one_block_with_exceptions((5, 2 ** (63 - 8)))
+        with pytest.raises(StorageError, match="id gap exceeds"):
+            decode_one(corrupt)
+
+    def test_pfor_excess_past_64_bits_rejected(self):
+        """An excess with more bits than the 64 - width above its block."""
+        _ids, corrupt = self._one_block_with_exceptions((5, 2 ** (64 - 8)))
+        with pytest.raises(StorageError, match="overflows 64 bits"):
+            decode_one(corrupt)
+        _ids, corrupt = self._one_block_with_exceptions((5, 1), width=64)
+        with pytest.raises(StorageError, match="overflows 64 bits"):
             decode_one(corrupt)
 
     def test_full_width_block_above_signed_domain_rejected(self):
         """Only a width-64 block can carry a gap >= 2^63 natively."""
-        from repro.storage.bitpack import pack_fixed_width
-
-        payload = (
-            bytes([Codec.PFOR.value])
-            + encode_varint(2)
-            + bytes([64, 0])
-            + pack_fixed_width(np.array([1, 2**63 + 1], dtype=np.uint64), 64)
-        )
-        with pytest.raises(StorageError, match="id domain"):
+        values = np.array([1, 2**63 + 1], dtype=np.uint64)
+        stream = bytes([64, 0]) + pack_runs(values, [2], [64])
+        counts = encode_stream(np.array([2], dtype=np.uint64), Codec.PFOR)
+        payload = bytes([Codec.PFOR.value, 1]) + encode_varint(2) + counts + stream
+        with pytest.raises(StorageError, match="id gap exceeds"):
             decode_one(payload)
 
     def test_pfor_duplicate_exception_positions_or_accumulate(self):
         """Duplicate exception positions (corrupt but decodable) must
         OR-accumulate like the reference's sequential walk."""
-        from oracles import decompress_ids
-
-        ids, width, corrupt = self._one_block_with_exceptions((5, 1), (5, 2))
-        a, _ = decompress_ids(corrupt)
+        ids, corrupt = self._one_block_with_exceptions((5, 1), (5, 2))
+        a = decode_rr_payload(corrupt, 1)[0]
         b, _ = decode_one(corrupt)
-        assert np.array_equal(a, b)
+        assert a == b.tolist()
         # Both excesses are ORed in: 1|2 = 3 << width.
-        assert int(b[5]) - int(ids[5]) == 3 << width
+        assert int(b[5]) - int(ids[5]) == 3 << 8

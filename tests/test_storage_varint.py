@@ -5,14 +5,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from repro.errors import StorageError
 from repro.storage.varint import (
     decode_varint,
     decode_varints,
     decode_varints_block,
-    encode_varint,
     encode_varints,
 )
+
+
+def encode_varint(value):
+    """One value through the writers' ``encode_varints``, which must
+    agree (bytes or error) with the scalar reference encoder."""
+    try:
+        expected = oracles.encode_varint(value)
+    except StorageError:
+        expected = None
+    encoded = encode_varints([value])  # raises what the reference raised
+    assert encoded == expected
+    return encoded
 
 
 class TestSingleValue:
