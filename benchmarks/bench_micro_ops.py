@@ -138,6 +138,23 @@ def test_irr_query_latency_warm(irr_index_path, benchmark):
         benchmark(lambda: [index.query(q) for q in _IRR_QUERIES])
 
 
+#: The widest query the repo benchmark's Zipf stream draws (6 keywords,
+#: k = 50; bench/queries.py).  Its ratio to the 1-3 keyword mix above is
+#: the keyword fan-out: one cover pass per pick keeps the per-pick cost
+#: independent of |Q.T|, so the extra time should be the extra loads.
+_IRR_WIDE_QUERY = KBTIMQuery(
+    ["music", "book", "sport", "software", "travel", "food"], 50
+)
+
+
+def test_irr_query_latency_warm_six_keywords(irr_index_path, benchmark):
+    """One 6-keyword, k = 50 NRA query with the decode memo warm."""
+    with IRRIndex(irr_index_path) as index:
+        index.query(_IRR_WIDE_QUERY)  # prime the decode memo
+
+        benchmark(lambda: index.query(_IRR_WIDE_QUERY))
+
+
 def test_irr_query_latency_cold_decode(irr_index_path, benchmark):
     """NRA query latency with the decode memo disabled (capacity 0).
 

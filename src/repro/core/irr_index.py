@@ -14,20 +14,36 @@ sample tables as the RR index.  Per keyword ``w`` (Figure 3):
   ``θ^Q_w`` active prefix).
 
 **Query** (:meth:`IRRIndex.query`): NRA-style top-k aggregation
-(Fagin et al.), loading partitions incrementally.  A candidate's upper
-bound sums, per query keyword, either its exact active-uncovered count
-(list loaded) or the keyword's unseen bound ``kb[w]``.  Seeds are
-confirmed when the top candidate is COMPLETE and beats ``Σ_w kb[w]``.
-The engine is array-native: per-keyword state lives in flat arrays
-(:class:`_KeywordState`), partition ingest is pure slicing, and the
-candidate scores sit in a dense bound table selected by masked
-``argmax``.  Covering a confirmed seed's RR sets re-scores exactly the
-affected users in one vectorised pass — the batch formulation of the
-paper's *lazy evaluation strategy* (Section 5.2), which deferred scalar
-re-scores until a candidate surfaced at the top of a priority queue;
-both select the identical seed sequence (max current bound, smallest
-vertex id on ties), which the regression tests pin down against a
-verbatim port of the dict/heap engine.
+(Fagin et al.), loading one more partition per keyword per round.  A
+candidate's upper bound sums, per query keyword, either its exact
+active-uncovered count (list loaded) or the keyword's unseen bound
+``kb[w]`` (list not loaded and ``IP_w`` says it may score).  A seed is
+confirmed when the top candidate is complete and beats ``Σ_w kb[w]``.
+
+The engine keeps **one** state for all query keywords
+(:class:`_NRAState`): keyword ``j``'s active set ``s`` is global set id
+``offset[j] + s`` and a set's member ``v`` is stored as ``j·n + v``, so
+``covered``, the set and list locators and the flat payloads are single
+arrays, the per-keyword flags are ``(m, n)`` arrays, and
+
+    ``live_bound = where(enqueued & ~selected, score + kb @ pending, -1)``
+
+is one dense expression per load round.  It runs as module-level stages
+over that record — :func:`_open_state` (read every ``IP_w``),
+:func:`_ingest_partition` (slice one decoded partition in),
+:func:`_refresh_bounds` (the expression above, once per round),
+:func:`_pick_or_load` (masked ``argmax``: confirm, or load a round) and
+:func:`_cover` (one pass over a seed's lists under *all* keywords:
+gather, ``covered`` filter, one segmented member gather, one
+``subtract.at`` each on ``score`` and ``live_bound``).  Covering
+re-scores exactly the affected users at once — the batch formulation of
+the paper's *lazy evaluation strategy* (Section 5.2), which deferred
+scalar re-scores until a candidate surfaced at the top of a priority
+queue; both select the identical seed sequence (max current bound,
+smallest vertex id on ties) and load the identical partitions, which the
+regression tests pin against a verbatim port of the dict/heap engine
+(``tests/test_csr_fast_paths.py::reference_irr_nra``).  State table and
+bound formula: ``docs/ARCHITECTURE.md``, "IRR query engine".
 
 Theorem 3 — the seed *scores* returned by Algorithm 4 equal Algorithm 2's —
 is enforced by the integration tests on shared sample tables.
@@ -39,6 +55,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +79,7 @@ from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.storage.records import InvertedListsRecord
 from repro.storage.segments import SegmentWriter
 from repro.utils.rrsets import FlatRRSets
-from repro.utils.segments import segmented_arange, take_rows
+from repro.utils.segments import take_rows
 
 __all__ = ["IRRIndexBuilder", "IRRIndex", "DEFAULT_PARTITION_SIZE"]
 
@@ -78,6 +95,9 @@ _DECODE_CACHE_PARTITIONS = 512
 #: per-keyword decoded structure (one entry per vertex occurring under
 #: the keyword), so they get the same bounded treatment.
 _IP_CACHE_KEYWORDS = 64
+
+#: ``IP_w`` entry of a vertex that never occurs under ``w``: above any θ.
+_NEVER = np.iinfo(np.int64).max
 
 
 class IRRIndexBuilder(RRIndexBuilder):
@@ -213,69 +233,12 @@ def write_irr_index(
     return build_report(path, tables, started)
 
 
-@dataclass
-class _KeywordState:
-    """Per-query, per-keyword NRA state — flat arrays, no per-vertex dicts.
-
-    The NRA bookkeeping is array-native: ``exact`` holds every vertex's
-    active-and-uncovered count (``-1`` = inverted list not loaded yet),
-    and the loaded inverted lists / RR-set members live in the per-
-    partition *blocks* their decode produced, addressed through flat
-    locator arrays (``block of``, ``start``, ``end``).  Partition ingest
-    is therefore pure slicing and fancy indexing; no ``il_keys`` loop.
-    """
-
-    active_count: int  # θ^Q_w: only RR-set ids below this are live
-    n_partitions: int
-    partition_first_lens: List[int]
-    first_occurrence: np.ndarray  # IP_w: first set id per vertex, -1 = none
-    n_vertices: int
-    next_partition: int = 0
-    covered_n: int = 0
-
-    def __post_init__(self) -> None:
-        n = self.n_vertices
-        # exact[v]: active-and-uncovered count; -1 until v's list loads.
-        self.exact = np.full(n, -1, dtype=np.int64)
-        # Loaded inverted lists: clipped per-partition payloads, with a
-        # per-vertex (block, start, end) locator.  Each vertex belongs to
-        # exactly one IL partition, so a locator entry is written once.
-        self.list_blocks: List[np.ndarray] = []
-        self.list_block_of = np.full(n, -1, dtype=np.int64)
-        self.list_start = np.zeros(n, dtype=np.int64)
-        self.list_end = np.zeros(n, dtype=np.int64)
-        # Loaded RR-set members: one flat payload grown per partition
-        # load (loads are few), with per-set (start, end) locators so a
-        # seed's coverage pass is a single segmented gather.  Only active
-        # sets (id < θ^Q_w) are ever looked up, so the locators cover
-        # just the active prefix; start == -1 means not loaded.
-        self.members_flat = np.empty(0, dtype=np.int64)
-        self.mem_start = np.full(self.active_count, -1, dtype=np.int64)
-        self.mem_end = np.zeros(self.active_count, dtype=np.int64)
-        self.covered = np.zeros(self.active_count, dtype=bool)
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether every partition of this keyword has been loaded."""
-        return self.next_partition >= self.n_partitions
-
-    @property
-    def kb(self) -> int:
-        """Upper bound on any unseen user's active count for this keyword."""
-        if self.exhausted:
-            return 0
-        return min(
-            self.partition_first_lens[self.next_partition], self.active_count
-        )
-
-    def loaded_list(self, vertex: int) -> Optional[np.ndarray]:
-        """The vertex's clipped active RR-set ids, or ``None`` if unloaded."""
-        block = self.list_block_of[vertex]
-        if block < 0:
-            return None
-        return self.list_blocks[block][
-            self.list_start[vertex] : self.list_end[vertex]
-        ]
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``arrays`` made read-only: a decode is shared by every query (and
+    thread) the memo serves, so an in-place op must raise, not corrupt."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class _DecodeMemo:
@@ -316,6 +279,237 @@ class _DecodeMemo:
         return len(self._entries)
 
 
+@dataclass
+class _NRAState:
+    """One query's NRA state: every query keyword a column of one record.
+
+    Keyword ``j``'s active RR set ``s`` (``s < θ^Q_j``) is global set id
+    ``offset[j] + s`` — the numbering ``merge_coverage_csr`` gives the RR
+    path — and a set's member ``v`` is stored as ``j·n + v``, so one
+    ``take`` on ``pending.ravel()`` answers "is that member's list for
+    that keyword loaded".  Stage functions below are the only writers;
+    ARCHITECTURE.md "IRR query engine" has the table of who writes what.
+    """
+
+    keywords: List[str]
+    n: int  # vertices
+    theta: List[int]  # θ^Q_j: only keyword j's set ids below this are live
+    offset: List[int]  # first global set id of keyword j
+    n_partitions: Sequence[int]
+    first_lens: Sequence[np.ndarray]  # longest list of each partition of keyword j
+    next_partition: List[int]
+    kb: np.ndarray  # (m,) bound on an unseen user's count under keyword j
+    unseen: int  # Σ kb as of the last load round
+    # (m, n): v may still score under keyword j (IP_j[v] < θ^Q_j) and its
+    # list is not loaded — v's bound carries kb[j] instead of a count.
+    pending: np.ndarray
+    incomplete: np.ndarray  # (n,) any pending keyword, as of the last round
+    # Loaded inverted lists, clipped to the active prefix, as global set
+    # ids: v's list under keyword j is lists_flat[start : start + len].
+    list_start: np.ndarray  # (m, n)
+    list_len: np.ndarray  # (m, n), 0 until loaded
+    lists_flat: np.ndarray
+    # Loaded RR sets by global id: members_flat[start : start + len].
+    mem_start: np.ndarray  # (Σθ,), -1 until loaded
+    mem_len: np.ndarray  # (Σθ,)
+    members_flat: np.ndarray
+    covered: np.ndarray  # (Σθ,) set holds a confirmed seed
+    score: np.ndarray  # (n,) Σ over loaded lists of active uncovered sets
+    live_bound: np.ndarray  # (n,) NRA upper bound; < 0 = not a candidate
+    enqueued: np.ndarray  # (n,) some list of v has been loaded
+    selected: np.ndarray  # (n,)
+    seeds: List[int]
+    marginals: List[int]
+    rr_sets_loaded: int = 0
+    partitions_loaded: int = 0
+
+
+def _open_state(index: "IRRIndex", keywords: List[str], counts: Dict[str, int]):
+    """Stage 1: read every ``IP_w`` and lay out the merged id space."""
+    n = index.n_vertices
+    theta = [counts[kw] for kw in keywords]
+    offset = [0, *accumulate(theta)]
+    n_partitions, first_lens = zip(*(index._partition_info[kw] for kw in keywords))
+    pending = np.empty((len(keywords), n), dtype=bool)
+    for j, kw in enumerate(keywords):
+        np.less(index._load_ip(kw), theta[j], out=pending[j])
+    state = _NRAState(
+        keywords=keywords,
+        n=n,
+        theta=theta,
+        offset=offset,
+        n_partitions=n_partitions,
+        first_lens=first_lens,
+        next_partition=[0] * len(keywords),
+        kb=np.zeros(len(keywords), dtype=np.int64),
+        unseen=0,
+        pending=pending,
+        incomplete=np.zeros(n, dtype=bool),
+        list_start=np.zeros((len(keywords), n), dtype=np.int64),
+        list_len=np.zeros((len(keywords), n), dtype=np.int64),
+        lists_flat=np.empty(0, dtype=np.int64),
+        mem_start=np.full(offset[-1], -1, dtype=np.int64),
+        mem_len=np.zeros(offset[-1], dtype=np.int64),
+        members_flat=np.empty(0, dtype=np.int64),
+        covered=np.zeros(offset[-1], dtype=bool),
+        score=np.zeros(n, dtype=np.int64),
+        live_bound=np.full(n, -1, dtype=np.int64),
+        enqueued=np.zeros(n, dtype=bool),
+        selected=np.zeros(n, dtype=bool),
+        seeds=[],
+        marginals=[],
+    )
+    for j in range(len(keywords)):
+        _set_unseen_bound(state, j)
+    return state
+
+
+def _set_unseen_bound(state: _NRAState, j: int) -> None:
+    """``kb[j]``: the next partition's longest list, clipped; 0 once exhausted."""
+    p = state.next_partition[j]
+    state.kb[j] = (
+        min(state.first_lens[j][p], state.theta[j]) if p < state.n_partitions[j] else 0
+    )
+
+
+def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
+    """Stage 2: fold keyword ``j``'s next ``(IR, IL)`` partition into the state.
+
+    ``decoded`` is shared, read-only memo data: everything stored is a
+    fresh array (mask, sum or concatenate), never a view of it.
+    """
+    ir_keys, ir_ptr, ir_flat, il_keys, il_ptr, il_flat = decoded
+    theta, offset = state.theta[j], state.offset[j]
+    # RR sets: locators for the active ones only (id < θ^Q_j — later ids
+    # are never looked up; their bytes only show up in the I/O stats).
+    active = ir_keys < theta
+    sets = ir_keys[active]
+    sets += offset
+    state.mem_start[sets] = ir_ptr[:-1][active] + len(state.members_flat)
+    state.mem_len[sets] = (ir_ptr[1:] - ir_ptr[:-1])[active]
+    state.members_flat = np.concatenate([state.members_flat, ir_flat + j * state.n])
+    state.rr_sets_loaded += len(sets)
+    # Inverted lists: clip each to the active ids; the number of kept
+    # positions before each list boundary is the clipped CSR pointer.
+    kept = np.flatnonzero(il_flat < theta)
+    bounds = kept.searchsorted(il_ptr)
+    exact = lengths = bounds[1:] - bounds[:-1]
+    clipped = il_flat.take(kept)
+    clipped += offset
+    if state.seeds and len(clipped):
+        # Sets a confirmed seed already covers do not count (the seed
+        # was picked before this partition was loaded).
+        gone = np.zeros(len(clipped) + 1, dtype=np.int64)
+        state.covered.take(clipped).cumsum(out=gone[1:])
+        gone = gone.take(bounds)
+        exact = lengths - (gone[1:] - gone[:-1])
+    # Each vertex is in exactly one IL partition per keyword, so il_keys
+    # is duplicate-free and every locator entry is written once.
+    state.list_start[j][il_keys] = bounds[:-1] + len(state.lists_flat)
+    state.list_len[j][il_keys] = lengths
+    state.lists_flat = np.concatenate([state.lists_flat, clipped])
+    state.score[il_keys] += exact
+    state.pending[j][il_keys] = False
+    state.enqueued[il_keys] = True
+    state.next_partition[j] += 1
+    state.partitions_loaded += 1
+    _set_unseen_bound(state, j)
+
+
+def _refresh_bounds(state: _NRAState) -> None:
+    """Stage 3, once per load round: every candidate's bound in one expression.
+
+    ``bound[v] = score[v] + Σ_j kb[j]·pending[j, v]``: newly loaded
+    vertices enter the table and standing candidates absorb the shrunken
+    ``kb`` in the same pass.
+    """
+    state.unseen = int(state.kb.sum())
+    state.incomplete = state.pending.any(axis=0)
+    bound = state.kb @ state.pending
+    bound += state.score
+    state.live_bound = np.where(state.enqueued & ~state.selected, bound, -1)
+
+
+def _load_round(index: "IRRIndex", state: _NRAState) -> bool:
+    """Algorithm 4 lines 23-30: one more partition per unexhausted keyword."""
+    loaded = False
+    for j, kw in enumerate(state.keywords):
+        p = state.next_partition[j]
+        if p < state.n_partitions[j]:
+            _ingest_partition(state, j, index._load_partition(kw, p))
+            loaded = True
+    if loaded:
+        _refresh_bounds(state)
+    return loaded
+
+
+def _gather(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``flat[starts[i] : starts[i] + lengths[i]]`` for every ``i`` (at least
+    one), concatenated — the gather ``greedy_max_coverage`` inlines; it runs
+    twice per pick, where ``segmented_arange``'s extra calls are measurable."""
+    ends = lengths.cumsum()
+    index = np.arange(ends.item(-1))
+    index += (starts - (ends - lengths)).repeat(lengths)
+    return flat.take(index)
+
+
+def _cover(state: _NRAState, vertex: int) -> None:
+    """Stage 5 (lines 17-22): cover a confirmed seed's RR sets — one pass
+    over its lists under all keywords, whatever their number."""
+    ids = _gather(
+        state.lists_flat, state.list_start[:, vertex], state.list_len[:, vertex]
+    )
+    fresh = ids.compress(~state.covered.take(ids))
+    if not len(fresh):
+        return
+    state.covered[fresh] = True
+    starts = state.mem_start.take(fresh)
+    if starts.min() < 0:
+        have = starts >= 0
+        fresh, starts = fresh[have], starts[have]
+        if not len(fresh):
+            return
+    members = _gather(state.members_flat, starts, state.mem_len.take(fresh))
+    # Every member of a newly covered set whose list (for that set's
+    # keyword) is loaded loses one unit of score — and its bound carries
+    # that score, so the same decrement applies to the bound table; a
+    # pending member's bound carries kb instead and is left alone.
+    # Selected members drift below -1, which the argmax ignores.
+    loaded = members.compress(~state.pending.ravel().take(members))
+    loaded %= state.n
+    np.subtract.at(state.score, loaded, 1)
+    np.subtract.at(state.live_bound, loaded, 1)
+
+
+def _pick_or_load(index: "IRRIndex", state: _NRAState) -> bool:
+    """Stage 4, one step of Algorithm 4's loop.
+
+    The top candidate (max bound, smallest id on ties — the first-argmax
+    rule ``greedy_max_coverage`` shares) is confirmed when it is complete
+    and beats ``Σ kb``; otherwise one more round of partitions is loaded.
+    Returns ``False`` when neither is possible: everything is loaded and
+    no candidate is left.
+    """
+    vertex = int(state.live_bound.argmax())
+    current = state.live_bound.item(vertex)
+    # unseen >= 0, so a non-candidate (bound < 0) never passes.
+    if current >= state.unseen and not state.incomplete.item(vertex):
+        state.seeds.append(vertex)
+        state.marginals.append(current)
+        state.selected[vertex] = True
+        state.live_bound[vertex] = -1
+        _cover(state, vertex)
+        return True
+    if _load_round(index, state):
+        return True
+    if current >= 0:
+        raise IndexError_(
+            "IRR query stalled: no partitions left but the top "
+            "candidate is incomplete — index is inconsistent"
+        )
+    return False
+
+
 class IRRIndex(IndexReader):
     """Query-time reader for the IRR index (Algorithm 4).
 
@@ -346,7 +540,7 @@ class IRRIndex(IndexReader):
             _IP_CACHE_KEYWORDS if self.decode_cache_partitions > 0 else 0
         )
         self._decode_cache = _DecodeMemo(self.decode_cache_partitions)
-        self._partition_info: Dict[str, Tuple[int, List[int]]] = {}
+        self._partition_info: Dict[str, Tuple[int, np.ndarray]] = {}
         super().__init__(path, stats=stats, pool=pool, page_size=page_size)
 
     def _load(self, parsed: Catalog) -> None:
@@ -354,7 +548,7 @@ class IRRIndex(IndexReader):
         for name, entry in parsed.entries.items():
             self._partition_info[name] = (
                 int(entry["n_partitions"]),
-                [int(x) for x in entry["partition_first_lens"]],
+                np.array(entry["partition_first_lens"], dtype=np.int64),
             )
 
     # ------------------------------------------------------------------
@@ -363,16 +557,17 @@ class IRRIndex(IndexReader):
 
         Batch-decoded: IP stores one single-id list per vertex, so the
         firsts are exactly the flat payload, scattered into a dense
-        length-``n`` array (``-1`` = vertex never occurs under the
-        keyword).
+        length-``n`` array; a vertex that never occurs under the
+        keyword holds ``_NEVER``, so ``IP_w < θ^Q_w`` alone says "may
+        score under this keyword".
         """
         record = self._reader.read_view(f"ip/{keyword}")
 
         def decode() -> np.ndarray:
             keys, ptr, flat = InvertedListsRecord.decode_csr(record)
-            result = np.full(self.n_vertices, -1, dtype=np.int64)
+            result = np.full(self.n_vertices, _NEVER, dtype=np.int64)
             result[keys] = flat[ptr[:-1]]
-            return result
+            return _frozen(result)[0]
 
         return self._ip_cache.get(keyword, decode)
 
@@ -382,8 +577,10 @@ class IRRIndex(IndexReader):
         il_record = self._reader.read_view(f"il/{keyword}/{p}")
         return self._decode_cache.get(
             (keyword, p),
-            lambda: InvertedListsRecord.decode_csr(ir_record)
-            + InvertedListsRecord.decode_csr(il_record),
+            lambda: _frozen(
+                *InvertedListsRecord.decode_csr(ir_record),
+                *InvertedListsRecord.decode_csr(il_record),
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -392,210 +589,26 @@ class IRRIndex(IndexReader):
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)
-
-        states: Dict[str, _KeywordState] = {}
-        for kw in keywords:
-            n_partitions, first_lens = self._partition_info[kw]
-            states[kw] = _KeywordState(
-                active_count=counts[kw],
-                n_partitions=n_partitions,
-                partition_first_lens=first_lens,
-                first_occurrence=self._load_ip(kw),
-                n_vertices=self.n_vertices,
-            )
-        state_list = [states[kw] for kw in keywords]
-
-        rr_sets_loaded = 0
-        partitions_loaded = 0
-        # Candidate state is a dense score table instead of a heap:
-        # ``live_bound[v]`` is v's *current* NRA upper bound (-1 = not a
-        # candidate: never enqueued, or already selected), and
-        # ``incomplete[v]`` counts the query keywords whose partial score
-        # for v is still the unseen bound kb.  Because the flat arrays
-        # make every bound exact at all times, selection is one masked
-        # ``argmax`` — the first-argmax rule ``greedy_max_coverage``
-        # shares (max current bound, smallest vertex id on ties).
-        live_bound = np.full(self.n_vertices, -1, dtype=np.int64)
-        incomplete = np.zeros(self.n_vertices, dtype=np.int64)
-        enqueued = np.zeros(self.n_vertices, dtype=bool)
-        selected = np.zeros(self.n_vertices, dtype=bool)
-        seeds: List[int] = []
-        marginals: List[int] = []
-
-        def refresh_bounds(vertices: np.ndarray, with_completeness: bool) -> None:
-            """Recompute bounds (and optionally completeness) in one pass."""
-            total = np.zeros(len(vertices), dtype=np.int64)
-            if with_completeness:
-                incomplete_count = np.zeros(len(vertices), dtype=np.int64)
-            for state in state_list:
-                exact = state.exact[vertices]
-                unloaded = exact < 0
-                first = state.first_occurrence[vertices]
-                known_zero = (first < 0) | (first >= state.active_count)
-                total += np.where(
-                    unloaded, np.where(known_zero, 0, state.kb), exact
-                )
-                if with_completeness:
-                    incomplete_count += unloaded & ~known_zero
-            live_bound[vertices] = total
-            if with_completeness:
-                incomplete[vertices] = incomplete_count
-
-        def load_next_partitions() -> bool:
-            """Algorithm 4 lines 23-30: one more partition per keyword."""
-            nonlocal rr_sets_loaded, partitions_loaded
-            any_loaded = False
-            for kw in keywords:
-                state = states[kw]
-                if state.exhausted:
-                    continue
-                ir_keys, ir_ptr, ir_flat, il_keys, il_ptr, il_flat = (
-                    self._load_partition(kw, state.next_partition)
-                )
-                partitions_loaded += 1
-                state.next_partition += 1
-                # Member ingest is pure slicing: extend the flat payload,
-                # scatter (start, end) locators for the *active* sets
-                # (id < θ^Q_w — later ids are never looked up; their
-                # bytes only show up in the I/O stats).  The active count
-                # keeps the loaded-sets metric comparable with the RR
-                # index's prefix count.
-                active_sets = ir_keys < state.active_count
-                act_keys = ir_keys[active_sets]
-                offset = len(state.members_flat)
-                state.members_flat = (
-                    np.concatenate([state.members_flat, ir_flat])
-                    if offset
-                    else ir_flat
-                )
-                state.mem_start[act_keys] = ir_ptr[:-1][active_sets] + offset
-                state.mem_end[act_keys] = ir_ptr[1:][active_sets] + offset
-                rr_sets_loaded += int(np.count_nonzero(active_sets))
-                # Clip every list to the active prefix in one mask pass
-                # (per-vertex ids are ascending, so the mask is a prefix).
-                active_mask = il_flat < state.active_count
-                if len(il_flat):
-                    segments = np.repeat(
-                        np.arange(len(il_keys)), np.diff(il_ptr)
-                    )
-                    lengths = np.bincount(
-                        segments[active_mask], minlength=len(il_keys)
-                    )
-                else:
-                    lengths = np.zeros(len(il_keys), dtype=np.int64)
-                clipped = il_flat[active_mask]
-                # Exact counts seeded per vertex: clipped length minus any
-                # sets already covered by previously confirmed seeds; from
-                # here on they are maintained incrementally.
-                if state.covered_n and len(clipped):
-                    covered_per = np.bincount(
-                        np.repeat(np.arange(len(il_keys)), lengths)[
-                            state.covered[clipped]
-                        ],
-                        minlength=len(il_keys),
-                    )
-                    exact = lengths - covered_per
-                else:
-                    exact = lengths
-                bounds = np.zeros(len(il_keys) + 1, dtype=np.int64)
-                np.cumsum(lengths, out=bounds[1:])
-                lblock = len(state.list_blocks)
-                state.list_blocks.append(clipped)
-                state.list_block_of[il_keys] = lblock
-                state.list_start[il_keys] = bounds[:-1]
-                state.list_end[il_keys] = bounds[1:]
-                state.exact[il_keys] = exact
-                enqueued[il_keys[~selected[il_keys]]] = True
-                any_loaded = True
-            if any_loaded:
-                # One vectorised bound/completeness refresh over every
-                # live candidate: newly loaded vertices enter the score
-                # table and existing candidates absorb the shrunken kb
-                # in the same pass (the per-vertex heap pushes the dict
-                # engine needed are gone entirely).
-                live = np.flatnonzero(enqueued & ~selected)
-                if len(live):
-                    refresh_bounds(live, with_completeness=True)
-            return any_loaded
-
-        def unseen_bound() -> int:
-            return sum(state.kb for state in state_list)
-
-        while len(seeds) < query.k:
-            vertex = int(np.argmax(live_bound))
-            current = int(live_bound[vertex])
-            if current < 0:
-                # No live candidate (all -1): load more, or degenerate to
-                # zero-marginal filler picks once everything is loaded.
-                if load_next_partitions():
-                    continue
-                filler = 0
-                while len(seeds) < query.k and filler < self.n_vertices:
-                    if not selected[filler]:
-                        seeds.append(filler)
-                        marginals.append(0)
-                        selected[filler] = True
-                    filler += 1
-                break
-
-            if not incomplete[vertex] and current >= unseen_bound():
-                seeds.append(vertex)
-                marginals.append(current)
-                selected[vertex] = True
-                live_bound[vertex] = -1
-                # Mark this seed's active RR sets covered and update the
-                # affected candidates' exact counts and bounds (lines
-                # 17-22) — one segmented member gather per block instead
-                # of a per-set Python loop.
-                for state in state_list:
-                    ids = state.loaded_list(vertex)
-                    if ids is None or not len(ids):
-                        continue
-                    fresh = ids[~state.covered[ids]]
-                    if not len(fresh):
-                        continue
-                    state.covered[fresh] = True
-                    state.covered_n += len(fresh)
-                    starts = state.mem_start[fresh]
-                    have = starts >= 0
-                    if not have.all():
-                        fresh = fresh[have]
-                        starts = starts[have]
-                    if not len(fresh):
-                        continue
-                    lens = state.mem_end[fresh] - starts
-                    members = state.members_flat.take(
-                        segmented_arange(starts, lens)
-                    )
-                    # Every member of a newly covered set loses one
-                    # active-uncovered unit — and, because a loaded
-                    # member's bound contribution for this keyword *is*
-                    # its exact count, the same decrement applies
-                    # verbatim to the live bound table (unloaded members
-                    # keep their kb contribution; completeness never
-                    # changes under coverage).  Members already selected
-                    # drift below -1, which the masked argmax ignores.
-                    loaded = members[state.exact[members] >= 0]
-                    np.subtract.at(state.exact, loaded, 1)
-                    np.subtract.at(live_bound, loaded, 1)
-            else:
-                if not load_next_partitions():
-                    raise IndexError_(
-                        "IRR query stalled: no partitions left but the top "
-                        "candidate is incomplete — index is inconsistent"
-                    )
-
+        state = _open_state(self, keywords, counts)
+        while len(state.seeds) < query.k and _pick_or_load(self, state):
+            pass
+        if len(state.seeds) < query.k:
+            # Everything is loaded and every live count is zero: fill
+            # with the smallest unpicked ids, as greedy_max_coverage does.
+            fillers = np.flatnonzero(~state.selected)[: query.k - len(state.seeds)]
+            state.seeds += fillers.tolist()
+            state.marginals += [0] * len(fillers)
         stats = QueryStats(
             elapsed_seconds=time.perf_counter() - started,
-            rr_sets_considered=sum(counts.values()),
-            rr_sets_loaded=rr_sets_loaded,
-            partitions_loaded=partitions_loaded,
+            rr_sets_considered=state.offset[-1],
+            rr_sets_loaded=state.rr_sets_loaded,
+            partitions_loaded=state.partitions_loaded,
             io=self.stats.delta(before),
         )
         return SeedSelection(
-            seeds=tuple(seeds),
-            marginal_coverages=tuple(marginals),
-            theta=sum(counts.values()),
+            seeds=tuple(state.seeds),
+            marginal_coverages=tuple(state.marginals),
+            theta=state.offset[-1],
             phi_q=phi_q,
             stats=stats,
         )

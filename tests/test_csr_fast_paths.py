@@ -844,12 +844,36 @@ def reference_irr_nra(index, query):
     return seeds, marginals, rr_sets_loaded, partitions_loaded
 
 
+def query_like_reference(index, query):
+    """``index.query(query)``, checked against the reference on seeds,
+    marginals and the two work counts."""
+    answer = index.query(query)
+    seeds, marginals, rr_sets_loaded, partitions_loaded = reference_irr_nra(
+        index, query
+    )
+    assert list(answer.seeds) == seeds
+    assert list(answer.marginal_coverages) == marginals
+    assert answer.stats.rr_sets_loaded == rr_sets_loaded
+    assert answer.stats.partitions_loaded == partitions_loaded
+    return answer
+
+
+#: (partitions_loaded, rr_sets_loaded, io.read_calls) summed over the stream
+#: of ``test_work_counts_of_a_fixed_stream_are_pinned``.
+PINNED_WORK_COUNTS = (818, 52181, 1821)
+
+
 class TestIRRArrayNativeNRA:
     """Flat-array NRA == the dict/heap reference, bit for bit."""
 
+    #: One partition per vertex ... one partition per keyword.
+    DELTAS = (1, 7, 25, 1000)
+
     @pytest.fixture(scope="class")
-    def irr_index_path(self, tmp_path_factory):
+    def irr_world(self, tmp_path_factory):
+        """One sample table set; an IRR index per δ and the RR index."""
         from repro.core.irr_index import IRRIndexBuilder
+        from repro.core.rr_index import RRIndexBuilder
         from repro.core.theta import ThetaPolicy
         from repro.profiles.generators import zipf_profiles
         from repro.profiles.topics import TopicSpace
@@ -859,11 +883,22 @@ class TestIRRArrayNativeNRA:
         topics = TopicSpace.default(8)
         profiles = zipf_profiles(graph.n, topics, rng=82)
         policy = ThetaPolicy(epsilon=1.0, K=50, cap=400)
-        path = str(tmp_path_factory.mktemp("irr_nra") / "index.irr")
-        IRRIndexBuilder(model, profiles, policy=policy, delta=25, rng=83).build(
-            path
+        root = tmp_path_factory.mktemp("irr_nra")
+        tables = IRRIndexBuilder(model, profiles, policy=policy, rng=83).sample()
+        paths = {"rr": str(root / "index.rr")}
+        RRIndexBuilder(model, profiles, policy=policy, rng=83).build(
+            paths["rr"], tables=tables
         )
-        return path
+        for delta in self.DELTAS:
+            paths[delta] = str(root / f"index-{delta}.irr")
+            IRRIndexBuilder(
+                model, profiles, policy=policy, delta=delta, rng=83
+            ).build(paths[delta], tables=tables)
+        return paths
+
+    @pytest.fixture(scope="class")
+    def irr_index_path(self, irr_world):
+        return irr_world[25]
 
     QUERIES = [
         (("music",), 1),
@@ -882,12 +917,188 @@ class TestIRRArrayNativeNRA:
 
         query = KBTIMQuery(keywords, k)
         with IRRIndex(irr_index_path) as index:
-            answer = index.query(query)
-            ref = reference_irr_nra(index, query)
-        assert list(answer.seeds) == ref[0]
-        assert list(answer.marginal_coverages) == ref[1]
-        assert answer.stats.rr_sets_loaded == ref[2]
-        assert answer.stats.partitions_loaded == ref[3]
+            answer = query_like_reference(index, query)
+
+    SWEEP_KEYWORDS = [
+        ("music",),
+        ("travel", "software"),
+        ("book", "sport", "journal"),
+        ("food", "music", "car", "software", "book"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def open_world(self, irr_world):
+        """Every index of ``irr_world`` opened once: per δ a default and
+        a memo-less (``"cold"``) IRR reader, plus the RR reader."""
+        from contextlib import ExitStack
+
+        from repro.core.irr_index import IRRIndex
+        from repro.core.rr_index import RRIndex
+
+        with ExitStack() as stack:
+            readers = {"rr": stack.enter_context(RRIndex(irr_world["rr"]))}
+            for delta in self.DELTAS:
+                readers[delta] = stack.enter_context(IRRIndex(irr_world[delta]))
+                readers["cold", delta] = stack.enter_context(
+                    IRRIndex(irr_world[delta], decode_cache_partitions=0)
+                )
+            yield readers
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 40, 50])
+    @pytest.mark.parametrize("keywords", SWEEP_KEYWORDS, ids="+".join)
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_sweep_matches_reference_cold_reader_and_rr(
+        self, open_world, delta, keywords, k
+    ):
+        """δ × |Q.T| × k: the engine == the dict/heap reference on answers
+        and work counts, charges the same I/O with and without the decode
+        memo, and scores what Algorithm 2 scores (Theorem 3)."""
+        from repro.core.query import KBTIMQuery
+
+        query = KBTIMQuery(keywords, k)
+        answer = query_like_reference(open_world[delta], query)
+        uncached = open_world["cold", delta].query(query)
+        assert uncached.seeds == answer.seeds
+        assert uncached.stats.io == answer.stats.io
+        oracle = open_world["rr"].query(query)
+        assert answer.marginal_coverages == oracle.marginal_coverages
+        assert answer.theta == oracle.theta
+
+    def test_seed_confirmed_before_a_later_keywords_partition_loads(
+        self, irr_world, monkeypatch
+    ):
+        """A list ingested after a seed was confirmed starts from its
+        *uncovered* count — under the second keyword too, where the sets
+        the seed covered sit at an offset in the merged id space."""
+        import repro.core.irr_index as irr_module
+        from repro.core.query import KBTIMQuery
+
+        late = []  # (keyword position, already-covered ids in the partition)
+        ingest = irr_module._ingest_partition
+
+        def spy(state, j, decoded):
+            il_flat = decoded[5]
+            ids = il_flat[il_flat < state.theta[j]] + state.offset[j]
+            if state.seeds:
+                late.append((j, int(state.covered[ids].sum())))
+            ingest(state, j, decoded)
+
+        monkeypatch.setattr(irr_module, "_ingest_partition", spy)
+        query = KBTIMQuery(("music", "book", "sport"), 12)
+        with irr_module.IRRIndex(irr_world[7]) as index:
+            query_like_reference(index, query)
+        assert any(j > 0 and covered > 0 for j, covered in late), late
+
+    def test_k_beyond_the_positive_candidates_fills_like_greedy(
+        self, tmp_path
+    ):
+        """Once every partition is loaded and no candidate is left, the
+        tail is the smallest unpicked ids at marginal 0 — the three-line
+        filler rule of ``greedy_max_coverage``."""
+        from repro.core.irr_index import IRRIndex, IRRIndexBuilder
+        from repro.core.query import KBTIMQuery
+        from repro.core.rr_index import RRIndex, RRIndexBuilder
+        from repro.core.theta import ThetaPolicy
+        from repro.profiles.generators import zipf_profiles
+        from repro.profiles.topics import TopicSpace
+
+        model = IndependentCascade(twitter_like(120, avg_degree=3, rng=71))
+        profiles = zipf_profiles(120, TopicSpace.default(4), rng=72)
+        policy = ThetaPolicy(epsilon=1.0, K=60, cap=12, min_theta=4)
+        tables = RRIndexBuilder(model, profiles, policy=policy, rng=73).sample()
+        RRIndexBuilder(model, profiles, policy=policy, rng=73).build(
+            str(tmp_path / "f.rr"), tables=tables
+        )
+        IRRIndexBuilder(model, profiles, policy=policy, delta=5, rng=73).build(
+            str(tmp_path / "f.irr"), tables=tables
+        )
+        query = KBTIMQuery(("music", "book"), 60)
+        with IRRIndex(str(tmp_path / "f.irr")) as index:
+            answer = query_like_reference(index, query)
+            # Every vertex with a list under a query keyword is a
+            # candidate (its clipped list may be empty: marginal 0).
+            candidates = set()
+            for kw in query.keywords:
+                for p in range(index._partition_info[kw][0]):
+                    candidates.update(index._load_partition(kw, p)[3].tolist())
+        with RRIndex(str(tmp_path / "f.rr")) as rr:
+            oracle = rr.query(query)
+        assert 0 < len(candidates) < query.k
+        assert answer.marginal_coverages == oracle.marginal_coverages
+        assert set(answer.seeds[: len(candidates)]) == candidates
+        unpicked = np.ones(120, dtype=bool)
+        unpicked[sorted(candidates)] = False
+        fillers = np.flatnonzero(unpicked)[: query.k - len(candidates)]
+        assert list(answer.seeds[len(candidates) :]) == fillers.tolist()
+        assert set(answer.marginal_coverages[len(candidates) :]) == {0}
+
+    def test_four_threads_on_one_reader_answer_like_serial(self, irr_world):
+        """Queries share the reader's decode memos and nothing else."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.core.irr_index import IRRIndex
+        from repro.core.query import KBTIMQuery
+
+        queries = [
+            KBTIMQuery(keywords, k)
+            for keywords in self.SWEEP_KEYWORDS
+            for k in (3, 10, 40)
+        ] * 4
+        with IRRIndex(irr_world[7]) as index:
+            serial = [index.query(q) for q in queries]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(index.query, queries))
+        for one, other in zip(serial, threaded):
+            assert one.seeds == other.seeds
+            assert one.marginal_coverages == other.marginal_coverages
+            assert one.stats.rr_sets_loaded == other.stats.rr_sets_loaded
+            assert one.stats.partitions_loaded == other.stats.partitions_loaded
+
+    def test_memoised_decodes_are_read_only(self, irr_index_path):
+        """Every query (and thread) gets the same arrays out of the decode
+        memos — with and without a capacity — so a write must raise."""
+        from repro.core.irr_index import IRRIndex
+        from repro.core.query import KBTIMQuery
+
+        for capacity in (0, 512):
+            with IRRIndex(
+                irr_index_path, decode_cache_partitions=capacity
+            ) as index:
+                # The engine only ever reads them (it copies before it
+                # shifts ids into the merged space).
+                index.query(KBTIMQuery(("music", "book"), 10))
+                for array in index._load_partition("music", 0):
+                    assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    index._load_partition("music", 0)[2][0] = 0
+                with pytest.raises(ValueError):
+                    index._load_ip("music")[0] = 0
+
+    def test_work_counts_of_a_fixed_stream_are_pinned(self, irr_index_path):
+        """What 64 seeded queries load and read, as three integers.
+
+        Taken at commit 7452a73 (the parent of the cross-keyword engine)
+        and unchanged by it: a faster engine must not get there by
+        silently loading less.  Tightening the unseen bound (ROADMAP item
+        2, "not terminating early") is the change that edits these on
+        purpose.
+        """
+        from repro.core.irr_index import IRRIndex
+        from repro.core.query import KBTIMQuery
+
+        rng = np.random.default_rng(2215)
+        partitions = rr_sets = read_calls = 0
+        with IRRIndex(irr_index_path) as index:
+            names = sorted(index.keywords())
+            for _ in range(64):
+                size = int(rng.integers(1, 6))
+                picks = rng.choice(len(names), size=size, replace=False)
+                k = int(rng.choice([1, 3, 10, 40, 50]))
+                answer = index.query(KBTIMQuery([names[i] for i in picks], k))
+                partitions += answer.stats.partitions_loaded
+                rr_sets += answer.stats.rr_sets_loaded
+                read_calls += answer.stats.io.read_calls
+        assert (partitions, rr_sets, read_calls) == PINNED_WORK_COUNTS
 
     def test_decode_cache_capacity_does_not_affect_results(
         self, irr_index_path
