@@ -191,6 +191,25 @@ def test_inverted_record_decode_throughput(keyword_csr, benchmark):
     benchmark(lambda: InvertedListsRecord.decode_csr(record))
 
 
+def test_block_decode(keyword_csr, benchmark):
+    """Both records of that keyword through one decoding session — what a
+    ``BlockCache`` miss pays (``RRIndex.decode_block``'s body); compare
+    with the sum of the two single-record benchmarks above."""
+    record = RRSetsRecord.encode(*keyword_csr[0], Codec.PFOR)
+    n_sets, _group, payload_len, start = RRSetsRecord.read_header(record)
+    payload = record[start : start + payload_len]
+    inverted = InvertedListsRecord.encode(*keyword_csr[1], Codec.PFOR)
+
+    def decode():
+        decoder = StreamDecoder()
+        rr_sets = RRSetsRecord.queue_prefix(decoder, payload, n_sets)
+        lists = InvertedListsRecord.queue(decoder, inverted)
+        streams = decoder.finish()
+        return rr_sets(streams), lists(streams)
+
+    benchmark(decode)
+
+
 @pytest.mark.parametrize("record", ["rr", "inverted"])
 def test_record_encode(record, keyword_csr, benchmark):
     """What the offline build pays per keyword and record."""

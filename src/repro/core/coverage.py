@@ -301,6 +301,8 @@ def greedy_max_coverage(
             break
         seeds.append(best)
         marginals.append(gain)
+        if len(seeds) == limit:
+            break  # nobody reads the counts after the last pick
         ids = vtx_sets[vtx_ptr.item(best) : vtx_ptr.item(best + 1)]
         fresh = ids.compress(alive.take(ids))
         alive[fresh] = False

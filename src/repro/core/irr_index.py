@@ -73,7 +73,7 @@ from repro.core.results import QueryStats, SeedSelection
 from repro.core.rr_index import BuildReport, RRIndexBuilder, build_report, invert_csr
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
-from repro.storage.compression import Codec
+from repro.storage.compression import Codec, StreamDecoder
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.storage.records import InvertedListsRecord
@@ -292,6 +292,7 @@ class _NRAState:
     """
 
     keywords: List[str]
+    k: int  # seeds asked for
     n: int  # vertices
     theta: List[int]  # θ^Q_j: only keyword j's set ids below this are live
     offset: List[int]  # first global set id of keyword j
@@ -310,8 +311,8 @@ class _NRAState:
     list_len: np.ndarray  # (m, n), 0 until loaded
     lists_flat: np.ndarray
     # Loaded RR sets by global id: members_flat[start : start + len].
-    mem_start: np.ndarray  # (Σθ,), -1 until loaded
-    mem_len: np.ndarray  # (Σθ,)
+    mem_start: np.ndarray  # (Σθ,)
+    mem_len: np.ndarray  # (Σθ,), 0 until loaded
     members_flat: np.ndarray
     covered: np.ndarray  # (Σθ,) set holds a confirmed seed
     score: np.ndarray  # (n,) Σ over loaded lists of active uncovered sets
@@ -324,7 +325,9 @@ class _NRAState:
     partitions_loaded: int = 0
 
 
-def _open_state(index: "IRRIndex", keywords: List[str], counts: Dict[str, int]):
+def _open_state(
+    index: "IRRIndex", keywords: List[str], counts: Dict[str, int], k: int
+) -> _NRAState:
     """Stage 1: read every ``IP_w`` and lay out the merged id space."""
     n = index.n_vertices
     theta = [counts[kw] for kw in keywords]
@@ -335,6 +338,7 @@ def _open_state(index: "IRRIndex", keywords: List[str], counts: Dict[str, int]):
         np.less(index._load_ip(kw), theta[j], out=pending[j])
     state = _NRAState(
         keywords=keywords,
+        k=k,
         n=n,
         theta=theta,
         offset=offset,
@@ -348,7 +352,7 @@ def _open_state(index: "IRRIndex", keywords: List[str], counts: Dict[str, int]):
         list_start=np.zeros((len(keywords), n), dtype=np.int64),
         list_len=np.zeros((len(keywords), n), dtype=np.int64),
         lists_flat=np.empty(0, dtype=np.int64),
-        mem_start=np.full(offset[-1], -1, dtype=np.int64),
+        mem_start=np.zeros(offset[-1], dtype=np.int64),
         mem_len=np.zeros(offset[-1], dtype=np.int64),
         members_flat=np.empty(0, dtype=np.int64),
         covered=np.zeros(offset[-1], dtype=bool),
@@ -463,13 +467,11 @@ def _cover(state: _NRAState, vertex: int) -> None:
     if not len(fresh):
         return
     state.covered[fresh] = True
-    starts = state.mem_start.take(fresh)
-    if starts.min() < 0:
-        have = starts >= 0
-        fresh, starts = fresh[have], starts[have]
-        if not len(fresh):
-            return
-    members = _gather(state.members_flat, starts, state.mem_len.take(fresh))
+    # A set whose partition is not ingested yet has length 0 here: its
+    # members' lists are not loaded either, so nothing is owed to them.
+    members = _gather(
+        state.members_flat, state.mem_start.take(fresh), state.mem_len.take(fresh)
+    )
     # Every member of a newly covered set whose list (for that set's
     # keyword) is loaded loses one unit of score — and its bound carries
     # that score, so the same decrement applies to the bound table; a
@@ -498,7 +500,8 @@ def _pick_or_load(index: "IRRIndex", state: _NRAState) -> bool:
         state.marginals.append(current)
         state.selected[vertex] = True
         state.live_bound[vertex] = -1
-        _cover(state, vertex)
+        if len(state.seeds) < state.k:  # nobody reads the scores after the last seed
+            _cover(state, vertex)
         return True
     if _load_round(index, state):
         return True
@@ -575,13 +578,16 @@ class IRRIndex(IndexReader):
         """Load partition ``p``'s ``(IR, IL)`` CSR arrays (two reads)."""
         ir_record = self._reader.read_view(f"ir/{keyword}/{p}")
         il_record = self._reader.read_view(f"il/{keyword}/{p}")
-        return self._decode_cache.get(
-            (keyword, p),
-            lambda: _frozen(
-                *InvertedListsRecord.decode_csr(ir_record),
-                *InvertedListsRecord.decode_csr(il_record),
-            ),
-        )
+
+        def decode() -> tuple:
+            # One decoding session per load: both records unpack together.
+            decoder = StreamDecoder()
+            ir = InvertedListsRecord.queue(decoder, ir_record)
+            il = InvertedListsRecord.queue(decoder, il_record)
+            streams = decoder.finish()
+            return _frozen(*ir(streams), *il(streams))
+
+        return self._decode_cache.get((keyword, p), decode)
 
     # ------------------------------------------------------------------
     def query(self, query: KBTIMQuery) -> SeedSelection:
@@ -589,7 +595,7 @@ class IRRIndex(IndexReader):
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)
-        state = _open_state(self, keywords, counts)
+        state = _open_state(self, keywords, counts, query.k)
         while len(state.seeds) < query.k and _pick_or_load(self, state):
             pass
         if len(state.seeds) < query.k:

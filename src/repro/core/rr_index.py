@@ -49,7 +49,7 @@ from repro.core.theta import ThetaPolicy
 from repro.errors import CorruptIndexError, IndexError_
 from repro.profiles.store import ProfileStore
 from repro.propagation.base import PropagationModel
-from repro.storage.compression import Codec
+from repro.storage.compression import Codec, StreamDecoder
 from repro.storage.iostats import IOStats
 from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
@@ -312,7 +312,7 @@ class KeywordCoverageCSR:
         return cls(
             set_ptr,
             set_vertices,
-            np.repeat(inv_keys, np.diff(inv_ptr)),
+            inv_keys.repeat(inv_ptr[1:] - inv_ptr[:-1]),
             inv_flat,
         )
 
@@ -638,17 +638,19 @@ class RRIndex(IndexReader):
         group_size, payload_len, payload_start, offsets = self._headers[keyword]
         end = RRSetsRecord.prefix_payload_end(offsets, payload_len, group_size, count)
         payload = self._reader.read_range_view(f"rr/{keyword}", payload_start, end)
-        set_ptr, set_vertices = RRSetsRecord.decode_prefix_csr(payload, count)
+        # One decoding session per miss: both records' columns unpack in
+        # one pass, each record bounded by its own end.
+        decoder = StreamDecoder()
+        rr_sets = RRSetsRecord.queue_prefix(decoder, payload, count)
         if resident is not None:
             return KeywordCoverageCSR(
-                set_ptr, set_vertices, resident.inv_vertices, resident.inv_sets
+                *rr_sets(decoder.finish()), resident.inv_vertices, resident.inv_sets
             )
-        keys, inv_ptr, inv_flat = InvertedListsRecord.decode_csr(
-            self._reader.read_view(f"inv/{keyword}")
+        inverted = InvertedListsRecord.queue(
+            decoder, self._reader.read_view(f"inv/{keyword}")
         )
-        return KeywordCoverageCSR.from_csr_arrays(
-            set_ptr, set_vertices, keys, inv_ptr, inv_flat
-        )
+        streams = decoder.finish()
+        return KeywordCoverageCSR.from_csr_arrays(*rr_sets(streams), *inverted(streams))
 
     # ------------------------------------------------------------------
     def query(self, query: KBTIMQuery) -> SeedSelection:

@@ -5,7 +5,7 @@ value of a stream in the bit width of its 128-value block, and its
 exception table in two more fixed-width columns.  This module is the
 primitive under it.  Its unit is the *run* — ``count`` values of one
 ``width`` (0 to 64 bits), back to back, least significant bit first — and
-one call covers every run of every stream of a record:
+one call covers every run of every stream of a decoding session's records:
 
 * :func:`pack_runs` concatenates runs into one little-endian bitstream;
 * :func:`unpack_runs` reads runs that start at arbitrary bit offsets —
@@ -24,6 +24,8 @@ is unpacked.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import StorageError
@@ -41,7 +43,7 @@ _PACK_SLICE = 64
 #: ``MASKS[w]`` keeps the low ``w`` bits; ``_POWERS[b]`` is ``2**b``.
 MASKS = np.array([(1 << w) - 1 for w in range(_MAX_WIDTH + 1)], dtype=np.uint64)
 _POWERS = np.array([1 << b for b in range(_MAX_WIDTH)], dtype=np.uint64)
-_PADDING = np.zeros(16, dtype=np.uint8)
+_PADDING = bytes(16)
 
 
 def bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -83,39 +85,39 @@ def pack_runs(values: np.ndarray, counts: np.ndarray, widths: np.ndarray) -> byt
 
 
 def unpack_runs(
-    packed: np.ndarray, bit_starts: np.ndarray, counts: np.ndarray, widths: np.ndarray
+    chunks: Sequence[bytes], bit_starts: np.ndarray, counts: np.ndarray, widths: np.ndarray
 ) -> np.ndarray:
-    """Unpack runs of ``packed``: run ``i`` is ``counts[i]`` values of
+    """Unpack runs of a bitstream: run ``i`` is ``counts[i]`` values of
     ``widths[i]`` bits starting at bit ``bit_starts[i]``.
 
-    ``packed`` is a ``uint8`` array and the three others equally long
-    ``int64`` arrays, every run inside ``packed`` and every width in
-    ``[0, 64]`` (the caller's guards: this is the hot half, it checks
-    nothing).  Returns all runs' values, concatenated, as ``uint64``:
-    each one is cut out of the two unaligned 64-bit windows that cover
-    it, so no width needs a path of its own.
+    The bitstream is ``chunks`` (bytes-like objects) back to back — the
+    records of one decoding session; they are joined here, together with
+    the padding, so the input is copied once.  The three others are
+    equally long ``int64`` arrays, every run inside the stream and every
+    width in ``[0, 64]`` (the caller's guards: this is the hot half, it
+    checks nothing).  Returns all runs' values, concatenated, as
+    ``uint64``: each one is cut out of the two unaligned 64-bit windows
+    that cover it, so no width needs a path of its own.
     """
     # Sixteen zero bytes let the last value's two windows overrun safely.
-    padded = np.concatenate((packed, _PADDING))
-    windows = np.ndarray(
-        (len(packed) + 9,), dtype="<u8", buffer=padded, strides=(1,)
-    )
-    ends = np.cumsum(counts)
+    padded = b"".join((*chunks, _PADDING))
+    windows = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    ends = counts.cumsum()
     first = ends - counts
-    out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint64)
+    # Value j of all runs' values starts at bit j·width + offset of its run.
+    offsets = bit_starts - first * widths
+    out = np.empty(ends.item(-1) if len(ends) else 0, dtype=np.uint64)
     for run in range(0, len(counts), _UNPACK_SLICE):
         stop = min(run + _UNPACK_SLICE, len(counts))
-        lo, hi = int(first[run]), int(ends[stop - 1])
+        lo, hi = first.item(run), ends.item(stop - 1)
         count = counts[run:stop]
         width_of = widths[run:stop].repeat(count)
-        # Value j of a run starts j widths behind the run's own start.
-        start = np.arange(lo, hi, dtype=np.int64)
-        start -= first[run:stop].repeat(count)
+        start = np.arange(lo, hi)
         start *= width_of
-        start += bit_starts[run:stop].repeat(count)
+        start += offsets[run:stop].repeat(count)
         byte = start >> 3
         start &= 7
-        shift = start.astype(np.uint64)
+        shift = start.view(np.uint64)
         value = windows.take(byte)
         value >>= shift
         # The high window supplies bits [64 - shift, 64): two shifts,

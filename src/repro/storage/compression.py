@@ -26,8 +26,9 @@ carry the codec tag, so readers need no out-of-band configuration.
 
 Both directions are columnar: :func:`encode_stream` and
 :class:`StreamDecoder` cost a fixed number of numpy calls per stream, and
-the decoder bit-unpacks every PFOR stream of a record in one pass, however
-many lists the record holds.  Every structural guard of the format (tag,
+the decoder bit-unpacks every PFOR stream of every record of a *load
+unit* (the two records a cache miss or a partition load reads) in one
+pass, however many lists they hold.  Every structural guard of the format (tag,
 truncation, declared sizes against the bytes that remain, width,
 exception range, id domain) lives here and nowhere else; the independent
 scalar reference the fuzz tests compare against is ``tests/oracles.py``.
@@ -36,7 +37,8 @@ scalar reference the fuzz tests compare against is ``tests/oracles.py``.
 from __future__ import annotations
 
 import enum
-from typing import List, Tuple
+from itertools import accumulate
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -168,19 +170,29 @@ def encode_id_lists(ptr: np.ndarray, ids: np.ndarray, codec: Codec = Codec.PFOR)
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
-class StreamDecoder:
-    """The decoder of the stream format, for all streams of one buffer.
+_RAW, _VARINT, _PFOR = (codec.value for codec in Codec)
+_NO_VALUES = np.empty(0, dtype=np.uint64)
 
+
+class StreamDecoder:
+    """The decoder of the stream format: one session per *load unit*.
+
+    A load unit is what one cache miss or one partition load decodes —
+    usually two records.  :meth:`open` starts the next record; its length
+    is the bound every size and truncation guard of the streams read
+    from it checks against, so a corrupt header in one record fails on
+    that record's own end and never reaches into its neighbour.
     :meth:`read` parses one stream's small header — RAW and VARINT
     streams decode on the spot, a PFOR stream's bit-packed columns
     (exception positions, exception excesses, values) are queued — and
     returns where the stream ends, so a record's streams are read back to
-    back.  :meth:`finish` then unpacks every queued column in one
-    :func:`unpack_bits` call, patches all exceptions in one pass, and
-    returns one ``uint64`` array per stream read, in order.  A numpy call
-    costs ~1µs of fixed overhead, ruinous per list when a query decodes
-    hundreds of three-id lists; here the count depends on the number of
-    streams (a handful per record), never on the number of lists.
+    back.  :meth:`finish` then unpacks every queued column of every
+    record opened in one :func:`~repro.storage.bitpack.unpack_runs` call,
+    patches all exceptions in one pass, and returns one ``uint64`` array
+    per stream read, in order.  A numpy call costs ~0.5µs of fixed
+    overhead, ruinous per list when a query decodes hundreds of three-id
+    lists and still most of a 1 KB record's decode; here the count
+    depends on neither the number of lists nor the number of records.
 
     A declared size is checked against the bytes that remain *before*
     anything is sized by it: no stream holds more than 128 values per
@@ -188,70 +200,89 @@ class StreamDecoder:
     than a small multiple of the buffer it arrived in.
     """
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._buf = np.frombuffer(data, dtype=np.uint8)
+    def __init__(self, data: Optional[bytes] = None) -> None:
+        # Records opened so far; the open one, its length, and the bytes
+        # of those before it (queued bit offsets count from the first).
+        self._records: List[bytes] = []
+        self._data, self._size, self._base = b"", 0, 0
         # One entry per stream read: its values, or None while queued.
         self._streams: List[np.ndarray] = []
-        # Queued bit-packed columns, each (block lengths, block widths as
-        # bytes, position in bits): the values of every PFOR stream, their
-        # exceptions' positions, their exceptions' excesses.
-        self._values: List[tuple] = []
-        self._positions: List[tuple] = []
-        self._excesses: List[tuple] = []
-        # Per value column: its index in _streams and value count.  Per
-        # exception table: its stream's value count, and where the
-        # stream's values and blocks start among all queued ones.
+        # Queued bit-packed runs as (start bit, length, width), a list
+        # each: the 128-value blocks of every PFOR stream's values ...
+        self._starts: List[int] = []
+        self._lens: List[int] = []
+        self._widths: List[bytes] = []
+        # ... and, per exception table, two runs as long as the table:
+        # (length, start bit and width of its positions, start bit and
+        # width of its excesses, its stream's value count, where the
+        # stream's values and blocks start among all queued ones).
+        self._tables: List[Tuple[int, ...]] = []
+        # Per value column: its index in _streams and value count.
         self._slots: List[Tuple[int, int]] = []
-        self._patched: List[Tuple[int, int, int]] = []
-        self._n_values = self._n_blocks = 0
+        self._n_values = 0
+        if data is not None:
+            self.open(data)
+
+    def open(self, data: bytes) -> int:
+        """Start the next record; positions passed to :meth:`read` count
+        from its first byte.  Returns the index its first stream will have
+        in :meth:`finish`'s list."""
+        self._base += self._size
+        self._records.append(data)
+        self._data, self._size = data, len(data)
+        return len(self._streams)
 
     def read(self, tag: int, m: int, pos: int) -> int:
         """Read a stream of ``m`` values under codec ``tag`` at ``pos``."""
-        data = self._data
-        if tag > Codec.PFOR.value:
+        data, size = self._data, self._size
+        if tag > _PFOR:
             raise StorageError(f"unknown codec tag {tag}")
-        if m > _BLOCK * (len(data) - pos):
+        if m > _BLOCK * (size - pos):
             raise StorageError(
                 f"a stream of {m} values cannot fit in the "
-                f"{max(len(data) - pos, 0)} bytes that remain"
+                f"{max(size - pos, 0)} bytes that remain"
             )
         if m == 0:
-            self._streams.append(np.empty(0, dtype=np.uint64))
+            self._streams.append(_NO_VALUES)
             return pos
-        if tag == Codec.RAW.value:
-            if pos + 8 * m > len(data):
+        if tag == _RAW:
+            if pos + 8 * m > size:
                 raise StorageError("truncated RAW stream")
             self._streams.append(np.frombuffer(data, dtype="<u8", count=m, offset=pos))
             return pos + 8 * m
-        if tag == Codec.VARINT.value:
+        if tag == _VARINT:
             values, pos = decode_varints_block(data, m, pos)
             self._streams.append(values)
             return pos
         n_blocks = (m + _BLOCK - 1) // _BLOCK
         widths = data[pos : pos + n_blocks]
         n_exceptions, pos = decode_varint(data, pos + n_blocks)
-        bits = pos * 8
+        bits = (self._base + pos) * 8
         if n_exceptions:
-            if n_exceptions > m or pos >= len(data):
+            if n_exceptions > m or pos >= size:
                 raise StorageError("PFoR exception table exceeds its stream")
-            # Two one-block columns ahead of the values, back to back.
+            # Two one-run columns ahead of the values, back to back.
             position_width, excess_width = (m - 1).bit_length(), data[pos]
-            bits += 8
-            self._positions.append(([n_exceptions], bytes((position_width,)), bits))
-            bits += n_exceptions * position_width
-            self._excesses.append(([n_exceptions], bytes((excess_width,)), bits))
-            bits += n_exceptions * excess_width
-            self._patched.append((m, self._n_values, self._n_blocks))
+            excess_bits = bits + 8 + n_exceptions * position_width
+            self._tables.append(
+                (n_exceptions, bits + 8, position_width, excess_bits, excess_width)
+                + (m, self._n_values, len(self._lens))
+            )
+            bits = excess_bits + n_exceptions * excess_width
+        # A column is its blocks' bits back to back: a block starts where
+        # the one before it ends, and the last holds what is left of m.
+        starts = [bits + _BLOCK * ahead for ahead in accumulate(widths, initial=0)]
         last = m - _BLOCK * (n_blocks - 1)
-        end = (bits + _BLOCK * sum(widths) - (_BLOCK - last) * widths[-1] + 7) // 8
-        if end > len(data):
+        end = (starts.pop() - (_BLOCK - last) * widths[-1] + 7) // 8 - self._base
+        if end > size:
             raise StorageError("truncated PFoR payload")
         self._slots.append((len(self._streams), m))
         self._streams.append(None)
-        self._values.append(([_BLOCK] * (n_blocks - 1) + [last], widths, bits))
+        self._starts += starts
+        self._lens += [_BLOCK] * (n_blocks - 1)
+        self._lens.append(last)
+        self._widths.append(widths)
         self._n_values += m
-        self._n_blocks += n_blocks
         return end
 
     def read_id_lists(self, tag: int, n: int, pos: int) -> int:
@@ -264,48 +295,44 @@ class StreamDecoder:
         """The ``uint64`` values of every stream read, one array each."""
         if not self._slots:
             return self._streams
-        columns = self._values + self._positions + self._excesses
+        n_values = self._n_values
+        lens, position_starts, position_widths, excess_starts, excess_widths, *patched = (
+            [list(column) for column in zip(*self._tables)] or [[]] * 8
+        )
         widths = np.frombuffer(
-            b"".join([widths for _len, widths, _bits in columns]), dtype=np.uint8
+            b"".join(self._widths) + bytes(position_widths) + bytes(excess_widths),
+            dtype=np.uint8,
         ).astype(np.int64)
-        if int(widths.max()) > 64:
-            raise StorageError(f"bad PFoR width {int(widths.max())}")
-        # A column is its blocks' bits back to back, so a block starts
-        # where the blocks before it end, from the column's own start.
-        block_len = np.asarray([n for lens, _w, _bits in columns for n in lens])
-        blocks = np.asarray([len(lens) for lens, _w, _bits in columns])
-        block_bits = block_len * widths
-        ends = np.cumsum(block_bits)
-        first = np.cumsum(blocks) - blocks
-        base = np.asarray([bits for _len, _w, bits in columns])
-        base -= ends[first] - block_bits[first]
-        starts = ends - block_bits
-        starts += base.repeat(blocks)
-        unpacked = unpack_runs(self._buf, starts, block_len, widths)
-
-        values = unpacked[: self._n_values]
-        if self._patched:
-            positions, excess = np.split(unpacked[self._n_values :], 2)
-            per_table = [lens[0] for lens, _w, _bits in self._positions]
+        if widths.max() > 64:
+            raise StorageError(f"bad PFoR width {widths.max()}")
+        unpacked = unpack_runs(
+            self._records,
+            np.array(self._starts + position_starts + excess_starts),
+            np.array(self._lens + lens + lens),
+            widths,
+        )
+        if lens:
+            excess_first = n_values + sum(lens)
+            positions, excess = unpacked[n_values:excess_first], unpacked[excess_first:]
             size, value_first, block_first = (
-                np.asarray(column).repeat(per_table) for column in zip(*self._patched)
+                np.array(column).repeat(lens) for column in patched
             )
-            if np.any(positions >= size.astype(np.uint64)):
+            if (positions >= size.view(np.uint64)).any():
                 raise StorageError("PFoR exception position out of range")
             positions = positions.astype(np.int64)
-            width_at = widths[block_first + positions // _BLOCK]
+            width_at = widths.take(block_first + positions // _BLOCK)
             # An excess has the 64 - width bits above its block's width.
-            if np.any(excess > MASKS.take(64 - width_at)):
+            if (excess > MASKS.take(64 - width_at)).any():
                 raise StorageError("PFoR exception overflows 64 bits")
             # (Width 64 admits only a zero excess: shift it by 0.)
             # bitwise_or.at, not fancy |=: duplicate positions (corrupt
             # but decodable) must OR-accumulate like a sequential walk.
             width_at &= 63
             positions += value_first
-            np.bitwise_or.at(values, positions, excess << width_at.astype(np.uint64))
+            np.bitwise_or.at(unpacked, positions, excess << width_at.view(np.uint64))
         lo = 0
         for slot, m in self._slots:
-            self._streams[slot] = values[lo : lo + m]
+            self._streams[slot] = unpacked[lo : lo + m]
             lo += m
         return self._streams
 
@@ -323,25 +350,25 @@ def id_lists_from_streams(
     """
     total = len(gaps)
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    if len(counts) and int(counts.max()) > total:
+    if len(counts) and counts.max() > total:
         raise StorageError("an id-list count exceeds the gaps stream")
     lengths = counts.astype(np.int64)
-    np.cumsum(lengths, out=ptr[1:])
+    lengths.cumsum(out=ptr[1:])
     if ptr[-1] != total:
         raise StorageError("id-list counts do not add up to the gaps stream")
     if total == 0:
         return ptr, np.empty(0, dtype=np.int64)
-    if int(gaps.max()) > _ID_MAX:
+    if gaps.max() > _ID_MAX:
         raise StorageError("id gap exceeds the signed 64-bit id domain")
     # Segmented prefix sum: one global cumsum (behind a leading zero),
     # then subtract each list's running base so ids restart at every
     # list boundary.
     running = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(gaps.view(np.int64), out=running[1:])
     flat = running[1:]
+    gaps.view(np.int64).cumsum(out=flat)
     flat -= running.take(ptr[:-1]).repeat(lengths)
     # With every gap in the domain, a list's first overflow lands in
     # [2^63, 2^64): negative as int64.
-    if int(flat.min()) < 0:
+    if flat.min() < 0:
         raise StorageError("id exceeds the signed 64-bit id domain")
     return ptr, flat

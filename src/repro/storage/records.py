@@ -21,7 +21,7 @@ index-build time (Table 4 compares RAW vs PFOR) and tagged in the record.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from repro.storage.compression import (
 from repro.storage.varint import decode_varint, encode_varints
 
 __all__ = ["RRSetsRecord", "InvertedListsRecord"]
+
+#: What queueing a record into a :class:`StreamDecoder` returns: called
+#: with the session's ``finish()`` it builds the record's CSR arrays.
+Take = Callable[[List[np.ndarray]], Tuple[np.ndarray, ...]]
 
 _RR_HEADER = struct.Struct("<IIQ")  # n_sets, group_size, payload_len
 _INV_HEADER = struct.Struct("<IQ")  # n_lists, payload_len
@@ -151,18 +155,16 @@ class RRSetsRecord:
     # decoding
     # ------------------------------------------------------------------
     @staticmethod
-    def decode_prefix_csr(
-        payload: bytes, count: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode the first ``count`` sets straight into flat CSR arrays.
+    def queue_prefix(decoder: StreamDecoder, payload: bytes, count: int) -> Take:
+        """Queue the first ``count`` sets as the next record of ``decoder``.
 
-        Returns ``(set_ptr, set_vertices)`` — what the coverage engine
-        consumes.  ``payload`` is the payload's first
-        :meth:`prefix_payload_end` bytes: the headers of the group chunks
-        it holds are parsed one by one, then all their streams are
-        unpacked together and clipped to ``count`` sets.
+        ``payload`` is the payload's first :meth:`prefix_payload_end`
+        bytes: the headers of the group chunks it holds are parsed one by
+        one, against its own end.  Returns the function that, given
+        ``decoder.finish()``, builds ``(set_ptr, set_vertices)`` — what
+        the coverage engine consumes — clipped to ``count`` sets.
         """
-        decoder = StreamDecoder(payload)
+        first = last = decoder.open(payload)
         pos = held = 0
         while held < count:
             if pos >= len(payload):
@@ -172,11 +174,25 @@ class RRSetsRecord:
             n, at = decode_varint(payload, pos + 1)
             pos = decoder.read_id_lists(payload[pos], n, at)
             held += n
-        streams = decoder.finish() + [np.empty(0, dtype=np.uint64)] * 2
-        set_ptr, set_vertices = id_lists_from_streams(
-            np.concatenate(streams[0::2]), np.concatenate(streams[1::2])
-        )
-        return set_ptr[: count + 1], set_vertices[: set_ptr[count]]
+            last += 2
+
+        def take(streams: List[np.ndarray]) -> Tuple[np.ndarray, ...]:
+            mine = streams[first:last] + [np.empty(0, dtype=np.uint64)] * 2
+            set_ptr, set_vertices = id_lists_from_streams(
+                np.concatenate(mine[0::2]), np.concatenate(mine[1::2])
+            )
+            return set_ptr[: count + 1], set_vertices[: set_ptr[count]]
+
+        return take
+
+    @staticmethod
+    def decode_prefix_csr(
+        payload: bytes, count: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode the first ``count`` sets straight into flat CSR arrays:
+        :meth:`queue_prefix` in a session of its own."""
+        decoder = StreamDecoder()
+        return RRSetsRecord.queue_prefix(decoder, payload, count)(decoder.finish())
 
 
 class InvertedListsRecord:
@@ -213,28 +229,47 @@ class InvertedListsRecord:
         return _INV_HEADER.pack(len(keys), len(payload)) + payload
 
     @staticmethod
-    def decode_csr(record: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode a record into ``(keys, ptr, flat_ids)`` CSR arrays.
+    def queue(decoder: StreamDecoder, record: bytes) -> Take:
+        """Queue ``record`` as the next record of ``decoder``.
 
+        The record must be exactly as long as its header says: in a
+        session its end is the bound of its streams, and whatever follows
+        belongs to the next record.  Returns the function that, given
+        ``decoder.finish()``, builds ``(keys, ptr, flat_ids)``:
         ``keys[i]``'s id list is ``flat_ids[ptr[i]:ptr[i+1]]``.
         """
         if len(record) < _INV_HEADER.size:
             raise StorageError("InvertedListsRecord header truncated")
         n_lists, payload_len = _INV_HEADER.unpack_from(record, 0)
-        payload = record[_INV_HEADER.size : _INV_HEADER.size + payload_len]
-        if len(payload) != payload_len:
-            raise StorageError("InvertedListsRecord payload truncated")
+        held = len(record) - _INV_HEADER.size
+        if held != payload_len:
+            raise StorageError(
+                f"InvertedListsRecord payload {'truncated' if held < payload_len else 'overrun'}"
+                f": {held} bytes, the header says {payload_len}"
+            )
         if not payload_len:
             raise StorageError("InvertedListsRecord has no codec tag")
-        decoder = StreamDecoder(payload)
-        pos = decoder.read(payload[0], n_lists, 1)
-        pos = decoder.read_id_lists(payload[0], n_lists, pos)
-        if pos != payload_len:
+        first = decoder.open(record)
+        tag = record[_INV_HEADER.size]
+        pos = decoder.read(tag, n_lists, _INV_HEADER.size + 1)
+        pos = decoder.read_id_lists(tag, n_lists, pos)
+        if pos != len(record):
             raise StorageError("InvertedListsRecord has trailing bytes")
-        zigzag, counts, gaps = decoder.finish()
-        deltas = (zigzag >> np.uint64(1)).view(np.int64)
-        deltas ^= -(zigzag & np.uint64(1)).view(np.int64)
-        keys = np.cumsum(deltas)
-        if len(keys) and keys.min() < 0:
-            raise StorageError("InvertedListsRecord key outside the id domain")
-        return (keys, *id_lists_from_streams(counts, gaps))
+
+        def take(streams: List[np.ndarray]) -> Tuple[np.ndarray, ...]:
+            zigzag, counts, gaps = streams[first : first + 3]
+            deltas = (zigzag >> np.uint64(1)).view(np.int64)
+            deltas ^= -(zigzag & np.uint64(1)).view(np.int64)
+            keys = deltas.cumsum()
+            if len(keys) and keys.min() < 0:
+                raise StorageError("InvertedListsRecord key outside the id domain")
+            return (keys, *id_lists_from_streams(counts, gaps))
+
+        return take
+
+    @staticmethod
+    def decode_csr(record: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode a record into ``(keys, ptr, flat_ids)`` CSR arrays:
+        :meth:`queue` in a session of its own."""
+        decoder = StreamDecoder()
+        return InvertedListsRecord.queue(decoder, record)(decoder.finish())

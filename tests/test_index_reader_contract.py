@@ -170,6 +170,53 @@ class TestIndexReaderContract:
             assert len(warm._ip_cache) == query.n_keywords
             assert len(warm._decode_cache) > 0
 
+    def test_a_load_unit_is_one_decoding_session(self, paths, monkeypatch):
+        """Both records a miss or a partition load reads go through one
+        ``StreamDecoder`` (one ``finish``), and so does the lone RR record
+        of an upgrade; what comes out equals the records decoded alone."""
+        from repro.storage import compression
+        from repro.storage.records import InvertedListsRecord, RRSetsRecord
+
+        finishes = []
+        finish = compression.StreamDecoder.finish
+        monkeypatch.setattr(
+            compression.StreamDecoder,
+            "finish",
+            lambda self: finishes.append(len(self._records)) or finish(self),
+        )
+        with RRIndex(paths["rr"], **COLD["rr"]) as index:
+            n_sets = index.catalog["music"].n_sets
+            small = index.decode_block("music", n_sets // 2)
+            full = index.decode_block("music", n_sets)
+            upgraded = index.decode_block("music", n_sets, small)
+            assert finishes == [2, 2, 1]
+            for name in ("set_ptr", "set_vertices", "inv_vertices", "inv_sets"):
+                assert np.array_equal(getattr(upgraded, name), getattr(full, name))
+            _group, payload_len, start, _offsets = index._headers["music"]
+            payload = index._reader.read_range_view("rr/music", start, payload_len)
+            set_ptr, set_vertices = RRSetsRecord.decode_prefix_csr(payload, n_sets)
+            keys, ptr, flat = InvertedListsRecord.decode_csr(
+                index._reader.read_view("inv/music")
+            )
+            assert np.array_equal(full.set_ptr, set_ptr)
+            assert np.array_equal(full.set_vertices, set_vertices)
+            assert np.array_equal(full.inv_vertices, keys.repeat(np.diff(ptr)))
+            assert np.array_equal(full.inv_sets, flat)
+        del finishes[:]
+        with IRRIndex(paths["irr"], **COLD["irr"]) as index:
+            decoded = index._load_partition("music", 0)
+            assert finishes == [2]
+            alone = [
+                array
+                for segment in ("ir/music/0", "il/music/0")
+                for array in InvertedListsRecord.decode_csr(
+                    index._reader.read_view(segment)
+                )
+            ]
+            assert len(decoded) == len(alone) == 6
+            for ours, theirs in zip(decoded, alone):
+                assert np.array_equal(ours, theirs) and not ours.flags.writeable
+
     def test_irr_reader_survives_concurrent_queries_on_a_tiny_memo(self, paths):
         """Eight threads share one reader whose memos hold two entries, so
         every lookup races an eviction; answers and I/O totals stay exact."""

@@ -17,9 +17,9 @@ def pack(values, width):
 
 def unpack(packed, width, count, bit_offset=0):
     """One run of ``count`` ``width``-bit values at ``bit_offset``, as the
-    decoder reads it out of one ``uint8`` buffer."""
+    decoder reads it out of a one-record session."""
     return unpack_runs(
-        np.frombuffer(packed, dtype=np.uint8),
+        [packed],
         np.array([bit_offset], dtype=np.int64),
         np.array([count], dtype=np.int64),
         np.array([width], dtype=np.int64),
@@ -97,7 +97,7 @@ class TestPackUnpack:
         )
         starts = np.cumsum([5] + [len(v) * w for v, w in runs])[:-1]
         out = unpack_runs(
-            np.frombuffer(stream, np.uint8),
+            [stream],
             starts,
             np.array([len(v) for v, _ in runs]),
             np.array([w for _, w in runs]),
@@ -121,7 +121,7 @@ class TestPackUnpack:
         monkeypatch.setattr(bitpack, "_UNPACK_SLICE", 13)
         assert pack_runs(values, counts, widths) == whole
         starts = np.cumsum(counts * widths) - counts * widths
-        out = unpack_runs(np.frombuffer(whole, np.uint8), starts, counts, widths)
+        out = unpack_runs([whole], starts, counts, widths)
         assert np.array_equal(out, values)
 
     @settings(max_examples=60, deadline=None)
@@ -150,5 +150,5 @@ class TestPackUnpack:
         packed = pack_runs(arr, ones, widths)
         assert len(packed) == (int(widths.sum()) + 7) // 8
         starts = np.cumsum(widths) - widths
-        out = unpack_runs(np.frombuffer(packed, np.uint8), starts, ones, widths)
+        out = unpack_runs([packed], starts, ones, widths)
         assert np.array_equal(out, arr)

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listform import encode_inverted_lists, encode_rr_sets
+from oracles import decode_inverted_record as oracle_inverted_record
+from oracles import decode_rr_payload
 from repro.errors import StorageError
-from repro.storage.compression import Codec
+from repro.storage.compression import Codec, StreamDecoder, encode_stream
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 
 id_array = st.lists(
@@ -206,3 +208,139 @@ class TestInvertedListsRecord:
         assert len(out) == len(lists)
         for (ka, va), (kb, vb) in zip(lists, out):
             assert ka == kb and np.array_equal(va, vb)
+
+
+# ----------------------------------------------------------------------
+# One decoding session over several records (the load unit of a cache
+# miss or a partition load).
+# ----------------------------------------------------------------------
+#: Mostly small ids with a few far outliers per list: once a record holds
+#: a few lists its gap stream carries a real PFOR exception table.
+spiky_ids = st.lists(
+    st.one_of(st.integers(0, 300), st.integers(2**40, 2**40 + 300)),
+    max_size=40,
+    unique=True,
+).map(sorted).map(lambda xs: np.asarray(xs, dtype=np.int64))
+
+rr_case = st.tuples(
+    st.just("rr"),
+    st.lists(spiky_ids, max_size=30),
+    st.sampled_from(list(Codec)),
+    st.integers(0, 30),  # sets to skip at the end: a prefix of its payload
+)
+inv_case = st.tuples(
+    st.just("inv"),
+    st.lists(st.tuples(st.integers(0, 10_000), spiky_ids), max_size=30),
+    st.sampled_from(list(Codec)),
+    st.just(0),
+)
+
+
+def rr_payload(record):
+    return record[RRSetsRecord.read_header(record)[3] :]
+
+
+class TestDecodingSession:
+    """Records queued into one ``StreamDecoder`` decode as they do alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.one_of(rr_case, inv_case), min_size=1, max_size=4))
+    def test_a_session_decodes_each_record_as_the_oracle_does(self, cases):
+        decoder = StreamDecoder()
+        queued = []
+        for kind, items, codec, skip in cases:
+            if kind == "rr":
+                payload = rr_payload(encode_rr_sets(items, codec, group_size=4))
+                count = max(len(items) - skip, 0)
+                take = RRSetsRecord.queue_prefix(decoder, payload, count)
+                alone = RRSetsRecord.decode_prefix_csr(payload, count)
+                expected = decode_rr_payload(payload, count)
+            else:
+                record = encode_inverted_lists(items, codec)
+                take = InvertedListsRecord.queue(decoder, record)
+                alone = InvertedListsRecord.decode_csr(record)
+                expected = oracle_inverted_record(record)
+            queued.append((kind, take, alone, expected))
+        streams = decoder.finish()
+        for kind, take, alone, expected in queued:
+            fused = take(streams)
+            assert all(a.dtype == np.int64 for a in fused)
+            for ours, theirs in zip(fused, alone):
+                assert np.array_equal(ours, theirs)
+            *keys, ptr, flat = fused
+            lists = [flat[ptr[i] : ptr[i + 1]].tolist() for i in range(len(ptr) - 1)]
+            if kind == "rr":
+                assert lists == expected
+            else:
+                assert list(zip(keys[0].tolist(), lists)) == expected
+
+    def test_a_pfor_session_really_carries_exception_tables(self):
+        """The strategy above is only worth its name if outliers end up
+        in exception tables — and two records' tables patch separately."""
+        rng = np.random.default_rng(3)
+        sets = [np.unique(rng.integers(0, 300, 12)) for _ in range(40)]
+        for ids in sets[::5]:
+            ids[-1] += 2**40
+        payload = rr_payload(encode_rr_sets(sets))
+        record = encode_inverted_lists(list(enumerate(sets)))
+        decoder = StreamDecoder()
+        takes = [
+            RRSetsRecord.queue_prefix(decoder, payload, len(sets)),
+            InvertedListsRecord.queue(decoder, record),
+        ]
+        assert len(decoder._tables) >= 2
+        streams = decoder.finish()
+        for take in takes:
+            *_keys, ptr, flat = take(streams)
+            assert [flat[ptr[i] : ptr[i + 1]].tolist() for i in range(40)] == [
+                ids.tolist() for ids in sets
+            ]
+
+    @pytest.mark.parametrize("codec", list(Codec))
+    def test_a_truncated_rr_payload_fails_on_its_own_end(self, codec):
+        """In the joined buffer the bytes around a record are its
+        neighbour's: a payload cut short must raise on its own length,
+        wherever in the session it starts."""
+        sets = [np.arange(i, i + 9) for i in range(20)]
+        payload = rr_payload(encode_rr_sets(sets, codec))
+        decoder = StreamDecoder()
+        InvertedListsRecord.queue(
+            decoder, encode_inverted_lists(list(enumerate(sets)), codec)
+        )
+        with pytest.raises(StorageError):  # at once: nothing is unpacked first
+            RRSetsRecord.queue_prefix(decoder, payload[:-2], len(sets))
+
+    @pytest.mark.parametrize("codec", list(Codec))
+    def test_a_corrupt_list_count_fails_on_its_own_record(self, codec):
+        """An ``IL`` header claiming more lists than its payload holds,
+        next to a valid ``IR``: the session holds enough bytes for the
+        extra values (``IR``'s), and must not decode them from there."""
+        lists = [(v, np.arange(v, v + 6)) for v in range(150)]
+        il, ir = encode_inverted_lists(lists, codec), encode_inverted_lists(lists, codec)
+        n_lists, payload_len = struct.unpack_from("<IQ", il)
+        corrupt = struct.pack("<IQ", n_lists + 130, payload_len) + il[12:]
+        decoder = StreamDecoder(ir)
+        with pytest.raises(StorageError):
+            InvertedListsRecord.queue(decoder, corrupt)
+
+    def test_a_record_longer_than_its_header_says_is_rejected(self):
+        """``decode_csr`` used to slice ``payload_len`` bytes and ignore
+        the rest; in a session the rest is the next record."""
+        record = encode_inverted_lists([(1, np.array([1, 2, 3]))])
+        with pytest.raises(StorageError, match="payload overrun"):
+            InvertedListsRecord.decode_csr(record + b"\x00")
+        decoder = StreamDecoder()
+        with pytest.raises(StorageError, match="payload overrun"):
+            InvertedListsRecord.queue(decoder, record + record)
+
+    def test_positions_count_from_the_open_record(self):
+        """``open`` re-bases ``read``: the second record's streams are
+        addressed from its own first byte and land after the first's."""
+        first = encode_stream(np.arange(300, dtype=np.uint64), Codec.PFOR)
+        second = encode_stream(np.arange(7, 200, dtype=np.uint64), Codec.PFOR)
+        decoder = StreamDecoder(first)
+        assert decoder.read(Codec.PFOR.value, 300, 0) == len(first)
+        assert decoder.open(second) == 1
+        assert decoder.read(Codec.PFOR.value, 193, 0) == len(second)
+        a, b = decoder.finish()
+        assert a.tolist() == list(range(300)) and b.tolist() == list(range(7, 200))
