@@ -199,15 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
             "requests the pool sheds load (Overloaded)"
         ),
     )
-    rep.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help=(
-            "share one decoded-block cache across the workers (each hot "
-            "keyword is decoded once per machine; per-query I/O "
-            "accounting reports zero reads on shared hits)"
-        ),
-    )
     rep.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
@@ -421,7 +412,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             dispatch=args.dispatch,
             request_timeout=args.timeout,
             max_inflight=args.max_inflight,
-            shared_block_cache=args.shared_cache,
         ) as pool:
             if args.warm:
                 pool.warm(sorted({kw for q in queries for kw in q.keywords}))
@@ -479,14 +469,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         )
         health = snapshot.health
         print(f"  keyword-cache hit ratio: {snapshot.stats.hit_ratio:.2f}")
-        print(
-            f"  memory: {health.rss_bytes / 1e6:.1f} MB worker RSS"
-            + (
-                f", {health.shm_bytes / 1e6:.1f} MB shared segments"
-                if health.shm_bytes
-                else ""
-            )
-        )
+        print(f"  memory: {health.rss_bytes / 1e6:.1f} MB worker RSS")
         if plan is not None or args.timeout:
             print(
                 f"  goodput {payload['goodput']}/{payload['queries']} "

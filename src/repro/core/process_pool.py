@@ -25,14 +25,6 @@ acks) and errors still travel pickled — ``("ok", result)`` /
 frame cannot be written) answers degrade to the pickled path on their
 own, bit-identical either way.
 
-Workers can additionally share one machine-wide decoded-block cache
-(``shared_block_cache=True``): the parent creates/attaches a
-:class:`~repro.core.shm_cache.SharedBlockCache` and every worker —
-including restarted workers — *attaches* to it, so each hot keyword is
-PFOR-decoded once per machine instead of once per worker.  Off by
-default because a shared hit legitimately changes per-query I/O
-accounting (zero reads instead of two).
-
 **Failure semantics.**  A query-level error raised inside a worker
 (unknown keyword, over-budget ``k``) crosses the pipe with its original
 type.  Everything else that can go wrong with a process is turned into
@@ -108,12 +100,12 @@ from repro.core.server import (
     _dispatch,
     process_rss_bytes,
 )
-from repro.core.shm_cache import (
-    SharedBlockCache,
-    shared_cache_name_for,
+from repro.core.transport import (
+    ResponseReader,
+    ResponseWriter,
+    transport_available,
     unlink_segment,
 )
-from repro.core.transport import ResponseReader, ResponseWriter, transport_available
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -133,6 +125,14 @@ __all__ = ["SupervisedServerPool"]
 #: pays a full interpreter + numpy import before it can answer.
 _STARTUP_TIMEOUT = 120.0
 
+#: Upper bound, in seconds, on a shard's exponential restart backoff.
+_BACKOFF_MAX = 5.0
+
+#: Seconds of failure-free service after which a shard's restart window
+#: resets — rare, unrelated faults must not accumulate into a degraded
+#: state over weeks of serving.
+_BUDGET_RESET_AFTER = 60.0
+
 
 def _worker_main(
     conn, path: str, worker_id: int, config: dict, resp_name: Optional[str] = None
@@ -140,11 +140,8 @@ def _worker_main(
     """One worker process: a :class:`KBTIMServer` behind a request pipe.
 
     Opens its own reader (and therefore its own buffer pool, I/O
-    counters and block cache) over the immutable index file, attaches
-    the machine-wide decoded-block cache behind it when one is
-    configured (attach only — a restarted worker must never re-create
-    shared state),
-    creates its flat-response segment, acknowledges startup, then serves
+    counters and block cache) over the immutable index file, creates
+    its flat-response segment, acknowledges startup, then serves
     ``(method, payload)`` requests until a ``shutdown`` request or a
     closed pipe.  Every per-request exception is shipped back to the
     parent instead of killing the loop, so one bad query never takes
@@ -153,23 +150,12 @@ def _worker_main(
     from repro.core.rr_index import RRIndex
     from repro.storage.pager import BufferPool
 
-    shared_cache = None
     writer = None
     try:
-        cache_name = config.get("shm_cache_name")
-        if cache_name:
-            try:
-                shared_cache = SharedBlockCache(cache_name, create=False)
-            except Exception:
-                # The shared tier is an optimisation: if the directory is
-                # gone (owner shut down first) the worker degrades to
-                # private decodes — answers stay exact.
-                shared_cache = None
         index = RRIndex(
             path,
             pool=BufferPool(config["pool_pages"]),
             page_size=config["page_size"],
-            shared_cache=shared_cache,
         )
         server = KBTIMServer(index, cache_keywords=config["cache_keywords"])
         if resp_name is not None:
@@ -241,8 +227,6 @@ def _worker_main(
     finally:
         if writer is not None:
             writer.close(unlink=True)
-        if shared_cache is not None:
-            shared_cache.close()
         server.index.close()
         conn.close()
 
@@ -549,16 +533,6 @@ class SupervisedServerPool:
         the broken pipe.  Overridable per call via ``timeout=``.  The
         pool's single deadline: admin fan-outs and :meth:`snapshot`
         reads are bounded by it too.
-    shared_block_cache:
-        Put one machine-wide :class:`~repro.core.shm_cache.SharedBlockCache`
-        behind every worker's block cache (each hot keyword is
-        PFOR-decoded once per machine).  Off by default: a shared
-        hit legitimately reports zero per-query reads where a private
-        decode reports two, so enabling it changes I/O accounting.  A
-        restarted worker *attaches* to the existing cache.
-    shm_cache_slots:
-        Directory capacity of the shared block cache (keywords held at
-        once); only meaningful with ``shared_block_cache=True``.
     dispatch:
         Shard-selection policy: ``"crc32"`` (exact legacy static map,
         the default), ``"rendezvous"`` (load-aware, skew-balancing), or
@@ -583,14 +557,9 @@ class SupervisedServerPool:
     restart_backoff:
         Base backoff in seconds: the first restart of a window is
         immediate, the k-th waits ``restart_backoff * 2**(k-2)``
-        (capped at ``backoff_max``) after the latest failure.  ``0``
-        disables the wait (deterministic tests).
-    backoff_max:
-        Upper bound on the exponential backoff delay.
-    budget_reset_after:
-        Seconds of failure-free service after which a shard's restart
-        window resets — rare, unrelated faults must not accumulate into
-        a degraded state over weeks of serving.
+        (capped at 5 s) after the latest failure.  ``0`` disables the
+        wait (deterministic tests).  A shard's restart window resets
+        after 60 s of failure-free service.
     max_inflight:
         Admission-control budget: beyond this many concurrently
         executing requests the pool sheds load with
@@ -601,8 +570,8 @@ class SupervisedServerPool:
     ------
     ValueError
         On a non-positive ``n_workers``, ``cache_keywords``,
-        ``pool_pages``, ``shm_cache_slots``, ``restart_budget`` or
-        ``max_inflight``, a negative ``max_retries`` or timing knob, an
+        ``pool_pages``, ``restart_budget`` or ``max_inflight``, a
+        negative ``max_retries`` or ``restart_backoff``, an
         unknown/mis-sized ``dispatch`` or an unknown ``start_method``.
     CorruptIndexError
         If ``path`` is not a readable RR index.
@@ -610,8 +579,8 @@ class SupervisedServerPool:
         If a worker fails its startup handshake.
 
     Every argument is checked, and the catalog read in the parent,
-    *before* the first shared segment or process is created, so a
-    rejected constructor leaves nothing behind.
+    *before* the first shared-memory segment or process is created, so
+    a rejected constructor leaves nothing behind.
 
     **Thread safety.**  Any number of parent threads may call
     :meth:`query` / :meth:`query_batch` concurrently; each worker's pipe
@@ -645,14 +614,10 @@ class SupervisedServerPool:
         page_size: int = DEFAULT_PAGE_SIZE,
         start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
-        shared_block_cache: bool = False,
-        shm_cache_slots: int = 64,
         dispatch: "str | Dispatcher" = "crc32",
         max_retries: int = 1,
         restart_budget: int = 3,
         restart_backoff: float = 0.05,
-        backoff_max: float = 5.0,
-        budget_reset_after: float = 60.0,
         max_inflight: Optional[int] = None,
     ) -> None:
         self.n_workers = check_positive_int("n_workers", n_workers)
@@ -662,17 +627,11 @@ class SupervisedServerPool:
             "cache_keywords": check_positive_int("cache_keywords", cache_keywords),
             "pool_pages": check_positive_int("pool_pages", pool_pages),
         }
-        check_positive_int("shm_cache_slots", shm_cache_slots)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         check_positive_int("restart_budget", restart_budget)
-        for name, value in (
-            ("restart_backoff", restart_backoff),
-            ("backoff_max", backoff_max),
-            ("budget_reset_after", budget_reset_after),
-        ):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        if restart_backoff < 0:
+            raise ValueError(f"restart_backoff must be >= 0, got {restart_backoff}")
         if max_inflight is not None:
             check_positive_int("max_inflight", max_inflight)
         if start_method is None:
@@ -685,8 +644,6 @@ class SupervisedServerPool:
         self.max_retries = max_retries
         self.restart_budget = restart_budget
         self.restart_backoff = restart_backoff
-        self.backoff_max = backoff_max
-        self.budget_reset_after = budget_reset_after
         self.max_inflight = max_inflight
         # Parent-side catalog: names + topic-id map only, for dispatch
         # and warm routing.  Loaded once and the reader closed *before*
@@ -709,16 +666,6 @@ class SupervisedServerPool:
         self._resp_counter = itertools.count()
         # Nothing above outlives a failed constructor; from here on a
         # failure must release what was created.
-        self._shm_cache: Optional[SharedBlockCache] = None
-        if shared_block_cache and self.flat_transport:
-            # The parent creates (or, if another pool over the same file
-            # is already serving, attaches to) the machine-wide cache;
-            # workers always attach only, so a restarted worker can never
-            # re-create or unlink shared state.
-            self._shm_cache = SharedBlockCache(
-                shared_cache_name_for(self.path), slots=shm_cache_slots, create=True
-            )
-            self._config["shm_cache_name"] = self._shm_cache.name
         workers: List[_WorkerHandle] = []
         try:
             for worker_id in range(self.n_workers):
@@ -728,8 +675,6 @@ class SupervisedServerPool:
         except BaseException:
             for handle in workers:
                 handle.shutdown(join_timeout=1.0)
-            if self._shm_cache is not None:
-                self._shm_cache.close()
             raise
         self._workers = workers
 
@@ -823,7 +768,7 @@ class SupervisedServerPool:
                 if record.last_failure_at is not None
                 else 0.0
             )
-            if since_failure > self.budget_reset_after:
+            if since_failure > _BUDGET_RESET_AFTER:
                 record.restarts_in_window = 0  # sustained health: window resets
             if record.restarts_in_window >= self.restart_budget:
                 record.degraded = True
@@ -840,7 +785,7 @@ class SupervisedServerPool:
             if record.restarts_in_window:
                 backoff = min(
                     self.restart_backoff * 2.0 ** (record.restarts_in_window - 1),
-                    self.backoff_max,
+                    _BACKOFF_MAX,
                 )
             if backoff > since_failure:
                 raise ShardUnavailableError(
@@ -1268,8 +1213,8 @@ class SupervisedServerPool:
         Per shard: state (``ready`` / ``restarting`` / ``degraded`` /
         ``drained``), liveness, pid, RSS read from ``/proc``, restarts,
         in-flight units and the last transport error; for the pool: the
-        restart / retry / shed counters, the admission budget, the
-        shared block cache's bytes and the workers' total RSS.  Never
+        restart / retry / shed counters, the admission budget and the
+        workers' total RSS.  Never
         waits on a shard, so it stays cheap and safe to poll from a
         health endpoint while shards are busy, hung or dead.
 
@@ -1302,7 +1247,6 @@ class SupervisedServerPool:
                         last_error=record.last_error,
                     )
                 )
-        cache = self._shm_cache
         return PoolHealth(
             shards=tuple(shards),
             inflight=sum(shard.inflight for shard in shards),
@@ -1311,7 +1255,6 @@ class SupervisedServerPool:
             retries=self._supervision.retries,
             sheds=self._supervision.sheds,
             rss_bytes=sum(shard.rss_bytes for shard in shards),
-            shm_bytes=cache.shared_bytes() if cache is not None else 0,
         )
 
     def snapshot(self) -> PoolSnapshot:
@@ -1362,13 +1305,6 @@ class SupervisedServerPool:
         return self.snapshot().stats
 
     @property
-    def shared_cache(self) -> Optional[SharedBlockCache]:
-        """The machine-wide decoded-block cache
-        (:class:`~repro.core.shm_cache.SharedBlockCache`; ``None`` when
-        disabled)."""
-        return self._shm_cache
-
-    @property
     def pids(self) -> List[int]:
         """Worker process ids, in shard order — ``health().shards[i].pid``;
         kept only for the frozen ``bench/targets.py`` (ROADMAP 4(e))."""
@@ -1388,8 +1324,7 @@ class SupervisedServerPool:
             raise ServerError("supervised server pool is closed")
 
     def close(self) -> None:
-        """Shut every worker down (polite request, then terminate) and
-        release the shared block cache.
+        """Shut every worker down (polite request, then terminate).
 
         Idempotent; afterwards every serving method raises
         :class:`~repro.errors.ServerError`, and no child process,
@@ -1400,11 +1335,6 @@ class SupervisedServerPool:
         self._closed = True
         for worker in self._workers:
             worker.shutdown()
-        if self._shm_cache is not None:
-            # Owner pools unlink every shared segment; attached pools
-            # just drop their mappings (the owner cleans up at exit).
-            self._shm_cache.close()
-            self._shm_cache = None
 
     def __enter__(self) -> "SupervisedServerPool":
         return self

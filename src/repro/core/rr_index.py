@@ -44,7 +44,6 @@ from repro.core.coverage import greedy_max_coverage, merge_coverage_csr
 from repro.core.offline import KeywordTable, sample_keyword_tables
 from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.shm_cache import SharedBlockCache
 from repro.core.theta import ThetaPolicy
 from repro.errors import CorruptIndexError, IndexError_
 from repro.profiles.store import ProfileStore
@@ -379,13 +378,6 @@ class BlockCache:
       prefix only and keeps the entry's inverted pairs — a miss, 1 read;
     * otherwise the loader decodes from storage — a miss, 2 reads.
 
-    ``shared`` is an optional machine-wide backing store
-    (:class:`~repro.core.shm_cache.SharedBlockCache`) sitting *behind*
-    the LRU: a local miss consults it before the loader (a shared hit is
-    a local miss that costs zero reads and zero decode), and a loaded
-    block is published to it and served from the shared copy, so every
-    worker's resident set overlaps.
-
     **Concurrency.**  A hit takes the LRU lock once (dict lookup +
     ``move_to_end``) and nothing else.  A miss is single-flight per
     keyword: concurrent misses on one keyword decode once — the losers
@@ -393,16 +385,13 @@ class BlockCache:
     parallel; the decode itself runs outside the LRU lock.  Blocks are
     immutable by convention, so they are handed out without copying.
 
-    ``capacity=0`` retains nothing: every :meth:`get` goes to the backing
-    store / loader, which restores the cold decode-per-query behaviour
-    and its exact "2 reads per keyword" accounting.
+    ``capacity=0`` retains nothing: every :meth:`get` goes to the loader,
+    which restores the cold decode-per-query behaviour and its exact
+    "2 reads per keyword" accounting.
     """
 
-    def __init__(
-        self, capacity: int, shared: Optional[SharedBlockCache] = None
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = max(0, int(capacity))
-        self.shared = shared
         # keyword -> (decoded set count, block), least recently used first.
         self._entries: "OrderedDict[str, Tuple[int, KeywordCoverageCSR]]" = (
             OrderedDict()
@@ -419,7 +408,7 @@ class BlockCache:
         ``count`` leading RR sets plus the keyword's full inverted pairs.
 
         ``hit`` is true when a resident entry served the request without
-        the backing store or ``loader`` being consulted.  The loader is
+        ``loader`` being consulted.  The loader is
         passed per call rather than held, so the cache keeps no reference
         back to the reader that owns it: a dropped reader frees its
         decoded blocks at once instead of waiting for the cycle collector.
@@ -452,37 +441,17 @@ class BlockCache:
         resident: Optional[KeywordCoverageCSR],
         loader: BlockLoader,
     ) -> KeywordCoverageCSR:
-        """The miss path: backing store, else loader + publish; admit."""
-        found = None
-        if self.shared is not None:
-            found = self.shared.get(keyword, count)
-        if found is None:
-            block = loader(keyword, count, resident)
-            if self.shared is not None:
-                found = self.shared.put(
-                    keyword,
-                    count,
-                    block.set_ptr,
-                    block.set_vertices,
-                    block.inv_vertices,
-                    block.inv_sets,
-                )
-        if found is not None:
-            # Serve (and retain) the shared copy, which may cover more
-            # sets than were asked for.
-            count_held, views = found
-            block = KeywordCoverageCSR(*views)
-        else:
-            count_held = count
+        """The miss path: load, then admit."""
+        block = loader(keyword, count, resident)
         if self.capacity:
             with self._lock:
                 # Single-flight makes this the only admit in progress for
                 # the keyword, and it always holds more than the entry it
                 # replaces.
-                self._entries[keyword] = (count_held, block)
+                self._entries[keyword] = (count, block)
                 self._entries.move_to_end(keyword)
                 self._trim()
-        return block.clip_prefix(count)
+        return block
 
     def _trim(self) -> None:
         while len(self._entries) > self.capacity:
@@ -495,8 +464,7 @@ class BlockCache:
             self._trim()
 
     def clear(self) -> None:
-        """Drop every resident block (memory-pressure handling); the
-        shared backing store, which other processes read, is untouched."""
+        """Drop every resident block (memory-pressure handling)."""
         with self._lock:
             self._entries.clear()
 
@@ -525,12 +493,7 @@ class RRIndex(IndexReader):
     Decoded keyword blocks are kept in :attr:`cache`, the reader's one
     :class:`BlockCache` (``prefix_cache_keywords`` keywords, ``0``
     disables it; a :class:`~repro.core.server.KBTIMServer` over this
-    reader re-sizes and serves from the same object).  ``shared_cache``
-    attaches a machine-wide
-    :class:`~repro.core.shm_cache.SharedBlockCache` as that cache's
-    backing store, so one PFOR decode feeds every worker process on the
-    machine; a block served from it costs **zero** disk reads, and
-    per-query I/O accounting reflects that.
+    reader re-sizes and serves from the same object).
     """
 
     FORMAT = RR_FORMAT
@@ -543,9 +506,8 @@ class RRIndex(IndexReader):
         pool: Optional[BufferPool] = None,
         page_size: int = DEFAULT_PAGE_SIZE,
         prefix_cache_keywords: int = _PREFIX_CACHE_KEYWORDS,
-        shared_cache: Optional[SharedBlockCache] = None,
     ) -> None:
-        self.cache = BlockCache(prefix_cache_keywords, shared=shared_cache)
+        self.cache = BlockCache(prefix_cache_keywords)
         # Record headers + group offset tables, loaded once at open:
         # keyword -> (group_size, payload_len, payload_start, offsets).
         self._headers: Dict[str, Tuple[int, int, int, np.ndarray]] = {}

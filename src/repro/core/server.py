@@ -317,7 +317,7 @@ SHARD_DEGRADED = "degraded"
 SHARD_DRAINED = "drained"
 
 #: Version of the :meth:`PoolSnapshot.to_dict` document.
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -354,9 +354,6 @@ class PoolHealth:
     sheds: int
     #: Summed RSS of the live worker processes.
     rss_bytes: int
-    #: Bytes resident in the machine-wide shared block cache (counted
-    #: once — the segments are shared, not per worker); 0 when disabled.
-    shm_bytes: int
 
     @property
     def available_shards(self) -> int:

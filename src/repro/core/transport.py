@@ -44,16 +44,24 @@ nothing.
 
 from __future__ import annotations
 
+import mmap
+import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.shm_cache import _HAVE_SHM, _Segment, unlink_segment
 from repro.errors import ServerError
 from repro.storage.iostats import IOStats
 
-__all__ = ["ResponseWriter", "ResponseReader"]
+try:  # CPython ships this on every POSIX platform
+    import _posixshmem
+
+    _HAVE_SHM = True
+except ImportError:  # pragma: no cover - non-POSIX builds
+    _HAVE_SHM = False
+
+__all__ = ["ResponseWriter", "ResponseReader", "unlink_segment"]
 
 _FRAME_MAGIC = 0x4B42_5449_4D52_5350  # "KBTIMRSP"
 _HEADER_WORDS = 4
@@ -62,6 +70,68 @@ _FLOAT_COLS = 2
 
 #: Initial response-segment size; covers typical batches without a grow.
 _INITIAL_BYTES = 64 * 1024
+
+
+class _Segment:
+    """One named POSIX shared-memory segment, mapped read-write.
+
+    Deliberately not :class:`multiprocessing.shared_memory.SharedMemory`:
+    that class reports every create *and attach* to the process's
+    ``resource_tracker``, which (before 3.13) keeps a plain *set* of
+    names and is shared by forked workers.  A worker that merely attached
+    to a machine-wide segment would unlink it on exit, and two processes
+    balancing their own register/unregister pairs for one name interleave
+    as REG REG UNREG UNREG — the second remove raises ``KeyError`` inside
+    the tracker.  Segments here never talk to the tracker at all; cleanup
+    is explicit (the owner unlinks, see :func:`unlink_segment`).
+
+    ``close`` tolerates live numpy exports: arrays served zero-copy from
+    the segment keep its buffer exported, so a blocked close only drops
+    this handle's references — the mapping stays alive exactly until the
+    last array dies, then ordinary GC unmaps it.
+    """
+
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        self.name = name
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open(f"/{name}", flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            self.size = os.fstat(fd).st_size
+            if not self.size:
+                raise OSError(f"shared-memory segment {name!r} is empty")
+            self._mmap = mmap.mmap(fd, self.size)
+        except OSError:
+            if create:
+                unlink_segment(name)
+            raise
+        finally:
+            os.close(fd)  # the mapping outlives the descriptor
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Drop the mapping; defer the unmap while exports exist."""
+        buf, mapped = self.buf, self._mmap
+        self.buf = self._mmap = None
+        if mapped is None:
+            return
+        try:
+            buf.release()
+            mapped.close()
+        except BufferError:
+            pass
+
+
+def unlink_segment(name: str) -> None:
+    """Unlink one segment by name, tolerating its absence.
+
+    Processes still attached keep their mappings (POSIX semantics).
+    """
+    try:
+        _posixshmem.shm_unlink(f"/{name}")
+    except FileNotFoundError:
+        pass
 
 
 def transport_available() -> bool:

@@ -1,10 +1,10 @@
 """Contract of the one decoded-block cache on the RR path.
 
 ``repro.core.rr_index.BlockCache`` is the only place a decoded keyword
-block is retained: the reader owns it, ``KBTIMServer`` borrows it, and
-the shared-memory tier sits behind it.  Its behaviour is pinned once,
-here, against the cache object of a real reader (so "reads" are the
-reader's physical ``IOStats``), instead of once per tier:
+block is retained: the reader owns it and ``KBTIMServer`` borrows it.
+Its behaviour is pinned once, here, against the cache object of a real
+reader (so "reads" are the reader's physical ``IOStats``), instead of
+once per tier:
 
 * a resident prefix covering the request is clipped by slicing — a hit,
   zero reads;
@@ -16,9 +16,7 @@ reader's physical ``IOStats``), instead of once per tier:
 * a miss is single-flight per keyword, for direct readers and for the
   server alike;
 * reader and cache form no reference cycle, so closing and dropping a
-  reader releases its blocks immediately;
-* a block served from the shared-memory backing store is a local
-  *miss* that costs zero reads.
+  reader releases its blocks immediately.
 """
 
 import gc
@@ -32,9 +30,7 @@ import pytest
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import BlockCache, KeywordCoverageCSR, RRIndex, RRIndexBuilder
 from repro.core.server import KBTIMServer
-from repro.core.shm_cache import SharedBlockCache
 from repro.core.theta import ThetaPolicy
-from repro.core.transport import transport_available
 
 
 @pytest.fixture(scope="module")
@@ -205,28 +201,3 @@ class TestSingleFlight:
                 assert server.stats.keyword_misses == 1
                 assert server.stats.keyword_hits == 5
 
-
-@pytest.mark.skipif(
-    not transport_available(), reason="POSIX shared memory unavailable"
-)
-class TestSharedBackingStore:
-    def test_shared_hit_is_a_local_miss_with_zero_reads(self, index_path):
-        query = KBTIMQuery(("music",), 3)
-        with SharedBlockCache("kbtim-test-backing", slots=4, create=True) as shm:
-            with KBTIMServer(RRIndex(index_path, shared_cache=shm)) as first:
-                want = first.query(query)
-                assert want.stats.io.read_calls == 2
-                assert shm.keywords() == {"music": first.index.catalog["music"].n_sets}
-            # A second process-alike: cold local cache, warm shared store.
-            with KBTIMServer(RRIndex(index_path, shared_cache=shm)) as second:
-                got = second.query(query)
-                assert got.seeds == want.seeds
-                assert got.stats.io.read_calls == 0
-                assert second.stats.keyword_misses == 1
-                assert second.stats.keyword_hits == 0
-                # Admitted locally: the next query is an ordinary hit.
-                second.query(query)
-                assert second.stats.keyword_hits == 1
-                # Dropping the local entries leaves the shared store alone.
-                second.evict_all()
-                assert second.query(query).stats.io.read_calls == 0

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.server import SNAPSHOT_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +251,8 @@ def _assert_each_number_has_one_home(payload):
         f"{health}/rss_bytes",
         f"{health}/shards[]/rss_bytes",
     }
-    assert _homes(payload, "shm_bytes") == {f"{health}/shm_bytes"}
+    # The shared block cache and its gauge are gone (schema 2).
+    assert _homes(payload, "shm_bytes") == set()
     assert _homes(payload, "restarts") == {
         f"{health}/restarts",
         f"{health}/shards[]/restarts",
@@ -260,7 +262,7 @@ def _assert_each_number_has_one_home(payload):
         "/snapshot/stats/hit_ratio",
         "/snapshot/workers[]/stats/hit_ratio",
     }
-    assert payload["snapshot"]["schema"] == 1
+    assert payload["snapshot"]["schema"] == SNAPSHOT_SCHEMA
     return payload["snapshot"]["health"]
 
 
@@ -286,12 +288,15 @@ class TestReplay:
         assert "closed-loop replay: 10 queries on 2 workers (crc32" in out
         assert "q/s" in out and "hit ratio" in out
 
-    def test_replay_has_no_pool_kind_switch(self, rr_index, dataset_files, capsys):
+    @pytest.mark.parametrize("removed", [["--pool", "thread"], ["--shared-cache"]])
+    def test_replay_has_no_pool_kind_switch(
+        self, rr_index, dataset_files, capsys, removed
+    ):
         _graph, profiles = dataset_files
         with pytest.raises(SystemExit) as excinfo:
-            main(self._replay_args(rr_index, profiles) + ["--pool", "thread"])
+            main(self._replay_args(rr_index, profiles) + removed)
         assert excinfo.value.code == 2
-        assert "--pool" in capsys.readouterr().err
+        assert removed[0] in capsys.readouterr().err
 
     def test_replay_process_pool_json(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
@@ -303,7 +308,7 @@ class TestReplay:
         assert payload["qps"] > 0
         assert payload["p95_ms"] >= payload["p50_ms"]
         health = _assert_each_number_has_one_home(payload)
-        assert health["rss_bytes"] > 0 and health["shm_bytes"] == 0
+        assert health["rss_bytes"] > 0
         assert health["rss_bytes"] == sum(s["rss_bytes"] for s in health["shards"])
         assert payload["snapshot"]["stats"]["queries"] == 10
 
@@ -326,13 +331,13 @@ class TestReplay:
         _graph, profiles = dataset_files
         code = main(
             self._replay_args(rr_index, profiles)
-            + ["--rate", "500", "--shared-cache", "--json"]
+            + ["--rate", "500", "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mode"] == "open"
         health = _assert_each_number_has_one_home(payload)
-        assert health["rss_bytes"] > 0 and health["shm_bytes"] > 0
+        assert health["rss_bytes"] > 0
 
     def test_replay_missing_index_is_clean_error(self, dataset_files, capsys):
         _graph, profiles = dataset_files

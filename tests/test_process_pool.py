@@ -97,11 +97,11 @@ def _assert_same_selection(a, b):
 WARMED = ("music", "book")
 
 
-def _observe(path: str, workload, **pool_kwargs) -> dict:
+def _observe(path: str, workload) -> dict:
     """Drive the pool through peek, warm, query and query_batch and record
     everything the per-shard oracle must reproduce."""
     half = len(workload) // 2
-    with SupervisedServerPool(path, n_workers=3, **pool_kwargs) as pool:
+    with SupervisedServerPool(path, n_workers=3) as pool:
         shards = [pool.shard_of(q) for q in workload]
         pool.warm(WARMED)
         warmed = pool.snapshot()
@@ -176,24 +176,6 @@ class TestPoolContract:
         assert sum(a.stats.io.read_calls for a in answers) == observed["reads"] > 0
         assert sum(a.stats.io.bytes_read for a in answers) == observed["bytes"]
 
-    def test_shared_block_cache_keeps_answers_and_exact_io(
-        self, setup, workload, observed, expected
-    ):
-        """Shared memory behind the workers' caches changes where a block
-        comes from, never the answer, and a block served from it is
-        accounted as the zero reads it cost."""
-        path, _profiles = setup
-        seen = _observe(path, workload, shared_block_cache=True)
-        assert seen["shards"] == observed["shards"]
-        for got, want in zip(seen["answers"], expected):
-            _assert_same_selection(got, want)
-        assert sum(a.stats.io.read_calls for a in seen["answers"]) == seen["reads"]
-        assert sum(a.stats.io.bytes_read for a in seen["answers"]) == seen["bytes"]
-        assert 0 < seen["reads"] <= observed["reads"]
-        # The one home of shared-segment bytes, counted once per machine.
-        assert seen["snapshot"].health.shm_bytes > 0
-        assert observed["snapshot"].health.shm_bytes == 0
-
     def test_snapshot_is_one_json_document(self, observed, workload):
         """``snapshot().to_dict()`` is plain JSON of schema ``SNAPSHOT_SCHEMA``."""
         document = json.loads(json.dumps(observed["snapshot"].to_dict()))
@@ -232,7 +214,6 @@ class TestPoolContract:
         assert len(pids) == 3 and os.getpid() not in pids
         assert health.rss_bytes == sum(s.rss_bytes for s in health.shards)
         assert not hasattr(observed["snapshot"].stats, "rss_bytes")
-        assert not hasattr(ServerStats(), "shm_bytes")
         assert not hasattr(ServerStats(), "record_memory")
 
     def test_health_asks_no_worker_and_snapshot_asks_each_once(
@@ -772,9 +753,9 @@ class TestLifecycle:
         assert len(os.listdir("/proc/self/fd")) == fds_before  # pool still referenced
 
     def test_rejected_argument_leaves_no_shared_state(self, setup):
-        """Every argument is validated before the first shared segment or
-        process exists (d439185: a bad ``start_method`` raised *after*
-        creating the machine-wide cache and its lock file)."""
+        """Every argument is validated before the first shared-memory
+        segment or process exists (d439185: a bad ``start_method`` once
+        raised *after* creating shared segments and a lock file)."""
         path, _profiles = setup
 
         def kbtim_entries():
@@ -788,7 +769,7 @@ class TestLifecycle:
 
         before = kbtim_entries()
         with pytest.raises(ValueError, match="bogus"):
-            SupervisedServerPool(path, shared_block_cache=True, start_method="bogus")
+            SupervisedServerPool(path, start_method="bogus")
         assert kbtim_entries() == before
 
     def test_bad_worker_count_rejected(self, setup):

@@ -9,7 +9,8 @@ asserted:
   and fails fast with a typed :class:`ShardUnavailableError` while every
   other shard keeps serving exactly; ``restore()`` brings it back.
 * Exponential backoff gates repeated restarts (``retry_after`` carried
-  in the typed error), deadlines bound the supervised round trip, and a
+  in the typed error, capped), a long failure-free spell resets the
+  restart window, deadlines bound the supervised round trip, and a
   deadline miss poisons the pipe so a late reply is never mis-delivered.
 * Admission control sheds load with a typed :class:`OverloadedError`
   (retry-after hint) once the in-flight budget is full, and the
@@ -21,7 +22,11 @@ import time
 
 import pytest
 
-from repro.core.process_pool import SupervisedServerPool
+from repro.core.process_pool import (
+    _BACKOFF_MAX,
+    _BUDGET_RESET_AFTER,
+    SupervisedServerPool,
+)
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.server import (
@@ -224,6 +229,42 @@ class TestDegradedMode:
             assert excinfo.value.shard == shard
             assert 0 < excinfo.value.retry_after <= 30.0
             assert pool.health().shards[shard].state == SHARD_RESTARTING
+
+    def test_backoff_is_capped(self, setup):
+        """However long ``restart_backoff`` asks for, a restart waits at
+        most ``_BACKOFF_MAX`` seconds after the shard's latest failure."""
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        with SupervisedServerPool(
+            path, n_workers=3, restart_backoff=1000.0, restart_budget=3
+        ) as pool:
+            shard = pool.shard_of(query)
+            _kill_worker(pool, shard)
+            assert pool.query(query).seeds  # first restart is immediate
+            _kill_worker(pool, shard)
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                pool.query(query)
+            assert 0 < excinfo.value.retry_after <= _BACKOFF_MAX
+
+    def test_restart_window_resets_after_failure_free_service(self, setup):
+        """A failure older than ``_BUDGET_RESET_AFTER`` no longer counts:
+        the shard restarts instead of degrading on a spent budget."""
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        with SupervisedServerPool(
+            path, n_workers=3, restart_backoff=0.0, restart_budget=1
+        ) as pool:
+            shard = pool.shard_of(query)
+            record = pool._shards[shard]
+            _kill_worker(pool, shard)
+            assert pool.query(query).seeds  # spends the whole budget
+            assert record.restarts_in_window == 1
+            record.last_failure_at = time.monotonic() - _BUDGET_RESET_AFTER - 1.0
+            _kill_worker(pool, shard)
+            assert pool.query(query).seeds  # healed, not degraded
+            assert record.restarts_in_window == 1
+            assert pool.health().shards[shard].state == SHARD_READY
+            assert pool.stats.restarts == 2
 
     def test_fanout_administers_healthy_shards_before_failing(self, setup):
         path, _profiles = setup
@@ -533,8 +574,6 @@ class TestLifecycleAndValidation:
             SupervisedServerPool(path, restart_backoff=-1.0)
         with pytest.raises(ValueError):
             SupervisedServerPool(path, max_inflight=0)
-        with pytest.raises(ValueError):
-            SupervisedServerPool(path, budget_reset_after=-5.0)
 
     def test_harness_opens_supervised_pool(self, tmp_path):
         from repro.experiments.harness import ExperimentContext, ExperimentScale

@@ -1,0 +1,360 @@
+"""Flat-frame answer transport of the serving pool (repro.core.transport).
+
+Pinned guarantees:
+
+* The flat response transport round-trips whole answer batches
+  losslessly, grows its segment under the same name (generation bump),
+  and rejects desynchronised, foreign, truncated or missing frames with
+  a typed error.
+* Ownership is explicit: the worker's writer creates its segment
+  exclusively, a reader's close never unlinks it, and a writer closed
+  without unlinking leaves it for the parent to unlink.
+* The segment primitive maps one name in several places, never unlinks
+  on close, and defers its unmap while numpy views of it are alive.
+* No segment ever reaches ``multiprocessing.resource_tracker`` (whose
+  per-type name *set*, shared by forked workers, turned interleaved
+  register/unregister pairs into ``KeyError`` noise at exit).
+* A ``spawn``-started :class:`SupervisedServerPool` answers over flat
+  frames bit-identically, with no leaked response segment after close.
+* Flat frames and pickled answers carry identical ``QueryStats``.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from repro.core.process_pool import SupervisedServerPool
+from repro.core.results import QueryStats, SeedSelection
+from repro.core.rr_index import RRIndex, RRIndexBuilder
+from repro.core.theta import ThetaPolicy
+from repro.core.transport import (
+    ResponseReader,
+    ResponseWriter,
+    _Segment,
+    transport_available,
+    unlink_segment,
+)
+from repro.errors import ServerError
+from repro.storage.iostats import IOStats
+
+pytestmark = pytest.mark.skipif(
+    not transport_available(), reason="POSIX shared memory unavailable"
+)
+
+
+def shm_entries(prefix: str):
+    """Current /dev/shm entries with ``prefix`` (empty off-Linux)."""
+    try:
+        return sorted(e for e in os.listdir("/dev/shm") if e.startswith(prefix))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
+@pytest.fixture(scope="module")
+def index_setup(tmp_path_factory):
+    from repro.graph.generators import twitter_like
+    from repro.profiles.generators import zipf_profiles
+    from repro.profiles.topics import TopicSpace
+    from repro.propagation.ic import IndependentCascade
+
+    graph = twitter_like(200, avg_degree=6, rng=71)
+    profiles = zipf_profiles(graph.n, TopicSpace.default(8), rng=72)
+    path = str(tmp_path_factory.mktemp("transport") / "s.rr")
+    RRIndexBuilder(
+        IndependentCascade(graph),
+        profiles,
+        policy=ThetaPolicy(epsilon=1.0, K=20, cap=150),
+        rng=73,
+    ).build(path)
+    return path, profiles
+
+
+def make_selection(seed: int, n_seeds: int) -> SeedSelection:
+    rng = np.random.default_rng(seed)
+    io = IOStats()
+    io.record_read(pages_read=int(rng.integers(0, 9)), pages_hit=2, nbytes=512)
+    return SeedSelection(
+        seeds=tuple(int(v) for v in rng.integers(0, 100, size=n_seeds)),
+        marginal_coverages=tuple(
+            int(v) for v in rng.integers(1, 50, size=n_seeds)
+        ),
+        theta=int(rng.integers(1, 500)),
+        phi_q=float(rng.random()),
+        stats=QueryStats(
+            elapsed_seconds=float(rng.random()),
+            rr_sets_considered=int(rng.integers(0, 500)),
+            rr_sets_loaded=int(rng.integers(0, 500)),
+            partitions_loaded=int(rng.integers(0, 8)),
+            io=io,
+        ),
+    )
+
+
+class TestFlatTransport:
+    def test_roundtrip_is_lossless(self):
+        batch = [make_selection(i, n_seeds=i % 5) for i in range(8)]
+        writer = ResponseWriter("kbtim-test-resp", initial_bytes=4096)
+        reader = ResponseReader("kbtim-test-resp")
+        try:
+            nbytes, generation = writer.write(batch, seq=1)
+            got = reader.read(1, nbytes, generation)
+            assert got == batch  # dataclass equality: every field survives
+        finally:
+            reader.close()
+            writer.close()
+        assert shm_entries("kbtim-test-resp") == []
+
+    def test_growth_bumps_generation_and_reader_reattaches(self):
+        writer = ResponseWriter("kbtim-test-grow", initial_bytes=256)
+        reader = ResponseReader("kbtim-test-grow")
+        try:
+            small = [make_selection(1, n_seeds=2)]
+            nbytes, generation = writer.write(small, seq=1)
+            assert generation == 0
+            assert reader.read(1, nbytes, generation) == small
+            big = [make_selection(i, n_seeds=4) for i in range(32)]
+            nbytes, generation = writer.write(big, seq=2)
+            assert generation >= 1  # the segment had to grow
+            assert reader.read(2, nbytes, generation) == big
+        finally:
+            reader.close()
+            writer.close()
+        assert shm_entries("kbtim-test-grow") == []
+
+    def test_desynchronised_frame_is_a_typed_error(self):
+        writer = ResponseWriter("kbtim-test-seq", initial_bytes=1024)
+        reader = ResponseReader("kbtim-test-seq")
+        try:
+            nbytes, generation = writer.write([make_selection(3, 3)], seq=7)
+            with pytest.raises(ServerError, match="desynchronised"):
+                reader.read(8, nbytes, generation)  # stale/wrong seq
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_unlink_segment_tolerates_absence(self):
+        unlink_segment("kbtim-test-never-created")  # must not raise
+
+    def test_empty_batch_roundtrips(self):
+        writer = ResponseWriter("kbtim-test-empty", initial_bytes=256)
+        reader = ResponseReader("kbtim-test-empty")
+        try:
+            nbytes, generation = writer.write([], seq=3)
+            assert reader.read(3, nbytes, generation) == []
+        finally:
+            reader.close()
+            writer.close()
+        assert shm_entries("kbtim-test-empty") == []
+
+    def test_frame_longer_than_segment_is_a_typed_error(self):
+        writer = ResponseWriter("kbtim-test-long", initial_bytes=1024)
+        reader = ResponseReader("kbtim-test-long")
+        try:
+            _nbytes, generation = writer.write([make_selection(4, 2)], seq=1)
+            with pytest.raises(ServerError, match="exceeds segment"):
+                reader.read(1, 2048, generation)
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_frame_length_mismatch_is_a_typed_error(self):
+        writer = ResponseWriter("kbtim-test-len", initial_bytes=1024)
+        reader = ResponseReader("kbtim-test-len")
+        try:
+            nbytes, generation = writer.write([make_selection(5, 2)], seq=1)
+            with pytest.raises(ServerError, match="length mismatch"):
+                reader.read(1, nbytes + 8, generation)  # torn acknowledgement
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_foreign_bytes_are_a_typed_error(self):
+        """A segment that holds no frame (zeroed: wrong magic) is never
+        decoded into answers."""
+        foreign = _Segment("kbtim-test-foreign", create=True, size=1024)
+        reader = ResponseReader("kbtim-test-foreign")
+        try:
+            with pytest.raises(ServerError, match="desynchronised"):
+                reader.read(0, 64, 0)
+        finally:
+            reader.close()
+            foreign.close()
+            unlink_segment("kbtim-test-foreign")
+
+    def test_missing_segment_is_a_typed_error(self):
+        reader = ResponseReader("kbtim-test-absent")
+        with pytest.raises(ServerError, match="unavailable"):
+            reader.read(1, 64, 0)
+        reader.close()
+        assert shm_entries("kbtim-test-absent") == []
+
+    def test_reader_close_keeps_the_segment_and_reattaches(self):
+        writer = ResponseWriter("kbtim-test-reattach", initial_bytes=1024)
+        reader = ResponseReader("kbtim-test-reattach")
+        try:
+            first = [make_selection(6, 3)]
+            nbytes, generation = writer.write(first, seq=1)
+            assert reader.read(1, nbytes, generation) == first
+            reader.close()  # the segment belongs to the writer
+            assert shm_entries("kbtim-test-reattach") == ["kbtim-test-reattach"]
+            second = [make_selection(7, 2)]
+            nbytes, generation = writer.write(second, seq=2)
+            assert reader.read(2, nbytes, generation) == second
+        finally:
+            reader.close()
+            writer.close()
+        assert shm_entries("kbtim-test-reattach") == []
+
+    def test_writer_closed_without_unlink_leaves_segment_to_the_parent(self):
+        """A worker that exits without unlinking (the parent reaps it)
+        leaves a readable segment that ``unlink_segment`` then removes."""
+        writer = ResponseWriter("kbtim-test-reap", initial_bytes=1024)
+        reader = ResponseReader("kbtim-test-reap")
+        batch = [make_selection(8, 4)]
+        nbytes, generation = writer.write(batch, seq=1)
+        writer.close(unlink=False)
+        writer.close()  # idempotent: the first close decided
+        try:
+            assert shm_entries("kbtim-test-reap") == ["kbtim-test-reap"]
+            assert reader.read(1, nbytes, generation) == batch
+        finally:
+            reader.close()
+            unlink_segment("kbtim-test-reap")
+        assert shm_entries("kbtim-test-reap") == []
+
+    def test_writer_refuses_without_shared_memory(self, monkeypatch):
+        """Without POSIX shared memory the writer raises ``OSError`` (the
+        pool's cue to pickle answers) and creates nothing."""
+        monkeypatch.setattr("repro.core.transport._HAVE_SHM", False)
+        assert not transport_available()
+        with pytest.raises(OSError, match="unavailable"):
+            ResponseWriter("kbtim-test-noshm")
+        assert shm_entries("kbtim-test-noshm") == []
+
+    def test_segments_never_talk_to_the_resource_tracker(self, monkeypatch):
+        """A response segment's whole life — create, attach, grow
+        (unlink + create under the same name), close, unlink — sends the
+        tracker nothing: cleanup is explicit, so there is no
+        register/unregister pair to interleave."""
+        from multiprocessing import resource_tracker
+
+        calls = []
+        for name in ("register", "unregister"):
+            monkeypatch.setattr(
+                resource_tracker,
+                name,
+                lambda *args, _name=name: calls.append((_name, args)),
+            )
+        writer = ResponseWriter("kbtim-test-track-resp", initial_bytes=256)
+        reader = ResponseReader("kbtim-test-track-resp")
+        batch = [make_selection(i, n_seeds=4) for i in range(32)]
+        nbytes, generation = writer.write(batch, seq=1)  # grows: unlink+create
+        assert generation >= 1
+        assert reader.read(1, nbytes, generation) == batch
+        reader.close()
+        writer.close()
+        unlink_segment("kbtim-test-track-resp")
+        assert calls == []
+        assert shm_entries("kbtim-test-track") == []
+
+
+class TestSegment:
+    def test_attach_sees_owner_bytes_and_close_does_not_unlink(self):
+        owner = _Segment("kbtim-test-attach", create=True, size=4096)
+        try:
+            owner.buf[:5] = b"kbtim"
+            attached = _Segment("kbtim-test-attach")
+            assert attached.size == owner.size == 4096
+            assert bytes(attached.buf[:5]) == b"kbtim"
+            attached.close()  # an attacher's close leaves the name alive
+            assert shm_entries("kbtim-test-attach") == ["kbtim-test-attach"]
+            assert bytes(owner.buf[:5]) == b"kbtim"
+        finally:
+            owner.close()
+            unlink_segment("kbtim-test-attach")
+        assert shm_entries("kbtim-test-attach") == []
+
+    def test_exclusive_create_refuses_a_live_name_and_leaves_it(self):
+        owner = ResponseWriter("kbtim-test-excl", initial_bytes=1024)
+        reader = ResponseReader("kbtim-test-excl")
+        try:
+            batch = [make_selection(9, 3)]
+            nbytes, generation = owner.write(batch, seq=1)
+            with pytest.raises(FileExistsError):
+                ResponseWriter("kbtim-test-excl", initial_bytes=4096)
+            assert reader.read(1, nbytes, generation) == batch
+        finally:
+            reader.close()
+            owner.close()
+        assert shm_entries("kbtim-test-excl") == []
+
+    def test_close_defers_unmap_while_arrays_live(self):
+        segment = _Segment("kbtim-test-export", create=True, size=4096)
+        try:
+            view = np.frombuffer(segment.buf, dtype="<i8", count=4)
+            view[:] = [1, 2, 3, 4]
+            segment.close()  # a live export: only the handle lets go
+            segment.close()  # idempotent
+            assert segment.buf is None
+            assert view.tolist() == [1, 2, 3, 4]
+        finally:
+            unlink_segment("kbtim-test-export")
+        assert shm_entries("kbtim-test-export") == []
+
+
+class TestSpawnPool:
+    def test_spawn_workers_answer_bit_identical_over_flat_frames(
+        self, index_setup
+    ):
+        path, profiles = index_setup
+        from repro.datasets.workload import make_mixed_workload
+
+        queries = make_mixed_workload(
+            profiles, n_queries=6, lengths=(1, 2), ks=(3,), rng=75
+        )
+        with RRIndex(path) as index:
+            want = [index.query(q) for q in queries]
+        with SupervisedServerPool(path, n_workers=2, start_method="spawn") as pool:
+            assert pool.flat_transport
+            got = [pool.query(q) for q in queries]
+            assert pool.health().rss_bytes > 0
+        for a, b in zip(want, got):
+            assert a.seeds == b.seeds
+            assert a.marginal_coverages == b.marginal_coverages
+            assert a.theta == b.theta
+            assert a.phi_q == b.phi_q
+        assert shm_entries("kbtim-resp-") == []
+
+    def test_query_stats_identical_across_transports(
+        self, index_setup, monkeypatch
+    ):
+        """Flat frames and pickled answers must agree to the last byte
+        of I/O accounting — the transport is representation, not
+        semantics.  The pickled pool is the production degrade: the
+        parent finds no shared memory, so workers get no response
+        segment."""
+        path, profiles = index_setup
+        from repro.datasets.workload import make_mixed_workload
+
+        queries = make_mixed_workload(
+            profiles, n_queries=8, lengths=(1, 2), ks=(3,), rng=76
+        )
+        with SupervisedServerPool(path, n_workers=2) as flat_pool:
+            flat = [flat_pool.query(q) for q in queries]
+            assert flat_pool.flat_transport
+        monkeypatch.setattr(
+            "repro.core.process_pool.transport_available", lambda: False
+        )
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            assert not pool.flat_transport
+            pickled = [pool.query(q) for q in queries]
+        for a, b in zip(flat, pickled):
+            assert a.seeds == b.seeds
+            assert a.marginal_coverages == b.marginal_coverages
+            assert a.theta == b.theta
+            assert a.phi_q == b.phi_q
+            assert a.stats.io == b.stats.io
+            assert a.stats.rr_sets_considered == b.stats.rr_sets_considered
+            assert a.stats.rr_sets_loaded == b.stats.rr_sets_loaded
+            assert a.stats.partitions_loaded == b.stats.partitions_loaded
