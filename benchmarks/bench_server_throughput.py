@@ -84,7 +84,7 @@ def test_cold_index_queries(serving_setup, benchmark):
     benchmark.pedantic(run_cold, rounds=3, iterations=1)
 
 
-def test_warm_server_queries(serving_setup, benchmark, results_dir):
+def test_warm_server_queries(serving_setup, benchmark):
     path, queries = serving_setup
     server = KBTIMServer(RRIndex(path), cache_keywords=32)
     for query in queries:  # warm-up pass
@@ -107,12 +107,12 @@ def test_warm_server_queries(serving_setup, benchmark, results_dir):
         server.stats.hit_ratio,
         server.stats.percentile_latency(95) * 1e3,
     )
-    emit(table, results_dir, "server_throughput")
+    emit(table)
     assert server.stats.hit_ratio > 0.5
     server.index.close()
 
 
-def test_batched_vs_sequential(ctx, mixed_setup, benchmark, results_dir):
+def test_batched_vs_sequential(ctx, mixed_setup, benchmark):
     """query_batch loads each keyword once; sequential serving reloads
     on every cache miss.  The block cache is
     deliberately smaller than the keyword universe (the deployed regime:
@@ -157,9 +157,9 @@ def test_batched_vs_sequential(ctx, mixed_setup, benchmark, results_dir):
     )
     table.add_row("sequential", len(queries), seq_reads, seq_med, len(queries) / seq_med)
     table.add_row("batched", len(queries), batch_reads, batch_med, len(queries) / batch_med)
-    emit(table, results_dir, "server_batch_vs_sequential")
+    emit(table)
     assert batch_reads < seq_reads  # deterministic: batching shares keyword loads
-    if ctx.scale.name != "bench-smoke":
+    if ctx.scale.name != "smoke":
         # The acceptance headline (batched > sequential QPS) is a
         # wall-clock claim: at smoke scale a median of three sub-second
         # runs on a shared vCPU is noise, and tier-1 must not flake on it.
@@ -217,7 +217,7 @@ def _rss_per_worker(pool, workers: int) -> float:
     return pool.health().rss_bytes / workers
 
 
-def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_dir):
+def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark):
     """Closed-loop replay against the pool at 1/2/4/8 worker processes.
 
     Every point runs the default crc32 primary-keyword shard dispatch
@@ -230,8 +230,8 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
       under concurrent load).
     * ``balanced`` — single-keyword queries cycling the whole catalog.
       Here shards are populated evenly and the workers execute on as
-      many *cores* as the machine provides; the per-PR CI artifact
-      re-measures this table on multi-core runners.
+      many *cores* as the machine provides, so this table is worth
+      re-measuring on multi-core runners.
 
     Client concurrency equals the worker count, so each point measures
     what N shards actually execute.
@@ -287,7 +287,7 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
             transport_ns,
             rss / 1e6,
         )
-    emit(table, results_dir, "server_pool_worker_sweep")
+    emit(table)
     for regime, queries in regimes:
         expected = len(queries)
         points = [entry for entry in sweep if entry[0] == regime]
@@ -313,7 +313,7 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark, results_
 
 
 def test_dispatch_spread(
-    ctx, mixed_setup, balanced_setup, benchmark, results_dir
+    ctx, mixed_setup, balanced_setup, benchmark
 ):
     """Dispatch matrix: crc32 vs rendezvous, per-shard spread and QPS.
 
@@ -381,7 +381,7 @@ def test_dispatch_spread(
             mean,
             max(counts) / mean,
         )
-    emit(table, results_dir, "server_dispatch_spread")
+    emit(table)
     # Every query is served exactly once whichever policy routes it.
     for _dispatch, regime, _report, counts in rows:
         expected = dict(regimes)[regime]
@@ -392,11 +392,11 @@ def test_dispatch_spread(
     )
 
 
-def test_supervised_resilience(ctx, mixed_setup, benchmark, results_dir):
+def test_supervised_resilience(ctx, mixed_setup, benchmark):
     """The pool under deterministic faults: restart/shed counters.
 
-    Two scenarios, one table row each, so the per-PR bench-smoke artifact
-    carries the robustness counters alongside the throughput numbers:
+    Two scenarios, one table row each, so the robustness counters print
+    alongside the throughput numbers:
 
     * ``kill-midstream`` — a :class:`FaultPlan` kills one worker halfway
       through a closed-loop replay.  The supervisor must heal it on the
@@ -466,7 +466,7 @@ def test_supervised_resilience(ctx, mixed_setup, benchmark, results_dir):
             report.goodput_qps,
             report.percentile_latency(99, admitted_only=True) * 1e3,
         )
-    emit(table, results_dir, "server_supervised_resilience")
+    emit(table)
     killed, shed = rows[0][1], rows[1][1]
     assert killed.n_failed == 0 and killed.restarts >= 1  # healed, no losses
     assert shed.sheds > 0 and shed.sheds == shed.n_failed  # shed, not queued

@@ -1,8 +1,9 @@
 """One-tiny-iteration smoke run of every benchmark entry point.
 
-The benchmark suite regenerates the paper's evaluation and is normally
-run by hand; nothing in tier-1 would notice if an API change broke a
-bench file.  This module closes that gap: it is collected by the plain
+The benchmark suite (the kernel and serving-tier benches; the paper's
+evaluation is ``repro experiment``) is normally run by hand; nothing in
+tier-1 would notice if an API change broke a bench file.  This module
+closes that gap: it is collected by the plain
 ``pytest`` run (see ``pytest.ini``) and replays the *whole* ``benchmarks/``
 directory in a subprocess at the ``smoke`` campaign scale with
 ``--benchmark-disable`` (each measured callable runs exactly once).  Any
@@ -24,7 +25,7 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 
 
 @pytest.mark.bench_smoke
-def test_benchmark_suite_smoke(tmp_path, request):
+def test_benchmark_suite_smoke(request):
     if os.environ.get("KBTIM_BENCH_SCALE"):
         pytest.skip("explicit KBTIM_BENCH_SCALE campaign run; smoke replay redundant")
     for arg in request.config.invocation_params.args:
@@ -35,7 +36,6 @@ def test_benchmark_suite_smoke(tmp_path, request):
             pytest.skip("explicit benchmarks invocation; smoke replay redundant")
     env = dict(os.environ)
     env["KBTIM_BENCH_SCALE"] = "smoke"
-    env["KBTIM_BENCH_RESULTS"] = str(tmp_path / "results")
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )

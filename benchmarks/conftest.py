@@ -1,58 +1,31 @@
 """Shared benchmark fixtures.
 
-The benchmark suite regenerates every table and figure of the paper's
-evaluation (Section 6).  A session-scoped :class:`ExperimentContext` at
-``default`` scale is shared across files so datasets and index builds are
-paid once, like the paper's offline phase.  Each bench
-
-1. runs the experiment under ``benchmark.pedantic`` (1 round — these are
-   experiment regenerators, not micro-benchmarks; see
-   ``bench_micro_ops.py`` for tight-loop measurements),
-2. prints the paper-shaped table,
-3. persists it as CSV under ``benchmarks/results/``,
-4. asserts the qualitative *shape* recorded in EXPERIMENTS.md.
+The paper's tables and figures are not benchmarks here: ``repro
+experiment all`` reproduces them (``src/repro/experiments/``, written to
+EXPERIMENTS.md).  What remains under ``benchmarks/`` measures the code
+itself — tight-loop kernels (``bench_micro_ops.py``) and the serving tier
+(``bench_server_throughput.py``) — on the experiment harness's datasets,
+through one session-scoped :class:`ExperimentContext` so each index is
+built once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 
 import pytest
 
 from repro.experiments.harness import ExperimentContext, ExperimentScale
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
 
 def bench_scale() -> ExperimentScale:
-    """The campaign scale, selectable via ``KBTIM_BENCH_SCALE``.
-
-    ``default`` (unset) is the paper-shaped suite; ``smoke`` is the
-    one-tiny-iteration profile that ``bench_smoke.py`` wires into the
-    tier-1 test run so benchmark code cannot silently rot.  The smoke
-    profile keeps two sizes per family so the sweep-shaped assertions
-    (Figures 5-7, Table 5) still exercise a trend.
-    """
+    """``ExperimentScale.smoke()`` when ``KBTIM_BENCH_SCALE=smoke`` (the
+    one-tiny-iteration replay ``bench_smoke.py`` wires into tier-1),
+    else ``ExperimentScale.default()``."""
     name = os.environ.get("KBTIM_BENCH_SCALE", "default")
-    if name == "default":
-        return ExperimentScale.default()
-    if name == "smoke":
-        # Like ExperimentScale.smoke(), but with two sizes per family so
-        # sweep-shape assertions see a trend, and with the default-scale
-        # θ exponents: the Figures 5-7 shape (indexes beat online WRIS)
-        # only exists when WRIS pays its Theorem-2-sized sampling bill,
-        # while the offline cap keeps index builds smoke-sized.
-        smoke = ExperimentScale.smoke()
-        return replace(
-            smoke,
-            name="bench-smoke",
-            news_sizes=(0, 1),
-            twitter_sizes=(0, 1),
-            queries_per_point=1,
-            policy=replace(smoke.policy, epsilon=0.5, online_cap=40_000),
-        )
-    raise ValueError(f"unknown KBTIM_BENCH_SCALE {name!r}")
+    if name not in ("smoke", "default"):
+        raise ValueError(f"unknown KBTIM_BENCH_SCALE {name!r}")
+    return ExperimentScale.smoke() if name == "smoke" else ExperimentScale.default()
 
 
 @pytest.fixture(scope="session")
@@ -62,15 +35,7 @@ def ctx():
         yield context
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> str:
-    path = os.environ.get("KBTIM_BENCH_RESULTS", RESULTS_DIR)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def emit(table, results_dir: str, name: str) -> None:
-    """Print a result table and persist it as CSV."""
+def emit(table) -> None:
+    """Print a result table (shown with ``pytest -s``)."""
     print()
     print(table.render())
-    table.to_csv(os.path.join(results_dir, f"{name}.csv"))

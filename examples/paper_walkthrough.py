@@ -37,7 +37,7 @@ def main() -> None:
     profiles = paper_example_profiles()
     model = IndependentCascade(graph)
 
-    print("Figure 1 graph (reconstructed; see DESIGN.md):")
+    print("Figure 1 graph (reconstructed; see repro/datasets/paper_example.py):")
     for u, v, p in graph.edges():
         print(f"  {NODE_NAMES[u]} -> {NODE_NAMES[v]}  p={p}")
 

@@ -28,8 +28,8 @@ Quickstart::
         answer = index.query(KBTIMQuery(["music", "movies"], k=10))
         print(answer.seeds, answer.estimated_influence)
 
-See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for the
-reproduced tables and figures.
+See docs/ARCHITECTURE.md for the paper-to-module map and EXPERIMENTS.md
+for the reproduced tables and figures.
 """
 
 from repro.core import (

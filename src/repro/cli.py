@@ -13,7 +13,8 @@ stage so the library can be driven without writing Python:
 ``inspect``
     Print an index's catalog (keywords, θ_w, sizes).
 ``experiment``
-    Regenerate one of the paper's tables/figures at a chosen scale.
+    Reproduce one or ``all`` of the paper's tables/figures at a chosen
+    scale, as the markdown report EXPERIMENTS.md is written from.
 ``replay``
     Drive the serving pool (supervised worker processes) over a
     synthetic query stream and report throughput/latency.
@@ -24,6 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+import traceback
 from typing import List, Optional
 
 from repro.core.catalog import FORMAT_VERSION, RR_FORMAT, read_catalog
@@ -114,26 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     experiment = sub.add_parser(
-        "experiment", help="regenerate one of the paper's tables/figures"
+        "experiment",
+        help="reproduce the paper's tables/figures as a markdown report",
     )
     experiment.add_argument(
-        "name",
-        choices=(
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "table6",
-            "table7",
-            "table8",
-            "figure4",
-            "figure5",
-            "figure6",
-            "figure7",
-        ),
+        "name", help="'all' or one name of repro.experiments.EXPERIMENTS"
     )
     experiment.add_argument("--scale", choices=("smoke", "default"), default="smoke")
-    experiment.add_argument("--csv", help="also write the result table as CSV")
 
     rep = sub.add_parser(
         "replay", help="replay a query stream against a serving pool"
@@ -321,33 +311,30 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import harness, figures, tables
+    from repro import experiments
 
+    names = [e.name for e in experiments.EXPERIMENTS]
+    if args.name != "all":
+        if args.name not in names:
+            raise ValueError(
+                f"unknown experiment {args.name!r}; choose 'all' or one of "
+                + ", ".join(names)
+            )
+        names = [args.name]
     scale = (
-        harness.ExperimentScale.smoke()
+        experiments.ExperimentScale.smoke()
         if args.scale == "smoke"
-        else harness.ExperimentScale.default()
+        else experiments.ExperimentScale.default()
     )
-    runners = {
-        "table2": tables.run_table2,
-        "table3": tables.run_table3,
-        "table4": tables.run_table4,
-        "table5": tables.run_table5,
-        "table6": tables.run_table6,
-        "table7": tables.run_table7,
-        "table8": tables.run_table8,
-        "figure4": figures.run_figure4,
-        "figure5": figures.run_figure5,
-        "figure6": figures.run_figure6,
-        "figure7": figures.run_figure7,
-    }
-    with harness.ExperimentContext(scale) as ctx:
-        table = runners[args.name](ctx)
-    print(table.render())
-    if args.csv:
-        table.to_csv(args.csv)
-        print(f"\nwrote {args.csv}")
-    return 0
+    started = time.perf_counter()
+    with experiments.ExperimentContext(scale) as ctx:
+        results, exceptions = experiments.run_all(ctx, names)
+    seconds = time.perf_counter() - started
+    print(experiments.render_report(scale, results, exceptions, seconds), end="")
+    for exc in exceptions.values():
+        traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
+    failed = exceptions or any(conditions for _table, conditions in results.values())
+    return 1 if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ Paper parameters are ε = 0.1 and K = 100.  At those settings θ runs into
 the hundreds of thousands — fine for the authors' C++/8-thread setup,
 intractable for a pure-Python reproduction at every bench iteration.
 :class:`ThetaPolicy` therefore carries an optional ``scale`` and ``cap``
-applied *uniformly* to every method (DESIGN.md substitution table), so
+applied *uniformly* to every method (docs/ARCHITECTURE.md, "Substitutions"), so
 relative comparisons remain fair while absolute sample counts stay sane.
 The uncapped formulas are exercised directly by the unit tests.
 """

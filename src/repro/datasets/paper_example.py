@@ -20,7 +20,7 @@ per-node activation probabilities (a, b, c, d, e, f, g) =
 (1, 0.75, 0.6875, 0.375, 1, 0, 1) — verified against brute-force live-edge
 enumeration in the tests.  (Example 1's narration also mentions an ``a→b``
 attempt, which contradicts the paper's own ``p({e,g} ↦ b) = 0.75``
-computation; we follow the arithmetic.  See DESIGN.md.)
+computation; we follow the arithmetic.)
 
 The topic tables of Figure 1 cannot all be attributed to specific nodes
 from the text alone; the profiles below place the figure's seven

@@ -4,7 +4,7 @@ The paper samples each SNAP dataset at four sizes; both families show
 *decreasing* average degree along the size sequence, which drives the
 Table 5 tension between Σθ_w (grows with |V|) and mean RR-set size (falls
 with density).  The scaled families preserve those degree sequences at
-1/10000-ish the vertex counts (see the DESIGN.md substitution table):
+1/10000-ish the vertex counts (see docs/ARCHITECTURE.md, "Substitutions"):
 
 =============  =======================  =========================
 paper          sizes                    average degrees

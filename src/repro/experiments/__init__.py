@@ -1,36 +1,15 @@
-"""Experiment harness: one entry point per table and figure of Section 6."""
+"""Experiment harness: the paper's Section 6 as one list of experiments."""
 
 from repro.experiments.reporting import Table
 from repro.experiments.harness import ExperimentContext, ExperimentScale
-from repro.experiments.tables import (
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-    run_table6,
-    run_table7,
-    run_table8,
-)
-from repro.experiments.figures import (
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-)
+from repro.experiments.registry import EXPERIMENTS, Experiment, render_report, run_all
 
 __all__ = [
     "Table",
     "ExperimentContext",
     "ExperimentScale",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "run_table6",
-    "run_table7",
-    "run_table8",
-    "run_figure4",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
+    "Experiment",
+    "EXPERIMENTS",
+    "run_all",
+    "render_report",
 ]

@@ -11,8 +11,8 @@ inside one working directory, so a bench sweep pays each expensive build
 exactly once — like the paper's offline phase.
 
 :class:`ExperimentScale` bundles every knob that trades fidelity for
-runtime.  ``SMOKE`` keeps the full pipeline under a few seconds for CI;
-``DEFAULT`` is what the benchmark suite runs (minutes, paper-shaped).
+runtime.  ``smoke()`` keeps the whole evaluation to a few seconds for
+tests and CI; ``default()`` is what EXPERIMENTS.md is written at.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import tempfile
 import time
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder
 from repro.core.offline import KeywordTable
@@ -45,9 +45,9 @@ def _stable_salt(key: object) -> int:
 class ExperimentScale:
     """All knobs of one experiment campaign.
 
-    See DESIGN.md's substitution table for why θ is capped: the cap is
-    shared by every method, so comparisons stay fair while pure-Python
-    runtimes stay interactive.
+    See docs/ARCHITECTURE.md ("Substitutions") for why θ is capped: the
+    cap is shared by every method, so comparisons stay fair while
+    pure-Python runtimes stay interactive.
     """
 
     name: str
@@ -66,19 +66,26 @@ class ExperimentScale:
 
     @staticmethod
     def smoke() -> "ExperimentScale":
-        """Seconds-scale settings for tests and CI smoke runs."""
+        """Seconds-scale settings for tests and CI smoke runs.
+
+        Two sizes per family, so the sweep shapes (Table 5, Figures 5-7)
+        see a trend; the default scale's ε and online cap, because the
+        Figures 5-7 shape (indexes beat online WRIS) only exists when
+        WRIS pays its Theorem-2-sized sampling bill, while the offline
+        cap keeps index builds smoke-sized.
+        """
         return ExperimentScale(
             name="smoke",
-            news_sizes=(0,),
-            twitter_sizes=(0,),
+            news_sizes=(0, 1),
+            twitter_sizes=(0, 1),
             n_topics=8,
-            policy=ThetaPolicy(epsilon=1.0, K=50, cap=400),
+            policy=ThetaPolicy(epsilon=0.5, K=50, cap=400, online_cap=40_000),
             delta=32,
             k_values=(5, 10),
             keyword_lengths=(1, 2),
             default_k=5,
             default_length=2,
-            queries_per_point=2,
+            queries_per_point=1,
             mc_samples=30,
         )
 
@@ -103,10 +110,6 @@ class ExperimentScale:
             queries_per_point=2,
             mc_samples=80,
         )
-
-    def with_policy(self, policy: ThetaPolicy) -> "ExperimentScale":
-        """A copy with a different θ policy (used by Table 3)."""
-        return replace(self, policy=policy)
 
 
 class ExperimentContext:
@@ -148,6 +151,12 @@ class ExperimentContext:
             else:
                 raise ValueError(f"unknown dataset family {family!r}")
         return self._datasets[key]
+
+    def datasets(self) -> List[Dataset]:
+        """Every size of both families, news first (the paper's row order)."""
+        return [self.dataset("news", i) for i in self.scale.news_sizes] + [
+            self.dataset("twitter", i) for i in self.scale.twitter_sizes
+        ]
 
     def default_dataset(self, family: str) -> Dataset:
         """The family's default size (index 0 for twitter, 1 for news —

@@ -1,19 +1,33 @@
-"""Result tables: structured rows + ASCII rendering + CSV export.
+"""Result tables: structured rows rendered as markdown, and the helpers
+every shape check reads them with.
 
-Every experiment returns a :class:`Table`, so benches can both print the
-paper-shaped rows and persist them for EXPERIMENTS.md.
+Every experiment returns a :class:`Table`; its :meth:`Table.render` is
+the one renderer, used both by ``repro experiment`` on the terminal and
+for the committed EXPERIMENTS.md.  A check maps condition names to
+booleans and reports :func:`failed_conditions` of them, so the report's
+``does not reproduce: ...`` verdict lists exactly those names.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
-__all__ = ["Table", "format_value"]
+__all__ = [
+    "Table",
+    "format_value",
+    "FAMILIES",
+    "failed_conditions",
+    "family_of",
+    "by_dataset",
+    "pairwise",
+    "along_families",
+]
 
 Cell = Union[str, int, float, None]
+
+#: The dataset families every experiment reports on, in the paper's order.
+FAMILIES = ("news", "twitter")
 
 
 def format_value(value: Cell, *, precision: int = 3) -> str:
@@ -56,34 +70,31 @@ class Table:
         self.notes.append(note)
 
     def render(self, *, precision: int = 3) -> str:
-        """ASCII rendering with column alignment."""
+        """Markdown: bold title, a column-aligned pipe table, notes as bullets."""
+        # A literal "|" (|V|, |Q.T|) would split a markdown cell.
+        headers = [h.replace("|", "\\|") for h in self.headers]
         formatted = [
-            [format_value(c, precision=precision) for c in row] for row in self.rows
+            [format_value(c, precision=precision).replace("|", "\\|") for c in row]
+            for row in self.rows
         ]
         widths = [
-            max(len(h), *(len(r[i]) for r in formatted)) if formatted else len(h)
-            for i, h in enumerate(self.headers)
+            max([len(h)] + [len(r[i]) for r in formatted])
+            for i, h in enumerate(headers)
         ]
-        sep = "-+-".join("-" * w for w in widths)
-        lines = [self.title, "=" * max(len(self.title), len(sep))]
-        lines.append(" | ".join(h.ljust(w) for h, w in zip(self.headers, widths)))
-        lines.append(sep)
-        for row in formatted:
-            lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
-        for note in self.notes:
-            lines.append(f"  * {note}")
+
+        def line(cells) -> str:
+            return "| " + " | ".join(c.rjust(w) for c, w in zip(cells, widths)) + " |"
+
+        lines = [f"**{self.title}**", "", line(headers)]
+        lines.append("|" + "|".join("-" * (w + 1) + ":" for w in widths) + "|")
+        lines.extend(line(row) for row in formatted)
+        if self.notes:
+            lines.append("")
+            lines.extend(f"* {note}" for note in self.notes)
         return "\n".join(lines)
 
-    def to_csv(self, path: str) -> None:
-        """Write headers + raw (unformatted) rows as CSV."""
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.headers)
-            writer.writerows(self.rows)
-
     def column(self, header: str) -> List[Cell]:
-        """All values of one column (for assertions in tests/benches)."""
+        """All values of one column (for the shape checks)."""
         try:
             idx = self.headers.index(header)
         except ValueError:
@@ -92,3 +103,47 @@ class Table:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def failed_conditions(conditions: Dict[str, bool]) -> List[str]:
+    """The names of the conditions that do not hold."""
+    return [name for name, held in conditions.items() if not held]
+
+
+def family_of(dataset_name: object) -> str:
+    """``news`` or ``twitter`` from a dataset name such as ``news-400``."""
+    return str(dataset_name).split("-")[0]
+
+
+def by_dataset(table: Table) -> Dict[str, List[tuple]]:
+    """Rows grouped by their first (dataset) column, in table order."""
+    groups: Dict[str, List[tuple]] = {}
+    for row in table.rows:
+        groups.setdefault(str(row[0]), []).append(row)
+    return groups
+
+
+def pairwise(table: Table, a: str, b: str, holds: Callable) -> bool:
+    """``holds(x, y)`` for every row's values of columns ``a`` and ``b``."""
+    return all(holds(x, y) for x, y in zip(table.column(a), table.column(b)))
+
+
+def along_families(
+    table: Table, by: int, value: int, *, grows: bool
+) -> Dict[str, bool]:
+    """Per family: column ``value`` is higher (``grows``) or lower at the
+    largest column ``by`` than at the smallest (so each family needs two
+    rows)."""
+    conditions = {}
+    for family in FAMILIES:
+        rows = sorted(
+            (r for r in table.rows if family_of(r[0]) == family), key=lambda r: r[by]
+        )
+        trend = "grows" if grows else "falls"
+        name = f"{family}: {table.headers[value]} {trend} as {table.headers[by]} grows"
+        conditions[name] = len(rows) > 1 and (
+            rows[-1][value] > rows[0][value]
+            if grows
+            else rows[-1][value] < rows[0][value]
+        )
+    return conditions

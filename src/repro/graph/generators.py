@@ -3,7 +3,7 @@
 The paper evaluates on two SNAP datasets we cannot redistribute or fit in a
 pure-Python harness at original scale (Twitter: 41.6M users / 1.4B edges;
 News: 1.42M media sites).  Per the reproduction's substitution rule
-(DESIGN.md Section 3) we generate scaled graphs that preserve the two
+(docs/ARCHITECTURE.md, "Substitutions") we generate scaled graphs that preserve the two
 structural properties the evaluation actually exercises:
 
 * **twitter_like** — dense graph with a heavy-tailed in-degree distribution

@@ -3,7 +3,7 @@
 The paper derives 200 LDA topics from tweets / news text and represents each
 user by a weighted term vector.  KB-TIM consumes only the resulting
 ``tf_{w,v}`` matrix, so the reproduction generates that matrix directly
-(DESIGN.md substitution table):
+(docs/ARCHITECTURE.md, "Substitutions"):
 
 * topic popularity follows a Zipf law — a few verticals ("music",
   "software") attract many interested users while the tail is niche, which

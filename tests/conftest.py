@@ -15,6 +15,7 @@ from repro.datasets.paper_example import (
     paper_example_profiles,
     paper_example_topics,
 )
+from repro.experiments import EXPERIMENTS, ExperimentContext, ExperimentScale, run_all
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import news_like, twitter_like
 from repro.profiles.generators import zipf_profiles
@@ -99,6 +100,14 @@ def small_world(small_twitter):
 def smoke_policy() -> ThetaPolicy:
     """A θ policy small enough for per-test index builds."""
     return ThetaPolicy(epsilon=1.0, K=50, cap=300)
+
+
+@pytest.fixture(scope="session")
+def smoke_evaluation():
+    """``run_all`` over every registered experiment at smoke scale, paid
+    once per session: ``(results, exceptions)``."""
+    with ExperimentContext(ExperimentScale.smoke()) as ctx:
+        return run_all(ctx, [e.name for e in EXPERIMENTS])
 
 
 @pytest.fixture()

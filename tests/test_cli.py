@@ -2,11 +2,20 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+import repro
+from repro import experiments
 from repro.cli import build_parser, main
 from repro.core.server import SNAPSHOT_SCHEMA
+from repro.experiments import Table, registry
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +80,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_experiment_choices(self):
+    def test_experiment_choices(self, capsys):
         args = build_parser().parse_args(["experiment", "table6"])
         assert args.name == "table6" and args.scale == "smoke"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "table99"])
+        assert build_parser().parse_args(["experiment", "all"]).name == "all"
+        assert main(["experiment", "table99"]) == 1
+        assert "unknown experiment 'table99'" in capsys.readouterr().err
+
+    def test_experiments_load_only_for_their_command(self):
+        """Other commands never import the experiment modules, and those
+        import without docstrings (``python -OO``) too."""
+        code = (
+            "import sys, repro.cli\n"
+            "assert 'repro.experiments' not in sys.modules\n"
+            "from repro.experiments import EXPERIMENTS\n"
+            "assert [e.claim for e in EXPERIMENTS] == [''] * len(EXPERIMENTS)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        subprocess.run([sys.executable, "-OO", "-c", code], env=env, check=True)
 
 
 class TestGenerate(object):
@@ -182,14 +204,85 @@ class TestInspect:
         assert "RR index" in out and "theta_w" in out and "music" in out
 
 
+def _passes(table):
+    """Holds for any table."""
+    return []
+
+
+def _raises(ctx):
+    raise RuntimeError("runner exploded")
+
+
+def _one_row(ctx):
+    return Table("t", ("x",), [(1,)])
+
+
 class TestExperiment:
-    def test_table2_smoke(self, capsys, tmp_path):
-        csv_path = str(tmp_path / "t2.csv")
-        code = main(["experiment", "table2", "--scale", "smoke", "--csv", csv_path])
-        assert code == 0
+    """The command's report and exit code.  The experiments themselves run
+    once per session (``smoke_evaluation``, also what
+    ``tests/test_experiments.py`` checks); ``replayed`` hands the CLI those
+    smoke-scale results instead of running them again."""
+
+    @pytest.fixture
+    def replayed(self, smoke_evaluation, monkeypatch):
+        results, exceptions = smoke_evaluation
+
+        def run_all(ctx, names):
+            return (
+                {n: r for n, r in results.items() if n in names},
+                {n: e for n, e in exceptions.items() if n in names},
+            )
+
+        monkeypatch.setattr(experiments, "run_all", run_all)
+
+    def test_all_prints_one_section_per_registry_name(self, replayed, capsys):
+        assert main(["experiment", "all", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
-        assert "Table 2" in out
-        assert os.path.exists(csv_path)
+        names = [e.name for e in registry.EXPERIMENTS]
+        assert re.findall(r"^## (\S+)$", out, re.M) == names
+        assert out.count("**Verdict:** reproduces\n") == len(names)
+        assert out.startswith("# ") and "Scale `smoke` · seed 810" in out
+
+    def test_table3_theta_hat_index_is_larger_and_slower(self, replayed, capsys):
+        """Table 3 runs its own uncapped θ policy whoever calls it: θ̂_w
+        indexes more than 2x larger (paper: ~9x) and slower to build."""
+        assert main(["experiment", "table3", "--scale", "smoke"]) == 0
+        rows = [
+            [float(c.replace(",", "")) for c in line.split("|")[2:-1]]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("|") and "news-" in line
+        ]
+        assert len(rows) == 2
+        for size_hat, size, _irr_hat, _irr, time_hat, time_std, *_ in rows:
+            assert size_hat > 2 * size
+            assert time_hat > time_std
+
+    def test_a_raising_runner_is_one_error_section(self, capsys, monkeypatch):
+        """The other experiments (stubbed to stay fast) still report; the
+        command exits 1 and the traceback goes to stderr."""
+        monkeypatch.setattr(
+            registry,
+            "EXPERIMENTS",
+            tuple(
+                replace(e, run=_raises)
+                if e.name == "table5"
+                else replace(e, run=_one_row, check=_passes)
+                for e in registry.EXPERIMENTS
+            ),
+        )
+        assert main(["experiment", "all"]) == 1
+        captured = capsys.readouterr()
+        sections = captured.out.split("\n## ")[1:]
+        assert [s.split("\n")[0] for s in sections] == [
+            e.name for e in registry.EXPERIMENTS
+        ]
+        for section in sections:
+            verdict = section.rstrip().splitlines()[-1]
+            if section.startswith("table5\n"):
+                assert verdict == "**Verdict:** error: RuntimeError: runner exploded"
+            else:
+                assert verdict == "**Verdict:** reproduces"
+        assert "runner exploded" in captured.err
 
 
 class TestVerifyAndExtract:

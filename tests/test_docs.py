@@ -1,9 +1,10 @@
 """Docs tier-1 hook: README snippets must run, public APIs must be documented.
 
-Two guards against documentation rot:
+Three guards against documentation rot:
 
 * every fenced ``python`` block in README.md executes, top to bottom, in
   one shared namespace (so the quickstart can build on earlier blocks);
+* the committed EXPERIMENTS.md has one section per registered experiment;
 * every ``__all__`` symbol exported by the ``repro.core`` and
   ``repro.storage`` module trees carries a docstring, as does every
   public method/property those classes define.
@@ -22,6 +23,7 @@ pytestmark = pytest.mark.docs
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(REPO_ROOT, "README.md")
 ARCHITECTURE = os.path.join(REPO_ROOT, "docs", "ARCHITECTURE.md")
+EXPERIMENTS_MD = os.path.join(REPO_ROOT, "EXPERIMENTS.md")
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -49,6 +51,15 @@ class TestReadme:
             "BufferPool",
         ):
             assert anchor in text, f"ARCHITECTURE.md lost its {anchor!r} section"
+
+    def test_experiments_report_has_one_section_per_experiment(self):
+        """EXPERIMENTS.md is regenerated whenever an experiment is added,
+        removed or renamed (``repro experiment all --scale default``)."""
+        from repro.experiments import EXPERIMENTS
+
+        with open(EXPERIMENTS_MD, "r", encoding="utf-8") as fh:
+            headings = re.findall(r"^## (.+)$", fh.read(), re.M)
+        assert headings == [e.name for e in EXPERIMENTS]
 
     def test_readme_snippets_execute(self):
         """The 60-second quickstart runs verbatim (doctest-style)."""

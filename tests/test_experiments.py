@@ -1,29 +1,45 @@
 """Tests for the experiment harness at smoke scale.
 
-Each table/figure runner must produce rows shaped like the paper's and
-satisfy the qualitative relationships EXPERIMENTS.md asserts.
+Every experiment of the registry must run and pass its own shape check —
+the same check EXPERIMENTS.md reports as the verdict.
 """
 
 import os
 
 import pytest
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.harness import ExperimentContext, ExperimentScale
 from repro.experiments.reporting import Table, format_value
-from repro.experiments.figures import run_figure4, run_figure5
-from repro.experiments.tables import (
-    run_table2,
-    run_table4,
-    run_table5,
-    run_table6,
-    run_table8,
-)
 
 
 @pytest.fixture(scope="module")
 def ctx():
     with ExperimentContext(ExperimentScale.smoke()) as context:
         yield context
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS, ids=lambda e: e.name)
+def test_experiment_reproduces_at_smoke_scale(smoke_evaluation, experiment):
+    results, exceptions = smoke_evaluation
+    if experiment.name in exceptions:
+        raise exceptions[experiment.name]
+    table, failed = results[experiment.name]
+    assert table.rows
+    assert failed == [] == experiment.check(table)
+
+
+def test_sweeps_follow_the_scale(smoke_evaluation):
+    """What a check cannot see in its table: the rows and the swept values
+    are the scale's."""
+    results, _ = smoke_evaluation
+    scale = ExperimentScale.smoke()
+    n_datasets = len(scale.news_sizes) + len(scale.twitter_sizes)
+    for name in ("table2", "figure7"):
+        assert len(results[name][0].rows) == n_datasets
+    for name, swept in (("figure5", "k_values"), ("figure6", "keyword_lengths")):
+        values = sorted({r[1] for r in results[name][0].rows})
+        assert values == list(getattr(scale, swept))
 
 
 class TestReportingTable:
@@ -47,13 +63,12 @@ class TestReportingTable:
         with pytest.raises(KeyError):
             table.column("z")
 
-    def test_csv_roundtrip(self, tmp_path):
-        table = Table("t", ("x", "y"))
+    def test_render_is_a_markdown_table(self):
+        table = Table("t", ("x", "|V|"))
         table.add_row(1, "hello")
-        path = str(tmp_path / "out" / "t.csv")
-        table.to_csv(path)
-        content = open(path).read()
-        assert "x,y" in content and "hello" in content
+        lines = table.render().splitlines()
+        assert lines[:2] == ["**t**", ""]
+        assert lines[2:] == ["| x | \\|V\\| |", "|--:|------:|", "| 1 | hello |"]
 
     def test_format_value(self):
         assert format_value(None) == "-"
@@ -90,86 +105,3 @@ class TestContext:
         ds = ctx.dataset("news", 0)
         with pytest.raises(ValueError):
             ctx.build_index(ds, kind="btree")
-
-
-class TestTableRunners:
-    def test_table2_rows(self, ctx):
-        table = run_table2(ctx)
-        assert len(table.rows) == 2  # one news + one twitter size at smoke
-        assert table.column("#users")[0] > 0
-
-    def test_table4_compression_shrinks(self, ctx):
-        table = run_table4(ctx)
-        raw = table.column("RR raw (KB)")
-        pfor = table.column("RR pfor (KB)")
-        for r, p in zip(raw, pfor):
-            assert p < r
-
-    def test_table5_theta_and_rr_size_positive(self, ctx):
-        table = run_table5(ctx)
-        assert all(v > 0 for v in table.column("sum theta_w"))
-        assert all(v > 0 for v in table.column("mean RR size"))
-
-    def test_table6_io_grows_with_k(self, ctx):
-        table = run_table6(ctx)
-        for row in table.rows:
-            ios = row[1:]
-            assert ios[-1] >= ios[0]
-
-    def test_table8_ris_identical_across_keywords(self, ctx):
-        table = run_table8(ctx)
-        ris_rows = [r for r in table.rows if r[1] == "RIS"]
-        assert len(ris_rows) == 2  # one per dataset family
-        targeted = [r for r in table.rows if r[1] != "RIS"]
-        assert len(targeted) == 8  # 2 datasets x 2 models x 2 keywords
-
-
-class TestFigureRunners:
-    def test_figure4_shapes(self, ctx):
-        table = run_figure4(ctx)
-        names = set(table.column("dataset"))
-        assert len(names) == 2
-        assert all(c > 0 for c in table.column("#users"))
-
-    def test_figure5_all_methods_timed(self, ctx):
-        table = run_figure5(ctx)
-        for header in ("WRIS time (s)", "RR time (s)", "IRR time (s)"):
-            assert all(v > 0 for v in table.column(header))
-        assert all(v > 0 for v in table.column("RR sets loaded (RR)"))
-
-
-class TestRemainingRunners:
-    """Smoke coverage for the runners the cheap tests above skip."""
-
-    def test_figure6_vary_keywords(self, ctx):
-        from repro.experiments.figures import run_figure6
-
-        table = run_figure6(ctx)
-        lengths = sorted({row[1] for row in table.rows})
-        assert lengths == list(ctx.scale.keyword_lengths)
-        # More keywords -> more sets considered by the RR index.
-        for dataset in {str(r[0]) for r in table.rows}:
-            rows = sorted(
-                (r for r in table.rows if str(r[0]) == dataset),
-                key=lambda r: r[1],
-            )
-            assert rows[-1][5] >= rows[0][5]
-
-    def test_figure7_vary_graph(self, ctx):
-        from repro.experiments.figures import run_figure7
-
-        table = run_figure7(ctx)
-        assert len(table.rows) == len(ctx.scale.news_sizes) + len(
-            ctx.scale.twitter_sizes
-        )
-        for row in table.rows:
-            assert row[6] <= row[5] + 1  # IRR never loads more than RR
-
-    def test_table7_parity(self, ctx):
-        from repro.experiments.tables import run_table7
-
-        table = run_table7(ctx, include_theta_hat=False)
-        for row in table.rows:
-            wris, rr, irr = row[2], row[3], row[4]
-            assert irr == rr  # shared samples (Theorem 3)
-            assert abs(wris - rr) <= 0.5 * max(wris, rr, 1e-9)
