@@ -29,10 +29,10 @@ import time
 import traceback
 from typing import List, Optional
 
-from repro.core.catalog import FORMAT_VERSION, RR_FORMAT, read_catalog
-from repro.core.irr_index import IRRIndex, IRRIndexBuilder
+from repro.core.catalog import FORMAT_VERSION, RR_FORMAT, open_index
+from repro.core.irr_index import IRRIndexBuilder
 from repro.core.query import KBTIMQuery
-from repro.core.rr_index import RRIndex, RRIndexBuilder
+from repro.core.rr_index import RRIndexBuilder
 from repro.core.theta import ThetaPolicy
 from repro.errors import ReproError
 from repro.graph.io import load_npz as load_graph_npz
@@ -41,7 +41,6 @@ from repro.profiles.io import load_profiles_npz, save_profiles_npz
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
 from repro.storage.compression import Codec
-from repro.storage.segments import SegmentReader
 
 __all__ = ["main", "build_parser"]
 
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "replay", help="replay a query stream against a serving pool"
     )
-    rep.add_argument("--index", required=True, help="RR index file to serve")
+    rep.add_argument("--index", required=True, help="RR or IRR index file")
     rep.add_argument(
         "--profiles", required=True, help="profiles .npz (supplies the topic space)"
     )
@@ -201,13 +200,6 @@ def _policy_from_args(args: argparse.Namespace) -> ThetaPolicy:
     )
 
 
-def _open_index(path: str):
-    """Open an index file with the reader its catalog's format names."""
-    with SegmentReader(path) as reader:
-        fmt = read_catalog(reader).format
-    return (RRIndex if fmt == RR_FORMAT else IRRIndex)(path)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.datasets.synthetic import news_dataset, twitter_dataset
 
@@ -267,7 +259,7 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     keywords = tuple(kw.strip() for kw in args.keywords.split(",") if kw.strip())
     query = KBTIMQuery(keywords, args.k)
-    with _open_index(args.index) as index:
+    with open_index(args.index) as index:
         answer = index.query(query)
     if args.json:
         print(
@@ -294,8 +286,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    with _open_index(args.index) as index:
-        kind = "RR" if isinstance(index, RRIndex) else "IRR"
+    with open_index(args.index) as index:
+        kind = "RR" if index.FORMAT == RR_FORMAT else "IRR"
         print(
             f"{kind} index (format v{FORMAT_VERSION}): "
             f"|V|={index.n_vertices}, K={index.K}, "

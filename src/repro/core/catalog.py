@@ -13,21 +13,37 @@ that document:
 * :class:`IndexReader` — what :class:`~repro.core.rr_index.RRIndex` and
   :class:`~repro.core.irr_index.IRRIndex` have in common: open the
   container, load the catalog, plan a query's ``θ^Q`` prefixes
-  (:func:`plan_theta_q`, Eqn. 11), close.  It is the minimal protocol a
-  server needs from "an index"; the subclasses add only what their
-  algorithm needs.
+  (:func:`plan_theta_q`, Eqn. 11), look up one query keyword's decoded
+  value through the reader's :class:`BlockCache`, answer a query, close.
+  It is the whole protocol :class:`~repro.core.server.KBTIMServer` and
+  the pool serve, whichever index a file holds; :func:`open_index`
+  picks the reader from the catalog's ``format``.
+* :class:`BlockCache` — the one cache of decoded index data (both
+  readers', keyed by keyword or by ``(keyword, partition)``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.offline import KeywordTable
 from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
+from repro.core.results import SeedSelection
 from repro.errors import CorruptIndexError, IndexError_, QueryError
 from repro.storage.compression import Codec
 from repro.storage.iostats import IOStats
@@ -45,7 +61,9 @@ __all__ = [
     "encode_catalog",
     "read_catalog",
     "plan_theta_q",
+    "BlockCache",
     "IndexReader",
+    "open_index",
 ]
 
 RR_FORMAT = "rr-index"
@@ -227,8 +245,92 @@ def plan_theta_q(
     return theta_q, counts, phi_q
 
 
+#: How a query gets one keyword's decoded value:
+#: ``lookup(keyword, count) -> (value, hit)`` (see :meth:`IndexReader.lookup`).
+Lookup = Callable[[str, int], Tuple[object, bool]]
+
+
+class BlockCache:
+    """A bounded LRU of immutable decoded values with single-flight misses.
+
+    :meth:`get` returns ``(value, hit)``: a resident value is a **hit**
+    and ``load`` is not called; otherwise ``load()`` produces the value
+    (never ``None``), which is admitted (least recently used entries
+    evicted beyond ``capacity``).  ``capacity=0`` retains nothing: every
+    call loads.
+
+    **Concurrency.**  A hit takes the LRU lock once (dict lookup +
+    ``move_to_end``) and nothing else.  A miss is single-flight per key:
+    concurrent misses on one key load once — the losers wait and are
+    then served as hits — while different keys load in parallel; the
+    load itself runs outside the LRU lock.  Values are immutable by
+    convention, so they are handed out without copying.
+
+    ``load`` is passed per call rather than held, so the cache keeps no
+    reference back to the reader that owns it: a dropped reader frees
+    its decoded values at once instead of waiting for the cycle
+    collector.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = max(0, int(capacity))
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        # Per-key single-flight locks; bounded by the index's key space
+        # because callers validate a key before asking.
+        self._flights: Dict[Hashable, threading.Lock] = {}
+
+    def get(self, key: Hashable, load: Callable[[], object]) -> Tuple[object, bool]:
+        """``(value, hit)`` for ``key``, calling ``load()`` on a miss."""
+        if not self.capacity:
+            return load(), False
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value, True
+            flight = self._flights.setdefault(key, threading.Lock())
+        with flight:
+            with self._lock:
+                # A racing thread may have finished this very load while
+                # we waited: its value serves us too.
+                value = self._entries.get(key)
+                if value is not None:
+                    self._entries.move_to_end(key)
+                    return value, True
+            value = load()
+            with self._lock:
+                if self.capacity:
+                    self._entries[key] = value
+                    self._trim()
+            return value, False
+
+    def _trim(self) -> None:
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def resize(self, capacity: int) -> None:
+        """Change the capacity, evicting least recently used entries."""
+        with self._lock:
+            self.capacity = max(0, int(capacity))
+            self._trim()
+
+    def clear(self) -> None:
+        """Drop every resident value (memory-pressure handling)."""
+        with self._lock:
+            self._entries.clear()
+
+    def keys(self) -> List[Hashable]:
+        """Resident keys, LRU order (oldest first)."""
+        with self._lock:
+            return list(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class IndexReader:
-    """An open index file: container, catalog, query planner.
+    """An open index file: container, catalog, query planner, one cache.
 
     Opening loads the catalog into public attributes — ``catalog``
     (keyword → :class:`KeywordMeta`), ``topic_names`` (topic id → name),
@@ -237,10 +339,16 @@ class IndexReader:
     :meth:`_load` for whatever else its format keeps resident.  If
     anything after the file is opened raises, the file is closed before
     the error propagates.  ``stats`` counts every read the reader issues.
+
+    What a server uses of a reader, whichever index it holds:
+    :attr:`cache`, :meth:`plan`, :meth:`lookup` and :meth:`query`.
     """
 
     #: The catalog format this reader serves; set by each subclass.
     FORMAT: str
+    #: The reader's cache of per-keyword decoded values, keyed by keyword
+    #: name (what :meth:`lookup` serves); created by each subclass.
+    cache: BlockCache
 
     def __init__(
         self,
@@ -300,6 +408,23 @@ class IndexReader:
         _theta_q, counts, phi_q = plan_theta_q(keywords, self.catalog)
         return keywords, counts, phi_q
 
+    def lookup(self, keyword: str, count: int) -> Tuple[object, bool]:
+        """``(value, hit)``: one query keyword's decoded value, through
+        :attr:`cache` — the RR block serving ``count`` sets, or the IRR
+        ``IP_w`` map; ``hit`` when the cache spared the decode.
+        ``keyword`` must already be validated against the catalog."""
+        raise NotImplementedError
+
+    def query(
+        self,
+        query: KBTIMQuery,
+        lookup: Optional[Lookup] = None,
+    ) -> SeedSelection:
+        """Answer one query; every query keyword's value comes from
+        ``lookup`` (default :meth:`lookup`) — a server passes its counting
+        wrapper, a batch the values it already holds."""
+        raise NotImplementedError
+
     def close(self) -> None:
         """Release the underlying file."""
         self._reader.close()
@@ -309,3 +434,14 @@ class IndexReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def open_index(path: str, **reader_kwargs) -> IndexReader:
+    """Open an index file with the reader its catalog's ``format`` names
+    (``reader_kwargs``: the options both readers take, e.g. ``pool``)."""
+    from repro.core.irr_index import IRRIndex
+    from repro.core.rr_index import RRIndex
+
+    with SegmentReader(path) as reader:
+        fmt = read_catalog(reader).format
+    return (RRIndex if fmt == RR_FORMAT else IRRIndex)(path, **reader_kwargs)

@@ -51,19 +51,20 @@ is enforced by the integration tests on shared sample tables.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.catalog import (
     IRR_FORMAT,
+    BlockCache,
     Catalog,
     IndexReader,
+    Lookup,
     encode_catalog,
     keyword_entries,
 )
@@ -86,14 +87,15 @@ __all__ = ["IRRIndexBuilder", "IRRIndex", "DEFAULT_PARTITION_SIZE"]
 #: Paper setting: "the partition size δ is set to 100 for all experiments".
 DEFAULT_PARTITION_SIZE = 100
 
-#: LRU capacity of the per-reader decoded-partition memo (see
-#: ``IRRIndex._decode_cache``): at δ=100 this bounds resident decoded
+#: Capacity of the per-reader decoded-partition cache (see
+#: ``IRRIndex._partitions``): at δ=100 this bounds resident decoded
 #: state to a few hundred partitions regardless of index size.
 _DECODE_CACHE_PARTITIONS = 512
 
-#: LRU capacity of the per-reader IP_w memo.  IP maps are the largest
-#: per-keyword decoded structure (one entry per vertex occurring under
-#: the keyword), so they get the same bounded treatment.
+#: Capacity of the per-reader ``IP_w`` cache (``IRRIndex.cache``).  IP
+#: maps are the largest per-keyword decoded structure (one entry per
+#: vertex occurring under the keyword), so they get the same bounded
+#: treatment.
 _IP_CACHE_KEYWORDS = 64
 
 #: ``IP_w`` entry of a vertex that never occurs under ``w``: above any θ.
@@ -235,48 +237,19 @@ def write_irr_index(
 
 def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     """``arrays`` made read-only: a decode is shared by every query (and
-    thread) the memo serves, so an in-place op must raise, not corrupt."""
+    thread) the cache serves, so an in-place op must raise, not corrupt."""
     for array in arrays:
         array.flags.writeable = False
     return arrays
 
 
-class _DecodeMemo:
-    """Bounded LRU memo of decoded, immutable index records.
-
-    The reader's one memoisation convention: the *read* behind a record
-    is always issued and charged by the caller; only the CPU-side decode
-    is remembered here.  ``capacity <= 0`` retains nothing.  One lock
-    guards lookup, admit and evict, so concurrent queries on one reader
-    never touch a key a racing eviction just dropped; the decode itself
-    runs outside it (two racing misses both decode, the result is the
-    same immutable value).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: Hashable, decode: Callable[[], object]):
-        """The memoised ``decode()`` of ``key`` (least recent evicted)."""
-        if self.capacity <= 0:
-            return decode()
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-                return value
-        value = decode()
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        return value
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def _decode_partition(ir_record, il_record) -> tuple:
+    """One decoding session for a partition's two records, read-only."""
+    decoder = StreamDecoder()
+    ir = InvertedListsRecord.queue(decoder, ir_record)
+    il = InvertedListsRecord.queue(decoder, il_record)
+    streams = decoder.finish()
+    return _frozen(*ir(streams), *il(streams))
 
 
 @dataclass
@@ -326,16 +299,20 @@ class _NRAState:
 
 
 def _open_state(
-    index: "IRRIndex", keywords: List[str], counts: Dict[str, int], k: int
+    index: "IRRIndex",
+    keywords: List[str],
+    counts: Dict[str, int],
+    k: int,
+    lookup: Lookup,
 ) -> _NRAState:
-    """Stage 1: read every ``IP_w`` and lay out the merged id space."""
+    """Stage 1: look up every ``IP_w`` and lay out the merged id space."""
     n = index.n_vertices
     theta = [counts[kw] for kw in keywords]
     offset = [0, *accumulate(theta)]
     n_partitions, first_lens = zip(*(index._partition_info[kw] for kw in keywords))
     pending = np.empty((len(keywords), n), dtype=bool)
     for j, kw in enumerate(keywords):
-        np.less(index._load_ip(kw), theta[j], out=pending[j])
+        np.less(lookup(kw, theta[j])[0], theta[j], out=pending[j])
     state = _NRAState(
         keywords=keywords,
         k=k,
@@ -379,7 +356,7 @@ def _set_unseen_bound(state: _NRAState, j: int) -> None:
 def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
     """Stage 2: fold keyword ``j``'s next ``(IR, IL)`` partition into the state.
 
-    ``decoded`` is shared, read-only memo data: everything stored is a
+    ``decoded`` is shared, read-only cached data: everything stored is a
     fresh array (mask, sum or concatenate), never a view of it.
     """
     ir_keys, ir_ptr, ir_flat, il_keys, il_ptr, il_flat = decoded
@@ -516,12 +493,15 @@ def _pick_or_load(index: "IRRIndex", state: _NRAState) -> bool:
 class IRRIndex(IndexReader):
     """Query-time reader for the IRR index (Algorithm 4).
 
-    ``decode_cache_partitions`` bounds the decoded-partition memo (and
-    switches the ``IP_w`` memo with it): ``<= 0`` retains nothing, so
-    every logical load re-decodes — the cold behaviour the experiments
-    sweep.  Either way every logical load issues its read through the
-    pager, so a query's I/O accounting does not depend on what the
-    reader served before.
+    Two :class:`~repro.core.catalog.BlockCache` instances hold decodes:
+    :attr:`cache` the ``IP_w`` maps (by keyword) and ``_partitions`` the
+    ``(IR, IL)`` partitions (by ``(keyword, partition)``).
+    ``decode_cache_partitions`` bounds the second and switches the first
+    with it: ``<= 0`` retains nothing, so every logical load re-decodes —
+    the cold behaviour the experiments sweep.  Either way every logical
+    load issues its read through the pager *before* it asks a cache, so
+    only the decode is ever spared and a query's I/O accounting does not
+    depend on what the reader served before.
     """
 
     FORMAT = IRR_FORMAT
@@ -536,13 +516,12 @@ class IRRIndex(IndexReader):
         decode_cache_partitions: int = _DECODE_CACHE_PARTITIONS,
     ) -> None:
         self.decode_cache_partitions = int(decode_cache_partitions)
-        # Decoded IP_w maps and decoded (IR, IL) partitions: immutable
-        # index data, bounded so a long-lived reader never holds the
-        # whole index decoded in memory.
-        self._ip_cache = _DecodeMemo(
+        # Immutable index data, bounded so a long-lived reader never
+        # holds the whole index decoded in memory.
+        self.cache = BlockCache(
             _IP_CACHE_KEYWORDS if self.decode_cache_partitions > 0 else 0
         )
-        self._decode_cache = _DecodeMemo(self.decode_cache_partitions)
+        self._partitions = BlockCache(self.decode_cache_partitions)
         self._partition_info: Dict[str, Tuple[int, np.ndarray]] = {}
         super().__init__(path, stats=stats, pool=pool, page_size=page_size)
 
@@ -555,47 +534,44 @@ class IRRIndex(IndexReader):
             )
 
     # ------------------------------------------------------------------
-    def _load_ip(self, keyword: str) -> np.ndarray:
-        """Load the first-occurrence map ``IP_w`` (one read).
+    def lookup(self, keyword: str, count: int) -> Tuple[np.ndarray, bool]:
+        """``(IP_w, hit)``: the first-occurrence map (one read, always
+        issued; ``hit`` when :attr:`cache` spared the decode).
 
-        Batch-decoded: IP stores one single-id list per vertex, so the
-        firsts are exactly the flat payload, scattered into a dense
-        length-``n`` array; a vertex that never occurs under the
-        keyword holds ``_NEVER``, so ``IP_w < θ^Q_w`` alone says "may
-        score under this keyword".
+        ``IP_w`` is a dense length-``n`` array; a vertex that never
+        occurs under the keyword holds ``_NEVER``, so ``IP_w < θ^Q_w``
+        alone says "may score under this keyword".  It does not depend
+        on ``count``.
         """
         record = self._reader.read_view(f"ip/{keyword}")
+        return self.cache.get(keyword, partial(self._decode_ip, record))
 
-        def decode() -> np.ndarray:
-            keys, ptr, flat = InvertedListsRecord.decode_csr(record)
-            result = np.full(self.n_vertices, _NEVER, dtype=np.int64)
-            result[keys] = flat[ptr[:-1]]
-            return _frozen(result)[0]
-
-        return self._ip_cache.get(keyword, decode)
+    def _decode_ip(self, record) -> np.ndarray:
+        """Batch-decode ``IP_w``: one single-id list per vertex, so the
+        firsts are exactly the flat payload, scattered into a dense array."""
+        keys, ptr, flat = InvertedListsRecord.decode_csr(record)
+        result = np.full(self.n_vertices, _NEVER, dtype=np.int64)
+        result[keys] = flat[ptr[:-1]]
+        return _frozen(result)[0]
 
     def _load_partition(self, keyword: str, p: int) -> tuple:
         """Load partition ``p``'s ``(IR, IL)`` CSR arrays (two reads)."""
         ir_record = self._reader.read_view(f"ir/{keyword}/{p}")
         il_record = self._reader.read_view(f"il/{keyword}/{p}")
-
-        def decode() -> tuple:
-            # One decoding session per load: both records unpack together.
-            decoder = StreamDecoder()
-            ir = InvertedListsRecord.queue(decoder, ir_record)
-            il = InvertedListsRecord.queue(decoder, il_record)
-            streams = decoder.finish()
-            return _frozen(*ir(streams), *il(streams))
-
-        return self._decode_cache.get((keyword, p), decode)
+        return self._partitions.get(
+            (keyword, p), partial(_decode_partition, ir_record, il_record)
+        )[0]
 
     # ------------------------------------------------------------------
-    def query(self, query: KBTIMQuery) -> SeedSelection:
-        """Algorithm 4: incremental NRA top-k aggregation."""
+    def query(
+        self, query: KBTIMQuery, lookup: Optional[Lookup] = None
+    ) -> SeedSelection:
+        """Algorithm 4: incremental NRA top-k aggregation; ``lookup``
+        (default :meth:`lookup`) supplies each keyword's ``IP_w``."""
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)
-        state = _open_state(self, keywords, counts, query.k)
+        state = _open_state(self, keywords, counts, query.k, lookup or self.lookup)
         while len(state.seeds) < query.k and _pick_or_load(self, state):
             pass
         if len(state.seeds) < query.k:

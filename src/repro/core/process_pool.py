@@ -1,4 +1,4 @@
-"""The serving pool: supervised worker processes over one RR index file.
+"""The serving pool: supervised worker processes over one index file.
 
 One :class:`~repro.core.server.KBTIMServer` is thread-safe but bound to
 one core — warm serving is pure CPU (numpy merges and greedy selection
@@ -6,9 +6,12 @@ under the GIL).  :class:`SupervisedServerPool` replicates that server as
 a *shared-nothing unit*: every shard is its own process with its own
 reader, decoded-block cache and buffer pool, so N shards execute on N
 cores, and the parent routes each query to one of them through a
-pluggable :class:`~repro.core.dispatch.Dispatcher`.  This module holds
-the whole pool: the worker loop, the pipe handle, the request path and
-the worker lifecycle.
+pluggable :class:`~repro.core.dispatch.Dispatcher`.  The file may hold
+either index: each worker opens it with
+:func:`~repro.core.catalog.open_index`, which picks the RR or the IRR
+reader from the catalog, so everything below serves both.  This module
+holds the whole pool: the worker loop, the pipe handle, the request path
+and the worker lifecycle.
 
 **Transport.**  The request path is a tiny pickled protocol over one
 :func:`multiprocessing.Pipe` per worker — parent → worker messages are
@@ -80,9 +83,10 @@ import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import wait as wait_ready
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.catalog import RR_FORMAT, read_catalog
+from repro.core.catalog import open_index, read_catalog
 from repro.core.dispatch import Dispatcher, make_dispatcher
 from repro.core.query import KBTIMQuery, KeywordRef, resolve_keyword
 from repro.core.results import SeedSelection
@@ -140,19 +144,19 @@ def _worker_main(
     """One worker process: a :class:`KBTIMServer` behind a request pipe.
 
     Opens its own reader (and therefore its own buffer pool, I/O
-    counters and block cache) over the immutable index file, creates
+    counters and block cache) over the immutable index file — RR or
+    IRR, whichever its catalog names — creates
     its flat-response segment, acknowledges startup, then serves
     ``(method, payload)`` requests until a ``shutdown`` request or a
     closed pipe.  Every per-request exception is shipped back to the
     parent instead of killing the loop, so one bad query never takes
     down a shard.
     """
-    from repro.core.rr_index import RRIndex
     from repro.storage.pager import BufferPool
 
     writer = None
     try:
-        index = RRIndex(
+        index = open_index(
             path,
             pool=BufferPool(config["pool_pages"]),
             page_size=config["page_size"],
@@ -286,7 +290,19 @@ class _WorkerHandle:
     def alive(self) -> bool:
         """Whether the worker process is currently running (a shut-down
         handle has released its process object and answers ``False``)."""
-        return not self.closed and self.process.is_alive()
+        return not self.closed and self._running()
+
+    def _running(self) -> bool:
+        """Whether the process has not exited, read from its sentinel.
+
+        The sentinel becomes ready when the process exits, whoever reaps
+        it.  ``Process.is_alive()`` is not safe across threads: while one
+        thread's ``join`` has reaped the worker but not yet stored its
+        exit code, another thread's ``is_alive()`` gets ``ECHILD`` and
+        reports the dead worker alive — a retry after its death would go
+        to the dead pipe again instead of restarting the shard.
+        """
+        return not wait_ready([self.process.sentinel], 0)
 
     @property
     def down(self) -> bool:
@@ -418,7 +434,7 @@ class _WorkerHandle:
         finally:
             self.conn.close()
         self.process.join(timeout=join_timeout)
-        if self.process.is_alive():
+        if self._running():
             self.process.terminate()
             self.process.join(timeout=join_timeout)
         if not self.process.is_alive():
@@ -498,7 +514,7 @@ class _ShardRecord:
 
 
 class SupervisedServerPool:
-    """N supervised worker *processes* sharding one immutable RR index file.
+    """N supervised worker *processes* sharding one immutable index file.
 
     Each worker owns a whole :class:`~repro.core.server.KBTIMServer`
     (reader, decoded-block cache, buffer pool) in its own process, so
@@ -510,8 +526,9 @@ class SupervisedServerPool:
     Parameters
     ----------
     path:
-        The RR index file every worker opens.  The file is immutable
-        while served, so workers need no cross-process coordination.
+        The index file every worker opens, RR or IRR (the catalog's
+        ``format`` picks the reader).  The file is immutable while
+        served, so workers need no cross-process coordination.
     n_workers:
         Number of shards/worker processes (>= 1).
     cache_keywords:
@@ -574,7 +591,7 @@ class SupervisedServerPool:
         negative ``max_retries`` or ``restart_backoff``, an
         unknown/mis-sized ``dispatch`` or an unknown ``start_method``.
     CorruptIndexError
-        If ``path`` is not a readable RR index.
+        If ``path`` is not a readable index file.
     ServerError
         If a worker fails its startup handshake.
 
@@ -650,7 +667,7 @@ class SupervisedServerPool:
         # spawning, so no open file descriptor leaks into fork children
         # and a corrupt file fails fast in the parent.
         with SegmentReader(self.path, page_size=page_size) as reader:
-            self._topic_names = read_catalog(reader, RR_FORMAT).topic_names
+            self._topic_names = read_catalog(reader).topic_names
 
         self._shards = [_ShardRecord() for _ in range(self.n_workers)]
         #: Parent-side restarts / retries / sheds, merged into :attr:`stats`.
@@ -988,7 +1005,7 @@ class SupervisedServerPool:
     def query(
         self, query: KBTIMQuery, *, timeout: Optional[float] = None
     ) -> SeedSelection:
-        """Answer one query on its shard's worker (Algorithm 2 semantics).
+        """Answer one query on its shard's worker (Algorithm 2 or 4).
 
         Parameters
         ----------

@@ -15,26 +15,29 @@ the segment container:
 (Eqn. 11), load the first ``θ^Q · p_w`` RR sets of each query keyword
 (a bounded *prefix* read thanks to the offset table) together with the
 full inverted lists, and run greedy maximum coverage for ``Q.k`` seeds —
-Algorithm 2 verbatim.  The index never touches the profile store at query
-time: everything the planner needs lives in the catalog.
+Algorithm 2 verbatim (a reader that retains decoded blocks loads a
+keyword's whole block once and slices every later prefix from it).  The
+index never touches the profile store at query time: everything the
+planner needs lives in the catalog.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.catalog import (
     RR_FORMAT,
+    BlockCache,
     Catalog,
     IndexReader,
     KeywordMeta,
+    Lookup,
     build_keyword_meta,
     encode_catalog,
     keyword_entries,
@@ -64,7 +67,6 @@ __all__ = [
     "plan_theta_q",
     "BuildReport",
     "RRIndexBuilder",
-    "BlockCache",
     "RRIndex",
 ]
 
@@ -79,60 +81,6 @@ class BuildReport:
     theta_total: int
     mean_rr_set_size: float
     keywords: Tuple[str, ...]
-
-
-def select_seeds(
-    n_vertices: int,
-    keywords: Sequence[str],
-    counts: Dict[str, int],
-    k: int,
-    phi_q: float,
-    block_of: Callable[[str], "KeywordCoverageCSR"],
-    *,
-    started: float,
-    io: Callable[[], IOStats],
-) -> SeedSelection:
-    """Algorithm 2's answer assembly — the one path every caller takes.
-
-    Merges the per-keyword prefixes into one coverage instance with
-    global set ids and runs :func:`~repro.core.coverage.greedy_max_coverage`
-    for ``k`` seeds: one dense ``argmax`` over the live counts per pick
-    plus a decrement of the newly covered sets' members, i.e.
-    O(n_vertices + touched incidences) per pick.  The stored
-    ``L_w`` lists are offset and clipped to the active prefix (Example 5
-    loads all of L_music/L_book but only rr1-rr9 / rr1-rr4 of the set
-    regions); each keyword becomes one flat-CSR part, so the clip and
-    merge are array slices, not per-vertex loops.
-
-    ``block_of(keyword)`` returns a decoded block exposing at least
-    ``counts[keyword]`` RR sets — the only thing that differs between
-    :meth:`RRIndex.query` (asks the cache for exactly that prefix) and the
-    serving tier (asks for the full block).  ``started`` is the
-    ``perf_counter`` reading the answer's latency is measured from and
-    ``io()`` is evaluated once the work is done, so both land in the
-    answer's :class:`~repro.core.results.QueryStats`.
-    """
-    parts = []
-    base = 0
-    for kw in keywords:
-        count = counts[kw]
-        parts.append(block_of(kw).active_part(count, base))
-        base += count
-    instance = merge_coverage_csr(n_vertices, parts)
-    seeds, marginals = greedy_max_coverage(instance, k)
-    theta_used = instance.n_sets
-    return SeedSelection(
-        seeds=tuple(seeds),
-        marginal_coverages=tuple(marginals),
-        theta=theta_used,
-        phi_q=phi_q,
-        stats=QueryStats(
-            elapsed_seconds=time.perf_counter() - started,
-            rr_sets_considered=theta_used,
-            rr_sets_loaded=theta_used,
-            io=io(),
-        ),
-    )
 
 
 class RRIndexBuilder:
@@ -359,126 +307,8 @@ class KeywordCoverageCSR:
         )
 
 
-#: A loader decodes ``count`` leading RR sets of ``keyword`` from storage.
-#: ``resident`` is the smaller block the cache already holds (or ``None``):
-#: its inverted pairs are count-independent, so an upgrade re-reads the RR
-#: prefix only.
-BlockLoader = Callable[[str, int, Optional[KeywordCoverageCSR]], KeywordCoverageCSR]
-
-
-class BlockCache:
-    """The one cache of decoded keyword blocks on the RR path.
-
-    Maps ``keyword`` to the *largest decoded prefix* seen so far, bounded
-    to ``capacity`` keywords (LRU).  :meth:`get` is prefix-aware:
-
-    * a resident entry covering ``count`` sets is clipped by slicing
-      (:meth:`KeywordCoverageCSR.clip_prefix`) — a **hit**, zero reads;
-    * a smaller resident entry is upgraded: the loader re-reads the RR
-      prefix only and keeps the entry's inverted pairs — a miss, 1 read;
-    * otherwise the loader decodes from storage — a miss, 2 reads.
-
-    **Concurrency.**  A hit takes the LRU lock once (dict lookup +
-    ``move_to_end``) and nothing else.  A miss is single-flight per
-    keyword: concurrent misses on one keyword decode once — the losers
-    wait and are then served as hits — while different keywords load in
-    parallel; the decode itself runs outside the LRU lock.  Blocks are
-    immutable by convention, so they are handed out without copying.
-
-    ``capacity=0`` retains nothing: every :meth:`get` goes to the loader,
-    which restores the cold decode-per-query behaviour and its exact
-    "2 reads per keyword" accounting.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = max(0, int(capacity))
-        # keyword -> (decoded set count, block), least recently used first.
-        self._entries: "OrderedDict[str, Tuple[int, KeywordCoverageCSR]]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        # Per-keyword single-flight locks; bounded by the catalog because
-        # callers validate the keyword before asking.
-        self._flights: Dict[str, threading.Lock] = {}
-
-    def get(
-        self, keyword: str, count: int, loader: BlockLoader
-    ) -> Tuple[KeywordCoverageCSR, bool]:
-        """Return ``(block, hit)`` with ``block`` exposing exactly
-        ``count`` leading RR sets plus the keyword's full inverted pairs.
-
-        ``hit`` is true when a resident entry served the request without
-        ``loader`` being consulted.  The loader is
-        passed per call rather than held, so the cache keeps no reference
-        back to the reader that owns it: a dropped reader frees its
-        decoded blocks at once instead of waiting for the cycle collector.
-        """
-        if not self.capacity:
-            return self._fill(keyword, count, None, loader), False
-        with self._lock:
-            entry = self._entries.get(keyword)
-            if entry is not None and entry[0] >= count:
-                self._entries.move_to_end(keyword)
-                return entry[1].clip_prefix(count), True
-            flight = self._flights.get(keyword)
-            if flight is None:
-                flight = self._flights[keyword] = threading.Lock()
-        with flight:
-            with self._lock:
-                # A racing thread may have finished this very load while
-                # we waited: its decode serves us too.
-                entry = self._entries.get(keyword)
-                if entry is not None and entry[0] >= count:
-                    self._entries.move_to_end(keyword)
-                    return entry[1].clip_prefix(count), True
-            resident = entry[1] if entry is not None else None
-            return self._fill(keyword, count, resident, loader), False
-
-    def _fill(
-        self,
-        keyword: str,
-        count: int,
-        resident: Optional[KeywordCoverageCSR],
-        loader: BlockLoader,
-    ) -> KeywordCoverageCSR:
-        """The miss path: load, then admit."""
-        block = loader(keyword, count, resident)
-        if self.capacity:
-            with self._lock:
-                # Single-flight makes this the only admit in progress for
-                # the keyword, and it always holds more than the entry it
-                # replaces.
-                self._entries[keyword] = (count, block)
-                self._entries.move_to_end(keyword)
-                self._trim()
-        return block
-
-    def _trim(self) -> None:
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def resize(self, capacity: int) -> None:
-        """Change the capacity, evicting least recently used entries."""
-        with self._lock:
-            self.capacity = max(0, int(capacity))
-            self._trim()
-
-    def clear(self) -> None:
-        """Drop every resident block (memory-pressure handling)."""
-        with self._lock:
-            self._entries.clear()
-
-    def keywords(self) -> Dict[str, int]:
-        """Resident ``keyword -> decoded set count``, LRU order (oldest
-        first)."""
-        with self._lock:
-            return {kw: entry[0] for kw, entry in self._entries.items()}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: Default capacity of a reader's :class:`BlockCache`, in keywords.
+#: Default capacity of a reader's :class:`~repro.core.catalog.BlockCache`,
+#: in keywords.
 _PREFIX_CACHE_KEYWORDS = 32
 
 
@@ -487,13 +317,17 @@ class RRIndex(IndexReader):
 
     Opening the index loads the catalog (meta JSON and per-keyword record
     headers) into memory, as a database would its system catalog; query
-    processing then issues two bounded reads per query keyword — the
-    ``θ^Q·p_w`` RR-set prefix and the full inverted-list region.
+    processing then issues two bounded reads per query keyword it loads —
+    an RR-set prefix and the full inverted-list region.
 
-    Decoded keyword blocks are kept in :attr:`cache`, the reader's one
-    :class:`BlockCache` (``prefix_cache_keywords`` keywords, ``0``
-    disables it; a :class:`~repro.core.server.KBTIMServer` over this
-    reader re-sizes and serves from the same object).
+    Decoded keyword blocks are kept in :attr:`cache`
+    (``prefix_cache_keywords`` keywords; a
+    :class:`~repro.core.server.KBTIMServer` over this reader re-sizes and
+    serves from the same object).  A retaining cache loads a keyword's
+    **whole** block on first touch and slices every later ``θ^Q·p_w``
+    prefix from it; ``prefix_cache_keywords=0`` retains nothing and reads
+    exactly the ``θ^Q·p_w`` prefix per query — Algorithm 2's I/O, which
+    the paper's figures time.
     """
 
     FORMAT = RR_FORMAT
@@ -544,16 +378,23 @@ class RRIndex(IndexReader):
         """Capacity of :attr:`cache`, in keywords."""
         return self.cache.capacity
 
-    def load_keyword_csr(self, keyword: str, count: int) -> KeywordCoverageCSR:
-        """Load one keyword's query block as flat CSR (two bounded reads).
+    def lookup(self, keyword: str, count: int) -> Tuple[KeywordCoverageCSR, bool]:
+        """``(block, hit)`` for one validated keyword: a block exposing at
+        least ``count`` RR sets plus the keyword's full inverted pairs.
 
-        The ``θ^Q·p_w`` RR-prefix read and the full ``L_w`` read, decoded
-        through the batch decoder straight into
-        :class:`KeywordCoverageCSR` — no per-list Python arrays — and
-        served through :attr:`cache`: a resident decode covering
-        ``count`` sets is clipped by slicing instead of re-read, a
-        smaller one is upgraded with one read.  Thread-safe (see
-        :class:`BlockCache`).
+        A retaining :attr:`cache` holds the keyword's whole block (a miss
+        decodes all ``n_sets``); a capacity-0 one reads only the
+        ``count`` prefix.  Either way a miss is two bounded reads.
+        """
+        if not self.cache.capacity:
+            return self.decode_block(keyword, count), False
+        n_sets = self.catalog[keyword].n_sets
+        return self.cache.get(keyword, partial(self.decode_block, keyword, n_sets))
+
+    def load_keyword_csr(self, keyword: str, count: int) -> KeywordCoverageCSR:
+        """Load one keyword's query block as flat CSR (:meth:`lookup`).
+
+        Thread-safe (see :class:`~repro.core.catalog.BlockCache`).
 
         Parameters
         ----------
@@ -582,21 +423,13 @@ class RRIndex(IndexReader):
             raise IndexError_(
                 f"requested {count} RR sets but {keyword!r} stores {meta.n_sets}"
             )
-        return self.cache.get(keyword, count, self.decode_block)[0]
+        return self.lookup(keyword, count)[0].clip_prefix(count)
 
-    def decode_block(
-        self,
-        keyword: str,
-        count: int,
-        resident: Optional[KeywordCoverageCSR] = None,
-    ) -> KeywordCoverageCSR:
-        """Read and decode a block from the index file, past every cache.
-
-        The loader :attr:`cache` is given: two bounded reads, or — when
-        ``resident`` is a smaller decode of the same keyword — one, its
-        count-independent inverted pairs being reused.  ``keyword`` and
-        ``count`` must already be validated against the catalog.
-        """
+    def decode_block(self, keyword: str, count: int) -> KeywordCoverageCSR:
+        """Read and decode ``count`` leading RR sets of a block plus its
+        full ``L_w``, past every cache: two bounded reads, one decoding
+        session.  ``keyword`` and ``count`` must already be validated
+        against the catalog."""
         group_size, payload_len, payload_start, offsets = self._headers[keyword]
         end = RRSetsRecord.prefix_payload_end(offsets, payload_len, group_size, count)
         payload = self._reader.read_range_view(f"rr/{keyword}", payload_start, end)
@@ -604,10 +437,6 @@ class RRIndex(IndexReader):
         # one pass, each record bounded by its own end.
         decoder = StreamDecoder()
         rr_sets = RRSetsRecord.queue_prefix(decoder, payload, count)
-        if resident is not None:
-            return KeywordCoverageCSR(
-                *rr_sets(decoder.finish()), resident.inv_vertices, resident.inv_sets
-            )
         inverted = InvertedListsRecord.queue(
             decoder, self._reader.read_view(f"inv/{keyword}")
         )
@@ -615,18 +444,46 @@ class RRIndex(IndexReader):
         return KeywordCoverageCSR.from_csr_arrays(*rr_sets(streams), *inverted(streams))
 
     # ------------------------------------------------------------------
-    def query(self, query: KBTIMQuery) -> SeedSelection:
-        """Algorithm 2: plan θ^Q, load prefixes, greedy maximum coverage."""
+    def query(
+        self,
+        query: KBTIMQuery,
+        lookup: Optional[Lookup] = None,
+    ) -> SeedSelection:
+        """Algorithm 2: plan θ^Q, load prefixes, greedy maximum coverage.
+
+        Merges the per-keyword prefixes into one coverage instance with
+        global set ids and runs :func:`~repro.core.coverage.greedy_max_coverage`
+        for ``k`` seeds: one dense ``argmax`` over the live counts per pick
+        plus a decrement of the newly covered sets' members, i.e.
+        O(n_vertices + touched incidences) per pick.  The stored ``L_w``
+        lists are offset and clipped to the active prefix (Example 5
+        loads all of L_music/L_book but only rr1-rr9 / rr1-rr4 of the set
+        regions); each keyword becomes one flat-CSR part, so the clip and
+        merge are array slices, not per-vertex loops.  ``lookup``
+        (default :meth:`lookup`) supplies each keyword's block.
+        """
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)
-        return select_seeds(
-            self.n_vertices,
-            keywords,
-            counts,
-            query.k,
-            phi_q,
-            lambda kw: self.load_keyword_csr(kw, counts[kw]),
-            started=started,
-            io=lambda: self.stats.delta(before),
+        lookup = lookup or self.lookup
+        parts = []
+        base = 0
+        for kw in keywords:
+            count = counts[kw]
+            parts.append(lookup(kw, count)[0].active_part(count, base))
+            base += count
+        instance = merge_coverage_csr(self.n_vertices, parts)
+        seeds, marginals = greedy_max_coverage(instance, query.k)
+        theta_used = instance.n_sets
+        return SeedSelection(
+            seeds=tuple(seeds),
+            marginal_coverages=tuple(marginals),
+            theta=theta_used,
+            phi_q=phi_q,
+            stats=QueryStats(
+                elapsed_seconds=time.perf_counter() - started,
+                rr_sets_considered=theta_used,
+                rr_sets_loaded=theta_used,
+                io=self.stats.delta(before),
+            ),
         )

@@ -1,25 +1,27 @@
-"""Online serving tier: many queries against one open RR index.
+"""Online serving tier: many queries against one open index, RR or IRR.
 
 The paper's deployment story is an ad platform answering a *stream* of
-advertiser queries against one pre-built index.  Successive queries share
+advertiser queries against one pre-built index — the RR index
+(Algorithm 2) or the IRR index (Algorithm 4).  Successive queries share
 keywords heavily (popular verticals are queried most), so a serving tier
-naturally keeps decoded per-keyword blocks — the RR sets and inverted
-lists of a keyword — across queries, on top of the page-level buffer
-pool.
+naturally keeps decoded per-keyword values — an RR keyword's block, an
+IRR keyword's ``IP_w`` map — across queries, on top of the page-level
+buffer pool.
 
 Two tiers of concurrency live here; the third is the process pool
 built on them:
 
 * :class:`KBTIMServer` serves one open
-  :class:`~repro.core.rr_index.RRIndex` and executes Algorithm 2
-  against full keyword blocks held in the reader's
-  :class:`~repro.core.rr_index.BlockCache` (the server keeps no cache
-  of its own).  It is thread-safe: a hot block costs one short lock,
-  and the cache's per-keyword single-flight makes concurrent misses on
-  one keyword decode exactly once.
+  :class:`~repro.core.catalog.IndexReader` through that protocol only
+  (``plan``, ``lookup``, ``query``, ``cache``), so the same code serves
+  both indexes; the values live in the reader's
+  :class:`~repro.core.catalog.BlockCache` (the server keeps no cache of
+  its own).  It is thread-safe: a hot value costs one short lock, and
+  the cache's per-key single-flight makes concurrent misses on one
+  keyword decode exactly once.
 * :meth:`KBTIMServer.query_batch` amortises one *batch* of queries:
-  the union of requested keywords is fetched once and every query in
-  the batch is then served by pure array slicing — bit-identical
+  the union of requested keywords is looked up once and every query in
+  the batch is then answered from the held values — bit-identical
   answers to sequential :meth:`query` calls at a fraction of the
   load/decode work.
 * :class:`~repro.core.process_pool.SupervisedServerPool` replicates
@@ -29,9 +31,10 @@ built on them:
   and the telemetry records a pool reports (:class:`ServerSnapshot`,
   :class:`ShardHealth`, :class:`PoolHealth`, :class:`PoolSnapshot`).
 
-Results are identical to :meth:`RRIndex.query` in every mode (asserted
-by the tests); only the cost profile changes: a warm keyword costs zero
-disk reads and zero decode work.
+Results are identical to the reader's own ``query`` in every mode
+(asserted by the tests); only the cost profile changes: a warm RR
+keyword costs zero disk reads and zero decode work, a warm IRR keyword
+zero decode work (IRR reads are always issued).
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.catalog import IndexReader
 from repro.core.dispatch import shard_of_keyword
 from repro.core.query import KBTIMQuery, resolve_keyword
 from repro.core.results import SeedSelection
-from repro.core.rr_index import KeywordCoverageCSR, RRIndex, select_seeds
 from repro.errors import QueryError, ServerError
 from repro.storage.iostats import IOStats
 from repro.utils.validation import check_positive_int
@@ -407,69 +410,60 @@ class PoolSnapshot:
 
 
 class KBTIMServer:
-    """Thread-safe query server over one open RR index.
+    """Thread-safe query server over one open index, RR or IRR.
 
     Parameters
     ----------
     index:
-        An open :class:`~repro.core.rr_index.RRIndex`.  The server does
-        not take ownership; close it yourself (or use the server as a
-        context manager, which closes the index on exit).
+        An open :class:`~repro.core.catalog.IndexReader` — an
+        :class:`~repro.core.rr_index.RRIndex` or an
+        :class:`~repro.core.irr_index.IRRIndex`.  The server does not
+        take ownership; close it yourself (or use the server as a context
+        manager, which closes the index on exit).
     cache_keywords:
-        Maximum number of keyword blocks held in memory (LRU).  The
+        Maximum number of keyword values held in memory (LRU).  The
         server has no cache of its own: this re-sizes ``index.cache``,
-        the reader's one :class:`~repro.core.rr_index.BlockCache`, which
-        direct ``index.query`` callers share.  Give each server its own
-        reader (every pool worker does).
+        the reader's :class:`~repro.core.catalog.BlockCache`, which direct
+        ``index.query`` callers share.  Give each server its own reader
+        (every pool worker does).
 
     Raises
     ------
     ValueError
         If ``cache_keywords`` is not a positive int.
 
-    The server always asks the cache for a keyword's *full* block
-    (``n_sets``), so one resident entry serves every query that touches
-    the keyword by slicing; ``stats`` counts a hit when the cache served
-    the block from memory and a miss when it had to go to shared memory
-    or disk.
+    Every query runs the reader's own ``query`` with a lookup that
+    counts: ``stats`` counts a hit when ``index.cache`` served a query
+    keyword's value from memory and a miss when it had to decode.
 
     **Thread safety.**  :meth:`query`, :meth:`query_batch`, :meth:`warm`
     and :meth:`evict_all` may be called concurrently; the concurrency
     contract is the cache's (hit: one lock; miss: per-keyword
     single-flight, decode outside the lock).  Seed selections are
-    bit-identical to a single-threaded run (greedy coverage is
-    deterministic on identical blocks) and the ``stats`` counters are
+    bit-identical to a single-threaded run (both query engines are
+    deterministic on identical data) and the ``stats`` counters are
     exact; only per-query *I/O attribution* is best-effort under
     concurrency — ``QueryStats.io`` windows may include a neighbour
     thread's reads, though the totals across all queries stay exact.
     """
 
-    def __init__(self, index: RRIndex, *, cache_keywords: int = 64) -> None:
+    def __init__(self, index: IndexReader, *, cache_keywords: int = 64) -> None:
         self.index = index
         index.cache.resize(check_positive_int("cache_keywords", cache_keywords))
         self.stats = ServerStats()
 
     # ------------------------------------------------------------------
-    def _fetch(self, keyword: str) -> Tuple[KeywordCoverageCSR, bool]:
-        """``(full block, hit)`` for one keyword name, via the cache."""
-        meta = self.index.catalog.get(keyword)
-        if meta is None:
-            # Validate before counting: a failed lookup was never served
-            # traffic and must not inflate the cache counters.
-            raise QueryError(f"keyword {keyword!r} is not in the index")
-        return self.index.cache.get(keyword, meta.n_sets, self.index.decode_block)
-
-    def _block(self, keyword: str) -> KeywordCoverageCSR:
-        """Fetch one keyword's block for query traffic, counting it."""
-        block, hit = self._fetch(keyword)
+    def _lookup(self, keyword: str, count: int) -> Tuple[object, bool]:
+        """``index.lookup`` for query traffic, counting the hit or miss."""
+        value, hit = self.index.lookup(keyword, count)
         if hit:
             self.stats.record_keyword_hit()
         else:
             self.stats.record_keyword_miss()
-        return block
+        return value, hit
 
     def query(self, query: KBTIMQuery) -> SeedSelection:
-        """Answer one query from cached blocks (Algorithm 2 semantics).
+        """Answer one query through the reader's cache.
 
         Parameters
         ----------
@@ -479,8 +473,8 @@ class KBTIMServer:
         Returns
         -------
         The same :class:`~repro.core.results.SeedSelection` a direct
-        :meth:`RRIndex.query` would produce, with ``stats`` reflecting
-        this server's (usually much cheaper) cost profile.
+        ``index.query`` would produce, with ``stats`` reflecting this
+        server's (usually much cheaper) cost profile.
 
         Raises
         ------
@@ -490,20 +484,7 @@ class KBTIMServer:
         IndexError_
             If a keyword is not in the index.
         """
-        index = self.index
-        started = time.perf_counter()
-        before = index.stats.snapshot()
-        keywords, counts, phi_q = index.plan(query)
-        answer = select_seeds(
-            index.n_vertices,
-            keywords,
-            counts,
-            query.k,
-            phi_q,
-            self._block,
-            started=started,
-            io=lambda: index.stats.delta(before),
-        )
+        answer = self.index.query(query, self._lookup)
         self.stats.record_query(answer.stats.elapsed_seconds)
         return answer
 
@@ -512,11 +493,11 @@ class KBTIMServer:
         """Answer a batch of queries with shared keyword loads.
 
         The batch is planned up front (every query validated before any
-        I/O), then the *union* of requested keywords is fetched from the
-        cache — each keyword exactly once.  Every individual query is
-        then served by pure array slicing
-        (:meth:`KeywordCoverageCSR.active_part`) off the shared block,
-        followed by its own merge + greedy pass.
+        I/O), then the *union* of requested keywords is looked up once
+        each, at the largest count any query of the batch needs.  Every
+        individual query then runs the reader's ``query`` over the held
+        values (an RR query slices its prefixes off them; an IRR query
+        still reads its own partitions).
 
         Parameters
         ----------
@@ -541,72 +522,62 @@ class KBTIMServer:
         :meth:`query`.
 
         **Accounting.**  Per-query ``QueryStats`` attribute the batch's
-        physical work without double counting: a shared keyword load's
-        I/O (and load time) is charged to the *first* query in the batch
-        that requested the keyword, so the per-query ``io`` deltas sum
-        to the batch's true total.  Cache counters mirror what a
+        physical work without double counting: a shared keyword
+        lookup's I/O (and time) is charged to the *first* query in the
+        batch that requested the keyword, so the per-query ``io`` deltas
+        sum to the batch's true total.  Cache counters mirror what a
         sequential run against a large-enough cache would record: a
         keyword resident before the batch counts a hit per use; a loaded
         keyword counts one miss (on the charged query) and hits for
         every later use in the batch.
 
-        The batch holds its own references to the blocks it fetched, so
-        a batch touching more keywords than the cache retains is still
-        answered from one load per keyword.
+        The batch holds its own references to the values it looked up,
+        so a batch touching more keywords than the cache retains is
+        still answered from one load per keyword.
         """
         queries = list(queries)
         if not queries:
             return []
         index = self.index
         # Phase 1: validate + plan everything before touching the disk.
-        plans = [(query, *index.plan(query)) for query in queries]
+        plans = [index.plan(query) for query in queries]
 
-        # Phase 2: union of keywords -> one fetch each; a load is paid by
-        # the first query that asked for the keyword.
+        # Phase 2: union of keywords -> one lookup each, at the largest
+        # count; its cost is charged to the first query that asked.
         charge: Dict[str, int] = {}
-        for pos, (_query, keywords, _counts, _phi) in enumerate(plans):
+        need: Dict[str, int] = {}
+        for pos, (keywords, counts, _phi) in enumerate(plans):
             for kw in keywords:
                 charge.setdefault(kw, pos)
-        blocks: Dict[str, KeywordCoverageCSR] = {}
-        load_io: Dict[str, IOStats] = {}
-        load_seconds: Dict[str, float] = {}
+                need[kw] = max(need.get(kw, 0), counts[kw])
+        held: Dict[str, object] = {}
+        loads: Dict[str, Tuple[bool, IOStats, float]] = {}
         for kw in sorted(charge):
             before = index.stats.snapshot()
-            load_started = time.perf_counter()
-            blocks[kw], hit = self._fetch(kw)
-            if not hit:
-                load_seconds[kw] = time.perf_counter() - load_started
-                load_io[kw] = index.stats.delta(before)
+            started = time.perf_counter()
+            held[kw], hit = index.lookup(kw, need[kw])
+            loads[kw] = (hit, index.stats.delta(before), time.perf_counter() - started)
 
-        # Phase 3: per-query slicing + merge + greedy, with attribution.
+        # Phase 3: each query over the held values, with attribution.
         results: List[SeedSelection] = []
-        for pos, (query, keywords, counts, phi_q) in enumerate(plans):
-            io = IOStats()
-            charged_seconds = 0.0
-            for kw in keywords:
-                if kw in load_io and charge[kw] == pos:
-                    self.stats.record_keyword_miss()
-                    io.add(load_io[kw])
-                    charged_seconds += load_seconds[kw]
-                else:
+        for pos, query in enumerate(queries):
+            answer = index.query(query, lambda kw, _count: (held[kw], True))
+            for kw in plans[pos][0]:
+                hit, io, seconds = loads[kw]
+                if charge[kw] == pos:
+                    answer.stats.io.add(io)
+                    answer.stats.elapsed_seconds += seconds
+                if hit or charge[kw] != pos:
                     self.stats.record_keyword_hit()
-            answer = select_seeds(
-                index.n_vertices,
-                keywords,
-                counts,
-                query.k,
-                phi_q,
-                blocks.__getitem__,
-                started=time.perf_counter() - charged_seconds,
-                io=lambda: io,
-            )
+                else:
+                    self.stats.record_keyword_miss()
             self.stats.record_query(answer.stats.elapsed_seconds)
             results.append(answer)
         return results
 
     # ------------------------------------------------------------------
     def warm(self, keywords: Iterable) -> None:
-        """Pre-load keyword blocks (e.g. the most popular verticals).
+        """Pre-load keyword values (e.g. the most popular verticals).
 
         Parameters
         ----------
@@ -625,19 +596,24 @@ class KBTIMServer:
         """
         for kw in keywords:
             name = resolve_keyword(self.index.topic_names, kw)
-            _block, hit = self._fetch(name)
+            meta = self.index.catalog.get(name)
+            if meta is None:
+                # Validate before counting: a failed lookup was never
+                # served traffic and must not inflate the cache counters.
+                raise QueryError(f"keyword {name!r} is not in the index")
+            _value, hit = self.index.lookup(name, meta.n_sets)
             if not hit:
                 self.stats.record_warm_load()
 
     def evict_all(self) -> None:
-        """Drop every cached block (for memory-pressure handling); the
-        next query of each keyword re-reads it."""
+        """Drop every cached value (for memory-pressure handling); the
+        next query of each keyword decodes it again."""
         self.index.cache.clear()
 
     @property
     def cached_keywords(self) -> List[str]:
         """Currently cached keyword names, LRU order (oldest first)."""
-        return list(self.index.cache.keywords())
+        return self.index.cache.keys()
 
     def snapshot(self) -> ServerSnapshot:
         """This server's whole telemetry in one detached, picklable record:

@@ -299,8 +299,8 @@ class ExperimentContext:
     ) -> IRRIndex:
         """Build-if-needed and open the IRR index of ``dataset``.
 
-        ``decode_cache_partitions=0`` disables the decoded-partition
-        memo — the IRR counterpart of ``open_rr``'s cache switch, for
+        ``decode_cache_partitions=0`` disables the reader's decode
+        caches — the IRR counterpart of ``open_rr``'s cache switch, for
         experiments measuring per-query cold cost.
         """
         self.build_index(dataset, kind="irr", **kwargs)

@@ -71,6 +71,27 @@ def rr_index(dataset_files, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def irr_index(dataset_files, tmp_path_factory):
+    graph, profiles = dataset_files
+    path = str(tmp_path_factory.mktemp("cli-idx") / "t.irr")
+    code = main(
+        [
+            "build-index",
+            "--graph", graph,
+            "--profiles", profiles,
+            "--out", path,
+            "--kind", "irr",
+            "--delta", "25",
+            "--epsilon", "1.0",
+            "--cap", "150",
+            "--seed", "3",
+        ]
+    )
+    assert code == 0
+    return path
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -133,34 +154,9 @@ class TestBuildAndQuery:
         assert len(payload["seeds"]) == 3
         assert payload["theta"] > 0
 
-    def test_irr_kind(self, dataset_files, tmp_path, capsys):
-        graph, profiles = dataset_files
-        path = str(tmp_path / "t.irr")
-        assert (
-            main(
-                [
-                    "build-index",
-                    "--graph",
-                    graph,
-                    "--profiles",
-                    profiles,
-                    "--out",
-                    path,
-                    "--kind",
-                    "irr",
-                    "--delta",
-                    "25",
-                    "--epsilon",
-                    "1.0",
-                    "--cap",
-                    "150",
-                    "--seed",
-                    "3",
-                ]
-            )
-            == 0
-        )
-        assert main(["query", "--index", path, "--keywords", "music", "--k", "2"]) == 0
+    def test_irr_kind(self, irr_index):
+        query = ["query", "--index", irr_index, "--keywords", "music", "--k", "2"]
+        assert main(query) == 0
 
     def test_lt_model_build(self, dataset_files, tmp_path):
         graph, profiles = dataset_files
@@ -403,6 +399,14 @@ class TestReplay:
         health = _assert_each_number_has_one_home(payload)
         assert health["rss_bytes"] > 0
         assert health["rss_bytes"] == sum(s["rss_bytes"] for s in health["shards"])
+        assert payload["snapshot"]["stats"]["queries"] == 10
+
+    def test_replay_serves_an_irr_file(self, irr_index, dataset_files, capsys):
+        _graph, profiles = dataset_files
+        code = main(self._replay_args(irr_index, profiles) + ["--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failed"] == 0
         assert payload["snapshot"]["stats"]["queries"] == 10
 
     def test_replay_rendezvous_dispatch(self, rr_index, dataset_files, capsys):

@@ -331,4 +331,4 @@ class TestPrefixCache:
                 count = index.catalog[kw].n_sets
                 index.load_keyword_csr(kw, count)
             assert len(index.cache) == 2
-            assert "music" not in index.cache.keywords()  # oldest evicted
+            assert "music" not in index.cache.keys()  # oldest evicted

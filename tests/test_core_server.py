@@ -173,7 +173,7 @@ class TestEviction:
         # Exactly four blocks are resident anywhere in the process, and
         # the first keyword is not one of them.
         assert len(server.index.cache) == 4
-        assert list(server.index.cache.keywords()) == list(names[1:])
+        assert list(server.index.cache.keys()) == list(names[1:])
         assert server.cached_keywords == list(names[1:])
         # So re-querying it is a miss that really goes to disk — not a
         # "miss" served for free by a second tier the bound never reached.

@@ -1033,7 +1033,7 @@ class TestIRRArrayNativeNRA:
         assert set(answer.marginal_coverages[len(candidates) :]) == {0}
 
     def test_four_threads_on_one_reader_answer_like_serial(self, irr_world):
-        """Queries share the reader's decode memos and nothing else."""
+        """Queries share the reader's decode caches and nothing else."""
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.core.irr_index import IRRIndex
@@ -1056,7 +1056,7 @@ class TestIRRArrayNativeNRA:
 
     def test_memoised_decodes_are_read_only(self, irr_index_path):
         """Every query (and thread) gets the same arrays out of the decode
-        memos — with and without a capacity — so a write must raise."""
+        caches — with and without a capacity — so a write must raise."""
         from repro.core.irr_index import IRRIndex
         from repro.core.query import KBTIMQuery
 
@@ -1072,7 +1072,7 @@ class TestIRRArrayNativeNRA:
                 with pytest.raises(ValueError):
                     index._load_partition("music", 0)[2][0] = 0
                 with pytest.raises(ValueError):
-                    index._load_ip("music")[0] = 0
+                    index.lookup("music", 1)[0][0] = 0
 
     def test_work_counts_of_a_fixed_stream_are_pinned(self, irr_index_path):
         """What 64 seeded queries load and read, as three integers.
@@ -1111,7 +1111,7 @@ class TestIRRArrayNativeNRA:
         with IRRIndex(irr_index_path, decode_cache_partitions=0) as cold:
             a = cold.query(query)
             b = cold.query(query)  # second pass re-decodes everything
-            assert len(cold._decode_cache) == 0
+            assert len(cold._partitions) == len(cold.cache) == 0
         with IRRIndex(irr_index_path, decode_cache_partitions=512) as warm:
             c = warm.query(query)
             d = warm.query(query)

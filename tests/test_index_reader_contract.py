@@ -156,8 +156,8 @@ class TestIndexReaderContract:
             assert reads[0] > 0 and reads == [reads[0]] * 3
             assert len({io.bytes_read for io in costs}) == 1
 
-    def test_irr_reads_do_not_depend_on_the_memos(self, paths):
-        """The IRR memos skip decodes, never reads: cold and warm readers
+    def test_irr_reads_do_not_depend_on_the_caches(self, paths):
+        """The IRR caches skip decodes, never reads: cold and warm readers
         report the same reads and bytes, and capacity 0 retains nothing."""
         query = QUERIES[2]
         with IRRIndex(paths["irr"], **COLD["irr"]) as cold, IRRIndex(
@@ -166,14 +166,14 @@ class TestIndexReaderContract:
             warm.query(query)
             a, b = cold.query(query).stats.io, warm.query(query).stats.io
             assert (a.read_calls, a.bytes_read) == (b.read_calls, b.bytes_read)
-            assert len(cold._ip_cache) == len(cold._decode_cache) == 0
-            assert len(warm._ip_cache) == query.n_keywords
-            assert len(warm._decode_cache) > 0
+            assert len(cold.cache) == len(cold._partitions) == 0
+            assert len(warm.cache) == query.n_keywords
+            assert len(warm._partitions) > 0
 
     def test_a_load_unit_is_one_decoding_session(self, paths, monkeypatch):
         """Both records a miss or a partition load reads go through one
-        ``StreamDecoder`` (one ``finish``), and so does the lone RR record
-        of an upgrade; what comes out equals the records decoded alone."""
+        ``StreamDecoder`` (one ``finish``); what comes out equals the
+        records decoded alone."""
         from repro.storage import compression
         from repro.storage.records import InvertedListsRecord, RRSetsRecord
 
@@ -188,10 +188,10 @@ class TestIndexReaderContract:
             n_sets = index.catalog["music"].n_sets
             small = index.decode_block("music", n_sets // 2)
             full = index.decode_block("music", n_sets)
-            upgraded = index.decode_block("music", n_sets, small)
-            assert finishes == [2, 2, 1]
+            assert finishes == [2, 2]
             for name in ("set_ptr", "set_vertices", "inv_vertices", "inv_sets"):
-                assert np.array_equal(getattr(upgraded, name), getattr(full, name))
+                clipped = full.clip_prefix(n_sets // 2)
+                assert np.array_equal(getattr(small, name), getattr(clipped, name))
             _group, payload_len, start, _offsets = index._headers["music"]
             payload = index._reader.read_range_view("rr/music", start, payload_len)
             set_ptr, set_vertices = RRSetsRecord.decode_prefix_csr(payload, n_sets)
@@ -217,8 +217,8 @@ class TestIndexReaderContract:
             for ours, theirs in zip(decoded, alone):
                 assert np.array_equal(ours, theirs) and not ours.flags.writeable
 
-    def test_irr_reader_survives_concurrent_queries_on_a_tiny_memo(self, paths):
-        """Eight threads share one reader whose memos hold two entries, so
+    def test_irr_reader_survives_concurrent_queries_on_tiny_caches(self, paths):
+        """Eight threads share one reader whose caches hold two entries, so
         every lookup races an eviction; answers and I/O totals stay exact."""
         with IRRIndex(paths["irr"]) as reference:
             expected = [reference.query(query) for query in QUERIES]
@@ -227,7 +227,7 @@ class TestIndexReaderContract:
         sys.setswitchinterval(1e-6)
         try:
             with IRRIndex(paths["irr"], decode_cache_partitions=2) as index:
-                index._ip_cache.capacity = 2
+                index.cache.resize(2)
                 before = index.stats.snapshot()
                 charged = []
 
@@ -250,7 +250,7 @@ class TestIndexReaderContract:
                 assert not any(thread.is_alive() for thread in threads)
                 assert not failures, failures
                 assert index.stats.delta(before).read_calls == sum(charged)
-                assert len(index._decode_cache) <= 2 and len(index._ip_cache) <= 2
+                assert len(index._partitions) <= 2 and len(index.cache) <= 2
         finally:
             sys.setswitchinterval(interval)
 

@@ -5,11 +5,11 @@ Guarantees pinned here:
 * The request/response path is picklable: queries, ``QueryStats`` /
   ``IOStats`` / ``ServerStats`` snapshots all cross a process boundary
   and come back mutation-safe (fresh locks) and value-identical.
-* ``SupervisedServerPool`` answers are bit-identical to a sequential
-  ``RRIndex.query`` run and — with *exact* per-query I/O accounting
-  (per-query deltas sum to the pool's physical total) — to one
-  in-process ``KBTIMServer`` per shard, with and without the
-  shared-memory block cache.
+* ``SupervisedServerPool`` serves an RR or an IRR file.  Its answers are
+  bit-identical — with *exact* per-query I/O accounting (per-query
+  deltas sum to the pool's physical total) — to one in-process
+  ``KBTIMServer`` per shard over the same file, and their marginals and
+  θ equal a sequential ``RRIndex.query`` run (the seeds too, on RR).
 * One telemetry contract: ``health()`` is parent-side (zero worker round
   trips), ``snapshot()`` is one round trip per ready shard, and a dead
   shard is a ``None`` hole, never an exception.
@@ -33,7 +33,9 @@ import time
 
 import pytest
 
+from repro.core.catalog import open_index
 from repro.core.dispatch import shard_of_keyword
+from repro.core.irr_index import IRRIndexBuilder
 from repro.core.process_pool import SupervisedServerPool, _WorkerHandle
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
@@ -66,10 +68,22 @@ def setup(tmp_path_factory):
     profiles = zipf_profiles(graph.n, TopicSpace.default(8), rng=52)
     model = IndependentCascade(graph)
     path = str(tmp_path_factory.mktemp("procpool") / "p.rr")
-    RRIndexBuilder(
-        model, profiles, policy=ThetaPolicy(epsilon=1.0, K=30, cap=200), rng=53
-    ).build(path)
+    policy = ThetaPolicy(epsilon=1.0, K=30, cap=200)
+    builder = RRIndexBuilder(model, profiles, policy=policy, rng=53)
+    tables = builder.sample()
+    builder.build(path, tables=tables)
+    # The IRR file of the same sample tables, beside it (``paths``).
+    IRRIndexBuilder(model, profiles, policy=policy, delta=25, rng=53).build(
+        path[: -len(".rr")] + ".irr", tables=tables
+    )
     return path, profiles
+
+
+@pytest.fixture(scope="module")
+def paths(setup):
+    """``{kind: path}``: the RR file of ``setup`` and its IRR twin."""
+    path, _profiles = setup
+    return {"rr": path, "irr": path[: -len(".rr")] + ".irr"}
 
 
 @pytest.fixture(scope="module")
@@ -121,13 +135,22 @@ def _observe(path: str, workload) -> dict:
 
 def _oracle(path: str, shards, workload):
     """What the pool must equal, from nothing of the pool but its routing:
-    one in-process ``KBTIMServer`` over its own reader per shard, each
-    query fed sequentially to the server ``pool.shard_of`` named."""
-    servers = [KBTIMServer(RRIndex(path)) for _ in range(3)]
+    one in-process ``KBTIMServer`` over its own reader per shard, fed the
+    calls ``_observe`` made in the order it made them — the first half
+    one query at a time, the second half as one ``query_batch`` per shard
+    — each on the server ``pool.shard_of`` named."""
+    half = len(workload) // 2
+    servers = [KBTIMServer(open_index(path)) for _ in range(3)]
     for kw in WARMED:
         servers[shard_of_keyword(kw, 3)].warm([kw])
     warm_loads = [server.stats.warm_loads for server in servers]
-    answers = [servers[shard].query(q) for shard, q in zip(shards, workload)]
+    answers = [servers[shard].query(q) for shard, q in zip(shards, workload[:half])]
+    batched = {}
+    for shard, server in enumerate(servers):
+        positions = [pos for pos in range(half, len(workload)) if shards[pos] == shard]
+        sub = server.query_batch([workload[pos] for pos in positions])
+        batched.update(zip(positions, sub))
+    answers += [batched[pos] for pos in range(half, len(workload))]
     for server in servers:
         server.index.close()
     return warm_loads, answers
@@ -146,28 +169,36 @@ def _spy_on_requests(monkeypatch) -> list:
     return verbs
 
 
+@pytest.mark.parametrize("kind", ["rr", "irr"], scope="class")
 class TestPoolContract:
-    """What the one pool class promises on a healthy run, checked against
-    a sequential reader and the per-shard ``KBTIMServer`` oracle."""
+    """What the one pool class promises on a healthy run over either
+    index, checked against a sequential RR reader and the per-shard
+    ``KBTIMServer`` oracle over the same file."""
 
     @pytest.fixture(scope="class")
-    def observed(self, setup, workload):
-        path, _profiles = setup
-        return _observe(path, workload)
+    def observed(self, kind, paths, workload):
+        return _observe(paths[kind], workload)
 
     def test_same_routing_answers_and_exact_io(
-        self, setup, workload, observed, expected
+        self, kind, paths, workload, observed, expected
     ):
-        path, _profiles = setup
         # crc32 on the primary (smallest) keyword: the workload refs are names.
         assert observed["shards"] == [
             shard_of_keyword(min(q.keywords), 3) for q in workload
         ]
-        warm_loads, reference = _oracle(path, observed["shards"], workload)
+        warm_loads, reference = _oracle(paths[kind], observed["shards"], workload)
         assert observed["warm_loads"] == warm_loads
         assert sum(warm_loads) == 2
         for got, ref, want in zip(observed["answers"], reference, expected):
-            _assert_same_selection(got, want)
+            _assert_same_selection(got, ref)
+            # Theorem 3: IRR's seed scores and θ are RR's (seeds may
+            # differ on ties).
+            assert (got.marginal_coverages, got.theta) == (
+                want.marginal_coverages,
+                want.theta,
+            )
+            if kind == "rr":
+                assert got.seeds == want.seeds
             assert got.stats.io.read_calls == ref.stats.io.read_calls
             assert got.stats.io.bytes_read == ref.stats.io.bytes_read
         # Exact accounting: the per-query ``QueryStats.io`` deltas partition
@@ -217,10 +248,9 @@ class TestPoolContract:
         assert not hasattr(ServerStats(), "record_memory")
 
     def test_health_asks_no_worker_and_snapshot_asks_each_once(
-        self, setup, monkeypatch
+        self, kind, paths, monkeypatch
     ):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
+        with SupervisedServerPool(paths[kind], n_workers=3) as pool:
             pool.query(KBTIMQuery(("music",), 2))
             verbs = _spy_on_requests(monkeypatch)
             health = pool.health()
@@ -233,11 +263,10 @@ class TestPoolContract:
             assert verbs == ["snapshot"] * 3
 
     @pytest.mark.chaos
-    def test_health_does_not_wait_for_a_busy_shard(self, setup, monkeypatch):
+    def test_health_does_not_wait_for_a_busy_shard(self, kind, paths, monkeypatch):
         """``health()`` returns while a shard's pipe is held by a slow
         request — it never queues behind the handle lock."""
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(paths[kind], n_workers=2) as pool:
             handle = pool._workers[0]
             busy = threading.Thread(
                 target=handle.request, args=("_chaos", ("sleep", 0.8))
@@ -258,12 +287,11 @@ class TestPoolContract:
             assert health.healthy and all(s.rss_bytes > 0 for s in health.shards)
 
     @pytest.mark.chaos
-    def test_killed_worker_is_a_hole_not_an_exception(self, setup):
+    def test_killed_worker_is_a_hole_not_an_exception(self, kind, paths):
         """After ``kill -9`` of one worker ``health()`` is complete and
         ``snapshot()`` has a ``None`` hole for that shard; neither read
         heals it."""
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
+        with SupervisedServerPool(paths[kind], n_workers=2) as pool:
             for kw in ("music", "book", "journal", "car"):
                 pool.query(KBTIMQuery((kw,), 2))
             before = pool.snapshot()
@@ -528,12 +556,12 @@ def _kill_shard(pool: SupervisedServerPool, shard: int, unnoticed=False) -> None
     next liveness probe, so it surfaces *mid-request*: with
     ``max_retries=0`` the caller sees the death diagnosis instead of a
     transparent heal-before-dispatch."""
-    process = pool._workers[shard].process
-    process.kill()
-    process.join(timeout=10.0)
+    handle = pool._workers[shard]
+    handle.process.kill()
+    handle.process.join(timeout=10.0)
     if unnoticed:
-        real_is_alive, lie = process.is_alive, iter([True])
-        process.is_alive = lambda: next(lie, False) or real_is_alive()
+        real_running, lie = handle._running, iter([True])
+        handle._running = lambda: next(lie, False) or real_running()
 
 
 def _two_keywords_on_distinct_shards(pool: SupervisedServerPool):

@@ -5,7 +5,7 @@ Three guarantees are pinned here:
 * ``query_batch`` is an *optimisation*, never a semantic change: seeds,
   marginals, θ and φ_Q are bit-identical to sequential ``query()`` calls,
   with caches on and off, and its per-query I/O attribution sums to the
-  batch's true total.
+  batch's true total — over an RR and over an IRR index.
 * A shared ``KBTIMServer`` hammered from N threads answers every query
   bit-identically to a single-threaded run, with exact stats counters.
 * ``SupervisedServerPool`` dispatches deterministically, aggregates
@@ -16,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.catalog import open_index
+from repro.core.irr_index import IRRIndexBuilder
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.process_pool import SupervisedServerPool
@@ -36,10 +38,26 @@ def setup(tmp_path_factory):
     profiles = zipf_profiles(graph.n, TopicSpace.default(8), rng=42)
     model = IndependentCascade(graph)
     path = str(tmp_path_factory.mktemp("concurrent") / "c.rr")
-    RRIndexBuilder(
-        model, profiles, policy=ThetaPolicy(epsilon=1.0, K=30, cap=200), rng=43
-    ).build(path)
+    policy = ThetaPolicy(epsilon=1.0, K=30, cap=200)
+    builder = RRIndexBuilder(model, profiles, policy=policy, rng=43)
+    tables = builder.sample()
+    builder.build(path, tables=tables)
+    # The IRR file of the same sample tables, beside it (``paths``).
+    IRRIndexBuilder(model, profiles, policy=policy, delta=25, rng=43).build(
+        path[: -len(".rr")] + ".irr", tables=tables
+    )
     return path, profiles
+
+
+@pytest.fixture(scope="module")
+def paths(setup):
+    """``{kind: path}``: the RR file of ``setup`` and its IRR twin."""
+    path, _profiles = setup
+    return {"rr": path, "irr": path[: -len(".rr")] + ".irr"}
+
+
+#: The option that makes each reader retain nothing between queries.
+COLD = {"rr": {"prefix_cache_keywords": 0}, "irr": {"decode_cache_partitions": 0}}
 
 
 @pytest.fixture(scope="module")
@@ -57,38 +75,39 @@ def _assert_same_selection(a, b):
     assert a.phi_q == pytest.approx(b.phi_q)
 
 
-class TestBatchEquivalence:
-    def test_batch_matches_sequential_caches_on(self, setup, workload):
-        path, _profiles = setup
-        with RRIndex(path) as seq_index:
+@pytest.mark.parametrize("kind", ["rr", "irr"])
+class TestBatchEquivalenceBothKinds:
+    def test_batch_matches_sequential_caches_on(self, kind, paths, workload):
+        with open_index(paths[kind]) as seq_index:
             sequential = [KBTIMServer(seq_index).query(q) for q in workload]
-        with KBTIMServer(RRIndex(path)) as server:
+        with KBTIMServer(open_index(paths[kind])) as server:
             batched = server.query_batch(workload)
         assert len(batched) == len(sequential)
         for a, b in zip(sequential, batched):
             _assert_same_selection(a, b)
 
-    def test_batch_matches_sequential_caches_off(self, setup, workload):
-        path, _profiles = setup
-        with RRIndex(path, prefix_cache_keywords=0) as seq_index:
+    def test_batch_matches_sequential_caches_off(self, kind, paths, workload):
+        with open_index(paths[kind], **COLD[kind]) as seq_index:
             sequential = [seq_index.query(q) for q in workload]
-        with KBTIMServer(RRIndex(path)) as server:
+        with KBTIMServer(open_index(paths[kind])) as server:
             server.index.cache.resize(0)  # nothing retained between queries
             batched = server.query_batch(workload)
         for a, b in zip(sequential, batched):
             _assert_same_selection(a, b)
 
-    def test_batch_io_attribution_sums_to_total(self, setup, workload):
+    def test_batch_io_attribution_sums_to_total(self, kind, paths, workload):
         """Per-query io deltas partition the batch's physical I/O."""
-        path, _profiles = setup
-        with KBTIMServer(RRIndex(path)) as server:
+        with KBTIMServer(open_index(paths[kind])) as server:
             before = server.index.stats.snapshot()
             batched = server.query_batch(workload)
             total = server.index.stats.delta(before)
         attributed_reads = sum(r.stats.io.read_calls for r in batched)
         attributed_bytes = sum(r.stats.io.bytes_read for r in batched)
-        assert attributed_reads == total.read_calls
+        assert attributed_reads == total.read_calls > 0
         assert attributed_bytes == total.bytes_read
+
+
+class TestBatchEquivalence:
 
     def test_batch_loads_each_keyword_once(self, setup, workload):
         """Cold batch: exactly 2 reads (RR prefix + L_w) per distinct kw."""

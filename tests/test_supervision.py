@@ -17,6 +17,8 @@ asserted:
   shed/retry/restart counters land in merged :class:`ServerStats`.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -90,12 +92,12 @@ def _kill_worker(pool: SupervisedServerPool, shard: int, unnoticed=False) -> Non
     """SIGKILL and reap one worker; ``unnoticed`` hides the death from the
     next liveness probe, so it surfaces mid-request — the retry path, not
     the heal-before-dispatch path."""
-    process = pool._workers[shard].process
-    process.kill()
-    process.join(timeout=10.0)
+    handle = pool._workers[shard]
+    handle.process.kill()
+    handle.process.join(timeout=10.0)
     if unnoticed:
-        real_is_alive, lie = process.is_alive, iter([True])
-        process.is_alive = lambda: next(lie, False) or real_is_alive()
+        real_running, lie = handle._running, iter([True])
+        handle._running = lambda: next(lie, False) or real_running()
 
 
 def _other_shard_keyword(pool: SupervisedServerPool, shard: int) -> str:
@@ -165,6 +167,30 @@ class TestSelfHealing:
             stats = pool.stats
             assert stats.retries == 1
             assert stats.restarts == 1
+
+    def test_retry_heals_a_worker_another_thread_reaped(self, setup):
+        """The kill-midstream race, forced.  Two threads notice one dead
+        worker: one ``join`` reaps it with ``waitpid`` but has not yet
+        stored the exit code when the other asks for liveness.  In that
+        window ``Process.is_alive()`` gets ``ECHILD`` and reports the dead
+        worker alive, so a pool that trusted it sent the query (and its
+        retry) down the dead pipe and failed it.  The pool must restart
+        the shard and answer."""
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        with RRIndex(path) as index:
+            want = index.query(query)
+        with SupervisedServerPool(path, n_workers=2, restart_backoff=0.0) as pool:
+            process = pool._workers[pool.shard_of(query)].process
+            process.kill()
+            os.waitpid(process.pid, 0)  # the reaping thread's waitpid ...
+            try:
+                assert process.is_alive()  # ... opens the window
+                got = pool.query(query)
+            finally:
+                process._popen.returncode = -signal.SIGKILL  # ... and closes it
+            _assert_same_selection(got, want)
+            assert (pool.stats.restarts, pool.stats.retries) == (1, 0)
 
     def test_retry_budget_exhausts_to_server_error(self, setup):
         path, _profiles = setup
