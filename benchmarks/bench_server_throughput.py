@@ -10,10 +10,7 @@ and across *concurrent* clients.  This bench measures
   sequentially, on a Zipf-skewed mixed-length workload (PR 4),
 * a closed-loop worker sweep of the serving pool at 1/2/4/8 worker
   processes: p50/p95/p99 latency and QPS (PR 4/5),
-* the dispatch matrix (PR 9): static crc32 vs load-aware weighted
-  rendezvous, Zipf-mixed vs balanced streams, reporting QPS and the
-  per-shard query-count spread (max/mean).  The guard fails the job if
-  rendezvous lets the Zipf stream spread past 2.0x even.
+* the pool under deterministic faults: restart and shed counters.
 """
 
 import time
@@ -220,9 +217,9 @@ def _rss_per_worker(pool, workers: int) -> float:
 def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark):
     """Closed-loop replay against the pool at 1/2/4/8 worker processes.
 
-    Every point runs the default crc32 primary-keyword shard dispatch
-    (the policies themselves are compared in test_dispatch_spread); the
-    variables are the worker count and the traffic shape.  Two regimes:
+    Every point routes by crc32 of the primary keyword (the pool's one
+    rule); the variables are the worker count and the traffic shape.
+    Two regimes:
 
     * ``zipf-mixed`` — the PR 4 serving stream.  Primary-keyword skew
       concentrates most queries on one shard, so workers cannot scale it
@@ -310,86 +307,6 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark):
         )
     # The perf narrative lives in BENCH_pr5.json; bit-identical answers
     # are regression-tested in tests/test_process_pool.py.
-
-
-def test_dispatch_spread(
-    ctx, mixed_setup, balanced_setup, benchmark
-):
-    """Dispatch matrix: crc32 vs rendezvous, per-shard spread and QPS.
-
-    The PR 4/5 sweeps showed the static crc32 primary-keyword map
-    concentrating a Zipf-mixed stream on one shard.  This table pins the
-    fix: the same two streams replayed through both dispatch policies on
-    a 4-worker pool, reporting QPS plus ``dispatch_spread`` — the
-    max/mean per-shard query count (1.0 is perfectly even; 4.0 is one
-    shard taking everything).
-
-    Guard: weighted rendezvous must hold the Zipf stream within 2.0x of
-    even (the PR acceptance bound).  No relative crc32-vs-rendezvous
-    assertion here: at smoke scale the stream's primary skew is mild and
-    load-aware routing is timing-dependent, so the two policies are
-    statistically tied — the deterministic skew case (crc32 piling 39 of
-    48 queries on one shard, rendezvous holding 1.5x even) is pinned in
-    tests/test_dispatch.py.  Answers are dispatch-independent by
-    construction (every worker serves the same immutable index); that
-    bit-identical guarantee is regression-tested there too, so this
-    bench only measures balance.
-    """
-    ds, _path, zipf_queries = mixed_setup
-    _ds, balanced_queries = balanced_setup
-    regimes = [("zipf-mixed", zipf_queries), ("balanced", balanced_queries)]
-    rows = []
-
-    def run_matrix():
-        rows.clear()
-        for dispatch in ("crc32", "rendezvous"):
-            for regime, queries in regimes:
-                with ctx.open_server_pool(
-                    ds, n_workers=4, dispatch=dispatch
-                ) as pool:
-                    pool.query_batch(queries)  # warm the shard caches
-                    base = pool.snapshot().workers
-                    report = replay(pool, queries, threads=4)
-                    counts = [
-                        w.stats.queries - b.stats.queries
-                        for w, b in zip(pool.snapshot().workers, base)
-                    ]
-                    rows.append((dispatch, regime, report, counts))
-
-    benchmark.pedantic(run_matrix, rounds=1, iterations=1)
-
-    table = Table(
-        "Server pool: dispatch spread, crc32 vs rendezvous (4 workers, warm)",
-        (
-            "dispatch",
-            "regime",
-            "q/s",
-            "per-shard max",
-            "per-shard mean",
-            "dispatch_spread",
-        ),
-    )
-    spreads = {}
-    for dispatch, regime, report, counts in rows:
-        mean = sum(counts) / len(counts)
-        spreads[(dispatch, regime)] = max(counts) / mean
-        table.add_row(
-            dispatch,
-            regime,
-            report.qps,
-            max(counts),
-            mean,
-            max(counts) / mean,
-        )
-    emit(table)
-    # Every query is served exactly once whichever policy routes it.
-    for _dispatch, regime, _report, counts in rows:
-        expected = dict(regimes)[regime]
-        assert sum(counts) == len(expected)
-    assert spreads[("rendezvous", "zipf-mixed")] <= 2.0, (
-        "rendezvous dispatch let the Zipf stream spread to "
-        f"{spreads[('rendezvous', 'zipf-mixed')]:.2f}x even (bound: 2.0x)"
-    )
 
 
 def test_supervised_resilience(ctx, mixed_setup, benchmark):

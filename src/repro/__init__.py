@@ -37,7 +37,6 @@ from repro.core import (
     BuildReport,
     ChaosController,
     CoverageInstance,
-    Dispatcher,
     FaultEvent,
     FaultPlan,
     IRRIndex,
@@ -51,7 +50,6 @@ from repro.core import (
     QueryStats,
     RRIndex,
     RRIndexBuilder,
-    RendezvousDispatcher,
     SeedSelection,
     ShardHealth,
     SupervisedServerPool,
@@ -118,8 +116,6 @@ __all__ = [
     "IRRIndex",
     "KBTIMServer",
     "SupervisedServerPool",
-    "Dispatcher",
-    "RendezvousDispatcher",
     "ShardHealth",
     "PoolHealth",
     "PoolSnapshot",

@@ -135,16 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=4, help="worker processes (shards)"
     )
     rep.add_argument(
-        "--dispatch",
-        choices=("crc32", "rendezvous"),
-        default="crc32",
-        help=(
-            "query-to-shard policy: the static crc32 keyword map, or "
-            "load-aware weighted rendezvous hashing with hot-keyword "
-            "replication (answers are identical either way)"
-        ),
-    )
-    rep.add_argument(
         "--threads", type=int, default=4, help="closed-loop client concurrency"
     )
     rep.add_argument("--n-queries", type=int, default=48, help="stream length")
@@ -388,7 +378,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         with SupervisedServerPool(
             index_path,
             n_workers=args.workers,
-            dispatch=args.dispatch,
             request_timeout=args.timeout,
             max_inflight=args.max_inflight,
         ) as pool:
@@ -413,7 +402,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     payload = {
         "workers": args.workers,
-        "dispatch": args.dispatch,
         "threads": args.threads,
         "mode": "open" if args.rate is not None else "closed",
         "queries": report.n_queries,
@@ -439,8 +427,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     else:
         print(
             f"{payload['mode']}-loop replay: {payload['queries']} queries on "
-            f"{args.workers} workers "
-            f"({args.dispatch} dispatch), {args.threads} client threads"
+            f"{args.workers} workers, {args.threads} client threads"
         )
         print(
             f"  {payload['qps']:.1f} q/s; p50 {payload['p50_ms']:.2f} ms, "

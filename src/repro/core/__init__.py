@@ -18,13 +18,6 @@ from repro.core.coverage import (
     CoverageInstance,
     greedy_max_coverage,
 )
-from repro.core.dispatch import (
-    Crc32Dispatcher,
-    Dispatcher,
-    FrequencySketch,
-    RendezvousDispatcher,
-    make_dispatcher,
-)
 from repro.core.estimation import (
     OptEstimate,
     deterministic_opt_floor,
@@ -80,11 +73,6 @@ __all__ = [
     "RRIndex",
     "KBTIMServer",
     "SupervisedServerPool",
-    "Dispatcher",
-    "Crc32Dispatcher",
-    "RendezvousDispatcher",
-    "FrequencySketch",
-    "make_dispatcher",
     "ShardHealth",
     "PoolHealth",
     "PoolSnapshot",

@@ -5,13 +5,22 @@ one core — warm serving is pure CPU (numpy merges and greedy selection
 under the GIL).  :class:`SupervisedServerPool` replicates that server as
 a *shared-nothing unit*: every shard is its own process with its own
 reader, decoded-block cache and buffer pool, so N shards execute on N
-cores, and the parent routes each query to one of them through a
-pluggable :class:`~repro.core.dispatch.Dispatcher`.  The file may hold
+cores, and the parent sends each query to the one shard that owns its
+primary keyword (see **Routing**).  The file may hold
 either index: each worker opens it with
 :func:`~repro.core.catalog.open_index`, which picks the RR or the IRR
 reader from the catalog, so everything below serves both.  This module
 holds the whole pool: the worker loop, the pipe handle, the request path
 and the worker lifecycle.
+
+**Routing.**  Every worker serves the same immutable file, so any of
+them gives the same answer; which one runs a query decides only cache
+locality and load.  The rule is static: a query goes to
+:func:`shard_of_keyword` of its primary keyword — the smallest resolved
+name — so a warmed keyword is served where
+:meth:`~SupervisedServerPool.warm` loaded it, a recorded replay or chaos
+fault plan hits the same shard every run, and an unavailable home fails
+fast instead of moving.
 
 **Transport.**  The request path is a tiny pickled protocol over one
 :func:`multiprocessing.Pipe` per worker — parent → worker messages are
@@ -82,12 +91,12 @@ import os
 import pickle
 import threading
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import wait as wait_ready
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.catalog import open_index, read_catalog
-from repro.core.dispatch import Dispatcher, make_dispatcher
 from repro.core.query import KBTIMQuery, KeywordRef, resolve_keyword
 from repro.core.results import SeedSelection
 from repro.core.server import (
@@ -121,7 +130,7 @@ from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segments import SegmentReader
 from repro.utils.validation import check_positive_int
 
-__all__ = ["SupervisedServerPool"]
+__all__ = ["SupervisedServerPool", "shard_of_keyword"]
 
 
 #: Seconds the parent waits for a worker's startup handshake before
@@ -452,6 +461,17 @@ class _WorkerHandle:
             unlink_segment(self.resp_name)
 
 
+def shard_of_keyword(name: str, n_shards: int) -> int:
+    """The shard owning one resolved keyword name: ``crc32(name) % n_shards``.
+
+    ``zlib.crc32`` (not the salted builtin ``hash``) keeps the mapping
+    deterministic across processes — the pool, its workers and any
+    external router agree on which worker owns a keyword, so pre-warmed
+    blocks land where their traffic will.
+    """
+    return zlib.crc32(name.encode("utf-8")) % n_shards
+
+
 def _sharded_batch(queries, shard_of, run_subbatch, concurrent: bool):
     """Split a batch by shard, run each sub-batch, reassemble in order.
 
@@ -542,7 +562,9 @@ class SupervisedServerPool:
     start_method:
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` picks ``fork`` where available
-        (cheap startup) and ``spawn`` elsewhere.
+        (cheap startup) and ``spawn`` elsewhere.  Kept as an argument
+        because ``spawn`` is the only method on macOS and Windows: the
+        tests pass ``"spawn"`` to cover that path on Linux too.
     request_timeout:
         Default per-request deadline in seconds, bounding the whole
         round trip (including restart + retry); ``None`` waits
@@ -550,18 +572,6 @@ class SupervisedServerPool:
         the broken pipe.  Overridable per call via ``timeout=``.  The
         pool's single deadline: admin fan-outs and :meth:`snapshot`
         reads are bounded by it too.
-    dispatch:
-        Shard-selection policy: ``"crc32"`` (exact legacy static map,
-        the default), ``"rendezvous"`` (load-aware, skew-balancing), or
-        a pre-built :class:`~repro.core.dispatch.Dispatcher` sized for
-        ``n_workers`` shards.  Shard availability feeds the
-        dispatcher's candidate set: under ``"rendezvous"`` degraded and
-        drained shards drop out of the ranking, so their keywords
-        redistribute minimally across the survivors instead of failing,
-        and a restored shard gets exactly its old keywords back.
-        ``"crc32"`` keeps the static mapping, where an unavailable
-        shard's queries fail fast with
-        :class:`~repro.errors.ShardUnavailableError`.
     max_retries:
         Transparent retries per query after a worker *death* (queries
         are read-only, hence idempotent).  Default 1: retry once on the
@@ -588,8 +598,8 @@ class SupervisedServerPool:
     ValueError
         On a non-positive ``n_workers``, ``cache_keywords``,
         ``pool_pages``, ``restart_budget`` or ``max_inflight``, a
-        negative ``max_retries`` or ``restart_backoff``, an
-        unknown/mis-sized ``dispatch`` or an unknown ``start_method``.
+        negative ``max_retries`` or ``restart_backoff``, or an unknown
+        ``start_method``.
     CorruptIndexError
         If ``path`` is not a readable index file.
     ServerError
@@ -631,14 +641,12 @@ class SupervisedServerPool:
         page_size: int = DEFAULT_PAGE_SIZE,
         start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
-        dispatch: "str | Dispatcher" = "crc32",
         max_retries: int = 1,
         restart_budget: int = 3,
         restart_backoff: float = 0.05,
         max_inflight: Optional[int] = None,
     ) -> None:
         self.n_workers = check_positive_int("n_workers", n_workers)
-        self.dispatcher = make_dispatcher(dispatch, self.n_workers)
         self._config = {
             "page_size": page_size,
             "cache_keywords": check_positive_int("cache_keywords", cache_keywords),
@@ -662,8 +670,8 @@ class SupervisedServerPool:
         self.restart_budget = restart_budget
         self.restart_backoff = restart_backoff
         self.max_inflight = max_inflight
-        # Parent-side catalog: names + topic-id map only, for dispatch
-        # and warm routing.  Loaded once and the reader closed *before*
+        # Parent-side catalog: names + topic-id map only, for query and
+        # warm routing.  Loaded once and the reader closed *before*
         # spawning, so no open file descriptor leaks into fork children
         # and a corrupt file fails fast in the parent.
         with SegmentReader(self.path, page_size=page_size) as reader:
@@ -815,69 +823,26 @@ class SupervisedServerPool:
             record.restarts_in_window += 1
 
     # ------------------------------------------------------------------
-    # dispatch
+    # routing
     # ------------------------------------------------------------------
-    def _resolved_names(self, query: KBTIMQuery) -> List[str]:
-        """The query's keyword refs resolved to names, for dispatch.
-
-        Resolution only (an unknown *name* dispatches to some shard,
-        whose server then raises the reader's usual ``IndexError_``):
-        full validation (duplicates, budget) stays with the serving
-        worker, so it runs once per query.
-        """
-        return [resolve_keyword(self._topic_names, kw) for kw in query.keywords]
-
-    def _candidates(self) -> List[int]:
-        """Shards currently eligible for dispatch (not drained/degraded).
-
-        Under ``"rendezvous"`` an excluded shard's keywords redistribute
-        minimally to the survivors; the static ``"crc32"`` policy
-        ignores candidates by design and keeps failing fast on
-        unavailable shards.
-
-        Raises
-        ------
-        ShardUnavailableError
-            When every shard is drained or degraded (``shard`` is -1:
-            the outage is pool-wide, not one shard's).
-        """
-        shards = [
-            shard
-            for shard, record in enumerate(self._shards)
-            if not (record.drained or record.degraded)
-        ]
-        if not shards:
-            raise ShardUnavailableError(
-                "no shard available: every shard is drained or degraded; "
-                "call restore() to return shards to rotation",
-                shard=-1,
-                retry_after=None,
-            )
-        return shards
-
     def shard_of(self, query: KBTIMQuery) -> int:
-        """The worker this query would dispatch to right now.
+        """The worker that serves this query: :func:`shard_of_keyword`
+        of its primary (smallest resolved) keyword name.
 
-        A side-effect-free peek at the pool's
-        :class:`~repro.core.dispatch.Dispatcher` — it never records the
-        decision, so asking does not steer subsequent traffic.  Under
-        the static ``"crc32"`` policy the answer is the crc32 hash of
-        the query's primary keyword; under ``"rendezvous"`` it reflects
-        the dispatcher's current load/hot-set state and the shards
-        currently in rotation.
+        Static — availability never moves a query: a drained or degraded
+        home fails fast with :class:`~repro.errors.ShardUnavailableError`
+        when the query is sent.  Resolution only (an unknown *name*
+        routes to some shard, whose server then raises the reader's
+        usual ``IndexError_``): full validation (duplicates, budget)
+        stays with the serving worker, so it runs once per query.
 
         Raises
         ------
         IndexError_
             If a topic-id keyword ref is not in the index.
-        ShardUnavailableError
-            If every shard is drained or degraded.
         """
-        return self.dispatcher.peek(self._resolved_names(query), self._candidates())
-
-    def _route(self, query: KBTIMQuery) -> int:
-        """Choose and *record* the serving shard for one query."""
-        return self.dispatcher.route(self._resolved_names(query), self._candidates())
+        names = (resolve_keyword(self._topic_names, kw) for kw in query.keywords)
+        return shard_of_keyword(min(names), self.n_workers)
 
     # ------------------------------------------------------------------
     # admission
@@ -954,13 +919,12 @@ class SupervisedServerPool:
         makes one timed request with what is left of ``deadline`` — one
         already spent fails before anything is sent, so a healthy worker
         is never poisoned by a request that could not be answered in
-        time.  ``units`` is the request's weight against the
-        dispatcher's in-flight/latency gauges (``len(batch)`` for a
-        sub-batch, ``0`` for admin fan-outs, which must not skew
-        serving-load signals).  On a worker *death* the request retries
-        up to ``max_retries`` times on the freshly restarted worker
-        (counted under ``retries`` for serving traffic only — ``units=0``
-        admin fan-outs retry silently).  Deadline misses poison the
+        time.  ``units`` is the request's weight in the shard's
+        in-flight gauge (``len(batch)`` for a sub-batch, ``0`` for admin
+        fan-outs, which are not serving load).  On a worker *death* the
+        request retries up to ``max_retries`` times on the freshly
+        restarted worker (counted under ``retries`` for serving traffic
+        only — ``units=0`` admin fan-outs retry silently).  Deadline misses poison the
         handle and propagate immediately — the budget is spent.
         Query-level errors (``QueryError``, ``IndexError_``) propagate
         untouched: the worker answered, the request was just wrong.
@@ -977,9 +941,6 @@ class SupervisedServerPool:
                 )
             with record.lock:
                 record.inflight += units
-            if units:
-                self.dispatcher.begin(shard, units=units)
-            started = time.perf_counter()
             try:
                 return self._workers[shard].request(method, payload, timeout=remaining)
             except ServerError as exc:
@@ -997,10 +958,6 @@ class SupervisedServerPool:
             finally:
                 with record.lock:
                     record.inflight -= units
-                if units:
-                    self.dispatcher.complete(
-                        shard, time.perf_counter() - started, units=units
-                    )
 
     def query(
         self, query: KBTIMQuery, *, timeout: Optional[float] = None
@@ -1043,7 +1000,7 @@ class SupervisedServerPool:
         try:
             started = time.perf_counter()
             result = self._call_shard(
-                self._route(query), "query", query, deadline=self._deadline(timeout)
+                self.shard_of(query), "query", query, deadline=self._deadline(timeout)
             )
             # The EWMA service-time estimate behind retry-after hints.
             self._ewma_latency += 0.2 * (
@@ -1094,7 +1051,7 @@ class SupervisedServerPool:
             deadline = self._deadline(timeout)
             return _sharded_batch(
                 queries,
-                self._route,
+                self.shard_of,
                 lambda shard, sub: self._call_shard(
                     shard, "query_batch", sub, deadline=deadline, units=len(sub)
                 ),
@@ -1107,18 +1064,15 @@ class SupervisedServerPool:
     # administration
     # ------------------------------------------------------------------
     def warm(self, keywords: Iterable[KeywordRef]) -> None:
-        """Pre-load each keyword on every worker its traffic can land on.
+        """Pre-load each keyword on the one worker that owns it.
 
-        Routed through the dispatcher's
-        :meth:`~repro.core.dispatch.Dispatcher.homes_of_name` over the
-        currently eligible shards, so a keyword is warmed exactly where
-        queries for it will dispatch — one shard under ``"crc32"``, the
-        full replica set for a hot keyword under ``"rendezvous"``.
-        Grouped fan-out: one request per populated shard, counted under
-        each worker's ``warm_loads``.  A failed shard does not abort the
-        fan-out: every surviving shard is still warmed, and the failure
-        surfaces afterwards as one :class:`~repro.errors.ServerError`
-        naming the failed shard(s).
+        The owner is :func:`shard_of_keyword` of the resolved name, so a
+        keyword is warmed exactly where a query with it as the primary
+        keyword is served.  Grouped fan-out: one request per populated
+        shard, counted under each worker's ``warm_loads``.  A failed
+        shard does not abort the fan-out: every surviving shard is still
+        warmed, and the failure surfaces afterwards as one
+        :class:`~repro.errors.ServerError` naming the failed shard(s).
 
         Raises
         ------
@@ -1131,12 +1085,11 @@ class SupervisedServerPool:
             after the surviving shards were warmed).
         """
         self._check_open()
-        candidates = self._candidates()
         by_shard: Dict[int, List[str]] = {}
         for kw in keywords:
             name = resolve_keyword(self._topic_names, kw)
-            for shard in self.dispatcher.homes_of_name(name, candidates):
-                by_shard.setdefault(shard, []).append(name)
+            shard = shard_of_keyword(name, self.n_workers)
+            by_shard.setdefault(shard, []).append(name)
         self._fanout(
             [(shard, "warm", names) for shard, names in sorted(by_shard.items())]
         )
@@ -1293,8 +1246,8 @@ class SupervisedServerPool:
         for shard in health.shards:
             part = None
             if shard.state == SHARD_READY:
-                # Deliberately not _call_shard: a read must neither move
-                # the dispatcher's load signals nor restart anything.
+                # Deliberately not _call_shard: a read must neither count
+                # as serving load nor restart anything.
                 try:
                     part = self._workers[shard.shard].request(
                         "snapshot", timeout=self.request_timeout
@@ -1313,7 +1266,6 @@ class SupervisedServerPool:
                 [part.stats for part in answered] + [self._supervision]
             ),
             io=io,
-            dispatch=self.dispatcher.load_snapshot(),
         )
 
     @property

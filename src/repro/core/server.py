@@ -25,8 +25,8 @@ built on them:
   answers to sequential :meth:`query` calls at a fraction of the
   load/decode work.
 * :class:`~repro.core.process_pool.SupervisedServerPool` replicates
-  the server as worker processes sharding one index file behind a
-  pluggable dispatcher (``repro.core.dispatch``).  This module defines
+  the server as worker processes over one index file and sends each
+  query to the worker owning its primary keyword.  This module defines
   what crosses that boundary: the request vocabulary (:func:`_dispatch`)
   and the telemetry records a pool reports (:class:`ServerSnapshot`,
   :class:`ShardHealth`, :class:`PoolHealth`, :class:`PoolSnapshot`).
@@ -49,7 +49,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.catalog import IndexReader
-from repro.core.dispatch import shard_of_keyword
 from repro.core.query import KBTIMQuery, resolve_keyword
 from repro.core.results import SeedSelection
 from repro.errors import QueryError, ServerError
@@ -69,7 +68,6 @@ __all__ = [
     "ServerStats",
     "ShardHealth",
     "process_rss_bytes",
-    "shard_of_keyword",
 ]
 
 
@@ -320,7 +318,7 @@ SHARD_DEGRADED = "degraded"
 SHARD_DRAINED = "drained"
 
 #: Version of the :meth:`PoolSnapshot.to_dict` document.
-SNAPSHOT_SCHEMA = 2
+SNAPSHOT_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -392,8 +390,6 @@ class PoolSnapshot:
     stats: ServerStats
     #: The answering workers' physical I/O, summed.
     io: IOStats
-    #: The dispatcher's load gauges (empty for static policies).
-    dispatch: Dict[str, tuple]
 
     def to_dict(self) -> dict:
         """The versioned JSON-ready document (``repro replay --json``)."""
@@ -402,7 +398,6 @@ class PoolSnapshot:
             "health": self.health.to_dict(),
             "stats": self.stats.to_dict(),
             "io": self.io.to_dict(),
-            "dispatch": self.dispatch,
             "workers": [
                 None if part is None else part.to_dict() for part in self.workers
             ],

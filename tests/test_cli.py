@@ -374,7 +374,7 @@ class TestReplay:
         code = main(self._replay_args(rr_index, profiles) + ["--warm"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "closed-loop replay: 10 queries on 2 workers (crc32" in out
+        assert "closed-loop replay: 10 queries on 2 workers, 2 client threads" in out
         assert "q/s" in out and "hit ratio" in out
 
     @pytest.mark.parametrize("removed", [["--pool", "thread"], ["--shared-cache"]])
@@ -387,12 +387,23 @@ class TestReplay:
         assert excinfo.value.code == 2
         assert removed[0] in capsys.readouterr().err
 
+    def test_replay_has_no_routing_policy(self, rr_index, dataset_files):
+        # one routing rule: the parsed replay options name no policy
+        _graph, profiles = dataset_files
+        args = build_parser().parse_args(self._replay_args(rr_index, profiles))
+        assert args.command == "replay"
+        assert [opt for opt in vars(args) if "dispatch" in opt] == []
+
     def test_replay_process_pool_json(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files
         code = main(self._replay_args(rr_index, profiles) + ["--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert "pool" not in payload
+        # One routing rule: no policy name in the payload, no dispatcher
+        # gauges in the snapshot (schema 3).
+        assert "dispatch" not in payload
+        assert "dispatch" not in payload["snapshot"]
         assert payload["queries"] == 10
         assert payload["qps"] > 0
         assert payload["p95_ms"] >= payload["p50_ms"]
@@ -408,21 +419,6 @@ class TestReplay:
         payload = json.loads(capsys.readouterr().out)
         assert payload["failed"] == 0
         assert payload["snapshot"]["stats"]["queries"] == 10
-
-    def test_replay_rendezvous_dispatch(self, rr_index, dataset_files, capsys):
-        _graph, profiles = dataset_files
-        code = main(
-            self._replay_args(rr_index, profiles)
-            + ["--dispatch", "rendezvous", "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["dispatch"] == "rendezvous"
-        assert payload["queries"] == 10
-        assert payload["failed"] == 0
-        health = _assert_each_number_has_one_home(payload)
-        assert health["rss_bytes"] > 0 and health["healthy"]
-        assert sum(payload["snapshot"]["dispatch"]["assigned"]) == 10
 
     def test_replay_open_loop(self, rr_index, dataset_files, capsys):
         _graph, profiles = dataset_files

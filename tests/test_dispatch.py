@@ -1,277 +1,156 @@
-"""Dispatch property suite: the contract any shard-selection policy must meet.
+"""Routing contract: a query goes to the crc32 owner of its primary keyword.
 
-Dispatch is a cache-locality and load-balance policy, never a
-correctness decision — every worker serves the same immutable index, so
-the suite pins exactly that boundary:
+Every worker serves the same immutable index, so routing decides cache
+locality only, never an answer.  The suite pins the one rule:
 
-* **Legacy exactness** — ``dispatch="crc32"`` reproduces the historical
-  ``crc32(primary keyword) % n_shards`` mapping byte-for-byte.
-* **Minimal disruption** — removing one shard from the rendezvous
-  candidate set remaps only the keywords that shard owned (~1/N of the
-  keyspace, bound asserted for N in {2, 4, 8}); restoring it remaps
-  exactly those keywords back.
-* **Determinism under frozen weights** — with no traffic between calls,
-  ``peek`` is repeatable and instance-independent (the draw is a keyed
-  digest, so every process agrees).
-* **Balance under Zipf** — the PR 5 skew scenario: a 48-query Zipf mix
-  that concentrates >= 30/48 queries on one of 4 shards under crc32
-  spreads to <= ceil(1.5 * 48 / 4) = 18 per shard under
-  rendezvous + hot-keyword replication, asserted via per-shard
-  ``ServerStats`` query counts.
-* **Replica-answer equivalence** — whichever replica serves a query,
-  answers are bit-identical and per-query I/O accounting stays exact
-  (attributed reads sum to the pool's physical totals; a fully warmed
-  pool serves with zero reads, like a warmed single server).
+* **The rule, byte-for-byte** — ``crc32(smallest resolved name) %
+  n_shards`` over the name's UTF-8 bytes, with pinned tables so the
+  mapping cannot drift.
+* **Refs resolve first** — a topic-id keyword ref routes like its name,
+  and neither keyword order nor pool load nor pool instance moves a
+  query.
+* **Routing never changes an answer** — under a 4-shard pool over
+  either index format, answers equal a sequential reader of the same
+  file, and each query's attributed I/O equals one reader per shard fed
+  the queries routed to it.
+* **Warm lands where traffic goes** — after ``warm()``, every warmed
+  keyword is resident on its owner only, and on an RR index is served
+  with zero reads.
+* **Availability never moves a query** — a drained or degraded owner
+  fails fast with a typed error naming it, while every other shard
+  keeps serving exactly.
+* **One rule, no switch** — the pool takes no routing-policy argument,
+  its snapshot carries no routing gauges, and ``repro replay`` takes no
+  routing-policy flag.
 """
 
 import collections
-import math
-import random
+import dataclasses
+import importlib
+import inspect
+import itertools
+import zlib
 
 import pytest
 
-from repro.core.dispatch import (
-    Crc32Dispatcher,
-    Dispatcher,
-    FrequencySketch,
-    RendezvousDispatcher,
-    make_dispatcher,
-    shard_of_keyword,
-)
-from repro.core.process_pool import SupervisedServerPool
+import repro
+import repro.core
+from repro.core.catalog import open_index
+from repro.core.irr_index import IRRIndexBuilder
+from repro.core.process_pool import SupervisedServerPool, shard_of_keyword
 from repro.core.query import KBTIMQuery
-from repro.core.rr_index import RRIndex, RRIndexBuilder
+from repro.core.rr_index import RRIndexBuilder
+from repro.core.server import (
+    SHARD_DEGRADED,
+    SHARD_DRAINED,
+    SHARD_READY,
+    SNAPSHOT_SCHEMA,
+    PoolSnapshot,
+)
 from repro.core.theta import ThetaPolicy
 from repro.datasets.workload import make_mixed_workload
+from repro.errors import ShardUnavailableError
+
+#: The owners of the default topic names, per shard count.
+PINNED_OWNERS = {
+    2: {
+        "software": 1,
+        "journal": 1,
+        "music": 0,
+        "book": 1,
+        "sport": 0,
+        "car": 1,
+        "travel": 0,
+        "food": 1,
+    },
+    3: {
+        "software": 2,
+        "journal": 2,
+        "music": 2,
+        "book": 2,
+        "sport": 2,
+        "car": 0,
+        "travel": 0,
+        "food": 1,
+    },
+    4: {
+        "software": 3,
+        "journal": 1,
+        "music": 2,
+        "book": 1,
+        "sport": 2,
+        "car": 1,
+        "travel": 2,
+        "food": 3,
+    },
+    8: {
+        "software": 7,
+        "journal": 5,
+        "music": 2,
+        "book": 1,
+        "sport": 2,
+        "car": 5,
+        "travel": 6,
+        "food": 7,
+    },
+}
+
+KEYWORDS = tuple(PINNED_OWNERS[4])
 
 
-KEYWORDS = [f"kw-{i:03d}" for i in range(400)]
+class TestRule:
+    @pytest.mark.parametrize("n_shards", sorted(PINNED_OWNERS))
+    def test_pinned_owners(self, n_shards):
+        owners = {kw: shard_of_keyword(kw, n_shards) for kw in KEYWORDS}
+        assert owners == PINNED_OWNERS[n_shards]
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 8])
+    def test_crc32_of_the_utf8_name(self, n_shards):
+        for kw in [f"kw-{i:03d}" for i in range(200)] + ["musique-é", "音楽"]:
+            expected = zlib.crc32(kw.encode("utf-8")) % n_shards
+            assert shard_of_keyword(kw, n_shards) == expected
 
 
-def _mapping(dispatcher, candidates=None):
-    return {kw: dispatcher.peek((kw,), candidates) for kw in KEYWORDS}
-
-
-# ---------------------------------------------------------------------------
-# pure-policy properties (no index required)
-# ---------------------------------------------------------------------------
-class TestCrc32Exact:
-    """``dispatch="crc32"`` is the legacy mapping, byte-for-byte."""
-
-    def test_matches_legacy_hash(self):
-        d = Crc32Dispatcher(4)
-        for kw in KEYWORDS:
-            assert d.peek((kw,)) == shard_of_keyword(kw, 4)
-
-    def test_primary_keyword_rule(self):
-        d = Crc32Dispatcher(4)
-        assert d.peek(("music", "book")) == shard_of_keyword("book", 4)
-        assert d.route(("zebra", "alpha")) == shard_of_keyword("alpha", 4)
-
-    def test_candidates_ignored_by_design(self):
-        d = Crc32Dispatcher(4)
-        home = d.peek(("music",))
-        others = [s for s in range(4) if s != home]
-        assert d.peek(("music",), others) == home  # static: does not move
-
-    def test_single_home_for_warm(self):
-        d = Crc32Dispatcher(4)
-        assert d.homes_of_name("music") == (shard_of_keyword("music", 4),)
-
-
-class TestMinimalDisruption:
-    """Loss/restore of a shard remaps ~1/N of keywords, and only those."""
-
-    @pytest.mark.parametrize("n_shards", [2, 4, 8])
-    def test_loss_moves_only_the_lost_shards_keys(self, n_shards):
-        d = RendezvousDispatcher(n_shards)
-        base = _mapping(d)
-        for victim in range(n_shards):
-            survivors = [s for s in range(n_shards) if s != victim]
-            degraded = _mapping(d, survivors)
-            for kw in KEYWORDS:
-                if base[kw] != victim:
-                    # a keyword whose home survived must not move
-                    assert degraded[kw] == base[kw]
-                else:
-                    assert degraded[kw] != victim
-            moved = sum(1 for kw in KEYWORDS if degraded[kw] != base[kw])
-            # ~1/N of the keyspace, with generous sampling slack
-            assert 0.4 * len(KEYWORDS) / n_shards <= moved
-            assert moved <= 1.8 * len(KEYWORDS) / n_shards
-
-    @pytest.mark.parametrize("n_shards", [2, 4, 8])
-    def test_restore_remaps_exactly_the_same_keys_back(self, n_shards):
-        d = RendezvousDispatcher(n_shards)
-        base = _mapping(d)
-        for victim in range(n_shards):
-            survivors = [s for s in range(n_shards) if s != victim]
-            _mapping(d, survivors)  # loss window (pure peeks)
-            assert _mapping(d) == base  # restore: identical, not just ~1/N
-
-
-class TestFrozenWeightDeterminism:
-    """With frozen weights, dispatch is a pure function of the keywords."""
-
-    def test_peek_is_repeatable_and_side_effect_free(self):
-        d = RendezvousDispatcher(4)
-        first = _mapping(d)
-        assert _mapping(d) == first
-
-    def test_instance_independent(self):
-        # two fresh dispatchers (e.g. parent and an external router)
-        # agree on every keyword: the draw is a keyed digest, not the
-        # salted builtin hash.
-        assert _mapping(RendezvousDispatcher(4)) == _mapping(
-            RendezvousDispatcher(4)
-        )
-
-    def test_route_equals_peek_on_same_state(self):
-        d = RendezvousDispatcher(4)
-        for kw in KEYWORDS[:50]:
-            expected = d.peek((kw,))
-            assert d.route((kw,)) == expected
-
-    def test_balanced_keyspace_partition(self):
-        counts = collections.Counter(_mapping(RendezvousDispatcher(4)).values())
-        assert sum(counts.values()) == len(KEYWORDS)
-        # 400 keys over 4 shards: each shard owns a fair share
-        assert max(counts.values()) <= 1.5 * len(KEYWORDS) / 4
-        assert min(counts.values()) >= 0.5 * len(KEYWORDS) / 4
-
-
-class TestZipfBalance:
-    """Routing a Zipf stream keeps per-shard counts near the mean."""
-
-    def test_head_traffic_fans_out(self):
-        d = RendezvousDispatcher(4)
-        rng = random.Random(9)
-        universe = [f"topic-{i}" for i in range(32)]
-        stream = [
-            universe[min(int(rng.paretovariate(1.0)) - 1, len(universe) - 1)]
-            for _ in range(600)
+class TestOneRuleNoSwitch:
+    def test_constructor_takes_eleven_arguments(self):
+        params = inspect.signature(SupervisedServerPool.__init__).parameters
+        assert list(params) == [
+            "self",
+            "path",
+            "n_workers",
+            "cache_keywords",
+            "pool_pages",
+            "page_size",
+            "start_method",
+            "request_timeout",
+            "max_retries",
+            "restart_budget",
+            "restart_backoff",
+            "max_inflight",
         ]
-        for kw in stream:
-            d.route((kw,))
-        assigned = d.load_snapshot()["assigned"]
-        mean = sum(assigned) / len(assigned)
-        assert max(assigned) / mean <= 2.0
 
-    def test_hot_keyword_replicates(self):
-        d = RendezvousDispatcher(4, hot_min_count=3.0)
-        cold_home = d.peek(("hot-topic",))
-        assert d.homes_of_name("hot-topic") == (cold_home,)
-        served = {d.route(("hot-topic",)) for _ in range(20)}
-        assert "hot-topic" in d.load_snapshot()["hot"]
-        homes = d.homes_of_name("hot-topic")
-        assert len(homes) == 2  # default hot_replicas
-        assert cold_home in homes
-        assert served == set(homes)  # head traffic fanned across replicas
+    def test_routing_policy_argument_is_rejected(self, setup):
+        path, _workload = setup
+        # rejected at the call, before any segment or process exists
+        with pytest.raises(TypeError):
+            SupervisedServerPool(path, n_workers=2, dispatch="crc32")
 
-    def test_cold_keyword_stays_put(self):
-        d = RendezvousDispatcher(4)
-        home = d.peek(("rare-topic",))
-        assert all(d.route(("rare-topic",)) == home for _ in range(2))
+    def test_policy_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.dispatch")
 
+    @pytest.mark.parametrize("package", [repro, repro.core])
+    def test_no_routing_policy_exports(self, package):
+        exported = [name for name in package.__all__ if "dispatch" in name.lower()]
+        assert exported == []
+        assert all(hasattr(package, name) for name in package.__all__)
 
-class TestPowerOfTwoChoices:
-    """A multi-keyword query may be homed wherever a keyword is resident."""
-
-    def test_choice_is_a_valid_home(self):
-        d = RendezvousDispatcher(8)
-        a_home = d.route(("alpha",))
-        b_home = d.route(("beta",))
-        chosen = d.peek(("alpha", "beta"))
-        assert chosen in {a_home, b_home}
-
-    def test_prefers_less_loaded_valid_home(self):
-        d = RendezvousDispatcher(8)
-        a_home = d.peek(("alpha",))
-        b_home = d.peek(("beta",))
-        if a_home == b_home:
-            pytest.skip("keywords hash to one shard; nothing to choose")
-        # pile synthetic load on alpha's home: 2-choices must pick beta's
-        d.begin(a_home, units=5)
-        assert d.peek(("alpha", "beta")) == b_home
-        d.complete(a_home, 0.0, units=5)
-
-    def test_residency_makes_a_shard_a_valid_home(self):
-        d = RendezvousDispatcher(8)
-        served = d.route(("alpha", "beta", "gamma"))
-        # all three keywords are now resident where the query ran, so a
-        # follow-up on any subset may legally land there again
-        assert d.peek(("gamma",), None) in {served, d._rank("gamma", range(8))[0]}
+    def test_snapshot_carries_no_routing_gauges(self):
+        fields = [field.name for field in dataclasses.fields(PoolSnapshot)]
+        assert fields == ["health", "workers", "stats", "io"]
+        assert SNAPSHOT_SCHEMA == 3
 
 
-class TestCandidateSet:
-    """Excluded (degraded/drained) shards are never selected."""
-
-    def test_peek_and_route_respect_candidates(self):
-        d = RendezvousDispatcher(4)
-        for kw in KEYWORDS[:100]:
-            assert d.route((kw,), [1, 2, 3]) != 0
-
-    def test_hot_replicas_respect_candidates(self):
-        d = RendezvousDispatcher(4, hot_min_count=2.0)
-        for _ in range(12):
-            d.route(("hot-topic",))
-        assert 0 not in d.homes_of_name("hot-topic", [1, 2, 3])
-
-    def test_empty_candidates_rejected(self):
-        d = RendezvousDispatcher(4)
-        with pytest.raises(ValueError):
-            d.peek(("music",), [])
-        with pytest.raises(ValueError):
-            d.peek(("music",), [4])
-
-
-class TestFrequencySketch:
-    def test_decay_halves_and_fades(self):
-        sketch = FrequencySketch(decay_every=8, capacity=16)
-        for _ in range(7):
-            sketch.observe("a")
-        assert sketch.count("a") == 7.0
-        sketch.observe("b")  # 8th observation triggers decay
-        assert sketch.count("a") == 3.5
-        assert sketch.count("b") == 0.5  # one sighting barely survives...
-        for _ in range(8):
-            sketch.observe("a")
-        assert sketch.count("b") == 0.0  # ...and fades on the next decay
-
-    def test_capacity_keeps_the_hottest(self):
-        sketch = FrequencySketch(decay_every=1000, capacity=2)
-        for name, n in (("a", 6), ("b", 4), ("c", 2)):
-            for _ in range(n):
-                sketch.observe(name)
-        sketch._decay()
-        assert sketch.hot(3) == ("a", "b")
-
-    def test_hot_order_is_deterministic(self):
-        sketch = FrequencySketch()
-        for name in ("b", "a", "c", "a", "b", "c"):
-            sketch.observe(name)
-        assert sketch.hot(3, min_count=2.0) == ("a", "b", "c")  # ties by name
-
-
-class TestMakeDispatcher:
-    def test_names_and_passthrough(self):
-        assert isinstance(make_dispatcher("crc32", 4), Crc32Dispatcher)
-        assert isinstance(make_dispatcher("rendezvous", 4), RendezvousDispatcher)
-        custom = RendezvousDispatcher(4)
-        assert make_dispatcher(custom, 4) is custom
-
-    def test_rejects_unknown_and_mis_sized(self):
-        with pytest.raises(ValueError):
-            make_dispatcher("round-robin", 4)
-        with pytest.raises(ValueError):
-            make_dispatcher(RendezvousDispatcher(2), 4)
-        with pytest.raises(ValueError):
-            Dispatcher(0)
-
-
-# ---------------------------------------------------------------------------
-# pool-level: the PR 5 skew scenario and replica-answer equivalence
-# ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def setup(tmp_path_factory):
     from repro.graph.generators import twitter_like
@@ -281,30 +160,27 @@ def setup(tmp_path_factory):
 
     graph = twitter_like(300, avg_degree=8, rng=51)
     profiles = zipf_profiles(graph.n, TopicSpace.default(8), rng=52)
-    path = str(tmp_path_factory.mktemp("dispatch") / "d.rr")
-    RRIndexBuilder(
-        IndependentCascade(graph),
-        profiles,
-        policy=ThetaPolicy(epsilon=1.0, K=30, cap=200),
-        rng=53,
-    ).build(path)
-    return path, profiles
-
-
-@pytest.fixture(scope="module")
-def skewed_workload(setup):
-    """The PR 5 scenario: 48 Zipf-mixed queries, one dominant primary."""
-    _path, profiles = setup
-    return make_mixed_workload(
+    model = IndependentCascade(graph)
+    path = str(tmp_path_factory.mktemp("routing") / "d.rr")
+    policy = ThetaPolicy(epsilon=1.0, K=30, cap=200)
+    builder = RRIndexBuilder(model, profiles, policy=policy, rng=53)
+    tables = builder.sample()
+    builder.build(path, tables=tables)
+    # The IRR file of the same sample tables, beside it (``paths``).
+    IRRIndexBuilder(model, profiles, policy=policy, delta=25, rng=53).build(
+        path[: -len(".rr")] + ".irr", tables=tables
+    )
+    workload = make_mixed_workload(
         profiles, n_queries=48, lengths=(1, 2, 3), ks=(3, 8), rng=46
     )
+    return path, workload
 
 
 @pytest.fixture(scope="module")
-def expected(setup, skewed_workload):
-    path, _profiles = setup
-    with RRIndex(path) as index:
-        return [index.query(q) for q in skewed_workload]
+def paths(setup):
+    """``{kind: path}``: the RR file of ``setup`` and its IRR twin."""
+    path, _workload = setup
+    return {"rr": path, "irr": path[: -len(".rr")] + ".irr"}
 
 
 def _assert_same_selection(a, b):
@@ -314,102 +190,226 @@ def _assert_same_selection(a, b):
     assert a.phi_q == pytest.approx(b.phi_q)
 
 
-def _serve_and_count(pool, workload):
-    answers = [pool.query(q) for q in workload]
-    return answers, [part.stats.queries for part in pool.snapshot().workers]
+def _per_shard_oracle(path, homes, queries, n_shards=4):
+    """Each query answered by a fresh reader of its own shard, in order."""
+    oracles = [open_index(path) for _ in range(n_shards)]
+    try:
+        return [oracles[home].query(q) for home, q in zip(homes, queries)]
+    finally:
+        for oracle in oracles:
+            oracle.close()
 
 
-class TestPR5SkewRegression:
-    """48 Zipf queries, 4 shards: crc32 piles >= 30 on one, rendezvous <= 18."""
+def _homes(queries, n_shards=4):
+    return [shard_of_keyword(min(q.keywords), n_shards) for q in queries]
 
-    BOUND = math.ceil(1.5 * 48 / 4)  # 18
 
-    def test_crc32_concentrates_the_head(self, setup, skewed_workload, expected):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=4, dispatch="crc32") as pool:
-            answers, counts = _serve_and_count(pool, skewed_workload)
-        assert sum(counts) == 48
-        assert max(counts) >= 30  # the measured BENCH_pr5-style pile-up (39)
-        for a, b in zip(answers, expected):
-            _assert_same_selection(a, b)
+@pytest.mark.parametrize("kind", ["rr", "irr"])
+class TestPool:
+    def test_primary_keyword_and_topic_id_refs(self, kind, paths, setup):
+        _path, workload = setup
+        with open_index(paths[kind]) as index:
+            topic_id = {name: meta.topic_id for name, meta in index.catalog.items()}
+        with SupervisedServerPool(paths[kind], n_workers=4) as pool:
+            for q in workload:  # the workload's refs are names
+                home = shard_of_keyword(min(q.keywords), 4)
+                assert pool.shard_of(q) == home
+                ids = tuple(topic_id[kw] for kw in q.keywords)
+                assert pool.shard_of(KBTIMQuery(ids, q.k)) == home
+                mixed = (ids[0],) + q.keywords[1:]
+                assert pool.shard_of(KBTIMQuery(mixed[::-1], q.k)) == home
 
-    def test_rendezvous_spreads_it(self, setup, skewed_workload, expected):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
+    def test_keyword_order_does_not_move_a_query(self, kind, paths, setup):
+        _path, workload = setup
+        with SupervisedServerPool(paths[kind], n_workers=4) as pool:
+            for q in workload:
+                homes = {
+                    pool.shard_of(KBTIMQuery(order, q.k))
+                    for order in itertools.permutations(q.keywords)
+                }
+                assert homes == {shard_of_keyword(min(q.keywords), 4)}
+
+    def test_routing_is_stateless(self, kind, paths, setup):
+        _path, workload = setup
+        with SupervisedServerPool(paths[kind], n_workers=4) as pool:
+            idle = [pool.shard_of(q) for q in workload]
+            for q in workload:
+                pool.query(q)
+            loaded = [pool.shard_of(q) for q in workload]
+        with SupervisedServerPool(paths[kind], n_workers=4) as other:
+            fresh = [other.shard_of(q) for q in workload]
+        assert idle == loaded == fresh == _homes(workload)
+
+    def test_answers_and_attributed_io_equal_the_oracle(self, kind, paths, setup):
+        _path, workload = setup
+        path = paths[kind]
+        homes = _homes(workload)
+        with open_index(path) as index:
+            expected = [index.query(q) for q in workload]
+        per_shard = _per_shard_oracle(path, homes, workload)
+        with SupervisedServerPool(path, n_workers=4) as pool:
             before = pool.snapshot().io
-            answers, counts = _serve_and_count(pool, skewed_workload)
-            attributed = sum(a.stats.io.read_calls for a in answers)
-            physical = pool.snapshot().io.read_calls - before.read_calls
-        assert sum(counts) == 48
-        assert max(counts) <= self.BOUND
-        # bit-identical answers, whichever replica served each query
-        for a, b in zip(answers, expected):
-            _assert_same_selection(a, b)
-        # exact I/O accounting: per-query attribution sums to the pool's
-        # physical reads (replication changes locality, never the books)
-        assert attributed == physical
-
-    def test_process_pool_parity_when_idle(self, setup, skewed_workload):
-        """An idle pool routes like an idle dispatcher in any other process."""
-        path, _profiles = setup
-        idle = RendezvousDispatcher(4)
-        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
-            for query in skewed_workload:  # the workload's refs are names
-                assert pool.shard_of(query) == idle.peek(query.keywords)
-
-    def test_process_pool_spreads_too(self, setup, skewed_workload, expected):
-        """The same bound with the dispatcher handed in pre-built."""
-        path, _profiles = setup
-        with SupervisedServerPool(
-            path, n_workers=4, dispatch=RendezvousDispatcher(4)
-        ) as pool:
-            answers, counts = _serve_and_count(pool, skewed_workload)
-        assert sum(counts) == 48
-        assert max(counts) <= self.BOUND
-        for a, b in zip(answers, expected):
-            _assert_same_selection(a, b)
-
-
-class TestReplicaEquivalence:
-    """Any replica may answer: identical bits, exact I/O, either way."""
-
-    def test_hot_queries_span_replicas_with_identical_answers(
-        self, setup, expected, skewed_workload
-    ):
-        path, _profiles = setup
-        hot_query = KBTIMQuery(("book",), 5)
-        with RRIndex(path) as index:
-            want = index.query(hot_query)
-        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
-            answers = [pool.query(hot_query) for _ in range(16)]
-            served = {
-                shard
-                for shard, part in enumerate(pool.snapshot().workers)
-                if part.stats.queries > 0
-            }
-        assert len(served) >= 2  # the head actually fanned out
-        for answer in answers:
-            _assert_same_selection(answer, want)
-
-    def test_warm_covers_every_replica_exactly(self, setup):
-        """After warm(), every replica serves with zero reads — like a
-        warmed single server — so replica choice is invisible in the
-        I/O books, not just in the answers."""
-        path, _profiles = setup
-        keywords = ("book", "music", "journal", "car")
-        with SupervisedServerPool(path, n_workers=4, dispatch="rendezvous") as pool:
-            # make 'book' hot so it has two replicas, then warm everything
-            for _ in range(8):
-                pool.query(KBTIMQuery(("book",), 3))
-            pool.warm(keywords)
-            homes = pool.dispatcher.homes_of_name("book")
-            assert len(homes) == 2
-            before = pool.snapshot()
-            for shard in homes:
-                assert "book" in before.workers[shard].cached_keywords
-            answers = [
-                pool.query(KBTIMQuery((kw,), 5)) for kw in keywords for _ in range(3)
-            ]
+            answers = [pool.query(q) for q in workload]
             after = pool.snapshot()
-        assert all(a.stats.io.read_calls == 0 for a in answers)
-        assert after.io.read_calls == before.io.read_calls  # zero physical reads
+        for got, want, ref in zip(answers, expected, per_shard):
+            _assert_same_selection(got, want)
+            _assert_same_selection(got, ref)
+            assert got.stats.io.read_calls == ref.stats.io.read_calls
+            assert got.stats.io.bytes_read == ref.stats.io.bytes_read
+        # each query ran where the rule sent it, and the per-query
+        # deltas partition the pool's physical reads
+        served = [part.stats.queries for part in after.workers]
+        assert served == [collections.Counter(homes)[s] for s in range(4)]
+        attributed = sum(a.stats.io.read_calls for a in answers)
+        assert attributed == after.io.read_calls - before.read_calls > 0
+
+    def test_query_batch_serves_each_query_at_its_home(self, kind, paths, setup):
+        _path, workload = setup
+        path = paths[kind]
+        homes = _homes(workload)
+        per_shard = _per_shard_oracle(path, homes, workload)
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            answers = pool.query_batch(workload)
+            after = pool.snapshot()
+        assert len(answers) == len(workload)
+        for got, ref in zip(answers, per_shard):
+            _assert_same_selection(got, ref)
+        served = [part.stats.queries for part in after.workers]
+        assert served == [collections.Counter(homes)[s] for s in range(4)]
+
+    def test_one_worker_owns_everything(self, kind, paths, setup):
+        _path, workload = setup
+        path = paths[kind]
+        with open_index(path) as index:
+            expected = [index.query(q) for q in workload]
+        with SupervisedServerPool(path, n_workers=1) as pool:
+            assert {pool.shard_of(q) for q in workload} == {0}
+            answers = [pool.query(q) for q in workload]
+            assert pool.snapshot().workers[0].stats.queries == len(workload)
+        for got, want in zip(answers, expected):
+            _assert_same_selection(got, want)
+            assert got.stats.io.read_calls == want.stats.io.read_calls
+
+    def test_warm_lands_on_the_owner_only(self, kind, paths):
+        keywords = ("book", "music", "journal", "car")
+        with SupervisedServerPool(paths[kind], n_workers=4) as pool:
+            pool.warm(keywords)
+            snapshot = pool.snapshot()
+        for kw in keywords:
+            for shard, part in enumerate(snapshot.workers):
+                resident = kw in part.cached_keywords
+                assert resident == (shard == shard_of_keyword(kw, 4))
+
+    def test_topic_id_warm_lands_like_its_name(self, kind, paths):
+        with open_index(paths[kind]) as index:
+            topic_id = {name: meta.topic_id for name, meta in index.catalog.items()}
+        with SupervisedServerPool(paths[kind], n_workers=4) as pool:
+            pool.warm([topic_id[kw] for kw in KEYWORDS])
+            snapshot = pool.snapshot()
+        owned = collections.Counter(shard_of_keyword(kw, 4) for kw in KEYWORDS)
+        for shard, part in enumerate(snapshot.workers):
+            assert part.stats.warm_loads == owned[shard]
+            assert sorted(part.cached_keywords) == sorted(
+                kw for kw in KEYWORDS if shard_of_keyword(kw, 4) == shard
+            )
+
+    def test_rewarm_loads_and_reads_nothing(self, kind, paths):
+        with SupervisedServerPool(paths[kind], n_workers=4) as pool:
+            pool.warm(KEYWORDS)
+            first = pool.snapshot()
+            pool.warm(KEYWORDS)
+            second = pool.snapshot()
+        assert second.stats.warm_loads == first.stats.warm_loads == len(KEYWORDS)
+        assert second.io.pages_read == first.io.pages_read
+        if kind == "rr":  # IRR issues its first-occurrence read on every lookup
+            assert second.io.read_calls == first.io.read_calls
+
+    def test_evicted_keywords_read_again_at_home(self, kind, paths):
+        path = paths[kind]
+        queries = [KBTIMQuery((kw,), 5) for kw in KEYWORDS]
+        cold = _per_shard_oracle(path, _homes(queries), queries)
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            pool.warm(KEYWORDS)
+            pool.evict_all()
+            assert all(not part.cached_keywords for part in pool.snapshot().workers)
+            answers = [pool.query(q) for q in queries]
+        for got, ref in zip(answers, cold):
+            _assert_same_selection(got, ref)
+            assert got.stats.io.read_calls == ref.stats.io.read_calls > 0
+
+    def test_drained_home_fails_fast_and_nothing_moves(self, kind, paths):
+        path = paths[kind]
+        queries = [KBTIMQuery((kw,), 3) for kw in KEYWORDS]
+        homes = _homes(queries)
+        per_shard = _per_shard_oracle(path, homes, queries)
+        victim = shard_of_keyword("music", 4)
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            pool.drain(victim)
+            assert pool.health().shards[victim].state == SHARD_DRAINED
+            for q, home, ref in zip(queries, homes, per_shard):
+                assert pool.shard_of(q) == home
+                if home == victim:
+                    with pytest.raises(ShardUnavailableError) as excinfo:
+                        pool.query(q)
+                    assert excinfo.value.shard == victim
+                    assert excinfo.value.retry_after is None
+                else:
+                    _assert_same_selection(pool.query(q), ref)
+            pool.restore(victim)
+            assert pool.health().shards[victim].state == SHARD_READY
+            owned = [q for q, home in zip(queries, homes) if home == victim]
+            for q in owned:
+                assert pool.query(q).seeds
+            assert pool.snapshot().workers[victim].stats.queries == len(owned)
+
+
+def test_warmed_keywords_serve_with_zero_reads(paths):
+    # RR only: an IRR lookup always issues its first-occurrence read
+    keywords = ("book", "music", "journal", "car")
+    with SupervisedServerPool(paths["rr"], n_workers=4) as pool:
+        pool.warm(keywords)
+        before = pool.snapshot()
+        answers = [
+            pool.query(KBTIMQuery((kw,), 5)) for kw in keywords for _ in range(3)
+        ]
+        after = pool.snapshot()
+    assert all(a.stats.io.read_calls == 0 for a in answers)
+    assert after.io.read_calls == before.io.read_calls
+
+
+def _kill_worker(pool: SupervisedServerPool, shard: int) -> None:
+    handle = pool._workers[shard]
+    handle.process.kill()
+    handle.process.join(timeout=10.0)
+
+
+@pytest.mark.chaos
+def test_degraded_home_fails_fast_and_nothing_moves(paths):
+    path = paths["rr"]
+    queries = [KBTIMQuery((kw,), 3) for kw in KEYWORDS]
+    homes = _homes(queries)
+    per_shard = _per_shard_oracle(path, homes, queries)
+    victim = shard_of_keyword("music", 4)
+    probe = KBTIMQuery(("music",), 3)
+    with SupervisedServerPool(
+        path, n_workers=4, restart_backoff=0.0, restart_budget=1
+    ) as pool:
+        _kill_worker(pool, victim)
+        assert pool.query(probe).seeds  # the one budgeted restart heals it
+        _kill_worker(pool, victim)
+        with pytest.raises(ShardUnavailableError) as excinfo:
+            pool.query(probe)  # budget spent: degraded, not rerouted
+        assert excinfo.value.shard == victim
+        assert pool.health().shards[victim].state == SHARD_DEGRADED
+        for q, home, ref in zip(queries, homes, per_shard):
+            assert pool.shard_of(q) == home
+            if home == victim:
+                with pytest.raises(ShardUnavailableError):
+                    pool.query(q)
+            else:
+                got = pool.query(q)
+                _assert_same_selection(got, ref)
+                assert got.stats.io.read_calls == ref.stats.io.read_calls
+        pool.restore(victim)
+        assert pool.health().shards[victim].state == SHARD_READY
+        assert pool.query(probe).seeds

@@ -46,7 +46,7 @@ class TestReadme:
         # the doc must keep mapping the paper to the code
         for anchor in (
             "core/server.py",
-            "core/dispatch.py",
+            "## Routing",
             "KeywordCoverageCSR",
             "BufferPool",
         ):

@@ -34,9 +34,12 @@ import time
 import pytest
 
 from repro.core.catalog import open_index
-from repro.core.dispatch import shard_of_keyword
 from repro.core.irr_index import IRRIndexBuilder
-from repro.core.process_pool import SupervisedServerPool, _WorkerHandle
+from repro.core.process_pool import (
+    SupervisedServerPool,
+    _WorkerHandle,
+    shard_of_keyword,
+)
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.server import (
@@ -211,7 +214,7 @@ class TestPoolContract:
         """``snapshot().to_dict()`` is plain JSON of schema ``SNAPSHOT_SCHEMA``."""
         document = json.loads(json.dumps(observed["snapshot"].to_dict()))
         assert document["schema"] == SNAPSHOT_SCHEMA
-        keys = ["dispatch", "health", "io", "schema", "stats", "workers"]
+        keys = ["health", "io", "schema", "stats", "workers"]
         assert sorted(document) == keys
         assert len(document["workers"]) == len(document["health"]["shards"]) == 3
         assert document["stats"]["queries"] == len(workload)

@@ -454,99 +454,6 @@ class TestRollingRestart:
                 assert row["last_error"] is None
 
 
-@pytest.mark.chaos
-class TestRendezvousDispatchSupervision:
-    """Supervision availability feeds the dispatcher's candidate set.
-
-    Under ``dispatch="rendezvous"`` a drained or degraded shard drops
-    out of rotation and its keywords redistribute to the survivors —
-    no typed error surfaces to well-behaved traffic, and the answers
-    (plus per-query I/O) stay exactly what a single-node index serves.
-    """
-
-    def test_degraded_shard_leaves_rotation_survivors_exact(self, setup):
-        path, _profiles = setup
-        probe = KBTIMQuery((KEYWORDS[0],), 3)
-        with SupervisedServerPool(
-            path,
-            n_workers=3,
-            dispatch="rendezvous",
-            restart_backoff=0.0,
-            restart_budget=1,
-        ) as pool:
-            # Crash-loop whichever shard currently serves the probe until
-            # one of them exhausts its restart budget and degrades.  Each
-            # kill lands on the routed shard (peek == route on a quiet
-            # pool), so every iteration either heals or degrades it.
-            victim = None
-            for _ in range(8):
-                shard = pool.shard_of(probe)
-                _kill_worker(pool, shard)
-                try:
-                    pool.query(probe)
-                except ShardUnavailableError as exc:
-                    victim = exc.shard
-                    break
-            assert victim is not None
-            assert pool.health().shards[victim].state == SHARD_DEGRADED
-
-            # The dispatcher stops selecting the degraded shard...
-            for kw in KEYWORDS:
-                assert pool.shard_of(KBTIMQuery((kw,), 3)) != victim
-
-            # ...and the full keyword space keeps serving on the
-            # survivors with bit-identical answers.  Keywords the crash
-            # loop never touched are cold everywhere, so their per-query
-            # I/O must match a fresh single-node index read for read.
-            for kw in KEYWORDS:
-                q = KBTIMQuery((kw,), 3)
-                got = pool.query(q)
-                with RRIndex(path) as index:
-                    want = index.query(q)
-                _assert_same_selection(got, want)
-                if kw != KEYWORDS[0]:
-                    assert got.stats.io.read_calls == want.stats.io.read_calls
-
-            # restore() returns the shard to the candidate set.
-            pool.restore(victim)
-            assert pool.health().shards[victim].state == SHARD_READY
-            assert pool.query(probe).seeds
-
-    def test_drained_shard_gets_no_traffic_until_restored(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(
-            path, n_workers=3, dispatch="rendezvous", restart_backoff=0.0
-        ) as pool:
-            idle_home = {
-                kw: pool.shard_of(KBTIMQuery((kw,), 3)) for kw in KEYWORDS
-            }
-            victim = idle_home[KEYWORDS[0]]
-            owned = [kw for kw, s in idle_home.items() if s == victim]
-            assert owned  # the idle mapping must give the victim keywords
-
-            pool.drain(victim)
-            assert pool.health().shards[victim].state == SHARD_DRAINED
-            # Every query redistributes to the survivors and serves.
-            for kw in KEYWORDS:
-                assert pool.shard_of(KBTIMQuery((kw,), 3)) != victim
-                assert pool.query(KBTIMQuery((kw,), 3)).seeds
-            drained = pool.snapshot()
-            assert drained.workers[victim] is None  # shut down, idle
-            assert drained.stats.queries == len(KEYWORDS)  # the merge skips the hole
-
-            pool.restore(victim)
-            assert pool.health().shards[victim].state == SHARD_READY
-            # The restored shard wins its old keywords straight back (its
-            # fresh worker carries no latency penalty, so its rendezvous
-            # scores only improved relative to the idle mapping)...
-            for kw in owned:
-                assert pool.shard_of(KBTIMQuery((kw,), 3)) == victim
-            # ...and traffic actually reaches it again.
-            assert pool.query(KBTIMQuery((owned[0],), 3)).seeds
-            part = pool.snapshot().workers[victim]
-            assert part is not None and part.stats.queries == 1
-
-
 class TestObservability:
     def test_stats_merge_worker_and_supervision_counters(self, setup, workload):
         path, _profiles = setup
