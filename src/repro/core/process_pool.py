@@ -80,7 +80,7 @@ Answers are bit-identical to :meth:`KBTIMServer.query`: each worker
 runs the same ``KBTIMServer`` code over the same immutable file; a
 restart only changes what the retried query *costs* (cold caches).
 Every fault path here is exercised by deterministic injected faults —
-see :mod:`repro.core.chaos` and ``tests/test_supervision.py``.
+see :mod:`repro.core.chaos` and the model-based ``tests/test_serving_model.py``.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.storage.iostats import IOStats
-from repro.storage.pager import DEFAULT_PAGE_SIZE
 from repro.storage.segments import SegmentReader
 from repro.utils.validation import check_positive_int
 
@@ -142,13 +141,37 @@ _STARTUP_TIMEOUT = 120.0
 _BACKOFF_MAX = 5.0
 
 #: Seconds of failure-free service after which a shard's restart window
-#: resets — rare, unrelated faults must not accumulate into a degraded
+#: resets: a worker that served this long before it failed starts a new
+#: window, so rare, unrelated faults never accumulate into a degraded
 #: state over weeks of serving.
 _BUDGET_RESET_AFTER = 60.0
 
+#: Restarts allowed per shard within one failure window before the shard
+#: is declared ``degraded`` (fail fast until :meth:`restore`).
+_RESTART_BUDGET = 3
+
+#: Base restart backoff in seconds: the first restart of a window is
+#: immediate, the k-th waits ``_RESTART_BACKOFF * 2**(k-2)`` (capped at
+#: :data:`_BACKOFF_MAX`) after the shard's latest failure.
+_RESTART_BACKOFF = 0.05
+
+#: Transparent retries of a query after a worker *death* (queries are
+#: read-only, hence idempotent); deadline misses are never retried.
+_MAX_RETRIES = 1
+
+#: Capacity, in pages, of each worker's buffer pool: every process pays
+#: its own page cache (the ``mmap``'d file pages are shared by the kernel).
+_POOL_PAGES = 4096
+
+#: Seconds a worker waits for a request before it checks that the
+#: process that started it is still its parent.  Under ``fork`` a worker
+#: never sees EOF on its pipe (it and every later sibling hold a copy of
+#: the parent's end), so a dead parent is noticed by pid instead.
+_PARENT_POLL = 1.0
+
 
 def _worker_main(
-    conn, path: str, worker_id: int, config: dict, resp_name: Optional[str] = None
+    conn, path: str, cache_keywords: int, resp_name: Optional[str] = None
 ) -> None:
     """One worker process: a :class:`KBTIMServer` behind a request pipe.
 
@@ -156,21 +179,18 @@ def _worker_main(
     counters and block cache) over the immutable index file — RR or
     IRR, whichever its catalog names — creates
     its flat-response segment, acknowledges startup, then serves
-    ``(method, payload)`` requests until a ``shutdown`` request or a
-    closed pipe.  Every per-request exception is shipped back to the
-    parent instead of killing the loop, so one bad query never takes
-    down a shard.
+    ``(method, payload)`` requests until a ``shutdown`` request, a
+    closed pipe or the death of its parent.  Every per-request
+    exception is shipped back to the parent instead of killing the loop,
+    so one bad query never takes down a shard.
     """
     from repro.storage.pager import BufferPool
 
+    parent = os.getppid()
     writer = None
     try:
-        index = open_index(
-            path,
-            pool=BufferPool(config["pool_pages"]),
-            page_size=config["page_size"],
-        )
-        server = KBTIMServer(index, cache_keywords=config["cache_keywords"])
+        index = open_index(path, pool=BufferPool(_POOL_PAGES))
+        server = KBTIMServer(index, cache_keywords=cache_keywords)
         if resp_name is not None:
             try:
                 writer = ResponseWriter(resp_name)
@@ -185,9 +205,13 @@ def _worker_main(
     try:
         while True:
             try:
+                if not conn.poll(_PARENT_POLL):
+                    if os.getppid() != parent:
+                        break  # the parent died: exit quietly
+                    continue
                 method, payload = conn.recv()
             except (EOFError, OSError):
-                break  # parent died or closed the pipe: exit quietly
+                break  # the parent closed the pipe: exit quietly
             except BaseException as exc:
                 # The message arrived but failed to *unpickle* — e.g. a
                 # query that flunked KBTIMQuery's re-validation on
@@ -338,7 +362,11 @@ class _WorkerHandle:
                     f"server worker {self.worker_id} is closed (pool shut down)"
                 )
             if self.poisoned:
-                raise self._poisoned_error()
+                raise ServerError(
+                    f"server worker {self.worker_id} (pid {self.pid}) pipe is "
+                    "poisoned after a deadline miss; a stale reply may be in "
+                    "flight — the next request to its shard restarts the worker"
+                )
             try:
                 self.conn.send((method, payload))
             except (BrokenPipeError, OSError):
@@ -392,14 +420,6 @@ class _WorkerHandle:
         except (EOFError, OSError):
             raise self._death() from None
 
-    def _poisoned_error(self) -> ServerError:
-        """The fail-fast error for a pipe with an unclaimed reply in flight."""
-        return ServerError(
-            f"server worker {self.worker_id} (pid {self.pid}) pipe is "
-            "poisoned after a deadline miss; a stale reply may be in "
-            "flight — the next request to its shard restarts the worker"
-        )
-
     def _death(self) -> ServerError:
         """A diagnosis-bearing error for a worker that stopped talking."""
         self.process.join(timeout=1.0)
@@ -442,7 +462,12 @@ class _WorkerHandle:
             pass
         finally:
             self.conn.close()
-        self.process.join(timeout=join_timeout)
+        if not send_failed:
+            self.process.join(timeout=join_timeout)
+        # A worker that was never asked to stop is terminated at once:
+        # under ``fork`` it cannot see EOF on its pipe (every later
+        # sibling holds a copy of the parent's end), so a polite join
+        # would only wait out its timeout.
         if self._running():
             self.process.terminate()
             self.process.join(timeout=join_timeout)
@@ -520,6 +545,7 @@ class _ShardRecord:
         "degraded",
         "restarts_in_window",
         "last_failure_at",
+        "started_at",
     )
 
     def __init__(self) -> None:
@@ -531,6 +557,8 @@ class _ShardRecord:
         self.degraded = False
         self.restarts_in_window = 0
         self.last_failure_at: Optional[float] = None
+        #: When the shard's current worker (or the latest attempt) started.
+        self.started_at = time.monotonic()
 
 
 class SupervisedServerPool:
@@ -552,13 +580,9 @@ class SupervisedServerPool:
     n_workers:
         Number of shards/worker processes (>= 1).
     cache_keywords:
-        Per-worker decoded-block-cache capacity (LRU, in keywords).
-    pool_pages:
-        Capacity of each worker's page buffer pool (every process pays
-        its own page cache, the memory-for-parallelism trade; the
-        ``mmap``'d file pages themselves are shared by the kernel).
-    page_size:
-        Page fault granularity in bytes.
+        Per-worker decoded-block-cache capacity (LRU, in keywords) — each
+        worker's memory bound, the same option as
+        :class:`~repro.core.server.KBTIMServer`'s.
     start_method:
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` picks ``fork`` where available
@@ -572,34 +596,29 @@ class SupervisedServerPool:
         the broken pipe.  Overridable per call via ``timeout=``.  The
         pool's single deadline: admin fan-outs and :meth:`snapshot`
         reads are bounded by it too.
-    max_retries:
-        Transparent retries per query after a worker *death* (queries
-        are read-only, hence idempotent).  Default 1: retry once on the
-        freshly restarted worker.  Deadline misses are never retried —
-        by definition there is no budget left.
-    restart_budget:
-        Restarts allowed per shard within one failure window before the
-        shard is declared ``degraded`` (fail fast until
-        :meth:`restore`).
-    restart_backoff:
-        Base backoff in seconds: the first restart of a window is
-        immediate, the k-th waits ``restart_backoff * 2**(k-2)``
-        (capped at 5 s) after the latest failure.  ``0`` disables the
-        wait (deterministic tests).  A shard's restart window resets
-        after 60 s of failure-free service.
     max_inflight:
         Admission-control budget: beyond this many concurrently
         executing requests the pool sheds load with
         :class:`~repro.errors.OverloadedError` instead of queueing.
         ``None`` disables admission control.
 
+    Supervision is not configured per pool; it follows module
+    constants: a query retries ``_MAX_RETRIES`` (1) time after a worker
+    death; a shard may restart ``_RESTART_BUDGET`` (3) times per failure
+    window before it is ``degraded``; the first restart of a window is
+    immediate and the k-th waits ``_RESTART_BACKOFF * 2**(k-2)`` seconds
+    (0.05 s base, capped at ``_BACKOFF_MAX`` = 5 s) after the latest
+    failure; the window resets after ``_BUDGET_RESET_AFTER`` (60 s) of
+    failure-free service.  Each worker's reader has a buffer pool of
+    ``_POOL_PAGES`` (4096) pages of the default page size.
+
     Raises
     ------
     ValueError
-        On a non-positive ``n_workers``, ``cache_keywords``,
-        ``pool_pages``, ``restart_budget`` or ``max_inflight``, a
-        negative ``max_retries`` or ``restart_backoff``, or an unknown
-        ``start_method``.
+        On a non-positive ``n_workers``, ``cache_keywords`` or
+        ``max_inflight``, or an unknown ``start_method``.
+    TypeError
+        On any other keyword argument.
     CorruptIndexError
         If ``path`` is not a readable index file.
     ServerError
@@ -637,26 +656,12 @@ class SupervisedServerPool:
         *,
         n_workers: int = 4,
         cache_keywords: int = 64,
-        pool_pages: int = 4096,
-        page_size: int = DEFAULT_PAGE_SIZE,
         start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
-        max_retries: int = 1,
-        restart_budget: int = 3,
-        restart_backoff: float = 0.05,
         max_inflight: Optional[int] = None,
     ) -> None:
         self.n_workers = check_positive_int("n_workers", n_workers)
-        self._config = {
-            "page_size": page_size,
-            "cache_keywords": check_positive_int("cache_keywords", cache_keywords),
-            "pool_pages": check_positive_int("pool_pages", pool_pages),
-        }
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        check_positive_int("restart_budget", restart_budget)
-        if restart_backoff < 0:
-            raise ValueError(f"restart_backoff must be >= 0, got {restart_backoff}")
+        self.cache_keywords = check_positive_int("cache_keywords", cache_keywords)
         if max_inflight is not None:
             check_positive_int("max_inflight", max_inflight)
         if start_method is None:
@@ -666,15 +671,12 @@ class SupervisedServerPool:
         self.start_method = start_method
         self.path = str(path)
         self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        self.restart_budget = restart_budget
-        self.restart_backoff = restart_backoff
         self.max_inflight = max_inflight
         # Parent-side catalog: names + topic-id map only, for query and
         # warm routing.  Loaded once and the reader closed *before*
         # spawning, so no open file descriptor leaks into fork children
         # and a corrupt file fails fast in the parent.
-        with SegmentReader(self.path, page_size=page_size) as reader:
+        with SegmentReader(self.path) as reader:
             self._topic_names = read_catalog(reader).topic_names
 
         self._shards = [_ShardRecord() for _ in range(self.n_workers)]
@@ -689,6 +691,10 @@ class SupervisedServerPool:
         #: configured: true wherever POSIX shared memory exists).
         self.flat_transport = transport_available()
         self._resp_counter = itertools.count()
+        # Held from pipe creation until the child's end is closed, so no
+        # concurrently forked worker inherits another worker's end (a
+        # dead worker's pipe would then never report EOF).
+        self._spawn_lock = threading.Lock()
         # Nothing above outlives a failed constructor; from here on a
         # failure must release what was created.
         workers: List[_WorkerHandle] = []
@@ -708,7 +714,6 @@ class SupervisedServerPool:
     # ------------------------------------------------------------------
     def _start_worker(self, worker_id: int) -> _WorkerHandle:
         """Spawn one worker process (handshake is the caller's job)."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         resp_name = None
         if self.flat_transport:
             # Parent-assigned and unique per spawn: the parent can reap
@@ -717,14 +722,16 @@ class SupervisedServerPool:
             resp_name = (
                 f"kbtim-resp-{os.getpid()}-{worker_id}-{next(self._resp_counter)}"
             )
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.path, worker_id, self._config, resp_name),
-            name=f"kbtim-server-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # the worker owns its end now
+        with self._spawn_lock:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            process = self._ctx.Process(
+                target=_worker_main,
+                args=(child_conn, self.path, self.cache_keywords, resp_name),
+                name=f"kbtim-server-{worker_id}",
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()  # the worker owns its end now
         return _WorkerHandle(worker_id, process, parent_conn, resp_name)
 
     def restart_worker(self, shard: int) -> None:
@@ -758,6 +765,7 @@ class SupervisedServerPool:
         self._workers[shard] = handle
         # Not under the shard record's lock: healing calls this with
         # that lock already held.
+        self._shards[shard].started_at = time.monotonic()
         self._shards[shard].restarts += 1
         self._supervision.record_restart()
 
@@ -780,7 +788,7 @@ class SupervisedServerPool:
             if record.degraded:
                 raise ShardUnavailableError(
                     f"shard {shard} is degraded: restart budget "
-                    f"({self.restart_budget}) exhausted; last error: "
+                    f"({_RESTART_BUDGET}) exhausted; last error: "
                     f"{record.last_error}; call restore() after fixing the cause",
                     shard=shard,
                     retry_after=None,
@@ -788,14 +796,15 @@ class SupervisedServerPool:
             if not self._workers[shard].down:
                 return
             now = time.monotonic()
-            since_failure = (
-                now - record.last_failure_at
-                if record.last_failure_at is not None
-                else 0.0
-            )
-            if since_failure > _BUDGET_RESET_AFTER:
-                record.restarts_in_window = 0  # sustained health: window resets
-            if record.restarts_in_window >= self.restart_budget:
+            failed_at = record.last_failure_at
+            if failed_at is None or failed_at < record.started_at:
+                # No request saw this worker fail (it died idle): the
+                # failure is timed from when it is first noticed.
+                failed_at = record.last_failure_at = now
+            if failed_at - record.started_at > _BUDGET_RESET_AFTER:
+                record.restarts_in_window = 0  # it served a whole window
+            since_failure = now - failed_at
+            if record.restarts_in_window >= _RESTART_BUDGET:
                 record.degraded = True
                 raise ShardUnavailableError(
                     f"shard {shard} is degraded: {record.restarts_in_window} "
@@ -805,11 +814,11 @@ class SupervisedServerPool:
                     retry_after=None,
                 )
             # The first restart of a window is immediate, the k-th waits
-            # restart_backoff * 2**(k-2) after the latest failure.
+            # _RESTART_BACKOFF * 2**(k-2) after the latest failure.
             backoff = 0.0
             if record.restarts_in_window:
                 backoff = min(
-                    self.restart_backoff * 2.0 ** (record.restarts_in_window - 1),
+                    _RESTART_BACKOFF * 2.0 ** (record.restarts_in_window - 1),
                     _BACKOFF_MAX,
                 )
             if backoff > since_failure:
@@ -819,8 +828,15 @@ class SupervisedServerPool:
                     shard=shard,
                     retry_after=backoff - since_failure,
                 )
-            self.restart_worker(shard)
+            # A failed restart spends budget too, or a worker that cannot
+            # start (a damaged file) would be respawned forever.
             record.restarts_in_window += 1
+            try:
+                self.restart_worker(shard)
+            except BaseException as exc:
+                record.last_error = f"{type(exc).__name__}: {exc}"
+                record.started_at = record.last_failure_at = time.monotonic()
+                raise
 
     # ------------------------------------------------------------------
     # routing
@@ -922,7 +938,7 @@ class SupervisedServerPool:
         time.  ``units`` is the request's weight in the shard's
         in-flight gauge (``len(batch)`` for a sub-batch, ``0`` for admin
         fan-outs, which are not serving load).  On a worker *death* the
-        request retries up to ``max_retries`` times on the freshly
+        request retries up to ``_MAX_RETRIES`` times on the freshly
         restarted worker (counted under ``retries`` for serving traffic
         only — ``units=0`` admin fan-outs retry silently).  Deadline misses poison the
         handle and propagate immediately — the budget is spent.
@@ -951,7 +967,7 @@ class SupervisedServerPool:
                     record.last_failure_at = time.monotonic()
                 attempts += 1
                 spent = isinstance(exc, DeadlineExceededError)  # never retried
-                if spent or attempts > self.max_retries:
+                if spent or attempts > _MAX_RETRIES:
                     raise
                 if units:
                     self._supervision.record_retry()

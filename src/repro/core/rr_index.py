@@ -192,7 +192,9 @@ def build_report(
 ) -> BuildReport:
     """The :class:`BuildReport` of a finished index file (either layout)."""
     total_sets = sum(len(table.rr_sets) for table in tables.values())
-    total_size = sum(len(rr) for table in tables.values() for rr in table.rr_sets)
+    total_size = sum(
+        FlatRRSets.from_sets(table.rr_sets).total_size for table in tables.values()
+    )
     return BuildReport(
         path=path,
         seconds=time.perf_counter() - started,

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import multiprocessing
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from leaks import kbtim_shm_entries, pool_descriptors
 
+from repro.core.irr_index import IRRIndexBuilder
+from repro.core.rr_index import RRIndexBuilder
 from repro.core.theta import ThetaPolicy
 from repro.datasets.paper_example import (
     NODE_IDS,
@@ -22,13 +26,12 @@ from repro.profiles.generators import zipf_profiles
 from repro.profiles.topics import TopicSpace
 from repro.propagation.ic import IndependentCascade
 
-
-def _kbtim_shm_entries() -> set:
-    """Names of this library's segments in /dev/shm (empty off-Linux)."""
-    try:
-        return {e for e in os.listdir("/dev/shm") if e.startswith("kbtim-")}
-    except (FileNotFoundError, NotADirectoryError):
-        return set()
+#: The randomized, larger budget of ``tests/test_serving_model.py``; CI's
+#: chaos job runs it with ``--hypothesis-profile=serving-model`` (tier-1
+#: runs the model's fixed, derandomized budget).
+settings.register_profile(
+    "serving-model", max_examples=100, stateful_step_count=50, deadline=None
+)
 
 
 @pytest.fixture(autouse=True)
@@ -36,19 +39,45 @@ def no_leaked_workers_or_segments():
     """Every test must reap what it spawned and unlink what it shared.
 
     The serving tier's lifecycle contract — after ``close()`` no child
-    process and no ``kbtim-*`` shared-memory segment remains, even after
-    ``kill -9`` or under ``spawn`` — checked for the whole suite, not a
-    few hand-written tests.  Only what appeared *during* the test
-    counts, so wider-scoped fixtures may hold resources open.
+    process, no ``kbtim-*`` shared-memory segment and no pipe, socket or
+    segment mapping remains, even after ``kill -9`` or under ``spawn`` —
+    checked for the whole suite, not a few hand-written tests.  Only
+    what appeared *during* the test counts, so wider-scoped fixtures may
+    hold resources open.
     """
     children_before = set(multiprocessing.active_children())
-    shm_before = _kbtim_shm_entries()
+    shm_before = kbtim_shm_entries()
+    fds_before = pool_descriptors()
     yield
     leaked = set(multiprocessing.active_children()) - children_before
     names = sorted(process.name for process in leaked)
     assert not leaked, f"test left child processes running: {names}"
-    segments = _kbtim_shm_entries() - shm_before
+    segments = kbtim_shm_entries() - shm_before
     assert not segments, f"test left /dev/shm segments behind: {sorted(segments)}"
+    fds_after = pool_descriptors()
+    if fds_before is not None and fds_after is not None:
+        opened = Counter(fds_after) - Counter(fds_before)
+        assert not opened, f"test left descriptors open: {sorted(opened)}"
+
+
+@pytest.fixture(scope="session")
+def served_paths(tmp_path_factory):
+    """What the serving-tier tests serve: ``{"rr": path, "irr": path,
+    "profiles": ProfileStore}``, an RR file and the IRR file of the same
+    sample tables over a 300-node twitter-like graph."""
+    policy = ThetaPolicy(epsilon=1.0, K=30, cap=200)
+    graph = twitter_like(300, avg_degree=8, rng=51)
+    profiles = zipf_profiles(graph.n, TopicSpace.default(8), rng=52)
+    model = IndependentCascade(graph)
+    path = str(tmp_path_factory.mktemp("served") / "s.rr")
+    builder = RRIndexBuilder(model, profiles, policy=policy, rng=53)
+    tables = builder.sample()
+    builder.build(path, tables=tables)
+    irr = path[: -len(".rr")] + ".irr"
+    IRRIndexBuilder(model, profiles, policy=policy, delta=25, rng=53).build(
+        irr, tables=tables
+    )
+    return {"rr": path, "irr": irr, "profiles": profiles}
 
 
 @pytest.fixture(scope="session")

@@ -1,37 +1,29 @@
-"""Deterministic fault injection (repro.core.chaos, PR 7).
+"""Deterministic fault injection (repro.core.chaos) and replays under it.
 
-The acceptance criteria of the robustness PR are pinned here end to end:
+What each fault does to the pool — kill, delay, drop, exhaust, against
+every shard state — is checked by ``tests/test_serving_model.py``, which
+fires them through :class:`ChaosController`.  Pinned here:
 
-* A kill-one-worker-mid-stream :class:`FaultPlan` against a
-  :class:`SupervisedServerPool` heals automatically and every answer is
-  bit-identical to an unfaulted run of the same workload.
-* Delay/drop faults poison the worker pipe (deadline miss) and the
-  supervisor resynchronizes by restart — the late reply is never
-  delivered to a later request.
+* Plans are pure data: validation, JSON round-trip, seeded random
+  generation, and ``corrupt_index_copy`` for the at-open fault.
+* ``replay`` under a plan: a kill mid-stream heals with every
+  answer bit-identical to an unfaulted run, and the report's restart /
+  retry / shed counts are deltas of the pool's telemetry.
 * An open-loop replay past saturation sheds explicitly (typed
   ``Overloaded`` failures, shed counters) instead of queueing without
   bound, and the goodput/percentile report reflects it.
-* Plans are pure data: JSON round-trip, seeded random generation, and
-  the ``repro replay --chaos plan.json`` CLI all drive the same harness.
+* ``repro replay --chaos plan.json`` drives the same harness.
 """
 
 import json
 import os
-import time
 
 import pytest
 
 from repro.cli import main
-from repro.core.chaos import (
-    ChaosController,
-    FaultEvent,
-    FaultPlan,
-    corrupt_index_copy,
-)
-from repro.core.query import KBTIMQuery
-from repro.core.rr_index import RRIndex, RRIndexBuilder
+from repro.core.chaos import FaultEvent, FaultPlan, corrupt_index_copy
 from repro.core.process_pool import SupervisedServerPool
-from repro.core.theta import ThetaPolicy
+from repro.core.rr_index import RRIndex
 from repro.datasets.workload import make_mixed_workload, poisson_arrivals, replay
 from repro.errors import CorruptIndexError
 from repro.profiles.io import save_profiles_npz
@@ -40,23 +32,11 @@ pytestmark = pytest.mark.chaos
 
 
 @pytest.fixture(scope="module")
-def setup(tmp_path_factory):
-    from repro.graph.generators import twitter_like
-    from repro.profiles.generators import zipf_profiles
-    from repro.profiles.topics import TopicSpace
-    from repro.propagation.ic import IndependentCascade
-
-    graph = twitter_like(300, avg_degree=8, rng=51)
-    profiles = zipf_profiles(graph.n, TopicSpace.default(8), rng=52)
-    model = IndependentCascade(graph)
-    workdir = tmp_path_factory.mktemp("chaos")
-    path = str(workdir / "c.rr")
-    RRIndexBuilder(
-        model, profiles, policy=ThetaPolicy(epsilon=1.0, K=30, cap=200), rng=53
-    ).build(path)
-    profiles_path = str(workdir / "profiles.npz")
+def setup(served_paths, tmp_path_factory):
+    profiles = served_paths["profiles"]
+    profiles_path = str(tmp_path_factory.mktemp("chaos") / "profiles.npz")
     save_profiles_npz(profiles, profiles_path)
-    return path, profiles, profiles_path
+    return served_paths["rr"], profiles, profiles_path
 
 
 @pytest.fixture(scope="module")
@@ -72,15 +52,6 @@ def expected(setup, workload):
     path, _profiles, _ppath = setup
     with RRIndex(path) as index:
         return [index.query(q) for q in workload]
-
-
-def _assert_report_counters_are_snapshot_deltas(report, before, after):
-    """``ReplayReport`` counts restarts / retries / sheds as deltas of
-    the pool's one telemetry surface — both views of it agree."""
-    for name in ("restarts", "retries", "sheds"):
-        counted = getattr(report, name)
-        assert counted == getattr(after.health, name) - getattr(before.health, name)
-        assert counted == getattr(after.stats, name) - getattr(before.stats, name)
 
 
 class TestFaultPlanData:
@@ -112,12 +83,8 @@ class TestFaultPlanData:
         assert FaultPlan.load(path) == plan
         doc = json.loads(plan.to_json())  # stable, editable document
         assert doc["seed"] == 42
-        assert [e["kind"] for e in doc["events"]] == [
-            "kill",
-            "delay",
-            "exhaust",
-            "corrupt",
-        ]
+        kinds = [e["kind"] for e in doc["events"]]
+        assert kinds == ["kill", "delay", "exhaust", "corrupt"]
 
     def test_from_json_rejects_malformed_documents(self):
         with pytest.raises(ValueError, match="not valid JSON"):
@@ -125,9 +92,7 @@ class TestFaultPlanData:
         with pytest.raises(ValueError, match="'events'"):
             FaultPlan.from_json("[1, 2]")
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultPlan.from_json(
-                '{"events": [{"kind": "meteor", "after_query": 0}]}'
-            )
+            FaultPlan.from_json('{"events": [{"kind": "meteor", "after_query": 0}]}')
 
     def test_random_plans_are_seed_deterministic(self):
         a = FaultPlan.random(seed=9, n_queries=50, n_shards=4, n_events=6)
@@ -157,20 +122,23 @@ class TestFaultPlanData:
         assert [e.kind for e in plan.corrupt_events()] == ["corrupt"]
 
 
-class TestInjectedFaults:
+class TestReplayUnderAPlan:
     def test_kill_mid_stream_heals_bit_identical(self, setup, workload, expected):
         """The headline acceptance test: kill one worker mid-stream and
         every (non-in-flight) answer matches the unfaulted run."""
         path, _profiles, _ppath = setup
-        with SupervisedServerPool(
-            path, n_workers=3, restart_backoff=0.0
-        ) as pool:
+        with SupervisedServerPool(path, n_workers=3) as pool:
             victim = pool.shard_of(workload[10])  # guarantees a post-kill hit
             plan = FaultPlan(events=(FaultEvent("kill", 8, shard=victim),))
             before = pool.snapshot()
             report = replay(pool, workload, chaos=plan)
             after = pool.snapshot()
-        _assert_report_counters_are_snapshot_deltas(report, before, after)
+        # The report counts restarts / retries / sheds as deltas of the
+        # pool's one telemetry surface: both views of it agree.
+        for name in ("restarts", "retries", "sheds"):
+            counted = getattr(report, name)
+            assert counted == getattr(after.health, name) - getattr(before.health, name)
+            assert counted == getattr(after.stats, name) - getattr(before.stats, name)
         assert after.health.shards[victim].restarts == 1
         assert report.n_failed == 0
         for got, want in zip(report.results, expected):
@@ -182,147 +150,17 @@ class TestInjectedFaults:
         assert report.fault_events[0]["shard"] == victim
         assert "killed" in report.fault_events[0]["effect"]
 
-    def test_kill_heals_and_leaks_no_response_segment(
-        self, setup, workload, expected
-    ):
-        """Kill a worker mid-stream: the shard heals, answers match the
-        unfaulted run, and closing the pool leaves no ``kbtim-resp-``
-        segment in ``/dev/shm`` — the parent reaps the killed worker's
-        response segment as well as its replacement's."""
-        from repro.core.transport import transport_available
-
-        if not transport_available():
-            pytest.skip("POSIX shared memory unavailable")
-        path, _profiles, _ppath = setup
-        with SupervisedServerPool(path, n_workers=3, restart_backoff=0.0) as pool:
-            victim = pool.shard_of(workload[10])
-            plan = FaultPlan(events=(FaultEvent("kill", 8, shard=victim),))
-            report = replay(pool, workload, chaos=plan)
-        assert report.n_failed == 0
-        assert report.restarts == 1
-        for got, want in zip(report.results, expected):
-            assert got.seeds == want.seeds
-            assert got.marginal_coverages == want.marginal_coverages
-            assert got.theta == want.theta
-        leftovers = [
-            entry
-            for entry in (
-                os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else []
-            )
-            if entry.startswith("kbtim-resp-")
-        ]
-        assert leftovers == []
-
-    def test_delay_poisons_pipe_then_restart_resynchronizes(self, setup):
-        path, _profiles, _ppath = setup
-        query = KBTIMQuery(("music",), 3)
-        with RRIndex(path) as index:
-            want = index.query(query)
-        with SupervisedServerPool(
-            path, n_workers=2, restart_backoff=0.0
-        ) as pool:
-            shard = pool.shard_of(query)
-            plan = FaultPlan(
-                events=(FaultEvent("delay", 0, shard=shard, seconds=0.4),)
-            )
-            chaos = ChaosController(plan, pool)
-            chaos.before_query(0)
-            assert pool._workers[shard].poisoned
-            assert "poisoned" in chaos.fired[0]["effect"]
-            # The delayed (stale) reply lands while we wait; the restart
-            # must discard it — the next answer is for the next query.
-            time.sleep(0.5)
-            got = pool.query(query)
-            assert got.seeds == want.seeds
-            assert got.theta == want.theta
-            assert pool.stats.restarts == 1
-
-    def test_drop_never_delivers_a_reply(self, setup):
-        path, _profiles, _ppath = setup
-        query = KBTIMQuery(("music",), 3)
-        with SupervisedServerPool(
-            path, n_workers=2, restart_backoff=0.0
-        ) as pool:
-            shard = pool.shard_of(query)
-            chaos = ChaosController(
-                FaultPlan(events=(FaultEvent("drop", 0, shard=shard),)), pool
-            )
-            chaos.before_query(0)
-            assert pool._workers[shard].poisoned
-            assert pool.query(query).seeds  # heals without any sleep
-            assert pool.stats.restarts == 1
-
-    def test_kill_on_a_drained_shard_has_no_process_to_signal(self, setup):
-        path, _profiles, _ppath = setup
-        plan = FaultPlan(events=(FaultEvent("kill", 0, shard=0),))
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            pool.drain(0)  # shuts the worker down and releases its process object
-            chaos = ChaosController(plan, pool)
-            chaos.before_query(0)  # must not raise on the closed process
-            assert [event["kind"] for event in chaos.fired] == ["kill"]
-
-    def test_exhaust_sheds_during_replay(self, setup, workload):
-        path, _profiles, _ppath = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            plan = FaultPlan(
-                events=(FaultEvent("exhaust", 5, seconds=30.0),)
-            )
-            before = pool.snapshot()
-            report = replay(pool, workload, chaos=plan)
-            after = pool.snapshot()
-        _assert_report_counters_are_snapshot_deltas(report, before, after)
-        assert report.sheds > 0
-        assert report.n_failed == report.sheds
-        assert all(
-            error is None or error.startswith("OverloadedError")
-            for error in report.errors
-        )
-        # Queries answered before the window are untouched.
-        assert all(r is not None for r in report.results[:5])
-
-    def test_crash_loop_plan_degrades_shard_others_exact(self, setup, workload):
-        """Acceptance: a crash-looping shard fails fast and typed while
-        the other shards' answers and I/O accounting stay exact (bit-
-        and byte-identical to an unfaulted run)."""
-        path, _profiles, _ppath = setup
-        with SupervisedServerPool(path, n_workers=3) as baseline_pool:
-            baseline = replay(baseline_pool, workload, tolerate_errors=True)
-        with SupervisedServerPool(
-            path, n_workers=3, restart_backoff=0.0, restart_budget=1
-        ) as pool:
-            victim = pool.shard_of(workload[0])
-            kills = tuple(
-                FaultEvent("kill", pos, shard=victim)
-                for pos, q in enumerate(workload)
-                if pool.shard_of(q) == victim
-            )
-            assert len(kills) >= 2  # enough to blow a budget of 1
-            report = replay(pool, workload, chaos=FaultPlan(events=kills))
-            health = pool.health()
-        assert health.shards[victim].state == "degraded"
-        degraded_errors = [e for e in report.errors if e is not None]
-        assert degraded_errors
-        assert all(e.startswith("ShardUnavailableError") for e in degraded_errors)
-        # Non-victim shards saw the exact same sub-streams in both runs,
-        # so answers *and* per-query I/O accounting match exactly.
-        for got, want, error in zip(report.results, baseline.results, report.errors):
-            if error is None and got is not None:
-                assert got.seeds == want.seeds
-                assert got.theta == want.theta
-                assert got.stats.io.read_calls == want.stats.io.read_calls
-                assert got.stats.io.bytes_read == want.stats.io.bytes_read
-
 
 class TestSaturation:
-    def test_open_loop_past_saturation_sheds_not_queues(self, setup, workload):
+    def test_open_loop_past_saturation_sheds_not_queues(
+        self, setup, workload, expected
+    ):
         """Acceptance: past saturation the pool sheds explicitly; the
         admitted tail stays the service-time tail (no unbounded queue)."""
         path, _profiles, _ppath = setup
         queries = tuple(workload) * 5  # 100 queries
         arrivals = poisson_arrivals(len(queries), rate_qps=5000.0, rng=7)
-        with SupervisedServerPool(
-            path, n_workers=2, max_inflight=2
-        ) as pool:
+        with SupervisedServerPool(path, n_workers=2, max_inflight=2) as pool:
             report = replay(
                 pool,
                 queries,
@@ -335,10 +173,10 @@ class TestSaturation:
         assert report.n_ok > 0  # ...but admitted queries were served
         assert report.n_ok + report.n_failed == len(queries)
         assert report.sheds == report.n_failed
-        assert all(
-            error is None or error.startswith("OverloadedError")
-            for error in report.errors
-        )
+        shed = [error for error in report.errors if error is not None]
+        assert all(error.startswith("OverloadedError") for error in shed)
+        for got, want in zip(report.results, tuple(expected) * 5):  # 8 clients
+            assert got is None or (got.seeds, got.theta) == (want.seeds, want.theta)
         assert report.goodput == report.n_ok  # generous deadline: all met
         assert report.goodput_qps > 0
         # The admitted p99 is a service-time percentile, not a queue blowup.
@@ -371,9 +209,15 @@ class TestCorruptAtOpen:
             corrupt_index_copy(str(empty), str(tmp_path / "out.rr"))
 
 
+def _replay(setup, *options: str) -> int:
+    """``repro replay`` over the module's index on 2 workers."""
+    path, _profiles, profiles_path = setup
+    args = ["replay", "--index", path, "--profiles", profiles_path, "--workers", "2"]
+    return main(args + list(options))
+
+
 class TestReplayCli:
     def test_replay_chaos_json_report(self, setup, tmp_path, capsys):
-        path, _profiles, ppath = setup
         plan_path = str(tmp_path / "plan.json")
         FaultPlan(
             events=(
@@ -382,29 +226,8 @@ class TestReplayCli:
                 FaultEvent("exhaust", 12, seconds=0.05),
             )
         ).save(plan_path)
-        code = main(
-            [
-                "replay",
-                "--index",
-                path,
-                "--profiles",
-                ppath,
-                "--workers",
-                "2",
-                "--threads",
-                "1",
-                "--n-queries",
-                "16",
-                "--timeout",
-                "30",
-                "--chaos",
-                plan_path,
-                "--seed",
-                "5",
-                "--json",
-            ]
-        )
-        assert code == 0
+        options = "--threads 1 --n-queries 16 --timeout 30 --seed 5 --json --chaos"
+        assert _replay(setup, *options.split(), plan_path) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "pool" not in doc  # there is one pool; nothing to name
         assert doc["queries"] == 16
@@ -413,60 +236,22 @@ class TestReplayCli:
         health = doc["snapshot"]["health"]
         assert health["restarts"] == sum(s["restarts"] for s in health["shards"]) >= 1
         assert health["sheds"] >= 1
-        assert [e["kind"] for e in doc["fault_events"]] == [
-            "kill",
-            "kill",
-            "exhaust",
-        ]
+        kinds = [e["kind"] for e in doc["fault_events"]]
+        assert kinds == ["kill", "kill", "exhaust"]
         assert health["healthy"] in (True, False)
         assert len(health["shards"]) == 2
 
     def test_replay_corrupt_plan_fails_typed(self, setup, tmp_path, capsys):
-        import os
-
-        path, _profiles, ppath = setup
         plan_path = str(tmp_path / "corrupt.json")
         FaultPlan(events=(FaultEvent("corrupt", 0),)).save(plan_path)
-        code = main(
-            [
-                "replay",
-                "--index",
-                path,
-                "--profiles",
-                ppath,
-                "--workers",
-                "2",
-                "--n-queries",
-                "4",
-                "--chaos",
-                plan_path,
-            ]
-        )
-        assert code == 1
+        assert _replay(setup, "--n-queries", "4", "--chaos", plan_path) == 1
         err = capsys.readouterr().err
         assert "error:" in err
         assert "magic" in err or "corrupt" in err.lower()
-        assert not os.path.exists(path + ".chaos-corrupt")  # cleaned up
+        assert not os.path.exists(setup[0] + ".chaos-corrupt")  # cleaned up
 
     def test_replay_timeout_flag_reports_goodput(self, setup, capsys):
-        path, _profiles, ppath = setup
-        code = main(
-            [
-                "replay",
-                "--index",
-                path,
-                "--profiles",
-                ppath,
-                "--workers",
-                "2",
-                "--n-queries",
-                "8",
-                "--timeout",
-                "30",
-                "--json",
-            ]
-        )
-        assert code == 0
+        assert _replay(setup, *"--n-queries 8 --timeout 30 --json".split()) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["goodput"] == 8
         assert doc["failed"] == 0

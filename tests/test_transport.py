@@ -16,18 +16,23 @@ Pinned guarantees:
   register/unregister pairs into ``KeyError`` noise at exit).
 * A ``spawn``-started :class:`SupervisedServerPool` answers over flat
   frames bit-identically, with no leaked response segment after close.
-* Flat frames and pickled answers carry identical ``QueryStats``.
+* Flat frames and pickled answers carry identical ``QueryStats``, both
+  when the pool finds no shared memory and when a worker's segment cannot
+  grow (``ENOSPC``) — then that answer rides the pickle, and nothing leaks.
 """
 
+import errno
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core import transport
 from repro.core.process_pool import SupervisedServerPool
+from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.rr_index import RRIndex, RRIndexBuilder
-from repro.core.theta import ThetaPolicy
+from repro.core.rr_index import RRIndex
 from repro.core.transport import (
     ResponseReader,
     ResponseWriter,
@@ -35,6 +40,7 @@ from repro.core.transport import (
     transport_available,
     unlink_segment,
 )
+from repro.datasets.workload import make_mixed_workload
 from repro.errors import ServerError
 from repro.storage.iostats import IOStats
 
@@ -49,25 +55,6 @@ def shm_entries(prefix: str):
         return sorted(e for e in os.listdir("/dev/shm") if e.startswith(prefix))
     except (FileNotFoundError, NotADirectoryError):
         return []
-
-
-@pytest.fixture(scope="module")
-def index_setup(tmp_path_factory):
-    from repro.graph.generators import twitter_like
-    from repro.profiles.generators import zipf_profiles
-    from repro.profiles.topics import TopicSpace
-    from repro.propagation.ic import IndependentCascade
-
-    graph = twitter_like(200, avg_degree=6, rng=71)
-    profiles = zipf_profiles(graph.n, TopicSpace.default(8), rng=72)
-    path = str(tmp_path_factory.mktemp("transport") / "s.rr")
-    RRIndexBuilder(
-        IndependentCascade(graph),
-        profiles,
-        policy=ThetaPolicy(epsilon=1.0, K=20, cap=150),
-        rng=73,
-    ).build(path)
-    return path, profiles
 
 
 def make_selection(seed: int, n_seeds: int) -> SeedSelection:
@@ -91,83 +78,60 @@ def make_selection(seed: int, n_seeds: int) -> SeedSelection:
     )
 
 
+@pytest.fixture()
+def channel():
+    """``channel(initial_bytes)`` opens a writer and a reader over one
+    segment; both are closed after the test, and the name must be gone."""
+    ends = []
+
+    def open_channel(initial_bytes=1024):
+        ends.append(ResponseWriter("kbtim-test-channel", initial_bytes=initial_bytes))
+        ends.append(ResponseReader("kbtim-test-channel"))
+        return ends[-2:]
+
+    yield open_channel
+    for end in reversed(ends):
+        end.close()
+    assert shm_entries("kbtim-test-channel") == []
+
+
 class TestFlatTransport:
-    def test_roundtrip_is_lossless(self):
+    def test_roundtrip_is_lossless(self, channel):
+        writer, reader = channel(4096)
         batch = [make_selection(i, n_seeds=i % 5) for i in range(8)]
-        writer = ResponseWriter("kbtim-test-resp", initial_bytes=4096)
-        reader = ResponseReader("kbtim-test-resp")
-        try:
-            nbytes, generation = writer.write(batch, seq=1)
-            got = reader.read(1, nbytes, generation)
-            assert got == batch  # dataclass equality: every field survives
-        finally:
-            reader.close()
-            writer.close()
-        assert shm_entries("kbtim-test-resp") == []
+        nbytes, generation = writer.write(batch, seq=1)
+        # dataclass equality: every field survives
+        assert reader.read(1, nbytes, generation) == batch
 
-    def test_growth_bumps_generation_and_reader_reattaches(self):
-        writer = ResponseWriter("kbtim-test-grow", initial_bytes=256)
-        reader = ResponseReader("kbtim-test-grow")
-        try:
-            small = [make_selection(1, n_seeds=2)]
-            nbytes, generation = writer.write(small, seq=1)
-            assert generation == 0
-            assert reader.read(1, nbytes, generation) == small
-            big = [make_selection(i, n_seeds=4) for i in range(32)]
-            nbytes, generation = writer.write(big, seq=2)
-            assert generation >= 1  # the segment had to grow
-            assert reader.read(2, nbytes, generation) == big
-        finally:
-            reader.close()
-            writer.close()
-        assert shm_entries("kbtim-test-grow") == []
+    def test_growth_bumps_generation_and_reader_reattaches(self, channel):
+        writer, reader = channel(256)
+        small = [make_selection(1, n_seeds=2)]
+        nbytes, generation = writer.write(small, seq=1)
+        assert generation == 0
+        assert reader.read(1, nbytes, generation) == small
+        big = [make_selection(i, n_seeds=4) for i in range(32)]
+        nbytes, generation = writer.write(big, seq=2)
+        assert generation >= 1  # the segment had to grow
+        assert reader.read(2, nbytes, generation) == big
 
-    def test_desynchronised_frame_is_a_typed_error(self):
-        writer = ResponseWriter("kbtim-test-seq", initial_bytes=1024)
-        reader = ResponseReader("kbtim-test-seq")
-        try:
-            nbytes, generation = writer.write([make_selection(3, 3)], seq=7)
-            with pytest.raises(ServerError, match="desynchronised"):
-                reader.read(8, nbytes, generation)  # stale/wrong seq
-        finally:
-            reader.close()
-            writer.close()
+    @pytest.mark.parametrize(
+        "seq, extra, match",
+        [(2, 0, "desynchronised"), (1, 1024, "exceeds segment"), (1, 8, "mismatch")],
+    )
+    def test_a_bad_acknowledgement_is_a_typed_error(self, channel, seq, extra, match):
+        """A stale ``seq``, a frame longer than the segment, a torn length."""
+        writer, reader = channel(1024)
+        nbytes, generation = writer.write([make_selection(3, 3)], seq=1)
+        with pytest.raises(ServerError, match=match):
+            reader.read(seq, nbytes + extra, generation)
 
     def test_unlink_segment_tolerates_absence(self):
         unlink_segment("kbtim-test-never-created")  # must not raise
 
-    def test_empty_batch_roundtrips(self):
-        writer = ResponseWriter("kbtim-test-empty", initial_bytes=256)
-        reader = ResponseReader("kbtim-test-empty")
-        try:
-            nbytes, generation = writer.write([], seq=3)
-            assert reader.read(3, nbytes, generation) == []
-        finally:
-            reader.close()
-            writer.close()
-        assert shm_entries("kbtim-test-empty") == []
-
-    def test_frame_longer_than_segment_is_a_typed_error(self):
-        writer = ResponseWriter("kbtim-test-long", initial_bytes=1024)
-        reader = ResponseReader("kbtim-test-long")
-        try:
-            _nbytes, generation = writer.write([make_selection(4, 2)], seq=1)
-            with pytest.raises(ServerError, match="exceeds segment"):
-                reader.read(1, 2048, generation)
-        finally:
-            reader.close()
-            writer.close()
-
-    def test_frame_length_mismatch_is_a_typed_error(self):
-        writer = ResponseWriter("kbtim-test-len", initial_bytes=1024)
-        reader = ResponseReader("kbtim-test-len")
-        try:
-            nbytes, generation = writer.write([make_selection(5, 2)], seq=1)
-            with pytest.raises(ServerError, match="length mismatch"):
-                reader.read(1, nbytes + 8, generation)  # torn acknowledgement
-        finally:
-            reader.close()
-            writer.close()
+    def test_empty_batch_roundtrips(self, channel):
+        writer, reader = channel(256)
+        nbytes, generation = writer.write([], seq=3)
+        assert reader.read(3, nbytes, generation) == []
 
     def test_foreign_bytes_are_a_typed_error(self):
         """A segment that holds no frame (zeroed: wrong magic) is never
@@ -189,39 +153,30 @@ class TestFlatTransport:
         reader.close()
         assert shm_entries("kbtim-test-absent") == []
 
-    def test_reader_close_keeps_the_segment_and_reattaches(self):
-        writer = ResponseWriter("kbtim-test-reattach", initial_bytes=1024)
-        reader = ResponseReader("kbtim-test-reattach")
-        try:
-            first = [make_selection(6, 3)]
-            nbytes, generation = writer.write(first, seq=1)
-            assert reader.read(1, nbytes, generation) == first
-            reader.close()  # the segment belongs to the writer
-            assert shm_entries("kbtim-test-reattach") == ["kbtim-test-reattach"]
-            second = [make_selection(7, 2)]
-            nbytes, generation = writer.write(second, seq=2)
-            assert reader.read(2, nbytes, generation) == second
-        finally:
-            reader.close()
-            writer.close()
-        assert shm_entries("kbtim-test-reattach") == []
+    def test_reader_close_keeps_the_segment_and_reattaches(self, channel):
+        writer, reader = channel(1024)
+        first = [make_selection(6, 3)]
+        nbytes, generation = writer.write(first, seq=1)
+        assert reader.read(1, nbytes, generation) == first
+        reader.close()  # the segment belongs to the writer
+        assert shm_entries("kbtim-test-channel") == ["kbtim-test-channel"]
+        second = [make_selection(7, 2)]
+        nbytes, generation = writer.write(second, seq=2)
+        assert reader.read(2, nbytes, generation) == second
 
-    def test_writer_closed_without_unlink_leaves_segment_to_the_parent(self):
+    def test_writer_closed_without_unlink_leaves_segment_to_the_parent(
+        self, channel
+    ):
         """A worker that exits without unlinking (the parent reaps it)
         leaves a readable segment that ``unlink_segment`` then removes."""
-        writer = ResponseWriter("kbtim-test-reap", initial_bytes=1024)
-        reader = ResponseReader("kbtim-test-reap")
+        writer, reader = channel(1024)
         batch = [make_selection(8, 4)]
         nbytes, generation = writer.write(batch, seq=1)
         writer.close(unlink=False)
         writer.close()  # idempotent: the first close decided
-        try:
-            assert shm_entries("kbtim-test-reap") == ["kbtim-test-reap"]
-            assert reader.read(1, nbytes, generation) == batch
-        finally:
-            reader.close()
-            unlink_segment("kbtim-test-reap")
-        assert shm_entries("kbtim-test-reap") == []
+        assert shm_entries("kbtim-test-channel") == ["kbtim-test-channel"]
+        assert reader.read(1, nbytes, generation) == batch
+        unlink_segment("kbtim-test-channel")
 
     def test_writer_refuses_without_shared_memory(self, monkeypatch):
         """Without POSIX shared memory the writer raises ``OSError`` (the
@@ -232,7 +187,7 @@ class TestFlatTransport:
             ResponseWriter("kbtim-test-noshm")
         assert shm_entries("kbtim-test-noshm") == []
 
-    def test_segments_never_talk_to_the_resource_tracker(self, monkeypatch):
+    def test_segments_never_talk_to_the_resource_tracker(self, channel, monkeypatch):
         """A response segment's whole life — create, attach, grow
         (unlink + create under the same name), close, unlink — sends the
         tracker nothing: cleanup is explicit, so there is no
@@ -246,17 +201,15 @@ class TestFlatTransport:
                 name,
                 lambda *args, _name=name: calls.append((_name, args)),
             )
-        writer = ResponseWriter("kbtim-test-track-resp", initial_bytes=256)
-        reader = ResponseReader("kbtim-test-track-resp")
+        writer, reader = channel(256)
         batch = [make_selection(i, n_seeds=4) for i in range(32)]
         nbytes, generation = writer.write(batch, seq=1)  # grows: unlink+create
         assert generation >= 1
         assert reader.read(1, nbytes, generation) == batch
         reader.close()
         writer.close()
-        unlink_segment("kbtim-test-track-resp")
+        unlink_segment("kbtim-test-channel")
         assert calls == []
-        assert shm_entries("kbtim-test-track") == []
 
 
 class TestSegment:
@@ -275,19 +228,13 @@ class TestSegment:
             unlink_segment("kbtim-test-attach")
         assert shm_entries("kbtim-test-attach") == []
 
-    def test_exclusive_create_refuses_a_live_name_and_leaves_it(self):
-        owner = ResponseWriter("kbtim-test-excl", initial_bytes=1024)
-        reader = ResponseReader("kbtim-test-excl")
-        try:
-            batch = [make_selection(9, 3)]
-            nbytes, generation = owner.write(batch, seq=1)
-            with pytest.raises(FileExistsError):
-                ResponseWriter("kbtim-test-excl", initial_bytes=4096)
-            assert reader.read(1, nbytes, generation) == batch
-        finally:
-            reader.close()
-            owner.close()
-        assert shm_entries("kbtim-test-excl") == []
+    def test_exclusive_create_refuses_a_live_name_and_leaves_it(self, channel):
+        owner, reader = channel(1024)
+        batch = [make_selection(9, 3)]
+        nbytes, generation = owner.write(batch, seq=1)
+        with pytest.raises(FileExistsError):
+            ResponseWriter("kbtim-test-channel", initial_bytes=4096)
+        assert reader.read(1, nbytes, generation) == batch
 
     def test_close_defers_unmap_while_arrays_live(self):
         segment = _Segment("kbtim-test-export", create=True, size=4096)
@@ -303,43 +250,46 @@ class TestSegment:
         assert shm_entries("kbtim-test-export") == []
 
 
-class TestSpawnPool:
-    def test_spawn_workers_answer_bit_identical_over_flat_frames(
-        self, index_setup
-    ):
-        path, profiles = index_setup
-        from repro.datasets.workload import make_mixed_workload
+def _same_answers(got, want, io=True):
+    """Equal answers; with ``io``, equal ``QueryStats`` but for wall time."""
+    for a, b in zip(got, want, strict=True):
+        assert a.seeds == b.seeds and a.marginal_coverages == b.marginal_coverages
+        assert (a.theta, a.phi_q) == (b.theta, b.phi_q)
+        if io:
+            untimed = [replace(x.stats, elapsed_seconds=0.0) for x in (a, b)]
+            assert untimed[0] == untimed[1]
 
-        queries = make_mixed_workload(
-            profiles, n_queries=6, lengths=(1, 2), ks=(3,), rng=75
+
+class TestPoolTransport:
+    @pytest.fixture(scope="class")
+    def queries(self, served_paths):
+        return make_mixed_workload(
+            served_paths["profiles"], n_queries=8, lengths=(1, 2), ks=(3,), rng=76
         )
+
+    def test_spawn_workers_answer_bit_identical_over_flat_frames(
+        self, served_paths, queries
+    ):
+        """The picklable protocol works under spawn (fresh interpreter)."""
+        path = served_paths["rr"]
         with RRIndex(path) as index:
             want = [index.query(q) for q in queries]
         with SupervisedServerPool(path, n_workers=2, start_method="spawn") as pool:
-            assert pool.flat_transport
+            assert pool.start_method == "spawn" and pool.flat_transport
             got = [pool.query(q) for q in queries]
             assert pool.health().rss_bytes > 0
-        for a, b in zip(want, got):
-            assert a.seeds == b.seeds
-            assert a.marginal_coverages == b.marginal_coverages
-            assert a.theta == b.theta
-            assert a.phi_q == b.phi_q
+        _same_answers(got, want, io=False)
         assert shm_entries("kbtim-resp-") == []
 
     def test_query_stats_identical_across_transports(
-        self, index_setup, monkeypatch
+        self, served_paths, queries, monkeypatch
     ):
         """Flat frames and pickled answers must agree to the last byte
         of I/O accounting — the transport is representation, not
         semantics.  The pickled pool is the production degrade: the
         parent finds no shared memory, so workers get no response
         segment."""
-        path, profiles = index_setup
-        from repro.datasets.workload import make_mixed_workload
-
-        queries = make_mixed_workload(
-            profiles, n_queries=8, lengths=(1, 2), ks=(3,), rng=76
-        )
+        path = served_paths["rr"]
         with SupervisedServerPool(path, n_workers=2) as flat_pool:
             flat = [flat_pool.query(q) for q in queries]
             assert flat_pool.flat_transport
@@ -349,12 +299,30 @@ class TestSpawnPool:
         with SupervisedServerPool(path, n_workers=2) as pool:
             assert not pool.flat_transport
             pickled = [pool.query(q) for q in queries]
-        for a, b in zip(flat, pickled):
-            assert a.seeds == b.seeds
-            assert a.marginal_coverages == b.marginal_coverages
-            assert a.theta == b.theta
-            assert a.phi_q == b.phi_q
-            assert a.stats.io == b.stats.io
-            assert a.stats.rr_sets_considered == b.stats.rr_sets_considered
-            assert a.stats.rr_sets_loaded == b.stats.rr_sets_loaded
-            assert a.stats.partitions_loaded == b.stats.partitions_loaded
+        _same_answers(flat, pickled)
+
+    def test_a_segment_that_cannot_grow_falls_back_to_pickle(
+        self, served_paths, monkeypatch
+    ):
+        """A batch whose frame outgrows the first segment needs a bigger
+        one; if ``/dev/shm`` is full the worker answers over the pickled
+        path — bit-identical, the shard stays ready — and no segment
+        leaks.  (The forked workers inherit the failing create.)"""
+        segment = _Segment.__init__
+
+        def full(self, name, create=False, size=0):
+            if size > transport._INITIAL_BYTES:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            segment(self, name, create, size)
+
+        monkeypatch.setattr(_Segment, "__init__", full)
+        queries = [KBTIMQuery((kw,), 8) for kw in ("music", "book")] * 200
+        path = served_paths["rr"]
+        with RRIndex(path) as index:
+            want = [index.query(q) for q in queries]
+        with SupervisedServerPool(path, n_workers=1) as pool:
+            got = pool.query_batch(queries)
+            assert pool.query(queries[0]).seeds == want[0].seeds
+            assert pool.health().shards[0].state == "ready"
+        _same_answers(got, want, io=False)
+        assert shm_entries("kbtim-resp-") == []
