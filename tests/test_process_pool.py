@@ -1,22 +1,31 @@
-"""The serving pool (repro.core.process_pool): what the model cannot reach.
+"""The serving pool (repro.core.process_pool; PR 5, one class since PR 18).
 
 ``tests/test_serving_model.py`` checks the serving contract — answers,
 attributed I/O, supervision, telemetry and cleanup under any sequence of
-operations and faults.  Pinned here:
+operations and faults.  Pinned here scenario by scenario:
 
 * ``TestPoolContract``: on a healthy run over either index, answers and
   per-query I/O equal one in-process ``KBTIMServer`` per shard, the
   marginals and θ equal a sequential RR reader (the seeds too, on RR),
   and the merged telemetry is one JSON document summing its parts.
-* The types that cross the worker pipe survive pickling.
+* The request/response path is picklable: queries, ``QueryStats`` /
+  ``IOStats`` / ``ServerStats`` snapshots cross a process boundary and
+  come back mutation-safe (fresh locks) and value-identical.
+* Merged stats aggregate correctly across worker processes, and
+  warm/evict fan-out lands on the owning shard.
+* A worker that dies mid-request surfaces a clear
+  :class:`~repro.errors.ServerError` (naming the worker and exit code)
+  instead of a hang, other shards keep serving, and the next request
+  heals the shard.
 * Races and boundaries no sequential model reaches: ``health()`` while a
   shard is busy, a concurrent request during a blocking shutdown, a
   payload that fails to unpickle in the worker.
-* Construction: rejected arguments leave nothing behind (a corrupt file
-  failing in the parent is ``test_chaos.py``'s at-open fault).
+* A rejected constructor and ``close()`` leave nothing behind: no
+  process, no shared segment, no file descriptor.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 import tempfile
@@ -26,6 +35,7 @@ import time
 import pytest
 from leaks import kbtim_shm_entries
 
+from repro.core import process_pool
 from repro.core.catalog import open_index
 from repro.core.process_pool import (
     SupervisedServerPool,
@@ -40,9 +50,26 @@ from repro.core.server import (
     ServerStats,
     _SERVING_COUNTERS,
 )
-from repro.datasets.workload import make_mixed_workload
-from repro.errors import QueryError, ServerError
+from repro.datasets.workload import make_mixed_workload, replay
+from repro.errors import (
+    CorruptIndexError,
+    DeadlineExceededError,
+    IndexError_,
+    QueryError,
+    ServerError,
+)
 from repro.storage.iostats import IOStats
+
+
+@pytest.fixture(scope="module")
+def setup(served_paths):
+    return served_paths["rr"], served_paths["profiles"]
+
+
+@pytest.fixture
+def no_retries(monkeypatch):
+    """A worker death surfaces to the caller instead of being retried."""
+    monkeypatch.setattr(process_pool, "_MAX_RETRIES", 0)
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +144,6 @@ def _oracle(path: str, shards, workload):
     for server in servers:
         server.index.close()
     return warm_loads, answers
-
-
-def _kill_shard(pool: SupervisedServerPool, shard: int) -> None:
-    """SIGKILL and reap one worker."""
-    handle = pool._workers[shard]
-    handle.process.kill()
-    handle.process.join(timeout=10.0)
 
 
 def _spy_on_requests(monkeypatch) -> list:
@@ -331,23 +351,122 @@ class TestPicklableBoundary:
         assert copy.keywords == ("music", 3)
         assert copy.k == 5
 
-    def test_seed_selection_roundtrip(self, served_paths):
-        with RRIndex(served_paths["rr"]) as index:
+    def test_seed_selection_roundtrip(self, setup):
+        path, _profiles = setup
+        with RRIndex(path) as index:
             answer = index.query(KBTIMQuery(("music", "book"), 4))
         copy = pickle.loads(pickle.dumps(answer))
         _assert_same_selection(copy, answer)
         assert copy.stats.io.read_calls == answer.stats.io.read_calls
         assert copy.stats.io.bytes_read == answer.stats.io.bytes_read
 
-    def test_iostats_reset_is_atomic_under_the_lock(self):
-        """reset() takes the counter lock (the serving tier records from
-        other threads; a lock-free reset could tear the counter set)."""
-        io = IOStats()
-        io.record_read(pages_read=2, pages_hit=1, nbytes=64)
-        io.reset()
-        assert (io.read_calls, io.pages_read, io.pages_hit, io.bytes_read) == (0,) * 4
-        io.record_read(pages_read=1, pages_hit=0, nbytes=8)  # lock re-usable
-        assert io.read_calls == 1
+
+class TestCorrectness:
+    def test_matches_direct_index_query(self, setup, workload, expected):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            for query, want in zip(workload, expected):
+                _assert_same_selection(pool.query(query), want)
+
+    def test_batch_matches_sequential(self, setup, workload, expected):
+        path, _profiles = setup
+        for concurrent in (False, True):
+            with SupervisedServerPool(path, n_workers=3) as pool:
+                got = pool.query_batch(workload, concurrent=concurrent)
+            assert len(got) == len(expected)
+            for a, b in zip(expected, got):
+                _assert_same_selection(a, b)
+
+    def test_id_refs_dispatch_like_names(self, setup):
+        path, _profiles = setup
+        with RRIndex(path) as index:
+            pairs = [
+                (meta.topic_id, name) for name, meta in index.catalog.items()
+            ]
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            for topic_id, name in pairs:
+                assert pool.shard_of(KBTIMQuery((topic_id,), 1)) == pool.shard_of(
+                    KBTIMQuery((name,), 1)
+                )
+            with pytest.raises(IndexError_):
+                pool.shard_of(KBTIMQuery((10_000,), 1))
+
+    def test_error_types_cross_the_boundary(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            with pytest.raises(QueryError):
+                pool.query(KBTIMQuery(("music",), 999))  # over budget
+            with pytest.raises(IndexError_):
+                pool.query(KBTIMQuery(("nosuchtopic",), 2))  # unknown
+            with pytest.raises(QueryError):
+                # mixed-form duplicate: id 3 next to the name it resolves to
+                with RRIndex(path) as index:
+                    name = index.topic_names[3]
+                pool.query(KBTIMQuery((3, name), 2))
+            # the worker survives its own exceptions and keeps serving
+            answer = pool.query(KBTIMQuery(("music",), 3))
+            assert answer.seeds
+
+    def test_empty_batch(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            assert pool.query_batch([]) == []
+            assert pool.stats.queries == 0
+
+
+class TestStatsAccounting:
+    def test_merged_stats_sum_across_workers(self, setup, workload):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            pool.query_batch(workload)
+            snapshot = pool.snapshot()
+            merged = snapshot.stats
+            per_worker = [part.stats for part in snapshot.workers]
+            assert merged.queries == len(workload)
+            assert merged.queries == sum(w.queries for w in per_worker)
+            assert merged.keyword_hits == sum(w.keyword_hits for w in per_worker)
+            assert merged.keyword_misses == sum(
+                w.keyword_misses for w in per_worker
+            )
+            touches = sum(q.n_keywords for q in workload)
+            assert merged.keyword_hits + merged.keyword_misses == touches
+            assert len(merged.latencies) == len(workload)
+            assert merged.mean_latency > 0
+            assert merged.percentile_latency(95) >= merged.percentile_latency(5)
+
+    def test_cold_misses_read_twice_per_keyword(self, setup):
+        """The seed cost model survives the process hop: a cold keyword
+        load is exactly 2 logical reads (RR prefix + inverted lists)."""
+        path, _profiles = setup
+        query = KBTIMQuery(("music", "book"), 3)
+        with SupervisedServerPool(path, n_workers=1) as pool:
+            base = pool.snapshot().io
+            answer = pool.query(query)
+            delta = pool.snapshot().io.read_calls - base.read_calls
+        assert delta == 2 * query.n_keywords
+        assert answer.stats.io.read_calls == delta
+
+    def test_warm_lands_on_owning_shard(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            pool.warm(["music", "book"])
+            workers = pool.snapshot().workers
+            assert sum(w.stats.warm_loads for w in workers) == 2
+            assert sum(w.stats.keyword_misses for w in workers) == 0
+            for kw in ("music", "book"):
+                shard = pool.shard_of(KBTIMQuery((kw,), 1))
+                assert kw in workers[shard].cached_keywords
+
+    def test_evict_all_drops_every_worker_cache(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            pool.query(KBTIMQuery(("music",), 2))
+            pool.evict_all()
+            emptied = pool.snapshot()
+            assert all(not part.cached_keywords for part in emptied.workers)
+            pool.query(KBTIMQuery(("music",), 2))
+            # really re-reads
+            assert pool.snapshot().io.read_calls > emptied.io.read_calls
 
 
 def _raise_on_unpickle():
@@ -363,52 +482,292 @@ class _PoisonQuery:
         return (_raise_on_unpickle, ())
 
 
-def test_unpicklable_payload_does_not_kill_worker(served_paths):
-    """A payload that fails re-validation on arrival is a request
-    error shipped back to the caller; the shard keeps serving."""
-    with SupervisedServerPool(served_paths["rr"], n_workers=1) as pool:
-        with pytest.raises(QueryError, match="poison"):
-            pool._workers[0].request("query", _PoisonQuery())
-        assert pool.health().shards[0].alive
-        assert pool.query(KBTIMQuery(("music",), 3)).seeds
+class TestRequestLevelFailures:
+    def test_unpicklable_payload_does_not_kill_worker(self, setup):
+        """A payload that fails re-validation on arrival is a request
+        error shipped back to the caller; the shard keeps serving."""
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=1) as pool:
+            with pytest.raises(QueryError, match="poison"):
+                pool._workers[0].request("query", _PoisonQuery())
+            assert pool.health().shards[0].alive
+            answer = pool.query(KBTIMQuery(("music",), 3))
+            assert answer.seeds
+
+
+class TestWorkerDeath:
+    def test_dead_worker_raises_clear_error_not_hang(self, setup, no_retries):
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            victim = pool.shard_of(query)
+            pid = pool.pids[victim]
+            _kill_shard(pool, victim, unnoticed=True)
+            with pytest.raises(ServerError) as excinfo:
+                pool.query(query)
+            message = str(excinfo.value)
+            assert f"worker {victim} (pid {pid}) died" in message
+            assert "exit code -9" in message
+            shard_health = pool.health().shards[victim]
+            assert (shard_health.alive, shard_health.state) == (False, "restarting")
+            assert "died" in shard_health.last_error
+            # Other shards keep serving.
+            owners = _two_keywords_on_distinct_shards(pool)
+            survivor = next(kw for kw, shard in owners if shard != victim)
+            assert pool.query(KBTIMQuery((survivor,), 2)).seeds
+            # And the next request to the dead shard heals it.
+            assert pool.query(query).seeds
+            assert pool.health().shards[victim].restarts == 1
+
+    def test_dead_worker_fails_batch(self, setup, workload, no_retries):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            _kill_shard(pool, 0, unnoticed=True)
+            with pytest.raises(ServerError, match="worker 0"):
+                pool.query_batch(workload)
+
+    def test_close_after_death_is_clean(self, setup):
+        path, _profiles = setup
+        pool = SupervisedServerPool(path, n_workers=2)
+        for handle in pool._workers:
+            handle.process.kill()
+        pool.close()  # must not raise or hang
+        with pytest.raises(ServerError):
+            pool.query(KBTIMQuery(("music",), 2))
+
+
+def _kill_shard(pool: SupervisedServerPool, shard: int, unnoticed=False) -> None:
+    """SIGKILL and reap one worker; ``unnoticed`` hides the death from the
+    next liveness probe, so it surfaces *mid-request*: with
+    ``_MAX_RETRIES = 0`` the caller sees the death diagnosis instead of a
+    transparent heal-before-dispatch."""
+    handle = pool._workers[shard]
+    handle.process.kill()
+    handle.process.join(timeout=10.0)
+    if unnoticed:
+        real_running, lie = handle._running, iter([True])
+        handle._running = lambda: next(lie, False) or real_running()
+
+
+def _two_keywords_on_distinct_shards(pool: SupervisedServerPool):
+    """Two keyword names from the test topic space owned by different
+    shards, each paired with its owning shard (per the pool's own
+    dispatcher — no assumptions about the hash function)."""
+    keywords = ("music", "book", "journal", "car", "travel", "food", "software")
+    first = keywords[0]
+    first_shard = pool.shard_of(KBTIMQuery((first,), 1))
+    second, second_shard = next(
+        (kw, shard)
+        for kw in keywords[1:]
+        if (shard := pool.shard_of(KBTIMQuery((kw,), 1))) != first_shard
+    )
+    return (first, first_shard), (second, second_shard)
 
 
 @pytest.mark.chaos
-def test_concurrent_request_not_stalled_by_blocking_shutdown(served_paths):
-    """The lock fix: shutdown holds the handle lock only across
-    the closed flip + pipe send, so a concurrent request observes
-    ``closed`` promptly instead of stalling behind the join."""
-    pool = SupervisedServerPool(served_paths["rr"], n_workers=1)
-    handle = pool._workers[0]
-    # Make the drain slow: the worker is busy for 0.8s, so shutdown's
-    # reply-wait + join dominate while the lock must stay free.
-    handle.conn.send(("_chaos", ("sleep", 0.8)))
-    elapsed: dict = {}
+@pytest.mark.usefixtures("no_retries")
+class TestFanoutDeath:
+    """Worker death during fan-out paths (surfacing mid-request, with no
+    retry budget): surviving shards must still be administered/answered,
+    and the error must name the dead shard."""
 
-    def concurrent_request():
-        started = time.perf_counter()
-        try:
-            handle.request("snapshot")
-        except ServerError:
-            pass
-        elapsed["seconds"] = time.perf_counter() - started
+    def test_warm_applies_to_survivors_and_names_dead_shard(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            (kw_dead, dead), (kw_live, live) = _two_keywords_on_distinct_shards(
+                pool
+            )
+            _kill_shard(pool, dead, unnoticed=True)
+            with pytest.raises(ServerError) as excinfo:
+                pool.warm([kw_dead, kw_live])
+            message = str(excinfo.value)
+            assert f"worker {dead}" in message
+            assert "died" in message
+            # The surviving shard was warmed *before* the error surfaced.
+            survivor = pool.snapshot().workers[live]
+            assert survivor.stats.warm_loads == 1
+            assert kw_live in survivor.cached_keywords
 
-    shutdown = threading.Thread(target=lambda: handle.shutdown(5.0))
-    shutdown.start()
-    time.sleep(0.1)  # let shutdown flip `closed` and reach the wait
-    prober = threading.Thread(target=concurrent_request)
-    prober.start()
-    prober.join(timeout=5.0)
-    assert not prober.is_alive()
-    # The probe failed fast on `closed` (well before the 0.8s drain).
-    assert elapsed["seconds"] < 0.5
-    shutdown.join(timeout=10.0)
-    assert not shutdown.is_alive()
-    pool.close()
+    def test_evict_all_applies_to_survivors_and_names_dead_shard(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            (kw_dead, dead), (kw_live, live) = _two_keywords_on_distinct_shards(
+                pool
+            )
+            pool.query(KBTIMQuery((kw_live,), 2))  # populate the live cache
+            _kill_shard(pool, dead, unnoticed=True)
+            with pytest.raises(ServerError) as excinfo:
+                pool.evict_all()
+            assert f"worker {dead}" in str(excinfo.value)
+            # The surviving shard's caches really were dropped.
+            assert pool.snapshot().workers[live].cached_keywords == ()
+
+    def test_all_shards_dead_reports_every_failure(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            _kill_shard(pool, 0, unnoticed=True)
+            _kill_shard(pool, 1, unnoticed=True)
+            with pytest.raises(ServerError) as excinfo:
+                pool.evict_all()
+            message = str(excinfo.value)
+            assert "2 shards failed during fan-out" in message
+            assert "shard 0" in message
+            assert "shard 1" in message
+
+    def test_batch_error_names_dead_shard_and_survivors_answer(
+        self, setup, workload
+    ):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            shards = {pool.shard_of(q) for q in workload}
+            assert len(shards) > 1  # the batch really spans shards
+            dead = min(shards)
+            _kill_shard(pool, dead, unnoticed=True)
+            with pytest.raises(ServerError) as excinfo:
+                pool.query_batch(workload)
+            message = str(excinfo.value)
+            assert f"worker {dead}" in message
+            assert "died" in message
+            # Surviving shards still answer their sub-batches afterwards.
+            survivors = [q for q in workload if pool.shard_of(q) != dead]
+            answers = pool.query_batch(survivors)
+            assert len(answers) == len(survivors)
+            assert all(a.seeds for a in answers)
 
 
-class TestConstruction:
-    def test_rejected_argument_leaves_no_shared_state(self, served_paths):
+@pytest.mark.chaos
+class TestPoisonedHandle:
+    def test_timeout_poisons_handle_and_restart_resynchronizes(self, setup):
+        """The PR-7 desync fix: after a poll() timeout the late reply is
+        still in the pipe.  The handle must fail fast (poisoned), never
+        deliver the stale reply to the next request, and the restart the
+        next query triggers must resynchronize the shard."""
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        with RRIndex(path) as index:
+            want = index.query(query)
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            shard = pool.shard_of(query)
+            handle = pool._workers[shard]
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                handle.request("_chaos", ("sleep", 0.5), timeout=0.05)
+            assert "poisoned" in str(excinfo.value)
+            assert handle.poisoned
+            # Fails fast while the stale reply is still in flight...
+            with pytest.raises(ServerError, match="poisoned"):
+                handle.request("query", query)
+            # ...even after the stale reply has landed in the pipe.
+            time.sleep(0.6)
+            with pytest.raises(ServerError, match="poisoned"):
+                handle.request("query", query)
+            assert pool.health().shards[shard].state == "restarting"
+            # The pool swaps in a fresh pipe: exact answers again.
+            got = pool.query(query)
+            assert pool._workers[shard] is not handle
+            assert got.seeds == want.seeds
+            assert got.theta == want.theta
+
+    def test_restart_worker_replaces_dead_shard(self, setup):
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            shard = pool.shard_of(query)
+            old_pid = pool.pids[shard]
+            _kill_shard(pool, shard)
+            pool.restart_worker(shard)
+            shard_health = pool.health().shards[shard]
+            assert shard_health.alive and shard_health.state == "ready"
+            assert shard_health.pid == pool.pids[shard] != old_pid
+            assert shard_health.restarts == 1  # a manual restart is counted too
+            assert pool.query(query).seeds
+
+    def test_restart_worker_on_closed_pool_rejected(self, setup):
+        path, _profiles = setup
+        pool = SupervisedServerPool(path, n_workers=2)
+        pool.close()
+        with pytest.raises(ServerError):
+            pool.restart_worker(0)
+
+
+@pytest.mark.chaos
+class TestShutdownLocking:
+    def test_concurrent_request_not_stalled_by_blocking_shutdown(self, setup):
+        """The lock fix: shutdown holds the handle lock only across
+        the closed flip + pipe send, so a concurrent request observes
+        ``closed`` promptly instead of stalling behind the join."""
+        path, _profiles = setup
+        pool = SupervisedServerPool(path, n_workers=1)
+        handle = pool._workers[0]
+        # Make the drain slow: the worker is busy for 0.8s, so shutdown's
+        # reply-wait + join dominate while the lock must stay free.
+        handle.conn.send(("_chaos", ("sleep", 0.8)))
+        elapsed: dict = {}
+
+        def concurrent_request():
+            started = time.perf_counter()
+            try:
+                handle.request("snapshot")
+            except ServerError:
+                pass
+            elapsed["seconds"] = time.perf_counter() - started
+
+        shutdown = threading.Thread(target=lambda: handle.shutdown(5.0))
+        shutdown.start()
+        time.sleep(0.1)  # let shutdown flip `closed` and reach the wait
+        prober = threading.Thread(target=concurrent_request)
+        prober.start()
+        prober.join(timeout=5.0)
+        assert not prober.is_alive()
+        # The probe failed fast on `closed` (well before the 0.8s drain).
+        assert elapsed["seconds"] < 0.5
+        shutdown.join(timeout=10.0)
+        assert not shutdown.is_alive()
+        pool.close()
+
+
+class TestLifecycle:
+    def test_context_manager_and_double_close(self, setup):
+        path, _profiles = setup
+        pool = SupervisedServerPool(path, n_workers=2)
+        with pool:
+            assert len(pool.pids) == 2
+            assert all(isinstance(pid, int) for pid in pool.pids)
+        pool.close()  # idempotent
+        with pytest.raises(ServerError):
+            pool.warm(["music"])
+
+    def test_workers_reaped_on_close(self, setup):
+        path, _profiles = setup
+        pool = SupervisedServerPool(path, n_workers=2)
+        handles, pids = list(pool._workers), set(pool.pids)
+        pool.close()
+        assert all(not handle.alive for handle in handles)
+        live = {process.pid for process in multiprocessing.active_children()}
+        assert not pids & live
+
+    @pytest.mark.chaos
+    def test_close_releases_every_descriptor(self, setup, monkeypatch):
+        """After ``close()`` no open fd of the pool remains — while the
+        pool object is still referenced, and after a kill-heal and a
+        drain/restore replaced both workers (d439185: +4, the reaped
+        processes' sentinel pipes waited for garbage collection)."""
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        fds_before = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(process_pool, "_RESTART_BACKOFF", 0.0)
+        pool = SupervisedServerPool(path, n_workers=2)
+        victim = pool.shard_of(query)
+        assert pool.query(query).seeds
+        _kill_shard(pool, victim)
+        assert pool.query(query).seeds  # heals
+        pool.drain(1 - victim)
+        assert pool.health().shards[1 - victim].alive is False
+        pool.restore(1 - victim)
+        assert pool.health().healthy and pool.health().restarts == 2
+        pool.close()
+        assert len(os.listdir("/proc/self/fd")) == fds_before  # pool still referenced
+
+    def test_rejected_argument_leaves_no_shared_state(self, setup):
         """Every argument is validated before the first shared-memory
         segment or process exists (d439185: a bad ``start_method`` once
         raised *after* creating shared segments and a lock file)."""
@@ -417,7 +776,7 @@ class TestConstruction:
             tmp = os.listdir(tempfile.gettempdir())
             return kbtim_shm_entries(), {e for e in tmp if e.startswith("kbtim-")}
 
-        path = served_paths["rr"]
+        path, _profiles = setup
         before = kbtim_entries()
         with pytest.raises(ValueError, match="bogus"):
             SupervisedServerPool(path, start_method="bogus")
@@ -429,3 +788,58 @@ class TestConstruction:
             with pytest.raises(TypeError):
                 SupervisedServerPool(path, **{gone: 1})
         assert kbtim_entries() == before
+
+    def test_bad_worker_count_rejected(self, setup):
+        path, _profiles = setup
+        with pytest.raises(ValueError):
+            SupervisedServerPool(path, n_workers=0)
+
+    def test_corrupt_path_fails_in_parent(self, tmp_path):
+        bogus = tmp_path / "not-an-index.rr"
+        bogus.write_bytes(b"this is not an index file at all, sorry")
+        with pytest.raises(CorruptIndexError):
+            SupervisedServerPool(str(bogus), n_workers=2)
+
+    def test_spawn_start_method(self, setup):
+        """The picklable protocol works under spawn (fresh interpreter)."""
+        path, _profiles = setup
+        with SupervisedServerPool(
+            path, n_workers=1, start_method="spawn"
+        ) as pool:
+            assert pool.start_method == "spawn"
+            answer = pool.query(KBTIMQuery(("music",), 3))
+        with RRIndex(path) as index:
+            _assert_same_selection(answer, index.query(KBTIMQuery(("music",), 3)))
+
+
+class TestReplayIntegration:
+    def test_replay_threads_over_process_pool(self, setup, workload, expected):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            report = replay(pool, workload, threads=4)
+        assert report.n_queries == len(workload)
+        assert report.qps > 0
+        for got, want in zip(report.results, expected):
+            _assert_same_selection(got, want)
+
+    def test_harness_opens_process_pool(self, tmp_path):
+        from repro.experiments.harness import ExperimentContext, ExperimentScale
+
+        with ExperimentContext(ExperimentScale.smoke(), workdir=str(tmp_path)) as ctx:
+            ds = ctx.default_dataset("twitter")
+            with ctx.open_server_pool(ds, n_workers=2) as pool:
+                assert isinstance(pool, SupervisedServerPool)
+                assert len(set(pool.pids)) == 2 and os.getpid() not in pool.pids
+                assert pool.stats.queries == 0
+
+
+class TestIOStatsReset:
+    def test_reset_is_atomic_under_the_lock(self):
+        """reset() takes the counter lock (the serving tier records from
+        other threads; a lock-free reset could tear the counter set)."""
+        io = IOStats()
+        io.record_read(pages_read=2, pages_hit=1, nbytes=64)
+        io.reset()
+        assert (io.read_calls, io.pages_read, io.pages_hit, io.bytes_read) == (0,) * 4
+        io.record_read(pages_read=1, pages_hit=0, nbytes=8)  # lock re-usable
+        assert io.read_calls == 1

@@ -1,15 +1,16 @@
-"""Concurrent + batched in-process serving (repro.core.server).
+"""Concurrent + batched serving tier (repro.core.server).
 
-Pinned here, for one ``KBTIMServer``:
+Pinned here:
 
 * ``query_batch`` is an *optimisation*, never a semantic change: seeds,
-  marginals, θ and φ_Q are bit-identical to sequential ``query()`` calls
-  with nothing retained between queries, over an RR and over an IRR
-  index; it loads each keyword once and raises what ``query`` raises.
-  (With caches on, and with per-query I/O summing to the batch's total,
-  it is checked through the pool by ``tests/test_serving_model.py``.)
+  marginals, θ and φ_Q are bit-identical to sequential ``query()`` calls,
+  with caches on and off, and its per-query I/O attribution sums to the
+  batch's true total — over an RR and over an IRR index; it loads each
+  keyword once and raises what ``query`` raises.
 * A shared ``KBTIMServer`` hammered from N threads answers every query
   bit-identically to a single-threaded run, with exact stats counters.
+* ``SupervisedServerPool`` dispatches deterministically, aggregates
+  stats, and its answers match a single server's.
 * ``ServerStats.merged`` sums counters and keeps each part's window.
 """
 
@@ -19,9 +20,10 @@ import pytest
 
 from repro.core.catalog import open_index
 from repro.core.query import KBTIMQuery
+from repro.core.process_pool import SupervisedServerPool
 from repro.core.rr_index import RRIndex
 from repro.core.server import KBTIMServer, ServerStats
-from repro.datasets.workload import make_mixed_workload
+from repro.datasets.workload import make_mixed_workload, replay
 from repro.errors import IndexError_, QueryError
 
 
@@ -57,6 +59,15 @@ def _assert_same_selection(a, b):
 
 @pytest.mark.parametrize("kind", ["rr", "irr"])
 class TestBatchEquivalenceBothKinds:
+    def test_batch_matches_sequential_caches_on(self, kind, paths, workload):
+        with open_index(paths[kind]) as seq_index:
+            sequential = [KBTIMServer(seq_index).query(q) for q in workload]
+        with KBTIMServer(open_index(paths[kind])) as server:
+            batched = server.query_batch(workload)
+        assert len(batched) == len(sequential)
+        for a, b in zip(sequential, batched):
+            _assert_same_selection(a, b)
+
     def test_batch_matches_sequential_caches_off(self, kind, paths, workload):
         with open_index(paths[kind], **COLD[kind]) as seq_index:
             sequential = [seq_index.query(q) for q in workload]
@@ -65,6 +76,17 @@ class TestBatchEquivalenceBothKinds:
             batched = server.query_batch(workload)
         for a, b in zip(sequential, batched):
             _assert_same_selection(a, b)
+
+    def test_batch_io_attribution_sums_to_total(self, kind, paths, workload):
+        """Per-query io deltas partition the batch's physical I/O."""
+        with KBTIMServer(open_index(paths[kind])) as server:
+            before = server.index.stats.snapshot()
+            batched = server.query_batch(workload)
+            total = server.index.stats.delta(before)
+        attributed_reads = sum(r.stats.io.read_calls for r in batched)
+        attributed_bytes = sum(r.stats.io.bytes_read for r in batched)
+        assert attributed_reads == total.read_calls > 0
+        assert attributed_bytes == total.bytes_read
 
 
 class TestBatchEquivalence:
@@ -155,6 +177,15 @@ class TestBatchEquivalence:
                     call(bad)
 
 
+    def test_batch_single_query_matches_query(self, setup):
+        path, _profiles = setup
+        q = KBTIMQuery(("music", "book"), 5)
+        with KBTIMServer(RRIndex(path)) as server:
+            (batched,) = server.query_batch([q])
+            direct = server.query(q)
+        _assert_same_selection(batched, direct)
+
+
 class TestThreadHammer:
     def test_concurrent_queries_bit_identical(self, setup, workload):
         path, _profiles = setup
@@ -195,6 +226,106 @@ class TestThreadHammer:
         for half, output in zip([expected[::2], expected[1::2]], outputs):
             for a, b in zip(half, output):
                 _assert_same_selection(a, b)
+
+
+class TestServerPool:
+    def test_pool_matches_single_server(self, setup, workload):
+        path, _profiles = setup
+        with RRIndex(path) as index:
+            expected = [KBTIMServer(index).query(q) for q in workload]
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            for q, want in zip(workload, expected):
+                _assert_same_selection(pool.query(q), want)
+
+    def test_pool_batch_matches_sequential(self, setup, workload):
+        path, _profiles = setup
+        with RRIndex(path) as index:
+            expected = [KBTIMServer(index).query(q) for q in workload]
+        for concurrent in (False, True):
+            with SupervisedServerPool(path, n_workers=3) as pool:
+                got = pool.query_batch(workload, concurrent=concurrent)
+            assert len(got) == len(expected)
+            for a, b in zip(expected, got):
+                _assert_same_selection(a, b)
+
+    def test_dispatch_deterministic_and_spread(self, setup, workload):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            shards = [pool.shard_of(q) for q in workload]
+            assert shards == [pool.shard_of(q) for q in workload]
+            assert all(0 <= s < 4 for s in shards)
+            # id refs dispatch to the same shard as their names
+            with RRIndex(path) as index:
+                for q in workload:
+                    ids = tuple(
+                        index.catalog[kw].topic_id  # workload refs are names
+                        for kw in q.keywords
+                    )
+                    assert pool.shard_of(KBTIMQuery(ids, q.k)) == pool.shard_of(q)
+
+    def test_single_keyword_queries_stay_on_one_shard(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            for _ in range(3):
+                pool.query(KBTIMQuery(("music",), 2))
+            loaded = [
+                w.stats.keyword_misses + w.stats.warm_loads
+                for w in pool.snapshot().workers
+            ]
+            assert sorted(loaded)[-1] == 1  # one worker loaded it, once
+            assert sum(loaded) == 1
+
+    def test_pool_stats_aggregate(self, setup, workload):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=3) as pool:
+            pool.query_batch(workload)
+            snapshot = pool.snapshot()
+            stats = snapshot.stats
+            assert stats.queries == len(workload)
+            assert stats.queries == sum(w.stats.queries for w in snapshot.workers)
+            assert stats.keyword_hits == sum(
+                w.stats.keyword_hits for w in snapshot.workers
+            )
+            assert len(stats.latencies) == len(workload)
+            assert stats.mean_latency > 0
+            assert stats.percentile_latency(95) >= stats.percentile_latency(5)
+
+    def test_warm_lands_on_owning_shard(self, setup):
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=4) as pool:
+            pool.warm(["music", "book"])
+            workers = pool.snapshot().workers
+            assert sum(w.stats.warm_loads for w in workers) == 2
+            # warmed exactly where single-keyword traffic dispatches
+            for kw in ("music", "book"):
+                shard = pool.shard_of(KBTIMQuery((kw,), 1))
+                assert kw in workers[shard].cached_keywords
+
+    def test_evict_all_and_close(self, setup):
+        path, _profiles = setup
+        pool = SupervisedServerPool(path, n_workers=2)
+        pool.query(KBTIMQuery(("music",), 2))
+        pool.evict_all()
+        assert all(w.cached_keywords == () for w in pool.snapshot().workers)
+        pool.close()
+
+    def test_bad_worker_count_rejected(self, setup):
+        path, _profiles = setup
+        with pytest.raises(ValueError):
+            SupervisedServerPool(path, n_workers=0)
+
+    def test_pool_replay_threads(self, setup, workload):
+        """The replay driver drives a pool concurrently, answers intact."""
+        path, _profiles = setup
+        with RRIndex(path) as index:
+            expected = [KBTIMServer(index).query(q) for q in workload]
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            report = replay(pool, workload, threads=4)
+        assert report.n_queries == len(workload)
+        assert report.qps > 0
+        assert all(lat > 0 for lat in report.latencies)
+        for got, want in zip(report.results, expected):
+            _assert_same_selection(got, want)
 
 
 class TestMergedStats:
