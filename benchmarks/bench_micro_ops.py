@@ -23,7 +23,6 @@ from repro.propagation.lt import LinearThreshold
 from repro.storage.compression import Codec, StreamDecoder, encode_stream
 from repro.storage.pager import BufferPool, PagedFile
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
-from repro.utils.rrsets import FlatRRSets
 from repro.storage.varint import (
     decode_varints,
     decode_varints_block,
@@ -169,8 +168,7 @@ def test_irr_query_latency_cold_decode(irr_index_path, benchmark):
 def keyword_csr(rr_sets, model):
     """One keyword's block in the writers' input form: the 500 RR sets
     as ``(ptr, vertices)`` and their inversion ``(keys, ptr, set ids)``."""
-    flat = FlatRRSets.from_sets(rr_sets)
-    return (flat.ptr, flat.vertices), invert_csr(flat.sizes(), flat.vertices)
+    return (rr_sets.ptr, rr_sets.vertices), invert_csr(rr_sets)
 
 
 def test_rr_record_decode_throughput(keyword_csr, benchmark):

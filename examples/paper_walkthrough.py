@@ -68,8 +68,10 @@ def main() -> None:
     ]
     instance = CoverageInstance(graph.n, rr_sets)
     seeds2, marginals = greedy_max_coverage(instance, 2)
-    covered_by_ef = set(instance.inverted[e].tolist()) | set(
-        instance.inverted[f].tolist()
+    # The inverted CSR: vertex v is in sets vtx_sets[vtx_ptr[v]:vtx_ptr[v + 1]].
+    ptr, sets_of = instance.vtx_ptr, instance.vtx_sets
+    covered_by_ef = set(sets_of[ptr[e] : ptr[e + 1]].tolist()) | set(
+        sets_of[ptr[f] : ptr[f + 1]].tolist()
     )
     print(f"  greedy picks: {[NODE_NAMES[s] for s in seeds2]} "
           f"covering {sum(marginals)} sets")

@@ -47,7 +47,7 @@ from repro.core.results import SeedSelection
 from repro.errors import CorruptIndexError, IndexError_, QueryError
 from repro.storage.compression import Codec
 from repro.storage.iostats import IOStats
-from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
+from repro.storage.pager import BufferPool
 from repro.storage.segments import SegmentReader
 
 __all__ = [
@@ -356,12 +356,9 @@ class IndexReader:
         *,
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
-        self._reader = SegmentReader(
-            path, stats=self.stats, pool=pool, page_size=page_size
-        )
+        self._reader = SegmentReader(path, stats=self.stats, pool=pool)
         try:
             parsed = read_catalog(self._reader, self.FORMAT)
             self.catalog = parsed.keywords

@@ -12,7 +12,7 @@ query-time merge of per-keyword blocks — runs as array kernels:
   ``set_vertices[set_ptr[s]:set_ptr[s+1]]`` (sorted vertex ids);
 * ``vtx_ptr`` / ``vtx_sets`` — the inverted mapping (the paper's ``L``):
   vertex ``v`` appears in sets ``vtx_sets[vtx_ptr[v]:vtx_ptr[v+1]]``
-  (ascending set ids), built with one stable argsort + bincount.
+  (ascending set ids), built by :func:`~repro.utils.rrsets.group_by_vertex`.
 
 The greedy itself (:func:`greedy_max_coverage`) is one dense kernel: an
 ``argmax`` over the live count array per pick, then an incremental cover
@@ -23,11 +23,11 @@ Theorem 3 testable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.rrsets import FlatRRSets
+from repro.utils.rrsets import FlatRRSets, group_by_vertex
 
 __all__ = [
     "CoverageInstance",
@@ -38,45 +38,6 @@ __all__ = [
 _ID_DTYPE = np.int64
 
 
-def _invert_csr(
-    n_vertices: int, set_ptr: np.ndarray, set_vertices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Build the inverted ``vertex -> set ids`` CSR from the set CSR.
-
-    One ``bincount`` for the pointer array, one stable argsort for the
-    payload; the stable sort keeps per-vertex set ids ascending.
-    """
-    vtx_ptr = np.zeros(n_vertices + 1, dtype=_ID_DTYPE)
-    if set_vertices.size:
-        counts = np.bincount(set_vertices, minlength=n_vertices)
-        np.cumsum(counts, out=vtx_ptr[1:])
-        n_sets = len(set_ptr) - 1
-        set_ids = np.repeat(
-            np.arange(n_sets, dtype=_ID_DTYPE), np.diff(set_ptr)
-        )
-        order = np.argsort(set_vertices, kind="stable")
-        vtx_sets = set_ids[order]
-    else:
-        vtx_sets = np.empty(0, dtype=_ID_DTYPE)
-    return vtx_ptr, vtx_sets
-
-
-def _dict_to_csr(
-    n_vertices: int, inverted: Dict[int, np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR arrays from a legacy ``vertex -> set ids`` dict."""
-    lengths = np.zeros(n_vertices, dtype=_ID_DTYPE)
-    for v, ids in inverted.items():
-        lengths[v] = len(ids)
-    vtx_ptr = np.zeros(n_vertices + 1, dtype=_ID_DTYPE)
-    np.cumsum(lengths, out=vtx_ptr[1:])
-    vtx_sets = np.empty(int(vtx_ptr[-1]), dtype=_ID_DTYPE)
-    for v, ids in inverted.items():
-        start = int(vtx_ptr[v])
-        vtx_sets[start : start + len(ids)] = np.asarray(ids, dtype=_ID_DTYPE)
-    return vtx_ptr, vtx_sets
-
-
 class CoverageInstance:
     """An in-memory maximum-coverage instance over RR sets.
 
@@ -85,68 +46,34 @@ class CoverageInstance:
     n_vertices:
         Universe size (vertex ids must lie in ``[0, n_vertices)``).
     rr_sets:
-        The sampled RR sets, each a sorted array of vertex ids.  They are
-        flattened into the CSR layout described in the module docstring.
-    inverted:
-        Optional pre-built ``vertex -> set ids`` mapping; when omitted it
-        is derived from ``rr_sets`` with one argsort + bincount.
+        The RR sets, each sorted: a sampler's
+        :class:`~repro.utils.rrsets.FlatRRSets`, used as-is, or per-set
+        arrays written by hand (tests, oracles, examples), flattened here
+        once.  The inverted CSR is derived with
+        :func:`~repro.utils.rrsets.group_by_vertex`.
     """
 
-    def __init__(
-        self,
-        n_vertices: int,
-        rr_sets: Sequence[np.ndarray],
-        inverted: Optional[Dict[int, np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, n_vertices: int, rr_sets: Sequence[np.ndarray]) -> None:
         if n_vertices < 0:
             raise ValueError(f"n_vertices must be >= 0, got {n_vertices}")
-        self.n_vertices = n_vertices
-        # Only the flat CSR is retained; the rr_sets property rebuilds
-        # per-set views on demand so the payload is not stored twice.
-        self._rr_sets_list: Optional[List[np.ndarray]] = None
-        if isinstance(rr_sets, FlatRRSets):
-            # The batched samplers deliver the CSR pair directly — no
-            # per-set flatten, no list-of-arrays round trip.
-            set_ptr = rr_sets.ptr
-            set_vertices = rr_sets.vertices
-        else:
-            sets = [np.asarray(rr, dtype=_ID_DTYPE) for rr in rr_sets]
-            set_ptr = np.zeros(len(sets) + 1, dtype=_ID_DTYPE)
-            if sets:
-                lengths = np.fromiter(
-                    (len(rr) for rr in sets), dtype=_ID_DTYPE, count=len(sets)
-                )
-                np.cumsum(lengths, out=set_ptr[1:])
-                set_vertices = (
-                    np.concatenate(sets)
-                    if set_ptr[-1]
-                    else np.empty(0, _ID_DTYPE)
-                )
-            else:
-                set_vertices = np.empty(0, dtype=_ID_DTYPE)
+        flat = FlatRRSets.from_sets(rr_sets)
+        set_vertices = flat.vertices
         if set_vertices.size:
             lo, hi = set_vertices.min(), set_vertices.max()
             if lo < 0 or hi >= n_vertices:
                 bad = int(
                     np.argmin(set_vertices) if lo < 0 else np.argmax(set_vertices)
                 )
-                set_id = int(np.searchsorted(set_ptr, bad, side="right")) - 1
+                set_id = int(np.searchsorted(flat.ptr, bad, side="right")) - 1
                 raise ValueError(
                     f"RR set {set_id} contains vertex outside [0, {n_vertices})"
                 )
-        self.set_ptr = set_ptr
+        self.n_vertices = n_vertices
+        self.set_ptr = flat.ptr
         self.set_vertices = set_vertices
-        if inverted is None:
-            self.vtx_ptr, self.vtx_sets = _invert_csr(
-                n_vertices, set_ptr, set_vertices
-            )
-            self._inverted: Optional[Dict[int, np.ndarray]] = None
-        else:
-            self.vtx_ptr, self.vtx_sets = _dict_to_csr(n_vertices, inverted)
-            self._inverted = {
-                v: np.asarray(ids, dtype=_ID_DTYPE)
-                for v, ids in inverted.items()
-            }
+        self.vtx_ptr, self.vtx_sets = group_by_vertex(
+            n_vertices, set_vertices, flat.set_ids()
+        )
 
     @classmethod
     def from_csr(
@@ -154,14 +81,14 @@ class CoverageInstance:
         n_vertices: int,
         set_ptr: np.ndarray,
         set_vertices: np.ndarray,
-        vtx_ptr: Optional[np.ndarray] = None,
-        vtx_sets: Optional[np.ndarray] = None,
+        vtx_ptr: np.ndarray,
+        vtx_sets: np.ndarray,
     ) -> "CoverageInstance":
         """Wrap pre-built CSR arrays without touching Python containers.
 
         The fast path for the query/serving layers, which assemble merged
-        instances by array concatenation.  Arrays are trusted (no range
-        re-validation); the inverted CSR is derived when not supplied.
+        instances by array concatenation (:func:`merge_coverage_csr`).
+        Arrays are trusted (no range re-validation).
         """
         if n_vertices < 0:
             raise ValueError(f"n_vertices must be >= 0, got {n_vertices}")
@@ -171,44 +98,14 @@ class CoverageInstance:
         instance.set_vertices = np.ascontiguousarray(
             set_vertices, dtype=_ID_DTYPE
         )
-        if vtx_ptr is None or vtx_sets is None:
-            instance.vtx_ptr, instance.vtx_sets = _invert_csr(
-                instance.n_vertices, instance.set_ptr, instance.set_vertices
-            )
-        else:
-            instance.vtx_ptr = np.ascontiguousarray(vtx_ptr, dtype=_ID_DTYPE)
-            instance.vtx_sets = np.ascontiguousarray(vtx_sets, dtype=_ID_DTYPE)
-        instance._rr_sets_list = None
-        instance._inverted = None
+        instance.vtx_ptr = np.ascontiguousarray(vtx_ptr, dtype=_ID_DTYPE)
+        instance.vtx_sets = np.ascontiguousarray(vtx_sets, dtype=_ID_DTYPE)
         return instance
 
     @property
     def n_sets(self) -> int:
         """Number of RR sets in the instance."""
         return len(self.set_ptr) - 1
-
-    @property
-    def rr_sets(self) -> List[np.ndarray]:
-        """The RR sets as per-set arrays (views into the flat CSR)."""
-        if self._rr_sets_list is None:
-            if self.n_sets:
-                self._rr_sets_list = np.split(
-                    self.set_vertices, self.set_ptr[1:-1]
-                )
-            else:
-                self._rr_sets_list = []
-        return self._rr_sets_list
-
-    @property
-    def inverted(self) -> Dict[int, np.ndarray]:
-        """Legacy dict view ``vertex -> set ids`` (materialised lazily)."""
-        if self._inverted is None:
-            ptr = self.vtx_ptr
-            self._inverted = {
-                int(v): self.vtx_sets[ptr[v] : ptr[v + 1]]
-                for v in np.flatnonzero(np.diff(ptr))
-            }
-        return self._inverted
 
     def counts(self) -> np.ndarray:
         """Initial per-vertex coverage counts (length ``n_vertices``).
@@ -228,8 +125,9 @@ def merge_coverage_csr(
     Each part is ``(set_ptr, set_vertices, inv_vertices, inv_sets)`` where
     ``inv_vertices``/``inv_sets`` are aligned ``(vertex, global set id)``
     pairs — already clipped to the active prefix and offset into the
-    merged set-id space.  Only array concatenation, one bincount and one
-    stable argsort; no per-vertex Python work.
+    merged set-id space.  Only array concatenation and
+    :func:`~repro.utils.rrsets.group_by_vertex` (one bincount, one stable
+    argsort); no per-vertex Python work.
     """
     parts = list(parts)
     ptr_chunks: List[np.ndarray] = [np.zeros(1, dtype=_ID_DTYPE)]
@@ -253,15 +151,11 @@ def merge_coverage_csr(
         if parts
         else np.empty(0, dtype=_ID_DTYPE)
     )
-    vtx_ptr = np.zeros(n_vertices + 1, dtype=_ID_DTYPE)
-    if inv_vertices.size:
-        np.cumsum(np.bincount(inv_vertices, minlength=n_vertices), out=vtx_ptr[1:])
-        order = np.argsort(inv_vertices, kind="stable")
-        vtx_sets = inv_sets[order]
-    else:
-        vtx_sets = np.empty(0, dtype=_ID_DTYPE)
     return CoverageInstance.from_csr(
-        n_vertices, set_ptr, set_vertices, vtx_ptr, vtx_sets
+        n_vertices,
+        set_ptr,
+        set_vertices,
+        *group_by_vertex(n_vertices, inv_vertices, inv_sets),
     )
 
 

@@ -34,6 +34,7 @@ from repro.core.sampler import sample_rr_sets, sample_weighted_roots
 from repro.errors import EstimationError
 from repro.propagation.base import PropagationModel
 from repro.utils.rng import RngLike, as_rng
+from repro.utils.rrsets import FlatRRSets
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["OptEstimate", "estimate_opt_lower_bound", "deterministic_opt_floor"]
@@ -117,16 +118,14 @@ def estimate_opt_lower_bound(
 
     estimate: Optional[float] = None
     theta = pilot_theta
-    total_samples = 0
-    rr_sets: list = []
+    rr_sets = FlatRRSets.concatenate([])
     for _ in range(max_rounds):
-        batch = theta - len(rr_sets)
-        roots = sample_weighted_roots(users, probabilities, batch, gen)
-        rr_sets.extend(sample_rr_sets(model, roots, gen))
-        total_samples = len(rr_sets)
+        # Each round tops the pilot batch up to θ, reusing the earlier sets.
+        roots = sample_weighted_roots(users, probabilities, theta - len(rr_sets), gen)
+        rr_sets = FlatRRSets.concatenate([rr_sets, sample_rr_sets(model, roots, gen)])
         instance = CoverageInstance(model.graph.n, rr_sets)
         _seeds, marginals = greedy_max_coverage(instance, k)
-        new_estimate = sum(marginals) / total_samples * total_weight
+        new_estimate = sum(marginals) / len(rr_sets) * total_weight
         if (
             estimate is not None
             and estimate > 0
@@ -143,5 +142,5 @@ def estimate_opt_lower_bound(
         lower_bound=lower,
         deterministic_floor=floor,
         sampled_estimate=sampled,
-        pilot_samples=total_samples,
+        pilot_samples=len(rr_sets),
     )

@@ -76,7 +76,7 @@ from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
 from repro.storage.compression import Codec, StreamDecoder
 from repro.storage.iostats import IOStats
-from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
+from repro.storage.pager import BufferPool
 from repro.storage.records import InvertedListsRecord
 from repro.storage.segments import SegmentWriter
 from repro.utils.rrsets import FlatRRSets
@@ -137,7 +137,7 @@ class IRRIndexBuilder(RRIndexBuilder):
         )
 
 
-def partition_keyword(rr_sets: Sequence[np.ndarray], delta: int) -> Tuple[tuple, ...]:
+def partition_keyword(rr_sets: FlatRRSets, delta: int) -> Tuple[tuple, ...]:
     """Algorithm 3 lines 5-14 for one keyword, in flat CSR form.
 
     Returns ``(il, ir, ip)``, tuples of arrays:
@@ -151,10 +151,9 @@ def partition_keyword(rr_sets: Sequence[np.ndarray], delta: int) -> Tuple[tuple,
     * ``ip = (vertices, firsts)`` — ascending vertices and the first RR
       set each occurs in.
     """
-    flat = FlatRRSets.from_sets(rr_sets)
-    # invert_csr is the argsort inversion shared with the RR builder:
-    # ascending vertices, each with ascending set ids.
-    vertices, ptr, set_ids = invert_csr(flat.sizes(), flat.vertices)
+    # invert_csr is the inversion shared with the RR builder: ascending
+    # vertices, each with ascending set ids.
+    vertices, ptr, set_ids = invert_csr(rr_sets)
     order = np.lexsort((vertices, -np.diff(ptr)))
     il_ptr, il_ids = take_rows(ptr, set_ids, order)
     # A partition claims every not-yet-claimed set any of its lists
@@ -163,7 +162,7 @@ def partition_keyword(rr_sets: Sequence[np.ndarray], delta: int) -> Tuple[tuple,
     # back to front leaves each set its first (smallest) partition.
     n_partitions = -(-len(order) // delta)
     partition_of = np.repeat(np.arange(len(order)) // delta, np.diff(il_ptr))
-    owner = np.full(len(flat), n_partitions, dtype=np.int64)
+    owner = np.full(len(rr_sets), n_partitions, dtype=np.int64)
     owner[il_ids[::-1]] = partition_of[::-1]
     by_owner = np.argsort(owner, kind="stable")
     part_ptr = np.searchsorted(owner[by_owner], np.arange(n_partitions + 1))
@@ -202,7 +201,7 @@ def write_irr_index(
             add(f"{kind}/{p}", keys[lo:hi], ptr[lo : hi + 1] - ptr[lo], ids[ptr[lo] : ptr[hi]])
 
     for name in sorted(tables):
-        rr_sets = FlatRRSets.from_sets(tables[name].rr_sets)
+        rr_sets = tables[name].rr_sets
         (il_keys, il_ptr, il_ids), (ir_sets, part_ptr), (ip_keys, ip_firsts) = (
             partition_keyword(rr_sets, delta)
         )
@@ -512,7 +511,6 @@ class IRRIndex(IndexReader):
         *,
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
         decode_cache_partitions: int = _DECODE_CACHE_PARTITIONS,
     ) -> None:
         self.decode_cache_partitions = int(decode_cache_partitions)
@@ -523,7 +521,7 @@ class IRRIndex(IndexReader):
         )
         self._partitions = BlockCache(self.decode_cache_partitions)
         self._partition_info: Dict[str, Tuple[int, np.ndarray]] = {}
-        super().__init__(path, stats=stats, pool=pool, page_size=page_size)
+        super().__init__(path, stats=stats, pool=pool)
 
     def _load(self, parsed: Catalog) -> None:
         self.delta = parsed.delta

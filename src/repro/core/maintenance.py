@@ -25,6 +25,7 @@ from repro.core.rr_index import invert_csr
 from repro.errors import CorruptIndexError, IndexError_
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.storage.segments import SegmentReader, SegmentWriter
+from repro.utils.rrsets import FlatRRSets
 
 __all__ = ["extract_keywords", "verify_index", "IndexCheckReport"]
 
@@ -129,7 +130,7 @@ def _verify_rr_keyword(
     set_ptr, set_vertices = RRSetsRecord.decode_prefix_csr(
         record[payload_start : payload_start + payload_len], n_sets
     )
-    rebuilt = invert_csr(np.diff(set_ptr), set_vertices)
+    rebuilt = invert_csr(FlatRRSets(set_ptr, set_vertices))
     stored = InvertedListsRecord.decode_csr(inverted)
     if len(stored[0]) != len(rebuilt[0]):
         raise CorruptIndexError(

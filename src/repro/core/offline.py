@@ -32,6 +32,7 @@ from repro.errors import IndexError_
 from repro.profiles.store import ProfileStore
 from repro.propagation.base import PropagationModel
 from repro.utils.rng import RngLike, as_rng, derive_seed
+from repro.utils.rrsets import FlatRRSets
 
 __all__ = ["KeywordTable", "sample_keyword_tables"]
 
@@ -41,12 +42,10 @@ class KeywordTable:
     """One keyword's offline sample table and the statistics the θ bounds
     and query planner (Eqn. 11) need at query time.
 
-    ``rr_sets`` is whatever the model's batched sampler produced — for
-    IC/LT and declared triggering models that is the flat
-    :class:`~repro.utils.rrsets.FlatRRSets` CSR, which the index writers
-    (``invert_csr``, ``partition_keyword``, the record encoders) consume
-    as-is (scalar-fallback models still deliver a plain list, flattened
-    once by ``FlatRRSets.from_sets``; both are ``Sequence[np.ndarray]``).
+    ``rr_sets`` is the keyword's θ_w RR sets as the model's sampler
+    returned them: one :class:`~repro.utils.rrsets.FlatRRSets`, which the
+    index writers (``invert_csr``, ``partition_keyword``, the record
+    encoders) read as-is.
     """
 
     name: str
@@ -56,7 +55,7 @@ class KeywordTable:
     idf: float
     phi_w: float
     opt_lower_bound: float
-    rr_sets: Sequence[np.ndarray]
+    rr_sets: FlatRRSets
 
     @property
     def mean_rr_size(self) -> float:

@@ -937,7 +937,8 @@ class SupervisedServerPool:
         is never poisoned by a request that could not be answered in
         time.  ``units`` is the request's weight in the shard's
         in-flight gauge (``len(batch)`` for a sub-batch, ``0`` for admin
-        fan-outs, which are not serving load).  On a worker *death* the
+        fan-outs, which are not serving load); every successful serving
+        round trip feeds the retry-after estimate.  On a worker *death* the
         request retries up to ``_MAX_RETRIES`` times on the freshly
         restarted worker (counted under ``retries`` for serving traffic
         only — ``units=0`` admin fan-outs retry silently).  Deadline misses poison the
@@ -957,8 +958,11 @@ class SupervisedServerPool:
                 )
             with record.lock:
                 record.inflight += units
+            started = time.perf_counter()
             try:
-                return self._workers[shard].request(method, payload, timeout=remaining)
+                result = self._workers[shard].request(
+                    method, payload, timeout=remaining
+                )
             except ServerError as exc:
                 # Time-stamped for the backoff window; the next request
                 # to the shard triggers healing.
@@ -971,6 +975,15 @@ class SupervisedServerPool:
                     raise
                 if units:
                     self._supervision.record_retry()
+            else:
+                if units:
+                    # The EWMA service-time estimate behind retry-after
+                    # hints: single queries and sub-batches alike (one
+                    # thread per shard updates it during a batch).
+                    elapsed = time.perf_counter() - started
+                    with self._admission_lock:
+                        self._ewma_latency += 0.2 * (elapsed - self._ewma_latency)
+                return result
             finally:
                 with record.lock:
                     record.inflight -= units
@@ -1014,15 +1027,9 @@ class SupervisedServerPool:
         self._check_open()
         self._admit(1)
         try:
-            started = time.perf_counter()
-            result = self._call_shard(
+            return self._call_shard(
                 self.shard_of(query), "query", query, deadline=self._deadline(timeout)
             )
-            # The EWMA service-time estimate behind retry-after hints.
-            self._ewma_latency += 0.2 * (
-                time.perf_counter() - started - self._ewma_latency
-            )
-            return result
         finally:
             self._release(1)
 

@@ -53,11 +53,11 @@ from repro.profiles.store import ProfileStore
 from repro.propagation.base import PropagationModel
 from repro.storage.compression import Codec, StreamDecoder
 from repro.storage.iostats import IOStats
-from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool
+from repro.storage.pager import BufferPool
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.storage.segments import SegmentWriter
 from repro.utils.rng import RngLike
-from repro.utils.rrsets import FlatRRSets
+from repro.utils.rrsets import FlatRRSets, group_by_vertex
 
 # KeywordMeta, build_keyword_meta and plan_theta_q live in core/catalog.py;
 # they stay importable from here (the benchmark and the tests do).
@@ -173,16 +173,14 @@ def write_rr_index(
             ),
         )
         for name in sorted(tables):
-            rr_sets = FlatRRSets.from_sets(tables[name].rr_sets)
+            rr_sets = tables[name].rr_sets
             writer.add(
                 f"rr/{name}",
                 RRSetsRecord.encode(rr_sets.ptr, rr_sets.vertices, codec),
             )
             writer.add(
                 f"inv/{name}",
-                InvertedListsRecord.encode(
-                    *invert_csr(rr_sets.sizes(), rr_sets.vertices), codec
-                ),
+                InvertedListsRecord.encode(*invert_csr(rr_sets), codec),
             )
     return build_report(path, tables, started)
 
@@ -192,9 +190,7 @@ def build_report(
 ) -> BuildReport:
     """The :class:`BuildReport` of a finished index file (either layout)."""
     total_sets = sum(len(table.rr_sets) for table in tables.values())
-    total_size = sum(
-        FlatRRSets.from_sets(table.rr_sets).total_size for table in tables.values()
-    )
+    total_size = sum(table.rr_sets.total_size for table in tables.values())
     return BuildReport(
         path=path,
         seconds=time.perf_counter() - started,
@@ -205,23 +201,19 @@ def build_report(
     )
 
 
-def invert_csr(
-    lengths: np.ndarray, flat: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert back-to-back RR sets into vertex-major CSR.
+def invert_csr(rr_sets: FlatRRSets) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert RR sets into the writers' vertex-major inverted lists.
 
-    ``flat`` holds the sets' vertices back to back, ``lengths[i]`` of
-    them for set ``i``.  Returns ``(keys, ptr, set_ids)``: the ascending
-    distinct vertices and, for ``keys[i]``, its ascending set ids
-    ``set_ids[ptr[i]:ptr[i+1]]``.  One stable argsort instead of a
-    per-vertex dict build; stability keeps each vertex's ids ascending.
+    Returns ``(keys, ptr, set_ids)``: the ascending distinct vertices
+    and, for ``keys[i]``, its ascending set ids ``set_ids[ptr[i]:ptr[i+1]]``
+    — :func:`~repro.utils.rrsets.group_by_vertex` with the vertices no
+    set holds left out.
     """
-    set_ids = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    order = np.argsort(flat, kind="stable")
-    sorted_vertices = flat[order]
-    # Vertex ids are non-negative, so position 0 always starts a run.
-    starts = np.flatnonzero(np.diff(sorted_vertices, prepend=-1))
-    return sorted_vertices[starts], np.append(starts, len(flat)), set_ids[order]
+    vertices = rr_sets.vertices
+    n_keys = int(vertices.max()) + 1 if vertices.size else 0
+    vtx_ptr, set_ids = group_by_vertex(n_keys, vertices, rr_sets.set_ids())
+    keys = np.flatnonzero(np.diff(vtx_ptr))
+    return keys, np.append(vtx_ptr[keys], len(vertices)), set_ids
 
 
 class KeywordCoverageCSR:
@@ -340,14 +332,13 @@ class RRIndex(IndexReader):
         *,
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
         prefix_cache_keywords: int = _PREFIX_CACHE_KEYWORDS,
     ) -> None:
         self.cache = BlockCache(prefix_cache_keywords)
         # Record headers + group offset tables, loaded once at open:
         # keyword -> (group_size, payload_len, payload_start, offsets).
         self._headers: Dict[str, Tuple[int, int, int, np.ndarray]] = {}
-        super().__init__(path, stats=stats, pool=pool, page_size=page_size)
+        super().__init__(path, stats=stats, pool=pool)
 
     def _load(self, parsed: Catalog) -> None:
         for name in self.catalog:

@@ -8,7 +8,9 @@ distribution:
 * discriminative WRIS (Section 4.1): roots ∝ ``tf_{v,w}`` per keyword.
 
 Given roots, every sampler delegates to the propagation model's
-``sample_rr_set`` — the model-agnosticism the paper inherits from RIS.
+``sample_rr_sets_batch`` — the model-agnosticism the paper inherits from
+RIS — and gets the batch back as one
+:class:`~repro.utils.rrsets.FlatRRSets`.
 """
 
 from __future__ import annotations
@@ -82,25 +84,18 @@ def sample_rr_sets(
     model: PropagationModel,
     roots: Sequence[int],
     rng: RngLike = None,
-) -> Sequence[np.ndarray]:
+) -> FlatRRSets:
     """One RR set per root, in root order.
 
     Dispatches to the model's batched multi-root sampler
-    (:meth:`~repro.propagation.base.PropagationModel.sample_rr_sets_batch`);
+    (:meth:`~repro.propagation.base.PropagationModel.sample_rr_sets_batch`):
     IC/LT and declared triggering distributions expand all θ walks
-    simultaneously with vectorised kernels and return the flat
-    :class:`~repro.utils.rrsets.FlatRRSets` CSR (a drop-in
-    ``Sequence[np.ndarray]``), while models without a batched kernel fall
-    back to per-root walks returning a list.
+    simultaneously with vectorised kernels, other models walk root by
+    root; either way the batch comes back as one ``FlatRRSets``.
     """
-    gen = as_rng(rng)
-    return model.sample_rr_sets_batch(roots, gen)
+    return model.sample_rr_sets_batch(roots, as_rng(rng))
 
 
-def mean_rr_set_size(rr_sets: Sequence[np.ndarray]) -> float:
+def mean_rr_set_size(rr_sets: FlatRRSets) -> float:
     """Average RR-set cardinality (the Table 5 "Mean RR size" column)."""
-    if not len(rr_sets):
-        return 0.0
-    if isinstance(rr_sets, FlatRRSets):
-        return rr_sets.total_size / len(rr_sets)
-    return float(sum(len(rr) for rr in rr_sets)) / len(rr_sets)
+    return rr_sets.total_size / len(rr_sets) if len(rr_sets) else 0.0

@@ -244,9 +244,10 @@ def run_table5(ctx: ExperimentContext) -> Table:
         thetas = [
             uncapped.theta_w(ds.graph.n, t.tf_sum, t.opt_lower_bound) for t in tables
         ]
-        sizes = [len(rr) for t in tables for rr in t.rr_sets]
+        n_sets = sum(len(t.rr_sets) for t in tables)
+        total_size = sum(t.rr_sets.total_size for t in tables)
         table.add_row(
-            ds.name, ds.graph.n, sum(thetas), float(np.mean(sizes)) if sizes else 0.0
+            ds.name, ds.graph.n, sum(thetas), total_size / n_sets if n_sets else 0.0
         )
     table.add_note(
         f"the indexes sample min(theta_w, {ctx.scale.policy.cap}) RR sets per keyword"

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.utils.rng import RngLike, as_rng
+from repro.utils.rrsets import FlatRRSets
 
 __all__ = ["PropagationModel", "validate_seed_set"]
 
@@ -46,20 +47,23 @@ class PropagationModel(ABC):
 
     def sample_rr_sets_batch(
         self, roots: Sequence[int], rng: RngLike = None
-    ) -> Sequence[np.ndarray]:
-        """Draw one RR set per root, in root order.
+    ) -> FlatRRSets:
+        """Draw one RR set per root, in root order, as one
+        :class:`~repro.utils.rrsets.FlatRRSets`.
 
-        The default walks :meth:`sample_rr_set` root by root and returns a
-        list; models with a vectorised multi-root sampler (IC, LT, and
-        declared triggering distributions) override this with a batched
-        kernel that draws from the same distribution and return the flat
-        :class:`~repro.utils.rrsets.FlatRRSets` CSR form directly.
-        Callers must treat scalar and batched results as statistically —
-        not bitwise — interchangeable, since a batched kernel consumes
-        the ``rng`` stream in a different order.
+        The default walks :meth:`sample_rr_set` root by root and flattens
+        the walks once — the only list-to-CSR conversion of sampled sets.
+        Models with a vectorised multi-root sampler (IC, LT, and declared
+        triggering distributions) override this with a batched kernel
+        that draws from the same distribution.  Callers must treat scalar
+        and batched results as statistically — not bitwise —
+        interchangeable, since a batched kernel consumes the ``rng``
+        stream in a different order.
         """
         gen = as_rng(rng)
-        return [self.sample_rr_set(int(root), gen) for root in roots]
+        return FlatRRSets.from_sets(
+            [self.sample_rr_set(int(root), gen) for root in roots]
+        )
 
     @abstractmethod
     def simulate(self, seeds: Sequence[int], rng: RngLike = None) -> np.ndarray:

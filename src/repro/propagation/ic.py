@@ -20,6 +20,7 @@ import numpy as np
 from repro.propagation.base import PropagationModel, validate_seed_set
 from repro.propagation.kernels import as_root_array, batched_bernoulli_rr
 from repro.utils.rng import RngLike, as_rng
+from repro.utils.rrsets import FlatRRSets
 
 __all__ = ["IndependentCascade"]
 
@@ -70,20 +71,16 @@ class IndependentCascade(PropagationModel):
 
     def sample_rr_sets_batch(
         self, roots: Sequence[int], rng: RngLike = None
-    ) -> Sequence[np.ndarray]:
+    ) -> FlatRRSets:
         """Batched multi-root reverse BFS: all roots expand level-locked.
 
         Delegates to the shared Bernoulli-edge kernel
         (:func:`~repro.propagation.kernels.batched_bernoulli_rr`) with the
-        graph's in-CSR probabilities, returning the flat
-        :class:`~repro.utils.rrsets.FlatRRSets` CSR that the coverage and
-        index layers consume without a list round trip.  Statistically
+        graph's in-CSR probabilities.  Statistically
         interchangeable with :meth:`sample_rr_set` (the tests check
         equivalence on shared seeds).
         """
         roots_arr = as_root_array(self.graph, roots)
-        if roots_arr.size == 0:
-            return []
         return batched_bernoulli_rr(
             self.graph, self.graph.in_prob, roots_arr, as_rng(rng)
         )

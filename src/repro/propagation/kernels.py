@@ -19,8 +19,9 @@ models keep as statistical references (they consume the ``rng`` stream
 in a different order, so equivalence is statistical, not bitwise — see
 ``tests/test_csr_fast_paths.py``).
 
-Results come back as :class:`~repro.utils.rrsets.FlatRRSets` — the flat
-CSR form the coverage engine and the index builders consume directly.
+Results come back as :class:`~repro.utils.rrsets.FlatRRSets`, the one
+form of a batch of RR sets that estimation, coverage and both index
+writers read; an empty root array yields an empty batch.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def _chunked(
     gen: np.random.Generator,
     chunk_kernel,
 ) -> FlatRRSets:
-    """Run a per-chunk kernel over root slices bounding the label state."""
+    """Run a per-chunk kernel over root slices bounding the label state
+    (no roots: no chunk, and the empty batch)."""
     chunk = max(1, _MAX_STATE_CELLS // max(graph.n, 1))
     parts = [
         chunk_kernel(roots[start : start + chunk], gen)

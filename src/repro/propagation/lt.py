@@ -34,6 +34,7 @@ from repro.propagation.kernels import (
     build_single_pick_keys,
 )
 from repro.utils.rng import RngLike, as_rng
+from repro.utils.rrsets import FlatRRSets
 from repro.utils.segments import segmented_arange
 
 __all__ = ["LinearThreshold"]
@@ -121,7 +122,7 @@ class LinearThreshold(PropagationModel):
 
     def sample_rr_sets_batch(
         self, roots: Sequence[int], rng: RngLike = None
-    ) -> Sequence[np.ndarray]:
+    ) -> FlatRRSets:
         """Batched multi-root reverse walk (level-locked single picks).
 
         Delegates to the shared single-pick kernel with the precomputed
@@ -129,8 +130,6 @@ class LinearThreshold(PropagationModel):
         :meth:`sample_rr_set` (the property tests check equivalence).
         """
         roots_arr = as_root_array(self.graph, roots)
-        if roots_arr.size == 0:
-            return []
         return batched_single_pick_rr(
             self.graph, self._pick_keys, roots_arr, as_rng(rng)
         )

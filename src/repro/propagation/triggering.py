@@ -35,6 +35,7 @@ from repro.propagation.kernels import (
     build_single_pick_keys,
 )
 from repro.utils.rng import RngLike, as_rng
+from repro.utils.rrsets import FlatRRSets
 
 __all__ = ["GeneralTriggering", "TriggerSampler"]
 
@@ -180,7 +181,7 @@ class GeneralTriggering(PropagationModel):
 
     def sample_rr_sets_batch(
         self, roots: Sequence[int], rng: RngLike = None
-    ) -> Sequence[np.ndarray]:
+    ) -> FlatRRSets:
         """Batched sampling when the trigger distribution is declared.
 
         ``edge_probs`` rides the Bernoulli kernel, ``pick_weights`` the
@@ -190,8 +191,6 @@ class GeneralTriggering(PropagationModel):
         if self.edge_probs is None and self.pick_weights is None:
             return super().sample_rr_sets_batch(roots, rng)
         roots_arr = as_root_array(self.graph, roots)
-        if roots_arr.size == 0:
-            return []
         gen = as_rng(rng)
         if self.edge_probs is not None:
             return batched_bernoulli_rr(self.graph, self.edge_probs, roots_arr, gen)

@@ -132,8 +132,8 @@ class PagedFile:
     pool:
         Optional shared buffer pool; a private 64-page pool is created when
         omitted.
-    page_size:
-        Fault granularity in bytes.
+
+    Pages (the fault granularity) are :data:`DEFAULT_PAGE_SIZE` bytes.
     """
 
     _next_file_id = 0
@@ -144,12 +144,9 @@ class PagedFile:
         *,
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
     ) -> None:
-        if page_size < 16:
-            raise StorageError(f"page_size must be >= 16, got {page_size}")
         self.path = os.fspath(path)
-        self.page_size = page_size
+        self.page_size = DEFAULT_PAGE_SIZE
         self.stats = stats if stats is not None else IOStats()
         self.pool = pool if pool is not None else BufferPool(64)
         self._fh = open(self.path, "rb")

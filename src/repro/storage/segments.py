@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import CorruptIndexError, StorageError
 from repro.storage.iostats import IOStats
-from repro.storage.pager import DEFAULT_PAGE_SIZE, BufferPool, PagedFile
+from repro.storage.pager import BufferPool, PagedFile
 
 __all__ = ["SegmentWriter", "SegmentReader", "SegmentInfo"]
 
@@ -136,11 +136,10 @@ class SegmentReader:
         *,
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
-        page_size: int = DEFAULT_PAGE_SIZE,
         verify: bool = False,
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
-        self._file = PagedFile(path, stats=self.stats, pool=pool, page_size=page_size)
+        self._file = PagedFile(path, stats=self.stats, pool=pool)
         self.path = self._file.path
         try:
             self._segments = self._load_toc()

@@ -1,24 +1,26 @@
-"""Flat-CSR container for a batch of RR sets.
+"""The one representation of a batch of RR sets, and its inversion.
 
-The batched samplers assemble all θ RR sets of a call into one pointer /
-payload pair; historically that pair was immediately split back into a
-Python list of per-set arrays, only for the downstream consumers
-(coverage instances, index builders, record encoders) to re-concatenate
-it.  :class:`FlatRRSets` keeps the flat layout end to end while remaining
-a drop-in ``Sequence[np.ndarray]``: indexing and iteration yield zero-copy
-views, so code written against a list of arrays keeps working, and code
-that knows about the CSR form (``CoverageInstance``, the index writers)
-can take ``ptr``/``vertices`` directly.
+Every sampler returns its θ RR sets as one :class:`FlatRRSets` — a CSR
+pointer / payload pair — and every consumer (OPT estimation, the
+coverage engine, both index writers) reads that pair directly.  A list
+of per-set arrays becomes flat in exactly two places: the scalar
+sampling fallback of :class:`~repro.propagation.base.PropagationModel`
+and the :class:`~repro.core.coverage.CoverageInstance` constructor,
+which accepts hand-written sets for tests, oracles and examples.
+
+:func:`group_by_vertex` is the one vertex → set-id inversion: the
+coverage instance, the query-time merge and the writers' ``invert_csr``
+all call it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Iterator, List, Union
+from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["FlatRRSets"]
+__all__ = ["FlatRRSets", "group_by_vertex"]
 
 
 class FlatRRSets(Sequence):
@@ -26,7 +28,8 @@ class FlatRRSets(Sequence):
 
     ``vertices[ptr[i]:ptr[i+1]]`` is the i-th RR set (sorted vertex ids).
     Instances are immutable by convention; the arrays are shared, never
-    copied, by every view handed out.
+    copied, by every view handed out.  Indexing and iteration yield
+    zero-copy per-set views.
     """
 
     __slots__ = ("ptr", "vertices")
@@ -42,17 +45,10 @@ class FlatRRSets(Sequence):
                 f"length ({len(self.vertices)})"
             )
 
-    # ------------------------------------------------------------------
-    # Sequence protocol (list-of-arrays compatibility)
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.ptr) - 1
 
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[np.ndarray, List[np.ndarray]]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> np.ndarray:
         n = len(self)
         if index < 0:
             index += n
@@ -66,12 +62,15 @@ class FlatRRSets(Sequence):
         for i in range(len(bounds) - 1):
             yield vertices[bounds[i] : bounds[i + 1]]
 
-    # ------------------------------------------------------------------
-    # CSR-aware helpers
-    # ------------------------------------------------------------------
     def sizes(self) -> np.ndarray:
         """Per-set cardinalities (length ``len(self)``)."""
         return np.diff(self.ptr)
+
+    def set_ids(self) -> np.ndarray:
+        """The id of the set each payload entry belongs to, aligned with
+        :attr:`vertices` — the other half of its ``(vertex, set id)``
+        pairs."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.sizes())
 
     @property
     def total_size(self) -> int:
@@ -91,7 +90,7 @@ class FlatRRSets(Sequence):
 
     @classmethod
     def concatenate(cls, parts: Sequence["FlatRRSets"]) -> "FlatRRSets":
-        """Stack several batches into one (used by the chunked kernels)."""
+        """Stack several batches into one, set ids renumbered in order."""
         if not parts:
             return cls(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
         if len(parts) == 1:
@@ -108,3 +107,18 @@ class FlatRRSets(Sequence):
 
     def __repr__(self) -> str:
         return f"FlatRRSets(n_sets={len(self)}, total_size={self.total_size})"
+
+
+def group_by_vertex(
+    n_vertices: int, vertices: np.ndarray, set_ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group aligned ``(vertex, set id)`` pairs by vertex.
+
+    Returns the dense CSR ``(vtx_ptr, vtx_sets)``: vertex ``v`` (in
+    ``[0, n_vertices)``) is paired with ``vtx_sets[vtx_ptr[v]:vtx_ptr[v+1]]``,
+    in the pairs' input order — one ``bincount`` for the pointers, one
+    stable argsort for the payload.
+    """
+    vtx_ptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vertices, minlength=n_vertices), out=vtx_ptr[1:])
+    return vtx_ptr, set_ids[np.argsort(vertices, kind="stable")]

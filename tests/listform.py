@@ -28,6 +28,5 @@ def encode_inverted_lists(lists, *args):
 def invert(sets):
     """Vertex → ascending RR-set ids (the ``L_w`` of Figure 2) as
     ``[(vertex, ids)]``, through the writers' own ``invert_csr``."""
-    flat = FlatRRSets.from_sets(sets)
-    keys, ptr, set_ids = invert_csr(flat.sizes(), flat.vertices)
+    keys, ptr, set_ids = invert_csr(FlatRRSets.from_sets(sets))
     return list(zip(keys.tolist(), np.split(set_ids, ptr[1:-1])))

@@ -25,13 +25,19 @@ def make_instance(n, sets):
     return CoverageInstance(n, [np.asarray(s, dtype=np.int64) for s in sets])
 
 
+def sets_of(instance: CoverageInstance, v: int) -> set:
+    """The ids of the sets holding ``v``, from the inverted CSR."""
+    ptr = instance.vtx_ptr
+    return set(instance.vtx_sets[ptr[v] : ptr[v + 1]].tolist())
+
+
 def brute_force_best(instance: CoverageInstance, k: int) -> int:
     """Optimal coverage value by exhaustive search."""
     best = 0
     for combo in combinations(range(instance.n_vertices), k):
         covered = set()
         for v in combo:
-            covered.update(instance.inverted.get(v, np.array([])).tolist())
+            covered |= sets_of(instance, v)
         best = max(best, len(covered))
     return best
 
@@ -50,11 +56,14 @@ class TestInstance:
         with pytest.raises(ValueError):
             CoverageInstance(-1, [])
 
-    def test_explicit_inverted_used(self):
+    def test_inverted_csr_is_derived_not_passed(self):
         sets = [np.array([0, 1]), np.array([1])]
-        inverted = {0: np.array([0]), 1: np.array([0, 1])}
-        inst = CoverageInstance(3, sets, inverted)
+        inst = CoverageInstance(3, sets)
+        assert inst.vtx_ptr.tolist() == [0, 1, 3, 3]
+        assert inst.vtx_sets.tolist() == [0, 0, 1]
         assert inst.counts().tolist() == [1, 2, 0]
+        with pytest.raises(TypeError):
+            CoverageInstance(3, sets, {0: np.array([0]), 1: np.array([0, 1])})
 
     def test_counts_is_fresh_per_call(self):
         """The kernel decrements its ``counts()`` in place; ours must not move."""
@@ -98,8 +107,7 @@ class TestGreedy:
         assert sum(marginals) >= (1 - 1 / np.e) * 4
         assert brute_force_best(inst, 2) == 4
         # {e, f} specifically covers everything, as Example 2 states.
-        covered = set(inst.inverted[e].tolist()) | set(inst.inverted[f].tolist())
-        assert len(covered) == 4
+        assert len(sets_of(inst, e) | sets_of(inst, f)) == 4
 
     def test_k_larger_than_vertices(self):
         inst = make_instance(2, [[0], [1]])

@@ -17,6 +17,7 @@ from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_, QueryError
+from repro.utils.rrsets import FlatRRSets
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +68,10 @@ class TestPartitioning:
     def partitions(rr_sets, delta):
         """``partition_keyword``'s CSR output as per-partition lists:
         ``il[p]`` = ``[(vertex, set ids)]``, ``ir[p]`` = claimed set ids,
-        ``ip`` = ``[(vertex, first set)]``."""
+        ``ip`` = ``[(vertex, first set)]``.  The literal ``rr_sets`` are
+        wrapped once into the samplers' ``FlatRRSets``."""
         (keys, ptr, ids), (ir_sets, part_ptr), (ip_keys, firsts) = partition_keyword(
-            rr_sets, delta
+            FlatRRSets.from_sets(rr_sets), delta
         )
         lists = [
             (int(k), ids[ptr[i] : ptr[i + 1]].tolist()) for i, k in enumerate(keys)

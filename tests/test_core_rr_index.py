@@ -1,6 +1,5 @@
 """Tests for the disk RR index (repro.core.rr_index) — Algorithms 1-2."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +9,6 @@ from repro.core.query import KBTIMQuery
 from repro.core.rr_index import (
     RRIndex,
     RRIndexBuilder,
-    build_report,
     plan_theta_q,
 )
 from repro.core.theta import ThetaPolicy
@@ -86,31 +84,21 @@ class TestBuild:
         assert hat.file_bytes > std.file_bytes
 
 
-    def test_report_is_equal_for_list_and_flat_tables(self, world, tmp_path):
-        """``build_report`` reads set sizes off CSR offsets: the list-form
-        tables of the ``GeneralTriggering`` fallback report what their
-        flat twins do, and both equal the per-set sum."""
+    def test_fallback_tables_are_flat_and_reported_per_set(self, world, tmp_path):
+        """The ``GeneralTriggering`` per-root fallback delivers
+        ``FlatRRSets`` as the kernels do, and ``build_report``'s sizes,
+        read off the CSR offsets, equal the per-set sum."""
         graph, _topics, profiles, _model = world
         opaque = GeneralTriggering(graph, lambda v, gen: graph.in_neighbors(v)[:2])
         builder = RRIndexBuilder(
             opaque, profiles, policy=ThetaPolicy(epsilon=1.0, K=20, cap=40), rng=8
         )
-        listed = builder.sample()
-        assert all(isinstance(t.rr_sets, list) for t in listed.values())
-        flat = {
-            name: dataclasses.replace(t, rr_sets=FlatRRSets.from_sets(t.rr_sets))
-            for name, t in listed.items()
-        }
-        path = str(tmp_path / "x.rr")
-        builder.build(path, tables=listed)
-        a, b = (
-            dataclasses.replace(build_report(path, tables, 0.0), seconds=0.0)
-            for tables in (listed, flat)
-        )
-        assert a == b
-        sizes = [len(rr) for t in listed.values() for rr in t.rr_sets]
-        assert a.theta_total == len(sizes)
-        assert a.mean_rr_set_size == sum(sizes) / len(sizes) > 1
+        tables = builder.sample()
+        assert all(isinstance(t.rr_sets, FlatRRSets) for t in tables.values())
+        report = builder.build(str(tmp_path / "x.rr"), tables=tables)
+        sizes = [len(rr) for t in tables.values() for rr in t.rr_sets]
+        assert report.theta_total == len(sizes)
+        assert report.mean_rr_set_size == sum(sizes) / len(sizes) > 1
 
 
 class TestOpen:

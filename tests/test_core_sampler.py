@@ -11,6 +11,7 @@ from repro.core.sampler import (
 )
 from repro.propagation.exact import exact_spread
 from repro.propagation.ic import IndependentCascade
+from repro.utils.rrsets import FlatRRSets
 
 
 class TestUniformRoots:
@@ -70,8 +71,8 @@ class TestSampleRRSets:
 
     def test_mean_size(self):
         sets = [np.array([1]), np.array([1, 2, 3])]
-        assert mean_rr_set_size(sets) == 2.0
-        assert mean_rr_set_size([]) == 0.0
+        assert mean_rr_set_size(FlatRRSets.from_sets(sets)) == 2.0
+        assert mean_rr_set_size(FlatRRSets.from_sets([])) == 0.0
 
 
 class TestLemma1Unbiasedness:

@@ -52,6 +52,43 @@ def model():
 # ----------------------------------------------------------------------
 # (a) batched sampler ≈ scalar sampler, statistically
 # ----------------------------------------------------------------------
+#: Every sampling path: the two native kernels, both declared triggering
+#: distributions, and an opaque trigger callable (the per-root fallback).
+SAMPLERS = {
+    "IC": IndependentCascade,
+    "LT": lambda g: LinearThreshold(g, weight_rng=37),
+    "TR-edge_probs": GeneralTriggering.independent,
+    "TR-pick_weights": lambda g: GeneralTriggering.single_pick(
+        g, LinearThreshold(g, weight_rng=37).weights
+    ),
+    "TR-opaque": lambda g: GeneralTriggering(
+        g, GeneralTriggering.independent(g).trigger_sampler
+    ),
+}
+
+
+class TestSamplerContract:
+    """Whatever the path, a batch is one ``FlatRRSets`` of ``len(roots)``
+    sorted sets, set ``i`` holding root ``i`` — no roots, the empty one."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return twitter_like(200, avg_degree=6, rng=35)
+
+    @pytest.mark.parametrize("n_roots", [0, 40])
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_batch_is_flat_sorted_and_rooted(self, graph, name, n_roots):
+        model = SAMPLERS[name](graph)
+        roots = np.random.default_rng(38).integers(0, graph.n, n_roots).tolist()
+        batch = model.sample_rr_sets_batch(roots, np.random.default_rng(39))
+        assert isinstance(batch, FlatRRSets)
+        assert len(batch) == len(roots)
+        for root, rr in zip(roots, batch):
+            assert root in rr
+            assert np.all(np.diff(rr) > 0)
+        assert np.all((batch.vertices >= 0) & (batch.vertices < graph.n))
+
+
 class TestBatchedSamplerEquivalence:
     THETA = 4000
 
@@ -137,9 +174,6 @@ class TestBatchedSamplerEquivalence:
         assert len(sets) == len(roots)
         for root, rr in zip(roots, sets):
             assert root in rr and np.all(np.diff(rr) > 0)
-
-    def test_empty_roots(self, model):
-        assert model.sample_rr_sets_batch([], np.random.default_rng(1)) == []
 
     def test_out_of_range_root_rejected(self, model):
         with pytest.raises(GraphError):
@@ -264,9 +298,6 @@ class TestLTBatchedSamplerEquivalence:
         for root, rr in zip(roots, sets):
             assert root in rr and np.all(np.diff(rr) > 0)
 
-    def test_empty_roots(self, lt_model):
-        assert lt_model.sample_rr_sets_batch([], np.random.default_rng(1)) == []
-
     def test_out_of_range_root_rejected(self, lt_model):
         with pytest.raises(GraphError):
             lt_model.sample_rr_sets_batch(
@@ -336,15 +367,6 @@ class TestTriggeringBatchedKernels:
             np.abs(counts_lt - counts_tr) / theta <= envelope + 1e-9
         )
 
-    def test_undeclared_distribution_falls_back_to_scalar(self, graph):
-        """An arbitrary callable keeps the per-root fallback (a list)."""
-        tr = GeneralTriggering(
-            graph, lambda v, gen: np.empty(0, dtype=np.int64)
-        )
-        batch = tr.sample_rr_sets_batch([3, 4], np.random.default_rng(9))
-        assert isinstance(batch, list)
-        assert [rr.tolist() for rr in batch] == [[3], [4]]
-
     def test_conflicting_declarations_rejected(self, graph):
         with pytest.raises(GraphError):
             GeneralTriggering(
@@ -377,9 +399,10 @@ class TestFlatRRSets:
         assert sets[1].tolist() == []
         assert sets[-1].tolist() == [1, 4, 9]
         assert [rr.tolist() for rr in sets] == [[3, 7], [], [1, 4, 9]]
-        assert [rr.tolist() for rr in sets[1:]] == [[], [1, 4, 9]]
         with pytest.raises(IndexError):
             sets[3]
+        with pytest.raises(TypeError):
+            sets[1:]  # one set per index; a batch is sliced by its ptr
         assert sets.sizes().tolist() == [2, 0, 3]
         assert sets.total_size == 5
 
@@ -635,20 +658,23 @@ class TestQueryLayerCSR:
             for vertex, set_ids in lists:
                 active = set_ids[: np.searchsorted(set_ids, count)]
                 if len(active):
-                    merged_inverted.setdefault(vertex, []).append(active + base)
+                    merged_inverted.setdefault(vertex, []).extend(active + base)
             base += count
         fast = merge_coverage_csr(n, parts)
-        legacy = CoverageInstance(
-            n,
-            merged_sets,
-            {v: np.concatenate(p) for v, p in merged_inverted.items()},
-        )
-        assert fast.n_sets == legacy.n_sets == base
-        assert fast.counts().tolist() == legacy.counts().tolist()
+        # The seed's dict merge, vertex by vertex, against the merged CSR.
+        ptr = fast.vtx_ptr
+        assert {
+            v: fast.vtx_sets[ptr[v] : ptr[v + 1]].tolist()
+            for v in range(n)
+            if ptr[v + 1] > ptr[v]
+        } == {v: [int(s) for s in ids] for v, ids in merged_inverted.items()}
+        derived = CoverageInstance(n, merged_sets)
+        assert fast.n_sets == derived.n_sets == base
+        assert fast.counts().tolist() == derived.counts().tolist()
         for k in (1, 4, 12):
             reference = seed_greedy_max_coverage(n, merged_sets, k)
             assert greedy_max_coverage(fast, k) == reference
-            assert greedy_max_coverage(legacy, k) == reference
+            assert greedy_max_coverage(derived, k) == reference
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,12 @@ from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder, write_rr_index
 from repro.core.theta import ThetaPolicy
 from repro.errors import CorruptIndexError, IndexError_, QueryError
+from repro.graph.generators import twitter_like
+from repro.profiles.generators import zipf_profiles
+from repro.profiles.topics import TopicSpace
+from repro.propagation.ic import IndependentCascade
+from repro.propagation.lt import LinearThreshold
+from repro.propagation.triggering import GeneralTriggering
 from repro.storage.compression import Codec
 from repro.storage.segments import SegmentReader, SegmentWriter
 from repro.utils.rrsets import FlatRRSets
@@ -404,8 +410,8 @@ def pinned_tables():
     on the writers and encoders alone, not on a numpy version's streams.
 
     Every 37th set is long (crosses a 128-id PFoR block and ends in an
-    outlier gap, i.e. an exception); ``book`` arrives as ``FlatRRSets``,
-    the batched samplers' native form, the others as lists of arrays.
+    outlier gap, i.e. an exception).  Each table's literal list of sets
+    is wrapped once into ``FlatRRSets``, the samplers' form.
     """
     tables = {}
     for topic_id, (name, n_sets) in enumerate(
@@ -421,10 +427,7 @@ def pinned_tables():
                     (i * 31 + j * j * 7 + topic_id * 3) % N_VERTICES
                     for j in range(size)
                 }
-            rr_sets.append(np.asarray(sorted(members), dtype=np.int64))
-        if name == "book":
-            ptr = np.concatenate(([0], np.cumsum([len(rr) for rr in rr_sets])))
-            rr_sets = FlatRRSets(ptr, np.concatenate(rr_sets))
+            rr_sets.append(sorted(members))
         tables[name] = KeywordTable(
             name=name,
             topic_id=topic_id,
@@ -433,7 +436,7 @@ def pinned_tables():
             idf=1.0 + topic_id / 8,
             phi_w=(12.5 + topic_id) * (1.0 + topic_id / 8),
             opt_lower_bound=3.0,
-            rr_sets=rr_sets,
+            rr_sets=FlatRRSets.from_sets(rr_sets),
         )
     return tables
 
@@ -474,3 +477,81 @@ class TestWritersAreByteStable:
             assert index.query(query).marginal_coverages == (
                 rr.query(query).marginal_coverages
             )
+
+
+# ----------------------------------------------------------------------
+# sampled builds: the whole pipeline, seed to bytes
+# ----------------------------------------------------------------------
+def sampled_model(name):
+    """One of the three sampling paths on a fixed 150-node graph: IC's
+    Bernoulli kernel, LT's single-pick kernel, and a triggering model
+    whose distribution is an opaque callable (the per-root fallback)."""
+    graph = twitter_like(150, avg_degree=12, rng=71)
+    if name == "IC":
+        return graph, IndependentCascade(graph)
+    if name == "LT":
+        return graph, LinearThreshold(graph, weight_rng=72)
+    opaque = GeneralTriggering.independent(graph).trigger_sampler
+    return graph, GeneralTriggering(graph, opaque)
+
+
+class TestSampledBuildsArePinned:
+    """SHA-256 of the RR and IRR files built end to end from one seed —
+    roots, OPT estimation, θ, RR sets, both writers — with each table's
+    ``(theta, opt_lower_bound)``.  Unlike :class:`TestWritersAreByteStable`
+    this pins the samplers and the estimator too: a rewrite that draws
+    from the RNG in another order, or re-groups a batch, moves it."""
+
+    PINNED = {
+        "IC": (
+            "f77603c1024e3c46e0e1e66fa9718252cbc0f13959787674dbd84e3e32d56a9e",
+            "ce9cf92a3ce4336ff8df39f52358c3347bb282118b9a61e166d611ddb8057f98",
+            {
+                "book": (2198, 1.9262552591011357),
+                "journal": (2263, 2.745134353765253),
+                "music": (2025, 2.452892498731756),
+                "software": (2565, 2.779315114712135),
+            },
+        ),
+        "LT": (
+            "c25117448ce4bed4de2a5cd64d752eda34f0d94e275f85e401dd24de3c7fa819",
+            "1da18e915e315dc88a4cad701b794c88e99e02f78a25845c57507834b8df026e",
+            {
+                "book": (1973, 2.146398717284123),
+                "journal": (2137, 2.906612845163209),
+                "music": (1973, 2.5174423013299605),
+                "software": (2137, 3.335178137654562),
+            },
+        ),
+        "TR": (
+            "2e55e122d42f6d42eba694363558605fede0b41057c3fd056eb018eee3ebb11c",
+            "b33d2d3a240383a46c42c328271426633df7db7c0cd81e1635f00a6b3fa1ebea",
+            {
+                "book": (2263, 1.871219394555389),
+                "journal": (1973, 3.148830582260143),
+                "music": (1973, 2.5174423013299605),
+                "software": (2850, 2.5013836032409213),
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_sampled_build_is_pinned(self, name, tmp_path):
+        graph, model = sampled_model(name)
+        profiles = zipf_profiles(graph.n, TopicSpace.default(4), rng=73)
+        policy = ThetaPolicy(epsilon=1.0, K=2, cap=None)
+        builder = RRIndexBuilder(model, profiles, policy=policy, rng=74)
+        tables = builder.sample()
+        digests = []
+        for kind, build in (
+            ("rr", builder),
+            ("irr", IRRIndexBuilder(model, profiles, policy=policy, delta=8)),
+        ):
+            path = str(tmp_path / f"s.{kind}")
+            build.build(path, tables=tables)
+            with open(path, "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+        observed = {
+            kw: (t.theta, t.opt_lower_bound) for kw, t in sorted(tables.items())
+        }
+        assert (*digests, observed) == self.PINNED[name]

@@ -5,6 +5,7 @@ import mmap
 import pytest
 
 from repro.errors import StorageError
+from repro.storage import pager
 from repro.storage.iostats import IOStats
 from repro.storage.pager import BufferPool, PagedFile
 
@@ -16,14 +17,21 @@ def data_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def small_pages(monkeypatch):
+    """Files opened in the test fault 1 KiB pages instead of 4 KiB."""
+    monkeypatch.setattr(pager, "DEFAULT_PAGE_SIZE", 1024)
+
+
 class TestPagedFileReads:
     def test_read_exact_bytes(self, data_file):
-        with PagedFile(data_file, page_size=4096) as f:
+        with PagedFile(data_file) as f:
             assert f.read(0, 4) == bytes([0, 1, 2, 3])
             assert f.read(255, 3) == bytes([255, 0, 1])
 
-    def test_read_spanning_pages(self, data_file):
-        with PagedFile(data_file, page_size=64) as f:
+    def test_read_spanning_pages(self, data_file, monkeypatch):
+        monkeypatch.setattr(pager, "DEFAULT_PAGE_SIZE", 64)
+        with PagedFile(data_file) as f:
             blob = f.read(60, 10)
             assert blob == (bytes(range(256)) * 64)[60:70]
 
@@ -47,26 +55,26 @@ class TestPagedFileReads:
 
 
 class TestAccounting:
-    def test_read_counts_pages(self, data_file):
+    def test_read_counts_pages(self, data_file, small_pages):
         stats = IOStats()
-        with PagedFile(data_file, stats=stats, page_size=1024) as f:
+        with PagedFile(data_file, stats=stats) as f:
             f.read(0, 3000)  # touches 3 pages
         assert stats.read_calls == 1
         assert stats.pages_read == 3
         assert stats.bytes_read == 3000
 
-    def test_cache_hits_counted(self, data_file):
+    def test_cache_hits_counted(self, data_file, small_pages):
         stats = IOStats()
-        with PagedFile(data_file, stats=stats, page_size=1024) as f:
+        with PagedFile(data_file, stats=stats) as f:
             f.read(0, 100)
             f.read(10, 100)  # same page, now cached
         assert stats.pages_read == 1
         assert stats.pages_hit == 1
         assert stats.hit_ratio == pytest.approx(0.5)
 
-    def test_snapshot_delta(self, data_file):
+    def test_snapshot_delta(self, data_file, small_pages):
         stats = IOStats()
-        with PagedFile(data_file, stats=stats, page_size=1024) as f:
+        with PagedFile(data_file, stats=stats) as f:
             f.read(0, 10)
             before = stats.snapshot()
             f.read(5000, 10)
@@ -81,10 +89,10 @@ class TestAccounting:
 
 
 class TestBufferPool:
-    def test_lru_eviction(self, data_file):
+    def test_lru_eviction(self, data_file, small_pages):
         pool = BufferPool(capacity_pages=2)
         stats = IOStats()
-        with PagedFile(data_file, stats=stats, pool=pool, page_size=1024) as f:
+        with PagedFile(data_file, stats=stats, pool=pool) as f:
             f.read(0, 1)      # page 0
             f.read(1024, 1)   # page 1
             f.read(2048, 1)   # page 2 -> evicts page 0
@@ -92,9 +100,10 @@ class TestBufferPool:
         assert stats.pages_read == 4
         assert stats.pages_hit == 0
 
-    def test_capacity_respected(self, data_file):
+    def test_capacity_respected(self, data_file, monkeypatch):
+        monkeypatch.setattr(pager, "DEFAULT_PAGE_SIZE", 512)
         pool = BufferPool(capacity_pages=3)
-        with PagedFile(data_file, pool=pool, page_size=512) as f:
+        with PagedFile(data_file, pool=pool) as f:
             for i in range(10):
                 f.read(i * 512, 1)
         assert len(pool) <= 3
@@ -114,9 +123,9 @@ class TestBufferPool:
             assert fa.read(1, 1) == b"A"
         assert stats.pages_hit == 1
 
-    def test_invalidate_file_on_close(self, data_file):
+    def test_invalidate_file_on_close(self, data_file, small_pages):
         pool = BufferPool(capacity_pages=8)
-        f = PagedFile(data_file, pool=pool, page_size=1024)
+        f = PagedFile(data_file, pool=pool)
         f.read(0, 1)
         assert len(pool) == 1
         f.close()
@@ -126,22 +135,24 @@ class TestBufferPool:
         with pytest.raises(StorageError):
             BufferPool(0)
 
-    def test_bad_page_size_rejected(self, data_file):
-        with pytest.raises(StorageError):
-            PagedFile(data_file, page_size=4)
+    def test_page_size_is_the_module_constant(self, data_file, small_pages):
+        with PagedFile(data_file) as f:
+            assert f.page_size == 1024
+        with pytest.raises(TypeError):
+            PagedFile(data_file, page_size=4)  # not an option
 
 
 class TestInvalidateFileIndex:
     """invalidate_file uses a per-file key index (O(pages of that file))."""
 
-    def test_only_target_file_dropped(self, tmp_path):
+    def test_only_target_file_dropped(self, tmp_path, small_pages):
         a = tmp_path / "a.bin"
         b = tmp_path / "b.bin"
         a.write_bytes(b"A" * 8192)
         b.write_bytes(b"B" * 8192)
         pool = BufferPool(capacity_pages=16)
-        fa = PagedFile(a, pool=pool, page_size=1024)
-        fb = PagedFile(b, pool=pool, page_size=1024)
+        fa = PagedFile(a, pool=pool)
+        fb = PagedFile(b, pool=pool)
         for i in range(4):
             fa.read(i * 1024, 1)
             fb.read(i * 1024, 1)
@@ -153,12 +164,12 @@ class TestInvalidateFileIndex:
         fb.close()
         assert len(pool) == 0
 
-    def test_index_survives_eviction_churn(self, tmp_path):
+    def test_index_survives_eviction_churn(self, tmp_path, small_pages):
         """Evicted pages leave the per-file index consistent."""
         path = tmp_path / "c.bin"
         path.write_bytes(b"C" * 16384)
         pool = BufferPool(capacity_pages=3)
-        f = PagedFile(path, pool=pool, page_size=1024)
+        f = PagedFile(path, pool=pool)
         for i in range(16):  # far more pages than capacity
             f.read(i * 1024, 1)
         assert len(pool) == 3

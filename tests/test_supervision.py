@@ -417,6 +417,21 @@ class TestAdmissionControl:
             assert not errors  # the admitted query completed normally
             assert pool.stats.sheds == 1
 
+    def test_batch_traffic_moves_the_retry_after_hint(self, setup):
+        # A client that only sends batches still teaches the pool its
+        # service time: the hint leaves its 5 ms seed after one batch.
+        path, _profiles = setup
+        query = KBTIMQuery(("music",), 3)
+        with SupervisedServerPool(path, n_workers=2, max_inflight=1) as pool:
+            started = time.perf_counter()
+            assert pool.query_batch([query])
+            spent = time.perf_counter() - started
+            with pytest.raises(OverloadedError) as excinfo:
+                pool.query_batch([query, query])
+            hint = excinfo.value.retry_after
+            assert hint != 0.005
+            assert 1e-3 <= hint <= 0.8 * 0.005 + 0.2 * spent
+
     def test_batch_admission_is_all_or_nothing(self, setup, workload):
         path, _profiles = setup
         with SupervisedServerPool(path, n_workers=2, max_inflight=5) as pool:
