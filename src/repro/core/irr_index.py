@@ -80,7 +80,7 @@ from repro.storage.pager import BufferPool
 from repro.storage.records import InvertedListsRecord
 from repro.storage.segments import SegmentWriter
 from repro.utils.rrsets import FlatRRSets
-from repro.utils.segments import take_rows
+from repro.utils.segments import segmented_arange, take_rows
 
 __all__ = ["IRRIndexBuilder", "IRRIndex", "DEFAULT_PARTITION_SIZE"]
 
@@ -423,21 +423,11 @@ def _load_round(index: "IRRIndex", state: _NRAState) -> bool:
     return loaded
 
 
-def _gather(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``flat[starts[i] : starts[i] + lengths[i]]`` for every ``i`` (at least
-    one), concatenated — the gather ``greedy_max_coverage`` inlines; it runs
-    twice per pick, where ``segmented_arange``'s extra calls are measurable."""
-    ends = lengths.cumsum()
-    index = np.arange(ends.item(-1))
-    index += (starts - (ends - lengths)).repeat(lengths)
-    return flat.take(index)
-
-
 def _cover(state: _NRAState, vertex: int) -> None:
     """Stage 5 (lines 17-22): cover a confirmed seed's RR sets — one pass
     over its lists under all keywords, whatever their number."""
-    ids = _gather(
-        state.lists_flat, state.list_start[:, vertex], state.list_len[:, vertex]
+    ids = state.lists_flat.take(
+        segmented_arange(state.list_start[:, vertex], state.list_len[:, vertex])
     )
     fresh = ids.compress(~state.covered.take(ids))
     if not len(fresh):
@@ -445,8 +435,8 @@ def _cover(state: _NRAState, vertex: int) -> None:
     state.covered[fresh] = True
     # A set whose partition is not ingested yet has length 0 here: its
     # members' lists are not loaded either, so nothing is owed to them.
-    members = _gather(
-        state.members_flat, state.mem_start.take(fresh), state.mem_len.take(fresh)
+    members = state.members_flat.take(
+        segmented_arange(state.mem_start.take(fresh), state.mem_len.take(fresh))
     )
     # Every member of a newly covered set whose list (for that set's
     # keyword) is loaded loses one unit of score — and its bound carries

@@ -497,16 +497,16 @@ def shard_of_keyword(name: str, n_shards: int) -> int:
     return zlib.crc32(name.encode("utf-8")) % n_shards
 
 
-def _sharded_batch(queries, shard_of, run_subbatch, concurrent: bool):
+def _sharded_batch(queries, shard_of, run_subbatch):
     """Split a batch by shard, run each sub-batch, reassemble in order.
 
     The dispatch loop behind :meth:`SupervisedServerPool.query_batch`.
 
     ``shard_of`` maps a query to its shard; ``run_subbatch(shard,
-    sub_queries)`` answers one shard's queries in order.  With
-    ``concurrent=True`` populated shards run on one thread each; a
+    sub_queries)`` answers one shard's queries in order.  Populated
+    shards run on one thread each (a lone one on the calling thread); a
     failing sub-batch propagates its exception (first submitted future
-    wins), and other shards' sub-batches may still have completed.
+    wins), and every other shard's sub-batch still runs to completion.
     """
     by_shard: Dict[int, List[int]] = {}
     for pos, query in enumerate(queries):
@@ -518,7 +518,7 @@ def _sharded_batch(queries, shard_of, run_subbatch, concurrent: bool):
         for pos, answer in zip(positions, answers):
             results[pos] = answer
 
-    if concurrent and len(by_shard) > 1:
+    if len(by_shard) > 1:
         with ThreadPoolExecutor(max_workers=len(by_shard)) as executor:
             futures = [
                 executor.submit(run_shard, shard, positions)
@@ -1037,19 +1037,18 @@ class SupervisedServerPool:
         self,
         queries: Sequence[KBTIMQuery],
         *,
-        concurrent: bool = True,
         timeout: Optional[float] = None,
     ) -> List[SeedSelection]:
-        """Answer a batch, sharded and (optionally) in parallel.
+        """Answer a batch, sharded and in parallel.
 
         The batch is split by shard, each populated shard's sub-batch
         runs through its worker's :meth:`KBTIMServer.query_batch` (one
         shared load per keyword at the maximum requested prefix) as one
         round trip — healed and retried as a unit — and results return
-        in input order.  With ``concurrent=True`` the sub-batches are
-        issued on one thread per populated shard, so they execute on as
-        many cores.  The whole batch shares one deadline and is
-        admitted as ``len(queries)`` units against the in-flight budget.
+        in input order.  The sub-batches are issued on one thread per
+        populated shard, so they execute on as many cores.  The whole
+        batch shares one deadline and is admitted as ``len(queries)``
+        units against the in-flight budget.
 
         Raises
         ------
@@ -1078,7 +1077,6 @@ class SupervisedServerPool:
                 lambda shard, sub: self._call_shard(
                     shard, "query_batch", sub, deadline=deadline, units=len(sub)
                 ),
-                concurrent,
             )
         finally:
             self._release(len(queries))

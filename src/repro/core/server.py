@@ -318,7 +318,7 @@ SHARD_DEGRADED = "degraded"
 SHARD_DRAINED = "drained"
 
 #: Version of the :meth:`PoolSnapshot.to_dict` document.
-SNAPSHOT_SCHEMA = 3
+SNAPSHOT_SCHEMA = 4
 
 
 @dataclass(frozen=True)

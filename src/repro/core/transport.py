@@ -18,9 +18,8 @@ Frame layout (little-endian, 8-byte words)::
     seeds    int64[S]    all seed ids, back to back
     marg     int64[S]    marginal coverages, aligned with seeds
     theta    int64[n]
-    ints     int64[n,9]  rr_considered, rr_loaded, partitions,
-                         read_calls, pages_read, pages_hit, bytes_read,
-                         write_calls, bytes_written
+    ints     int64[n,7]  rr_considered, rr_loaded, partitions,
+                         read_calls, pages_read, pages_hit, bytes_read
     floats   f64[n,2]    phi_q, elapsed_seconds
 
 Protocol invariants:
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import struct
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,8 +64,9 @@ except ImportError:  # pragma: no cover - non-POSIX builds
 __all__ = ["ResponseWriter", "ResponseReader", "unlink_segment"]
 
 _FRAME_MAGIC = 0x4B42_5449_4D52_5350  # "KBTIMRSP"
-_HEADER_WORDS = 4
-_INT_COLS = 9
+_HEADER = struct.Struct("<4q")  # magic, seq, n_queries, total_seeds
+_HEADER_WORDS = _HEADER.size // 8
+_INT_COLS = 7
 _FLOAT_COLS = 2
 
 #: Initial response-segment size; covers typical batches without a grow.
@@ -141,15 +142,28 @@ def transport_available() -> bool:
 
 def _frame_nbytes(n: int, total_seeds: int) -> int:
     """Exact byte length of a frame holding ``n`` answers."""
-    words = (
-        _HEADER_WORDS
-        + (n + 1)
-        + 2 * total_seeds
-        + n
-        + n * _INT_COLS
-        + n * _FLOAT_COLS
+    return 8 * (
+        _HEADER_WORDS + (n + 1) + 2 * total_seeds + n * (1 + _INT_COLS + _FLOAT_COLS)
     )
-    return words * 8
+
+
+def _frame_arrays(buf, n: int, total_seeds: int) -> Tuple[np.ndarray, ...]:
+    """``(qptr, seeds, marg, theta, ints, floats)``: the arrays after the
+    header of a frame holding ``n`` answers, as views into ``buf``."""
+    seeds_at = _HEADER_WORDS + n + 1
+    marg_at = seeds_at + total_seeds
+    theta_at = marg_at + total_seeds
+    ints_at = theta_at + n
+    floats_at = ints_at + n * _INT_COLS
+    words = np.frombuffer(buf, dtype="<i8", count=floats_at + n * _FLOAT_COLS)
+    return (
+        words[_HEADER_WORDS:seeds_at],
+        words[seeds_at:marg_at],
+        words[marg_at:theta_at],
+        words[theta_at:ints_at],
+        words[ints_at:floats_at].reshape(n, _INT_COLS),
+        words[floats_at:].view("<f8").reshape(n, _FLOAT_COLS),
+    )
 
 
 class ResponseWriter:
@@ -201,27 +215,12 @@ class ResponseWriter:
         total_seeds = sum(counts)
         nbytes = _frame_nbytes(n, total_seeds)
         self._ensure_capacity(nbytes)
-        words = np.frombuffer(self._shm.buf, dtype="<i8", count=nbytes // 8)
-        words[0] = _FRAME_MAGIC
-        words[1] = seq
-        words[2] = n
-        words[3] = total_seeds
-        pos = _HEADER_WORDS
-        qptr = words[pos : pos + n + 1]
+        _HEADER.pack_into(self._shm.buf, 0, _FRAME_MAGIC, seq, n, total_seeds)
+        qptr, seeds, marg, theta, ints, floats = _frame_arrays(
+            self._shm.buf, n, total_seeds
+        )
         qptr[0] = 0
         np.cumsum(np.asarray(counts, dtype=np.int64), out=qptr[1:])
-        pos += n + 1
-        seeds = words[pos : pos + total_seeds]
-        pos += total_seeds
-        marg = words[pos : pos + total_seeds]
-        pos += total_seeds
-        theta = words[pos : pos + n]
-        pos += n
-        ints = words[pos : pos + n * _INT_COLS].reshape(n, _INT_COLS)
-        pos += n * _INT_COLS
-        floats = np.frombuffer(
-            self._shm.buf, dtype="<f8", count=n * _FLOAT_COLS, offset=pos * 8
-        ).reshape(n, _FLOAT_COLS)
         for i, sel in enumerate(selections):
             lo, hi = int(qptr[i]), int(qptr[i + 1])
             seeds[lo:hi] = sel.seeds
@@ -237,8 +236,6 @@ class ResponseWriter:
                 io.pages_read,
                 io.pages_hit,
                 io.bytes_read,
-                io.write_calls,
-                io.bytes_written,
             )
             floats[i, 0] = sel.phi_q
             floats[i, 1] = st.elapsed_seconds
@@ -297,32 +294,17 @@ class ResponseReader:
                 f"response frame of {nbytes} bytes exceeds segment "
                 f"{self.name!r} ({shm.size} bytes)"
             )
-        words = np.frombuffer(shm.buf, dtype="<i8", count=nbytes // 8)
-        if int(words[0]) != _FRAME_MAGIC or int(words[1]) != seq:
+        magic, got_seq, n, total_seeds = _HEADER.unpack_from(shm.buf)
+        if magic != _FRAME_MAGIC or got_seq != seq:
             raise ServerError(
                 f"response segment {self.name!r} frame header mismatch "
                 f"(expected seq {seq}) — transport desynchronised"
             )
-        n = int(words[2])
-        total_seeds = int(words[3])
         if _frame_nbytes(n, total_seeds) != nbytes:
             raise ServerError(
                 f"response segment {self.name!r} frame length mismatch"
             )
-        pos = _HEADER_WORDS
-        qptr = words[pos : pos + n + 1]
-        pos += n + 1
-        seeds = words[pos : pos + total_seeds]
-        pos += total_seeds
-        marg = words[pos : pos + total_seeds]
-        pos += total_seeds
-        theta = words[pos : pos + n]
-        pos += n
-        ints = words[pos : pos + n * _INT_COLS].reshape(n, _INT_COLS)
-        pos += n * _INT_COLS
-        floats = np.frombuffer(
-            shm.buf, dtype="<f8", count=n * _FLOAT_COLS, offset=pos * 8
-        ).reshape(n, _FLOAT_COLS)
+        qptr, seeds, marg, theta, ints, floats = _frame_arrays(shm.buf, n, total_seeds)
         out: List[SeedSelection] = []
         for i in range(n):
             lo, hi = int(qptr[i]), int(qptr[i + 1])
@@ -332,8 +314,6 @@ class ResponseReader:
                 pages_read=int(row[4]),
                 pages_hit=int(row[5]),
                 bytes_read=int(row[6]),
-                write_calls=int(row[7]),
-                bytes_written=int(row[8]),
             )
             stats = QueryStats(
                 elapsed_seconds=float(floats[i, 1]),

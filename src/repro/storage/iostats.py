@@ -3,11 +3,11 @@
 Table 6 of the paper reports the *number of I/Os* issued by the IRR index
 as ``Q.k`` grows.  To reproduce that as a measurement, every read path in
 the storage layer is routed through an :class:`IOStats` instance that
-counts
+counts (queries never write, so only reads are counted)
 
 * ``read_calls`` — logical read requests (one per contiguous range, the
   closest analogue to the paper's "number of I/O"),
-* ``pages_read`` — physical pages fetched from the file,
+* ``pages_read`` — pages not resident in the buffer pool (physical reads),
 * ``pages_hit`` — pages served from the buffer pool,
 * ``bytes_read`` — payload bytes returned.
 
@@ -39,8 +39,6 @@ class IOStats:
     pages_read: int = 0
     pages_hit: int = 0
     bytes_read: int = 0
-    write_calls: int = 0
-    bytes_written: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -69,12 +67,6 @@ class IOStats:
             self.pages_hit += pages_hit
             self.bytes_read += nbytes
 
-    def record_write(self, nbytes: int) -> None:
-        """Account one write of ``nbytes``."""
-        with self._lock:
-            self.write_calls += 1
-            self.bytes_written += nbytes
-
     def snapshot(self) -> "IOStats":
         """An immutable-by-convention copy of the current counters.
 
@@ -87,8 +79,6 @@ class IOStats:
                 pages_read=self.pages_read,
                 pages_hit=self.pages_hit,
                 bytes_read=self.bytes_read,
-                write_calls=self.write_calls,
-                bytes_written=self.bytes_written,
             )
 
     def add(self, other: "IOStats") -> None:
@@ -103,8 +93,6 @@ class IOStats:
             self.pages_read += other.pages_read
             self.pages_hit += other.pages_hit
             self.bytes_read += other.bytes_read
-            self.write_calls += other.write_calls
-            self.bytes_written += other.bytes_written
 
     def delta(self, since: "IOStats") -> "IOStats":
         """Counters accumulated since a :meth:`snapshot`."""
@@ -113,8 +101,6 @@ class IOStats:
             pages_read=self.pages_read - since.pages_read,
             pages_hit=self.pages_hit - since.pages_hit,
             bytes_read=self.bytes_read - since.bytes_read,
-            write_calls=self.write_calls - since.write_calls,
-            bytes_written=self.bytes_written - since.bytes_written,
         )
 
     def to_dict(self) -> dict:
@@ -129,8 +115,6 @@ class IOStats:
             self.pages_read = 0
             self.pages_hit = 0
             self.bytes_read = 0
-            self.write_calls = 0
-            self.bytes_written = 0
 
     @property
     def hit_ratio(self) -> float:

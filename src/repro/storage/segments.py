@@ -15,10 +15,10 @@ first-occurrence maps.  This module provides the container:
 ```
 
 Writers stream segments sequentially (index construction is append-only);
-readers fetch byte ranges through a
-:class:`~repro.storage.pager.PagedFile` — ``mmap``-backed where the
-platform allows — so every access is accounted, and the ``*_view``
-accessors hand decoders zero-copy ``memoryview`` slices of the map.
+readers fetch byte ranges through an ``mmap``-backed
+:class:`~repro.storage.pager.PagedFile`, so every access is accounted,
+and the ``*_view`` accessors hand decoders zero-copy ``memoryview``
+slices of the map.
 Per-segment CRCs catch torn writes and give
 :class:`~repro.errors.CorruptIndexError` a concrete meaning.
 """
@@ -66,13 +66,10 @@ class SegmentWriter:
             writer.add("inv/music", inv_bytes)
     """
 
-    def __init__(self, path: PathLike, *, stats: Optional[IOStats] = None) -> None:
+    def __init__(self, path: PathLike) -> None:
         self.path = os.fspath(path)
-        self.stats = stats if stats is not None else IOStats()
         self._fh = open(self.path, "wb")
-        header = _HEADER.pack(_MAGIC, _VERSION, 0)
-        self._fh.write(header)
-        self.stats.record_write(len(header))
+        self._fh.write(_HEADER.pack(_MAGIC, _VERSION, 0))
         self._segments: List[SegmentInfo] = []
         self._names: Dict[str, int] = {}
         self._offset = _HEADER.size
@@ -87,7 +84,6 @@ class SegmentWriter:
         if name in self._names:
             raise StorageError(f"duplicate segment name {name!r}")
         self._fh.write(payload)
-        self.stats.record_write(len(payload))
         info = SegmentInfo(
             name=name,
             offset=self._offset,
@@ -113,7 +109,6 @@ class SegmentWriter:
         footer = _FOOTER.pack(toc_offset, zlib.crc32(bytes(toc)))
         self._fh.write(bytes(toc))
         self._fh.write(footer)
-        self.stats.record_write(len(toc) + len(footer))
         self._fh.close()
         self._finalized = True
 
@@ -136,16 +131,12 @@ class SegmentReader:
         *,
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
-        verify: bool = False,
     ) -> None:
         self.stats = stats if stats is not None else IOStats()
         self._file = PagedFile(path, stats=self.stats, pool=pool)
         self.path = self._file.path
         try:
             self._segments = self._load_toc()
-            if verify:
-                for name in self._segments:
-                    self.read(name)
         except BaseException:
             # A reader that failed to open owns nothing: the traceback
             # keeps ``self`` alive, so the file and map must not wait
@@ -215,11 +206,10 @@ class SegmentReader:
     def read_view(self, name: str) -> memoryview:
         """Read a full segment as a zero-copy ``memoryview``, CRC-checked.
 
-        On an ``mmap``-backed file the view aliases the map — decoders
-        consume it without any intermediate ``bytes`` materialisation.
-        One logical I/O, like :meth:`read`.  See
-        :meth:`repro.storage.pager.PagedFile.read_view` for lifetime
-        rules.
+        The view aliases the file map — decoders consume it without any
+        intermediate ``bytes`` materialisation.  One logical I/O, like
+        :meth:`read`.  See :meth:`repro.storage.pager.PagedFile.read_view`
+        for lifetime rules.
         """
         info = self.info(name)
         payload = self._file.read_view(info.offset, info.length)
@@ -242,7 +232,7 @@ class SegmentReader:
         """Zero-copy variant of :meth:`read_range`.
 
         Returns a ``memoryview`` of ``length`` bytes at ``start`` within
-        the segment, aliasing the file map where possible.  Like
+        the segment, aliasing the file map.  Like
         :meth:`read_range`, partial reads cannot be CRC-verified.
         """
         info = self.info(name)

@@ -4,7 +4,7 @@ The recurring primitive of the vectorised pipeline: given per-segment
 ``starts`` and ``lengths``, produce the concatenated index array
 ``[starts[0], .., starts[0]+lengths[0]-1, starts[1], ...]`` without a
 Python loop.  Implemented as one ``arange`` over the total plus a
-per-element repeated shift.
+per-element repeated shift: three array passes (cumsum, arange, shift).
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ def segmented_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(start, start+length)`` for every segment.
 
     ``lengths`` may contain zeros (those segments contribute nothing).
-    Both inputs must be int64 arrays of equal length >= 1.
+    Both inputs must be integer arrays of equal length >= 1.  The
+    gather behind the kernels' frontier expansion, :func:`take_rows`,
+    the IRR cover step and every greedy pick, so it stays at the
+    minimum of array ops.
     """
-    shift = np.empty(len(lengths), dtype=np.int64)
-    shift[0] = 0
-    np.cumsum(lengths[:-1], out=shift[1:])
-    np.subtract(starts, shift, out=shift)
-    index = np.arange(int(lengths.sum()), dtype=np.int64)
-    index += shift.repeat(lengths)
+    ends = lengths.cumsum()
+    index = np.arange(ends.item(-1))
+    index += (starts - (ends - lengths)).repeat(lengths)
     return index
 
 

@@ -115,7 +115,7 @@ class TestOneRuleNoSwitch:
     def test_snapshot_carries_no_routing_gauges(self):
         fields = [field.name for field in dataclasses.fields(PoolSnapshot)]
         assert fields == ["health", "workers", "stats", "io"]
-        assert SNAPSHOT_SCHEMA == 3
+        assert SNAPSHOT_SCHEMA == 4
 
 
 @pytest.fixture(scope="module")

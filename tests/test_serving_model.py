@@ -366,11 +366,11 @@ class ServingModel(RuleBasedStateMachine):
         if want is not None:
             self.same_answer(query, got, want, home[0])
 
-    @rule(queries=st.lists(MEMBERS, min_size=1, max_size=4), concurrent=st.booleans())
-    def query_batch(self, queries, concurrent):
+    @rule(queries=st.lists(MEMBERS, min_size=1, max_size=4))
+    def query_batch(self, queries):
         batch = self.pool.query_batch
         assert batch([]) == []  # not admitted, sent nowhere
-        got, error = _outcome(lambda: batch(queries, concurrent=concurrent))
+        got, error = _outcome(lambda: batch(queries))
         self.n_queries += 1
         answered = {}  # position -> (shard, model answer)
 
@@ -386,9 +386,7 @@ class ServingModel(RuleBasedStateMachine):
                     run = self.shards[s].run
                     answers = run(lambda server: server.query_batch(part))
                 except Refused as exc:
-                    first = first or exc
-                    if not concurrent:
-                        break
+                    first = first or exc  # every other shard still runs
                     continue
                 answered.update((pos, (s, a)) for pos, a in zip(sub, answers))
             if first is not None:

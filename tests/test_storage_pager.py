@@ -1,6 +1,9 @@
 """Tests for the paged file and buffer pool (repro.storage.pager)."""
 
 import mmap
+import os
+import random
+from collections import OrderedDict
 
 import pytest
 
@@ -183,35 +186,40 @@ class TestInvalidateFileIndex:
         assert len(pool) == 0
 
 
-def _open_unmapped(path, monkeypatch, **kwargs) -> PagedFile:
-    """Open ``path`` the way production lands on the positioned-read
-    fallback: ``mmap`` itself refuses (only the constructor maps, so the
-    patch is undone before returning)."""
-
-    def refuse(*_args, **_kwargs):
-        raise OSError("mmap unavailable")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(mmap, "mmap", refuse)
-        return PagedFile(path, **kwargs)
+def _descriptors_on(path) -> int:
+    """How many of this process's descriptors point at ``path``."""
+    target = os.path.realpath(path)
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") == target
+        except OSError:
+            continue  # the listing's own descriptor, already closed
+    return count
 
 
 class TestMmapViews:
-    """PR 8: mmap-backed reads and zero-copy views.
+    """One page path: every non-empty file is mapped at open, reads are
+    zero-copy views of the map, and the pool tracks page residency."""
 
-    The mapped path must be byte- and *accounting*-identical to the
-    copying fallback — same payloads, same pages_read/pages_hit
-    sequences including eviction-driven re-reads.
-    """
+    def test_unmappable_file_fails_at_open(self, data_file, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise OSError("mmap unavailable")
 
-    def test_nonempty_file_is_mapped_by_default(self, data_file):
-        with PagedFile(data_file) as f:
-            assert f.mapped
+        before = _descriptors_on(data_file)
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        with pytest.raises(StorageError, match="cannot map"):
+            PagedFile(data_file)
+        assert _descriptors_on(data_file) == before
 
-    def test_failed_mmap_forces_fallback(self, data_file, monkeypatch):
-        with _open_unmapped(data_file, monkeypatch) as f:
-            assert not f.mapped
-            assert f.read(100, 300) == (bytes(range(256)) * 64)[100:400]
+    def test_empty_file_serves_only_empty_reads(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with PagedFile(path) as f:
+            assert f.read_view(0, 0).nbytes == 0
+            assert f.stats.read_calls == 1
+            with pytest.raises(StorageError, match="past end"):
+                f.read_view(0, 1)
 
     def test_read_view_is_zero_copy_and_equal_to_read(self, data_file):
         with PagedFile(data_file) as f:
@@ -220,32 +228,59 @@ class TestMmapViews:
             assert bytes(view) == f.read(1000, 5000)
             assert view.readonly
 
-    def test_read_view_fallback_parity(self, data_file, monkeypatch):
-        with _open_unmapped(data_file, monkeypatch) as fallback:
-            with PagedFile(data_file) as mapped:
-                for offset, length in ((0, 1), (4095, 2), (1000, 9000)):
-                    assert bytes(fallback.read_view(offset, length)) == bytes(
-                        mapped.read_view(offset, length)
-                    )
+    def test_read_view_matches_file_bytes(self, data_file):
+        blob = data_file.read_bytes()
+        with PagedFile(data_file) as f:
+            for offset, length in ((0, 1), (4095, 2), (1000, 9000), (0, len(blob))):
+                want = blob[offset : offset + length]
+                assert bytes(f.read_view(offset, length)) == want
 
-    def test_accounting_identical_mapped_vs_fallback(self, data_file, monkeypatch):
-        reads = ((0, 4096), (0, 4096), (8000, 100), (0, 16384), (12288, 4096))
-        stats_by_mode = []
-        for mapped in (True, False):
-            stats = IOStats()
-            pool = BufferPool(capacity_pages=2)  # small: forces evictions
-            if mapped:
-                f = PagedFile(data_file, stats=stats, pool=pool)
-            else:
-                f = _open_unmapped(data_file, monkeypatch, stats=stats, pool=pool)
-            with f:
-                assert f.mapped is mapped
-                for offset, length in reads:
-                    f.read(offset, length)
-            stats_by_mode.append(
-                (stats.read_calls, stats.pages_read, stats.pages_hit, stats.bytes_read)
-            )
-        assert stats_by_mode[0] == stats_by_mode[1]
+    @pytest.mark.parametrize("capacity", [1, 2, 8])
+    def test_accounting_matches_an_lru_model(self, data_file, small_pages, capacity):
+        """pages_read / pages_hit equal an ``OrderedDict`` LRU's misses and
+        hits over a seeded stream of ranged reads, evictions included."""
+        blob = data_file.read_bytes()
+        rng = random.Random(35)
+        model: "OrderedDict[int, None]" = OrderedDict()
+        misses = hits = nbytes = 0
+        stats = IOStats()
+        with PagedFile(data_file, stats=stats, pool=BufferPool(capacity)) as f:
+            for _ in range(200):
+                offset = rng.randrange(len(blob))
+                length = rng.randint(0, min(3000, len(blob) - offset))
+                assert f.read(offset, length) == blob[offset : offset + length]
+                nbytes += length
+                last = (offset + length - 1) // 1024
+                for page in range(offset // 1024, last + 1) if length else ():
+                    if page in model:
+                        model.move_to_end(page)
+                        hits += 1
+                        continue
+                    if len(model) == capacity:
+                        model.popitem(last=False)
+                    model[page] = None
+                    misses += 1
+                assert (stats.pages_read, stats.pages_hit) == (misses, hits)
+            assert len(f.pool) == len(model)
+            assert all((f._file_id, page) in f.pool for page in model)
+        assert (stats.read_calls, stats.bytes_read) == (200, nbytes)
+        assert hits and misses > len(model)  # both hits and evictions occurred
+
+    def test_pool_touch_reports_residency(self):
+        pool = BufferPool(capacity_pages=2)
+        assert pool.touch((0, 0)) is False
+        assert pool.touch((0, 1)) is False
+        assert pool.touch((0, 0)) is True  # page 1 is now least recent
+        assert pool.touch((0, 2)) is False  # evicts page 1
+        assert (0, 1) not in pool and (0, 0) in pool
+        assert not hasattr(pool, "get") and not hasattr(pool, "put")
+
+    def test_read_after_close_is_a_storage_error(self, data_file):
+        f = PagedFile(data_file)
+        f.close()
+        with pytest.raises(StorageError, match="is closed"):
+            f.read_view(0, 1)
+        f.close()  # idempotent
 
     def test_view_outlives_reads_until_close(self, data_file):
         f = PagedFile(data_file)

@@ -47,12 +47,24 @@ class TestWriter:
         writer.finalize()
         writer.finalize()
 
-    def test_write_accounting(self, tmp_path):
-        stats = IOStats()
-        writer = SegmentWriter(tmp_path / "x.idx", stats=stats)
+    def test_file_is_header_payloads_toc_footer(self, tmp_path):
+        path = tmp_path / "x.idx"
+        writer = SegmentWriter(path)
         writer.add("a", b"12345")
+        writer.add("bc", b"678")
         writer.finalize()
-        assert stats.bytes_written > 5
+        header = b"KBTIMSEG" + struct.pack("<HH", 1, 0)
+        payloads = b"12345678"
+        toc = struct.pack("<I", 2)
+        for name, offset, payload in ((b"a", 12, b"12345"), (b"bc", 17, b"678")):
+            toc += struct.pack("<H", len(name)) + name
+            toc += struct.pack("<QQI", offset, len(payload), zlib.crc32(payload))
+        footer = struct.pack("<QI", len(header) + len(payloads), zlib.crc32(toc))
+        assert path.read_bytes() == header + payloads + toc + footer
+
+    def test_writer_takes_no_stats(self, tmp_path):
+        with pytest.raises(TypeError):
+            SegmentWriter(tmp_path / "x.idx", stats=IOStats())  # not an option
 
 
 class TestReader:
@@ -92,9 +104,21 @@ class TestReader:
             reader.read("alpha")
             assert stats.read_calls == opened + 1
 
-    def test_verify_mode_reads_everything(self, index_path):
-        reader = SegmentReader(index_path, verify=True)
+    def test_every_segment_reads_back_crc_checked(self, index_path):
+        with SegmentReader(index_path) as reader:
+            got = {name: reader.read(name) for name in reader.names()}
+            for name, payload in got.items():
+                assert zlib.crc32(payload) == reader.info(name).crc32
+        assert got == {"alpha": b"hello world", "beta/0": b"\x00" * 1000, "empty": b""}
+
+    def test_read_after_close_is_a_storage_error(self, index_path):
+        reader = SegmentReader(index_path)
         reader.close()
+        with pytest.raises(StorageError, match="is closed"):
+            reader.read("alpha")
+        with pytest.raises(StorageError, match="is closed"):
+            reader.read_range_view("alpha", 0, 1)
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

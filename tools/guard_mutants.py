@@ -36,6 +36,7 @@ GUARDED = [
     "storage/bitpack.py",
     "storage/varint.py",
     "storage/segments.py",
+    "storage/pager.py",
     "core/catalog.py",
 ]
 
