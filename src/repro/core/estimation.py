@@ -119,10 +119,17 @@ def estimate_opt_lower_bound(
     estimate: Optional[float] = None
     theta = pilot_theta
     rr_sets = FlatRRSets.concatenate([])
-    for _ in range(max_rounds):
+    for round_ in range(max_rounds):
         # Each round tops the pilot batch up to θ, reusing the earlier sets.
         roots = sample_weighted_roots(users, probabilities, theta - len(rr_sets), gen)
         rr_sets = FlatRRSets.concatenate([rr_sets, sample_rr_sets(model, roots, gen)])
+        theta *= 2
+        if round_ == 0 and max_rounds == 2:
+            # An estimate is read as the result (by the round that ends
+            # the loop), by its own round's stability check or by the
+            # next one's, and a check in the last round cannot change
+            # the result.  So round 0's has a reader unless round 1 is last.
+            continue
         instance = CoverageInstance(model.graph.n, rr_sets)
         _seeds, marginals = greedy_max_coverage(instance, k)
         new_estimate = sum(marginals) / len(rr_sets) * total_weight
@@ -134,7 +141,6 @@ def estimate_opt_lower_bound(
             estimate = new_estimate
             break
         estimate = new_estimate
-        theta *= 2
 
     sampled = estimate / (1.0 + epsilon) if estimate is not None else None
     lower = max(floor, sampled) if sampled is not None else floor

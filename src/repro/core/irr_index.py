@@ -74,10 +74,10 @@ from repro.core.results import QueryStats, SeedSelection
 from repro.core.rr_index import BuildReport, RRIndexBuilder, build_report, invert_csr
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
-from repro.storage.compression import Codec, StreamDecoder
+from repro.storage.compression import Codec, StreamDecoder, StreamEncoder
 from repro.storage.iostats import IOStats
 from repro.storage.pager import BufferPool
-from repro.storage.records import InvertedListsRecord
+from repro.storage.records import Frame, InvertedListsRecord
 from repro.storage.segments import SegmentWriter
 from repro.utils.rrsets import FlatRRSets
 from repro.utils.segments import segmented_arange, take_rows
@@ -187,18 +187,18 @@ def write_irr_index(
     """Serialise sample tables in the IRR layout (Figure 3)."""
     if started is None:
         started = time.perf_counter()
-    # Everything is partitioned and encoded before the file is created.
+    # Everything is partitioned and encoded, in one encoding session,
+    # before the file is created.
     entries = keyword_entries(tables)
-    payload_segments: List[Tuple[str, bytes]] = []
-
-    def add(segment: str, keys: np.ndarray, ptr: np.ndarray, ids: np.ndarray) -> None:
-        record = InvertedListsRecord.encode(keys, ptr, ids, codec)
-        payload_segments.append((segment, record))
+    encoder = StreamEncoder()
+    frames: List[Tuple[str, Frame]] = []
 
     def add_partitions(kind: str, bounds, keys, ptr, ids) -> None:
         """One record per partition: rows ``bounds[p]:bounds[p + 1]``."""
-        for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            add(f"{kind}/{p}", keys[lo:hi], ptr[lo : hi + 1] - ptr[lo], ids[ptr[lo] : ptr[hi]])
+        records = InvertedListsRecord.queue_encode_partitions(
+            encoder, keys, ptr, ids, bounds, codec
+        )
+        frames.extend((f"{kind}/{p}", frame) for p, frame in enumerate(records))
 
     for name in sorted(tables):
         rr_sets = tables[name].rr_sets
@@ -211,11 +211,14 @@ def write_irr_index(
             partition_first_lens=np.diff(il_ptr)[list_ptr[:-1]].tolist(),
             partition_set_counts=np.diff(part_ptr).tolist(),
         )
-        add(f"ip/{name}", ip_keys, np.arange(len(ip_keys) + 1), ip_firsts)
+        ip_ptr = np.arange(len(ip_keys) + 1)
+        ip = InvertedListsRecord.queue_encode(encoder, ip_keys, ip_ptr, ip_firsts, codec)
+        frames.append((f"ip/{name}", ip))
         add_partitions(f"il/{name}", list_ptr, il_keys, il_ptr, il_ids)
         # The claimed RR sets themselves, gathered once in IR order.
         ir_ptr, ir_vertices = take_rows(rr_sets.ptr, rr_sets.vertices, ir_sets)
         add_partitions(f"ir/{name}", part_ptr, ir_sets, ir_ptr, ir_vertices)
+    streams = encoder.finish()
     with SegmentWriter(path) as writer:
         writer.add(
             "meta",
@@ -229,8 +232,8 @@ def write_irr_index(
                 keywords=entries,
             ),
         )
-        for segment_name, payload in payload_segments:
-            writer.add(segment_name, payload)
+        for segment, frame in frames:
+            writer.add(segment, frame(streams))
     return build_report(path, tables, started)
 
 

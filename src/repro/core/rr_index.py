@@ -51,7 +51,7 @@ from repro.core.theta import ThetaPolicy
 from repro.errors import CorruptIndexError, IndexError_
 from repro.profiles.store import ProfileStore
 from repro.propagation.base import PropagationModel
-from repro.storage.compression import Codec, StreamDecoder
+from repro.storage.compression import Codec, StreamDecoder, StreamEncoder
 from repro.storage.iostats import IOStats
 from repro.storage.pager import BufferPool
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
@@ -160,6 +160,15 @@ def write_rr_index(
     """Serialise sample tables in the RR layout (Figure 2)."""
     if started is None:
         started = time.perf_counter()
+    # One encoding session for the whole file, finished before it opens.
+    encoder = StreamEncoder()
+    frames = []
+    for name in sorted(tables):
+        rr_sets = tables[name].rr_sets
+        rr = RRSetsRecord.queue_encode(encoder, rr_sets.ptr, rr_sets.vertices, codec)
+        inv = InvertedListsRecord.queue_encode(encoder, *invert_csr(rr_sets), codec)
+        frames += [(f"rr/{name}", rr), (f"inv/{name}", inv)]
+    streams = encoder.finish()
     with SegmentWriter(path) as writer:
         writer.add(
             "meta",
@@ -172,16 +181,8 @@ def write_rr_index(
                 keywords=keyword_entries(tables),
             ),
         )
-        for name in sorted(tables):
-            rr_sets = tables[name].rr_sets
-            writer.add(
-                f"rr/{name}",
-                RRSetsRecord.encode(rr_sets.ptr, rr_sets.vertices, codec),
-            )
-            writer.add(
-                f"inv/{name}",
-                InvertedListsRecord.encode(*invert_csr(rr_sets), codec),
-            )
+        for segment, frame in frames:
+            writer.add(segment, frame(streams))
     return build_report(path, tables, started)
 
 

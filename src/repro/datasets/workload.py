@@ -36,7 +36,7 @@ from repro.core.query import KBTIMQuery
 from repro.errors import QueryError, ReproError
 from repro.profiles.generators import zipf_weights
 from repro.profiles.store import ProfileStore
-from repro.utils.rng import RngLike, as_rng
+from repro.utils.rng import RngLike, as_rng, weighted_sample
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -98,7 +98,7 @@ def make_workload(
 
     queries: List[KBTIMQuery] = []
     for _ in range(n_queries):
-        chosen = gen.choice(usable_arr, size=length, replace=False, p=weights)
+        chosen = usable_arr[weighted_sample(gen, weights, length)]
         names = tuple(topics.name(int(t)) for t in chosen)
         queries.append(KBTIMQuery(names, k))
     return QueryWorkload(length=length, k=k, queries=tuple(queries))
@@ -174,9 +174,7 @@ def make_mixed_workload(
     for _ in range(n_queries):
         length = int(gen.choice(len(lengths)))
         k = int(gen.choice(len(ks)))
-        chosen = gen.choice(
-            usable_arr, size=lengths[length], replace=False, p=weights
-        )
+        chosen = usable_arr[weighted_sample(gen, weights, lengths[length])]
         names = tuple(topics.name(int(t)) for t in chosen)
         queries.append(KBTIMQuery(names, ks[k]))
     return tuple(queries)

@@ -97,7 +97,8 @@ class DiGraph:
         n:
             Vertex count; edge endpoints must lie in ``[0, n)``.
         edges:
-            Iterable of directed edges.  Duplicates and self-loops raise
+            Iterable of directed edges, or an ``(m, 2)`` integer array of
+            them.  Duplicates and self-loops raise
             :class:`~repro.errors.GraphError`.
         probs:
             Optional per-edge influence probabilities aligned with ``edges``.
@@ -106,7 +107,9 @@ class DiGraph:
         """
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
-        edge_array = np.asarray(list(edges), dtype=_VERTEX_DTYPE)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=_VERTEX_DTYPE)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
-from repro.utils.rng import RngLike, as_rng
+from repro.utils.rng import RngLike, as_rng, weighted_sample
 from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
 __all__ = ["erdos_renyi_digraph", "twitter_like", "news_like", "ring_digraph"]
@@ -48,7 +48,7 @@ def erdos_renyi_digraph(n: int, p: float, rng: RngLike = None) -> DiGraph:
     mask = gen.random((n, n)) < p
     np.fill_diagonal(mask, False)
     src, dst = np.nonzero(mask)
-    return DiGraph.from_edges(n, list(zip(src.tolist(), dst.tolist())))
+    return DiGraph.from_edges(n, np.stack((src, dst), axis=1))
 
 
 def twitter_like(
@@ -114,8 +114,8 @@ def twitter_like(
     passive[0] = True  # vertex 0 has nobody to follow anyway
 
     popularity = np.zeros(n, dtype=np.float64)
-    src_list: list[int] = []
-    dst_list: list[int] = []
+    followers: list[int] = []
+    followees: list[np.ndarray] = []
     for v in range(1, n):
         if passive[v]:
             continue
@@ -131,28 +131,20 @@ def twitter_like(
             continue
         weights = (popularity[:v] + 1.0) ** hub_bias
         weights /= weights.sum()
-        followees = gen.choice(v, size=k, replace=False, p=weights)
-        for u in followees:
-            src_list.append(int(u))
-            dst_list.append(v)
-            popularity[u] += 1.0
+        chosen = weighted_sample(gen, weights, k)
+        popularity[chosen] += 1.0  # distinct: one increment each
+        followers.append(v)
+        followees.append(chosen)
+    src = np.concatenate(followees) if followees else np.empty(0, dtype=np.int64)
+    dst = np.repeat(np.asarray(followers, dtype=np.int64), [len(f) for f in followees])
 
     # Follow-back pass: reciprocating edge (u -> v) means u follows v back,
     # which gives *u* an in-edge; passive users never follow back.
-    m = len(src_list)
-    if m:
-        reciprocate = gen.random(m) < 0.3
-        extra_src = []
-        extra_dst = []
-        for i in range(m):
-            if reciprocate[i] and not passive[src_list[i]]:
-                extra_src.append(dst_list[i])
-                extra_dst.append(src_list[i])
-        src_list.extend(extra_src)
-        dst_list.extend(extra_dst)
+    if len(src):
+        back = (gen.random(len(src)) < 0.3) & ~passive[src]
+        src, dst = np.concatenate((src, dst[back])), np.concatenate((dst, src[back]))
 
-    edges = _dedupe_edges(src_list, dst_list)
-    return DiGraph.from_edges(n, edges)
+    return DiGraph.from_edges(n, _dedupe_edges(n, src, dst))
 
 
 def news_like(
@@ -191,8 +183,8 @@ def news_like(
     popularity = gen.exponential(1.0, size=n)
     popularity /= popularity.sum()
 
-    src_list: list[int] = []
-    dst_list: list[int] = []
+    src_runs: list[np.ndarray] = []
+    dst_runs: list[np.ndarray] = []
     for v in range(n):
         d = int(out_degrees[v])
         if d == 0:
@@ -204,13 +196,14 @@ def news_like(
             targets[:n_biased] = gen.choice(n, size=n_biased, p=popularity)
         if d - n_biased:
             targets[n_biased:] = gen.integers(0, n, size=d - n_biased)
-        for t in targets:
-            if int(t) != v:
-                src_list.append(v)
-                dst_list.append(int(t))
-
-    edges = _dedupe_edges(src_list, dst_list)
-    return DiGraph.from_edges(n, edges)
+        targets = targets[targets != v]
+        src_runs.append(np.full(len(targets), v, dtype=np.int64))
+        dst_runs.append(targets)
+    if not src_runs:
+        return DiGraph.from_edges(n, [])
+    return DiGraph.from_edges(
+        n, _dedupe_edges(n, np.concatenate(src_runs), np.concatenate(dst_runs))
+    )
 
 
 def ring_digraph(n: int) -> DiGraph:
@@ -225,13 +218,10 @@ def ring_digraph(n: int) -> DiGraph:
     return DiGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _dedupe_edges(src: list, dst: list) -> list:
-    """Drop duplicate (source, target) pairs while preserving determinism."""
-    seen = set()
-    edges = []
-    for u, v in zip(src, dst):
-        key = (u, v)
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
-    return edges
+def _dedupe_edges(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The ``(m, 2)`` edges ``src[i] -> dst[i]`` without repeated pairs,
+    each kept where it first occurs (a stable sort finds first
+    occurrences, so the edge order is deterministic)."""
+    _, first = np.unique(src * n + dst, return_index=True)
+    first.sort()
+    return np.stack((src[first], dst[first]), axis=1)

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ProfileError
 from repro.profiles.store import ProfileStore
 from repro.profiles.topics import TopicSpace
-from repro.utils.rng import RngLike, as_rng
+from repro.utils.rng import RngLike, as_rng, weighted_sample
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["zipf_profiles", "uniform_profiles", "zipf_weights"]
@@ -72,7 +72,7 @@ def zipf_profiles(
     extra = gen.poisson(max(mean_topics_per_user - 1.0, 0.0), size=n_users)
     for user in range(n_users):
         n_topics = int(min(1 + extra[user], topics.size))
-        chosen = gen.choice(topics.size, size=n_topics, replace=False, p=popularity)
+        chosen = weighted_sample(gen, popularity, n_topics)
         weights = gen.exponential(1.0, size=n_topics)
         weights /= weights.sum()
         for topic_id, weight in zip(chosen, weights):

@@ -26,7 +26,7 @@ writers read; an empty root array yields an empty batch.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,19 +69,28 @@ def _chunked(
     chunk_kernel,
 ) -> FlatRRSets:
     """Run a per-chunk kernel over root slices bounding the label state
-    (no roots: no chunk, and the empty batch)."""
+    (no roots: no chunk, and the empty batch).
+
+    The chunks share one visited-label array, allocated once per call:
+    each kernel returns the label keys it set, and exactly those cells
+    are cleared for the next chunk, so a root costs its RR set's cells,
+    not a fresh row of ``|V|`` bytes.
+    """
     chunk = max(1, _MAX_STATE_CELLS // max(graph.n, 1))
-    parts = [
-        chunk_kernel(roots[start : start + chunk], gen)
-        for start in range(0, len(roots), chunk)
-    ]
+    visited = np.zeros(min(chunk, len(roots)) * graph.n, dtype=bool)
+    parts = []
+    for start in range(0, len(roots), chunk):
+        rr_sets, keys = chunk_kernel(roots[start : start + chunk], gen, visited)
+        visited[keys] = False
+        parts.append(rr_sets)
     return FlatRRSets.concatenate(parts)
 
 
 def _csr_from_label_keys(
     collected: List[np.ndarray], n: int, n_roots: int
-) -> FlatRRSets:
-    """Assemble per-level ``(root slot, vertex)`` labels into root CSR."""
+) -> Tuple[FlatRRSets, np.ndarray]:
+    """Assemble per-level ``(root slot, vertex)`` labels into root CSR;
+    also returns every label key (to clear from the visited array)."""
     all_keys = np.concatenate(collected)
     all_keys.sort()  # root-slot-major, then vertex ascending within root
     vertices = all_keys % n
@@ -89,7 +98,7 @@ def _csr_from_label_keys(
     ptr = np.empty(n_roots + 1, dtype=np.int64)
     ptr[0] = 0
     np.cumsum(counts, out=ptr[1:])
-    return FlatRRSets(ptr, vertices)
+    return FlatRRSets(ptr, vertices), all_keys
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +124,9 @@ def batched_bernoulli_rr(
         graph,
         roots,
         gen,
-        lambda chunk_roots, g: _bernoulli_chunk(graph, edge_probs, chunk_roots, g),
+        lambda chunk_roots, g, visited: _bernoulli_chunk(
+            graph, edge_probs, chunk_roots, g, visited
+        ),
     )
 
 
@@ -124,15 +135,16 @@ def _bernoulli_chunk(
     edge_probs: np.ndarray,
     roots: np.ndarray,
     gen: np.random.Generator,
-) -> FlatRRSets:
-    """One chunk of the batched Bernoulli reverse BFS."""
+    visited: np.ndarray,
+) -> Tuple[FlatRRSets, np.ndarray]:
+    """One chunk of the batched Bernoulli reverse BFS; ``visited`` is
+    all False on entry (see :func:`_chunked`)."""
     n = graph.n
     in_ptr = graph.in_ptr
     in_src = graph.in_src
     n_roots = len(roots)
 
     # visited[r * n + v] <=> vertex v already reached root slot r.
-    visited = np.zeros(n_roots * n, dtype=bool)
     key = np.arange(n_roots, dtype=np.int64) * n + roots
     visited[key] = True
     collected = [key]
@@ -225,7 +237,9 @@ def batched_single_pick_rr(
         graph,
         roots,
         gen,
-        lambda chunk_roots, g: _single_pick_chunk(graph, pick_keys, chunk_roots, g),
+        lambda chunk_roots, g, visited: _single_pick_chunk(
+            graph, pick_keys, chunk_roots, g, visited
+        ),
     )
 
 
@@ -234,14 +248,15 @@ def _single_pick_chunk(
     pick_keys: np.ndarray,
     roots: np.ndarray,
     gen: np.random.Generator,
-) -> FlatRRSets:
-    """One chunk of the batched single-pick reverse walk."""
+    visited: np.ndarray,
+) -> Tuple[FlatRRSets, np.ndarray]:
+    """One chunk of the batched single-pick reverse walk; ``visited`` is
+    all False on entry (see :func:`_chunked`)."""
     n = graph.n
     in_ptr = graph.in_ptr
     in_src = graph.in_src
     n_roots = len(roots)
 
-    visited = np.zeros(n_roots * n, dtype=bool)
     base = np.arange(n_roots, dtype=np.int64) * n  # root-slot offsets
     key = base + roots
     visited[key] = True

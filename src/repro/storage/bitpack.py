@@ -34,11 +34,11 @@ __all__ = ["pack_runs", "unpack_runs", "bit_lengths", "MASKS"]
 
 _MAX_WIDTH = 64
 
-#: Runs per vectorised slice.  A block is a run of at most 128 values, so
-#: unpacking holds a dozen arrays of ~64 K words at a time; packing expands
-#: every value to one word per *bit* (at most 64), hence its smaller figure.
+#: Runs per vectorised unpacking slice: a block is a run of at most 128
+#: values, so unpacking holds a dozen arrays of ~64 K words at a time.
+#: Packing slices by values, and holds half a dozen arrays of that many.
 _UNPACK_SLICE = 512
-_PACK_SLICE = 64
+_PACK_SLICE = 1 << 16
 
 #: ``MASKS[w]`` keeps the low ``w`` bits; ``_POWERS[b]`` is ``2**b``.
 MASKS = np.array([(1 << w) - 1 for w in range(_MAX_WIDTH + 1)], dtype=np.uint64)
@@ -59,29 +59,32 @@ def pack_runs(values: np.ndarray, counts: np.ndarray, widths: np.ndarray) -> byt
     must lie in ``[0, 64]`` and a value must fit in its run's width
     (:class:`~repro.errors.StorageError` otherwise).  The result is
     ``ceil(sum(counts * widths) / 8)`` bytes, zero-padded in the last one.
+    Values are ORed into little-endian 64-bit words: the values that
+    start in one word are adjacent, so one ``reduceat`` merges them, and
+    the one value that crosses into the next word adds its high bits.
     """
     counts = np.asarray(counts, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
     if len(widths) and not 0 <= int(widths.min()) <= int(widths.max()) <= _MAX_WIDTH:
         raise StorageError(f"width must be in [0, {_MAX_WIDTH}]")
-    bits = np.empty(int((counts * widths).sum()), dtype=np.uint8)
-    ends = np.cumsum(counts)
-    filled = 0
-    for run in range(0, len(counts), _PACK_SLICE):
-        stop = min(run + _PACK_SLICE, len(counts))
-        chunk = values[int(ends[run] - counts[run]) : int(ends[stop - 1])]
-        width_of = widths[run:stop].repeat(counts[run:stop])
-        if np.any(chunk > MASKS[width_of]):
-            raise StorageError("a value does not fit in its bit width")
-        # Bit k of a value sits at (bits before the value) + k.
-        bit_index = np.arange(int(width_of.sum()), dtype=np.int64)
-        bit_index -= (np.cumsum(width_of) - width_of).repeat(width_of)
-        expanded = chunk.repeat(width_of)
-        expanded >>= bit_index.astype(np.uint64)
-        expanded &= np.uint64(1)
-        bits[filled : filled + len(expanded)] = expanded
-        filled += len(expanded)
-    return np.packbits(bits, bitorder="little").tobytes()
+    width_of = widths.repeat(counts)
+    if np.any(values > MASKS[width_of]):
+        raise StorageError("a value does not fit in its bit width")
+    ends = np.cumsum(width_of)
+    n_bits = int(ends[-1]) if len(ends) else 0
+    # One spare word: a width-0 value may start where the bits end.
+    words = np.zeros(n_bits // 64 + 2, dtype=np.uint64)
+    for lo in range(0, len(width_of), _PACK_SLICE):
+        width = width_of[lo : lo + _PACK_SLICE]
+        value = values[lo : lo + _PACK_SLICE]
+        start = ends[lo : lo + _PACK_SLICE] - width
+        word = start >> 6
+        start &= 63
+        heads = np.flatnonzero(np.diff(word, prepend=-1))
+        words[word[heads]] |= np.bitwise_or.reduceat(value << start.view(np.uint64), heads)
+        cross = np.flatnonzero(start + width > 64)
+        words[word[cross] + 1] |= value[cross] >> (64 - start[cross]).view(np.uint64)
+    return words.astype("<u8").tobytes()[: (n_bits + 7) // 8]
 
 
 def unpack_runs(

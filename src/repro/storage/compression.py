@@ -24,21 +24,22 @@ as gaps (a list's first id, then differences >= 1).  Records
 (:mod:`repro.storage.records`) are built from streams and id-list sets and
 carry the codec tag, so readers need no out-of-band configuration.
 
-Both directions are columnar: :func:`encode_stream` and
-:class:`StreamDecoder` cost a fixed number of numpy calls per stream, and
-the decoder bit-unpacks every PFOR stream of every record of a *load
-unit* (the two records a cache miss or a partition load reads) in one
-pass, however many lists they hold.  Every structural guard of the format (tag,
+Both directions are columnar sessions whose numpy call count depends on
+neither the number of lists nor of records: :class:`StreamEncoder` encodes
+every PFOR stream of every record of an index file together, and
+:class:`StreamDecoder` bit-unpacks every PFOR stream of every record of a
+*load unit* (the two records a cache miss or a partition load reads) in
+one pass.  Every structural guard of the format (tag,
 truncation, declared sizes against the bytes that remain, width,
 exception range, id domain) lives here and nowhere else; the independent
-scalar reference the fuzz tests compare against is ``tests/oracles.py``.
+scalar references the fuzz tests compare against are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import enum
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from repro.storage.varint import decode_varint, decode_varints_block, encode_var
 
 __all__ = [
     "Codec",
+    "StreamEncoder",
     "encode_stream",
     "encode_id_lists",
     "StreamDecoder",
@@ -57,10 +59,8 @@ __all__ = [
 _BLOCK = 128
 _ID_MAX = 0x7FFF_FFFF_FFFF_FFFF
 
-#: Width-choice grid: ``_EXCESS_BITS[b, w]`` = bits a value of bit length
-#: ``b`` keeps above a block of width ``w`` (positive: it is an exception).
+#: The widths a PFOR block may take.
 _WIDTHS = np.arange(65, dtype=np.int64)
-_EXCESS_BITS = np.maximum(_WIDTHS[:, None] - _WIDTHS, 0)
 
 
 class Codec(enum.Enum):
@@ -74,97 +74,259 @@ class Codec(enum.Enum):
 # ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
-def encode_stream(values: np.ndarray, codec: Codec = Codec.PFOR) -> bytes:
-    """Encode ``m`` non-negative integers (< 2^64); no tag, no length.
+#: PFOR values per vectorised encoding pass: a :class:`StreamEncoder`
+#: encodes its queued streams once this many wait, and a pass takes whole
+#: streams up to this many (a longer stream is a pass of its own).  So the
+#: raw values a session holds, and a pass's dozen transient arrays, stay
+#: a few megabytes however large the index file.
+_ENCODE_SLICE = 1 << 18
 
-    An empty stream is zero bytes under every codec.
+
+class StreamEncoder:
+    """The encoder of the stream format: one session per index file.
+
+    The mirror of :class:`StreamDecoder`.  :meth:`queue` and
+    :meth:`queue_id_lists` check what they are given and queue it — RAW
+    and VARINT streams encode on the spot, PFOR streams wait — and the
+    waiting PFOR streams of every record are encoded together, in one
+    vectorised pass per ``_ENCODE_SLICE`` values (the benchmark's whole
+    index file is one): one bit-length histogram and one width-cost
+    matrix over all their 128-value blocks, then a position width and
+    an exception table per stream, then one
+    :func:`~repro.storage.bitpack.pack_runs` call with each stream
+    padded to a byte boundary.  Like decoding, the count of numpy calls
+    depends on neither the number of streams nor the number of records,
+    so a record (an index file's hundreds of them) is framed from
+    :meth:`finish`'s bytes afterwards — see the ``queue_encode`` methods
+    of :mod:`repro.storage.records`.
     """
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise StorageError("streams must be one-dimensional")
-    if arr.dtype.kind != "u" and arr.size and int(arr.min()) < 0:
-        raise StorageError("streams hold non-negative values")
-    arr = arr.astype(np.uint64, copy=False)
-    if len(arr) == 0:
-        return b""
-    if codec is Codec.RAW:
-        return arr.astype("<u8").tobytes()
-    if codec is Codec.VARINT:
-        return encode_varints(arr.tolist())
-    return _encode_pfor(arr)
+
+    def __init__(self) -> None:
+        # One entry per stream queued: its bytes (b"" while PFOR waits).
+        self._encoded: List[bytes] = []
+        # Queued PFOR columns: values, their streams' lengths, and where
+        # those streams' bytes go in _encoded.
+        self._values: List[np.ndarray] = []
+        self._lengths: List[np.ndarray] = []
+        self._slots: List[np.ndarray] = []
+        self._waiting = 0
+
+    def queue(
+        self,
+        values: np.ndarray,
+        codec: Codec = Codec.PFOR,
+        lengths: Optional[np.ndarray] = None,
+    ) -> int:
+        """Queue ``values`` — non-negative integers below 2^64 — as one
+        stream, or as ``len(lengths)`` streams of ``lengths[i]`` values
+        each (summing to ``len(values)``).  Returns the index the first
+        has in :meth:`finish`'s list; the others follow it.  The session
+        may hold ``values`` until :meth:`finish`: do not modify it."""
+        arr = np.asarray(values)
+        if arr.ndim != 1:
+            raise StorageError("streams must be one-dimensional")
+        if arr.dtype.kind != "u" and arr.size and int(arr.min()) < 0:
+            raise StorageError("streams hold non-negative values")
+        arr = arr.astype(np.uint64, copy=False)
+        if lengths is None:
+            lengths = np.array([len(arr)], dtype=np.int64)
+        first = len(self._encoded)
+        if codec is Codec.PFOR:
+            # An empty stream is zero bytes under every codec.
+            self._encoded += [b""] * len(lengths)
+            self._values.append(arr)
+            self._lengths.append(lengths[lengths > 0])
+            self._slots.append(first + np.flatnonzero(lengths))
+            self._waiting += len(arr)
+            if self._waiting >= _ENCODE_SLICE:
+                self._encode_waiting()
+            return first
+        ends = np.cumsum(lengths).tolist()
+        for lo, hi in zip([0] + ends, ends):
+            if codec is Codec.RAW:
+                self._encoded.append(arr[lo:hi].astype("<u8").tobytes())
+            else:
+                self._encoded.append(encode_varints(arr[lo:hi].tolist()))
+        return first
+
+    def queue_id_lists(
+        self,
+        ptr: np.ndarray,
+        ids: np.ndarray,
+        codec: Codec = Codec.PFOR,
+        bounds: Optional[np.ndarray] = None,
+    ) -> Callable[[List[bytes], int], bytes]:
+        """Queue the id lists ``ids[ptr[i]:ptr[i+1]]`` as one id-list set,
+        or, given ascending ``bounds`` from 0 to the number of lists, as
+        one set per ``bounds[j]:bounds[j+1]`` of them.
+
+        Layout of a set: ``total varint | counts stream (n) | gaps stream
+        (total)`` with ``n`` known to the reader.  Every list must be
+        strictly increasing and non-negative (RR sets and inverted lists
+        are maintained sorted); violations raise
+        :class:`~repro.errors.StorageError` rather than corrupting gaps.
+        A list's first id is stored whole, so the gaps of the lists are
+        computed once and each set's streams are slices of them.
+        Returns the function that, given :meth:`finish`'s list and ``j``,
+        builds the bytes of set ``j``.
+        """
+        ptr = np.asarray(ptr, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        if ptr.ndim != 1 or ids.ndim != 1 or len(ptr) < 1:
+            raise StorageError("id lists take a 1-D ptr (length >= 1) and 1-D ids")
+        counts = np.diff(ptr)
+        if ptr[0] != 0 or ptr[-1] != len(ids) or (len(counts) and counts.min() < 0):
+            raise StorageError("ptr must ascend from 0 and end at len(ids)")
+        if len(ids) and ids.min() < 0:
+            raise StorageError("ids must be non-negative")
+        gaps = np.diff(ids, prepend=0)
+        firsts = ptr[:-1][counts > 0]
+        gaps[firsts] = 1
+        if len(gaps) and gaps.min() < 1:
+            raise StorageError("id lists must be strictly increasing")
+        gaps[firsts] = ids[firsts]
+        if bounds is None:
+            bounds = np.array([0, len(counts)])
+        totals = np.diff(ptr[bounds])
+        first_counts = self.queue(counts.view(np.uint64), codec, np.diff(bounds))
+        first_gaps = self.queue(gaps.view(np.uint64), codec, totals)
+        totals = totals.tolist()
+
+        def id_list_set(streams: List[bytes], j: int) -> bytes:
+            return (
+                encode_varints([totals[j]])
+                + streams[first_counts + j]
+                + streams[first_gaps + j]
+            )
+
+        return id_list_set
+
+    def finish(self) -> List[bytes]:
+        """The bytes of every stream queued, one ``bytes`` each, in order."""
+        if self._values:
+            self._encode_waiting()
+        return self._encoded
+
+    def _encode_waiting(self) -> None:
+        """Encode every waiting PFOR stream, in passes of whole streams."""
+        values = np.concatenate(self._values)
+        lengths = np.concatenate(self._lengths)
+        slots = np.concatenate(self._slots).tolist()
+        self._values, self._lengths, self._slots, self._waiting = [], [], [], 0
+        ends = np.cumsum(lengths)
+        starts = (ends - lengths).tolist()
+        lo = 0
+        while lo < len(starts):
+            hi = np.searchsorted(ends, starts[lo] + _ENCODE_SLICE, side="right")
+            hi = max(int(hi), lo + 1)
+            streams = _encode_pfor(values[starts[lo] : ends[hi - 1]], lengths[lo:hi])
+            for slot, stream in zip(slots[lo:hi], streams):
+                self._encoded[slot] = stream
+            lo = hi
 
 
-def _encode_pfor(values: np.ndarray) -> bytes:
-    """``widths u8 × n_blocks | n_exceptions varint | [excess_width u8] |
+def _encode_pfor(values: np.ndarray, m: np.ndarray) -> List[bytes]:
+    """PFOR-encode the streams ``values`` holds back to back, ``m[s]``
+    values in stream ``s`` (each at least one): one ``bytes`` each,
+    ``widths u8 × n_blocks | n_exceptions varint | [excess_width u8] |
     packed: positions, excesses, values``.
 
-    The width of a block minimises its packed bits plus its exceptions'
-    (first minimum, integer arithmetic only: builds are byte-identical).
-    A value wider than its block keeps its low bits in place; its stream
-    position and the bits above the width go to the exception table, two
+    A block's width minimises its packed bits plus its exceptions' (first
+    minimum, integer arithmetic only: builds are byte-identical).  A value
+    wider than its block keeps its low bits in place; its stream position
+    and the bits above the width go to its stream's exception table, two
     columns of fixed width (positions: the bit length of ``m - 1``;
     excesses: ``excess_width``) packed in front of the values.
     """
-    m = len(values)
+    n_streams = len(m)
+    value_first = np.cumsum(m) - m
     n_blocks = (m + _BLOCK - 1) // _BLOCK
-    position_width = (m - 1).bit_length()
+    block_first = np.cumsum(n_blocks) - n_blocks
+    block_len = np.full(int(n_blocks.sum()), _BLOCK, dtype=np.int64)
+    block_len[block_first + n_blocks - 1] = m - _BLOCK * (n_blocks - 1)
+    position_width = bit_lengths((m - 1).astype(np.uint64))
+
+    # Width cost of every block at every width, from one histogram: w
+    # bits per value, plus, per value wider than w, its bits above w and
+    # a position.  With above[w] the values wider than w, their bits
+    # above w total above[w] + above[w + 1] + ... (a reverse cumsum).
     lengths = bit_lengths(values)
-    block_of = np.arange(m, dtype=np.int64) // _BLOCK
-    histogram = np.bincount(block_of * 65 + lengths, minlength=n_blocks * 65)
-    block_len = np.full(n_blocks, _BLOCK, dtype=np.int64)
-    block_len[-1] = m - _BLOCK * (n_blocks - 1)
+    block_of = np.arange(len(block_len)).repeat(block_len)
+    histogram = np.bincount(block_of * 65 + lengths, minlength=len(block_len) * 65)
+    at_most = histogram.reshape(-1, 65).cumsum(axis=1)
+    above = block_len[:, None] - at_most
     cost = block_len[:, None] * _WIDTHS
-    cost += histogram.reshape(n_blocks, 65) @ (
-        _EXCESS_BITS + position_width * (_EXCESS_BITS > 0)
-    )
+    cost += above[:, ::-1].cumsum(axis=1)[:, ::-1]
+    cost += position_width.repeat(n_blocks)[:, None] * above
     widths = cost.argmin(axis=1)
 
     width_of = widths.repeat(block_len)
-    positions = np.flatnonzero(lengths > width_of)
-    n_exceptions = len(positions)
-    excess = values[positions] >> width_of[positions].astype(np.uint64)
-    excess_width = int(bit_lengths(excess).max(initial=0))
-    return (
-        widths.astype(np.uint8).tobytes()
-        + encode_varints([n_exceptions])
-        + (bytes([excess_width]) if n_exceptions else b"")
-        + pack_runs(
-            np.concatenate((positions.astype(np.uint64), excess, values & MASKS[width_of])),
-            np.concatenate(([n_exceptions, n_exceptions], block_len)),
-            np.concatenate(([position_width, excess_width], widths)),
-        )
-    )
+    exceptions = np.flatnonzero(lengths > width_of)
+    stream_of = np.searchsorted(value_first, exceptions, side="right") - 1
+    excess = values[exceptions] >> width_of[exceptions].astype(np.uint64)
+    n_exceptions = np.bincount(stream_of, minlength=n_streams)
+    excess_width = np.zeros(n_streams, dtype=np.int64)
+    np.maximum.at(excess_width, stream_of, bit_lengths(excess))
+
+    # Per stream, the runs positions | excesses | blocks | padding to a
+    # byte, all packed by one call.
+    bits = n_exceptions * (position_width + excess_width)
+    bits += np.add.reduceat(block_len * widths, block_first)
+    padding = -bits % 8
+    n_runs = n_blocks + 3
+    run_first = np.cumsum(n_runs) - n_runs
+    run_of_block = np.arange(len(block_len))
+    run_of_block += (run_first - block_first + 2).repeat(n_blocks)
+    counts = np.ones(int(n_runs.sum()), dtype=np.int64)
+    run_widths = padding.repeat(n_runs)
+    counts[run_first] = counts[run_first + 1] = n_exceptions
+    run_widths[run_first], run_widths[run_first + 1] = position_width, excess_width
+    counts[run_of_block], run_widths[run_of_block] = block_len, widths
+    # Each stream's columns in that order: a value's slot is its place in
+    # its stream plus everything the streams before it put down.
+    slots = 2 * n_exceptions + m + 1
+    slot_first = np.cumsum(slots) - slots
+    packed_values = np.zeros(int(counts.sum()), dtype=np.uint64)
+    exception_first = np.cumsum(n_exceptions) - n_exceptions
+    exception_slot = np.arange(len(exceptions))
+    exception_slot += (slot_first - exception_first)[stream_of]
+    packed_values[exception_slot] = exceptions - value_first[stream_of]
+    packed_values[exception_slot + n_exceptions[stream_of]] = excess
+    value_slot = np.arange(len(values))
+    value_slot += (slot_first + 2 * n_exceptions - value_first).repeat(m)
+    packed_values[value_slot] = values & MASKS[width_of]
+    packed = pack_runs(packed_values, counts, run_widths)
+
+    block_bounds = np.append(block_first, len(block_len)).tolist()
+    byte_bounds = np.append(0, np.cumsum((bits + padding) // 8)).tolist()
+    width_bytes = widths.astype(np.uint8).tobytes()
+    headers = zip(n_exceptions.tolist(), excess_width.tolist())
+    return [
+        width_bytes[block_bounds[s] : block_bounds[s + 1]]
+        + encode_varints([n_exc])
+        + (bytes([ew]) if n_exc else b"")
+        + packed[byte_bounds[s] : byte_bounds[s + 1]]
+        for s, (n_exc, ew) in enumerate(headers)
+    ]
+
+
+def encode_stream(values: np.ndarray, codec: Codec = Codec.PFOR) -> bytes:
+    """Encode ``m`` non-negative integers (< 2^64); no tag, no length:
+    a :class:`StreamEncoder` session of one stream.
+
+    An empty stream is zero bytes under every codec.
+    """
+    encoder = StreamEncoder()
+    index = encoder.queue(values, codec)
+    return encoder.finish()[index]
 
 
 def encode_id_lists(ptr: np.ndarray, ids: np.ndarray, codec: Codec = Codec.PFOR) -> bytes:
-    """Encode the id lists ``ids[ptr[i]:ptr[i+1]]`` as an id-list set.
-
-    Layout: ``total varint | counts stream (n) | gaps stream (total)``
-    with ``n = len(ptr) - 1`` known to the reader.  Every list must be
-    strictly increasing and non-negative (RR sets and inverted lists are
-    maintained sorted); violations raise
-    :class:`~repro.errors.StorageError` rather than corrupting gaps.
-    """
-    ptr = np.asarray(ptr, dtype=np.int64)
-    ids = np.asarray(ids, dtype=np.int64)
-    if ptr.ndim != 1 or ids.ndim != 1 or len(ptr) < 1:
-        raise StorageError("id lists take a 1-D ptr (length >= 1) and 1-D ids")
-    counts = np.diff(ptr)
-    if ptr[0] != 0 or ptr[-1] != len(ids) or (len(counts) and counts.min() < 0):
-        raise StorageError("ptr must ascend from 0 to len(ids)")
-    if len(ids) and ids.min() < 0:
-        raise StorageError("ids must be non-negative")
-    gaps = np.diff(ids, prepend=0)
-    firsts = ptr[:-1][counts > 0]
-    gaps[firsts] = 1
-    if len(gaps) and gaps.min() < 1:
-        raise StorageError("id lists must be strictly increasing")
-    gaps[firsts] = ids[firsts]
-    return (
-        encode_varints([len(ids)])
-        + encode_stream(counts.view(np.uint64), codec)
-        + encode_stream(gaps.view(np.uint64), codec)
-    )
+    """Encode the id lists ``ids[ptr[i]:ptr[i+1]]`` as one id-list set
+    (see :meth:`StreamEncoder.queue_id_lists`): a session of one."""
+    encoder = StreamEncoder()
+    id_list_set = encoder.queue_id_lists(ptr, ids, codec)
+    return id_list_set(encoder.finish(), 0)
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,7 @@ from repro.errors import StorageError
 from repro.storage.compression import (
     Codec,
     StreamDecoder,
-    encode_id_lists,
-    encode_stream,
+    StreamEncoder,
     id_lists_from_streams,
 )
 from repro.storage.varint import decode_varint, encode_varints
@@ -40,6 +39,10 @@ __all__ = ["RRSetsRecord", "InvertedListsRecord"]
 #: What queueing a record into a :class:`StreamDecoder` returns: called
 #: with the session's ``finish()`` it builds the record's CSR arrays.
 Take = Callable[[List[np.ndarray]], Tuple[np.ndarray, ...]]
+
+#: What queueing a record into a :class:`StreamEncoder` returns: called
+#: with the session's ``finish()`` it frames the record's bytes.
+Frame = Callable[[List[bytes]], bytes]
 
 _RR_HEADER = struct.Struct("<IIQ")  # n_sets, group_size, payload_len
 _INV_HEADER = struct.Struct("<IQ")  # n_lists, payload_len
@@ -60,40 +63,54 @@ class RRSetsRecord:
     # encoding
     # ------------------------------------------------------------------
     @staticmethod
+    def queue_encode(
+        encoder: StreamEncoder,
+        ptr: np.ndarray,
+        vertices: np.ndarray,
+        codec: Codec = Codec.PFOR,
+        group_size: int = DEFAULT_GROUP_SIZE,
+    ) -> Frame:
+        """Queue the RR sets ``vertices[ptr[i]:ptr[i+1]]``, in order, as
+        the next record of ``encoder``.
+
+        Layout: fixed header, ``u64`` byte offset (relative to payload
+        start) of each *group* of ``group_size`` sets, then the payload:
+        per group ``codec tag u8 | n varint | id-list set of n sets``.
+        Returns the function that, given ``encoder.finish()``, frames the
+        record's bytes.
+        """
+        if group_size < 1:
+            raise StorageError(f"group_size must be >= 1, got {group_size}")
+        n_sets = np.size(ptr) - 1
+        bounds = np.append(np.arange(0, n_sets, group_size), n_sets)
+        id_list_set = encoder.queue_id_lists(ptr, vertices, codec, bounds)
+
+        def frame(streams: List[bytes]) -> bytes:
+            chunks = [
+                bytes([codec.value])
+                + encode_varints([min(group_size, n_sets - lo)])
+                + id_list_set(streams, j)
+                for j, lo in enumerate(range(0, n_sets, group_size))
+            ]
+            sizes = np.array([len(chunk) for chunk in chunks], dtype=np.int64)
+            offsets = (np.cumsum(sizes) - sizes).astype("<u8")
+            header = _RR_HEADER.pack(n_sets, group_size, int(sizes.sum()))
+            return header + offsets.tobytes() + b"".join(chunks)
+
+        return frame
+
+    @staticmethod
     def encode(
         ptr: np.ndarray,
         vertices: np.ndarray,
         codec: Codec = Codec.PFOR,
         group_size: int = DEFAULT_GROUP_SIZE,
     ) -> bytes:
-        """Serialise the RR sets ``vertices[ptr[i]:ptr[i+1]]`` in order.
-
-        Layout: fixed header, ``u64`` byte offset (relative to payload
-        start) of each *group* of ``group_size`` sets, then the payload:
-        per group ``codec tag u8 | n varint | id-list set of n sets``.
-        """
-        if group_size < 1:
-            raise StorageError(f"group_size must be >= 1, got {group_size}")
-        ptr = np.asarray(ptr, dtype=np.int64)
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if ptr.ndim != 1 or len(ptr) < 1 or ptr[-1] != len(vertices):
-            raise StorageError("ptr must be 1-D and end at len(vertices)")
-        n_sets = len(ptr) - 1
-        chunks, offsets, position = [], [], 0
-        for lo in range(0, n_sets, group_size):
-            hi = min(lo + group_size, n_sets)
-            chunk = (
-                bytes([codec.value])
-                + encode_varints([hi - lo])
-                + encode_id_lists(
-                    ptr[lo : hi + 1] - ptr[lo], vertices[ptr[lo] : ptr[hi]], codec
-                )
-            )
-            chunks.append(chunk)
-            offsets.append(position)
-            position += len(chunk)
-        header = _RR_HEADER.pack(n_sets, group_size, position)
-        return header + np.asarray(offsets, dtype="<u8").tobytes() + b"".join(chunks)
+        """Serialise the RR sets ``vertices[ptr[i]:ptr[i+1]]`` in order:
+        :meth:`queue_encode` in a session of its own."""
+        encoder = StreamEncoder()
+        frame = RRSetsRecord.queue_encode(encoder, ptr, vertices, codec, group_size)
+        return frame(encoder.finish())
 
     # ------------------------------------------------------------------
     # header introspection (for partial reads)
@@ -199,13 +216,34 @@ class InvertedListsRecord:
     """Encoder/decoder for ordered ``key -> sorted id list`` collections."""
 
     @staticmethod
-    def encode(
+    def queue_encode(
+        encoder: StreamEncoder,
         keys: np.ndarray,
         ptr: np.ndarray,
         ids: np.ndarray,
         codec: Codec = Codec.PFOR,
-    ) -> bytes:
-        """Serialise the entries ``keys[i] -> ids[ptr[i]:ptr[i+1]]`` in order.
+    ) -> Frame:
+        """Queue the entries ``keys[i] -> ids[ptr[i]:ptr[i+1]]``, in order,
+        as the next record of ``encoder``: :meth:`queue_encode_partitions`
+        with one partition."""
+        bounds = np.array([0, np.size(keys)])
+        return InvertedListsRecord.queue_encode_partitions(
+            encoder, keys, ptr, ids, bounds, codec
+        )[0]
+
+    @staticmethod
+    def queue_encode_partitions(
+        encoder: StreamEncoder,
+        keys: np.ndarray,
+        ptr: np.ndarray,
+        ids: np.ndarray,
+        bounds: np.ndarray,
+        codec: Codec = Codec.PFOR,
+    ) -> List[Frame]:
+        """Queue the entries ``keys[i] -> ids[ptr[i]:ptr[i+1]]`` as
+        consecutive records of ``encoder``, record ``r`` holding entries
+        ``bounds[r]:bounds[r+1]`` (ascending from 0 to ``len(keys)``): the
+        IRR writer's partitions of one keyword, queued at once.
 
         Keys are arbitrary non-negative ints (vertex ids); order is
         caller-defined — ``L_w`` stores ascending keys, ``IL_w`` stores
@@ -213,20 +251,47 @@ class InvertedListsRecord:
         fixed header, then ``codec tag u8 | keys stream | id-list set``;
         the keys stream holds the zig-zag differences of consecutive keys
         (a few bits each when keys ascend, one path when they do not).
+        Returns one function per record that, given ``encoder.finish()``,
+        frames its bytes.
         """
         keys = np.asarray(keys, dtype=np.int64)
+        bounds = np.asarray(bounds, dtype=np.int64)
         if keys.ndim != 1 or len(keys) != len(ptr) - 1:
             raise StorageError("keys must be 1-D, one per id list")
         if len(keys) and keys.min() < 0:
             raise StorageError(f"keys must be non-negative, got {int(keys.min())}")
+        # Zig-zag key deltas, restarting from 0 at each record's first key.
         deltas = np.diff(keys, prepend=0)
+        heads = bounds[:-1][np.diff(bounds) > 0]
+        deltas[heads] = keys[heads]
         zigzag = (deltas << 1) ^ (deltas >> 63)
-        payload = (
-            bytes([codec.value])
-            + encode_stream(zigzag.view(np.uint64), codec)
-            + encode_id_lists(ptr, ids, codec)
-        )
-        return _INV_HEADER.pack(len(keys), len(payload)) + payload
+        first = encoder.queue(zigzag.view(np.uint64), codec, np.diff(bounds))
+        id_list_set = encoder.queue_id_lists(ptr, ids, codec, bounds)
+        n_lists = np.diff(bounds).tolist()
+
+        def frame(r: int) -> Frame:
+            def framed(streams: List[bytes]) -> bytes:
+                payload = (
+                    bytes([codec.value]) + streams[first + r] + id_list_set(streams, r)
+                )
+                return _INV_HEADER.pack(n_lists[r], len(payload)) + payload
+
+            return framed
+
+        return [frame(r) for r in range(len(n_lists))]
+
+    @staticmethod
+    def encode(
+        keys: np.ndarray,
+        ptr: np.ndarray,
+        ids: np.ndarray,
+        codec: Codec = Codec.PFOR,
+    ) -> bytes:
+        """Serialise the entries ``keys[i] -> ids[ptr[i]:ptr[i+1]]`` in
+        order: :meth:`queue_encode` in a session of its own."""
+        encoder = StreamEncoder()
+        frame = InvertedListsRecord.queue_encode(encoder, keys, ptr, ids, codec)
+        return frame(encoder.finish())
 
     @staticmethod
     def queue(decoder: StreamDecoder, record: bytes) -> Take:

@@ -14,7 +14,8 @@ first-occurrence maps.  This module provides the container:
 +--------------------------------------------------------------+
 ```
 
-Writers stream segments sequentially (index construction is append-only);
+Writers stream segments sequentially (index construction is append-only)
+into a temporary sibling that replaces the target only once complete;
 readers fetch byte ranges through an ``mmap``-backed
 :class:`~repro.storage.pager.PagedFile`, so every access is accounted,
 and the ``*_view`` accessors hand decoders zero-copy ``memoryview``
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import os
 import struct
+import uuid
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
@@ -64,11 +66,18 @@ class SegmentWriter:
         with SegmentWriter(path) as writer:
             writer.add("rr/music", rr_bytes)
             writer.add("inv/music", inv_bytes)
+
+    The segments go to a temporary sibling of ``path`` that
+    :meth:`finalize` moves over it (``os.replace``, atomic on one file
+    system); a write that fails removes it.  So ``path`` holds either the
+    file it held before or the complete new one, never a partial file: a
+    failed rebuild leaves the index it was meant to replace intact.
     """
 
     def __init__(self, path: PathLike) -> None:
         self.path = os.fspath(path)
-        self._fh = open(self.path, "wb")
+        self._partial = f"{self.path}.{uuid.uuid4().hex}.partial"
+        self._fh = open(self._partial, "xb")
         self._fh.write(_HEADER.pack(_MAGIC, _VERSION, 0))
         self._segments: List[SegmentInfo] = []
         self._names: Dict[str, int] = {}
@@ -95,7 +104,8 @@ class SegmentWriter:
         self._offset += len(payload)
 
     def finalize(self) -> None:
-        """Write TOC + footer and close the file (idempotent)."""
+        """Write TOC + footer, close the file and move it to ``path``
+        (idempotent)."""
         if self._finalized:
             return
         toc = bytearray()
@@ -110,16 +120,27 @@ class SegmentWriter:
         self._fh.write(bytes(toc))
         self._fh.write(footer)
         self._fh.close()
+        os.replace(self._partial, self.path)
         self._finalized = True
+
+    def _discard(self) -> None:
+        """Close and delete the partial file; ``path`` is left untouched."""
+        self._fh.close()
+        if not self._finalized:
+            os.unlink(self._partial)
 
     def __enter__(self) -> "SegmentWriter":
         return self
 
     def __exit__(self, exc_type: object, *exc_info: object) -> None:
-        if exc_type is None:
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
             self.finalize()
-        else:  # leave a partial file only on error paths; close the handle
-            self._fh.close()
+        except BaseException:
+            self._discard()
+            raise
 
 
 class SegmentReader:

@@ -10,7 +10,9 @@ accepts a ``rng`` argument that may be
 ``as_rng`` normalises all three into a ``numpy.random.Generator`` so call
 sites stay one-liners.  ``spawn_rngs`` derives independent child generators
 for parallel or per-keyword sampling, so that adding a keyword to an index
-does not perturb the streams of the others.
+does not perturb the streams of the others.  ``weighted_sample`` is the
+dataset generators' weighted draw without replacement: exactly
+``Generator.choice``'s, without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -56,6 +58,34 @@ def spawn_rngs(rng: RngLike, n: int) -> Sequence[np.random.Generator]:
         return list(parent.spawn(n))
     seeds = parent.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]
+
+
+def weighted_sample(gen: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``gen.choice(len(p), size, replace=False, p=p)``, exactly.
+
+    Returns the same indices and leaves ``gen`` in the same state: each
+    round makes numpy's ``gen.random(size - found)`` draw and builds the
+    cdf as numpy does (a cumsum, then a division by its last value), so
+    every float agrees.  What it skips is the per-call overhead around
+    that loop, which the dataset generators pay once per user: the
+    re-validation of a ``p`` its caller built (sum, sign, NaN) and the
+    ``np.unique`` that drops a round's repeats.  Repeats are dropped in
+    draw order, keeping each first occurrence, as numpy's sorted
+    ``return_index`` does.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if np.count_nonzero(p > 0) < size:
+        raise ValueError("Fewer non-zero entries in p than size")
+    found: list = []
+    while len(found) < size:
+        draws = gen.random(size - len(found))
+        if found:  # later rounds draw from what is left
+            p = p.copy()
+            p[found] = 0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        found += dict.fromkeys(cdf.searchsorted(draws, side="right").tolist())
+    return np.array(found, dtype=np.int64)
 
 
 def derive_seed(rng: RngLike) -> int:

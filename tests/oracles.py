@@ -156,3 +156,146 @@ def decode_inverted_record(record):
     lists, _end = decode_id_lists(payload, payload[0], n_lists, pos)
     keys = accumulate((z >> 1) ^ -(z & 1) for z in zigzag)
     return list(zip(keys, lists))
+
+
+# ----------------------------------------------------------------------
+# The per-stream reference encoder: what ``storage/compression.py`` did
+# one stream at a time before a session encoded every stream of an index
+# file in one pass, written one Python int per value.  Shares nothing
+# with ``storage/`` but the ``Codec`` tags, so it is the oracle for
+# ``StreamEncoder``.
+# ----------------------------------------------------------------------
+def encode_stream_reference(values, codec):
+    """One stream of non-negative ints (< 2^64) under ``codec``: bytes."""
+    values = [int(v) for v in values]
+    if not values:
+        return b""
+    if codec is Codec.RAW:
+        return b"".join(v.to_bytes(8, "little") for v in values)
+    if codec is Codec.VARINT:
+        return b"".join(encode_varint(v) for v in values)
+    m = len(values)
+    position_width = (m - 1).bit_length()
+    widths = []
+    for lo in range(0, m, 128):
+        lengths = [v.bit_length() for v in values[lo : lo + 128]]
+        # Each width's bits: every value at the width, plus the excess
+        # bits and a position for each value wider than it.
+        costs = [
+            len(lengths) * w + sum(b - w + position_width for b in lengths if b > w)
+            for w in range(65)
+        ]
+        widths.append(costs.index(min(costs)))
+    width_at = [widths[i // 128] for i in range(m)]
+    exceptions = [i for i in range(m) if values[i].bit_length() > width_at[i]]
+    excesses = [values[i] >> width_at[i] for i in exceptions]
+    excess_width = max((e.bit_length() for e in excesses), default=0)
+    fields = [(i, position_width) for i in exceptions]
+    fields += [(e, excess_width) for e in excesses]
+    fields += [(v & ((1 << w) - 1), w) for v, w in zip(values, width_at)]
+    packed = n_bits = 0
+    for value, width in fields:
+        packed |= value << n_bits
+        n_bits += width
+    return (
+        bytes(widths)
+        + encode_varint(len(exceptions))
+        + (bytes([excess_width]) if exceptions else b"")
+        + packed.to_bytes((n_bits + 7) // 8, "little")
+    )
+
+
+def encode_id_lists_reference(lists, codec):
+    """An id-list set of sorted id lists: ``total | counts | gaps``."""
+    gaps = []
+    for ids in lists:
+        gaps += [b - a for a, b in zip([0] + ids, ids)]
+    return (
+        encode_varint(len(gaps))
+        + encode_stream_reference([len(ids) for ids in lists], codec)
+        + encode_stream_reference(gaps, codec)
+    )
+
+
+# ----------------------------------------------------------------------
+# The dataset generators as they were written before they drew through
+# ``utils/rng.py::weighted_sample`` and built their edge lists from
+# arrays: ``Generator.choice`` per draw and one Python append per edge.
+# The generators must reproduce them exactly (same draws, same order).
+# ----------------------------------------------------------------------
+def _first_occurrences(src, dst):
+    seen, edges = set(), []
+    for edge in zip(src, dst):
+        if edge not in seen:
+            seen.add(edge)
+            edges.append(edge)
+    return edges
+
+
+def twitter_like_edges_reference(n, avg_degree, hub_bias, passive_fraction, gen):
+    """``twitter_like``'s edge list."""
+    if passive_fraction is None:
+        passive_fraction = float(np.clip(1.0 - avg_degree / 24.0, 0.02, 0.7))
+    active_share = max(1.0 - passive_fraction, 0.05)
+    m_per_node = max(1, int(round(avg_degree / (active_share * 1.6))))
+    passive = gen.random(n) < passive_fraction
+    passive[0] = True
+    popularity = np.zeros(n, dtype=np.float64)
+    src, dst = [], []
+    for v in range(1, n):
+        if passive[v]:
+            continue
+        if gen.random() < 0.03:
+            k = int(m_per_node * 3 * (1.0 + gen.pareto(1.5)))
+        else:
+            k = int(gen.poisson(m_per_node))
+        k = min(v, k)
+        if k == 0:
+            continue
+        weights = (popularity[:v] + 1.0) ** hub_bias
+        weights /= weights.sum()
+        for u in gen.choice(v, size=k, replace=False, p=weights):
+            src.append(int(u))
+            dst.append(v)
+            popularity[u] += 1.0
+    if src:
+        reciprocate = gen.random(len(src)) < 0.3
+        back = [i for i in range(len(src)) if reciprocate[i] and not passive[src[i]]]
+        src, dst = src + [dst[i] for i in back], dst + [src[i] for i in back]
+    return _first_occurrences(src, dst)
+
+
+def news_like_edges_reference(n, avg_degree, skew, gen):
+    """``news_like``'s edge list."""
+    out_degrees = np.clip(gen.poisson(avg_degree, size=n), 0, n - 1)
+    popularity = gen.exponential(1.0, size=n)
+    popularity /= popularity.sum()
+    src, dst = [], []
+    for v in range(n):
+        d = int(out_degrees[v])
+        if d == 0:
+            continue
+        n_biased = int((gen.random(d) < skew).sum())
+        targets = np.empty(d, dtype=np.int64)
+        if n_biased:
+            targets[:n_biased] = gen.choice(n, size=n_biased, p=popularity)
+        if d - n_biased:
+            targets[n_biased:] = gen.integers(0, n, size=d - n_biased)
+        for t in targets:
+            if int(t) != v:
+                src.append(v)
+                dst.append(int(t))
+    return _first_occurrences(src, dst)
+
+
+def zipf_profile_entries_reference(n_users, n_topics, mean_topics, popularity, gen):
+    """``zipf_profiles``'s ``(user, topic id, weight)`` entries."""
+    entries = []
+    extra = gen.poisson(max(mean_topics - 1.0, 0.0), size=n_users)
+    for user in range(n_users):
+        n_chosen = int(min(1 + extra[user], n_topics))
+        chosen = gen.choice(n_topics, size=n_chosen, replace=False, p=popularity)
+        weights = gen.exponential(1.0, size=n_chosen)
+        weights /= weights.sum()
+        entries += [(user, int(t), float(w)) for t, w in zip(chosen, weights)]
+    return entries

@@ -990,6 +990,42 @@ class TestIRRArrayNativeNRA:
         assert answer.marginal_coverages == oracle.marginal_coverages
         assert answer.theta == oracle.theta
 
+    @pytest.mark.parametrize("delta", [1, 3])
+    def test_unseen_bound_is_clipped_to_the_active_sets(self, tmp_path, delta):
+        """A keyword of tiny relevance mass next to a heavy one activates
+        θ^Q_j = 1 of its sets, while its inverted lists (over all θ_j of
+        its sets, rooted at three users) run past 100: a list can add at
+        most θ^Q_j to a bound, and the engine must clip ``kb`` as the
+        reference does, or it loads partitions the bound does not need."""
+        from repro.core.catalog import plan_theta_q
+        from repro.core.irr_index import IRRIndex, IRRIndexBuilder
+        from repro.core.query import KBTIMQuery
+        from repro.core.theta import ThetaPolicy
+        from repro.profiles.store import ProfileStore
+        from repro.profiles.topics import TopicSpace
+
+        topics = TopicSpace.default(2)
+        heavy, light = topics.name(0), topics.name(1)
+        entries = [(u, 0, 1.0) for u in range(200)]
+        entries += [(u, 1, 0.05) for u in (3, 40, 77)]
+        model = IndependentCascade(twitter_like(200, avg_degree=8, rng=81))
+        path = str(tmp_path / "clip.irr")
+        IRRIndexBuilder(
+            model,
+            ProfileStore(200, topics, entries),
+            policy=ThetaPolicy(epsilon=1.0, K=10, cap=300),
+            delta=delta,
+            rng=83,
+        ).build(path)
+        with IRRIndex(path) as index:
+            theta_light = plan_theta_q([heavy, light], index.catalog)[1][light]
+            n_partitions, first_lens = index._partition_info[light]
+            # The regime: lists beyond the first partition are longer
+            # than the sets the query activates.
+            assert n_partitions > 2 and first_lens[1] > theta_light
+            for k in (1, 3, 10):
+                query_like_reference(index, KBTIMQuery((heavy, light), k))
+
     def test_seed_confirmed_before_a_later_keywords_partition_loads(
         self, irr_world, monkeypatch
     ):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import news_like_edges_reference, twitter_like_edges_reference
 from repro.errors import GraphError
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     erdos_renyi_digraph,
     news_like,
@@ -111,3 +113,27 @@ class TestFigure4Shapes:
         g = news_like(300, 3, rng=12)
         _degrees, counts = in_degree_histogram(g)
         assert counts.sum() == g.n
+
+
+class TestDrawsMatchTheChoiceReference:
+    """The generators draw through ``weighted_sample`` and build their
+    edges from arrays; each equals its per-draw ``Generator.choice`` and
+    per-edge-append reference in ``tests/oracles.py`` exactly."""
+
+    @pytest.mark.parametrize(
+        "n,avg_degree,hub_bias,passive,seed",
+        [(150, 12, 1.0, None, 71), (300, 6, 1.7, 0.2, 5), (60, 30, 0.5, 0.0, 9), (2, 1, 1.0, None, 3)],
+    )
+    def test_twitter_like(self, n, avg_degree, hub_bias, passive, seed):
+        edges = twitter_like_edges_reference(
+            n, avg_degree, hub_bias, passive, np.random.default_rng(seed)
+        )
+        graph = twitter_like(n, avg_degree, hub_bias=hub_bias, passive_fraction=passive, rng=seed)
+        assert graph == DiGraph.from_edges(n, edges)
+
+    @pytest.mark.parametrize(
+        "n,avg_degree,skew,seed", [(200, 3.0, 0.6, 7), (80, 5.0, 1.0, 8), (5, 0.01, 0.6, 1)]
+    )
+    def test_news_like(self, n, avg_degree, skew, seed):
+        edges = news_like_edges_reference(n, avg_degree, skew, np.random.default_rng(seed))
+        assert news_like(n, avg_degree, skew=skew, rng=seed) == DiGraph.from_edges(n, edges)

@@ -242,3 +242,58 @@ class TestQueryRobustness:
         index.close()
         with pytest.raises(Exception):
             index.query(KBTIMQuery(("music",), 2))
+
+
+class TestFailedRebuildKeepsTheOldIndex:
+    """A rebuild that fails after its file is open leaves the index it was
+    meant to replace: the writer works in a temporary sibling that only
+    a finished write moves over the path, and a failed one deletes."""
+
+    @pytest.mark.parametrize("kind", ["rr", "irr"])
+    def test_old_index_still_answers(self, kind, tmp_path, monkeypatch):
+        graph = twitter_like(80, avg_degree=5, rng=91)
+        profiles = zipf_profiles(graph.n, TopicSpace.default(3), rng=92)
+        policy = ThetaPolicy(epsilon=1.0, K=5, cap=60)
+        model = IndependentCascade(graph)
+        builder, reader = {
+            "rr": (RRIndexBuilder(model, profiles, policy=policy, rng=93), RRIndex),
+            "irr": (
+                IRRIndexBuilder(model, profiles, policy=policy, delta=5, rng=93),
+                IRRIndex,
+            ),
+        }[kind]
+        path = str(tmp_path / f"x.{kind}")
+        builder.build(path)
+        query = KBTIMQuery(("music", "software"), 3)
+        with reader(path) as index:
+            before = index.query(query)
+        old_bytes = open(path, "rb").read()
+
+        written = []
+        real_add = SegmentWriter.add
+
+        def failing_add(writer, name, payload):
+            if written:  # the file is open and holds a segment already
+                raise StorageError("disk full")
+            written.append(name)
+            real_add(writer, name, payload)
+
+        monkeypatch.setattr(SegmentWriter, "add", failing_add)
+        with pytest.raises(StorageError, match="disk full"):
+            builder.build(path)
+        monkeypatch.undo()
+
+        assert written == ["meta"]
+        assert os.listdir(tmp_path) == [f"x.{kind}"]
+        assert open(path, "rb").read() == old_bytes
+        with reader(path) as index:
+            after = index.query(query)
+        assert (after.seeds, after.marginal_coverages) == (before.seeds, before.marginal_coverages)
+
+    def test_writer_error_inside_the_block_removes_the_partial_file(self, tmp_path):
+        path = tmp_path / "x.idx"
+        with pytest.raises(RuntimeError):
+            with SegmentWriter(path) as writer:
+                writer.add("a", b"1")
+                raise RuntimeError("interrupted")
+        assert os.listdir(tmp_path) == []

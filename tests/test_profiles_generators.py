@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import zipf_profile_entries_reference
 from repro.errors import ProfileError
 from repro.profiles.generators import uniform_profiles, zipf_profiles, zipf_weights
+from repro.profiles.store import ProfileStore
 from repro.profiles.topics import TopicSpace
 
 
@@ -65,6 +67,21 @@ class TestZipfProfiles:
     def test_rejects_mean_above_space(self, topics):
         with pytest.raises(ProfileError):
             zipf_profiles(10, topics, mean_topics_per_user=100, rng=1)
+
+    @pytest.mark.parametrize("mean,exponent,seed", [(3.0, 1.0, 6), (6.0, 2.0, 7), (1.0, 0.5, 8)])
+    def test_equals_the_choice_reference(self, topics, mean, exponent, seed):
+        """Topics drawn through ``weighted_sample`` are exactly the
+        per-user ``Generator.choice`` draws of the reference."""
+        entries = zipf_profile_entries_reference(
+            300, topics.size, mean, zipf_weights(topics.size, exponent), np.random.default_rng(seed)
+        )
+        expected = ProfileStore(300, topics, entries)
+        store = zipf_profiles(300, topics, mean_topics_per_user=mean, zipf_exponent=exponent, rng=seed)
+        for user in range(300):
+            ids, tfs = store.topics_of(user)
+            want_ids, want_tfs = expected.topics_of(user)
+            assert ids.tolist() == want_ids.tolist()
+            assert tfs.tolist() == want_tfs.tolist()
 
 
 class TestUniformProfiles:

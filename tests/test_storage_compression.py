@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import decode_rr_payload, decode_stream, encode_varint
+import repro.storage.compression as compression_module
+from oracles import (
+    decode_rr_payload,
+    decode_stream,
+    encode_id_lists_reference,
+    encode_stream_reference,
+    encode_varint,
+)
 from repro.errors import StorageError
 from repro.storage.bitpack import pack_runs
 from repro.storage.compression import (
     Codec,
     StreamDecoder,
+    StreamEncoder,
     encode_id_lists,
     encode_stream,
     id_lists_from_streams,
@@ -108,6 +116,89 @@ class TestRoundtrips:
         blob = encode_stream(np.asarray(values, dtype=np.uint64), codec)
         assert decode_values(blob, codec, len(values)).tolist() == values
         assert decode_stream(blob, codec.value, len(values)) == (values, len(blob))
+
+
+#: Streams in every shape the width choice has a case for.
+stream_values = st.one_of(
+    st.just([]),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=1),
+    st.lists(st.just(0), min_size=1, max_size=300),  # width 0
+    st.lists(st.integers(2**63, 2**64 - 1), min_size=1, max_size=200),  # width 64
+    # Exception-heavy: small values with wide ones scattered through.
+    st.lists(st.integers(0, 3) | st.integers(2**20, 2**64 - 1), max_size=400),
+    st.lists(st.integers(0, 300), max_size=400),
+)
+
+
+def examples(n):
+    """Hypothesis settings for a test that takes the ``encode_slice``
+    fixture: it is set once per test, so reusing it is intended."""
+    return settings(
+        max_examples=n,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+
+class TestEncodingSession:
+    """One :class:`StreamEncoder` session of many streams == the scalar
+    per-stream reference, stream by stream."""
+
+    @pytest.fixture(params=[compression_module._ENCODE_SLICE, 150])
+    def encode_slice(self, request, monkeypatch):
+        """The default pass size, and one so small that a session's
+        streams split across several passes (set once per test: every
+        generated input runs under it)."""
+        monkeypatch.setattr(compression_module, "_ENCODE_SLICE", request.param)
+
+    @examples(60)
+    @given(streams=st.lists(st.tuples(stream_values, st.sampled_from(list(Codec))), max_size=12))
+    def test_streams_equal_the_reference(self, encode_slice, streams):
+        encoder = StreamEncoder()
+        index = [encoder.queue(np.asarray(v, dtype=np.uint64), codec) for v, codec in streams]
+        encoded = encoder.finish()
+        assert index == list(range(len(streams)))
+        assert encoded == [encode_stream_reference(v, codec) for v, codec in streams]
+
+    @examples(40)
+    @given(
+        streams=st.lists(stream_values, min_size=1, max_size=8),
+        codec=st.sampled_from(list(Codec)),
+    )
+    def test_one_column_split_into_streams(self, encode_slice, streams, codec):
+        encoder = StreamEncoder()
+        encoder.queue(np.zeros(3, dtype=np.uint64), codec)
+        first = encoder.queue(
+            np.asarray(sum(streams, []), dtype=np.uint64),
+            codec,
+            np.array([len(v) for v in streams]),
+        )
+        encoded = encoder.finish()
+        assert first == 1 and len(encoded) == 1 + len(streams)
+        assert encoded[1:] == [encode_stream_reference(v, codec) for v in streams]
+
+    @examples(40)
+    @given(
+        lists=st.lists(sorted_ids.map(np.ndarray.tolist), max_size=12),
+        data=st.data(),
+        codec=st.sampled_from(list(Codec)),
+    )
+    def test_id_list_sets_equal_the_reference(self, encode_slice, lists, data, codec):
+        """Sets of any consecutive lists (empty sets too), or one of all."""
+        cuts = data.draw(st.lists(st.integers(0, len(lists)), max_size=4) | st.none())
+        bounds = None if cuts is None else np.array(sorted([0, len(lists), *cuts]))
+        ptr = np.cumsum([0] + [len(ids) for ids in lists])
+        encoder = StreamEncoder()
+        flat = np.asarray(sum(lists, []), dtype=np.int64)
+        id_list_set = encoder.queue_id_lists(ptr, flat, codec, bounds)
+        streams = encoder.finish()
+        if bounds is None:
+            groups = [lists]
+        else:
+            groups = [lists[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert [id_list_set(streams, j) for j in range(len(groups))] == [
+            encode_id_lists_reference(g, codec) for g in groups
+        ]
 
 
 class TestValidation:

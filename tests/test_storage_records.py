@@ -11,7 +11,7 @@ from listform import encode_inverted_lists, encode_rr_sets
 from oracles import decode_inverted_record as oracle_inverted_record
 from oracles import decode_rr_payload
 from repro.errors import StorageError
-from repro.storage.compression import Codec, StreamDecoder, encode_stream
+from repro.storage.compression import Codec, StreamDecoder, StreamEncoder, encode_stream
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 
 id_array = st.lists(
@@ -208,6 +208,29 @@ class TestInvertedListsRecord:
         assert len(out) == len(lists)
         for (ka, va), (kb, vb) in zip(lists, out):
             assert ka == kb and np.array_equal(va, vb)
+
+    @pytest.mark.parametrize("codec", list(Codec))
+    def test_partitions_queued_at_once_equal_one_record_each(self, codec):
+        """What the IRR writer queues per keyword: each partition's record
+        (empty ones too, keys restarting their deltas at each) is the
+        record of its slice alone."""
+        rng = np.random.default_rng(5)
+        lists = [np.sort(rng.choice(500, size=rng.integers(0, 6), replace=False)) for _ in range(20)]
+        keys = rng.permutation(100)[:20]
+        ptr = np.cumsum([0] + [len(ids) for ids in lists])
+        ids = np.concatenate(lists).astype(np.int64)
+        bounds = np.array([0, 0, 7, 7, 13, 20])
+        encoder = StreamEncoder()
+        frames = InvertedListsRecord.queue_encode_partitions(
+            encoder, keys, ptr, ids, bounds, codec
+        )
+        streams = encoder.finish()
+        assert len(frames) == len(bounds) - 1
+        for lo, hi, frame in zip(bounds[:-1], bounds[1:], frames):
+            alone = InvertedListsRecord.encode(
+                keys[lo:hi], ptr[lo : hi + 1] - ptr[lo], ids[ptr[lo] : ptr[hi]], codec
+            )
+            assert frame(streams) == alone
 
 
 # ----------------------------------------------------------------------

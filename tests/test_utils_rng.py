@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import as_rng, derive_seed, optional_seed, spawn_rngs
+from repro.utils.rng import (
+    as_rng,
+    derive_seed,
+    optional_seed,
+    spawn_rngs,
+    weighted_sample,
+)
 
 
 class TestAsRng:
@@ -74,3 +82,62 @@ class TestSeedHelpers:
 
     def test_optional_seed_salt_changes_value(self):
         assert optional_seed(10, 3) != optional_seed(10, 4)
+
+
+# A weight vector: some zeros, the rest spread over up to six orders of
+# magnitude, so that a heavy entry repeats within a round and forces
+# another one.
+weight_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=40
+).filter(lambda ws: any(w > 0 for w in ws))
+
+
+class TestWeightedSample:
+    """``weighted_sample`` is ``Generator.choice(..., replace=False, p=)``
+    bit for bit: same indices, same generator state afterwards."""
+
+    @staticmethod
+    def both(weights, size, seed):
+        p = np.asarray(weights, dtype=np.float64)
+        p /= p.sum()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = weighted_sample(ours, p, size)
+        want = theirs.choice(len(p), size=size, replace=False, p=p)
+        return got, want, ours.random(), theirs.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(weight_vectors, st.data(), st.integers(0, 2**32))
+    def test_equals_generator_choice(self, weights, data, seed):
+        nonzero = sum(w > 0 for w in weights)
+        size = data.draw(st.integers(0, nonzero), label="size")
+        got, want, next_got, next_want = self.both(weights, size, seed)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert next_got == next_want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32))
+    def test_skewed_weights_take_several_rounds(self, n, seed):
+        # One entry holds nearly all the mass and every non-zero entry is
+        # drawn, so the first round repeats and later rounds must run.
+        weights = [1e6] + [1.0] * (n - 1)
+        got, want, next_got, next_want = self.both(weights, n, seed)
+        assert got.tolist() == want.tolist()
+        assert next_got == next_want
+
+    def test_size_equal_to_nonzero_entries(self):
+        weights = [0.0, 3.0, 0.0, 1.0, 0.5]
+        for seed in range(20):
+            got, want, next_got, next_want = self.both(weights, 3, seed)
+            assert sorted(got.tolist()) == [1, 3, 4]
+            assert got.tolist() == want.tolist()
+            assert next_got == next_want
+
+    def test_caller_weights_untouched(self):
+        p = np.array([0.5, 0.25, 0.25])
+        weighted_sample(np.random.default_rng(0), p, 3)
+        assert p.tolist() == [0.5, 0.25, 0.25]
+
+    def test_too_few_nonzero_entries_rejected(self):
+        with pytest.raises(ValueError, match="Fewer non-zero entries"):
+            weighted_sample(np.random.default_rng(0), np.array([0.5, 0.0, 0.5]), 3)

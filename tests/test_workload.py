@@ -98,6 +98,27 @@ class TestMixedWorkload:
         )
         assert head > tail
 
+    def test_equals_the_choice_reference(self, profiles):
+        """Keywords drawn through ``weighted_sample`` leave the generator
+        where ``Generator.choice`` did: the length and budget draws that
+        follow each one stay the same."""
+        from repro.profiles.generators import zipf_weights
+
+        topics = profiles.topics
+        usable = np.array([t for t in range(topics.size) if profiles.df(t) > 0])
+        weights = zipf_weights(topics.size)[usable]
+        weights = weights / weights.sum()
+        lengths, ks = (1, 2, 3, 4, 5, 6), (10, 25, 50)
+        gen = np.random.default_rng(17)
+        expected = []
+        for _ in range(200):
+            length = lengths[int(gen.choice(len(lengths)))]
+            k = ks[int(gen.choice(len(ks)))]
+            chosen = gen.choice(usable, size=length, replace=False, p=weights)
+            expected.append((tuple(topics.name(int(t)) for t in chosen), k))
+        queries = make_mixed_workload(profiles, n_queries=200, rng=17)
+        assert [(q.keywords, q.k) for q in queries] == expected
+
     def test_empty_axes_rejected(self, profiles):
         with pytest.raises(QueryError):
             make_mixed_workload(profiles, n_queries=5, lengths=())
