@@ -23,11 +23,6 @@ from repro.propagation.lt import LinearThreshold
 from repro.storage.compression import Codec, StreamDecoder, encode_stream
 from repro.storage.pager import BufferPool, PagedFile
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
-from repro.storage.varint import (
-    decode_varints,
-    decode_varints_block,
-    encode_varints,
-)
 
 
 @pytest.fixture(scope="module")
@@ -217,29 +212,6 @@ def test_record_encode(record, keyword_csr, benchmark):
         benchmark(lambda: InvertedListsRecord.encode(*keyword_csr[1], Codec.PFOR))
 
 
-#: One record's worth of gap varints — the stream shape the block varint
-#: decoder sees on the cold query path (VARINT-codec lists and PFoR
-#: exception pairs are back-to-back varint runs).
-_VARINT_STREAM = encode_varints(
-    np.random.default_rng(85).integers(1, 1 << 20, size=5000).tolist()
-)
-
-
-def test_varint_decode_scalar_reference(benchmark):
-    """The byte-at-a-time walk, kept as the bit-exactness reference.
-
-    Paired with :func:`test_varint_decode_block` on the identical
-    5000-varint stream; the ratio is the block-decoder speedup
-    BENCH_pr3.json records.
-    """
-    benchmark(lambda: decode_varints(_VARINT_STREAM, 5000))
-
-
-def test_varint_decode_block(benchmark):
-    """The vectorised block decoder on the same 5000-varint stream."""
-    benchmark(lambda: decode_varints_block(_VARINT_STREAM, 5000))
-
-
 @pytest.fixture(scope="module")
 def rr_index_path(tmp_path_factory):
     """A small RR index over the same world as the IRR bench fixture."""
@@ -313,10 +285,10 @@ def _gap_stream(n_lists, per_list, seed):
     return np.diff(ids, prepend=0, axis=1).astype(np.uint64).ravel()
 
 
-#: The three stream shapes the codec runs at: one cold keyword's gaps at
-#: the size the repo benchmark's fixture has (676 ids), one IRR
-#: partition (δ = 100 lists), and one record long enough that the unpack
-#: works in bounded slices.
+#: The three stream shapes Table 4's two codecs (RAW, PFOR) run at: one
+#: cold keyword's gaps at the size the repo benchmark's fixture has (676
+#: ids), one IRR partition (δ = 100 lists), and one record long enough
+#: that the unpack works in bounded slices.
 _STREAM_SHAPES = [
     pytest.param(169, 4, id="keyword-676"),
     pytest.param(100, 4, id="partition-100-lists"),
@@ -325,7 +297,7 @@ _STREAM_SHAPES = [
 
 
 @pytest.mark.parametrize("n_lists, per_list", _STREAM_SHAPES)
-@pytest.mark.parametrize("codec", [Codec.VARINT, Codec.PFOR])
+@pytest.mark.parametrize("codec", [Codec.RAW, Codec.PFOR])
 def test_codec_encode(codec, n_lists, per_list, benchmark):
     gaps = _gap_stream(n_lists, per_list, 80)
 
@@ -333,7 +305,7 @@ def test_codec_encode(codec, n_lists, per_list, benchmark):
 
 
 @pytest.mark.parametrize("n_lists, per_list", _STREAM_SHAPES)
-@pytest.mark.parametrize("codec", [Codec.VARINT, Codec.PFOR])
+@pytest.mark.parametrize("codec", [Codec.RAW, Codec.PFOR])
 def test_codec_decode(codec, n_lists, per_list, benchmark):
     gaps = _gap_stream(n_lists, per_list, 81)
     blob = encode_stream(gaps, codec)

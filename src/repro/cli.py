@@ -12,6 +12,8 @@ stage so the library can be driven without writing Python:
     Answer one KB-TIM query from a stored index (Algorithm 2/4).
 ``inspect``
     Print an index's catalog (keywords, θ_w, sizes).
+``verify``
+    Integrity-check an index file (CRCs, catalog, records).
 ``experiment``
     Reproduce one or ``all`` of the paper's tables/figures at a chosen
     scale, as the markdown report EXPERIMENTS.md is written from.
@@ -71,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--k-max", type=int, default=100, help="system K")
     build.add_argument("--cap", type=int, default=None, help="per-keyword theta cap")
     build.add_argument("--delta", type=int, default=100, help="IRR partition size")
-    build.add_argument(
-        "--codec", choices=("raw", "varint", "pfor"), default="pfor"
-    )
+    build.add_argument("--codec", choices=("raw", "pfor"), default="pfor")
     build.add_argument(
         "--theta-hat",
         action="store_true",
@@ -104,15 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shallow",
         action="store_true",
         help="skip the deep RR-set/inverted-list cross-check",
-    )
-
-    extract = sub.add_parser(
-        "extract", help="carve a keyword subset into a new RR index"
-    )
-    extract.add_argument("--index", required=True, help="source RR index")
-    extract.add_argument("--out", required=True, help="target index file")
-    extract.add_argument(
-        "--keywords", required=True, help="comma-separated topic names"
     )
 
     experiment = sub.add_parser(
@@ -327,15 +318,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    from repro.core.maintenance import extract_keywords
-
-    keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
-    extracted = extract_keywords(args.index, args.out, keywords)
-    print(f"extracted {len(extracted)} keywords into {args.out}: {extracted}")
-    return 0
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     import os
 
@@ -462,7 +444,6 @@ _COMMANDS = {
     "query": _cmd_query,
     "inspect": _cmd_inspect,
     "verify": _cmd_verify,
-    "extract": _cmd_extract,
     "experiment": _cmd_experiment,
     "replay": _cmd_replay,
 }

@@ -24,7 +24,7 @@ from repro.core.estimation import (
     estimate_opt_lower_bound,
 )
 from repro.core.irr_index import DEFAULT_PARTITION_SIZE, IRRIndex, IRRIndexBuilder
-from repro.core.maintenance import IndexCheckReport, extract_keywords, verify_index
+from repro.core.maintenance import IndexCheckReport, verify_index
 from repro.core.offline import KeywordTable, sample_keyword_tables
 from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
@@ -82,7 +82,6 @@ __all__ = [
     "ChaosController",
     "corrupt_index_copy",
     "verify_index",
-    "extract_keywords",
     "IndexCheckReport",
     "KeywordMeta",
     "BuildReport",

@@ -7,9 +7,10 @@ in ``docs/ARCHITECTURE.md``).  This module is the only place that knows
 that document:
 
 * writer side — :func:`keyword_entries` + :func:`encode_catalog`, called
-  by both index writers and by keyword extraction;
+  by both index writers;
 * reader side — :func:`read_catalog`, the one parse and the one
-  ``format`` check, returning a typed :class:`Catalog`;
+  ``format``, ``version`` and ``codec`` check, returning a typed
+  :class:`Catalog`;
 * :class:`IndexReader` — what :class:`~repro.core.rr_index.RRIndex` and
   :class:`~repro.core.irr_index.IRRIndex` have in common: open the
   container, load the catalog, plan a query's ``θ^Q`` prefixes
@@ -116,7 +117,7 @@ class Catalog:
     keywords: Dict[str, KeywordMeta]
     topic_names: Dict[int, str]
     #: The raw per-keyword JSON entries, for the fields only one format
-    #: carries (IRR's partition tables) and for re-encoding a subset.
+    #: carries (IRR's partition tables).
     entries: Dict[str, dict]
 
 
@@ -182,7 +183,8 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
     ------
     CorruptIndexError
         If the document's format is not ``expected`` (when given), is not
-        a format this library writes, or is not at :data:`FORMAT_VERSION`.
+        a format this library writes, is not at :data:`FORMAT_VERSION`,
+        or names a codec this release does not read.
     """
     meta = json.loads(reader.read("meta").decode("utf-8"))
     fmt = meta.get("format")
@@ -198,6 +200,14 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
             f"release reads version {FORMAT_VERSION}: rebuild the index with "
             "this release"
         )
+    try:
+        codec = Codec(meta.get("codec"))
+    except ValueError:
+        raise CorruptIndexError(
+            f"{reader.path}: index codec {meta.get('codec')!r}, this release "
+            f"reads codecs {[c.value for c in Codec]}: rebuild the index with "
+            "this release"
+        ) from None
     entries = meta["keywords"]
     keywords = {
         name: KeywordMeta(
@@ -210,7 +220,7 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
         n_vertices=int(meta["n_vertices"]),
         epsilon=float(meta["epsilon"]),
         K=int(meta["K"]),
-        codec=Codec(int(meta["codec"])),
+        codec=codec,
         delta=int(meta["delta"]) if fmt == IRR_FORMAT else None,
         keywords=keywords,
         topic_names={entry.topic_id: name for name, entry in keywords.items()},

@@ -39,6 +39,10 @@ from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["OptEstimate", "estimate_opt_lower_bound", "deterministic_opt_floor"]
 
+#: Doubling stops early once two consecutive estimates agree within this
+#: relative tolerance.
+_STABILITY_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class OptEstimate:
@@ -80,7 +84,6 @@ def estimate_opt_lower_bound(
     epsilon: float = 0.1,
     pilot_theta: int = 256,
     max_rounds: int = 4,
-    stability_tol: float = 0.1,
     rng: RngLike = None,
 ) -> OptEstimate:
     """Iterative-doubling greedy lower bound on the weighted OPT.
@@ -103,10 +106,7 @@ def estimate_opt_lower_bound(
     pilot_theta:
         Size of the first pilot batch; doubles each round.
     max_rounds:
-        Number of doubling rounds.
-    stability_tol:
-        Stop doubling early once two consecutive estimates agree within
-        this relative tolerance.
+        Number of doubling rounds (fewer once the estimate is stable).
     """
     check_positive("total_weight", total_weight)
     check_positive("epsilon", epsilon)
@@ -136,7 +136,7 @@ def estimate_opt_lower_bound(
         if (
             estimate is not None
             and estimate > 0
-            and abs(new_estimate - estimate) / estimate <= stability_tol
+            and abs(new_estimate - estimate) / estimate <= _STABILITY_TOL
         ):
             estimate = new_estimate
             break

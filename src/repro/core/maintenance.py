@@ -1,69 +1,26 @@
-"""Index maintenance utilities.
+"""Index integrity checking.
 
-Operational tooling around the on-disk indexes that a deployment needs
-but the paper leaves implicit:
-
-* :func:`extract_keywords` — carve a keyword subset out of an RR index
-  into a new, smaller index file (e.g. ship one advertiser only the
-  verticals they bid on).  Pure file-level surgery: RR sets and inverted
-  lists are copied byte-for-byte; only the catalog shrinks.
-* :func:`verify_index` — full-file integrity check: every segment's CRC,
-  catalog/segment cross-references, and per-keyword record consistency
-  (set counts, inverted-list agreement).  The deep check re-derives the
-  inverted mapping from the RR sets and compares.
+:func:`verify_index` is the full-file check a deployment runs before it
+serves a file: every segment's CRC, catalog/segment cross-references,
+and per-keyword record consistency (set counts, inverted-list
+agreement).  The deep check re-derives the inverted mapping from the RR
+sets and compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.catalog import RR_FORMAT, Catalog, encode_catalog, read_catalog
+from repro.core.catalog import RR_FORMAT, Catalog, read_catalog
 from repro.core.rr_index import invert_csr
-from repro.errors import CorruptIndexError, IndexError_
+from repro.errors import CorruptIndexError
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
-from repro.storage.segments import SegmentReader, SegmentWriter
+from repro.storage.segments import SegmentReader
 from repro.utils.rrsets import FlatRRSets
 
-__all__ = ["extract_keywords", "verify_index", "IndexCheckReport"]
-
-
-def extract_keywords(
-    source_path: str, target_path: str, keywords: Sequence[str]
-) -> List[str]:
-    """Copy a keyword subset of an RR index into a new index file.
-
-    Returns the extracted keyword names.  Raises
-    :class:`~repro.errors.IndexError_` when a requested keyword is not in
-    the source index, and :class:`~repro.errors.CorruptIndexError` for a
-    non-RR source file.
-    """
-    keywords = list(dict.fromkeys(keywords))  # stable de-dup
-    if not keywords:
-        raise IndexError_("extract_keywords needs at least one keyword")
-    with SegmentReader(source_path) as reader:
-        catalog = read_catalog(reader, RR_FORMAT)
-        missing = [kw for kw in keywords if kw not in catalog.keywords]
-        if missing:
-            raise IndexError_(f"keywords not in index: {missing}")
-        with SegmentWriter(target_path) as writer:
-            writer.add(
-                "meta",
-                encode_catalog(
-                    RR_FORMAT,
-                    n_vertices=catalog.n_vertices,
-                    epsilon=catalog.epsilon,
-                    K=catalog.K,
-                    codec=catalog.codec,
-                    keywords={kw: catalog.entries[kw] for kw in keywords},
-                ),
-            )
-            for kw in sorted(keywords):
-                writer.add(f"rr/{kw}", reader.read(f"rr/{kw}"))
-                writer.add(f"inv/{kw}", reader.read(f"inv/{kw}"))
-    return keywords
+__all__ = ["verify_index", "IndexCheckReport"]
 
 
 @dataclass(frozen=True)

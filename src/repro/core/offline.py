@@ -36,6 +36,12 @@ from repro.utils.rrsets import FlatRRSets
 
 __all__ = ["KeywordTable", "sample_keyword_tables"]
 
+#: OPT-estimation budget per keyword (see
+#: :func:`~repro.core.estimation.estimate_opt_lower_bound`): a first pilot
+#: batch of 128 RR sets, doubled once.
+_PILOT_THETA = 128
+_PILOT_ROUNDS = 2
+
 
 @dataclass
 class KeywordTable:
@@ -70,8 +76,6 @@ def sample_keyword_tables(
     keywords: Optional[Sequence] = None,
     policy: Optional[ThetaPolicy] = None,
     use_theta_hat: bool = False,
-    pilot_theta: int = 128,
-    pilot_rounds: int = 2,
     workers: int = 1,
     rng: RngLike = None,
 ) -> Dict[str, KeywordTable]:
@@ -89,9 +93,6 @@ def sample_keyword_tables(
     policy:
         θ policy; ``use_theta_hat`` selects Lemma 3's θ̂_w (the Table 3
         "θ̂_w" columns) instead of the improved Lemma 4 θ_w.
-    pilot_theta, pilot_rounds:
-        OPT-estimation budget per keyword (see
-        :func:`~repro.core.estimation.estimate_opt_lower_bound`).
     workers:
         Number of sampling processes (the paper builds with 8 threads).
         Keywords are sharded across processes; each keyword draws from a
@@ -129,8 +130,6 @@ def sample_keyword_tables(
             topic_id=topic_id,
             seed=keyword_seeds[topic_id],
             use_theta_hat=use_theta_hat,
-            pilot_theta=pilot_theta,
-            pilot_rounds=pilot_rounds,
         )
         for topic_id in topic_ids
     ]
@@ -153,8 +152,6 @@ class _KeywordJob:
     topic_id: int
     seed: int
     use_theta_hat: bool
-    pilot_theta: int
-    pilot_rounds: int
 
 
 def _sample_one_keyword(
@@ -183,8 +180,8 @@ def _sample_one_keyword(
         weights,
         opt_k,
         epsilon=policy.epsilon,
-        pilot_theta=job.pilot_theta,
-        max_rounds=job.pilot_rounds,
+        pilot_theta=_PILOT_THETA,
+        max_rounds=_PILOT_ROUNDS,
         rng=gen,
     )
     if job.use_theta_hat:

@@ -94,8 +94,6 @@ class RRIndexBuilder:
         policy: Optional[ThetaPolicy] = None,
         codec: Codec = Codec.PFOR,
         use_theta_hat: bool = False,
-        pilot_theta: int = 128,
-        pilot_rounds: int = 2,
         workers: int = 1,
         rng: RngLike = None,
     ) -> None:
@@ -104,8 +102,6 @@ class RRIndexBuilder:
         self.policy = policy if policy is not None else ThetaPolicy()
         self.codec = codec
         self.use_theta_hat = use_theta_hat
-        self.pilot_theta = pilot_theta
-        self.pilot_rounds = pilot_rounds
         self.workers = workers
         self.rng = rng
 
@@ -121,8 +117,6 @@ class RRIndexBuilder:
             keywords=keywords,
             policy=self.policy,
             use_theta_hat=self.use_theta_hat,
-            pilot_theta=self.pilot_theta,
-            pilot_rounds=self.pilot_rounds,
             workers=self.workers,
             rng=self.rng,
         )

@@ -7,10 +7,11 @@ needs so those claims can be measured rather than modelled:
 
 * :mod:`repro.storage.iostats` — physical-I/O counters;
 * :mod:`repro.storage.varint` / :mod:`repro.storage.bitpack` — integer
-  coding primitives;
-* :mod:`repro.storage.compression` — the columnar stream codec (gaps +
-  PFoR-style blocks) standing in for FastPFOR (byte layout: "On-disk
-  format" in ``docs/ARCHITECTURE.md``);
+  coding primitives (the LEB128 header fields; fixed-width bit runs);
+* :mod:`repro.storage.compression` — the columnar stream format and its
+  two codecs, RAW and PFOR (gaps + PFoR-style blocks) standing in for
+  FastPFOR, the pair Table 4 compares (byte layout: "On-disk format" in
+  ``docs/ARCHITECTURE.md``);
 * :mod:`repro.storage.pager` — paged file reads through an LRU buffer pool;
 * :mod:`repro.storage.segments` — a named-segment container file with
   checksummed table of contents, used by both index formats;

@@ -5,11 +5,10 @@ Lucene) and reports ~50% / ~40% space savings on the news / Twitter indexes
 with negligible build-time overhead (Table 4).  FastPFOR itself is a SIMD
 C++ library; this module substitutes a faithful numpy relative whose unit
 is the *stream*: ``m`` non-negative integers (``m`` known from context)
-under one codec tag —
+under one of the two codec tags Table 4 compares —
 
 * ``Codec.RAW`` — ``m`` little-endian ``uint64``, the paper's
   "uncompress" index variant;
-* ``Codec.VARINT`` — ``m`` LEB128 varints;
 * ``Codec.PFOR`` — 128-value blocks over the *whole stream*: a ``u8``
   width per block (0 to 64), one exception table (stream positions and the
   bits above the block width, two fixed-width columns) and the blocks'
@@ -45,7 +44,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.bitpack import MASKS, bit_lengths, pack_runs, unpack_runs
-from repro.storage.varint import decode_varint, decode_varints_block, encode_varints
+from repro.storage.varint import decode_varint, encode_varints
 
 __all__ = [
     "Codec",
@@ -64,10 +63,11 @@ _WIDTHS = np.arange(65, dtype=np.int64)
 
 
 class Codec(enum.Enum):
-    """Available stream codecs; values are the on-disk tag bytes."""
+    """Available stream codecs; values are the on-disk tag bytes.  Tag 1
+    stays unused: v2 files of a retired LEB128 codec carry it, and must
+    fail as an unknown tag."""
 
     RAW = 0
-    VARINT = 1
     PFOR = 2
 
 
@@ -87,7 +87,7 @@ class StreamEncoder:
 
     The mirror of :class:`StreamDecoder`.  :meth:`queue` and
     :meth:`queue_id_lists` check what they are given and queue it — RAW
-    and VARINT streams encode on the spot, PFOR streams wait — and the
+    streams encode on the spot, PFOR streams wait — and the
     waiting PFOR streams of every record are encoded together, in one
     vectorised pass per ``_ENCODE_SLICE`` values (the benchmark's whole
     index file is one): one bit-length histogram and one width-cost
@@ -143,10 +143,7 @@ class StreamEncoder:
             return first
         ends = np.cumsum(lengths).tolist()
         for lo, hi in zip([0] + ends, ends):
-            if codec is Codec.RAW:
-                self._encoded.append(arr[lo:hi].astype("<u8").tobytes())
-            else:
-                self._encoded.append(encode_varints(arr[lo:hi].tolist()))
+            self._encoded.append(arr[lo:hi].astype("<u8").tobytes())
         return first
 
     def queue_id_lists(
@@ -332,7 +329,7 @@ def encode_id_lists(ptr: np.ndarray, ids: np.ndarray, codec: Codec = Codec.PFOR)
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
-_RAW, _VARINT, _PFOR = (codec.value for codec in Codec)
+_RAW, _PFOR = (codec.value for codec in Codec)
 _NO_VALUES = np.empty(0, dtype=np.uint64)
 
 
@@ -344,8 +341,8 @@ class StreamDecoder:
     is the bound every size and truncation guard of the streams read
     from it checks against, so a corrupt header in one record fails on
     that record's own end and never reaches into its neighbour.
-    :meth:`read` parses one stream's small header — RAW and VARINT
-    streams decode on the spot, a PFOR stream's bit-packed columns
+    :meth:`read` parses one stream's small header — a RAW stream
+    decodes on the spot, a PFOR stream's bit-packed columns
     (exception positions, exception excesses, values) are queued — and
     returns where the stream ends, so a record's streams are read back to
     back.  :meth:`finish` then unpacks every queued column of every
@@ -397,7 +394,7 @@ class StreamDecoder:
     def read(self, tag: int, m: int, pos: int) -> int:
         """Read a stream of ``m`` values under codec ``tag`` at ``pos``."""
         data, size = self._data, self._size
-        if tag > _PFOR:
+        if tag != _RAW and tag != _PFOR:
             raise StorageError(f"unknown codec tag {tag}")
         if m > _BLOCK * (size - pos):
             raise StorageError(
@@ -412,10 +409,6 @@ class StreamDecoder:
                 raise StorageError("truncated RAW stream")
             self._streams.append(np.frombuffer(data, dtype="<u8", count=m, offset=pos))
             return pos + 8 * m
-        if tag == _VARINT:
-            values, pos = decode_varints_block(data, m, pos)
-            self._streams.append(values)
-            return pos
         n_blocks = (m + _BLOCK - 1) // _BLOCK
         widths = data[pos : pos + n_blocks]
         n_exceptions, pos = decode_varint(data, pos + n_blocks)

@@ -86,11 +86,6 @@ def decode_stream(data, tag, m, pos=0):
     if tag == Codec.RAW.value:
         end = pos + 8 * m
         values = [int.from_bytes(data[i : i + 8], "little") for i in range(pos, end, 8)]
-    elif tag == Codec.VARINT.value:
-        values, end = [], pos
-        for _ in range(m):
-            value, end = _varint(data, end)
-            values.append(value)
     elif tag == Codec.PFOR.value:
         n_blocks = -(-m // 128)
         widths = list(data[pos : pos + n_blocks])
@@ -172,8 +167,6 @@ def encode_stream_reference(values, codec):
         return b""
     if codec is Codec.RAW:
         return b"".join(v.to_bytes(8, "little") for v in values)
-    if codec is Codec.VARINT:
-        return b"".join(encode_varint(v) for v in values)
     m = len(values)
     position_width = (m - 1).bit_length()
     widths = []

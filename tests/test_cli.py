@@ -297,24 +297,6 @@ class TestVerifyAndExtract:
         assert main(["verify", "--index", broken]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_extract_then_query(self, rr_index, tmp_path, capsys):
-        out = str(tmp_path / "subset.rr")
-        assert (
-            main(["extract", "--index", rr_index, "--out", out, "--keywords", "music"])
-            == 0
-        )
-        assert main(["query", "--index", out, "--keywords", "music", "--k", "2"]) == 0
-
-    def test_extract_unknown_keyword(self, rr_index, tmp_path, capsys):
-        out = str(tmp_path / "x.rr")
-        assert (
-            main(
-                ["extract", "--index", rr_index, "--out", out, "--keywords", "quantum"]
-            )
-            == 1
-        )
-        assert "error:" in capsys.readouterr().err
-
 
 def _homes(node, key, path=""):
     """Every path (list positions collapsed) at which ``key`` occurs."""

@@ -1,4 +1,4 @@
-"""Tests for index maintenance utilities (repro.core.maintenance)."""
+"""Tests for the index integrity check (repro.core.maintenance)."""
 
 import json
 
@@ -6,11 +6,10 @@ import pytest
 
 from listform import encode_inverted_lists
 from repro.core.irr_index import IRRIndexBuilder
-from repro.core.maintenance import extract_keywords, verify_index
-from repro.core.query import KBTIMQuery
-from repro.core.rr_index import RRIndex, RRIndexBuilder
+from repro.core.maintenance import verify_index
+from repro.core.rr_index import RRIndexBuilder
 from repro.core.theta import ThetaPolicy
-from repro.errors import CorruptIndexError, IndexError_
+from repro.errors import CorruptIndexError
 from repro.storage.records import InvertedListsRecord
 from repro.storage.segments import SegmentReader, SegmentWriter
 
@@ -38,55 +37,6 @@ def built(tmp_path_factory):
     return rr_path, irr_path
 
 
-class TestExtractKeywords:
-    def test_extracted_index_queries_identically(self, built, tmp_path):
-        rr_path, _ = built
-        out = str(tmp_path / "subset.rr")
-        extracted = extract_keywords(rr_path, out, ["music", "book"])
-        assert extracted == ["music", "book"]
-        query = KBTIMQuery(("music", "book"), 5)
-        with RRIndex(rr_path) as full, RRIndex(out) as subset:
-            a = full.query(query)
-            b = subset.query(query)
-        assert a.seeds == b.seeds
-        assert a.marginal_coverages == b.marginal_coverages
-
-    def test_subset_smaller_on_disk(self, built, tmp_path):
-        import os
-
-        rr_path, _ = built
-        out = str(tmp_path / "one.rr")
-        extract_keywords(rr_path, out, ["music"])
-        assert os.path.getsize(out) < os.path.getsize(rr_path)
-
-    def test_subset_catalog_shrinks(self, built, tmp_path):
-        rr_path, _ = built
-        out = str(tmp_path / "two.rr")
-        extract_keywords(rr_path, out, ["music", "car"])
-        with RRIndex(out) as subset:
-            assert set(subset.keywords()) == {"music", "car"}
-
-    def test_unknown_keyword_rejected(self, built, tmp_path):
-        rr_path, _ = built
-        with pytest.raises(IndexError_, match="not in index"):
-            extract_keywords(rr_path, str(tmp_path / "x.rr"), ["quantum"])
-
-    def test_empty_request_rejected(self, built, tmp_path):
-        rr_path, _ = built
-        with pytest.raises(IndexError_):
-            extract_keywords(rr_path, str(tmp_path / "x.rr"), [])
-
-    def test_irr_source_rejected(self, built, tmp_path):
-        _, irr_path = built
-        with pytest.raises(CorruptIndexError):
-            extract_keywords(irr_path, str(tmp_path / "x.rr"), ["music"])
-
-    def test_duplicates_deduped(self, built, tmp_path):
-        rr_path, _ = built
-        out = str(tmp_path / "dup.rr")
-        assert extract_keywords(rr_path, out, ["music", "music"]) == ["music"]
-
-
 class TestVerifyIndex:
     def test_rr_index_verifies(self, built):
         rr_path, _ = built
@@ -106,12 +56,6 @@ class TestVerifyIndex:
         rr_path, irr_path = built
         assert verify_index(rr_path, deep=False).rr_sets_checked == 0
         assert verify_index(irr_path, deep=False).rr_sets_checked == 0
-
-    def test_extracted_subset_verifies(self, built, tmp_path):
-        rr_path, _ = built
-        out = str(tmp_path / "v.rr")
-        extract_keywords(rr_path, out, ["music"])
-        assert verify_index(out).keywords_checked == 1
 
     def test_corruption_detected(self, built, tmp_path):
         rr_path, _ = built

@@ -535,7 +535,7 @@ class TestBatchDecoder:
     @given(st.data())
     def test_mixed_codec_streams(self, data):
         """Group chunks carry their own codec tag, so one payload may mix
-        codecs: eager (RAW, VARINT) and queued (PFOR) streams interleave
+        codecs: eager (RAW) and queued (PFOR) streams interleave
         in one decoder."""
         n_lists = data.draw(st.integers(0, 12))
         lists, blob = [], b""

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.catalog import FORMAT_VERSION, IRR_FORMAT, RR_FORMAT, read_catalog
+from repro.core.catalog import (
+    FORMAT_VERSION,
+    IRR_FORMAT,
+    RR_FORMAT,
+    open_index,
+    read_catalog,
+)
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder, write_irr_index
 from repro.core.maintenance import verify_index
 from repro.core.offline import KeywordTable
@@ -60,6 +66,17 @@ def paths(small_world, smoke_policy, tmp_path_factory):
         built["irr"], tables=tables
     )
     return built
+
+
+def relabelled(source, out, **fields):
+    """Copy an index file with ``fields`` of its ``meta`` document set."""
+    with SegmentReader(source) as reader, SegmentWriter(out) as writer:
+        for name in reader.names():
+            payload = reader.read(name)
+            if name == "meta":
+                payload = json.dumps({**json.loads(payload), **fields}).encode()
+            writer.add(name, payload)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -356,19 +373,13 @@ class TestFormatVersionIsCheckedAtOpen:
     def stale(self, paths, tmp_path_factory):
         """``{kind: path}`` of the two indexes re-labelled ``version: 1``."""
         tmp = tmp_path_factory.mktemp("stale")
-        out = {}
-        for kind, path in paths.items():
-            out[kind] = str(tmp / f"v1.{kind}")
-            with SegmentReader(path) as reader, SegmentWriter(out[kind]) as writer:
-                for name in reader.names():
-                    payload = reader.read(name)
-                    if name == "meta":
-                        document = json.loads(payload)
-                        assert document["version"] == FORMAT_VERSION == 2
-                        document["version"] = 1
-                        payload = json.dumps(document).encode()
-                    writer.add(name, payload)
-        return out
+        for path in paths.values():
+            with SegmentReader(path) as reader:
+                assert json.loads(reader.read("meta"))["version"] == FORMAT_VERSION == 2
+        return {
+            kind: relabelled(path, str(tmp / f"v1.{kind}"), version=1)
+            for kind, path in paths.items()
+        }
 
     MESSAGE = "index format version 1, .*rebuild the index with this release"
 
@@ -397,6 +408,38 @@ class TestFormatVersionIsCheckedAtOpen:
         assert f"RR index (format v{FORMAT_VERSION})" in capsys.readouterr().out
         assert main(["inspect", "--index", stale["irr"]]) == 1
         assert "rebuild the index with this release" in capsys.readouterr().err
+
+
+class TestCatalogCodecIsCheckedAtOpen:
+    """A catalog that names a codec this release does not read (tag 1
+    was a retired LEB128 codec) fails at open with the typed error, as a
+    stale version does — not with ``Codec``'s own ``ValueError``."""
+
+    @pytest.fixture(scope="class")
+    def relabelled_codec(self, paths, tmp_path_factory):
+        """``{(kind, codec): path}`` of both indexes re-labelled."""
+        tmp = tmp_path_factory.mktemp("codec")
+        return {
+            (kind, codec): relabelled(path, str(tmp / f"c{codec}.{kind}"), codec=codec)
+            for kind, path in paths.items()
+            for codec in (1, 9)
+        }
+
+    @pytest.mark.parametrize("codec", [1, 9])
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_readers_reject_an_unknown_codec(self, kind, codec, relabelled_codec):
+        path = relabelled_codec[kind, codec]
+        message = f"index codec {codec}, .*rebuild the index with this release"
+        for opener in (READERS[kind], open_index, verify_index):
+            with pytest.raises(CorruptIndexError, match=message) as caught:
+                opener(path)
+            assert path in str(caught.value)
+
+    def test_pool_and_cli_reject_an_unknown_codec(self, relabelled_codec, capsys):
+        with pytest.raises(CorruptIndexError, match="index codec 9"):
+            SupervisedServerPool(relabelled_codec["rr", 9], n_workers=1)
+        assert main(["inspect", "--index", relabelled_codec["irr", 1]]) == 1
+        assert "index codec 1" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -441,33 +484,66 @@ def pinned_tables():
     return tables
 
 
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class TestWritersAreByteStable:
     """SHA-256 of the files the two writers produce from
     :func:`pinned_tables`, re-pinned when the records went columnar
-    (format version 2, PR 21).  A change here is a format change."""
+    (format version 2).  A change here is a format change.
+    ``PINNED`` is the PFOR build, ``PINNED_RAW`` the RAW build."""
 
     PINNED = {
         "rr": "a5908e86eea05bac20209ec73d957970275d3ef51493622827b8c214b6578109",
         "irr": "3318c686e8db31ee37f57dabda53c71ee639850ed936b07106c6b98823e6bca4",
     }
+    PINNED_RAW = {
+        "rr": "b5f874238970c00e12fca29e6dab0f984680ca5538c5312a46ca82fae7e5280f",
+        "irr": "77f7c5e32a07326d058b2cf1a19f7764987245e960e9fadaf0c7aacbecf7e8a2",
+    }
 
-    @pytest.fixture(scope="class")
-    def written(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("pinned")
+    @staticmethod
+    def _write(tmp, codec):
         options = {
             "n_vertices": N_VERTICES,
             "policy": ThetaPolicy(epsilon=0.5, K=20, cap=180),
-            "codec": Codec.PFOR,
+            "codec": codec,
         }
         tables = pinned_tables()
         write_rr_index(str(tmp / "p.rr"), tables, **options)
         write_irr_index(str(tmp / "p.irr"), tables, delta=25, **options)
         return {kind: str(tmp / f"p.{kind}") for kind in READERS}
 
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        return self._write(tmp_path_factory.mktemp("pinned"), Codec.PFOR)
+
+    @pytest.fixture(scope="class")
+    def written_raw(self, tmp_path_factory):
+        return self._write(tmp_path_factory.mktemp("pinned-raw"), Codec.RAW)
+
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_file_bytes_are_pinned(self, kind, written):
-        with open(written[kind], "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == self.PINNED[kind]
+        assert sha256(written[kind]) == self.PINNED[kind]
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_raw_file_bytes_are_pinned(self, kind, written_raw):
+        assert sha256(written_raw[kind]) == self.PINNED_RAW[kind]
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_raw_files_verify_and_answer_like_pfor(self, kind, written, written_raw):
+        """Table 4's two variants of one index hold the same sets."""
+        assert verify_index(written_raw[kind]).rr_sets_checked == 180 + 90 + 41
+        query = KBTIMQuery(("music", "book", "car"), 6)
+        reader = READERS[kind]
+        with reader(written[kind]) as pfor, reader(written_raw[kind]) as raw:
+            assert raw.codec is Codec.RAW and pfor.codec is Codec.PFOR
+            assert raw.query(query).seeds == pfor.query(query).seeds
+            assert raw.query(query).marginal_coverages == (
+                pfor.query(query).marginal_coverages
+            )
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_pinned_files_verify_and_answer_alike(self, kind, written):

@@ -181,7 +181,8 @@ class TestInvertedListsRecord:
 
     def test_key_outside_the_id_domain_rejected(self):
         """Zig-zag differences that walk the keys below zero."""
-        payload = bytes([Codec.VARINT.value, 3, 0, 0])  # one key: -2; no ids
+        # One key, zig-zag 3 = -2; an id-list set of total 0, one count 0.
+        payload = bytes([Codec.RAW.value]) + (3).to_bytes(8, "little") + bytes(9)
         record = struct.pack("<IQ", 1, len(payload)) + payload
         with pytest.raises(StorageError, match="key outside the id domain"):
             InvertedListsRecord.decode_csr(record)
