@@ -13,7 +13,7 @@ from repro.core.coverage import CoverageInstance, greedy_max_coverage
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder, invert_csr
-from repro.core.sampler import sample_rr_sets, sample_uniform_roots
+from repro.core.sampler import sample_uniform_roots
 from repro.core.theta import ThetaPolicy
 from repro.graph.generators import twitter_like
 from repro.profiles.generators import zipf_profiles
@@ -39,7 +39,7 @@ def lt_model():
 def rr_sets(model):
     rng = np.random.default_rng(78)
     roots = sample_uniform_roots(model.graph.n, 500, rng)
-    return sample_rr_sets(model, roots, rng)
+    return model.sample_rr_sets(roots, rng)
 
 
 def test_online_rr_sampling_throughput(model, benchmark):
@@ -47,7 +47,7 @@ def test_online_rr_sampling_throughput(model, benchmark):
     rng = np.random.default_rng(79)
     roots = sample_uniform_roots(model.graph.n, 100, rng)
 
-    benchmark(lambda: sample_rr_sets(model, roots, rng))
+    benchmark(lambda: model.sample_rr_sets(roots, rng))
 
 
 #: One keyword's offline sampling pass at the default-scale θ cap — the
@@ -55,46 +55,20 @@ def test_online_rr_sampling_throughput(model, benchmark):
 _BATCH_THETA = 1200
 
 
-def test_rr_sampling_scalar_reference(model, benchmark):
-    """The pre-batching per-root walk, kept as the statistical reference.
-
-    Paired with :func:`test_rr_sampling_batched` on an identical θ=1200
-    workload (one keyword's offline pass at the default-scale cap) — the
-    ratio of the two is the batched-kernel speedup BENCH_pr1.json records.
-    """
-    rng = np.random.default_rng(83)
-    roots = sample_uniform_roots(model.graph.n, _BATCH_THETA, rng)
-
-    benchmark(lambda: [model.sample_rr_set(int(root), rng) for root in roots])
-
-
 def test_rr_sampling_batched(model, benchmark):
-    """The batched multi-root reverse BFS on the same θ=1200 workload."""
+    """IC's batched multi-root reverse BFS on one keyword's θ=1200 pass."""
     rng = np.random.default_rng(83)
     roots = sample_uniform_roots(model.graph.n, _BATCH_THETA, rng)
 
-    benchmark(lambda: model.sample_rr_sets_batch(roots, rng))
-
-
-def test_lt_sampling_scalar_reference(lt_model, benchmark):
-    """The per-root LT reverse walk, kept as the statistical reference.
-
-    Paired with :func:`test_lt_sampling_batched` on an identical θ=1200
-    workload; the ratio of the two is the single-pick-kernel speedup
-    BENCH_pr2.json records.
-    """
-    rng = np.random.default_rng(84)
-    roots = sample_uniform_roots(lt_model.graph.n, _BATCH_THETA, rng)
-
-    benchmark(lambda: [lt_model.sample_rr_set(int(root), rng) for root in roots])
+    benchmark(lambda: model.sample_rr_sets(roots, rng))
 
 
 def test_lt_sampling_batched(lt_model, benchmark):
-    """The batched single-pick reverse walk on the same θ=1200 workload."""
+    """LT's batched single-pick reverse walk on the same θ=1200 workload."""
     rng = np.random.default_rng(84)
     roots = sample_uniform_roots(lt_model.graph.n, _BATCH_THETA, rng)
 
-    benchmark(lambda: lt_model.sample_rr_sets_batch(roots, rng))
+    benchmark(lambda: lt_model.sample_rr_sets(roots, rng))
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +240,7 @@ def test_greedy_coverage(n_sets, k, model, benchmark):
     """
     rng = np.random.default_rng(78)
     roots = sample_uniform_roots(model.graph.n, n_sets, rng)
-    instance = CoverageInstance(model.graph.n, sample_rr_sets(model, roots, rng))
+    instance = CoverageInstance(model.graph.n, model.sample_rr_sets(roots, rng))
 
     benchmark(lambda: greedy_max_coverage(instance, k))
 

@@ -1,21 +1,19 @@
 #!/usr/bin/env python
-"""Propagation-model comparison: IC vs LT vs general triggering.
+"""Propagation-model comparison: IC vs LT.
 
 Section 6.6 of the paper reports KB-TIM results under both the
 Independent Cascade and Linear Threshold models (Table 8) and argues the
 whole WRIS machinery is model-agnostic because reverse-reachable sampling
 is defined for any triggering model.
 
-This example runs the same advertisement under three models on the same
-graph and profiles — including IC re-expressed as a *general triggering*
-model, which must agree with native IC statistically.
+This example runs the same advertisement under both models on the same
+graph and profiles.
 
 Run:  python examples/model_comparison.py
 """
 
 
 from repro import (
-    GeneralTriggering,
     IndependentCascade,
     KBTIMQuery,
     LinearThreshold,
@@ -46,7 +44,6 @@ def main() -> None:
     models = {
         "IC": IndependentCascade(graph),
         "LT": LinearThreshold(graph, weight_rng=31),
-        "TR(IC)": GeneralTriggering.independent(graph),
     }
 
     keyword = "music"
@@ -54,10 +51,8 @@ def main() -> None:
     print(f"advertisement: {query!r}")
     print(f"seeds annotated with tf(seed, {keyword!r})\n")
 
-    results = {}
     for name, model in models.items():
         answer = wris_query(model, profiles, query, policy=policy, rng=31)
-        results[name] = answer
         spread = estimate_spread(
             model,
             answer.seeds,
@@ -68,12 +63,7 @@ def main() -> None:
         print(f"{name:7} spread={spread.mean:8.2f}  "
               f"seeds: {describe(profiles, topics, answer.seeds, keyword)}")
 
-    ic = set(results["IC"].seeds)
-    tr = set(results["TR(IC)"].seeds)
-    overlap = len(ic & tr) / len(ic)
-    print(f"\nIC vs TR(IC) seed overlap: {overlap:.0%} "
-          "(same distribution, independent samples)")
-    print("LT picks can differ — edge semantics change — but all three run")
+    print("\nLT picks can differ — edge semantics change — but both run")
     print("through the identical WRIS machinery, as the paper claims.")
 
 

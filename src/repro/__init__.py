@@ -4,9 +4,9 @@ Online Advertisements" (Li, Zhang, Tan; PVLDB 8(10), 2015).
 The package implements the Keyword-Based Targeted Influence Maximization
 (KB-TIM) query and the paper's three solvers — online WRIS sampling, the
 disk-based RR index, and the incremental IRR index — together with every
-substrate they need: a CSR social graph, IC/LT/triggering propagation
-models, a tf-idf topic-profile store, and a paged/compressed storage
-engine with physical-I/O accounting.
+substrate they need: a CSR social graph, IC/LT propagation models, a
+tf-idf topic-profile store, and a paged/compressed storage engine with
+physical-I/O accounting.
 
 Quickstart::
 
@@ -85,7 +85,6 @@ from repro.graph import (
 )
 from repro.profiles import ProfileStore, TopicSpace, uniform_profiles, zipf_profiles
 from repro.propagation import (
-    GeneralTriggering,
     IndependentCascade,
     LinearThreshold,
     estimate_spread,
@@ -147,7 +146,6 @@ __all__ = [
     # propagation
     "IndependentCascade",
     "LinearThreshold",
-    "GeneralTriggering",
     "estimate_spread",
     "exact_spread",
     "exact_activation_probabilities",

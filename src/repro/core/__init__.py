@@ -40,7 +40,6 @@ from repro.core.server import (
 )
 from repro.core.sampler import (
     mean_rr_set_size,
-    sample_rr_sets,
     sample_uniform_roots,
     sample_weighted_roots,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "sample_keyword_tables",
     "sample_uniform_roots",
     "sample_weighted_roots",
-    "sample_rr_sets",
     "mean_rr_set_size",
     "wris_query",
     "ris_query",

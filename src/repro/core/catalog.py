@@ -103,6 +103,20 @@ _ENTRY_FIELDS = (
 )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Which JSON values each field type admits (an int is a valid float; the
+#: catalog's only lists are lists of ints).
+_ADMITS: Dict[type, Callable[[object], bool]] = {
+    int: _is_int,
+    float: lambda value: _is_int(value) or isinstance(value, float),
+    dict: lambda value: isinstance(value, dict),
+    list: lambda value: isinstance(value, list) and all(map(_is_int, value)),
+}
+
+
 @dataclass(frozen=True)
 class Catalog:
     """One parsed ``meta`` document."""
@@ -116,9 +130,9 @@ class Catalog:
     delta: Optional[int]
     keywords: Dict[str, KeywordMeta]
     topic_names: Dict[int, str]
-    #: The raw per-keyword JSON entries, for the fields only one format
-    #: carries (IRR's partition tables).
-    entries: Dict[str, dict]
+    #: Per keyword, ``(n_partitions, partition_first_lens)`` (IRR files
+    #: only; empty for RR).
+    partitions: Dict[str, Tuple[int, List[int]]]
 
 
 # ----------------------------------------------------------------------
@@ -182,11 +196,20 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
     Raises
     ------
     CorruptIndexError
-        If the document's format is not ``expected`` (when given), is not
-        a format this library writes, is not at :data:`FORMAT_VERSION`,
-        or names a codec this release does not read.
+        If the document is not a JSON object, its format is not
+        ``expected`` (when given), is not a format this library writes,
+        is not at :data:`FORMAT_VERSION`, names a codec this release does
+        not read, or lacks a field (or holds one of the wrong type), or
+        an IRR partition table's length is not its ``n_partitions``.
     """
-    meta = json.loads(reader.read("meta").decode("utf-8"))
+    path = reader.path
+    payload = reader.read("meta")
+    try:
+        meta = json.loads(payload.decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
+        meta = None
+    if not isinstance(meta, dict):
+        raise CorruptIndexError(f"{path}: index catalog is not a JSON object")
     fmt = meta.get("format")
     if expected is not None and fmt != expected:
         raise CorruptIndexError(
@@ -208,24 +231,55 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
             f"reads codecs {[c.value for c in Codec]}: rebuild the index with "
             "this release"
         ) from None
-    entries = meta["keywords"]
+    entries = _field(path, meta, "keywords", dict)
+    entries = {
+        name: _field(path, entries, name, dict, "keywords.") for name in entries
+    }
     keywords = {
         name: KeywordMeta(
-            name=name, **{field: cast(entry[field]) for field, cast in _ENTRY_FIELDS}
+            name=name,
+            **{
+                field: _field(path, entry, field, kind, f"keywords.{name}.")
+                for field, kind in _ENTRY_FIELDS
+            },
         )
         for name, entry in entries.items()
     }
+    irr = fmt == IRR_FORMAT
+    partitions = {}
+    if irr:
+        for name, entry in entries.items():
+            where = f"keywords.{name}."
+            n_partitions = _field(path, entry, "n_partitions", int, where)
+            first_lens = _field(path, entry, "partition_first_lens", list, where)
+            if len(first_lens) != n_partitions:
+                raise CorruptIndexError(
+                    f"{path}: index catalog field {where}partition_first_lens "
+                    f"has {len(first_lens)} entries for {n_partitions} partitions"
+                )
+            partitions[name] = (n_partitions, first_lens)
     return Catalog(
         format=fmt,
-        n_vertices=int(meta["n_vertices"]),
-        epsilon=float(meta["epsilon"]),
-        K=int(meta["K"]),
+        n_vertices=_field(path, meta, "n_vertices", int),
+        epsilon=_field(path, meta, "epsilon", float),
+        K=_field(path, meta, "K", int),
         codec=codec,
-        delta=int(meta["delta"]) if fmt == IRR_FORMAT else None,
+        delta=_field(path, meta, "delta", int) if irr else None,
         keywords=keywords,
         topic_names={entry.topic_id: name for name, entry in keywords.items()},
-        entries=entries,
+        partitions=partitions,
     )
+
+
+def _field(path: str, document: dict, key: str, kind: type, where: str = ""):
+    """``document[key]`` as ``kind``; a missing or mistyped value raises
+    :class:`CorruptIndexError` naming the file and the field (``where``
+    is the field's enclosing path, e.g. ``"keywords.music."``)."""
+    value = document.get(key)
+    if not _ADMITS[kind](value):
+        found = "missing" if key not in document else f"not {kind.__name__}: {value!r}"
+        raise CorruptIndexError(f"{path}: index catalog field {where}{key} is {found}")
+    return kind(value)
 
 
 def plan_theta_q(

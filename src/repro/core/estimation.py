@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.coverage import CoverageInstance, greedy_max_coverage
-from repro.core.sampler import sample_rr_sets, sample_weighted_roots
+from repro.core.sampler import sample_weighted_roots
 from repro.errors import EstimationError
 from repro.propagation.base import PropagationModel
 from repro.utils.rng import RngLike, as_rng
@@ -122,7 +122,7 @@ def estimate_opt_lower_bound(
     for round_ in range(max_rounds):
         # Each round tops the pilot batch up to θ, reusing the earlier sets.
         roots = sample_weighted_roots(users, probabilities, theta - len(rr_sets), gen)
-        rr_sets = FlatRRSets.concatenate([rr_sets, sample_rr_sets(model, roots, gen)])
+        rr_sets = FlatRRSets.concatenate([rr_sets, model.sample_rr_sets(roots, gen)])
         theta *= 2
         if round_ == 0 and max_rounds == 2:
             # An estimate is read as the result (by the round that ends

@@ -518,10 +518,10 @@ class IRRIndex(IndexReader):
 
     def _load(self, parsed: Catalog) -> None:
         self.delta = parsed.delta
-        for name, entry in parsed.entries.items():
+        for name, (n_partitions, first_lens) in parsed.partitions.items():
             self._partition_info[name] = (
-                int(entry["n_partitions"]),
-                np.array(entry["partition_first_lens"], dtype=np.int64),
+                n_partitions,
+                np.array(first_lens, dtype=np.int64),
             )
 
     # ------------------------------------------------------------------

@@ -121,7 +121,7 @@ def _verify_irr_keyword(
 ) -> int:
     path = reader.path
     n_sets = catalog.keywords[kw].n_sets
-    n_partitions = int(catalog.entries[kw]["n_partitions"])
+    n_partitions = catalog.partitions[kw][0]
     ip_record = reader.read(f"ip/{kw}")
     if not deep:
         for p in range(n_partitions):  # present, though not read

@@ -22,11 +22,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.estimation import estimate_opt_lower_bound
-from repro.core.sampler import (
-    mean_rr_set_size,
-    sample_rr_sets,
-    sample_weighted_roots,
-)
+from repro.core.sampler import mean_rr_set_size, sample_weighted_roots
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
 from repro.profiles.store import ProfileStore
@@ -98,8 +94,8 @@ def sample_keyword_tables(
         Keywords are sharded across processes; each keyword draws from a
         seed derived *per keyword*, so any worker count — including the
         serial default — produces bit-identical tables.  Parallel builds
-        require a picklable model (IC and LT are; closure-based
-        triggering samplers are not).
+        ship the model to each process, so it must be picklable (IC and
+        LT are).
     """
     policy = policy if policy is not None else ThetaPolicy()
     graph = model.graph
@@ -190,7 +186,7 @@ def _sample_one_keyword(
         theta = policy.theta_w(graph.n, tf_sum, estimate.lower_bound)
 
     roots = sample_weighted_roots(users, probabilities, theta, gen)
-    rr_sets = sample_rr_sets(model, roots, gen)
+    rr_sets = model.sample_rr_sets(roots, gen)
     return KeywordTable(
         name=profiles.topics.name(topic_id),
         topic_id=topic_id,
@@ -234,7 +230,7 @@ def _sample_parallel(
         raise IndexError_(
             "parallel index construction requires a picklable propagation "
             f"model; {type(model).__name__} is not ({exc}). "
-            "Use workers=1 for closure-based models."
+            "Use workers=1 for models that cannot be pickled."
         ) from exc
 
     with ProcessPoolExecutor(

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.coverage import CoverageInstance, greedy_max_coverage
 from repro.core.estimation import estimate_opt_lower_bound
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.sampler import sample_rr_sets, sample_uniform_roots
+from repro.core.sampler import sample_uniform_roots
 from repro.core.theta import ThetaPolicy
 from repro.errors import QueryError
 from repro.propagation.base import PropagationModel
@@ -70,7 +70,7 @@ def ris_query(
         theta = policy.theta_ris(graph.n, k, opt.lower_bound)
 
     roots = sample_uniform_roots(graph.n, theta, gen)
-    rr_sets = sample_rr_sets(model, roots, gen)
+    rr_sets = model.sample_rr_sets(roots, gen)
     instance = CoverageInstance(graph.n, rr_sets)
     seeds, marginals = greedy_max_coverage(instance, k)
 

@@ -1,4 +1,4 @@
-"""RR-set sampling drivers.
+"""Root distributions of the RR-set samplers.
 
 The three samplers the paper defines differ only in the *root*
 distribution:
@@ -7,19 +7,16 @@ distribution:
 * WRIS (Eqn. 3): roots ∝ ``φ(v, Q)``;
 * discriminative WRIS (Section 4.1): roots ∝ ``tf_{v,w}`` per keyword.
 
-Given roots, every sampler delegates to the propagation model's
-``sample_rr_sets_batch`` — the model-agnosticism the paper inherits from
-RIS — and gets the batch back as one
+Given roots, every sampler calls the propagation model's
+``sample_rr_sets(roots, rng)`` — the model-agnosticism the paper inherits
+from RIS — and gets the batch back as one
 :class:`~repro.utils.rrsets.FlatRRSets`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.propagation.base import PropagationModel
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.rrsets import FlatRRSets
 from repro.utils.validation import check_positive_int
@@ -27,7 +24,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "sample_uniform_roots",
     "sample_weighted_roots",
-    "sample_rr_sets",
     "mean_rr_set_size",
 ]
 
@@ -78,22 +74,6 @@ def sample_weighted_roots(
     draws = as_rng(rng).random(theta) * cdf[-1]
     index = np.searchsorted(cdf, draws, side="right")
     return users[np.minimum(index, len(users) - 1)]
-
-
-def sample_rr_sets(
-    model: PropagationModel,
-    roots: Sequence[int],
-    rng: RngLike = None,
-) -> FlatRRSets:
-    """One RR set per root, in root order.
-
-    Dispatches to the model's batched multi-root sampler
-    (:meth:`~repro.propagation.base.PropagationModel.sample_rr_sets_batch`):
-    IC/LT and declared triggering distributions expand all θ walks
-    simultaneously with vectorised kernels, other models walk root by
-    root; either way the batch comes back as one ``FlatRRSets``.
-    """
-    return model.sample_rr_sets_batch(roots, as_rng(rng))
 
 
 def mean_rr_set_size(rr_sets: FlatRRSets) -> float:

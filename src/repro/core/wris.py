@@ -13,8 +13,9 @@ a variant of the state-of-the-art RIS methods"):
 happens at query time — which is precisely why Figures 5-7 show it two
 orders of magnitude slower than the indexes.
 
-Both hot steps ride the flat-CSR fast path: root draws and RR sampling go
-through the batched samplers in :mod:`repro.core.sampler`, and the greedy
+Both hot steps ride the flat-CSR fast path: roots come from
+:mod:`repro.core.sampler`, RR sets from the model's batched
+``sample_rr_sets``, and the greedy
 runs on the CSR-backed :class:`~repro.core.coverage.CoverageInstance`.
 """
 
@@ -27,7 +28,7 @@ from repro.core.coverage import CoverageInstance, greedy_max_coverage
 from repro.core.estimation import estimate_opt_lower_bound
 from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.sampler import sample_rr_sets, sample_weighted_roots
+from repro.core.sampler import sample_weighted_roots
 from repro.core.theta import ThetaPolicy
 from repro.errors import QueryError
 from repro.profiles.store import ProfileStore
@@ -98,7 +99,7 @@ def wris_query(
         theta = policy.theta_wris(graph.n, query.k, phi_q, opt.lower_bound)
 
     roots = sample_weighted_roots(users, probabilities, theta, gen)
-    rr_sets = sample_rr_sets(model, roots, gen)
+    rr_sets = model.sample_rr_sets(roots, gen)
     instance = CoverageInstance(graph.n, rr_sets)
     seeds, marginals = greedy_max_coverage(instance, query.k)
 

@@ -6,7 +6,7 @@ in-edges, keeping each with its influence probability.  The graph therefore
 stores **both** adjacency directions as CSR arrays:
 
 * ``out_ptr/out_dst`` — out-neighbours, used by forward Monte-Carlo
-  simulation and by the LT/triggering models;
+  simulation and by the LT model;
 * ``in_ptr/in_src/in_prob`` — in-neighbours with the per-edge influence
   probability ``p(e)`` aligned edge-for-edge, used by reverse sampling.
 

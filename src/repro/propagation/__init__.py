@@ -1,11 +1,12 @@
-"""Propagation substrate: IC / LT / triggering models, simulation, exact math.
+"""Propagation substrate: the IC and LT models, simulation, exact math.
 
 Every model exposes the two primitives the paper's machinery needs:
 
-* ``sample_rr_set(root, rng)`` — one Reverse Reachable set (Definition 2),
+* ``sample_rr_sets(roots, rng)`` — one Reverse Reachable set
+  (Definition 2) per root, as one batched ``FlatRRSets``;
 * ``simulate(seeds, rng)`` — one forward cascade ``I(S)``.
 
-RIS-style algorithms only ever call ``sample_rr_set``; forward simulation
+RIS-style algorithms only ever call ``sample_rr_sets``; forward simulation
 exists to *validate* the reverse samplers (the two must agree on expected
 spread) and to report influence numbers in the experiment tables.
 """
@@ -13,7 +14,6 @@ spread) and to report influence numbers in the experiment tables.
 from repro.propagation.base import PropagationModel
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
-from repro.propagation.triggering import GeneralTriggering
 from repro.propagation.simulate import SpreadEstimate, estimate_spread
 from repro.propagation.exact import (
     exact_activation_probabilities,
@@ -25,7 +25,6 @@ __all__ = [
     "PropagationModel",
     "IndependentCascade",
     "LinearThreshold",
-    "GeneralTriggering",
     "SpreadEstimate",
     "estimate_spread",
     "exact_activation_probabilities",

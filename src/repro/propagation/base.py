@@ -2,8 +2,9 @@
 
 The paper adopts IC for its experiments but stresses (Sections 2.1 and 6.6)
 that the WRIS/RR/IRR machinery is model-agnostic: RIS-style sampling only
-requires a way to draw a Reverse Reachable set under the model's live-edge
-distribution.  This base class pins down that contract.
+requires a way to draw Reverse Reachable sets under the model's live-edge
+distribution.  This base class pins down that contract: one batched
+``sample_rr_sets(roots, rng)`` and one forward ``simulate(seeds, rng)``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.utils.rng import RngLike, as_rng
+from repro.utils.rng import RngLike
 from repro.utils.rrsets import FlatRRSets
 
 __all__ = ["PropagationModel", "validate_seed_set"]
@@ -37,33 +38,15 @@ class PropagationModel(ABC):
         """Short identifier used in reports (``"IC"``, ``"LT"``, ...)."""
 
     @abstractmethod
-    def sample_rr_set(self, root: int, rng: RngLike = None) -> np.ndarray:
-        """Draw one Reverse Reachable set for ``root`` (Definition 2).
+    def sample_rr_sets(self, roots: Sequence[int], rng: RngLike = None) -> FlatRRSets:
+        """Draw one Reverse Reachable set (Definition 2) per root, in root
+        order, as one :class:`~repro.utils.rrsets.FlatRRSets`.
 
-        Returns a sorted ``int64`` array of vertex ids that can reach
-        ``root`` in a live-edge world sampled from the model; always
-        contains ``root`` itself.
+        Set ``i`` is the sorted ``int64`` ids of the vertices that reach
+        ``roots[i]`` in a live-edge world sampled from the model; it
+        always contains the root.  An out-of-range root raises
+        :class:`~repro.errors.GraphError`; no roots give an empty batch.
         """
-
-    def sample_rr_sets_batch(
-        self, roots: Sequence[int], rng: RngLike = None
-    ) -> FlatRRSets:
-        """Draw one RR set per root, in root order, as one
-        :class:`~repro.utils.rrsets.FlatRRSets`.
-
-        The default walks :meth:`sample_rr_set` root by root and flattens
-        the walks once — the only list-to-CSR conversion of sampled sets.
-        Models with a vectorised multi-root sampler (IC, LT, and declared
-        triggering distributions) override this with a batched kernel
-        that draws from the same distribution.  Callers must treat scalar
-        and batched results as statistically — not bitwise —
-        interchangeable, since a batched kernel consumes the ``rng``
-        stream in a different order.
-        """
-        gen = as_rng(rng)
-        return FlatRRSets.from_sets(
-            [self.sample_rr_set(int(root), gen) for root in roots]
-        )
 
     @abstractmethod
     def simulate(self, seeds: Sequence[int], rng: RngLike = None) -> np.ndarray:

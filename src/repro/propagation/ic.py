@@ -8,7 +8,8 @@ of vertices reachable from ``S`` through live edges, and an RR set for root
 
 The equivalence of the two views (deferred coin flipping) is what makes
 reverse sampling correct, and it is what the cross-validation tests check:
-``mean(|RR| ...)`` based estimates must agree with forward Monte Carlo.
+RR-based estimates must agree with forward Monte Carlo and exact
+enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.propagation.base import PropagationModel, validate_seed_set
-from repro.propagation.kernels import as_root_array, batched_bernoulli_rr
+from repro.propagation.kernels import batched_bernoulli_rr
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.rrsets import FlatRRSets
 
@@ -33,57 +34,16 @@ class IndependentCascade(PropagationModel):
         """Model identifier used in reports."""
         return "IC"
 
-    def sample_rr_set(self, root: int, rng: RngLike = None) -> np.ndarray:
-        """Reverse BFS from ``root``, keeping each in-edge with ``p(e)``.
+    def sample_rr_sets(self, roots: Sequence[int], rng: RngLike = None) -> FlatRRSets:
+        """Batched multi-root reverse BFS: all roots expand level-locked,
+        each reached in-edge kept with ``p(e)``.
 
-        Coins are flipped lazily edge-by-edge as the reverse search reaches
-        each vertex; by deferred-decision equivalence this samples the same
-        distribution as materialising a full live-edge world first.  Kept
-        as the scalar statistical reference for the batched kernel.
-        """
-        graph = self.graph
-        graph._check_vertex(root)
-        gen = as_rng(rng)
-        in_ptr = graph.in_ptr
-        in_src = graph.in_src
-        in_prob = graph.in_prob
-
-        visited = np.zeros(graph.n, dtype=bool)
-        visited[root] = True
-        result = [root]
-        frontier = [root]
-        while frontier:
-            next_frontier = []
-            for x in frontier:
-                start, stop = in_ptr[x], in_ptr[x + 1]
-                if start == stop:
-                    continue
-                block_src = in_src[start:stop]
-                coins = gen.random(stop - start) < in_prob[start:stop]
-                for u in block_src[coins]:
-                    if not visited[u]:
-                        visited[u] = True
-                        result.append(int(u))
-                        next_frontier.append(int(u))
-            frontier = next_frontier
-        result.sort()
-        return np.asarray(result, dtype=np.int64)
-
-    def sample_rr_sets_batch(
-        self, roots: Sequence[int], rng: RngLike = None
-    ) -> FlatRRSets:
-        """Batched multi-root reverse BFS: all roots expand level-locked.
-
-        Delegates to the shared Bernoulli-edge kernel
+        Delegates to the Bernoulli-edge kernel
         (:func:`~repro.propagation.kernels.batched_bernoulli_rr`) with the
-        graph's in-CSR probabilities.  Statistically
-        interchangeable with :meth:`sample_rr_set` (the tests check
-        equivalence on shared seeds).
+        graph's in-CSR probabilities.  ``tests/oracles.py`` keeps the
+        scalar reverse BFS the tests check it against.
         """
-        roots_arr = as_root_array(self.graph, roots)
-        return batched_bernoulli_rr(
-            self.graph, self.graph.in_prob, roots_arr, as_rng(rng)
-        )
+        return batched_bernoulli_rr(self.graph, roots, as_rng(rng))
 
     def simulate(self, seeds: Sequence[int], rng: RngLike = None) -> np.ndarray:
         """Forward cascade: each new activation gets one shot per out-edge."""

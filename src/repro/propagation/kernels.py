@@ -1,11 +1,10 @@
-"""Batched multi-root reverse-sampling kernels shared by the models.
+"""Batched multi-root reverse-sampling kernels, one per model.
 
-Kempe et al.'s triggering view factors every model the RIS machinery
-cares about into a per-vertex *trigger distribution*; the two
-distributions the paper's experiments use are
+Kempe et al.'s triggering view factors a diffusion model into a
+per-vertex *trigger distribution*; the two models the paper's
+experiments use have one each:
 
-* **Bernoulli edges** (IC, and any triggering model expressible as
-  per-edge probabilities): every in-edge of a visited vertex enters the
+* **Bernoulli edges** (IC): every in-edge of a visited vertex enters the
   trigger set independently — the reverse search is a multi-frontier BFS;
 * **single pick** (LT): at most one in-edge per vertex, edge ``(u, v)``
   with probability ``b(u, v)`` — the reverse search is a backward *walk*.
@@ -14,9 +13,9 @@ Both kernels here advance all θ roots level-locked over flat-CSR arrays:
 one edge gather per level, one vectorised draw, and per-root visited
 tracking through a flat ``(root slot, vertex)`` label array, chunked so
 the label state stays bounded no matter how large θ grows.  They draw
-from exactly the same distribution as the scalar per-root walks the
-models keep as statistical references (they consume the ``rng`` stream
-in a different order, so equivalence is statistical, not bitwise — see
+from exactly the same distribution as the scalar per-root walks in
+``tests/oracles.py`` (they consume the ``rng`` stream in a different
+order, so equivalence is statistical, not bitwise — see
 ``tests/test_csr_fast_paths.py``).
 
 Results come back as :class:`~repro.utils.rrsets.FlatRRSets`, the one
@@ -26,6 +25,7 @@ writers read; an empty root array yields an empty batch.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,6 @@ from repro.utils.rrsets import FlatRRSets
 from repro.utils.segments import segmented_arange
 
 __all__ = [
-    "as_root_array",
     "batched_bernoulli_rr",
     "batched_single_pick_rr",
     "build_single_pick_keys",
@@ -51,7 +50,7 @@ _MAX_STATE_CELLS = 1 << 25
 _COIN_BUFFER = 4096
 
 
-def as_root_array(graph: DiGraph, roots: Sequence[int]) -> np.ndarray:
+def _root_array(graph: DiGraph, roots: Sequence[int]) -> np.ndarray:
     """Validate a root sequence into a flat int64 array."""
     roots_arr = np.asarray(roots, dtype=np.int64)
     if roots_arr.ndim != 1:
@@ -64,18 +63,20 @@ def as_root_array(graph: DiGraph, roots: Sequence[int]) -> np.ndarray:
 
 def _chunked(
     graph: DiGraph,
-    roots: np.ndarray,
+    roots: Sequence[int],
     gen: np.random.Generator,
     chunk_kernel,
 ) -> FlatRRSets:
-    """Run a per-chunk kernel over root slices bounding the label state
-    (no roots: no chunk, and the empty batch).
+    """Validate ``roots`` (an out-of-range one raises ``GraphError``) and
+    run a per-chunk kernel over root slices bounding the label state (no
+    roots: no chunk, and the empty batch).
 
     The chunks share one visited-label array, allocated once per call:
     each kernel returns the label keys it set, and exactly those cells
     are cleared for the next chunk, so a root costs its RR set's cells,
     not a fresh row of ``|V|`` bytes.
     """
+    roots = _root_array(graph, roots)
     chunk = max(1, _MAX_STATE_CELLS // max(graph.n, 1))
     visited = np.zeros(min(chunk, len(roots)) * graph.n, dtype=bool)
     parts = []
@@ -102,37 +103,26 @@ def _csr_from_label_keys(
 
 
 # ----------------------------------------------------------------------
-# Bernoulli-edge kernel (IC and per-edge-probability triggering models)
+# Bernoulli-edge kernel (IC)
 # ----------------------------------------------------------------------
 def batched_bernoulli_rr(
-    graph: DiGraph,
-    edge_probs: np.ndarray,
-    roots: np.ndarray,
-    gen: np.random.Generator,
+    graph: DiGraph, roots: Sequence[int], gen: np.random.Generator
 ) -> FlatRRSets:
     """Batched multi-root reverse BFS with independent per-edge coins.
 
     Every BFS level performs one CSR edge gather over the union of all
     live frontiers, one vectorised coin flip for the gathered edge block
-    (``edge_probs`` aligned with the in-CSR), and one deduplicating
+    (against the graph's in-CSR ``in_prob``), and one deduplicating
     update of the flat visited-label array.  Each ``(root, vertex)`` pair
     enters a frontier at most once, so every in-edge of a visited vertex
     receives one independent coin — the deferred-decision argument
     applies per root unchanged.
     """
-    return _chunked(
-        graph,
-        roots,
-        gen,
-        lambda chunk_roots, g, visited: _bernoulli_chunk(
-            graph, edge_probs, chunk_roots, g, visited
-        ),
-    )
+    return _chunked(graph, roots, gen, partial(_bernoulli_chunk, graph))
 
 
 def _bernoulli_chunk(
     graph: DiGraph,
-    edge_probs: np.ndarray,
     roots: np.ndarray,
     gen: np.random.Generator,
     visited: np.ndarray,
@@ -142,6 +132,7 @@ def _bernoulli_chunk(
     n = graph.n
     in_ptr = graph.in_ptr
     in_src = graph.in_src
+    in_prob = graph.in_prob
     n_roots = len(roots)
 
     # visited[r * n + v] <=> vertex v already reached root slot r.
@@ -168,7 +159,7 @@ def _bernoulli_chunk(
         if coin_pos + total > len(coins):
             coins = gen.random(max(_COIN_BUFFER, total))
             coin_pos = 0
-        live = coins[coin_pos : coin_pos + total] < edge_probs.take(edge_index)
+        live = coins[coin_pos : coin_pos + total] < in_prob.take(edge_index)
         coin_pos += total
         key = frontier_base.repeat(degrees)[live]
         key += in_src.take(edge_index[live])
@@ -192,7 +183,7 @@ def _bernoulli_chunk(
 
 
 # ----------------------------------------------------------------------
-# Single-pick kernel (LT and single-pick triggering models)
+# Single-pick kernel (LT)
 # ----------------------------------------------------------------------
 def build_single_pick_keys(graph: DiGraph, weights: np.ndarray) -> np.ndarray:
     """Precompute the global searchsorted keys for single-pick draws.
@@ -221,7 +212,7 @@ def build_single_pick_keys(graph: DiGraph, weights: np.ndarray) -> np.ndarray:
 def batched_single_pick_rr(
     graph: DiGraph,
     pick_keys: np.ndarray,
-    roots: np.ndarray,
+    roots: Sequence[int],
     gen: np.random.Generator,
 ) -> FlatRRSets:
     """Batched multi-root LT-style reverse walk.
@@ -233,14 +224,7 @@ def batched_single_pick_rr(
     chain — one live vertex per root per level — so no in-level dedup is
     needed (root slots are distinct by construction).
     """
-    return _chunked(
-        graph,
-        roots,
-        gen,
-        lambda chunk_roots, g, visited: _single_pick_chunk(
-            graph, pick_keys, chunk_roots, g, visited
-        ),
-    )
+    return _chunked(graph, roots, gen, partial(_single_pick_chunk, graph, pick_keys))
 
 
 def _single_pick_chunk(

@@ -5,18 +5,16 @@ Each vertex ``v`` assigns weights ``b(u, v) >= 0`` to its in-neighbours with
 passes a uniform random threshold.  Kempe et al. showed LT is a triggering
 model whose live-edge distribution picks **at most one** in-edge per vertex
 (edge ``(u, v)`` with probability ``b(u, v)``, none with the remainder),
-which is exactly how :meth:`LinearThreshold.sample_rr_set` walks backwards.
+which is exactly how :meth:`LinearThreshold.sample_rr_sets` walks backwards.
 
 Following the paper's experimental setup (Section 6.6), the default weights
 assign each in-edge a uniform random value normalised so that each vertex's
 in-weights sum to 1.
 
-The hot path is the batched multi-root reverse walk
-(:meth:`LinearThreshold.sample_rr_sets_batch`): all θ walks advance
+The reverse walk is batched over all roots: the θ walks advance
 level-locked through the single-pick kernel, each live walk choosing its
 one live in-edge with a ``searchsorted`` into precomputed per-vertex
-cumulative weights.  The scalar walk is retained as the statistical
-reference.
+cumulative weights.
 """
 
 from __future__ import annotations
@@ -28,11 +26,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.propagation.base import PropagationModel, validate_seed_set
-from repro.propagation.kernels import (
-    as_root_array,
-    batched_single_pick_rr,
-    build_single_pick_keys,
-)
+from repro.propagation.kernels import batched_single_pick_rr, build_single_pick_keys
 from repro.utils.rng import RngLike, as_rng
 from repro.utils.rrsets import FlatRRSets
 from repro.utils.segments import segmented_arange
@@ -81,58 +75,14 @@ class LinearThreshold(PropagationModel):
         """Model identifier used in reports."""
         return "LT"
 
-    def sample_rr_set(self, root: int, rng: RngLike = None) -> np.ndarray:
-        """Backward walk choosing at most one in-edge per visited vertex.
-
-        Kept as the scalar statistical reference for the batched kernel.
-        """
-        graph = self.graph
-        graph._check_vertex(root)
-        gen = as_rng(rng)
-        in_ptr = graph.in_ptr
-        in_src = graph.in_src
-        weights = self.weights
-
-        visited = np.zeros(graph.n, dtype=bool)
-        visited[root] = True
-        result = [root]
-        x = root
-        while True:
-            start, stop = in_ptr[x], in_ptr[x + 1]
-            if start == stop:
-                break
-            draw = gen.random()
-            # Walk the weight prefix: the edge whose cumulative bucket
-            # contains ``draw`` is live; falling past the total means no
-            # live in-edge (probability 1 - Σ b(u, x)).
-            acc = 0.0
-            chosen = -1
-            for idx in range(start, stop):
-                acc += weights[idx]
-                if draw < acc:
-                    chosen = int(in_src[idx])
-                    break
-            if chosen < 0 or visited[chosen]:
-                break
-            visited[chosen] = True
-            result.append(chosen)
-            x = chosen
-        result.sort()
-        return np.asarray(result, dtype=np.int64)
-
-    def sample_rr_sets_batch(
-        self, roots: Sequence[int], rng: RngLike = None
-    ) -> FlatRRSets:
+    def sample_rr_sets(self, roots: Sequence[int], rng: RngLike = None) -> FlatRRSets:
         """Batched multi-root reverse walk (level-locked single picks).
 
-        Delegates to the shared single-pick kernel with the precomputed
-        cumulative-weight keys; statistically interchangeable with
-        :meth:`sample_rr_set` (the property tests check equivalence).
+        Delegates to the single-pick kernel with the precomputed
+        cumulative-weight keys; ``tests/oracles.py`` keeps the scalar
+        backward walk the property tests check it against.
         """
-        roots_arr = as_root_array(self.graph, roots)
-        return batched_single_pick_rr(
-            self.graph, self._pick_keys, roots_arr, as_rng(rng)
-        )
+        return batched_single_pick_rr(self.graph, self._pick_keys, roots, as_rng(rng))
 
     def simulate(self, seeds: Sequence[int], rng: RngLike = None) -> np.ndarray:
         """Forward threshold process with fresh uniform thresholds.

@@ -292,3 +292,54 @@ def zipf_profile_entries_reference(n_users, n_topics, mean_topics, popularity, g
         weights /= weights.sum()
         entries += [(user, int(t), float(w)) for t, w in zip(chosen, weights)]
     return entries
+
+
+# ----------------------------------------------------------------------
+# The scalar reverse samplers: one root at a time, one coin per reached
+# in-edge (IC) or one uniform per visited vertex (LT).  They share only
+# the graph's CSR arrays with ``propagation/kernels.py``, so they are the
+# statistical references the batched samplers are checked against (the
+# two consume the RNG stream in different orders: equivalence is in
+# distribution).
+# ----------------------------------------------------------------------
+def ic_rr_set_reference(graph, root, gen):
+    """IC reverse BFS from ``root``, keeping each reached in-edge with
+    ``p(e)``; the sorted int64 RR set."""
+    graph._check_vertex(root)
+    in_ptr, in_src, in_prob = graph.in_ptr, graph.in_src, graph.in_prob
+    visited = {root}
+    frontier = [root]
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            start, stop = in_ptr[x], in_ptr[x + 1]
+            coins = gen.random(stop - start) < in_prob[start:stop]
+            for u in in_src[start:stop][coins].tolist():
+                if u not in visited:
+                    visited.add(u)
+                    next_frontier.append(u)
+        frontier = next_frontier
+    return np.array(sorted(visited), dtype=np.int64)
+
+
+def lt_rr_set_reference(graph, weights, root, gen):
+    """LT backward walk from ``root``: each visited vertex keeps at most
+    one in-edge, ``(u, x)`` with probability ``weights`` aligned with the
+    in-CSR; stops on a dead draw or a revisit.  The sorted int64 RR set."""
+    graph._check_vertex(root)
+    in_ptr, in_src = graph.in_ptr, graph.in_src
+    visited = {root}
+    x = root
+    while in_ptr[x] < in_ptr[x + 1]:
+        draw = gen.random()
+        acc, chosen = 0.0, -1
+        for idx in range(in_ptr[x], in_ptr[x + 1]):
+            acc += weights[idx]
+            if draw < acc:
+                chosen = int(in_src[idx])
+                break
+        if chosen < 0 or chosen in visited:
+            break
+        visited.add(chosen)
+        x = chosen
+    return np.array(sorted(visited), dtype=np.int64)

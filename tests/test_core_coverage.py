@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.coverage import CoverageInstance, greedy_max_coverage
-from repro.core.sampler import sample_rr_sets, sample_uniform_roots
+from repro.core.sampler import sample_uniform_roots
 from repro.graph.generators import twitter_like
 from repro.propagation.ic import IndependentCascade
 
@@ -211,7 +211,7 @@ class TestKernelMatchesOracle:
         model = IndependentCascade(twitter_like(2000, avg_degree=12, rng=77))
         rng = np.random.default_rng(78)
         roots = sample_uniform_roots(model.graph.n, 100_000, rng)
-        flat = sample_rr_sets(model, roots, rng)
+        flat = model.sample_rr_sets(roots, rng)
         inst = CoverageInstance(model.graph.n, flat)
         assert inst.n_sets >= 50_000 and inst.set_vertices.size >= 200_000
         assert greedy_max_coverage(inst, 50) == seed_greedy_max_coverage(

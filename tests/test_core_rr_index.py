@@ -14,7 +14,6 @@ from repro.core.rr_index import (
 from repro.core.theta import ThetaPolicy
 from repro.core.wris import wris_query
 from repro.errors import CorruptIndexError, IndexError_, QueryError
-from repro.propagation.triggering import GeneralTriggering
 from repro.storage.segments import SegmentWriter
 from repro.utils.rrsets import FlatRRSets
 
@@ -83,15 +82,13 @@ class TestBuild:
         assert hat.theta_total > std.theta_total
         assert hat.file_bytes > std.file_bytes
 
-
-    def test_fallback_tables_are_flat_and_reported_per_set(self, world, tmp_path):
-        """The ``GeneralTriggering`` per-root fallback delivers
-        ``FlatRRSets`` as the kernels do, and ``build_report``'s sizes,
-        read off the CSR offsets, equal the per-set sum."""
-        graph, _topics, profiles, _model = world
-        opaque = GeneralTriggering(graph, lambda v, gen: graph.in_neighbors(v)[:2])
+    def test_tables_are_flat_and_reported_per_set(self, world, tmp_path):
+        """The sampler delivers ``FlatRRSets`` tables, and
+        ``build_report``'s sizes, read off the CSR offsets, equal the
+        per-set sum."""
+        _graph, _topics, profiles, model = world
         builder = RRIndexBuilder(
-            opaque, profiles, policy=ThetaPolicy(epsilon=1.0, K=20, cap=40), rng=8
+            model, profiles, policy=ThetaPolicy(epsilon=1.0, K=20, cap=40), rng=8
         )
         tables = builder.sample()
         assert all(isinstance(t.rr_sets, FlatRRSets) for t in tables.values())

@@ -1,11 +1,11 @@
-"""Tests for RR sampling drivers (repro.core.sampler) — incl. Lemma 1."""
+"""Tests for the root samplers (repro.core.sampler) and the RR sets the
+models draw from their roots — incl. Lemma 1."""
 
 import numpy as np
 import pytest
 
 from repro.core.sampler import (
     mean_rr_set_size,
-    sample_rr_sets,
     sample_uniform_roots,
     sample_weighted_roots,
 )
@@ -64,7 +64,7 @@ class TestSampleRRSets:
     def test_one_per_root(self, small_twitter, rng):
         model = IndependentCascade(small_twitter)
         roots = [0, 5, 5, 9]
-        sets = sample_rr_sets(model, roots, rng)
+        sets = model.sample_rr_sets(roots, rng)
         assert len(sets) == 4
         for root, rr in zip(roots, sets):
             assert root in rr
@@ -91,7 +91,7 @@ class TestLemma1Unbiasedness:
         theta = 20_000
         roots = sample_weighted_roots(users, probs, theta, gen)
         covered = 0
-        for rr in sample_rr_sets(model, roots, gen):
+        for rr in model.sample_rr_sets(roots, gen):
             if seeds & set(rr.tolist()):
                 covered += 1
         estimate = covered / theta * phi_q
@@ -107,7 +107,7 @@ class TestLemma1Unbiasedness:
         roots = sample_uniform_roots(fig1_graph.n, theta, gen)
         covered = sum(
             1
-            for rr in sample_rr_sets(model, roots, gen)
+            for rr in model.sample_rr_sets(roots, gen)
             if seeds & set(rr.tolist())
         )
         estimate = covered / theta * fig1_graph.n

@@ -2,11 +2,11 @@
 
 Two contracts guard the vectorised pipeline:
 
-* the batched multi-root reverse BFS draws from the *same distribution*
-  as the scalar per-root walk (they consume randomness in different
-  orders, so equivalence is statistical: mean RR size, per-vertex
-  inclusion frequencies, and coverage estimates agree within CI bounds
-  on fixed seeds);
+* the batched multi-root reverse samplers draw from the *same
+  distribution* as the scalar per-root walks in ``tests/oracles.py``
+  (they consume randomness in different orders, so equivalence is
+  statistical: mean RR size, per-vertex inclusion frequencies, and
+  coverage estimates agree within CI bounds on fixed seeds);
 * the CSR-backed :class:`~repro.core.coverage.CoverageInstance` and the
   greedy kernel are **bit-identical** to the seed (dict-of-arrays)
   implementation on randomized instances — the reference implementation
@@ -33,13 +33,14 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import twitter_like
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
-from repro.propagation.triggering import GeneralTriggering
 from repro.utils.rrsets import FlatRRSets
 
 from listform import encode_inverted_lists, encode_rr_sets, invert
 from oracles import (
     decode_inverted_record,
     decode_rr_payload,
+    ic_rr_set_reference,
+    lt_rr_set_reference,
     seed_greedy_max_coverage,
 )
 
@@ -52,23 +53,15 @@ def model():
 # ----------------------------------------------------------------------
 # (a) batched sampler ≈ scalar sampler, statistically
 # ----------------------------------------------------------------------
-#: Every sampling path: the two native kernels, both declared triggering
-#: distributions, and an opaque trigger callable (the per-root fallback).
+#: Every sampling path: one batched kernel per model.
 SAMPLERS = {
     "IC": IndependentCascade,
     "LT": lambda g: LinearThreshold(g, weight_rng=37),
-    "TR-edge_probs": GeneralTriggering.independent,
-    "TR-pick_weights": lambda g: GeneralTriggering.single_pick(
-        g, LinearThreshold(g, weight_rng=37).weights
-    ),
-    "TR-opaque": lambda g: GeneralTriggering(
-        g, GeneralTriggering.independent(g).trigger_sampler
-    ),
 }
 
 
 class TestSamplerContract:
-    """Whatever the path, a batch is one ``FlatRRSets`` of ``len(roots)``
+    """Whatever the model, a batch is one ``FlatRRSets`` of ``len(roots)``
     sorted sets, set ``i`` holding root ``i`` — no roots, the empty one."""
 
     @pytest.fixture(scope="class")
@@ -80,7 +73,7 @@ class TestSamplerContract:
     def test_batch_is_flat_sorted_and_rooted(self, graph, name, n_roots):
         model = SAMPLERS[name](graph)
         roots = np.random.default_rng(38).integers(0, graph.n, n_roots).tolist()
-        batch = model.sample_rr_sets_batch(roots, np.random.default_rng(39))
+        batch = model.sample_rr_sets(roots, np.random.default_rng(39))
         assert isinstance(batch, FlatRRSets)
         assert len(batch) == len(roots)
         for root, rr in zip(roots, batch):
@@ -95,12 +88,12 @@ class TestBatchedSamplerEquivalence:
     def _scalar(self, model, rng):
         gen = np.random.default_rng(rng)
         roots = sample_uniform_roots(model.graph.n, self.THETA, gen)
-        return [model.sample_rr_set(int(r), gen) for r in roots]
+        return [ic_rr_set_reference(model.graph, int(r), gen) for r in roots]
 
     def _batched(self, model, rng):
         gen = np.random.default_rng(rng)
         roots = sample_uniform_roots(model.graph.n, self.THETA, gen)
-        return model.sample_rr_sets_batch(roots, gen)
+        return model.sample_rr_sets(roots, gen)
 
     def test_mean_rr_size_within_ci(self, model):
         scalar = self._scalar(model, 101)
@@ -138,10 +131,15 @@ class TestBatchedSamplerEquivalence:
         root = 5
         freq = {}
         for name, sampler in (
-            ("scalar", lambda g: [model.sample_rr_set(root, g) for _ in range(theta)]),
+            (
+                "scalar",
+                lambda g: [
+                    ic_rr_set_reference(model.graph, root, g) for _ in range(theta)
+                ],
+            ),
             (
                 "batched",
-                lambda g: model.sample_rr_sets_batch(
+                lambda g: model.sample_rr_sets(
                     np.full(theta, root, dtype=np.int64), g
                 ),
             ),
@@ -158,7 +156,7 @@ class TestBatchedSamplerEquivalence:
     def test_structural_contract(self, model):
         """Sorted, root included, one set per root, ids in range."""
         roots = sample_uniform_roots(model.graph.n, 64, np.random.default_rng(9))
-        sets = model.sample_rr_sets_batch(roots, np.random.default_rng(10))
+        sets = model.sample_rr_sets(roots, np.random.default_rng(10))
         assert len(sets) == len(roots)
         for root, rr in zip(roots, sets):
             assert rr.dtype == np.int64
@@ -170,16 +168,16 @@ class TestBatchedSamplerEquivalence:
         """Tiny chunk budget: many chunks, same structural guarantees."""
         monkeypatch.setattr(kernels_module, "_MAX_STATE_CELLS", model.graph.n * 3)
         roots = sample_uniform_roots(model.graph.n, 50, np.random.default_rng(12))
-        sets = model.sample_rr_sets_batch(roots, np.random.default_rng(13))
+        sets = model.sample_rr_sets(roots, np.random.default_rng(13))
         assert len(sets) == len(roots)
         for root, rr in zip(roots, sets):
             assert root in rr and np.all(np.diff(rr) > 0)
 
     def test_out_of_range_root_rejected(self, model):
         with pytest.raises(GraphError):
-            model.sample_rr_sets_batch([model.graph.n], np.random.default_rng(1))
+            model.sample_rr_sets([model.graph.n], np.random.default_rng(1))
         with pytest.raises(GraphError):
-            model.sample_rr_sets_batch([-1], np.random.default_rng(1))
+            model.sample_rr_sets([-1], np.random.default_rng(1))
 
 
 @pytest.fixture(scope="module")
@@ -195,12 +193,15 @@ class TestLTBatchedSamplerEquivalence:
     def _scalar(self, model, rng):
         gen = np.random.default_rng(rng)
         roots = sample_uniform_roots(model.graph.n, self.THETA, gen)
-        return [model.sample_rr_set(int(r), gen) for r in roots]
+        return [
+            lt_rr_set_reference(model.graph, model.weights, int(r), gen)
+            for r in roots
+        ]
 
     def _batched(self, model, rng):
         gen = np.random.default_rng(rng)
         roots = sample_uniform_roots(model.graph.n, self.THETA, gen)
-        return model.sample_rr_sets_batch(roots, gen)
+        return model.sample_rr_sets(roots, gen)
 
     def test_mean_rr_size_within_ci(self, lt_model):
         scalar = self._scalar(lt_model, 111)
@@ -238,11 +239,14 @@ class TestLTBatchedSamplerEquivalence:
         for name, sampler in (
             (
                 "scalar",
-                lambda g: [lt_model.sample_rr_set(root, g) for _ in range(theta)],
+                lambda g: [
+                    lt_rr_set_reference(lt_model.graph, lt_model.weights, root, g)
+                    for _ in range(theta)
+                ],
             ),
             (
                 "batched",
-                lambda g: lt_model.sample_rr_sets_batch(
+                lambda g: lt_model.sample_rr_sets(
                     np.full(theta, root, dtype=np.int64), g
                 ),
             ),
@@ -261,7 +265,7 @@ class TestLTBatchedSamplerEquivalence:
         model = LinearThreshold(g, weights=np.array([0.3, 0.5]))
         n = 30_000
         hits = np.zeros(3)
-        batch = model.sample_rr_sets_batch(
+        batch = model.sample_rr_sets(
             np.full(n, 2, dtype=np.int64), np.random.default_rng(44)
         )
         for rr in batch:
@@ -278,7 +282,7 @@ class TestLTBatchedSamplerEquivalence:
         roots = sample_uniform_roots(
             lt_model.graph.n, 64, np.random.default_rng(19)
         )
-        sets = lt_model.sample_rr_sets_batch(roots, np.random.default_rng(20))
+        sets = lt_model.sample_rr_sets(roots, np.random.default_rng(20))
         assert len(sets) == len(roots)
         for root, rr in zip(roots, sets):
             assert rr.dtype == np.int64
@@ -293,95 +297,27 @@ class TestLTBatchedSamplerEquivalence:
         roots = sample_uniform_roots(
             lt_model.graph.n, 50, np.random.default_rng(21)
         )
-        sets = lt_model.sample_rr_sets_batch(roots, np.random.default_rng(22))
+        sets = lt_model.sample_rr_sets(roots, np.random.default_rng(22))
         assert len(sets) == len(roots)
         for root, rr in zip(roots, sets):
             assert root in rr and np.all(np.diff(rr) > 0)
 
     def test_out_of_range_root_rejected(self, lt_model):
         with pytest.raises(GraphError):
-            lt_model.sample_rr_sets_batch(
+            lt_model.sample_rr_sets(
                 [lt_model.graph.n], np.random.default_rng(1)
             )
         with pytest.raises(GraphError):
-            lt_model.sample_rr_sets_batch([-1], np.random.default_rng(1))
+            lt_model.sample_rr_sets([-1], np.random.default_rng(1))
 
     def test_cycle_terminates(self):
         """Full-weight cycles: every walk must stop on revisit."""
         g = DiGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         model = LinearThreshold(g)
-        for rr in model.sample_rr_sets_batch(
+        for rr in model.sample_rr_sets(
             np.array([0, 1, 2, 0]), np.random.default_rng(2)
         ):
             assert len(rr) <= 3
-
-
-class TestTriggeringBatchedKernels:
-    """Declared trigger distributions ride the batched kernels."""
-
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return twitter_like(200, avg_degree=6, rng=35)
-
-    def test_independent_matches_ic_distribution(self, graph):
-        """TR(edge_probs) batched ≈ native IC scalar, per-vertex 5σ."""
-        ic = IndependentCascade(graph)
-        tr = GeneralTriggering.independent(graph)
-        theta, root, n = 3000, 11, graph.n
-        counts_ic = np.zeros(n)
-        gen = np.random.default_rng(61)
-        for _ in range(theta):
-            counts_ic[ic.sample_rr_set(root, gen)] += 1
-        counts_tr = np.zeros(n)
-        batch = tr.sample_rr_sets_batch(
-            np.full(theta, root, dtype=np.int64), np.random.default_rng(62)
-        )
-        assert isinstance(batch, FlatRRSets)  # kernel path, not fallback
-        for rr in batch:
-            counts_tr[rr] += 1
-        p = (counts_ic + counts_tr) / (2 * theta)
-        envelope = 5 * np.sqrt(np.maximum(p * (1 - p), 1e-12) * 2 / theta)
-        assert np.all(
-            np.abs(counts_ic - counts_tr) / theta <= envelope + 1e-9
-        )
-
-    def test_single_pick_matches_lt_distribution(self, graph):
-        """TR(pick_weights) batched ≈ native LT scalar, per-vertex 5σ."""
-        lt = LinearThreshold(graph, weight_rng=36)
-        tr = GeneralTriggering.single_pick(graph, lt.weights)
-        theta, root, n = 3000, 11, graph.n
-        counts_lt = np.zeros(n)
-        gen = np.random.default_rng(63)
-        for _ in range(theta):
-            counts_lt[lt.sample_rr_set(root, gen)] += 1
-        counts_tr = np.zeros(n)
-        batch = tr.sample_rr_sets_batch(
-            np.full(theta, root, dtype=np.int64), np.random.default_rng(64)
-        )
-        assert isinstance(batch, FlatRRSets)
-        for rr in batch:
-            counts_tr[rr] += 1
-        p = (counts_lt + counts_tr) / (2 * theta)
-        envelope = 5 * np.sqrt(np.maximum(p * (1 - p), 1e-12) * 2 / theta)
-        assert np.all(
-            np.abs(counts_lt - counts_tr) / theta <= envelope + 1e-9
-        )
-
-    def test_conflicting_declarations_rejected(self, graph):
-        with pytest.raises(GraphError):
-            GeneralTriggering(
-                graph,
-                lambda v, gen: np.empty(0, dtype=np.int64),
-                edge_probs=graph.in_prob,
-                pick_weights=graph.in_prob,
-            )
-
-    def test_negative_pick_weights_rejected(self, graph):
-        """Negative weights would de-sort the searchsorted keys."""
-        weights = np.full(graph.m, 1.0 / max(graph.m, 1))
-        weights[0] = -0.5
-        with pytest.raises(GraphError, match="non-negative"):
-            GeneralTriggering.single_pick(graph, weights)
 
 
 class TestFlatRRSets:
@@ -418,7 +354,7 @@ class TestFlatRRSets:
 
     def test_coverage_instance_matches_list_form(self, model):
         roots = sample_uniform_roots(model.graph.n, 300, np.random.default_rng(71))
-        flat = model.sample_rr_sets_batch(roots, np.random.default_rng(72))
+        flat = model.sample_rr_sets(roots, np.random.default_rng(72))
         assert isinstance(flat, FlatRRSets)
         fast = CoverageInstance(model.graph.n, flat)
         slow = CoverageInstance(model.graph.n, list(flat))
@@ -432,7 +368,7 @@ class TestFlatRRSets:
         """The flat form goes to the writers as-is; a plain list of sets
         is flattened once and inverts to the same lists."""
         roots = sample_uniform_roots(model.graph.n, 200, np.random.default_rng(73))
-        flat = model.sample_rr_sets_batch(roots, np.random.default_rng(74))
+        flat = model.sample_rr_sets(roots, np.random.default_rng(74))
         assert FlatRRSets.from_sets(flat) is flat
         relisted = FlatRRSets.from_sets(list(flat))
         assert np.array_equal(relisted.ptr, flat.ptr)

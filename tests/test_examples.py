@@ -1,9 +1,9 @@
 """Smoke tests for the example scripts.
 
 All examples must at least compile; the fast paper walkthrough (tiny
-fixture graph, exact arithmetic) runs end to end in-process.  The
-larger scenario scripts are exercised by humans / CI jobs with looser
-time budgets.
+fixture graph, exact arithmetic) and the IC-vs-LT model comparison
+(~1 s) run end to end in-process.  The larger scenario scripts run in
+CI's bench-smoke job, which has a looser time budget.
 """
 
 import os
@@ -38,3 +38,14 @@ class TestPaperWalkthroughRuns:
         out = capsys.readouterr().out
         assert "4.8125" in out
         assert "{b, e}" in out or "b, e" in out
+
+
+class TestModelComparisonRuns:
+    def test_runs_one_row_per_model(self, capsys):
+        """Compiling cannot catch an import of a name the package no
+        longer exports; running the script does."""
+        path = os.path.join(EXAMPLES_DIR, "model_comparison.py")
+        runpy.run_path(path, run_name="__main__")
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines() if "spread=" in line]
+        assert rows == ["IC", "LT"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.core.sampler import mean_rr_set_size, sample_rr_sets, sample_uniform_roots
+from repro.core.sampler import mean_rr_set_size, sample_uniform_roots
 from repro.graph.generators import twitter_like
 from repro.propagation.ic import IndependentCascade
 
@@ -43,7 +43,7 @@ class TestTable5Mechanism:
             model = IndependentCascade(graph)
             rng = np.random.default_rng(5)
             roots = sample_uniform_roots(n, 800, rng)
-            sizes.append(mean_rr_set_size(sample_rr_sets(model, roots, rng)))
+            sizes.append(mean_rr_set_size(model.sample_rr_sets(roots, rng)))
         assert sizes[1] < sizes[0]
 
     def test_passive_roots_give_singleton_rr_sets(self):
@@ -51,8 +51,9 @@ class TestTable5Mechanism:
         model = IndependentCascade(graph)
         passive_vertices = np.nonzero(graph.in_degrees() == 0)[0]
         assert len(passive_vertices) > 0
-        for root in passive_vertices[:5]:
-            assert model.sample_rr_set(int(root), rng=7).tolist() == [int(root)]
+        roots = passive_vertices[:5]
+        rr_sets = model.sample_rr_sets(roots, rng=7)
+        assert [rr.tolist() for rr in rr_sets] == [[int(r)] for r in roots]
 
 
 class TestAggregators:

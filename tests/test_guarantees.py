@@ -104,8 +104,7 @@ class TestCrossModelIndexes:
         # RR set is a simple backward path: size <= path length bound.
         graph, _profiles, model = lt_world
         rng = np.random.default_rng(95)
-        for root in range(0, graph.n, 23):
-            rr = model.sample_rr_set(root, rng)
+        for rr in model.sample_rr_sets(range(0, graph.n, 23), rng):
             assert len(rr) <= graph.n
             # Each non-root vertex in the set must reach the root through
             # the chain, so the set size can never exceed the walk length

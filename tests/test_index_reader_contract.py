@@ -37,7 +37,6 @@ from repro.profiles.generators import zipf_profiles
 from repro.profiles.topics import TopicSpace
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
-from repro.propagation.triggering import GeneralTriggering
 from repro.storage.compression import Codec
 from repro.storage.segments import SegmentReader, SegmentWriter
 from repro.utils.rrsets import FlatRRSets
@@ -68,15 +67,23 @@ def paths(small_world, smoke_policy, tmp_path_factory):
     return built
 
 
-def relabelled(source, out, **fields):
-    """Copy an index file with ``fields`` of its ``meta`` document set."""
+def rewritten(source, out, edit):
+    """Copy an index file with ``edit(meta)`` applied to its parsed ``meta``
+    document (``edit`` changes the dict in place)."""
     with SegmentReader(source) as reader, SegmentWriter(out) as writer:
         for name in reader.names():
             payload = reader.read(name)
             if name == "meta":
-                payload = json.dumps({**json.loads(payload), **fields}).encode()
+                meta = json.loads(payload)
+                edit(meta)
+                payload = json.dumps(meta).encode()
             writer.add(name, payload)
     return out
+
+
+def relabelled(source, out, **fields):
+    """Copy an index file with ``fields`` of its ``meta`` document set."""
+    return rewritten(source, out, lambda meta: meta.update(fields))
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +355,9 @@ class TestCatalogParser:
             assert parsed.keywords == index.catalog
             assert parsed.topic_names == index.topic_names
             assert (parsed.delta is None) == (kind == "rr")
-        assert set(parsed.entries) == set(parsed.keywords)
+        assert set(parsed.partitions) == (
+            set(parsed.keywords) if kind == "irr" else set()
+        )
 
     def test_unknown_format_is_rejected_everywhere(self, tmp_path, capsys):
         path = str(tmp_path / "other.idx")
@@ -440,6 +449,135 @@ class TestCatalogCodecIsCheckedAtOpen:
             SupervisedServerPool(relabelled_codec["rr", 9], n_workers=1)
         assert main(["inspect", "--index", relabelled_codec["irr", 1]]) == 1
         assert "index codec 1" in capsys.readouterr().err
+
+
+#: Every field of the ``meta`` document a reader needs, per kind, as a
+#: path into the document: top-level fields, then one keyword entry's.
+CATALOG_FIELDS = {
+    kind: [(field,) for field in ("keywords", "n_vertices", "epsilon", "K", *header)]
+    + [
+        ("keywords", "music", field)
+        for field in (
+            "topic_id", "theta", "tf_sum", "idf", "phi_w", "n_sets", *entry
+        )
+    ]
+    for kind, header, entry in (
+        ("rr", (), ()),
+        ("irr", ("delta",), ("n_partitions", "partition_first_lens")),
+    )
+}
+
+
+#: The ``value`` of :func:`set_field` that deletes the field.
+DROP = object()
+
+
+def set_field(path, value):
+    """An ``edit`` for :func:`rewritten`: set the field at ``path`` to
+    ``value``, or delete it when ``value`` is :data:`DROP`."""
+
+    def edit(meta):
+        *parents, last = path
+        for key in parents:
+            meta = meta[key]
+        if value is DROP:
+            del meta[last]
+        else:
+            meta[last] = value
+
+    return edit
+
+
+class TestCatalogFieldsAreChecked:
+    """A ``meta`` document that is not a JSON object, lacks a field or
+    holds one of the wrong type fails at open with the typed error naming
+    the file and the field — through the reader, ``open_index``,
+    ``verify_index`` and ``repro inspect`` (one ``error:`` line, exit 1)
+    — not with a ``KeyError`` or ``AttributeError`` from the parse."""
+
+    @staticmethod
+    def assert_rejected(kind, path, message, capsys):
+        for opener in (READERS[kind], open_index, verify_index):
+            with pytest.raises(CorruptIndexError) as caught:
+                opener(path)
+            assert str(caught.value) == f"{path}: {message}"
+        assert main(["inspect", "--index", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            pytest.param(kind, field, id=f"{kind}-{'.'.join(field)}")
+            for kind in sorted(CATALOG_FIELDS)
+            for field in CATALOG_FIELDS[kind]
+        ],
+    )
+    def test_a_missing_field_is_named(self, kind, field, paths, tmp_path, capsys):
+        edit = set_field(field, DROP)
+        path = rewritten(paths[kind], str(tmp_path / f"x.{kind}"), edit)
+        message = f"index catalog field {'.'.join(field)} is missing"
+        self.assert_rejected(kind, path, message, capsys)
+
+    @pytest.mark.parametrize(
+        "kind, field, value, expected",
+        [
+            pytest.param(kind, field, value, expected, id=f"{kind}-{'.'.join(field)}")
+            for kind, field, value, expected in (
+                ("rr", ("n_vertices",), "400", "int: '400'"),
+                ("rr", ("K",), True, "int: True"),
+                ("irr", ("epsilon",), None, "float: None"),
+                ("irr", ("delta",), 2.5, "int: 2.5"),
+                ("rr", ("keywords",), ["music"], "dict: ['music']"),
+                ("irr", ("keywords", "music"), 3, "dict: 3"),
+                ("rr", ("keywords", "music", "theta"), 1.5, "int: 1.5"),
+                ("irr", ("keywords", "music", "tf_sum"), "x", "float: 'x'"),
+                (
+                    "irr",
+                    ("keywords", "music", "partition_first_lens"),
+                    ["a"],
+                    "list: ['a']",
+                ),
+            )
+        ],
+    )
+    def test_a_mistyped_field_is_named(
+        self, kind, field, value, expected, paths, tmp_path, capsys
+    ):
+        edit = set_field(field, value)
+        path = rewritten(paths[kind], str(tmp_path / f"x.{kind}"), edit)
+        message = f"index catalog field {'.'.join(field)} is not {expected}"
+        self.assert_rejected(kind, path, message, capsys)
+
+    def test_a_partition_table_of_the_wrong_length_is_named(
+        self, paths, tmp_path, capsys
+    ):
+        """Unchecked, the file opens and its first query fails with an
+        ``IndexError`` from the NRA unseen bound."""
+        field = ("keywords", "music", "partition_first_lens")
+        with SegmentReader(paths["irr"]) as reader:
+            entry = json.loads(reader.read("meta"))["keywords"]["music"]
+        n_partitions, first_lens = entry["n_partitions"], entry["partition_first_lens"]
+        assert n_partitions == len(first_lens) > 1
+        edit = set_field(field, first_lens[:1])
+        path = rewritten(paths["irr"], str(tmp_path / "x.irr"), edit)
+        message = (
+            "index catalog field keywords.music.partition_first_lens has "
+            f"1 entries for {n_partitions} partitions"
+        )
+        self.assert_rejected("irr", path, message, capsys)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"[1, 2]", b'"rr-index"', b"{not json", b"\xff\xfe"],
+        ids=["array", "string", "not-json", "not-utf8"],
+    )
+    def test_a_catalog_that_is_not_an_object_is_rejected(
+        self, payload, tmp_path, capsys
+    ):
+        path = str(tmp_path / "x.rr")
+        with SegmentWriter(path) as writer:
+            writer.add("meta", payload)
+        self.assert_rejected("rr", path, "index catalog is not a JSON object", capsys)
 
 
 # ----------------------------------------------------------------------
@@ -559,16 +697,12 @@ class TestWritersAreByteStable:
 # sampled builds: the whole pipeline, seed to bytes
 # ----------------------------------------------------------------------
 def sampled_model(name):
-    """One of the three sampling paths on a fixed 150-node graph: IC's
-    Bernoulli kernel, LT's single-pick kernel, and a triggering model
-    whose distribution is an opaque callable (the per-root fallback)."""
+    """One of the two models on a fixed 150-node graph: IC (Bernoulli
+    kernel) or LT (single-pick kernel)."""
     graph = twitter_like(150, avg_degree=12, rng=71)
     if name == "IC":
         return graph, IndependentCascade(graph)
-    if name == "LT":
-        return graph, LinearThreshold(graph, weight_rng=72)
-    opaque = GeneralTriggering.independent(graph).trigger_sampler
-    return graph, GeneralTriggering(graph, opaque)
+    return graph, LinearThreshold(graph, weight_rng=72)
 
 
 class TestSampledBuildsArePinned:
@@ -597,16 +731,6 @@ class TestSampledBuildsArePinned:
                 "journal": (2137, 2.906612845163209),
                 "music": (1973, 2.5174423013299605),
                 "software": (2137, 3.335178137654562),
-            },
-        ),
-        "TR": (
-            "2e55e122d42f6d42eba694363558605fede0b41057c3fd056eb018eee3ebb11c",
-            "b33d2d3a240383a46c42c328271426633df7db7c0cd81e1635f00a6b3fa1ebea",
-            {
-                "book": (2263, 1.871219394555389),
-                "journal": (1973, 3.148830582260143),
-                "music": (1973, 2.5174423013299605),
-                "software": (2850, 2.5013836032409213),
             },
         ),
     }

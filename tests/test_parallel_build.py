@@ -10,9 +10,9 @@ from repro.errors import IndexError_
 from repro.graph.generators import twitter_like
 from repro.profiles.generators import zipf_profiles
 from repro.profiles.topics import TopicSpace
+from repro.propagation.base import PropagationModel
 from repro.propagation.ic import IndependentCascade
 from repro.propagation.lt import LinearThreshold
-from repro.propagation.triggering import GeneralTriggering
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,25 @@ def world():
 
 
 POLICY = ThetaPolicy(epsilon=1.0, K=20, cap=80)
+
+
+class ClosureModel(PropagationModel):
+    """IC's sampler behind a lambda: a working model that cannot be
+    pickled, so it cannot be shipped to a sampling process."""
+
+    name = "closure"
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        ic = IndependentCascade(graph)
+        self._draw = lambda roots, rng: ic.sample_rr_sets(roots, rng)
+        self._simulate = ic.simulate
+
+    def sample_rr_sets(self, roots, rng=None):
+        return self._draw(roots, rng)
+
+    def simulate(self, seeds, rng=None):
+        return self._simulate(seeds, rng)
 
 
 def assert_tables_equal(a, b):
@@ -83,10 +102,12 @@ class TestValidation:
 
     def test_unpicklable_model_clean_error(self, world):
         graph, profiles, _ic = world
-        closure_model = GeneralTriggering(
-            graph, lambda v, gen: graph.in_neighbors(v)
-        )
+        closure_model = ClosureModel(graph)
         with pytest.raises(IndexError_, match="picklable"):
             sample_keyword_tables(
                 closure_model, profiles, policy=POLICY, workers=2
             )
+        # The serial path never pickles the model.
+        assert sample_keyword_tables(
+            closure_model, profiles, keywords=["music"], policy=POLICY, rng=3
+        )

@@ -13,41 +13,51 @@ from repro.graph.digraph import DiGraph
 from repro.propagation.exact import exact_activation_probabilities, exact_spread
 from repro.propagation.ic import IndependentCascade
 
+from oracles import ic_rr_set_reference
 
-class TestSampleRRSet:
+
+def one_rr_set(model, root, rng):
+    """The RR set of one root, drawn through the batched sampler."""
+    return model.sample_rr_sets([root], rng)[0]
+
+
+class TestSampleRRSets:
     def test_contains_root(self, small_twitter, rng):
         model = IndependentCascade(small_twitter)
-        for root in (0, 5, 100):
-            rr = model.sample_rr_set(root, rng)
+        roots = [0, 5, 100]
+        for root, rr in zip(roots, model.sample_rr_sets(roots, rng)):
             assert root in rr
 
     def test_sorted_unique(self, small_twitter, rng):
         model = IndependentCascade(small_twitter)
-        rr = model.sample_rr_set(7, rng)
+        rr = one_rr_set(model, 7, rng)
         assert np.all(np.diff(rr) > 0)
 
     def test_root_out_of_range(self, small_twitter):
         model = IndependentCascade(small_twitter)
         with pytest.raises(GraphError):
-            model.sample_rr_set(small_twitter.n)
+            model.sample_rr_sets([small_twitter.n])
 
     def test_deterministic_edges_pull_full_ancestry(self):
         g = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)], probs=[1, 1, 1])
         model = IndependentCascade(g)
-        assert model.sample_rr_set(3, rng=1).tolist() == [0, 1, 2, 3]
+        assert one_rr_set(model, 3, rng=1).tolist() == [0, 1, 2, 3]
 
     def test_zero_probability_edges_blocked(self):
         g = DiGraph.from_edges(3, [(0, 1), (1, 2)], probs=[0.0, 0.0])
         model = IndependentCascade(g)
-        assert model.sample_rr_set(2, rng=1).tolist() == [2]
+        assert one_rr_set(model, 2, rng=1).tolist() == [2]
 
     def test_isolated_vertex(self):
         g = DiGraph.from_edges(3, [(0, 1)])
         model = IndependentCascade(g)
-        assert model.sample_rr_set(2, rng=1).tolist() == [2]
+        assert one_rr_set(model, 2, rng=1).tolist() == [2]
 
-    def test_rr_membership_probability_matches_exact(self):
-        """P[u ∈ RR(v)] = p({u} ↦ v), checked against enumeration."""
+    @pytest.mark.parametrize("sampler", ["batched", "reference"])
+    def test_rr_membership_probability_matches_exact(self, sampler):
+        """P[u ∈ RR(v)] = p({u} ↦ v), checked against enumeration — for
+        the model's sampler and for the scalar reference the property
+        tests compare it with."""
         g = DiGraph.from_edges(
             4, [(0, 1), (1, 2), (0, 2), (2, 3)], probs=[0.6, 0.5, 0.3, 0.7]
         )
@@ -55,9 +65,12 @@ class TestSampleRRSet:
         gen = np.random.default_rng(99)
         n_samples = 4000
         root = 3
+        if sampler == "batched":
+            rr_sets = model.sample_rr_sets(np.full(n_samples, root), gen)
+        else:
+            rr_sets = [ic_rr_set_reference(g, root, gen) for _ in range(n_samples)]
         hits = np.zeros(g.n)
-        for _ in range(n_samples):
-            rr = model.sample_rr_set(root, gen)
+        for rr in rr_sets:
             hits[rr] += 1
         freq = hits / n_samples
         for u in range(g.n):
@@ -109,8 +122,7 @@ class TestForwardReverseAgreement:
         n_samples = 3000
         hit = 0
         root = fig1_ids["c"]
-        for _ in range(n_samples):
-            rr = model.sample_rr_set(root, gen)
+        for rr in model.sample_rr_sets(np.full(n_samples, root), gen):
             if set(seeds) & set(rr.tolist()):
                 hit += 1
         assert hit / n_samples == pytest.approx(truth[root], abs=0.03)

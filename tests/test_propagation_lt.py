@@ -7,6 +7,8 @@ from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.propagation.lt import LinearThreshold
 
+from oracles import lt_rr_set_reference
+
 
 def two_in_graph() -> DiGraph:
     """Vertex 2 has two in-edges with explicit LT weights 0.3 / 0.5."""
@@ -47,25 +49,29 @@ class TestWeights:
         assert model.name == "LT"
 
 
-class TestSampleRRSet:
+class TestSampleRRSets:
     def test_at_most_one_in_edge_per_step(self):
         # With two in-edges into 2, the reverse walk picks 0 or 1, never both.
         g = two_in_graph()
         model = LinearThreshold(g, weights=np.array([0.3, 0.5]))
         gen = np.random.default_rng(3)
-        for _ in range(50):
-            rr = model.sample_rr_set(2, gen)
+        for rr in model.sample_rr_sets(np.full(50, 2), gen):
             assert not {0, 1} <= set(rr.tolist())
 
-    def test_walk_probabilities(self):
-        """P[u ∈ RR(2)] equals the LT live-edge pick probability."""
+    @pytest.mark.parametrize("sampler", ["batched", "reference"])
+    def test_walk_probabilities(self, sampler):
+        """P[u ∈ RR(2)] equals the LT live-edge pick probability — for the
+        model's sampler and for the scalar reference walk."""
         g = two_in_graph()
         model = LinearThreshold(g, weights=np.array([0.3, 0.5]))
         gen = np.random.default_rng(4)
         n = 5000
+        if sampler == "batched":
+            rr_sets = model.sample_rr_sets(np.full(n, 2), gen)
+        else:
+            rr_sets = [lt_rr_set_reference(g, model.weights, 2, gen) for _ in range(n)]
         hits = np.zeros(3)
-        for _ in range(n):
-            rr = model.sample_rr_set(2, gen)
+        for rr in rr_sets:
             hits[rr] += 1
         assert hits[0] / n == pytest.approx(0.3, abs=0.02)
         assert hits[1] / n == pytest.approx(0.5, abs=0.02)
@@ -74,12 +80,12 @@ class TestSampleRRSet:
     def test_cycle_terminates(self):
         g = DiGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         model = LinearThreshold(g)  # full-weight cycles: walk must stop on revisit
-        rr = model.sample_rr_set(0, rng=5)
+        rr = model.sample_rr_sets([0], rng=5)[0]
         assert len(rr) <= 3
 
     def test_contains_root(self, small_twitter):
         model = LinearThreshold(small_twitter, weight_rng=1)
-        assert 17 in model.sample_rr_set(17, rng=6)
+        assert 17 in model.sample_rr_sets([17], rng=6)[0]
 
 
 class TestSimulate:
@@ -100,9 +106,8 @@ class TestSimulate:
         # Reverse estimate of E[I({0})]: Σ_v P[0 ∈ RR(v)].
         reverse = 0.0
         for v in range(g.n):
-            hits = sum(
-                1 for _ in range(n // 4) if 0 in model.sample_rr_set(v, gen)
-            )
+            rr_sets = model.sample_rr_sets(np.full(n // 4, v), gen)
+            hits = sum(1 for rr in rr_sets if 0 in rr)
             reverse += hits / (n // 4)
         assert forward == pytest.approx(reverse, abs=0.1)
 
