@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
@@ -315,20 +314,18 @@ Lookup = Callable[[str, int], Tuple[object, bool]]
 
 
 class BlockCache:
-    """A bounded LRU of immutable decoded values with single-flight misses.
+    """A bounded LRU of immutable decoded values.
 
     :meth:`get` returns ``(value, hit)``: a resident value is a **hit**
     and ``load`` is not called; otherwise ``load()`` produces the value
     (never ``None``), which is admitted (least recently used entries
     evicted beyond ``capacity``).  ``capacity=0`` retains nothing: every
-    call loads.
+    call loads.  Values are immutable by convention, so they are handed
+    out without copying.
 
-    **Concurrency.**  A hit takes the LRU lock once (dict lookup +
-    ``move_to_end``) and nothing else.  A miss is single-flight per key:
-    concurrent misses on one key load once — the losers wait and are
-    then served as hits — while different keys load in parallel; the
-    load itself runs outside the LRU lock.  Values are immutable by
-    convention, so they are handed out without copying.
+    A cache belongs to one reader and, like it, to one caller at a time
+    (a :class:`~repro.core.server.KBTIMServer` serialises its callers; a
+    pool worker serves one request at a time), so it takes no lock.
 
     ``load`` is passed per call rather than held, so the cache keeps no
     reference back to the reader that owns it: a dropped reader frees
@@ -339,35 +336,18 @@ class BlockCache:
     def __init__(self, capacity: int) -> None:
         self.capacity = max(0, int(capacity))
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._lock = threading.Lock()
-        # Per-key single-flight locks; bounded by the index's key space
-        # because callers validate a key before asking.
-        self._flights: Dict[Hashable, threading.Lock] = {}
 
     def get(self, key: Hashable, load: Callable[[], object]) -> Tuple[object, bool]:
         """``(value, hit)`` for ``key``, calling ``load()`` on a miss."""
-        if not self.capacity:
-            return load(), False
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-                return value, True
-            flight = self._flights.setdefault(key, threading.Lock())
-        with flight:
-            with self._lock:
-                # A racing thread may have finished this very load while
-                # we waited: its value serves us too.
-                value = self._entries.get(key)
-                if value is not None:
-                    self._entries.move_to_end(key)
-                    return value, True
-            value = load()
-            with self._lock:
-                if self.capacity:
-                    self._entries[key] = value
-                    self._trim()
-            return value, False
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+            return value, True
+        value = load()
+        if self.capacity:
+            self._entries[key] = value
+            self._trim()
+        return value, False
 
     def _trim(self) -> None:
         while len(self._entries) > self.capacity:
@@ -375,19 +355,16 @@ class BlockCache:
 
     def resize(self, capacity: int) -> None:
         """Change the capacity, evicting least recently used entries."""
-        with self._lock:
-            self.capacity = max(0, int(capacity))
-            self._trim()
+        self.capacity = max(0, int(capacity))
+        self._trim()
 
     def clear(self) -> None:
         """Drop every resident value (memory-pressure handling)."""
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def keys(self) -> List[Hashable]:
         """Resident keys, LRU order (oldest first)."""
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

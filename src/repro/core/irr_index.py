@@ -238,8 +238,8 @@ def write_irr_index(
 
 
 def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """``arrays`` made read-only: a decode is shared by every query (and
-    thread) the cache serves, so an in-place op must raise, not corrupt."""
+    """``arrays`` made read-only: a decode is shared by every query the
+    cache serves, so an in-place op must raise, not corrupt."""
     for array in arrays:
         array.flags.writeable = False
     return arrays

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.estimation import estimate_opt_lower_bound
-from repro.core.sampler import mean_rr_set_size, sample_weighted_roots
+from repro.core.sampler import sample_weighted_roots
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
 from repro.profiles.store import ProfileStore
@@ -58,11 +58,6 @@ class KeywordTable:
     phi_w: float
     opt_lower_bound: float
     rr_sets: FlatRRSets
-
-    @property
-    def mean_rr_size(self) -> float:
-        """Average RR-set cardinality (Table 5)."""
-        return mean_rr_set_size(self.rr_sets)
 
 
 def sample_keyword_tables(

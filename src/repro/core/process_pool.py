@@ -1,7 +1,7 @@
 """The serving pool: supervised worker processes over one index file.
 
-One :class:`~repro.core.server.KBTIMServer` is thread-safe but bound to
-one core — warm serving is pure CPU (numpy merges and greedy selection
+One :class:`~repro.core.server.KBTIMServer` answers one query at a time
+on one core — warm serving is pure CPU (numpy merges and greedy selection
 under the GIL).  :class:`SupervisedServerPool` replicates that server as
 a *shared-nothing unit*: every shard is its own process with its own
 reader, decoded-block cache and buffer pool, so N shards execute on N
@@ -569,7 +569,7 @@ class SupervisedServerPool:
     warm CPU-bound serving scales past the GIL; the parent resolves and
     routes each query, bounds it with a deadline, heals the shard it
     lands on and retries once after a death.  In-process serving needs
-    no pool: one ``KBTIMServer`` is already thread-safe.
+    no pool: one ``KBTIMServer`` serialises its callers on one core.
 
     Parameters
     ----------
@@ -680,7 +680,8 @@ class SupervisedServerPool:
             self._topic_names = read_catalog(reader).topic_names
 
         self._shards = [_ShardRecord() for _ in range(self.n_workers)]
-        #: Parent-side restarts / retries / sheds, merged into :attr:`stats`.
+        #: Parent-side restarts / retries / sheds, merged into :attr:`stats`
+        #: and counted under ``_admission_lock`` (many threads serve here).
         self._supervision = ServerStats(latency_window=0)
         self._admission_lock = threading.Lock()
         self._inflight = 0
@@ -767,7 +768,8 @@ class SupervisedServerPool:
         # that lock already held.
         self._shards[shard].started_at = time.monotonic()
         self._shards[shard].restarts += 1
-        self._supervision.record_restart()
+        with self._admission_lock:
+            self._supervision.restarts += 1
 
     def _ensure_ready(self, shard: int) -> None:
         """Heal a down shard (restart, subject to backoff + budget) or fail fast.
@@ -875,7 +877,7 @@ class SupervisedServerPool:
                 and self._inflight + units > self.max_inflight
             )
             if exhausted or over:
-                self._supervision.record_shed()
+                self._supervision.sheds += 1
                 if exhausted:
                     retry_after = self._exhausted_until - now
                     detail = "admission budget exhausted (injected fault)"
@@ -974,7 +976,8 @@ class SupervisedServerPool:
                 if spent or attempts > _MAX_RETRIES:
                     raise
                 if units:
-                    self._supervision.record_retry()
+                    with self._admission_lock:
+                        self._supervision.retries += 1
             else:
                 if units:
                     # The EWMA service-time estimate behind retry-after

@@ -134,11 +134,6 @@ class KBTIMQuery:
         """
         return (KBTIMQuery, (self.keywords, self.k))
 
-    @property
-    def n_keywords(self) -> int:
-        """``|Q.T|`` — the query length axis of Figure 6."""
-        return len(self.keywords)
-
     def __repr__(self) -> str:
         kw = ", ".join(repr(kw) for kw in self.keywords)
         return f"KBTIMQuery(keywords=({kw}), k={self.k})"

@@ -382,8 +382,6 @@ class RRIndex(IndexReader):
     def load_keyword_csr(self, keyword: str, count: int) -> KeywordCoverageCSR:
         """Load one keyword's query block as flat CSR (:meth:`lookup`).
 
-        Thread-safe (see :class:`~repro.core.catalog.BlockCache`).
-
         Parameters
         ----------
         keyword:

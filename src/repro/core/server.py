@@ -8,17 +8,17 @@ naturally keeps decoded per-keyword values — an RR keyword's block, an
 IRR keyword's ``IP_w`` map — across queries, on top of the page-level
 buffer pool.
 
-Two tiers of concurrency live here; the third is the process pool
-built on them:
+Two ways to serve live here; the third is the process pool built on
+them:
 
 * :class:`KBTIMServer` serves one open
   :class:`~repro.core.catalog.IndexReader` through that protocol only
   (``plan``, ``lookup``, ``query``, ``cache``), so the same code serves
   both indexes; the values live in the reader's
   :class:`~repro.core.catalog.BlockCache` (the server keeps no cache of
-  its own).  It is thread-safe: a hot value costs one short lock, and
-  the cache's per-key single-flight makes concurrent misses on one
-  keyword decode exactly once.
+  its own).  One lock serialises its callers, so the reader under it
+  serves one query at a time and each query's I/O window holds exactly
+  its own reads.
 * :meth:`KBTIMServer.query_batch` amortises one *batch* of queries:
   the union of requested keywords is looked up once and every query in
   the batch is then answered from the held values — bit-identical
@@ -129,10 +129,9 @@ class ServerStats:
     (``warm_loads``), so :attr:`hit_ratio` reflects only what real
     queries experienced.
 
-    Counter updates go through the ``record_*`` methods, which take a
-    small internal lock — a server answers queries from many threads,
-    and a racing ``+=`` would silently drop counts.  Reading the plain
-    integer fields stays lock-free.
+    The stats take no lock: a server updates its own under its lock,
+    and a pool's parent updates its supervision counters under its
+    admission lock.
 
     Memory is not here: RSS and shared-segment bytes are measured by the
     pool's parent process and live on :class:`PoolHealth` only.
@@ -151,35 +150,15 @@ class ServerStats:
     total_seconds: float = 0.0
     latency_window: int = _LATENCY_WINDOW
     _latencies: Deque[float] = field(init=False, repr=False)
-    _lock: threading.RLock = field(
-        default_factory=threading.RLock, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self._latencies = deque(maxlen=max(0, self.latency_window))
 
-    def __getstate__(self) -> dict:
-        """Pickle support: counters and samples travel, the lock does not.
-
-        Process-pool workers ship :meth:`snapshot` copies to the parent
-        for the merged pool view; an ``RLock`` cannot cross that
-        boundary, so the receiving side gets a fresh one.
-        """
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     def snapshot(self) -> "ServerStats":
         """A detached, picklable copy of the current stats.
 
-        Taken under the counter lock so the copy is a consistent cut;
-        the copy does not track this instance afterwards.  This is what
-        process-pool workers send to the parent — the live object keeps
-        serving its own thread-safe counters.
+        The copy does not track this instance afterwards.  This is what
+        process-pool workers send to the parent.
         """
         return ServerStats.merged((self,))
 
@@ -191,50 +170,29 @@ class ServerStats:
         tuple makes ``stats.latencies.append(...)`` callers fail loudly
         instead of mutating a discarded copy).
         """
-        with self._lock:
-            return tuple(self._latencies)
+        return tuple(self._latencies)
 
     def record_latency(self, seconds: float) -> None:
         """Retain one latency sample, dropping the oldest when full."""
-        with self._lock:
-            self._latencies.append(seconds)
+        self._latencies.append(seconds)
 
     def record_query(self, seconds: float) -> None:
         """Account one answered query: count, total time, latency sample."""
-        with self._lock:
-            self.queries += 1
-            self.total_seconds += seconds
-            self.record_latency(seconds)
+        self.queries += 1
+        self.total_seconds += seconds
+        self.record_latency(seconds)
 
     def record_keyword_hit(self) -> None:
         """Count one query-traffic block-cache hit."""
-        with self._lock:
-            self.keyword_hits += 1
+        self.keyword_hits += 1
 
     def record_keyword_miss(self) -> None:
         """Count one query-traffic block-cache miss (a load happened)."""
-        with self._lock:
-            self.keyword_misses += 1
+        self.keyword_misses += 1
 
     def record_warm_load(self) -> None:
         """Count one administrative pre-warming load (never a miss)."""
-        with self._lock:
-            self.warm_loads += 1
-
-    def record_restart(self) -> None:
-        """Count one worker restart."""
-        with self._lock:
-            self.restarts += 1
-
-    def record_retry(self) -> None:
-        """Count one transparent per-query retry (after a restart)."""
-        with self._lock:
-            self.retries += 1
-
-    def record_shed(self) -> None:
-        """Count one request rejected by admission control."""
-        with self._lock:
-            self.sheds += 1
+        self.warm_loads += 1
 
     @property
     def hit_ratio(self) -> float:
@@ -266,10 +224,9 @@ class ServerStats:
         """
         out = cls(latency_window=sum(part.latency_window for part in parts))
         for part in parts:
-            with part._lock:
-                for name in _SERVING_COUNTERS + _SUPERVISION_COUNTERS:
-                    setattr(out, name, getattr(out, name) + getattr(part, name))
-                out._latencies.extend(part._latencies)
+            for name in _SERVING_COUNTERS + _SUPERVISION_COUNTERS:
+                setattr(out, name, getattr(out, name) + getattr(part, name))
+            out._latencies.extend(part._latencies)
         return out
 
     def to_dict(self) -> dict:
@@ -405,7 +362,7 @@ class PoolSnapshot:
 
 
 class KBTIMServer:
-    """Thread-safe query server over one open index, RR or IRR.
+    """Query server over one open index, RR or IRR, one query at a time.
 
     Parameters
     ----------
@@ -431,21 +388,23 @@ class KBTIMServer:
     counts: ``stats`` counts a hit when ``index.cache`` served a query
     keyword's value from memory and a miss when it had to decode.
 
-    **Thread safety.**  :meth:`query`, :meth:`query_batch`, :meth:`warm`
-    and :meth:`evict_all` may be called concurrently; the concurrency
-    contract is the cache's (hit: one lock; miss: per-keyword
-    single-flight, decode outside the lock).  Seed selections are
-    bit-identical to a single-threaded run (both query engines are
-    deterministic on identical data) and the ``stats`` counters are
-    exact; only per-query *I/O attribution* is best-effort under
-    concurrency — ``QueryStats.io`` windows may include a neighbour
-    thread's reads, though the totals across all queries stay exact.
+    **Thread safety.**  Any number of threads may call the server:
+    :meth:`query`, :meth:`query_batch`, :meth:`warm`, :meth:`evict_all`,
+    :meth:`snapshot` and :attr:`cached_keywords` hold its one lock, so
+    the reader, its caches, its pager and its ``IOStats`` see one caller
+    at a time.  Every answer, ``stats`` counter and per-query
+    ``QueryStats.io`` window is exactly what a single-threaded run of
+    the same calls records; a second thread adds no throughput on one
+    core (warm serving is CPU-bound under the GIL), which is what the
+    process pool is for.  Do not call the reader directly while the
+    server serves.
     """
 
     def __init__(self, index: IndexReader, *, cache_keywords: int = 64) -> None:
         self.index = index
         index.cache.resize(check_positive_int("cache_keywords", cache_keywords))
         self.stats = ServerStats()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _lookup(self, keyword: str, count: int) -> Tuple[object, bool]:
@@ -479,8 +438,9 @@ class KBTIMServer:
         IndexError_
             If a keyword is not in the index.
         """
-        answer = self.index.query(query, self._lookup)
-        self.stats.record_query(answer.stats.elapsed_seconds)
+        with self._lock:
+            answer = self.index.query(query, self._lookup)
+            self.stats.record_query(answer.stats.elapsed_seconds)
         return answer
 
     # ------------------------------------------------------------------
@@ -534,41 +494,43 @@ class KBTIMServer:
         if not queries:
             return []
         index = self.index
-        # Phase 1: validate + plan everything before touching the disk.
-        plans = [index.plan(query) for query in queries]
+        with self._lock:
+            # Phase 1: validate + plan everything before touching the disk.
+            plans = [index.plan(query) for query in queries]
 
-        # Phase 2: union of keywords -> one lookup each, at the largest
-        # count; its cost is charged to the first query that asked.
-        charge: Dict[str, int] = {}
-        need: Dict[str, int] = {}
-        for pos, (keywords, counts, _phi) in enumerate(plans):
-            for kw in keywords:
-                charge.setdefault(kw, pos)
-                need[kw] = max(need.get(kw, 0), counts[kw])
-        held: Dict[str, object] = {}
-        loads: Dict[str, Tuple[bool, IOStats, float]] = {}
-        for kw in sorted(charge):
-            before = index.stats.snapshot()
-            started = time.perf_counter()
-            held[kw], hit = index.lookup(kw, need[kw])
-            loads[kw] = (hit, index.stats.delta(before), time.perf_counter() - started)
+            # Phase 2: union of keywords -> one lookup each, at the largest
+            # count; its cost is charged to the first query that asked.
+            charge: Dict[str, int] = {}
+            need: Dict[str, int] = {}
+            for pos, (keywords, counts, _phi) in enumerate(plans):
+                for kw in keywords:
+                    charge.setdefault(kw, pos)
+                    need[kw] = max(need.get(kw, 0), counts[kw])
+            held: Dict[str, object] = {}
+            loads: Dict[str, Tuple[bool, IOStats, float]] = {}
+            for kw in sorted(charge):
+                before = index.stats.snapshot()
+                started = time.perf_counter()
+                held[kw], hit = index.lookup(kw, need[kw])
+                seconds = time.perf_counter() - started
+                loads[kw] = (hit, index.stats.delta(before), seconds)
 
-        # Phase 3: each query over the held values, with attribution.
-        results: List[SeedSelection] = []
-        for pos, query in enumerate(queries):
-            answer = index.query(query, lambda kw, _count: (held[kw], True))
-            for kw in plans[pos][0]:
-                hit, io, seconds = loads[kw]
-                if charge[kw] == pos:
-                    answer.stats.io.add(io)
-                    answer.stats.elapsed_seconds += seconds
-                if hit or charge[kw] != pos:
-                    self.stats.record_keyword_hit()
-                else:
-                    self.stats.record_keyword_miss()
-            self.stats.record_query(answer.stats.elapsed_seconds)
-            results.append(answer)
-        return results
+            # Phase 3: each query over the held values, with attribution.
+            results: List[SeedSelection] = []
+            for pos, query in enumerate(queries):
+                answer = index.query(query, lambda kw, _count: (held[kw], True))
+                for kw in plans[pos][0]:
+                    hit, io, seconds = loads[kw]
+                    if charge[kw] == pos:
+                        answer.stats.io.add(io)
+                        answer.stats.elapsed_seconds += seconds
+                    if hit or charge[kw] != pos:
+                        self.stats.record_keyword_hit()
+                    else:
+                        self.stats.record_keyword_miss()
+                self.stats.record_query(answer.stats.elapsed_seconds)
+                results.append(answer)
+            return results
 
     # ------------------------------------------------------------------
     def warm(self, keywords: Iterable) -> None:
@@ -589,36 +551,40 @@ class KBTIMServer:
         Loads are counted under ``stats.warm_loads``, never as cache
         misses, so pre-warming does not skew ``stats.hit_ratio``.
         """
-        for kw in keywords:
-            name = resolve_keyword(self.index.topic_names, kw)
-            meta = self.index.catalog.get(name)
-            if meta is None:
-                # Validate before counting: a failed lookup was never
-                # served traffic and must not inflate the cache counters.
-                raise QueryError(f"keyword {name!r} is not in the index")
-            _value, hit = self.index.lookup(name, meta.n_sets)
-            if not hit:
-                self.stats.record_warm_load()
+        with self._lock:
+            for kw in keywords:
+                name = resolve_keyword(self.index.topic_names, kw)
+                meta = self.index.catalog.get(name)
+                if meta is None:
+                    # Validate before counting: a failed lookup was never
+                    # served traffic and must not inflate the cache counters.
+                    raise QueryError(f"keyword {name!r} is not in the index")
+                _value, hit = self.index.lookup(name, meta.n_sets)
+                if not hit:
+                    self.stats.record_warm_load()
 
     def evict_all(self) -> None:
         """Drop every cached value (for memory-pressure handling); the
         next query of each keyword decodes it again."""
-        self.index.cache.clear()
+        with self._lock:
+            self.index.cache.clear()
 
     @property
     def cached_keywords(self) -> List[str]:
         """Currently cached keyword names, LRU order (oldest first)."""
-        return self.index.cache.keys()
+        with self._lock:
+            return self.index.cache.keys()
 
     def snapshot(self) -> ServerSnapshot:
         """This server's whole telemetry in one detached, picklable record:
         a :class:`ServerStats` copy, the reader's I/O counters and the
         cached keywords — the one reply a pool asks a shard for."""
-        return ServerSnapshot(
-            stats=self.stats.snapshot(),
-            io=self.index.stats.snapshot(),
-            cached_keywords=tuple(self.cached_keywords),
-        )
+        with self._lock:
+            return ServerSnapshot(
+                stats=self.stats.snapshot(),
+                io=self.index.stats.snapshot(),
+                cached_keywords=tuple(self.index.cache.keys()),
+            )
 
     def __enter__(self) -> "KBTIMServer":
         return self

@@ -354,13 +354,14 @@ def replay(
         Anything with a ``query(KBTIMQuery) -> SeedSelection`` method —
         a :class:`~repro.core.server.KBTIMServer`, a
         :class:`~repro.core.process_pool.SupervisedServerPool`, or a
-        bare index reader.  With ``threads > 1`` it must tolerate
-        concurrent calls (the whole server tier does; a bare reader's
-        per-query I/O attribution becomes best-effort).  Against the pool
-        the replay threads only marshal requests — the queries execute
-        in the pool's worker processes, so closed-loop throughput can
-        exceed what one Python process could compute; size ``threads``
-        to at least the pool's worker count to keep every shard busy.
+        bare index reader.  With ``threads > 1`` it must accept
+        concurrent calls: a server (which serialises them) or a pool,
+        never a bare reader, which has one caller at a time.  Against
+        the pool the replay threads only marshal requests — the queries
+        execute in the pool's worker processes, so closed-loop
+        throughput can exceed what one Python process could compute;
+        size ``threads`` to at least the pool's worker count to keep
+        every shard busy.
     queries:
         The workload, in arrival order.
     threads:

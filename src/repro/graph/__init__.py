@@ -6,7 +6,6 @@ from repro.graph.generators import (
     news_like,
     twitter_like,
 )
-from repro.graph.interop import from_networkx, to_networkx
 from repro.graph.io import (
     load_edge_list,
     load_npz,
@@ -25,8 +24,6 @@ __all__ = [
     "erdos_renyi_digraph",
     "news_like",
     "twitter_like",
-    "to_networkx",
-    "from_networkx",
     "load_edge_list",
     "save_edge_list",
     "load_npz",

@@ -151,11 +151,6 @@ class DiGraph:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    def out_degree(self, v: int) -> int:
-        """Number of out-neighbours of ``v``."""
-        self._check_vertex(v)
-        return int(self.out_ptr[v + 1] - self.out_ptr[v])
-
     def in_degree(self, v: int) -> int:
         """Number of in-neighbours of ``v``."""
         self._check_vertex(v)
@@ -171,11 +166,6 @@ class DiGraph:
         self._check_vertex(v)
         return self.in_src[self.in_ptr[v] : self.in_ptr[v + 1]]
 
-    def in_edge_probs(self, v: int) -> np.ndarray:
-        """Influence probabilities aligned with :meth:`in_neighbors`."""
-        self._check_vertex(v)
-        return self.in_prob[self.in_ptr[v] : self.in_ptr[v + 1]]
-
     @property
     def out_prob(self) -> np.ndarray:
         """Edge probabilities aligned with ``out_dst`` (lazily derived).
@@ -190,11 +180,6 @@ class DiGraph:
             order = np.lexsort((dst, src))
             self._out_prob = np.ascontiguousarray(self.in_prob[order])
         return self._out_prob
-
-    def out_edge_probs(self, v: int) -> np.ndarray:
-        """Influence probabilities aligned with :meth:`out_neighbors`."""
-        self._check_vertex(v)
-        return self.out_prob[self.out_ptr[v] : self.out_ptr[v + 1]]
 
     def in_degrees(self) -> np.ndarray:
         """In-degree of every vertex as an array of length ``n``."""
@@ -231,14 +216,6 @@ class DiGraph:
         if pos >= len(block) or block[pos] != u:
             raise GraphError(f"edge ({u} -> {v}) does not exist")
         return float(self.in_prob[start + pos])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the directed edge ``u -> v`` exists."""
-        try:
-            self.edge_probability(u, v)
-        except GraphError:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # dunder protocol

@@ -35,16 +35,6 @@ class GraphSummary:
     max_in_degree: int
     max_out_degree: int
 
-    def as_row(self) -> Tuple[int, int, float, int, int]:
-        """Tuple form for table rendering."""
-        return (
-            self.n_users,
-            self.n_edges,
-            self.avg_degree,
-            self.max_in_degree,
-            self.max_out_degree,
-        )
-
 
 def summarize(graph: DiGraph) -> GraphSummary:
     """Compute the Table 2 statistics for ``graph``."""

@@ -235,14 +235,6 @@ class ProfileStore:
         weights = phi[users]
         return users, weights / weights.sum()
 
-    def relevant_users(self, keywords: Sequence[TopicRef]) -> np.ndarray:
-        """Users with non-zero relevance to any query keyword (sorted)."""
-        topic_ids = self.topics.ids(keywords)
-        parts = [self.users_of(t)[0] for t in topic_ids]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:

@@ -29,10 +29,6 @@ class SpreadEstimate:
     stderr: float
     n_samples: int
 
-    def confidence_interval(self, z: float = 1.96) -> tuple:
-        """Normal-approximation confidence interval ``mean ± z·stderr``."""
-        return (self.mean - z * self.stderr, self.mean + z * self.stderr)
-
 
 def estimate_spread(
     model: PropagationModel,

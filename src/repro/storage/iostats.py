@@ -13,20 +13,15 @@ counts (queries never write, so only reads are counted)
 
 The counter is plain mutable state by design: it is threaded explicitly
 through readers (no globals), and :meth:`IOStats.snapshot` /
-:meth:`IOStats.delta` give before/after accounting around a query.
-
-The serving tier issues reads from multiple threads against one shared
-counter, so the mutating methods take a small internal lock: a counter
-update is a handful of integer additions, and losing one to a racing
-``+=`` would silently corrupt the Table 6 numbers.  Reading individual
-attributes stays lock-free (plain ints); :meth:`snapshot` locks so the
-copy is a consistent cut.
+:meth:`IOStats.delta` give before/after accounting around a query.  It
+belongs to one reader and takes no lock: a reader has one caller at a
+time (see "Concurrency contract" in ``docs/ARCHITECTURE.md``), which is
+also what makes a query's before/after window exactly its own reads.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 __all__ = ["IOStats"]
 
@@ -39,47 +34,22 @@ class IOStats:
     pages_read: int = 0
     pages_hit: int = 0
     bytes_read: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        """Pickle support: counters travel, the lock does not.
-
-        The serving tier ships :class:`IOStats` snapshots across process
-        boundaries (inside per-query ``QueryStats``), and a
-        ``threading.Lock`` cannot be pickled.  The receiving side gets a
-        fresh lock, so the copy is independently mutation-safe.
-        """
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def record_read(self, *, pages_read: int, pages_hit: int, nbytes: int) -> None:
         """Account one logical read of ``nbytes`` touching pages."""
-        with self._lock:
-            self.read_calls += 1
-            self.pages_read += pages_read
-            self.pages_hit += pages_hit
-            self.bytes_read += nbytes
+        self.read_calls += 1
+        self.pages_read += pages_read
+        self.pages_hit += pages_hit
+        self.bytes_read += nbytes
 
     def snapshot(self) -> "IOStats":
-        """An immutable-by-convention copy of the current counters.
-
-        Taken under the counter lock, so concurrent readers get a
-        consistent cut even while other threads are recording I/O.
-        """
-        with self._lock:
-            return IOStats(
-                read_calls=self.read_calls,
-                pages_read=self.pages_read,
-                pages_hit=self.pages_hit,
-                bytes_read=self.bytes_read,
-            )
+        """An immutable-by-convention copy of the current counters."""
+        return IOStats(
+            read_calls=self.read_calls,
+            pages_read=self.pages_read,
+            pages_hit=self.pages_hit,
+            bytes_read=self.bytes_read,
+        )
 
     def add(self, other: "IOStats") -> None:
         """Accumulate another counter's totals into this one.
@@ -88,11 +58,10 @@ class IOStats:
         to one query's :class:`~repro.core.results.QueryStats`) and by
         pool-level stat aggregation.
         """
-        with self._lock:
-            self.read_calls += other.read_calls
-            self.pages_read += other.pages_read
-            self.pages_hit += other.pages_hit
-            self.bytes_read += other.bytes_read
+        self.read_calls += other.read_calls
+        self.pages_read += other.pages_read
+        self.pages_hit += other.pages_hit
+        self.bytes_read += other.bytes_read
 
     def delta(self, since: "IOStats") -> "IOStats":
         """Counters accumulated since a :meth:`snapshot`."""
@@ -105,16 +74,7 @@ class IOStats:
 
     def to_dict(self) -> dict:
         """The counters as a JSON-ready dict."""
-        return self.__getstate__()
-
-    def reset(self) -> None:
-        """Zero all counters (atomically: a racing record keeps the
-        counter set consistent — all zeroed, then the record applies)."""
-        with self._lock:
-            self.read_calls = 0
-            self.pages_read = 0
-            self.pages_hit = 0
-            self.bytes_read = 0
+        return asdict(self)
 
     @property
     def hit_ratio(self) -> float:

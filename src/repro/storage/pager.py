@@ -18,15 +18,16 @@ holds no payloads — the bytes live in the map — only the residency of
 each page, so pages-read / pages-hit accounting, including
 eviction-driven re-reads, follows the LRU order exactly.
 
-Both classes are thread-safe: the map has no seek cursor to race on, and
-the pool's LRU bookkeeping happens under a small internal lock.
+Neither class takes a lock: a file and its pool belong to one reader,
+which has one caller at a time (see "Concurrency contract" in
+``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
 
+import itertools
 import mmap
 import os
-import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Set, Tuple, Union
 
@@ -39,25 +40,22 @@ PathLike = Union[str, os.PathLike]
 
 DEFAULT_PAGE_SIZE = 4096
 
-#: Guards the process-wide file-id counter (ids must stay unique even
-#: when server pools open many readers concurrently).
-_ID_LOCK = threading.Lock()
+#: Process-wide file ids, so files sharing one pool never share a key.
+_FILE_IDS = itertools.count()
 
 
 class BufferPool:
     """Fixed-capacity LRU set of resident pages keyed by
     ``(file_id, page_number)``.
 
-    Thread-safe: one pool may be shared by several readers of an index,
-    so the LRU order and the per-file index mutate under one internal
-    lock.
+    A pool may be shared by several files; like the reader that owns
+    it, it has one caller at a time.
     """
 
     def __init__(self, capacity_pages: int = 1024) -> None:
         if capacity_pages < 1:
             raise StorageError(f"capacity_pages must be >= 1, got {capacity_pages}")
         self.capacity_pages = capacity_pages
-        self._lock = threading.Lock()
         self._pages: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         # Per-file page-number index so invalidate_file is O(pages of
         # that file) instead of a scan of the whole pool on every close.
@@ -69,25 +67,23 @@ class BufferPool:
         A miss makes the page resident, evicting the least-recently-used
         one when the pool is full.
         """
-        with self._lock:
-            if key in self._pages:
-                self._pages.move_to_end(key)
-                return True
-            if len(self._pages) >= self.capacity_pages:
-                evicted, _ = self._pages.popitem(last=False)
-                file_pages = self._by_file[evicted[0]]
-                file_pages.discard(evicted[1])
-                if not file_pages:
-                    del self._by_file[evicted[0]]
-            self._pages[key] = None
-            self._by_file.setdefault(key[0], set()).add(key[1])
-            return False
+        if key in self._pages:
+            self._pages.move_to_end(key)
+            return True
+        if len(self._pages) >= self.capacity_pages:
+            evicted, _ = self._pages.popitem(last=False)
+            file_pages = self._by_file[evicted[0]]
+            file_pages.discard(evicted[1])
+            if not file_pages:
+                del self._by_file[evicted[0]]
+        self._pages[key] = None
+        self._by_file.setdefault(key[0], set()).add(key[1])
+        return False
 
     def invalidate_file(self, file_id: int) -> None:
         """Drop all pages of one file (called when a file is rewritten)."""
-        with self._lock:
-            for page_no in self._by_file.pop(file_id, ()):
-                del self._pages[(file_id, page_no)]
+        for page_no in self._by_file.pop(file_id, ()):
+            del self._pages[(file_id, page_no)]
 
     def __contains__(self, key: Tuple[int, int]) -> bool:
         """Residency check that does not disturb the LRU order."""
@@ -119,8 +115,6 @@ class PagedFile:
     Pages (the fault granularity) are :data:`DEFAULT_PAGE_SIZE` bytes.
     """
 
-    _next_file_id = 0
-
     def __init__(
         self,
         path: PathLike,
@@ -144,9 +138,7 @@ class PagedFile:
         self._view: Optional[memoryview] = memoryview(
             b"" if self._map is None else self._map
         )
-        with _ID_LOCK:
-            self._file_id = PagedFile._next_file_id
-            PagedFile._next_file_id += 1
+        self._file_id = next(_FILE_IDS)
 
     # ------------------------------------------------------------------
     def read(self, offset: int, length: int) -> bytes:

@@ -31,9 +31,3 @@ def log_binomial(n: int, k: int) -> float:
 # Alias mirroring the paper's ``ln (|V| choose k)`` notation at call sites.
 log_n_choose_k = log_binomial
 
-
-def harmonic_bound(n: int) -> float:
-    """Upper bound on the n-th harmonic number (used by workload Zipf law)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return math.log(n) + 1.0

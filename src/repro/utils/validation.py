@@ -23,15 +23,6 @@ def check_positive_int(name: str, value: int) -> int:
     return int(value)
 
 
-def check_nonnegative_int(name: str, value: int) -> int:
-    """Require ``value`` to be an integer >= 0 and return it as ``int``."""
-    if isinstance(value, bool) or not isinstance(value, (int,)):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return int(value)
-
-
 def check_positive(name: str, value: Number) -> float:
     """Require ``value`` to be a finite number > 0 and return it as ``float``."""
     value = _check_number(name, value)

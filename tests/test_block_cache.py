@@ -11,9 +11,10 @@ readers (so "reads" are the reader's physical ``IOStats``):
 * eviction is LRU, refreshed by hits; capacity 0 retains nothing and
   keeps the cold accounting (RR: 2 reads per keyword, of the
   ``θ^Q·p_w`` prefix only);
-* a miss is single-flight per key — an RR block, an IRR ``IP_w`` map, an
-  IRR partition — for direct readers and for the server alike, while an
-  IRR read is issued for every lookup, hit or not;
+* threads meet only at a server, which serialises them, so one cold unit
+  — an RR block, an IRR ``IP_w`` map, an IRR partition — decodes once
+  however many threads miss it together, while an IRR read is issued for
+  every lookup, hit or not;
 * reader and cache form no reference cycle, so closing and dropping a
   reader releases its decoded values immediately.
 """
@@ -169,65 +170,46 @@ def race(n, call):
         return [f.result(timeout=30) for f in futures]
 
 
-class TestSingleFlight:
-    @pytest.mark.parametrize("entry", ["reader", "server"])
-    def test_concurrent_cold_misses_decode_once(self, paths, entry):
-        """Six threads missing one cold RR keyword trigger one load, whether
-        they enter through the reader or through a server over it."""
-        query = KBTIMQuery(("music",), 3)
-        with RRIndex(paths["rr"]) as index:
-            server = KBTIMServer(index)
-            target = index if entry == "reader" else server
-            before = index.stats.snapshot()
-            results = race(6, lambda: target.query(query))
-            # One load = 2 reads (RR prefix + inverted lists), total.
-            assert index.stats.delta(before).read_calls == 2
-            assert len({r.seeds for r in results}) == 1
-            if entry == "server":
-                assert server.stats.keyword_misses == 1
-                assert server.stats.keyword_hits == 5
+#: What decodes each cold unit on a miss: ``(owner, attribute)``.
+UNIT_DECODES = {
+    "rr-block": (RRIndex, "decode_block"),
+    "irr-ip": (IRRIndex, "_decode_ip"),
+    "irr-partition": (irr_index, "_decode_partition"),
+}
 
-    @pytest.mark.parametrize("unit", ["ip", "partition"])
-    def test_six_threads_missing_one_irr_unit_decode_it_once(
+
+class TestSingleFlight:
+    @pytest.mark.parametrize("unit", sorted(UNIT_DECODES))
+    def test_six_threads_missing_one_cold_unit_through_one_server_decode_it_once(
         self, paths, unit, monkeypatch
     ):
-        """Every thread issues its own read, only one decodes: the decode
-        waits until all six have asked, so a cache that let racing misses
-        decode side by side would count six."""
-        with IRRIndex(paths["irr"]) as index:
-            cache = index.cache if unit == "ip" else index._partitions
-            asked, everyone_asked = [], threading.Event()
-            real_get = cache.get
+        """Six threads send one cold query to one server: its units (an
+        RR block, an IRR ``IP_w`` map, IRR partitions) decode once, as
+        for one query, and every query issues its own reads."""
+        owner, name = UNIT_DECODES[unit]
+        real_decode = getattr(owner, name)
+        decodes = []
 
-            def counting_get(key, load):
-                asked.append(key)
-                if len(asked) == 6:
-                    everyone_asked.set()
-                return real_get(key, load)
+        def counted(*args):
+            decodes.append(args)
+            return real_decode(*args)
 
-            decodes = []
-
-            def counted(decode):
-                def wrapper(*args):
-                    decodes.append(args)
-                    assert everyone_asked.wait(timeout=10)
-                    return decode(*args)
-
-                return wrapper
-
-            monkeypatch.setattr(cache, "get", counting_get)
-            if unit == "ip":
-                monkeypatch.setattr(
-                    IRRIndex, "_decode_ip", counted(IRRIndex._decode_ip)
-                )
-                call, reads_each = (lambda: index.lookup("music", 1)[0]), 1
-            else:
-                monkeypatch.setattr(
-                    irr_index, "_decode_partition", counted(irr_index._decode_partition)
-                )
-                call, reads_each = (lambda: index._load_partition("music", 0)), 2
+        monkeypatch.setattr(owner, name, counted)
+        kind = unit.split("-")[0]
+        query = KBTIMQuery(("music",), 3)
+        with READERS[kind](paths[kind]) as index:
+            once = KBTIMServer(index).query(query)
+        decoded_once, decodes[:] = len(decodes), []
+        with READERS[kind](paths[kind]) as index:
+            server = KBTIMServer(index)
             before = index.stats.snapshot()
-            values = race(6, call)
-            assert len(decodes) == 1
-            assert all(value is values[0] for value in values)
-            assert index.stats.delta(before).read_calls == 6 * reads_each
+            results = race(6, lambda: server.query(query))
+            assert len(decodes) == decoded_once >= 1
+            assert len({r.seeds for r in results}) == 1
+            # RR: the first query reads (RR prefix + inverted lists), the
+            # rest hit; IRR issues every read every time.
+            first = once.stats.io.read_calls
+            reads = sorted(r.stats.io.read_calls for r in results)
+            assert reads == ([0] * 5 + [first] if kind == "rr" else [first] * 6)
+            assert index.stats.delta(before).read_calls == sum(reads)
+            assert (server.stats.keyword_misses, server.stats.keyword_hits) == (1, 5)

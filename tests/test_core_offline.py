@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.offline import sample_keyword_tables
 from repro.core.rr_index import build_keyword_meta, plan_theta_q
+from repro.core.sampler import mean_rr_set_size
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
 from repro.profiles.store import ProfileStore
@@ -44,7 +45,7 @@ class TestSampleKeywordTables:
             assert table.idf == pytest.approx(profiles.idf(name))
             assert table.phi_w == pytest.approx(profiles.phi_w(name))
             assert len(table.rr_sets) == table.theta
-            assert table.mean_rr_size > 0
+            assert mean_rr_set_size(table.rr_sets) > 0
 
     def test_keyword_restriction(self, world):
         _g, _topics, profiles, model = world

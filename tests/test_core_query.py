@@ -47,7 +47,7 @@ class TestConstruction:
         q = KBTIMQuery(["music", "book"], 5)
         assert q.keywords == ("music", "book")
         assert q.k == 5
-        assert q.n_keywords == 2
+        assert len(q.keywords) == 2
 
     def test_accepts_topic_ids(self):
         q = KBTIMQuery([0, 3], 2)

@@ -1030,12 +1030,14 @@ class TestIRRArrayNativeNRA:
         assert list(answer.seeds[len(candidates) :]) == fillers.tolist()
         assert set(answer.marginal_coverages[len(candidates) :]) == {0}
 
-    def test_four_threads_on_one_reader_answer_like_serial(self, irr_world):
-        """Queries share the reader's decode caches and nothing else."""
+    def test_four_threads_on_one_server_answer_like_serial(self, irr_world):
+        """Queries share the reader's decode caches and nothing else, so
+        four threads through one server answer and read like one."""
         from concurrent.futures import ThreadPoolExecutor
 
         from repro.core.irr_index import IRRIndex
         from repro.core.query import KBTIMQuery
+        from repro.core.server import KBTIMServer
 
         queries = [
             KBTIMQuery(keywords, k)
@@ -1044,16 +1046,18 @@ class TestIRRArrayNativeNRA:
         ] * 4
         with IRRIndex(irr_world[7]) as index:
             serial = [index.query(q) for q in queries]
+        with KBTIMServer(IRRIndex(irr_world[7])) as server:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = list(pool.map(index.query, queries))
+                threaded = list(pool.map(server.query, queries))
         for one, other in zip(serial, threaded):
             assert one.seeds == other.seeds
             assert one.marginal_coverages == other.marginal_coverages
             assert one.stats.rr_sets_loaded == other.stats.rr_sets_loaded
             assert one.stats.partitions_loaded == other.stats.partitions_loaded
+            assert one.stats.io.read_calls == other.stats.io.read_calls
 
     def test_memoised_decodes_are_read_only(self, irr_index_path):
-        """Every query (and thread) gets the same arrays out of the decode
+        """Every query gets the same arrays out of the decode
         caches — with and without a capacity — so a write must raise."""
         from repro.core.irr_index import IRRIndex
         from repro.core.query import KBTIMQuery

@@ -30,6 +30,7 @@ from repro.core.offline import KeywordTable
 from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder, write_rr_index
+from repro.core.server import KBTIMServer
 from repro.core.theta import ThetaPolicy
 from repro.errors import CorruptIndexError, IndexError_, QueryError
 from repro.graph.generators import twitter_like
@@ -181,7 +182,7 @@ class TestIndexReaderContract:
         reads = [io.read_calls for io in costs]
         if (kind, config) == ("rr", "default"):
             # The block cache is meant to absorb repeats: cold once, then free.
-            assert reads == [2 * query.n_keywords, 0, 0]
+            assert reads == [2 * len(query.keywords), 0, 0]
         else:
             assert reads[0] > 0 and reads == [reads[0]] * 3
             assert len({io.bytes_read for io in costs}) == 1
@@ -197,7 +198,7 @@ class TestIndexReaderContract:
             a, b = cold.query(query).stats.io, warm.query(query).stats.io
             assert (a.read_calls, a.bytes_read) == (b.read_calls, b.bytes_read)
             assert len(cold.cache) == len(cold._partitions) == 0
-            assert len(warm.cache) == query.n_keywords
+            assert len(warm.cache) == len(query.keywords)
             assert len(warm._partitions) > 0
 
     def test_a_load_unit_is_one_decoding_session(self, paths, monkeypatch):
@@ -247,17 +248,18 @@ class TestIndexReaderContract:
             for ours, theirs in zip(decoded, alone):
                 assert np.array_equal(ours, theirs) and not ours.flags.writeable
 
-    def test_irr_reader_survives_concurrent_queries_on_tiny_caches(self, paths):
-        """Eight threads share one reader whose caches hold two entries, so
-        every lookup races an eviction; answers and I/O totals stay exact."""
+    def test_irr_server_survives_concurrent_queries_on_tiny_caches(self, paths):
+        """Eight threads share one server whose reader's caches hold two
+        entries, so lookups keep evicting; answers, each answer's reads
+        and the I/O totals stay exact."""
         with IRRIndex(paths["irr"]) as reference:
             expected = [reference.query(query) for query in QUERIES]
         failures = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with IRRIndex(paths["irr"], decode_cache_partitions=2) as index:
-                index.cache.resize(2)
+            index = IRRIndex(paths["irr"], decode_cache_partitions=2)
+            with KBTIMServer(index, cache_keywords=2) as server:
                 before = index.stats.snapshot()
                 charged = []
 
@@ -265,9 +267,10 @@ class TestIndexReaderContract:
                     try:
                         for _ in range(6):
                             for query, want in zip(QUERIES, expected):
-                                got = index.query(query)
+                                got = server.query(query)
                                 assert got.seeds == want.seeds
                                 assert got.marginal_coverages == want.marginal_coverages
+                                assert got.stats.io.read_calls == want.stats.io.read_calls
                                 charged.append(want.stats.io.read_calls)
                     except BaseException as exc:  # surfaced below
                         failures.append(exc)

@@ -10,7 +10,7 @@ operations and faults.  Pinned here scenario by scenario:
   and the merged telemetry is one JSON document summing its parts.
 * The request/response path is picklable: queries, ``QueryStats`` /
   ``IOStats`` / ``ServerStats`` snapshots cross a process boundary and
-  come back mutation-safe (fresh locks) and value-identical.
+  come back detached and value-identical.
 * Merged stats aggregate correctly across worker processes, and
   warm/evict fan-out lands on the owning shard.
 * A worker that dies mid-request surfaces a clear
@@ -308,13 +308,18 @@ class TestPoolContract:
 class TestPicklableBoundary:
     """The types that ride the worker pipe survive pickling."""
 
-    def test_iostats_roundtrip_with_fresh_lock(self):
+    def test_iostats_roundtrip_detached(self):
         io = IOStats()
         io.record_read(pages_read=3, pages_hit=1, nbytes=256)
         copy = pickle.loads(pickle.dumps(io))
-        assert copy.to_dict() == io.to_dict()
-        assert (copy.read_calls, copy.pages_read) == (1, 3)
-        copy.record_read(pages_read=1, pages_hit=0, nbytes=8)  # lock works
+        assert copy == io
+        assert copy.to_dict() == {
+            "read_calls": 1,
+            "pages_read": 3,
+            "pages_hit": 1,
+            "bytes_read": 256,
+        }
+        copy.record_read(pages_read=1, pages_hit=0, nbytes=8)
         assert copy.read_calls == 2
         assert io.read_calls == 1  # the copy is detached
 
@@ -329,7 +334,7 @@ class TestPicklableBoundary:
         counters = (copy.keyword_hits, copy.keyword_misses, copy.warm_loads)
         assert (copy.queries, counters) == (6, (1, 1, 1))
         assert sorted(copy.latencies) == [2.0, 3.0, 4.0, 5.0]
-        copy.record_query(9.0)  # fresh RLock works
+        copy.record_query(9.0)
         assert stats.queries == 6  # detached
 
     def test_server_stats_zero_window_snapshot(self):
@@ -438,7 +443,7 @@ class TestStatsAccounting:
             assert merged.keyword_misses == sum(
                 w.keyword_misses for w in per_worker
             )
-            touches = sum(q.n_keywords for q in workload)
+            touches = sum(len(q.keywords) for q in workload)
             assert merged.keyword_hits + merged.keyword_misses == touches
             assert len(merged.latencies) == len(workload)
             assert merged.mean_latency > 0
@@ -453,7 +458,7 @@ class TestStatsAccounting:
             base = pool.snapshot().io
             answer = pool.query(query)
             delta = pool.snapshot().io.read_calls - base.read_calls
-        assert delta == 2 * query.n_keywords
+        assert delta == 2 * len(query.keywords)
         assert answer.stats.io.read_calls == delta
 
     def test_warm_lands_on_owning_shard(self, setup):
@@ -841,15 +846,3 @@ class TestReplayIntegration:
                 assert isinstance(pool, SupervisedServerPool)
                 assert len(set(pool.pids)) == 2 and os.getpid() not in pool.pids
                 assert pool.stats.queries == 0
-
-
-class TestIOStatsReset:
-    def test_reset_is_atomic_under_the_lock(self):
-        """reset() takes the counter lock (the serving tier records from
-        other threads; a lock-free reset could tear the counter set)."""
-        io = IOStats()
-        io.record_read(pages_read=2, pages_hit=1, nbytes=64)
-        io.reset()
-        assert (io.read_calls, io.pages_read, io.pages_hit, io.bytes_read) == (0,) * 4
-        io.record_read(pages_read=1, pages_hit=0, nbytes=8)  # lock re-usable
-        assert io.read_calls == 1

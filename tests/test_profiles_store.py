@@ -150,7 +150,9 @@ class TestSamplingDistributions:
         assert 3 not in users.tolist()
 
     def test_relevant_users_union(self, store):
-        assert store.relevant_users(["music", "book"]).tolist() == [0, 1, 2]
+        """φ(v, Q) > 0 exactly on the users of any query keyword."""
+        phi = store.phi_vector(["music", "book"])
+        assert np.flatnonzero(phi).tolist() == [0, 1, 2]
 
     def test_no_relevant_users_rejected(self, store):
         with pytest.raises(ProfileError):

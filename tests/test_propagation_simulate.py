@@ -36,7 +36,8 @@ class TestEstimateSpread:
 
     def test_confidence_interval_brackets_truth(self, chain_model):
         estimate = estimate_spread(chain_model, [0], n_samples=3000, rng=4)
-        low, high = estimate.confidence_interval(z=3.5)
+        low = estimate.mean - 3.5 * estimate.stderr
+        high = estimate.mean + 3.5 * estimate.stderr
         truth = exact_spread(chain_model.graph, [0])
         assert low <= truth <= high
 

@@ -8,23 +8,29 @@ Pinned here:
   batch's true total — over an RR and over an IRR index; it loads each
   keyword once and raises what ``query`` raises.
 * A shared ``KBTIMServer`` hammered from N threads answers every query
-  bit-identically to a single-threaded run, with exact stats counters.
+  bit-identically to a single-threaded run, with exact stats counters,
+  and serialises its callers: under 1, 2 or 4 threads each answer's
+  ``QueryStats.io`` equals what a serial run of the same queries, in the
+  order the server took them, records — over RR and IRR.
 * ``SupervisedServerPool`` dispatches deterministically, aggregates
-  stats, and its answers match a single server's.
+  stats, and its answers match a single server's; under a threaded
+  replay its parent-side shed counter equals the sheds the replay saw.
 * ``ServerStats.merged`` sums counters and keeps each part's window.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.catalog import open_index
+from repro.core.irr_index import IRRIndex
 from repro.core.query import KBTIMQuery
 from repro.core.process_pool import SupervisedServerPool
 from repro.core.rr_index import RRIndex
 from repro.core.server import KBTIMServer, ServerStats
 from repro.datasets.workload import make_mixed_workload, replay
-from repro.errors import IndexError_, QueryError
+from repro.errors import IndexError_, OverloadedError, QueryError
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +215,7 @@ class TestThreadHammer:
                 _assert_same_selection(answer, expected[pos])
             # Stats counters are exact despite the hammering.
             assert server.stats.queries == len(jobs)
-            touches = sum(q.n_keywords for q in workload) * 3
+            touches = sum(len(q.keywords) for q in workload) * 3
             assert (
                 server.stats.keyword_hits + server.stats.keyword_misses == touches
             )
@@ -226,6 +232,66 @@ class TestThreadHammer:
         for half, output in zip([expected[::2], expected[1::2]], outputs):
             for a, b in zip(half, output):
                 _assert_same_selection(a, b)
+
+
+#: The decode each reader calls on a miss, reads included (RR) or just
+#: after the read (IRR): where the exact-I/O test parks its first query.
+DECODES = {"rr": (RRIndex, "decode_block"), "irr": (IRRIndex, "_decode_ip")}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["rr", "irr"])
+def test_per_query_io_is_exact_under_threads(kind, threads, paths, monkeypatch):
+    """Each answer's ``QueryStats.io`` is exactly its own reads.
+
+    The first decode parks its query until a second query has decoded
+    (or 0.5 s pass): a server that let the second query in would put its
+    reads inside the first query's I/O window.  A serialised server
+    times the wait out, and every answer's I/O then equals a serial run
+    of the same queries, in the order the server took them, on a fresh
+    reader.
+    """
+    with open_index(paths[kind]) as probe:
+        names = probe.keywords()
+    # Thread t starts on its own keyword, so its first query misses too.
+    jobs = [
+        [KBTIMQuery((names[(t + threads * j) % len(names)],), 3 + j) for j in range(3)]
+        for t in range(threads)
+    ]
+    owner, name = DECODES[kind]
+    real_decode = getattr(owner, name)
+    calls, second_decoded = [], threading.Event()
+
+    def parked_decode(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            second_decoded.wait(timeout=0.5)
+        value = real_decode(*args)
+        if len(calls) > 1:
+            second_decoded.set()
+        return value
+
+    monkeypatch.setattr(owner, name, parked_decode)
+    with KBTIMServer(open_index(paths[kind]), cache_keywords=3) as server:
+        taken = []
+        real_query = server.index.query
+
+        def recording_query(query, lookup=None):
+            taken.append(query)
+            return real_query(query, lookup)
+
+        monkeypatch.setattr(server.index, "query", recording_query)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(lambda job: [server.query(q) for q in job], jobs))
+    monkeypatch.undo()
+    answers = {id(q): a for job, run in zip(jobs, runs) for q, a in zip(job, run)}
+    assert len(taken) == len(answers) == 3 * threads
+    with KBTIMServer(open_index(paths[kind]), cache_keywords=3) as serial:
+        for query in taken:
+            want = serial.query(query)
+            got = answers[id(query)]
+            assert got.stats.io == want.stats.io
+            _assert_same_selection(got, want)
 
 
 class TestServerPool:
@@ -329,6 +395,23 @@ class TestServerPool:
         assert all(lat > 0 for lat in report.latencies)
         for got, want in zip(report.results, expected):
             _assert_same_selection(got, want)
+
+    def test_threaded_replay_sheds_are_counted_once_each(self, setup, workload):
+        """Four replay threads against a one-request budget: the pool's
+        parent-side ``sheds`` equals the ``OverloadedError`` answers."""
+        path, _profiles = setup
+        queries = list(workload) * 4
+        with SupervisedServerPool(path, n_workers=2, max_inflight=1) as pool:
+            report = replay(pool, queries, threads=4, tolerate_errors=True)
+            sheds = pool.health().sheds
+        overloaded = [
+            error
+            for error in report.errors
+            if error is not None and error.startswith(OverloadedError.__name__)
+        ]
+        assert len(overloaded) > 0
+        assert sheds == report.sheds == len(overloaded) == report.n_failed
+        assert report.n_ok + report.n_failed == len(queries)
 
 
 class TestMergedStats:

@@ -85,11 +85,6 @@ class TestAccounting:
         assert delta.read_calls == 1
         assert delta.pages_read == 1
 
-    def test_reset(self):
-        stats = IOStats(read_calls=3, bytes_read=10)
-        stats.reset()
-        assert stats.read_calls == 0 and stats.bytes_read == 0
-
 
 class TestBufferPool:
     def test_lru_eviction(self, data_file, small_pages):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.logmath import harmonic_bound, log_binomial
+from repro.utils.logmath import log_binomial
 
 
 class TestLogBinomial:
@@ -47,14 +47,3 @@ class TestLogBinomial:
         ks = range(0, n // 2)
         values = [log_binomial(n, k) for k in ks]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
-class TestHarmonicBound:
-    def test_bounds_partial_sums(self):
-        for n in (1, 2, 10, 100):
-            harmonic = sum(1.0 / i for i in range(1, n + 1))
-            assert harmonic <= harmonic_bound(n)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            harmonic_bound(0)

@@ -5,7 +5,6 @@ import pytest
 from repro.utils.validation import (
     check_fraction,
     check_nonnegative,
-    check_nonnegative_int,
     check_positive,
     check_positive_int,
 )
@@ -30,15 +29,6 @@ class TestPositiveInt:
     def test_message_names_argument(self):
         with pytest.raises(ValueError, match="budget"):
             check_positive_int("budget", -2)
-
-
-class TestNonnegativeInt:
-    def test_accepts_zero(self):
-        assert check_nonnegative_int("n", 0) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_nonnegative_int("n", -1)
 
 
 class TestPositive:

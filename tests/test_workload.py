@@ -26,7 +26,7 @@ class TestMakeWorkload:
         assert len(wl) == 10
         assert wl.length == 3 and wl.k == 5
         for q in wl:
-            assert q.n_keywords == 3 and q.k == 5
+            assert len(q.keywords) == 3 and q.k == 5
 
     def test_no_duplicate_keywords_within_query(self, profiles):
         wl = make_workload(profiles, length=4, k=2, n_queries=20, rng=2)
@@ -61,7 +61,7 @@ class TestMakeWorkload:
         # The paper sweeps |Q.T| from 1 to 6.
         for length in range(1, 7):
             wl = make_workload(profiles, length=length, k=10, n_queries=3, rng=7)
-            assert all(q.n_keywords == length for q in wl)
+            assert all(len(q.keywords) == length for q in wl)
 
 
 class TestMixedWorkload:
@@ -70,7 +70,7 @@ class TestMixedWorkload:
             profiles, n_queries=120, lengths=(1, 2, 3), ks=(5, 10), rng=11
         )
         assert len(queries) == 120
-        assert {q.n_keywords for q in queries} == {1, 2, 3}
+        assert {len(q.keywords) for q in queries} == {1, 2, 3}
         assert {q.k for q in queries} == {5, 10}
 
     def test_only_usable_topics_no_dups(self, profiles):
@@ -78,7 +78,7 @@ class TestMixedWorkload:
             profiles, n_queries=60, lengths=(2, 4), ks=(3,), rng=12
         )
         for q in queries:
-            assert len(set(q.keywords)) == q.n_keywords
+            assert len(set(q.keywords)) == len(q.keywords)
             for kw in q.keywords:
                 assert profiles.df(kw) > 0
 
