@@ -10,7 +10,7 @@ readers (so "reads" are the reader's physical ``IOStats``):
 * a resident RR keyword is a hit for any count, zero reads;
 * eviction is LRU, refreshed by hits; capacity 0 retains nothing and
   keeps the cold accounting (RR: 2 reads per keyword, of the
-  ``θ^Q·p_w`` prefix only);
+  ``θ^Q·p_w`` prefix only); a load that raises admits nothing;
 * threads meet only at a server, which serialises them, so one cold unit
   — an RR block, an IRR ``IP_w`` map, an IRR partition — decodes once
   however many threads miss it together, while an IRR read is issued for
@@ -126,6 +126,21 @@ class TestLRU:
         for _ in range(3):
             assert cache.get(("kw", 0), lambda: loads.append(1) or "v") == ("v", False)
         assert len(loads) == 3 and len(cache) == 0
+
+    def test_failed_load_admits_nothing_and_the_next_get_loads_again(self):
+        cache = BlockCache(2)
+        loads = []
+
+        def failing():
+            loads.append("fail")
+            raise OSError("short read")
+
+        with pytest.raises(OSError):
+            cache.get("a", failing)
+        assert len(cache) == 0
+        assert cache.get("a", lambda: loads.append("ok") or "A") == ("A", False)
+        assert cache.get("a", failing) == ("A", True)
+        assert loads == ["fail", "ok"]
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_reader_cache_is_keyed_by_keyword(self, kind, paths):

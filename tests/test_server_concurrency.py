@@ -11,7 +11,8 @@ Pinned here:
   bit-identically to a single-threaded run, with exact stats counters,
   and serialises its callers: under 1, 2 or 4 threads each answer's
   ``QueryStats.io`` equals what a serial run of the same queries, in the
-  order the server took them, records — over RR and IRR.
+  order the server took them, records — over RR and IRR.  A snapshot
+  taken while a query is in flight waits for it and counts it.
 * ``SupervisedServerPool`` dispatches deterministically, aggregates
   stats, and its answers match a single server's; under a threaded
   replay its parent-side shed counter equals the sheds the replay saw.
@@ -292,6 +293,39 @@ def test_per_query_io_is_exact_under_threads(kind, threads, paths, monkeypatch):
             got = answers[id(query)]
             assert got.stats.io == want.stats.io
             _assert_same_selection(got, want)
+
+
+@pytest.mark.parametrize("kind", ["rr", "irr"])
+def test_snapshot_waits_for_the_query_in_flight(kind, paths, monkeypatch):
+    """``snapshot`` takes the query's lock: taken while a query is parked
+    in its decode, it returns only after the query, and counts it.
+
+    The decode waits (at most 0.5 s) for the snapshot to return: a
+    server whose snapshot did not wait would report no query and no
+    reads; a serialised one times the wait out first.
+    """
+    owner, name = DECODES[kind]
+    real_decode = getattr(owner, name)
+    entered, snapshot_taken = threading.Event(), threading.Event()
+
+    def parked_decode(*args):
+        entered.set()
+        snapshot_taken.wait(timeout=0.5)
+        return real_decode(*args)
+
+    monkeypatch.setattr(owner, name, parked_decode)
+    with KBTIMServer(open_index(paths[kind])) as server:
+        opened = server.index.stats.snapshot()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(server.query, KBTIMQuery(("music",), 3))
+            assert entered.wait(timeout=10)
+            snap = server.snapshot()
+            snapshot_taken.set()
+            answer = future.result(timeout=30)
+    assert snap.stats.queries == 1
+    assert snap.io.delta(opened) == answer.stats.io
+    assert answer.stats.io.read_calls > 0
+    assert snap.cached_keywords == ("music",)
 
 
 class TestServerPool:
