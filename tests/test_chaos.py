@@ -1,21 +1,15 @@
 """Deterministic fault injection (repro.core.chaos) and replays under it.
 
 What each fault does to the pool — kill, delay, drop, exhaust, against
-every shard state — is checked under random schedules by
-``tests/test_serving_model.py``, which fires them through
-:class:`ChaosController`.  Pinned here fault by fault:
+every shard state, alone or as a replay's ``FaultPlan`` — is checked by
+``tests/test_serving_model.py``: under random schedules, and as traces
+(a kill mid-stream heals bit-identically and leaks no segment, a
+delay/drop poisons the pipe until a restart resynchronizes it, a crash
+loop degrades one shard while the others stay exact, an exhaust window
+sheds).  Pinned here:
 
 * Plans are pure data: validation, JSON round-trip, seeded random
   generation, and ``corrupt_index_copy`` for the at-open fault.
-* ``replay`` under a plan: a kill mid-stream heals with every answer
-  bit-identical to an unfaulted run and no response segment left behind,
-  and the report's restart / retry / shed counts are deltas of the
-  pool's telemetry.
-* Delay/drop faults poison the worker pipe (deadline miss) and the
-  supervisor resynchronizes by restart — the late reply is never
-  delivered to a later request.
-* A crash-looping shard fails fast and typed while the other shards'
-  answers and I/O accounting stay exact.
 * An open-loop replay past saturation sheds explicitly (typed
   ``Overloaded`` failures, shed counters) instead of queueing without
   bound, and the goodput/percentile report reflects it.
@@ -24,21 +18,12 @@ every shard state — is checked under random schedules by
 
 import json
 import os
-import time
 
 import pytest
-from leaks import kbtim_shm_entries
 
 from repro.cli import main
-from repro.core import process_pool
-from repro.core.chaos import (
-    ChaosController,
-    FaultEvent,
-    FaultPlan,
-    corrupt_index_copy,
-)
+from repro.core.chaos import FaultEvent, FaultPlan, corrupt_index_copy
 from repro.core.process_pool import SupervisedServerPool
-from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex
 from repro.datasets.workload import make_mixed_workload, poisson_arrivals, replay
 from repro.errors import CorruptIndexError
@@ -68,15 +53,6 @@ def expected(setup, workload):
     path, _profiles, _ppath = setup
     with RRIndex(path) as index:
         return [index.query(q) for q in workload]
-
-
-def _assert_report_counters_are_snapshot_deltas(report, before, after):
-    """``ReplayReport`` counts restarts / retries / sheds as deltas of
-    the pool's one telemetry surface — both views of it agree."""
-    for name in ("restarts", "retries", "sheds"):
-        counted = getattr(report, name)
-        assert counted == getattr(after.health, name) - getattr(before.health, name)
-        assert counted == getattr(after.stats, name) - getattr(before.stats, name)
 
 
 class TestFaultPlanData:
@@ -145,150 +121,6 @@ class TestFaultPlanData:
         assert [e.kind for e in plan.events_at(3)] == ["kill", "drop"]
         assert plan.events_at(4) == []
         assert [e.kind for e in plan.corrupt_events()] == ["corrupt"]
-
-
-class TestInjectedFaults:
-    def test_kill_mid_stream_heals_bit_identical(self, setup, workload, expected):
-        """The headline acceptance test: kill one worker mid-stream and
-        every (non-in-flight) answer matches the unfaulted run."""
-        path, _profiles, _ppath = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            victim = pool.shard_of(workload[10])  # guarantees a post-kill hit
-            plan = FaultPlan(events=(FaultEvent("kill", 8, shard=victim),))
-            before = pool.snapshot()
-            report = replay(pool, workload, chaos=plan)
-            after = pool.snapshot()
-        _assert_report_counters_are_snapshot_deltas(report, before, after)
-        assert after.health.shards[victim].restarts == 1
-        assert report.n_failed == 0
-        for got, want in zip(report.results, expected):
-            assert got.seeds == want.seeds
-            assert got.marginal_coverages == want.marginal_coverages
-            assert got.theta == want.theta
-        assert report.restarts == 1
-        assert [e["kind"] for e in report.fault_events] == ["kill"]
-        assert report.fault_events[0]["shard"] == victim
-        assert "killed" in report.fault_events[0]["effect"]
-
-    def test_kill_heals_and_leaks_no_response_segment(
-        self, setup, workload, expected
-    ):
-        """Kill a worker mid-stream: the shard heals, answers match the
-        unfaulted run, and closing the pool leaves no ``kbtim-resp-``
-        segment in ``/dev/shm`` — the parent reaps the killed worker's
-        response segment as well as its replacement's."""
-        from repro.core.transport import transport_available
-
-        if not transport_available():
-            pytest.skip("POSIX shared memory unavailable")
-        path, _profiles, _ppath = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            victim = pool.shard_of(workload[10])
-            plan = FaultPlan(events=(FaultEvent("kill", 8, shard=victim),))
-            report = replay(pool, workload, chaos=plan)
-        assert report.n_failed == 0
-        assert report.restarts == 1
-        for got, want in zip(report.results, expected):
-            assert got.seeds == want.seeds
-            assert got.marginal_coverages == want.marginal_coverages
-            assert got.theta == want.theta
-        leftovers = [e for e in kbtim_shm_entries() if e.startswith("kbtim-resp-")]
-        assert leftovers == []
-
-    def test_delay_poisons_pipe_then_restart_resynchronizes(self, setup):
-        path, _profiles, _ppath = setup
-        query = KBTIMQuery(("music",), 3)
-        with RRIndex(path) as index:
-            want = index.query(query)
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            shard = pool.shard_of(query)
-            plan = FaultPlan(
-                events=(FaultEvent("delay", 0, shard=shard, seconds=0.4),)
-            )
-            chaos = ChaosController(plan, pool)
-            chaos.before_query(0)
-            assert pool._workers[shard].poisoned
-            assert "poisoned" in chaos.fired[0]["effect"]
-            # The delayed (stale) reply lands while we wait; the restart
-            # must discard it — the next answer is for the next query.
-            time.sleep(0.5)
-            got = pool.query(query)
-            assert got.seeds == want.seeds
-            assert got.theta == want.theta
-            assert pool.stats.restarts == 1
-
-    def test_drop_never_delivers_a_reply(self, setup):
-        path, _profiles, _ppath = setup
-        query = KBTIMQuery(("music",), 3)
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            shard = pool.shard_of(query)
-            chaos = ChaosController(
-                FaultPlan(events=(FaultEvent("drop", 0, shard=shard),)), pool
-            )
-            chaos.before_query(0)
-            assert pool._workers[shard].poisoned
-            assert pool.query(query).seeds  # heals without any sleep
-            assert pool.stats.restarts == 1
-
-    def test_kill_on_a_drained_shard_has_no_process_to_signal(self, setup):
-        path, _profiles, _ppath = setup
-        plan = FaultPlan(events=(FaultEvent("kill", 0, shard=0),))
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            pool.drain(0)  # shuts the worker down and releases its process object
-            chaos = ChaosController(plan, pool)
-            chaos.before_query(0)  # must not raise on the closed process
-            assert [event["kind"] for event in chaos.fired] == ["kill"]
-
-    def test_exhaust_sheds_during_replay(self, setup, workload):
-        path, _profiles, _ppath = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            plan = FaultPlan(events=(FaultEvent("exhaust", 5, seconds=30.0),))
-            before = pool.snapshot()
-            report = replay(pool, workload, chaos=plan)
-            after = pool.snapshot()
-        _assert_report_counters_are_snapshot_deltas(report, before, after)
-        assert report.sheds > 0
-        assert report.n_failed == report.sheds
-        assert all(
-            error is None or error.startswith("OverloadedError")
-            for error in report.errors
-        )
-        # Queries answered before the window are untouched.
-        assert all(r is not None for r in report.results[:5])
-
-    def test_crash_loop_plan_degrades_shard_others_exact(
-        self, setup, workload, monkeypatch
-    ):
-        """Acceptance: a crash-looping shard fails fast and typed while
-        the other shards' answers and I/O accounting stay exact (bit-
-        and byte-identical to an unfaulted run)."""
-        path, _profiles, _ppath = setup
-        with SupervisedServerPool(path, n_workers=3) as baseline_pool:
-            baseline = replay(baseline_pool, workload, tolerate_errors=True)
-        monkeypatch.setattr(process_pool, "_RESTART_BACKOFF", 0.0)
-        monkeypatch.setattr(process_pool, "_RESTART_BUDGET", 1)
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            victim = pool.shard_of(workload[0])
-            kills = tuple(
-                FaultEvent("kill", pos, shard=victim)
-                for pos, q in enumerate(workload)
-                if pool.shard_of(q) == victim
-            )
-            assert len(kills) >= 2  # enough to blow a budget of 1
-            report = replay(pool, workload, chaos=FaultPlan(events=kills))
-            health = pool.health()
-        assert health.shards[victim].state == "degraded"
-        degraded_errors = [e for e in report.errors if e is not None]
-        assert degraded_errors
-        assert all(e.startswith("ShardUnavailableError") for e in degraded_errors)
-        # Non-victim shards saw the exact same sub-streams in both runs,
-        # so answers *and* per-query I/O accounting match exactly.
-        for got, want, error in zip(report.results, baseline.results, report.errors):
-            if error is None and got is not None:
-                assert got.seeds == want.seeds
-                assert got.theta == want.theta
-                assert got.stats.io.read_calls == want.stats.io.read_calls
-                assert got.stats.io.bytes_read == want.stats.io.bytes_read
 
 
 class TestSaturation:

@@ -2,7 +2,9 @@
 
 ``tests/test_serving_model.py`` checks the serving contract — answers,
 attributed I/O, supervision, telemetry and cleanup under any sequence of
-operations and faults.  Pinned here scenario by scenario:
+operations and faults — and replays the pool's scenarios (correctness,
+stats, worker death, fan-out death, poisoning, lifecycle) as traces.
+Pinned here:
 
 * ``TestPoolContract``: on a healthy run over either index, answers and
   per-query I/O equal one in-process ``KBTIMServer`` per shard, the
@@ -11,21 +13,14 @@ operations and faults.  Pinned here scenario by scenario:
 * The request/response path is picklable: queries, ``QueryStats`` /
   ``IOStats`` / ``ServerStats`` snapshots cross a process boundary and
   come back detached and value-identical.
-* Merged stats aggregate correctly across worker processes, and
-  warm/evict fan-out lands on the owning shard.
-* A worker that dies mid-request surfaces a clear
-  :class:`~repro.errors.ServerError` (naming the worker and exit code)
-  instead of a hang, other shards keep serving, and the next request
-  heals the shard.
 * Races and boundaries no sequential model reaches: ``health()`` while a
   shard is busy, a concurrent request during a blocking shutdown, a
   payload that fails to unpickle in the worker.
-* A rejected constructor and ``close()`` leave nothing behind: no
-  process, no shared segment, no file descriptor.
+* A rejected constructor leaves nothing behind: no process, no shared
+  segment, no lock file; a corrupt file fails typed in the parent.
 """
 
 import json
-import multiprocessing
 import os
 import pickle
 import tempfile
@@ -35,7 +30,6 @@ import time
 import pytest
 from leaks import kbtim_shm_entries
 
-from repro.core import process_pool
 from repro.core.catalog import open_index
 from repro.core.process_pool import (
     SupervisedServerPool,
@@ -50,26 +44,14 @@ from repro.core.server import (
     ServerStats,
     _SERVING_COUNTERS,
 )
-from repro.datasets.workload import make_mixed_workload, replay
-from repro.errors import (
-    CorruptIndexError,
-    DeadlineExceededError,
-    IndexError_,
-    QueryError,
-    ServerError,
-)
+from repro.datasets.workload import make_mixed_workload
+from repro.errors import CorruptIndexError, QueryError, ServerError
 from repro.storage.iostats import IOStats
 
 
 @pytest.fixture(scope="module")
 def setup(served_paths):
     return served_paths["rr"], served_paths["profiles"]
-
-
-@pytest.fixture
-def no_retries(monkeypatch):
-    """A worker death surfaces to the caller instead of being retried."""
-    monkeypatch.setattr(process_pool, "_MAX_RETRIES", 0)
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +270,8 @@ class TestPoolContract:
                 pool.query(KBTIMQuery((kw,), 2))
             before = pool.snapshot()
             victim = 0
-            _kill_shard(pool, victim)
+            pool._workers[victim].process.kill()
+            pool._workers[victim].process.join(timeout=10.0)
             health = pool.health()
             snapshot = pool.snapshot()
             dead, live = health.shards
@@ -367,123 +350,6 @@ class TestPicklableBoundary:
         assert copy.stats.io.bytes_read == answer.stats.io.bytes_read
 
 
-class TestCorrectness:
-    def test_matches_direct_index_query(self, setup, workload, expected):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            for query, want in zip(workload, expected):
-                _assert_same_selection(pool.query(query), want)
-
-    def test_batch_matches_sequential(self, setup, workload, expected):
-        """One batch spanning every shard (a thread per shard) and one
-        batch per shard (on the calling thread) answer alike."""
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            got = pool.query_batch(workload)
-            assert len({pool.shard_of(q) for q in workload}) > 1
-            assert len(got) == len(expected)
-            for a, b in zip(expected, got):
-                _assert_same_selection(a, b)
-            for shard in range(3):
-                positions = [
-                    pos for pos, q in enumerate(workload) if pool.shard_of(q) == shard
-                ]
-                alone = pool.query_batch([workload[pos] for pos in positions])
-                for pos, answer in zip(positions, alone):
-                    _assert_same_selection(expected[pos], answer)
-
-    def test_id_refs_dispatch_like_names(self, setup):
-        path, _profiles = setup
-        with RRIndex(path) as index:
-            pairs = [
-                (meta.topic_id, name) for name, meta in index.catalog.items()
-            ]
-        with SupervisedServerPool(path, n_workers=4) as pool:
-            for topic_id, name in pairs:
-                assert pool.shard_of(KBTIMQuery((topic_id,), 1)) == pool.shard_of(
-                    KBTIMQuery((name,), 1)
-                )
-            with pytest.raises(IndexError_):
-                pool.shard_of(KBTIMQuery((10_000,), 1))
-
-    def test_error_types_cross_the_boundary(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            with pytest.raises(QueryError):
-                pool.query(KBTIMQuery(("music",), 999))  # over budget
-            with pytest.raises(IndexError_):
-                pool.query(KBTIMQuery(("nosuchtopic",), 2))  # unknown
-            with pytest.raises(QueryError):
-                # mixed-form duplicate: id 3 next to the name it resolves to
-                with RRIndex(path) as index:
-                    name = index.topic_names[3]
-                pool.query(KBTIMQuery((3, name), 2))
-            # the worker survives its own exceptions and keeps serving
-            answer = pool.query(KBTIMQuery(("music",), 3))
-            assert answer.seeds
-
-    def test_empty_batch(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            assert pool.query_batch([]) == []
-            assert pool.stats.queries == 0
-
-
-class TestStatsAccounting:
-    def test_merged_stats_sum_across_workers(self, setup, workload):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            pool.query_batch(workload)
-            snapshot = pool.snapshot()
-            merged = snapshot.stats
-            per_worker = [part.stats for part in snapshot.workers]
-            assert merged.queries == len(workload)
-            assert merged.queries == sum(w.queries for w in per_worker)
-            assert merged.keyword_hits == sum(w.keyword_hits for w in per_worker)
-            assert merged.keyword_misses == sum(
-                w.keyword_misses for w in per_worker
-            )
-            touches = sum(len(q.keywords) for q in workload)
-            assert merged.keyword_hits + merged.keyword_misses == touches
-            assert len(merged.latencies) == len(workload)
-            assert merged.mean_latency > 0
-            assert merged.percentile_latency(95) >= merged.percentile_latency(5)
-
-    def test_cold_misses_read_twice_per_keyword(self, setup):
-        """The seed cost model survives the process hop: a cold keyword
-        load is exactly 2 logical reads (RR prefix + inverted lists)."""
-        path, _profiles = setup
-        query = KBTIMQuery(("music", "book"), 3)
-        with SupervisedServerPool(path, n_workers=1) as pool:
-            base = pool.snapshot().io
-            answer = pool.query(query)
-            delta = pool.snapshot().io.read_calls - base.read_calls
-        assert delta == 2 * len(query.keywords)
-        assert answer.stats.io.read_calls == delta
-
-    def test_warm_lands_on_owning_shard(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=4) as pool:
-            pool.warm(["music", "book"])
-            workers = pool.snapshot().workers
-            assert sum(w.stats.warm_loads for w in workers) == 2
-            assert sum(w.stats.keyword_misses for w in workers) == 0
-            for kw in ("music", "book"):
-                shard = pool.shard_of(KBTIMQuery((kw,), 1))
-                assert kw in workers[shard].cached_keywords
-
-    def test_evict_all_drops_every_worker_cache(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            pool.query(KBTIMQuery(("music",), 2))
-            pool.evict_all()
-            emptied = pool.snapshot()
-            assert all(not part.cached_keywords for part in emptied.workers)
-            pool.query(KBTIMQuery(("music",), 2))
-            # really re-reads
-            assert pool.snapshot().io.read_calls > emptied.io.read_calls
-
-
 def _raise_on_unpickle():
     raise QueryError("poison payload rejected on arrival")
 
@@ -508,200 +374,6 @@ class TestRequestLevelFailures:
             assert pool.health().shards[0].alive
             answer = pool.query(KBTIMQuery(("music",), 3))
             assert answer.seeds
-
-
-class TestWorkerDeath:
-    def test_dead_worker_raises_clear_error_not_hang(self, setup, no_retries):
-        path, _profiles = setup
-        query = KBTIMQuery(("music",), 3)
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            victim = pool.shard_of(query)
-            pid = pool.pids[victim]
-            _kill_shard(pool, victim, unnoticed=True)
-            with pytest.raises(ServerError) as excinfo:
-                pool.query(query)
-            message = str(excinfo.value)
-            assert f"worker {victim} (pid {pid}) died" in message
-            assert "exit code -9" in message
-            shard_health = pool.health().shards[victim]
-            assert (shard_health.alive, shard_health.state) == (False, "restarting")
-            assert "died" in shard_health.last_error
-            # Other shards keep serving.
-            owners = _two_keywords_on_distinct_shards(pool)
-            survivor = next(kw for kw, shard in owners if shard != victim)
-            assert pool.query(KBTIMQuery((survivor,), 2)).seeds
-            # And the next request to the dead shard heals it.
-            assert pool.query(query).seeds
-            assert pool.health().shards[victim].restarts == 1
-
-    def test_dead_worker_fails_batch(self, setup, workload, no_retries):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            _kill_shard(pool, 0, unnoticed=True)
-            with pytest.raises(ServerError, match="worker 0"):
-                pool.query_batch(workload)
-
-    def test_close_after_death_is_clean(self, setup):
-        path, _profiles = setup
-        pool = SupervisedServerPool(path, n_workers=2)
-        for handle in pool._workers:
-            handle.process.kill()
-        pool.close()  # must not raise or hang
-        with pytest.raises(ServerError):
-            pool.query(KBTIMQuery(("music",), 2))
-
-
-def _kill_shard(pool: SupervisedServerPool, shard: int, unnoticed=False) -> None:
-    """SIGKILL and reap one worker; ``unnoticed`` hides the death from the
-    next liveness probe, so it surfaces *mid-request*: with
-    ``_MAX_RETRIES = 0`` the caller sees the death diagnosis instead of a
-    transparent heal-before-dispatch."""
-    handle = pool._workers[shard]
-    handle.process.kill()
-    handle.process.join(timeout=10.0)
-    if unnoticed:
-        real_running, lie = handle._running, iter([True])
-        handle._running = lambda: next(lie, False) or real_running()
-
-
-def _two_keywords_on_distinct_shards(pool: SupervisedServerPool):
-    """Two keyword names from the test topic space owned by different
-    shards, each paired with its owning shard (per the pool's own
-    dispatcher — no assumptions about the hash function)."""
-    keywords = ("music", "book", "journal", "car", "travel", "food", "software")
-    first = keywords[0]
-    first_shard = pool.shard_of(KBTIMQuery((first,), 1))
-    second, second_shard = next(
-        (kw, shard)
-        for kw in keywords[1:]
-        if (shard := pool.shard_of(KBTIMQuery((kw,), 1))) != first_shard
-    )
-    return (first, first_shard), (second, second_shard)
-
-
-@pytest.mark.chaos
-@pytest.mark.usefixtures("no_retries")
-class TestFanoutDeath:
-    """Worker death during fan-out paths (surfacing mid-request, with no
-    retry budget): surviving shards must still be administered/answered,
-    and the error must name the dead shard."""
-
-    def test_warm_applies_to_survivors_and_names_dead_shard(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            (kw_dead, dead), (kw_live, live) = _two_keywords_on_distinct_shards(
-                pool
-            )
-            _kill_shard(pool, dead, unnoticed=True)
-            with pytest.raises(ServerError) as excinfo:
-                pool.warm([kw_dead, kw_live])
-            message = str(excinfo.value)
-            assert f"worker {dead}" in message
-            assert "died" in message
-            # The surviving shard was warmed *before* the error surfaced.
-            survivor = pool.snapshot().workers[live]
-            assert survivor.stats.warm_loads == 1
-            assert kw_live in survivor.cached_keywords
-
-    def test_evict_all_applies_to_survivors_and_names_dead_shard(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            (kw_dead, dead), (kw_live, live) = _two_keywords_on_distinct_shards(
-                pool
-            )
-            pool.query(KBTIMQuery((kw_live,), 2))  # populate the live cache
-            _kill_shard(pool, dead, unnoticed=True)
-            with pytest.raises(ServerError) as excinfo:
-                pool.evict_all()
-            assert f"worker {dead}" in str(excinfo.value)
-            # The surviving shard's caches really were dropped.
-            assert pool.snapshot().workers[live].cached_keywords == ()
-
-    def test_all_shards_dead_reports_every_failure(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            _kill_shard(pool, 0, unnoticed=True)
-            _kill_shard(pool, 1, unnoticed=True)
-            with pytest.raises(ServerError) as excinfo:
-                pool.evict_all()
-            message = str(excinfo.value)
-            assert "2 shards failed during fan-out" in message
-            assert "shard 0" in message
-            assert "shard 1" in message
-
-    def test_batch_error_names_dead_shard_and_survivors_answer(
-        self, setup, workload
-    ):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            shards = {pool.shard_of(q) for q in workload}
-            assert len(shards) > 1  # the batch really spans shards
-            dead = min(shards)
-            _kill_shard(pool, dead, unnoticed=True)
-            with pytest.raises(ServerError) as excinfo:
-                pool.query_batch(workload)
-            message = str(excinfo.value)
-            assert f"worker {dead}" in message
-            assert "died" in message
-            # Surviving shards still answer their sub-batches afterwards.
-            survivors = [q for q in workload if pool.shard_of(q) != dead]
-            answers = pool.query_batch(survivors)
-            assert len(answers) == len(survivors)
-            assert all(a.seeds for a in answers)
-
-
-@pytest.mark.chaos
-class TestPoisonedHandle:
-    def test_timeout_poisons_handle_and_restart_resynchronizes(self, setup):
-        """The PR-7 desync fix: after a poll() timeout the late reply is
-        still in the pipe.  The handle must fail fast (poisoned), never
-        deliver the stale reply to the next request, and the restart the
-        next query triggers must resynchronize the shard."""
-        path, _profiles = setup
-        query = KBTIMQuery(("music",), 3)
-        with RRIndex(path) as index:
-            want = index.query(query)
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            shard = pool.shard_of(query)
-            handle = pool._workers[shard]
-            with pytest.raises(DeadlineExceededError) as excinfo:
-                handle.request("_chaos", ("sleep", 0.5), timeout=0.05)
-            assert "poisoned" in str(excinfo.value)
-            assert handle.poisoned
-            # Fails fast while the stale reply is still in flight...
-            with pytest.raises(ServerError, match="poisoned"):
-                handle.request("query", query)
-            # ...even after the stale reply has landed in the pipe.
-            time.sleep(0.6)
-            with pytest.raises(ServerError, match="poisoned"):
-                handle.request("query", query)
-            assert pool.health().shards[shard].state == "restarting"
-            # The pool swaps in a fresh pipe: exact answers again.
-            got = pool.query(query)
-            assert pool._workers[shard] is not handle
-            assert got.seeds == want.seeds
-            assert got.theta == want.theta
-
-    def test_restart_worker_replaces_dead_shard(self, setup):
-        path, _profiles = setup
-        query = KBTIMQuery(("music",), 3)
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            shard = pool.shard_of(query)
-            old_pid = pool.pids[shard]
-            _kill_shard(pool, shard)
-            pool.restart_worker(shard)
-            shard_health = pool.health().shards[shard]
-            assert shard_health.alive and shard_health.state == "ready"
-            assert shard_health.pid == pool.pids[shard] != old_pid
-            assert shard_health.restarts == 1  # a manual restart is counted too
-            assert pool.query(query).seeds
-
-    def test_restart_worker_on_closed_pool_rejected(self, setup):
-        path, _profiles = setup
-        pool = SupervisedServerPool(path, n_workers=2)
-        pool.close()
-        with pytest.raises(ServerError):
-            pool.restart_worker(0)
 
 
 @pytest.mark.chaos
@@ -741,47 +413,6 @@ class TestShutdownLocking:
 
 
 class TestLifecycle:
-    def test_context_manager_and_double_close(self, setup):
-        path, _profiles = setup
-        pool = SupervisedServerPool(path, n_workers=2)
-        with pool:
-            assert len(pool.pids) == 2
-            assert all(isinstance(pid, int) for pid in pool.pids)
-        pool.close()  # idempotent
-        with pytest.raises(ServerError):
-            pool.warm(["music"])
-
-    def test_workers_reaped_on_close(self, setup):
-        path, _profiles = setup
-        pool = SupervisedServerPool(path, n_workers=2)
-        handles, pids = list(pool._workers), set(pool.pids)
-        pool.close()
-        assert all(not handle.alive for handle in handles)
-        live = {process.pid for process in multiprocessing.active_children()}
-        assert not pids & live
-
-    @pytest.mark.chaos
-    def test_close_releases_every_descriptor(self, setup, monkeypatch):
-        """After ``close()`` no open fd of the pool remains — while the
-        pool object is still referenced, and after a kill-heal and a
-        drain/restore replaced both workers (d439185: +4, the reaped
-        processes' sentinel pipes waited for garbage collection)."""
-        path, _profiles = setup
-        query = KBTIMQuery(("music",), 3)
-        fds_before = len(os.listdir("/proc/self/fd"))
-        monkeypatch.setattr(process_pool, "_RESTART_BACKOFF", 0.0)
-        pool = SupervisedServerPool(path, n_workers=2)
-        victim = pool.shard_of(query)
-        assert pool.query(query).seeds
-        _kill_shard(pool, victim)
-        assert pool.query(query).seeds  # heals
-        pool.drain(1 - victim)
-        assert pool.health().shards[1 - victim].alive is False
-        pool.restore(1 - victim)
-        assert pool.health().healthy and pool.health().restarts == 2
-        pool.close()
-        assert len(os.listdir("/proc/self/fd")) == fds_before  # pool still referenced
-
     def test_rejected_argument_leaves_no_shared_state(self, setup):
         """Every argument is validated before the first shared-memory
         segment or process exists (d439185: a bad ``start_method`` once
@@ -804,11 +435,6 @@ class TestLifecycle:
                 SupervisedServerPool(path, **{gone: 1})
         assert kbtim_entries() == before
 
-    def test_bad_worker_count_rejected(self, setup):
-        path, _profiles = setup
-        with pytest.raises(ValueError):
-            SupervisedServerPool(path, n_workers=0)
-
     def test_corrupt_path_fails_in_parent(self, tmp_path):
         bogus = tmp_path / "not-an-index.rr"
         bogus.write_bytes(b"this is not an index file at all, sorry")
@@ -828,15 +454,6 @@ class TestLifecycle:
 
 
 class TestReplayIntegration:
-    def test_replay_threads_over_process_pool(self, setup, workload, expected):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            report = replay(pool, workload, threads=4)
-        assert report.n_queries == len(workload)
-        assert report.qps > 0
-        for got, want in zip(report.results, expected):
-            _assert_same_selection(got, want)
-
     def test_harness_opens_process_pool(self, tmp_path):
         from repro.experiments.harness import ExperimentContext, ExperimentScale
 

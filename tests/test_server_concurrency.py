@@ -3,19 +3,17 @@
 Pinned here:
 
 * ``query_batch`` is an *optimisation*, never a semantic change: seeds,
-  marginals, θ and φ_Q are bit-identical to sequential ``query()`` calls,
-  with caches on and off, and its per-query I/O attribution sums to the
-  batch's true total — over an RR and over an IRR index; it loads each
-  keyword once and raises what ``query`` raises.
+  marginals, θ and φ_Q are bit-identical to sequential ``query()`` calls
+  with caches off, over an RR and over an IRR index (caches on, and the
+  per-query I/O attribution, are checked after every batch of
+  ``tests/test_serving_model.py``); it loads each keyword once and
+  raises what ``query`` raises.
 * A shared ``KBTIMServer`` hammered from N threads answers every query
   bit-identically to a single-threaded run, with exact stats counters,
   and serialises its callers: under 1, 2 or 4 threads each answer's
   ``QueryStats.io`` equals what a serial run of the same queries, in the
   order the server took them, records — over RR and IRR.  A snapshot
   taken while a query is in flight waits for it and counts it.
-* ``SupervisedServerPool`` dispatches deterministically, aggregates
-  stats, and its answers match a single server's; under a threaded
-  replay its parent-side shed counter equals the sheds the replay saw.
 * ``ServerStats.merged`` sums counters and keeps each part's window.
 """
 
@@ -27,11 +25,10 @@ import pytest
 from repro.core.catalog import open_index
 from repro.core.irr_index import IRRIndex
 from repro.core.query import KBTIMQuery
-from repro.core.process_pool import SupervisedServerPool
 from repro.core.rr_index import RRIndex
 from repro.core.server import KBTIMServer, ServerStats
-from repro.datasets.workload import make_mixed_workload, replay
-from repro.errors import IndexError_, OverloadedError, QueryError
+from repro.datasets.workload import make_mixed_workload
+from repro.errors import IndexError_, QueryError
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +63,6 @@ def _assert_same_selection(a, b):
 
 @pytest.mark.parametrize("kind", ["rr", "irr"])
 class TestBatchEquivalenceBothKinds:
-    def test_batch_matches_sequential_caches_on(self, kind, paths, workload):
-        with open_index(paths[kind]) as seq_index:
-            sequential = [KBTIMServer(seq_index).query(q) for q in workload]
-        with KBTIMServer(open_index(paths[kind])) as server:
-            batched = server.query_batch(workload)
-        assert len(batched) == len(sequential)
-        for a, b in zip(sequential, batched):
-            _assert_same_selection(a, b)
-
     def test_batch_matches_sequential_caches_off(self, kind, paths, workload):
         with open_index(paths[kind], **COLD[kind]) as seq_index:
             sequential = [seq_index.query(q) for q in workload]
@@ -84,20 +72,7 @@ class TestBatchEquivalenceBothKinds:
         for a, b in zip(sequential, batched):
             _assert_same_selection(a, b)
 
-    def test_batch_io_attribution_sums_to_total(self, kind, paths, workload):
-        """Per-query io deltas partition the batch's physical I/O."""
-        with KBTIMServer(open_index(paths[kind])) as server:
-            before = server.index.stats.snapshot()
-            batched = server.query_batch(workload)
-            total = server.index.stats.delta(before)
-        attributed_reads = sum(r.stats.io.read_calls for r in batched)
-        attributed_bytes = sum(r.stats.io.bytes_read for r in batched)
-        assert attributed_reads == total.read_calls > 0
-        assert attributed_bytes == total.bytes_read
-
-
 class TestBatchEquivalence:
-
     def test_batch_loads_each_keyword_once(self, setup, workload):
         """Cold batch: exactly 2 reads (RR prefix + L_w) per distinct kw."""
         path, _profiles = setup
@@ -182,7 +157,6 @@ class TestBatchEquivalence:
             for call in (server.query, lambda q: server.query_batch([q])):
                 with pytest.raises(error):
                     call(bad)
-
 
     def test_batch_single_query_matches_query(self, setup):
         path, _profiles = setup
@@ -326,126 +300,6 @@ def test_snapshot_waits_for_the_query_in_flight(kind, paths, monkeypatch):
     assert snap.io.delta(opened) == answer.stats.io
     assert answer.stats.io.read_calls > 0
     assert snap.cached_keywords == ("music",)
-
-
-class TestServerPool:
-    def test_pool_matches_single_server(self, setup, workload):
-        path, _profiles = setup
-        with RRIndex(path) as index:
-            expected = [KBTIMServer(index).query(q) for q in workload]
-        with SupervisedServerPool(path, n_workers=4) as pool:
-            for q, want in zip(workload, expected):
-                _assert_same_selection(pool.query(q), want)
-
-    def test_pool_batch_matches_sequential(self, setup, workload):
-        path, _profiles = setup
-        with RRIndex(path) as index:
-            expected = [KBTIMServer(index).query(q) for q in workload]
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            got = pool.query_batch(workload)
-            # Twice more on the warm caches: the per-shard threads land
-            # their answers in input order every time.
-            repeats = [pool.query_batch(workload) for _ in range(2)]
-        for answers in [got] + repeats:
-            assert len(answers) == len(expected)
-            for a, b in zip(expected, answers):
-                _assert_same_selection(a, b)
-
-    def test_dispatch_deterministic_and_spread(self, setup, workload):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=4) as pool:
-            shards = [pool.shard_of(q) for q in workload]
-            assert shards == [pool.shard_of(q) for q in workload]
-            assert all(0 <= s < 4 for s in shards)
-            # id refs dispatch to the same shard as their names
-            with RRIndex(path) as index:
-                for q in workload:
-                    ids = tuple(
-                        index.catalog[kw].topic_id  # workload refs are names
-                        for kw in q.keywords
-                    )
-                    assert pool.shard_of(KBTIMQuery(ids, q.k)) == pool.shard_of(q)
-
-    def test_single_keyword_queries_stay_on_one_shard(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=4) as pool:
-            for _ in range(3):
-                pool.query(KBTIMQuery(("music",), 2))
-            loaded = [
-                w.stats.keyword_misses + w.stats.warm_loads
-                for w in pool.snapshot().workers
-            ]
-            assert sorted(loaded)[-1] == 1  # one worker loaded it, once
-            assert sum(loaded) == 1
-
-    def test_pool_stats_aggregate(self, setup, workload):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=3) as pool:
-            pool.query_batch(workload)
-            snapshot = pool.snapshot()
-            stats = snapshot.stats
-            assert stats.queries == len(workload)
-            assert stats.queries == sum(w.stats.queries for w in snapshot.workers)
-            assert stats.keyword_hits == sum(
-                w.stats.keyword_hits for w in snapshot.workers
-            )
-            assert len(stats.latencies) == len(workload)
-            assert stats.mean_latency > 0
-            assert stats.percentile_latency(95) >= stats.percentile_latency(5)
-
-    def test_warm_lands_on_owning_shard(self, setup):
-        path, _profiles = setup
-        with SupervisedServerPool(path, n_workers=4) as pool:
-            pool.warm(["music", "book"])
-            workers = pool.snapshot().workers
-            assert sum(w.stats.warm_loads for w in workers) == 2
-            # warmed exactly where single-keyword traffic dispatches
-            for kw in ("music", "book"):
-                shard = pool.shard_of(KBTIMQuery((kw,), 1))
-                assert kw in workers[shard].cached_keywords
-
-    def test_evict_all_and_close(self, setup):
-        path, _profiles = setup
-        pool = SupervisedServerPool(path, n_workers=2)
-        pool.query(KBTIMQuery(("music",), 2))
-        pool.evict_all()
-        assert all(w.cached_keywords == () for w in pool.snapshot().workers)
-        pool.close()
-
-    def test_bad_worker_count_rejected(self, setup):
-        path, _profiles = setup
-        with pytest.raises(ValueError):
-            SupervisedServerPool(path, n_workers=0)
-
-    def test_pool_replay_threads(self, setup, workload):
-        """The replay driver drives a pool concurrently, answers intact."""
-        path, _profiles = setup
-        with RRIndex(path) as index:
-            expected = [KBTIMServer(index).query(q) for q in workload]
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            report = replay(pool, workload, threads=4)
-        assert report.n_queries == len(workload)
-        assert report.qps > 0
-        assert all(lat > 0 for lat in report.latencies)
-        for got, want in zip(report.results, expected):
-            _assert_same_selection(got, want)
-
-    def test_threaded_replay_sheds_are_counted_once_each(self, setup, workload):
-        """Four replay threads against a one-request budget: the pool's
-        parent-side ``sheds`` equals the ``OverloadedError`` answers."""
-        path, _profiles = setup
-        queries = list(workload) * 4
-        with SupervisedServerPool(path, n_workers=2, max_inflight=1) as pool:
-            report = replay(pool, queries, threads=4, tolerate_errors=True)
-            sheds = pool.health().sheds
-        overloaded = [
-            error
-            for error in report.errors
-            if error is not None and error.startswith(OverloadedError.__name__)
-        ]
-        assert len(overloaded) > 0
-        assert sheds == report.sheds == len(overloaded) == report.n_failed
-        assert report.n_ok + report.n_failed == len(queries)
 
 
 class TestMergedStats:

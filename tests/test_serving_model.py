@@ -14,26 +14,36 @@ After every step:
   is its open, warm and failed-request reads plus the I/O its answers
   were charged;
 * ``health()`` makes no worker round trip, never raises on an open pool
-  and reports the predicted state, liveness and counters of every shard;
+  and reports the predicted state, liveness, counters and restart
+  window of every shard;
 * every error is the :mod:`repro.errors` class the model predicts;
 * after ``close()`` no child process, ``kbtim-*`` segment, pipe or
   socket of the pool remains, and every serving method fails fast.
 
-A failing example notes its faults as ``FaultPlan`` JSON, replayable
-with ``repro replay --chaos``.  Tier-1 runs a fixed, derandomized budget
-over every configuration; ``--hypothesis-profile=serving-model``
-(registered in ``conftest.py``) runs a randomized, larger one.
+Scenarios are data: each file in ``tests/data/serving_traces/`` is an
+``open_pool`` draw plus a list of ``[step, {args}]``, and ``test_trace``
+replays it through the same model, invariants after every step.  A
+failing hypothesis example notes its own trace in that format, so a
+shrunk counterexample becomes a regression test by saving the note
+there.  Tier-1 runs a fixed, derandomized budget over every
+configuration; ``--hypothesis-profile=serving-model`` (registered in
+``conftest.py``) runs a randomized, larger one.
 """
 
 import dataclasses
+import functools
 import json
 import multiprocessing
+import pathlib
+import shutil
+import threading
 from contextlib import ExitStack
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, Phase, note, settings
 from hypothesis import strategies as st
+from hypothesis.control import currently_in_test_context
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -60,6 +70,7 @@ from repro.core.server import (
     SNAPSHOT_SCHEMA,
     KBTIMServer,
 )
+from repro.datasets import workload
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -69,6 +80,7 @@ from repro.errors import (
 )
 from repro.storage.iostats import IOStats
 from repro.storage.pager import BufferPool
+from repro.storage.segments import SegmentReader
 
 pytestmark = pytest.mark.chaos
 
@@ -92,6 +104,7 @@ MEMBERS = st.one_of(
 )
 SHARDS = st.integers(0, 2)  # taken modulo the pool's worker count
 COUNTERS = ("queries", "keyword_hits", "keyword_misses", "warm_loads")
+TRACES = pathlib.Path(__file__).parent / "data" / "serving_traces"
 
 
 class Refused(Exception):
@@ -116,6 +129,46 @@ def _outcome(call):
         return None, exc
 
 
+def _encoded(value):
+    """A step argument as JSON: a query is ``{"keywords": [...], "k": n}``."""
+    if isinstance(value, KBTIMQuery):
+        return {"keywords": list(value.keywords), "k": value.k}
+    if isinstance(value, dict):
+        return {key: _encoded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encoded(item) for item in value]
+    return value
+
+
+def _decoded(value):
+    """The inverse of :func:`_encoded` (a fault event stays a dict)."""
+    if isinstance(value, dict):
+        if "keywords" in value:
+            return KBTIMQuery(tuple(value["keywords"]), value["k"])
+        return {key: _decoded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_decoded(item) for item in value]
+    return value
+
+
+def dump_trace(init, steps, replaces=None) -> str:
+    """A trace document, one step per line, as committed under ``TRACES``."""
+    rows = ",\n".join(f"  {json.dumps(step)}" for step in steps)
+    head = f'{{"replaces": {json.dumps(replaces)},\n "init": {json.dumps(init)},\n'
+    return head + ' "steps": [\n' + (rows + "\n" if rows else "") + " ]}\n"
+
+
+def step(method):
+    """A model step: recorded in the model's trace before it runs."""
+
+    @functools.wraps(method)
+    def recorded(self, **args):
+        self.trace.append([method.__name__, _encoded(args)])
+        return method(self, **args)
+
+    return recorded
+
+
 class _Shard:
     """The model of one shard: its server, process, record and I/O."""
 
@@ -125,6 +178,7 @@ class _Shard:
             cache_keywords=cache_keywords,
         )
         self.alive, self.closed, self.poisoned = True, False, False
+        self.aged = False  # served a whole failure window
         #: Reads no answer was charged (open, warm, failed requests).
         self.unattributed = self.server.index.stats.snapshot()
         self.attributed = IOStats()
@@ -152,8 +206,7 @@ class ServingModel(RuleBasedStateMachine):
         super().__init__()
         self.paths = paths
         self.pool = None
-        self.events = []
-        self.n_queries = 0
+        self.init, self.trace = {}, []
         self.patches = ExitStack()
         self.children = set(multiprocessing.active_children())
         self.segments = kbtim_shm_entries()
@@ -171,23 +224,46 @@ class ServingModel(RuleBasedStateMachine):
         retries=st.sampled_from([0, process_pool._MAX_RETRIES]),
     )
     def open_pool(self, kind, n_workers, max_inflight, cache_keywords, **constants):
-        """Open the pool; the supervision constants are the model's too."""
+        """Open the pool; the supervision constants are the model's too.
+        An argument below 1 is refused before anything is started."""
         CONFIGS.add((kind, n_workers, max_inflight))
+        self.init = dict(
+            kind=kind,
+            n_workers=n_workers,
+            max_inflight=max_inflight,
+            cache_keywords=cache_keywords,
+            **constants,
+        )
+        options = dict(
+            n_workers=n_workers,
+            cache_keywords=cache_keywords,
+            request_timeout=constants["request_timeout"],
+            max_inflight=max_inflight,
+        )
+        if min(n_workers, cache_keywords, max_inflight or 1) < 1:
+            with pytest.raises(ValueError):
+                SupervisedServerPool(self.paths[kind], **options)
+            return
         patch = self.patches.enter_context
         patch(mock.patch.object(process_pool, "_RESTART_BUDGET", constants["budget"]))
         patch(mock.patch.object(process_pool, "_RESTART_BACKOFF", constants["backoff"]))
         patch(mock.patch.object(process_pool, "_MAX_RETRIES", constants["retries"]))
         patch(mock.patch.object(process_pool, "_BACKOFF_MAX", 3600.0))
         patch(mock.patch.object(process_pool, "_BUDGET_RESET_AFTER", 1e9))
-        self.requests = 0
+        #: Every request as ``(shard, method, payload)``, in the order its
+        #: worker took it (requests to one worker take its lock in turn).
+        self.taken = []
         request = _WorkerHandle.request
+        locks = [threading.Lock() for _ in range(n_workers)]
 
-        def counted(handle, *args, **kwargs):
-            self.requests += 1
-            return request(handle, *args, **kwargs)
+        def taken(handle, method, payload=None, **kwargs):
+            with locks[handle.worker_id]:
+                self.taken.append((handle.worker_id, method, payload))
+                return request(handle, method, payload, **kwargs)
 
-        patch(mock.patch.object(_WorkerHandle, "request", counted))
-        self.path, self.n, self.max_inflight = self.paths[kind], n_workers, max_inflight
+        patch(mock.patch.object(_WorkerHandle, "request", taken))
+        self.kind, self.path, self.n = kind, self.paths[kind], n_workers
+        self.max_inflight = max_inflight
         self.budget, self.backoff = constants["budget"], constants["backoff"]
         self.cache_keywords = cache_keywords
         self.reference = open_index(self.path)
@@ -200,18 +276,10 @@ class ServingModel(RuleBasedStateMachine):
         self.failed = [False] * self.n  # last_error is set
         self.retries = self.sheds = 0
         self.exhausted = False
-        self.pool = SupervisedServerPool(
-            self.path,
-            n_workers=self.n,
-            cache_keywords=cache_keywords,
-            request_timeout=constants["request_timeout"],
-            max_inflight=max_inflight,
-        )
+        self.pool = SupervisedServerPool(self.path, **options)
 
     def teardown(self):
         try:
-            if self.events:
-                note(f"faults: {FaultPlan(events=tuple(self.events)).to_json()}")
             if self.pool is not None:
                 self.pool.close()
                 self.pool.close()  # idempotent
@@ -229,6 +297,8 @@ class ServingModel(RuleBasedStateMachine):
                 for shard in self.shards:
                     shard.server.index.close()
             self.patches.close()
+            if currently_in_test_context():
+                note(f"trace:\n{dump_trace(self.init, self.trace)}")
         leaked = set(multiprocessing.active_children()) - self.children
         assert not leaked, f"close() left processes: {leaked}"
         assert kbtim_shm_entries() == self.segments
@@ -248,18 +318,34 @@ class ServingModel(RuleBasedStateMachine):
         self.restarts[s] += 1
 
     def heal(self, s: int) -> None:
-        """``_ensure_ready``: fail fast, or restart a down shard."""
-        if self.drained[s] or self.degraded[s]:
-            raise Refused(ShardUnavailableError, [s])
-        if not self.shards[s].down:
-            return
-        if self.window[s] >= self.budget:
-            self.degraded[s] = True
-            raise Refused(ShardUnavailableError, [s])
-        if self.window[s] and self.backoff:
-            raise Refused(ShardUnavailableError, [s])
-        self.window[s] += 1
-        self.restart(s)
+        """``_ensure_ready``: restart a down shard, or fail fast with an
+        error that names the shard's state."""
+        if self.shards[s].down and not (self.drained[s] or self.degraded[s]):
+            if self.shards[s].aged:
+                self.window[s] = 0
+            if self.window[s] >= self.budget:
+                self.degraded[s] = True
+            elif not (self.window[s] and self.backoff):
+                self.window[s] += 1
+                self.restart(s)
+        state = self.state(s)
+        if state != SHARD_READY:
+            raise Refused(ShardUnavailableError, [s], match=f"shard {s} is {state}")
+
+    def serve(self, s: int, call, dying=(), answers=True):
+        """``_call_shard``: heal shard ``s`` and run ``call`` on its model
+        server; a worker in ``dying`` dies mid-request, and the request is
+        retried on a restart while ``_MAX_RETRIES`` allows."""
+        self.heal(s)
+        if s in dying:
+            self.shards[s].alive, self.failed[s] = False, True
+            if process_pool._MAX_RETRIES < 1:
+                died = "died unexpectedly (exit code -9)"  # the SIGKILL
+                raise Refused(ServerError, [s], match=died)
+            if answers:  # admin fan-outs retry uncounted
+                self.retries += 1
+            self.heal(s)
+        return self.shards[s].run(call, answers=answers)
 
     def admit(self, units: int) -> None:
         over = self.max_inflight is not None and units > self.max_inflight
@@ -275,17 +361,61 @@ class ServingModel(RuleBasedStateMachine):
             raise Refused(type(exc)) from None
         return shard_of_keyword(min(names), self.n)
 
+    def reach(self, queries) -> set:
+        """The shards a serving call sends ``queries`` to: none when it is
+        shed or a keyword ref does not resolve."""
+        units = len(queries)
+        if self.exhausted or (self.max_inflight or units) < units:
+            return set()
+        try:
+            return {self.home(query) for query in queries}
+        except Refused:
+            return set()
+
     def fire(self, kind: str, shard=None, seconds=0.0) -> str:
         """Fire one fault through the chaos controller; returns its effect."""
-        event = FaultEvent(kind, self.n_queries, shard=shard, seconds=seconds)
-        self.events.append(event)
-        chaos = ChaosController(FaultPlan(events=(event,)), self.pool)
-        chaos.before_query(self.n_queries)
+        chaos = ChaosController(
+            FaultPlan(events=(FaultEvent(kind, 0, shard=shard, seconds=seconds),)),
+            self.pool,
+        )
+        chaos.before_query(0)
         return chaos.fired[0]["effect"]
+
+    def suffer(self, event: FaultEvent, effect: str) -> None:
+        """The model's side of a fired fault.  ``kill`` SIGKILLs a worker;
+        a reply that comes late (``delay``) or never (``drop``) misses the
+        zero deadline and poisons a live, framed pipe; ``exhaust`` sheds
+        every request until it is fired again with 0 seconds."""
+        if event.kind == "exhaust":
+            self.exhausted = event.seconds > 0
+            return
+        model = self.shards[event.shard]
+        if event.kind == "kill":
+            assert effect == f"worker {event.shard} killed (SIGKILL)"
+            model.alive = False  # a drained (closed) handle is not alive either
+        elif model.closed or model.down:
+            assert effect.startswith("not delivered")
+        else:
+            assert "poisoned" in effect
+            model.poisoned = True
+
+    def kill_unnoticed(self, shards, reached) -> set:
+        """SIGKILL every ready shard of ``shards`` that the next call
+        ``reached``, hiding each death from one liveness probe: the call
+        finds its worker dead mid-request.  Returns the shards killed."""
+        dying = {s % self.n for s in shards} & set(reached)
+        dying = {s for s in dying if self.state(s) == SHARD_READY}
+        for s in dying:
+            self.fire("kill", s)
+            handle = self.pool._workers[s]
+            real, lie = handle._running, iter([True])
+            handle._running = lambda real=real, lie=lie: next(lie, False) or real()
+        return dying
 
     # -- checks --
     def check(self, got, error, predict):
-        """Run the model's prediction and compare the pool's outcome."""
+        """Run the model's prediction and compare the pool's outcome; a
+        replay reports an error as its ``"<class>: <message>"`` string."""
         try:
             want, refused = predict(), None
         except Refused as exc:
@@ -293,14 +423,25 @@ class ServingModel(RuleBasedStateMachine):
         if refused is None:
             assert error is None, f"model answered, pool raised {error!r}"
             return want
-        assert type(error) is refused.cls, f"expected {refused.cls}, got {error!r}"
-        if refused.cls is ShardUnavailableError:
-            assert error.shard == refused.shards[0]
-            waits = self.state(error.shard) == SHARD_RESTARTING
-            assert (error.retry_after is not None) == waits
-        assert refused.match is None or refused.match in str(error)
-        for s in refused.shards if len(refused.shards) > 1 else ():
-            assert f"shard {s}" in str(error)
+        message = str(error)
+        if isinstance(error, str):
+            assert message.startswith(f"{refused.cls.__name__}: "), message
+        else:
+            assert type(error) is refused.cls, f"expected {refused.cls}, got {error!r}"
+            if refused.cls is ShardUnavailableError:
+                s = error.shard
+                assert s == refused.shards[0]
+                if self.state(s) != SHARD_RESTARTING:
+                    assert error.retry_after is None
+                else:  # the backoff after the window's latest restart
+                    wait = self.backoff * 2.0 ** (self.window[s] - 1)
+                    assert 0 < error.retry_after <= wait
+            if refused.cls is OverloadedError:
+                assert error.retry_after > 0
+        assert refused.match is None or refused.match in message
+        one = refused.cls is ServerError and len(refused.shards) == 1
+        label = "worker" if one else "shard"
+        assert all(f"{label} {s}" in message for s in refused.shards), message
         return None
 
     def same_answer(self, query, got, want, s: int) -> None:
@@ -314,64 +455,54 @@ class ServingModel(RuleBasedStateMachine):
 
     # -- rules: serving traffic --
     @rule(query=QUERIES, fault=st.sampled_from([None, "spent", "shed"]))
-    def query(self, query, fault):
+    @step
+    def query(self, query, fault=None):
         """One query, alone or with a fault: a ``spent`` deadline heals the
         home shard, then fails before anything is sent; ``shed`` exhausts
         admission for the query, then capacity returns."""
         if fault == "shed":
             self.fire("exhaust", seconds=3600.0)
             self.exhausted = True
-        self._query(query, False, timeout=0.0 if fault == "spent" else None)
+        self._query(query, timeout=0.0 if fault == "spent" else None)
         if fault == "shed":
             self.fire("exhaust", seconds=0.0)
             self.exhausted = False
 
     @rule(query=QUERIES)
+    @step
     def query_dies_midrequest(self, query):
         """The home worker is SIGKILLed just before the request and its
         death is seen only mid-request, so the query retries on a restart."""
-        try:
-            home = self.home(query)
-        except Refused:
-            home = None
-        death = home is not None and self.state(home) == SHARD_READY
-        if death:
-            self.fire("kill", home)
-            handle = self.pool._workers[home]
-            real, lie = handle._running, iter([True])
-            handle._running = lambda: next(lie, False) or real()
-        self._query(query, death)
+        reached = self.reach([query])
+        self._query(query, self.kill_unnoticed(reached, reached))
 
-    def _query(self, query, death, timeout=None):
-        got, error = _outcome(lambda: self.pool.query(query, timeout=timeout))
-        self.n_queries += 1
+    def _query(self, query, dying=(), timeout=None, outcome=None):
+        got, error = outcome or _outcome(
+            lambda: self.pool.query(query, timeout=timeout)
+        )
         home = []
 
         def predict():
             self.admit(1)
             home.append(self.home(query))
-            s = home[0]
-            self.heal(s)
             if timeout is not None:
+                self.heal(home[0])
                 raise Refused(DeadlineExceededError)
-            if death:
-                self.shards[s].alive, self.failed[s] = False, True
-                if process_pool._MAX_RETRIES < 1:
-                    raise Refused(ServerError, [s], match="died")
-                self.retries += 1
-                self.heal(s)
-            return self.shards[s].run(lambda server: server.query(query))
+            return self.serve(home[0], lambda server: server.query(query), dying)
 
         want = self.check(got, error, predict)
         if want is not None:
             self.same_answer(query, got, want, home[0])
 
     @rule(queries=st.lists(MEMBERS, min_size=1, max_size=4))
-    def query_batch(self, queries):
+    @step
+    def query_batch(self, queries, dies=()):
+        """One batch; the worker of each shard in ``dies`` that the batch
+        reaches dies mid-request."""
         batch = self.pool.query_batch
         assert batch([]) == []  # not admitted, sent nowhere
+        dying = self.kill_unnoticed(dies, self.reach(queries))
         got, error = _outcome(lambda: batch(queries))
-        self.n_queries += 1
         answered = {}  # position -> (shard, model answer)
 
         def predict():
@@ -380,11 +511,11 @@ class ServingModel(RuleBasedStateMachine):
             first = None
             for s in dict.fromkeys(homes):
                 sub = [pos for pos, home in enumerate(homes) if home == s]
+                part = [queries[pos] for pos in sub]
                 try:
-                    self.heal(s)
-                    part = [queries[pos] for pos in sub]
-                    run = self.shards[s].run
-                    answers = run(lambda server: server.query_batch(part))
+                    answers = self.serve(
+                        s, lambda server: server.query_batch(part), dying
+                    )
                 except Refused as exc:
                     first = first or exc  # every other shard still runs
                     continue
@@ -402,14 +533,54 @@ class ServingModel(RuleBasedStateMachine):
             else:
                 self.same_answer(queries[pos], got[pos], model, s)
 
+    @step
+    def replay(self, queries, threads=1, plan=()):
+        """``repro.datasets.workload.replay``: one client thread, with
+        ``plan``'s faults fired before their positions, or ``threads``
+        clients and no plan.  Then each shard serves its queries in the
+        order its worker took them, and a query may be shed only when
+        more clients than ``max_inflight`` can be in flight.  The report's
+        restart, retry and shed counts are the model's."""
+        queries = [KBTIMQuery(q.keywords, q.k) for q in queries]  # one per position
+        plan = FaultPlan(events=tuple(FaultEvent.from_dict(e) for e in plan))
+        assert threads == 1 or not plan.events
+        before, start = (sum(self.restarts), self.retries, self.sheds), len(self.taken)
+        report = workload.replay(
+            self.pool,
+            queries,
+            threads=threads,
+            chaos=plan if plan.events else None,
+            tolerate_errors=True,
+        )
+        order = list(range(len(queries)))
+        if threads > 1:
+            position = {id(query): pos for pos, query in enumerate(queries)}
+            taken = self.taken[start:]
+            served = [position[id(p)] for _s, method, p in taken if method == "query"]
+            assert len(set(served)) == len(served)  # nothing died, nothing retried
+            order = served + [pos for pos in order if pos not in set(served)]
+        fired = iter(report.fault_events)
+        for pos in order:
+            for event in plan.events_at(pos):
+                self.suffer(event, next(fired)["effect"])
+            got, error = report.results[pos], report.errors[pos]
+            if threads > (self.max_inflight or threads) and error and error.startswith(
+                f"{OverloadedError.__name__}: "
+            ):
+                self.sheds += 1  # the other clients held the whole budget
+                continue
+            self._query(queries[pos], outcome=(got, error))
+        now = (sum(self.restarts), self.retries, self.sheds)
+        deltas = tuple(after - was for after, was in zip(now, before))
+        assert (report.restarts, report.retries, report.sheds) == deltas
+
     # -- rules: administration --
-    def fanout(self, requests):
+    def fanout(self, requests, dying=()):
         """``_fanout``: every shard is tried; failures are raised after."""
         failures = []
         for s, call in requests:
             try:
-                self.heal(s)
-                self.shards[s].run(call, answers=False)
+                self.serve(s, call, dying, answers=False)
             except Refused as exc:
                 failures.append((s, exc))
         if len(failures) == 1:
@@ -419,24 +590,30 @@ class ServingModel(RuleBasedStateMachine):
             raise Refused(ServerError, shards, match="failed during fan-out")
 
     @rule(refs=st.lists(st.sampled_from(NAMES + tuple(range(8))), max_size=4))
-    def warm(self, refs):
-        _got, error = _outcome(lambda: self.pool.warm(refs))
+    @step
+    def warm(self, refs, dies=()):
         owners = {}  # shard -> the names it owns, in call order
         for name in (resolve_keyword(self.topic_names, ref) for ref in refs):
             owners.setdefault(shard_of_keyword(name, self.n), []).append(name)
+        dying = self.kill_unnoticed(dies, owners)
+        _got, error = _outcome(lambda: self.pool.warm(refs))
         calls = [(s, lambda server, own=owners[s]: server.warm(own)) for s in owners]
-        self.check(None, error, lambda: self.fanout(sorted(calls, key=lambda c: c[0])))
+        calls.sort(key=lambda call: call[0])
+        self.check(None, error, lambda: self.fanout(calls, dying))
 
     @rule()
-    def evict_all(self):
+    @step
+    def evict_all(self, dies=()):
+        dying = self.kill_unnoticed(dies, range(self.n))
         _got, error = _outcome(self.pool.evict_all)
         calls = [(s, lambda server: server.evict_all()) for s in range(self.n)]
-        self.check(None, error, lambda: self.fanout(calls))
+        self.check(None, error, lambda: self.fanout(calls, dying))
 
     @rule(
         op=st.sampled_from(["drain", "restore", "restart_worker"]),
         shards=st.lists(SHARDS, min_size=1, max_size=2),
     )
+    @step
     def rotate(self, op, shards):
         """A rolling-restart step on one or two shards: ``drain`` takes a
         shard out of rotation, ``restore`` returns it with a fresh worker
@@ -454,47 +631,63 @@ class ServingModel(RuleBasedStateMachine):
                 self.window[s] = 0
 
     @rule(kind=st.sampled_from(["kill", "delay", "drop"]), shard=SHARDS)
+    @step
     def fault(self, kind, shard):
-        """``kill`` SIGKILLs a shard's worker; a reply that comes late
-        (``delay``) or never (``drop``) misses the zero deadline and
-        poisons a live, framed pipe."""
+        """One fault on one shard, fired on its own (see :meth:`suffer`)."""
+        s, seconds = shard % self.n, float(kind == "delay")
+        self.suffer(FaultEvent(kind, 0, s, seconds), self.fire(kind, s, seconds))
+
+    @step
+    def age(self, shard):
+        """The shard's worker has served a whole ``_BUDGET_RESET_AFTER``:
+        the failure that ends it starts a new restart window."""
         s = shard % self.n
-        effect = self.fire(kind, s, seconds=1.0 if kind == "delay" else 0.0)
-        model = self.shards[s]
-        if kind == "kill":
-            model.alive = False  # a drained (closed) handle is not alive either
-        elif model.closed or model.down:
-            assert effect.startswith("not delivered")
-        else:
-            assert "poisoned" in effect
-            model.poisoned = True
+        self.pool._shards[s].started_at -= process_pool._BUDGET_RESET_AFTER + 60.0
+        self.shards[s].aged = True
+
+    @step
+    def corrupt(self, keyword):
+        """Flip one byte mid-segment of ``keyword``'s CRC-checked record
+        (RR ``inv/<kw>``, IRR ``ip/<kw>``) in the served file, under the
+        live pool.  The model servers map the same file, so they predict
+        the outcome: a read of it fails typed, a cached block answers."""
+        with SegmentReader(self.path) as segments:
+            info = segments.info(f"{'inv' if self.kind == 'rr' else 'ip'}/{keyword}")
+        with open(self.path, "r+b") as fh:
+            fh.seek(info.offset + info.length // 2)
+            byte = fh.read(1)[0]
+            fh.seek(-1, 1)
+            fh.write(bytes([byte ^ 0xFF]))
 
     # -- invariants, after every step --
     @invariant()
     def health_is_the_model(self):
         if self.pool is None:
             return
-        before = self.requests
+        before = len(self.taken)
         health = self.pool.health()
-        assert self.requests == before  # parent-side: no worker round trip
+        assert len(self.taken) == before  # parent-side: no worker round trip
         for s, shard in enumerate(health.shards):
             assert shard.state == self.state(s)
             assert shard.alive == self.shards[s].alive
             assert (shard.rss_bytes > 0) == shard.alive
             assert (shard.restarts, shard.inflight) == (self.restarts[s], 0)
             assert (shard.last_error is not None) == self.failed[s]
+            assert self.pool._shards[s].restarts_in_window == self.window[s]
         counters = (health.restarts, health.retries, health.sheds, health.inflight)
         assert counters == (sum(self.restarts), self.retries, self.sheds, 0)
+        ready = sum(self.state(s) == SHARD_READY for s in range(self.n))
+        assert (health.available_shards, health.healthy) == (ready, ready == self.n)
         assert health.max_inflight == self.max_inflight
 
     @invariant()
     def snapshot_is_the_model(self):
         if self.pool is None:
             return
-        before = self.requests
+        before = len(self.taken)
         snapshot = self.pool.snapshot()
         ready = [s for s in range(self.n) if self.state(s) == SHARD_READY]
-        assert self.requests - before == len(ready)  # one round trip each
+        assert len(self.taken) - before == len(ready)  # one round trip each
         for s, part in enumerate(snapshot.workers):
             if self.state(s) != SHARD_READY:
                 assert part is None
@@ -545,3 +738,74 @@ def test_pool_is_the_model(served_paths):
     assert {c[0] for c in CONFIGS} == {"rr", "irr"}
     assert {c[1] for c in CONFIGS} == {1, 2, 3}
     assert {c[2] for c in CONFIGS} == {None, 2}
+
+
+def run_trace(paths, init, steps) -> None:
+    """Replay one trace: ``open_pool(**init)``, then each step, with both
+    invariants after the open and after every step; always torn down."""
+    model = ServingModel(paths)
+    try:
+        calls = [functools.partial(model.open_pool, **init)]
+        for name, args in steps:
+            calls.append(functools.partial(getattr(model, name), **_decoded(args)))
+        for call in calls:
+            call()
+            model.health_is_the_model()
+            model.snapshot_is_the_model()
+    finally:
+        model.teardown()
+
+
+def _traces():
+    """One test id per trace file and index kind (a list of kinds is the
+    old ``[rr|irr]`` parametrisation)."""
+    for path in sorted(TRACES.glob("*.json")):
+        kinds = json.loads(path.read_text())["init"]["kind"]
+        if isinstance(kinds, str):
+            yield pytest.param(path, kinds, id=path.stem)
+            continue
+        for kind in kinds:
+            yield pytest.param(path, kind, id=f"{path.stem}[{kind}]")
+
+
+@pytest.mark.parametrize("path, kind", _traces())
+def test_trace(path, kind, served_paths, tmp_path):
+    """Each committed scenario, served from its own copy of the index."""
+    document = json.loads(path.read_text())
+    copy = shutil.copy(served_paths[kind], tmp_path)
+    run_trace({kind: copy}, dict(document["init"], kind=kind), document["steps"])
+
+
+def test_each_trace_names_the_one_test_it_replaces():
+    for path in TRACES.glob("*.json"):
+        replaces = json.loads(path.read_text())["replaces"]
+        if replaces is None:  # a scenario of its own
+            continue
+        module, *names = replaces.split("::")
+        assert path.stem == ".".join([pathlib.Path(module).stem, *names])
+        source = (pathlib.Path(__file__).parent / module).read_text()
+        assert f"def {names[-1]}(" not in source
+
+
+def test_a_failing_trace_leaves_nothing_behind(served_paths):
+    """A step that raises still closes the pool: teardown takes no
+    hypothesis note outside a hypothesis test, so it reaps every worker."""
+    children = set(multiprocessing.active_children())
+    segments, descriptors = kbtim_shm_entries(), pool_descriptors()
+    init = dict(
+        kind="rr",
+        n_workers=2,
+        max_inflight=None,
+        cache_keywords=64,
+        request_timeout=None,
+        budget=3,
+        backoff=0.0,
+        retries=1,
+    )
+    steps = [["query", {"query": {"keywords": ["music"], "k": 3}}]]
+    with pytest.raises(ValueError, match="unknown fault kind"):
+        meteor = ["fault", {"kind": "meteor", "shard": 0}]
+        run_trace(served_paths, init, steps + [meteor])
+    assert set(multiprocessing.active_children()) == children
+    assert kbtim_shm_entries() == segments
+    assert pool_descriptors() == descriptors

@@ -287,7 +287,7 @@ class TestPoolTransport:
             got = [pool.query(q) for q in queries]
             assert pool.health().rss_bytes > 0
         _same_answers(got, want, io=False)
-        assert shm_entries("kbtim-resp-") == []
+        assert shm_entries(f"kbtim-resp-{os.getpid()}-") == []  # this process's pools
 
     def test_query_stats_identical_across_transports(
         self, served_paths, queries, monkeypatch
@@ -333,4 +333,4 @@ class TestPoolTransport:
             assert pool.query(queries[0]).seeds == want[0].seeds
             assert pool.health().shards[0].state == "ready"
         _same_answers(got, want, io=False)
-        assert shm_entries("kbtim-resp-") == []
+        assert shm_entries(f"kbtim-resp-{os.getpid()}-") == []  # this process's pools
