@@ -195,8 +195,8 @@ def _transport_overhead_ns(pool, queries) -> float:
 
     Each answer carries the worker-measured compute time
     (``stats.elapsed_seconds``); the caller-observed wall time minus
-    that is dispatch + transport — pipe framing, response encode/decode,
-    and the shared-memory flat-frame round trip.
+    that is dispatch + transport — the pipe round trip and the pickling
+    of the request and of the answer.
     """
     probes = queries[: min(16, len(queries))]
     wall = 0.0
@@ -291,8 +291,8 @@ def test_pool_worker_sweep(ctx, mixed_setup, balanced_setup, benchmark):
         assert all(report.n_queries == expected for _r, _w, report, *_ in points)
         assert all(report.qps > 0 for _r, _w, report, *_ in points)
     # Memory guard: the pool's *per-worker* RSS must stay flat
-    # as workers grow — the index pages are mmap-shared and answers ride
-    # shared-memory frames, so total RSS should scale ~linearly (each
+    # as workers grow — the index pages are mmap-shared and answers are
+    # pickled over the pipes, so total RSS should scale ~linearly (each
     # worker pays its own caches), never superlinearly.  Allow generous
     # noise: interpreter overhead dominates at this scale.
     for regime, _queries in regimes:

@@ -74,16 +74,13 @@ from repro.errors import (
 )
 from repro.graph import (
     DiGraph,
-    erdos_renyi_digraph,
-    load_edge_list,
     load_npz,
     news_like,
-    save_edge_list,
     save_npz,
     summarize,
     twitter_like,
 )
-from repro.profiles import ProfileStore, TopicSpace, uniform_profiles, zipf_profiles
+from repro.profiles import ProfileStore, TopicSpace, zipf_profiles
 from repro.propagation import (
     IndependentCascade,
     LinearThreshold,
@@ -132,17 +129,13 @@ __all__ = [
     "DiGraph",
     "twitter_like",
     "news_like",
-    "erdos_renyi_digraph",
     "summarize",
-    "save_edge_list",
-    "load_edge_list",
     "save_npz",
     "load_npz",
     # profiles
     "TopicSpace",
     "ProfileStore",
     "zipf_profiles",
-    "uniform_profiles",
     # propagation
     "IndependentCascade",
     "LinearThreshold",

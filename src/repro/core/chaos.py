@@ -9,8 +9,7 @@ The vocabulary is a :class:`FaultPlan`: an ordered list of
 ``corrupt`` the index file at open) and *when* (just before dispatching
 the query at a given 0-based ordinal in the workload).  Plans round-trip
 through JSON, so the exact same schedule drives the test suite, a bug
-report, and ``repro replay --chaos plan.json``; :meth:`FaultPlan.random`
-generates one from a seed for randomized-but-reproducible campaigns.
+report, and ``repro replay --chaos plan.json``.
 
 A :class:`ChaosController` binds a plan to a live pool and is consulted
 by the replay driver (:func:`repro.datasets.workload.replay`) before
@@ -31,7 +30,7 @@ import json
 import random
 import shutil
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import DeadlineExceededError, ServerError
 
@@ -134,15 +133,14 @@ class FaultEvent:
 class FaultPlan:
     """An ordered, reproducible schedule of injected faults.
 
-    A plan is pure data: it can be written by hand, generated from a
-    seed (:meth:`random`), serialized to JSON (:meth:`to_json` /
-    :meth:`from_json` / :meth:`load` / :meth:`save`) and handed to a
-    :class:`ChaosController` or ``repro replay --chaos``.
+    A plan is pure data: it can be written by hand, serialized to JSON
+    (:meth:`to_json` / :meth:`from_json` / :meth:`load` / :meth:`save`)
+    and handed to a :class:`ChaosController` or ``repro replay --chaos``.
     """
 
     events: Tuple[FaultEvent, ...] = field(default_factory=tuple)
-    #: The seed this plan was generated from (``None`` for handwritten
-    #: plans); carried for provenance in reports.
+    #: The seed of whatever generated this plan (``None`` for a
+    #: handwritten one); carried for provenance in reports.
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -198,54 +196,6 @@ class FaultPlan:
         """Write the plan as JSON to ``path``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def random(
-        cls,
-        *,
-        seed: int,
-        n_queries: int,
-        n_shards: int,
-        n_events: int = 3,
-        kinds: Sequence[str] = ("kill", "delay", "drop", "exhaust"),
-        seconds: float = 0.2,
-    ) -> "FaultPlan":
-        """Generate a reproducible random plan from a seed.
-
-        The same ``(seed, n_queries, n_shards, n_events, kinds)`` always
-        produces the same plan — randomized fault campaigns stay
-        replayable.  ``corrupt`` is deliberately not in the default
-        vocabulary (it prevents the pool from opening at all).
-
-        Raises
-        ------
-        ValueError
-            If ``kinds`` contains an unknown kind, or ``n_queries`` /
-            ``n_shards`` is not positive.
-        """
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
-                )
-        if n_queries <= 0 or n_shards <= 0:
-            raise ValueError("n_queries and n_shards must be positive")
-        rng = random.Random(seed)
-        events = []
-        for _ in range(n_events):
-            kind = rng.choice(list(kinds))
-            events.append(
-                FaultEvent(
-                    kind=kind,
-                    after_query=rng.randrange(n_queries),
-                    shard=(
-                        rng.randrange(n_shards) if kind in _SHARD_KINDS else None
-                    ),
-                    seconds=seconds if kind in ("delay", "exhaust") else 0.0,
-                )
-            )
-        events.sort(key=lambda e: (e.after_query, e.kind, e.shard or 0))
-        return cls(events=tuple(events), seed=seed)
 
 
 class ChaosController:

@@ -22,20 +22,17 @@ name — so a warmed keyword is served where
 fault plan hits the same shard every run, and an unavailable home fails
 fast instead of moving.
 
-**Transport.**  The request path is a tiny pickled protocol over one
-:func:`multiprocessing.Pipe` per worker — parent → worker messages are
-``(method, payload)`` tuples (queries and plans are plain picklable
-dataclasses; :class:`~repro.core.query.KBTIMQuery` reduces through its
-validating constructor).  The *answer* path is zero-copy: query results
-are laid out as flat arrays in a per-worker shared-memory segment
-(:mod:`repro.core.transport`) and the pipe carries only a tiny
-``("okf", (seq, nbytes, generation))`` acknowledgement; the parent
-reconstructs :class:`~repro.core.results.SeedSelection` objects from
-array slices.  Administrative replies (telemetry snapshots, warm/evict
-acks) and errors still travel pickled — ``("ok", result)`` /
-``("err", exception)`` — and where shared memory is unavailable (or a
-frame cannot be written) answers degrade to the pickled path on their
-own, bit-identical either way.
+**Transport.**  One :func:`multiprocessing.Pipe` per worker carries a
+tiny pickled protocol: parent → worker messages are ``(method,
+payload)`` tuples (queries and plans are plain picklable dataclasses;
+:class:`~repro.core.query.KBTIMQuery` reduces through its validating
+constructor), and every reply is ``("ok", result)`` or ``("err",
+exception)``.  An answer is k ≤ K seeds and a few counters, a few
+hundred bytes: on a 2-vCPU box pickling and unpickling a k = 10 answer
+takes ~26 µs, less than writing, reading and acknowledging a
+shared-memory frame of it (~47 µs).  And the pool creates nothing
+outside its processes and pipes, so a killed parent or an unclosed pool
+leaves nothing behind.
 
 **Failure semantics.**  A query-level error raised inside a worker
 (unknown keyword, over-budget ``k``) crosses the pipe with its original
@@ -85,7 +82,6 @@ see :mod:`repro.core.chaos` and the model-based ``tests/test_serving_model.py``.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -112,12 +108,6 @@ from repro.core.server import (
     ShardHealth,
     _dispatch,
     process_rss_bytes,
-)
-from repro.core.transport import (
-    ResponseReader,
-    ResponseWriter,
-    transport_available,
-    unlink_segment,
 )
 from repro.errors import (
     DeadlineExceededError,
@@ -170,38 +160,28 @@ _POOL_PAGES = 4096
 _PARENT_POLL = 1.0
 
 
-def _worker_main(
-    conn, path: str, cache_keywords: int, resp_name: Optional[str] = None
-) -> None:
+def _worker_main(conn, path: str, cache_keywords: int) -> None:
     """One worker process: a :class:`KBTIMServer` behind a request pipe.
 
     Opens its own reader (and therefore its own buffer pool, I/O
     counters and block cache) over the immutable index file — RR or
-    IRR, whichever its catalog names — creates
-    its flat-response segment, acknowledges startup, then serves
-    ``(method, payload)`` requests until a ``shutdown`` request, a
-    closed pipe or the death of its parent.  Every per-request
+    IRR, whichever its catalog names — acknowledges startup, then
+    serves ``(method, payload)`` requests until a ``shutdown`` request,
+    a closed pipe or the death of its parent.  Every per-request
     exception is shipped back to the parent instead of killing the loop,
     so one bad query never takes down a shard.
     """
     from repro.storage.pager import BufferPool
 
     parent = os.getppid()
-    writer = None
     try:
         index = open_index(path, pool=BufferPool(_POOL_PAGES))
         server = KBTIMServer(index, cache_keywords=cache_keywords)
-        if resp_name is not None:
-            try:
-                writer = ResponseWriter(resp_name)
-            except OSError:
-                writer = None  # pickle fallback; parent detects via "ok"
     except BaseException as exc:  # startup failure -> surfaced by parent
         _send_result(conn, "err", _portable_exc(exc))
         conn.close()
         return
     _send_result(conn, "ready", os.getpid())
-    seq = 0
     try:
         while True:
             try:
@@ -247,23 +227,8 @@ def _worker_main(
             except BaseException as exc:
                 _send_result(conn, "err", _portable_exc(exc))
                 continue
-            if writer is not None and method in ("query", "query_batch"):
-                batch = result if method == "query_batch" else [result]
-                seq += 1
-                try:
-                    nbytes, generation = writer.write(batch, seq)
-                except Exception:
-                    # A failed flat encode (segment unlinked under us,
-                    # shm exhausted) degrades to the pickled path for
-                    # this answer; the protocol stays framed either way.
-                    _send_result(conn, "ok", result)
-                else:
-                    _send_result(conn, "okf", (seq, nbytes, generation))
-            else:
-                _send_result(conn, "ok", result)
+            _send_result(conn, "ok", result)
     finally:
-        if writer is not None:
-            writer.close(unlink=True)
         server.index.close()
         conn.close()
 
@@ -301,14 +266,10 @@ class _WorkerHandle:
     requests to different workers run fully in parallel.
     """
 
-    def __init__(
-        self, worker_id: int, process, conn, resp_name: Optional[str] = None
-    ) -> None:
+    def __init__(self, worker_id: int, process, conn) -> None:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
-        self.resp_name = resp_name
-        self._reader: Optional[ResponseReader] = None
         self.pid: Optional[int] = None
         self.lock = threading.Lock()
         self.closed = False
@@ -342,6 +303,21 @@ class _WorkerHandle:
         """Whether this worker can no longer be trusted to answer."""
         return self.poisoned or not self.alive
 
+    def failure(self) -> ServerError:
+        """Why this handle cannot answer: it is shut down, its pipe is
+        poisoned, or its process exited (with the exit code)."""
+        if self.closed:
+            return ServerError(
+                f"server worker {self.worker_id} is closed (pool shut down)"
+            )
+        if self.poisoned:
+            return ServerError(
+                f"server worker {self.worker_id} (pid {self.pid}) pipe is "
+                "poisoned after a deadline miss; a stale reply may be in "
+                "flight — the next request to its shard restarts the worker"
+            )
+        return self._death()
+
     def handshake(self, timeout: float) -> None:
         """Wait for the worker's startup acknowledgement."""
         status, payload = self._recv(timeout=timeout, starting=True)
@@ -357,49 +333,16 @@ class _WorkerHandle:
     def request(self, method: str, payload=None, *, timeout: Optional[float] = None):
         """One round trip; raises what the worker raised, or ServerError."""
         with self.lock:
-            if self.closed:
-                raise ServerError(
-                    f"server worker {self.worker_id} is closed (pool shut down)"
-                )
-            if self.poisoned:
-                raise ServerError(
-                    f"server worker {self.worker_id} (pid {self.pid}) pipe is "
-                    "poisoned after a deadline miss; a stale reply may be in "
-                    "flight — the next request to its shard restarts the worker"
-                )
+            if self.closed or self.poisoned:
+                raise self.failure()
             try:
                 self.conn.send((method, payload))
             except (BrokenPipeError, OSError):
                 raise self._death() from None
             status, result = self._recv(timeout=timeout)
-            if status == "okf":
-                # Flat-frame answer: decode *under the lock* — the
-                # worker reuses one response buffer per request, so the
-                # frame must be consumed before the next send.
-                try:
-                    batch = self._read_frame(result)
-                except ServerError:
-                    # A desynchronised or unreadable frame means parent
-                    # and worker no longer agree on transport state.
-                    self.poisoned = True
-                    raise
-                status = "ok"
-                result = batch[0] if method == "query" else batch
         if status == "err":
             raise result
         return result
-
-    def _read_frame(self, ack) -> List[SeedSelection]:
-        """Decode one acknowledged flat response frame (lock held)."""
-        if self.resp_name is None:
-            raise ServerError(
-                f"server worker {self.worker_id} sent a flat-frame reply "
-                "but no response segment was configured"
-            )
-        if self._reader is None:
-            self._reader = ResponseReader(self.resp_name)
-        seq, nbytes, generation = ack
-        return self._reader.read(seq, nbytes, generation)
 
     def _recv(self, *, timeout: Optional[float], starting: bool = False):
         try:
@@ -475,15 +418,6 @@ class _WorkerHandle:
             # Release the sentinel descriptors now, not when the pool
             # object is collected.
             self.process.close()
-        # Reap the response segment *after* the process is gone.  The
-        # worker unlinks it on graceful shutdown; this covers workers
-        # that were killed or terminated — both sides tolerate the other
-        # having unlinked first, so nothing leaks in /dev/shm.
-        if self._reader is not None:
-            self._reader.close()
-            self._reader = None
-        if self.resp_name is not None:
-            unlink_segment(self.resp_name)
 
 
 def shard_of_keyword(name: str, n_shards: int) -> int:
@@ -625,8 +559,8 @@ class SupervisedServerPool:
         If a worker fails its startup handshake.
 
     Every argument is checked, and the catalog read in the parent,
-    *before* the first shared-memory segment or process is created, so
-    a rejected constructor leaves nothing behind.
+    *before* the first pipe or process is created, so a rejected
+    constructor leaves nothing behind.
 
     **Thread safety.**  Any number of parent threads may call
     :meth:`query` / :meth:`query_batch` concurrently; each worker's pipe
@@ -641,13 +575,10 @@ class SupervisedServerPool:
     per-query :class:`~repro.core.results.QueryStats` carry exact I/O
     accounting measured inside the owning worker.  A restarted worker
     starts with cold caches, so a retried query may report cold-cost
-    ``QueryStats`` — the *answer* is unchanged.  Query answers travel as
-    flat arrays through per-worker shared-memory segments
-    (:mod:`repro.core.transport`) wherever shared memory exists
-    (:attr:`flat_transport` reports it) and as pickles otherwise.
-    Telemetry is two calls: :meth:`health` (parent-side, no worker
-    round trip) and :meth:`snapshot` (one request/response copy per
-    ready worker; :attr:`stats` is its merged view).
+    ``QueryStats`` — the *answer* is unchanged.  Telemetry is two
+    calls: :meth:`health` (parent-side, no worker round trip) and
+    :meth:`snapshot` (one request/response copy per ready worker;
+    :attr:`stats` is its merged view).
     """
 
     def __init__(
@@ -688,10 +619,6 @@ class SupervisedServerPool:
         self._exhausted_until = 0.0  # chaos: forced admission exhaustion
         self._ewma_latency = 0.005  # retry-after hint, seeded at 5 ms
         self._closed = False
-        #: Whether answers ride flat shared-memory frames (observed, not
-        #: configured: true wherever POSIX shared memory exists).
-        self.flat_transport = transport_available()
-        self._resp_counter = itertools.count()
         # Held from pipe creation until the child's end is closed, so no
         # concurrently forked worker inherits another worker's end (a
         # dead worker's pipe would then never report EOF).
@@ -715,25 +642,17 @@ class SupervisedServerPool:
     # ------------------------------------------------------------------
     def _start_worker(self, worker_id: int) -> _WorkerHandle:
         """Spawn one worker process (handshake is the caller's job)."""
-        resp_name = None
-        if self.flat_transport:
-            # Parent-assigned and unique per spawn: the parent can reap
-            # the segment even after ``kill -9``, and a restarted worker
-            # never collides with its predecessor's segment.
-            resp_name = (
-                f"kbtim-resp-{os.getpid()}-{worker_id}-{next(self._resp_counter)}"
-            )
         with self._spawn_lock:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self.path, self.cache_keywords, resp_name),
+                args=(child_conn, self.path, self.cache_keywords),
                 name=f"kbtim-server-{worker_id}",
                 daemon=True,
             )
             process.start()
             child_conn.close()  # the worker owns its end now
-        return _WorkerHandle(worker_id, process, parent_conn, resp_name)
+        return _WorkerHandle(worker_id, process, parent_conn)
 
     def restart_worker(self, shard: int) -> None:
         """Replace one shard's worker with a freshly spawned process.
@@ -800,9 +719,12 @@ class SupervisedServerPool:
             now = time.monotonic()
             failed_at = record.last_failure_at
             if failed_at is None or failed_at < record.started_at:
-                # No request saw this worker fail (it died idle): the
-                # failure is timed from when it is first noticed.
+                # No request saw this worker fail (it died idle, or a
+                # direct request poisoned it): the failure is timed, and
+                # diagnosed, when it is first noticed.
                 failed_at = record.last_failure_at = now
+                failure = self._workers[shard].failure()
+                record.last_error = f"{type(failure).__name__}: {failure}"
             if failed_at - record.started_at > _BUDGET_RESET_AFTER:
                 record.restarts_in_window = 0  # it served a whole window
             since_failure = now - failed_at
@@ -1320,8 +1242,8 @@ class SupervisedServerPool:
         """Shut every worker down (polite request, then terminate).
 
         Idempotent; afterwards every serving method raises
-        :class:`~repro.errors.ServerError`, and no child process,
-        ``/dev/shm`` segment or file descriptor of the pool remains.
+        :class:`~repro.errors.ServerError`, and no child process or
+        file descriptor of the pool remains.
         """
         if self._closed:
             return

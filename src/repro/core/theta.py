@@ -22,8 +22,8 @@ Table 3 shows as a ~9× smaller index.
 Paper parameters are ε = 0.1 and K = 100.  At those settings θ runs into
 the hundreds of thousands — fine for the authors' C++/8-thread setup,
 intractable for a pure-Python reproduction at every bench iteration.
-:class:`ThetaPolicy` therefore carries an optional ``scale`` and ``cap``
-applied *uniformly* to every method (docs/ARCHITECTURE.md, "Substitutions"), so
+:class:`ThetaPolicy` therefore carries an optional ``cap`` applied
+*uniformly* to every method (docs/ARCHITECTURE.md, "Substitutions"), so
 relative comparisons remain fair while absolute sample counts stay sane.
 The uncapped formulas are exercised directly by the unit tests.
 """
@@ -108,12 +108,10 @@ class ThetaPolicy:
     K:
         System-wide maximum seed budget (``Q.k <= K`` for all queries,
         Section 4.2).  The paper uses 100 with max ``Q.k`` of 50.
-    scale:
-        Multiplier applied to every computed θ (1.0 = exact bound).
     cap:
         Optional hard upper limit on the *per-keyword offline* bounds
-        θ̂_w / θ_w, applied after ``scale`` — it models a bounded index
-        construction budget.  ``None`` disables capping (paper-faithful).
+        θ̂_w / θ_w — it models a bounded index construction budget.
+        ``None`` disables capping (paper-faithful).
     online_cap:
         Optional hard limit on the *online* bounds (Theorems 1-2, used by
         RIS/WRIS at query time).  The paper's online methods sample their
@@ -127,7 +125,6 @@ class ThetaPolicy:
 
     epsilon: float = 0.1
     K: int = 100
-    scale: float = 1.0
     cap: Optional[int] = None
     online_cap: Optional[int] = None
     min_theta: int = 16
@@ -135,7 +132,6 @@ class ThetaPolicy:
     def __post_init__(self) -> None:
         check_positive("epsilon", self.epsilon)
         check_positive_int("K", self.K)
-        check_positive("scale", self.scale)
         if self.cap is not None:
             check_positive_int("cap", self.cap)
         if self.online_cap is not None:
@@ -143,7 +139,6 @@ class ThetaPolicy:
         check_positive_int("min_theta", self.min_theta)
 
     def _apply(self, theta: int, *, online: bool = False) -> int:
-        theta = int(math.ceil(theta * self.scale))
         cap = self.cap
         if online and self.online_cap is not None:
             cap = self.online_cap

@@ -1,15 +1,18 @@
-"""Flat-array response transport for process-level serving workers.
+"""Flat-array answer frames in a shared-memory segment (benchmark probe only).
 
-BENCH_pr5.json pinned ~0.15 ms/query of pickle + pipe overhead on the
-answer path of the process pool (``repro.core.process_pool``): every
-:class:`~repro.core.results.SeedSelection` (seeds, marginals, nested
-``QueryStats``/``IOStats``) was pickled object-by-object into the pipe.
-This module replaces that with a *flat frame*: the worker lays a whole
-batch of answers out as a handful of contiguous ``int64``/``float64``
-arrays in a per-worker shared-memory segment, and the pipe carries only a
-tiny ``("okf", (seq, nbytes, generation))`` acknowledgement.  The parent
-maps the segment once and reconstructs result objects from array slices —
-no per-object pickle bytes ever cross the pipe.
+**The serving pool does not use this module.**  Its workers answer every
+request with a pickled ``("ok", result)`` over their pipe: an answer is
+k ≤ K seeds and a few counters, and pickling it costs less than writing,
+reading and acknowledging a frame here.  The module stays only because
+the frozen benchmark imports it (``bench/targets.py`` and
+``bench/tracing.py::probe_transport``, which report the
+``transport.*`` per-layer metrics).  The next benchmark revision
+(ROADMAP item 4) deletes it together with that probe and those metrics.
+
+A *flat frame* lays a whole batch of
+:class:`~repro.core.results.SeedSelection` answers out as a handful of
+contiguous ``int64``/``float64`` arrays in one named segment; a reader
+maps the segment once and rebuilds the result objects from array slices.
 
 Frame layout (little-endian, 8-byte words)::
 
@@ -22,23 +25,18 @@ Frame layout (little-endian, 8-byte words)::
                          read_calls, pages_read, pages_hit, bytes_read
     floats   f64[n,2]    phi_q, elapsed_seconds
 
-Protocol invariants:
+Invariants:
 
-* the pipe stays a strict request/response channel — the parent reads a
-  frame only after receiving the matching acknowledgement, so one
-  response buffer per worker suffices (no ring indexing needed) and the
-  existing deadline/poisoning semantics are untouched;
 * ``seq`` is echoed in the frame header and checked by the reader — a
   desynchronised or torn frame surfaces as a typed error, never as a
   silently wrong answer;
 * the segment grows by unlink + recreate under the *same name* with a
-  bumped ``generation``; the parent reattaches when the acknowledged
+  bumped ``generation``; the reader reattaches when the expected
   generation is newer than its mapping.
 
-Ownership: the worker creates (and on graceful shutdown unlinks) its
-response segment; the parent also unlinks it when reaping the worker —
-both tolerate the other having done it first, so a killed worker leaks
-nothing.
+Ownership: the writer creates (and on ``close(unlink=True)`` unlinks)
+its segment; :func:`unlink_segment` tolerates a segment that is already
+gone.
 """
 
 from __future__ import annotations

@@ -31,24 +31,7 @@ from repro.graph.digraph import DiGraph
 from repro.utils.rng import RngLike, as_rng, weighted_sample
 from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
-__all__ = ["erdos_renyi_digraph", "twitter_like", "news_like", "ring_digraph"]
-
-
-def erdos_renyi_digraph(n: int, p: float, rng: RngLike = None) -> DiGraph:
-    """Directed G(n, p) without self-loops.
-
-    Used mainly by tests and property-based fuzzing; the evaluation datasets
-    use the structured generators below.
-    """
-    n = check_positive_int("n", n)
-    p = check_fraction("p", p, inclusive=True)
-    gen = as_rng(rng)
-    if p == 0.0:
-        return DiGraph.from_edges(n, [])
-    mask = gen.random((n, n)) < p
-    np.fill_diagonal(mask, False)
-    src, dst = np.nonzero(mask)
-    return DiGraph.from_edges(n, np.stack((src, dst), axis=1))
+__all__ = ["twitter_like", "news_like", "ring_digraph"]
 
 
 def twitter_like(

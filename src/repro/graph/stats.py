@@ -18,10 +18,8 @@ from repro.graph.digraph import DiGraph
 __all__ = [
     "GraphSummary",
     "in_degree_histogram",
-    "out_degree_histogram",
     "log_binned_histogram",
     "summarize",
-    "degree_tail_exponent",
 ]
 
 
@@ -61,13 +59,6 @@ def in_degree_histogram(graph: DiGraph) -> Tuple[np.ndarray, np.ndarray]:
     return degrees, counts[degrees]
 
 
-def out_degree_histogram(graph: DiGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Out-degree analogue of :func:`in_degree_histogram`."""
-    counts = np.bincount(graph.out_degrees())
-    degrees = np.nonzero(counts)[0]
-    return degrees, counts[degrees]
-
-
 def log_binned_histogram(
     degrees: np.ndarray, counts: np.ndarray, *, bins_per_decade: int = 4
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -103,21 +94,3 @@ def log_binned_histogram(
     centers = np.sqrt(edges[:-1] * edges[1:])
     keep = bin_counts > 0
     return centers[keep], bin_counts[keep]
-
-
-def degree_tail_exponent(graph: DiGraph) -> float:
-    """Least-squares slope of the log-log in-degree distribution.
-
-    A crude power-law exponent estimate: twitter-like graphs land roughly in
-    ``[-3, -1]`` while news-like graphs fall off much faster.  Used only for
-    dataset sanity checks, not for any algorithmic decision.
-    """
-    degrees, counts = in_degree_histogram(graph)
-    mask = degrees > 0
-    degrees, counts = degrees[mask], counts[mask]
-    if degrees.size < 2:
-        return float("nan")
-    x = np.log10(degrees.astype(np.float64))
-    y = np.log10(counts.astype(np.float64))
-    slope, _intercept = np.polyfit(x, y, deg=1)
-    return float(slope)

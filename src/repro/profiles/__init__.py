@@ -2,21 +2,13 @@
 
 from repro.profiles.topics import TopicSpace
 from repro.profiles.store import ProfileStore
-from repro.profiles.generators import zipf_profiles, uniform_profiles
-from repro.profiles.io import (
-    load_profiles_npz,
-    load_profiles_tsv,
-    save_profiles_npz,
-    save_profiles_tsv,
-)
+from repro.profiles.generators import zipf_profiles
+from repro.profiles.io import load_profiles_npz, save_profiles_npz
 
 __all__ = [
     "TopicSpace",
     "ProfileStore",
     "zipf_profiles",
-    "uniform_profiles",
-    "save_profiles_tsv",
-    "load_profiles_tsv",
     "save_profiles_npz",
     "load_profiles_npz",
 ]

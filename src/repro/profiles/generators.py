@@ -23,7 +23,7 @@ from repro.profiles.topics import TopicSpace
 from repro.utils.rng import RngLike, as_rng, weighted_sample
 from repro.utils.validation import check_positive, check_positive_int
 
-__all__ = ["zipf_profiles", "uniform_profiles", "zipf_weights"]
+__all__ = ["zipf_profiles", "zipf_weights"]
 
 
 def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
@@ -77,34 +77,4 @@ def zipf_profiles(
         weights /= weights.sum()
         for topic_id, weight in zip(chosen, weights):
             entries.append((user, int(topic_id), float(weight)))
-    return ProfileStore(n_users, topics, entries)
-
-
-def uniform_profiles(
-    n_users: int,
-    topics: TopicSpace,
-    *,
-    topics_per_user: int = 2,
-    rng: RngLike = None,
-) -> ProfileStore:
-    """Profiles with uniformly popular topics and equal weights.
-
-    A degenerate control used by tests: with uniform profiles, targeted and
-    untargeted influence maximization should agree closely, which isolates
-    the effect of the weighting from the effect of the sampler.
-    """
-    n_users = check_positive_int("n_users", n_users)
-    topics_per_user = check_positive_int("topics_per_user", topics_per_user)
-    if topics_per_user > topics.size:
-        raise ProfileError(
-            f"topics_per_user ({topics_per_user}) exceeds "
-            f"topic-space size ({topics.size})"
-        )
-    gen = as_rng(rng)
-    weight = 1.0 / topics_per_user
-    entries = []
-    for user in range(n_users):
-        chosen = gen.choice(topics.size, size=topics_per_user, replace=False)
-        for topic_id in chosen:
-            entries.append((user, int(topic_id), weight))
     return ProfileStore(n_users, topics, entries)

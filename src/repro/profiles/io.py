@@ -2,12 +2,9 @@
 
 Real deployments derive ``tf_{w,v}`` offline (the paper aggregates each
 user's posts and runs topic modelling) and ship the resulting matrix to
-the index builder.  This module provides the interchange formats:
-
-* **TSV** (``user<TAB>topic<TAB>tf``): human-readable and diffable, with
-  a header comment carrying the topic space so files are self-contained;
-* **NPZ**: the sparse matrix arrays verbatim — fast and bit-exact, used
-  by the experiment harness to cache generated profile sets.
+the index builder.  This module provides the interchange format: an
+**NPZ** snapshot of the sparse matrix arrays verbatim — fast and
+bit-exact, written by ``repro generate`` and read by the other commands.
 """
 
 from __future__ import annotations
@@ -21,54 +18,11 @@ from repro.errors import ProfileError
 from repro.profiles.store import ProfileStore
 from repro.profiles.topics import TopicSpace
 
-__all__ = ["save_profiles_tsv", "load_profiles_tsv", "save_profiles_npz", "load_profiles_npz"]
+__all__ = ["save_profiles_npz", "load_profiles_npz"]
 
 PathLike = Union[str, os.PathLike]
 
 _NPZ_VERSION = 1
-
-
-def save_profiles_tsv(store: ProfileStore, path: PathLike) -> None:
-    """Write ``user topic tf`` triples with a topic-space header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#topics\t{','.join(store.topics.names())}\n")
-        fh.write(f"#n_users\t{store.n_users}\n")
-        for user in range(store.n_users):
-            topic_ids, tfs = store.topics_of(user)
-            for topic_id, tf in zip(topic_ids, tfs):
-                fh.write(
-                    f"{user}\t{store.topics.name(int(topic_id))}\t{float(tf)!r}\n"
-                )
-
-
-def load_profiles_tsv(path: PathLike) -> ProfileStore:
-    """Read a file produced by :func:`save_profiles_tsv`."""
-    topics: TopicSpace = None  # type: ignore[assignment]
-    n_users = None
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#topics\t"):
-                topics = TopicSpace(line.split("\t", 1)[1].split(","))
-                continue
-            if line.startswith("#n_users\t"):
-                n_users = int(line.split("\t", 1)[1])
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ProfileError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                entries.append((int(parts[0]), parts[1], float(parts[2])))
-            except ValueError as exc:
-                raise ProfileError(f"{path}:{lineno}: bad entry") from exc
-    if topics is None or n_users is None:
-        raise ProfileError(f"{path}: missing #topics / #n_users header")
-    return ProfileStore(n_users, topics, entries)
 
 
 def save_profiles_npz(store: ProfileStore, path: PathLike) -> None:

@@ -4,7 +4,6 @@ from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.logmath import log_binomial, log_n_choose_k
 from repro.utils.validation import (
     check_fraction,
-    check_nonnegative,
     check_positive,
     check_positive_int,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "log_binomial",
     "log_n_choose_k",
     "check_fraction",
-    "check_nonnegative",
     "check_positive",
     "check_positive_int",
 ]

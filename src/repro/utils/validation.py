@@ -31,14 +31,6 @@ def check_positive(name: str, value: Number) -> float:
     return value
 
 
-def check_nonnegative(name: str, value: Number) -> float:
-    """Require ``value`` to be a finite number >= 0 and return it as ``float``."""
-    value = _check_number(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
 def check_fraction(name: str, value: Number, *, inclusive: bool = False) -> float:
     """Require ``value`` to lie in ``(0, 1)`` (or ``[0, 1]`` if inclusive)."""
     value = _check_number(name, value)

@@ -15,6 +15,16 @@ def kbtim_shm_entries() -> set:
         return set()
 
 
+def kbtim_mappings() -> list:
+    """This process's mappings of ``kbtim-*`` segments, as ``/proc`` paths
+    (empty where ``/proc`` is absent)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return [line.split()[-1] for line in fh if "/kbtim-" in line]
+    except OSError:
+        return []
+
+
 def _tracker_fds() -> set:
     """Descriptors multiprocessing keeps for the process's lifetime once a
     ``spawn`` start has launched its resource tracker."""
@@ -30,8 +40,6 @@ def pool_descriptors():
     of ``/proc`` targets, or ``None`` where ``/proc`` is absent."""
     try:
         fds = os.listdir("/proc/self/fd")
-        with open("/proc/self/maps") as fh:
-            maps = [line.split()[-1] for line in fh if "/kbtim-" in line]
     except OSError:
         return None
     targets = []
@@ -42,4 +50,4 @@ def pool_descriptors():
             continue  # the listing's own descriptor, already closed
         if target.startswith(("pipe:", "socket:")) or "/kbtim-" in target:
             targets.append(target)
-    return sorted(targets + maps)
+    return sorted(targets + kbtim_mappings())

@@ -91,13 +91,36 @@ class TestPolicy:
         policy = ThetaPolicy(epsilon=5.0, min_theta=64)
         assert policy.theta_wris(100, 1, 1.0, 1e9) == 64
 
-    def test_scale_applies(self):
-        base = ThetaPolicy(epsilon=0.5, cap=None)
-        doubled = ThetaPolicy(epsilon=0.5, scale=2.0, cap=None)
-        n, k, phi, opt = 500, 5, 100.0, 10.0
-        assert doubled.theta_wris(n, k, phi, opt) >= 2 * base.theta_wris(
-            n, k, phi, opt
-        ) - 2
+    def test_online_cap_bounds_only_the_online_bounds(self):
+        policy = ThetaPolicy(epsilon=0.1, cap=500, online_cap=2000)
+        assert policy.theta_ris(10_000, 10, 1.0) == 2000
+        assert policy.theta_wris(10_000, 10, 1000.0, 1.0) == 2000
+        assert policy.theta_w(10_000, 1000.0, 1.0) == 500
+        assert policy.theta_hat_w(10_000, 1000.0, 1.0) == 500
+
+    @pytest.mark.parametrize(
+        "name, policy_args, formula, formula_args",
+        [
+            ("theta_ris", (500, 5, 10.0), theta_ris, (500, 5, 0.5, 10.0)),
+            (
+                "theta_wris",
+                (500, 5, 100.0, 10.0),
+                theta_wris,
+                (500, 5, 0.5, 100.0, 10.0),
+            ),
+            ("theta_hat_w", (500, 100.0, 1.0), theta_hat_w, (500, 20, 0.5, 100.0, 1.0)),
+            ("theta_w", (500, 100.0, 10.0), theta_w, (500, 20, 0.5, 100.0, 10.0)),
+        ],
+        ids=["theta_ris", "theta_wris", "theta_hat_w", "theta_w"],
+    )
+    def test_uncapped_policy_is_the_bound(
+        self, name, policy_args, formula, formula_args
+    ):
+        """Below every cap and above the floor, the policy's θ is the
+        paper's bound itself: index files built at a given (ε, K) do not
+        depend on anything else the policy holds."""
+        policy = ThetaPolicy(epsilon=0.5, K=20, cap=None, min_theta=1)
+        assert getattr(policy, name)(*policy_args) == formula(*formula_args)
 
     def test_effective_k_max_clamped(self):
         policy = ThetaPolicy(K=100)
@@ -114,8 +137,8 @@ class TestPolicy:
             ThetaPolicy(epsilon=0.0)
         with pytest.raises(ValueError):
             ThetaPolicy(cap=0)
-        with pytest.raises(ValueError):
-            ThetaPolicy(scale=-1.0)
+        with pytest.raises(TypeError):
+            ThetaPolicy(scale=2.0)  # θ is the bound itself, or its cap
 
 
 class TestLemma3Property:

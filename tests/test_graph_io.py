@@ -6,7 +6,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import twitter_like
-from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
+from repro.graph.io import load_npz, save_npz
 
 
 @pytest.fixture()
@@ -14,56 +14,6 @@ def sample_graph() -> DiGraph:
     return DiGraph.from_edges(
         4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], probs=[0.1, 0.9, 1.0, 0.5, 0.25]
     )
-
-
-class TestEdgeList:
-    def test_roundtrip_with_probs(self, sample_graph, tmp_path):
-        path = tmp_path / "g.tsv"
-        save_edge_list(sample_graph, path)
-        assert load_edge_list(path) == sample_graph
-
-    def test_roundtrip_without_probs_rederives(self, tmp_path):
-        g = DiGraph.from_edges(3, [(0, 2), (1, 2)])
-        path = tmp_path / "g.tsv"
-        save_edge_list(g, path, probs=False)
-        loaded = load_edge_list(path)
-        assert loaded == g  # default probs are 1/in_degree on both sides
-
-    def test_explicit_n_pads_isolated_vertices(self, sample_graph, tmp_path):
-        path = tmp_path / "g.tsv"
-        save_edge_list(sample_graph, path)
-        loaded = load_edge_list(path, n=10)
-        assert loaded.n == 10 and loaded.m == sample_graph.m
-
-    def test_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "g.tsv"
-        path.write_text("# header\n\n0\t1\n1\t2\n")
-        g = load_edge_list(path)
-        assert g.n == 3 and g.m == 2
-
-    def test_bad_column_count_rejected(self, tmp_path):
-        path = tmp_path / "g.tsv"
-        path.write_text("0\t1\t0.5\t9\n")
-        with pytest.raises(GraphError, match="columns"):
-            load_edge_list(path)
-
-    def test_inconsistent_columns_rejected(self, tmp_path):
-        path = tmp_path / "g.tsv"
-        path.write_text("0\t1\n1\t2\t0.5\n")
-        with pytest.raises(GraphError, match="inconsistent"):
-            load_edge_list(path)
-
-    def test_bad_vertex_id_rejected(self, tmp_path):
-        path = tmp_path / "g.tsv"
-        path.write_text("a\tb\n")
-        with pytest.raises(GraphError, match="vertex"):
-            load_edge_list(path)
-
-    def test_bad_probability_rejected(self, tmp_path):
-        path = tmp_path / "g.tsv"
-        path.write_text("0\t1\tnope\n")
-        with pytest.raises(GraphError, match="probability"):
-            load_edge_list(path)
 
 
 class TestNpz:

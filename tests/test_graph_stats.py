@@ -8,7 +8,6 @@ from repro.graph.generators import ring_digraph
 from repro.graph.stats import (
     in_degree_histogram,
     log_binned_histogram,
-    out_degree_histogram,
     summarize,
 )
 
@@ -37,11 +36,6 @@ class TestHistograms:
     def test_mixed_degrees(self):
         g = DiGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
         degrees, counts = in_degree_histogram(g)
-        assert dict(zip(degrees.tolist(), counts.tolist())) == {0: 3, 3: 1}
-
-    def test_out_histogram(self):
-        g = DiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        degrees, counts = out_degree_histogram(g)
         assert dict(zip(degrees.tolist(), counts.tolist())) == {0: 3, 3: 1}
 
     def test_total_mass_is_n(self):

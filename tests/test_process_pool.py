@@ -18,6 +18,11 @@ Pinned here:
   payload that fails to unpickle in the worker.
 * A rejected constructor leaves nothing behind: no process, no shared
   segment, no lock file; a corrupt file fails typed in the parent.
+* ``spawn`` workers (the only start method on macOS and Windows) answer
+  single queries and batches on every shard bit-identically, and a
+  restart under ``spawn`` answers as its predecessor did.
+* A batch answer of any size is one pickled reply, ``QueryStats``
+  included.
 """
 
 import json
@@ -26,10 +31,12 @@ import pickle
 import tempfile
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from leaks import kbtim_shm_entries
 
+from repro.core import process_pool
 from repro.core.catalog import open_index
 from repro.core.process_pool import (
     SupervisedServerPool,
@@ -39,6 +46,7 @@ from repro.core.process_pool import (
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex
 from repro.core.server import (
+    SHARD_READY,
     SNAPSHOT_SCHEMA,
     KBTIMServer,
     ServerStats,
@@ -47,6 +55,7 @@ from repro.core.server import (
 from repro.datasets.workload import make_mixed_workload
 from repro.errors import CorruptIndexError, QueryError, ServerError
 from repro.storage.iostats import IOStats
+from repro.storage.pager import BufferPool
 
 
 @pytest.fixture(scope="module")
@@ -414,9 +423,9 @@ class TestShutdownLocking:
 
 class TestLifecycle:
     def test_rejected_argument_leaves_no_shared_state(self, setup):
-        """Every argument is validated before the first shared-memory
-        segment or process exists (d439185: a bad ``start_method`` once
-        raised *after* creating shared segments and a lock file)."""
+        """Every argument is validated before the first pipe or process
+        exists (d439185: a bad ``start_method`` once raised *after*
+        creating shared segments and a lock file)."""
 
         def kbtim_entries():
             tmp = os.listdir(tempfile.gettempdir())
@@ -441,16 +450,53 @@ class TestLifecycle:
         with pytest.raises(CorruptIndexError):
             SupervisedServerPool(str(bogus), n_workers=2)
 
-    def test_spawn_start_method(self, setup):
-        """The picklable protocol works under spawn (fresh interpreter)."""
+    def test_spawn_start_method(self, setup, workload, expected):
+        """The picklable protocol works under spawn (fresh interpreters):
+        both shards answer single queries and a batch bit-identically."""
         path, _profiles = setup
-        with SupervisedServerPool(
-            path, n_workers=1, start_method="spawn"
-        ) as pool:
+        half = len(workload) // 2
+        with SupervisedServerPool(path, n_workers=2, start_method="spawn") as pool:
             assert pool.start_method == "spawn"
-            answer = pool.query(KBTIMQuery(("music",), 3))
-        with RRIndex(path) as index:
-            _assert_same_selection(answer, index.query(KBTIMQuery(("music",), 3)))
+            assert {pool.shard_of(q) for q in workload} == {0, 1}
+            answers = [pool.query(q) for q in workload[:half]]
+            answers += pool.query_batch(workload[half:])
+            assert pool.health().rss_bytes > 0
+        for got, want in zip(answers, expected, strict=True):
+            _assert_same_selection(got, want)
+
+    @pytest.mark.parametrize("kind", ["rr", "irr"])
+    def test_spawn_worker_heals_after_a_kill(self, paths, kind):
+        """A restart under spawn starts the replacement in a fresh
+        interpreter too, and it answers as its predecessor did."""
+        query = KBTIMQuery(("music", "book"), 3)
+        with SupervisedServerPool(paths[kind], n_workers=1, start_method="spawn") as pool:
+            want = pool.query(query)
+            pool._workers[0].process.kill()
+            pool._workers[0].process.join(timeout=10.0)
+            got = pool.query(query)
+            assert (pool.health().restarts, pool.stats.retries) == (1, 0)
+        _assert_same_selection(got, want)
+
+
+def test_a_large_batch_rides_the_pipe(setup):
+    """A batch answer of any size is one pickled reply: 400 answers equal
+    an in-process server's, ``QueryStats`` included (but wall time), and
+    the shard stays ready."""
+    path, _profiles = setup
+    queries = [KBTIMQuery((kw,), 8) for kw in ("music", "book")] * 200
+    server = KBTIMServer(open_index(path, pool=BufferPool(process_pool._POOL_PAGES)))
+    try:
+        want = server.query_batch(queries)
+    finally:
+        server.index.close()
+    with SupervisedServerPool(path, n_workers=1) as pool:
+        got = pool.query_batch(queries)
+        assert pool.health().shards[0].state == SHARD_READY
+
+    def untimed(answers):
+        return [replace(a, stats=replace(a.stats, elapsed_seconds=0.0)) for a in answers]
+
+    assert untimed(got) == untimed(want)
 
 
 class TestReplayIntegration:

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import zipf_profile_entries_reference
 from repro.errors import ProfileError
-from repro.profiles.generators import uniform_profiles, zipf_profiles, zipf_weights
+from repro.profiles.generators import zipf_profiles, zipf_weights
 from repro.profiles.store import ProfileStore
 from repro.profiles.topics import TopicSpace
 
@@ -82,24 +82,3 @@ class TestZipfProfiles:
             want_ids, want_tfs = expected.topics_of(user)
             assert ids.tolist() == want_ids.tolist()
             assert tfs.tolist() == want_tfs.tolist()
-
-
-class TestUniformProfiles:
-    def test_fixed_topic_count(self):
-        topics = TopicSpace.default(6)
-        store = uniform_profiles(80, topics, topics_per_user=2, rng=6)
-        for user in range(80):
-            ids, tfs = store.topics_of(user)
-            assert len(ids) == 2
-            assert tfs.tolist() == pytest.approx([0.5, 0.5])
-
-    def test_rejects_count_above_space(self):
-        topics = TopicSpace.default(3)
-        with pytest.raises(ProfileError):
-            uniform_profiles(10, topics, topics_per_user=5, rng=1)
-
-    def test_df_roughly_uniform(self):
-        topics = TopicSpace.default(5)
-        store = uniform_profiles(1000, topics, topics_per_user=2, rng=7)
-        dfs = [store.df(t) for t in range(5)]
-        assert max(dfs) < 2 * min(dfs)

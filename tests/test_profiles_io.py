@@ -5,12 +5,7 @@ import pytest
 
 from repro.errors import ProfileError
 from repro.profiles.generators import zipf_profiles
-from repro.profiles.io import (
-    load_profiles_npz,
-    load_profiles_tsv,
-    save_profiles_npz,
-    save_profiles_tsv,
-)
+from repro.profiles.io import load_profiles_npz, save_profiles_npz
 from repro.profiles.store import ProfileStore
 from repro.profiles.topics import TopicSpace
 
@@ -34,45 +29,6 @@ def assert_stores_equal(a: ProfileStore, b: ProfileStore) -> None:
         ids_b, tfs_b = b.topics_of(user)
         assert ids_a.tolist() == ids_b.tolist()
         assert tfs_a.tolist() == pytest.approx(tfs_b.tolist())
-
-
-class TestTsv:
-    def test_roundtrip(self, store, tmp_path):
-        path = tmp_path / "p.tsv"
-        save_profiles_tsv(store, path)
-        assert_stores_equal(load_profiles_tsv(path), store)
-
-    def test_roundtrip_generated(self, tmp_path):
-        store = zipf_profiles(120, TopicSpace.default(10), rng=5)
-        path = tmp_path / "p.tsv"
-        save_profiles_tsv(store, path)
-        assert_stores_equal(load_profiles_tsv(path), store)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "p.tsv"
-        path.write_text("0\tmusic\t0.5\n")
-        with pytest.raises(ProfileError, match="header"):
-            load_profiles_tsv(path)
-
-    def test_bad_column_count_rejected(self, tmp_path):
-        path = tmp_path / "p.tsv"
-        path.write_text("#topics\tmusic\n#n_users\t2\n0\tmusic\n")
-        with pytest.raises(ProfileError, match="columns"):
-            load_profiles_tsv(path)
-
-    def test_bad_value_rejected(self, tmp_path):
-        path = tmp_path / "p.tsv"
-        path.write_text("#topics\tmusic\n#n_users\t2\n0\tmusic\tx\n")
-        with pytest.raises(ProfileError):
-            load_profiles_tsv(path)
-
-    def test_empty_store(self, tmp_path):
-        topics = TopicSpace(("a",))
-        empty = ProfileStore(3, topics, [])
-        path = tmp_path / "p.tsv"
-        save_profiles_tsv(empty, path)
-        loaded = load_profiles_tsv(path)
-        assert loaded.n_users == 3 and loaded.nnz == 0
 
 
 class TestNpz:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from repro.errors import StorageError
 from repro.graph.digraph import DiGraph
-from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
+from repro.graph.io import load_npz, save_npz
+from repro.profiles.io import load_profiles_npz, save_profiles_npz
 from repro.profiles.store import ProfileStore
 from repro.profiles.topics import TopicSpace
 from repro.storage.compression import Codec
@@ -65,16 +66,28 @@ class TestGraphPersistenceProperties:
         save_npz(graph, path)
         assert load_npz(path) == graph
 
+
+class TestProfilePersistenceProperties:
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(random_graph())
-    def test_edge_list_roundtrip(self, tmp_path_factory, graph):
-        path = tmp_path_factory.mktemp("prop") / "g.tsv"
-        save_edge_list(graph, path)
-        assert load_edge_list(path, n=graph.n) == graph
+    @given(random_profiles())
+    def test_profiles_npz_roundtrip(self, tmp_path_factory, store):
+        """Every store, an empty one included, comes back entry for entry."""
+        path = tmp_path_factory.mktemp("prop") / "p.npz"
+        save_profiles_npz(store, path)
+        loaded = load_profiles_npz(path)
+        assert (loaded.n_users, loaded.topics, loaded.nnz) == (
+            store.n_users,
+            store.topics,
+            store.nnz,
+        )
+        for user in range(store.n_users):
+            got, want = loaded.topics_of(user), store.topics_of(user)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
 
 
 class TestProfileConsistencyProperties:

@@ -14,8 +14,10 @@ After every step:
   is its open, warm and failed-request reads plus the I/O its answers
   were charged;
 * ``health()`` makes no worker round trip, never raises on an open pool
-  and reports the predicted state, liveness, counters and restart
-  window of every shard;
+  and reports the predicted state, liveness, counters, restart window
+  and last error of every shard;
+* an open pool names no ``kbtim-*`` segment in ``/dev/shm`` and maps
+  none: its only resources are its processes and pipes;
 * every error is the :mod:`repro.errors` class the model predicts;
 * after ``close()`` no child process, ``kbtim-*`` segment, pipe or
   socket of the pool remains, and every serving method fails fast.
@@ -51,7 +53,7 @@ from hypothesis.stateful import (
     rule,
     run_state_machine_as_test,
 )
-from leaks import kbtim_shm_entries, pool_descriptors
+from leaks import kbtim_mappings, kbtim_shm_entries, pool_descriptors
 
 from repro.core import process_pool
 from repro.core.catalog import open_index
@@ -104,15 +106,17 @@ MEMBERS = st.one_of(
 )
 SHARDS = st.integers(0, 2)  # taken modulo the pool's worker count
 COUNTERS = ("queries", "keyword_hits", "keyword_misses", "warm_loads")
+DIED = "died unexpectedly (exit code -9)"  # a SIGKILLed worker
 TRACES = pathlib.Path(__file__).parent / "data" / "serving_traces"
 
 
 class Refused(Exception):
-    """The model's prediction that a call fails with ``cls``."""
+    """The model's prediction that a call fails with ``cls``, with a
+    message that contains every string in ``match``."""
 
-    def __init__(self, cls, shards=(), match=None):
+    def __init__(self, cls, shards=(), match=()):
         super().__init__(cls.__name__)
-        self.cls, self.shards, self.match = cls, tuple(shards), match
+        self.cls, self.shards, self.match = cls, tuple(shards), tuple(match)
 
 
 def _untimed(answer):
@@ -187,6 +191,13 @@ class _Shard:
     def down(self) -> bool:
         return self.poisoned or not self.alive
 
+    @property
+    def failure(self) -> str:
+        """What the pool records as the last error of this down shard."""
+        if self.poisoned:
+            return "pipe is poisoned after a deadline miss"
+        return DIED  # every death here is a SIGKILL
+
     def run(self, call, *, answers=True):
         """Run ``call(server)``; the reads of a failing call, or of one
         that returns no answers to charge them to, stay unattributed."""
@@ -209,7 +220,7 @@ class ServingModel(RuleBasedStateMachine):
         self.init, self.trace = {}, []
         self.patches = ExitStack()
         self.children = set(multiprocessing.active_children())
-        self.segments = kbtim_shm_entries()
+        self.segments, self.mappings = kbtim_shm_entries(), kbtim_mappings()
         self.descriptors = pool_descriptors()
 
     # -- setup and teardown --
@@ -273,7 +284,8 @@ class ServingModel(RuleBasedStateMachine):
         self.degraded = [False] * self.n
         self.window = [0] * self.n  # restarts in the failure window
         self.restarts = [0] * self.n
-        self.failed = [False] * self.n  # last_error is set
+        #: What each shard's ``last_error`` contains (``None``: unset).
+        self.errors = [None] * self.n
         self.retries = self.sheds = 0
         self.exhausted = False
         self.pool = SupervisedServerPool(self.path, **options)
@@ -321,6 +333,7 @@ class ServingModel(RuleBasedStateMachine):
         """``_ensure_ready``: restart a down shard, or fail fast with an
         error that names the shard's state."""
         if self.shards[s].down and not (self.drained[s] or self.degraded[s]):
+            self.errors[s] = self.shards[s].failure
             if self.shards[s].aged:
                 self.window[s] = 0
             if self.window[s] >= self.budget:
@@ -329,8 +342,12 @@ class ServingModel(RuleBasedStateMachine):
                 self.window[s] += 1
                 self.restart(s)
         state = self.state(s)
+        if state == SHARD_DEGRADED:
+            # The operator is told why: the failure that spent the budget.
+            last = (f"last error: ServerError: server worker {s} ", self.errors[s])
+            raise Refused(ShardUnavailableError, [s], (f"shard {s} is {state}", *last))
         if state != SHARD_READY:
-            raise Refused(ShardUnavailableError, [s], match=f"shard {s} is {state}")
+            raise Refused(ShardUnavailableError, [s], [f"shard {s} is {state}"])
 
     def serve(self, s: int, call, dying=(), answers=True):
         """``_call_shard``: heal shard ``s`` and run ``call`` on its model
@@ -338,10 +355,9 @@ class ServingModel(RuleBasedStateMachine):
         retried on a restart while ``_MAX_RETRIES`` allows."""
         self.heal(s)
         if s in dying:
-            self.shards[s].alive, self.failed[s] = False, True
+            self.shards[s].alive, self.errors[s] = False, DIED
             if process_pool._MAX_RETRIES < 1:
-                died = "died unexpectedly (exit code -9)"  # the SIGKILL
-                raise Refused(ServerError, [s], match=died)
+                raise Refused(ServerError, [s], [DIED])
             if answers:  # admin fan-outs retry uncounted
                 self.retries += 1
             self.heal(s)
@@ -438,7 +454,7 @@ class ServingModel(RuleBasedStateMachine):
                     assert 0 < error.retry_after <= wait
             if refused.cls is OverloadedError:
                 assert error.retry_after > 0
-        assert refused.match is None or refused.match in message
+        assert all(part in message for part in refused.match), message
         one = refused.cls is ServerError and len(refused.shards) == 1
         label = "worker" if one else "shard"
         assert all(f"{label} {s}" in message for s in refused.shards), message
@@ -587,7 +603,7 @@ class ServingModel(RuleBasedStateMachine):
             raise failures[0][1]
         if failures:
             shards = [s for s, _exc in failures]
-            raise Refused(ServerError, shards, match="failed during fan-out")
+            raise Refused(ServerError, shards, ["failed during fan-out"])
 
     @rule(refs=st.lists(st.sampled_from(NAMES + tuple(range(8))), max_size=4))
     @step
@@ -627,8 +643,8 @@ class ServingModel(RuleBasedStateMachine):
                 continue
             self.restart(s)
             if op == "restore":
-                self.drained[s] = self.degraded[s] = self.failed[s] = False
-                self.window[s] = 0
+                self.drained[s] = self.degraded[s] = False
+                self.window[s], self.errors[s] = 0, None
 
     @rule(kind=st.sampled_from(["kill", "delay", "drop"]), shard=SHARDS)
     @step
@@ -672,13 +688,25 @@ class ServingModel(RuleBasedStateMachine):
             assert shard.alive == self.shards[s].alive
             assert (shard.rss_bytes > 0) == shard.alive
             assert (shard.restarts, shard.inflight) == (self.restarts[s], 0)
-            assert (shard.last_error is not None) == self.failed[s]
+            if self.errors[s] is None:
+                assert shard.last_error is None
+            else:
+                assert self.errors[s] in (shard.last_error or ""), shard.last_error
             assert self.pool._shards[s].restarts_in_window == self.window[s]
         counters = (health.restarts, health.retries, health.sheds, health.inflight)
         assert counters == (sum(self.restarts), self.retries, self.sheds, 0)
         ready = sum(self.state(s) == SHARD_READY for s in range(self.n))
         assert (health.available_shards, health.healthy) == (ready, ready == self.n)
         assert health.max_inflight == self.max_inflight
+
+    @invariant()
+    def nothing_outside_processes_and_pipes(self):
+        """An open pool names no ``kbtim-*`` segment and maps none: every
+        reply rides its worker's pipe."""
+        if self.pool is None:
+            return
+        assert kbtim_shm_entries() == self.segments
+        assert kbtim_mappings() == self.mappings
 
     @invariant()
     def snapshot_is_the_model(self):
@@ -734,15 +762,15 @@ def test_pool_is_the_model(served_paths):
     CONFIGS.clear()
     run_state_machine_as_test(lambda: ServingModel(served_paths), settings=_settings())
     # The budget reaches both index kinds and every value of the
-    # arguments a caller sets (start_method: see test_transport.py).
+    # arguments a caller sets (start_method: see test_process_pool.py).
     assert {c[0] for c in CONFIGS} == {"rr", "irr"}
     assert {c[1] for c in CONFIGS} == {1, 2, 3}
     assert {c[2] for c in CONFIGS} == {None, 2}
 
 
 def run_trace(paths, init, steps) -> None:
-    """Replay one trace: ``open_pool(**init)``, then each step, with both
-    invariants after the open and after every step; always torn down."""
+    """Replay one trace: ``open_pool(**init)``, then each step, with every
+    invariant after the open and after every step; always torn down."""
     model = ServingModel(paths)
     try:
         calls = [functools.partial(model.open_pool, **init)]
@@ -751,6 +779,7 @@ def run_trace(paths, init, steps) -> None:
         for call in calls:
             call()
             model.health_is_the_model()
+            model.nothing_outside_processes_and_pipes()
             model.snapshot_is_the_model()
     finally:
         model.teardown()

@@ -11,14 +11,16 @@ deadline miss poisons the pipe, admission sheds with a typed
 
 Pinned here, where time, races or the file system are part of the
 case: a worker reaped by another thread is restarted, not trusted (the
-race behind the kill-midstream flake); the backoff is capped at
-``_BACKOFF_MAX`` and ends also after a death no request saw; the pool's
-default deadline fires; batch traffic moves the retry-after hint; a
-missed deadline heals, and ``close()`` returns, without waiting out a
-polite join the poisoned worker can never answer; workers exit and
-unlink their segments when the parent is SIGKILLed; an index truncated
-under a live pool gives typed errors and degraded shards, not a hang or
-a dead pool.
+race behind the kill-midstream flake); a death no request saw is
+named with its exit code (SIGKILL, SIGTERM or the worker's own exit)
+in ``last_error``; the backoff is capped at ``_BACKOFF_MAX`` and ends
+also after a death no request saw; the pool's default deadline fires;
+batch traffic moves the retry-after hint; a missed deadline heals, and
+``close()`` returns, without waiting out a polite join the poisoned
+worker can never answer; workers exit when the parent is SIGKILLed,
+and an interpreter that exits without ``close()`` leaves no process or
+``/dev/shm`` name behind; an index truncated under a live pool gives
+typed errors and degraded shards, not a hang or a dead pool.
 
 Supervision is module constants (``_RESTART_BACKOFF``,
 ``_RESTART_BUDGET``, ``_MAX_RETRIES``); a test that needs another value
@@ -35,6 +37,7 @@ import sys
 import time
 
 import pytest
+from leaks import kbtim_shm_entries
 
 import repro
 from repro.core import process_pool
@@ -43,7 +46,6 @@ from repro.core.process_pool import _BACKOFF_MAX, SupervisedServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex
 from repro.core.server import SHARD_DEGRADED, SHARD_READY
-from repro.core.transport import unlink_segment
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -100,6 +102,29 @@ class TestSelfHealing:
                 process._popen.returncode = -signal.SIGKILL  # ... and closes it
             _assert_same_selection(got, want)
             assert (pool.stats.restarts, pool.stats.retries) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "stop, code",
+        [("kill", -signal.SIGKILL), ("terminate", -signal.SIGTERM), ("exit", 3)],
+    )
+    def test_an_idle_death_is_named_with_its_exit_code(self, setup, stop, code):
+        """A worker that dies while no request is in flight is diagnosed
+        by the request that heals its shard: ``last_error`` carries the
+        exit code, however the process ended."""
+        path, _profiles = setup
+        with SupervisedServerPool(path, n_workers=2) as pool:
+            shard = pool.shard_of(QUERY)
+            handle = pool._workers[shard]
+            if stop == "exit":  # the worker ends itself
+                handle.conn.send(("_chaos", ("exit", code)))
+            else:
+                getattr(handle.process, stop)()
+            handle.process.join(timeout=10.0)
+            assert pool.query(QUERY).seeds
+            health = pool.health().shards[shard]
+            assert (health.state, health.restarts) == (SHARD_READY, 1)
+            assert health.last_error.startswith(f"ServerError: server worker {shard} ")
+            assert f"died unexpectedly (exit code {code})" in health.last_error
 
 @pytest.mark.chaos
 class TestDegradedMode:
@@ -262,9 +287,30 @@ _PARENT = """
 import sys, time
 from repro.core.process_pool import SupervisedServerPool
 pool = SupervisedServerPool(sys.argv[1], n_workers=2)
-print(*pool.pids, *(handle.resp_name for handle in pool._workers), flush=True)
+print(*pool.pids, flush=True)
 time.sleep(60)
 """
+
+#: A pool that answers on both shards, then the interpreter exits
+#: without ``close()``.
+_UNCLOSED = """
+import sys
+from repro.core.process_pool import SupervisedServerPool
+from repro.core.query import KBTIMQuery
+pool = SupervisedServerPool(sys.argv[1], n_workers=2)
+pool.query(KBTIMQuery(("music",), 3))
+pool.query_batch([KBTIMQuery((kw,), 3) for kw in ("book", "sport")])
+pool.warm(["car", "travel"])
+pool.snapshot()
+print(*pool.pids, flush=True)
+"""
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this ``repro``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def _exited(pid: int) -> bool:
@@ -280,29 +326,23 @@ def _exited(pid: int) -> bool:
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
 def test_workers_exit_when_the_parent_is_killed(served_paths):
     """A SIGKILLed parent runs no ``close()``: each worker notices the
-    new parent pid within ``_PARENT_POLL`` and exits, unlinking its
-    response segment."""
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
+    new parent pid within ``_PARENT_POLL`` and exits."""
     parent = subprocess.Popen(
         [sys.executable, "-c", _PARENT, served_paths["rr"]],
         stdout=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
         text=True,
     )
-    pids, segments = [], []
+    pids = []
     try:
-        fields = parent.stdout.readline().split()
-        pids, segments = [int(pid) for pid in fields[:2]], fields[2:]
-        assert len(pids) == 2 and len(segments) == 2
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
         parent.kill()
         parent.wait()
         give_up = time.monotonic() + 5.0
         while time.monotonic() < give_up and not all(map(_exited, pids)):
             time.sleep(0.05)
         assert all(map(_exited, pids))
-        assert not any(os.path.exists(f"/dev/shm/{name}") for name in segments)
     finally:
         parent.kill()
         parent.wait()
@@ -310,8 +350,35 @@ def test_workers_exit_when_the_parent_is_killed(served_paths):
         for pid in pids:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
-        for name in segments:
-            unlink_segment(name)
+
+
+@pytest.mark.chaos
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_an_unclosed_pool_leaves_nothing_at_exit(served_paths):
+    """An interpreter that exits without closing its pool runs no
+    ``close()``: multiprocessing ends the daemon workers at exit, and no
+    process or ``/dev/shm`` name of the pool outlives the interpreter."""
+    before = kbtim_shm_entries()
+    child = subprocess.run(
+        [sys.executable, "-c", _UNCLOSED, served_paths["rr"]],
+        capture_output=True,
+        env=_child_env(),
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    pids = [int(pid) for pid in child.stdout.split()]
+    assert len(pids) == 2
+    try:
+        give_up = time.monotonic() + 5.0
+        while time.monotonic() < give_up and not all(map(_exited, pids)):
+            time.sleep(0.05)
+        assert all(map(_exited, pids))
+        assert kbtim_shm_entries() == before
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.chaos

@@ -1,38 +1,34 @@
-"""Flat-frame answer transport of the serving pool (repro.core.transport).
+"""Flat answer frames in shared memory (repro.core.transport).
 
-Pinned guarantees:
+The serving pool answers over its pipe and does not use this module;
+the frozen benchmark's transport probe does, so its guarantees stay
+pinned until the benchmark drops that probe:
 
 * The flat response transport round-trips whole answer batches
   losslessly, grows its segment under the same name (generation bump),
   and rejects desynchronised, foreign, truncated or missing frames with
   a typed error.
-* Ownership is explicit: the worker's writer creates its segment
-  exclusively, a reader's close never unlinks it, and a writer closed
-  without unlinking leaves it for the parent to unlink.
+* Ownership is explicit: the writer creates its segment exclusively, a
+  reader's close never unlinks it, and a writer closed without
+  unlinking leaves it for ``unlink_segment``.
 * The segment primitive maps one name in several places, never unlinks
   on close, and defers its unmap while numpy views of it are alive.
 * No segment ever reaches ``multiprocessing.resource_tracker`` (whose
   per-type name *set*, shared by forked workers, turned interleaved
   register/unregister pairs into ``KeyError`` noise at exit).
-* A ``spawn``-started :class:`SupervisedServerPool` answers over flat
-  frames bit-identically, with no leaked response segment after close.
-* Flat frames and pickled answers carry identical ``QueryStats``, both
-  when the pool finds no shared memory and when a worker's segment cannot
-  grow (``ENOSPC``) — then that answer rides the pickle, and nothing leaks.
+* No module of the library imports it, so deleting it with the probe
+  touches no serving code.
 """
 
-import errno
+import ast
 import os
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import transport
-from repro.core.process_pool import SupervisedServerPool
-from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.rr_index import RRIndex
 from repro.core.transport import (
     ResponseReader,
     ResponseWriter,
@@ -40,7 +36,6 @@ from repro.core.transport import (
     transport_available,
     unlink_segment,
 )
-from repro.datasets.workload import make_mixed_workload
 from repro.errors import ServerError
 from repro.storage.iostats import IOStats
 
@@ -175,8 +170,8 @@ class TestFlatTransport:
     def test_writer_closed_without_unlink_leaves_segment_to_the_parent(
         self, channel
     ):
-        """A worker that exits without unlinking (the parent reaps it)
-        leaves a readable segment that ``unlink_segment`` then removes."""
+        """A writer closed without unlinking leaves a readable segment
+        that ``unlink_segment`` then removes."""
         writer, reader = channel(1024)
         batch = [make_selection(8, 4)]
         nbytes, generation = writer.write(batch, seq=1)
@@ -187,8 +182,8 @@ class TestFlatTransport:
         unlink_segment("kbtim-test-channel")
 
     def test_writer_refuses_without_shared_memory(self, monkeypatch):
-        """Without POSIX shared memory the writer raises ``OSError`` (the
-        pool's cue to pickle answers) and creates nothing."""
+        """Without POSIX shared memory the writer raises ``OSError`` and
+        creates nothing."""
         monkeypatch.setattr("repro.core.transport._HAVE_SHM", False)
         assert not transport_available()
         with pytest.raises(OSError, match="unavailable"):
@@ -258,79 +253,18 @@ class TestSegment:
         assert shm_entries("kbtim-test-export") == []
 
 
-def _same_answers(got, want, io=True):
-    """Equal answers; with ``io``, equal ``QueryStats`` but for wall time."""
-    for a, b in zip(got, want, strict=True):
-        assert a.seeds == b.seeds and a.marginal_coverages == b.marginal_coverages
-        assert (a.theta, a.phi_q) == (b.theta, b.phi_q)
-        if io:
-            untimed = [replace(x.stats, elapsed_seconds=0.0) for x in (a, b)]
-            assert untimed[0] == untimed[1]
-
-
-class TestPoolTransport:
-    @pytest.fixture(scope="class")
-    def queries(self, served_paths):
-        return make_mixed_workload(
-            served_paths["profiles"], n_queries=8, lengths=(1, 2), ks=(3,), rng=76
-        )
-
-    def test_spawn_workers_answer_bit_identical_over_flat_frames(
-        self, served_paths, queries
-    ):
-        """The picklable protocol works under spawn (fresh interpreter)."""
-        path = served_paths["rr"]
-        with RRIndex(path) as index:
-            want = [index.query(q) for q in queries]
-        with SupervisedServerPool(path, n_workers=2, start_method="spawn") as pool:
-            assert pool.start_method == "spawn" and pool.flat_transport
-            got = [pool.query(q) for q in queries]
-            assert pool.health().rss_bytes > 0
-        _same_answers(got, want, io=False)
-        assert shm_entries(f"kbtim-resp-{os.getpid()}-") == []  # this process's pools
-
-    def test_query_stats_identical_across_transports(
-        self, served_paths, queries, monkeypatch
-    ):
-        """Flat frames and pickled answers must agree to the last byte
-        of I/O accounting — the transport is representation, not
-        semantics.  The pickled pool is the production degrade: the
-        parent finds no shared memory, so workers get no response
-        segment."""
-        path = served_paths["rr"]
-        with SupervisedServerPool(path, n_workers=2) as flat_pool:
-            flat = [flat_pool.query(q) for q in queries]
-            assert flat_pool.flat_transport
-        monkeypatch.setattr(
-            "repro.core.process_pool.transport_available", lambda: False
-        )
-        with SupervisedServerPool(path, n_workers=2) as pool:
-            assert not pool.flat_transport
-            pickled = [pool.query(q) for q in queries]
-        _same_answers(flat, pickled)
-
-    def test_a_segment_that_cannot_grow_falls_back_to_pickle(
-        self, served_paths, monkeypatch
-    ):
-        """A batch whose frame outgrows the first segment needs a bigger
-        one; if ``/dev/shm`` is full the worker answers over the pickled
-        path — bit-identical, the shard stays ready — and no segment
-        leaks.  (The forked workers inherit the failing create.)"""
-        segment = _Segment.__init__
-
-        def full(self, name, create=False, size=0):
-            if size > transport._INITIAL_BYTES:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            segment(self, name, create, size)
-
-        monkeypatch.setattr(_Segment, "__init__", full)
-        queries = [KBTIMQuery((kw,), 8) for kw in ("music", "book")] * 200
-        path = served_paths["rr"]
-        with RRIndex(path) as index:
-            want = [index.query(q) for q in queries]
-        with SupervisedServerPool(path, n_workers=1) as pool:
-            got = pool.query_batch(queries)
-            assert pool.query(queries[0]).seeds == want[0].seeds
-            assert pool.health().shards[0].state == "ready"
-        _same_answers(got, want, io=False)
-        assert shm_entries(f"kbtim-resp-{os.getpid()}-") == []  # this process's pools
+def test_no_module_of_the_library_imports_it():
+    package = Path(transport.__file__).resolve().parents[1]
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "repro.core.transport" in names:
+                importers.append(str(path.relative_to(package)))
+    assert importers == []

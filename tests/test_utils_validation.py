@@ -4,7 +4,6 @@ import pytest
 
 from repro.utils.validation import (
     check_fraction,
-    check_nonnegative,
     check_positive,
     check_positive_int,
 )
@@ -51,15 +50,6 @@ class TestPositive:
     def test_rejects_string(self):
         with pytest.raises(TypeError):
             check_positive("x", "1")  # type: ignore[arg-type]
-
-
-class TestNonnegative:
-    def test_accepts_zero(self):
-        assert check_nonnegative("x", 0) == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -0.5)
 
 
 class TestFraction:
