@@ -14,11 +14,13 @@ sample tables as the RR index.  Per keyword ``w`` (Figure 3):
   ``θ^Q_w`` active prefix).
 
 **Query** (:meth:`IRRIndex.query`): NRA-style top-k aggregation
-(Fagin et al.), loading one more partition per keyword per round.  A
-candidate's upper bound sums, per query keyword, either its exact
-active-uncovered count (list loaded) or the keyword's unseen bound
-``kb[w]`` (list not loaded and ``IP_w`` says it may score).  A seed is
-confirmed when the top candidate is complete and beats ``Σ_w kb[w]``.
+(Fagin et al.), loading one more partition per keyword per round.  Every
+unselected vertex is a candidate, and its upper bound sums, per query
+keyword, either its exact active-uncovered count (list loaded) or the
+keyword's list bound ``kb[w]`` (list not loaded and ``IP_w`` says it may
+score).  The top candidate — max bound, smallest id on ties — is
+confirmed as a seed exactly when it is complete: its bound is then its
+marginal, and no other vertex can beat it or tie it with a smaller id.
 
 The engine keeps **one** state for all query keywords
 (:class:`_NRAState`): keyword ``j``'s active set ``s`` is global set id
@@ -26,13 +28,13 @@ The engine keeps **one** state for all query keywords
 ``covered``, the set and list locators and the flat payloads are single
 arrays, the per-keyword flags are ``(m, n)`` arrays, and
 
-    ``live_bound = where(enqueued & ~selected, score + kb @ pending, -1)``
+    ``live_bound = where(selected, -1, score + kb @ pending)``
 
-is one dense expression per load round.  It runs as module-level stages
-over that record — :func:`_open_state` (read every ``IP_w``),
-:func:`_ingest_partition` (slice one decoded partition in),
-:func:`_refresh_bounds` (the expression above, once per round),
-:func:`_pick_or_load` (masked ``argmax``: confirm, or load a round) and
+is one dense expression at open and per load round.  It runs as
+module-level stages over that record — :func:`_open_state` (read every
+``IP_w``), :func:`_ingest_partition` (slice one decoded partition in),
+:func:`_refresh_bounds` (the expression above),
+:func:`_pick_or_load` (``argmax``: confirm, or load a round) and
 :func:`_cover` (one pass over a seed's lists under *all* keywords:
 gather, ``covered`` filter, one segmented member gather, one
 ``subtract.at`` each on ``score`` and ``live_bound``).  Covering
@@ -41,12 +43,13 @@ the paper's *lazy evaluation strategy* (Section 5.2), which deferred
 scalar re-scores until a candidate surfaced at the top of a priority
 queue; both select the identical seed sequence (max current bound,
 smallest vertex id on ties) and load the identical partitions, which the
-regression tests pin against a verbatim port of the dict/heap engine
+regression tests pin against a port of the dict/heap engine
 (``tests/test_csr_fast_paths.py::reference_irr_nra``).  State table and
 bound formula: ``docs/ARCHITECTURE.md``, "IRR query engine".
 
-Theorem 3 — the seed *scores* returned by Algorithm 4 equal Algorithm 2's —
-is enforced by the integration tests on shared sample tables.
+Theorem 3 — Algorithm 4 returns Algorithm 2's seeds, in Algorithm 2's
+order and with its marginals — is enforced by the integration tests on
+shared sample tables.
 """
 
 from __future__ import annotations
@@ -262,20 +265,22 @@ class _NRAState:
     ``offset[j] + s`` — the numbering ``merge_coverage_csr`` gives the RR
     path — and a set's member ``v`` is stored as ``j·n + v``, so one
     ``take`` on ``pending.ravel()`` answers "is that member's list for
-    that keyword loaded".  Stage functions below are the only writers;
-    ARCHITECTURE.md "IRR query engine" has the table of who writes what.
+    that keyword loaded".  The bound table spans all ``n`` vertices, so
+    every unselected vertex is a candidate from the start, bounded by the
+    keywords ``IP_w`` lets it score under.  Stage functions below are the
+    only writers; ARCHITECTURE.md "IRR query engine" has the table of who
+    writes what.
     """
 
     keywords: List[str]
-    k: int  # seeds asked for
+    k: int  # seeds to pick: min(k asked for, n)
     n: int  # vertices
     theta: List[int]  # θ^Q_j: only keyword j's set ids below this are live
     offset: List[int]  # first global set id of keyword j
     n_partitions: Sequence[int]
     first_lens: Sequence[np.ndarray]  # longest list of each partition of keyword j
     next_partition: List[int]
-    kb: np.ndarray  # (m,) bound on an unseen user's count under keyword j
-    unseen: int  # Σ kb as of the last load round
+    kb: np.ndarray  # (m,) bound on a not-yet-loaded list's count under keyword j
     # (m, n): v may still score under keyword j (IP_j[v] < θ^Q_j) and its
     # list is not loaded — v's bound carries kb[j] instead of a count.
     pending: np.ndarray
@@ -291,8 +296,7 @@ class _NRAState:
     members_flat: np.ndarray
     covered: np.ndarray  # (Σθ,) set holds a confirmed seed
     score: np.ndarray  # (n,) Σ over loaded lists of active uncovered sets
-    live_bound: np.ndarray  # (n,) NRA upper bound; < 0 = not a candidate
-    enqueued: np.ndarray  # (n,) some list of v has been loaded
+    live_bound: np.ndarray  # (n,) NRA upper bound; < 0 = selected
     selected: np.ndarray  # (n,)
     seeds: List[int]
     marginals: List[int]
@@ -307,7 +311,8 @@ def _open_state(
     k: int,
     lookup: Lookup,
 ) -> _NRAState:
-    """Stage 1: look up every ``IP_w`` and lay out the merged id space."""
+    """Stage 1: look up every ``IP_w``, lay out the merged id space and
+    build the first bound table."""
     n = index.n_vertices
     theta = [counts[kw] for kw in keywords]
     offset = [0, *accumulate(theta)]
@@ -317,7 +322,7 @@ def _open_state(
         np.less(lookup(kw, theta[j])[0], theta[j], out=pending[j])
     state = _NRAState(
         keywords=keywords,
-        k=k,
+        k=min(k, n),
         n=n,
         theta=theta,
         offset=offset,
@@ -325,9 +330,8 @@ def _open_state(
         first_lens=first_lens,
         next_partition=[0] * len(keywords),
         kb=np.zeros(len(keywords), dtype=np.int64),
-        unseen=0,
         pending=pending,
-        incomplete=np.zeros(n, dtype=bool),
+        incomplete=np.empty(0, dtype=bool),
         list_start=np.zeros((len(keywords), n), dtype=np.int64),
         list_len=np.zeros((len(keywords), n), dtype=np.int64),
         lists_flat=np.empty(0, dtype=np.int64),
@@ -336,18 +340,18 @@ def _open_state(
         members_flat=np.empty(0, dtype=np.int64),
         covered=np.zeros(offset[-1], dtype=bool),
         score=np.zeros(n, dtype=np.int64),
-        live_bound=np.full(n, -1, dtype=np.int64),
-        enqueued=np.zeros(n, dtype=bool),
+        live_bound=np.empty(0, dtype=np.int64),
         selected=np.zeros(n, dtype=bool),
         seeds=[],
         marginals=[],
     )
     for j in range(len(keywords)):
-        _set_unseen_bound(state, j)
+        _set_list_bound(state, j)
+    _refresh_bounds(state)
     return state
 
 
-def _set_unseen_bound(state: _NRAState, j: int) -> None:
+def _set_list_bound(state: _NRAState, j: int) -> None:
     """``kb[j]``: the next partition's longest list, clipped; 0 once exhausted."""
     p = state.next_partition[j]
     state.kb[j] = (
@@ -393,24 +397,23 @@ def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
     state.lists_flat = np.concatenate([state.lists_flat, clipped])
     state.score[il_keys] += exact
     state.pending[j][il_keys] = False
-    state.enqueued[il_keys] = True
     state.next_partition[j] += 1
     state.partitions_loaded += 1
-    _set_unseen_bound(state, j)
+    _set_list_bound(state, j)
 
 
 def _refresh_bounds(state: _NRAState) -> None:
-    """Stage 3, once per load round: every candidate's bound in one expression.
+    """Stage 3, at open and once per load round: every unselected
+    vertex's bound in one expression.
 
-    ``bound[v] = score[v] + Σ_j kb[j]·pending[j, v]``: newly loaded
-    vertices enter the table and standing candidates absorb the shrunken
-    ``kb`` in the same pass.
+    ``bound[v] = score[v] + Σ_j kb[j]·pending[j, v]``: newly loaded lists
+    swap their ``kb`` for an exact count and the others absorb the
+    shrunken ``kb`` in the same pass.
     """
-    state.unseen = int(state.kb.sum())
     state.incomplete = state.pending.any(axis=0)
     bound = state.kb @ state.pending
     bound += state.score
-    state.live_bound = np.where(state.enqueued & ~state.selected, bound, -1)
+    state.live_bound = np.where(state.selected, -1, bound)
 
 
 def _load_round(index: "IRRIndex", state: _NRAState) -> bool:
@@ -452,34 +455,28 @@ def _cover(state: _NRAState, vertex: int) -> None:
     np.subtract.at(state.live_bound, loaded, 1)
 
 
-def _pick_or_load(index: "IRRIndex", state: _NRAState) -> bool:
-    """Stage 4, one step of Algorithm 4's loop.
+def _pick_or_load(index: "IRRIndex", state: _NRAState) -> None:
+    """Stage 4, one step of Algorithm 4's loop (some vertex is unselected).
 
     The top candidate (max bound, smallest id on ties — the first-argmax
-    rule ``greedy_max_coverage`` shares) is confirmed when it is complete
-    and beats ``Σ kb``; otherwise one more round of partitions is loaded.
-    Returns ``False`` when neither is possible: everything is loaded and
-    no candidate is left.
+    rule ``greedy_max_coverage`` shares) is confirmed exactly when it is
+    complete: its bound is then its marginal, and every other bound caps
+    its own vertex's marginal, so the pick is Algorithm 2's.  Otherwise
+    one more round of partitions is loaded.
     """
     vertex = int(state.live_bound.argmax())
-    current = state.live_bound.item(vertex)
-    # unseen >= 0, so a non-candidate (bound < 0) never passes.
-    if current >= state.unseen and not state.incomplete.item(vertex):
+    if not state.incomplete.item(vertex):
         state.seeds.append(vertex)
-        state.marginals.append(current)
+        state.marginals.append(state.live_bound.item(vertex))
         state.selected[vertex] = True
         state.live_bound[vertex] = -1
         if len(state.seeds) < state.k:  # nobody reads the scores after the last seed
             _cover(state, vertex)
-        return True
-    if _load_round(index, state):
-        return True
-    if current >= 0:
+    elif not _load_round(index, state):
         raise IndexError_(
             "IRR query stalled: no partitions left but the top "
             "candidate is incomplete — index is inconsistent"
         )
-    return False
 
 
 class IRRIndex(IndexReader):
@@ -563,14 +560,8 @@ class IRRIndex(IndexReader):
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)
         state = _open_state(self, keywords, counts, query.k, lookup or self.lookup)
-        while len(state.seeds) < query.k and _pick_or_load(self, state):
-            pass
-        if len(state.seeds) < query.k:
-            # Everything is loaded and every live count is zero: fill
-            # with the smallest unpicked ids, as greedy_max_coverage does.
-            fillers = np.flatnonzero(~state.selected)[: query.k - len(state.seeds)]
-            state.seeds += fillers.tolist()
-            state.marginals += [0] * len(fillers)
+        while len(state.seeds) < state.k:
+            _pick_or_load(self, state)
         stats = QueryStats(
             elapsed_seconds=time.perf_counter() - started,
             rr_sets_considered=state.offset[-1],

@@ -59,10 +59,11 @@ class TestDeltaOne:
             for k in (1, 3, 6):
                 query = KBTIMQuery(keywords, k)
                 with RRIndex(rr_path) as rr, IRRIndex(irr_path) as irr:
-                    assert (
-                        rr.query(query).marginal_coverages
-                        == irr.query(query).marginal_coverages
-                    ), (keywords, k)
+                    a, b = rr.query(query), irr.query(query)
+                assert (a.seeds, a.marginal_coverages) == (
+                    b.seeds,
+                    b.marginal_coverages,
+                ), (keywords, k)
 
 
 class TestKEqualsN:
@@ -77,6 +78,7 @@ class TestKEqualsN:
         assert sorted(answer.seeds) == list(range(6))
         with RRIndex(rr_path) as rr:
             rr_answer = rr.query(query)
+        assert rr_answer.seeds == answer.seeds
         assert rr_answer.marginal_coverages == answer.marginal_coverages
 
 
@@ -99,6 +101,7 @@ class TestSingleUserKeyword:
         with RRIndex(rr_path) as rr, IRRIndex(irr_path) as irr:
             a = rr.query(query)
             b = irr.query(query)
+        assert a.seeds == b.seeds
         assert a.marginal_coverages == b.marginal_coverages
         # All niche RR sets are rooted at user 2, so the top seed must be
         # an ancestor of (or equal to) user 2 on the chain.

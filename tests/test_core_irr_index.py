@@ -227,6 +227,7 @@ class TestTheorem3:
         with RRIndex(rr_path) as rr, IRRIndex(irr_path) as irr:
             a = rr.query(query)
             b = irr.query(query)
+        assert a.seeds == b.seeds
         assert a.marginal_coverages == b.marginal_coverages
         assert a.theta == b.theta
         assert a.phi_q == pytest.approx(b.phi_q)

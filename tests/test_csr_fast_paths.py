@@ -617,13 +617,20 @@ class TestQueryLayerCSR:
 # (c) array-native IRR NRA bit-identical to the dict/heap reference
 # ----------------------------------------------------------------------
 def reference_irr_nra(index, query):
-    """The pre-array NRA (per-vertex dicts + one-push heap feeding).
+    """The NRA as per-vertex dicts and a lazily re-scored heap.
 
-    Verbatim port of the previous ``IRRIndex.query`` inner loop, kept as
-    the regression reference: the array-native engine must return
+    Port of the pre-array ``IRRIndex.query`` inner loop, kept as the
+    regression reference: the array-native engine must return
     bit-identical seeds/marginals and identical ``rr_sets_loaded`` /
     ``partitions_loaded`` accounting.  Reads go through the same reader,
     so only the CPU-side state layout differs.
+
+    Every vertex is in the heap from the start, keyed by (-bound, id);
+    before anything is loaded its bound is the sum of ``kb`` over the
+    keywords whose ``first_occurrence`` lets it score.  Bounds only
+    shrink, so a top entry whose bound is current is the max-bound,
+    smallest-id unselected vertex, and it is confirmed exactly when it
+    is complete — Algorithm 2's pick, tie rule included.
     """
     import heapq
 
@@ -677,9 +684,6 @@ def reference_irr_nra(index, query):
     states = {kw: State(kw) for kw in keywords}
     rr_sets_loaded = 0
     partitions_loaded = 0
-    pq = []
-    enqueued = set()
-    selected = set()
     seeds = []
     marginals = []
 
@@ -743,43 +747,22 @@ def reference_irr_nra(index, query):
                 state.loaded_lists[vertex] = clipped[prev : bounds[i]]
                 state.exact_counts[vertex] = exact[i]
                 prev = bounds[i]
-                if vertex not in selected and vertex not in enqueued:
-                    bound, _complete = upper_bound(vertex)
-                    heapq.heappush(pq, (-bound, vertex))
-                    enqueued.add(vertex)
             any_loaded = True
         return any_loaded
 
-    def unseen_bound():
-        return sum(states[kw].kb for kw in keywords)
-
-    while len(seeds) < query.k:
-        if not pq:
-            if load_next_partitions():
-                continue
-            filler = 0
-            while len(seeds) < query.k and filler < index.n_vertices:
-                if filler not in selected:
-                    seeds.append(filler)
-                    marginals.append(0)
-                    selected.add(filler)
-                filler += 1
-            break
-
+    pq = [(-upper_bound(v)[0], v) for v in range(index.n_vertices)]
+    heapq.heapify(pq)
+    while len(seeds) < query.k and pq:
         neg_bound, vertex = pq[0]
-        if vertex in selected:
-            heapq.heappop(pq)
-            continue
         bound = -neg_bound
         current, complete = upper_bound(vertex)
         if current != bound:
             heapq.heapreplace(pq, (-current, vertex))
             continue
-        if complete and current >= unseen_bound():
+        if complete:
             heapq.heappop(pq)
             seeds.append(vertex)
             marginals.append(current)
-            selected.add(vertex)
             for kw in keywords:
                 state = states[kw]
                 ids = state.loaded_lists.get(vertex)
@@ -822,7 +805,7 @@ def query_like_reference(index, query):
 
 #: (partitions_loaded, rr_sets_loaded, io.read_calls) summed over the stream
 #: of ``test_work_counts_of_a_fixed_stream_are_pinned``.
-PINNED_WORK_COUNTS = (818, 52181, 1821)
+PINNED_WORK_COUNTS = (820, 52261, 1825)
 
 
 class TestIRRArrayNativeNRA:
@@ -914,7 +897,7 @@ class TestIRRArrayNativeNRA:
     ):
         """δ × |Q.T| × k: the engine == the dict/heap reference on answers
         and work counts, charges the same I/O with and without the decode
-        memo, and scores what Algorithm 2 scores (Theorem 3)."""
+        memo, and picks what Algorithm 2 picks (Theorem 3)."""
         from repro.core.query import KBTIMQuery
 
         query = KBTIMQuery(keywords, k)
@@ -923,6 +906,7 @@ class TestIRRArrayNativeNRA:
         assert uncached.seeds == answer.seeds
         assert uncached.stats.io == answer.stats.io
         oracle = open_world["rr"].query(query)
+        assert answer.seeds == oracle.seeds
         assert answer.marginal_coverages == oracle.marginal_coverages
         assert answer.theta == oracle.theta
 
@@ -990,9 +974,10 @@ class TestIRRArrayNativeNRA:
     def test_k_beyond_the_positive_candidates_fills_like_greedy(
         self, tmp_path
     ):
-        """Once every partition is loaded and no candidate is left, the
-        tail is the smallest unpicked ids at marginal 0 — the three-line
-        filler rule of ``greedy_max_coverage``."""
+        """Asked for more seeds than there are vertices that can score,
+        the engine answers what ``greedy_max_coverage`` answers: once every
+        positive marginal is taken, the tail is the smallest unpicked ids
+        at marginal 0, whether or not a list of theirs was loaded."""
         from repro.core.irr_index import IRRIndex, IRRIndexBuilder
         from repro.core.query import KBTIMQuery
         from repro.core.rr_index import RRIndex, RRIndexBuilder
@@ -1022,13 +1007,8 @@ class TestIRRArrayNativeNRA:
         with RRIndex(str(tmp_path / "f.rr")) as rr:
             oracle = rr.query(query)
         assert 0 < len(candidates) < query.k
+        assert answer.seeds == oracle.seeds
         assert answer.marginal_coverages == oracle.marginal_coverages
-        assert set(answer.seeds[: len(candidates)]) == candidates
-        unpicked = np.ones(120, dtype=bool)
-        unpicked[sorted(candidates)] = False
-        fillers = np.flatnonzero(unpicked)[: query.k - len(candidates)]
-        assert list(answer.seeds[len(candidates) :]) == fillers.tolist()
-        assert set(answer.marginal_coverages[len(candidates) :]) == {0}
 
     def test_four_threads_on_one_server_answer_like_serial(self, irr_world):
         """Queries share the reader's decode caches and nothing else, so
@@ -1076,27 +1056,34 @@ class TestIRRArrayNativeNRA:
                 with pytest.raises(ValueError):
                     index.lookup("music", 1)[0][0] = 0
 
-    def test_work_counts_of_a_fixed_stream_are_pinned(self, irr_index_path):
-        """What 64 seeded queries load and read, as three integers.
+    def test_work_counts_of_a_fixed_stream_are_pinned(
+        self, irr_index_path, irr_world
+    ):
+        """What 64 seeded queries load and read, as three integers, and
+        that every answer picks the RR reader's seeds.
 
-        Taken at commit 7452a73 (the parent of the cross-keyword engine)
-        and unchanged by it: a faster engine must not get there by
-        silently loading less.  Tightening the unseen bound (ROADMAP item
-        2, "not terminating early") is the change that edits these on
-        purpose.
+        Re-pinned from (818, 52181, 1821) when the confirm rule became
+        Algorithm 2's: the top of a bound table over every unselected
+        vertex is confirmed exactly when it is complete, so a tie goes to
+        the smaller id even when settling it takes one more round — two
+        more partitions over this stream.  A faster engine must not get
+        there by silently loading less.
         """
         from repro.core.irr_index import IRRIndex
         from repro.core.query import KBTIMQuery
+        from repro.core.rr_index import RRIndex
 
         rng = np.random.default_rng(2215)
         partitions = rr_sets = read_calls = 0
-        with IRRIndex(irr_index_path) as index:
+        with IRRIndex(irr_index_path) as index, RRIndex(irr_world["rr"]) as rr:
             names = sorted(index.keywords())
             for _ in range(64):
                 size = int(rng.integers(1, 6))
                 picks = rng.choice(len(names), size=size, replace=False)
                 k = int(rng.choice([1, 3, 10, 40, 50]))
-                answer = index.query(KBTIMQuery([names[i] for i in picks], k))
+                query = KBTIMQuery([names[i] for i in picks], k)
+                answer = index.query(query)
+                assert answer.seeds == rr.query(query).seeds, query
                 partitions += answer.stats.partitions_loaded
                 rr_sets += answer.stats.rr_sets_loaded
                 read_calls += answer.stats.io.read_calls

@@ -97,6 +97,7 @@ class TestCrossModelIndexes:
         with RRIndex(rr_path) as rr, IRRIndex(irr_path) as irr:
             a = rr.query(query)
             b = irr.query(query)
+        assert a.seeds == b.seeds
         assert a.marginal_coverages == b.marginal_coverages
 
     def test_lt_rr_sets_are_paths(self, lt_world):

@@ -139,8 +139,9 @@ class TestIndexReaderContract:
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_same_answers(self, kind, observed):
-        """Theorem 3: equal seed scores and θ (seeds may differ on ties)."""
+        """Theorem 3: equal seeds, seed scores and θ."""
         for got, want in zip(observed[kind]["answers"], observed["rr"]["answers"]):
+            assert got.seeds == want.seeds
             assert got.marginal_coverages == want.marginal_coverages
             assert got.theta == want.theta
             assert got.phi_q == want.phi_q

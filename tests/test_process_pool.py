@@ -172,14 +172,12 @@ class TestPoolContract:
         assert sum(warm_loads) == 2
         for got, ref, want in zip(observed["answers"], reference, expected):
             _assert_same_selection(got, ref)
-            # Theorem 3: IRR's seed scores and θ are RR's (seeds may
-            # differ on ties).
-            assert (got.marginal_coverages, got.theta) == (
+            # Theorem 3: IRR's seeds, seed scores and θ are RR's.
+            assert (got.seeds, got.marginal_coverages, got.theta) == (
+                want.seeds,
                 want.marginal_coverages,
                 want.theta,
             )
-            if kind == "rr":
-                assert got.seeds == want.seeds
             assert got.stats.io.read_calls == ref.stats.io.read_calls
             assert got.stats.io.bytes_read == ref.stats.io.bytes_read
         # Exact accounting: the per-query ``QueryStats.io`` deltas partition

@@ -1,8 +1,8 @@
 """Property-based fuzzing of Theorem 3 and the end-to-end index stack.
 
 For random graphs, profiles, partition sizes and queries, the RR and IRR
-indexes built from identical sample tables must return identical impact
-scores (Theorem 3) and identical influence estimates.
+indexes built from identical sample tables must return identical seeds
+and impact scores (Theorem 3) and identical influence estimates.
 """
 
 import os
@@ -89,6 +89,7 @@ def test_theorem3_random_worlds(tmp_path_factory_bridge, world, k, n_keywords, d
         a = rr.query(query)
         b = irr.query(query)
 
+    assert a.seeds == b.seeds
     assert a.marginal_coverages == b.marginal_coverages
     assert a.theta == b.theta
     assert a.estimated_influence == pytest.approx(b.estimated_influence)
