@@ -252,6 +252,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     "elapsed_seconds": answer.stats.elapsed_seconds,
                     "io_read_calls": answer.stats.io.read_calls,
                     "rr_sets_loaded": answer.stats.rr_sets_loaded,
+                    "partitions_loaded": answer.stats.partitions_loaded,
                 }
             )
         )

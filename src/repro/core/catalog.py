@@ -68,10 +68,11 @@ __all__ = [
 
 RR_FORMAT = "rr-index"
 IRR_FORMAT = "irr-index"
-#: Version of the record layout under the catalog (2 = columnar streams).
-#: Written by every builder and checked at open: no older reader is kept,
-#: every index is rebuilt from its sample tables.
-FORMAT_VERSION = 2
+#: Version of the record layout under the catalog (2 = columnar streams,
+#: 3 = one IRR segment per load unit).  Written by every builder and
+#: checked at open: no older reader is kept, every index is rebuilt from
+#: its sample tables.
+FORMAT_VERSION = 3
 
 #: How an error message names each known format.
 _KINDS = {RR_FORMAT: "an RR index", IRR_FORMAT: "an IRR index"}
@@ -449,7 +450,8 @@ class IndexReader:
     def lookup(self, keyword: str, count: int) -> Tuple[object, bool]:
         """``(value, hit)``: one query keyword's decoded value, through
         :attr:`cache` — the RR block serving ``count`` sets, or the IRR
-        ``IP_w`` map; ``hit`` when the cache spared the decode.
+        ``(IP_w, partition 0)`` pair; ``hit`` when the cache spared the
+        decode.
         ``keyword`` must already be validated against the catalog."""
         raise NotImplementedError
 

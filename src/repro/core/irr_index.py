@@ -13,6 +13,11 @@ sample tables as the RR index.  Per keyword ``w`` (Figure 3):
   partial score for a keyword (its first occurrence falls beyond the
   ``θ^Q_w`` active prefix).
 
+A load unit is one segment: ``irr/<w>/<p>`` frames partition ``p``'s
+``IR`` and ``IL`` records back to back, and ``irr/<w>/0`` holds ``IP_w``
+ahead of them, since every query loads partition 0 of every keyword it
+names (at open every bound is ``Σ kb·pending`` with ``kb ≥ 1``).
+
 **Query** (:meth:`IRRIndex.query`): NRA-style top-k aggregation
 (Fagin et al.), loading one more partition per keyword per round.  Every
 unselected vertex is a candidate, and its upper bound sums, per query
@@ -31,8 +36,9 @@ arrays, the per-keyword flags are ``(m, n)`` arrays, and
     ``live_bound = where(selected, -1, score + kb @ pending)``
 
 is one dense expression at open and per load round.  It runs as
-module-level stages over that record — :func:`_open_state` (read every
-``IP_w``), :func:`_ingest_partition` (slice one decoded partition in),
+module-level stages over that record — :func:`_open_state` (look up
+every keyword's ``IP_w`` and partition 0), :func:`_ingest_partition`
+(slice one decoded partition in),
 :func:`_refresh_bounds` (the expression above),
 :func:`_pick_or_load` (``argmax``: confirm, or load a round) and
 :func:`_cover` (one pass over a seed's lists under *all* keywords:
@@ -95,9 +101,9 @@ DEFAULT_PARTITION_SIZE = 100
 #: state to a few hundred partitions regardless of index size.
 _DECODE_CACHE_PARTITIONS = 512
 
-#: Capacity of the per-reader ``IP_w`` cache (``IRRIndex.cache``).  IP
-#: maps are the largest per-keyword decoded structure (one entry per
-#: vertex occurring under the keyword), so they get the same bounded
+#: Capacity of the per-reader cache of ``(IP_w, partition 0)`` pairs
+#: (``IRRIndex.cache``).  IP maps are the largest per-keyword decoded
+#: structure (one entry per vertex), so they get the same bounded
 #: treatment.
 _IP_CACHE_KEYWORDS = 64
 
@@ -187,22 +193,16 @@ def write_irr_index(
     delta: int,
     started: Optional[float] = None,
 ) -> BuildReport:
-    """Serialise sample tables in the IRR layout (Figure 3)."""
+    """Serialise sample tables in the IRR layout (Figure 3), one segment
+    per load unit: ``irr/<w>/<p>`` holds partition ``p``'s ``IR`` and
+    ``IL`` records, and ``irr/<w>/0`` holds ``IP_w`` ahead of them."""
     if started is None:
         started = time.perf_counter()
     # Everything is partitioned and encoded, in one encoding session,
     # before the file is created.
     entries = keyword_entries(tables)
     encoder = StreamEncoder()
-    frames: List[Tuple[str, Frame]] = []
-
-    def add_partitions(kind: str, bounds, keys, ptr, ids) -> None:
-        """One record per partition: rows ``bounds[p]:bounds[p + 1]``."""
-        records = InvertedListsRecord.queue_encode_partitions(
-            encoder, keys, ptr, ids, bounds, codec
-        )
-        frames.extend((f"{kind}/{p}", frame) for p, frame in enumerate(records))
-
+    units: List[Tuple[str, Tuple[Frame, ...]]] = []
     for name in sorted(tables):
         rr_sets = tables[name].rr_sets
         (il_keys, il_ptr, il_ids), (ir_sets, part_ptr), (ip_keys, ip_firsts) = (
@@ -216,11 +216,16 @@ def write_irr_index(
         )
         ip_ptr = np.arange(len(ip_keys) + 1)
         ip = InvertedListsRecord.queue_encode(encoder, ip_keys, ip_ptr, ip_firsts, codec)
-        frames.append((f"ip/{name}", ip))
-        add_partitions(f"il/{name}", list_ptr, il_keys, il_ptr, il_ids)
         # The claimed RR sets themselves, gathered once in IR order.
         ir_ptr, ir_vertices = take_rows(rr_sets.ptr, rr_sets.vertices, ir_sets)
-        add_partitions(f"ir/{name}", part_ptr, ir_sets, ir_ptr, ir_vertices)
+        irs = InvertedListsRecord.queue_encode_partitions(
+            encoder, ir_sets, ir_ptr, ir_vertices, part_ptr, codec
+        )
+        ils = InvertedListsRecord.queue_encode_partitions(
+            encoder, il_keys, il_ptr, il_ids, list_ptr, codec
+        )
+        for p, unit in enumerate(zip(irs, ils)):
+            units.append((f"irr/{name}/{p}", (ip, *unit) if p == 0 else unit))
     streams = encoder.finish()
     with SegmentWriter(path) as writer:
         writer.add(
@@ -235,8 +240,8 @@ def write_irr_index(
                 keywords=entries,
             ),
         )
-        for segment, frame in frames:
-            writer.add(segment, frame(streams))
+        for segment, unit in units:
+            writer.add(segment, b"".join(frame(streams) for frame in unit))
     return build_report(path, tables, started)
 
 
@@ -248,13 +253,17 @@ def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     return arrays
 
 
-def _decode_partition(ir_record, il_record) -> tuple:
-    """One decoding session for a partition's two records, read-only."""
+def _decode_segment(segment, count: int) -> tuple:
+    """One decoding session over the ``count`` records of one segment:
+    their CSR arrays, in record order, read-only (a partition ``p ≥ 1``
+    is ``IR``'s three then ``IL``'s three)."""
     decoder = StreamDecoder()
-    ir = InvertedListsRecord.queue(decoder, ir_record)
-    il = InvertedListsRecord.queue(decoder, il_record)
+    takes = [
+        InvertedListsRecord.queue(decoder, record)
+        for record in InvertedListsRecord.split(segment, count)
+    ]
     streams = decoder.finish()
-    return _frozen(*ir(streams), *il(streams))
+    return _frozen(*(array for take in takes for array in take(streams)))
 
 
 @dataclass
@@ -311,15 +320,17 @@ def _open_state(
     k: int,
     lookup: Lookup,
 ) -> _NRAState:
-    """Stage 1: look up every ``IP_w``, lay out the merged id space and
-    build the first bound table."""
+    """Stage 1: look up every keyword's ``IP_w`` and partition 0, lay out
+    the merged id space, ingest every partition 0 and build the first
+    bound table.  That is the state the first load round left: at open
+    every bound is ``Σ kb·pending`` with ``kb ≥ 1``, so the top candidate
+    (the root of set 0 scores under its keyword) is never complete."""
     n = index.n_vertices
     theta = [counts[kw] for kw in keywords]
     offset = [0, *accumulate(theta)]
     n_partitions, first_lens = zip(*(index._partition_info[kw] for kw in keywords))
-    pending = np.empty((len(keywords), n), dtype=bool)
-    for j, kw in enumerate(keywords):
-        np.less(lookup(kw, theta[j])[0], theta[j], out=pending[j])
+    ips, firsts = zip(*(lookup(kw, theta[j])[0] for j, kw in enumerate(keywords)))
+    pending = np.less(ips, np.array(theta)[:, None])
     state = _NRAState(
         keywords=keywords,
         k=min(k, n),
@@ -345,22 +356,15 @@ def _open_state(
         seeds=[],
         marginals=[],
     )
-    for j in range(len(keywords)):
-        _set_list_bound(state, j)
+    for j, partition in enumerate(firsts):
+        _ingest_partition(state, j, partition)
     _refresh_bounds(state)
     return state
 
 
-def _set_list_bound(state: _NRAState, j: int) -> None:
-    """``kb[j]``: the next partition's longest list, clipped; 0 once exhausted."""
-    p = state.next_partition[j]
-    state.kb[j] = (
-        min(state.first_lens[j][p], state.theta[j]) if p < state.n_partitions[j] else 0
-    )
-
-
 def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
-    """Stage 2: fold keyword ``j``'s next ``(IR, IL)`` partition into the state.
+    """Stage 2: fold keyword ``j``'s next ``(IR, IL)`` partition into the
+    state and set ``kb[j]`` to the partition after it.
 
     ``decoded`` is shared, read-only cached data: everything stored is a
     fresh array (mask, sum or concatenate), never a view of it.
@@ -397,9 +401,11 @@ def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
     state.lists_flat = np.concatenate([state.lists_flat, clipped])
     state.score[il_keys] += exact
     state.pending[j][il_keys] = False
-    state.next_partition[j] += 1
     state.partitions_loaded += 1
-    _set_list_bound(state, j)
+    # kb[j]: the next partition's longest list, clipped; 0 once exhausted.
+    state.next_partition[j] += 1
+    p = state.next_partition[j]
+    state.kb[j] = min(state.first_lens[j][p], theta) if p < state.n_partitions[j] else 0
 
 
 def _refresh_bounds(state: _NRAState) -> None:
@@ -408,10 +414,12 @@ def _refresh_bounds(state: _NRAState) -> None:
 
     ``bound[v] = score[v] + Σ_j kb[j]·pending[j, v]``: newly loaded lists
     swap their ``kb`` for an exact count and the others absorb the
-    shrunken ``kb`` in the same pass.
+    shrunken ``kb`` in the same pass.  The sum runs in float64, which
+    numpy hands to BLAS (int64 × bool has no such path); it is exact,
+    since ``Σ kb`` is far below 2**53.
     """
     state.incomplete = state.pending.any(axis=0)
-    bound = state.kb @ state.pending
+    bound = np.dot(state.kb.astype(np.float64), state.pending).astype(np.int64)
     bound += state.score
     state.live_bound = np.where(state.selected, -1, bound)
 
@@ -483,8 +491,9 @@ class IRRIndex(IndexReader):
     """Query-time reader for the IRR index (Algorithm 4).
 
     Two :class:`~repro.core.catalog.BlockCache` instances hold decodes:
-    :attr:`cache` the ``IP_w`` maps (by keyword) and ``_partitions`` the
-    ``(IR, IL)`` partitions (by ``(keyword, partition)``).
+    :attr:`cache` each keyword's first load unit, ``(IP_w, partition 0)``
+    (by keyword), and ``_partitions`` the later ``(IR, IL)`` partitions
+    (by ``(keyword, partition)``).
     ``decode_cache_partitions`` bounds the second and switches the first
     with it: ``<= 0`` retains nothing, so every logical load re-decodes —
     the cold behaviour the experiments sweep.  Either way every logical
@@ -522,32 +531,34 @@ class IRRIndex(IndexReader):
             )
 
     # ------------------------------------------------------------------
-    def lookup(self, keyword: str, count: int) -> Tuple[np.ndarray, bool]:
-        """``(IP_w, hit)``: the first-occurrence map (one read, always
-        issued; ``hit`` when :attr:`cache` spared the decode).
+    def lookup(self, keyword: str, count: int) -> Tuple[tuple, bool]:
+        """``((IP_w, partition 0), hit)``: the keyword's first load unit,
+        segment ``irr/<kw>/0`` (one read, always issued; ``hit`` when
+        :attr:`cache` spared the decode).
 
         ``IP_w`` is a dense length-``n`` array; a vertex that never
         occurs under the keyword holds ``_NEVER``, so ``IP_w < θ^Q_w``
-        alone says "may score under this keyword".  It does not depend
+        alone says "may score under this keyword".  Partition 0 is what
+        :meth:`_load_partition` returns for a later one.  Neither depends
         on ``count``.
         """
-        record = self._reader.read_view(f"ip/{keyword}")
-        return self.cache.get(keyword, partial(self._decode_ip, record))
+        segment = self._reader.read_view(f"irr/{keyword}/0")
+        return self.cache.get(keyword, partial(self._decode_first, segment))
 
-    def _decode_ip(self, record) -> np.ndarray:
-        """Batch-decode ``IP_w``: one single-id list per vertex, so the
-        firsts are exactly the flat payload, scattered into a dense array."""
-        keys, ptr, flat = InvertedListsRecord.decode_csr(record)
-        result = np.full(self.n_vertices, _NEVER, dtype=np.int64)
-        result[keys] = flat[ptr[:-1]]
-        return _frozen(result)[0]
+    def _decode_first(self, segment) -> tuple:
+        """``irr/<kw>/0`` in one session, read-only.  ``IP_w`` holds one
+        single-id list per vertex, so the firsts are exactly its flat
+        payload, scattered into a dense array."""
+        keys, ptr, flat, *partition = _decode_segment(segment, 3)
+        ip = np.full(self.n_vertices, _NEVER, dtype=np.int64)
+        ip[keys] = flat[ptr[:-1]]
+        return _frozen(ip)[0], tuple(partition)
 
     def _load_partition(self, keyword: str, p: int) -> tuple:
-        """Load partition ``p``'s ``(IR, IL)`` CSR arrays (two reads)."""
-        ir_record = self._reader.read_view(f"ir/{keyword}/{p}")
-        il_record = self._reader.read_view(f"il/{keyword}/{p}")
+        """Load partition ``p ≥ 1``'s ``(IR, IL)`` CSR arrays (one read)."""
+        segment = self._reader.read_view(f"irr/{keyword}/{p}")
         return self._partitions.get(
-            (keyword, p), partial(_decode_partition, ir_record, il_record)
+            (keyword, p), partial(_decode_segment, segment, 2)
         )[0]
 
     # ------------------------------------------------------------------
@@ -555,7 +566,8 @@ class IRRIndex(IndexReader):
         self, query: KBTIMQuery, lookup: Optional[Lookup] = None
     ) -> SeedSelection:
         """Algorithm 4: incremental NRA top-k aggregation; ``lookup``
-        (default :meth:`lookup`) supplies each keyword's ``IP_w``."""
+        (default :meth:`lookup`) supplies each keyword's ``IP_w`` and
+        partition 0."""
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)

@@ -45,7 +45,9 @@ def verify_index(path: str, *, deep: bool = True) -> IndexCheckReport:
 
     Shallow checks (always): segment CRCs, catalog completeness, record
     headers.  Deep checks (``deep=True``): decode every RR set, rebuild
-    the inverted mapping and compare with the stored ``L_w`` / ``IL_w``.
+    the inverted mapping and compare with the stored ``L_w`` / ``IL_w``
+    (an IRR partition's ``IR`` and ``IL``, and ``IP_w`` with partition
+    0, are one segment).
 
     Raises :class:`~repro.errors.CorruptIndexError` on the first
     inconsistency; returns a summary report on success.
@@ -122,32 +124,31 @@ def _verify_irr_keyword(
     path = reader.path
     n_sets = catalog.keywords[kw].n_sets
     n_partitions = catalog.partitions[kw][0]
-    ip_record = reader.read(f"ip/{kw}")
+    first = reader.read(f"irr/{kw}/0")
     if not deep:
-        for p in range(n_partitions):  # present, though not read
-            reader.info(f"il/{kw}/{p}")
-            reader.info(f"ir/{kw}/{p}")
+        for p in range(1, n_partitions):  # present, though not read
+            reader.info(f"irr/{kw}/{p}")
         return 0
 
     # Rebuild the global picture from partitions and cross-check IP and
-    # the per-partition sort/claim invariants.
+    # the per-partition sort/claim invariants; one read per partition.
+    ip_record, *records = InvertedListsRecord.split(first, 3)
     empty = np.empty(0, dtype=np.int64)
     vertices, firsts, claimed = [empty], [empty], [empty]
     previous_last_len = None
     for p in range(n_partitions):
-        il_keys, il_ptr, il_flat = InvertedListsRecord.decode_csr(
-            reader.read(f"il/{kw}/{p}")
-        )
-        ir_keys, _ir_ptr, _ir_flat = InvertedListsRecord.decode_csr(
-            reader.read(f"ir/{kw}/{p}")
+        if p:
+            records = InvertedListsRecord.split(reader.read(f"irr/{kw}/{p}"), 2)
+        (ir_keys, _ir_ptr, _ir_flat), (il_keys, il_ptr, il_flat) = map(
+            InvertedListsRecord.decode_csr, records
         )
         lengths = np.diff(il_ptr)
         if np.any(np.diff(lengths) > 0):
-            raise CorruptIndexError(f"{path}: il/{kw}/{p} lists are not length-sorted")
+            raise CorruptIndexError(f"{path}: irr/{kw}/{p} lists are not length-sorted")
         if len(lengths):
             if previous_last_len is not None and lengths[0] > previous_last_len:
                 raise CorruptIndexError(
-                    f"{path}: il/{kw}/{p} breaks the global length order"
+                    f"{path}: irr/{kw}/{p} breaks the global length order"
                 )
             previous_last_len = lengths[-1]
         occupied = lengths > 0

@@ -5,8 +5,8 @@ advertiser queries against one pre-built index — the RR index
 (Algorithm 2) or the IRR index (Algorithm 4).  Successive queries share
 keywords heavily (popular verticals are queried most), so a serving tier
 naturally keeps decoded per-keyword values — an RR keyword's block, an
-IRR keyword's ``IP_w`` map — across queries, on top of the page-level
-buffer pool.
+IRR keyword's ``IP_w`` map and partition 0 — across queries, on top of
+the page-level buffer pool.
 
 Two ways to serve live here; the third is the process pool built on
 them:
@@ -452,7 +452,7 @@ class KBTIMServer:
         each, at the largest count any query of the batch needs.  Every
         individual query then runs the reader's ``query`` over the held
         values (an RR query slices its prefixes off them; an IRR query
-        still reads its own partitions).
+        starts from them and still reads its own later partitions).
 
         Parameters
         ----------

@@ -73,35 +73,25 @@ def make_workload(
     zipf_exponent: float = 1.0,
     rng: RngLike = None,
 ) -> QueryWorkload:
-    """Generate ``n_queries`` keyword sets of the given ``length``.
+    """Generate ``n_queries`` keyword sets of the given ``length``:
+    :func:`make_mixed_workload` with one length and one budget (its
+    draws of those choices consume no random bits, so the stream is the
+    same).
 
     Topics are drawn without replacement with probability proportional to
     a Zipf law over topic ids, restricted to topics that at least one user
     cares about (``df > 0``) — the analogue of filtering AOL queries to
     the extracted topic vocabulary.
     """
-    length = check_positive_int("length", length)
-    k = check_positive_int("k", k)
-    n_queries = check_positive_int("n_queries", n_queries)
-    gen = as_rng(rng)
-
-    topics = profiles.topics
-    usable = [t for t in range(topics.size) if profiles.df(t) > 0]
-    if len(usable) < length:
-        raise QueryError(
-            f"workload needs {length} usable topics but only {len(usable)} "
-            "have any relevant user"
-        )
-    weights = zipf_weights(topics.size, zipf_exponent)[usable]
-    weights = weights / weights.sum()
-    usable_arr = np.asarray(usable, dtype=np.int64)
-
-    queries: List[KBTIMQuery] = []
-    for _ in range(n_queries):
-        chosen = usable_arr[weighted_sample(gen, weights, length)]
-        names = tuple(topics.name(int(t)) for t in chosen)
-        queries.append(KBTIMQuery(names, k))
-    return QueryWorkload(length=length, k=k, queries=tuple(queries))
+    queries = make_mixed_workload(
+        profiles,
+        n_queries=n_queries,
+        lengths=(length,),
+        ks=(k,),
+        zipf_exponent=zipf_exponent,
+        rng=rng,
+    )
+    return QueryWorkload(length=length, k=k, queries=queries)
 
 
 def make_mixed_workload(
@@ -118,10 +108,9 @@ def make_mixed_workload(
     Each query draws its length uniformly from ``lengths`` and its seed
     budget uniformly from ``ks``; keywords are drawn without replacement
     with Zipf(``zipf_exponent``) popularity skew over usable topics
-    (``df > 0``), exactly as :func:`make_workload` does per length.  This
-    is the traffic shape the serving benchmarks replay: heavy keyword
-    reuse across queries of *different* shapes, so batch/cache tiers must
-    serve one decoded block at many prefixes.
+    (``df > 0``).  This is the traffic shape the serving benchmarks
+    replay: heavy keyword reuse across queries of *different* shapes, so
+    batch/cache tiers must serve one decoded block at many prefixes.
 
     Parameters
     ----------
@@ -149,8 +138,7 @@ def make_mixed_workload(
         usable topics than ``max(lengths)``.
     ValueError
         If ``n_queries`` or any entry of ``lengths``/``ks`` is not a
-        positive int (``TypeError`` for non-ints), matching
-        :func:`make_workload`'s argument validation.
+        positive int (``TypeError`` for non-ints).
     """
     n_queries = check_positive_int("n_queries", n_queries)
     if not lengths or not ks:

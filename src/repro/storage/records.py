@@ -10,9 +10,10 @@ and id-list sets of :mod:`repro.storage.compression`:
   bounded partial read (Algorithm 2 line 4) instead of decoding the whole
   region.
 * :class:`InvertedListsRecord` — an ordered collection of ``key -> sorted
-  id list`` entries, used for ``L_w`` (key = vertex), ``IL^p_w`` partitions
-  and the ``IP_w`` first-occurrence map: a keys stream plus one id-list
-  set.
+  id list`` entries, used for ``L_w`` (key = vertex), the ``IR^p_w`` and
+  ``IL^p_w`` partitions and the ``IP_w`` first-occurrence map: a keys
+  stream plus one id-list set.  An IRR segment frames several of them
+  back to back; :meth:`InvertedListsRecord.split` cuts them apart.
 
 Encoders take and decoders return flat CSR arrays; the codec is chosen at
 index-build time (Table 4 compares RAW vs PFOR) and tagged in the record.
@@ -292,6 +293,29 @@ class InvertedListsRecord:
         encoder = StreamEncoder()
         frame = InvertedListsRecord.queue_encode(encoder, keys, ptr, ids, codec)
         return frame(encoder.finish())
+
+    @staticmethod
+    def split(segment: bytes, count: int) -> List[bytes]:
+        """The ``count`` records framed back to back in ``segment``, as
+        slices of it, each as long as its header says.
+
+        The records must fill the segment exactly: a header cut short, a
+        payload running past the segment's end, or a byte left after the
+        last record raises :class:`StorageError`.
+        """
+        ends = [0]
+        for _ in range(count):
+            if len(segment) - ends[-1] < _INV_HEADER.size:
+                raise StorageError("InvertedListsRecord header truncated")
+            _n_lists, payload_len = _INV_HEADER.unpack_from(segment, ends[-1])
+            ends.append(ends[-1] + _INV_HEADER.size + payload_len)
+            if ends[-1] > len(segment):
+                over = ends[-1] - len(segment)
+                raise StorageError(f"InvertedListsRecord overruns by {over} bytes")
+        if ends[-1] != len(segment):
+            left = len(segment) - ends[-1]
+            raise StorageError(f"{left} trailing bytes after {count} records")
+        return [segment[start:end] for start, end in zip(ends, ends[1:])]
 
     @staticmethod
     def queue(decoder: StreamDecoder, record: bytes) -> Take:

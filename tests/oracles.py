@@ -343,3 +343,22 @@ def lt_rr_set_reference(graph, weights, root, gen):
         visited.add(chosen)
         x = chosen
     return np.array(sorted(visited), dtype=np.int64)
+
+
+def fixed_length_workload_reference(profiles, length, k, n_queries, zipf_exponent, gen):
+    """The fixed-length query generator ``make_workload`` had before it
+    wrapped ``make_mixed_workload``, verbatim: the keyword sets of
+    ``n_queries`` queries, drawn from ``gen``."""
+    from repro.profiles.generators import zipf_weights
+    from repro.utils.rng import weighted_sample
+
+    topics = profiles.topics
+    usable = [t for t in range(topics.size) if profiles.df(t) > 0]
+    weights = zipf_weights(topics.size, zipf_exponent)[usable]
+    weights = weights / weights.sum()
+    usable_arr = np.asarray(usable, dtype=np.int64)
+    queries = []
+    for _ in range(n_queries):
+        chosen = usable_arr[weighted_sample(gen, weights, length)]
+        queries.append((tuple(topics.name(int(t)) for t in chosen), k))
+    return queries

@@ -188,8 +188,8 @@ def race(n, call):
 #: What decodes each cold unit on a miss: ``(owner, attribute)``.
 UNIT_DECODES = {
     "rr-block": (RRIndex, "decode_block"),
-    "irr-ip": (IRRIndex, "_decode_ip"),
-    "irr-partition": (irr_index, "_decode_partition"),
+    "irr-first": (IRRIndex, "_decode_first"),
+    "irr-segment": (irr_index, "_decode_segment"),
 }
 
 
@@ -199,8 +199,9 @@ class TestSingleFlight:
         self, paths, unit, monkeypatch
     ):
         """Six threads send one cold query to one server: its units (an
-        RR block, an IRR ``IP_w`` map, IRR partitions) decode once, as
-        for one query, and every query issues its own reads."""
+        RR block, an IRR keyword's ``IP_w`` with partition 0, every IRR
+        segment) decode once, as for one query, and every query issues
+        its own reads."""
         owner, name = UNIT_DECODES[unit]
         real_decode = getattr(owner, name)
         decodes = []
@@ -211,7 +212,7 @@ class TestSingleFlight:
 
         monkeypatch.setattr(owner, name, counted)
         kind = unit.split("-")[0]
-        query = KBTIMQuery(("music",), 3)
+        query = KBTIMQuery(("music",), 20)  # loads IRR partitions past the first
         with READERS[kind](paths[kind]) as index:
             once = KBTIMServer(index).query(query)
         decoded_once, decodes[:] = len(decodes), []

@@ -75,11 +75,22 @@ def _lists(record):
     return [(int(k), flat[ptr[i] : ptr[i + 1]]) for i, k in enumerate(keys)]
 
 
-def _edit_lists(name, edit):
-    """A tampering that re-encodes segment ``name`` after ``edit(lists)``."""
+def _records(name, payload):
+    """The records of segment ``name``: an RR ``inv/<kw>`` is one; an IRR
+    ``irr/<kw>/0`` holds ``IP_w``, ``IR`` and ``IL``, a later one ``IR``
+    and ``IL``."""
+    count = 1 if name.startswith("inv/") else 3 if name.endswith("/0") else 2
+    return [bytes(record) for record in InvertedListsRecord.split(payload, count)]
+
+
+def _edit_lists(name, edit, record=0):
+    """A tampering that re-encodes record ``record`` of segment ``name``
+    after ``edit(lists)``."""
 
     def tamper(segments):
-        segments[name] = encode_inverted_lists(edit(_lists(segments[name])))
+        records = _records(name, segments[name])
+        records[record] = encode_inverted_lists(edit(_lists(records[record])))
+        segments[name] = b"".join(records)
 
     return tamper
 
@@ -96,18 +107,21 @@ def _bump_catalog_count(segments):
     segments["meta"] = json.dumps(document).encode()
 
 
+#: Record positions in ``irr/<kw>/0`` and in a later ``irr/<kw>/<p>``.
+IP, IR0, IL0 = 0, 1, 2
+IR, IL = 0, 1
+
+
 def _swap_first_two_partitions(segments):
-    segments["il/music/0"], segments["il/music/1"] = (
-        segments["il/music/1"],
-        segments["il/music/0"],
-    )
+    first = _records("irr/music/0", segments["irr/music/0"])
+    second = _records("irr/music/1", segments["irr/music/1"])
+    first[IL0], second[IL] = second[IL], first[IL0]
+    segments["irr/music/0"], segments["irr/music/1"] = map(b"".join, (first, second))
 
 
 def _claim_a_set_twice(segments):
-    stolen = _lists(segments["ir/music/0"])[:1]
-    segments["ir/music/1"] = encode_inverted_lists(
-        _lists(segments["ir/music/1"]) + stolen
-    )
+    stolen = _lists(_records("irr/music/0", segments["irr/music/0"])[IR0])[:1]
+    _edit_lists("irr/music/1", lambda lists: lists + stolen, IR)(segments)
 
 
 #: case -> (index kind, in-place edit of {segment name: payload},
@@ -121,18 +135,26 @@ TAMPERINGS = {
     ),
     "rr catalog count": ("rr", _bump_catalog_count, "catalog says"),
     "irr unsorted partition": (
-        "irr", _edit_lists("il/music/0", lambda lists: lists[::-1]), "length-sorted"
+        "irr",
+        _edit_lists("irr/music/0", lambda lists: lists[::-1], IL0),
+        "length-sorted",
     ),
     "irr partitions swapped": (
         "irr", _swap_first_two_partitions, "breaks the global length order"
     ),
     "irr set claimed twice": ("irr", _claim_a_set_twice, "claimed twice"),
     "irr set unclaimed": (
-        "irr", _edit_lists("ir/music/0", lambda lists: lists[1:]), "partitions hold"
+        "irr",
+        _edit_lists("irr/music/0", lambda lists: lists[1:], IR0),
+        "partitions hold",
     ),
     "irr ip disagrees": (
         "irr",
-        _edit_lists("ip/music", lambda lists: [(lists[0][0], lists[0][1] + 1)] + lists[1:]),
+        _edit_lists(
+            "irr/music/0",
+            lambda lists: [(lists[0][0], lists[0][1] + 1)] + lists[1:],
+            IP,
+        ),
         "IP map disagrees",
     ),
 }
@@ -153,7 +175,9 @@ class TestVerifyIndexDeepChecks:
     """Every segment keeps a valid CRC, so only the deep check can object."""
 
     @pytest.mark.parametrize("deep", [True, False])
-    @pytest.mark.parametrize("kind,dropped", [("rr", "inv/music"), ("irr", "il/music/1")])
+    @pytest.mark.parametrize(
+        "kind,dropped", [("rr", "inv/music"), ("irr", "irr/music/1")]
+    )
     def test_missing_segment_is_named(self, kind, dropped, deep, built, tmp_path):
         out = _tampered(
             built[0] if kind == "rr" else built[1],

@@ -623,7 +623,8 @@ def reference_irr_nra(index, query):
     regression reference: the array-native engine must return
     bit-identical seeds/marginals and identical ``rr_sets_loaded`` /
     ``partitions_loaded`` accounting.  Reads go through the same reader,
-    so only the CPU-side state layout differs.
+    so only the CPU-side state layout differs: ``irr/<kw>/0`` holds
+    ``IP_w`` and partition 0, each later ``irr/<kw>/<p>`` one partition.
 
     Every vertex is in the heap from the start, keyed by (-bound, id);
     before anything is loaded its bound is the sum of ``kb`` over the
@@ -646,9 +647,10 @@ def reference_irr_nra(index, query):
             self.active_count = counts[kw]
             self.n_partitions = n_partitions
             self.partition_first_lens = first_lens
-            keys, ptr, flat = InvertedListsRecord.decode_csr(
-                index._reader.read(f"ip/{kw}")
+            ip, *self.first_partition = InvertedListsRecord.split(
+                index._reader.read(f"irr/{kw}/0"), 3
             )
+            keys, ptr, flat = InvertedListsRecord.decode_csr(ip)
             self.first_occurrence = dict(
                 zip(keys.tolist(), flat[ptr[:-1]].tolist())
             )
@@ -708,11 +710,13 @@ def reference_irr_nra(index, query):
             if state.exhausted:
                 continue
             p = state.next_partition
-            ir_keys, ir_ptr, ir_flat = InvertedListsRecord.decode_csr(
-                index._reader.read(f"ir/{kw}/{p}")
-            )
-            il_keys, il_ptr, il_flat = InvertedListsRecord.decode_csr(
-                index._reader.read(f"il/{kw}/{p}")
+            if p == 0:
+                records = state.first_partition
+            else:
+                segment = index._reader.read(f"irr/{kw}/{p}")
+                records = InvertedListsRecord.split(segment, 2)
+            (ir_keys, ir_ptr, ir_flat), (il_keys, il_ptr, il_flat) = map(
+                InvertedListsRecord.decode_csr, records
             )
             partitions_loaded += 1
             ir_bounds = ir_ptr.tolist()
@@ -805,7 +809,7 @@ def query_like_reference(index, query):
 
 #: (partitions_loaded, rr_sets_loaded, io.read_calls) summed over the stream
 #: of ``test_work_counts_of_a_fixed_stream_are_pinned``.
-PINNED_WORK_COUNTS = (820, 52261, 1825)
+PINNED_WORK_COUNTS = (820, 52261, 820)
 
 
 class TestIRRArrayNativeNRA:
@@ -1002,7 +1006,8 @@ class TestIRRArrayNativeNRA:
             # candidate (its clipped list may be empty: marginal 0).
             candidates = set()
             for kw in query.keywords:
-                for p in range(index._partition_info[kw][0]):
+                candidates.update(index.lookup(kw, 1)[0][1][3].tolist())
+                for p in range(1, index._partition_info[kw][0]):
                     candidates.update(index._load_partition(kw, p)[3].tolist())
         with RRIndex(str(tmp_path / "f.rr")) as rr:
             oracle = rr.query(query)
@@ -1049,24 +1054,31 @@ class TestIRRArrayNativeNRA:
                 # The engine only ever reads them (it copies before it
                 # shifts ids into the merged space).
                 index.query(KBTIMQuery(("music", "book"), 10))
-                for array in index._load_partition("music", 0):
+                ip, first = index.lookup("music", 1)[0]
+                for array in (ip, *first, *index._load_partition("music", 1)):
                     assert not array.flags.writeable
                 with pytest.raises(ValueError):
-                    index._load_partition("music", 0)[2][0] = 0
+                    index._load_partition("music", 1)[2][0] = 0
                 with pytest.raises(ValueError):
-                    index.lookup("music", 1)[0][0] = 0
+                    first[2][0] = 0
+                with pytest.raises(ValueError):
+                    ip[0] = 0
 
     def test_work_counts_of_a_fixed_stream_are_pinned(
         self, irr_index_path, irr_world
     ):
         """What 64 seeded queries load and read, as three integers, and
-        that every answer picks the RR reader's seeds.
+        that every answer picks the RR reader's seeds in one read per
+        partition loaded.
 
         Re-pinned from (818, 52181, 1821) when the confirm rule became
         Algorithm 2's: the top of a bound table over every unselected
         vertex is confirmed exactly when it is complete, so a tie goes to
         the smaller id even when settling it takes one more round — two
-        more partitions over this stream.  A faster engine must not get
+        more partitions over this stream.  Re-pinned from
+        (820, 52261, 1825) when a load unit became one segment: a
+        partition is one read and ``IP_w`` rides with partition 0, so
+        reads equal partitions loaded.  A faster engine must not get
         there by silently loading less.
         """
         from repro.core.irr_index import IRRIndex
@@ -1084,6 +1096,7 @@ class TestIRRArrayNativeNRA:
                 query = KBTIMQuery([names[i] for i in picks], k)
                 answer = index.query(query)
                 assert answer.seeds == rr.query(query).seeds, query
+                assert answer.stats.io.read_calls == answer.stats.partitions_loaded
                 partitions += answer.stats.partitions_loaded
                 rr_sets += answer.stats.rr_sets_loaded
                 read_calls += answer.stats.io.read_calls

@@ -10,6 +10,7 @@ stability of the two writers, and the catalog parser's own guards.
 import hashlib
 import json
 import os
+import re
 import sys
 import threading
 
@@ -203,9 +204,10 @@ class TestIndexReaderContract:
             assert len(warm._partitions) > 0
 
     def test_a_load_unit_is_one_decoding_session(self, paths, monkeypatch):
-        """Both records a miss or a partition load reads go through one
-        ``StreamDecoder`` (one ``finish``); what comes out equals the
-        records decoded alone."""
+        """The records a miss or a partition load reads go through one
+        ``StreamDecoder`` (one ``finish``): RR's two, IRR's one segment
+        (three records in partition 0, which holds ``IP_w``, two after);
+        what comes out equals the records decoded alone."""
         from repro.storage import compression
         from repro.storage.records import InvertedListsRecord, RRSetsRecord
 
@@ -236,18 +238,25 @@ class TestIndexReaderContract:
             assert np.array_equal(full.inv_sets, flat)
         del finishes[:]
         with IRRIndex(paths["irr"], **COLD["irr"]) as index:
-            decoded = index._load_partition("music", 0)
-            assert finishes == [2]
+            ip, first = index.lookup("music", 1)[0]
+            later = index._load_partition("music", 1)
+            assert finishes == [3, 2]
             alone = [
                 array
-                for segment in ("ir/music/0", "il/music/0")
-                for array in InvertedListsRecord.decode_csr(
-                    index._reader.read_view(segment)
+                for p, count in ((0, 3), (1, 2))
+                for record in InvertedListsRecord.split(
+                    index._reader.read_view(f"irr/music/{p}"), count
                 )
+                for array in InvertedListsRecord.decode_csr(record)
             ]
-            assert len(decoded) == len(alone) == 6
-            for ours, theirs in zip(decoded, alone):
-                assert np.array_equal(ours, theirs) and not ours.flags.writeable
+            ip_keys, ip_ptr, ip_flat = alone[:3]
+            assert np.array_equal(ip[ip_keys], ip_flat[ip_ptr[:-1]])
+            assert np.count_nonzero(ip != np.iinfo(np.int64).max) == len(ip_keys)
+            decoded = (ip, *first, *later)
+            assert len(decoded) == len(alone) - 2 == 13
+            for ours, theirs in zip(decoded[1:], alone[3:]):
+                assert np.array_equal(ours, theirs)
+            assert not any(array.flags.writeable for array in decoded)
 
     def test_irr_server_survives_concurrent_queries_on_tiny_caches(self, paths):
         """Eight threads share one server whose reader's caches hold two
@@ -382,27 +391,39 @@ class TestFormatVersionIsCheckedAtOpen:
     so a file of another version must fail when it is opened — not decode
     garbage on the first query."""
 
+    #: The retired versions: 1, and 2, whose IRR files stored ``IP_w``,
+    #: ``IR^p_w`` and ``IL^p_w`` as segments of their own.
+    RETIRED = (1, 2)
+
     @pytest.fixture(scope="class")
     def stale(self, paths, tmp_path_factory):
-        """``{kind: path}`` of the two indexes re-labelled ``version: 1``."""
+        """``{(kind, version): path}`` of the two indexes re-labelled
+        with each retired version."""
         tmp = tmp_path_factory.mktemp("stale")
         for path in paths.values():
             with SegmentReader(path) as reader:
-                assert json.loads(reader.read("meta"))["version"] == FORMAT_VERSION == 2
+                assert json.loads(reader.read("meta"))["version"] == FORMAT_VERSION == 3
         return {
-            kind: relabelled(path, str(tmp / f"v1.{kind}"), version=1)
+            (kind, version): relabelled(
+                path, str(tmp / f"v{version}.{kind}"), version=version
+            )
             for kind, path in paths.items()
+            for version in self.RETIRED
         }
 
-    MESSAGE = "index format version 1, .*rebuild the index with this release"
+    @staticmethod
+    def message(version):
+        return f"index format version {version}, .*rebuild the index with this release"
 
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_readers_reject_another_version(self, kind, stale):
-        with pytest.raises(CorruptIndexError, match=self.MESSAGE) as caught:
-            READERS[kind](stale[kind])
-        assert stale[kind] in str(caught.value)
-        with pytest.raises(CorruptIndexError, match=self.MESSAGE):
-            verify_index(stale[kind])
+        for version in self.RETIRED:
+            path = stale[kind, version]
+            for opener in (READERS[kind], verify_index):
+                message = self.message(version)
+                with pytest.raises(CorruptIndexError, match=message) as caught:
+                    opener(path)
+                assert path in str(caught.value)
 
     def test_a_missing_version_is_rejected_too(self, tmp_path):
         path = str(tmp_path / "unversioned.rr")
@@ -413,14 +434,19 @@ class TestFormatVersionIsCheckedAtOpen:
 
     def test_pool_rejects_another_version_in_the_parent(self, stale):
         """The pool reads the catalog before it forks a worker."""
-        with pytest.raises(CorruptIndexError, match=self.MESSAGE):
-            SupervisedServerPool(stale["rr"], n_workers=1)
+        for kind, version in sorted(stale):
+            with pytest.raises(CorruptIndexError, match=self.message(version)):
+                SupervisedServerPool(stale[kind, version], n_workers=1)
 
     def test_cli_names_the_version(self, paths, stale, capsys):
         assert main(["inspect", "--index", paths["rr"]]) == 0
         assert f"RR index (format v{FORMAT_VERSION})" in capsys.readouterr().out
-        assert main(["inspect", "--index", stale["irr"]]) == 1
-        assert "rebuild the index with this release" in capsys.readouterr().err
+        for kind, version in sorted(stale):
+            path = stale[kind, version]
+            query = ["query", "--index", path, "--keywords", "music", "--k", "3"]
+            for argv in (["inspect", "--index", path], query):
+                assert main(argv) == 1
+                assert re.search(self.message(version), capsys.readouterr().err)
 
 
 class TestCatalogCodecIsCheckedAtOpen:
@@ -634,16 +660,18 @@ def sha256(path):
 class TestWritersAreByteStable:
     """SHA-256 of the files the two writers produce from
     :func:`pinned_tables`, re-pinned when the records went columnar
-    (format version 2).  A change here is a format change.
+    (format version 2) and when an IRR load unit became one segment
+    (version 3: the RR files changed only in the catalog's ``version``
+    and its checksums).  A change here is a format change.
     ``PINNED`` is the PFOR build, ``PINNED_RAW`` the RAW build."""
 
     PINNED = {
-        "rr": "a5908e86eea05bac20209ec73d957970275d3ef51493622827b8c214b6578109",
-        "irr": "3318c686e8db31ee37f57dabda53c71ee639850ed936b07106c6b98823e6bca4",
+        "rr": "0c5bb69a5d06911e67aa3122081759b002d760bd74d2c0e66817a052e8025820",
+        "irr": "8f90433272bee3a35304cec6077fcffe67967d21ef2d7f4b3992fee87043a21a",
     }
     PINNED_RAW = {
-        "rr": "b5f874238970c00e12fca29e6dab0f984680ca5538c5312a46ca82fae7e5280f",
-        "irr": "77f7c5e32a07326d058b2cf1a19f7764987245e960e9fadaf0c7aacbecf7e8a2",
+        "rr": "de9ac9994ef6272edf1425fbbc27ae0d734d750d6306e7888350cc4c69c782c0",
+        "irr": "24e54b71d8f02069c69eab5bde623232c10b75ccbcb23354076e4271adb95319",
     }
 
     @staticmethod
@@ -718,8 +746,8 @@ class TestSampledBuildsArePinned:
 
     PINNED = {
         "IC": (
-            "f77603c1024e3c46e0e1e66fa9718252cbc0f13959787674dbd84e3e32d56a9e",
-            "ce9cf92a3ce4336ff8df39f52358c3347bb282118b9a61e166d611ddb8057f98",
+            "0bd27691caefed9e0c0f0483969f0712bb1063214378992abbe062bd64d5d00b",
+            "c5dc47671e323eae45dde88b80b5e7a2552eb335496c1eadfbda7efc9354b10d",
             {
                 "book": (2198, 1.9262552591011357),
                 "journal": (2263, 2.745134353765253),
@@ -728,8 +756,8 @@ class TestSampledBuildsArePinned:
             },
         ),
         "LT": (
-            "c25117448ce4bed4de2a5cd64d752eda34f0d94e275f85e401dd24de3c7fa819",
-            "1da18e915e315dc88a4cad701b794c88e99e02f78a25845c57507834b8df026e",
+            "8b39e5ac5836045b92363fb9892ae7a16aed9be1e23d13e44800959f8d63ff35",
+            "4ceb2c9c06ebd5ac6c09f9a0f31254731841e15d1bdbddec19add7340aa2a78f",
             {
                 "book": (1973, 2.146398717284123),
                 "journal": (2137, 2.906612845163209),

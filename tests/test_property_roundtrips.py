@@ -201,7 +201,7 @@ class TestColumnarRecordProperties:
     @settings(max_examples=60, deadline=None)
     @given(list_sets, st.sampled_from(list(Codec)), st.data())
     def test_inverted_record(self, lists, codec, data):
-        """Keys in any order (``il/`` sorts by length, not key), up to the
+        """Keys in any order (``IL`` sorts by length, not key), up to the
         top of the id domain."""
         keys = data.draw(
             st.lists(

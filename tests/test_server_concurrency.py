@@ -211,7 +211,7 @@ class TestThreadHammer:
 
 #: The decode each reader calls on a miss, reads included (RR) or just
 #: after the read (IRR): where the exact-I/O test parks its first query.
-DECODES = {"rr": (RRIndex, "decode_block"), "irr": (IRRIndex, "_decode_ip")}
+DECODES = {"rr": (RRIndex, "decode_block"), "irr": (IRRIndex, "_decode_first")}
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])

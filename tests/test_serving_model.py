@@ -64,6 +64,7 @@ from repro.core.process_pool import (
     shard_of_keyword,
 )
 from repro.core.query import KBTIMQuery, resolve_keyword
+from repro.core.rr_index import RRIndex
 from repro.core.server import (
     SHARD_DEGRADED,
     SHARD_DRAINED,
@@ -213,9 +214,13 @@ class _Shard:
 
 
 class ServingModel(RuleBasedStateMachine):
-    def __init__(self, paths) -> None:
+    def __init__(self, paths, served=None) -> None:
+        """``paths`` is ``served_paths``; ``served`` is a copy of the
+        file of the kind the pool opens, for steps that corrupt it (the
+        RR oracle keeps reading ``paths["rr"]``)."""
         super().__init__()
         self.paths = paths
+        self.served = served
         self.pool = None
         self.init, self.trace = {}, []
         self.patches = ExitStack()
@@ -253,7 +258,7 @@ class ServingModel(RuleBasedStateMachine):
         )
         if min(n_workers, cache_keywords, max_inflight or 1) < 1:
             with pytest.raises(ValueError):
-                SupervisedServerPool(self.paths[kind], **options)
+                SupervisedServerPool(self.served or self.paths[kind], **options)
             return
         patch = self.patches.enter_context
         patch(mock.patch.object(process_pool, "_RESTART_BUDGET", constants["budget"]))
@@ -273,12 +278,12 @@ class ServingModel(RuleBasedStateMachine):
                 return request(handle, method, payload, **kwargs)
 
         patch(mock.patch.object(_WorkerHandle, "request", taken))
-        self.kind, self.path, self.n = kind, self.paths[kind], n_workers
+        self.kind, self.path, self.n = kind, self.served or self.paths[kind], n_workers
         self.max_inflight = max_inflight
         self.budget, self.backoff = constants["budget"], constants["backoff"]
         self.cache_keywords = cache_keywords
-        self.reference = open_index(self.path)
-        self.topic_names = self.reference.topic_names
+        self.oracle = RRIndex(self.paths["rr"])
+        self.topic_names = self.oracle.topic_names
         self.shards = [_Shard(self.path, cache_keywords) for _ in range(self.n)]
         self.drained = [False] * self.n
         self.degraded = [False] * self.n
@@ -305,7 +310,7 @@ class ServingModel(RuleBasedStateMachine):
                         call()
         finally:
             if self.pool is not None:
-                self.reference.close()
+                self.oracle.close()
                 for shard in self.shards:
                     shard.server.index.close()
             self.patches.close()
@@ -461,10 +466,11 @@ class ServingModel(RuleBasedStateMachine):
         return None
 
     def same_answer(self, query, got, want, s: int) -> None:
-        """``got`` is the model's answer, I/O included, and a sequential
-        reader's; its I/O is charged to shard ``s``."""
+        """``got`` is the model's answer, I/O included, and the RR
+        reader's over the same sample tables, whichever index is served
+        (Theorem 3); its I/O is charged to shard ``s``."""
         assert _untimed(got) == _untimed(want)
-        seq = self.reference.query(query)
+        seq = self.oracle.query(query)
         assert (got.seeds, got.theta) == (seq.seeds, seq.theta)
         assert got.marginal_coverages == seq.marginal_coverages
         self.shards[s].attributed.add(got.stats.io)
@@ -663,12 +669,14 @@ class ServingModel(RuleBasedStateMachine):
 
     @step
     def corrupt(self, keyword):
-        """Flip one byte mid-segment of ``keyword``'s CRC-checked record
-        (RR ``inv/<kw>``, IRR ``ip/<kw>``) in the served file, under the
-        live pool.  The model servers map the same file, so they predict
-        the outcome: a read of it fails typed, a cached block answers."""
+        """Flip one byte mid-segment of ``keyword``'s CRC-checked first
+        load unit (RR ``inv/<kw>``, IRR ``irr/<kw>/0``) in the served
+        file, under the live pool.  The model servers map the same file,
+        so they predict the outcome: a read of it fails typed, a cached
+        block answers."""
+        segment = f"inv/{keyword}" if self.kind == "rr" else f"irr/{keyword}/0"
         with SegmentReader(self.path) as segments:
-            info = segments.info(f"{'inv' if self.kind == 'rr' else 'ip'}/{keyword}")
+            info = segments.info(segment)
         with open(self.path, "r+b") as fh:
             fh.seek(info.offset + info.length // 2)
             byte = fh.read(1)[0]
@@ -768,10 +776,10 @@ def test_pool_is_the_model(served_paths):
     assert {c[2] for c in CONFIGS} == {None, 2}
 
 
-def run_trace(paths, init, steps) -> None:
+def run_trace(paths, init, steps, served=None) -> None:
     """Replay one trace: ``open_pool(**init)``, then each step, with every
     invariant after the open and after every step; always torn down."""
-    model = ServingModel(paths)
+    model = ServingModel(paths, served)
     try:
         calls = [functools.partial(model.open_pool, **init)]
         for name, args in steps:
@@ -802,7 +810,7 @@ def test_trace(path, kind, served_paths, tmp_path):
     """Each committed scenario, served from its own copy of the index."""
     document = json.loads(path.read_text())
     copy = shutil.copy(served_paths[kind], tmp_path)
-    run_trace({kind: copy}, dict(document["init"], kind=kind), document["steps"])
+    run_trace(served_paths, dict(document["init"], kind=kind), document["steps"], copy)
 
 
 def test_each_trace_names_the_one_test_it_replaces():

@@ -234,6 +234,42 @@ class TestInvertedListsRecord:
             assert frame(streams) == alone
 
 
+class TestSplitSegment:
+    """An IRR segment frames its records back to back; ``split`` cuts
+    them apart by their headers and insists they fill it exactly."""
+
+    RECORDS = [
+        encode_inverted_lists([(3, np.array([0, 2, 9])), (7, np.array([1]))]),
+        encode_inverted_lists([]),
+        encode_inverted_lists([(0, np.arange(200))], Codec.RAW),
+    ]
+
+    def test_records_come_back_whole_and_in_order(self):
+        segment = b"".join(self.RECORDS)
+        parts = InvertedListsRecord.split(memoryview(segment), 3)
+        assert [bytes(part) for part in parts] == self.RECORDS
+        assert InvertedListsRecord.split(b"", 0) == []
+
+    def test_a_header_cut_short_is_rejected(self):
+        segment = b"".join(self.RECORDS)
+        with pytest.raises(StorageError, match="header truncated"):
+            InvertedListsRecord.split(segment[: len(self.RECORDS[0]) + 5], 2)
+        with pytest.raises(StorageError, match="header truncated"):
+            InvertedListsRecord.split(segment, 4)  # one record fewer than asked
+
+    def test_a_payload_past_the_segment_end_is_rejected(self):
+        segment = b"".join(self.RECORDS)
+        with pytest.raises(StorageError, match="overruns by 1 bytes"):
+            InvertedListsRecord.split(segment[:-1], 3)
+
+    def test_a_trailing_byte_is_rejected(self):
+        segment = b"".join(self.RECORDS)
+        with pytest.raises(StorageError, match="1 trailing bytes after 3 records"):
+            InvertedListsRecord.split(segment + b"\x00", 3)
+        with pytest.raises(StorageError, match="trailing bytes after 2"):
+            InvertedListsRecord.split(segment, 2)
+
+
 # ----------------------------------------------------------------------
 # One decoding session over several records (the load unit of a cache
 # miss or a partition load).

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import fixed_length_workload_reference
 from repro.datasets.workload import (
     ReplayReport,
     make_mixed_workload,
@@ -62,6 +63,22 @@ class TestMakeWorkload:
         for length in range(1, 7):
             wl = make_workload(profiles, length=length, k=10, n_queries=3, rng=7)
             assert all(len(q.keywords) == length for q in wl)
+
+    @pytest.mark.parametrize("seed", [0, 5, 77])
+    @pytest.mark.parametrize("length", [1, 3, 6])
+    def test_one_generator_draws_both_streams(self, profiles, seed, length):
+        """``make_workload`` is ``make_mixed_workload`` with one length and
+        one budget, and draws what its own loop drew: choosing among one
+        length or one budget consumes no random bits."""
+        fixed = make_workload(profiles, length=length, k=7, n_queries=25, rng=seed)
+        mixed = make_mixed_workload(
+            profiles, n_queries=25, lengths=(length,), ks=(7,), rng=seed
+        )
+        reference = fixed_length_workload_reference(
+            profiles, length, 7, 25, 1.0, np.random.default_rng(seed)
+        )
+        assert fixed.queries == mixed
+        assert [(q.keywords, q.k) for q in mixed] == reference
 
 
 class TestMixedWorkload:
