@@ -234,7 +234,7 @@ def test_greedy_coverage(n_sets, k, model, benchmark):
 
     ``query-size`` is what one warm query of the repo benchmark hands it
     (~500 sets); ``offline-size`` (100 k sets, > 200 k incidences) is what
-    ``ris.py`` / ``wris.py`` / ``estimation.py`` hand it.  Both stay so a
+    ``wris.py`` (RIS and WRIS) / ``estimation.py`` hand it.  Both stay so a
     kernel tuned on the first that re-counts every live incidence per
     pick — O(k·Σ|R|), measured 20x slower on the second — cannot hide.
     """

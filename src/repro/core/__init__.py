@@ -1,7 +1,8 @@
 """The paper's primary contribution: KB-TIM queries and their solvers.
 
 * :func:`~repro.core.wris.wris_query` — online WRIS (Section 3.2);
-* :func:`~repro.core.ris.ris_query` — untargeted RIS baseline (Section 2.2);
+* :func:`~repro.core.wris.ris_query` — untargeted RIS baseline (Section 2.2),
+  WRIS with unit weights;
 * :class:`~repro.core.rr_index.RRIndexBuilder` /
   :class:`~repro.core.rr_index.RRIndex` — disk RR index (Section 4);
 * :class:`~repro.core.irr_index.IRRIndexBuilder` /
@@ -29,7 +30,6 @@ from repro.core.offline import KeywordTable, sample_keyword_tables
 from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
-from repro.core.ris import ris_query
 from repro.core.rr_index import BuildReport, KeywordMeta, RRIndex, RRIndexBuilder
 from repro.core.server import (
     KBTIMServer,
@@ -44,7 +44,7 @@ from repro.core.sampler import (
     sample_weighted_roots,
 )
 from repro.core.theta import ThetaPolicy, theta_hat_w, theta_ris, theta_w, theta_wris
-from repro.core.wris import wris_query
+from repro.core.wris import ris_query, wris_query
 
 __all__ = [
     "KBTIMQuery",

@@ -611,9 +611,10 @@ class SupervisedServerPool:
             self._topic_names = read_catalog(reader).topic_names
 
         self._shards = [_ShardRecord() for _ in range(self.n_workers)]
-        #: Parent-side restarts / retries / sheds, merged into :attr:`stats`
-        #: and counted under ``_admission_lock`` (many threads serve here).
-        self._supervision = ServerStats(latency_window=0)
+        #: Parent-side retries and sheds, reported by :meth:`health` and
+        #: counted under ``_admission_lock`` (many threads serve here).
+        self._retries = 0
+        self._sheds = 0
         self._admission_lock = threading.Lock()
         self._inflight = 0
         self._exhausted_until = 0.0  # chaos: forced admission exhaustion
@@ -663,8 +664,8 @@ class SupervisedServerPool:
         poisoned — and a fresh worker is spawned, handshaked and
         swapped in.  The new worker starts with cold caches; answers
         stay bit-identical because every worker serves the same
-        immutable file.  Every successful restart is counted
-        (``health().restarts`` and the shard's own ``restarts``),
+        immutable file.  Every successful restart is counted on the
+        shard's own ``restarts`` (``health().restarts`` is their sum),
         whoever asked for it.
 
         Raises
@@ -687,8 +688,6 @@ class SupervisedServerPool:
         # that lock already held.
         self._shards[shard].started_at = time.monotonic()
         self._shards[shard].restarts += 1
-        with self._admission_lock:
-            self._supervision.restarts += 1
 
     def _ensure_ready(self, shard: int) -> None:
         """Heal a down shard (restart, subject to backoff + budget) or fail fast.
@@ -799,7 +798,7 @@ class SupervisedServerPool:
                 and self._inflight + units > self.max_inflight
             )
             if exhausted or over:
-                self._supervision.sheds += 1
+                self._sheds += 1
                 if exhausted:
                     retry_after = self._exhausted_until - now
                     detail = "admission budget exhausted (injected fault)"
@@ -899,7 +898,7 @@ class SupervisedServerPool:
                     raise
                 if units:
                     with self._admission_lock:
-                        self._supervision.retries += 1
+                        self._retries += 1
             else:
                 if units:
                     # The EWMA service-time estimate behind retry-after
@@ -1129,10 +1128,10 @@ class SupervisedServerPool:
         Per shard: state (``ready`` / ``restarting`` / ``degraded`` /
         ``drained``), liveness, pid, RSS read from ``/proc``, restarts,
         in-flight units and the last transport error; for the pool: the
-        restart / retry / shed counters, the admission budget and the
-        workers' total RSS.  Never
-        waits on a shard, so it stays cheap and safe to poll from a
-        health endpoint while shards are busy, hung or dead.
+        shards' restarts summed, the retry and shed counters (this is
+        their one home), the admission budget and the workers' total
+        RSS.  Never waits on a shard, so it stays cheap and safe to poll
+        from a health endpoint while shards are busy, hung or dead.
 
         Raises
         ------
@@ -1167,9 +1166,9 @@ class SupervisedServerPool:
             shards=tuple(shards),
             inflight=sum(shard.inflight for shard in shards),
             max_inflight=self.max_inflight,
-            restarts=self._supervision.restarts,
-            retries=self._supervision.retries,
-            sheds=self._supervision.sheds,
+            restarts=sum(shard.restarts for shard in shards),
+            retries=self._retries,
+            sheds=self._sheds,
             rss_bytes=sum(shard.rss_bytes for shard in shards),
         )
 
@@ -1208,9 +1207,7 @@ class SupervisedServerPool:
         return PoolSnapshot(
             health=health,
             workers=tuple(workers),
-            stats=ServerStats.merged(
-                [part.stats for part in answered] + [self._supervision]
-            ),
+            stats=ServerStats.merged([part.stats for part in answered]),
             io=io,
         )
 

@@ -20,10 +20,9 @@ them:
   serves one query at a time and each query's I/O window holds exactly
   its own reads.
 * :meth:`KBTIMServer.query_batch` amortises one *batch* of queries:
-  the union of requested keywords is looked up once and every query in
-  the batch is then answered from the held values — bit-identical
-  answers to sequential :meth:`query` calls at a fraction of the
-  load/decode work.
+  each keyword of the batch is looked up once, on its first use, and
+  held for the rest of the batch — bit-identical answers to sequential
+  :meth:`query` calls at a fraction of the load/decode work.
 * :class:`~repro.core.process_pool.SupervisedServerPool` replicates
   the server as worker processes over one index file and sends each
   query to the worker owning its primary keyword.  This module defines
@@ -41,14 +40,13 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.catalog import IndexReader
+from repro.core.catalog import IndexReader, Lookup
 from repro.core.query import KBTIMQuery, resolve_keyword
 from repro.core.results import SeedSelection
 from repro.errors import QueryError, ServerError
@@ -76,25 +74,16 @@ def process_rss_bytes(pid: int) -> int:
 
     Reads ``/proc/<pid>/statm`` (Linux; the second field is resident
     pages), so the parent measures a *worker's* RSS without a round
-    trip.  On platforms without procfs, falls back to
-    ``resource.getrusage`` for the current process and returns 0 for
-    others — memory gauges are observability, never correctness, so
-    absence degrades to zero rather than raising.
+    trip.  Without procfs it returns 0 — memory gauges are
+    observability, never correctness, so absence degrades to zero
+    rather than raising.
     """
     try:
         with open(f"/proc/{pid}/statm", "rb") as fh:
             fields = fh.read().split()
         return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
     except (OSError, IndexError, ValueError):
-        pass
-    if pid == os.getpid():
-        try:
-            import resource
-
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-        except Exception:
-            pass
-    return 0
+        return 0
 
 
 #: Default latency-sample retention.  A long-lived server must not grow
@@ -110,8 +99,6 @@ _SERVING_COUNTERS = (
     "warm_loads",
     "total_seconds",
 )
-#: What a pool counts parent-side about healing and shedding.
-_SUPERVISION_COUNTERS = ("restarts", "retries", "sheds")
 
 
 @dataclass
@@ -129,24 +116,16 @@ class ServerStats:
     (``warm_loads``), so :attr:`hit_ratio` reflects only what real
     queries experienced.
 
-    The stats take no lock: a server updates its own under its lock,
-    and a pool's parent updates its supervision counters under its
-    admission lock.
+    The stats take no lock: a server updates its own under its lock.
 
-    Memory is not here: RSS and shared-segment bytes are measured by the
-    pool's parent process and live on :class:`PoolHealth` only.
+    What a pool's parent counts is not here: restarts, retries, sheds
+    and RSS live on :class:`PoolHealth` only.
     """
 
     queries: int = 0
     keyword_hits: int = 0
     keyword_misses: int = 0
     warm_loads: int = 0
-    #: Worker restarts (parent-side counter; zero on a worker's own stats).
-    restarts: int = 0
-    #: Queries transparently retried after a worker restart.
-    retries: int = 0
-    #: Requests shed by admission control (never dispatched to a worker).
-    sheds: int = 0
     total_seconds: float = 0.0
     latency_window: int = _LATENCY_WINDOW
     _latencies: Deque[float] = field(init=False, repr=False)
@@ -224,18 +203,13 @@ class ServerStats:
         """
         out = cls(latency_window=sum(part.latency_window for part in parts))
         for part in parts:
-            for name in _SERVING_COUNTERS + _SUPERVISION_COUNTERS:
+            for name in _SERVING_COUNTERS:
                 setattr(out, name, getattr(out, name) + getattr(part, name))
             out._latencies.extend(part._latencies)
         return out
 
     def to_dict(self) -> dict:
-        """The JSON-ready serving view: counters, hit ratio, latency summary.
-
-        The supervision counters are left out on purpose — in a
-        :meth:`PoolSnapshot.to_dict` document they are parent-side
-        numbers and :class:`PoolHealth` is their one home.
-        """
+        """The JSON-ready serving view: counters, hit ratio, latency summary."""
         out = {name: getattr(self, name) for name in _SERVING_COUNTERS}
         out["hit_ratio"] = self.hit_ratio
         out["mean_latency"] = self.mean_latency
@@ -307,8 +281,11 @@ class PoolHealth:
     shards: Tuple[ShardHealth, ...]
     inflight: int
     max_inflight: Optional[int]
+    #: The shards' ``restarts``, summed.
     restarts: int
+    #: Queries transparently retried after a worker death.
     retries: int
+    #: Requests shed by admission control (never dispatched to a worker).
     sheds: int
     #: Summed RSS of the live worker processes.
     rss_bytes: int
@@ -342,8 +319,7 @@ class PoolSnapshot:
     #: Per-shard :class:`ServerSnapshot`, ``None`` for a shard that was
     #: not ready or did not answer.
     workers: Tuple[Optional[ServerSnapshot], ...]
-    #: The answering workers' stats merged with the pool's own
-    #: supervision counters.
+    #: The answering workers' stats, merged.
     stats: ServerStats
     #: The answering workers' physical I/O, summed.
     io: IOStats
@@ -416,6 +392,13 @@ class KBTIMServer:
             self.stats.record_keyword_miss()
         return value, hit
 
+    def _answer(self, query: KBTIMQuery, lookup: Lookup) -> SeedSelection:
+        """The reader's ``query`` over ``lookup``, counted as one query;
+        the body :meth:`query` and :meth:`query_batch` share."""
+        answer = self.index.query(query, lookup)
+        self.stats.record_query(answer.stats.elapsed_seconds)
+        return answer
+
     def query(self, query: KBTIMQuery) -> SeedSelection:
         """Answer one query through the reader's cache.
 
@@ -439,20 +422,18 @@ class KBTIMServer:
             If a keyword is not in the index.
         """
         with self._lock:
-            answer = self.index.query(query, self._lookup)
-            self.stats.record_query(answer.stats.elapsed_seconds)
-        return answer
+            return self._answer(query, self._lookup)
 
     # ------------------------------------------------------------------
     def query_batch(self, queries: Sequence[KBTIMQuery]) -> List[SeedSelection]:
         """Answer a batch of queries with shared keyword loads.
 
         The batch is planned up front (every query validated before any
-        I/O), then the *union* of requested keywords is looked up once
-        each, at the largest count any query of the batch needs.  Every
-        individual query then runs the reader's ``query`` over the held
-        values (an RR query slices its prefixes off them; an IRR query
-        starts from them and still reads its own later partitions).
+        I/O), then each query runs the reader's ``query`` in turn.  A
+        keyword is looked up once, on its first use, at the largest count
+        any query of the batch needs, and held for the rest of the batch
+        (an RR query slices its prefixes off the held value; an IRR query
+        starts from it and still reads its own later partitions).
 
         Parameters
         ----------
@@ -476,61 +457,36 @@ class KBTIMServer:
         has been issued — the same exceptions, query by query, as
         :meth:`query`.
 
-        **Accounting.**  Per-query ``QueryStats`` attribute the batch's
-        physical work without double counting: a shared keyword
-        lookup's I/O (and time) is charged to the *first* query in the
-        batch that requested the keyword, so the per-query ``io`` deltas
-        sum to the batch's true total.  Cache counters mirror what a
-        sequential run against a large-enough cache would record: a
-        keyword resident before the batch counts a hit per use; a loaded
-        keyword counts one miss (on the charged query) and hits for
-        every later use in the batch.
+        **Accounting.**  A batch counts what the same sequential
+        :meth:`query` calls would count against a cache that keeps every
+        keyword of the batch: the first use of a keyword is one counted
+        lookup (a hit or a miss), inside that query's own ``QueryStats``
+        window, so the load's I/O and time are the first requester's;
+        every later use is a hit.  A batch that fails part-way has
+        counted the queries it answered.
 
         The batch holds its own references to the values it looked up,
         so a batch touching more keywords than the cache retains is
         still answered from one load per keyword.
         """
         queries = list(queries)
-        if not queries:
-            return []
-        index = self.index
         with self._lock:
-            # Phase 1: validate + plan everything before touching the disk.
-            plans = [index.plan(query) for query in queries]
-
-            # Phase 2: union of keywords -> one lookup each, at the largest
-            # count; its cost is charged to the first query that asked.
-            charge: Dict[str, int] = {}
+            # Plan everything before touching the disk; each keyword is
+            # looked up once, at the largest count any query needs.
             need: Dict[str, int] = {}
-            for pos, (keywords, counts, _phi) in enumerate(plans):
+            for keywords, counts, _phi in map(self.index.plan, queries):
                 for kw in keywords:
-                    charge.setdefault(kw, pos)
                     need[kw] = max(need.get(kw, 0), counts[kw])
             held: Dict[str, object] = {}
-            loads: Dict[str, Tuple[bool, IOStats, float]] = {}
-            for kw in sorted(charge):
-                before = index.stats.snapshot()
-                started = time.perf_counter()
-                held[kw], hit = index.lookup(kw, need[kw])
-                seconds = time.perf_counter() - started
-                loads[kw] = (hit, index.stats.delta(before), seconds)
 
-            # Phase 3: each query over the held values, with attribution.
-            results: List[SeedSelection] = []
-            for pos, query in enumerate(queries):
-                answer = index.query(query, lambda kw, _count: (held[kw], True))
-                for kw in plans[pos][0]:
-                    hit, io, seconds = loads[kw]
-                    if charge[kw] == pos:
-                        answer.stats.io.add(io)
-                        answer.stats.elapsed_seconds += seconds
-                    if hit or charge[kw] != pos:
-                        self.stats.record_keyword_hit()
-                    else:
-                        self.stats.record_keyword_miss()
-                self.stats.record_query(answer.stats.elapsed_seconds)
-                results.append(answer)
-            return results
+            def lookup(kw: str, _count: int) -> Tuple[object, bool]:
+                if kw in held:
+                    self.stats.record_keyword_hit()
+                    return held[kw], True
+                held[kw], hit = self._lookup(kw, need[kw])
+                return held[kw], hit
+
+            return [self._answer(query, lookup) for query in queries]
 
     # ------------------------------------------------------------------
     def warm(self, keywords: Iterable) -> None:

@@ -18,9 +18,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.query import KBTIMQuery
-from repro.core.ris import ris_query
 from repro.core.theta import ThetaPolicy
-from repro.core.wris import wris_query
+from repro.core.wris import ris_query, wris_query
 from repro.datasets.synthetic import Dataset
 from repro.datasets.workload import make_workload
 from repro.experiments.harness import ExperimentContext, _stable_salt

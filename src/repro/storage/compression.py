@@ -42,7 +42,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import CorruptIndexError, StorageError
 from repro.storage.bitpack import MASKS, bit_lengths, pack_runs, unpack_runs
 from repro.storage.varint import decode_varint, encode_varints
 
@@ -395,9 +395,9 @@ class StreamDecoder:
         """Read a stream of ``m`` values under codec ``tag`` at ``pos``."""
         data, size = self._data, self._size
         if tag != _RAW and tag != _PFOR:
-            raise StorageError(f"unknown codec tag {tag}")
+            raise CorruptIndexError(f"unknown codec tag {tag}")
         if m > _BLOCK * (size - pos):
-            raise StorageError(
+            raise CorruptIndexError(
                 f"a stream of {m} values cannot fit in the "
                 f"{max(size - pos, 0)} bytes that remain"
             )
@@ -406,7 +406,7 @@ class StreamDecoder:
             return pos
         if tag == _RAW:
             if pos + 8 * m > size:
-                raise StorageError("truncated RAW stream")
+                raise CorruptIndexError("truncated RAW stream")
             self._streams.append(np.frombuffer(data, dtype="<u8", count=m, offset=pos))
             return pos + 8 * m
         n_blocks = (m + _BLOCK - 1) // _BLOCK
@@ -415,7 +415,7 @@ class StreamDecoder:
         bits = (self._base + pos) * 8
         if n_exceptions:
             if n_exceptions > m or pos >= size:
-                raise StorageError("PFoR exception table exceeds its stream")
+                raise CorruptIndexError("PFoR exception table exceeds its stream")
             # Two one-run columns ahead of the values, back to back.
             position_width, excess_width = (m - 1).bit_length(), data[pos]
             excess_bits = bits + 8 + n_exceptions * position_width
@@ -430,7 +430,7 @@ class StreamDecoder:
         last = m - _BLOCK * (n_blocks - 1)
         end = (starts.pop() - (_BLOCK - last) * widths[-1] + 7) // 8 - self._base
         if end > size:
-            raise StorageError("truncated PFoR payload")
+            raise CorruptIndexError("truncated PFoR payload")
         self._slots.append((len(self._streams), m))
         self._streams.append(None)
         self._starts += starts
@@ -459,7 +459,7 @@ class StreamDecoder:
             dtype=np.uint8,
         ).astype(np.int64)
         if widths.max() > 64:
-            raise StorageError(f"bad PFoR width {widths.max()}")
+            raise CorruptIndexError(f"bad PFoR width {widths.max()}")
         unpacked = unpack_runs(
             self._records,
             np.array(self._starts + position_starts + excess_starts),
@@ -473,12 +473,12 @@ class StreamDecoder:
                 np.array(column).repeat(lens) for column in patched
             )
             if (positions >= size.view(np.uint64)).any():
-                raise StorageError("PFoR exception position out of range")
+                raise CorruptIndexError("PFoR exception position out of range")
             positions = positions.astype(np.int64)
             width_at = widths.take(block_first + positions // _BLOCK)
             # An excess has the 64 - width bits above its block's width.
             if (excess > MASKS.take(64 - width_at)).any():
-                raise StorageError("PFoR exception overflows 64 bits")
+                raise CorruptIndexError("PFoR exception overflows 64 bits")
             # (Width 64 admits only a zero excess: shift it by 0.)
             # bitwise_or.at, not fancy |=: duplicate positions (corrupt
             # but decodable) must OR-accumulate like a sequential walk.
@@ -499,22 +499,22 @@ def id_lists_from_streams(
 
     ``flat_ids[ptr[i]:ptr[i+1]]`` is list ``i`` — already the flat shape
     the coverage engine consumes, so no per-list array is materialised.
-    Raises :class:`~repro.errors.StorageError` when the counts do not
+    Raises :class:`~repro.errors.CorruptIndexError` when the counts do not
     describe ``gaps`` or an id leaves the signed 64-bit domain (ids are
     ``int64``; a corrupt gap must not wrap negative and flow on).
     """
     total = len(gaps)
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     if len(counts) and counts.max() > total:
-        raise StorageError("an id-list count exceeds the gaps stream")
+        raise CorruptIndexError("an id-list count exceeds the gaps stream")
     lengths = counts.astype(np.int64)
     lengths.cumsum(out=ptr[1:])
     if ptr[-1] != total:
-        raise StorageError("id-list counts do not add up to the gaps stream")
+        raise CorruptIndexError("id-list counts do not add up to the gaps stream")
     if total == 0:
         return ptr, np.empty(0, dtype=np.int64)
     if gaps.max() > _ID_MAX:
-        raise StorageError("id gap exceeds the signed 64-bit id domain")
+        raise CorruptIndexError("id gap exceeds the signed 64-bit id domain")
     # Segmented prefix sum: one global cumsum (behind a leading zero),
     # then subtract each list's running base so ids restart at every
     # list boundary.
@@ -525,5 +525,5 @@ def id_lists_from_streams(
     # With every gap in the domain, a list's first overflow lands in
     # [2^63, 2^64): negative as int64.
     if flat.min() < 0:
-        raise StorageError("id exceeds the signed 64-bit id domain")
+        raise CorruptIndexError("id exceeds the signed 64-bit id domain")
     return ptr, flat

@@ -17,6 +17,9 @@ and id-list sets of :mod:`repro.storage.compression`:
 
 Encoders take and decoders return flat CSR arrays; the codec is chosen at
 index-build time (Table 4 compares RAW vs PFOR) and tagged in the record.
+An encoder's bad argument is a :class:`~repro.errors.StorageError`; a
+decoder's malformed input is a :class:`~repro.errors.CorruptIndexError`
+(its subclass), as a bad checksum is.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import CorruptIndexError, StorageError
 from repro.storage.compression import (
     Codec,
     StreamDecoder,
@@ -129,10 +132,10 @@ class RRSetsRecord:
         is rejected here, before anything divides by it.
         """
         if len(prefix) < _RR_HEADER.size:
-            raise StorageError("RRSetsRecord header truncated")
+            raise CorruptIndexError("RRSetsRecord header truncated")
         n_sets, group_size, payload_len = _RR_HEADER.unpack_from(prefix, 0)
         if group_size < 1:
-            raise StorageError("RRSetsRecord group_size must be >= 1")
+            raise CorruptIndexError("RRSetsRecord group_size must be >= 1")
         n_groups = (n_sets + group_size - 1) // group_size
         payload_start = _RR_HEADER.size + 8 * n_groups
         return n_sets, group_size, payload_len, payload_start
@@ -151,10 +154,10 @@ class RRSetsRecord:
         the table must ascend strictly from zero.
         """
         if len(table) % 8:
-            raise StorageError("offset table length must be a multiple of 8")
+            raise CorruptIndexError("offset table length must be a multiple of 8")
         offsets = np.frombuffer(table, dtype="<u8").astype(np.int64)
         if len(offsets) and (offsets[0] != 0 or np.any(np.diff(offsets) <= 0)):
-            raise StorageError("offset table must ascend from 0")
+            raise CorruptIndexError("offset table must ascend from 0")
         return offsets
 
     @staticmethod
@@ -186,7 +189,7 @@ class RRSetsRecord:
         pos = held = 0
         while held < count:
             if pos >= len(payload):
-                raise StorageError(
+                raise CorruptIndexError(
                     f"RR payload ends after {held} of {count} sets"
                 )
             n, at = decode_varint(payload, pos + 1)
@@ -301,20 +304,20 @@ class InvertedListsRecord:
 
         The records must fill the segment exactly: a header cut short, a
         payload running past the segment's end, or a byte left after the
-        last record raises :class:`StorageError`.
+        last record raises :class:`~repro.errors.CorruptIndexError`.
         """
         ends = [0]
         for _ in range(count):
             if len(segment) - ends[-1] < _INV_HEADER.size:
-                raise StorageError("InvertedListsRecord header truncated")
+                raise CorruptIndexError("InvertedListsRecord header truncated")
             _n_lists, payload_len = _INV_HEADER.unpack_from(segment, ends[-1])
             ends.append(ends[-1] + _INV_HEADER.size + payload_len)
             if ends[-1] > len(segment):
                 over = ends[-1] - len(segment)
-                raise StorageError(f"InvertedListsRecord overruns by {over} bytes")
+                raise CorruptIndexError(f"InvertedListsRecord overruns by {over} bytes")
         if ends[-1] != len(segment):
             left = len(segment) - ends[-1]
-            raise StorageError(f"{left} trailing bytes after {count} records")
+            raise CorruptIndexError(f"{left} trailing bytes after {count} records")
         return [segment[start:end] for start, end in zip(ends, ends[1:])]
 
     @staticmethod
@@ -328,22 +331,22 @@ class InvertedListsRecord:
         ``keys[i]``'s id list is ``flat_ids[ptr[i]:ptr[i+1]]``.
         """
         if len(record) < _INV_HEADER.size:
-            raise StorageError("InvertedListsRecord header truncated")
+            raise CorruptIndexError("InvertedListsRecord header truncated")
         n_lists, payload_len = _INV_HEADER.unpack_from(record, 0)
         held = len(record) - _INV_HEADER.size
         if held != payload_len:
-            raise StorageError(
+            raise CorruptIndexError(
                 f"InvertedListsRecord payload {'truncated' if held < payload_len else 'overrun'}"
                 f": {held} bytes, the header says {payload_len}"
             )
         if not payload_len:
-            raise StorageError("InvertedListsRecord has no codec tag")
+            raise CorruptIndexError("InvertedListsRecord has no codec tag")
         first = decoder.open(record)
         tag = record[_INV_HEADER.size]
         pos = decoder.read(tag, n_lists, _INV_HEADER.size + 1)
         pos = decoder.read_id_lists(tag, n_lists, pos)
         if pos != len(record):
-            raise StorageError("InvertedListsRecord has trailing bytes")
+            raise CorruptIndexError("InvertedListsRecord has trailing bytes")
 
         def take(streams: List[np.ndarray]) -> Tuple[np.ndarray, ...]:
             zigzag, counts, gaps = streams[first : first + 3]
@@ -351,7 +354,7 @@ class InvertedListsRecord:
             deltas ^= -(zigzag & np.uint64(1)).view(np.int64)
             keys = deltas.cumsum()
             if len(keys) and keys.min() < 0:
-                raise StorageError("InvertedListsRecord key outside the id domain")
+                raise CorruptIndexError("InvertedListsRecord key outside the id domain")
             return (keys, *id_lists_from_streams(counts, gaps))
 
         return take

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from repro.errors import StorageError
+from repro.errors import CorruptIndexError, StorageError
 
 __all__ = ["decode_varint", "encode_varints"]
 
@@ -22,20 +22,20 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     pos = offset
     while True:
         if pos >= len(data):
-            raise StorageError("truncated varint")
+            raise CorruptIndexError("truncated varint")
         byte = data[pos]
         pos += 1
         # The tenth byte sits at shift 63: only its lowest bit fits in 64
         # bits, so any higher value bits mean the encoded value overflows
         # (a corrupt stream must not silently decode to a >64-bit int).
         if shift == 63 and byte & 0x7E:
-            raise StorageError("varint exceeds 64 bits")
+            raise CorruptIndexError("varint exceeds 64 bits")
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return result, pos
         shift += 7
         if shift > 63:
-            raise StorageError("varint exceeds 64 bits")
+            raise CorruptIndexError("varint exceeds 64 bits")
 
 
 def encode_varints(values: Iterable[int]) -> bytes:

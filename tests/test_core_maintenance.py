@@ -101,6 +101,16 @@ def _shorten_longest(lists):
     return lists
 
 
+def _cut_last_byte(name):
+    """A tampering that cuts segment ``name``'s last record short by one
+    byte: a malformed record, not a disagreement between records."""
+
+    def tamper(segments):
+        segments[name] = segments[name][:-1]
+
+    return tamper
+
+
 def _bump_catalog_count(segments):
     document = json.loads(segments["meta"])
     document["keywords"]["music"]["n_sets"] += 1
@@ -134,6 +144,7 @@ TAMPERINGS = {
         "rr", _edit_lists("inv/music", lambda lists: lists[1:]), "count mismatch"
     ),
     "rr catalog count": ("rr", _bump_catalog_count, "catalog says"),
+    "rr record cut short": ("rr", _cut_last_byte("inv/music"), "payload truncated"),
     "irr unsorted partition": (
         "irr",
         _edit_lists("irr/music/0", lambda lists: lists[::-1], IL0),
@@ -143,6 +154,7 @@ TAMPERINGS = {
         "irr", _swap_first_two_partitions, "breaks the global length order"
     ),
     "irr set claimed twice": ("irr", _claim_a_set_twice, "claimed twice"),
+    "irr record cut short": ("irr", _cut_last_byte("irr/music/1"), "overruns by 1"),
     "irr set unclaimed": (
         "irr",
         _edit_lists("irr/music/0", lambda lists: lists[1:], IR0),

@@ -1,16 +1,22 @@
 """Tests for the query server (repro.core.server)."""
 
+import shutil
+
 import pytest
 
+from repro.core.catalog import open_index
+from repro.core.irr_index import IRRIndexBuilder
 from repro.core.query import KBTIMQuery
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.server import KBTIMServer
 from repro.core.theta import ThetaPolicy
-from repro.errors import QueryError
+from repro.errors import CorruptIndexError, QueryError
+from repro.storage.segments import SegmentReader
 
 
 @pytest.fixture(scope="module")
-def index_path(tmp_path_factory):
+def paths(tmp_path_factory):
+    """An RR and an IRR file over the same sample tables."""
     from repro.graph.generators import twitter_like
     from repro.profiles.generators import zipf_profiles
     from repro.profiles.topics import TopicSpace
@@ -19,11 +25,21 @@ def index_path(tmp_path_factory):
     graph = twitter_like(250, avg_degree=8, rng=71)
     profiles = zipf_profiles(graph.n, TopicSpace.default(6), rng=72)
     model = IndependentCascade(graph)
-    path = str(tmp_path_factory.mktemp("server") / "s.rr")
-    RRIndexBuilder(
-        model, profiles, policy=ThetaPolicy(epsilon=1.0, K=30, cap=200), rng=73
-    ).build(path)
-    return path
+    tmp = tmp_path_factory.mktemp("server")
+    path, irr_path = str(tmp / "s.rr"), str(tmp / "s.irr")
+    policy = ThetaPolicy(epsilon=1.0, K=30, cap=200)
+    builder = RRIndexBuilder(model, profiles, policy=policy, rng=73)
+    tables = builder.sample()
+    builder.build(path, tables=tables)
+    IRRIndexBuilder(model, profiles, policy=policy, delta=15, rng=73).build(
+        irr_path, tables=tables
+    )
+    return {"rr": path, "irr": irr_path}
+
+
+@pytest.fixture(scope="module")
+def index_path(paths):
+    return paths["rr"]
 
 
 @pytest.fixture()
@@ -213,3 +229,44 @@ class TestLatencyWindowEdgeCases:
             server.query(KBTIMQuery(("typo",), 2))
         assert server.stats.keyword_misses == misses
         assert server.stats.warm_loads == warms
+
+
+def _flip_a_byte(path, segment, out):
+    """A copy of ``path`` with one byte flipped mid-``segment`` (its CRC
+    no longer matches)."""
+    shutil.copyfile(path, out)
+    with SegmentReader(out) as segments:
+        info = segments.info(segment)
+    with open(out, "r+b") as fh:
+        fh.seek(info.offset + info.length // 2)
+        byte = fh.read(1)[0]
+        fh.seek(-1, 1)
+        fh.write(bytes([byte ^ 0xFF]))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["rr", "irr"])
+def test_a_batch_that_fails_part_way_counts_what_it_answered(
+    kind, paths, tmp_path
+):
+    """A batch whose second query reads a damaged segment raises, having
+    counted the first exactly as the same sequential calls do."""
+    segment = "inv/book" if kind == "rr" else "irr/book/0"
+    damaged = _flip_a_byte(paths[kind], segment, str(tmp_path / f"damaged.{kind}"))
+    healthy, broken = KBTIMQuery(("music", "car"), 3), KBTIMQuery(("book",), 3)
+
+    def counted(serve):
+        with KBTIMServer(open_index(damaged), cache_keywords=4) as server:
+            with pytest.raises(CorruptIndexError):
+                serve(server)
+            stats = server.stats
+            counters = (stats.queries, stats.keyword_hits, stats.keyword_misses)
+            return counters, server.index.stats.snapshot()
+
+    def sequential(server):
+        server.query(healthy)
+        server.query(broken)
+
+    batched = counted(lambda server: server.query_batch([healthy, broken]))
+    assert batched == counted(sequential)
+    assert batched[0] == (1, 0, 2)

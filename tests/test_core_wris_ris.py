@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.query import KBTIMQuery
-from repro.core.ris import ris_query
 from repro.core.theta import ThetaPolicy
-from repro.core.wris import wris_query
+from repro.core.wris import ris_query, wris_query
 from repro.datasets.paper_example import (
     paper_example_graph,
     paper_example_profiles,

@@ -10,10 +10,9 @@ import pytest
 
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder
 from repro.core.query import KBTIMQuery
-from repro.core.ris import ris_query
 from repro.core.rr_index import RRIndex, RRIndexBuilder
 from repro.core.theta import ThetaPolicy
-from repro.core.wris import wris_query
+from repro.core.wris import ris_query, wris_query
 from repro.datasets.paper_example import (
     NODE_IDS,
     paper_example_graph,

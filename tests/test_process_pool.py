@@ -209,7 +209,8 @@ class TestPoolContract:
             )
         assert snapshot.stats.queries == len(workload)
         assert len(snapshot.stats.latencies) == len(workload)
-        assert (snapshot.stats.restarts, snapshot.stats.sheds) == (0, 0)
+        health = snapshot.health
+        assert (health.restarts, health.retries, health.sheds) == (0, 0, 0)
         assert set(WARMED) <= {
             kw for part in snapshot.workers for kw in part.cached_keywords
         }
@@ -292,7 +293,7 @@ class TestPoolContract:
             assert snapshot.stats.queries == before.workers[1].stats.queries
             assert snapshot.io.read_calls == before.workers[1].io.read_calls
             assert snapshot.to_dict()["workers"][victim] is None
-            assert snapshot.stats.restarts == 0  # a read never heals
+            assert snapshot.health.restarts == 0  # a read never heals
 
 
 class TestPicklableBoundary:
@@ -472,7 +473,8 @@ class TestLifecycle:
             pool._workers[0].process.kill()
             pool._workers[0].process.join(timeout=10.0)
             got = pool.query(query)
-            assert (pool.health().restarts, pool.stats.retries) == (1, 0)
+            health = pool.health()
+            assert (health.restarts, health.retries) == (1, 0)
         _assert_same_selection(got, want)
 
 

@@ -703,6 +703,7 @@ class ServingModel(RuleBasedStateMachine):
             assert self.pool._shards[s].restarts_in_window == self.window[s]
         counters = (health.restarts, health.retries, health.sheds, health.inflight)
         assert counters == (sum(self.restarts), self.retries, self.sheds, 0)
+        assert health.restarts == sum(shard.restarts for shard in health.shards)
         ready = sum(self.state(s) == SHARD_READY for s in range(self.n))
         assert (health.available_shards, health.healthy) == (ready, ready == self.n)
         assert health.max_inflight == self.max_inflight
@@ -740,9 +741,9 @@ class ServingModel(RuleBasedStateMachine):
         for name in COUNTERS:
             total = sum(getattr(part.stats, name) for part in answered)
             assert getattr(snapshot.stats, name) == total
-        supervision = (snapshot.stats.restarts, snapshot.stats.retries)
-        assert supervision == (sum(self.restarts), self.retries)
-        assert snapshot.stats.sheds == self.sheds
+        health = snapshot.health
+        supervision = (health.restarts, health.retries, health.sheds)
+        assert supervision == (sum(self.restarts), self.retries, self.sheds)
         document = json.loads(json.dumps(snapshot.to_dict()))
         assert document["schema"] == SNAPSHOT_SCHEMA
         assert len(document["workers"]) == self.n

@@ -101,7 +101,8 @@ class TestSelfHealing:
             finally:
                 process._popen.returncode = -signal.SIGKILL  # ... and closes it
             _assert_same_selection(got, want)
-            assert (pool.stats.restarts, pool.stats.retries) == (1, 0)
+            health = pool.health()
+            assert (health.restarts, health.retries) == (1, 0)
 
     @pytest.mark.parametrize(
         "stop, code",
