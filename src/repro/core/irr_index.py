@@ -19,39 +19,40 @@ ahead of them, since every query loads partition 0 of every keyword it
 names (at open every bound is ``Σ kb·pending`` with ``kb ≥ 1``).
 
 **Query** (:meth:`IRRIndex.query`): NRA-style top-k aggregation
-(Fagin et al.), loading one more partition per keyword per round.  Every
-unselected vertex is a candidate, and its upper bound sums, per query
-keyword, either its exact active-uncovered count (list loaded) or the
-keyword's list bound ``kb[w]`` (list not loaded and ``IP_w`` says it may
+(Fagin et al.).  Every unselected vertex is a candidate, and its upper
+bound sums, per query keyword, either its exact active-uncovered count
+(list loaded) or the keyword's list bound ``kb[w]`` less the covered
+sets already known to hold it (list not loaded and ``IP_w`` says it may
 score).  The top candidate — max bound, smallest id on ties — is
 confirmed as a seed exactly when it is complete: its bound is then its
 marginal, and no other vertex can beat it or tie it with a smaller id.
+Otherwise a round loads the next partition of each keyword the top
+candidate is pending under (Algorithm 4 loads one of *every*
+unexhausted keyword).
 
 The engine keeps **one** state for all query keywords
 (:class:`_NRAState`): keyword ``j``'s active set ``s`` is global set id
-``offset[j] + s`` and a set's member ``v`` is stored as ``j·n + v``, so
-``covered``, the set and list locators and the flat payloads are single
-arrays, the per-keyword flags are ``(m, n)`` arrays, and
-
-    ``live_bound = where(selected, -1, score + kb @ pending)``
-
-is one dense expression at open and per load round.  It runs as
-module-level stages over that record — :func:`_open_state` (look up
-every keyword's ``IP_w`` and partition 0), :func:`_ingest_partition`
-(slice one decoded partition in),
-:func:`_refresh_bounds` (the expression above),
+``offset[j] + s``, so ``covered``, the set and list locators and the
+flat payloads are single arrays and the per-keyword flags are
+``(m, n)`` arrays.  The bound table ``live_bound`` is kept up to date
+in place: a loaded list adds its clipped length, a covered set takes
+one off each of its members, and a refresh per load round adds the
+change of ``kb @ pending``.  It runs as module-level stages over that
+record — :func:`_open_state` (look up every keyword's ``IP_w`` and
+partition 0), :func:`_ingest_partition` (slice one decoded partition
+in), :func:`_refresh_bounds` (the ``kb`` terms),
 :func:`_pick_or_load` (``argmax``: confirm, or load a round) and
 :func:`_cover` (one pass over a seed's lists under *all* keywords:
 gather, ``covered`` filter, one segmented member gather, one
-``subtract.at`` each on ``score`` and ``live_bound``).  Covering
-re-scores exactly the affected users at once — the batch formulation of
-the paper's *lazy evaluation strategy* (Section 5.2), which deferred
-scalar re-scores until a candidate surfaced at the top of a priority
-queue; both select the identical seed sequence (max current bound,
-smallest vertex id on ties) and load the identical partitions, which the
-regression tests pin against a port of the dict/heap engine
-(``tests/test_csr_fast_paths.py::reference_irr_nra``).  State table and
-bound formula: ``docs/ARCHITECTURE.md``, "IRR query engine".
+``subtract.at``).  Covering re-scores exactly the affected users at
+once — the batch formulation of the paper's *lazy evaluation strategy*
+(Section 5.2), which deferred scalar re-scores until a candidate
+surfaced at the top of a priority queue; both select the identical seed
+sequence (max current bound, smallest vertex id on ties), which the
+regression tests pin, with the partitions loaded, against the dict/heap
+port of these rules (``tests/test_csr_fast_paths.py::reference_irr_nra``).
+State table and bound formula: ``docs/ARCHITECTURE.md``, "IRR query
+engine".
 
 Theorem 3 — Algorithm 4 returns Algorithm 2's seeds, in Algorithm 2's
 order and with its marginals — is enforced by the integration tests on
@@ -272,12 +273,10 @@ class _NRAState:
 
     Keyword ``j``'s active RR set ``s`` (``s < θ^Q_j``) is global set id
     ``offset[j] + s`` — the numbering ``merge_coverage_csr`` gives the RR
-    path — and a set's member ``v`` is stored as ``j·n + v``, so one
-    ``take`` on ``pending.ravel()`` answers "is that member's list for
-    that keyword loaded".  The bound table spans all ``n`` vertices, so
-    every unselected vertex is a candidate from the start, bounded by the
-    keywords ``IP_w`` lets it score under.  Stage functions below are the
-    only writers; ARCHITECTURE.md "IRR query engine" has the table of who
+    path.  The bound table spans all ``n`` vertices, so every unselected
+    vertex is a candidate from the start, bounded by the keywords
+    ``IP_w`` lets it score under.  Stage functions below are the only
+    writers; ARCHITECTURE.md "IRR query engine" has the table of who
     writes what.
     """
 
@@ -293,7 +292,8 @@ class _NRAState:
     # (m, n): v may still score under keyword j (IP_j[v] < θ^Q_j) and its
     # list is not loaded — v's bound carries kb[j] instead of a count.
     pending: np.ndarray
-    incomplete: np.ndarray  # (n,) any pending keyword, as of the last round
+    kb_part: np.ndarray  # (n,) kb @ pending as of the last refresh
+    incomplete: np.ndarray  # (n,) any pending keyword, as of the last refresh
     # Loaded inverted lists, clipped to the active prefix, as global set
     # ids: v's list under keyword j is lists_flat[start : start + len].
     list_start: np.ndarray  # (m, n)
@@ -304,9 +304,9 @@ class _NRAState:
     mem_len: np.ndarray  # (Σθ,), 0 until loaded
     members_flat: np.ndarray
     covered: np.ndarray  # (Σθ,) set holds a confirmed seed
-    score: np.ndarray  # (n,) Σ over loaded lists of active uncovered sets
-    live_bound: np.ndarray  # (n,) NRA upper bound; < 0 = selected
-    selected: np.ndarray  # (n,)
+    # (n,) NRA upper bound: Σ_j (loaded: clipped length; pending: kb[j])
+    # less the covered sets that hold v; < 0 = selected.
+    live_bound: np.ndarray
     seeds: List[int]
     marginals: List[int]
     rr_sets_loaded: int = 0
@@ -342,6 +342,7 @@ def _open_state(
         next_partition=[0] * len(keywords),
         kb=np.zeros(len(keywords), dtype=np.int64),
         pending=pending,
+        kb_part=np.zeros(n, dtype=np.int64),
         incomplete=np.empty(0, dtype=bool),
         list_start=np.zeros((len(keywords), n), dtype=np.int64),
         list_len=np.zeros((len(keywords), n), dtype=np.int64),
@@ -350,9 +351,7 @@ def _open_state(
         mem_len=np.zeros(offset[-1], dtype=np.int64),
         members_flat=np.empty(0, dtype=np.int64),
         covered=np.zeros(offset[-1], dtype=bool),
-        score=np.zeros(n, dtype=np.int64),
-        live_bound=np.empty(0, dtype=np.int64),
-        selected=np.zeros(n, dtype=bool),
+        live_bound=np.zeros(n, dtype=np.int64),
         seeds=[],
         marginals=[],
     )
@@ -378,28 +377,24 @@ def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
     sets += offset
     state.mem_start[sets] = ir_ptr[:-1][active] + len(state.members_flat)
     state.mem_len[sets] = (ir_ptr[1:] - ir_ptr[:-1])[active]
-    state.members_flat = np.concatenate([state.members_flat, ir_flat + j * state.n])
+    state.members_flat = np.concatenate([state.members_flat, ir_flat])
     state.rr_sets_loaded += len(sets)
     # Inverted lists: clip each to the active ids; the number of kept
     # positions before each list boundary is the clipped CSR pointer.
     kept = np.flatnonzero(il_flat < theta)
     bounds = kept.searchsorted(il_ptr)
-    exact = lengths = bounds[1:] - bounds[:-1]
+    lengths = bounds[1:] - bounds[:-1]
     clipped = il_flat.take(kept)
     clipped += offset
-    if state.seeds and len(clipped):
-        # Sets a confirmed seed already covers do not count (the seed
-        # was picked before this partition was loaded).
-        gone = np.zeros(len(clipped) + 1, dtype=np.int64)
-        state.covered.take(clipped).cumsum(out=gone[1:])
-        gone = gone.take(bounds)
-        exact = lengths - (gone[1:] - gone[:-1])
     # Each vertex is in exactly one IL partition per keyword, so il_keys
     # is duplicate-free and every locator entry is written once.
     state.list_start[j][il_keys] = bounds[:-1] + len(state.lists_flat)
     state.list_len[j][il_keys] = lengths
     state.lists_flat = np.concatenate([state.lists_flat, clipped])
-    state.score[il_keys] += exact
+    # The raw length: a set a seed covered before this list loaded was
+    # already taken off v's bound at the cover (its members were known:
+    # the set's IR partition is no later than the seed's list's).
+    state.live_bound[il_keys] += lengths
     state.pending[j][il_keys] = False
     state.partitions_loaded += 1
     # kb[j]: the next partition's longest list, clipped; 0 once exhausted.
@@ -409,32 +404,36 @@ def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
 
 
 def _refresh_bounds(state: _NRAState) -> None:
-    """Stage 3, at open and once per load round: every unselected
-    vertex's bound in one expression.
+    """Stage 3, at open and once per load round: ``incomplete`` and
+    every bound's ``kb`` terms, one pass each.
 
-    ``bound[v] = score[v] + Σ_j kb[j]·pending[j, v]``: newly loaded lists
-    swap their ``kb`` for an exact count and the others absorb the
-    shrunken ``kb`` in the same pass.  The sum runs in float64, which
-    numpy hands to BLAS (int64 × bool has no such path); it is exact,
-    since ``Σ kb`` is far below 2**53.
+    ``live_bound`` gains the change of ``Σ_j kb[j]·pending[j, v]``:
+    newly loaded lists drop their ``kb`` (ingest added their length)
+    and the others absorb the shrunken ``kb``.  A seed was complete when
+    picked, so its term stays 0 and its bound below 0.  The sum runs in
+    float64, which numpy hands to BLAS (int64 × bool has no such path);
+    it is exact, since ``Σ kb`` is far below 2**53.
     """
     state.incomplete = state.pending.any(axis=0)
-    bound = np.dot(state.kb.astype(np.float64), state.pending).astype(np.int64)
-    bound += state.score
-    state.live_bound = np.where(state.selected, -1, bound)
+    kb_part = np.dot(state.kb.astype(np.float64), state.pending).astype(np.int64)
+    state.live_bound += kb_part
+    state.live_bound -= state.kb_part
+    state.kb_part = kb_part
 
 
-def _load_round(index: "IRRIndex", state: _NRAState) -> bool:
-    """Algorithm 4 lines 23-30: one more partition per unexhausted keyword."""
-    loaded = False
-    for j, kw in enumerate(state.keywords):
+def _load_round(index: "IRRIndex", state: _NRAState, vertex: int) -> bool:
+    """Algorithm 4 lines 23-30, for what the top candidate ``vertex``
+    waits on: the next partition of every keyword it is pending under,
+    then one refresh.  Each of those keywords holds its list in a later
+    partition, so none is exhausted; ``False`` (nothing to load) means
+    the index is inconsistent."""
+    for j in np.flatnonzero(state.pending[:, vertex]).tolist():
         p = state.next_partition[j]
-        if p < state.n_partitions[j]:
-            _ingest_partition(state, j, index._load_partition(kw, p))
-            loaded = True
-    if loaded:
-        _refresh_bounds(state)
-    return loaded
+        if p == state.n_partitions[j]:
+            return False
+        _ingest_partition(state, j, index._load_partition(state.keywords[j], p))
+    _refresh_bounds(state)
+    return True
 
 
 def _cover(state: _NRAState, vertex: int) -> None:
@@ -447,20 +446,16 @@ def _cover(state: _NRAState, vertex: int) -> None:
     if not len(fresh):
         return
     state.covered[fresh] = True
-    # A set whose partition is not ingested yet has length 0 here: its
-    # members' lists are not loaded either, so nothing is owed to them.
+    # The seed's lists are loaded, so every set in them is too (a set's
+    # IR partition is no later than a list's that holds it).
     members = state.members_flat.take(
         segmented_arange(state.mem_start.take(fresh), state.mem_len.take(fresh))
     )
-    # Every member of a newly covered set whose list (for that set's
-    # keyword) is loaded loses one unit of score — and its bound carries
-    # that score, so the same decrement applies to the bound table; a
-    # pending member's bound carries kb instead and is left alone.
+    # Every member of a newly covered set loses one unit of bound, its
+    # list for that set's keyword loaded or not: a pending term
+    # kb[j] - (covered sets seen) still caps the list's uncovered count.
     # Selected members drift below -1, which the argmax ignores.
-    loaded = members.compress(~state.pending.ravel().take(members))
-    loaded %= state.n
-    np.subtract.at(state.score, loaded, 1)
-    np.subtract.at(state.live_bound, loaded, 1)
+    np.subtract.at(state.live_bound, members, 1)
 
 
 def _pick_or_load(index: "IRRIndex", state: _NRAState) -> None:
@@ -470,17 +465,16 @@ def _pick_or_load(index: "IRRIndex", state: _NRAState) -> None:
     rule ``greedy_max_coverage`` shares) is confirmed exactly when it is
     complete: its bound is then its marginal, and every other bound caps
     its own vertex's marginal, so the pick is Algorithm 2's.  Otherwise
-    one more round of partitions is loaded.
+    a round loads what it is pending under.
     """
     vertex = int(state.live_bound.argmax())
     if not state.incomplete.item(vertex):
         state.seeds.append(vertex)
         state.marginals.append(state.live_bound.item(vertex))
-        state.selected[vertex] = True
         state.live_bound[vertex] = -1
-        if len(state.seeds) < state.k:  # nobody reads the scores after the last seed
+        if len(state.seeds) < state.k:  # nobody reads the bounds after the last seed
             _cover(state, vertex)
-    elif not _load_round(index, state):
+    elif not _load_round(index, state, vertex):
         raise IndexError_(
             "IRR query stalled: no partitions left but the top "
             "candidate is incomplete — index is inconsistent"
