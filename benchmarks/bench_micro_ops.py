@@ -94,13 +94,13 @@ _IRR_QUERIES = (
 
 
 def test_irr_query_latency_warm(irr_index_path, benchmark):
-    """NRA query latency with the decoded-partition memo warm.
+    """NRA query latency with the reader's cache warm.
 
     What a long-lived reader pays per query once the hot partitions'
     decodes are memoised (reads still hit the pager every time).
     """
     with IRRIndex(irr_index_path) as index:
-        for query in _IRR_QUERIES:  # prime the decode memo
+        for query in _IRR_QUERIES:  # prime the reader's cache
             index.query(query)
 
         benchmark(lambda: [index.query(q) for q in _IRR_QUERIES])
@@ -116,20 +116,20 @@ _IRR_WIDE_QUERY = KBTIMQuery(
 
 
 def test_irr_query_latency_warm_six_keywords(irr_index_path, benchmark):
-    """One 6-keyword, k = 50 NRA query with the decode memo warm."""
+    """One 6-keyword, k = 50 NRA query with the reader's cache warm."""
     with IRRIndex(irr_index_path) as index:
-        index.query(_IRR_WIDE_QUERY)  # prime the decode memo
+        index.query(_IRR_WIDE_QUERY)  # prime the reader's cache
 
         benchmark(lambda: index.query(_IRR_WIDE_QUERY))
 
 
 def test_irr_query_latency_cold_decode(irr_index_path, benchmark):
-    """NRA query latency with the decode memo disabled (capacity 0).
+    """NRA query latency with the reader's cache disabled (capacity 0).
 
     The constructor-parameterised cache size sweeps cold behaviour
     without monkeypatching: every partition load pays its full decode.
     """
-    with IRRIndex(irr_index_path, decode_cache_partitions=0) as index:
+    with IRRIndex(irr_index_path, prefix_cache_keywords=0) as index:
         benchmark(lambda: [index.query(q) for q in _IRR_QUERIES])
 
 

@@ -19,8 +19,8 @@ that document:
   It is the whole protocol :class:`~repro.core.server.KBTIMServer` and
   the pool serve, whichever index a file holds; :func:`open_index`
   picks the reader from the catalog's ``format``.
-* :class:`BlockCache` — the one cache of decoded index data (both
-  readers', keyed by keyword or by ``(keyword, partition)``).
+* :class:`BlockCache` — the one cache of decoded index data: one per
+  reader, keyed by keyword, each entry all the reader decoded of it.
 """
 
 from __future__ import annotations
@@ -315,14 +315,15 @@ Lookup = Callable[[str, int], Tuple[object, bool]]
 
 
 class BlockCache:
-    """A bounded LRU of immutable decoded values.
+    """A bounded LRU of decoded values, one entry per keyword.
 
     :meth:`get` returns ``(value, hit)``: a resident value is a **hit**
     and ``load`` is not called; otherwise ``load()`` produces the value
     (never ``None``), which is admitted (least recently used entries
     evicted beyond ``capacity``).  ``capacity=0`` retains nothing: every
-    call loads.  Values are immutable by convention, so they are handed
-    out without copying.
+    call loads.  Values are handed out without copying: their arrays are
+    read-only, and the one part that changes, an IRR entry's list of
+    decoded partitions, only grows, in partition order.
 
     A cache belongs to one reader and, like it, to one caller at a time
     (a :class:`~repro.core.server.KBTIMServer` serialises its callers; a
@@ -388,9 +389,8 @@ class IndexReader:
 
     #: The catalog format this reader serves; set by each subclass.
     FORMAT: str
-    #: The reader's cache of per-keyword decoded values, keyed by keyword
-    #: name (what :meth:`lookup` serves); created by each subclass.
-    cache: BlockCache
+    #: Default capacity of :attr:`cache`, in keywords; set by each subclass.
+    CACHE_KEYWORDS: int
 
     def __init__(
         self,
@@ -398,7 +398,15 @@ class IndexReader:
         *,
         stats: Optional[IOStats] = None,
         pool: Optional[BufferPool] = None,
+        prefix_cache_keywords: Optional[int] = None,
     ) -> None:
+        # The reader's one cache of decoded data, keyed by keyword name
+        # (what :meth:`lookup` serves); 0 retains nothing between queries.
+        self.cache = BlockCache(
+            self.CACHE_KEYWORDS
+            if prefix_cache_keywords is None
+            else prefix_cache_keywords
+        )
         self.stats = stats if stats is not None else IOStats()
         self._reader = SegmentReader(path, stats=self.stats, pool=pool)
         try:
@@ -418,6 +426,11 @@ class IndexReader:
         """Load the format-specific resident state (record headers,
         partition tables); runs inside the constructor's close-on-error."""
         raise NotImplementedError
+
+    @property
+    def prefix_cache_keywords(self) -> int:
+        """Capacity of :attr:`cache`, in keywords."""
+        return self.cache.capacity
 
     def keywords(self) -> List[str]:
         """Indexed keyword names (sorted)."""
@@ -450,8 +463,9 @@ class IndexReader:
     def lookup(self, keyword: str, count: int) -> Tuple[object, bool]:
         """``(value, hit)``: one query keyword's decoded value, through
         :attr:`cache` — the RR block serving ``count`` sets, or the IRR
-        ``(IP_w, partition 0)`` pair; ``hit`` when the cache spared the
-        decode.
+        pair of ``IP_w`` and the keyword's decoded partitions (a list
+        that holds partition 0 and grows as queries load later ones);
+        ``hit`` when the cache spared the decode.
         ``keyword`` must already be validated against the catalog."""
         raise NotImplementedError
 

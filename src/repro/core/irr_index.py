@@ -39,9 +39,9 @@ in place: a loaded list adds its clipped length, a covered set takes
 one off each of its members, and a refresh per load round adds the
 change of ``kb @ pending``.  It runs as module-level stages over that
 record — :func:`_open_state` (look up every keyword's ``IP_w`` and
-partition 0), :func:`_ingest_partition` (slice one decoded partition
-in), :func:`_refresh_bounds` (the ``kb`` terms),
-:func:`_pick_or_load` (``argmax``: confirm, or load a round) and
+decoded partitions, ingest partition 0), :func:`_ingest_partition`
+(slice one decoded partition in), :func:`_refresh_bounds` (the ``kb``
+terms), :func:`_pick_or_load` (``argmax``: confirm, or load a round) and
 :func:`_cover` (one pass over a seed's lists under *all* keywords:
 gather, ``covered`` filter, one segmented member gather, one
 ``subtract.at``).  Covering re-scores exactly the affected users at
@@ -71,7 +71,6 @@ import numpy as np
 
 from repro.core.catalog import (
     IRR_FORMAT,
-    BlockCache,
     Catalog,
     IndexReader,
     Lookup,
@@ -85,8 +84,6 @@ from repro.core.rr_index import BuildReport, RRIndexBuilder, build_report, inver
 from repro.core.theta import ThetaPolicy
 from repro.errors import IndexError_
 from repro.storage.compression import Codec, StreamDecoder, StreamEncoder
-from repro.storage.iostats import IOStats
-from repro.storage.pager import BufferPool
 from repro.storage.records import Frame, InvertedListsRecord
 from repro.storage.segments import SegmentWriter
 from repro.utils.rrsets import FlatRRSets
@@ -96,17 +93,6 @@ __all__ = ["IRRIndexBuilder", "IRRIndex", "DEFAULT_PARTITION_SIZE"]
 
 #: Paper setting: "the partition size δ is set to 100 for all experiments".
 DEFAULT_PARTITION_SIZE = 100
-
-#: Capacity of the per-reader decoded-partition cache (see
-#: ``IRRIndex._partitions``): at δ=100 this bounds resident decoded
-#: state to a few hundred partitions regardless of index size.
-_DECODE_CACHE_PARTITIONS = 512
-
-#: Capacity of the per-reader cache of ``(IP_w, partition 0)`` pairs
-#: (``IRRIndex.cache``).  IP maps are the largest per-keyword decoded
-#: structure (one entry per vertex), so they get the same bounded
-#: treatment.
-_IP_CACHE_KEYWORDS = 64
 
 #: ``IP_w`` entry of a vertex that never occurs under ``w``: above any θ.
 _NEVER = np.iinfo(np.int64).max
@@ -287,6 +273,8 @@ class _NRAState:
     offset: List[int]  # first global set id of keyword j
     n_partitions: Sequence[int]
     first_lens: Sequence[np.ndarray]  # longest list of each partition of keyword j
+    # Keyword j's decoded partitions from lookup; a load past its end appends.
+    partitions: Sequence[list]
     next_partition: List[int]
     kb: np.ndarray  # (m,) bound on a not-yet-loaded list's count under keyword j
     # (m, n): v may still score under keyword j (IP_j[v] < θ^Q_j) and its
@@ -320,7 +308,7 @@ def _open_state(
     k: int,
     lookup: Lookup,
 ) -> _NRAState:
-    """Stage 1: look up every keyword's ``IP_w`` and partition 0, lay out
+    """Stage 1: look up every keyword's ``IP_w`` and partitions, lay out
     the merged id space, ingest every partition 0 and build the first
     bound table.  That is the state the first load round left: at open
     every bound is ``Σ kb·pending`` with ``kb ≥ 1``, so the top candidate
@@ -329,7 +317,7 @@ def _open_state(
     theta = [counts[kw] for kw in keywords]
     offset = [0, *accumulate(theta)]
     n_partitions, first_lens = zip(*(index._partition_info[kw] for kw in keywords))
-    ips, firsts = zip(*(lookup(kw, theta[j])[0] for j, kw in enumerate(keywords)))
+    ips, partitions = zip(*(lookup(kw, theta[j])[0] for j, kw in enumerate(keywords)))
     pending = np.less(ips, np.array(theta)[:, None])
     state = _NRAState(
         keywords=keywords,
@@ -339,6 +327,7 @@ def _open_state(
         offset=offset,
         n_partitions=n_partitions,
         first_lens=first_lens,
+        partitions=partitions,
         next_partition=[0] * len(keywords),
         kb=np.zeros(len(keywords), dtype=np.int64),
         pending=pending,
@@ -355,8 +344,8 @@ def _open_state(
         seeds=[],
         marginals=[],
     )
-    for j, partition in enumerate(firsts):
-        _ingest_partition(state, j, partition)
+    for j, decoded in enumerate(partitions):
+        _ingest_partition(state, j, decoded[0])
     _refresh_bounds(state)
     return state
 
@@ -431,7 +420,8 @@ def _load_round(index: "IRRIndex", state: _NRAState, vertex: int) -> bool:
         p = state.next_partition[j]
         if p == state.n_partitions[j]:
             return False
-        _ingest_partition(state, j, index._load_partition(state.keywords[j], p))
+        decoded = index._load_partition(state.keywords[j], state.partitions[j], p)
+        _ingest_partition(state, j, decoded)
     _refresh_bounds(state)
     return True
 
@@ -484,56 +474,38 @@ def _pick_or_load(index: "IRRIndex", state: _NRAState) -> None:
 class IRRIndex(IndexReader):
     """Query-time reader for the IRR index (Algorithm 4).
 
-    Two :class:`~repro.core.catalog.BlockCache` instances hold decodes:
-    :attr:`cache` each keyword's first load unit, ``(IP_w, partition 0)``
-    (by keyword), and ``_partitions`` the later ``(IR, IL)`` partitions
-    (by ``(keyword, partition)``).
-    ``decode_cache_partitions`` bounds the second and switches the first
-    with it: ``<= 0`` retains nothing, so every logical load re-decodes —
-    the cold behaviour the experiments sweep.  Either way every logical
-    load issues its read through the pager *before* it asks a cache, so
-    only the decode is ever spared and a query's I/O accounting does not
-    depend on what the reader served before.
+    :attr:`cache` holds, per keyword, everything decoded of it:
+    ``IP_w`` and the list of its partitions decoded so far, which
+    partition 0 starts and each later load extends (a query loads a
+    keyword's partitions in order).  ``prefix_cache_keywords`` (default
+    :attr:`CACHE_KEYWORDS`) bounds it in keywords; ``0`` retains
+    nothing, so every query decodes all it loads — the cold behaviour
+    the experiments sweep.  Either way every load issues its read
+    through the pager *before* it decodes or not, so only the decode is
+    ever spared and a query's I/O accounting does not depend on what
+    the reader served before.
     """
 
     FORMAT = IRR_FORMAT
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        stats: Optional[IOStats] = None,
-        pool: Optional[BufferPool] = None,
-        decode_cache_partitions: int = _DECODE_CACHE_PARTITIONS,
-    ) -> None:
-        self.decode_cache_partitions = int(decode_cache_partitions)
-        # Immutable index data, bounded so a long-lived reader never
-        # holds the whole index decoded in memory.
-        self.cache = BlockCache(
-            _IP_CACHE_KEYWORDS if self.decode_cache_partitions > 0 else 0
-        )
-        self._partitions = BlockCache(self.decode_cache_partitions)
-        self._partition_info: Dict[str, Tuple[int, np.ndarray]] = {}
-        super().__init__(path, stats=stats, pool=pool)
+    CACHE_KEYWORDS = 64
 
     def _load(self, parsed: Catalog) -> None:
-        self.delta = parsed.delta
-        for name, (n_partitions, first_lens) in parsed.partitions.items():
-            self._partition_info[name] = (
-                n_partitions,
-                np.array(first_lens, dtype=np.int64),
-            )
+        self._partition_info: Dict[str, Tuple[int, np.ndarray]] = {
+            name: (n_partitions, np.array(first_lens, dtype=np.int64))
+            for name, (n_partitions, first_lens) in parsed.partitions.items()
+        }
 
     # ------------------------------------------------------------------
     def lookup(self, keyword: str, count: int) -> Tuple[tuple, bool]:
-        """``((IP_w, partition 0), hit)``: the keyword's first load unit,
-        segment ``irr/<kw>/0`` (one read, always issued; ``hit`` when
-        :attr:`cache` spared the decode).
+        """``((IP_w, partitions), hit)``: the keyword's decoded value,
+        from segment ``irr/<kw>/0`` (one read, always issued; ``hit``
+        when :attr:`cache` spared the decode).
 
         ``IP_w`` is a dense length-``n`` array; a vertex that never
         occurs under the keyword holds ``_NEVER``, so ``IP_w < θ^Q_w``
-        alone says "may score under this keyword".  Partition 0 is what
-        :meth:`_load_partition` returns for a later one.  Neither depends
+        alone says "may score under this keyword".  ``partitions`` is
+        the list of decoded ``(IR, IL)`` partitions, partition 0 first;
+        :meth:`_load_partition` appends the later ones.  Neither depends
         on ``count``.
         """
         segment = self._reader.read_view(f"irr/{keyword}/0")
@@ -546,14 +518,17 @@ class IRRIndex(IndexReader):
         keys, ptr, flat, *partition = _decode_segment(segment, 3)
         ip = np.full(self.n_vertices, _NEVER, dtype=np.int64)
         ip[keys] = flat[ptr[:-1]]
-        return _frozen(ip)[0], tuple(partition)
+        return _frozen(ip)[0], [tuple(partition)]
 
-    def _load_partition(self, keyword: str, p: int) -> tuple:
-        """Load partition ``p ≥ 1``'s ``(IR, IL)`` CSR arrays (one read)."""
+    def _load_partition(self, keyword: str, partitions: list, p: int) -> tuple:
+        """Load partition ``p ≥ 1``'s ``(IR, IL)`` CSR arrays (one read)
+        into ``partitions``, the keyword's list from :meth:`lookup`,
+        which holds partitions ``< p`` already; it is decoded only if
+        the list does not hold it yet."""
         segment = self._reader.read_view(f"irr/{keyword}/{p}")
-        return self._partitions.get(
-            (keyword, p), partial(_decode_segment, segment, 2)
-        )[0]
+        if p == len(partitions):
+            partitions.append(_decode_segment(segment, 2))
+        return partitions[p]
 
     # ------------------------------------------------------------------
     def query(
@@ -561,7 +536,7 @@ class IRRIndex(IndexReader):
     ) -> SeedSelection:
         """Algorithm 4: incremental NRA top-k aggregation; ``lookup``
         (default :meth:`lookup`) supplies each keyword's ``IP_w`` and
-        partition 0."""
+        decoded partitions, which the query's later loads extend."""
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.catalog import (
     RR_FORMAT,
-    BlockCache,
     Catalog,
     IndexReader,
     KeywordMeta,
@@ -52,8 +51,6 @@ from repro.errors import CorruptIndexError, IndexError_
 from repro.profiles.store import ProfileStore
 from repro.propagation.base import PropagationModel
 from repro.storage.compression import Codec, StreamDecoder, StreamEncoder
-from repro.storage.iostats import IOStats
-from repro.storage.pager import BufferPool
 from repro.storage.records import InvertedListsRecord, RRSetsRecord
 from repro.storage.segments import SegmentWriter
 from repro.utils.rng import RngLike
@@ -296,11 +293,6 @@ class KeywordCoverageCSR:
         )
 
 
-#: Default capacity of a reader's :class:`~repro.core.catalog.BlockCache`,
-#: in keywords.
-_PREFIX_CACHE_KEYWORDS = 32
-
-
 class RRIndex(IndexReader):
     """Query-time reader for the RR index (Algorithm 2).
 
@@ -310,32 +302,22 @@ class RRIndex(IndexReader):
     an RR-set prefix and the full inverted-list region.
 
     Decoded keyword blocks are kept in :attr:`cache`
-    (``prefix_cache_keywords`` keywords; a
-    :class:`~repro.core.server.KBTIMServer` over this reader re-sizes and
-    serves from the same object).  A retaining cache loads a keyword's
-    **whole** block on first touch and slices every later ``θ^Q·p_w``
-    prefix from it; ``prefix_cache_keywords=0`` retains nothing and reads
-    exactly the ``θ^Q·p_w`` prefix per query — Algorithm 2's I/O, which
-    the paper's figures time.
+    (``prefix_cache_keywords`` keywords, default :attr:`CACHE_KEYWORDS`;
+    a :class:`~repro.core.server.KBTIMServer` over this reader re-sizes
+    and serves from the same object).  A retaining cache loads a
+    keyword's **whole** block on first touch and slices every later
+    ``θ^Q·p_w`` prefix from it; ``prefix_cache_keywords=0`` retains
+    nothing and reads exactly the ``θ^Q·p_w`` prefix per query —
+    Algorithm 2's I/O, which the paper's figures time.
     """
 
     FORMAT = RR_FORMAT
+    CACHE_KEYWORDS = 32
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        stats: Optional[IOStats] = None,
-        pool: Optional[BufferPool] = None,
-        prefix_cache_keywords: int = _PREFIX_CACHE_KEYWORDS,
-    ) -> None:
-        self.cache = BlockCache(prefix_cache_keywords)
+    def _load(self, parsed: Catalog) -> None:
         # Record headers + group offset tables, loaded once at open:
         # keyword -> (group_size, payload_len, payload_start, offsets).
         self._headers: Dict[str, Tuple[int, int, int, np.ndarray]] = {}
-        super().__init__(path, stats=stats, pool=pool)
-
-    def _load(self, parsed: Catalog) -> None:
         for name in self.catalog:
             segment = f"rr/{name}"
             prefix = self._reader.read_range(segment, 0, RRSetsRecord.HEADER_SIZE)
@@ -361,11 +343,6 @@ class RRIndex(IndexReader):
             self._headers[name] = (group_size, payload_len, payload_start, offsets)
 
     # ------------------------------------------------------------------
-    @property
-    def prefix_cache_keywords(self) -> int:
-        """Capacity of :attr:`cache`, in keywords."""
-        return self.cache.capacity
-
     def lookup(self, keyword: str, count: int) -> Tuple[KeywordCoverageCSR, bool]:
         """``(block, hit)`` for one validated keyword: a block exposing at
         least ``count`` RR sets plus the keyword's full inverted pairs.

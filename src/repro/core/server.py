@@ -5,8 +5,8 @@ advertiser queries against one pre-built index — the RR index
 (Algorithm 2) or the IRR index (Algorithm 4).  Successive queries share
 keywords heavily (popular verticals are queried most), so a serving tier
 naturally keeps decoded per-keyword values — an RR keyword's block, an
-IRR keyword's ``IP_w`` map and partition 0 — across queries, on top of
-the page-level buffer pool.
+IRR keyword's ``IP_w`` map and the partitions decoded so far — across
+queries, on top of the page-level buffer pool.
 
 Two ways to serve live here; the third is the process pool built on
 them:
@@ -14,9 +14,10 @@ them:
 * :class:`KBTIMServer` serves one open
   :class:`~repro.core.catalog.IndexReader` through that protocol only
   (``plan``, ``lookup``, ``query``, ``cache``), so the same code serves
-  both indexes; the values live in the reader's
+  both indexes; the values live in the reader's one
   :class:`~repro.core.catalog.BlockCache` (the server keeps no cache of
-  its own).  One lock serialises its callers, so the reader under it
+  its own), so the server's bound and eviction cover everything the
+  reader decoded.  One lock serialises its callers, so the reader under it
   serves one query at a time and each query's I/O window holds exactly
   its own reads.
 * :meth:`KBTIMServer.query_batch` amortises one *batch* of queries:
@@ -349,9 +350,11 @@ class KBTIMServer:
         take ownership; close it yourself (or use the server as a context
         manager, which closes the index on exit).
     cache_keywords:
-        Maximum number of keyword values held in memory (LRU).  The
-        server has no cache of its own: this re-sizes ``index.cache``,
-        the reader's :class:`~repro.core.catalog.BlockCache`, which direct
+        Maximum number of keyword values held in memory (LRU): an RR
+        keyword's block, or an IRR keyword's ``IP_w`` with every
+        partition decoded of it.  The server has no cache of its own:
+        this re-sizes ``index.cache``, the reader's one
+        :class:`~repro.core.catalog.BlockCache`, which direct
         ``index.query`` callers share.  Give each server its own reader
         (every pool worker does).
 
@@ -367,7 +370,7 @@ class KBTIMServer:
     **Thread safety.**  Any number of threads may call the server:
     :meth:`query`, :meth:`query_batch`, :meth:`warm`, :meth:`evict_all`,
     :meth:`snapshot` and :attr:`cached_keywords` hold its one lock, so
-    the reader, its caches, its pager and its ``IOStats`` see one caller
+    the reader, its cache, its pager and its ``IOStats`` see one caller
     at a time.  Every answer, ``stats`` counter and per-query
     ``QueryStats.io`` window is exactly what a single-threaded run of
     the same calls records; a second thread adds no throughput on one
@@ -433,7 +436,8 @@ class KBTIMServer:
         keyword is looked up once, on its first use, at the largest count
         any query of the batch needs, and held for the rest of the batch
         (an RR query slices its prefixes off the held value; an IRR query
-        starts from it and still reads its own later partitions).
+        starts from it and still reads its own later partitions, decoding
+        only those the held value does not hold yet).
 
         Parameters
         ----------
@@ -520,8 +524,9 @@ class KBTIMServer:
                     self.stats.record_warm_load()
 
     def evict_all(self) -> None:
-        """Drop every cached value (for memory-pressure handling); the
-        next query of each keyword decodes it again."""
+        """Drop every cached value (for memory-pressure handling), which
+        is all the reader decoded; the next query of each keyword decodes
+        it again."""
         with self._lock:
             self.index.cache.clear()
 

@@ -95,7 +95,7 @@ def _sweep(ctx: ExperimentContext, title: str, axis: str, points) -> Table:
         # figures): disable both readers' decoded caches so every query
         # pays its own read + decode instead of hitting memory.
         with ctx.open_rr(ds, prefix_cache_keywords=0) as rr, ctx.open_irr(
-            ds, decode_cache_partitions=0
+            ds, prefix_cache_keywords=0
         ) as irr:
             for qi, query in enumerate(workload_queries(ctx, ds, **options)):
                 answers = {

@@ -262,11 +262,9 @@ class ExperimentContext:
         default cache would otherwise serve repeated keywords from memory.
         """
         self.build_index(dataset, kind="rr", **kwargs)
-        reader_kwargs = {}
-        if prefix_cache_keywords is not None:
-            reader_kwargs["prefix_cache_keywords"] = prefix_cache_keywords
         return RRIndex(
-            self.index_path(dataset, kind="rr", **kwargs), **reader_kwargs
+            self.index_path(dataset, kind="rr", **kwargs),
+            prefix_cache_keywords=prefix_cache_keywords,
         )
 
     def open_server_pool(
@@ -294,21 +292,15 @@ class ExperimentContext:
         self,
         dataset: Dataset,
         *,
-        decode_cache_partitions: Optional[int] = None,
+        prefix_cache_keywords: Optional[int] = None,
         **kwargs,
     ) -> IRRIndex:
-        """Build-if-needed and open the IRR index of ``dataset``.
-
-        ``decode_cache_partitions=0`` disables the reader's decode
-        caches — the IRR counterpart of ``open_rr``'s cache switch, for
-        experiments measuring per-query cold cost.
-        """
+        """Build-if-needed and open the IRR index of ``dataset``
+        (``prefix_cache_keywords`` as in :meth:`open_rr`)."""
         self.build_index(dataset, kind="irr", **kwargs)
-        reader_kwargs = {}
-        if decode_cache_partitions is not None:
-            reader_kwargs["decode_cache_partitions"] = decode_cache_partitions
         return IRRIndex(
-            self.index_path(dataset, kind="irr", **kwargs), **reader_kwargs
+            self.index_path(dataset, kind="irr", **kwargs),
+            prefix_cache_keywords=prefix_cache_keywords,
         )
 
     # ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from repro.core import irr_index
 from repro.core.catalog import open_index
 from repro.core.irr_index import IRRIndexBuilder
 from repro.core.query import KBTIMQuery
@@ -198,15 +199,66 @@ class TestEviction:
         assert server.stats.keyword_misses == misses + 1
         assert answer.stats.io.read_calls == 2
 
-    def test_evict_all_releases_the_blocks(self, server):
-        server.query(KBTIMQuery(("music", "book"), 3))
-        assert len(server.index.cache) == 2
-        server.evict_all()  # one call on one object
-        assert len(server.index.cache) == 0
-        assert server.cached_keywords == []
-        # And the next query really re-reads from disk.
-        answer = server.query(KBTIMQuery(("music",), 2))
-        assert answer.stats.io.read_calls == 2
+    @pytest.mark.parametrize("kind", ["rr", "irr"])
+    def test_evict_all_releases_the_blocks(self, paths, kind, monkeypatch):
+        query = KBTIMQuery(("music", "book"), 10)
+        with KBTIMServer(open_index(paths[kind]), cache_keywords=4) as server:
+            server.query(query)
+            assert len(server.index.cache) == 2
+            decodes = _count_decodes(kind, monkeypatch)
+            server.evict_all()  # one call on one object
+            assert len(server.index.cache) == 0
+            assert server.cached_keywords == []
+            # And the next query really decodes everything it loads again:
+            # nothing it decoded before survives anywhere in the reader.
+            _assert_decodes_all_it_loads(kind, query, server.query(query), decodes)
+
+    @pytest.mark.parametrize("kind", ["rr", "irr"])
+    def test_a_keyword_pushed_out_decodes_all_it_loads_again(
+        self, paths, kind, monkeypatch
+    ):
+        """On a one-keyword cache, queries on other keywords push a
+        keyword out with everything decoded of it: querying it again
+        decodes every unit it loads, IRR's later partitions included."""
+        query = KBTIMQuery(("music",), 20)
+        with KBTIMServer(open_index(paths[kind]), cache_keywords=1) as server:
+            server.query(query)
+            for kw in ("book", "journal"):
+                server.query(KBTIMQuery((kw,), 20))
+            assert server.cached_keywords == ["journal"]
+            decodes = _count_decodes(kind, monkeypatch)
+            _assert_decodes_all_it_loads(kind, query, server.query(query), decodes)
+
+
+#: What a reader decodes per load unit: an RR keyword's block, or one
+#: IRR segment (``IP_w`` with partition 0, or one later partition).
+DECODES = {"rr": (RRIndex, "decode_block"), "irr": (irr_index, "_decode_segment")}
+
+
+def _count_decodes(kind, monkeypatch):
+    """The list every later decode of a ``kind`` reader appends to."""
+    owner, name = DECODES[kind]
+    real_decode = getattr(owner, name)
+    decodes = []
+
+    def counted(*args):
+        decodes.append(args)
+        return real_decode(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return decodes
+
+
+def _assert_decodes_all_it_loads(kind, query, answer, decodes):
+    """``answer`` found nothing it loaded resident: an RR query decoded
+    (and read) every keyword's block, an IRR query decoded every
+    partition it loaded — past partition 0, or the count says no more."""
+    if kind == "rr":
+        assert len(decodes) == len(query.keywords)
+        assert answer.stats.io.read_calls == 2 * len(query.keywords)
+    else:
+        assert answer.stats.partitions_loaded > len(query.keywords)
+        assert len(decodes) == answer.stats.partitions_loaded
 
 
 class TestLatencyWindowEdgeCases:

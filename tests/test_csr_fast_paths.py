@@ -888,7 +888,7 @@ class TestIRRArrayNativeNRA:
     @pytest.fixture(scope="class")
     def open_world(self, irr_world):
         """Every index of ``irr_world`` opened once: per δ a default and
-        a memo-less (``"cold"``) IRR reader, plus the RR reader."""
+        a cache-less (``"cold"``) IRR reader, plus the RR reader."""
         from contextlib import ExitStack
 
         from repro.core.irr_index import IRRIndex
@@ -899,7 +899,7 @@ class TestIRRArrayNativeNRA:
             for delta in self.DELTAS:
                 readers[delta] = stack.enter_context(IRRIndex(irr_world[delta]))
                 readers["cold", delta] = stack.enter_context(
-                    IRRIndex(irr_world[delta], decode_cache_partitions=0)
+                    IRRIndex(irr_world[delta], prefix_cache_keywords=0)
                 )
             yield readers
 
@@ -1097,9 +1097,11 @@ class TestIRRArrayNativeNRA:
             # candidate (its clipped list may be empty: marginal 0).
             candidates = set()
             for kw in query.keywords:
-                candidates.update(index.lookup(kw, 1)[0][1][3].tolist())
+                _ip, partitions = index.lookup(kw, 1)[0]
                 for p in range(1, index._partition_info[kw][0]):
-                    candidates.update(index._load_partition(kw, p)[3].tolist())
+                    index._load_partition(kw, partitions, p)
+                for partition in partitions:
+                    candidates.update(partition[3].tolist())
         with RRIndex(str(tmp_path / "f.rr")) as rr:
             oracle = rr.query(query)
         assert 0 < len(candidates) < query.k
@@ -1107,7 +1109,7 @@ class TestIRRArrayNativeNRA:
         assert answer.marginal_coverages == oracle.marginal_coverages
 
     def test_four_threads_on_one_server_answer_like_serial(self, irr_world):
-        """Queries share the reader's decode caches and nothing else, so
+        """Queries share the reader's cache and nothing else, so
         four threads through one server answer and read like one."""
         from concurrent.futures import ThreadPoolExecutor
 
@@ -1133,23 +1135,23 @@ class TestIRRArrayNativeNRA:
             assert one.stats.io.read_calls == other.stats.io.read_calls
 
     def test_memoised_decodes_are_read_only(self, irr_index_path):
-        """Every query gets the same arrays out of the decode
-        caches — with and without a capacity — so a write must raise."""
+        """Every query gets the same arrays out of the reader's cache —
+        with and without a capacity — so a write must raise."""
         from repro.core.irr_index import IRRIndex
         from repro.core.query import KBTIMQuery
 
-        for capacity in (0, 512):
-            with IRRIndex(
-                irr_index_path, decode_cache_partitions=capacity
-            ) as index:
+        for capacity in (0, 64):
+            with IRRIndex(irr_index_path, prefix_cache_keywords=capacity) as index:
                 # The engine only ever reads them (it copies before it
                 # shifts ids into the merged space).
                 index.query(KBTIMQuery(("music", "book"), 10))
-                ip, first = index.lookup("music", 1)[0]
-                for array in (ip, *first, *index._load_partition("music", 1)):
+                ip, partitions = index.lookup("music", 1)[0]
+                later = index._load_partition("music", partitions, 1)
+                first = partitions[0]
+                for array in (ip, *first, *later):
                     assert not array.flags.writeable
                 with pytest.raises(ValueError):
-                    index._load_partition("music", 1)[2][0] = 0
+                    index._load_partition("music", partitions, 1)[2][0] = 0
                 with pytest.raises(ValueError):
                     first[2][0] = 0
                 with pytest.raises(ValueError):
@@ -1208,11 +1210,11 @@ class TestIRRArrayNativeNRA:
         from repro.core.query import KBTIMQuery
 
         query = KBTIMQuery(("music", "book"), 10)
-        with IRRIndex(irr_index_path, decode_cache_partitions=0) as cold:
+        with IRRIndex(irr_index_path, prefix_cache_keywords=0) as cold:
             a = cold.query(query)
             b = cold.query(query)  # second pass re-decodes everything
-            assert len(cold._partitions) == len(cold.cache) == 0
-        with IRRIndex(irr_index_path, decode_cache_partitions=512) as warm:
+            assert len(cold.cache) == 0
+        with IRRIndex(irr_index_path, prefix_cache_keywords=64) as warm:
             c = warm.query(query)
             d = warm.query(query)
         assert a.seeds == b.seeds == c.seeds == d.seeds

@@ -44,8 +44,8 @@ from repro.storage.segments import SegmentReader, SegmentWriter
 from repro.utils.rrsets import FlatRRSets
 
 READERS = {"rr": RRIndex, "irr": IRRIndex}
-#: The option that makes each reader retain nothing between queries.
-COLD = {"rr": {"prefix_cache_keywords": 0}, "irr": {"decode_cache_partitions": 0}}
+#: The option that makes either reader retain nothing between queries.
+COLD = {"prefix_cache_keywords": 0}
 
 QUERIES = [
     KBTIMQuery(("music",), 5),
@@ -177,7 +177,7 @@ class TestIndexReaderContract:
     def test_repeating_a_query_reports_the_same_io(self, kind, config, paths):
         """What a query is charged must not depend on what the reader
         served before it — unless a cache absorbed the reads outright."""
-        options = COLD[kind] if config == "cold" else {}
+        options = COLD if config == "cold" else {}
         query = QUERIES[1]
         with READERS[kind](paths[kind], **options) as index:
             costs = [index.query(query).stats.io for _ in range(3)]
@@ -190,18 +190,18 @@ class TestIndexReaderContract:
             assert len({io.bytes_read for io in costs}) == 1
 
     def test_irr_reads_do_not_depend_on_the_caches(self, paths):
-        """The IRR caches skip decodes, never reads: cold and warm readers
+        """The IRR cache skips decodes, never reads: cold and warm readers
         report the same reads and bytes, and capacity 0 retains nothing."""
         query = QUERIES[2]
-        with IRRIndex(paths["irr"], **COLD["irr"]) as cold, IRRIndex(
-            paths["irr"]
-        ) as warm:
-            warm.query(query)
+        with IRRIndex(paths["irr"], **COLD) as cold, IRRIndex(paths["irr"]) as warm:
+            answer = warm.query(query)
             a, b = cold.query(query).stats.io, warm.query(query).stats.io
             assert (a.read_calls, a.bytes_read) == (b.read_calls, b.bytes_read)
-            assert len(cold.cache) == len(cold._partitions) == 0
+            assert len(cold.cache) == 0
             assert len(warm.cache) == len(query.keywords)
-            assert len(warm._partitions) > 0
+            # The warm entries hold every partition the query loaded.
+            held = sum(len(warm.lookup(kw, 1)[0][1]) for kw in query.keywords)
+            assert held == answer.stats.partitions_loaded > len(query.keywords)
 
     def test_a_load_unit_is_one_decoding_session(self, paths, monkeypatch):
         """The records a miss or a partition load reads go through one
@@ -218,7 +218,7 @@ class TestIndexReaderContract:
             "finish",
             lambda self: finishes.append(len(self._records)) or finish(self),
         )
-        with RRIndex(paths["rr"], **COLD["rr"]) as index:
+        with RRIndex(paths["rr"], **COLD) as index:
             n_sets = index.catalog["music"].n_sets
             small = index.decode_block("music", n_sets // 2)
             full = index.decode_block("music", n_sets)
@@ -237,9 +237,10 @@ class TestIndexReaderContract:
             assert np.array_equal(full.inv_vertices, keys.repeat(np.diff(ptr)))
             assert np.array_equal(full.inv_sets, flat)
         del finishes[:]
-        with IRRIndex(paths["irr"], **COLD["irr"]) as index:
-            ip, first = index.lookup("music", 1)[0]
-            later = index._load_partition("music", 1)
+        with IRRIndex(paths["irr"], **COLD) as index:
+            ip, partitions = index.lookup("music", 1)[0]
+            first = partitions[0]
+            later = index._load_partition("music", partitions, 1)
             assert finishes == [3, 2]
             alone = [
                 array
@@ -259,8 +260,8 @@ class TestIndexReaderContract:
             assert not any(array.flags.writeable for array in decoded)
 
     def test_irr_server_survives_concurrent_queries_on_tiny_caches(self, paths):
-        """Eight threads share one server whose reader's caches hold two
-        entries, so lookups keep evicting; answers, each answer's reads
+        """Eight threads share one server whose reader's cache holds two
+        keywords, so lookups keep evicting; answers, each answer's reads
         and the I/O totals stay exact."""
         with IRRIndex(paths["irr"]) as reference:
             expected = [reference.query(query) for query in QUERIES]
@@ -268,7 +269,7 @@ class TestIndexReaderContract:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            index = IRRIndex(paths["irr"], decode_cache_partitions=2)
+            index = IRRIndex(paths["irr"])
             with KBTIMServer(index, cache_keywords=2) as server:
                 before = index.stats.snapshot()
                 charged = []
@@ -293,7 +294,7 @@ class TestIndexReaderContract:
                 assert not any(thread.is_alive() for thread in threads)
                 assert not failures, failures
                 assert index.stats.delta(before).read_calls == sum(charged)
-                assert len(index._partitions) <= 2 and len(index.cache) <= 2
+                assert len(index.cache) <= 2
         finally:
             sys.setswitchinterval(interval)
 

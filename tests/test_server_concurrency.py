@@ -42,8 +42,8 @@ def paths(served_paths):
     return {kind: served_paths[kind] for kind in ("rr", "irr")}
 
 
-#: The option that makes each reader retain nothing between queries.
-COLD = {"rr": {"prefix_cache_keywords": 0}, "irr": {"decode_cache_partitions": 0}}
+#: The option that makes either reader retain nothing between queries.
+COLD = {"prefix_cache_keywords": 0}
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def _assert_same_selection(a, b):
 @pytest.mark.parametrize("kind", ["rr", "irr"])
 class TestBatchEquivalenceBothKinds:
     def test_batch_matches_sequential_caches_off(self, kind, paths, workload):
-        with open_index(paths[kind], **COLD[kind]) as seq_index:
+        with open_index(paths[kind], **COLD) as seq_index:
             sequential = [seq_index.query(q) for q in workload]
         with KBTIMServer(open_index(paths[kind])) as server:
             server.index.cache.resize(0)  # nothing retained between queries
