@@ -253,6 +253,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     "io_read_calls": answer.stats.io.read_calls,
                     "rr_sets_loaded": answer.stats.rr_sets_loaded,
                     "partitions_loaded": answer.stats.partitions_loaded,
+                    "cache_hits": answer.stats.cache_hits,
+                    "cache_misses": answer.stats.cache_misses,
                 }
             )
         )

@@ -318,10 +318,10 @@ class BlockCache:
     """A bounded LRU of decoded values, one entry per keyword.
 
     :meth:`get` returns ``(value, hit)``: a resident value is a **hit**
-    and ``load`` is not called; otherwise ``load()`` produces the value
-    (never ``None``), which is admitted (least recently used entries
-    evicted beyond ``capacity``).  ``capacity=0`` retains nothing: every
-    call loads.  Values are handed out without copying: their arrays are
+    — a decode spared — and ``load`` is not called; otherwise ``load()``
+    produces the value (never ``None``), which is admitted (least
+    recently used entries evicted beyond ``capacity``).  ``capacity=0``
+    retains nothing: every call loads.  Values are handed out without copying: their arrays are
     read-only, and the one part that changes, an IRR entry's list of
     decoded partitions, only grows, in partition order.
 
@@ -384,7 +384,8 @@ class IndexReader:
     the error propagates.  ``stats`` counts every read the reader issues.
 
     What a server uses of a reader, whichever index it holds:
-    :attr:`cache`, :meth:`plan`, :meth:`lookup` and :meth:`query`.
+    :attr:`cache`, :meth:`plan`, :meth:`lookup`, :meth:`warm` and
+    :meth:`query`.
     """
 
     #: The catalog format this reader serves; set by each subclass.
@@ -469,14 +470,21 @@ class IndexReader:
         ``keyword`` must already be validated against the catalog."""
         raise NotImplementedError
 
+    def warm(self, keyword: str) -> int:
+        """Load every unit of one validated keyword through :attr:`cache`
+        — the RR block, or the IRR partition 0 and every later partition
+        — and return how many of them had to be decoded."""
+        raise NotImplementedError
+
     def query(
         self,
         query: KBTIMQuery,
         lookup: Optional[Lookup] = None,
     ) -> SeedSelection:
         """Answer one query; every query keyword's value comes from
-        ``lookup`` (default :meth:`lookup`) — a server passes its counting
-        wrapper, a batch the values it already holds."""
+        ``lookup`` (default :meth:`lookup`) — a batch passes the values it
+        already holds.  ``stats.cache_hits`` / ``cache_misses`` count the
+        query's load units by the ``hit`` each load reported."""
         raise NotImplementedError
 
     def close(self) -> None:

@@ -32,7 +32,7 @@ unexhausted keyword).
 
 The engine keeps **one** state for all query keywords
 (:class:`_NRAState`): keyword ``j``'s active set ``s`` is global set id
-``offset[j] + s``, so ``covered``, the set and list locators and the
+``offset[j] + s``, so ``uncovered``, the set and list locators and the
 flat payloads are single arrays and the per-keyword flags are
 ``(m, n)`` arrays.  The bound table ``live_bound`` is kept up to date
 in place: a loaded list adds its clipped length, a covered set takes
@@ -43,7 +43,7 @@ decoded partitions, ingest partition 0), :func:`_ingest_partition`
 (slice one decoded partition in), :func:`_refresh_bounds` (the ``kb``
 terms), :func:`_pick_or_load` (``argmax``: confirm, or load a round) and
 :func:`_cover` (one pass over a seed's lists under *all* keywords:
-gather, ``covered`` filter, one segmented member gather, one
+gather, ``uncovered`` filter, one segmented member gather, one
 ``subtract.at``).  Covering re-scores exactly the affected users at
 once — the batch formulation of the paper's *lazy evaluation strategy*
 (Section 5.2), which deferred scalar re-scores until a candidate
@@ -280,8 +280,9 @@ class _NRAState:
     # (m, n): v may still score under keyword j (IP_j[v] < θ^Q_j) and its
     # list is not loaded — v's bound carries kb[j] instead of a count.
     pending: np.ndarray
-    kb_part: np.ndarray  # (n,) kb @ pending as of the last refresh
-    incomplete: np.ndarray  # (n,) any pending keyword, as of the last refresh
+    # (n,) kb @ pending as of the last refresh; > 0 exactly where v is
+    # pending under some keyword (kb[j] >= 1 while j has pending vertices).
+    kb_part: np.ndarray
     # Loaded inverted lists, clipped to the active prefix, as global set
     # ids: v's list under keyword j is lists_flat[start : start + len].
     list_start: np.ndarray  # (m, n)
@@ -291,7 +292,7 @@ class _NRAState:
     mem_start: np.ndarray  # (Σθ,)
     mem_len: np.ndarray  # (Σθ,), 0 until loaded
     members_flat: np.ndarray
-    covered: np.ndarray  # (Σθ,) set holds a confirmed seed
+    uncovered: np.ndarray  # (Σθ,) set holds no confirmed seed yet
     # (n,) NRA upper bound: Σ_j (loaded: clipped length; pending: kb[j])
     # less the covered sets that hold v; < 0 = selected.
     live_bound: np.ndarray
@@ -299,6 +300,7 @@ class _NRAState:
     marginals: List[int]
     rr_sets_loaded: int = 0
     partitions_loaded: int = 0
+    cache_hits: int = 0  # partitions loaded whose decode the cache spared
 
 
 def _open_state(
@@ -317,7 +319,8 @@ def _open_state(
     theta = [counts[kw] for kw in keywords]
     offset = [0, *accumulate(theta)]
     n_partitions, first_lens = zip(*(index._partition_info[kw] for kw in keywords))
-    ips, partitions = zip(*(lookup(kw, theta[j])[0] for j, kw in enumerate(keywords)))
+    values, hits = zip(*(lookup(kw, theta[j]) for j, kw in enumerate(keywords)))
+    ips, partitions = zip(*values)
     pending = np.less(ips, np.array(theta)[:, None])
     state = _NRAState(
         keywords=keywords,
@@ -332,17 +335,17 @@ def _open_state(
         kb=np.zeros(len(keywords), dtype=np.int64),
         pending=pending,
         kb_part=np.zeros(n, dtype=np.int64),
-        incomplete=np.empty(0, dtype=bool),
         list_start=np.zeros((len(keywords), n), dtype=np.int64),
         list_len=np.zeros((len(keywords), n), dtype=np.int64),
         lists_flat=np.empty(0, dtype=np.int64),
         mem_start=np.zeros(offset[-1], dtype=np.int64),
         mem_len=np.zeros(offset[-1], dtype=np.int64),
         members_flat=np.empty(0, dtype=np.int64),
-        covered=np.zeros(offset[-1], dtype=bool),
+        uncovered=np.ones(offset[-1], dtype=bool),
         live_bound=np.zeros(n, dtype=np.int64),
         seeds=[],
         marginals=[],
+        cache_hits=sum(hits),
     )
     for j, decoded in enumerate(partitions):
         _ingest_partition(state, j, decoded[0])
@@ -370,7 +373,7 @@ def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
     state.rr_sets_loaded += len(sets)
     # Inverted lists: clip each to the active ids; the number of kept
     # positions before each list boundary is the clipped CSR pointer.
-    kept = np.flatnonzero(il_flat < theta)
+    kept = (il_flat < theta).nonzero()[0]
     bounds = kept.searchsorted(il_ptr)
     lengths = bounds[1:] - bounds[:-1]
     clipped = il_flat.take(kept)
@@ -393,8 +396,8 @@ def _ingest_partition(state: _NRAState, j: int, decoded: tuple) -> None:
 
 
 def _refresh_bounds(state: _NRAState) -> None:
-    """Stage 3, at open and once per load round: ``incomplete`` and
-    every bound's ``kb`` terms, one pass each.
+    """Stage 3, at open and once per load round: every bound's ``kb``
+    terms, in one pass.
 
     ``live_bound`` gains the change of ``Σ_j kb[j]·pending[j, v]``:
     newly loaded lists drop their ``kb`` (ingest added their length)
@@ -403,7 +406,6 @@ def _refresh_bounds(state: _NRAState) -> None:
     float64, which numpy hands to BLAS (int64 × bool has no such path);
     it is exact, since ``Σ kb`` is far below 2**53.
     """
-    state.incomplete = state.pending.any(axis=0)
     kb_part = np.dot(state.kb.astype(np.float64), state.pending).astype(np.int64)
     state.live_bound += kb_part
     state.live_bound -= state.kb_part
@@ -416,11 +418,12 @@ def _load_round(index: "IRRIndex", state: _NRAState, vertex: int) -> bool:
     then one refresh.  Each of those keywords holds its list in a later
     partition, so none is exhausted; ``False`` (nothing to load) means
     the index is inconsistent."""
-    for j in np.flatnonzero(state.pending[:, vertex]).tolist():
+    for j in state.pending[:, vertex].nonzero()[0].tolist():
         p = state.next_partition[j]
         if p == state.n_partitions[j]:
             return False
-        decoded = index._load_partition(state.keywords[j], state.partitions[j], p)
+        decoded, hit = index._load_partition(state.keywords[j], state.partitions[j], p)
+        state.cache_hits += hit
         _ingest_partition(state, j, decoded)
     _refresh_bounds(state)
     return True
@@ -432,10 +435,10 @@ def _cover(state: _NRAState, vertex: int) -> None:
     ids = state.lists_flat.take(
         segmented_arange(state.list_start[:, vertex], state.list_len[:, vertex])
     )
-    fresh = ids.compress(~state.covered.take(ids))
+    fresh = ids[state.uncovered[ids]]
     if not len(fresh):
         return
-    state.covered[fresh] = True
+    state.uncovered[fresh] = False
     # The seed's lists are loaded, so every set in them is too (a set's
     # IR partition is no later than a list's that holds it).
     members = state.members_flat.take(
@@ -458,7 +461,7 @@ def _pick_or_load(index: "IRRIndex", state: _NRAState) -> None:
     a round loads what it is pending under.
     """
     vertex = int(state.live_bound.argmax())
-    if not state.incomplete.item(vertex):
+    if not state.kb_part.item(vertex):
         state.seeds.append(vertex)
         state.marginals.append(state.live_bound.item(vertex))
         state.live_bound[vertex] = -1
@@ -520,15 +523,28 @@ class IRRIndex(IndexReader):
         ip[keys] = flat[ptr[:-1]]
         return _frozen(ip)[0], [tuple(partition)]
 
-    def _load_partition(self, keyword: str, partitions: list, p: int) -> tuple:
-        """Load partition ``p ≥ 1``'s ``(IR, IL)`` CSR arrays (one read)
-        into ``partitions``, the keyword's list from :meth:`lookup`,
-        which holds partitions ``< p`` already; it is decoded only if
-        the list does not hold it yet."""
+    def _load_partition(
+        self, keyword: str, partitions: list, p: int
+    ) -> Tuple[tuple, bool]:
+        """``(decoded, hit)``: load partition ``p ≥ 1``'s ``(IR, IL)`` CSR
+        arrays (one read) into ``partitions``, the keyword's list from
+        :meth:`lookup`, which holds partitions ``< p`` already; it is
+        decoded only if the list does not hold it yet (``hit`` when it
+        does)."""
         segment = self._reader.read_view(f"irr/{keyword}/{p}")
-        if p == len(partitions):
+        hit = p < len(partitions)
+        if not hit:
             partitions.append(_decode_segment(segment, 2))
-        return partitions[p]
+        return partitions[p], hit
+
+    def warm(self, keyword: str) -> int:
+        """Load every partition of one validated keyword, each read through
+        the pager, into its :attr:`cache` entry; the number decoded."""
+        (_ip, partitions), hit = self.lookup(keyword, 1)
+        decoded = int(not hit)
+        for p in range(1, self._partition_info[keyword][0]):
+            decoded += not self._load_partition(keyword, partitions, p)[1]
+        return decoded
 
     # ------------------------------------------------------------------
     def query(
@@ -536,7 +552,9 @@ class IRRIndex(IndexReader):
     ) -> SeedSelection:
         """Algorithm 4: incremental NRA top-k aggregation; ``lookup``
         (default :meth:`lookup`) supplies each keyword's ``IP_w`` and
-        decoded partitions, which the query's later loads extend."""
+        decoded partitions, which the query's later loads extend.  Each
+        partition loaded is one load unit of ``stats.cache_hits`` /
+        ``cache_misses``."""
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)
@@ -548,6 +566,8 @@ class IRRIndex(IndexReader):
             rr_sets_considered=state.offset[-1],
             rr_sets_loaded=state.rr_sets_loaded,
             partitions_loaded=state.partitions_loaded,
+            cache_hits=state.cache_hits,
+            cache_misses=state.partitions_loaded - state.cache_hits,
             io=self.stats.delta(before),
         )
         return SeedSelection(

@@ -16,12 +16,17 @@ class QueryStats:
 
     ``rr_sets_loaded`` is the series plotted on the right-hand panels of
     Figures 5-7; ``io.read_calls`` is the Table 6 metric.
+    ``cache_hits`` / ``cache_misses`` count the query's load units — an
+    RR keyword block, an IRR partition segment — by whether a decode was
+    spared or paid.
     """
 
     elapsed_seconds: float = 0.0
     rr_sets_considered: int = 0
     rr_sets_loaded: int = 0
     partitions_loaded: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
     io: IOStats = field(default_factory=IOStats)
 
 

@@ -356,6 +356,11 @@ class RRIndex(IndexReader):
         n_sets = self.catalog[keyword].n_sets
         return self.cache.get(keyword, partial(self.decode_block, keyword, n_sets))
 
+    def warm(self, keyword: str) -> int:
+        """Load one validated keyword's whole block (:meth:`lookup`);
+        1 if it was decoded, 0 if :attr:`cache` held it."""
+        return int(not self.lookup(keyword, self.catalog[keyword].n_sets)[1])
+
     def load_keyword_csr(self, keyword: str, count: int) -> KeywordCoverageCSR:
         """Load one keyword's query block as flat CSR (:meth:`lookup`).
 
@@ -423,18 +428,21 @@ class RRIndex(IndexReader):
         loads all of L_music/L_book but only rr1-rr9 / rr1-rr4 of the set
         regions); each keyword becomes one flat-CSR part, so the clip and
         merge are array slices, not per-vertex loops.  ``lookup``
-        (default :meth:`lookup`) supplies each keyword's block.
+        (default :meth:`lookup`) supplies each keyword's block, one load
+        unit per keyword.
         """
         started = time.perf_counter()
         before = self.stats.snapshot()
         keywords, counts, phi_q = self.plan(query)
         lookup = lookup or self.lookup
         parts = []
-        base = 0
+        base = hits = 0
         for kw in keywords:
             count = counts[kw]
-            parts.append(lookup(kw, count)[0].active_part(count, base))
+            block, hit = lookup(kw, count)
+            parts.append(block.active_part(count, base))
             base += count
+            hits += hit
         instance = merge_coverage_csr(self.n_vertices, parts)
         seeds, marginals = greedy_max_coverage(instance, query.k)
         theta_used = instance.n_sets
@@ -447,6 +455,8 @@ class RRIndex(IndexReader):
                 elapsed_seconds=time.perf_counter() - started,
                 rr_sets_considered=theta_used,
                 rr_sets_loaded=theta_used,
+                cache_hits=hits,
+                cache_misses=len(keywords) - hits,
                 io=self.stats.delta(before),
             ),
         )

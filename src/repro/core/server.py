@@ -112,10 +112,12 @@ class ServerStats:
     memory stays constant.  :meth:`percentile_latency` is exact over
     that window; :attr:`mean_latency` stays exact over *all* queries (it
     is derived from the running totals, not the samples).  Cache
-    counters distinguish query traffic (``keyword_hits`` /
-    ``keyword_misses``) from administrative pre-warming
-    (``warm_loads``), so :attr:`hit_ratio` reflects only what real
-    queries experienced.
+    counters count load units — an RR keyword block, an IRR partition
+    segment — and distinguish query traffic (``keyword_hits`` /
+    ``keyword_misses``, the answers' ``cache_hits`` / ``cache_misses``
+    summed) from administrative pre-warming (``warm_loads``, the units
+    :meth:`KBTIMServer.warm` decoded), so :attr:`hit_ratio` reflects only
+    what real queries experienced.
 
     The stats take no lock: a server updates its own under its lock.
 
@@ -161,18 +163,6 @@ class ServerStats:
         self.queries += 1
         self.total_seconds += seconds
         self.record_latency(seconds)
-
-    def record_keyword_hit(self) -> None:
-        """Count one query-traffic block-cache hit."""
-        self.keyword_hits += 1
-
-    def record_keyword_miss(self) -> None:
-        """Count one query-traffic block-cache miss (a load happened)."""
-        self.keyword_misses += 1
-
-    def record_warm_load(self) -> None:
-        """Count one administrative pre-warming load (never a miss)."""
-        self.warm_loads += 1
 
     @property
     def hit_ratio(self) -> float:
@@ -363,9 +353,9 @@ class KBTIMServer:
     ValueError
         If ``cache_keywords`` is not a positive int.
 
-    Every query runs the reader's own ``query`` with a lookup that
-    counts: ``stats`` counts a hit when ``index.cache`` served a query
-    keyword's value from memory and a miss when it had to decode.
+    Every query runs the reader's own ``query``; ``stats`` sums what each
+    answer counted per load unit (an RR keyword block, an IRR partition
+    segment): a hit when the decode was spared, a miss when it was paid.
 
     **Thread safety.**  Any number of threads may call the server:
     :meth:`query`, :meth:`query_batch`, :meth:`warm`, :meth:`evict_all`,
@@ -386,20 +376,16 @@ class KBTIMServer:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _lookup(self, keyword: str, count: int) -> Tuple[object, bool]:
-        """``index.lookup`` for query traffic, counting the hit or miss."""
-        value, hit = self.index.lookup(keyword, count)
-        if hit:
-            self.stats.record_keyword_hit()
-        else:
-            self.stats.record_keyword_miss()
-        return value, hit
-
-    def _answer(self, query: KBTIMQuery, lookup: Lookup) -> SeedSelection:
-        """The reader's ``query`` over ``lookup``, counted as one query;
-        the body :meth:`query` and :meth:`query_batch` share."""
+    def _answer(
+        self, query: KBTIMQuery, lookup: Optional[Lookup] = None
+    ) -> SeedSelection:
+        """The reader's ``query`` over ``lookup``, counted as one query
+        with its load units' hits and misses; the body :meth:`query` and
+        :meth:`query_batch` share."""
         answer = self.index.query(query, lookup)
         self.stats.record_query(answer.stats.elapsed_seconds)
+        self.stats.keyword_hits += answer.stats.cache_hits
+        self.stats.keyword_misses += answer.stats.cache_misses
         return answer
 
     def query(self, query: KBTIMQuery) -> SeedSelection:
@@ -425,7 +411,7 @@ class KBTIMServer:
             If a keyword is not in the index.
         """
         with self._lock:
-            return self._answer(query, self._lookup)
+            return self._answer(query)
 
     # ------------------------------------------------------------------
     def query_batch(self, queries: Sequence[KBTIMQuery]) -> List[SeedSelection]:
@@ -463,11 +449,12 @@ class KBTIMServer:
 
         **Accounting.**  A batch counts what the same sequential
         :meth:`query` calls would count against a cache that keeps every
-        keyword of the batch: the first use of a keyword is one counted
+        keyword of the batch: the first use of a keyword is the reader's
         lookup (a hit or a miss), inside that query's own ``QueryStats``
         window, so the load's I/O and time are the first requester's;
-        every later use is a hit.  A batch that fails part-way has
-        counted the queries it answered.
+        every later use is a held value, a hit; an IRR partition counts
+        a hit when the held value's list holds it already.  A batch that
+        fails part-way has counted the queries it answered.
 
         The batch holds its own references to the values it looked up,
         so a batch touching more keywords than the cache retains is
@@ -485,16 +472,19 @@ class KBTIMServer:
 
             def lookup(kw: str, _count: int) -> Tuple[object, bool]:
                 if kw in held:
-                    self.stats.record_keyword_hit()
                     return held[kw], True
-                held[kw], hit = self._lookup(kw, need[kw])
+                held[kw], hit = self.index.lookup(kw, need[kw])
                 return held[kw], hit
 
             return [self._answer(query, lookup) for query in queries]
 
     # ------------------------------------------------------------------
     def warm(self, keywords: Iterable) -> None:
-        """Pre-load keyword values (e.g. the most popular verticals).
+        """Pre-load every unit of some keywords (e.g. the most popular
+        verticals): an RR keyword's block, or an IRR keyword's partition
+        0 and every later partition, each read through the pager — so a
+        later query of warmed keywords decodes nothing while they stay
+        cached.
 
         Parameters
         ----------
@@ -508,20 +498,17 @@ class KBTIMServer:
         IndexError_
             If a topic id is unknown.
 
-        Loads are counted under ``stats.warm_loads``, never as cache
-        misses, so pre-warming does not skew ``stats.hit_ratio``.
+        The units decoded are counted under ``stats.warm_loads``, never
+        as cache misses, so pre-warming does not skew ``stats.hit_ratio``.
         """
         with self._lock:
             for kw in keywords:
                 name = resolve_keyword(self.index.topic_names, kw)
-                meta = self.index.catalog.get(name)
-                if meta is None:
+                if name not in self.index.catalog:
                     # Validate before counting: a failed lookup was never
                     # served traffic and must not inflate the cache counters.
                     raise QueryError(f"keyword {name!r} is not in the index")
-                _value, hit = self.index.lookup(name, meta.n_sets)
-                if not hit:
-                    self.stats.record_warm_load()
+                self.stats.warm_loads += self.index.warm(name)
 
     def evict_all(self) -> None:
         """Drop every cached value (for memory-pressure handling), which

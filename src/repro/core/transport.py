@@ -21,7 +21,8 @@ Frame layout (little-endian, 8-byte words)::
     seeds    int64[S]    all seed ids, back to back
     marg     int64[S]    marginal coverages, aligned with seeds
     theta    int64[n]
-    ints     int64[n,7]  rr_considered, rr_loaded, partitions,
+    ints     int64[n,9]  rr_considered, rr_loaded, partitions,
+                         cache_hits, cache_misses,
                          read_calls, pages_read, pages_hit, bytes_read
     floats   f64[n,2]    phi_q, elapsed_seconds
 
@@ -64,7 +65,7 @@ __all__ = ["ResponseWriter", "ResponseReader", "unlink_segment"]
 _FRAME_MAGIC = 0x4B42_5449_4D52_5350  # "KBTIMRSP"
 _HEADER = struct.Struct("<4q")  # magic, seq, n_queries, total_seeds
 _HEADER_WORDS = _HEADER.size // 8
-_INT_COLS = 7
+_INT_COLS = 9
 _FLOAT_COLS = 2
 
 #: Initial response-segment size; covers typical batches without a grow.
@@ -230,6 +231,8 @@ class ResponseWriter:
                 st.rr_sets_considered,
                 st.rr_sets_loaded,
                 st.partitions_loaded,
+                st.cache_hits,
+                st.cache_misses,
                 io.read_calls,
                 io.pages_read,
                 io.pages_hit,
@@ -308,16 +311,18 @@ class ResponseReader:
             lo, hi = int(qptr[i]), int(qptr[i + 1])
             row = ints[i]
             io = IOStats(
-                read_calls=int(row[3]),
-                pages_read=int(row[4]),
-                pages_hit=int(row[5]),
-                bytes_read=int(row[6]),
+                read_calls=int(row[5]),
+                pages_read=int(row[6]),
+                pages_hit=int(row[7]),
+                bytes_read=int(row[8]),
             )
             stats = QueryStats(
                 elapsed_seconds=float(floats[i, 1]),
                 rr_sets_considered=int(row[0]),
                 rr_sets_loaded=int(row[1]),
                 partitions_loaded=int(row[2]),
+                cache_hits=int(row[3]),
+                cache_misses=int(row[4]),
                 io=io,
             )
             out.append(

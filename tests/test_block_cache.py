@@ -228,4 +228,10 @@ class TestSingleFlight:
             reads = sorted(r.stats.io.read_calls for r in results)
             assert reads == ([0] * 5 + [first] if kind == "rr" else [first] * 6)
             assert index.stats.delta(before).read_calls == sum(reads)
-            assert (server.stats.keyword_misses, server.stats.keyword_hits) == (1, 5)
+            # Counted per load unit: the RR block, or each IRR partition.
+            units = once.stats.cache_misses
+            assert units == (1 if kind == "rr" else once.stats.partitions_loaded)
+            assert (server.stats.keyword_misses, server.stats.keyword_hits) == (
+                units,
+                5 * units,
+            )

@@ -153,10 +153,18 @@ class TestBuildAndQuery:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["seeds"]) == 3
         assert payload["theta"] > 0
+        # A fresh reader decodes the one keyword's block.
+        assert (payload["cache_hits"], payload["cache_misses"]) == (0, 1)
 
-    def test_irr_kind(self, irr_index):
+    def test_irr_kind(self, irr_index, capsys):
         query = ["query", "--index", irr_index, "--keywords", "music", "--k", "2"]
         assert main(query) == 0
+        capsys.readouterr()
+        assert main([*query, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # A fresh reader decodes every partition it loads.
+        assert payload["cache_hits"] == 0
+        assert payload["cache_misses"] == payload["partitions_loaded"] >= 1
 
     def test_lt_model_build(self, dataset_files, tmp_path):
         graph, profiles = dataset_files

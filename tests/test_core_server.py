@@ -261,6 +261,73 @@ def _assert_decodes_all_it_loads(kind, query, answer, decodes):
         assert len(decodes) == answer.stats.partitions_loaded
 
 
+class TestLoadUnitCounters:
+    """A hit is a decode spared: each answer counts its load units (an RR
+    keyword block, an IRR partition segment) where the decode is decided,
+    and the server sums the answers' counts."""
+
+    @pytest.mark.parametrize("kind", ["rr", "irr"])
+    def test_a_cold_query_misses_every_unit_and_a_repeat_hits_them(
+        self, paths, kind, monkeypatch
+    ):
+        query = KBTIMQuery(("music", "book"), 30)
+        with KBTIMServer(open_index(paths[kind])) as server:
+            decodes = _count_decodes(kind, monkeypatch)
+            cold = server.query(query)
+            units = cold.stats.partitions_loaded if kind == "irr" else 2
+            assert (cold.stats.cache_hits, cold.stats.cache_misses) == (0, units)
+            assert len(decodes) == units
+            again = server.query(query)
+            assert (again.stats.cache_hits, again.stats.cache_misses) == (units, 0)
+            assert len(decodes) == units
+            assert (server.stats.keyword_hits, server.stats.keyword_misses) == (
+                units,
+                units,
+            )
+
+    def test_a_query_of_warmed_irr_keywords_decodes_nothing(
+        self, paths, monkeypatch
+    ):
+        """``warm`` loads every partition, so the query that follows loads
+        past partition 0 and still decodes nothing: all its units hit."""
+        names = ("music", "book", "journal")
+        with KBTIMServer(open_index(paths["irr"])) as server:
+            server.warm(names)
+            decodes = _count_decodes("irr", monkeypatch)
+            answer = server.query(KBTIMQuery(names, 30))
+            loaded = answer.stats.partitions_loaded
+            assert loaded > len(names)
+            assert decodes == []
+            partitions = server.index._partition_info
+            assert server.stats.warm_loads == sum(partitions[kw][0] for kw in names)
+            assert (answer.stats.cache_hits, answer.stats.cache_misses) == (loaded, 0)
+            assert (server.stats.keyword_hits, server.stats.keyword_misses) == (
+                loaded,
+                0,
+            )
+            assert server.stats.hit_ratio == 1.0
+
+    def test_a_batch_counts_each_unit_in_the_answer_that_loaded_it(
+        self, paths, monkeypatch
+    ):
+        """On a cold IRR server, the batch's first query pays for every
+        unit it loads; the second, on a keyword the first loaded, reads
+        its later partitions again and decodes none of them."""
+        with KBTIMServer(open_index(paths["irr"])) as server:
+            decodes = _count_decodes("irr", monkeypatch)
+            first, second = server.query_batch(
+                [KBTIMQuery(("music", "book"), 30), KBTIMQuery(("music",), 30)]
+            )
+            loaded = first.stats.partitions_loaded
+            assert (first.stats.cache_hits, first.stats.cache_misses) == (0, loaded)
+            assert len(decodes) == loaded
+            assert second.stats.partitions_loaded > 1
+            assert second.stats.cache_misses == 0
+            assert second.stats.cache_hits == second.stats.partitions_loaded
+            # Partition 0 is the batch's held value; the later ones are read.
+            assert second.stats.io.read_calls == second.stats.partitions_loaded - 1
+
+
 class TestLatencyWindowEdgeCases:
     def test_zero_window_disables_retention(self):
         from repro.core.server import ServerStats
@@ -321,4 +388,8 @@ def test_a_batch_that_fails_part_way_counts_what_it_answered(
 
     batched = counted(lambda server: server.query_batch([healthy, broken]))
     assert batched == counted(sequential)
-    assert batched[0] == (1, 0, 2)
+    # The healthy query's units all missed: two RR blocks, or every IRR
+    # partition it loaded.
+    with open_index(paths[kind]) as index:
+        loaded = index.query(healthy).stats.partitions_loaded
+    assert batched[0] == (1, 0, loaded if kind == "irr" else 2)

@@ -977,10 +977,10 @@ class TestIRRArrayNativeNRA:
         cover, ingest = irr_module._cover, irr_module._ingest_partition
 
         def cover_spy(state, vertex):
-            covered, before = state.covered.copy(), state.live_bound.copy()
+            uncovered, before = state.uncovered.copy(), state.live_bound.copy()
             cover(state, vertex)
             drops = {}
-            for g in np.flatnonzero(state.covered & ~covered).tolist():
+            for g in np.flatnonzero(uncovered & ~state.uncovered).tolist():
                 j = int(np.searchsorted(state.offset, g, side="right")) - 1
                 start = state.mem_start[g]
                 for u in state.members_flat[start : start + state.mem_len[g]].tolist():
@@ -1050,7 +1050,10 @@ class TestIRRArrayNativeNRA:
             unselected[state.seeds] = False
             bound = state.live_bound
             assert (bound >= marginal)[unselected].all(), state.seeds
-            complete = unselected & ~state.pending.any(axis=0)
+            incomplete = state.pending.any(axis=0)
+            # The confirm rule reads kb_part: > 0 exactly where pending.
+            assert ((state.kb_part > 0) == incomplete).all(), state.seeds
+            complete = unselected & ~incomplete
             assert (bound == marginal)[complete].all(), state.seeds
             steps.append(len(state.seeds))
 
@@ -1146,12 +1149,12 @@ class TestIRRArrayNativeNRA:
                 # shifts ids into the merged space).
                 index.query(KBTIMQuery(("music", "book"), 10))
                 ip, partitions = index.lookup("music", 1)[0]
-                later = index._load_partition("music", partitions, 1)
+                later = index._load_partition("music", partitions, 1)[0]
                 first = partitions[0]
                 for array in (ip, *first, *later):
                     assert not array.flags.writeable
                 with pytest.raises(ValueError):
-                    index._load_partition("music", partitions, 1)[2][0] = 0
+                    index._load_partition("music", partitions, 1)[0][2][0] = 0
                 with pytest.raises(ValueError):
                     first[2][0] = 0
                 with pytest.raises(ValueError):

@@ -240,7 +240,8 @@ class TestIndexReaderContract:
         with IRRIndex(paths["irr"], **COLD) as index:
             ip, partitions = index.lookup("music", 1)[0]
             first = partitions[0]
-            later = index._load_partition("music", partitions, 1)
+            later, hit = index._load_partition("music", partitions, 1)
+            assert not hit
             assert finishes == [3, 2]
             alone = [
                 array

@@ -309,8 +309,7 @@ class TestMergedStats:
         for i in range(6):
             a.record_query(1.0 + i)
         b.record_query(10.0)
-        b.record_keyword_hit()
-        b.record_keyword_miss()
+        b.keyword_hits = b.keyword_misses = 1
         merged = ServerStats.merged([a, b])
         assert merged.queries == 7
         assert merged.keyword_hits == 1

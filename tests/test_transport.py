@@ -68,6 +68,8 @@ def make_selection(seed: int, n_seeds: int) -> SeedSelection:
             rr_sets_considered=int(rng.integers(0, 500)),
             rr_sets_loaded=int(rng.integers(0, 500)),
             partitions_loaded=int(rng.integers(0, 8)),
+            cache_hits=int(rng.integers(0, 8)),
+            cache_misses=int(rng.integers(0, 8)),
             io=io,
         ),
     )
@@ -98,12 +100,12 @@ class TestFlatTransport:
         # dataclass equality: every field survives
         assert reader.read(1, nbytes, generation) == batch
 
-    def test_frame_is_header_pointers_seeds_and_seven_int_columns(self, channel):
+    def test_frame_is_header_pointers_seeds_and_nine_int_columns(self, channel):
         writer, reader = channel(4096)
         batch = [make_selection(i, n_seeds=i) for i in range(4)]
         n, seeds = len(batch), sum(len(s.seeds) for s in batch)
         nbytes, generation = writer.write(batch, seq=5)
-        assert nbytes == 8 * (4 + (n + 1) + 2 * seeds + n + 7 * n + 2 * n)
+        assert nbytes == 8 * (4 + (n + 1) + 2 * seeds + n + 9 * n + 2 * n)
         assert reader.read(5, nbytes, generation) == batch
 
     def test_growth_bumps_generation_and_reader_reattaches(self, channel):
