@@ -314,7 +314,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.maintenance import verify_index
+    from repro.core.catalog import verify_index
 
     report = verify_index(args.index, deep=not args.shallow)
     print(report)

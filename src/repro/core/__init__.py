@@ -9,6 +9,7 @@
   :class:`~repro.core.irr_index.IRRIndex` — incremental index (Section 5).
 """
 
+from repro.core.catalog import IndexCheckReport, verify_index
 from repro.core.chaos import (
     ChaosController,
     FaultEvent,
@@ -25,7 +26,6 @@ from repro.core.estimation import (
     estimate_opt_lower_bound,
 )
 from repro.core.irr_index import DEFAULT_PARTITION_SIZE, IRRIndex, IRRIndexBuilder
-from repro.core.maintenance import IndexCheckReport, verify_index
 from repro.core.offline import KeywordTable, sample_keyword_tables
 from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery

@@ -20,7 +20,12 @@ that document:
   the pool serve, whichever index a file holds; :func:`open_index`
   picks the reader from the catalog's ``format``.
 * :class:`BlockCache` — the one cache of decoded index data: one per
-  reader, keyed by keyword, each entry all the reader decoded of it.
+  reader, keyed by keyword, each entry all the reader decoded of it;
+* :func:`verify_index` — the integrity check of either format: every
+  segment's CRC and presence, the catalog and record headers (an open),
+  and, deep, each keyword's ``verify``, which re-derives what the
+  writer stored from the stored RR sets with the writer's own code and
+  compares it through :func:`check_lists`.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.core.offline import KeywordTable
 from repro.core.query import KBTIMQuery, resolve_keyword, resolve_unique
@@ -64,6 +71,8 @@ __all__ = [
     "BlockCache",
     "IndexReader",
     "open_index",
+    "IndexCheckReport",
+    "verify_index",
 ]
 
 RR_FORMAT = "rr-index"
@@ -103,6 +112,14 @@ _ENTRY_FIELDS = (
 )
 
 
+#: The fields the IRR writer appends to each keyword entry, in file order.
+_PARTITION_FIELDS = (
+    ("n_partitions", int),
+    ("partition_first_lens", list),
+    ("partition_set_counts", list),
+)
+
+
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -130,9 +147,9 @@ class Catalog:
     delta: Optional[int]
     keywords: Dict[str, KeywordMeta]
     topic_names: Dict[int, str]
-    #: Per keyword, ``(n_partitions, partition_first_lens)`` (IRR files
-    #: only; empty for RR).
-    partitions: Dict[str, Tuple[int, List[int]]]
+    #: Per keyword, the entry's partition fields as stored
+    #: (:data:`_PARTITION_FIELDS`; IRR files only, empty for RR).
+    partitions: Dict[str, dict]
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +217,7 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
         ``expected`` (when given), is not a format this library writes,
         is not at :data:`FORMAT_VERSION`, names a codec this release does
         not read, or lacks a field (or holds one of the wrong type), or
-        an IRR partition table's length is not its ``n_partitions``.
+        an IRR partition list's length is not its ``n_partitions``.
     """
     path = reader.path
     payload = reader.read("meta")
@@ -250,14 +267,18 @@ def read_catalog(reader: SegmentReader, expected: Optional[str] = None) -> Catal
     if irr:
         for name, entry in entries.items():
             where = f"keywords.{name}."
-            n_partitions = _field(path, entry, "n_partitions", int, where)
-            first_lens = _field(path, entry, "partition_first_lens", list, where)
-            if len(first_lens) != n_partitions:
-                raise CorruptIndexError(
-                    f"{path}: index catalog field {where}partition_first_lens "
-                    f"has {len(first_lens)} entries for {n_partitions} partitions"
-                )
-            partitions[name] = (n_partitions, first_lens)
+            fields = {
+                field: _field(path, entry, field, kind, where)
+                for field, kind in _PARTITION_FIELDS
+            }
+            n_partitions = fields["n_partitions"]
+            for field in ("partition_first_lens", "partition_set_counts"):
+                if len(fields[field]) != n_partitions:
+                    raise CorruptIndexError(
+                        f"{path}: index catalog field {where}{field} has "
+                        f"{len(fields[field])} entries for {n_partitions} partitions"
+                    )
+            partitions[name] = fields
     return Catalog(
         format=fmt,
         n_vertices=_field(path, meta, "n_vertices", int),
@@ -476,6 +497,12 @@ class IndexReader:
         — and return how many of them had to be decoded."""
         raise NotImplementedError
 
+    def verify(self, keyword: str) -> int:
+        """Deep-check one keyword for :func:`verify_index`: re-derive what
+        the writer stored from the keyword's stored RR sets with the
+        writer's own code, compare, and return the number of RR sets."""
+        raise NotImplementedError
+
     def query(
         self,
         query: KBTIMQuery,
@@ -507,3 +534,100 @@ def open_index(path: str, **reader_kwargs) -> IndexReader:
     with SegmentReader(path) as reader:
         fmt = read_catalog(reader).format
     return (RRIndex if fmt == RR_FORMAT else IRRIndex)(path, **reader_kwargs)
+
+
+# ----------------------------------------------------------------------
+# integrity check
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class IndexCheckReport:
+    """Result of :func:`verify_index`."""
+
+    path: str
+    format: str
+    keywords_checked: int
+    segments_checked: int
+    rr_sets_checked: int
+
+    def __str__(self) -> str:
+        return (
+            f"{self.path}: {self.format} OK — {self.keywords_checked} keywords, "
+            f"{self.segments_checked} segments, {self.rr_sets_checked:,} RR sets"
+        )
+
+
+def verify_index(path: str, *, deep: bool = True) -> IndexCheckReport:
+    """Verify an index file of either format end to end.
+
+    Both modes read every segment in the file, checking its CRC, then
+    check that every segment the catalog implies is there, then open
+    the file with :func:`open_index` (the catalog's fields, RR's record
+    headers).  ``deep`` then runs each keyword's ``verify``: it decodes
+    the keyword's RR sets, re-derives everything else the writer stored
+    from them with the writer's own code, and compares.
+
+    Raises :class:`~repro.errors.CorruptIndexError` on the first
+    inconsistency; returns a summary report on success.
+    """
+    with SegmentReader(path) as reader:
+        names = reader.names()
+        for name in names:
+            reader.read_view(name)  # raises on a checksum mismatch
+        catalog = read_catalog(reader)
+        for name in _implied_segments(catalog):
+            reader.info(name)  # raises naming a missing segment
+    with open_index(path) as index:
+        rr_sets_checked = (
+            sum(index.verify(kw) for kw in index.keywords()) if deep else 0
+        )
+    return IndexCheckReport(
+        path=path,
+        format=catalog.format,
+        keywords_checked=len(catalog.keywords),
+        segments_checked=len(names),
+        rr_sets_checked=rr_sets_checked,
+    )
+
+
+def _implied_segments(catalog: Catalog) -> List[str]:
+    """The record segments the catalog says the file holds."""
+    if catalog.format == RR_FORMAT:
+        return [f"{kind}/{kw}" for kw in catalog.keywords for kind in ("rr", "inv")]
+    return [
+        f"irr/{kw}/{p}"
+        for kw, fields in catalog.partitions.items()
+        for p in range(fields["n_partitions"])
+    ]
+
+
+def check_ids(path: str, where: str, ids: np.ndarray, bound: int, key: str) -> None:
+    """Raise :class:`CorruptIndexError` unless every id of ``ids`` (never
+    negative once decoded) is below ``bound``."""
+    if len(ids) and ids.max() >= bound:
+        raise CorruptIndexError(
+            f"{path}: {where} holds {key} {int(ids.max())}, outside [0, {bound})"
+        )
+
+
+def check_lists(
+    path: str, where: str, stored: tuple, rebuilt: tuple, key: str = "vertex"
+) -> None:
+    """Raise :class:`CorruptIndexError` unless two CSR triples
+    ``(keys, ptr, ids)`` of lists — what a record stores and what the
+    writer's code derives from the RR sets — are equal; ``where`` names
+    the record and ``key`` what its keys are."""
+    keys, ptr, ids = stored
+    rebuilt_keys, rebuilt_ptr, rebuilt_ids = rebuilt
+    if len(keys) != len(rebuilt_keys):
+        raise CorruptIndexError(f"{path}: {where} list count mismatch")
+    wrong = np.flatnonzero(
+        (keys != rebuilt_keys) | (np.diff(ptr) != np.diff(rebuilt_ptr))
+    )
+    if not len(wrong):  # every list as long as its rebuilt one: the ids line up
+        differing = np.flatnonzero(ids != rebuilt_ids)
+        wrong = np.searchsorted(ptr, differing, side="right") - 1
+    if len(wrong):
+        raise CorruptIndexError(
+            f"{path}: {where} list of {key} {int(keys[wrong[0]])} "
+            "disagrees with RR sets"
+        )

@@ -74,6 +74,8 @@ from repro.core.catalog import (
     Catalog,
     IndexReader,
     Lookup,
+    check_ids,
+    check_lists,
     encode_catalog,
     keyword_entries,
 )
@@ -82,7 +84,7 @@ from repro.core.query import KBTIMQuery
 from repro.core.results import QueryStats, SeedSelection
 from repro.core.rr_index import BuildReport, RRIndexBuilder, build_report, invert_csr
 from repro.core.theta import ThetaPolicy
-from repro.errors import IndexError_
+from repro.errors import CorruptIndexError, IndexError_
 from repro.storage.compression import Codec, StreamDecoder, StreamEncoder
 from repro.storage.records import Frame, InvertedListsRecord
 from repro.storage.segments import SegmentWriter
@@ -133,19 +135,27 @@ class IRRIndexBuilder(RRIndexBuilder):
         )
 
 
-def partition_keyword(rr_sets: FlatRRSets, delta: int) -> Tuple[tuple, ...]:
-    """Algorithm 3 lines 5-14 for one keyword, in flat CSR form.
+def partition_keyword(
+    rr_sets: FlatRRSets, delta: int
+) -> Tuple[dict, tuple, tuple, tuple]:
+    """Algorithm 3 lines 5-14 for one keyword, in flat CSR form: all the
+    IRR file stores of it, derived from its RR sets — by
+    :func:`write_irr_index`, and again by :meth:`IRRIndex.verify` from
+    the sets a file holds.
 
-    Returns ``(il, ir, ip)``, tuples of arrays:
+    Returns ``(fields, ip, ir, il)``:
 
-    * ``il = (vertices, ptr, set_ids)`` — every vertex's inverted list
-      (ascending RR-set ids) in descending length order (ties: smaller
-      vertex first); partition ``p`` is lists ``[p·δ, (p+1)·δ)``;
-    * ``ir = (set_ids, part_ptr)`` — RR-set ids grouped by the partition
-      that claims them, ascending within each: partition ``p`` is
-      ``set_ids[part_ptr[p]:part_ptr[p+1]]``;
-    * ``ip = (vertices, firsts)`` — ascending vertices and the first RR
-      set each occurs in.
+    * ``fields`` — the catalog entry's partition fields;
+    * ``ip = (vertices, ptr, firsts)`` — ``IP_w``: ascending vertices,
+      each with one id, the first RR set it occurs in;
+    * ``ir = (set_ids, ptr, vertices, bounds)`` — the RR sets, grouped
+      by the partition that claims them, ascending ids within each;
+    * ``il = (vertices, ptr, set_ids, bounds)`` — every vertex's
+      inverted list (ascending RR-set ids) in descending length order
+      (ties: smaller vertex first), ``δ`` lists per partition;
+
+    partition ``p``'s ``IR`` (``IL``) record holds entries
+    ``bounds[p]:bounds[p+1]`` of ``ir`` (``il``).
     """
     # invert_csr is the inversion shared with the RR builder: ascending
     # vertices, each with ascending set ids.
@@ -162,11 +172,19 @@ def partition_keyword(rr_sets: FlatRRSets, delta: int) -> Tuple[tuple, ...]:
     owner[il_ids[::-1]] = partition_of[::-1]
     by_owner = np.argsort(owner, kind="stable")
     part_ptr = np.searchsorted(owner[by_owner], np.arange(n_partitions + 1))
+    ir_sets = by_owner[: part_ptr[-1]]
+    list_ptr = np.minimum(np.arange(n_partitions + 1) * delta, len(order))
+    fields = {
+        "n_partitions": n_partitions,
+        "partition_first_lens": np.diff(il_ptr)[list_ptr[:-1]].tolist(),
+        "partition_set_counts": np.diff(part_ptr).tolist(),
+    }
     return (
-        (vertices[order], il_ptr, il_ids),
-        (by_owner[: part_ptr[-1]], part_ptr),
+        fields,
         # First occurrence = head of each (ascending) inverted list.
-        (vertices, set_ids[ptr[:-1]]),
+        (vertices, np.arange(len(vertices) + 1), set_ids[ptr[:-1]]),
+        (ir_sets, *take_rows(rr_sets.ptr, rr_sets.vertices, ir_sets), part_ptr),
+        (vertices[order], il_ptr, il_ids, list_ptr),
     )
 
 
@@ -191,26 +209,11 @@ def write_irr_index(
     encoder = StreamEncoder()
     units: List[Tuple[str, Tuple[Frame, ...]]] = []
     for name in sorted(tables):
-        rr_sets = tables[name].rr_sets
-        (il_keys, il_ptr, il_ids), (ir_sets, part_ptr), (ip_keys, ip_firsts) = (
-            partition_keyword(rr_sets, delta)
-        )
-        list_ptr = np.minimum(np.arange(len(part_ptr)) * delta, len(il_keys))
-        entries[name].update(
-            n_partitions=len(part_ptr) - 1,
-            partition_first_lens=np.diff(il_ptr)[list_ptr[:-1]].tolist(),
-            partition_set_counts=np.diff(part_ptr).tolist(),
-        )
-        ip_ptr = np.arange(len(ip_keys) + 1)
-        ip = InvertedListsRecord.queue_encode(encoder, ip_keys, ip_ptr, ip_firsts, codec)
-        # The claimed RR sets themselves, gathered once in IR order.
-        ir_ptr, ir_vertices = take_rows(rr_sets.ptr, rr_sets.vertices, ir_sets)
-        irs = InvertedListsRecord.queue_encode_partitions(
-            encoder, ir_sets, ir_ptr, ir_vertices, part_ptr, codec
-        )
-        ils = InvertedListsRecord.queue_encode_partitions(
-            encoder, il_keys, il_ptr, il_ids, list_ptr, codec
-        )
+        fields, ip, ir, il = partition_keyword(tables[name].rr_sets, delta)
+        entries[name].update(fields)
+        ip = InvertedListsRecord.queue_encode(encoder, *ip, codec)
+        irs = InvertedListsRecord.queue_encode_partitions(encoder, *ir, codec)
+        ils = InvertedListsRecord.queue_encode_partitions(encoder, *il, codec)
         for p, unit in enumerate(zip(irs, ils)):
             units.append((f"irr/{name}/{p}", (ip, *unit) if p == 0 else unit))
     streams = encoder.finish()
@@ -251,6 +254,14 @@ def _decode_segment(segment, count: int) -> tuple:
     ]
     streams = decoder.finish()
     return _frozen(*(array for take in takes for array in take(streams)))
+
+
+def _rows(layout: tuple, p: int) -> tuple:
+    """Partition ``p``'s record of a :func:`partition_keyword` ``(keys,
+    ptr, ids, bounds)``, as the ``(keys, ptr, ids)`` its decode returns."""
+    keys, ptr, ids, bounds = layout
+    lo, hi = bounds[p], bounds[p + 1]
+    return keys[lo:hi], ptr[lo : hi + 1] - ptr[lo], ids[ptr[lo] : ptr[hi]]
 
 
 @dataclass
@@ -493,9 +504,14 @@ class IRRIndex(IndexReader):
     CACHE_KEYWORDS = 64
 
     def _load(self, parsed: Catalog) -> None:
+        self.delta = parsed.delta
+        self._partition_fields = parsed.partitions
         self._partition_info: Dict[str, Tuple[int, np.ndarray]] = {
-            name: (n_partitions, np.array(first_lens, dtype=np.int64))
-            for name, (n_partitions, first_lens) in parsed.partitions.items()
+            name: (
+                fields["n_partitions"],
+                np.array(fields["partition_first_lens"], dtype=np.int64),
+            )
+            for name, fields in parsed.partitions.items()
         }
 
     # ------------------------------------------------------------------
@@ -545,6 +561,56 @@ class IRRIndex(IndexReader):
         for p in range(1, self._partition_info[keyword][0]):
             decoded += not self._load_partition(keyword, partitions, p)[1]
         return decoded
+
+    def verify(self, keyword: str) -> int:
+        """Deep-check one keyword (:func:`~repro.core.catalog.verify_index`):
+        reassemble ``R_w`` from the ``IR`` records, re-run the writer's
+        :func:`partition_keyword` on it and compare the catalog's partition
+        fields and every record with what :func:`write_irr_index` would
+        write; the number of RR sets."""
+        path = self._reader.path
+        n_sets = self.catalog[keyword].n_sets
+        names = [f"irr/{keyword}/{p}" for p in range(self._partition_info[keyword][0])]
+        # Per segment, its records' (keys, ptr, ids): (IP,) IR, IL.
+        stored = []
+        for p, name in enumerate(names):
+            arrays = _decode_segment(self._reader.read_view(name), 2 + (p == 0))
+            stored.append([arrays[i : i + 3] for i in range(0, len(arrays), 3)])
+        # Reassembly needs every set id below n_sets, each claimed once.
+        irs = [records[-2] for records in stored]
+        set_ids = np.concatenate([np.empty(0, dtype=np.int64)] + [ir[0] for ir in irs])
+        where = f"irr/{keyword} IR"
+        check_ids(path, where, set_ids, n_sets, "set")
+        claims = np.bincount(set_ids, minlength=n_sets)
+        if (claims != 1).any():
+            wrong = int(np.argmax(claims != 1))
+            raise CorruptIndexError(
+                f"{path}: {where} claims RR set {wrong} "
+                f"{claims[wrong]} times, not once"
+            )
+        claimed = FlatRRSets.concatenate([FlatRRSets(ptr, ids) for _, ptr, ids in irs])
+        rr_sets = FlatRRSets(
+            *take_rows(claimed.ptr, claimed.vertices, np.argsort(set_ids))
+        )
+        check_ids(path, where, rr_sets.vertices, self.n_vertices, "vertex")
+        if self.delta < 1:
+            raise CorruptIndexError(
+                f"{path}: index catalog field delta is {self.delta}"
+            )
+        fields, ip, ir, il = partition_keyword(rr_sets, self.delta)
+        for field, value in fields.items():
+            if self._partition_fields[keyword][field] != value:
+                raise CorruptIndexError(
+                    f"{path}: index catalog field keywords.{keyword}.{field} "
+                    "disagrees with RR sets"
+                )
+        for p, (name, records) in enumerate(zip(names, stored)):
+            rebuilt = [("IR", "set", _rows(ir, p)), ("IL", "vertex", _rows(il, p))]
+            if p == 0:
+                rebuilt.insert(0, ("IP", "vertex", ip))
+            for got, (label, key, want) in zip(records, rebuilt):
+                check_lists(path, f"{name} {label}", got, want, key)
+        return n_sets
 
     # ------------------------------------------------------------------
     def query(

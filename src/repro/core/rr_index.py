@@ -38,6 +38,8 @@ from repro.core.catalog import (
     KeywordMeta,
     Lookup,
     build_keyword_meta,
+    check_ids,
+    check_lists,
     encode_catalog,
     keyword_entries,
     plan_theta_q,
@@ -410,6 +412,28 @@ class RRIndex(IndexReader):
         )
         streams = decoder.finish()
         return KeywordCoverageCSR.from_csr_arrays(*rr_sets(streams), *inverted(streams))
+
+    def verify(self, keyword: str) -> int:
+        """Deep-check one keyword (:func:`~repro.core.catalog.verify_index`):
+        invert the stored RR sets with the writer's :func:`invert_csr`
+        and compare with the stored ``L_w``; the number of RR sets."""
+        _group_size, payload_len, payload_start, _offsets = self._headers[keyword]
+        n_sets = self.catalog[keyword].n_sets
+        payload = self._reader.read_view(f"rr/{keyword}")
+        rr_sets = FlatRRSets(
+            *RRSetsRecord.decode_prefix_csr(
+                payload[payload_start : payload_start + payload_len], n_sets
+            )
+        )
+        path = self._reader.path
+        check_ids(path, f"rr/{keyword}", rr_sets.vertices, self.n_vertices, "vertex")
+        check_lists(
+            path,
+            f"keyword {keyword!r} inverted",
+            InvertedListsRecord.decode_csr(self._reader.read_view(f"inv/{keyword}")),
+            invert_csr(rr_sets),
+        )
+        return n_sets
 
     # ------------------------------------------------------------------
     def query(

@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GraphError
+from repro.utils.segments import csr_from_pairs
 
 __all__ = ["DiGraph"]
 
@@ -55,6 +56,7 @@ class DiGraph:
         "in_ptr",
         "in_src",
         "in_prob",
+        "_out_order",
         "_out_prob",
     )
 
@@ -76,6 +78,7 @@ class DiGraph:
         self.in_ptr = np.ascontiguousarray(in_ptr, dtype=_VERTEX_DTYPE)
         self.in_src = np.ascontiguousarray(in_src, dtype=_VERTEX_DTYPE)
         self.in_prob = np.ascontiguousarray(in_prob, dtype=_PROB_DTYPE)
+        self._out_order: Optional[np.ndarray] = None
         self._out_prob: Optional[np.ndarray] = None
         if validate:
             self._validate()
@@ -144,8 +147,8 @@ class DiGraph:
             in_deg = np.bincount(dst, minlength=n).astype(_PROB_DTYPE)
             prob_array = 1.0 / in_deg[dst] if m else np.empty(0, dtype=_PROB_DTYPE)
 
-        out_ptr, out_dst = _build_csr(n, src, dst)
-        in_ptr, in_src, in_prob = _build_csr_with_payload(n, dst, src, prob_array)
+        out_ptr, out_dst = csr_from_pairs(n, src, dst)
+        in_ptr, in_src, in_prob = csr_from_pairs(n, dst, src, prob_array)
         return cls(n, out_ptr, out_dst, in_ptr, in_src, in_prob, validate=False)
 
     # ------------------------------------------------------------------
@@ -167,18 +170,22 @@ class DiGraph:
         return self.in_src[self.in_ptr[v] : self.in_ptr[v + 1]]
 
     @property
-    def out_prob(self) -> np.ndarray:
-        """Edge probabilities aligned with ``out_dst`` (lazily derived).
+    def out_order(self) -> np.ndarray:
+        """The permutation that re-sorts an in-CSR edge payload by
+        (source, target): ``payload[out_order]`` is aligned with
+        ``out_dst``, which forward simulation walks.  Computed once and
+        cached."""
+        if self._out_order is None:
+            dst = np.repeat(np.arange(self.n, dtype=_VERTEX_DTYPE), self.in_degrees())
+            self._out_order = np.lexsort((dst, self.in_src))
+        return self._out_order
 
-        The in-CSR is authoritative; this view re-sorts the payload by
-        (source, target) to align with the out-CSR, which forward Monte
-        Carlo simulation walks.  Computed once and cached.
-        """
+    @property
+    def out_prob(self) -> np.ndarray:
+        """Edge probabilities aligned with ``out_dst`` (the authoritative
+        ``in_prob`` through :attr:`out_order`; computed once and cached)."""
         if self._out_prob is None:
-            src = self.in_src
-            dst = np.repeat(np.arange(self.n, dtype=_VERTEX_DTYPE), np.diff(self.in_ptr))
-            order = np.lexsort((dst, src))
-            self._out_prob = np.ascontiguousarray(self.in_prob[order])
+            self._out_prob = self.in_prob[self.out_order]
         return self._out_prob
 
     def in_degrees(self) -> np.ndarray:
@@ -264,28 +271,3 @@ class DiGraph:
             raise GraphError("in_prob must have length m")
         if m and (self.in_prob.min() < 0.0 or self.in_prob.max() > 1.0):
             raise GraphError("edge probabilities must lie in [0, 1]")
-
-
-def _build_csr(
-    n: int, row: np.ndarray, col: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort ``(row, col)`` pairs into CSR ``(ptr, indices)`` arrays."""
-    order = np.lexsort((col, row))
-    row_sorted = row[order]
-    col_sorted = col[order]
-    counts = np.bincount(row_sorted, minlength=n)
-    ptr = np.zeros(n + 1, dtype=_VERTEX_DTYPE)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr, col_sorted
-
-
-def _build_csr_with_payload(
-    n: int, row: np.ndarray, col: np.ndarray, payload: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR construction that carries a per-edge payload along."""
-    order = np.lexsort((col, row))
-    row_sorted = row[order]
-    counts = np.bincount(row_sorted, minlength=n)
-    ptr = np.zeros(n + 1, dtype=_VERTEX_DTYPE)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr, col[order], payload[order]

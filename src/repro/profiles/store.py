@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import ProfileError
 from repro.profiles.topics import TopicRef, TopicSpace
+from repro.utils.segments import csr_from_pairs
 
 __all__ = ["ProfileStore"]
 
@@ -88,10 +89,10 @@ class ProfileStore:
         topic_arr = np.asarray(topic_ids, dtype=np.int64)
         tf_arr = np.asarray(tfs, dtype=np.float64)
 
-        self._user_ptr, self._user_topics, self._user_tf = _csr(
+        self._user_ptr, self._user_topics, self._user_tf = csr_from_pairs(
             n_users, user_arr, topic_arr, tf_arr
         )
-        self._topic_ptr, self._topic_users, self._topic_tf = _csr(
+        self._topic_ptr, self._topic_users, self._topic_tf = csr_from_pairs(
             topics.size, topic_arr, user_arr, tf_arr
         )
 
@@ -250,14 +251,3 @@ class ProfileStore:
     def _check_user(self, user: int) -> None:
         if not 0 <= user < self.n_users:
             raise ProfileError(f"user {user} out of range [0, {self.n_users})")
-
-
-def _csr(
-    n_rows: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    order = np.lexsort((cols, rows))
-    rows_sorted = rows[order]
-    counts = np.bincount(rows_sorted, minlength=n_rows)
-    ptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr, cols[order], values[order]

@@ -132,12 +132,7 @@ class LinearThreshold(PropagationModel):
         """Weights re-sorted to align with the out-CSR (cached)."""
         cached = getattr(self, "_out_weights", None)
         if cached is None:
-            graph = self.graph
-            src = graph.in_src
-            dst = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.in_ptr))
-            order = np.lexsort((dst, src))
-            cached = np.ascontiguousarray(self.weights[order])
-            self._out_weights = cached
+            cached = self._out_weights = self.weights[self.graph.out_order]
         return cached
 
 

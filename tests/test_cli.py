@@ -14,6 +14,7 @@ from repro import experiments
 from repro.cli import build_parser, main
 from repro.core.server import SNAPSHOT_SCHEMA
 from repro.experiments import Table, registry
+from repro.storage.segments import SegmentReader
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -304,6 +305,28 @@ class TestVerifyAndExtract:
         open(broken, "wb").write(bytes(data))
         assert main(["verify", "--index", broken]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--shallow"]])
+    def test_verify_irr_index(self, irr_index, mode, capsys):
+        assert main(["verify", "--index", irr_index, *mode]) == 0
+        assert "irr-index OK" in capsys.readouterr().out
+
+    def test_shallow_verify_checks_later_partitions(self, irr_index, tmp_path, capsys):
+        """Shallow mode never decodes partition 1 on, but reads its CRC."""
+        with SegmentReader(irr_index) as reader:
+            later = next(
+                reader.info(name)
+                for name in reader.names()
+                if name.startswith("irr/") and not name.endswith("/0")
+            )
+        data = bytearray(open(irr_index, "rb").read())
+        data[later.offset] ^= 0xFF
+        broken = str(tmp_path / "broken.irr")
+        open(broken, "wb").write(bytes(data))
+        assert main(["verify", "--index", broken, "--shallow"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {broken}: segment {later.name!r} checksum mismatch"
+        ]
 
 
 def _homes(node, key, path=""):

@@ -70,9 +70,8 @@ class TestPartitioning:
         ``il[p]`` = ``[(vertex, set ids)]``, ``ir[p]`` = claimed set ids,
         ``ip`` = ``[(vertex, first set)]``.  The literal ``rr_sets`` are
         wrapped once into the samplers' ``FlatRRSets``."""
-        (keys, ptr, ids), (ir_sets, part_ptr), (ip_keys, firsts) = partition_keyword(
-            FlatRRSets.from_sets(rr_sets), delta
-        )
+        _fields, ip, ir, il = partition_keyword(FlatRRSets.from_sets(rr_sets), delta)
+        (ip_keys, _, firsts), (ir_sets, *_, part_ptr), (keys, ptr, ids, _) = ip, ir, il
         lists = [
             (int(k), ids[ptr[i] : ptr[i + 1]].tolist()) for i, k in enumerate(keys)
         ]

@@ -1,12 +1,12 @@
-"""Tests for the index integrity check (repro.core.maintenance)."""
+"""Tests for the index integrity check (repro.core.verify_index)."""
 
 import json
 
 import pytest
 
 from listform import encode_inverted_lists
+from repro.core import verify_index
 from repro.core.irr_index import IRRIndexBuilder
-from repro.core.maintenance import verify_index
 from repro.core.rr_index import RRIndexBuilder
 from repro.core.theta import ThetaPolicy
 from repro.errors import CorruptIndexError
@@ -56,6 +56,26 @@ class TestVerifyIndex:
         rr_path, irr_path = built
         assert verify_index(rr_path, deep=False).rr_sets_checked == 0
         assert verify_index(irr_path, deep=False).rr_sets_checked == 0
+
+    @pytest.mark.parametrize("deep", [True, False])
+    @pytest.mark.parametrize(
+        "kind,segment", [("rr", "inv/music"), ("irr", "irr/music/1")]
+    )
+    def test_flipped_byte_is_a_checksum_mismatch(
+        self, kind, segment, deep, built, tmp_path
+    ):
+        """Shallow mode reads every segment too: a later IRR partition is
+        never decoded there, but its CRC is checked."""
+        source = built[0] if kind == "rr" else built[1]
+        with SegmentReader(source) as reader:
+            offset = reader.info(segment).offset
+        data = bytearray(open(source, "rb").read())
+        data[offset] ^= 0xFF
+        broken = str(tmp_path / f"flipped.{kind}")
+        open(broken, "wb").write(bytes(data))
+        match = f"segment '{segment}' checksum mismatch"
+        with pytest.raises(CorruptIndexError, match=match):
+            verify_index(broken, deep=deep)
 
     def test_corruption_detected(self, built, tmp_path):
         rr_path, _ = built
@@ -111,10 +131,54 @@ def _cut_last_byte(name):
     return tamper
 
 
-def _bump_catalog_count(segments):
-    document = json.loads(segments["meta"])
-    document["keywords"]["music"]["n_sets"] += 1
-    segments["meta"] = json.dumps(document).encode()
+def _edit_catalog_document(edit):
+    """A tampering that rewrites the ``meta`` document after ``edit(it)``."""
+
+    def tamper(segments):
+        document = json.loads(segments["meta"])
+        edit(document)
+        segments["meta"] = json.dumps(document).encode()
+
+    return tamper
+
+
+def _edit_catalog(edit):
+    """A tampering that rewrites the ``meta`` document after
+    ``edit(music's keyword entry)``."""
+    return _edit_catalog_document(lambda document: edit(document["keywords"]["music"]))
+
+
+def _bump(field, by=1, at=None):
+    """An ``edit`` for :func:`_edit_catalog`: ``field`` (item ``at`` of a
+    list field) raised by ``by``."""
+
+    def edit(entry):
+        if at is None:
+            entry[field] += by
+        else:
+            entry[field][at] += by
+
+    return edit
+
+
+def _bump_last_id(lists):
+    """The last id of the first list with two or more ids, plus one: the
+    list stays sorted and as long."""
+    i = next(i for i, (_key, ids) in enumerate(lists) if len(ids) > 1)
+    ids = lists[i][1].copy()
+    ids[-1] += 1
+    lists[i] = (lists[i][0], ids)
+    return lists
+
+
+def _set_last_key(value):
+    """An ``edit`` of ``[(key, ids)]``: the last list's key becomes ``value``."""
+
+    def edit(lists):
+        lists[-1] = (value, lists[-1][1])
+        return lists
+
+    return edit
 
 
 #: Record positions in ``irr/<kw>/0`` and in a later ``irr/<kw>/<p>``.
@@ -143,22 +207,59 @@ TAMPERINGS = {
     "rr list missing": (
         "rr", _edit_lists("inv/music", lambda lists: lists[1:]), "count mismatch"
     ),
-    "rr catalog count": ("rr", _bump_catalog_count, "catalog says"),
+    "rr catalog count": ("rr", _edit_catalog(_bump("n_sets")), "catalog says"),
     "rr record cut short": ("rr", _cut_last_byte("inv/music"), "payload truncated"),
+    "rr catalog n_vertices lowered": (
+        "rr",
+        _edit_catalog_document(lambda document: document.update(n_vertices=1)),
+        r"rr/\w+ holds vertex \d+, outside \[0, 1\)",
+    ),
     "irr unsorted partition": (
         "irr",
         _edit_lists("irr/music/0", lambda lists: lists[::-1], IL0),
-        "length-sorted",
+        "irr/music/0 IL list of vertex",
     ),
     "irr partitions swapped": (
-        "irr", _swap_first_two_partitions, "breaks the global length order"
+        "irr", _swap_first_two_partitions, "irr/music/0 IL list"
     ),
-    "irr set claimed twice": ("irr", _claim_a_set_twice, "claimed twice"),
+    "irr list id changed": (
+        "irr",
+        _edit_lists("irr/music/1", _bump_last_id, IL),
+        "irr/music/1 IL list of vertex",
+    ),
+    "irr catalog first lens lowered": (
+        "irr",
+        _edit_catalog(_bump("partition_first_lens", -1, at=1)),
+        "keywords.music.partition_first_lens disagrees",
+    ),
+    "irr catalog set count off by one": (
+        "irr",
+        _edit_catalog(_bump("partition_set_counts", 1, at=0)),
+        "keywords.music.partition_set_counts disagrees",
+    ),
+    "irr catalog delta 0": (
+        "irr",
+        _edit_catalog_document(lambda document: document.update(delta=0)),
+        "index catalog field delta is 0",
+    ),
+    "irr set id out of range": (
+        "irr",
+        _edit_lists("irr/music/1", _set_last_key(10**6), IR),
+        r"irr/music IR holds set 1000000, outside \[0, ",
+    ),
+    "irr catalog n_vertices lowered": (
+        "irr",
+        _edit_catalog_document(lambda document: document.update(n_vertices=1)),
+        r"irr/\w+ IR holds vertex \d+, outside \[0, 1\)",
+    ),
+    "irr set claimed twice": (
+        "irr", _claim_a_set_twice, r"irr/music IR claims RR set \d+ 2 times"
+    ),
     "irr record cut short": ("irr", _cut_last_byte("irr/music/1"), "overruns by 1"),
     "irr set unclaimed": (
         "irr",
         _edit_lists("irr/music/0", lambda lists: lists[1:], IR0),
-        "partitions hold",
+        r"irr/music IR claims RR set \d+ 0 times",
     ),
     "irr ip disagrees": (
         "irr",
@@ -167,7 +268,7 @@ TAMPERINGS = {
             lambda lists: [(lists[0][0], lists[0][1] + 1)] + lists[1:],
             IP,
         ),
-        "IP map disagrees",
+        "irr/music/0 IP list of vertex",
     ),
 }
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import verify_index
 from repro.core.catalog import (
     FORMAT_VERSION,
     IRR_FORMAT,
@@ -26,7 +27,6 @@ from repro.core.catalog import (
     read_catalog,
 )
 from repro.core.irr_index import IRRIndex, IRRIndexBuilder, write_irr_index
-from repro.core.maintenance import verify_index
 from repro.core.offline import KeywordTable
 from repro.core.process_pool import SupervisedServerPool
 from repro.core.query import KBTIMQuery
@@ -495,7 +495,11 @@ CATALOG_FIELDS = {
     ]
     for kind, header, entry in (
         ("rr", (), ()),
-        ("irr", ("delta",), ("n_partitions", "partition_first_lens")),
+        (
+            "irr",
+            ("delta",),
+            ("n_partitions", "partition_first_lens", "partition_set_counts"),
+        ),
     )
 }
 

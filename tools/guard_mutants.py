@@ -4,10 +4,10 @@
 For each ``raise StorageError(...)`` / ``raise CorruptIndexError(...)``
 statement in the modules that read the on-disk format, copy ``src/`` to a
 temporary directory, replace that one statement with ``pass``, and run the
-storage / records / failure-injection / reader-contract tests against the
-copy.  A mutant the tests still pass on is a guard nothing checks: it
-*survives* and is printed as ``file:line  message``.  Exit status 1 if any
-survives.  Standard library only (pytest and numpy are needed to run the
+storage / records / failure-injection / reader-contract / integrity-check
+tests against the copy.  A mutant the tests still pass on is a guard
+nothing checks: it *survives* and is printed as ``file:line  message``.
+Exit status 1 if any survives.  Standard library only (pytest and numpy are needed to run the
 tests, as for tier-1).
 
     python3 tools/guard_mutants.py            # every guard, ~3 minutes
@@ -44,6 +44,7 @@ GUARDED = [
 TESTS = sorted(glob.glob(os.path.join(ROOT, "tests", "test_storage_*.py"))) + [
     os.path.join(ROOT, "tests", "test_index_failure_injection.py"),
     os.path.join(ROOT, "tests", "test_index_reader_contract.py"),
+    os.path.join(ROOT, "tests", "test_core_maintenance.py"),
 ]
 
 _GUARD_ERRORS = {"StorageError", "CorruptIndexError"}
